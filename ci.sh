@@ -1,5 +1,8 @@
 #!/bin/sh
-# Local CI gate: formatting, lints, then the tier-1 verify from ROADMAP.md.
+# Local CI gate: formatting, lints, static analysis, every test in the
+# workspace, then every CI scenario of the phoenix-bench registry at
+# --quick size. Ends on a clean `git diff results/`: the committed
+# artefacts must be exactly what the code produces.
 # Usage: ./ci.sh
 set -eu
 
@@ -18,25 +21,20 @@ echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release
 cargo test -q
 
-echo "==> recovery timeline smoke (episode completeness + export round-trip)"
-cargo run -q --release -p phoenix-bench --bin recovery_timeline -- --quick
+echo "==> cargo test --workspace"
+cargo test --workspace -q
 
-echo "==> checkpoint overhead smoke (transparency + byte-exactness + determinism)"
-cargo run -q --release -p phoenix-bench --bin ckpt_overhead -- --quick
+echo "==> phoenix-bench: every CI scenario, --quick"
+cargo build -q --release -p phoenix-bench
+bench="${CARGO_TARGET_DIR:-target}/release/phoenix-bench"
+for s in $("$bench" list --ci); do
+    echo "==> phoenix-bench $s --quick"
+    "$bench" "$s" --quick
+done
 
-echo "==> fail-silent campaign smoke (sentinel coverage + zero false restarts + determinism)"
-cargo run -q --release -p phoenix-bench --bin failsilent_campaign -- --quick
-
-echo "==> microreboot campaign smoke (server coverage + transparency + zero false restarts + determinism)"
-cargo run -q --release -p phoenix-bench --bin microreboot_campaign -- --quick
-
-echo "==> slo-under-chaos smoke (phase-attributed latency + drain + determinism + <=10% regression vs committed baseline)"
-cargo run -q --release -p phoenix-bench --bin slo_under_chaos -- --quick
-
-echo "==> fleet campaign smoke (distributed reincarnation: peer conviction + warm reboot + zero false restarts + determinism)"
-cargo run -q --release -p phoenix-bench --bin fleet_campaign -- --quick
-
-echo "==> standby MTTR smoke (hot-standby promotion beats restart+replay + zero false promotions + clamped adaptation + determinism)"
-cargo run -q --release -p phoenix-bench --bin standby_mttr -- --quick
+echo "==> results/ matches what the code produces"
+git diff --exit-code -- results/
+untracked=$(git status --porcelain -- results/)
+test -z "$untracked" || { echo "uncommitted artefacts:"; echo "$untracked"; exit 1; }
 
 echo "==> ci.sh: all green"

@@ -11,7 +11,7 @@
 //!   regions (every executable line inside counts).
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// Per-file counting result.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -104,39 +104,12 @@ pub fn count_source(src: &str) -> LocCount {
     out
 }
 
-/// Counts all `.rs` files under `dir`, excluding `tests/`, `benches/` and
-/// `examples/` subtrees.
-pub fn count_dir(dir: &Path) -> LocCount {
-    let mut out = LocCount::default();
-    let mut stack = vec![dir.to_path_buf()];
-    while let Some(d) = stack.pop() {
-        let Ok(entries) = fs::read_dir(&d) else {
-            continue;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let name = entry.file_name();
-            let name = name.to_string_lossy();
-            if path.is_dir() {
-                if name != "tests" && name != "benches" && name != "examples" && name != "target" {
-                    stack.push(path);
-                }
-            } else if name.ends_with(".rs") {
-                if let Ok(src) = fs::read_to_string(&path) {
-                    out += count_source(&src);
-                }
-            }
-        }
-    }
-    out
-}
-
 /// A Fig. 9 table row: component, where its code lives.
 #[derive(Debug, Clone)]
 pub struct Component {
     /// Display name (matching the paper's table rows).
     pub name: &'static str,
-    /// Source files/directories relative to the workspace root.
+    /// Source files relative to the workspace root.
     pub paths: Vec<&'static str>,
 }
 
@@ -213,10 +186,7 @@ pub fn fig9_components() -> Vec<Component> {
 pub fn count_component(root: &Path, c: &Component) -> LocCount {
     let mut out = LocCount::default();
     for p in &c.paths {
-        let path: PathBuf = root.join(p);
-        if path.is_dir() {
-            out += count_dir(&path);
-        } else if let Ok(src) = fs::read_to_string(&path) {
+        if let Ok(src) = fs::read_to_string(root.join(p)) {
             out += count_source(&src);
         }
     }

@@ -1,0 +1,36 @@
+//! `phoenix-bench <scenario> [--quick]` / `phoenix-bench list [--ci]`.
+
+use std::process::ExitCode;
+
+use phoenix_bench::{Report, SCENARIOS};
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let args: Vec<&str> = args.iter().map(String::as_str).collect();
+    let (name, quick) = match args[..] {
+        ["list"] => {
+            for s in SCENARIOS {
+                let ci = if s.ci { "ci" } else { "  " };
+                println!("{:<20}  {ci}  {}", s.name, s.blurb);
+            }
+            return ExitCode::SUCCESS;
+        }
+        ["list", "--ci"] => {
+            for s in SCENARIOS.iter().filter(|s| s.ci) {
+                println!("{}", s.name);
+            }
+            return ExitCode::SUCCESS;
+        }
+        [name] => (name, false),
+        [name, "--quick"] => (name, true),
+        _ => ("", false),
+    };
+    let Some(scenario) = SCENARIOS.iter().find(|s| s.name == name) else {
+        eprintln!("usage: phoenix-bench <scenario> [--quick]");
+        eprintln!("       phoenix-bench list [--ci]");
+        return ExitCode::from(2);
+    };
+    let mut report = Report::new(scenario.name, quick);
+    (scenario.run)(&mut report);
+    report.finish()
+}

@@ -1,0 +1,72 @@
+//! §7.2: the software fault-injection campaign against the DP8390 driver.
+//!
+//! Paper: 12,500+ injected faults -> 347 detectable crashes (65% panics,
+//! 31% CPU/MMU exceptions, 4% missing heartbeats); recovery succeeded in
+//! 100% of induced failures in the emulator, and >99% on real hardware
+//! where <5 wedged cards needed a BIOS reset.
+
+use phoenix::campaign::{run_campaign, CampaignConfig, CampaignResult};
+use phoenix_servers::policy::reason;
+
+use crate::Report;
+
+fn row(name: &str, defect: u8, r: &CampaignResult, paper_n: u32, paper_pct: u32) -> Vec<String> {
+    let n = r.count(defect);
+    vec![
+        name.to_string(),
+        n.to_string(),
+        format!("{:.0}%", r.pct(n)),
+        paper_n.to_string(),
+        format!("{paper_pct}%"),
+    ]
+}
+
+pub fn sec72(r: &mut Report) {
+    let injections = if r.quick() { 1_000 } else { 12_500 };
+    r.line(format!(
+        "§7.2 — fault-injection campaign, DP8390 driver, {injections} faults\n"
+    ));
+
+    // Campaign 1: the emulator run (no hardware wedging).
+    let cfg = CampaignConfig {
+        injections,
+        ..CampaignConfig::default()
+    };
+    let (result, traffic) = run_campaign(&cfg);
+    r.line("emulator campaign:");
+    r.line(format!("  {}", result.render()));
+    let rows = vec![
+        row("exits / internal panics", reason::EXIT, &result, 226, 65),
+        row("CPU/MMU exceptions", reason::EXCEPTION, &result, 109, 31),
+        row("missing heartbeats", reason::HEARTBEAT, &result, 12, 4),
+    ];
+    r.table(
+        &["detection", "crashes", "share", "paper", "paper share"],
+        &rows,
+    );
+    let recovered = result.recovered() + result.hard_resets();
+    r.line(format!(
+        "  recovery: {}/{} ({:.1}%)  [paper: 100%]",
+        recovered,
+        result.crashes.len(),
+        result.pct(recovered),
+    ));
+    r.line(format!(
+        "  background traffic: {} datagrams echoed\n",
+        traffic.borrow().echoed
+    ));
+
+    // Campaign 2: "real hardware" with a small wedge probability.
+    let cfg2 = CampaignConfig {
+        injections: injections / 4,
+        wedge_prob: 0.02,
+        seed: 2008,
+        ..CampaignConfig::default()
+    };
+    let (result2, _) = run_campaign(&cfg2);
+    r.line("real-hardware campaign (wedge-capable card):");
+    r.line(format!("  {}", result2.render()));
+    r.line(
+        "  [paper: success for >99% of detectable failures; <5 cases needed a low-level BIOS reset]",
+    );
+}

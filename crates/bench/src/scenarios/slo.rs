@@ -1,40 +1,13 @@
 //! SLO-under-chaos bench: the repo's first committed perf trajectory.
-//!
-//! Sweeps the SLO campaign over load level × chaos intensity: an
-//! open-loop INET client fleet (10⁴+ concurrent sessions at full load)
-//! plus a multi-client VFS/disk job mix, while the network and block
-//! drivers are repeatedly killed under fabric chaos. Every completed
-//! request is attributed to steady state or the recovery phase its
-//! completion fell into, giving p50/p99/p999 latency, goodput and
-//! head-of-line depth per phase.
-//!
-//! The sweep is written to `results/BENCH_slo.json`
-//! (`results/BENCH_slo_quick.json` with `--quick`) in a deterministic,
-//! integer-only schema (`phoenix-bench-slo/v1`): committed to the repo,
-//! it is the baseline the regression gate below compares against.
-//!
-//! Gates (any violation exits non-zero):
-//!
-//! * two same-seed runs of the primary sweep point must produce
-//!   byte-identical metric digests;
-//! * every kill must recover, both generators must drain, and the
-//!   timeline fold must account for every recovery episode;
-//! * the primary chaos point must attribute completions to recovery
-//!   phases (an empty recovery row means the join is broken);
-//! * at full load the fleet must actually reach 10⁴ concurrently-open
-//!   sessions (`peak_live`);
-//! * against the committed baseline: completed requests and goodput may
-//!   not drop more than 10%, and steady-state / recovery p99 latency may
-//!   not rise more than 10% (rows with too few samples are skipped).
 
 use std::fmt::Write as _;
-use std::process::ExitCode;
 
 use phoenix::campaign::{run_slo_campaign, SloCampaignConfig, SloCampaignResult};
 use phoenix::loadgen::{InetLoadConfig, VfsLoadConfig};
-use phoenix_bench::{print_table, quick_mode, workspace_root};
 use phoenix_simcore::obs::phase;
 use phoenix_simcore::time::SimDuration;
+
+use crate::Report;
 
 /// Minimum successful-latency samples a phase row needs before its p99
 /// participates in the regression gate (tiny rows are pure noise).
@@ -42,6 +15,13 @@ const GATE_MIN_SAMPLES: u64 = 50;
 
 /// Tolerance band of the regression gate, percent.
 const GATE_TOLERANCE_PCT: u64 = 10;
+
+const RECOVERY_PHASES: [&str; 4] = [
+    phase::DETECT,
+    phase::REPAIR,
+    phase::REINTEGRATE,
+    phase::REPLAY,
+];
 
 /// One sweep point: a load level crossed with a chaos intensity.
 struct SweepPoint {
@@ -128,7 +108,7 @@ fn sweep(quick: bool) -> Vec<SweepPoint> {
 // given sweep outcome, so the committed file doubles as a determinism
 // witness.
 
-fn push_phase(out: &mut String, r: &SloCampaignResult) {
+fn push_phases(out: &mut String, r: &SloCampaignResult) {
     out.push_str("\"phases\":[");
     for (i, p) in r.phases.iter().enumerate() {
         if i > 0 {
@@ -210,7 +190,7 @@ fn render_json(quick: bool, runs: &[(SweepPoint, SloCampaignResult)]) -> String 
             r.trace_dropped,
             r.digest,
         );
-        push_phase(&mut out, r);
+        push_phases(&mut out, r);
         out.push('}');
     }
     out.push_str("]}\n");
@@ -225,17 +205,12 @@ fn total_goodput(r: &SloCampaignResult) -> u64 {
 /// p99 over the best-sampled recovery phase (detection/repair/
 /// reintegration/replay), with its sample count.
 fn recovery_p99(r: &SloCampaignResult) -> (u64, u64) {
-    [
-        phase::DETECT,
-        phase::REPAIR,
-        phase::REINTEGRATE,
-        phase::REPLAY,
-    ]
-    .iter()
-    .filter_map(|ph| r.phase(ph))
-    .map(|p| (p.p99_us, p.samples))
-    .max_by_key(|&(_, samples)| samples)
-    .unwrap_or((0, 0))
+    RECOVERY_PHASES
+        .iter()
+        .filter_map(|ph| r.phase(ph))
+        .map(|p| (p.p99_us, p.samples))
+        .max_by_key(|&(_, samples)| samples)
+        .unwrap_or((0, 0))
 }
 
 /// Pulls `"key":<integer>` out of a committed baseline file. The schema
@@ -250,100 +225,108 @@ fn baseline_u64(json: &str, key: &str) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn main() -> ExitCode {
-    let quick = quick_mode();
+/// Sweeps the SLO campaign over load level × chaos intensity: an
+/// open-loop INET client fleet (10⁴+ concurrent sessions at full load)
+/// plus a multi-client VFS/disk job mix, while the network and block
+/// drivers are repeatedly killed under fabric chaos. Every completed
+/// request is attributed to steady state or the recovery phase its
+/// completion fell into, giving p50/p99/p999 latency, goodput and
+/// head-of-line depth per phase.
+///
+/// The sweep is attached as `results/BENCH_slo[_quick].json` in a
+/// deterministic, integer-only schema (`phoenix-bench-slo/v1`): committed
+/// to the repo, it is the baseline the regression gate compares against.
+/// Gates:
+///
+/// * two same-seed runs of the primary sweep point must produce
+///   byte-identical metric digests;
+/// * every kill must recover, both generators must drain, and the
+///   timeline fold must account for every recovery episode;
+/// * the primary chaos point must attribute completions to recovery
+///   phases (an empty recovery row means the join is broken);
+/// * at full load the fleet must actually reach 10⁴ concurrently-open
+///   sessions (`peak_live`);
+/// * against the committed baseline: completed requests and goodput may
+///   not drop more than 10%, and steady-state / recovery p99 latency may
+///   not rise more than 10% (rows with too few samples are skipped).
+pub fn slo(r: &mut Report) {
+    let quick = r.quick();
     let points = sweep(quick);
-    println!(
-        "slo under chaos — {} sweep points (load x intensity){}\n",
+    r.note(format!(
+        "slo under chaos — {} sweep points (load x intensity)\n",
         points.len(),
-        if quick { ", --quick" } else { "" },
-    );
+    ));
 
-    let mut failures = Vec::new();
     let mut runs: Vec<(SweepPoint, SloCampaignResult)> = Vec::new();
     for pt in points {
         let (result, _os) = run_slo_campaign(&pt.cfg);
-        println!(
+        r.line(format!(
             "[{} x {:.2}] {}\n",
             pt.load,
             f64::from(pt.intensity_permille) / 1000.0,
             result.render()
-        );
+        ));
         if pt.primary {
             // Digest gate: the campaign must be a pure function of its
             // seed — rerun the primary point and compare.
             let (rerun, _os) = run_slo_campaign(&pt.cfg);
-            if rerun.digest != result.digest {
-                failures.push(format!(
-                    "same-seed digests differ: {} vs {}",
-                    result.digest, rerun.digest
-                ));
-            }
+            r.require_same_digest(&result.digest, &rerun.digest);
         }
         runs.push((pt, result));
     }
 
     // ---- per-run invariant gates ----
-    for (pt, r) in &runs {
+    for (pt, run) in &runs {
         let tag = format!("[{} x {}]", pt.load, pt.intensity_permille);
-        let unrecovered = r.kills.iter().filter(|k| !k.recovered).count();
-        if unrecovered > 0 {
-            failures.push(format!("{tag} {unrecovered} kills did not recover"));
-        }
-        if !r.inet_drained || !r.vfs_drained {
-            failures.push(format!(
+        let unrecovered = run.kills.iter().filter(|k| !k.recovered).count();
+        r.require(
+            unrecovered == 0,
+            format!("{tag} {unrecovered} kills did not recover"),
+        );
+        r.require(
+            run.inet_drained && run.vfs_drained,
+            format!(
                 "{tag} load did not drain (inet {}, vfs {})",
-                r.inet_drained, r.vfs_drained
-            ));
-        }
-        if r.unaccounted_episodes > 0 {
-            failures.push(format!(
+                run.inet_drained, run.vfs_drained
+            ),
+        );
+        r.require(
+            run.unaccounted_episodes == 0,
+            format!(
                 "{tag} {} recovery episodes unaccounted in the fold",
-                r.unaccounted_episodes
-            ));
-        }
+                run.unaccounted_episodes
+            ),
+        );
         if pt.primary {
-            let (_, rec_samples) = recovery_p99(r);
-            let rec_requests: u64 = [
-                phase::DETECT,
-                phase::REPAIR,
-                phase::REINTEGRATE,
-                phase::REPLAY,
-            ]
-            .iter()
-            .filter_map(|ph| r.phase(ph))
-            .map(|p| p.requests)
-            .sum();
-            if rec_requests == 0 {
-                failures.push(format!(
-                    "{tag} no requests attributed to any recovery phase"
-                ));
-            }
-            let _ = rec_samples;
+            let rec_requests: u64 = RECOVERY_PHASES
+                .iter()
+                .filter_map(|ph| run.phase(ph))
+                .map(|p| p.requests)
+                .sum();
+            r.require(
+                rec_requests > 0,
+                format!("{tag} no requests attributed to any recovery phase"),
+            );
         }
-        if !quick && pt.load == "full" && r.peak_live < 10_000 {
-            failures.push(format!(
+        r.require(
+            quick || pt.load != "full" || run.peak_live >= 10_000,
+            format!(
                 "{tag} peak_live {} below the 10^4-session floor",
-                r.peak_live
-            ));
-        }
+                run.peak_live
+            ),
+        );
     }
 
     // ---- regression gate against the committed baseline ----
-    let suffix = if quick { "_quick" } else { "" };
-    let dir = workspace_root().join("results");
-    let path = dir.join(format!("BENCH_slo{suffix}.json"));
-    if let Ok(baseline) = std::fs::read_to_string(&path) {
-        check_regression(&baseline, &runs, &mut failures);
-    } else {
-        println!("no committed baseline at {} — skipping", path.display());
+    match r.committed("BENCH_slo", "json") {
+        Some(baseline) => check_regression(&baseline, &runs, r),
+        None => r.note("no committed BENCH_slo baseline — skipping the regression gate"),
     }
 
-    // ---- summary table + report ----
     let rows: Vec<Vec<String>> = runs
         .iter()
-        .flat_map(|(pt, r)| {
-            r.phases.iter().map(move |p| {
+        .flat_map(|(pt, run)| {
+            run.phases.iter().map(move |p| {
                 vec![
                     pt.load.to_string(),
                     format!("{:.2}", f64::from(pt.intensity_permille) / 1000.0),
@@ -358,42 +341,19 @@ fn main() -> ExitCode {
             })
         })
         .collect();
-    print_table(
+    r.table(
         &[
             "load", "chaos", "phase", "req", "p50us", "p99us", "p999us", "goodput", "hol",
         ],
         &rows,
     );
-
-    let json = render_json(quick, &runs);
-    let _ = std::fs::create_dir_all(&dir);
-    if let Err(e) = std::fs::write(&path, &json) {
-        eprintln!("failed to write {}: {e}", path.display());
-    } else {
-        println!("\nwrote {}", path.display());
-    }
-
-    if failures.is_empty() {
-        println!("\nall gates passed: same-seed digest identical, all kills");
-        println!("recovered, load drained, recovery phases populated, within");
-        println!("{GATE_TOLERANCE_PCT}% of the committed baseline");
-        ExitCode::SUCCESS
-    } else {
-        for f in &failures {
-            eprintln!("GATE FAILED: {f}");
-        }
-        ExitCode::FAILURE
-    }
+    r.attach("BENCH_slo", "json", render_json(quick, &runs));
 }
 
 /// Tolerance-band comparison of the primary run against the committed
 /// baseline's `gate` block: throughput may not drop, latency may not
 /// rise, by more than [`GATE_TOLERANCE_PCT`].
-fn check_regression(
-    baseline: &str,
-    runs: &[(SweepPoint, SloCampaignResult)],
-    failures: &mut Vec<String>,
-) {
+fn check_regression(baseline: &str, runs: &[(SweepPoint, SloCampaignResult)], report: &mut Report) {
     let Some((pt, r)) = runs.iter().find(|(pt, _)| pt.primary) else {
         return;
     };
@@ -402,55 +362,49 @@ fn check_regression(
     if baseline_u64(baseline, "sessions") != Some(u64::from(pt.cfg.inet.sessions))
         || baseline_u64(baseline, "intensity_permille") != Some(u64::from(pt.intensity_permille))
     {
-        println!("baseline was recorded for a different primary config — skipping");
+        report.note("baseline was recorded for a different primary config — skipping");
         return;
     }
     let pct = GATE_TOLERANCE_PCT;
     // Lower-is-regression counters.
-    for key in ["completed", "goodput_bytes"] {
+    for (key, now) in [
+        ("completed", r.completed),
+        ("goodput_bytes", total_goodput(r)),
+    ] {
         let Some(base) = baseline_u64(baseline, key) else {
             continue;
         };
-        let now = match key {
-            "completed" => r.completed,
-            _ => total_goodput(r),
-        };
-        if now * 100 < base * (100 - pct) {
-            failures.push(format!(
-                "{key} regressed more than {pct}%: {now} vs baseline {base}"
-            ));
-        }
+        report.require(
+            now * 100 >= base * (100 - pct),
+            format!("{key} regressed more than {pct}%: {now} vs baseline {base}"),
+        );
     }
     // Higher-is-regression latencies; skip under-sampled rows.
-    let steady_p99 = r.phase(phase::STEADY).map_or(0, |p| p.p99_us);
-    let steady_samples = r.phase(phase::STEADY).map_or(0, |p| p.samples);
+    let steady = r.phase(phase::STEADY);
     let (rec_p99, rec_samples) = recovery_p99(r);
     let base_rec_samples = baseline_u64(baseline, "recovery_samples").unwrap_or(0);
     let checks = [
         (
             "steady_p99_us",
-            steady_p99,
-            steady_samples,
-            GATE_MIN_SAMPLES,
+            steady.map_or(0, |p| p.p99_us),
+            steady.map_or(0, |p| p.samples),
         ),
         (
             "recovery_p99_us",
             rec_p99,
             rec_samples.min(base_rec_samples),
-            GATE_MIN_SAMPLES,
         ),
     ];
-    for (key, now, samples, floor) in checks {
+    for (key, now, samples) in checks {
         let Some(base) = baseline_u64(baseline, key) else {
             continue;
         };
-        if samples < floor || base == 0 {
+        if samples < GATE_MIN_SAMPLES || base == 0 {
             continue;
         }
-        if now * 100 > base * (100 + pct) {
-            failures.push(format!(
-                "{key} regressed more than {pct}%: {now}us vs baseline {base}us"
-            ));
-        }
+        report.require(
+            now * 100 <= base * (100 + pct),
+            format!("{key} regressed more than {pct}%: {now}us vs baseline {base}us"),
+        );
     }
 }

@@ -37,7 +37,9 @@
 //! * [`os`] — [`os::Os`] and [`os::OsBuilder`]: assemble and drive the OS.
 //! * [`apps`] — `wget`, `dd`, printer daemon, MP3 player, CD burner, UDP
 //!   ping: the workloads of the paper's evaluation and examples.
-//! * [`campaign`] — the §7.2 fault-injection campaign.
+//! * [`campaign`] — the §7 campaign families (§7.2 fault injection, chaos,
+//!   checkpointing, fail-silent, microreboot, SLO, hot standby) on one
+//!   shared kit.
 //! * [`experiments`] — Fig. 3 / Fig. 7 / Fig. 8 experiment drivers.
 
 pub mod apps;

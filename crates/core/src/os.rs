@@ -1026,6 +1026,25 @@ impl Os {
         self.sys.run_until(&mut self.bus, t);
     }
 
+    /// Polls `pred` every `step` of virtual time until it holds: checks
+    /// before the first step and after each one, and gives up after
+    /// `max_steps` steps. Returns whether `pred` held, so a timeout is
+    /// `false` with exactly `max_steps * step` elapsed.
+    pub fn run_until(
+        &mut self,
+        step: SimDuration,
+        max_steps: u64,
+        mut pred: impl FnMut(&mut Os) -> bool,
+    ) -> bool {
+        for _ in 0..max_steps {
+            if pred(self) {
+                return true;
+            }
+            self.run_for(step);
+        }
+        pred(self)
+    }
+
     /// Runs until the event queue drains or `max_events` were dispatched.
     pub fn run_until_idle(&mut self, max_events: u64) -> u64 {
         self.sys.run_until_idle(&mut self.bus, max_events)
@@ -1410,5 +1429,43 @@ impl Os {
         };
         code[slot] = one;
         true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const STEP: SimDuration = SimDuration::from_millis(10);
+
+    #[test]
+    fn run_until_checks_before_the_first_step() {
+        let mut os = Os::builder().seed(1).boot();
+        let t0 = os.now();
+        assert!(os.run_until(STEP, 5, |_| true));
+        assert_eq!(os.now(), t0, "a predicate that already holds costs no time");
+    }
+
+    #[test]
+    fn run_until_times_out_after_exactly_max_steps() {
+        let mut os = Os::builder().seed(1).boot();
+        let t0 = os.now();
+        let mut checks = 0;
+        let held = os.run_until(STEP, 7, |_| {
+            checks += 1;
+            false
+        });
+        assert!(!held);
+        assert_eq!(checks, 8, "once before each step and once after the last");
+        assert_eq!(os.now().since(t0), STEP * 7);
+    }
+
+    #[test]
+    fn run_until_stops_at_the_step_that_satisfies_the_predicate() {
+        let mut os = Os::builder().seed(1).boot();
+        let t0 = os.now();
+        let deadline = t0 + STEP * 3;
+        assert!(os.run_until(STEP, 100, |os| os.now() >= deadline));
+        assert_eq!(os.now().since(t0), STEP * 3);
     }
 }

@@ -10,7 +10,7 @@
 //!   discrete-event engine.
 //! * [`rng`] — a seedable, splittable random number generator wrapper so that
 //!   fault-injection campaigns are reproducible.
-//! * [`metrics`] — counters, histograms and time series used by the
+//! * [`metrics`] — counters and histograms used by the
 //!   experiment harness to regenerate the paper's figures.
 //! * [`trace`] — a lightweight bounded trace ring used for debugging and for
 //!   asserting recovery-order properties in tests; events carry typed fields
@@ -50,7 +50,7 @@ pub mod trace;
 
 pub use event::{EventId, EventQueue};
 pub use export::{export_chrome_trace, export_jsonl, parse_jsonl};
-pub use metrics::{Counter, Histogram, MetricsRegistry, TimeSeries};
+pub use metrics::{Counter, Histogram, MetricsRegistry};
 pub use obs::{fold_timeline, Episode, Timeline};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

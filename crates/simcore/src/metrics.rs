@@ -2,12 +2,12 @@
 //!
 //! The paper's evaluation reports throughputs (Figs. 7–8), recovery-time
 //! means (§7.1), and crash-class breakdowns (§7.2). This module provides the
-//! counters, histograms and time series those reports are built from.
+//! counters and histograms those reports are built from.
 
 use std::collections::BTreeMap;
 use std::fmt;
 
-use crate::time::{SimDuration, SimTime};
+use crate::time::SimDuration;
 
 /// A monotonically increasing event counter.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -318,40 +318,7 @@ impl LogHistogram {
     }
 }
 
-/// A `(time, value)` series, e.g. instantaneous throughput over a transfer.
-#[derive(Debug, Clone, Default)]
-pub struct TimeSeries {
-    points: Vec<(SimTime, f64)>,
-}
-
-impl TimeSeries {
-    /// Creates an empty series.
-    pub fn new() -> Self {
-        TimeSeries { points: Vec::new() }
-    }
-
-    /// Appends a point. Timestamps should be non-decreasing.
-    pub fn push(&mut self, t: SimTime, v: f64) {
-        self.points.push((t, v));
-    }
-
-    /// The recorded points.
-    pub fn points(&self) -> &[(SimTime, f64)] {
-        &self.points
-    }
-
-    /// Number of points.
-    pub fn len(&self) -> usize {
-        self.points.len()
-    }
-
-    /// `true` if no points were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.points.is_empty()
-    }
-}
-
-/// A named collection of counters, histograms and series.
+/// A named collection of counters and histograms.
 ///
 /// The registry is shared by the OS components and read out by the harness
 /// after a run.
@@ -360,7 +327,6 @@ pub struct MetricsRegistry {
     counters: BTreeMap<String, Counter>,
     histograms: BTreeMap<String, Histogram>,
     log_histograms: BTreeMap<String, LogHistogram>,
-    series: BTreeMap<String, TimeSeries>,
 }
 
 impl MetricsRegistry {
@@ -426,16 +392,6 @@ impl MetricsRegistry {
     /// Iterates over log-bucketed histograms in name order.
     pub fn log_histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
         self.log_histograms.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Mutable access to a time series, creating it if absent.
-    pub fn series_mut(&mut self, name: &str) -> &mut TimeSeries {
-        self.series.entry(name.to_string()).or_default()
-    }
-
-    /// Read access to a time series, if present.
-    pub fn series(&self, name: &str) -> Option<&TimeSeries> {
-        self.series.get(name)
     }
 
     /// Iterates over counter `(name, value)` pairs in name order.
@@ -664,13 +620,5 @@ mod tests {
         assert!(m.log_histogram("absent").is_none());
         let names: Vec<&str> = m.log_histograms().map(|(k, _)| k).collect();
         assert_eq!(names, vec!["slo.latency"]);
-    }
-
-    #[test]
-    fn registry_series() {
-        let mut m = MetricsRegistry::new();
-        m.series_mut("tput").push(SimTime::from_micros(1), 10.0);
-        assert_eq!(m.series("tput").unwrap().len(), 1);
-        assert!(m.series("none").is_none());
     }
 }

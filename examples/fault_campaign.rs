@@ -3,8 +3,8 @@
 //! crashes, classify each detected defect, and verify recovery.
 //!
 //! Run with: `cargo run --release --example fault_campaign`
-//! (the full-size campaign lives in `cargo run -p phoenix-bench --bin
-//! sec72_fault_injection`)
+//! (the full-size campaign is `cargo run --release -p phoenix-bench --
+//! sec72`)
 
 use phoenix::campaign::{run_campaign, CampaignConfig};
 use phoenix_servers::policy::reason;

@@ -1,0 +1,159 @@
+//! Same-seed fingerprints of every campaign family at a small config.
+//!
+//! The campaigns are pure functions of their config, so each digest below
+//! is a refactoring oracle: a structural change to `phoenix::campaign` (or
+//! anything under it) is behaviour-preserving iff these literals still
+//! hold. A deliberate behaviour change regenerates them, together with
+//! the `results/` artefacts, in the same commit.
+
+use phoenix::campaign::{
+    run_campaign, run_chaos_campaign, run_ckpt_campaign, run_failsilent_campaign,
+    run_failsilent_control, run_microreboot_campaign, run_microreboot_control, run_slo_campaign,
+    run_standby_campaign, run_standby_control, CampaignConfig, ChaosCampaignConfig,
+    CkptCampaignConfig, FailsilentConfig, MicrorebootConfig, SloCampaignConfig,
+    StandbyCampaignConfig,
+};
+use phoenix::loadgen::{InetLoadConfig, VfsLoadConfig};
+use phoenix_fleet::{run_fleet_campaign, FleetCampaignConfig};
+use phoenix_simcore::time::SimDuration;
+
+#[test]
+fn sec72_small_campaign_is_pinned() {
+    let cfg = CampaignConfig {
+        injections: 300,
+        ..CampaignConfig::default()
+    };
+    let (result, traffic) = run_campaign(&cfg);
+    assert_eq!(
+        format!("{}; echoed {}", result.render(), traffic.borrow().echoed),
+        "injected 300 faults -> 3 detectable crashes: 1 exits/panics (33%), 1 CPU/MMU exceptions (33%), 1 missing heartbeats (33%); recovery ok 3 (100.0%), hard resets 0, silent freezes (user restart) 0; echoed 971"
+    );
+}
+
+#[test]
+fn chaos_digest_is_pinned() {
+    let cfg = ChaosCampaignConfig {
+        kills_per_target: 1,
+        kill_interval: SimDuration::from_secs(1),
+        ..ChaosCampaignConfig::default()
+    };
+    assert_eq!(
+        run_chaos_campaign(&cfg).digest,
+        "ec6ce5abb1e3eef096d930bbdf1b0266"
+    );
+}
+
+#[test]
+fn ckpt_digests_are_pinned() {
+    let digest = |checkpointing| {
+        let cfg = CkptCampaignConfig {
+            faults: 4,
+            checkpointing,
+            ..CkptCampaignConfig::default()
+        };
+        run_ckpt_campaign(&cfg).0.digest
+    };
+    assert_eq!(digest(true), "49c70011ef32fdb3ec3a305c5c3a6a37");
+    assert_eq!(digest(false), "a7a5aba6e7b32577471a4c65d9104d02");
+}
+
+/// One round over the three driver classes is ~120 mutations; seed 3 is
+/// the cheapest of the first eight, and the arms run as separate tests so
+/// the harness overlaps them.
+fn failsilent_cfg(sentinels: bool) -> FailsilentConfig {
+    FailsilentConfig {
+        seed: 3,
+        rounds: 1,
+        detect_window: SimDuration::from_secs(2),
+        sentinels,
+        ..FailsilentConfig::default()
+    }
+}
+
+#[test]
+fn failsilent_armed_digest_is_pinned() {
+    let (armed, _) = run_failsilent_campaign(&failsilent_cfg(true));
+    assert_eq!(armed.digest, "046ed5b285ad2a68ea9977c598bf804c");
+}
+
+#[test]
+fn failsilent_baseline_and_control_digests_are_pinned() {
+    let (baseline, _) = run_failsilent_campaign(&failsilent_cfg(false));
+    assert_eq!(baseline.digest, "efd7a69008a5e62fee77243f957ecf6e");
+    let control = run_failsilent_control(&failsilent_cfg(true), SimDuration::from_secs(2));
+    assert_eq!(control.digest, "6cb0e75aa09a569bb0059e4f7956bcc0");
+}
+
+#[test]
+fn microreboot_digests_are_pinned() {
+    let cfg = MicrorebootConfig {
+        rounds: 1,
+        ..MicrorebootConfig::default()
+    };
+    assert_eq!(
+        run_microreboot_campaign(&cfg).0.digest,
+        "237b348de2888f137828e2a8846460de"
+    );
+    let control = run_microreboot_control(&cfg, SimDuration::from_secs(2));
+    assert_eq!(control.digest, "14628ad88899282073f274eedbbcdde7");
+}
+
+#[test]
+fn slo_digest_is_pinned() {
+    let cfg = SloCampaignConfig {
+        seed: 1907,
+        inet: InetLoadConfig {
+            sessions: 100,
+            interarrival: SimDuration::from_millis(400),
+            ramp: SimDuration::from_millis(400),
+            linger: SimDuration::from_millis(300),
+            horizon: SimDuration::from_secs(3),
+            ..InetLoadConfig::default()
+        },
+        vfs: VfsLoadConfig {
+            clients: 4,
+            interarrival: SimDuration::from_millis(50),
+            horizon: SimDuration::from_secs(3),
+            ..VfsLoadConfig::default()
+        },
+        intensity: 0.2,
+        kills_per_target: 1,
+        kill_interval: SimDuration::from_millis(500),
+        file_size: 64 * 1024,
+    };
+    assert_eq!(
+        run_slo_campaign(&cfg).0.digest,
+        "1da3e05c46981a52096cfaaec002f0ef"
+    );
+}
+
+#[test]
+fn standby_digests_are_pinned() {
+    let cfg = |hot_standby| StandbyCampaignConfig {
+        faults: 2,
+        hot_standby,
+        ..StandbyCampaignConfig::default()
+    };
+    assert_eq!(
+        run_standby_campaign(&cfg(true)).0.digest,
+        "869d0a1c6094012009fb030605289d2b"
+    );
+    assert_eq!(
+        run_standby_campaign(&cfg(false)).0.digest,
+        "74c76aca058679a9d3efb244f23a6822"
+    );
+    let control = run_standby_control(&cfg(true), SimDuration::from_secs(2));
+    assert_eq!(control.digest, "b5916793992e8ad4764e6309f6598c1a");
+}
+
+#[test]
+fn fleet_digest_is_pinned() {
+    let cfg = FleetCampaignConfig {
+        faults: 2,
+        ..FleetCampaignConfig::default()
+    };
+    assert_eq!(
+        run_fleet_campaign(&cfg).digest,
+        "1dc02eb408f4d452289c346c36814112"
+    );
+}
