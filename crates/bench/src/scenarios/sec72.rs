@@ -3,7 +3,8 @@
 //! Paper: 12,500+ injected faults -> 347 detectable crashes (65% panics,
 //! 31% CPU/MMU exceptions, 4% missing heartbeats); recovery succeeded in
 //! 100% of induced failures in the emulator, and >99% on real hardware
-//! where <5 wedged cards needed a BIOS reset.
+//! where <5 wedged cards needed a BIOS reset. Gate: every crash of the
+//! emulator campaign recovers, automatically or through the hard reset.
 
 use phoenix::campaign::{run_campaign, CampaignConfig, CampaignResult};
 use phoenix_servers::policy::reason;
@@ -45,6 +46,13 @@ pub fn sec72(r: &mut Report) {
         &rows,
     );
     let recovered = result.recovered() + result.hard_resets();
+    r.require(
+        recovered == result.crashes.len(),
+        format!(
+            "emulator campaign recovered only {recovered}/{} crashes (paper: 100%)",
+            result.crashes.len()
+        ),
+    );
     r.line(format!(
         "  recovery: {}/{} ({:.1}%)  [paper: 100%]",
         recovered,

@@ -186,6 +186,11 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
             PeerConfig::default(),
         )
         .heartbeat(cfg.heartbeat_period, cfg.heartbeat_misses)
+        // The paper's direct-restart policy: the campaign crashes the
+        // driver every ~2.3 s by design, which RS's default budget (10
+        // restarts per 30 s) would read as a restart storm and give up
+        // on every 13th crash.
+        .restart_budget(u32::MAX, SimDuration::from_secs(30))
         .boot();
     let status = spawn_udp_traffic(&mut os, cfg.traffic_period);
     os.run_for(SimDuration::from_millis(50));
