@@ -23,14 +23,18 @@ fn main() -> ExitCode {
         }
         [name] => (name, false),
         [name, "--quick"] => (name, true),
-        _ => ("", false),
+        _ => return usage(),
     };
     let Some(scenario) = SCENARIOS.iter().find(|s| s.name == name) else {
-        eprintln!("usage: phoenix-bench <scenario> [--quick]");
-        eprintln!("       phoenix-bench list [--ci]");
-        return ExitCode::from(2);
+        return usage();
     };
     let mut report = Report::new(scenario.name, quick);
     (scenario.run)(&mut report);
     report.finish()
+}
+
+fn usage() -> ExitCode {
+    eprintln!("usage: phoenix-bench <scenario> [--quick]");
+    eprintln!("       phoenix-bench list [--ci]");
+    ExitCode::from(2)
 }

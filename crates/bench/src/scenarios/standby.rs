@@ -124,8 +124,7 @@ pub fn standby(r: &mut Report) {
     r.note(render_adapt_gauges(&os));
 
     r.require_same_digest(&standby.digest, &rerun.digest);
-    for (arm_result, arm) in [(&standby, "standby"), (&cold, "cold")] {
-        let a = arm_result;
+    for (a, arm) in [(&standby, "standby"), (&cold, "cold")] {
         r.require(a.faults > 0, format!("{arm} arm injected no faults"));
         r.require(
             a.recoveries >= a.faults,

@@ -7,7 +7,7 @@ use phoenix_simcore::time::SimDuration;
 
 use super::{
     await_recovered, defect_counts, fossilize, push_trace_loss, ratio, spawn_udp_traffic,
-    stream_file, user_restart, watch_window, Fossil, Outcome,
+    stream_file, user_restart, watch_window, Outcome,
 };
 use crate::apps::{DdLoop, DdLoopStatus, LpdLoop, LpdLoopStatus, UdpStatus};
 use crate::os::{names, NicKind, Os};
@@ -387,7 +387,7 @@ pub fn run_failsilent_campaign(cfg: &FailsilentConfig) -> (FailsilentResult, Os)
 pub fn run_failsilent_control(cfg: &FailsilentConfig, run_for: SimDuration) -> FailsilentControl {
     let (mut os, loads) = failsilent_rig(cfg);
     os.run_for(run_for);
-    let Fossil { digest, .. } = fossilize(&mut os, &[]);
+    let digest = fossilize(&mut os, &[]).digest;
     FailsilentControl {
         restarts: os.metrics().counter("rs.recoveries"),
         complaints_accepted: os.metrics().counter("rs.complaints.accepted"),

@@ -8,7 +8,7 @@ use phoenix_simcore::time::SimDuration;
 
 use super::{
     await_recovered, fossilize, push_trace_loss, ratio, spawn_udp_traffic, stream_file,
-    user_restart, watch_window, Fossil, Outcome,
+    user_restart, watch_window, Outcome,
 };
 use crate::apps::{Dd, DdStatus, UdpStatus, Wget, WgetStatus};
 use crate::os::{names, NicKind, Os};
@@ -492,7 +492,7 @@ pub fn run_microreboot_control(
         .collect();
     rig.os.run_for(run_for);
     let echoed = rig.udp.borrow().echoed;
-    let Fossil { digest, .. } = fossilize(&mut rig.os, &[]);
+    let digest = fossilize(&mut rig.os, &[]).digest;
     let m = rig.os.metrics();
     MicrorebootControl {
         restarts: m.counter("rs.recoveries"),
