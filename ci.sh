@@ -24,6 +24,9 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> phoenix-bench: every CI scenario, --quick"
 cargo build -q --release -p phoenix-bench
 bench="${CARGO_TARGET_DIR:-target}/release/phoenix-bench"

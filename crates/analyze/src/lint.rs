@@ -100,6 +100,7 @@ pub fn default_rules() -> Vec<Rule> {
                 "crates/servers/src/rs.rs",
                 "crates/servers/src/ds.rs",
                 "crates/servers/src/policy.rs",
+                "crates/servers/src/libserver.rs",
                 "crates/servers/src/vfs.rs",
                 "crates/servers/src/inet.rs",
                 "crates/servers/src/mfs.rs",

@@ -27,6 +27,8 @@
 //!   impl method of that name (this is what catches a panic behind a
 //!   `dyn` dispatch or a helper method), restricted to crates the
 //!   caller's crate can actually depend on (Cargo.toml closure).
+//! - A turbofish between the name and its `(` is skipped in every form
+//!   above: `register::<PrinterPort>(..)` is the call `register(..)`.
 //!
 //! `#[cfg(test)]` items never join the graph, the `bench` and `analyze`
 //! crates are excluded entirely (host-side tooling, not sim code), and
@@ -144,6 +146,32 @@ const KEYWORDS: &[&str] = &[
     "let", "fn", "break", "continue",
 ];
 
+/// Index of the token after an optional turbofish (`::<..>`) starting at
+/// `at`, so that `name::<T>(..)` is seen as the call `name(..)`.
+fn after_turbofish(tokens: &[ast::Token], at: usize) -> usize {
+    let kind = |i: usize| tokens.get(i).map(|t| &t.kind);
+    if !matches!(kind(at), Some(TokenKind::PathSep))
+        || !matches!(kind(at + 1), Some(TokenKind::Punct('<')))
+    {
+        return at;
+    }
+    let mut depth = 0usize;
+    for (i, token) in tokens.iter().enumerate().skip(at + 1) {
+        match token.kind {
+            TokenKind::Punct('<') => depth += 1,
+            // The `>` of a `->` inside the type list closes nothing.
+            TokenKind::Punct('>') if !matches!(kind(i - 1), Some(TokenKind::Punct('-'))) => {
+                depth -= 1;
+                if depth == 0 {
+                    return i + 1;
+                }
+            }
+            _ => {}
+        }
+    }
+    at
+}
+
 /// Extracts call sites and panic sites from a function body.
 fn scan_body(tokens: &[ast::Token], body: std::ops::Range<usize>) -> (Vec<Callee>, Vec<PanicSite>) {
     let mut calls = Vec::new();
@@ -154,7 +182,7 @@ fn scan_body(tokens: &[ast::Token], body: std::ops::Range<usize>) -> (Vec<Callee
             i += 1;
             continue;
         };
-        let next = tokens.get(i + 1).map(|t| &t.kind);
+        let next = tokens.get(after_turbofish(tokens, i + 1)).map(|t| &t.kind);
         // Macro invocation `name!(..)` / `name![..]` / `name!{..}`.
         if matches!(next, Some(TokenKind::Bang))
             && matches!(tokens.get(i + 2).map(|t| &t.kind), Some(TokenKind::Open(_)))

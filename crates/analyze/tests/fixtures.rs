@@ -218,6 +218,63 @@ fn transitive_panic_through_helper_red_green() {
     assert_eq!(green.functions, 3, "the graph still sees every fn");
 }
 
+// The `libserver` shape: the root is a generic shell's `on_event`, the
+// panic hides in a trait impl's `dispatch` that only the shell calls —
+// through a type parameter, so no receiver type names the impl. The
+// impl in turn calls a generic free function with a turbofish (the
+// `register_stream::<PrinterPort>(..)` shape), hiding a second panic.
+const REACH_SHELL_RED: &str = r#"
+trait Logic {
+    fn dispatch(&mut self, x: Option<u32>);
+}
+struct Shell<L> {
+    logic: L,
+}
+impl<L: Logic> Shell<L> {
+    // analyze:recovery-root
+    fn on_event(&mut self, x: Option<u32>) {
+        self.logic.dispatch(x);
+    }
+}
+struct Vfs;
+impl Logic for Vfs {
+    fn dispatch(&mut self, x: Option<u32>) {
+        let _ = x.unwrap();
+        register::<Vec<u32>>(x);
+    }
+}
+fn register<T>(x: Option<u32>) {
+    let _ = x.expect("planted");
+}
+"#;
+
+#[test]
+fn generic_shell_root_reaches_trait_impl_dispatch() {
+    let red = reach::analyze(
+        &[reach_input("crates/x/src/shell.rs", "x", REACH_SHELL_RED)],
+        &no_closure(),
+    );
+    assert_eq!(red.findings.len(), 2, "findings: {:?}", red.findings);
+    let f = &red.findings[0];
+    assert_eq!(f.what, ".unwrap()");
+    assert_eq!(f.path.len(), 2, "on_event -> dispatch, got {:?}", f.path);
+    assert!(f.path[0].ends_with("on_event"));
+    assert!(f.in_fn.ends_with("dispatch"));
+    let f = &red.findings[1];
+    assert_eq!(f.what, ".expect()");
+    assert_eq!(f.path.len(), 3, "-> register::<T>, got {:?}", f.path);
+    assert!(f.in_fn.ends_with("register"));
+
+    // Without the root marker the same indirection is not recovery-critical.
+    let green = REACH_SHELL_RED.replace("// analyze:recovery-root", "");
+    let green = reach::analyze(
+        &[reach_input("crates/x/src/shell.rs", "x", &green)],
+        &no_closure(),
+    );
+    assert!(green.findings.is_empty());
+    assert_eq!(green.reachable, 0);
+}
+
 const REACH_SUPPRESSED: &str = r#"
 // analyze:recovery-root
 fn on_event(x: Option<u32>) {

@@ -165,6 +165,10 @@ pub fn fig9_components() -> Vec<Component> {
             ],
         },
         Component {
+            name: "Server Library",
+            paths: vec!["crates/servers/src/libserver.rs", "crates/ckpt/src/gate.rs"],
+        },
+        Component {
             name: "Process Manager",
             paths: vec!["crates/servers/src/pm.rs"],
         },

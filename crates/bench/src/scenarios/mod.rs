@@ -37,7 +37,7 @@ pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "fig9",
         blurb: "Fig. 9 executable and recovery-specific LoC per component (source tree only)",
-        ci: false,
+        ci: true,
         run: figures::fig9,
     },
     Scenario {
@@ -49,7 +49,7 @@ pub const SCENARIOS: &[Scenario] = &[
     Scenario {
         name: "ablation_backoff",
         blurb: "restart policies under a crash loop on a wedged card (RS policy scripts)",
-        ci: false,
+        ci: true,
         run: ablations::backoff,
     },
     Scenario {

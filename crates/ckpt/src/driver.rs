@@ -83,12 +83,6 @@ impl DriverCkpt {
         self.phase == Phase::Ready
     }
 
-    /// The recovery episode that restarted this incarnation, learned
-    /// from the restore reply (None on first boot).
-    pub fn recovery(&self) -> Option<RecoveryId> {
-        self.recovery
-    }
-
     /// Parks `(call, msg)` until the snapshot restore completes,
     /// starting the restore on the first request of this incarnation.
     /// Returns `true` if the request was parked (the caller must not

@@ -36,8 +36,12 @@
 //! together: lazy snapshot restore on first request after a (re)start,
 //! fire-and-forget saves, and `RecoveryId` threading so restore/replay
 //! show up as a `replay` phase on the causal recovery timeline.
+//! Components do not drive it directly: [`gate::StateGate`] wraps it in
+//! the crash-only contract (park until restored, apply then replay,
+//! quiescent-point save) that servers and drivers share.
 
 pub mod driver;
+pub mod gate;
 pub mod proto;
 pub mod snapshot;
 pub mod spare;
@@ -45,6 +49,7 @@ pub mod store;
 pub mod wal;
 
 pub use driver::{DriverCkpt, RestoreEvent};
+pub use gate::StateGate;
 pub use snapshot::{crc32, Snapshot, SnapshotError};
 pub use spare::SpareTail;
 pub use store::{CheckpointStore, RestoreOutcome, SaveOutcome, StoredCheckpoint};

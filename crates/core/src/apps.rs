@@ -14,7 +14,7 @@ use phoenix_drivers::proto::{cdev, status};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_servers::proto::{evidence, fs, pack_endpoint, rs as rsp, sock};
+use phoenix_servers::proto::{complain, evidence, fs, rs as rsp, sock};
 use phoenix_servers::vfs::DRIVER_DIED_PARAM;
 use phoenix_simcore::digest::{Md5, Sha1};
 use phoenix_simcore::time::{SimDuration, SimTime};
@@ -92,15 +92,7 @@ impl Wget {
 
     fn complain(&mut self, ctx: &mut Ctx<'_>, accused: Endpoint) {
         let Some(rs) = self.rs else { return };
-        let (s, g) = pack_endpoint(accused);
-        let _ = ctx.sendrec(
-            rs,
-            Message::new(rsp::COMPLAIN)
-                .with_param(0, u64::from(evidence::BAD_REPLY))
-                .with_param(1, s)
-                .with_param(2, g)
-                .with_data(b"inet".to_vec()),
-        );
+        let _ = ctx.sendrec(rs, complain(evidence::BAD_REPLY, "inet", Some(accused)));
         self.status.borrow_mut().complaints += 1;
     }
 
@@ -297,15 +289,7 @@ impl Dd {
 
     fn complain(&mut self, ctx: &mut Ctx<'_>, accused: Endpoint) {
         let Some(rs) = self.rs else { return };
-        let (s, g) = pack_endpoint(accused);
-        let _ = ctx.sendrec(
-            rs,
-            Message::new(rsp::COMPLAIN)
-                .with_param(0, u64::from(evidence::BAD_REPLY))
-                .with_param(1, s)
-                .with_param(2, g)
-                .with_data(b"vfs".to_vec()),
-        );
+        let _ = ctx.sendrec(rs, complain(evidence::BAD_REPLY, "vfs", Some(accused)));
         self.status.borrow_mut().complaints += 1;
     }
 

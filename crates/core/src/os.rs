@@ -12,10 +12,10 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use phoenix_ckpt::CheckpointStore;
+use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDriver};
 use phoenix_drivers::libdriver::{Driver, FaultPort};
 use phoenix_drivers::{
-    AudioDriver, DiskDriver, Dp8390Driver, KeyboardDriver, PrinterDriver, RamDiskDriver,
-    Rtl8139Driver, ScsiCdDriver,
+    DiskDriver, Dp8390Driver, KeyboardDriver, RamDiskDriver, Rtl8139Driver, ScsiCdDriver,
 };
 use phoenix_fault::chaos::ChaosPlan;
 use phoenix_fault::mutate::{apply_random_fault, Mutation};
@@ -34,7 +34,9 @@ use phoenix_servers::fsfmt::{self, FileSpec};
 use phoenix_servers::peer::{FilePeer, PeerConfig};
 use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
-use phoenix_servers::{DataStore, FaultPlane, FileServer, Inet, ProcessManager, ServerFault, Vfs};
+use phoenix_servers::{
+    DataStore, FaultPlane, FileServer, Inet, ProcessManager, Server, ServerFault, Vfs,
+};
 use phoenix_simcore::metrics::MetricsRegistry;
 use phoenix_simcore::time::{SimDuration, SimTime};
 use phoenix_simcore::trace::TraceRing;
@@ -416,6 +418,54 @@ impl Os {
         self.nic_kind.map(Self::driver_name)
     }
 
+    /// Checkpointed drivers talk to DS (snapshot save/restore); the grant
+    /// is added only when the subsystem is on, so the least-authority
+    /// audit of the plain configuration stays tight.
+    fn ckpt_ipc(privs: Privileges, ckpt_ds: Option<Endpoint>) -> Privileges {
+        match ckpt_ds {
+            Some(_) => privs.with_ipc(IpcFilter::named(["rs", "ds"])),
+            None => privs,
+        }
+    }
+
+    /// Registers the stream char driver `name` on `(dev, irq)` —
+    /// checkpointing against `ckpt_ds` when given — and, with `spare`,
+    /// its `standby.<name>` warm spare: same device authority as the
+    /// primary plus the alarm call the tail-poll timer needs.
+    fn register_stream<D: StreamDevice + 'static>(
+        sys: &mut System,
+        fp: &FaultPort,
+        (name, dev, irq): (&str, DeviceId, u8),
+        calls: &[KernelCall],
+        ckpt_ds: Option<Endpoint>,
+        spare: bool,
+    ) {
+        let privs = |calls: Vec<KernelCall>| {
+            Self::ckpt_ipc(Privileges::driver(dev, irq).with_calls(calls), ckpt_ds)
+        };
+        let fp = fp.clone();
+        let cold = move || -> StreamDriver<D> { StreamDriver::new(dev, irq, fp.clone()) };
+        let primary = cold.clone();
+        sys.register_program(
+            name,
+            privs(calls.to_vec()),
+            Box::new(move || {
+                let drv = primary();
+                Box::new(Driver::new(match ckpt_ds {
+                    Some(ds) => drv.with_checkpointing(ds),
+                    None => drv,
+                }))
+            }),
+        );
+        if let (true, Some(ds)) = (spare, ckpt_ds) {
+            sys.register_program(
+                &format!("standby.{name}"),
+                privs([calls, &[KernelCall::SetAlarm]].concat()),
+                Box::new(move || Box::new(Driver::new(cold().standby(ds)))),
+            );
+        }
+    }
+
     fn boot(cfg: OsBuilder) -> Os {
         let mut sys = System::new(SystemConfig {
             seed: cfg.seed,
@@ -528,18 +578,17 @@ impl Os {
         );
         // The server fault plane: the microreboot campaign arms injected
         // defects (crash / stall / garble) against individual servers
-        // here; an unarmed plane is inert.
+        // here; an unarmed plane is inert. With the crash-only subsystem
+        // on, every libserver shell externalises its state and polls it.
         let fault_plane = FaultPlane::new();
+        let crash_only = cfg.checkpointing.then(|| fault_plane.clone());
         let mut pm_privs = Privileges::process_manager();
-        let mut pm_server = ProcessManager::new();
         if cfg.checkpointing {
             // Checkpointing PM talks to DS (record snapshots); keep the
             // plain configuration's authority tight otherwise.
             pm_privs = pm_privs.with_ipc(IpcFilter::named(["rs", "ds"]));
-            pm_server = pm_server
-                .with_checkpointing(ds)
-                .with_fault_plane(&fault_plane, "pm");
         }
+        let pm_server = Server::new(ProcessManager::new(), ds, crash_only.as_ref());
         let pm = sys.spawn_boot("pm", pm_privs.clone(), Box::new(pm_server));
 
         // ---------------- service table ----------------
@@ -658,34 +707,23 @@ impl Os {
         if ckpt_on {
             // PM's replacement incarnations come from here: RS respawns
             // the program directly (sys_spawn) during recursive recovery.
-            let plane = fault_plane.clone();
+            let plane = crash_only.clone();
             sys.register_program(
                 "pm",
                 pm_privs,
-                Box::new(move || {
-                    Box::new(
-                        ProcessManager::new()
-                            .with_checkpointing(ds)
-                            .with_fault_plane(&plane, "pm"),
-                    )
-                }),
+                Box::new(move || Box::new(Server::new(ProcessManager::new(), ds, plane.as_ref()))),
             );
         }
         if let Some(kind) = nic_kind {
             // INET's IPC stays broad: it pushes socket data to whatever
             // application opened the connection, and app names are dynamic.
-            let plane = fault_plane.clone();
+            let plane = crash_only.clone();
             sys.register_program(
                 names::INET,
                 Privileges::server().with_calls([KernelCall::SetAlarm]),
                 Box::new(move || {
-                    let mut inet = Inet::new(ds, rs, Self::driver_name(kind));
-                    if ckpt_on {
-                        inet = inet
-                            .with_checkpointing()
-                            .with_fault_plane(&plane, names::INET);
-                    }
-                    Box::new(inet)
+                    let inet = Inet::new(rs, Self::driver_name(kind));
+                    Box::new(Server::new(inet, ds, plane.as_ref()))
                 }),
             );
         }
@@ -719,23 +757,18 @@ impl Os {
                     vfs_ipc.push(format!("standby.{chr}"));
                 }
             }
-            let plane = fault_plane.clone();
+            let plane = crash_only.clone();
             sys.register_program(
                 names::VFS,
                 Privileges::server()
                     .with_ipc(IpcFilter::named(vfs_ipc))
                     .with_calls([]),
                 Box::new(move || {
-                    let mut vfs = Vfs::new(ds, rs, names::MFS);
+                    let mut vfs = Vfs::new(rs, names::MFS);
                     if has_fat {
                         vfs = vfs.with_fat(names::FAT);
                     }
-                    if ckpt_on {
-                        vfs = vfs
-                            .with_checkpointing()
-                            .with_fault_plane(&plane, names::VFS);
-                    }
-                    Box::new(vfs)
+                    Box::new(Server::new(vfs, ds, plane.as_ref()))
                 }),
             );
         }
@@ -761,20 +794,15 @@ impl Os {
             );
         }
         if need_mfs {
-            let plane = fault_plane.clone();
+            let plane = crash_only.clone();
             sys.register_program(
                 names::MFS,
                 Privileges::server()
                     .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA]))
                     .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
                 Box::new(move || {
-                    let mut mfs = FileServer::new(ds, rs, names::BLK_SATA);
-                    if ckpt_on {
-                        mfs = mfs
-                            .with_checkpointing()
-                            .with_fault_plane(&plane, names::MFS);
-                    }
-                    Box::new(mfs)
+                    let mfs = FileServer::new(rs, names::BLK_SATA);
+                    Box::new(Server::new(mfs, ds, plane.as_ref()))
                 }),
             );
             let fp2 = fp.clone();
@@ -859,47 +887,16 @@ impl Os {
             );
         }
         if cfg.chardevs {
-            // Checkpointed drivers talk to DS (snapshot save/restore); the
-            // grant is added only when the subsystem is on, so the
-            // least-authority audit of the plain configuration stays tight.
-            let ckpt_on = cfg.checkpointing;
-            let stream_ipc = move |p: Privileges| {
-                if ckpt_on {
-                    p.with_ipc(IpcFilter::named(["rs", "ds"]))
-                } else {
-                    p
-                }
-            };
-            let fp2 = fp.clone();
+            let ckpt_ds = cfg.checkpointing.then_some(ds);
             // The printer and keyboard move bytes by programmed I/O only;
             // no DMA window, so no IommuMap (the audit flags it otherwise).
-            sys.register_program(
-                names::CHR_PRINTER,
-                stream_ipc(
-                    Privileges::driver(hwmap::PRINTER, hwmap::PRINTER_IRQ)
-                        .with_calls([KernelCall::Devio, KernelCall::IrqCtl]),
-                ),
-                Box::new(move || {
-                    let mut drv =
-                        PrinterDriver::new(hwmap::PRINTER, hwmap::PRINTER_IRQ, fp2.clone());
-                    if ckpt_on {
-                        drv = drv.with_checkpointing(ds);
-                    }
-                    Box::new(Driver::new(drv))
-                }),
-            );
-            let fp2 = fp.clone();
-            sys.register_program(
-                names::CHR_AUDIO,
-                stream_ipc(Privileges::driver(hwmap::AUDIO, hwmap::AUDIO_IRQ)),
-                Box::new(move || {
-                    let mut drv = AudioDriver::new(hwmap::AUDIO, hwmap::AUDIO_IRQ, fp2.clone());
-                    if ckpt_on {
-                        drv = drv.with_checkpointing(ds);
-                    }
-                    Box::new(Driver::new(drv))
-                }),
-            );
+            let pio = [KernelCall::Devio, KernelCall::IrqCtl];
+            let dma = [KernelCall::Devio, KernelCall::IrqCtl, KernelCall::IommuMap];
+            let spares = cfg.hot_standby;
+            let printer = (names::CHR_PRINTER, hwmap::PRINTER, hwmap::PRINTER_IRQ);
+            Self::register_stream::<PrinterPort>(&mut sys, &fp, printer, &pio, ckpt_ds, spares);
+            let audio = (names::CHR_AUDIO, hwmap::AUDIO, hwmap::AUDIO_IRQ);
+            Self::register_stream::<AudioPort>(&mut sys, &fp, audio, &dma, ckpt_ds, spares);
             let fp2 = fp.clone();
             sys.register_program(
                 names::CHR_SCSI,
@@ -915,57 +912,18 @@ impl Os {
             let fp2 = fp.clone();
             sys.register_program(
                 names::CHR_KBD,
-                stream_ipc(
-                    Privileges::driver(hwmap::UART, hwmap::UART_IRQ)
-                        .with_calls([KernelCall::Devio, KernelCall::IrqCtl]),
+                Self::ckpt_ipc(
+                    Privileges::driver(hwmap::UART, hwmap::UART_IRQ).with_calls(pio),
+                    ckpt_ds,
                 ),
                 Box::new(move || {
                     let mut drv = KeyboardDriver::new(hwmap::UART, hwmap::UART_IRQ, fp2.clone());
-                    if ckpt_on {
+                    if let Some(ds) = ckpt_ds {
                         drv = drv.with_checkpointing(ds);
                     }
                     Box::new(Driver::new(drv))
                 }),
             );
-            if cfg.hot_standby {
-                // Warm spares: same device authority as the primary plus
-                // the alarm call their tail-poll timer needs.
-                let fp2 = fp.clone();
-                sys.register_program(
-                    &format!("standby.{}", names::CHR_PRINTER),
-                    stream_ipc(
-                        Privileges::driver(hwmap::PRINTER, hwmap::PRINTER_IRQ).with_calls([
-                            KernelCall::Devio,
-                            KernelCall::IrqCtl,
-                            KernelCall::SetAlarm,
-                        ]),
-                    ),
-                    Box::new(move || {
-                        Box::new(Driver::new(
-                            PrinterDriver::new(hwmap::PRINTER, hwmap::PRINTER_IRQ, fp2.clone())
-                                .standby(ds),
-                        ))
-                    }),
-                );
-                let fp2 = fp.clone();
-                sys.register_program(
-                    &format!("standby.{}", names::CHR_AUDIO),
-                    stream_ipc(
-                        Privileges::driver(hwmap::AUDIO, hwmap::AUDIO_IRQ).with_calls([
-                            KernelCall::Devio,
-                            KernelCall::IrqCtl,
-                            KernelCall::IommuMap,
-                            KernelCall::SetAlarm,
-                        ]),
-                    ),
-                    Box::new(move || {
-                        Box::new(Driver::new(
-                            AudioDriver::new(hwmap::AUDIO, hwmap::AUDIO_IRQ, fp2.clone())
-                                .standby(ds),
-                        ))
-                    }),
-                );
-            }
         }
 
         for (service, grant) in &cfg.overgrants {

@@ -19,7 +19,7 @@
 //! disc remains the paper's irrecoverable case.
 
 use phoenix_ckpt::proto::{ack_reply, request_wal};
-use phoenix_ckpt::{ConsumedCursor, DriverCkpt, RestoreEvent, SpareTail};
+use phoenix_ckpt::{ConsumedCursor, SpareTail, StateGate};
 use phoenix_hw::chardev::{audio_regs, printer_regs, scsi_cmd, scsi_regs, scsi_status};
 use phoenix_hw::uart::uart_regs;
 use phoenix_kernel::system::Ctx;
@@ -34,8 +34,8 @@ use crate::routines;
 /// Emits the timeline `replay` event the first time a restored driver
 /// serves a logged request — the phase anchor between the episode's
 /// publish and the client's byte-exact resumption.
-fn emit_replay_event(ctx: &mut Ctx<'_>, ckpt: &mut DriverCkpt, offset: u64, dup_bytes: u64) {
-    let Some((rid, span)) = ckpt.take_replay_tag() else {
+fn emit_replay_event(ctx: &mut Ctx<'_>, gate: &mut StateGate, offset: u64, dup_bytes: u64) {
+    let Some((rid, span)) = gate.take_replay_tag() else {
         return;
     };
     let ev = ctx
@@ -124,31 +124,106 @@ fn primary_name(ctx: &Ctx<'_>) -> String {
     name.strip_prefix("standby.").unwrap_or(name).to_string()
 }
 
-/// Printer driver: feeds the device FIFO, applying backpressure by
-/// accepting only as many bytes as the FIFO has room for. The client
+/// The device half of a stream driver: everything that differs between
+/// the printer and the audio DAC. The dedup cursor, the checkpoint gate,
+/// the warm-spare role and the reply protocol live in [`StreamDriver`].
+pub trait StreamDevice: Default {
+    /// Checkpoint key and trace label (`"printer"`, `"audio"`).
+    const LABEL: &'static str;
+    /// Largest WRITE the device takes in one request.
+    const MAX_WRITE: usize;
+
+    /// Device-specific bring-up after the IRQ line is enabled. Stays
+    /// panic-free: it runs on the recovery path.
+    fn bring_up(&mut self, _ctx: &mut Ctx<'_>, _dev: DeviceId) {}
+
+    /// Pushes `data` at the hardware. `Some(n)` = the first `n` bytes
+    /// were committed (0 = device full, the client retries); `None` =
+    /// the transfer failed outright (`EIO`).
+    fn push(&mut self, ctx: &mut Ctx<'_>, dev: DeviceId, data: &[u8]) -> Option<usize>;
+}
+
+/// Printer: programmed I/O into the device FIFO, applying backpressure
+/// by accepting only as many bytes as the FIFO has room for. The client
 /// (`lpd`) loops until everything is accepted.
-pub struct PrinterDriver {
+#[derive(Debug, Default)]
+pub struct PrinterPort;
+
+impl StreamDevice for PrinterPort {
+    const LABEL: &'static str = "printer";
+    const MAX_WRITE: usize = usize::MAX;
+
+    fn push(&mut self, ctx: &mut Ctx<'_>, dev: DeviceId, data: &[u8]) -> Option<usize> {
+        let free = ctx.devio_read(dev, printer_regs::FIFO_FREE).unwrap_or(0) as usize;
+        let take = data.len().min(free);
+        if take > 0 {
+            let _ = ctx.devio_write_block(dev, printer_regs::DATA, &data[..take]);
+        }
+        Some(take)
+    }
+}
+
+/// Audio: DMA-stages whole sample blocks into the DAC's queue through a
+/// 64 KB IOMMU window — a block is queued entirely or not at all.
+#[derive(Debug, Default)]
+pub struct AudioPort;
+
+impl StreamDevice for AudioPort {
+    const LABEL: &'static str = "audio";
+    const MAX_WRITE: usize = 64 * 1024;
+
+    fn bring_up(&mut self, ctx: &mut Ctx<'_>, dev: DeviceId) {
+        if ctx.iommu_map(dev, 0, 0, 64 * 1024).is_err() {
+            ctx.metrics().incr("drv.iommu_map_failed");
+        }
+        if ctx.devio_write(dev, audio_regs::CTRL, 1).is_err() {
+            ctx.metrics().incr("drv.device_init_failed");
+        }
+    }
+
+    fn push(&mut self, ctx: &mut Ctx<'_>, dev: DeviceId, block: &[u8]) -> Option<usize> {
+        let queued = ctx.mem_write(0, block).is_ok()
+            && ctx.devio_write(dev, audio_regs::BUF_ADDR, 0).is_ok()
+            && ctx
+                .devio_write(dev, audio_regs::BUF_LEN, block.len() as u32)
+                .is_ok()
+            && ctx.devio_write(dev, audio_regs::START, 1).is_ok();
+        queued.then_some(block.len())
+    }
+}
+
+/// The printer driver.
+pub type PrinterDriver = StreamDriver<PrinterPort>;
+/// The audio driver.
+pub type AudioDriver = StreamDriver<AudioPort>;
+
+/// A stream character driver: WRITEs flow through the fault-VM routine
+/// into the [`StreamDevice`], deduplicated against the consumed
+/// watermark when the request is logged.
+pub struct StreamDriver<D> {
     dev: DeviceId,
     irq: IrqLine,
+    device: D,
     routine: GuardedRoutine,
     fault_port: FaultPort,
-    /// Checkpoint client; `None` = the paper's original error-push mode.
-    ckpt: Option<DriverCkpt>,
-    /// Bytes committed into the device FIFO (the consumed watermark).
+    /// Checkpoint gate; off = the paper's original error-push mode.
+    gate: StateGate,
+    /// Bytes committed into the device (the consumed watermark).
     cursor: ConsumedCursor,
     /// Warm-spare state; `Some` while dormant, cleared at promotion.
     standby: Option<StandbyRole>,
 }
 
-impl PrinterDriver {
-    /// Creates the printer driver.
+impl<D: StreamDevice> StreamDriver<D> {
+    /// Creates the driver in the paper's error-push mode.
     pub fn new(dev: DeviceId, irq: IrqLine, fault_port: FaultPort) -> Self {
-        PrinterDriver {
+        StreamDriver {
             dev,
             irq,
+            device: D::default(),
             routine: GuardedRoutine::new(&routines::with_cold_section(routines::char_write(), 30)),
             fault_port,
-            ckpt: None,
+            gate: StateGate::off(),
             cursor: ConsumedCursor::new(),
             standby: None,
         }
@@ -158,7 +233,7 @@ impl PrinterDriver {
     /// snapshotted to the data store after every commit, and logged
     /// requests are deduplicated against it after a restart.
     pub fn with_checkpointing(mut self, ds: Endpoint) -> Self {
-        self.ckpt = Some(DriverCkpt::new(ds, "printer"));
+        self.gate = StateGate::on(ds, D::LABEL);
         self
     }
 
@@ -167,7 +242,7 @@ impl PrinterDriver {
     /// only on RS's promote message.
     pub fn standby(mut self, ds: Endpoint) -> Self {
         self = self.with_checkpointing(ds);
-        self.standby = Some(StandbyRole::new(ds, "printer"));
+        self.standby = Some(StandbyRole::new(ds, D::LABEL));
         self
     }
 
@@ -179,6 +254,7 @@ impl PrinterDriver {
         if ctx.irq_enable(self.irq).is_err() {
             ctx.metrics().incr("drv.irq_enable_failed");
         }
+        self.device.bring_up(ctx, self.dev);
     }
 
     /// Handles `drv::PROMOTE`: deferred device bring-up, fault-port
@@ -193,13 +269,11 @@ impl PrinterDriver {
         if let Some(mark) = role.tail.watermark() {
             self.cursor.restore(mark);
         }
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.adopt_warm(role.tail.seq(), rid, span);
-        }
+        self.gate.adopt_warm(role.tail.seq(), rid, span);
         self.go_live(ctx);
         ctx.metrics().incr("drv.promotions");
         let ev = ctx
-            .event(TraceLevel::Info, "printer standby went live".to_string())
+            .event(TraceLevel::Info, format!("{} standby went live", D::LABEL))
             .with_field("ev", "promote_live")
             .with_field("seq", role.tail.seq())
             .in_recovery_opt(rid)
@@ -213,32 +287,27 @@ impl PrinterDriver {
     /// verify the driver processed the payload it was sent.
     fn serve_write(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message, csum: u32) {
         ctx.metrics().incr("cdev.writes");
-        let data = &msg.data;
-        let wal = if self.ckpt.is_some() {
-            request_wal(msg)
-        } else {
-            None
+        let wal = self.gate.enabled().then(|| request_wal(msg)).flatten();
+        let reply = |st: u64, accepted: u64| {
+            Message::new(cdev::REPLY)
+                .with_param(0, st)
+                .with_param(1, accepted)
+                .with_param(2, 1 + u64::from(csum))
+        };
+        let status_of = |accepted: u64| match accepted {
+            0 => status::EAGAIN,
+            _ => status::OK,
         };
         let Some((seq, offset)) = wal else {
-            // Legacy path: accept what fits, let the client loop.
-            let free = ctx
-                .devio_read(self.dev, printer_regs::FIFO_FREE)
-                .unwrap_or(0) as usize;
-            let take = data.len().min(free);
-            if take > 0 {
-                let _ = ctx.devio_write_block(self.dev, printer_regs::DATA, &data[..take]);
-            }
-            let st = if take > 0 { status::OK } else { status::EAGAIN };
-            let _ = ctx.reply(
-                call,
-                Message::new(cdev::REPLY)
-                    .with_param(0, st)
-                    .with_param(1, take as u64)
-                    .with_param(2, 1 + u64::from(csum)),
-            );
+            // Legacy path: push what the device takes, let the client loop.
+            let msg = match self.device.push(ctx, self.dev, &msg.data) {
+                Some(take) => reply(status_of(take as u64), take as u64),
+                None => Message::new(cdev::REPLY).with_param(0, status::EIO),
+            };
+            let _ = ctx.reply(call, msg);
             return;
         };
-        let plan = self.cursor.plan(offset, data);
+        let plan = self.cursor.plan(offset, &msg.data);
         if plan.dup_bytes > 0 {
             ctx.metrics().add("ckpt.dedup_bytes", plan.dup_bytes);
         }
@@ -249,47 +318,39 @@ impl PrinterDriver {
         }
         let mut accepted = plan.dup_bytes;
         if !plan.fresh.is_empty() {
-            let free = ctx
-                .devio_read(self.dev, printer_regs::FIFO_FREE)
-                .unwrap_or(0) as usize;
-            let take = plan.fresh.len().min(free);
+            let Some(take) = self.device.push(ctx, self.dev, plan.fresh) else {
+                let eio = Message::new(cdev::REPLY).with_param(0, status::EIO);
+                let _ = ctx.reply(call, ack_reply(eio, self.cursor.committed(), seq));
+                return;
+            };
             if take > 0 {
-                let _ = ctx.devio_write_block(self.dev, printer_regs::DATA, &plan.fresh[..take]);
                 self.cursor.commit_at(plan.start, take as u64);
             }
             accepted += take as u64;
         }
         let consumed = self.cursor.committed();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            emit_replay_event(ctx, ckpt, offset, plan.dup_bytes);
-            if accepted > plan.dup_bytes {
-                // Quiescent point: the commit is complete, ack not yet
-                // sent — snapshot before acknowledging.
-                ckpt.save(ctx, consumed.to_le_bytes().to_vec());
-            }
+        emit_replay_event(ctx, &mut self.gate, offset, plan.dup_bytes);
+        if accepted > plan.dup_bytes {
+            // Quiescent point: the commit is complete, ack not yet
+            // sent — snapshot before acknowledging.
+            self.gate.save_now(ctx, || consumed.to_le_bytes().to_vec());
         }
-        let st = if accepted > 0 {
-            status::OK
-        } else {
-            status::EAGAIN
-        };
-        let reply = Message::new(cdev::REPLY)
-            .with_param(0, st)
-            .with_param(1, accepted)
-            .with_param(2, 1 + u64::from(csum));
-        let _ = ctx.reply(call, ack_reply(reply, consumed, seq));
+        let _ = ctx.reply(
+            call,
+            ack_reply(reply(status_of(accepted), accepted), consumed, seq),
+        );
     }
 }
 
-impl DriverLogic for PrinterDriver {
+impl<D: StreamDevice> DriverLogic for StreamDriver<D> {
     fn init(&mut self, ctx: &mut Ctx<'_>) {
         if self.standby.is_some() {
             // Dormant spare: the primary owns the device — stay off it.
-            ctx.trace(TraceLevel::Info, "printer standby dormant".to_string());
+            ctx.trace(TraceLevel::Info, format!("{} standby dormant", D::LABEL));
             return;
         }
         self.go_live(ctx);
-        ctx.trace(TraceLevel::Info, "printer driver ready".to_string());
+        ctx.trace(TraceLevel::Info, format!("{} driver ready", D::LABEL));
     }
 
     fn message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
@@ -316,19 +377,17 @@ impl DriverLogic for PrinterDriver {
                 let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::OK));
             }
             cdev::WRITE => {
-                if msg.data.is_empty() {
+                let data = &msg.data;
+                if data.is_empty() || data.len() > D::MAX_WRITE {
                     let _ = ctx.reply(
                         call,
                         Message::new(cdev::REPLY).with_param(0, status::EINVAL),
                     );
                     return;
                 }
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return; // served after the snapshot restore
-                    }
+                if self.gate.park(ctx, call, msg) {
+                    return; // served after the snapshot restore
                 }
-                let data = &msg.data;
                 let vm = self.routine.run(ctx, data.len().max(16) + 16, |vm| {
                     vm.mem[0..data.len()].copy_from_slice(data);
                     vm.regs[routines::reg::A0 as usize] = data.len() as u32;
@@ -354,261 +413,13 @@ impl DriverLogic for PrinterDriver {
                 return;
             }
         }
-        let Some(ckpt) = self.ckpt.as_mut() else {
-            return;
-        };
-        let Some((event, parked)) = ckpt.on_reply(ctx, call, result) else {
-            return;
-        };
-        if let RestoreEvent::Restored(snap) = &event {
+        let cursor = &mut self.cursor;
+        let restored = self.gate.on_reply(ctx, call, result, |_, snap| {
             if let Some(mark) = snap.as_watermark() {
-                self.cursor.restore(mark);
+                cursor.restore(mark);
             }
-        }
-        for (call, msg) in parked {
-            self.request(ctx, call, &msg);
-        }
-    }
-}
-
-/// Audio driver: DMA-stages sample blocks into the DAC's queue.
-pub struct AudioDriver {
-    dev: DeviceId,
-    irq: IrqLine,
-    routine: GuardedRoutine,
-    fault_port: FaultPort,
-    /// Checkpoint client; `None` = the paper's original error-push mode.
-    ckpt: Option<DriverCkpt>,
-    /// Bytes queued into the DAC (the consumed watermark / ring position).
-    cursor: ConsumedCursor,
-    /// Warm-spare state; `Some` while dormant, cleared at promotion.
-    standby: Option<StandbyRole>,
-}
-
-impl AudioDriver {
-    /// Creates the audio driver.
-    pub fn new(dev: DeviceId, irq: IrqLine, fault_port: FaultPort) -> Self {
-        AudioDriver {
-            dev,
-            irq,
-            routine: GuardedRoutine::new(&routines::with_cold_section(routines::char_write(), 30)),
-            fault_port,
-            ckpt: None,
-            cursor: ConsumedCursor::new(),
-            standby: None,
-        }
-    }
-
-    /// Enables checkpoint/replay support (see [`PrinterDriver`]).
-    pub fn with_checkpointing(mut self, ds: Endpoint) -> Self {
-        self.ckpt = Some(DriverCkpt::new(ds, "audio"));
-        self
-    }
-
-    /// Configures this incarnation as a warm spare (implies
-    /// checkpointing); see [`PrinterDriver::standby`].
-    pub fn standby(mut self, ds: Endpoint) -> Self {
-        self = self.with_checkpointing(ds);
-        self.standby = Some(StandbyRole::new(ds, "audio"));
-        self
-    }
-
-    /// Device bring-up, shared by a primary's init and a spare's
-    /// promotion. Stays panic-free: it runs on the recovery path.
-    fn go_live(&mut self, ctx: &mut Ctx<'_>) {
-        self.fault_port
-            .publish(&primary_name(ctx), self.routine.live());
-        if ctx.irq_enable(self.irq).is_err() {
-            ctx.metrics().incr("drv.irq_enable_failed");
-        }
-        if ctx.iommu_map(self.dev, 0, 0, 64 * 1024).is_err() {
-            ctx.metrics().incr("drv.iommu_map_failed");
-        }
-        if ctx.devio_write(self.dev, audio_regs::CTRL, 1).is_err() {
-            ctx.metrics().incr("drv.device_init_failed");
-        }
-    }
-
-    /// Handles `drv::PROMOTE` (see [`PrinterDriver::promote`]).
-    // analyze:recovery-root
-    fn promote(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
-        let Some(role) = self.standby.take() else {
-            return; // already live (duplicate promote)
-        };
-        let (rid, span) = promote_token(msg);
-        if let Some(mark) = role.tail.watermark() {
-            self.cursor.restore(mark);
-        }
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.adopt_warm(role.tail.seq(), rid, span);
-        }
-        self.go_live(ctx);
-        ctx.metrics().incr("drv.promotions");
-        let ev = ctx
-            .event(TraceLevel::Info, "audio standby went live".to_string())
-            .with_field("ev", "promote_live")
-            .with_field("seq", role.tail.seq())
-            .in_recovery_opt(rid)
-            .with_parent_opt(span);
-        ctx.trace_event(ev);
-    }
-
-    /// Queues `block` into the DAC; `true` on success.
-    fn queue_block(&mut self, ctx: &mut Ctx<'_>, block: &[u8]) -> bool {
-        if ctx.mem_write(0, block).is_err() {
-            return false;
-        }
-        ctx.devio_write(self.dev, audio_regs::BUF_ADDR, 0).is_ok()
-            && ctx
-                .devio_write(self.dev, audio_regs::BUF_LEN, block.len() as u32)
-                .is_ok()
-            && ctx.devio_write(self.dev, audio_regs::START, 1).is_ok()
-    }
-
-    /// Serves a validated WRITE (the fault point has already run).
-    /// `csum` is the payload byte-sum the VM routine computed, echoed in
-    /// the reply for the VFS sentinel (see [`PrinterDriver::serve_write`]).
-    fn serve_write(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message, csum: u32) {
-        ctx.metrics().incr("cdev.writes");
-        let wal = if self.ckpt.is_some() {
-            request_wal(msg)
-        } else {
-            None
-        };
-        let Some((seq, offset)) = wal else {
-            // Legacy path: queue the whole block.
-            let data = &msg.data;
-            if !self.queue_block(ctx, data) {
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::EIO));
-                return;
-            }
-            let _ = ctx.reply(
-                call,
-                Message::new(cdev::REPLY)
-                    .with_param(0, status::OK)
-                    .with_param(1, data.len() as u64)
-                    .with_param(2, 1 + u64::from(csum)),
-            );
-            return;
-        };
-        let plan = self.cursor.plan(offset, &msg.data);
-        if plan.dup_bytes > 0 {
-            ctx.metrics().add("ckpt.dedup_bytes", plan.dup_bytes);
-        }
-        if plan.gap_bytes > 0 {
-            ctx.metrics().incr("ckpt.watermark_jumps");
-        }
-        let fresh = plan.fresh.to_vec();
-        let (start, dup_bytes) = (plan.start, plan.dup_bytes);
-        if !fresh.is_empty() {
-            if !self.queue_block(ctx, &fresh) {
-                let reply = Message::new(cdev::REPLY).with_param(0, status::EIO);
-                let _ = ctx.reply(call, ack_reply(reply, self.cursor.committed(), seq));
-                return;
-            }
-            self.cursor.commit_at(start, fresh.len() as u64);
-        }
-        let consumed = self.cursor.committed();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            emit_replay_event(ctx, ckpt, offset, dup_bytes);
-            if !fresh.is_empty() {
-                ckpt.save(ctx, consumed.to_le_bytes().to_vec());
-            }
-        }
-        let reply = Message::new(cdev::REPLY)
-            .with_param(0, status::OK)
-            .with_param(1, msg.data.len() as u64)
-            .with_param(2, 1 + u64::from(csum));
-        let _ = ctx.reply(call, ack_reply(reply, consumed, seq));
-    }
-}
-
-impl DriverLogic for AudioDriver {
-    fn init(&mut self, ctx: &mut Ctx<'_>) {
-        if self.standby.is_some() {
-            // Dormant spare: the primary owns the device — stay off it.
-            ctx.trace(TraceLevel::Info, "audio standby dormant".to_string());
-            return;
-        }
-        self.go_live(ctx);
-        ctx.trace(TraceLevel::Info, "audio driver ready".to_string());
-    }
-
-    fn message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
-        match msg.mtype {
-            drv::STANDBY => {
-                if let Some(role) = self.standby.as_mut() {
-                    role.on_standby(ctx, msg);
-                }
-            }
-            drv::PROMOTE => self.promote(ctx, msg),
-            _ => {}
-        }
-    }
-
-    fn alarm(&mut self, ctx: &mut Ctx<'_>, token: u64) {
-        if let Some(role) = self.standby.as_mut() {
-            role.on_alarm(ctx, token);
-        }
-    }
-
-    fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
-        match msg.mtype {
-            cdev::OPEN => {
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::OK));
-            }
-            cdev::WRITE => {
-                let data = &msg.data;
-                if data.is_empty() || data.len() > 64 * 1024 {
-                    let _ = ctx.reply(
-                        call,
-                        Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                    );
-                    return;
-                }
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return; // served after the snapshot restore
-                    }
-                }
-                let data = &msg.data;
-                let vm = self.routine.run(ctx, data.len() + 16, |vm| {
-                    vm.mem[0..data.len()].copy_from_slice(data);
-                    vm.regs[routines::reg::A0 as usize] = data.len() as u32;
-                });
-                let Some(vm) = vm else {
-                    return;
-                };
-                let csum = vm.regs[routines::reg::RES as usize];
-                self.serve_write(ctx, call, msg, csum);
-            }
-            _ => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                );
-            }
-        }
-    }
-
-    fn reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, result: &Result<Message, IpcError>) {
-        if let Some(role) = self.standby.as_mut() {
-            if role.tail.on_reply(ctx, call, result) {
-                return;
-            }
-        }
-        let Some(ckpt) = self.ckpt.as_mut() else {
-            return;
-        };
-        let Some((event, parked)) = ckpt.on_reply(ctx, call, result) else {
-            return;
-        };
-        if let RestoreEvent::Restored(snap) = &event {
-            if let Some(mark) = snap.as_watermark() {
-                self.cursor.restore(mark);
-            }
-        }
-        for (call, msg) in parked {
+        });
+        for (call, msg) in restored.into_iter().flatten() {
             self.request(ctx, call, &msg);
         }
     }
@@ -755,8 +566,8 @@ pub struct KeyboardDriver {
     line_buf: Vec<u8>,
     routine: GuardedRoutine,
     fault_port: FaultPort,
-    /// Checkpoint client; `None` = the paper's original lossy mode.
-    ckpt: Option<DriverCkpt>,
+    /// Checkpoint gate; off = the paper's original lossy mode.
+    gate: StateGate,
 }
 
 impl KeyboardDriver {
@@ -768,7 +579,7 @@ impl KeyboardDriver {
             line_buf: Vec::new(),
             routine: GuardedRoutine::new(&routines::with_cold_section(routines::char_write(), 30)),
             fault_port,
-            ckpt: None,
+            gate: StateGate::off(),
         }
     }
 
@@ -776,17 +587,12 @@ impl KeyboardDriver {
     /// (readable only once) survives a driver restart because the buffer
     /// is snapshotted outside the driver after every change.
     pub fn with_checkpointing(mut self, ds: Endpoint) -> Self {
-        self.ckpt = Some(DriverCkpt::new(ds, "kbd"));
+        self.gate = StateGate::on(ds, "kbd");
         self
     }
 
     fn save_line_buf(&mut self, ctx: &mut Ctx<'_>) {
-        let payload = self.line_buf.clone();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            if ckpt.ready() {
-                ckpt.save(ctx, payload);
-            }
-        }
+        self.gate.save_now(ctx, || self.line_buf.clone());
     }
 }
 
@@ -805,10 +611,8 @@ impl DriverLogic for KeyboardDriver {
                 let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::OK));
             }
             cdev::READ => {
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return; // served after the snapshot restore
-                    }
+                if self.gate.park(ctx, call, msg) {
+                    return; // served after the snapshot restore
                 }
                 let want = (msg.param(0) as usize).min(4096);
                 let n = want.min(self.line_buf.len());
@@ -827,9 +631,7 @@ impl DriverLogic for KeyboardDriver {
                     csum = vm.regs[routines::reg::RES as usize];
                 }
                 let data: Vec<u8> = self.line_buf.drain(..n).collect();
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    emit_replay_event(ctx, ckpt, 0, n as u64);
-                }
+                emit_replay_event(ctx, &mut self.gate, 0, n as u64);
                 if n > 0 {
                     // Delivered bytes must leave the snapshot, or a later
                     // restore would re-deliver them.
@@ -873,31 +675,27 @@ impl DriverLogic for KeyboardDriver {
                 Err(_) => break,
             }
         }
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            // Input can arrive before the first READ: start the restore
-            // now so drained-but-undelivered bytes get merged (restored
-            // prefix first) instead of shadowing the snapshot.
-            ckpt.ensure_restore(ctx);
-        }
+        // Input can arrive before the first READ: start the restore now
+        // so drained-but-undelivered bytes get merged (restored prefix
+        // first) instead of shadowing the snapshot.
+        self.gate.ensure_restore(ctx);
         if drained > 0 {
             self.save_line_buf(ctx);
         }
     }
 
     fn reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, result: &Result<Message, IpcError>) {
-        let Some(ckpt) = self.ckpt.as_mut() else {
-            return;
-        };
-        let Some((event, parked)) = ckpt.on_reply(ctx, call, result) else {
-            return;
-        };
-        if let RestoreEvent::Restored(snap) = &event {
+        let line_buf = &mut self.line_buf;
+        let restored = self.gate.on_reply(ctx, call, result, |_, snap| {
             // Restored bytes were drained before the crash — they come
             // first; anything drained since the restart follows them.
             let mut merged = snap.payload.clone();
-            merged.extend_from_slice(&self.line_buf);
-            self.line_buf = merged;
-        }
+            merged.extend_from_slice(line_buf);
+            *line_buf = merged;
+        });
+        let Some(parked) = restored else {
+            return;
+        };
         self.save_line_buf(ctx);
         for (call, msg) in parked {
             self.request(ctx, call, &msg);

@@ -5,15 +5,18 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use phoenix_ckpt::proto::{ckpt, ckpt_status, reply_ack, tag_request};
+use phoenix_ckpt::Snapshot;
+use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDriver};
 use phoenix_drivers::libdriver::{Driver, FaultPort};
 use phoenix_drivers::proto::{bdev, cdev, drv, eth, status};
-use phoenix_drivers::{DiskDriver, Dp8390Driver, PrinterDriver, RamDiskDriver, Rtl8139Driver};
+use phoenix_drivers::{DiskDriver, Dp8390Driver, RamDiskDriver, Rtl8139Driver};
 use phoenix_fault::{encode, Instr};
 use phoenix_hw::bus::{Bus, WireConfig};
 use phoenix_hw::disk::{synth_sector, DiskDevice, SECTOR};
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
 use phoenix_hw::rtl8139::{Rtl8139, Rtl8139Config};
-use phoenix_hw::{PeerCtx, Printer, RemotePeer};
+use phoenix_hw::{AudioDac, Device, PeerCtx, Printer, RemotePeer};
 use phoenix_kernel::memory::GrantAccess;
 use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -408,41 +411,174 @@ fn mutated_rx_path_kills_the_driver_with_an_exception() {
     assert!(sys.trace().find("MmuFault").is_some() || sys.trace().find("died").is_some());
 }
 
-#[test]
-fn printer_driver_applies_backpressure() {
+// ---------------------------------------------------------------------
+// Stream drivers: one shell, two device halves
+// ---------------------------------------------------------------------
+
+/// What one scripted client session against a stream driver produced.
+struct Session {
+    sys: System,
+    bus: Bus,
+    /// Each reply as `(status, accepted, consumed watermark)`.
+    replies: Vec<(u64, u64, u64)>,
+    /// The watermarks the store was asked to save.
+    saved: Vec<u64>,
+}
+
+/// Boots `StreamDriver<D>` on `device` (checkpointing against a scripted
+/// "ds" when `ckpt`) and feeds it `writes` one at a time.
+fn stream_session<D: StreamDevice + 'static>(
+    device: Box<dyn Device>,
+    ckpt: bool,
+    writes: Vec<Message>,
+) -> Session {
     let mut sys = System::new(SystemConfig::default());
     let mut bus = Bus::new();
-    bus.add_device(DEV, IRQ, Box::new(Printer::new(1024))); // slow: 1 KB/s
-    let drv_ep = sys.spawn_boot(
-        "chr.printer",
-        Privileges::driver(DEV, IRQ),
-        Box::new(Driver::new(PrinterDriver::new(DEV, IRQ, FaultPort::new()))),
+    bus.add_device(DEV, IRQ, device);
+    let saved: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
+    let s2 = saved.clone();
+    // The store: no snapshot on record, every save acknowledged.
+    let ds = sys.spawn_boot(
+        "ds",
+        Privileges::server(),
+        Box::new(Probe {
+            hook: Box::new(move |ctx, ev| {
+                let ProcEvent::Request { call, msg } = ev else {
+                    return;
+                };
+                let reply = if msg.mtype == ckpt::SAVE {
+                    let frame = &msg.data[msg.param(0) as usize..];
+                    let mark = Snapshot::decode(frame).ok().and_then(|s| s.as_watermark());
+                    s2.borrow_mut().push(mark.expect("watermark frame"));
+                    Message::new(ckpt::SAVE_REPLY)
+                } else {
+                    Message::new(ckpt::RESTORE_REPLY).with_param(0, ckpt_status::NOT_FOUND)
+                };
+                let _ = ctx.reply(*call, reply);
+            }),
+        }),
     );
-    let accepted: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
-    let a2 = accepted.clone();
+    let mut drv = StreamDriver::<D>::new(DEV, IRQ, FaultPort::new());
+    if ckpt {
+        drv = drv.with_checkpointing(ds);
+    }
+    let drv_ep = sys.spawn_boot(
+        "chr.stream",
+        Privileges::driver(DEV, IRQ).with_ipc(IpcFilter::named(["rs", "ds"])),
+        Box::new(Driver::new(drv)),
+    );
+    let replies: Rc<RefCell<Vec<(u64, u64, u64)>>> = Rc::new(RefCell::new(Vec::new()));
+    let r2 = replies.clone();
+    let mut queue = writes.into_iter();
     sys.spawn_boot(
         "client",
         Privileges::server(),
         Box::new(Probe {
-            hook: Box::new(move |ctx, ev| match ev {
-                ProcEvent::Start => {
-                    // 6 KB into a 4 KB FIFO: the driver must truncate.
-                    let _ = ctx.sendrec(
-                        drv_ep,
-                        Message::new(cdev::WRITE).with_data(vec![b'x'; 6144]),
-                    );
-                }
-                ProcEvent::Reply {
+            hook: Box::new(move |ctx, ev| {
+                if let ProcEvent::Reply {
                     result: Ok(reply), ..
-                } => {
-                    a2.borrow_mut().push(reply.param(1));
+                } = ev
+                {
+                    let consumed = reply_ack(reply).map_or(0, |(consumed, _)| consumed);
+                    r2.borrow_mut()
+                        .push((reply.param(0), reply.param(1), consumed));
                 }
-                _ => {}
+                if matches!(ev, ProcEvent::Start | ProcEvent::Reply { .. }) {
+                    if let Some(next) = queue.next() {
+                        let _ = ctx.sendrec(drv_ep, next);
+                    }
+                }
             }),
         }),
     );
-    sys.run_until_idle(&mut bus, 500);
-    let acc = accepted.borrow();
-    assert_eq!(acc.len(), 1);
-    assert!(acc[0] > 0 && acc[0] <= 4096, "partial acceptance: {acc:?}");
+    sys.run_until_idle(&mut bus, 10_000);
+    let (replies, saved) = (replies.borrow().clone(), saved.borrow().clone());
+    Session {
+        sys,
+        bus,
+        replies,
+        saved,
+    }
+}
+
+/// The WAL-dedup contract, identical for both device halves: a replayed
+/// prefix is acknowledged without touching the hardware, a lost
+/// watermark jumps to the caller's log, every commit is checkpointed
+/// before it is acknowledged.
+fn stream_dedup_gap_cases<D: StreamDevice + 'static>(
+    device: Box<dyn Device>,
+    hw_bytes: impl Fn(&mut Bus) -> u64,
+) {
+    let write = |seq, offset, len| {
+        tag_request(
+            Message::new(cdev::WRITE).with_data(vec![b'x'; len]),
+            seq,
+            offset,
+        )
+    };
+    let writes = vec![
+        write(1, 0, 100),  // fresh
+        write(1, 0, 100),  // the same entry replayed: pure duplicate
+        write(2, 50, 100), // half replay, half fresh
+        write(3, 300, 10), // watermark behind the caller's log: gap
+    ];
+    let mut run = stream_session::<D>(device, true, writes);
+    let ok = status::OK;
+    assert_eq!(
+        run.replies,
+        [
+            (ok, 100, 100),
+            (ok, 100, 100),
+            (ok, 100, 150),
+            (ok, 10, 310)
+        ],
+        "{}",
+        D::LABEL
+    );
+    assert_eq!(run.sys.metrics().counter("ckpt.dedup_bytes"), 150);
+    assert_eq!(run.sys.metrics().counter("ckpt.watermark_jumps"), 1);
+    assert_eq!(run.saved, [100, 150, 310], "one save per commit");
+    assert_eq!(hw_bytes(&mut run.bus), 160, "duplicates never reach it");
+}
+
+#[test]
+fn stream_driver_dedups_replays_and_jumps_gaps_on_both_devices() {
+    stream_dedup_gap_cases::<PrinterPort>(Box::new(Printer::new(1 << 20)), |bus| {
+        bus.device_mut::<Printer>(DEV).unwrap().printed().len() as u64
+    });
+    stream_dedup_gap_cases::<AudioPort>(Box::new(AudioDac::new(1 << 20)), |bus| {
+        bus.device_mut::<AudioDac>(DEV).unwrap().samples_played()
+    });
+}
+
+#[test]
+fn stream_driver_partial_accept_is_the_device_halfs_decision() {
+    let big = |tagged: bool| {
+        let msg = Message::new(cdev::WRITE).with_data(vec![b'x'; 6144]);
+        vec![if tagged { tag_request(msg, 1, 0) } else { msg }]
+    };
+    let printer = || Box::new(Printer::new(1024)); // slow: 1 KB/s
+    let dac = || Box::new(AudioDac::new(1 << 20));
+    for tagged in [false, true] {
+        // Printer: 6 KB into a 4 KB FIFO — accept what fits, and in WAL
+        // mode commit (and save) exactly that much.
+        let run = stream_session::<PrinterPort>(printer(), tagged, big(tagged));
+        let (st, accepted, consumed) = run.replies[0];
+        assert_eq!(st, status::OK);
+        assert!(accepted > 0 && accepted <= 4096, "partial: {accepted}");
+        if tagged {
+            assert_eq!((consumed, run.saved), (accepted, vec![accepted]));
+        }
+        // Audio: a block is queued whole or not at all.
+        let run = stream_session::<AudioPort>(dac(), tagged, big(tagged));
+        assert_eq!(run.replies[0], (status::OK, 6144, 6144 * u64::from(tagged)));
+    }
+    // Over its DMA window the audio half refuses; an empty write is the
+    // shell's EINVAL on both.
+    let einval = |run: Session| assert_eq!(run.replies[0].0, status::EINVAL);
+    let oversized = vec![Message::new(cdev::WRITE).with_data(vec![0; 64 * 1024 + 1])];
+    einval(stream_session::<AudioPort>(dac(), false, oversized));
+    let empty = || vec![Message::new(cdev::WRITE)];
+    einval(stream_session::<AudioPort>(dac(), false, empty()));
+    einval(stream_session::<PrinterPort>(printer(), false, empty()));
 }

@@ -18,7 +18,8 @@ use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
 use phoenix_simcore::trace::TraceLevel;
 
 use crate::fsfat::{decode_dirent, Bpb, DirEntry, EOC};
-use crate::proto::{ds, fs, unpack_endpoint};
+use crate::libserver::DsWatch;
+use crate::proto::fs;
 
 const IO_BUF: usize = 0;
 const MAX_CHUNK_SECTORS: u64 = 256;
@@ -93,12 +94,11 @@ struct Active {
 
 /// The FAT16 file server.
 pub struct FatServer {
-    ds: Endpoint,
+    watch: DsWatch,
     driver_key: String,
     driver: Option<Endpoint>,
     driver_open: bool,
     open_call: Option<CallId>,
-    check_call: Option<CallId>,
     mount: MountState,
     bpb: Option<Bpb>,
     fat: Vec<u16>,
@@ -112,12 +112,11 @@ impl FatServer {
     /// `driver_key`.
     pub fn new(ds: Endpoint, driver_key: &str) -> Self {
         FatServer {
-            ds,
+            watch: DsWatch::new(ds),
             driver_key: driver_key.to_string(),
             driver: None,
             driver_open: false,
             open_call: None,
-            check_call: None,
             mount: MountState::NotMounted,
             bpb: None,
             fat: Vec::new(),
@@ -129,12 +128,6 @@ impl FatServer {
 
     fn driver_ready(&self) -> bool {
         self.driver.is_some() && self.driver_open
-    }
-
-    fn ds_check(&mut self, ctx: &mut Ctx<'_>) {
-        if self.check_call.is_none() {
-            self.check_call = ctx.sendrec(self.ds, Message::new(ds::CHECK)).ok();
-        }
     }
 
     fn issue_chunk(&mut self, ctx: &mut Ctx<'_>) {
@@ -461,30 +454,19 @@ impl Process for FatServer {
     // analyze:recovery-root
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Start => {
-                let key = self.driver_key.clone();
-                let _ = ctx.sendrec(
-                    self.ds,
-                    Message::new(ds::SUBSCRIBE).with_data(key.into_bytes()),
-                );
-            }
-            ProcEvent::Notify { from } if from == self.ds => self.ds_check(ctx),
+            ProcEvent::Start => self.watch.subscribe(ctx, &self.driver_key),
+            ProcEvent::Notify { from } if from == self.watch.ds() => self.watch.check(ctx),
             ProcEvent::Request { call, msg } => {
                 self.queue.push_back((call, msg));
                 self.pump(ctx);
             }
             ProcEvent::Reply { call, result } => {
-                if Some(call) == self.check_call {
-                    self.check_call = None;
-                    if let Ok(reply) = result {
-                        if reply.mtype == ds::CHECK_REPLY && reply.param(0) == 0 {
-                            let key = String::from_utf8_lossy(&reply.data).to_string();
-                            let ep = unpack_endpoint(reply.param(1), reply.param(2));
-                            if key == self.driver_key {
-                                self.on_driver_published(ctx, ep);
-                            }
-                            self.ds_check(ctx);
+                if let Some(update) = self.watch.on_reply(call, &result) {
+                    if let Some(update) = update {
+                        if update.key == self.driver_key {
+                            self.on_driver_published(ctx, update.endpoint);
                         }
+                        self.watch.check(ctx);
                     }
                     return;
                 }

@@ -10,17 +10,16 @@
 
 use std::collections::BTreeSet;
 
-use phoenix_ckpt::driver::{DriverCkpt, RestoreEvent};
 use phoenix_drivers::proto::eth;
-use phoenix_kernel::process::{ProcEvent, Process};
+use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, Message};
 use phoenix_simcore::time::SimDuration;
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
-use crate::faultplane::{garble_message, FaultAction, FaultPlane, FaultState};
+use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
 use crate::netproto::{flags, Segment};
-use crate::proto::{ds, evidence, pack_endpoint, rs as rsp, sock, unpack_endpoint};
+use crate::proto::{evidence, sock};
 
 const RTO: SimDuration = SimDuration::from_millis(300);
 const RTO_MAX: SimDuration = SimDuration::from_secs(3);
@@ -56,9 +55,11 @@ struct Conn {
     timer_epoch: u32,
 }
 
-/// The network server.
+/// The network server's logic; run it as `Server<Inet>`. Its
+/// externalised state is the session (crash-only contract): the
+/// connection slab, datagram binding and id allocator are checkpointed
+/// after every change and rehydrated by a restarted incarnation.
 pub struct Inet {
-    ds: Endpoint,
     rs: Endpoint,
     driver_key: String,
     driver: Option<Endpoint>,
@@ -72,7 +73,6 @@ pub struct Inet {
     /// Bumped on every INIT send and on success, so only the newest retry
     /// alarm may re-send (stale alarms are ignored).
     init_epoch: u32,
-    check_call: Option<CallId>,
     eth_calls: BTreeSet<CallId>,
     /// Flat per-connection slab indexed by connection id. Slot 0 is
     /// permanently reserved — the INIT retry alarm shares the timer-token
@@ -90,22 +90,13 @@ pub struct Inet {
     /// reinit/resume trace events with the causing episode.
     recovery: Option<RecoveryId>,
     recovery_parent: Option<SpanId>,
-    /// Session-state checkpoint client (crash-only contract): the
-    /// connection slab is externalized to the DS store at quiescent
-    /// points and rehydrated lazily by a restarted incarnation.
-    ckpt: Option<DriverCkpt>,
-    /// Session state changed since the last checkpoint save.
-    dirty: bool,
-    /// Injected-defect latches (microreboot campaign).
-    fault: FaultState,
 }
 
 impl Inet {
     /// Creates INET bound to the Ethernet driver published under
-    /// `driver_key` (e.g. `"eth.rtl8139"`).
-    pub fn new(ds: Endpoint, rs: Endpoint, driver_key: &str) -> Self {
+    /// `driver_key` (e.g. `"eth.rtl8139"`); `rs` receives its complaints.
+    pub fn new(rs: Endpoint, driver_key: &str) -> Self {
         Inet {
-            ds,
             rs,
             driver_key: driver_key.to_string(),
             driver: None,
@@ -114,31 +105,13 @@ impl Inet {
             bad_reply_streak: 0,
             init_call: None,
             init_epoch: 0,
-            check_call: None,
             eth_calls: BTreeSet::new(),
             conns: vec![None],
             free_conns: Vec::new(),
             dgram_app: None,
             recovery: None,
             recovery_parent: None,
-            ckpt: None,
-            dirty: false,
-            fault: FaultState::detached(),
         }
-    }
-
-    /// Enables session-state checkpointing: the connection slab, datagram
-    /// binding and id allocator are saved to the DS store after every
-    /// state change and rehydrated lazily after a microreboot.
-    pub fn with_checkpointing(mut self) -> Self {
-        self.ckpt = Some(DriverCkpt::new(self.ds, "session"));
-        self
-    }
-
-    /// Attaches the server fault plane (campaign defect injection).
-    pub fn with_fault_plane(mut self, plane: &FaultPlane, name: &str) -> Self {
-        self.fault = FaultState::attached(plane, name);
-        self
     }
 
     // ---------------- connection slab ----------------
@@ -200,193 +173,6 @@ impl Inet {
         let generation = u32::from_le_bytes(buf.get(*at + 2..*at + 6)?.try_into().ok()?);
         *at += 6;
         Some(Endpoint::new(slot, generation))
-    }
-
-    /// Serializes the session: slab high-water mark, datagram binding,
-    /// and each live connection's transport state (timers, in-flight
-    /// connect calls and the free list are per-incarnation and rebuilt,
-    /// not externalized).
-    fn encode_session(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.conns.len() as u32).to_le_bytes());
-        match self.dgram_app {
-            Some(ep) => {
-                out.push(1);
-                Self::push_ep(&mut out, ep);
-            }
-            None => out.push(0),
-        }
-        let ids = self.conn_ids();
-        out.extend_from_slice(&(ids.len() as u16).to_le_bytes());
-        for id in ids {
-            let Some(c) = self.conn(id) else { continue };
-            out.extend_from_slice(&id.to_le_bytes());
-            Self::push_ep(&mut out, c.app);
-            out.push(u8::from(c.established) | (u8::from(c.closed) << 1));
-            out.extend_from_slice(&c.rcv_nxt.to_le_bytes());
-            out.extend_from_slice(&c.snd_base.to_le_bytes());
-            out.extend_from_slice(&(c.snd_buf.len() as u32).to_le_bytes());
-            out.extend_from_slice(&c.snd_buf);
-        }
-        out
-    }
-
-    /// Rehydrates the session from a restored snapshot payload and nudges
-    /// retransmission for rebuilt connections. Returns `false` (leaving a
-    /// clean slate) if the payload does not parse.
-    fn apply_session(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let mut at = 0usize;
-        let Some(hw) = payload.get(at..at + 4) else {
-            return false;
-        };
-        let slab_len = u32::from_le_bytes(hw.try_into().unwrap_or([0; 4])) as usize;
-        if slab_len == 0 || slab_len > usize::from(u16::MAX) + 1 {
-            return false;
-        }
-        at += 4;
-        let Some(&has_dgram) = payload.get(at) else {
-            return false;
-        };
-        at += 1;
-        let dgram_app = if has_dgram == 1 {
-            match Self::read_ep(payload, &mut at) {
-                Some(ep) => Some(ep),
-                None => return false,
-            }
-        } else {
-            None
-        };
-        let Some(count_bytes) = payload.get(at..at + 2) else {
-            return false;
-        };
-        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2]));
-        at += 2;
-        let mut slab: Vec<Option<Conn>> = Vec::new();
-        slab.resize_with(slab_len, || None);
-        for _ in 0..count {
-            let Some(id_bytes) = payload.get(at..at + 2) else {
-                return false;
-            };
-            let id = u16::from_le_bytes(id_bytes.try_into().unwrap_or([0; 2]));
-            if id == 0 || usize::from(id) >= slab_len {
-                return false;
-            }
-            at += 2;
-            let Some(app) = Self::read_ep(payload, &mut at) else {
-                return false;
-            };
-            let Some(&bits) = payload.get(at) else {
-                return false;
-            };
-            at += 1;
-            let Some(rcv) = payload.get(at..at + 4) else {
-                return false;
-            };
-            let rcv_nxt = u32::from_le_bytes(rcv.try_into().unwrap_or([0; 4]));
-            at += 4;
-            let Some(base) = payload.get(at..at + 4) else {
-                return false;
-            };
-            let snd_base = u32::from_le_bytes(base.try_into().unwrap_or([0; 4]));
-            at += 4;
-            let Some(len_bytes) = payload.get(at..at + 4) else {
-                return false;
-            };
-            let len = u32::from_le_bytes(len_bytes.try_into().unwrap_or([0; 4])) as usize;
-            at += 4;
-            let Some(buf) = payload.get(at..at + len) else {
-                return false;
-            };
-            at += len;
-            slab[usize::from(id)] = Some(Conn {
-                app,
-                connect_call: None,
-                established: bits & 1 != 0,
-                closed: bits & 2 != 0,
-                rcv_nxt,
-                snd_buf: buf.to_vec(),
-                snd_base,
-                rto: RTO,
-                timer_epoch: 0,
-            });
-        }
-        self.dgram_app = dgram_app.or(self.dgram_app);
-        self.conns = slab;
-        // Rebuild the free list: every unoccupied slot below the restored
-        // high-water mark is reusable, recycled smallest-id first.
-        self.free_conns = (1..self.conns.len())
-            .rev()
-            .filter(|&i| self.conns[i].is_none())
-            .map(|i| (i as u16, 0))
-            .collect();
-        ctx.metrics().incr("inet.session_restored");
-        if self.driver_ready {
-            for id in self.conn_ids() {
-                let Some((needs_syn, needs_data)) = self
-                    .conn(id)
-                    .map(|c| (!c.established && !c.closed, !c.snd_buf.is_empty()))
-                else {
-                    continue;
-                };
-                if needs_syn {
-                    self.send_syn(ctx, id);
-                } else if needs_data {
-                    self.send_unacked(ctx, id);
-                }
-            }
-        }
-        true
-    }
-
-    /// Quiescent-point save: runs at the end of any dispatch that
-    /// mutated session state, once the incarnation's restore handshake
-    /// has completed (requests are parked until then, so nothing is
-    /// lost to the gap).
-    fn maybe_save(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.dirty {
-            return;
-        }
-        match self.ckpt.as_ref() {
-            Some(ckpt) if ckpt.ready() => {}
-            Some(_) => return, // restore in flight; retry next dispatch
-            None => {
-                self.dirty = false;
-                return;
-            }
-        }
-        let payload = self.encode_session();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.save(ctx, payload);
-        }
-        self.dirty = false;
-    }
-
-    /// Sends an app-facing reply through the injected-garble filter.
-    fn app_reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        let msg = if self.fault.garbling() {
-            ctx.metrics().incr("inet.garbled_replies");
-            garble_message(msg)
-        } else {
-            msg
-        };
-        let _ = ctx.reply(call, msg);
-    }
-
-    /// Pushes an app-facing one-way message through the garble filter.
-    fn app_send(&mut self, ctx: &mut Ctx<'_>, app: Endpoint, msg: Message) {
-        let msg = if self.fault.garbling() {
-            ctx.metrics().incr("inet.garbled_replies");
-            garble_message(msg)
-        } else {
-            msg
-        };
-        let _ = ctx.send(app, msg);
-    }
-
-    fn ds_check(&mut self, ctx: &mut Ctx<'_>) {
-        if self.check_call.is_none() {
-            self.check_call = ctx.sendrec(self.ds, Message::new(ds::CHECK)).ok();
-        }
     }
 
     /// Sends a frame through the Ethernet driver. Failures flip
@@ -516,28 +302,13 @@ impl Inet {
     /// `SUSPECT_REPLY`, low-confidence evidence that accumulates toward
     /// RS's quorum (§5.1): a driver that *keeps* answering with garbage
     /// gets replaced, a flipped bit on the wire does not flap it.
-    fn complain_bad_reply(&mut self, ctx: &mut Ctx<'_>) {
-        ctx.metrics().incr("inet.complaints");
-        ctx.metrics().incr(&format!(
-            "sentinel.inet.{}",
-            evidence::name(evidence::SUSPECT_REPLY)
-        ));
-        ctx.trace(
-            TraceLevel::Warn,
-            format!(
-                "wrong-type reply to an ethernet WRITE from {}; complaining to RS",
-                self.driver_key
-            ),
+    fn complain_bad_reply(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
+        let trace = format!(
+            "wrong-type reply to an ethernet WRITE from {}; complaining to RS",
+            self.driver_key
         );
-        let (slot, generation) = self.driver.map(pack_endpoint).unwrap_or((0, 0));
-        let _ = ctx.sendrec(
-            self.rs,
-            Message::new(rsp::COMPLAIN)
-                .with_param(0, u64::from(evidence::SUSPECT_REPLY))
-                .with_param(1, slot)
-                .with_param(2, generation)
-                .with_data(self.driver_key.as_bytes().to_vec()),
-        );
+        let accused = (self.driver_key.as_str(), self.driver);
+        sh.complain(ctx, self.rs, accused, evidence::SUSPECT_REPLY, trace);
     }
 
     /// A frame failed to decode. Dropping it is normal (the chaotic wire
@@ -545,45 +316,30 @@ impl Inet {
     /// is babbling: once the streak reaches the threshold, escalate from
     /// silent retransmission to a low-confidence RS complaint and let
     /// arbitration decide.
-    fn on_garbled(&mut self, ctx: &mut Ctx<'_>) {
+    fn on_garbled(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         ctx.metrics().incr("inet.garbled_frames");
         self.garbled_streak += 1;
         if self.garbled_streak < GARBLE_COMPLAINT_THRESHOLD {
             return;
         }
         self.garbled_streak = 0;
-        ctx.metrics().incr("inet.complaints");
-        ctx.metrics().incr(&format!(
-            "sentinel.inet.{}",
-            evidence::name(evidence::GARBLED_FRAMES)
-        ));
-        ctx.trace(
-            TraceLevel::Warn,
-            format!(
-                "sustained garbled frames from {}; complaining to RS",
-                self.driver_key
-            ),
+        let trace = format!(
+            "sustained garbled frames from {}; complaining to RS",
+            self.driver_key
         );
-        let (slot, generation) = self.driver.map(pack_endpoint).unwrap_or((0, 0));
-        let _ = ctx.sendrec(
-            self.rs,
-            Message::new(rsp::COMPLAIN)
-                .with_param(0, u64::from(evidence::GARBLED_FRAMES))
-                .with_param(1, slot)
-                .with_param(2, generation)
-                .with_data(self.driver_key.as_bytes().to_vec()),
-        );
+        let accused = (self.driver_key.as_str(), self.driver);
+        sh.complain(ctx, self.rs, accused, evidence::GARBLED_FRAMES, trace);
     }
 
-    fn on_frame(&mut self, ctx: &mut Ctx<'_>, frame: &[u8]) {
+    fn on_frame(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, frame: &[u8]) {
         let Some(seg) = Segment::decode(frame) else {
-            self.on_garbled(ctx);
+            self.on_garbled(sh, ctx);
             return;
         };
         self.garbled_streak = 0;
         if seg.flags & flags::DGRAM != 0 {
             if let Some(app) = self.dgram_app {
-                self.app_send(
+                sh.push(
                     ctx,
                     app,
                     Message::new(sock::DGRAM_DATA).with_data(seg.payload),
@@ -617,10 +373,10 @@ impl Inet {
                 conn.established = true;
                 conn.timer_epoch += 1; // disarm SYN retransmit
                 reply_call = conn.connect_call.take();
-                self.dirty = true;
+                sh.gate.mark_dirty();
             }
             if let Some(call) = reply_call {
-                self.app_reply(
+                sh.reply(
                     ctx,
                     call,
                     Message::new(sock::CONNECT_REPLY)
@@ -639,7 +395,7 @@ impl Inet {
                 conn.rto = RTO;
                 conn.timer_epoch += 1; // disarm; re-armed if data remains
                 let more = !conn.snd_buf.is_empty();
-                self.dirty = true;
+                sh.gate.mark_dirty();
                 if more {
                     self.send_unacked(ctx, conn_id);
                     return;
@@ -653,10 +409,10 @@ impl Inet {
             if seg.seq == conn.rcv_nxt {
                 conn.rcv_nxt = conn.rcv_nxt.wrapping_add(seg.payload.len() as u32);
                 let app = conn.app;
-                self.dirty = true;
+                sh.gate.mark_dirty();
                 ctx.metrics()
                     .add("inet.stream_bytes", seg.payload.len() as u64);
-                self.app_send(
+                sh.push(
                     ctx,
                     app,
                     Message::new(sock::DATA)
@@ -674,8 +430,8 @@ impl Inet {
                 conn.closed = true;
                 conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
                 let app = conn.app;
-                self.dirty = true;
-                self.app_send(
+                sh.gate.mark_dirty();
+                sh.push(
                     ctx,
                     app,
                     Message::new(sock::CLOSED).with_param(0, u64::from(conn_id)),
@@ -686,95 +442,178 @@ impl Inet {
     }
 }
 
-impl Process for Inet {
-    // analyze:recovery-root
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match self.fault.poll() {
-            FaultAction::Crash => {
-                ctx.metrics().incr("inet.injected_crash");
-                ctx.panic("injected server defect: wild store");
-                return;
-            }
-            FaultAction::Stall => {
-                // Lost wakeup: the incarnation swallows every event.
-                // Pending sendrec rendezvous stay open, which is what the
-                // RS stall audit keys on.
-                ctx.metrics().incr("inet.stalled_events");
-                return;
-            }
-            FaultAction::Garble | FaultAction::None => {}
-        }
-        self.dispatch(ctx, event);
-        self.maybe_save(ctx);
-    }
-}
+impl ServerLogic for Inet {
+    const NAMES: Names = Names {
+        server: "inet",
+        state_key: "session",
+        injected_crash: "inet.injected_crash",
+        stalled_events: "inet.stalled_events",
+        garbled_replies: "inet.garbled_replies",
+        restore_garbage: "inet.session_restore_garbage",
+    };
 
-impl Inet {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match event {
-            ProcEvent::Start => {
-                // §5.3: "the network server subscribes to updates about
-                // the configuration of Ethernet drivers by registering
-                // the expression 'eth.*'".
-                let _ = ctx.sendrec(
-                    self.ds,
-                    Message::new(ds::SUBSCRIBE).with_data(b"eth.*".to_vec()),
-                );
+    /// Serializes the session: slab high-water mark, datagram binding,
+    /// and each live connection's transport state (timers, in-flight
+    /// connect calls and the free list are per-incarnation and rebuilt,
+    /// not externalized).
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        out.extend_from_slice(&(self.conns.len() as u32).to_le_bytes());
+        match self.dgram_app {
+            Some(ep) => {
+                out.push(1);
+                Self::push_ep(&mut out, ep);
             }
-            ProcEvent::Notify { from } if from == self.ds => self.ds_check(ctx),
+            None => out.push(0),
+        }
+        let ids = self.conn_ids();
+        out.extend_from_slice(&(ids.len() as u16).to_le_bytes());
+        for id in ids {
+            let Some(c) = self.conn(id) else { continue };
+            out.extend_from_slice(&id.to_le_bytes());
+            Self::push_ep(&mut out, c.app);
+            out.push(u8::from(c.established) | (u8::from(c.closed) << 1));
+            out.extend_from_slice(&c.rcv_nxt.to_le_bytes());
+            out.extend_from_slice(&c.snd_base.to_le_bytes());
+            out.extend_from_slice(&(c.snd_buf.len() as u32).to_le_bytes());
+            out.extend_from_slice(&c.snd_buf);
+        }
+        out
+    }
+
+    /// Rehydrates the session from a restored snapshot payload and nudges
+    /// retransmission for rebuilt connections. Returns `false` (leaving a
+    /// clean slate) if the payload does not parse.
+    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
+        let mut at = 0usize;
+        let Some(hw) = payload.get(at..at + 4) else {
+            return false;
+        };
+        let slab_len = u32::from_le_bytes(hw.try_into().unwrap_or([0; 4])) as usize;
+        if slab_len == 0 || slab_len > usize::from(u16::MAX) + 1 {
+            return false;
+        }
+        at += 4;
+        let Some(&has_dgram) = payload.get(at) else {
+            return false;
+        };
+        at += 1;
+        let dgram_app = if has_dgram == 1 {
+            match Self::read_ep(payload, &mut at) {
+                Some(ep) => Some(ep),
+                None => return false,
+            }
+        } else {
+            None
+        };
+        let Some(count_bytes) = payload.get(at..at + 2) else {
+            return false;
+        };
+        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2]));
+        at += 2;
+        let mut slab: Vec<Option<Conn>> = Vec::new();
+        slab.resize_with(slab_len, || None);
+        for _ in 0..count {
+            let Some(id_bytes) = payload.get(at..at + 2) else {
+                return false;
+            };
+            let id = u16::from_le_bytes(id_bytes.try_into().unwrap_or([0; 2]));
+            if id == 0 || usize::from(id) >= slab_len {
+                return false;
+            }
+            at += 2;
+            let Some(app) = Self::read_ep(payload, &mut at) else {
+                return false;
+            };
+            let Some(&bits) = payload.get(at) else {
+                return false;
+            };
+            at += 1;
+            let Some(rcv) = payload.get(at..at + 4) else {
+                return false;
+            };
+            let rcv_nxt = u32::from_le_bytes(rcv.try_into().unwrap_or([0; 4]));
+            at += 4;
+            let Some(base) = payload.get(at..at + 4) else {
+                return false;
+            };
+            let snd_base = u32::from_le_bytes(base.try_into().unwrap_or([0; 4]));
+            at += 4;
+            let Some(len_bytes) = payload.get(at..at + 4) else {
+                return false;
+            };
+            let len = u32::from_le_bytes(len_bytes.try_into().unwrap_or([0; 4])) as usize;
+            at += 4;
+            let Some(buf) = payload.get(at..at + len) else {
+                return false;
+            };
+            at += len;
+            slab[usize::from(id)] = Some(Conn {
+                app,
+                connect_call: None,
+                established: bits & 1 != 0,
+                closed: bits & 2 != 0,
+                rcv_nxt,
+                snd_buf: buf.to_vec(),
+                snd_base,
+                rto: RTO,
+                timer_epoch: 0,
+            });
+        }
+        self.dgram_app = dgram_app.or(self.dgram_app);
+        self.conns = slab;
+        // Rebuild the free list: every unoccupied slot below the restored
+        // high-water mark is reusable, recycled smallest-id first.
+        self.free_conns = (1..self.conns.len())
+            .rev()
+            .filter(|&i| self.conns[i].is_none())
+            .map(|i| (i as u16, 0))
+            .collect();
+        ctx.metrics().incr("inet.session_restored");
+        if self.driver_ready {
+            for id in self.conn_ids() {
+                let Some((needs_syn, needs_data)) = self
+                    .conn(id)
+                    .map(|c| (!c.established && !c.closed, !c.snd_buf.is_empty()))
+                else {
+                    continue;
+                };
+                if needs_syn {
+                    self.send_syn(ctx, id);
+                } else if needs_data {
+                    self.send_unacked(ctx, id);
+                }
+            }
+        }
+        true
+    }
+
+    fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
+        if update.key == self.driver_key {
+            self.recovery = update.recovery;
+            self.recovery_parent = update.parent;
+            self.on_driver_published(ctx, update.endpoint);
+        }
+    }
+
+    fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent) {
+        match event {
+            // §5.3: "the network server subscribes to updates about the
+            // configuration of Ethernet drivers by registering the
+            // expression 'eth.*'".
+            ProcEvent::Start => sh.watch.subscribe(ctx, "eth.*"),
             ProcEvent::Message(msg) if msg.mtype == eth::RECV => {
                 // A restarted incarnation drops frames that race its
                 // session restore; the peer's retransmission covers them.
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if !ckpt.ready() {
-                        ckpt.ensure_restore(ctx);
-                        ctx.metrics().incr("inet.frames_dropped_prerestore");
-                        return;
-                    }
+                if !sh.gate.ready() {
+                    sh.gate.ensure_restore(ctx);
+                    ctx.metrics().incr("inet.frames_dropped_prerestore");
+                    return;
                 }
                 let frame = msg.data.clone();
-                self.on_frame(ctx, &frame);
-            }
-            ProcEvent::Request { call, msg } => {
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return;
-                    }
-                }
-                self.handle_request(ctx, call, msg);
+                self.on_frame(sh, ctx, &frame);
             }
             ProcEvent::Reply { call, result } => {
-                let ckpt_outcome = match self.ckpt.as_mut() {
-                    Some(ckpt) => ckpt.on_reply(ctx, call, &result),
-                    None => None,
-                };
-                if let Some((restore, parked)) = ckpt_outcome {
-                    if let RestoreEvent::Restored(snap) = restore {
-                        if !self.apply_session(ctx, &snap.payload) {
-                            ctx.metrics().incr("inet.session_restore_garbage");
-                        }
-                    }
-                    for (parked_call, parked_msg) in parked {
-                        self.handle_request(ctx, parked_call, parked_msg);
-                    }
-                    return;
-                }
-                if Some(call) == self.check_call {
-                    self.check_call = None;
-                    if let Ok(reply) = result {
-                        if reply.mtype == ds::CHECK_REPLY && reply.param(0) == 0 {
-                            let key = String::from_utf8_lossy(&reply.data).to_string();
-                            let ep = unpack_endpoint(reply.param(1), reply.param(2));
-                            if key == self.driver_key {
-                                self.recovery = RecoveryId::from_wire(reply.param(3));
-                                self.recovery_parent = SpanId::from_wire(reply.param(4));
-                                self.on_driver_published(ctx, ep);
-                            }
-                            self.ds_check(ctx);
-                        }
-                    }
-                    return;
-                }
                 if Some(call) == self.init_call {
                     self.init_call = None;
                     match result {
@@ -836,7 +675,7 @@ impl Inet {
                             self.bad_reply_streak += 1;
                             if self.bad_reply_streak >= BAD_REPLY_COMPLAINT_THRESHOLD {
                                 self.bad_reply_streak = 0;
-                                self.complain_bad_reply(ctx);
+                                self.complain_bad_reply(sh, ctx);
                             }
                         }
                         Ok(_) => {
@@ -885,7 +724,7 @@ impl Inet {
 
     /// Serves one socket request (also the replay path for requests that
     /// were parked behind a session restore).
-    fn handle_request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
+    fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
         match msg.mtype {
             sock::CONNECT => {
                 let conn = Conn {
@@ -901,14 +740,14 @@ impl Inet {
                 };
                 match self.alloc_conn(conn) {
                     Some(conn_id) => {
-                        self.dirty = true;
+                        sh.gate.mark_dirty();
                         self.send_syn(ctx, conn_id);
                     }
                     None => {
                         // Every 16-bit id is live: refuse rather than
                         // silently reuse an open session's id.
                         ctx.metrics().incr("inet.conns_exhausted");
-                        self.app_reply(
+                        sh.reply(
                             ctx,
                             call,
                             Message::new(sock::CONNECT_REPLY)
@@ -928,10 +767,10 @@ impl Inet {
                     _ => false,
                 };
                 if ok {
-                    self.dirty = true;
+                    sh.gate.mark_dirty();
                     self.send_unacked(ctx, conn_id);
                 }
-                self.app_reply(
+                sh.reply(
                     ctx,
                     call,
                     Message::new(sock::ACK).with_param(0, u64::from(!ok)),
@@ -941,17 +780,17 @@ impl Inet {
                 let conn_id = msg.param(0) as u16;
                 if self.conn(conn_id).is_some() {
                     self.free_conn(conn_id);
-                    self.dirty = true;
+                    sh.gate.mark_dirty();
                     ctx.metrics().incr("inet.conns_closed");
                 }
                 // Idempotent: a CLOSE replayed after a session restore
                 // (or re-sent by the app) is status 0 as well.
-                self.app_reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
+                sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
             }
             sock::DGRAM_SEND => {
                 if self.dgram_app != Some(msg.source) {
                     self.dgram_app = Some(msg.source);
-                    self.dirty = true;
+                    sh.gate.mark_dirty();
                 }
                 let seg = Segment {
                     flags: flags::DGRAM,
@@ -963,10 +802,10 @@ impl Inet {
                 // Unreliable: fire and forget; loss is explicitly
                 // tolerated (§6.1).
                 self.send_segment(ctx, seg);
-                self.app_reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
+                sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
             }
             _ => {
-                self.app_reply(ctx, call, Message::new(sock::ACK).with_param(0, 22));
+                sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 22));
             }
         }
     }

@@ -19,6 +19,9 @@
 //! * [`inet`] / [`netproto`] / [`peer`] — the network server with
 //!   transparent Ethernet-driver recovery (§6.1), the TCP-like transport,
 //!   and the remote "Internet server" peer of Fig. 7.
+//! * [`libserver`] — the shell VFS, MFS, INET and PM run inside: fault
+//!   plane, externalised-state gate, data-store watch and complaint
+//!   filing, written once (what `libdriver` is for drivers).
 
 pub mod ds;
 pub mod fatfs;
@@ -26,6 +29,7 @@ pub mod faultplane;
 pub mod fsfat;
 pub mod fsfmt;
 pub mod inet;
+pub mod libserver;
 pub mod mfs;
 pub mod netproto;
 pub mod peer;
@@ -39,6 +43,7 @@ pub use ds::{DataStore, SharedRecords};
 pub use fatfs::FatServer;
 pub use faultplane::{FaultPlane, ServerFault};
 pub use inet::Inet;
+pub use libserver::Server;
 pub use mfs::FileServer;
 pub use peer::{FilePeer, PeerConfig};
 pub use pm::ProcessManager;

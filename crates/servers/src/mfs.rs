@@ -14,19 +14,18 @@
 
 use std::collections::VecDeque;
 
-use phoenix_ckpt::driver::{DriverCkpt, RestoreEvent};
 use phoenix_drivers::proto::{bdev, status};
 use phoenix_hw::disk::SECTOR;
 use phoenix_kernel::memory::{GrantAccess, GrantId};
-use phoenix_kernel::process::{ProcEvent, Process};
+use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
 use phoenix_simcore::time::SimDuration;
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
-use crate::faultplane::{garble_message, FaultAction, FaultPlane, FaultState};
 use crate::fsfmt::{Inode, Superblock, INODE_SIZE};
-use crate::proto::{ds, evidence, fs, pack_endpoint, rs as rsp, unpack_endpoint};
+use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
+use crate::proto::{evidence, fs};
 
 /// I/O buffer: offset 0 of MFS memory, room for one maximal transfer.
 const IO_BUF: usize = 0;
@@ -107,9 +106,11 @@ struct Active {
     scrub: Option<Vec<u8>>,
 }
 
-/// The file server.
+/// The file server's logic; run it as `Server<FileServer>`. Its
+/// externalised state is the cache metadata (crash-only contract): the
+/// mounted superblock + inode table are checkpointed at mount time so a
+/// restarted incarnation rehydrates without re-reading the disk.
 pub struct FileServer {
-    ds: Endpoint,
     rs: Endpoint,
     driver_key: String,
     driver: Option<Endpoint>,
@@ -120,7 +121,6 @@ pub struct FileServer {
     /// which completes the rendezvous without MFS ever hearing back, so
     /// awaiting it unguarded would wedge the server forever.
     open_seq: Option<u64>,
-    check_call: Option<CallId>,
     /// Sequence number of a pending EAGAIN-backoff alarm; the retry
     /// reissues the active chunk when it fires.
     retry_seq: Option<u64>,
@@ -140,30 +140,19 @@ pub struct FileServer {
     capacity: u64,
     /// Read chunks completed, for scrub sampling.
     scrub_chunks: u64,
-    /// Cache-metadata checkpoint client (crash-only contract): the
-    /// mounted superblock + inode table are externalized so a restarted
-    /// incarnation rehydrates without re-reading the disk.
-    ckpt: Option<DriverCkpt>,
-    /// Mount metadata changed since the last checkpoint save.
-    dirty: bool,
-    /// Injected-defect latches (microreboot campaign).
-    fault: FaultState,
 }
 
 impl FileServer {
     /// Creates MFS bound to the block driver published under
-    /// `driver_key` (e.g. `"blk.sata"`). `ds` and `rs` are the data store
-    /// and reincarnation server endpoints.
-    pub fn new(ds: Endpoint, rs: Endpoint, driver_key: &str) -> Self {
+    /// `driver_key` (e.g. `"blk.sata"`); `rs` receives its complaints.
+    pub fn new(rs: Endpoint, driver_key: &str) -> Self {
         FileServer {
-            ds,
             rs,
             driver_key: driver_key.to_string(),
             driver: None,
             driver_open: false,
             open_call: None,
             open_seq: None,
-            check_call: None,
             retry_seq: None,
             mount: MountState::NotMounted,
             superblock: None,
@@ -175,140 +164,18 @@ impl FileServer {
             recovery_parent: None,
             capacity: 0,
             scrub_chunks: 0,
-            ckpt: None,
-            dirty: false,
-            fault: FaultState::detached(),
         }
-    }
-
-    /// Enables cache-metadata checkpointing: the superblock and inode
-    /// table are saved to the DS store at mount time and rehydrated
-    /// lazily after a microreboot, skipping the disk re-read.
-    pub fn with_checkpointing(mut self) -> Self {
-        self.ckpt = Some(DriverCkpt::new(self.ds, "mount"));
-        self
-    }
-
-    /// Attaches the server fault plane (campaign defect injection).
-    pub fn with_fault_plane(mut self, plane: &FaultPlane, name: &str) -> Self {
-        self.fault = FaultState::attached(plane, name);
-        self
-    }
-
-    // ---------------- cache-metadata externalization ----------------
-
-    /// Serializes the mount metadata: one superblock sector followed by
-    /// the in-memory inode table.
-    fn encode_mount(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match &self.superblock {
-            Some(sb) => out.extend_from_slice(&sb.encode()),
-            None => out.extend_from_slice(&vec![0u8; SECTOR]),
-        }
-        out.extend_from_slice(&(self.inodes.len() as u16).to_le_bytes());
-        for ino in &self.inodes {
-            out.extend_from_slice(&ino.encode());
-        }
-        out
-    }
-
-    /// Rehydrates mount metadata from a restored snapshot. Returns
-    /// `false` (leaving a clean slate, so the normal mount path runs) if
-    /// the payload does not parse.
-    fn apply_mount(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let Some(sb_raw) = payload.get(..SECTOR) else {
-            return false;
-        };
-        let Some(sb) = Superblock::decode(sb_raw) else {
-            return false;
-        };
-        let Some(count_bytes) = payload.get(SECTOR..SECTOR + 2) else {
-            return false;
-        };
-        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2])) as usize;
-        let mut inodes = Vec::with_capacity(count);
-        let mut at = SECTOR + 2;
-        for _ in 0..count {
-            let Some(raw) = payload.get(at..at + INODE_SIZE) else {
-                return false;
-            };
-            let Some(ino) = Inode::decode(raw) else {
-                return false;
-            };
-            inodes.push(ino);
-            at += INODE_SIZE;
-        }
-        self.superblock = Some(sb);
-        self.inodes = inodes;
-        self.mount = MountState::Mounted;
-        ctx.metrics().incr("mfs.mount_restored");
-        true
-    }
-
-    /// Quiescent-point save of the mount metadata (it only changes at
-    /// mount time, so this fires once per incarnation that mounted).
-    fn maybe_save(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.dirty {
-            return;
-        }
-        match self.ckpt.as_ref() {
-            Some(ckpt) if ckpt.ready() => {}
-            Some(_) => return,
-            None => {
-                self.dirty = false;
-                return;
-            }
-        }
-        let payload = self.encode_mount();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.save(ctx, payload);
-        }
-        self.dirty = false;
-    }
-
-    /// Sends a client-facing reply through the injected-garble filter.
-    fn client_reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        let msg = if self.fault.garbling() {
-            ctx.metrics().incr("mfs.garbled_replies");
-            garble_message(msg)
-        } else {
-            msg
-        };
-        let _ = ctx.reply(call, msg);
     }
 
     fn driver_ready(&self) -> bool {
         self.driver.is_some() && self.driver_open
     }
 
-    fn ds_check(&mut self, ctx: &mut Ctx<'_>) {
-        if self.check_call.is_none() {
-            self.check_call = ctx.sendrec(self.ds, Message::new(ds::CHECK)).ok();
-        }
-    }
-
     // [recovery:begin]
-    fn complain(&mut self, ctx: &mut Ctx<'_>, kind: u32, why: &str) {
-        // [recovery] §5.1 input 5: ask RS to replace the malfunctioning
-        // [recovery] driver; RS verifies our authority and weighs the
-        // [recovery] evidence class before acting.
-        ctx.trace(
-            TraceLevel::Warn,
-            format!("complaining about {}: {why}", self.driver_key),
-        );
-        ctx.metrics().incr("mfs.complaints");
-        ctx.metrics()
-            .incr(&format!("sentinel.mfs.{}", evidence::name(kind)));
-        let key = self.driver_key.clone();
-        let (slot, generation) = self.driver.map(pack_endpoint).unwrap_or((0, 0));
-        let _ = ctx.sendrec(
-            self.rs,
-            Message::new(rsp::COMPLAIN)
-                .with_param(0, u64::from(kind))
-                .with_param(1, slot)
-                .with_param(2, generation)
-                .with_data(key.into_bytes()),
-        );
+    fn complain(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, kind: u32, why: &str) {
+        // §5.1 input 5: ask RS to replace the malfunctioning driver.
+        let trace = format!("complaining about {}: {why}", self.driver_key);
+        sh.complain(ctx, self.rs, (&self.driver_key, self.driver), kind, trace);
     }
 
     /// Handles a checksum-class sentinel violation: complain (the
@@ -316,8 +183,8 @@ impl FileServer {
     /// the chunk a bounded number of times; if the driver keeps
     /// miscomputing, fail the op so the client is not stuck while RS's
     /// restart is in flight.
-    fn csum_violation(&mut self, ctx: &mut Ctx<'_>, why: &str) {
-        self.complain(ctx, evidence::CRC_MISMATCH, why);
+    fn csum_violation(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, why: &str) {
+        self.complain(sh, ctx, evidence::CRC_MISMATCH, why);
         let Some(a) = self.active.as_mut() else {
             return;
         };
@@ -327,7 +194,7 @@ impl FileServer {
             ctx.metrics().incr("sentinel.mfs.csum_retries");
             self.issue_chunk(ctx);
         } else {
-            self.finish_active(ctx, status::EIO);
+            self.finish_active(sh, ctx, status::EIO);
         }
     }
     // [recovery:end]
@@ -406,7 +273,7 @@ impl FileServer {
     }
 
     /// Computes the next chunk for the active op and sends it.
-    fn start_next_chunk(&mut self, ctx: &mut Ctx<'_>) {
+    fn start_next_chunk(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         let Some(a) = self.active.as_mut() else {
             return;
         };
@@ -420,11 +287,11 @@ impl FileServer {
                 // the position out of bounds after a restore: fail the op,
                 // don't kill the incarnation.
                 let Some(ino) = self.inodes.get(a.ino) else {
-                    self.finish_active(ctx, status::EIO);
+                    self.finish_active(sh, ctx, status::EIO);
                     return;
                 };
                 let Some((lba, in_off)) = ino.locate(a.file_pos) else {
-                    self.finish_active(ctx, status::EIO);
+                    self.finish_active(sh, ctx, status::EIO);
                     return;
                 };
                 let contiguous = ino.contiguous_sectors_at(a.file_pos);
@@ -441,7 +308,7 @@ impl FileServer {
         self.issue_chunk(ctx);
     }
 
-    fn finish_active(&mut self, ctx: &mut Ctx<'_>, st: u64) {
+    fn finish_active(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, st: u64) {
         let Some(a) = self.active.take() else {
             return;
         };
@@ -460,7 +327,7 @@ impl FileServer {
                 } else {
                     Message::new(fs::DATA_REPLY).with_param(0, st)
                 };
-                self.client_reply(ctx, client, reply);
+                sh.reply(ctx, client, reply);
             }
             OpKind::Write { client, data } => {
                 let reply = if st == status::OK {
@@ -470,10 +337,10 @@ impl FileServer {
                 } else {
                     Message::new(fs::DATA_REPLY).with_param(0, st)
                 };
-                self.client_reply(ctx, client, reply);
+                sh.reply(ctx, client, reply);
             }
         }
-        self.pump(ctx);
+        self.pump(sh, ctx);
     }
 
     fn begin_mount(&mut self, ctx: &mut Ctx<'_>) {
@@ -497,7 +364,7 @@ impl FileServer {
         self.issue_chunk(ctx);
     }
 
-    fn mount_continue(&mut self, ctx: &mut Ctx<'_>, data: Vec<u8>) {
+    fn mount_continue(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, data: Vec<u8>) {
         match self.mount {
             MountState::ReadingSuper => {
                 let Some(sb) = Superblock::decode(&data) else {
@@ -520,19 +387,19 @@ impl FileServer {
                 self.inodes = data.chunks(INODE_SIZE).filter_map(Inode::decode).collect();
                 self.mount = MountState::Mounted;
                 self.active = None;
-                self.dirty = true;
+                sh.gate.mark_dirty();
                 ctx.trace(
                     TraceLevel::Info,
                     format!("mounted: {} files", self.inodes.len()),
                 );
-                self.pump(ctx);
+                self.pump(sh, ctx);
             }
             _ => {}
         }
     }
 
     /// Starts queued work when idle.
-    fn pump(&mut self, ctx: &mut Ctx<'_>) {
+    fn pump(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         if self.active.is_some() || !self.driver_ready() {
             return;
         }
@@ -553,12 +420,12 @@ impl FileServer {
                             .with_param(2, self.inodes[idx].size),
                         None => Message::new(fs::OPEN_REPLY).with_param(0, status::ENODEV),
                     };
-                    self.client_reply(ctx, call, reply);
+                    sh.reply(ctx, call, reply);
                 }
                 fs::READ => {
                     let (ino, offset, len) = (msg.param(0) as usize, msg.param(1), msg.param(2));
                     let Some(inode) = self.inodes.get(ino) else {
-                        self.client_reply(
+                        sh.reply(
                             ctx,
                             call,
                             Message::new(fs::DATA_REPLY).with_param(0, status::EINVAL),
@@ -567,7 +434,7 @@ impl FileServer {
                     };
                     let len = len.min(inode.size.saturating_sub(offset));
                     if len == 0 {
-                        self.client_reply(
+                        sh.reply(
                             ctx,
                             call,
                             Message::new(fs::DATA_REPLY)
@@ -593,7 +460,7 @@ impl FileServer {
                         csum_retries: 0,
                         scrub: None,
                     });
-                    self.start_next_chunk(ctx);
+                    self.start_next_chunk(sh, ctx);
                     return;
                 }
                 fs::WRITE => {
@@ -605,7 +472,7 @@ impl FileServer {
                         .get(ino)
                         .is_some_and(|i| offset + data.len() as u64 <= i.size);
                     if data.is_empty() || !aligned || !in_file {
-                        self.client_reply(
+                        sh.reply(
                             ctx,
                             call,
                             Message::new(fs::DATA_REPLY).with_param(0, status::EINVAL),
@@ -632,11 +499,11 @@ impl FileServer {
                         csum_retries: 0,
                         scrub: None,
                     });
-                    self.start_next_chunk(ctx);
+                    self.start_next_chunk(sh, ctx);
                     return;
                 }
                 _ => {
-                    self.client_reply(
+                    sh.reply(
                         ctx,
                         call,
                         Message::new(fs::DATA_REPLY).with_param(0, status::EINVAL),
@@ -678,7 +545,12 @@ impl FileServer {
     }
     // [recovery:end]
 
-    fn on_driver_reply(&mut self, ctx: &mut Ctx<'_>, result: Result<Message, IpcError>) {
+    fn on_driver_reply(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        result: Result<Message, IpcError>,
+    ) {
         // Revoke the chunk grant in all cases.
         if let Some(g) = self.active.as_mut().and_then(|a| a.grant.take()) {
             let _ = ctx.grant_revoke(g);
@@ -711,7 +583,7 @@ impl FileServer {
                 if reply.mtype != bdev::REPLY {
                     // Protocol violation: unexpected message type.
                     a.waiting_driver = true;
-                    self.complain(ctx, evidence::BAD_REPLY, "unexpected reply type");
+                    self.complain(sh, ctx, evidence::BAD_REPLY, "unexpected reply type");
                     return;
                 }
                 match reply.param(0) {
@@ -723,7 +595,7 @@ impl FileServer {
                             descriptor_sum(a.chunk_lba, a.chunk_sectors, self.capacity);
                         if reply.param(1) as usize != bytes {
                             a.waiting_driver = true;
-                            self.complain(ctx, evidence::SHORT_TRANSFER, "short transfer");
+                            self.complain(sh, ctx, evidence::SHORT_TRANSFER, "short transfer");
                             return;
                         }
                         // Sentinel: the driver echoes the checksum of the
@@ -732,16 +604,16 @@ impl FileServer {
                         // validation path computed garbage.
                         let echo = reply.param(2);
                         if echo != 0 && echo != 1 + u64::from(expect_sum) {
-                            self.csum_violation(ctx, "descriptor checksum echo mismatch");
+                            self.csum_violation(sh, ctx, "descriptor checksum echo mismatch");
                             return;
                         }
                         if is_mount {
                             let Ok(data) = ctx.mem_read(IO_BUF, bytes) else {
                                 ctx.trace(TraceLevel::Error, "io buffer read failed".to_string());
-                                self.finish_active(ctx, status::EIO);
+                                self.finish_active(sh, ctx, status::EIO);
                                 return;
                             };
-                            self.mount_continue(ctx, data);
+                            self.mount_continue(sh, ctx, data);
                             return;
                         }
                         if is_write {
@@ -754,7 +626,7 @@ impl FileServer {
                         } else {
                             let Ok(data) = ctx.mem_read(IO_BUF, bytes) else {
                                 ctx.trace(TraceLevel::Error, "io buffer read failed".to_string());
-                                self.finish_active(ctx, status::EIO);
+                                self.finish_active(sh, ctx, status::EIO);
                                 return;
                             };
                             let Some(a) = self.active.as_mut() else {
@@ -766,7 +638,7 @@ impl FileServer {
                                     // two reads must agree byte for byte.
                                     if data != expected {
                                         ctx.metrics().incr("sentinel.mfs.scrub_mismatch");
-                                        self.csum_violation(ctx, "read-back scrub mismatch");
+                                        self.csum_violation(sh, ctx, "read-back scrub mismatch");
                                         return;
                                     }
                                     ctx.metrics().incr("sentinel.mfs.scrub_ok");
@@ -798,11 +670,11 @@ impl FileServer {
                         }
                         let remaining = self.active.as_ref().map_or(0, |a| a.remaining);
                         if remaining == 0 {
-                            self.finish_active(ctx, status::OK);
+                            self.finish_active(sh, ctx, status::OK);
                         } else {
                             // [recovery] continue with the next chunk of a
                             // multi-chunk transfer.
-                            self.start_next_chunk(ctx);
+                            self.start_next_chunk(sh, ctx);
                         }
                     }
                     status::EAGAIN => {
@@ -817,7 +689,7 @@ impl FileServer {
                         let _ = ctx.set_alarm(RETRY_DELAY, seq);
                     }
                     _ => {
-                        self.finish_active(ctx, status::EIO);
+                        self.finish_active(sh, ctx, status::EIO);
                     }
                 }
             }
@@ -825,82 +697,82 @@ impl FileServer {
     }
 }
 
-impl Process for FileServer {
-    // analyze:recovery-root
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match self.fault.poll() {
-            FaultAction::Crash => {
-                ctx.metrics().incr("mfs.injected_crash");
-                ctx.panic("injected server defect: wild store");
-                return;
-            }
-            FaultAction::Stall => {
-                ctx.metrics().incr("mfs.stalled_events");
-                return;
-            }
-            FaultAction::Garble | FaultAction::None => {}
-        }
-        self.dispatch(ctx, event);
-        self.maybe_save(ctx);
-    }
-}
+impl ServerLogic for FileServer {
+    const NAMES: Names = Names {
+        server: "mfs",
+        state_key: "mount",
+        injected_crash: "mfs.injected_crash",
+        stalled_events: "mfs.stalled_events",
+        garbled_replies: "mfs.garbled_replies",
+        restore_garbage: "mfs.mount_restore_garbage",
+    };
 
-impl FileServer {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+    /// Serializes the mount metadata: one superblock sector followed by
+    /// the in-memory inode table. It only changes at mount time, so the
+    /// save fires once per incarnation that mounted.
+    fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        match &self.superblock {
+            Some(sb) => out.extend_from_slice(&sb.encode()),
+            None => out.extend_from_slice(&vec![0u8; SECTOR]),
+        }
+        out.extend_from_slice(&(self.inodes.len() as u16).to_le_bytes());
+        for ino in &self.inodes {
+            out.extend_from_slice(&ino.encode());
+        }
+        out
+    }
+
+    /// Rehydrates mount metadata from a restored snapshot. Returns
+    /// `false` (leaving a clean slate, so the normal mount path runs) if
+    /// the payload does not parse.
+    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
+        let Some(sb_raw) = payload.get(..SECTOR) else {
+            return false;
+        };
+        let Some(sb) = Superblock::decode(sb_raw) else {
+            return false;
+        };
+        let Some(count_bytes) = payload.get(SECTOR..SECTOR + 2) else {
+            return false;
+        };
+        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2])) as usize;
+        let mut inodes = Vec::with_capacity(count);
+        let mut at = SECTOR + 2;
+        for _ in 0..count {
+            let Some(raw) = payload.get(at..at + INODE_SIZE) else {
+                return false;
+            };
+            let Some(ino) = Inode::decode(raw) else {
+                return false;
+            };
+            inodes.push(ino);
+            at += INODE_SIZE;
+        }
+        self.superblock = Some(sb);
+        self.inodes = inodes;
+        self.mount = MountState::Mounted;
+        ctx.metrics().incr("mfs.mount_restored");
+        true
+    }
+
+    fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
+        self.queue.push_back((call, msg));
+        self.pump(sh, ctx);
+    }
+
+    fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
+        if update.key == self.driver_key {
+            self.recovery = update.recovery;
+            self.recovery_parent = update.parent;
+            self.on_driver_published(ctx, update.endpoint);
+        }
+    }
+
+    fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Start => {
-                let key = "blk.*".to_string();
-                let _ = ctx.sendrec(
-                    self.ds,
-                    Message::new(ds::SUBSCRIBE).with_data(key.into_bytes()),
-                );
-            }
-            ProcEvent::Notify { from } if from == self.ds => {
-                self.ds_check(ctx);
-            }
-            ProcEvent::Request { call, msg } => {
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return;
-                    }
-                }
-                self.queue.push_back((call, msg));
-                self.pump(ctx);
-            }
+            ProcEvent::Start => sh.watch.subscribe(ctx, "blk.*"),
             ProcEvent::Reply { call, result } => {
-                let ckpt_outcome = match self.ckpt.as_mut() {
-                    Some(ckpt) => ckpt.on_reply(ctx, call, &result),
-                    None => None,
-                };
-                if let Some((restore, parked)) = ckpt_outcome {
-                    if let RestoreEvent::Restored(snap) = restore {
-                        if !self.apply_mount(ctx, &snap.payload) {
-                            ctx.metrics().incr("mfs.mount_restore_garbage");
-                        }
-                    }
-                    for (parked_call, parked_msg) in parked {
-                        self.queue.push_back((parked_call, parked_msg));
-                    }
-                    self.pump(ctx);
-                    return;
-                }
-                if Some(call) == self.check_call {
-                    self.check_call = None;
-                    if let Ok(reply) = result {
-                        if reply.mtype == ds::CHECK_REPLY && reply.param(0) == 0 {
-                            let key = String::from_utf8_lossy(&reply.data).to_string();
-                            let ep = unpack_endpoint(reply.param(1), reply.param(2));
-                            if key == self.driver_key {
-                                self.recovery = RecoveryId::from_wire(reply.param(3));
-                                self.recovery_parent = SpanId::from_wire(reply.param(4));
-                                self.on_driver_published(ctx, ep);
-                            }
-                            // Drain any further queued updates.
-                            self.ds_check(ctx);
-                        }
-                    }
-                    return;
-                }
                 if Some(call) == self.open_call {
                     self.open_call = None;
                     self.open_seq = None;
@@ -928,7 +800,7 @@ impl FileServer {
                                 ctx.metrics().incr("mfs.reissues");
                                 self.issue_chunk(ctx);
                             } else {
-                                self.pump(ctx);
+                                self.pump(sh, ctx);
                             }
                             // [recovery:end]
                         }
@@ -938,11 +810,8 @@ impl FileServer {
                             // answers: complain so RS replaces it instead
                             // of waiting forever for a publish that will
                             // never come.
-                            self.complain(
-                                ctx,
-                                evidence::BAD_REPLY,
-                                "garbled reply to device reopen",
-                            );
+                            let why = "garbled reply to device reopen";
+                            self.complain(sh, ctx, evidence::BAD_REPLY, why);
                         }
                         // Died before answering: the kernel already told
                         // RS; the restart publish retriggers the reopen.
@@ -951,7 +820,7 @@ impl FileServer {
                     return;
                 }
                 if self.active.as_ref().and_then(|a| a.driver_call) == Some(call) {
-                    self.on_driver_reply(ctx, result);
+                    self.on_driver_reply(sh, ctx, result);
                 }
                 // Replies to SUBSCRIBE / COMPLAIN need no action.
             }
@@ -965,7 +834,7 @@ impl FileServer {
                 if self.open_seq == Some(token) {
                     self.open_seq = None;
                     self.open_call = None;
-                    self.complain(ctx, evidence::DEADLINE, "no reply to device reopen");
+                    self.complain(sh, ctx, evidence::DEADLINE, "no reply to device reopen");
                     return;
                 }
                 // EAGAIN backoff expired: reissue the active chunk (unless
@@ -996,7 +865,7 @@ impl FileServer {
                             let _ = ctx.grant_revoke(g);
                         }
                     }
-                    self.complain(ctx, evidence::DEADLINE, "no response within deadline");
+                    self.complain(sh, ctx, evidence::DEADLINE, "no response within deadline");
                 }
             }
             // [recovery:end]

@@ -8,14 +8,13 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_ckpt::driver::{DriverCkpt, RestoreEvent};
 use phoenix_drivers::proto::drv;
-use phoenix_kernel::process::{ProcEvent, Process};
+use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, ExitReason, KillOrigin, Message, Signal};
 use phoenix_simcore::trace::TraceLevel;
 
-use crate::faultplane::{garble_message, FaultAction, FaultPlane, FaultState};
+use crate::libserver::{Names, ServerLogic, Shell};
 use crate::proto::{pack_endpoint, pm, unpack_endpoint};
 
 /// Status codes in PM replies.
@@ -30,41 +29,23 @@ pub mod pm_status {
     pub const DENIED: u64 = 13;
 }
 
-/// The process manager server.
+/// The process manager's logic; run it as `Server<ProcessManager>`. Its
+/// externalised state (crash-only contract) is the reaper binding and
+/// the started-service records, saved on every change so a restarted PM
+/// still knows what it runs.
 #[derive(Debug, Default)]
 pub struct ProcessManager {
     /// Who receives SIGCHLD forwards (the reincarnation server).
     reaper: Option<Endpoint>,
     /// Process records: program name -> endpoint of the most recent
-    /// incarnation PM started for it. This is PM's session state; it is
-    /// externalized so a restarted PM still knows what it runs.
+    /// incarnation PM started for it.
     records: BTreeMap<String, Endpoint>,
-    /// Process-record checkpoint client (crash-only contract).
-    ckpt: Option<DriverCkpt>,
-    /// Records changed since the last checkpoint save.
-    dirty: bool,
-    /// Injected-defect latches (microreboot campaign).
-    fault: FaultState,
 }
 
 impl ProcessManager {
     /// Creates the process manager.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables process-record checkpointing against the data store at
-    /// `ds`: the reaper binding and started-service records are saved on
-    /// every change and rehydrated lazily after a microreboot.
-    pub fn with_checkpointing(mut self, ds: Endpoint) -> Self {
-        self.ckpt = Some(DriverCkpt::new(ds, "pm.records"));
-        self
-    }
-
-    /// Attaches the server fault plane (campaign defect injection).
-    pub fn with_fault_plane(mut self, plane: &FaultPlane, name: &str) -> Self {
-        self.fault = FaultState::attached(plane, name);
-        self
     }
 
     fn encode_reason(reason: &ExitReason) -> (u64, u64) {
@@ -77,8 +58,6 @@ impl ProcessManager {
         }
     }
 
-    // ---------------- process-record externalization ----------------
-
     fn push_ep(out: &mut Vec<u8>, ep: Endpoint) {
         out.extend_from_slice(&ep.slot().to_le_bytes());
         out.extend_from_slice(&ep.generation().to_le_bytes());
@@ -90,9 +69,20 @@ impl ProcessManager {
         *at += 6;
         Some(Endpoint::new(slot, generation))
     }
+}
+
+impl ServerLogic for ProcessManager {
+    const NAMES: Names = Names {
+        server: "pm",
+        state_key: "pm.records",
+        injected_crash: "pm.injected_crash",
+        stalled_events: "pm.stalled_events",
+        garbled_replies: "pm.garbled_replies",
+        restore_garbage: "pm.records_restore_garbage",
+    };
 
     /// Serializes the reaper binding and the started-service records.
-    fn encode_records(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         match self.reaper {
             Some(ep) => {
@@ -113,7 +103,7 @@ impl ProcessManager {
     /// Rehydrates the process records. A live reaper binding delivered
     /// after the restart (RS re-registers on respawn) wins over the
     /// snapshot. Returns `false` if the payload does not parse.
-    fn apply_records(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
+    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
         let mut at = 0usize;
         let Some(&has_reaper) = payload.get(at) else {
             return false;
@@ -158,60 +148,7 @@ impl ProcessManager {
         true
     }
 
-    /// Quiescent-point save of the process records.
-    fn maybe_save(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.dirty {
-            return;
-        }
-        match self.ckpt.as_ref() {
-            Some(ckpt) if ckpt.ready() => {}
-            Some(_) => return,
-            None => {
-                self.dirty = false;
-                return;
-            }
-        }
-        let payload = self.encode_records();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.save(ctx, payload);
-        }
-        self.dirty = false;
-    }
-
-    /// Sends a caller-facing reply through the injected-garble filter.
-    fn caller_reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        let msg = if self.fault.garbling() {
-            ctx.metrics().incr("pm.garbled_replies");
-            garble_message(msg)
-        } else {
-            msg
-        };
-        let _ = ctx.reply(call, msg);
-    }
-}
-
-impl Process for ProcessManager {
-    // analyze:recovery-root
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match self.fault.poll() {
-            FaultAction::Crash => {
-                ctx.metrics().incr("pm.injected_crash");
-                ctx.panic("injected server defect: wild store");
-                return;
-            }
-            FaultAction::Stall => {
-                ctx.metrics().incr("pm.stalled_events");
-                return;
-            }
-            FaultAction::Garble | FaultAction::None => {}
-        }
-        self.dispatch(ctx, event);
-        self.maybe_save(ctx);
-    }
-}
-
-impl ProcessManager {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+    fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Message(msg) if msg.mtype == drv::HB_PING => {
                 // RS liveness ping: with no START/KILL in flight a wedged
@@ -219,46 +156,17 @@ impl ProcessManager {
                 // it like a driver. The pong goes through the garble
                 // filter — a corrupting PM mangles it, which RS reads the
                 // same as silence.
-                let mut pong = Message::new(drv::HB_PONG);
-                if self.fault.garbling() {
-                    ctx.metrics().incr("pm.garbled_replies");
-                    pong = garble_message(pong);
-                }
-                let _ = ctx.send(msg.source, pong);
+                sh.push(ctx, msg.source, Message::new(drv::HB_PONG));
             }
             ProcEvent::Message(msg) if msg.mtype == pm::REGISTER => {
                 if self.reaper != Some(msg.source) {
                     self.reaper = Some(msg.source);
-                    self.dirty = true;
+                    sh.gate.mark_dirty();
                 }
                 ctx.trace(
                     TraceLevel::Info,
                     format!("exit reports will go to {}", msg.source),
                 );
-            }
-            ProcEvent::Request { call, msg } => {
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return;
-                    }
-                }
-                self.handle_request(ctx, call, msg);
-            }
-            ProcEvent::Reply { call, result } => {
-                let ckpt_outcome = match self.ckpt.as_mut() {
-                    Some(ckpt) => ckpt.on_reply(ctx, call, &result),
-                    None => None,
-                };
-                if let Some((restore, parked)) = ckpt_outcome {
-                    if let RestoreEvent::Restored(snap) = restore {
-                        if !self.apply_records(ctx, &snap.payload) {
-                            ctx.metrics().incr("pm.records_restore_garbage");
-                        }
-                    }
-                    for (parked_call, parked_msg) in parked {
-                        self.handle_request(ctx, parked_call, parked_msg);
-                    }
-                }
             }
             ProcEvent::ChildExited(status) => {
                 // Forward the exit to the reincarnation server — this is
@@ -284,12 +192,12 @@ impl ProcessManager {
 
     /// Serves one START/KILL request (also the replay path for requests
     /// parked behind a record restore).
-    fn handle_request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
+    fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
         match msg.mtype {
             pm::START => {
                 // Only the registered reaper (RS) may start services.
                 if self.reaper != Some(msg.source) {
-                    self.caller_reply(
+                    sh.reply(
                         ctx,
                         call,
                         Message::new(pm::START_REPLY).with_param(0, pm_status::DENIED),
@@ -304,9 +212,9 @@ impl ProcessManager {
                 match ctx.sys_spawn(&program, version) {
                     Ok(ep) => {
                         self.records.insert(program, ep);
-                        self.dirty = true;
+                        sh.gate.mark_dirty();
                         let (s, g) = pack_endpoint(ep);
-                        self.caller_reply(
+                        sh.reply(
                             ctx,
                             call,
                             Message::new(pm::START_REPLY)
@@ -316,7 +224,7 @@ impl ProcessManager {
                         );
                     }
                     Err(_) => {
-                        self.caller_reply(
+                        sh.reply(
                             ctx,
                             call,
                             Message::new(pm::START_REPLY).with_param(0, pm_status::NO_PROGRAM),
@@ -326,7 +234,7 @@ impl ProcessManager {
             }
             pm::KILL => {
                 if self.reaper != Some(msg.source) {
-                    self.caller_reply(
+                    sh.reply(
                         ctx,
                         call,
                         Message::new(pm::KILL_REPLY).with_param(0, pm_status::DENIED),
@@ -343,10 +251,10 @@ impl ProcessManager {
                     Ok(()) => pm_status::OK,
                     Err(_) => pm_status::NO_PROCESS,
                 };
-                self.caller_reply(ctx, call, Message::new(pm::KILL_REPLY).with_param(0, st));
+                sh.reply(ctx, call, Message::new(pm::KILL_REPLY).with_param(0, st));
             }
             _ => {
-                self.caller_reply(
+                sh.reply(
                     ctx,
                     call,
                     Message::new(pm::KILL_REPLY).with_param(0, pm_status::DENIED),

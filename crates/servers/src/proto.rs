@@ -4,7 +4,9 @@
 //! process manager, data store, reincarnation server, file system and
 //! socket protocols.
 
-use phoenix_kernel::types::Endpoint;
+use std::borrow::Cow;
+
+use phoenix_kernel::types::{Endpoint, Message};
 
 /// Packs an endpoint into two message params.
 pub fn pack_endpoint(ep: Endpoint) -> (u64, u64) {
@@ -198,6 +200,42 @@ pub mod evidence {
     }
 }
 
+/// One [`rs::COMPLAIN`], decoded — the only code that knows the layout.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Complaint<'a> {
+    /// Evidence class (see [`evidence`]; 0 = legacy unclassified).
+    pub kind: u32,
+    /// Stable service name of the accused.
+    pub accused: Cow<'a, str>,
+    /// The accused incarnation as the accuser last saw it, `None` when
+    /// unspecified (`(0, 0)` on the wire).
+    pub incarnation: Option<Endpoint>,
+}
+
+/// Builds the [`rs::COMPLAIN`] request accusing `accused` of `kind`.
+pub fn complain(kind: u32, accused: &str, incarnation: Option<Endpoint>) -> Message {
+    let (slot, generation) = incarnation.map_or((0, 0), pack_endpoint);
+    Message::new(rs::COMPLAIN)
+        .with_param(0, u64::from(kind))
+        .with_param(1, slot)
+        .with_param(2, generation)
+        .with_data(accused.as_bytes().to_vec())
+}
+
+impl Complaint<'_> {
+    /// Reads a complaint back out of an [`rs::COMPLAIN`] request.
+    pub fn decode(msg: &Message) -> Complaint<'_> {
+        Complaint {
+            kind: msg.param(0) as u32,
+            accused: String::from_utf8_lossy(&msg.data),
+            incarnation: match (msg.param(1), msg.param(2)) {
+                (0, 0) => None,
+                (slot, generation) => Some(unpack_endpoint(slot, generation)),
+            },
+        }
+    }
+}
+
 /// File system protocol (application ↔ VFS ↔ MFS).
 pub mod fs {
     /// Open by path (in `data`). Reply: OPEN_REPLY. `params[7]` routes
@@ -257,4 +295,32 @@ pub mod sock {
     /// Reply: ACK with status.
     /// proto: request, reply=ACK, params 0=conn-id
     pub const CLOSE: u32 = 0x0908;
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn complaint_round_trips_through_the_wire_layout() {
+        let ep = Endpoint::new(7, 3);
+        let msg = complain(evidence::CRC_MISMATCH, "blk.sata", Some(ep));
+        assert_eq!(msg.mtype, rs::COMPLAIN);
+        let c = Complaint::decode(&msg);
+        assert_eq!(
+            (c.kind, &*c.accused, c.incarnation),
+            (evidence::CRC_MISMATCH, "blk.sata", Some(ep))
+        );
+    }
+
+    #[test]
+    fn unspecified_incarnation_is_zero_zero_on_the_wire() {
+        let msg = complain(evidence::DEADLINE, "eth.rtl8139", None);
+        assert_eq!((msg.param(1), msg.param(2)), (0, 0));
+        assert_eq!(Complaint::decode(&msg).incarnation, None);
+        // Kind 0 is the legacy name-only complaint: unclassified.
+        let c = complain(0, "victim", None);
+        assert_eq!(c.params[..3], [0, 0, 0]);
+        assert_eq!(evidence::name(Complaint::decode(&c).kind), "unclassified");
+    }
 }

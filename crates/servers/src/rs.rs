@@ -77,7 +77,7 @@ use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 use crate::policy::{
     reason, AdaptParam, AdaptSignal, PolicyDecision, PolicyInput, PolicyParams, PolicyScript,
 };
-use crate::proto::{ds, evidence, pm, rs as rsp, unpack_endpoint};
+use crate::proto::{ds, evidence, pm, rs as rsp, unpack_endpoint, Complaint};
 
 /// Configuration of one guarded service, as passed to the `service`
 /// utility in MINIX (§5: "the driver's binary, a stable name, the process'
@@ -1087,7 +1087,11 @@ impl ReincarnationServer {
             );
             return 22; // EINVAL
         };
-        let kind = msg.param(0) as u32;
+        let Complaint {
+            kind,
+            incarnation: accused_ep,
+            ..
+        } = Complaint::decode(msg);
         ctx.metrics()
             .incr(&format!("rs.complaints.evidence.{}", evidence::name(kind)));
         // Observed-complaint signal for the adapt controllers (vetted
@@ -1106,10 +1110,6 @@ impl ReincarnationServer {
             );
             return 22;
         }
-        let accused_ep = match (msg.param(1), msg.param(2)) {
-            (0, 0) => None,
-            (slot, generation) => Some(unpack_endpoint(slot, generation)),
-        };
         if let Some(acc) = accused_ep {
             if self.services[i].endpoint != Some(acc) {
                 // Ghost complaint: evidence gathered against an

@@ -10,16 +10,15 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_ckpt::driver::{DriverCkpt, RestoreEvent};
 use phoenix_ckpt::proto::wal_params;
 use phoenix_drivers::proto::{cdev, status};
-use phoenix_kernel::process::{ProcEvent, Process};
+use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
-use phoenix_kernel::types::{CallId, Endpoint, Message};
-use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
+use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
+use phoenix_simcore::trace::TraceLevel;
 
-use crate::faultplane::{garble_message, FaultAction, FaultPlane, FaultState};
-use crate::proto::{ds, evidence, fs, pack_endpoint, rs as rsp, unpack_endpoint};
+use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
+use crate::proto::{evidence, fs};
 
 /// Extra reply parameter index: set to 1 when the failure was a dead
 /// driver (aborted rendezvous) rather than an ordinary I/O error.
@@ -110,9 +109,11 @@ fn vet_reply(exp: &SentinelExpect, reply: &Message) -> Option<(u32, &'static str
     None
 }
 
-/// The VFS server.
+/// The VFS server's logic; run it as `Server<Vfs>`. Its externalised
+/// state is the mount table (crash-only contract): the route bindings
+/// are checkpointed so a restarted incarnation serves its first request
+/// without waiting for the DS re-subscribe round-trips.
 pub struct Vfs {
-    ds: Endpoint,
     rs: Endpoint,
     fs_key: String,
     fs: Option<Endpoint>,
@@ -120,53 +121,25 @@ pub struct Vfs {
     fat_key: Option<String>,
     fat: Option<Endpoint>,
     chr: BTreeMap<String, Endpoint>,
-    check_call: Option<CallId>,
     forwards: BTreeMap<CallId, Forward>,
     /// Requests parked until the file server is known.
     waiting_fs: Vec<(CallId, Message)>,
-    /// Mount-table checkpoint client (crash-only contract): the route
-    /// bindings are externalized so a restarted incarnation serves its
-    /// first request without waiting for the DS re-subscribe round-trips.
-    ckpt: Option<DriverCkpt>,
-    /// Mount table changed since the last checkpoint save.
-    dirty: bool,
-    /// Injected-defect latches (microreboot campaign).
-    fault: FaultState,
 }
 
 impl Vfs {
     /// Creates VFS; the file server is discovered under `fs_key`
     /// (e.g. `"mfs"`). `rs` receives protocol-sentinel complaints.
-    pub fn new(ds: Endpoint, rs: Endpoint, fs_key: &str) -> Self {
+    pub fn new(rs: Endpoint, fs_key: &str) -> Self {
         Vfs {
-            ds,
             rs,
             fs_key: fs_key.to_string(),
             fs: None,
             fat_key: None,
             fat: None,
             chr: BTreeMap::new(),
-            check_call: None,
             forwards: BTreeMap::new(),
             waiting_fs: Vec::new(),
-            ckpt: None,
-            dirty: false,
-            fault: FaultState::detached(),
         }
-    }
-
-    /// Enables mount-table checkpointing: the fs/fat/char-driver bindings
-    /// are saved to the DS store on every change and rehydrated lazily
-    /// after a microreboot.
-    pub fn with_checkpointing(mut self) -> Self {
-        self.ckpt = Some(DriverCkpt::new(self.ds, "mounts"));
-        self
-    }
-
-    /// Attaches the server fault plane (campaign defect injection).
-    pub fn with_fault_plane(mut self, plane: &FaultPlane, name: &str) -> Self {
-        self.fault = FaultState::attached(plane, name);
-        self
     }
 
     // ---------------- mount-table externalization ----------------
@@ -194,8 +167,269 @@ impl Vfs {
         Some(Some(Endpoint::new(slot, generation)))
     }
 
+    /// Additionally mounts a FAT server (discovered under `fat_key`) at
+    /// the `/fat/` prefix (builder style).
+    pub fn with_fat(mut self, fat_key: &str) -> Self {
+        self.fat_key = Some(fat_key.to_string());
+        self
+    }
+
+    fn device_key(path: &str) -> Option<&'static str> {
+        DEV_TABLE
+            .iter()
+            .find(|(dev, _)| *dev == path)
+            .map(|(_, key)| *key)
+    }
+
+    fn fail(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, st: u64, died: bool) {
+        self.fail_wal(sh, ctx, call, st, died, 0);
+    }
+
+    fn fail_wal(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        call: CallId,
+        st: u64,
+        driver_died: bool,
+        wal_seq: u64,
+    ) {
+        if wal_seq != 0 {
+            ctx.metrics().incr("vfs.ckpt_aborted_requests");
+        }
+        sh.reply(
+            ctx,
+            call,
+            Message::new(fs::DATA_REPLY)
+                .with_param(0, st)
+                .with_param(DRIVER_DIED_PARAM, u64::from(driver_died))
+                .with_param(wal_params::ACK_SEQ, wal_seq),
+        );
+    }
+
+    /// Forwards to a file server, recording the accused identity so the
+    /// reply can be vetted against the fs protocol.
+    fn forward(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        fs_name: &str,
+        dst: Endpoint,
+        client: CallId,
+        msg: Message,
+    ) {
+        let fwd = Forward {
+            client,
+            wal_seq: 0,
+            sentinel: None,
+            fs_accused: Some((fs_name.to_string(), dst)),
+        };
+        self.forward_vetted(sh, ctx, dst, msg, fwd);
+    }
+
+    /// Forwards to a char driver, recording the sentinel expectation its
+    /// reply will be vetted against.
+    fn forward_dev(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        key: &'static str,
+        drv: Endpoint,
+        client: CallId,
+        msg: Message,
+    ) {
+        let exp = SentinelExpect {
+            key,
+            driver: drv,
+            kind: msg.mtype,
+            len: match msg.mtype {
+                cdev::READ => msg.param(0) as usize,
+                _ => msg.data.len(),
+            },
+            sum: match msg.mtype {
+                cdev::WRITE => Some(byte_sum(&msg.data)),
+                _ => None,
+            },
+        };
+        let fwd = Forward {
+            client,
+            wal_seq: 0,
+            sentinel: Some(exp),
+            fs_accused: None,
+        };
+        self.forward_vetted(sh, ctx, drv, msg, fwd);
+    }
+
+    fn forward_vetted(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        dst: Endpoint,
+        msg: Message,
+        mut fwd: Forward,
+    ) {
+        fwd.wal_seq = msg.param(wal_params::REQ_SEQ);
+        match ctx.sendrec(dst, msg) {
+            Ok(call) => {
+                self.forwards.insert(call, fwd);
+            }
+            Err(_) => self.fail_wal(sh, ctx, fwd.client, status::EIO, true, fwd.wal_seq),
+        }
+    }
+
+    /// Files a typed complaint with RS against any accused component —
+    /// char drivers and sibling servers go through the same arbiter.
+    fn complain(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        name: &str,
+        accused: Endpoint,
+        kind: u32,
+        why: &str,
+    ) {
+        let trace = format!("complaining about {name}: {why}");
+        sh.complain(ctx, self.rs, (name, Some(accused)), kind, trace);
+    }
+
+    fn route(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
+        // Character-device traffic carries the device path in OPEN; data
+        // requests carry the resolved key in params[7] (set by the app
+        // library in `phoenix::apps`), or the message is addressed to the
+        // file server.
+        match msg.mtype {
+            fs::OPEN => {
+                let path = String::from_utf8_lossy(&msg.data).to_string();
+                if let Some(key) = Self::device_key(&path) {
+                    match self.chr.get(key).copied() {
+                        Some(drv) => {
+                            self.forward_dev(sh, ctx, key, drv, call, Message::new(cdev::OPEN));
+                        }
+                        None => self.fail(sh, ctx, call, status::ENODEV, false),
+                    }
+                } else if let Some(name) = path.strip_prefix("/fat/") {
+                    // The FAT mount (Fig. 5's second file server).
+                    match self.fat {
+                        Some(fat) => {
+                            let fwd = Message::new(fs::OPEN)
+                                .with_param(7, 1) // fs id 1 = fat
+                                .with_data(name.as_bytes().to_vec());
+                            let fat_name = self.fat_key.clone().unwrap_or_default();
+                            self.forward(sh, ctx, &fat_name, fat, call, fwd);
+                        }
+                        None => self.fail(sh, ctx, call, status::ENODEV, false),
+                    }
+                } else {
+                    match self.fs {
+                        Some(fsrv) => {
+                            let fs_name = self.fs_key.clone();
+                            self.forward(sh, ctx, &fs_name, fsrv, call, msg);
+                        }
+                        None => self.waiting_fs.push((call, msg)),
+                    }
+                }
+            }
+            fs::READ | fs::WRITE => {
+                // params[7]: which file server the handle belongs to
+                // (0 = root/MFS, 1 = the FAT mount).
+                let fat_handle = msg.param(7) == 1;
+                let dst = if fat_handle { self.fat } else { self.fs };
+                match dst {
+                    Some(fsrv) => {
+                        let fs_name = if fat_handle {
+                            self.fat_key.clone().unwrap_or_default()
+                        } else {
+                            self.fs_key.clone()
+                        };
+                        self.forward(sh, ctx, &fs_name, fsrv, call, msg);
+                    }
+                    None => self.waiting_fs.push((call, msg)),
+                }
+            }
+            cdev::WRITE
+            | cdev::READ
+            | cdev::BURN_START
+            | cdev::BURN_CHUNK
+            | cdev::BURN_FINALIZE => {
+                // params[7] carries the device index into DEV_TABLE.
+                let Some((_, key)) = DEV_TABLE.get(msg.param(7) as usize) else {
+                    self.fail(sh, ctx, call, status::EINVAL, false);
+                    return;
+                };
+                match self.chr.get(*key).copied() {
+                    Some(drv) => self.forward_dev(sh, ctx, key, drv, call, msg),
+                    None => self.fail(sh, ctx, call, status::ENODEV, false),
+                }
+            }
+            _ => self.fail(sh, ctx, call, status::EINVAL, false),
+        }
+    }
+
+    /// The reply to a forwarded request: vet it, then relay or fail.
+    fn on_forward_reply(
+        &mut self,
+        sh: &mut Shell,
+        ctx: &mut Ctx<'_>,
+        fwd: Forward,
+        result: Result<Message, IpcError>,
+    ) {
+        // [recovery:begin]
+        match result {
+            Ok(mut reply) => {
+                if let Some(exp) = fwd.sentinel {
+                    if let Some((kind, why)) = vet_reply(&exp, &reply) {
+                        // Protocol violation: complain to RS and push an
+                        // explicit error to the client rather than
+                        // relaying garbage. The driver-died flag is set
+                        // so recovery-aware clients treat the suspect
+                        // driver like a dead one and redo the work.
+                        self.complain(sh, ctx, exp.key, exp.driver, kind, why);
+                        self.fail_wal(sh, ctx, fwd.client, status::EIO, true, fwd.wal_seq);
+                        return;
+                    }
+                    // The checksum echo is a VFS<->driver protocol
+                    // detail; strip it so the client-visible slot keeps
+                    // its driver-died-flag meaning.
+                    reply.params[DRIVER_DIED_PARAM] = 0;
+                } else if let Some((name, accused)) = fwd.fs_accused {
+                    // File-server forward: a reply of the wrong type
+                    // means the sibling server's reply path computes
+                    // garbage — a fail-silent server defect. Complain
+                    // (high-confidence evidence) and fail the client so
+                    // it redoes the work against the replacement
+                    // incarnation.
+                    if reply.mtype != fs::OPEN_REPLY && reply.mtype != fs::DATA_REPLY {
+                        let why = "wrong fs reply type";
+                        self.complain(sh, ctx, &name, accused, evidence::BAD_REPLY, why);
+                        self.fail_wal(sh, ctx, fwd.client, status::EIO, true, fwd.wal_seq);
+                        return;
+                    }
+                }
+                sh.reply(ctx, fwd.client, reply);
+            }
+            Err(_) => {
+                // §6.3: the char driver (or FS) died mid-request; push
+                // the error to the application.
+                ctx.metrics().incr("vfs.driver_died_errors");
+                self.fail_wal(sh, ctx, fwd.client, status::EIO, true, fwd.wal_seq);
+            }
+        }
+        // [recovery:end]
+    }
+}
+
+impl ServerLogic for Vfs {
+    const NAMES: Names = Names {
+        server: "vfs",
+        state_key: "mounts",
+        injected_crash: "vfs.injected_crash",
+        stalled_events: "vfs.stalled_events",
+        garbled_replies: "vfs.garbled_replies",
+        restore_garbage: "vfs.mounts_restore_garbage",
+    };
+
     /// Serializes the route bindings (fs, fat, char drivers).
-    fn encode_mounts(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         Self::push_ep(&mut out, self.fs);
         Self::push_ep(&mut out, self.fat);
@@ -211,7 +445,7 @@ impl Vfs {
     /// Rehydrates the route bindings, filling in only what the DS replay
     /// has not already delivered (fresher endpoints win over the
     /// snapshot; a stale binding merely costs one driver-died failure).
-    fn apply_mounts(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
+    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
         let mut at = 0usize;
         let Some(fs) = Self::read_ep(payload, &mut at) else {
             return false;
@@ -253,426 +487,80 @@ impl Vfs {
         true
     }
 
-    /// Quiescent-point save of the mount table.
-    fn maybe_save(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.dirty {
-            return;
-        }
-        match self.ckpt.as_ref() {
-            Some(ckpt) if ckpt.ready() => {}
-            Some(_) => return,
-            None => {
-                self.dirty = false;
-                return;
-            }
-        }
-        let payload = self.encode_mounts();
-        if let Some(ckpt) = self.ckpt.as_mut() {
-            ckpt.save(ctx, payload);
-        }
-        self.dirty = false;
+    fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
+        self.route(sh, ctx, call, msg);
     }
 
-    /// Sends a client-facing reply through the injected-garble filter.
-    fn client_reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        let msg = if self.fault.garbling() {
-            ctx.metrics().incr("vfs.garbled_replies");
-            garble_message(msg)
-        } else {
-            msg
-        };
-        let _ = ctx.reply(call, msg);
-    }
-
-    /// Additionally mounts a FAT server (discovered under `fat_key`) at
-    /// the `/fat/` prefix (builder style).
-    pub fn with_fat(mut self, fat_key: &str) -> Self {
-        self.fat_key = Some(fat_key.to_string());
-        self
-    }
-
-    fn ds_check(&mut self, ctx: &mut Ctx<'_>) {
-        if self.check_call.is_none() {
-            self.check_call = ctx.sendrec(self.ds, Message::new(ds::CHECK)).ok();
-        }
-    }
-
-    fn device_key(path: &str) -> Option<&'static str> {
-        DEV_TABLE
-            .iter()
-            .find(|(dev, _)| *dev == path)
-            .map(|(_, key)| *key)
-    }
-
-    fn fail(&mut self, ctx: &mut Ctx<'_>, call: CallId, st: u64, driver_died: bool) {
-        self.fail_wal(ctx, call, st, driver_died, 0);
-    }
-
-    fn fail_wal(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        call: CallId,
-        st: u64,
-        driver_died: bool,
-        wal_seq: u64,
-    ) {
-        if wal_seq != 0 {
-            ctx.metrics().incr("vfs.ckpt_aborted_requests");
-        }
-        self.client_reply(
-            ctx,
-            call,
-            Message::new(fs::DATA_REPLY)
-                .with_param(0, st)
-                .with_param(DRIVER_DIED_PARAM, u64::from(driver_died))
-                .with_param(wal_params::ACK_SEQ, wal_seq),
-        );
-    }
-
-    /// Forwards to a file server, recording the accused identity so the
-    /// reply can be vetted against the fs protocol.
-    fn forward(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        fs_name: &str,
-        dst: Endpoint,
-        client: CallId,
-        msg: Message,
-    ) {
-        let accused = Some((fs_name.to_string(), dst));
-        self.forward_vetted(ctx, dst, client, msg, None, accused);
-    }
-
-    /// Forwards to a char driver, recording the sentinel expectation its
-    /// reply will be vetted against.
-    fn forward_dev(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        key: &'static str,
-        drv: Endpoint,
-        client: CallId,
-        msg: Message,
-    ) {
-        let exp = SentinelExpect {
+    fn ds_update(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
+        // `recovery` is the episode behind this update (None = boot publish).
+        let DsUpdate {
             key,
-            driver: drv,
-            kind: msg.mtype,
-            len: match msg.mtype {
-                cdev::READ => msg.param(0) as usize,
-                _ => msg.data.len(),
-            },
-            sum: match msg.mtype {
-                cdev::WRITE => Some(byte_sum(&msg.data)),
-                _ => None,
-            },
-        };
-        self.forward_vetted(ctx, drv, client, msg, Some(exp), None);
-    }
-
-    fn forward_vetted(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        dst: Endpoint,
-        client: CallId,
-        msg: Message,
-        sentinel: Option<SentinelExpect>,
-        fs_accused: Option<(String, Endpoint)>,
-    ) {
-        let wal_seq = msg.param(wal_params::REQ_SEQ);
-        match ctx.sendrec(dst, msg) {
-            Ok(call) => {
-                self.forwards.insert(
-                    call,
-                    Forward {
-                        client,
-                        wal_seq,
-                        sentinel,
-                        fs_accused,
-                    },
-                );
+            endpoint: ep,
+            recovery: rid,
+            parent,
+        } = update;
+        if key == self.fs_key {
+            let rebound = self.fs.is_some_and(|old| old != ep);
+            if self.fs != Some(ep) {
+                sh.gate.mark_dirty();
             }
-            Err(_) => self.fail_wal(ctx, client, status::EIO, true, wal_seq),
+            self.fs = Some(ep);
+            let parked = std::mem::take(&mut self.waiting_fs);
+            if rebound || !parked.is_empty() {
+                let ev = ctx
+                    .event(
+                        TraceLevel::Info,
+                        format!(
+                            "file server {key} -> {ep}; {} parked requests",
+                            parked.len()
+                        ),
+                    )
+                    .with_field("ev", "resume")
+                    .with_field("key", key.as_str())
+                    .with_field("parked", parked.len() as u64)
+                    .in_recovery_opt(rid)
+                    .with_parent_opt(parent);
+                ctx.trace_event(ev);
+            }
+            for (c, m) in parked {
+                let fs_name = self.fs_key.clone();
+                self.forward(sh, ctx, &fs_name, ep, c, m);
+            }
+        } else if Some(&key) == self.fat_key.as_ref() {
+            if self.fat != Some(ep) {
+                sh.gate.mark_dirty();
+            }
+            self.fat = Some(ep);
+        } else if key.starts_with("chr.") {
+            let rebound = self.chr.get(&key).is_some_and(|&old| old != ep);
+            if self.chr.get(&key) != Some(&ep) {
+                sh.gate.mark_dirty();
+            }
+            let ev = ctx
+                .event(TraceLevel::Info, format!("char driver {key} -> {ep}"))
+                .with_field("ev", if rebound { "reintegrate" } else { "resume" })
+                .with_field("key", key.as_str())
+                .in_recovery_opt(rid)
+                .with_parent_opt(parent);
+            ctx.trace_event(ev);
+            self.chr.insert(key, ep);
         }
     }
 
-    /// Files a sentinel complaint with RS about a char driver.
-    fn complain(&mut self, ctx: &mut Ctx<'_>, exp: &SentinelExpect, kind: u32, why: &str) {
-        self.complain_named(ctx, exp.key, exp.driver, kind, why);
-    }
-
-    /// Files a typed complaint with RS against any accused component —
-    /// char drivers and sibling servers go through the same arbiter.
-    fn complain_named(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        name: &str,
-        accused: Endpoint,
-        kind: u32,
-        why: &str,
-    ) {
-        ctx.trace(TraceLevel::Warn, format!("complaining about {name}: {why}"));
-        ctx.metrics().incr("vfs.complaints");
-        ctx.metrics()
-            .incr(&format!("sentinel.vfs.{}", evidence::name(kind)));
-        let (slot, generation) = pack_endpoint(accused);
-        let _ = ctx.sendrec(
-            self.rs,
-            Message::new(rsp::COMPLAIN)
-                .with_param(0, u64::from(kind))
-                .with_param(1, slot)
-                .with_param(2, generation)
-                .with_data(name.as_bytes().to_vec()),
-        );
-    }
-
-    fn route(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        // Character-device traffic carries the device path in OPEN; data
-        // requests carry the resolved key in params[7] (set by the app
-        // library in `phoenix::apps`), or the message is addressed to the
-        // file server.
-        match msg.mtype {
-            fs::OPEN => {
-                let path = String::from_utf8_lossy(&msg.data).to_string();
-                if let Some(key) = Self::device_key(&path) {
-                    match self.chr.get(key).copied() {
-                        Some(drv) => {
-                            self.forward_dev(ctx, key, drv, call, Message::new(cdev::OPEN));
-                        }
-                        None => self.fail(ctx, call, status::ENODEV, false),
-                    }
-                } else if let Some(name) = path.strip_prefix("/fat/") {
-                    // The FAT mount (Fig. 5's second file server).
-                    match self.fat {
-                        Some(fat) => {
-                            let fwd = Message::new(fs::OPEN)
-                                .with_param(7, 1) // fs id 1 = fat
-                                .with_data(name.as_bytes().to_vec());
-                            let fat_name = self.fat_key.clone().unwrap_or_default();
-                            self.forward(ctx, &fat_name, fat, call, fwd);
-                        }
-                        None => self.fail(ctx, call, status::ENODEV, false),
-                    }
-                } else {
-                    match self.fs {
-                        Some(fsrv) => {
-                            let fs_name = self.fs_key.clone();
-                            self.forward(ctx, &fs_name, fsrv, call, msg);
-                        }
-                        None => self.waiting_fs.push((call, msg)),
-                    }
-                }
-            }
-            fs::READ | fs::WRITE => {
-                // params[7]: which file server the handle belongs to
-                // (0 = root/MFS, 1 = the FAT mount).
-                let fat_handle = msg.param(7) == 1;
-                let dst = if fat_handle { self.fat } else { self.fs };
-                match dst {
-                    Some(fsrv) => {
-                        let fs_name = if fat_handle {
-                            self.fat_key.clone().unwrap_or_default()
-                        } else {
-                            self.fs_key.clone()
-                        };
-                        self.forward(ctx, &fs_name, fsrv, call, msg);
-                    }
-                    None => self.waiting_fs.push((call, msg)),
-                }
-            }
-            cdev::WRITE
-            | cdev::READ
-            | cdev::BURN_START
-            | cdev::BURN_CHUNK
-            | cdev::BURN_FINALIZE => {
-                // params[7] carries the device index into DEV_TABLE.
-                let Some((_, key)) = DEV_TABLE.get(msg.param(7) as usize) else {
-                    self.fail(ctx, call, status::EINVAL, false);
-                    return;
-                };
-                match self.chr.get(*key).copied() {
-                    Some(drv) => self.forward_dev(ctx, key, drv, call, msg),
-                    None => self.fail(ctx, call, status::ENODEV, false),
-                }
-            }
-            _ => self.fail(ctx, call, status::EINVAL, false),
-        }
-    }
-}
-
-impl Process for Vfs {
-    // analyze:recovery-root
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match self.fault.poll() {
-            FaultAction::Crash => {
-                ctx.metrics().incr("vfs.injected_crash");
-                ctx.panic("injected server defect: wild store");
-                return;
-            }
-            FaultAction::Stall => {
-                ctx.metrics().incr("vfs.stalled_events");
-                return;
-            }
-            FaultAction::Garble | FaultAction::None => {}
-        }
-        self.dispatch(ctx, event);
-        self.maybe_save(ctx);
-    }
-}
-
-impl Vfs {
-    fn dispatch(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+    fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start => {
-                let mut pats = vec![self.fs_key.clone(), "chr.*".to_string()];
+                sh.watch.subscribe(ctx, &self.fs_key);
+                sh.watch.subscribe(ctx, "chr.*");
                 if let Some(fat) = &self.fat_key {
-                    pats.push(fat.clone());
+                    sh.watch.subscribe(ctx, fat);
                 }
-                for pat in pats {
-                    let _ = ctx.sendrec(
-                        self.ds,
-                        Message::new(ds::SUBSCRIBE).with_data(pat.into_bytes()),
-                    );
-                }
-            }
-            ProcEvent::Notify { from } if from == self.ds => self.ds_check(ctx),
-            ProcEvent::Request { call, msg } => {
-                if let Some(ckpt) = self.ckpt.as_mut() {
-                    if ckpt.park_until_restored(ctx, call, msg.clone()) {
-                        return;
-                    }
-                }
-                self.route(ctx, call, msg);
             }
             ProcEvent::Reply { call, result } => {
-                let ckpt_outcome = match self.ckpt.as_mut() {
-                    Some(ckpt) => ckpt.on_reply(ctx, call, &result),
-                    None => None,
-                };
-                if let Some((restore, parked)) = ckpt_outcome {
-                    if let RestoreEvent::Restored(snap) = restore {
-                        if !self.apply_mounts(ctx, &snap.payload) {
-                            ctx.metrics().incr("vfs.mounts_restore_garbage");
-                        }
-                    }
-                    for (parked_call, parked_msg) in parked {
-                        self.route(ctx, parked_call, parked_msg);
-                    }
-                    return;
+                // Anything not in the table is a subscribe ack or the like.
+                if let Some(fwd) = self.forwards.remove(&call) {
+                    self.on_forward_reply(sh, ctx, fwd, result);
                 }
-                if Some(call) == self.check_call {
-                    self.check_call = None;
-                    if let Ok(reply) = result {
-                        if reply.mtype == ds::CHECK_REPLY && reply.param(0) == 0 {
-                            let key = String::from_utf8_lossy(&reply.data).to_string();
-                            let ep = unpack_endpoint(reply.param(1), reply.param(2));
-                            // Episode behind this update (0 = boot publish).
-                            let rid = RecoveryId::from_wire(reply.param(3));
-                            let parent = SpanId::from_wire(reply.param(4));
-                            if key == self.fs_key {
-                                let rebound = self.fs.is_some_and(|old| old != ep);
-                                if self.fs != Some(ep) {
-                                    self.dirty = true;
-                                }
-                                self.fs = Some(ep);
-                                let parked = std::mem::take(&mut self.waiting_fs);
-                                if rebound || !parked.is_empty() {
-                                    let ev = ctx
-                                        .event(
-                                            TraceLevel::Info,
-                                            format!(
-                                                "file server {key} -> {ep}; {} parked requests",
-                                                parked.len()
-                                            ),
-                                        )
-                                        .with_field("ev", "resume")
-                                        .with_field("key", key.as_str())
-                                        .with_field("parked", parked.len() as u64)
-                                        .in_recovery_opt(rid)
-                                        .with_parent_opt(parent);
-                                    ctx.trace_event(ev);
-                                }
-                                for (c, m) in parked {
-                                    let fs_name = self.fs_key.clone();
-                                    self.forward(ctx, &fs_name, ep, c, m);
-                                }
-                            } else if Some(&key) == self.fat_key.as_ref() {
-                                if self.fat != Some(ep) {
-                                    self.dirty = true;
-                                }
-                                self.fat = Some(ep);
-                            } else if key.starts_with("chr.") {
-                                let rebound = self.chr.get(&key).is_some_and(|&old| old != ep);
-                                if self.chr.get(&key) != Some(&ep) {
-                                    self.dirty = true;
-                                }
-                                let ev = ctx
-                                    .event(TraceLevel::Info, format!("char driver {key} -> {ep}"))
-                                    .with_field(
-                                        "ev",
-                                        if rebound { "reintegrate" } else { "resume" },
-                                    )
-                                    .with_field("key", key.as_str())
-                                    .in_recovery_opt(rid)
-                                    .with_parent_opt(parent);
-                                ctx.trace_event(ev);
-                                self.chr.insert(key, ep);
-                            }
-                            self.ds_check(ctx);
-                        }
-                    }
-                    return;
-                }
-                // [recovery:begin]
-                let Some(fwd) = self.forwards.remove(&call) else {
-                    return; // subscribe acks etc.
-                };
-                match result {
-                    Ok(mut reply) => {
-                        if let Some(exp) = fwd.sentinel {
-                            if let Some((kind, why)) = vet_reply(&exp, &reply) {
-                                // Protocol violation: complain to RS and
-                                // push an explicit error to the client
-                                // rather than relaying garbage. The
-                                // driver-died flag is set so recovery-
-                                // aware clients treat the suspect driver
-                                // like a dead one and redo the work.
-                                self.complain(ctx, &exp, kind, why);
-                                self.fail_wal(ctx, fwd.client, status::EIO, true, fwd.wal_seq);
-                                return;
-                            }
-                            // The checksum echo is a VFS<->driver protocol
-                            // detail; strip it so the client-visible slot
-                            // keeps its driver-died-flag meaning.
-                            reply.params[DRIVER_DIED_PARAM] = 0;
-                        } else if let Some((name, accused)) = fwd.fs_accused {
-                            // File-server forward: a reply of the wrong
-                            // type means the sibling server's reply path
-                            // computes garbage — a fail-silent server
-                            // defect. Complain (high-confidence evidence)
-                            // and fail the client so it redoes the work
-                            // against the replacement incarnation.
-                            if reply.mtype != fs::OPEN_REPLY && reply.mtype != fs::DATA_REPLY {
-                                self.complain_named(
-                                    ctx,
-                                    &name,
-                                    accused,
-                                    evidence::BAD_REPLY,
-                                    "wrong fs reply type",
-                                );
-                                self.fail_wal(ctx, fwd.client, status::EIO, true, fwd.wal_seq);
-                                return;
-                            }
-                        }
-                        self.client_reply(ctx, fwd.client, reply);
-                    }
-                    Err(_) => {
-                        // §6.3: the char driver (or FS) died mid-request;
-                        // push the error to the application.
-                        ctx.metrics().incr("vfs.driver_died_errors");
-                        self.fail_wal(ctx, fwd.client, status::EIO, true, fwd.wal_seq);
-                    }
-                }
-                // [recovery:end]
             }
             _ => {}
         }

@@ -12,9 +12,9 @@ use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{Endpoint, Message, Signal};
 use phoenix_servers::ds::ds_status;
 use phoenix_servers::policy::PolicyScript;
-use phoenix_servers::proto::{ds, pack_endpoint, rs as rsp, unpack_endpoint};
+use phoenix_servers::proto::{complain, ds, pack_endpoint, rs as rsp, unpack_endpoint};
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
-use phoenix_servers::{DataStore, ProcessManager};
+use phoenix_servers::{DataStore, ProcessManager, Server};
 use phoenix_simcore::time::SimTime;
 
 type Hook = Box<dyn FnMut(&mut Ctx<'_>, &ProcEvent)>;
@@ -226,22 +226,7 @@ impl Process for NullService {
 }
 
 fn boot_rs(sys: &mut System, services: Vec<ServiceConfig>) -> Endpoint {
-    let pm = sys.spawn_boot(
-        "pm",
-        Privileges::process_manager(),
-        Box::new(ProcessManager::new()),
-    );
-    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
-    sys.spawn_boot(
-        "rs",
-        Privileges::reincarnation_server(),
-        Box::new(ReincarnationServer::new(
-            pm,
-            dse,
-            services,
-            vec!["complainer".to_string()],
-        )),
-    )
+    boot_rs_with(sys, services, vec!["complainer".to_string()])
 }
 
 fn svc(name: &str, policy: PolicyScript) -> ServiceConfig {
@@ -303,10 +288,7 @@ fn rs_rejects_complaints_from_unauthorized_sources() {
         "rando",
         Box::new(move |ctx, ev| match ev {
             ProcEvent::Start => {
-                let _ = ctx.sendrec(
-                    rs,
-                    Message::new(rsp::COMPLAIN).with_data(b"victim".to_vec()),
-                );
+                let _ = ctx.sendrec(rs, complain(0, "victim", None));
             }
             ProcEvent::Reply {
                 result: Ok(reply), ..
@@ -346,10 +328,7 @@ fn rs_accepts_complaints_from_authorized_complainants() {
             Box::new(Probe {
                 hook: Box::new(move |ctx, ev| {
                     if matches!(ev, ProcEvent::Notify { .. }) {
-                        let _ = ctx.sendrec(
-                            rs,
-                            Message::new(rsp::COMPLAIN).with_data(b"victim".to_vec()),
-                        );
+                        let _ = ctx.sendrec(rs, complain(0, "victim", None));
                     }
                 }),
             })
@@ -465,12 +444,12 @@ fn boot_rs_with(
     services: Vec<ServiceConfig>,
     complainants: Vec<String>,
 ) -> Endpoint {
+    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
     let pm = sys.spawn_boot(
         "pm",
         Privileges::process_manager(),
-        Box::new(ProcessManager::new()),
+        Box::new(Server::new(ProcessManager::new(), dse, None)),
     );
-    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
     sys.spawn_boot(
         "rs",
         Privileges::reincarnation_server(),
@@ -479,9 +458,7 @@ fn boot_rs_with(
 }
 
 fn complain_msg(accused: &str, kind: u32) -> Message {
-    Message::new(rsp::COMPLAIN)
-        .with_param(0, u64::from(kind))
-        .with_data(accused.as_bytes().to_vec())
+    complain(kind, accused, None)
 }
 
 #[test]

@@ -16,7 +16,7 @@ use phoenix_kernel::types::{Endpoint, Message};
 use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::proto::{ds, pm as pm_proto};
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
-use phoenix_servers::{DataStore, ProcessManager};
+use phoenix_servers::{DataStore, ProcessManager, Server};
 use phoenix_simcore::time::SimDuration;
 
 #[test]
@@ -142,12 +142,12 @@ impl Process for Statefuld {
 #[test]
 fn stateful_component_recovers_state_from_data_store() {
     let mut sys = System::new(SystemConfig::default());
+    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
     let pm = sys.spawn_boot(
         "pm",
         Privileges::process_manager(),
-        Box::new(ProcessManager::new()),
+        Box::new(Server::new(ProcessManager::new(), dse, None)),
     );
-    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
     let restored: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let r2 = restored.clone();
     let svc = ServiceConfig::driver("statefuld", "statefuld")
@@ -203,10 +203,11 @@ fn stateful_component_recovers_state_from_data_store() {
 fn pm_rejects_unauthorized_service_control() {
     // Only the registered reaper (RS) may start or kill services via PM.
     let mut sys = System::new(SystemConfig::default());
+    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
     let pm = sys.spawn_boot(
         "pm",
         Privileges::process_manager(),
-        Box::new(ProcessManager::new()),
+        Box::new(Server::new(ProcessManager::new(), dse, None)),
     );
     // RS registers first...
     struct Registrar {
