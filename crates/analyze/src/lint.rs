@@ -98,6 +98,7 @@ pub fn default_rules() -> Vec<Rule> {
             // the very machinery that exists to survive panics.
             only_in: &[
                 "crates/servers/src/rs.rs",
+                "crates/servers/src/rs/decide.rs",
                 "crates/servers/src/ds.rs",
                 "crates/servers/src/policy.rs",
                 "crates/servers/src/libserver.rs",
@@ -121,6 +122,16 @@ pub fn default_rules() -> Vec<Rule> {
                         traces, the checkpoint layer must survive corrupted snapshots, and \
                         the SLO load generators must keep measuring through the very \
                         failures they exist to observe; degrade or log instead",
+        },
+        Rule {
+            name: "decide-purity",
+            patterns: &["Ctx<", "phoenix_kernel::system", ".metrics()", "TraceLevel"],
+            only_in: &["crates/servers/src/rs/decide.rs"],
+            exempt: &[],
+            rationale: "RS's decisions are plain values: a kernel context, a metric or a trace \
+                        call in the decide file puts the event loop back between the rules and \
+                        the tests, explorer and checkpoint that drive them as data; report the \
+                        decision from the shell in rs.rs",
         },
     ]
 }

@@ -101,6 +101,24 @@ fn unwrap_is_flagged_only_in_recovery_modules() {
 }
 
 #[test]
+fn rs_decide_file_must_stay_pure() {
+    let decide = "crates/servers/src/rs/decide.rs";
+    for src in [
+        "fn judge(ctx: &mut Ctx<'_>) {}\n",
+        "use phoenix_kernel::system::Ctx;\n",
+        "ctx.metrics().incr(\"rs.storms\");\n",
+        "ctx.trace(TraceLevel::Warn, why);\n",
+    ] {
+        assert_eq!(rules_hit(decide, src), ["decide-purity"], "{src}");
+        // The shell next door reports and acts on the decisions.
+        assert!(run("crates/servers/src/rs.rs", src).is_empty());
+    }
+    // The decide file is recovery code too: it may not panic.
+    let src = "let v = ledger.get(&k).unwrap();\n";
+    assert_eq!(rules_hit(decide, src), ["unwrap-recovery"]);
+}
+
+#[test]
 fn same_line_pragma_suppresses() {
     let src = "use std::collections::HashMap; // analyze:allow(hash-collection): ffi table\n";
     assert!(run("crates/kernel/src/x.rs", src).is_empty());

@@ -118,7 +118,11 @@ pub fn fig9_components() -> Vec<Component> {
     vec![
         Component {
             name: "Reinc. Server",
-            paths: vec!["crates/servers/src/rs.rs", "crates/servers/src/policy.rs"],
+            paths: vec![
+                "crates/servers/src/rs.rs",
+                "crates/servers/src/rs/decide.rs",
+                "crates/servers/src/policy.rs",
+            ],
         },
         Component {
             name: "Data Store",

@@ -50,6 +50,9 @@ const BLOCK_DRIVER_CALLS: [KernelCall; 4] = [
     KernelCall::SafeCopy,
 ];
 
+/// Virtual time `boot` runs before returning, so services settle.
+const BOOT_SETTLE: SimDuration = SimDuration::from_secs(2);
+
 /// Fixed device ids / IRQ lines of the reference machine.
 pub mod hwmap {
     use phoenix_kernel::types::DeviceId;
@@ -158,7 +161,6 @@ pub struct OsBuilder {
     ramdisk_sectors: Option<u64>,
     driver_policy: Option<PolicyScript>,
     heartbeat: Option<(SimDuration, u32)>,
-    boot_settle: SimDuration,
     policy_overrides: Vec<(String, Option<PolicyScript>, Vec<String>)>,
     chaos: Option<ChaosPlan>,
     restart_budget: Option<(u32, SimDuration)>,
@@ -182,7 +184,6 @@ impl Default for OsBuilder {
             ramdisk_sectors: None,
             driver_policy: Some(PolicyScript::direct_restart()),
             heartbeat: Some((SimDuration::from_secs(1), 3)),
-            boot_settle: SimDuration::from_secs(2),
             policy_overrides: Vec::new(),
             chaos: None,
             restart_budget: None,
@@ -325,12 +326,6 @@ impl OsBuilder {
     /// Disables heartbeats.
     pub fn no_heartbeat(mut self) -> Self {
         self.heartbeat = None;
-        self
-    }
-
-    /// Virtual time to run after boot so services settle.
-    pub fn boot_settle(mut self, d: SimDuration) -> Self {
-        self.boot_settle = d;
         self
     }
 
@@ -677,9 +672,8 @@ impl Os {
             names::INET.to_string(),
         ];
         let mut rs_privs = Privileges::reincarnation_server();
-        let mut rs_server = ReincarnationServer::new(pm, ds, services, complainants)
-            .with_kernel_guards(cfg.sentinels)
-            .with_arbitration(cfg.sentinels);
+        let mut rs_server =
+            ReincarnationServer::new(pm, ds, services, complainants).with_sentinels(cfg.sentinels);
         if let Some(script) = cfg.adapt.clone() {
             rs_server = rs_server.with_adapt(script);
         }
@@ -689,7 +683,7 @@ impl Os {
             // respawn the one component that normally spawns for it.
             rs_privs =
                 rs_privs.with_calls([KernelCall::SetAlarm, KernelCall::Spawn, KernelCall::Kill]);
-            rs_server = rs_server.with_pm_guard("pm");
+            rs_server = rs_server.with_pm_guard();
         }
         let rs = sys.spawn_boot("rs", rs_privs, Box::new(rs_server));
 
@@ -964,7 +958,7 @@ impl Os {
             ds_records,
             next_util: 0,
         };
-        os.run_for(cfg.boot_settle);
+        os.run_for(BOOT_SETTLE);
         if let Some(plan) = cfg.chaos {
             os.set_chaos(Box::new(plan));
         }

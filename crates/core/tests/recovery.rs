@@ -381,19 +381,41 @@ fn dynamic_update_replaces_driver_without_backoff() {
     )
     .unwrap();
     os.service_update(names::ETH_RTL8139);
-    os.run_for(SimDuration::from_secs(2));
+    os.run_for(SimDuration::from_millis(200));
     assert_eq!(
         os.running_version(names::ETH_RTL8139),
         Some(2),
         "new version running"
     );
     assert_eq!(os.metrics().counter("rs.defect.update"), 1);
+    assert_eq!(os.metrics().counter("rs.recoveries"), 1);
+    // The driver obeyed the SIGTERM, so the SIGKILL escalation armed for
+    // the old incarnation must not hit the fresh one when it fires.
+    let updated = os.endpoint(names::ETH_RTL8139);
+    os.run_for(SimDuration::from_secs(2));
+    assert_eq!(
+        os.endpoint(names::ETH_RTL8139),
+        updated,
+        "update left alone"
+    );
+    assert_eq!(os.metrics().counter("rs.defect.killed"), 0);
+    assert_eq!(os.metrics().counter("rs.recoveries"), 1);
     // Updates do not count as failures, so a subsequent real failure gets
     // failure count 1 (no accumulated backoff).
     let old = os.endpoint(names::ETH_RTL8139).unwrap();
     os.kill_by_user(names::ETH_RTL8139);
     os.run_for(SimDuration::from_secs(1));
     assert_ne!(os.endpoint(names::ETH_RTL8139), Some(old));
+}
+
+#[test]
+fn audit_sweep_runs_over_an_empty_service_table() {
+    // The audit is RS's own sign of life (the beacon the fleet agent
+    // convicts on) and drives the PM guard and the adapt controllers; it
+    // must not depend on there being a service to sweep.
+    let mut os = Os::builder().boot();
+    os.run_for(SimDuration::from_secs(3));
+    assert!(os.metrics().counter("rs.beacon") >= 6);
 }
 
 #[test]

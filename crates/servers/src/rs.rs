@@ -19,6 +19,17 @@
 //! whole-system reboot. After a restart RS publishes the *new* endpoint in
 //! the data store before dependents learn about it (§5.3).
 //!
+//! # Structure: detect → decide → act
+//!
+//! This file is the *shell*: it **detects** (the six inputs above, the
+//! start/kill/publish reply reconciliation, heartbeats, the audit sweep)
+//! and it **acts** (kernel calls, alarms, metrics, trace). What to do is
+//! **decided** by the plain values of [`decide`], which see no `Ctx`: the
+//! restart ladder ([`decide::RestartRecord`]), the complaint arbiter
+//! ([`decide::Arbiter`]) and the repair plan ([`decide::Repair`]). Every
+//! recovery — a service's or PM's own — is one [`Episode`], opened at
+//! detection and closed when the fresh incarnation is alive.
+//!
 //! # Hardening against a hostile IPC fabric
 //!
 //! The recovery machinery itself must survive lost, delayed, duplicated and
@@ -63,17 +74,24 @@
 //!   paying fork+exec+restore, collapsing the repair phase to a publish
 //!   round-trip.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+pub mod decide;
+
+use std::collections::{BTreeMap, VecDeque};
 
 use phoenix_ckpt::proto::{ckpt, ckpt_status};
 use phoenix_drivers::proto::drv;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
-use phoenix_kernel::types::{CallId, Endpoint, ExitReason, Message, Signal};
+use phoenix_kernel::types::{CallId, Endpoint, ExitReason, IpcError, Message, Signal};
+use phoenix_simcore::obs::kind;
 use phoenix_simcore::rng::SimRng;
 use phoenix_simcore::time::{SimDuration, SimTime};
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
+use self::decide::{
+    Accusation, Accused, Arbiter, Escalation, Grounds, Repair, RestartRecord, Rung, Verdict,
+    Window, EXEC_LATENCY,
+};
 use crate::policy::{
     reason, AdaptParam, AdaptSignal, PolicyDecision, PolicyInput, PolicyParams, PolicyScript,
 };
@@ -128,16 +146,16 @@ pub struct ServiceConfig {
 }
 
 impl ServiceConfig {
-    /// A driver config with the generic Fig. 2 policy and the baseline
-    /// heartbeat/budget parameters from [`PolicyParams::BASELINE`].
-    pub fn driver(program: &str, publish_key: &str) -> Self {
+    /// The baseline heartbeat/budget parameters from
+    /// [`PolicyParams::BASELINE`] around `policy`.
+    fn baseline(program: &str, publish_key: &str, policy: PolicyScript) -> Self {
         let base = PolicyParams::BASELINE;
         ServiceConfig {
             program: program.to_string(),
             publish_key: publish_key.to_string(),
             heartbeat_period: Some(base.heartbeat_period),
             heartbeat_misses: base.heartbeat_misses,
-            policy: Some(PolicyScript::generic()),
+            policy: Some(policy),
             policy_params: Vec::new(),
             restart_budget: base.restart_budget,
             budget_window: base.budget_window,
@@ -147,23 +165,20 @@ impl ServiceConfig {
         }
     }
 
+    /// A driver config with the generic Fig. 2 policy and the baseline
+    /// heartbeat/budget parameters.
+    pub fn driver(program: &str, publish_key: &str) -> Self {
+        Self::baseline(program, publish_key, PolicyScript::generic())
+    }
+
     /// A crash-only system-server config: no heartbeats (servers
     /// legitimately block on their drivers), direct-restart policy, and
     /// the recursive microreboot ladder enabled.
     pub fn server(program: &str, publish_key: &str) -> Self {
-        let base = PolicyParams::BASELINE;
         ServiceConfig {
-            program: program.to_string(),
-            publish_key: publish_key.to_string(),
             heartbeat_period: None,
-            heartbeat_misses: base.heartbeat_misses,
-            policy: Some(PolicyScript::direct_restart()),
-            policy_params: Vec::new(),
-            restart_budget: base.restart_budget,
-            budget_window: base.budget_window,
-            deps: Vec::new(),
             server: true,
-            hot_standby: false,
+            ..Self::baseline(program, publish_key, PolicyScript::direct_restart())
         }
     }
 
@@ -179,12 +194,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the policy parameters (builder style).
-    pub fn with_params(mut self, params: Vec<String>) -> Self {
-        self.policy_params = params;
-        self
-    }
-
     /// Sets the heartbeat period (builder style).
     pub fn with_heartbeat(mut self, period: SimDuration, misses: u32) -> Self {
         self.heartbeat_period = Some(period);
@@ -195,14 +204,6 @@ impl ServiceConfig {
     /// Disables heartbeats (builder style).
     pub fn without_heartbeat(mut self) -> Self {
         self.heartbeat_period = None;
-        self
-    }
-
-    /// Sets the restart budget: at most `budget` restarts per `window`
-    /// before storm escalation (builder style).
-    pub fn with_budget(mut self, budget: u32, window: SimDuration) -> Self {
-        self.restart_budget = budget;
-        self.budget_window = window;
         self
     }
 
@@ -243,6 +244,91 @@ struct PendingPublish {
     attempts: u32,
 }
 
+// [recovery:begin]
+/// One recovery episode, a guarded service's or PM's own: opened at
+/// detection, it tags every RS event of the recovery chain and rides on
+/// the DS publish, so the data store and each dependent tag their
+/// reintegration events with the same id and the timeline analyzer can
+/// reassemble the episode and time its phases. The tags outlive the
+/// recovery (a late re-publish still belongs to it) until the next defect
+/// overwrites them.
+#[derive(Debug, Clone, Copy)]
+struct Episode {
+    /// Correlation token.
+    rid: RecoveryId,
+    /// Root span (the defect event); every other event parent-links to it.
+    span: SpanId,
+    /// Detection time, taken when the fresh incarnation is alive.
+    died_at: Option<SimTime>,
+}
+
+impl Episode {
+    /// Mints the token and root span and reports the defect. `failures`
+    /// is the count fed to the policy script (PM runs none).
+    fn open(
+        ctx: &mut Ctx<'_>,
+        minted: &mut u64,
+        service: &str,
+        defect: u8,
+        failures: Option<u32>,
+    ) -> Episode {
+        *minted += 1;
+        let rid = RecoveryId(*minted);
+        let span = ctx.new_span();
+        let class = reason::name(defect);
+        ctx.metrics().incr(&format!("rs.defect.{class}"));
+        let message = match failures {
+            Some(n) => format!("defect in {service}: {class} (failure #{n})"),
+            None => format!("defect in {service}: {class}"),
+        };
+        let mut ev = ctx
+            .event(TraceLevel::Warn, message)
+            .with_field("ev", kind::DEFECT)
+            .with_field("service", service)
+            .with_field("class", class);
+        if let Some(n) = failures {
+            ev = ev.with_field("failures", u64::from(n));
+        }
+        ctx.trace_event(ev.in_recovery(rid).with_span(span));
+        Episode {
+            rid,
+            span,
+            died_at: Some(ctx.now()),
+        }
+    }
+}
+
+/// Whom an RS event is about: a stable name and its most recent episode
+/// (a boot-time start has none).
+#[derive(Clone, Copy)]
+struct Subject<'a>(&'a str, Option<Episode>);
+
+impl Subject<'_> {
+    /// Records an event of kind `ev` with the given integer fields,
+    /// tagged with the episode.
+    fn emit(
+        self,
+        ctx: &mut Ctx<'_>,
+        level: TraceLevel,
+        ev: &str,
+        message: String,
+        fields: &[(&str, u64)],
+    ) {
+        let mut event = ctx
+            .event(level, message)
+            .with_field("ev", ev)
+            .with_field("service", self.0);
+        for &(key, value) in fields {
+            event = event.with_field(key, value);
+        }
+        if let Some(e) = self.1 {
+            event = event.in_recovery(e.rid).with_parent(e.span);
+        }
+        ctx.trace_event(event);
+    }
+}
+// [recovery:end]
+
 struct Service {
     cfg: ServiceConfig,
     state: SvcState,
@@ -255,26 +341,20 @@ struct Service {
     next_version: Option<u32>,
     hb_nonce: u64,
     hb_outstanding: u32,
-    /// Heartbeat chain epoch; stale chains from before a restart carry an
-    /// old epoch and are ignored.
+    /// Incarnation epoch, bumped whenever a fresh incarnation goes up.
+    /// Heartbeat chains and update-escalation alarms carry the epoch they
+    /// were armed for; a stale one is ignored.
     hb_epoch: u16,
-    died_at: Option<SimTime>,
     admin_down: bool,
     /// The PM_START call currently awaited, with its attempt number.
     current_start: Option<(CallId, u16)>,
     start_attempt: u16,
-    /// Restart timestamps inside the sliding budget window.
-    restart_times: VecDeque<SimTime>,
-    /// Storm-escalation ladder position (0 = calm).
-    storm_level: u32,
+    /// Restart history inside the sliding budget window and the
+    /// storm-ladder position.
+    restarts: RestartRecord,
     pending_publish: Option<PendingPublish>,
-    /// Correlation token of the recovery episode in flight (minted at
-    /// defect detection, overwritten by the next defect). Carried on every
-    /// RS trace event of the episode and threaded to DS on publish.
-    recovery: Option<RecoveryId>,
-    /// Root span of the episode (the defect event); RS events and the DS
-    /// publish parent-link to it.
-    span: Option<SpanId>,
+    /// The most recent recovery episode.
+    episode: Option<Episode>,
     /// The warm spare incarnation tailing this service's checkpoint
     /// record, if hot standby is on and the spare is up.
     spare: Option<Endpoint>,
@@ -282,13 +362,13 @@ struct Service {
     spare_pending: bool,
 }
 
-/// Minimum time between a service's death and its restarted incarnation
-/// (fork + exec + image load).
-const EXEC_LATENCY: SimDuration = SimDuration::from_millis(10);
-
 /// How long RS waits for a PM_START reply before assuming the request or
 /// its reply was lost and retrying.
 const START_TIMEOUT: SimDuration = SimDuration::from_millis(50);
+
+/// Back-off before retrying a start, spawn or respawn that PM (or the
+/// kernel) could not carry out.
+const RETRY_DELAY: SimDuration = SimDuration::from_micros(EXEC_LATENCY.as_micros() * 4);
 
 /// How long RS waits for a DS publish acknowledgement before re-publishing.
 const PUBLISH_TIMEOUT: SimDuration = SimDuration::from_millis(10);
@@ -299,6 +379,10 @@ const MAX_PUBLISH_RETRIES: u32 = 3;
 /// Period of the liveness audit that catches lost exit notifications.
 /// Deliberately off-cycle from the 1 s heartbeat default.
 const AUDIT_PERIOD: SimDuration = SimDuration::from_millis(750);
+
+/// How long a SIGTERMed service has to exit before a dynamic update
+/// escalates to SIGKILL (§6).
+const UPDATE_GRACE: SimDuration = SimDuration::from_millis(500);
 
 /// Sliding window over which the adapt controllers count failures and
 /// complaints. Wider than the complaint window so slow-burn flapping is
@@ -319,6 +403,9 @@ const SPARE_TAIL_PERIOD: SimDuration = SimDuration::from_millis(100);
 /// the first.
 const STALL_AGE: SimDuration = SimDuration::from_secs(8);
 
+/// Program, stable name and DS key of the process manager RS guards.
+const PM_NAME: &str = "pm";
+
 // Alarm token layout: kind in the high 32 bits, a 16-bit sequence/epoch in
 // bits 16..32, service index in the low 16 bits.
 const TOK_HB: u64 = 1;
@@ -336,6 +423,42 @@ fn token(kind: u64, idx: usize) -> u64 {
 
 fn token_seq(kind: u64, seq: u16, idx: usize) -> u64 {
     (kind << 32) | (u64::from(seq) << 16) | idx as u64
+}
+
+/// The `pm::KILL` request for `ep`: SIGTERM if `term`, else SIGKILL.
+fn pm_kill(ep: Endpoint, term: bool) -> Message {
+    Message::new(pm::KILL)
+        .with_param(0, u64::from(ep.slot()))
+        .with_param(1, u64::from(ep.generation()))
+        .with_param(2, u64::from(!term))
+}
+
+/// The `ds::PUBLISH` request binding `key` to `ep`. The episode's token
+/// and root span ride in spare parameters so DS — and, through DS's
+/// update notifications, every dependent — can tag its own reintegration
+/// events with the same episode id.
+fn ds_publish(key: Vec<u8>, ep: Endpoint, episode: Option<Episode>) -> Message {
+    Message::new(ds::PUBLISH)
+        .with_param(0, u64::from(ep.slot()))
+        .with_param(1, u64::from(ep.generation()))
+        .with_param(2, episode.map_or(0, |e| e.rid.as_u64()))
+        .with_param(3, episode.map_or(0, |e| e.span.as_u64()))
+        .with_data(key)
+}
+
+/// What one of RS's own calls came back with: the reply message, or the
+/// abort error.
+type CallResult = Result<Message, IpcError>;
+
+/// The fresh incarnation a PM_START reply announces, if it is a
+/// well-formed success.
+fn started(result: &CallResult) -> Option<Endpoint> {
+    match result {
+        Ok(reply) if reply.mtype == pm::START_REPLY && reply.param(0) == 0 => {
+            Some(unpack_endpoint(reply.param(1), reply.param(2)))
+        }
+        _ => None,
+    }
 }
 
 /// Most unmatched dead endpoints remembered for early-death reconciliation.
@@ -367,38 +490,23 @@ pub struct ReincarnationServer {
     /// Monotonic source of recovery correlation tokens (ids start at 1;
     /// 0 is the wire encoding of "none").
     next_recovery: u64,
-    /// Low-confidence complaint ledger, per accused service: (accuser
-    /// stable name, evidence kind, filing time). Pruned to the live
-    /// complaint window; cleared when the accused is killed.
-    complaint_ledger: BTreeMap<usize, VecDeque<(String, u32, SimTime)>>,
-    /// Recent accusation targets per accuser, for the accused-vs-accuser
-    /// inversion. Keyed on the accuser's *stable published name* (falling
-    /// back to the endpoint rendering for unguarded callers), so a server
-    /// that restarts under a new incarnation keeps its accusation history
-    /// and the map does not leak one entry per dead incarnation.
-    accuser_history: BTreeMap<String, VecDeque<(usize, SimTime)>>,
-    /// Whether the audit sweep also polls the kernel babble/progress
-    /// guards for heartbeat-guarded services.
-    kernel_guards: bool,
-    /// Whether complaints can trigger restarts. With arbitration
-    /// disarmed, complaints are vetted and counted but never acted on —
-    /// the crash-only baseline arm of the fail-silent campaign.
-    arbitration: bool,
-    /// Program name RS respawns PM under when guarding it (`None`
-    /// disables PM guarding). PM is outside the service table — it is the
-    /// trusted process *executor* — so its recovery is recursive: RS uses
-    /// its own spawn/kill privileges instead of asking PM to act on
-    /// itself.
-    pm_program: Option<String>,
+    /// Complaint arbitration state. Its `disarmed` flag is the fail-silent
+    /// switch: when set, complaints are vetted and counted but never
+    /// acted on and the audit sweep does not poll the kernel babble and
+    /// progress guards — the crash-only baseline arm of the fail-silent
+    /// campaign.
+    arbiter: Arbiter,
+    /// Whether RS guards PM itself. PM is outside the service table — it
+    /// is the trusted process *executor* — so its recovery is recursive:
+    /// RS uses its own spawn/kill privileges instead of asking PM to act
+    /// on itself, on a fixed plan (no script, no budget, no jitter).
+    pm_guard: bool,
     /// A PM respawn alarm is armed; suppresses duplicate defect handling
     /// from the audit sweep while the replacement incarnation boots.
     pm_restarting: bool,
-    /// When the current PM defect was detected (MTTR accounting).
-    pm_died_at: Option<SimTime>,
-    /// Correlation token / root span of the PM recovery episode in
-    /// flight, so `fold_timeline` attributes the episode like any other.
-    pm_recovery: Option<RecoveryId>,
-    pm_span: Option<SpanId>,
+    /// The most recent PM recovery episode, so `fold_timeline` attributes
+    /// it like any other.
+    pm_episode: Option<Episode>,
     /// Liveness pings to PM the pong for which has not come back yet. A
     /// wedged PM with no START/KILL in flight leaves no stalled request
     /// to audit, so RS pings it like a driver heartbeat.
@@ -416,12 +524,10 @@ pub struct ReincarnationServer {
     /// per audit sweep against the observed signal windows. `None` keeps
     /// every parameter static.
     adapt_script: Option<PolicyScript>,
-    /// Defect detection times inside [`ADAPT_WINDOW`] (failure-rate
-    /// signal).
-    adapt_defects: VecDeque<SimTime>,
-    /// Complaint filing times inside [`ADAPT_WINDOW`] (complaint-rate
-    /// signal).
-    adapt_complaints: VecDeque<SimTime>,
+    /// Defect detections inside [`ADAPT_WINDOW`] (failure-rate signal).
+    adapt_defects: Window<()>,
+    /// Complaint filings inside [`ADAPT_WINDOW`] (complaint-rate signal).
+    adapt_complaints: Window<()>,
     /// Most recent repair-MTTR samples in microseconds, capped at
     /// [`ADAPT_MTTR_SAMPLES`] (p95 signal).
     adapt_mttr: VecDeque<u64>,
@@ -452,15 +558,12 @@ impl ReincarnationServer {
                 hb_nonce: 0,
                 hb_outstanding: 0,
                 hb_epoch: 0,
-                died_at: None,
                 admin_down: false,
                 current_start: None,
                 start_attempt: 0,
-                restart_times: VecDeque::new(),
-                storm_level: 0,
+                restarts: RestartRecord::default(),
                 pending_publish: None,
-                recovery: None,
-                span: None,
+                episode: None,
                 spare: None,
                 spare_pending: false,
             })
@@ -482,21 +585,16 @@ impl ReincarnationServer {
             jitter: None,
             started_boot: false,
             next_recovery: 0,
-            complaint_ledger: BTreeMap::new(),
-            accuser_history: BTreeMap::new(),
-            kernel_guards: true,
-            arbitration: true,
-            pm_program: None,
+            arbiter: Arbiter::default(),
+            pm_guard: false,
             pm_restarting: false,
-            pm_died_at: None,
-            pm_recovery: None,
-            pm_span: None,
+            pm_episode: None,
             pm_pong_outstanding: 0,
             last_recovery_done: None,
             params: PolicyParams::BASELINE,
             adapt_script: None,
-            adapt_defects: VecDeque::new(),
-            adapt_complaints: VecDeque::new(),
+            adapt_defects: Window::default(),
+            adapt_complaints: Window::default(),
             adapt_mttr: VecDeque::new(),
             spare_start_calls: BTreeMap::new(),
             promote_calls: BTreeMap::new(),
@@ -513,26 +611,21 @@ impl ReincarnationServer {
 
     /// Enables recursive PM guarding (builder style): RS audits the
     /// process manager itself, vets its replies, and — holding per-
-    /// instance spawn/kill privileges — respawns it under `program`,
+    /// instance spawn/kill privileges — respawns the `pm` program,
     /// re-registers as exit-report sink, and re-publishes the `pm` name
     /// so the new incarnation can rehydrate its checkpointed records.
-    pub fn with_pm_guard(mut self, program: &str) -> Self {
-        self.pm_program = Some(program.to_string());
+    pub fn with_pm_guard(mut self) -> Self {
+        self.pm_guard = true;
         self
     }
 
-    /// Enables or disables audit-sweep polling of the kernel babble and
-    /// progress guards (builder style).
-    pub fn with_kernel_guards(mut self, on: bool) -> Self {
-        self.kernel_guards = on;
-        self
-    }
-
-    /// Enables or disables acting on complaints (builder style). Disarmed
-    /// arbitration still vets and counts complaints, so the evidence
-    /// stream stays observable in the crash-only baseline.
-    pub fn with_arbitration(mut self, on: bool) -> Self {
-        self.arbitration = on;
+    /// Arms or disarms fail-silent detection (builder style): acting on
+    /// complaints, and audit-sweep polling of the kernel babble and
+    /// progress guards. Disarmed, complaints are still vetted and
+    /// counted, so the evidence stream stays observable in the crash-only
+    /// baseline.
+    pub fn with_sentinels(mut self, on: bool) -> Self {
+        self.arbiter.disarmed = !on;
         self
     }
 
@@ -541,70 +634,63 @@ impl ReincarnationServer {
         if matches!(svc.state, SvcState::Starting | SvcState::Up) {
             return;
         }
+        let name = &svc.cfg.program;
         let version = svc.next_version.take().map_or(0, u64::from);
         let msg = Message::new(pm::START)
             .with_param(0, version)
-            .with_data(svc.cfg.program.clone().into_bytes());
+            .with_data(name.clone().into_bytes());
         match ctx.sendrec(self.pm, msg) {
             Ok(call) => {
-                let svc = &mut self.services[idx];
                 svc.state = SvcState::Starting;
                 svc.start_attempt = svc.start_attempt.wrapping_add(1);
                 svc.current_start = Some((call, svc.start_attempt));
                 let attempt = svc.start_attempt;
-                let exec_ev = ctx
-                    .event(
-                        TraceLevel::Info,
-                        format!("exec {} (attempt {attempt})", svc.cfg.program),
-                    )
-                    .with_field("ev", "exec")
-                    .with_field("service", svc.cfg.program.as_str())
-                    .with_field("attempt", u64::from(attempt))
-                    .in_recovery_opt(svc.recovery)
-                    .with_parent_opt(svc.span);
-                ctx.trace_event(exec_ev);
+                Subject(name, svc.episode).emit(
+                    ctx,
+                    TraceLevel::Info,
+                    kind::EXEC,
+                    format!("exec {name} (attempt {attempt})"),
+                    &[("attempt", u64::from(attempt))],
+                );
                 self.start_calls.insert(call, idx);
                 // If neither the request nor its reply survives the fabric,
                 // this alarm notices and retries.
                 let _ = ctx.set_alarm(START_TIMEOUT, token_seq(TOK_START_TIMEOUT, attempt, idx));
             }
-            Err(e) => {
-                let name = self.services[idx].cfg.program.clone();
-                if self.pm_program.is_some() {
-                    // PM itself is down. Re-arm the start and recover PM
-                    // recursively rather than abandoning the service.
-                    self.services[idx].state = SvcState::WaitRestart;
-                    ctx.trace(
-                        TraceLevel::Warn,
-                        format!("cannot reach PM to start {name}: {e}; will retry"),
-                    );
-                    let _ = ctx.set_alarm(EXEC_LATENCY.saturating_mul(4), token(TOK_RESTART, idx));
-                    if !ctx.proc_alive(self.pm) {
-                        self.recover_pm(ctx, reason::EXIT, true);
-                    }
-                } else {
-                    self.services[idx].state = SvcState::GivenUp;
-                    ctx.trace(
-                        TraceLevel::Error,
-                        format!("cannot reach PM to start {name}: {e}"),
-                    );
+            Err(e) if self.pm_guard => {
+                // PM itself is down. Re-arm the start and recover PM
+                // recursively rather than abandoning the service.
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("cannot reach PM to start {name}: {e}; will retry"),
+                );
+                self.arm_restart(ctx, idx, RETRY_DELAY);
+                if !ctx.proc_alive(self.pm) {
+                    self.recover_pm(ctx, reason::EXIT, true);
                 }
             }
+            Err(e) => {
+                svc.state = SvcState::GivenUp;
+                ctx.trace(
+                    TraceLevel::Error,
+                    format!("cannot reach PM to start {name}: {e}"),
+                );
+            }
         }
+    }
+
+    /// Parks service `idx` until a restart alarm `delay` from now.
+    fn arm_restart(&mut self, ctx: &mut Ctx<'_>, idx: usize, delay: SimDuration) {
+        self.services[idx].state = SvcState::WaitRestart;
+        let _ = ctx.set_alarm(delay, token(TOK_RESTART, idx));
     }
 
     fn kill_service(&mut self, ctx: &mut Ctx<'_>, idx: usize, term: bool) {
         let Some(ep) = self.services[idx].endpoint else {
             return;
         };
-        // The incarnation under accusation is going away; its successor
-        // starts with a clean complaint record.
-        self.complaint_ledger.remove(&idx);
-        let msg = Message::new(pm::KILL)
-            .with_param(0, u64::from(ep.slot()))
-            .with_param(1, u64::from(ep.generation()))
-            .with_param(2, u64::from(!term));
-        if let Ok(call) = ctx.sendrec(self.pm, msg) {
+        self.arbiter.clear(idx);
+        if let Ok(call) = ctx.sendrec(self.pm, pm_kill(ep, term)) {
             self.kill_calls.insert(call, idx);
         }
     }
@@ -618,11 +704,7 @@ impl ReincarnationServer {
             TraceLevel::Warn,
             format!("killing ghost incarnation {ep} from an abandoned start"),
         );
-        let msg = Message::new(pm::KILL)
-            .with_param(0, u64::from(ep.slot()))
-            .with_param(1, u64::from(ep.generation()))
-            .with_param(2, 1);
-        let _ = ctx.sendrec(self.pm, msg);
+        let _ = ctx.sendrec(self.pm, pm_kill(ep, false));
     }
 
     fn publish(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
@@ -632,19 +714,8 @@ impl ReincarnationServer {
             _ => 0,
         };
         svc.pending_publish = Some(PendingPublish { ep, attempts });
-        let key = svc.cfg.publish_key.clone();
-        // The correlation token and root span ride in spare parameters so
-        // DS — and, through DS's update notifications, every dependent —
-        // can tag its own reintegration events with the same episode id.
-        let rid_wire = svc.recovery.map_or(0, RecoveryId::as_u64);
-        let span_wire = svc.span.map_or(0, SpanId::as_u64);
-        let msg = Message::new(ds::PUBLISH)
-            .with_param(0, u64::from(ep.slot()))
-            .with_param(1, u64::from(ep.generation()))
-            .with_param(2, rid_wire)
-            .with_param(3, span_wire)
-            .with_data(key.into_bytes());
-        if let Ok(call) = ctx.sendrec(self.ds, msg) {
+        let key = svc.cfg.publish_key.clone().into_bytes();
+        if let Ok(call) = ctx.sendrec(self.ds, ds_publish(key, ep, svc.episode)) {
             self.publish_calls.insert(call, idx);
         }
         // Verify the acknowledgement arrives; re-publish if it does not.
@@ -698,195 +769,41 @@ impl ReincarnationServer {
     }
 
     // [recovery:begin]
-    /// Common defect entry point: classify, check the restart budget, run
-    /// the policy, act (§5.2).
+    /// Common defect entry point (§5.2): reset the service, open the
+    /// episode, consult the restart ladder, run the policy script, carry
+    /// out the repair.
     fn handle_defect(&mut self, ctx: &mut Ctx<'_>, idx: usize, defect: u8) {
-        let now = ctx.now();
         let svc = &mut self.services[idx];
         svc.state = SvcState::Down;
         svc.endpoint = None;
         svc.hb_outstanding = 0;
         svc.pending_publish = None;
-        svc.died_at = Some(now);
+        let name = svc.cfg.program.clone();
         if svc.admin_down {
             svc.admin_down = false;
             ctx.trace(
                 TraceLevel::Info,
-                format!("service {} administratively down", svc.cfg.program),
+                format!("service {name} administratively down"),
             );
             return;
         }
         if defect != reason::UPDATE {
             svc.failures += 1;
         }
-        let name = svc.cfg.program.clone();
-        // Mint the episode's correlation token and root span here, at
-        // detection: every event of this recovery chain — RS's own, the
-        // data store's publish, and each dependent's reintegration — will
-        // carry this id, letting the timeline analyzer reassemble the
-        // episode and time its phases.
-        self.next_recovery += 1;
-        let rid = RecoveryId(self.next_recovery);
-        let root = ctx.new_span();
-        self.services[idx].recovery = Some(rid);
-        self.services[idx].span = Some(root);
-        ctx.metrics()
-            .incr(&format!("rs.defect.{}", reason::name(defect)));
-        let defect_ev = ctx
-            .event(
-                TraceLevel::Warn,
-                format!(
-                    "defect in {name}: {} (failure #{})",
-                    reason::name(defect),
-                    self.services[idx].failures
-                ),
-            )
-            .with_field("ev", "defect")
-            .with_field("service", name.as_str())
-            .with_field("class", reason::name(defect))
-            .with_field("failures", u64::from(self.services[idx].failures))
-            .in_recovery(rid)
-            .with_span(root);
-        ctx.trace_event(defect_ev);
+        let failures = svc.failures;
+        let episode = Episode::open(ctx, &mut self.next_recovery, &name, defect, Some(failures));
+        svc.episode = Some(episode);
         // Observed-failure signal for the adapt controllers.
         if self.adapt_script.is_some() && defect != reason::UPDATE && defect != reason::KILLED {
-            self.adapt_defects.push_back(now);
+            self.adapt_defects.push(ctx.now(), ());
         }
-        // Restart-budget bookkeeping over a sliding window. A long quiet
-        // period de-escalates the storm ladder. User-initiated defects
-        // (kill, update) are administrative actions, not crash loops, and
-        // never count against the budget. The budget and its window come
-        // from the adapt controllers when a rule drives them, from the
-        // per-service config otherwise.
-        let budget_window = self
-            .adapted(AdaptParam::BudgetWindow)
-            .map(SimDuration::from_micros)
-            .unwrap_or(self.services[idx].cfg.budget_window);
-        let restart_budget = self
-            .adapted(AdaptParam::RestartBudget)
-            .map(|v| v as u32)
-            .unwrap_or(self.services[idx].cfg.restart_budget);
-        let mut storm_level = 0;
-        if defect != reason::UPDATE && defect != reason::KILLED {
-            let svc = &mut self.services[idx];
-            let window_start = if now.as_micros() > budget_window.as_micros() {
-                SimTime::from_micros(now.as_micros() - budget_window.as_micros())
-            } else {
-                SimTime::ZERO
-            };
-            while svc.restart_times.front().is_some_and(|&t| t < window_start) {
-                svc.restart_times.pop_front();
-            }
-            if svc.restart_times.is_empty() {
-                svc.storm_level = 0;
-            }
-            svc.restart_times.push_back(now);
-            if svc.restart_times.len() as u32 > restart_budget {
-                svc.storm_level += 1;
-                storm_level = svc.storm_level;
-                ctx.metrics().incr("rs.storms");
-                ctx.metrics().incr("rs.alerts");
-                let storm_ev = ctx
-                    .event(
-                        TraceLevel::Error,
-                        format!(
-                            "ALERT: restart storm in {name}: {} restarts inside {} (level {})",
-                            self.services[idx].restart_times.len(),
-                            budget_window,
-                            storm_level,
-                        ),
-                    )
-                    .with_field("ev", "escalate")
-                    .with_field("service", name.as_str())
-                    .with_field("level", u64::from(storm_level))
-                    .in_recovery(rid)
-                    .with_parent(root);
-                ctx.trace_event(storm_ev);
-            }
+        let escalation = self.escalate(ctx, idx, &name, defect);
+        if escalation.gives_up() {
+            return self.give_up(ctx, idx, " after sustained restart storm");
         }
-        // Recursive escalation ladder for server-class components: reboot
-        // the smallest suspect first. The first defect inside the budget
-        // window is a single-server microreboot (level 1); a recurrence
-        // escalates to a dependency-group reboot — the server plus its
-        // dependent components, in case shared protocol state is what is
-        // poisoned (level 2); a full restart storm falls through to the
-        // storm ladder's cool-down and give-up (level 3).
-        if self.services[idx].cfg.server && defect != reason::UPDATE && defect != reason::KILLED {
-            let recurrences = self.services[idx].restart_times.len();
-            if storm_level > 0 {
-                ctx.metrics().incr("rs.escalations.level3");
-            } else if recurrences >= 2 {
-                ctx.metrics().incr("rs.escalations.level2");
-                // The group reboot fires once per window: later
-                // recurrences stay single-server until the storm ladder
-                // takes over, so a flapping server cannot amplify into a
-                // permanent dependency-restart loop.
-                if recurrences == 2 {
-                    let group_ev = ctx
-                        .event(
-                            TraceLevel::Warn,
-                            format!(
-                                "defect in {name} recurred inside {budget_window}; \
-                                 escalating to dependency-group reboot"
-                            ),
-                        )
-                        .with_field("ev", "escalate")
-                        .with_field("service", name.as_str())
-                        .with_field("level", 2u64)
-                        .in_recovery(rid)
-                        .with_parent(root);
-                    ctx.trace_event(group_ev);
-                    for dep in self.services[idx].cfg.deps.clone() {
-                        if let Some(&dep_idx) = self.by_name.get(&dep) {
-                            if self.services[dep_idx].state == SvcState::Up {
-                                ctx.trace(
-                                    TraceLevel::Warn,
-                                    format!("group reboot: restarting dependent {dep}"),
-                                );
-                                self.services[dep_idx].pending_reason = Some(reason::KILLED);
-                                self.kill_service(ctx, dep_idx, false);
-                            }
-                        }
-                    }
-                }
-            } else {
-                ctx.metrics().incr("rs.escalations.level1");
-            }
-        }
-        if storm_level >= 3 {
-            // The ladder is exhausted: restarting, restarting with
-            // dependents and cooling down all failed to calm the service.
-            self.services[idx].state = SvcState::GivenUp;
-            ctx.metrics().incr("rs.gave_up");
-            let give_ev = ctx
-                .event(
-                    TraceLevel::Error,
-                    format!("giving up on {name} after sustained restart storm"),
-                )
-                .with_field("ev", "gave-up")
-                .with_field("service", name.as_str())
-                .in_recovery(rid)
-                .with_parent(root);
-            ctx.trace_event(give_ev);
-            self.retire_spare(ctx, idx);
-            return;
-        }
-        if storm_level == 1 {
-            // First escalation: the service alone keeps failing — restart
-            // it together with its dependents in case shared state between
-            // them is what is poisoned.
-            for dep in self.services[idx].cfg.deps.clone() {
-                if let Some(&dep_idx) = self.by_name.get(&dep) {
-                    if self.services[dep_idx].state == SvcState::Up {
-                        ctx.trace(
-                            TraceLevel::Warn,
-                            format!("storm escalation: restarting dependent {dep}"),
-                        );
-                        self.services[dep_idx].pending_reason = Some(reason::KILLED);
-                        self.kill_service(ctx, dep_idx, false);
-                    }
-                }
-            }
+        if escalation.restarts_dependents() {
+            let deps = self.services[idx].cfg.deps.clone();
+            self.restart_dependents(ctx, deps, Some("storm escalation"));
         }
         // Execute the policy script associated with the component. No
         // script (disk drivers) means a direct restart from the copy in
@@ -895,7 +812,7 @@ impl ReincarnationServer {
         let input = PolicyInput {
             component: name.clone(),
             reason: defect,
-            repetition: svc.failures.max(1),
+            repetition: failures.max(1),
             params: svc.cfg.policy_params.clone(),
             backoff_base: self
                 .adapted(AdaptParam::BackoffBase)
@@ -916,14 +833,7 @@ impl ReincarnationServer {
         for line in &decision.logs {
             ctx.trace(TraceLevel::Info, format!("policy log: {line}"));
         }
-        for dep in decision.restart_components.clone() {
-            if let Some(&dep_idx) = self.by_name.get(&dep) {
-                if self.services[dep_idx].state == SvcState::Up {
-                    self.services[dep_idx].pending_reason = Some(reason::KILLED);
-                    self.kill_service(ctx, dep_idx, false);
-                }
-            }
-        }
+        self.restart_dependents(ctx, decision.restart_components.clone(), None);
         if decision.reboot {
             ctx.metrics().incr("rs.reboot_requested");
             ctx.trace(
@@ -931,76 +841,194 @@ impl ReincarnationServer {
                 "policy requested system reboot".to_string(),
             );
         }
-        if decision.gave_up || !decision.restart {
-            self.services[idx].state = SvcState::GivenUp;
-            ctx.metrics().incr("rs.gave_up");
-            let give_ev = ctx
-                .event(TraceLevel::Error, format!("giving up on {name}"))
-                .with_field("ev", "gave-up")
-                .with_field("service", name.as_str())
-                .in_recovery(rid)
-                .with_parent(root);
-            ctx.trace_event(give_ev);
-            self.retire_spare(ctx, idx);
-            return;
-        }
-        self.services[idx].next_version = decision.version;
-        // Hot-standby failover: when a warm spare is live, promote it
-        // instead of cold-restarting — the repair phase collapses from
-        // fork+exec+restore+replay to a publish round-trip. Updates and
-        // version-pinned restarts must load a different binary, so they
-        // always cold-restart and retire the now-stale spare.
-        if defect == reason::UPDATE || self.services[idx].next_version.is_some() {
-            self.retire_spare(ctx, idx);
-        } else if let Some(spare) = self.services[idx].spare.take() {
-            if ctx.proc_alive(spare) {
-                self.promote_spare(ctx, idx, spare);
-                return;
+        let spare = self.services[idx].spare;
+        let spare_alive = spare.is_some_and(|ep| ctx.proc_alive(ep));
+        match Repair::plan(&decision, defect, &escalation, spare_alive) {
+            Repair::GiveUp => self.give_up(ctx, idx, ""),
+            Repair::PromoteSpare => {
+                if let Some(spare) = self.services[idx].spare.take() {
+                    self.promote_spare(ctx, idx, spare);
+                }
             }
-            // The spare died alongside the primary (correlated fault):
-            // fall through to a cold restart; the audit sweep refills
-            // the spare slot once the service is back up.
-            ctx.metrics().incr("rs.standby.spare_dead_at_promotion");
+            Repair::Restart { delay, stale_spare } => {
+                self.services[idx].next_version = decision.version;
+                if stale_spare {
+                    self.retire_spare(ctx, idx);
+                } else if self.services[idx].spare.take().is_some() {
+                    // The spare died alongside the primary (correlated
+                    // fault): cold restart; the audit sweep refills the
+                    // spare slot once the service is back up.
+                    ctx.metrics().incr("rs.standby.spare_dead_at_promotion");
+                }
+                let subject = Subject(&name, Some(episode));
+                if escalation.cools_down() {
+                    subject.emit(
+                        ctx,
+                        TraceLevel::Warn,
+                        "escalate",
+                        format!("storm escalation: extended cool-down of {delay} for {name}"),
+                        &[("level", 2)],
+                    );
+                }
+                let delay = self.jittered(delay);
+                if !decision.delay.is_zero() {
+                    ctx.trace(
+                        TraceLevel::Info,
+                        format!("restarting {name} after {}", decision.delay),
+                    );
+                }
+                subject.emit(
+                    ctx,
+                    TraceLevel::Info,
+                    kind::RESTART,
+                    format!("restart of {name} armed in {delay}"),
+                    &[("delay_us", delay.as_micros())],
+                );
+                self.arm_restart(ctx, idx, delay);
+            }
         }
-        // Even a "direct" restart pays the fork+exec+image-load cost; this
-        // also keeps a component that dies at initialization from turning
-        // into an unthrottled crash loop. Storm level 2 adds an extended
-        // cool-down on top of whatever the policy decided.
-        let mut delay = decision.delay.max(EXEC_LATENCY);
-        if storm_level == 2 {
-            delay = delay.saturating_mul(16);
-            let cool_ev = ctx
-                .event(
-                    TraceLevel::Warn,
-                    format!("storm escalation: extended cool-down of {delay} for {name}"),
-                )
-                .with_field("ev", "escalate")
-                .with_field("service", name.as_str())
-                .with_field("level", 2u64)
-                .in_recovery(rid)
-                .with_parent(root);
-            ctx.trace_event(cool_ev);
-        }
-        let delay = self.jittered(delay);
-        self.services[idx].state = SvcState::WaitRestart;
-        if !decision.delay.is_zero() {
-            ctx.trace(
-                TraceLevel::Info,
-                format!("restarting {name} after {}", decision.delay),
+    }
+
+    /// Books the defect on the restart ladder and reports and carries out
+    /// what it says short of the give-up: the storm alert, the
+    /// server-class rung, the once-per-window group reboot. The budget
+    /// and its window come from the adapt controllers when a rule drives
+    /// them, from the per-service config otherwise.
+    fn escalate(&mut self, ctx: &mut Ctx<'_>, idx: usize, name: &str, defect: u8) -> Escalation {
+        let svc = &self.services[idx];
+        let window = self
+            .adapted(AdaptParam::BudgetWindow)
+            .map(SimDuration::from_micros)
+            .unwrap_or(svc.cfg.budget_window);
+        let budget = self
+            .adapted(AdaptParam::RestartBudget)
+            .map(|v| v as u32)
+            .unwrap_or(svc.cfg.restart_budget);
+        let svc = &mut self.services[idx];
+        let server = svc.cfg.server;
+        let escalation = svc
+            .restarts
+            .on_defect(ctx.now(), defect, budget, window, server);
+        let (restarts, storm) = (escalation.restarts, escalation.storm);
+        let subject = Subject(name, svc.episode);
+        if storm > 0 {
+            ctx.metrics().incr("rs.storms");
+            ctx.metrics().incr("rs.alerts");
+            subject.emit(
+                ctx,
+                TraceLevel::Error,
+                "escalate",
+                format!(
+                    "ALERT: restart storm in {name}: {restarts} restarts inside {window} \
+                     (level {storm})"
+                ),
+                &[("level", u64::from(storm))],
             );
         }
-        let restart_ev = ctx
-            .event(
-                TraceLevel::Info,
-                format!("restart of {name} armed in {delay}"),
-            )
-            .with_field("ev", "restart")
-            .with_field("service", name.as_str())
-            .with_field("delay_us", delay.as_micros())
-            .in_recovery(rid)
-            .with_parent(root);
-        ctx.trace_event(restart_ev);
-        let _ = ctx.set_alarm(delay, token(TOK_RESTART, idx));
+        match escalation.rung {
+            Some(Rung::Micro) => ctx.metrics().incr("rs.escalations.level1"),
+            Some(Rung::Group { reboot }) => {
+                ctx.metrics().incr("rs.escalations.level2");
+                if reboot {
+                    subject.emit(
+                        ctx,
+                        TraceLevel::Warn,
+                        "escalate",
+                        format!(
+                            "defect in {name} recurred inside {window}; \
+                             escalating to dependency-group reboot"
+                        ),
+                        &[("level", 2)],
+                    );
+                    let deps = svc.cfg.deps.clone();
+                    self.restart_dependents(ctx, deps, Some("group reboot"));
+                }
+            }
+            Some(Rung::Storm) => ctx.metrics().incr("rs.escalations.level3"),
+            None => {}
+        }
+        escalation
+    }
+
+    /// Kills every service of `deps` that is up, so its own recovery
+    /// restarts it; `why` labels the trace line.
+    fn restart_dependents(&mut self, ctx: &mut Ctx<'_>, deps: Vec<String>, why: Option<&str>) {
+        for dep in deps {
+            let Some(&dep_idx) = self.by_name.get(&dep) else {
+                continue;
+            };
+            if self.services[dep_idx].state != SvcState::Up {
+                continue;
+            }
+            if let Some(why) = why {
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("{why}: restarting dependent {dep}"),
+                );
+            }
+            self.services[dep_idx].pending_reason = Some(reason::KILLED);
+            self.kill_service(ctx, dep_idx, false);
+        }
+    }
+
+    /// Ends the episode without a restart: the policy script or the storm
+    /// ladder gave up on service `idx`.
+    fn give_up(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: &str) {
+        let svc = &mut self.services[idx];
+        svc.state = SvcState::GivenUp;
+        ctx.metrics().incr("rs.gave_up");
+        let name = &svc.cfg.program;
+        let message = format!("giving up on {name}{why}");
+        Subject(name, svc.episode).emit(ctx, TraceLevel::Error, kind::GAVE_UP, message, &[]);
+        self.retire_spare(ctx, idx);
+    }
+
+    /// Closes the open episode of service `idx` (`None`: PM) now that its
+    /// fresh incarnation `ep` is alive, with the MTTR accounting. Returns
+    /// false when no episode was open — a first start, not a recovery.
+    fn close_episode(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: Option<usize>,
+        ep: Endpoint,
+        promoted: bool,
+    ) -> bool {
+        let (episode, name, counter) = match idx {
+            Some(i) => {
+                let svc = &mut self.services[i];
+                (&mut svc.episode, svc.cfg.program.as_str(), "rs.recoveries")
+            }
+            None => (&mut self.pm_episode, PM_NAME, "rs.pm_recoveries"),
+        };
+        let Some(died) = episode.as_mut().and_then(|e| e.died_at.take()) else {
+            return false;
+        };
+        let dt = ctx.now().since(died);
+        ctx.metrics().incr(counter);
+        ctx.metrics()
+            .histogram_mut("rs.recovery_time")
+            .record_duration(dt);
+        let how = if promoted { " by promotion" } else { "" };
+        // `promoted` is recorded only on a promotion.
+        let fields = [("mttr_us", dt.as_micros()), ("promoted", 1)];
+        Subject(name, *episode).emit(
+            ctx,
+            TraceLevel::Info,
+            kind::ALIVE,
+            format!("recovered {name}{how} as {ep} in {dt}"),
+            &fields[..1 + usize::from(promoted)],
+        );
+        self.last_recovery_done = Some(ctx.now());
+        self.note_mttr(dt);
+        true
+    }
+
+    /// Service `idx` is dead: its defect class is the one RS recorded
+    /// before killing the process itself (heartbeat 4, complaint 5,
+    /// update 6, user 3), else `observed`.
+    fn reap(&mut self, ctx: &mut Ctx<'_>, idx: usize, observed: u8) {
+        let defect = self.services[idx].pending_reason.take().unwrap_or(observed);
+        self.handle_defect(ctx, idx, defect);
     }
 
     fn service_by_endpoint(&self, ep: Endpoint) -> Option<usize> {
@@ -1037,31 +1065,29 @@ impl ReincarnationServer {
         })
     }
 
-    /// Stable key for budget/accusation maps: the guarded service's
-    /// published name when the accuser is one, else the endpoint
-    /// rendering (unguarded callers never change incarnation under RS).
-    fn accuser_key(&self, ep: Endpoint) -> String {
-        self.service_by_endpoint(ep)
-            .map(|i| self.services[i].cfg.program.clone())
-            .unwrap_or_else(|| ep.to_string())
+    fn bump_evidence(ctx: &mut Ctx<'_>, kind: u32) {
+        ctx.metrics()
+            .incr(&format!("rs.complaints.evidence.{}", evidence::name(kind)));
     }
 
-    /// Convicts service `idx` on a complaint-class defect: records the
-    /// evidence, marks the pending reason, and kills it so the policy
-    /// restart runs.
+    /// Restarts service `idx` on a complaint-class defect: marks the
+    /// pending reason and kills it so the policy restart runs.
     fn restart_on_complaint(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: String) {
         ctx.trace(TraceLevel::Warn, why);
         self.services[idx].pending_reason = Some(reason::COMPLAINT);
         self.kill_service(ctx, idx, false);
     }
 
-    /// Arbitrates an `rs::COMPLAIN` message (defect class 5, §5.1) and
-    /// returns the reply status. Complaints carry an evidence kind and the
-    /// accused incarnation's endpoint; RS rejects unauthorized, unknown,
-    /// self- and ghost complaints, inverts accuser-vs-accused when one
-    /// accuser blames too many services, restarts immediately on
-    /// high-confidence evidence, and requires a quorum for the rest.
-    fn arbitrate_complaint(
+    /// Convicts the accused service `idx`.
+    fn convict(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: String) {
+        ctx.metrics().incr("rs.complaints.accepted");
+        self.restart_on_complaint(ctx, idx, why);
+    }
+
+    /// Puts an `rs::COMPLAIN` message (defect class 5, §5.1) about the
+    /// service named `name` (table entry `idx`) before the arbiter,
+    /// reports and carries out the verdict, and returns the reply status.
+    fn on_complaint(
         &mut self,
         ctx: &mut Ctx<'_>,
         msg: &Message,
@@ -1069,188 +1095,114 @@ impl ReincarnationServer {
         name: &str,
     ) -> u64 {
         let source = msg.source;
-        // Server-class services accept complaints from *any* live caller:
-        // their clients are ordinary applications, which are exactly the
-        // components positioned to notice a garbled reply. Everything
-        // else still requires complainant authorization.
-        let accused_is_server = idx.is_some_and(|i| self.services[i].cfg.server);
-        if !self.endpoint_is_complainant(source) && !accused_is_server {
-            ctx.metrics().incr("rs.complaints.rejected_unauthorized");
-            return 13; // EACCES
-        }
-        let Some(i) = idx else {
-            // Counted, not acted on: no defect-table entry is touched.
-            ctx.metrics().incr("rs.complaints.rejected_unknown");
-            ctx.trace(
-                TraceLevel::Warn,
-                format!("complaint about unknown service {name:?} from {source}"),
-            );
-            return 22; // EINVAL
-        };
-        let Complaint {
+        let complaint = Complaint::decode(msg);
+        let kind = complaint.kind;
+        let accuser_idx = self.service_by_endpoint(source);
+        let accusation = Accusation {
+            source,
+            accuser: accuser_idx.map(|a| self.services[a].cfg.program.as_str()),
+            authorized: self.endpoint_is_complainant(source),
             kind,
-            incarnation: accused_ep,
-            ..
-        } = Complaint::decode(msg);
-        ctx.metrics()
-            .incr(&format!("rs.complaints.evidence.{}", evidence::name(kind)));
-        // Observed-complaint signal for the adapt controllers (vetted
-        // enough to count: authorized accuser, known accused).
-        if self.adapt_script.is_some() {
-            self.adapt_complaints.push_back(ctx.now());
+            incarnation: complaint.incarnation,
+            accused: idx.map(|i| Accused {
+                idx: i,
+                server: self.services[i].cfg.server,
+                up: self.services[i].state == SvcState::Up,
+                endpoint: self.services[i].endpoint,
+            }),
+        };
+        let verdict = self.arbiter.judge(ctx.now(), &self.params, &accusation);
+        if verdict.vetted() {
+            Self::bump_evidence(ctx, kind);
+            // Observed-complaint signal for the adapt controllers.
+            if self.adapt_script.is_some() {
+                self.adapt_complaints.push(ctx.now(), ());
+            }
         }
-        if self.services[i].endpoint == Some(source) {
-            // A component cannot be witness against itself (and a
-            // confused server must not be able to trigger its own
-            // restart through the complaint path).
-            ctx.metrics().incr("rs.complaints.rejected_self");
-            ctx.trace(
-                TraceLevel::Warn,
-                format!("self-complaint from {name} ({source}) rejected"),
-            );
-            return 22;
-        }
-        if let Some(acc) = accused_ep {
-            if self.services[i].endpoint != Some(acc) {
-                // Ghost complaint: evidence gathered against an
-                // incarnation that has already been replaced says
-                // nothing about its successor.
+        match verdict {
+            Verdict::Unauthorized => {
+                ctx.metrics().incr("rs.complaints.rejected_unauthorized");
+                return 13; // EACCES
+            }
+            Verdict::Unknown => {
+                ctx.metrics().incr("rs.complaints.rejected_unknown");
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("complaint about unknown service {name:?} from {source}"),
+                );
+                return 22; // EINVAL
+            }
+            Verdict::SelfAccusation => {
+                ctx.metrics().incr("rs.complaints.rejected_self");
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("self-complaint from {name} ({source}) rejected"),
+                );
+                return 22;
+            }
+            Verdict::Ghost { incarnation } => {
                 ctx.metrics().incr("rs.complaints.rejected_ghost");
                 ctx.trace(
                     TraceLevel::Info,
-                    format!("ghost complaint about {name} incarnation {acc} dropped"),
+                    format!("ghost complaint about {name} incarnation {incarnation} dropped"),
                 );
-                return 0;
             }
-        }
-        if self.services[i].state != SvcState::Up {
-            ctx.metrics().incr("rs.complaints.ignored_down");
-            return 0;
-        }
-        if !self.arbitration {
-            // Crash-only baseline: the evidence was vetted and counted
-            // above, but nothing is restarted on its account.
-            ctx.metrics().incr("rs.complaints.disarmed");
-            return 0;
-        }
-        // Accused-vs-accuser inversion: an accuser blaming many distinct
-        // services inside one window is the more plausible defect. The
-        // history is keyed on the accuser's stable name so it survives
-        // the accuser's own microreboots.
-        let now = ctx.now();
-        let complaint_window = self.params.complaint_window;
-        let accuser_name = self.accuser_key(source);
-        let hist = self
-            .accuser_history
-            .entry(accuser_name.clone())
-            .or_default();
-        hist.push_back((i, now));
-        while hist
-            .front()
-            .is_some_and(|&(_, t)| now.since(t) > complaint_window)
-        {
-            hist.pop_front();
-        }
-        let distinct_accused: BTreeSet<usize> = hist.iter().map(|&(j, _)| j).collect();
-        if distinct_accused.len() >= self.params.inversion_accused as usize {
-            self.accuser_history.remove(&accuser_name);
-            ctx.metrics().incr("rs.complaints.inversions");
-            let accuser = self.service_by_endpoint(source);
-            if let Some(a) = accuser.filter(|&a| self.services[a].state == SvcState::Up) {
-                self.restart_on_complaint(
-                    ctx,
-                    a,
-                    format!(
-                        "accuser {accuser_name} blamed {} services in {complaint_window}; \
-                         inverting suspicion and restarting the accuser",
-                        distinct_accused.len()
+            Verdict::Down => ctx.metrics().incr("rs.complaints.ignored_down"),
+            Verdict::Disarmed => ctx.metrics().incr("rs.complaints.disarmed"),
+            Verdict::Inverted { accuser, distinct } => {
+                ctx.metrics().incr("rs.complaints.inversions");
+                let window = self.params.complaint_window;
+                match accuser_idx.filter(|&a| self.services[a].state == SvcState::Up) {
+                    Some(a) => self.restart_on_complaint(
+                        ctx,
+                        a,
+                        format!(
+                            "accuser {accuser} blamed {distinct} services in {window}; \
+                             inverting suspicion and restarting the accuser"
+                        ),
                     ),
-                );
-            } else {
-                ctx.trace(
-                    TraceLevel::Warn,
-                    format!("accuser {accuser_name} discredited; complaint dropped"),
-                );
+                    None => ctx.trace(
+                        TraceLevel::Warn,
+                        format!("accuser {accuser} discredited; complaint dropped"),
+                    ),
+                }
             }
-            return 0;
-        }
-        if evidence::high_confidence(kind) {
-            ctx.metrics().incr("rs.complaints.accepted");
-            self.restart_on_complaint(
-                ctx,
-                i,
-                format!(
-                    "complaint about {name} from {source} ({})",
-                    evidence::name(kind)
-                ),
-            );
-            return 0;
-        }
-        // Low-confidence evidence accumulates toward a quorum. Accusers
-        // are counted by stable name, so one flapping accuser cannot
-        // impersonate a quorum across its own incarnations.
-        let entries = self.complaint_ledger.entry(i).or_default();
-        entries.push_back((accuser_name, kind, now));
-        while entries
-            .front()
-            .is_some_and(|(_, _, t)| now.since(*t) > complaint_window)
-        {
-            entries.pop_front();
-        }
-        let n = entries.len();
-        let distinct = entries
-            .iter()
-            .map(|(a, _, _)| a)
-            .collect::<BTreeSet<_>>()
-            .len();
-        if n >= self.params.quorum_complaints as usize
-            || distinct >= self.params.quorum_accusers as usize
-        {
-            ctx.metrics().incr("rs.complaints.accepted");
-            ctx.metrics().incr("rs.complaints.quorum_restarts");
-            self.restart_on_complaint(
-                ctx,
-                i,
-                format!(
-                    "quorum of {n} complaints ({distinct} accusers) against {name}; restarting"
-                ),
-            );
-        } else {
-            ctx.metrics().incr("rs.complaints.below_quorum");
+            Verdict::Convicted { accused, grounds } => {
+                let why = match grounds {
+                    Grounds::HighConfidence => {
+                        let class = evidence::name(kind);
+                        format!("complaint about {name} from {source} ({class})")
+                    }
+                    Grounds::Quorum { n, distinct } => {
+                        ctx.metrics().incr("rs.complaints.quorum_restarts");
+                        format!(
+                            "quorum of {n} complaints ({distinct} accusers) against {name}; \
+                             restarting"
+                        )
+                    }
+                };
+                self.convict(ctx, accused, why);
+            }
+            Verdict::BelowQuorum => ctx.metrics().incr("rs.complaints.below_quorum"),
         }
         0
-    }
-
-    /// Remembers a dead endpoint that matched no guarded service, so a
-    /// later START_REPLY naming it is recognized as an already-dead
-    /// incarnation (crash before RS learned the endpoint).
-    fn remember_early_death(&mut self, ep: Endpoint) {
-        if self.early_deaths.len() >= EARLY_DEATHS_CAP {
-            self.early_deaths.pop_front();
-        }
-        self.early_deaths.push_back(ep);
     }
 
     /// Kills a retired warm spare (its tailed state is for a binary or
     /// incarnation that will never be promoted).
     fn retire_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        self.services[idx].spare_pending = false;
-        let Some(ep) = self.services[idx].spare.take() else {
+        let svc = &mut self.services[idx];
+        svc.spare_pending = false;
+        let Some(ep) = svc.spare.take() else {
             return;
         };
         ctx.metrics().incr("rs.standby.spares_retired");
+        let name = &svc.cfg.program;
         ctx.trace(
             TraceLevel::Info,
-            format!(
-                "retiring stale spare {ep} of {}",
-                self.services[idx].cfg.program
-            ),
+            format!("retiring stale spare {ep} of {name}"),
         );
-        let msg = Message::new(pm::KILL)
-            .with_param(0, u64::from(ep.slot()))
-            .with_param(1, u64::from(ep.generation()))
-            .with_param(2, 1);
-        let _ = ctx.sendrec(self.pm, msg);
+        let _ = ctx.sendrec(self.pm, pm_kill(ep, false));
     }
 
     /// Spawns the warm spare incarnation for a hot-standby service. The
@@ -1258,7 +1210,7 @@ impl ReincarnationServer {
     /// logic in standby mode — no device grab, no fault-port publish —
     /// tailing the primary's checkpoint record until promoted.
     fn start_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
-        let svc = &self.services[idx];
+        let svc = &mut self.services[idx];
         if !svc.cfg.hot_standby
             || svc.spare.is_some()
             || svc.spare_pending
@@ -1271,71 +1223,63 @@ impl ReincarnationServer {
             .with_param(0, 0)
             .with_data(program.into_bytes());
         if let Ok(call) = ctx.sendrec(self.pm, msg) {
-            self.services[idx].spare_pending = true;
+            svc.spare_pending = true;
             self.spare_start_calls.insert(call, idx);
         }
     }
 
     /// Handles the PM reply to a spare spawn.
-    fn complete_spare_start(
-        &mut self,
-        ctx: &mut Ctx<'_>,
-        idx: usize,
-        result: Result<Message, phoenix_kernel::types::IpcError>,
-    ) {
-        self.services[idx].spare_pending = false;
-        match result {
-            Ok(reply) if reply.mtype == pm::START_REPLY && reply.param(0) == 0 => {
-                let ep = unpack_endpoint(reply.param(1), reply.param(2));
-                let svc = &self.services[idx];
-                if !svc.cfg.hot_standby || svc.state != SvcState::Up || svc.spare.is_some() {
-                    // The primary died (or the spare slot was filled)
-                    // while this spawn was in flight; the incarnation
-                    // is a ghost.
-                    self.kill_ghost(ctx, ep);
-                    return;
-                }
-                self.services[idx].spare = Some(ep);
-                ctx.metrics().incr("rs.standby.spares_started");
-                ctx.trace(
-                    TraceLevel::Info,
-                    format!(
-                        "warm spare {ep} tailing for {}",
-                        self.services[idx].cfg.program
-                    ),
-                );
-                // Publish the spare under its standby name so DS can
-                // owner-authenticate its tail reads against the live
-                // endpoint generation, then start the tail loop.
-                let standby_key = format!("standby.{}", self.services[idx].cfg.publish_key);
-                let msg = Message::new(ds::PUBLISH)
-                    .with_param(0, u64::from(ep.slot()))
-                    .with_param(1, u64::from(ep.generation()))
-                    .with_data(standby_key.into_bytes());
-                let _ = ctx.sendrec(self.ds, msg);
-                let arm = Message::new(drv::STANDBY).with_param(0, SPARE_TAIL_PERIOD.as_micros());
-                let _ = ctx.send(ep, arm);
-            }
-            Ok(reply) if reply.mtype == pm::START_REPLY => {
+    fn complete_spare_start(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
+        let svc = &mut self.services[idx];
+        svc.spare_pending = false;
+        let name = &svc.cfg.program;
+        let Some(ep) = started(&result) else {
+            if result.is_ok_and(|reply| reply.mtype == pm::START_REPLY) {
                 // PM says the standby program cannot run (most likely no
                 // `standby.<program>` registry entry): disable hot
                 // standby for this service instead of spawn-looping.
-                self.services[idx].cfg.hot_standby = false;
+                svc.cfg.hot_standby = false;
                 ctx.metrics().incr("rs.standby.unavailable");
                 ctx.trace(
                     TraceLevel::Warn,
-                    format!(
-                        "no standby program for {}; hot standby disabled",
-                        self.services[idx].cfg.program
-                    ),
+                    format!("no standby program for {name}; hot standby disabled"),
                 );
-            }
-            _ => {
+            } else {
                 // Garbled or aborted: the audit sweep (and this alarm)
                 // retry while the service is up.
-                let _ = ctx.set_alarm(EXEC_LATENCY.saturating_mul(4), token(TOK_SPARE, idx));
+                let _ = ctx.set_alarm(RETRY_DELAY, token(TOK_SPARE, idx));
             }
+            return;
+        };
+        if !svc.cfg.hot_standby || svc.state != SvcState::Up || svc.spare.is_some() {
+            // The primary died (or the spare slot was filled) while this
+            // spawn was in flight; the incarnation is a ghost.
+            return self.kill_ghost(ctx, ep);
         }
+        svc.spare = Some(ep);
+        ctx.metrics().incr("rs.standby.spares_started");
+        ctx.trace(
+            TraceLevel::Info,
+            format!("warm spare {ep} tailing for {name}"),
+        );
+        // Publish the spare under its standby name so DS can
+        // owner-authenticate its tail reads against the live endpoint
+        // generation, then start the tail loop.
+        let standby_key = format!("standby.{}", svc.cfg.publish_key);
+        let _ = ctx.sendrec(self.ds, ds_publish(standby_key.into_bytes(), ep, None));
+        let arm = Message::new(drv::STANDBY).with_param(0, SPARE_TAIL_PERIOD.as_micros());
+        let _ = ctx.send(ep, arm);
+    }
+
+    /// Marks service `idx` up as incarnation `ep` and returns the fresh
+    /// incarnation epoch its heartbeat chain runs under.
+    fn bind_incarnation(&mut self, idx: usize, ep: Endpoint) -> u16 {
+        let svc = &mut self.services[idx];
+        svc.state = SvcState::Up;
+        svc.endpoint = Some(ep);
+        svc.hb_outstanding = 0;
+        svc.hb_epoch = svc.hb_epoch.wrapping_add(1);
+        svc.hb_epoch
     }
 
     /// Promotes the warm spare to primary at defect time — failover, not
@@ -1345,30 +1289,16 @@ impl ReincarnationServer {
     /// endpoint is published before dependents learn of it (§5.3).
     // analyze:recovery-root
     fn promote_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
-        let name = self.services[idx].cfg.program.clone();
-        let key = self.services[idx].cfg.publish_key.clone();
-        let rid = self.services[idx].recovery;
-        let span = self.services[idx].span;
-        let svc = &mut self.services[idx];
-        svc.state = SvcState::Up;
-        svc.endpoint = Some(ep);
-        svc.hb_outstanding = 0;
-        svc.hb_epoch = svc.hb_epoch.wrapping_add(1);
-        let epoch = svc.hb_epoch;
+        let epoch = self.bind_incarnation(idx, ep);
+        let svc = &self.services[idx];
+        let name = &svc.cfg.program;
         ctx.metrics().incr("rs.standby.promotions");
-        let ev = ctx
-            .event(
-                TraceLevel::Info,
-                format!("promoting warm spare {ep} to {name}"),
-            )
-            .with_field("ev", "promote")
-            .with_field("service", name.as_str())
-            .in_recovery_opt(rid)
-            .with_parent_opt(span);
-        ctx.trace_event(ev);
+        let message = format!("promoting warm spare {ep} to {name}");
+        Subject(name, svc.episode).emit(ctx, TraceLevel::Info, "promote", message, &[]);
         // Re-frame the stored snapshot with a clamped incarnation: the
         // spare lives in a younger slot generation than the dead
         // primary, so its first save would otherwise be ghost-rejected.
+        let key = svc.cfg.publish_key.clone();
         let promote = Message::new(ckpt::PROMOTE).with_data(key.into_bytes());
         if let Ok(call) = ctx.sendrec(self.ds, promote) {
             self.promote_calls.insert(call, idx);
@@ -1376,34 +1306,15 @@ impl ReincarnationServer {
         // Tell the spare to go live: deferred device init, fault-port
         // publish under the primary name, stop tailing, adopt the
         // tailed watermark as warm state.
+        let episode = svc.episode;
         let go = Message::new(drv::PROMOTE)
-            .with_param(0, rid.map_or(0, RecoveryId::as_u64))
-            .with_param(1, span.map_or(0, SpanId::as_u64));
+            .with_param(0, episode.map_or(0, |e| e.rid.as_u64()))
+            .with_param(1, episode.map_or(0, |e| e.span.as_u64()));
         let _ = ctx.send(ep, go);
         // Publish before dependents are notified (§5.3), verified like
         // any other publish.
         self.publish(ctx, idx, ep);
-        if let Some(died) = self.services[idx].died_at.take() {
-            let dt = ctx.now().since(died);
-            self.last_recovery_done = Some(ctx.now());
-            self.note_mttr(dt);
-            ctx.metrics().incr("rs.recoveries");
-            ctx.metrics()
-                .histogram_mut("rs.recovery_time")
-                .record_duration(dt);
-            let alive_ev = ctx
-                .event(
-                    TraceLevel::Info,
-                    format!("recovered {name} by promotion as {ep} in {dt}"),
-                )
-                .with_field("ev", "alive")
-                .with_field("service", name.as_str())
-                .with_field("mttr_us", dt.as_micros())
-                .with_field("promoted", 1u64)
-                .in_recovery_opt(rid)
-                .with_parent_opt(span);
-            ctx.trace_event(alive_ev);
-        }
+        self.close_episode(ctx, Some(idx), ep, true);
         if let Some(period) = self.effective_heartbeat(idx) {
             let _ = ctx.set_alarm(period, token_seq(TOK_HB, epoch, idx));
         }
@@ -1422,20 +1333,8 @@ impl ReincarnationServer {
             return;
         };
         let now = ctx.now();
-        while self
-            .adapt_defects
-            .front()
-            .is_some_and(|&t| now.since(t) > ADAPT_WINDOW)
-        {
-            self.adapt_defects.pop_front();
-        }
-        while self
-            .adapt_complaints
-            .front()
-            .is_some_and(|&t| now.since(t) > ADAPT_WINDOW)
-        {
-            self.adapt_complaints.pop_front();
-        }
+        self.adapt_defects.prune(now, ADAPT_WINDOW);
+        self.adapt_complaints.prune(now, ADAPT_WINDOW);
         for rule in script.adapt_rules() {
             let sample = match rule.signal {
                 AdaptSignal::Failures => self.adapt_defects.len() as i64,
@@ -1450,25 +1349,22 @@ impl ReincarnationServer {
                     }
                 }
             };
+            let (param, signal) = (rule.param.name(), rule.signal.name());
             if let Some(new) = rule.step(sample, &mut self.params) {
                 ctx.metrics().incr("rs.adapt.updates");
                 ctx.metrics().set(rule.param.gauge(), new);
                 let ev = ctx
                     .event(
                         TraceLevel::Info,
-                        format!(
-                            "adapt: {} -> {new} ({} = {sample})",
-                            rule.param.name(),
-                            rule.signal.name()
-                        ),
+                        format!("adapt: {param} -> {new} ({signal} = {sample})"),
                     )
                     .with_field("ev", "adapt")
-                    .with_field("param", rule.param.name())
+                    .with_field("param", param)
                     .with_field("value", new);
                 ctx.trace_event(ev);
             }
             ctx.metrics()
-                .histogram_mut(&format!("rs.adapt.trace.{}", rule.param.name()))
+                .histogram_mut(&format!("rs.adapt.trace.{param}"))
                 .record(rule.param.read(&self.params) as f64);
         }
         self.adapt_script = Some(script);
@@ -1476,61 +1372,32 @@ impl ReincarnationServer {
 
     /// Handles the successful completion of a tracked PM_START call.
     fn complete_start(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
-        let svc_name = self.services[idx].cfg.program.clone();
-        self.services[idx].current_start = None;
+        let svc = &mut self.services[idx];
+        svc.current_start = None;
         if let Some(pos) = self.early_deaths.iter().position(|&d| d == ep) {
             // The fresh incarnation is already dead — it crashed between
             // its spawn and this reply (a mid-recovery kill). Re-enter
             // recovery instead of guarding a corpse.
             self.early_deaths.remove(pos);
             ctx.metrics().incr("rs.early_death_rescues");
+            let name = &svc.cfg.program;
             ctx.trace(
                 TraceLevel::Warn,
-                format!(
-                    "{svc_name} incarnation {ep} died before start completed; re-running recovery"
-                ),
+                format!("{name} incarnation {ep} died before start completed; re-running recovery"),
             );
-            self.services[idx].state = SvcState::Up;
-            self.services[idx].endpoint = Some(ep);
-            let defect = self.services[idx]
-                .pending_reason
-                .take()
-                .unwrap_or(reason::KILLED);
-            self.handle_defect(ctx, idx, defect);
-            return;
+            svc.state = SvcState::Up;
+            svc.endpoint = Some(ep);
+            return self.reap(ctx, idx, reason::KILLED);
         }
-        let svc = &mut self.services[idx];
-        svc.state = SvcState::Up;
-        svc.endpoint = Some(ep);
-        svc.hb_outstanding = 0;
-        svc.hb_epoch = svc.hb_epoch.wrapping_add(1);
-        let epoch = svc.hb_epoch;
+        let epoch = self.bind_incarnation(idx, ep);
         // Publish the new endpoint *before* dependents are notified — the
         // data store does both atomically from the subscribers' point of
         // view (§5.3) — and verify the acknowledgement comes back.
         self.publish(ctx, idx, ep);
-        if let Some(died) = self.services[idx].died_at.take() {
-            let dt = ctx.now().since(died);
-            self.last_recovery_done = Some(ctx.now());
-            self.note_mttr(dt);
-            ctx.metrics().incr("rs.recoveries");
-            ctx.metrics()
-                .histogram_mut("rs.recovery_time")
-                .record_duration(dt);
-            let alive_ev = ctx
-                .event(
-                    TraceLevel::Info,
-                    format!("recovered {svc_name} as {ep} in {dt}"),
-                )
-                .with_field("ev", "alive")
-                .with_field("service", svc_name.as_str())
-                .with_field("mttr_us", dt.as_micros())
-                .in_recovery_opt(self.services[idx].recovery)
-                .with_parent_opt(self.services[idx].span);
-            ctx.trace_event(alive_ev);
-        } else {
+        if !self.close_episode(ctx, Some(idx), ep, false) {
             ctx.metrics().incr("rs.starts");
-            ctx.trace(TraceLevel::Info, format!("started {svc_name} as {ep}"));
+            let name = &self.services[idx].cfg.program;
+            ctx.trace(TraceLevel::Info, format!("started {name} as {ep}"));
         }
         if let Some(period) = self.effective_heartbeat(idx) {
             let _ = ctx.set_alarm(period, token_seq(TOK_HB, epoch, idx));
@@ -1545,15 +1412,10 @@ impl ReincarnationServer {
     /// owner authentication. DS is in the never-restarted trusted base,
     /// so this skips the verified-publish ladder used for services.
     fn publish_pm(&mut self, ctx: &mut Ctx<'_>) {
-        let rid_wire = self.pm_recovery.map_or(0, RecoveryId::as_u64);
-        let span_wire = self.pm_span.map_or(0, SpanId::as_u64);
-        let msg = Message::new(ds::PUBLISH)
-            .with_param(0, u64::from(self.pm.slot()))
-            .with_param(1, u64::from(self.pm.generation()))
-            .with_param(2, rid_wire)
-            .with_param(3, span_wire)
-            .with_data(b"pm".to_vec());
-        let _ = ctx.sendrec(self.ds, msg);
+        let _ = ctx.sendrec(
+            self.ds,
+            ds_publish(PM_NAME.into(), self.pm, self.pm_episode),
+        );
     }
 
     /// PM defect entry point — recursive recovery. RS cannot ask PM to
@@ -1562,30 +1424,13 @@ impl ReincarnationServer {
     /// already gone (audit or exit report) or must be killed first
     /// (stall, garbled replies).
     fn recover_pm(&mut self, ctx: &mut Ctx<'_>, defect: u8, dead: bool) {
-        if self.pm_program.is_none() || self.pm_restarting {
+        if !self.pm_guard || self.pm_restarting {
             return;
         }
         self.pm_restarting = true;
-        self.next_recovery += 1;
-        let rid = RecoveryId(self.next_recovery);
-        let root = ctx.new_span();
-        self.pm_recovery = Some(rid);
-        self.pm_span = Some(root);
-        self.pm_died_at = Some(ctx.now());
         ctx.metrics().incr("rs.pm_defects");
-        ctx.metrics()
-            .incr(&format!("rs.defect.{}", reason::name(defect)));
-        let defect_ev = ctx
-            .event(
-                TraceLevel::Warn,
-                format!("defect in pm: {}", reason::name(defect)),
-            )
-            .with_field("ev", "defect")
-            .with_field("service", "pm")
-            .with_field("class", reason::name(defect))
-            .in_recovery(rid)
-            .with_span(root);
-        ctx.trace_event(defect_ev);
+        let episode = Episode::open(ctx, &mut self.next_recovery, PM_NAME, defect, None);
+        self.pm_episode = Some(episode);
         if !dead {
             let _ = ctx.sys_kill(self.pm, Signal::Kill);
         }
@@ -1598,17 +1443,12 @@ impl ReincarnationServer {
     /// their error replies re-arm per-service restart alarms, which
     /// re-drive the starts against the new incarnation.
     fn respawn_pm(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(program) = self.pm_program.clone() else {
+        if !self.pm_guard {
             return;
-        };
-        let exec_ev = ctx
-            .event(TraceLevel::Info, "exec pm (recursive recovery)".to_string())
-            .with_field("ev", "exec")
-            .with_field("service", "pm")
-            .in_recovery_opt(self.pm_recovery)
-            .with_parent_opt(self.pm_span);
-        ctx.trace_event(exec_ev);
-        match ctx.sys_spawn(&program, None) {
+        }
+        let message = "exec pm (recursive recovery)".to_string();
+        Subject(PM_NAME, self.pm_episode).emit(ctx, TraceLevel::Info, kind::EXEC, message, &[]);
+        match ctx.sys_spawn(PM_NAME, None) {
             Ok(ep) => {
                 self.pm = ep;
                 self.pm_restarting = false;
@@ -1617,610 +1457,532 @@ impl ReincarnationServer {
                 // child can die, then make the name visible again.
                 let _ = ctx.send(ep, Message::new(pm::REGISTER));
                 self.publish_pm(ctx);
-                if let Some(died) = self.pm_died_at.take() {
-                    let dt = ctx.now().since(died);
-                    self.last_recovery_done = Some(ctx.now());
-                    self.note_mttr(dt);
-                    ctx.metrics().incr("rs.pm_recoveries");
-                    ctx.metrics()
-                        .histogram_mut("rs.recovery_time")
-                        .record_duration(dt);
-                    let alive_ev = ctx
-                        .event(TraceLevel::Info, format!("recovered pm as {ep} in {dt}"))
-                        .with_field("ev", "alive")
-                        .with_field("service", "pm")
-                        .with_field("mttr_us", dt.as_micros())
-                        .in_recovery_opt(self.pm_recovery)
-                        .with_parent_opt(self.pm_span);
-                    ctx.trace_event(alive_ev);
-                }
+                self.close_episode(ctx, None, ep, false);
             }
             Err(_) => {
                 ctx.metrics().incr("rs.pm_respawn_failed");
                 ctx.metrics().incr("rs.alerts");
                 ctx.trace(
                     TraceLevel::Error,
-                    format!("ALERT: cannot respawn {program}; retrying"),
+                    format!("ALERT: cannot respawn {PM_NAME}; retrying"),
                 );
-                let _ = ctx.set_alarm(EXEC_LATENCY.saturating_mul(4), token(TOK_PM_RESTART, 0));
+                let _ = ctx.set_alarm(RETRY_DELAY, token(TOK_PM_RESTART, 0));
             }
         }
     }
+
+    /// Exit reports and heartbeat replies.
+    fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
+        match msg.mtype {
+            pm::SIGCHLD => {
+                let ep = unpack_endpoint(msg.param(0), msg.param(1));
+                if let Some(idx) = self.service_by_endpoint(ep) {
+                    // Defect classes 1-3 (§5.1) from the exit status.
+                    let observed = match msg.param(2) {
+                        0 | 1 => reason::EXIT,
+                        2 => reason::EXCEPTION,
+                        _ => reason::KILLED,
+                    };
+                    self.reap(ctx, idx, observed);
+                } else if let Some(i) = self.services.iter().position(|s| s.spare == Some(ep)) {
+                    // The warm spare died, not the primary: no recovery
+                    // episode, just refill the slot after a spawn latency.
+                    self.services[i].spare = None;
+                    ctx.metrics().incr("rs.standby.spare_deaths");
+                    let name = &self.services[i].cfg.program;
+                    ctx.trace(
+                        TraceLevel::Warn,
+                        format!("warm spare {ep} of {name} died; respawning"),
+                    );
+                    let _ = ctx.set_alarm(EXEC_LATENCY, token(TOK_SPARE, i));
+                } else {
+                    // Not a currently-guarded endpoint: either a user
+                    // process (ignore) or a service incarnation that died
+                    // before RS bound it. Remember it, so a later
+                    // START_REPLY naming it is recognized as an
+                    // already-dead incarnation.
+                    if self.early_deaths.len() >= EARLY_DEATHS_CAP {
+                        self.early_deaths.pop_front();
+                    }
+                    self.early_deaths.push_back(ep);
+                }
+            }
+            drv::HB_PONG => {
+                if self.pm_guard && msg.source == self.pm {
+                    self.pm_pong_outstanding = 0;
+                } else if let Some(idx) = self.service_by_endpoint(msg.source) {
+                    self.services[idx].hb_outstanding = 0;
+                }
+            }
+            _ => {}
+        }
+    }
+
+    fn on_alarm(&mut self, ctx: &mut Ctx<'_>, t: u64) {
+        let (kind, seq, idx) = (t >> 32, ((t >> 16) & 0xFFFF) as u16, (t & 0xFFFF) as usize);
+        // The table-free alarms first: they must run over an empty
+        // service table too.
+        match kind {
+            TOK_PM_RESTART => return self.respawn_pm(ctx),
+            TOK_AUDIT => return self.audit(ctx),
+            _ if idx >= self.services.len() => return,
+            _ => {}
+        }
+        let svc = &self.services[idx];
+        match kind {
+            TOK_HB => self.heartbeat(ctx, idx, seq),
+            TOK_RESTART if svc.state == SvcState::WaitRestart => self.start_service(ctx, idx),
+            TOK_SPARE => self.start_spare(ctx, idx),
+            // SIGTERM was ignored by the incarnation it was sent to;
+            // escalate to SIGKILL.
+            TOK_ESCALATE if svc.state == SvcState::Up && svc.hb_epoch == seq => {
+                self.kill_service(ctx, idx, false);
+            }
+            TOK_START_TIMEOUT => self.start_timed_out(ctx, idx, seq),
+            TOK_REPUBLISH => self.republish(ctx, idx, seq),
+            _ => {}
+        }
+    }
+
+    /// One link of service `idx`'s heartbeat chain (defect class 4).
+    fn heartbeat(&mut self, ctx: &mut Ctx<'_>, idx: usize, epoch: u16) {
+        let eff_period = self.effective_heartbeat(idx);
+        let svc = &mut self.services[idx];
+        if svc.state != SvcState::Up || svc.hb_epoch != epoch {
+            return; // heartbeat chain ends; restart rearms
+        }
+        if svc.hb_outstanding >= svc.cfg.heartbeat_misses {
+            // Defect class 4: the process is stuck.
+            svc.pending_reason = Some(reason::HEARTBEAT);
+            let (name, missed) = (&svc.cfg.program, svc.hb_outstanding);
+            ctx.trace(
+                TraceLevel::Warn,
+                format!("{name} missed {missed} heartbeats, killing"),
+            );
+            return self.kill_service(ctx, idx, false);
+        }
+        svc.hb_nonce += 1;
+        let nonce = svc.hb_nonce;
+        svc.hb_outstanding += 1;
+        // A config update can drop the heartbeat period while an alarm is
+        // in flight; end the chain rather than crash the recovery
+        // infrastructure itself. The period itself is live: the next ping
+        // in the chain honors the adapt controller's latest value.
+        let Some(period) = eff_period else {
+            svc.hb_outstanding = 0;
+            return;
+        };
+        if let Some(ep) = svc.endpoint {
+            // Nonblocking status request (§5.1): a sick driver can never
+            // hang RS.
+            let _ = ctx.send(ep, Message::new(drv::HB_PING).with_param(0, nonce));
+        }
+        let _ = ctx.set_alarm(period, token_seq(TOK_HB, epoch, idx));
+    }
+
+    /// The start-call timeout of attempt `attempt` fired. Only the alarm
+    /// matching the current attempt may declare it lost; alarms from
+    /// completed or superseded attempts are stale.
+    fn start_timed_out(&mut self, ctx: &mut Ctx<'_>, idx: usize, attempt: u16) {
+        let svc = &mut self.services[idx];
+        let Some((call, current)) = svc.current_start else {
+            return;
+        };
+        if current != attempt || svc.state != SvcState::Starting {
+            return;
+        }
+        if self.start_calls.remove(&call).is_some() {
+            // The attempt is abandoned, not forgotten: a late success
+            // reply means a ghost to reap.
+            self.orphan_calls.insert(call, idx);
+            svc.current_start = None;
+            svc.state = SvcState::Down;
+            ctx.metrics().incr("rs.start_timeouts");
+            let name = &svc.cfg.program;
+            ctx.trace(
+                TraceLevel::Warn,
+                format!("start of {name} timed out; retrying"),
+            );
+            self.start_service(ctx, idx);
+        }
+    }
+
+    /// The acknowledgement of publish attempt `attempt` is overdue:
+    /// re-publish, within the retry budget.
+    fn republish(&mut self, ctx: &mut Ctx<'_>, idx: usize, attempt: u16) {
+        let svc = &mut self.services[idx];
+        let Some(pp) = svc.pending_publish else {
+            return;
+        };
+        // Stale alarm from an earlier publish attempt, or the service
+        // died meanwhile.
+        if pp.attempts as u16 != attempt || svc.state != SvcState::Up || svc.endpoint != Some(pp.ep)
+        {
+            return;
+        }
+        let (key, attempts) = (&svc.cfg.publish_key, pp.attempts);
+        if attempts >= MAX_PUBLISH_RETRIES {
+            svc.pending_publish = None;
+            ctx.metrics().incr("rs.publish_failed");
+            ctx.metrics().incr("rs.alerts");
+            ctx.trace(
+                TraceLevel::Error,
+                format!("ALERT: cannot verify publish of {key} after {attempts} attempts"),
+            );
+            return;
+        }
+        let attempts = attempts + 1;
+        svc.pending_publish = Some(PendingPublish {
+            ep: pp.ep,
+            attempts,
+        });
+        ctx.metrics().incr("rs.publish_retries");
+        ctx.trace(
+            TraceLevel::Warn,
+            format!("re-publishing {key} (attempt {attempts})"),
+        );
+        self.publish(ctx, idx, pp.ep);
+    }
+
+    /// The periodic liveness audit: catches lost exit notifications and
+    /// silent stalls, and is RS's own sign of life.
+    fn audit(&mut self, ctx: &mut Ctx<'_>) {
+        // Liveness beacon for the fleet layer: a healthy RS advances this
+        // counter every audit sweep, so a per-node fleet agent gossiping
+        // the counter can tell a dead or wedged RS (stalled beacon) from
+        // a merely idle one.
+        ctx.metrics().incr("rs.beacon");
+        // Step the adapt controllers against the signal windows before
+        // any sweep decision this cycle reads the parameter table.
+        self.run_adapt_controllers(ctx);
+        self.arbiter.expire(ctx.now(), self.params.complaint_window);
+        // Recursive guard: audit PM itself first — every other recovery
+        // depends on it, and no one else reports its death (its own
+        // forwarding is gone). Three detectors: gone, sitting on a
+        // request, deaf to pings.
+        if self.pm_guard && !self.pm_restarting {
+            if !ctx.proc_alive(self.pm) {
+                self.recover_pm(ctx, reason::EXIT, true);
+            } else if !self.arbiter.disarmed && ctx.request_stalled(self.pm, STALL_AGE) {
+                Self::bump_evidence(ctx, evidence::PROGRESS);
+                self.recover_pm(ctx, reason::HEARTBEAT, false);
+            } else if self.pm_pong_outstanding >= 3 {
+                // Three audits without a pong: PM is alive per the kernel
+                // but swallowing (or garbling) everything it is sent.
+                self.pm_pong_outstanding = 0;
+                ctx.metrics().incr("rs.pm_pings_missed");
+                self.recover_pm(ctx, reason::HEARTBEAT, false);
+            } else {
+                self.pm_pong_outstanding += 1;
+                let _ = ctx.send(self.pm, Message::new(drv::HB_PING));
+            }
+        }
+        for i in 0..self.services.len() {
+            self.audit_service(ctx, i);
+        }
+        let _ = ctx.set_alarm(AUDIT_PERIOD, token(TOK_AUDIT, 0));
+    }
+
+    /// Audits one supposedly-up service: a guarded endpoint the kernel no
+    /// longer knows is a defect whose SIGCHLD never made it; then spare
+    /// upkeep; then the kernel guards.
+    fn audit_service(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let svc = &mut self.services[i];
+        let (Some(ep), SvcState::Up) = (svc.endpoint, svc.state) else {
+            return;
+        };
+        let name = &svc.cfg.program;
+        if !ctx.proc_alive(ep) {
+            ctx.metrics().incr("rs.audit_reaped");
+            ctx.metrics().incr("rs.lost_sigchld");
+            ctx.trace(
+                TraceLevel::Warn,
+                format!("audit: {name} ({ep}) is gone but no exit report arrived"),
+            );
+            return self.reap(ctx, i, reason::KILLED);
+        }
+        // Hot-standby upkeep: reap a silently-dead spare and refill an
+        // empty slot (covers lost spare SIGCHLDs and spawn retries).
+        if svc.cfg.hot_standby {
+            if svc.spare.is_some_and(|sep| !ctx.proc_alive(sep)) {
+                svc.spare = None;
+                ctx.metrics().incr("rs.standby.spare_deaths");
+            }
+            self.start_spare(ctx, i);
+        }
+        // Kernel guard evidence (high confidence): the IPC layer flagged
+        // the endpoint as babbling, or it is sitting on requests far past
+        // the stall threshold. Polled for heartbeat-guarded services
+        // (drivers) and for server-class components, whose stalls would
+        // otherwise be invisible — a wedged server swallows requests
+        // without ever crashing. STALL_AGE exceeds the servers' own
+        // driver deadlines, so a server legitimately waiting out a driver
+        // recovery is not mistaken for a stall.
+        let svc = &self.services[i];
+        let name = &svc.cfg.program;
+        if self.arbiter.disarmed || (svc.cfg.heartbeat_period.is_none() && !svc.cfg.server) {
+            return;
+        }
+        let (kind, why) = if ctx.babble_flagged(ep) {
+            let why = format!("babble guard flagged {name}; restarting");
+            (evidence::BABBLE, why)
+        } else if ctx.request_stalled(ep, STALL_AGE)
+            && (!svc.cfg.server || !self.recovery_in_flight(ctx.now()))
+        {
+            let why = format!(
+                "{name} sits on requests older than {STALL_AGE} without crashing; restarting"
+            );
+            (evidence::PROGRESS, why)
+        } else {
+            return;
+        };
+        Self::bump_evidence(ctx, kind);
+        self.convict(ctx, i, why);
+    }
     // [recovery:end]
+
+    fn boot(&mut self, ctx: &mut Ctx<'_>) {
+        if self.started_boot {
+            return;
+        }
+        self.started_boot = true;
+        // Forking is a pure function of (seed, domain): jitter gets its
+        // own stream without perturbing anyone else's draws.
+        self.jitter = Some(ctx.rng().fork("rs-jitter"));
+        // Every tunable parameter is a gauge from boot, so campaign
+        // digests always show the live table (baseline values until a
+        // controller steps).
+        for p in AdaptParam::ALL {
+            ctx.metrics().set(p.gauge(), p.read(&self.params));
+        }
+        // Become PM's exit-report sink before any child can die.
+        let _ = ctx.send(self.pm, Message::new(pm::REGISTER));
+        if self.pm_guard {
+            // PM's checkpoint saves are owner-authenticated against the
+            // published `pm` name; publish it before the first service
+            // start can make PM dirty.
+            self.publish_pm(ctx);
+        }
+        for idx in 0..self.services.len() {
+            self.start_service(ctx, idx);
+        }
+        // Periodic liveness audit: catches lost exit reports.
+        let _ = ctx.set_alarm(AUDIT_PERIOD, token(TOK_AUDIT, 0));
+    }
+
+    /// Reconciles the reply to one of RS's own calls.
+    fn on_reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, result: CallResult) {
+        if let Some(idx) = self.start_calls.remove(&call) {
+            self.start_replied(ctx, idx, result);
+        } else if let Some(idx) = self.orphan_calls.remove(&call) {
+            // A reply to a start attempt RS had given up on. If it
+            // succeeded, a ghost incarnation is running unguarded. Never
+            // kill the endpoint we currently guard: the "orphan" may be
+            // the very call whose timeout raced its reply.
+            if let Some(ghost) = started(&result) {
+                if self.services[idx].endpoint != Some(ghost) {
+                    self.kill_ghost(ctx, ghost);
+                }
+            }
+        } else if let Some(idx) = self.kill_calls.remove(&call) {
+            self.kill_replied(ctx, idx, result);
+        } else if let Some(idx) = self.spare_start_calls.remove(&call) {
+            self.complete_spare_start(ctx, idx, result);
+        } else if let Some(idx) = self.promote_calls.remove(&call) {
+            match result {
+                Ok(reply)
+                    if reply.mtype == ckpt::PROMOTE_REPLY && reply.param(0) == ckpt_status::OK =>
+                {
+                    ctx.metrics()
+                        .add("rs.standby.records_adopted", reply.param(1));
+                }
+                _ => {
+                    // The snapshot re-frame failed (no records, DS died
+                    // mid-call). The promoted driver is live either way —
+                    // its tailed watermark is the warm state; only a
+                    // later cold restore would have used the DS frames.
+                    ctx.metrics().incr("rs.standby.promote_unframed");
+                    let name = &self.services[idx].cfg.program;
+                    ctx.trace(
+                        TraceLevel::Warn,
+                        format!("snapshot re-frame for promoted {name} not confirmed"),
+                    );
+                }
+            }
+        } else if let Some(idx) = self.publish_calls.remove(&call) {
+            let svc = &mut self.services[idx];
+            if result.is_ok_and(|reply| reply.mtype == ds::ACK && reply.param(0) == 0) {
+                if svc.pending_publish.take().is_some() {
+                    ctx.metrics().incr("rs.publish_verified");
+                }
+            } else {
+                // Bad status or aborted call: leave the pending record;
+                // the re-publish alarm will retry.
+                let key = &svc.cfg.publish_key;
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("publish of {key} not acknowledged cleanly"),
+                );
+            }
+        }
+    }
+
+    /// The reply to the tracked PM_START call of service `idx`.
+    fn start_replied(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
+        if let Some(ep) = started(&result) {
+            return self.complete_start(ctx, idx, ep);
+        }
+        let svc = &mut self.services[idx];
+        svc.current_start = None;
+        let name = &svc.cfg.program;
+        match result {
+            Ok(reply) if reply.mtype == pm::START_REPLY => {
+                // A well-formed failure status (unknown program, denied)
+                // is PM telling the truth: the service cannot run.
+                svc.state = SvcState::GivenUp;
+                ctx.metrics().incr("rs.gave_up");
+                let status = reply.param(0);
+                ctx.trace(
+                    TraceLevel::Error,
+                    format!("failed to start {name}: status {status}"),
+                );
+            }
+            Ok(reply) => {
+                // Wrong reply type: PM is garbling. The start outcome is
+                // unknown, so retry it, and treat the garble as a PM
+                // defect (high-confidence evidence — RS observed it
+                // firsthand).
+                ctx.metrics().incr("rs.pm_garbled_replies");
+                let mtype = reply.mtype;
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("garbled PM reply (mtype {mtype:#x}) to start of {name}"),
+                );
+                self.arm_restart(ctx, idx, RETRY_DELAY);
+                self.recover_pm(ctx, reason::COMPLAINT, false);
+            }
+            Err(_) => {
+                // The rendezvous aborted: PM died with the call open.
+                // Re-arm the start; PM recovery (exit report or audit)
+                // runs in parallel.
+                ctx.metrics().incr("rs.start_aborted");
+                ctx.trace(
+                    TraceLevel::Warn,
+                    format!("start of {name} aborted by PM death; will retry"),
+                );
+                self.arm_restart(ctx, idx, RETRY_DELAY);
+                if !ctx.proc_alive(self.pm) {
+                    self.recover_pm(ctx, reason::EXIT, true);
+                }
+            }
+        }
+    }
+
+    /// The reply to an RS kill of service `idx`.
+    fn kill_replied(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
+        let Ok(reply) = result else { return };
+        let svc = &self.services[idx];
+        if reply.mtype != pm::KILL_REPLY {
+            // Garbled kill reply: a PM defect. The kill's real outcome is
+            // unknown; the liveness audit reconciles the target either
+            // way.
+            ctx.metrics().incr("rs.pm_garbled_replies");
+            self.recover_pm(ctx, reason::COMPLAINT, false);
+        } else if reply.param(0) == crate::pm::pm_status::NO_PROCESS && svc.state == SvcState::Up {
+            // PM said NO_PROCESS while RS still thinks the service is up:
+            // the exit report was lost. Synthesize the defect rather than
+            // wait for the audit.
+            ctx.metrics().incr("rs.lost_sigchld");
+            let name = &svc.cfg.program;
+            ctx.trace(
+                TraceLevel::Warn,
+                format!("{name} already dead at kill time; synthesizing defect"),
+            );
+            self.reap(ctx, idx, reason::KILLED);
+        }
+    }
+
+    /// The `service` utility's commands and complaints (defect classes 3,
+    /// 5 and 6).
+    fn on_request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
+        let name = String::from_utf8_lossy(&msg.data).to_string();
+        let idx = self.by_name.get(&name).copied();
+        let mut st = 0u64;
+        match (msg.mtype, idx) {
+            (rsp::UP, Some(i)) => {
+                self.services[i].admin_down = false;
+                self.start_by_operator(ctx, i);
+            }
+            // User-initiated replacement, defect class 3.
+            (rsp::RESTART, Some(i)) => {
+                if self.services[i].state == SvcState::Up {
+                    self.services[i].pending_reason = Some(reason::KILLED);
+                    self.kill_service(ctx, i, false);
+                } else {
+                    self.start_by_operator(ctx, i);
+                }
+            }
+            // Dynamic update, defect class 6: ask nicely with SIGTERM,
+            // escalate to SIGKILL if this incarnation ignores it (§6).
+            (rsp::UPDATE, Some(i)) => {
+                if self.services[i].state == SvcState::Up {
+                    self.services[i].pending_reason = Some(reason::UPDATE);
+                    self.kill_service(ctx, i, true);
+                    let epoch = self.services[i].hb_epoch;
+                    let _ = ctx.set_alarm(UPDATE_GRACE, token_seq(TOK_ESCALATE, epoch, i));
+                } else {
+                    self.start_service(ctx, i);
+                }
+            }
+            (rsp::DOWN, Some(i)) => {
+                if self.services[i].state == SvcState::Up {
+                    self.services[i].admin_down = true;
+                    self.kill_service(ctx, i, false);
+                } else {
+                    self.services[i].state = SvcState::GivenUp;
+                }
+            }
+            // Defect class 5: an authorized server reports a protocol
+            // violation; RS arbitrates (§5.1).
+            (rsp::COMPLAIN, i) => st = self.on_complaint(ctx, msg, i, &name),
+            _ => st = 22, // EINVAL / unknown service
+        }
+        let _ = ctx.reply(call, Message::new(rsp::ACK).with_param(0, st));
+    }
+
+    /// Starts a service that is not up on the operator's word. On a
+    /// given-up service this overrides the storm ladder (e.g. after
+    /// fixing the hardware out of band), so the storm state resets too.
+    fn start_by_operator(&mut self, ctx: &mut Ctx<'_>, i: usize) {
+        let svc = &mut self.services[i];
+        if svc.state == SvcState::GivenUp {
+            svc.state = SvcState::Down;
+            svc.restarts.reset();
+        }
+        self.start_service(ctx, i);
+    }
 }
 
 impl Process for ReincarnationServer {
     // analyze:recovery-root
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Start => {
-                if self.started_boot {
-                    return;
-                }
-                self.started_boot = true;
-                // Forking is a pure function of (seed, domain): jitter gets
-                // its own stream without perturbing anyone else's draws.
-                self.jitter = Some(ctx.rng().fork("rs-jitter"));
-                // Every tunable parameter is a gauge from boot, so
-                // campaign digests always show the live table (baseline
-                // values until a controller steps).
-                for p in AdaptParam::ALL {
-                    ctx.metrics().set(p.gauge(), p.read(&self.params));
-                }
-                // Become PM's exit-report sink before any child can die.
-                let _ = ctx.send(self.pm, Message::new(pm::REGISTER));
-                if self.pm_program.is_some() {
-                    // PM's checkpoint saves are owner-authenticated
-                    // against the published `pm` name; publish it before
-                    // the first service start can make PM dirty.
-                    self.publish_pm(ctx);
-                }
-                for idx in 0..self.services.len() {
-                    self.start_service(ctx, idx);
-                }
-                // Periodic liveness audit: catches lost exit reports.
-                let _ = ctx.set_alarm(AUDIT_PERIOD, token(TOK_AUDIT, 0));
-            }
-            ProcEvent::Reply { call, result } => {
-                if let Some(idx) = self.start_calls.remove(&call) {
-                    let svc_name = self.services[idx].cfg.program.clone();
-                    match result {
-                        Ok(reply) if reply.mtype == pm::START_REPLY && reply.param(0) == 0 => {
-                            let ep = unpack_endpoint(reply.param(1), reply.param(2));
-                            self.complete_start(ctx, idx, ep);
-                        }
-                        Ok(reply) if reply.mtype == pm::START_REPLY => {
-                            // A well-formed failure status (unknown
-                            // program, denied) is PM telling the truth:
-                            // the service cannot run.
-                            self.services[idx].current_start = None;
-                            self.services[idx].state = SvcState::GivenUp;
-                            ctx.metrics().incr("rs.gave_up");
-                            ctx.trace(
-                                TraceLevel::Error,
-                                format!("failed to start {svc_name}: status {}", reply.param(0)),
-                            );
-                        }
-                        Ok(reply) => {
-                            // Wrong reply type: PM is garbling. The start
-                            // outcome is unknown, so retry it, and treat
-                            // the garble as a PM defect (high-confidence
-                            // evidence — RS observed it firsthand).
-                            self.services[idx].current_start = None;
-                            self.services[idx].state = SvcState::WaitRestart;
-                            ctx.metrics().incr("rs.pm_garbled_replies");
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!(
-                                    "garbled PM reply (mtype {:#x}) to start of {svc_name}",
-                                    reply.mtype
-                                ),
-                            );
-                            let _ = ctx
-                                .set_alarm(EXEC_LATENCY.saturating_mul(4), token(TOK_RESTART, idx));
-                            self.recover_pm(ctx, reason::COMPLAINT, false);
-                        }
-                        Err(_) => {
-                            // The rendezvous aborted: PM died with the
-                            // call open. Re-arm the start; PM recovery
-                            // (exit report or audit) runs in parallel.
-                            self.services[idx].current_start = None;
-                            self.services[idx].state = SvcState::WaitRestart;
-                            ctx.metrics().incr("rs.start_aborted");
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!("start of {svc_name} aborted by PM death; will retry"),
-                            );
-                            let _ = ctx
-                                .set_alarm(EXEC_LATENCY.saturating_mul(4), token(TOK_RESTART, idx));
-                            if self.pm_program.is_some() && !ctx.proc_alive(self.pm) {
-                                self.recover_pm(ctx, reason::EXIT, true);
-                            }
-                        }
-                    }
-                } else if let Some(idx) = self.orphan_calls.remove(&call) {
-                    // A reply to a start attempt RS had given up on. If it
-                    // succeeded, a ghost incarnation is running unguarded.
-                    if let Ok(reply) = result {
-                        if reply.mtype == pm::START_REPLY && reply.param(0) == 0 {
-                            let ghost = unpack_endpoint(reply.param(1), reply.param(2));
-                            // Never kill the endpoint we currently guard:
-                            // the "orphan" may be the very call whose
-                            // timeout raced its reply.
-                            if self.services[idx].endpoint != Some(ghost) {
-                                self.kill_ghost(ctx, ghost);
-                            }
-                        }
-                    }
-                } else if let Some(idx) = self.kill_calls.remove(&call) {
-                    // PM said NO_PROCESS while RS still thinks the service
-                    // is up: the exit report was lost. Synthesize the
-                    // defect rather than wait for the audit.
-                    if let Ok(reply) = result {
-                        if reply.mtype != pm::KILL_REPLY {
-                            // Garbled kill reply: a PM defect. The kill's
-                            // real outcome is unknown; the liveness audit
-                            // reconciles the target either way.
-                            ctx.metrics().incr("rs.pm_garbled_replies");
-                            self.recover_pm(ctx, reason::COMPLAINT, false);
-                        } else if reply.param(0) == crate::pm::pm_status::NO_PROCESS
-                            && self.services[idx].state == SvcState::Up
-                        {
-                            let defect = self.services[idx]
-                                .pending_reason
-                                .take()
-                                .unwrap_or(reason::KILLED);
-                            ctx.metrics().incr("rs.lost_sigchld");
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!(
-                                    "{} already dead at kill time; synthesizing defect",
-                                    self.services[idx].cfg.program
-                                ),
-                            );
-                            self.handle_defect(ctx, idx, defect);
-                        }
-                    }
-                } else if let Some(idx) = self.spare_start_calls.remove(&call) {
-                    self.complete_spare_start(ctx, idx, result);
-                } else if let Some(idx) = self.promote_calls.remove(&call) {
-                    match result {
-                        Ok(reply)
-                            if reply.mtype == ckpt::PROMOTE_REPLY
-                                && reply.param(0) == ckpt_status::OK =>
-                        {
-                            ctx.metrics()
-                                .add("rs.standby.records_adopted", reply.param(1));
-                        }
-                        _ => {
-                            // The snapshot re-frame failed (no records,
-                            // DS died mid-call). The promoted driver is
-                            // live either way — its tailed watermark is
-                            // the warm state; only a later cold restore
-                            // would have used the DS frames.
-                            ctx.metrics().incr("rs.standby.promote_unframed");
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!(
-                                    "snapshot re-frame for promoted {} not confirmed",
-                                    self.services[idx].cfg.program
-                                ),
-                            );
-                        }
-                    }
-                } else if let Some(idx) = self.publish_calls.remove(&call) {
-                    match result {
-                        Ok(reply) if reply.mtype == ds::ACK && reply.param(0) == 0 => {
-                            let svc = &mut self.services[idx];
-                            if svc.pending_publish.is_some() {
-                                svc.pending_publish = None;
-                                ctx.metrics().incr("rs.publish_verified");
-                            }
-                        }
-                        _ => {
-                            // Bad status or aborted call: leave the pending
-                            // record; the re-publish alarm will retry.
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!(
-                                    "publish of {} not acknowledged cleanly",
-                                    self.services[idx].cfg.publish_key
-                                ),
-                            );
-                        }
-                    }
-                }
-            }
+            ProcEvent::Start => self.boot(ctx),
+            ProcEvent::Reply { call, result } => self.on_reply(ctx, call, result),
             // RS is the parent of any PM incarnation it respawned, so the
             // kernel reports that incarnation's death directly here — no
             // forwarding PM exists to relay it.
-            ProcEvent::ChildExited(status)
-                if self.pm_program.is_some() && status.endpoint == self.pm =>
-            {
+            ProcEvent::ChildExited(status) if self.pm_guard && status.endpoint == self.pm => {
                 let defect = match status.reason {
                     ExitReason::Exception(_) => reason::EXCEPTION,
                     _ => reason::EXIT,
                 };
                 self.recover_pm(ctx, defect, true);
             }
-            ProcEvent::Message(msg) => match msg.mtype {
-                // [recovery:begin]
-                pm::SIGCHLD => {
-                    let ep = unpack_endpoint(msg.param(0), msg.param(1));
-                    let Some(idx) = self.service_by_endpoint(ep) else {
-                        if let Some(i) = self.services.iter().position(|s| s.spare == Some(ep)) {
-                            // The warm spare died, not the primary: no
-                            // recovery episode, just refill the slot
-                            // after a spawn latency.
-                            self.services[i].spare = None;
-                            ctx.metrics().incr("rs.standby.spare_deaths");
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!(
-                                    "warm spare {ep} of {} died; respawning",
-                                    self.services[i].cfg.program
-                                ),
-                            );
-                            let _ = ctx.set_alarm(EXEC_LATENCY, token(TOK_SPARE, i));
-                            return;
-                        }
-                        // Not a currently-guarded endpoint: either a user
-                        // process (ignore) or a service incarnation that
-                        // died before RS bound it (remember for
-                        // reconciliation).
-                        self.remember_early_death(ep);
-                        return;
-                    };
-                    // Defect classes 1-3 (§5.1) from the exit status,
-                    // unless RS already knows why it killed the process
-                    // (heartbeat 4, complaint 5, update 6, user 3).
-                    let defect = self.services[idx].pending_reason.take().unwrap_or({
-                        match msg.param(2) {
-                            0 | 1 => reason::EXIT,
-                            2 => reason::EXCEPTION,
-                            _ => reason::KILLED,
-                        }
-                    });
-                    self.handle_defect(ctx, idx, defect);
-                }
-                drv::HB_PONG => {
-                    if self.pm_program.is_some() && msg.source == self.pm {
-                        self.pm_pong_outstanding = 0;
-                    } else if let Some(idx) = self.service_by_endpoint(msg.source) {
-                        self.services[idx].hb_outstanding = 0;
-                    }
-                }
-                // [recovery:end]
-                _ => {}
-            },
-            ProcEvent::Request { call, msg } => {
-                let name = String::from_utf8_lossy(&msg.data).to_string();
-                let idx = self.by_name.get(&name).copied();
-                let mut st = 0u64;
-                match (msg.mtype, idx) {
-                    (rsp::UP, Some(i)) => {
-                        self.services[i].admin_down = false;
-                        if self.services[i].state == SvcState::GivenUp {
-                            self.services[i].state = SvcState::Down;
-                            self.services[i].storm_level = 0;
-                            self.services[i].restart_times.clear();
-                        }
-                        self.start_service(ctx, i);
-                    }
-                    (rsp::RESTART, Some(i)) => {
-                        // User-initiated replacement, defect class 3. On a
-                        // given-up service this is the operator overriding
-                        // the storm ladder (e.g. after fixing the hardware
-                        // out of band), so the storm state resets too.
-                        if self.services[i].state == SvcState::Up {
-                            self.services[i].pending_reason = Some(reason::KILLED);
-                            self.kill_service(ctx, i, false);
-                        } else {
-                            if self.services[i].state == SvcState::GivenUp {
-                                self.services[i].state = SvcState::Down;
-                                self.services[i].storm_level = 0;
-                                self.services[i].restart_times.clear();
-                            }
-                            self.start_service(ctx, i);
-                        }
-                    }
-                    (rsp::UPDATE, Some(i)) => {
-                        // Dynamic update, defect class 6: ask nicely with
-                        // SIGTERM, escalate to SIGKILL if ignored (§6).
-                        if self.services[i].state == SvcState::Up {
-                            self.services[i].pending_reason = Some(reason::UPDATE);
-                            self.kill_service(ctx, i, true);
-                            let _ = ctx
-                                .set_alarm(SimDuration::from_millis(500), token(TOK_ESCALATE, i));
-                        } else {
-                            self.start_service(ctx, i);
-                        }
-                    }
-                    (rsp::DOWN, Some(i)) => {
-                        if self.services[i].state == SvcState::Up {
-                            self.services[i].admin_down = true;
-                            self.kill_service(ctx, i, false);
-                        } else {
-                            self.services[i].state = SvcState::GivenUp;
-                        }
-                    }
-                    (rsp::COMPLAIN, i) => {
-                        // Defect class 5: an authorized server reports a
-                        // protocol violation; RS arbitrates (§5.1).
-                        st = self.arbitrate_complaint(ctx, &msg, i, &name);
-                    }
-                    _ => st = 22, // EINVAL / unknown service
-                }
-                let _ = ctx.reply(call, Message::new(rsp::ACK).with_param(0, st));
-            }
-            // [recovery:begin]
-            ProcEvent::Alarm { token: t } => {
-                let (kind, seq, idx) =
-                    (t >> 32, ((t >> 16) & 0xFFFF) as u16, (t & 0xFFFF) as usize);
-                if kind == TOK_PM_RESTART {
-                    self.respawn_pm(ctx);
-                    return;
-                }
-                if idx >= self.services.len() {
-                    return;
-                }
-                match kind {
-                    TOK_HB => {
-                        let eff_period = self.effective_heartbeat(idx);
-                        let svc = &mut self.services[idx];
-                        if svc.state != SvcState::Up || svc.hb_epoch != seq {
-                            return; // heartbeat chain ends; restart rearms
-                        }
-                        if svc.hb_outstanding >= svc.cfg.heartbeat_misses {
-                            // Defect class 4: the process is stuck.
-                            svc.pending_reason = Some(reason::HEARTBEAT);
-                            let name = svc.cfg.program.clone();
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!("{name} missed {} heartbeats, killing", svc.hb_outstanding),
-                            );
-                            self.kill_service(ctx, idx, false);
-                            return;
-                        }
-                        svc.hb_nonce += 1;
-                        let nonce = svc.hb_nonce;
-                        svc.hb_outstanding += 1;
-                        let ep = svc.endpoint;
-                        // A config update can drop the heartbeat period
-                        // while an alarm is in flight; end the chain rather
-                        // than crash the recovery infrastructure itself.
-                        // The period itself is live: the next ping in the
-                        // chain honors the adapt controller's latest value.
-                        let Some(period) = eff_period else {
-                            svc.hb_outstanding = 0;
-                            return;
-                        };
-                        if let Some(ep) = ep {
-                            // Nonblocking status request (§5.1): a sick
-                            // driver can never hang RS.
-                            let _ = ctx.send(ep, Message::new(drv::HB_PING).with_param(0, nonce));
-                        }
-                        let _ = ctx.set_alarm(period, token_seq(TOK_HB, seq, idx));
-                    }
-                    TOK_RESTART if self.services[idx].state == SvcState::WaitRestart => {
-                        self.start_service(ctx, idx);
-                    }
-                    TOK_SPARE => {
-                        self.start_spare(ctx, idx);
-                    }
-                    TOK_ESCALATE if self.services[idx].state == SvcState::Up => {
-                        // SIGTERM was ignored; escalate to SIGKILL.
-                        self.kill_service(ctx, idx, false);
-                    }
-                    TOK_START_TIMEOUT => {
-                        // Only the alarm matching the current attempt may
-                        // declare it lost; alarms from completed or
-                        // superseded attempts are stale.
-                        let svc = &self.services[idx];
-                        let Some((call, attempt)) = svc.current_start else {
-                            return;
-                        };
-                        if attempt != seq || svc.state != SvcState::Starting {
-                            return;
-                        }
-                        if self.start_calls.remove(&call).is_some() {
-                            // The attempt is abandoned, not forgotten: a
-                            // late success reply means a ghost to reap.
-                            self.orphan_calls.insert(call, idx);
-                            self.services[idx].current_start = None;
-                            self.services[idx].state = SvcState::Down;
-                            ctx.metrics().incr("rs.start_timeouts");
-                            ctx.trace(
-                                TraceLevel::Warn,
-                                format!(
-                                    "start of {} timed out; retrying",
-                                    self.services[idx].cfg.program
-                                ),
-                            );
-                            self.start_service(ctx, idx);
-                        }
-                    }
-                    TOK_REPUBLISH => {
-                        let svc = &self.services[idx];
-                        let Some(pp) = svc.pending_publish else {
-                            return;
-                        };
-                        // Stale alarm from an earlier publish attempt, or
-                        // the service died meanwhile.
-                        if pp.attempts as u16 != seq
-                            || svc.state != SvcState::Up
-                            || svc.endpoint != Some(pp.ep)
-                        {
-                            return;
-                        }
-                        if pp.attempts >= MAX_PUBLISH_RETRIES {
-                            self.services[idx].pending_publish = None;
-                            ctx.metrics().incr("rs.publish_failed");
-                            ctx.metrics().incr("rs.alerts");
-                            ctx.trace(
-                                TraceLevel::Error,
-                                format!(
-                                    "ALERT: cannot verify publish of {} after {} attempts",
-                                    self.services[idx].cfg.publish_key, pp.attempts
-                                ),
-                            );
-                            return;
-                        }
-                        self.services[idx].pending_publish = Some(PendingPublish {
-                            ep: pp.ep,
-                            attempts: pp.attempts + 1,
-                        });
-                        ctx.metrics().incr("rs.publish_retries");
-                        ctx.trace(
-                            TraceLevel::Warn,
-                            format!(
-                                "re-publishing {} (attempt {})",
-                                self.services[idx].cfg.publish_key,
-                                pp.attempts + 1
-                            ),
-                        );
-                        self.publish(ctx, idx, pp.ep);
-                    }
-                    TOK_AUDIT => {
-                        // Liveness beacon for the fleet layer: a healthy
-                        // RS advances this counter every audit sweep, so
-                        // a per-node fleet agent gossiping the counter
-                        // can tell a dead or wedged RS (stalled beacon)
-                        // from a merely idle one.
-                        ctx.metrics().incr("rs.beacon");
-                        // Step the adapt controllers against the signal
-                        // windows before any sweep decision this cycle
-                        // reads the parameter table.
-                        self.run_adapt_controllers(ctx);
-                        // Keep the accusation history from leaking: drop
-                        // accusers whose whole window has expired.
-                        let now = ctx.now();
-                        let complaint_window = self.params.complaint_window;
-                        self.accuser_history.retain(|_, h| {
-                            h.back()
-                                .is_some_and(|&(_, t)| now.since(t) <= complaint_window)
-                        });
-                        // Recursive guard: audit PM itself first — every
-                        // other recovery depends on it, and no one else
-                        // reports its death (its own forwarding is gone).
-                        if self.pm_program.is_some() && !self.pm_restarting {
-                            if !ctx.proc_alive(self.pm) {
-                                self.recover_pm(ctx, reason::EXIT, true);
-                            } else if self.kernel_guards && ctx.request_stalled(self.pm, STALL_AGE)
-                            {
-                                ctx.metrics().incr(&format!(
-                                    "rs.complaints.evidence.{}",
-                                    evidence::name(evidence::PROGRESS)
-                                ));
-                                self.recover_pm(ctx, reason::HEARTBEAT, false);
-                            } else if self.pm_pong_outstanding >= 3 {
-                                // Three audits without a pong: PM is
-                                // alive per the kernel but swallowing (or
-                                // garbling) everything it is sent.
-                                self.pm_pong_outstanding = 0;
-                                ctx.metrics().incr("rs.pm_pings_missed");
-                                self.recover_pm(ctx, reason::HEARTBEAT, false);
-                            } else {
-                                self.pm_pong_outstanding += 1;
-                                let _ = ctx.send(self.pm, Message::new(drv::HB_PING));
-                            }
-                        }
-                        // Sweep for lost exit notifications: a guarded
-                        // endpoint the kernel no longer knows is a defect
-                        // whose SIGCHLD never made it.
-                        for i in 0..self.services.len() {
-                            let svc = &self.services[i];
-                            if svc.state != SvcState::Up {
-                                continue;
-                            }
-                            let Some(ep) = svc.endpoint else { continue };
-                            if !ctx.proc_alive(ep) {
-                                ctx.metrics().incr("rs.audit_reaped");
-                                ctx.metrics().incr("rs.lost_sigchld");
-                                ctx.trace(
-                                    TraceLevel::Warn,
-                                    format!(
-                                        "audit: {} ({ep}) is gone but no exit report arrived",
-                                        svc.cfg.program
-                                    ),
-                                );
-                                let defect = self.services[i]
-                                    .pending_reason
-                                    .take()
-                                    .unwrap_or(reason::KILLED);
-                                self.handle_defect(ctx, i, defect);
-                                continue;
-                            }
-                            // Hot-standby upkeep: reap a silently-dead
-                            // spare and refill an empty slot (covers lost
-                            // spare SIGCHLDs and spawn retries).
-                            if self.services[i].cfg.hot_standby {
-                                if let Some(sep) = self.services[i].spare {
-                                    if !ctx.proc_alive(sep) {
-                                        self.services[i].spare = None;
-                                        ctx.metrics().incr("rs.standby.spare_deaths");
-                                        self.start_spare(ctx, i);
-                                    }
-                                } else {
-                                    self.start_spare(ctx, i);
-                                }
-                            }
-                            // Kernel guard evidence (high confidence): the
-                            // IPC layer flagged the endpoint as babbling,
-                            // or it is sitting on requests far past the
-                            // stall threshold. Polled for heartbeat-guarded
-                            // services (drivers) and for server-class
-                            // components, whose stalls would otherwise be
-                            // invisible — a wedged server swallows requests
-                            // without ever crashing. STALL_AGE exceeds the
-                            // servers' own driver deadlines, so a server
-                            // legitimately waiting out a driver recovery is
-                            // not mistaken for a stall.
-                            if !self.kernel_guards {
-                                continue;
-                            }
-                            if self.services[i].cfg.heartbeat_period.is_none()
-                                && !self.services[i].cfg.server
-                            {
-                                continue;
-                            }
-                            let program = self.services[i].cfg.program.clone();
-                            if ctx.babble_flagged(ep) {
-                                ctx.metrics().incr(&format!(
-                                    "rs.complaints.evidence.{}",
-                                    evidence::name(evidence::BABBLE)
-                                ));
-                                ctx.metrics().incr("rs.complaints.accepted");
-                                self.restart_on_complaint(
-                                    ctx,
-                                    i,
-                                    format!("babble guard flagged {program}; restarting"),
-                                );
-                            } else if ctx.request_stalled(ep, STALL_AGE)
-                                && (!self.services[i].cfg.server || !self.recovery_in_flight(now))
-                            {
-                                ctx.metrics().incr(&format!(
-                                    "rs.complaints.evidence.{}",
-                                    evidence::name(evidence::PROGRESS)
-                                ));
-                                ctx.metrics().incr("rs.complaints.accepted");
-                                self.restart_on_complaint(
-                                    ctx,
-                                    i,
-                                    format!(
-                                        "{program} sits on requests older than {STALL_AGE} \
-                                         without crashing; restarting"
-                                    ),
-                                );
-                            }
-                        }
-                        let _ = ctx.set_alarm(AUDIT_PERIOD, token(TOK_AUDIT, 0));
-                    }
-                    _ => {}
-                }
-            }
+            ProcEvent::Message(msg) => self.on_message(ctx, &msg),
+            ProcEvent::Request { call, msg } => self.on_request(ctx, call, &msg),
+            ProcEvent::Alarm { token } => self.on_alarm(ctx, token),
             _ => {}
         }
     }
 }
-// [recovery:end]
