@@ -310,6 +310,9 @@ pub struct FnItem {
     pub name: String,
     /// Enclosing `impl` type name, if any (`Ctx`, `ReincarnationServer`).
     pub impl_type: Option<String>,
+    /// Type parameters in scope: the enclosing impl's plus the fn's own
+    /// (`impl<V: Volume> ..` → `V`). A `V::f(..)` call names no type.
+    pub type_params: Vec<String>,
     /// Enclosing inline `mod` path segments (not the file's own module).
     pub mod_path: Vec<String>,
     /// 1-based line of the `fn` keyword.
@@ -403,9 +406,37 @@ fn scan_lines(source: &str) -> LineNotes {
 /// Scope kinds tracked while walking the token stream.
 #[derive(Clone, Debug, PartialEq)]
 enum Scope {
-    Mod(String, bool),  // name, cfg_test
-    Impl(String, bool), // type name, cfg_test
-    Other(bool),        // any other brace (fn body handled separately)
+    Mod(String, bool),               // name, cfg_test
+    Impl(String, Vec<String>, bool), // type name, type params, cfg_test
+    Other(bool),                     // any other brace (fn body handled separately)
+}
+
+/// Type-parameter names of the generics list opening at `tokens[at]`
+/// (`<V: Volume, const N: usize>` → `V`); empty if none opens there.
+/// Lifetimes never reach the token stream.
+fn type_params(tokens: &[Token], at: usize) -> Vec<String> {
+    let mut out = Vec::new();
+    if tokens.get(at).map(|t| &t.kind) != Some(&TokenKind::Punct('<')) {
+        return out;
+    }
+    let mut depth = 0i32;
+    for (prev, tok) in tokens[at..].iter().zip(&tokens[at + 1..]) {
+        match &prev.kind {
+            TokenKind::Punct('<') => depth += 1,
+            TokenKind::Punct('>') => depth -= 1,
+            _ => {}
+        }
+        if depth <= 0 {
+            break;
+        }
+        let opens_param = matches!(prev.kind, TokenKind::Punct('<') | TokenKind::Punct(','));
+        if let (1, true, Some(name)) = (depth, opens_param, tok.kind.ident()) {
+            if name != "const" {
+                out.push(name.to_string());
+            }
+        }
+    }
+    out
 }
 
 /// Parses one file into its item-level AST.
@@ -541,7 +572,8 @@ pub fn parse_file(source: &str) -> FileAst {
                 }
                 let ty = if saw_for { after_for_ident } else { last_ident };
                 if j < tokens.len() && tokens[j].kind == TokenKind::Open('{') {
-                    stack.push(Scope::Impl(ty, pending_cfg_test));
+                    let params = type_params(&tokens, i + 1);
+                    stack.push(Scope::Impl(ty, params, pending_cfg_test));
                     i = j + 1;
                 } else {
                     i = j + 1;
@@ -595,13 +627,18 @@ pub fn parse_file(source: &str) -> FileAst {
                 let enclosing_test = stack.iter().any(|s| {
                     matches!(
                         s,
-                        Scope::Mod(_, true) | Scope::Impl(_, true) | Scope::Other(true)
+                        Scope::Mod(_, true) | Scope::Impl(_, _, true) | Scope::Other(true)
                     )
                 });
-                let impl_type = stack.iter().rev().find_map(|s| match s {
-                    Scope::Impl(t, _) => Some(t.clone()),
+                let enclosing_impl = stack.iter().rev().find_map(|s| match s {
+                    Scope::Impl(t, params, _) => Some((t.clone(), params.clone())),
                     _ => None,
                 });
+                let (impl_type, mut in_scope) = match enclosing_impl {
+                    Some((ty, params)) => (Some(ty), params),
+                    None => (None, Vec::new()),
+                };
+                in_scope.extend(type_params(&tokens, i + 2));
                 let mod_path: Vec<String> = stack
                     .iter()
                     .filter_map(|s| match s {
@@ -613,6 +650,7 @@ pub fn parse_file(source: &str) -> FileAst {
                     fns.push(FnItem {
                         name,
                         impl_type,
+                        type_params: in_scope,
                         mod_path,
                         line,
                         body,
@@ -646,7 +684,7 @@ pub fn parse_file(source: &str) -> FileAst {
                 let enclosing_test = stack.iter().any(|s| {
                     matches!(
                         s,
-                        Scope::Mod(_, true) | Scope::Impl(_, true) | Scope::Other(true)
+                        Scope::Mod(_, true) | Scope::Impl(_, _, true) | Scope::Other(true)
                     )
                 });
                 if !name.is_empty() && !ty.is_empty() && !enclosing_test && !pending_cfg_test {

@@ -105,7 +105,6 @@ pub fn default_rules() -> Vec<Rule> {
                 "crates/servers/src/vfs.rs",
                 "crates/servers/src/inet.rs",
                 "crates/servers/src/mfs.rs",
-                "crates/servers/src/fatfs.rs",
                 "crates/servers/src/peer.rs",
                 "crates/servers/src/pm.rs",
                 "crates/simcore/src/obs.rs",
@@ -132,6 +131,17 @@ pub fn default_rules() -> Vec<Rule> {
                         call in the decide file puts the event loop back between the rules and \
                         the tests, explorer and checkpoint that drive them as data; report the \
                         decision from the shell in rs.rs",
+        },
+        Rule {
+            name: "format-purity",
+            patterns: &["Ctx<", "phoenix_kernel::system", ".metrics()", "sendrec"],
+            only_in: &["crates/servers/src/fsfmt.rs", "crates/servers/src/fsfat.rs"],
+            exempt: &[],
+            rationale: "an on-disk format knows sectors and bytes, nothing about drivers: a \
+                        kernel context, a metric or an IPC call in a format file is driver \
+                        handling growing a second copy outside the one file server engine \
+                        (mfs.rs), where the deadlines, sentinels and complaints would not \
+                        follow it; return the value and let the engine act on it",
         },
     ]
 }

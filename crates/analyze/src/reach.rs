@@ -18,6 +18,9 @@
 //! - `Type::method(..)` — if `Type` is a workspace type (an `impl`
 //!   block exists), edge to every `method` in impls of that type;
 //!   `Self::method(..)` resolves against the caller's own impl type.
+//!   If `Type` is a type parameter in scope (`V::decode(..)` inside
+//!   `impl<V: Volume>`), the implementor is unknown: edge to every
+//!   workspace impl method of that name, as for `.method(..)`.
 //!   Unknown qualifiers (std, external) contribute no edge.
 //! - `module::func(..)` — if the qualifier names a workspace file stem
 //!   or inline module, edge to free functions of that name there.
@@ -118,6 +121,7 @@ struct FnNode {
     krate: String,
     name: String,
     impl_type: Option<String>,
+    type_params: Vec<String>,
     line: usize,
     root: bool,
     calls: Vec<Callee>,
@@ -359,6 +363,7 @@ pub fn analyze(files: &[Input], closure: &BTreeMap<String, BTreeSet<String>>) ->
                 krate: krate.clone(),
                 name: f.name.clone(),
                 impl_type: f.impl_type.clone(),
+                type_params: f.type_params.clone(),
                 line: f.line,
                 root: f.recovery_root,
                 calls,
@@ -422,7 +427,12 @@ pub fn analyze(files: &[Input], closure: &BTreeMap<String, BTreeSet<String>>) ->
                     } else {
                         ty.clone()
                     };
-                    if let Some(c) = by_type_method.get(&(ty, m.clone())) {
+                    let callees = if nodes[i].type_params.contains(&ty) {
+                        by_method.get(m)
+                    } else {
+                        by_type_method.get(&(ty, m.clone()))
+                    };
+                    if let Some(c) = callees {
                         out.extend(c.iter().copied().filter(|&j| visible(i, j)));
                     }
                 }

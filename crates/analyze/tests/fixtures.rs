@@ -275,6 +275,69 @@ fn generic_shell_root_reaches_trait_impl_dispatch() {
     assert_eq!(green.reachable, 0);
 }
 
+// The file-server shape: generic code reaches the implementor through
+// its type parameter, not through a value — `V::decode(..)` names no
+// workspace type, and only the parameter list says `V` is one of ours.
+const REACH_TYPE_PARAM_RED: &str = r#"
+trait Volume {
+    fn decode(x: Option<u32>) -> Self;
+}
+struct Engine<V> {
+    volume: V,
+}
+impl<'a, V: Volume, const N: usize> Engine<V> {
+    // analyze:recovery-root
+    fn apply(&mut self, x: Option<u32>) {
+        self.volume = V::decode(x);
+        let _ = N::decode(x);
+        rebuild::<V>(x);
+    }
+}
+fn rebuild<T: Volume>(x: Option<u32>) {
+    let _ = T::decode(x);
+}
+struct Fat;
+impl Volume for Fat {
+    fn decode(x: Option<u32>) -> Self {
+        let _ = x.unwrap();
+        Fat
+    }
+}
+"#;
+
+#[test]
+fn calls_through_a_type_parameter_reach_every_implementor() {
+    let red = reach::analyze(
+        &[reach_input(
+            "crates/x/src/engine.rs",
+            "x",
+            REACH_TYPE_PARAM_RED,
+        )],
+        &no_closure(),
+    );
+    assert_eq!(red.findings.len(), 1, "findings: {:?}", red.findings);
+    let f = &red.findings[0];
+    assert_eq!(f.path.len(), 2, "apply -> decode, got {:?}", f.path);
+    assert!(f.in_fn.ends_with("decode"));
+    assert_eq!(red.reachable, 3, "apply, rebuild, Fat::decode");
+
+    // A fn's own parameter counts like the impl's; a const parameter or
+    // an unknown qualifier (`N::`, `Vec::`) still contributes no edge.
+    let only_fn = REACH_TYPE_PARAM_RED.replace("self.volume = V::decode(x);", "");
+    let out = reach::analyze(
+        &[reach_input("crates/x/src/engine.rs", "x", &only_fn)],
+        &no_closure(),
+    );
+    assert_eq!(out.findings.len(), 1);
+    assert_eq!(out.findings[0].path.len(), 3, "apply -> rebuild -> decode");
+    let neither = only_fn.replace("let _ = T::decode(x);", "");
+    let out = reach::analyze(
+        &[reach_input("crates/x/src/engine.rs", "x", &neither)],
+        &no_closure(),
+    );
+    assert!(out.findings.is_empty(), "findings: {:?}", out.findings);
+}
+
 const REACH_SUPPRESSED: &str = r#"
 // analyze:recovery-root
 fn on_event(x: Option<u32>) {

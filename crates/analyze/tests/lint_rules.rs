@@ -119,6 +119,22 @@ fn rs_decide_file_must_stay_pure() {
 }
 
 #[test]
+fn format_files_know_nothing_about_drivers() {
+    for src in [
+        "fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {}\n",
+        "use phoenix_kernel::system::Ctx;\n",
+        "ctx.metrics().incr(\"fat.mount_restored\");\n",
+        "let call = ctx.sendrec(driver, Message::new(bdev::READ));\n",
+    ] {
+        for format in ["crates/servers/src/fsfmt.rs", "crates/servers/src/fsfat.rs"] {
+            assert_eq!(rules_hit(format, src), ["format-purity"], "{src}");
+        }
+        // The engine is where the driver is handled.
+        assert!(run("crates/servers/src/mfs.rs", src).is_empty());
+    }
+}
+
+#[test]
 fn same_line_pragma_suppresses() {
     let src = "use std::collections::HashMap; // analyze:allow(hash-collection): ffi table\n";
     assert!(run("crates/kernel/src/x.rs", src).is_empty());

@@ -134,7 +134,12 @@ pub fn fig9_components() -> Vec<Component> {
         },
         Component {
             name: "File Server",
-            paths: vec!["crates/servers/src/mfs.rs", "crates/servers/src/fsfmt.rs"],
+            // One server, two on-disk formats (Fig. 5's MFS and FAT).
+            paths: vec![
+                "crates/servers/src/mfs.rs",
+                "crates/servers/src/fsfmt.rs",
+                "crates/servers/src/fsfat.rs",
+            ],
         },
         Component {
             name: "SATA Driver",

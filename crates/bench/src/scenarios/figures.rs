@@ -197,7 +197,9 @@ pub fn fig9(r: &mut Report) {
     r.table(&["component", "total LoC", "recovery LoC", "%"], &rows);
     r.line("\nnotes: 'RAM Disk' shares crates/drivers/src/block.rs with the SATA driver;");
     r.line("       'DP8390 Driver' shares crates/drivers/src/net.rs with the RTL8139;");
-    r.line("       'Server Library' is the crash-only shell VFS/MFS/INET/PM run inside plus");
+    r.line("       'File Server' is one engine (mfs.rs) and the two formats it serves, the");
+    r.line("       native one and FAT16 (Fig. 5's MFS and FAT are both this server);");
+    r.line("       'Server Library' is the crash-only shell VFS/MFS/FAT/INET/PM run inside plus");
     r.line("       the checkpoint gate it shares with the char drivers.");
     r.line("paper: RS 30%, DS 15%, VFS 5%, FS <1%, drivers ~5 lines each, PM/kernel 0%.");
 }

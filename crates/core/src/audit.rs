@@ -19,7 +19,6 @@ use std::rc::Rc;
 use phoenix_fault::chaos::ChaosPlan;
 use phoenix_kernel::authority::{audit, AuthorityUsage, PolaFinding};
 use phoenix_kernel::privileges::Privileges;
-use phoenix_servers::fsfat::{FatContent, FatFileSpec};
 use phoenix_servers::fsfmt::{FileContent, FileSpec};
 use phoenix_simcore::time::SimDuration;
 
@@ -79,7 +78,7 @@ pub fn run_authority_workload(
     let disk_seed = seed ^ 0x5eed;
     let fat_seed = seed ^ 0xfa7;
     let mfs_size = 900_000u64;
-    let fat_size = 300_000u32;
+    let fat_size = 300_000u64;
     let net_size = 400_000u64;
     let content_seed = seed.wrapping_mul(3) | 1;
 
@@ -95,11 +94,11 @@ pub fn run_authority_workload(
             }],
         )
         .with_fat_disk(
-            u64::from(fat_size) / 512 + 1024,
+            fat_size / 512 + 1024,
             fat_seed,
-            vec![FatFileSpec {
+            vec![FileSpec {
                 name: "big.bin".to_string(),
-                content: FatContent::Synthetic { size: fat_size },
+                content: FileContent::Synthetic { size: fat_size },
             }],
         )
         .with_chardevs()
@@ -157,16 +156,18 @@ pub fn run_authority_workload(
         os.type_input(ms(20 * (i as u64 + 1)), chunk.to_vec());
     }
 
-    // Phase 2: driver defects mid-work. The SATA driver is wedged in a
-    // loop right away, so the first dd chunk drives it into the loop and
-    // MFS's per-chunk deadline expires and files a complaint with RS
-    // (§5.1 defect class 5) — exercising the file server's declared rs
-    // IPC grant. The printer driver gets its checksum computation
-    // garbled (a fail-silent defect): VFS's protocol sentinel spots the
-    // bad echoes and complains until the quorum restarts it — the path
-    // behind VFS's declared rs IPC grant. The ethernet driver is killed
-    // outright mid-transfer (exit-report recovery).
+    // Phase 2: driver defects mid-work. Both SATA drivers are wedged in
+    // a loop right away, so the first dd chunk drives each into the loop
+    // and its file server's per-chunk deadline expires and files a
+    // complaint with RS (§5.1 defect class 5) — exercising the rs IPC and
+    // alarm grants MFS and FAT declare. The printer driver gets its
+    // checksum computation garbled (a fail-silent defect): VFS's protocol
+    // sentinel spots the bad echoes and complains until the quorum
+    // restarts it — the path behind VFS's declared rs IPC grant. The
+    // ethernet driver is killed outright mid-transfer (exit-report
+    // recovery).
     assert!(os.wedge_driver_in_loop(names::BLK_SATA), "sata wedge");
+    assert!(os.wedge_driver_in_loop(names::BLK_SATA2), "sata2 wedge");
     assert!(
         os.garble_driver_checksum(names::CHR_PRINTER),
         "printer garble"
@@ -184,8 +185,8 @@ pub fn run_authority_workload(
             && udp.borrow().done
     });
     assert!(
-        os.metrics().counter("rs.recoveries") >= 3,
-        "eth, printer and wedged sata all recovered (rs.recoveries={}, heartbeat={}, exit={}, complaint={})",
+        os.metrics().counter("rs.recoveries") >= 4,
+        "eth, printer and both wedged sata drivers recovered (rs.recoveries={}, heartbeat={}, exit={}, complaint={})",
         os.metrics().counter("rs.recoveries"),
         os.metrics().counter("rs.defect.heartbeat"),
         os.metrics().counter("rs.defect.exit"),
@@ -194,6 +195,10 @@ pub fn run_authority_workload(
     assert!(
         os.metrics().counter("mfs.complaints") >= 1 || os.trace().find("complain").is_some(),
         "the wedge forced a deadline complaint"
+    );
+    assert!(
+        os.metrics().counter("fat.complaints") >= 1,
+        "the second wedge forced FAT's deadline complaint"
     );
     assert!(
         os.metrics().counter("vfs.complaints") >= 1,

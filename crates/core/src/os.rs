@@ -30,7 +30,8 @@ use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{Process, ProgramFactory};
 use phoenix_kernel::system::{System, SystemConfig};
 use phoenix_kernel::types::{DeviceId, Endpoint, Signal};
-use phoenix_servers::fsfmt::{self, FileSpec};
+use phoenix_servers::fsfat::{self, Fat16};
+use phoenix_servers::fsfmt::{self, FileSpec, Minix};
 use phoenix_servers::peer::{FilePeer, PeerConfig};
 use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
@@ -152,7 +153,7 @@ pub struct OsBuilder {
     seed: u64,
     nic: Option<(NicKind, Rtl8139Config, Dp8390Config, WireConfig, PeerConfig)>,
     disk: Option<(u64, u64, Vec<FileSpec>)>,
-    fat_disk: Option<(u64, u64, Vec<phoenix_servers::fsfat::FatFileSpec>)>,
+    fat_disk: Option<(u64, u64, Vec<FileSpec>)>,
     floppy: bool,
     chardevs: bool,
     checkpointing: bool,
@@ -236,12 +237,7 @@ impl OsBuilder {
     /// Adds a second disk formatted as FAT16, served by the FAT file
     /// server at the `/fat/` mount (Fig. 5 shows MFS and FAT side by
     /// side, each over its own recoverable block driver).
-    pub fn with_fat_disk(
-        mut self,
-        sectors: u64,
-        disk_seed: u64,
-        files: Vec<phoenix_servers::fsfat::FatFileSpec>,
-    ) -> Self {
+    pub fn with_fat_disk(mut self, sectors: u64, disk_seed: u64, files: Vec<FileSpec>) -> Self {
         self.fat_disk = Some((sectors, disk_seed, files));
         self
     }
@@ -519,7 +515,7 @@ impl Os {
         }
         if let Some((sectors, dseed, files)) = &cfg.fat_disk {
             let mut disk = DiskDevice::sata(*sectors, *dseed);
-            phoenix_servers::fsfat::mkfs_fat(disk.model_mut(), files);
+            fsfat::mkfs_fat(disk.model_mut(), files);
             bus.add_device(hwmap::SATA2, hwmap::SATA2_IRQ, Box::new(disk));
         }
         if cfg.floppy {
@@ -668,6 +664,7 @@ impl Os {
 
         let complainants = vec![
             names::MFS.to_string(),
+            names::FAT.to_string(),
             names::VFS.to_string(),
             names::INET.to_string(),
         ];
@@ -767,12 +764,16 @@ impl Os {
             );
         }
         if cfg.fat_disk.is_some() {
+            let plane = crash_only.clone();
             sys.register_program(
                 names::FAT,
                 Privileges::server()
-                    .with_ipc(IpcFilter::named(["ds", names::BLK_SATA2]))
-                    .with_calls([KernelCall::SetGrant]),
-                Box::new(move || Box::new(phoenix_servers::FatServer::new(ds, names::BLK_SATA2))),
+                    .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA2]))
+                    .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
+                Box::new(move || {
+                    let fat = FileServer::<Fat16>::new(rs, names::BLK_SATA2);
+                    Box::new(Server::new(fat, ds, plane.as_ref()))
+                }),
             );
             let fp2 = fp.clone();
             sys.register_program(
@@ -795,7 +796,7 @@ impl Os {
                     .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA]))
                     .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
                 Box::new(move || {
-                    let mfs = FileServer::new(rs, names::BLK_SATA);
+                    let mfs = FileServer::<Minix>::new(rs, names::BLK_SATA);
                     Box::new(Server::new(mfs, ds, plane.as_ref()))
                 }),
             );

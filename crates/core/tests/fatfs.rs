@@ -1,41 +1,44 @@
-//! The second file server of Fig. 5: FAT16 over its own disk + driver,
-//! with the same transparent recovery contract as MFS.
+//! The second file server of Fig. 5: the same engine as MFS over a FAT16
+//! volume on its own disk + driver, with the same transparent recovery
+//! contract.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use phoenix::apps::{Dd, DdStatus};
 use phoenix::os::{names, Os};
+use phoenix_fault::chaos::ChaosPlan;
 use phoenix_hw::disk::DiskModel;
-use phoenix_servers::fsfat::{expected_sha1_fat, mkfs_fat, FatContent, FatFileSpec};
+use phoenix_servers::fsfat::mkfs_fat;
+use phoenix_servers::fsfmt::{expected_sha1, FileContent, FileSpec};
 use phoenix_simcore::time::SimDuration;
 
 fn ms(n: u64) -> SimDuration {
     SimDuration::from_millis(n)
 }
 
-fn fat_files(size: u32) -> Vec<FatFileSpec> {
+fn fat_files(size: u64) -> Vec<FileSpec> {
     vec![
-        FatFileSpec {
+        FileSpec {
             name: "hello.txt".to_string(),
-            content: FatContent::Bytes(b"hello from fat".to_vec()),
+            content: FileContent::Bytes(b"hello from fat".to_vec()),
         },
-        FatFileSpec {
+        FileSpec {
             name: "big.bin".to_string(),
-            content: FatContent::Synthetic { size },
+            content: FileContent::Synthetic { size },
         },
     ]
 }
 
-fn expected_big_sha1(sectors: u64, seed: u64, size: u32) -> String {
+fn expected_big_sha1(sectors: u64, seed: u64, size: u64) -> String {
     let mut scratch = DiskModel::new(sectors, seed);
-    let (bpb, dirents) = mkfs_fat(&mut scratch, &fat_files(size));
-    expected_sha1_fat(seed, &bpb, &dirents[1])
+    let files = mkfs_fat(&mut scratch, &fat_files(size));
+    expected_sha1(seed, &files[1])
 }
 
 #[test]
 fn fat_mount_serves_files() {
-    let (sectors, seed, size) = (16_384u64, 71u64, 2_000_000u32);
+    let (sectors, seed, size) = (16_384u64, 71u64, 2_000_000u64);
     let mut os = Os::builder()
         .seed(70)
         .with_fat_disk(sectors, seed, fat_files(size))
@@ -66,7 +69,7 @@ fn fat_mount_serves_files() {
 fn fat_driver_recovery_is_transparent_like_mfs() {
     // Fig. 5's claim, for the second file server: kill the FAT volume's
     // driver mid-read; the FAT server parks + reissues; data is intact.
-    let (sectors, seed, size) = (32_768u64, 72u64, 6_000_000u32);
+    let (sectors, seed, size) = (32_768u64, 72u64, 6_000_000u64);
     let mut os = Os::builder()
         .seed(71)
         .with_fat_disk(sectors, seed, fat_files(size))
@@ -109,7 +112,7 @@ fn both_file_servers_ride_out_simultaneous_driver_kills() {
     // recover independently (Fig. 5, both arrows at once).
     let mfs_size = 2_000_000u64;
     let mfs_sectors = mfs_size / 512 + 1024;
-    let (fat_sectors, fat_seed, fat_size) = (16_384u64, 73u64, 2_000_000u32);
+    let (fat_sectors, fat_seed, fat_size) = (16_384u64, 73u64, 2_000_000u64);
     let mut os = Os::builder()
         .seed(72)
         .with_disk(mfs_sectors, 55, phoenix::experiments::fig8_files(mfs_size))
@@ -145,6 +148,50 @@ fn both_file_servers_ride_out_simultaneous_driver_kills() {
         Some(expected_big_sha1(fat_sectors, fat_seed, fat_size).as_str())
     );
     assert_eq!(os.metrics().counter("rs.recoveries"), 2);
+}
+
+#[test]
+fn neither_file_server_wedges_silently_under_driver_chaos() {
+    // The same 2 MB read through both mounts while the fabric drops,
+    // delays, duplicates and corrupts driver traffic. Chaos may cost a
+    // recovery-unaware `dd` an error, but a read that neither finishes
+    // nor fails must have been reported to RS: a lost driver reply has to
+    // end in a deadline complaint, never in a server waiting forever.
+    let size = 2_000_000u64;
+    let mfs_sectors = size / 512 + 1024;
+    for seed in 1..=10u64 {
+        let mut os = Os::builder()
+            .seed(seed)
+            .with_disk(mfs_sectors, 55, phoenix::experiments::fig8_files(size))
+            .with_fat_disk(16_384, 73, fat_files(size))
+            .boot();
+        os.set_chaos(Box::new(ChaosPlan::driver_traffic(0.3)));
+        let vfs = os.endpoint(names::VFS).unwrap();
+        let mounts = [
+            ("bigfile", "mfs.complaints"),
+            ("/fat/big.bin", "fat.complaints"),
+        ];
+        let reads = mounts.map(|(path, complaints)| {
+            let status = Rc::new(RefCell::new(DdStatus::default()));
+            let dd = Dd::new(vfs, path, 64 * 1024, status.clone());
+            os.spawn_app(&format!("dd:{path}"), Box::new(dd));
+            (path, complaints, status)
+        });
+        let mut guard = 0;
+        while reads.iter().any(|(_, _, st)| !st.borrow().done) && guard < 1200 {
+            os.run_for(ms(100));
+            guard += 1;
+        }
+        for (path, complaints, status) in &reads {
+            let st = status.borrow();
+            let silent = !st.done && st.errors == 0 && os.metrics().counter(complaints) == 0;
+            assert!(
+                !silent,
+                "seed {seed}: {path} wedged silently at {} bytes",
+                st.bytes
+            );
+        }
+    }
 }
 
 #[test]

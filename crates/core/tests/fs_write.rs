@@ -22,11 +22,19 @@ fn ms(n: u64) -> SimDuration {
 /// Writes a sector-aligned pattern, then reads it back.
 struct WriteRead {
     vfs: Endpoint,
+    path: &'static str,
     ino: Option<u64>,
     pattern: Vec<u8>,
     offset: u64,
     stage: u8,
     ok: Rc<RefCell<Option<bool>>>,
+}
+
+impl WriteRead {
+    /// The mount a data request is routed to (as `phoenix::apps::Dd`).
+    fn fs_id(&self) -> u64 {
+        u64::from(self.path.starts_with("/fat/"))
+    }
 }
 
 impl Process for WriteRead {
@@ -35,7 +43,7 @@ impl Process for WriteRead {
             ProcEvent::Start => {
                 let _ = ctx.sendrec(
                     self.vfs,
-                    Message::new(fs::OPEN).with_data(b"bigfile".to_vec()),
+                    Message::new(fs::OPEN).with_data(self.path.as_bytes().to_vec()),
                 );
             }
             ProcEvent::Reply {
@@ -50,6 +58,7 @@ impl Process for WriteRead {
                         Message::new(fs::WRITE)
                             .with_param(0, self.ino.unwrap())
                             .with_param(1, self.offset)
+                            .with_param(7, self.fs_id())
                             .with_data(self.pattern.clone()),
                     );
                 }
@@ -62,7 +71,8 @@ impl Process for WriteRead {
                         Message::new(fs::READ)
                             .with_param(0, self.ino.unwrap())
                             .with_param(1, self.offset)
-                            .with_param(2, self.pattern.len() as u64),
+                            .with_param(2, self.pattern.len() as u64)
+                            .with_param(7, self.fs_id()),
                     );
                 }
                 2 => {
@@ -82,27 +92,33 @@ impl Process for WriteRead {
 
 #[test]
 fn write_then_read_back_roundtrips() {
+    // The engine's in-place write is format-agnostic: the same round
+    // trip through the root mount and through `/fat/`.
     let file_size = 1_000_000u64;
     let sectors = file_size / 512 + 1024;
-    let mut os = Os::builder()
-        .seed(61)
-        .with_disk(sectors, 9, fig8_files(file_size))
-        .boot();
-    let vfs = os.endpoint(names::VFS).unwrap();
-    let ok = Rc::new(RefCell::new(None));
-    os.spawn_app(
-        "wr",
-        Box::new(WriteRead {
-            vfs,
-            ino: None,
-            pattern: vec![0xC3; 4 * SECTOR],
-            offset: 10 * SECTOR as u64,
-            stage: 0,
-            ok: ok.clone(),
-        }),
-    );
-    os.run_for(SimDuration::from_secs(2));
-    assert_eq!(*ok.borrow(), Some(true));
+    for path in ["bigfile", "/fat/bigfile"] {
+        let mut os = Os::builder()
+            .seed(61)
+            .with_disk(sectors, 9, fig8_files(file_size))
+            .with_fat_disk(8192, 10, fig8_files(file_size))
+            .boot();
+        let vfs = os.endpoint(names::VFS).unwrap();
+        let ok = Rc::new(RefCell::new(None));
+        os.spawn_app(
+            "wr",
+            Box::new(WriteRead {
+                vfs,
+                path,
+                ino: None,
+                pattern: vec![0xC3; 4 * SECTOR],
+                offset: 10 * SECTOR as u64,
+                stage: 0,
+                ok: ok.clone(),
+            }),
+        );
+        os.run_for(SimDuration::from_secs(2));
+        assert_eq!(*ok.borrow(), Some(true), "{path}");
+    }
 }
 
 #[test]

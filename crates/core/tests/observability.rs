@@ -50,45 +50,60 @@ fn assert_causal_order(os: &Os, ep: &Episode, dependent: &str) {
 
 #[test]
 fn block_recovery_episode_is_complete_and_causally_ordered() {
-    // Kill the SATA driver mid-read: the episode must reconstruct with
-    // all three phases, and the rid-filtered trace must show the DS
-    // publish *before* MFS reissues the pending I/O (§5.3, §6.2).
+    // Kill a SATA driver mid-read: the episode must reconstruct with all
+    // three phases, and the rid-filtered trace must show the DS publish
+    // *before* the file server reissues the pending I/O (§5.3, §6.2) —
+    // for either file server, since the engine does the tagging.
     let file_size = 4_000_000u64;
     let sectors = file_size / 512 + 1024;
-    let files = vec![FileSpec {
-        name: "bigfile".to_string(),
-        content: FileContent::Synthetic { size: file_size },
-    }];
-    let mut os = Os::builder().seed(9).with_disk(sectors, 77, files).boot();
-    let vfs = os.endpoint(names::VFS).unwrap();
-    let status = Rc::new(RefCell::new(DdStatus::default()));
-    os.spawn_app(
-        "dd",
-        Box::new(Dd::new(vfs, "bigfile", 64 * 1024, status.clone())),
-    );
-    os.run_for(ms(100));
-    assert!(os.kill_by_user(names::BLK_SATA));
-    os.run_for(ms(900));
-    assert!(os.kill_by_user(names::BLK_SATA));
-    let mut guard = 0;
-    while !status.borrow().done && guard < 600 {
+    let files = |name: &str| {
+        vec![FileSpec {
+            name: name.to_string(),
+            content: FileContent::Synthetic { size: file_size },
+        }]
+    };
+    for (driver, dependent, path, reissues) in [
+        (names::BLK_SATA, names::MFS, "bigfile", "mfs.reissues"),
+        (names::BLK_SATA2, names::FAT, "/fat/big.bin", "fat.reissues"),
+    ] {
+        let mut os = Os::builder()
+            .seed(9)
+            .with_disk(sectors, 77, files("bigfile"))
+            .with_fat_disk(16_384, 78, files("big.bin"))
+            .boot();
+        let vfs = os.endpoint(names::VFS).unwrap();
+        let status = Rc::new(RefCell::new(DdStatus::default()));
+        os.spawn_app(
+            "dd",
+            Box::new(Dd::new(vfs, path, 64 * 1024, status.clone())),
+        );
         os.run_for(ms(100));
-        guard += 1;
-    }
-    assert!(status.borrow().done);
-    assert!(os.metrics().counter("mfs.reissues") >= 1);
+        assert!(os.kill_by_user(driver));
+        os.run_for(ms(900));
+        assert!(os.kill_by_user(driver));
+        let mut guard = 0;
+        while !status.borrow().done && guard < 600 {
+            os.run_for(ms(100));
+            guard += 1;
+        }
+        assert!(status.borrow().done, "{path}");
+        assert!(os.metrics().counter(reissues) >= 1, "{reissues}");
 
-    let timeline = os.timeline();
-    let ep = timeline
-        .for_service(names::BLK_SATA)
-        .find(|e| e.complete())
-        .expect("a complete blk.sata episode");
-    assert!(ep.detection().is_some(), "detection phase present");
-    assert!(ep.repair().is_some(), "repair phase present");
-    assert!(ep.reintegration().is_some(), "reintegration phase present");
-    assert!(ep.defect_at.is_some(), "kernel death anchored the episode");
-    assert_causal_order(&os, ep, names::MFS);
-    assert!(timeline.unaccounted().is_empty(), "no half-traced episodes");
+        let timeline = os.timeline();
+        let ep = timeline
+            .for_service(driver)
+            .find(|e| e.complete())
+            .unwrap_or_else(|| panic!("a complete {driver} episode"));
+        assert!(ep.detection().is_some(), "detection phase present");
+        assert!(ep.repair().is_some(), "repair phase present");
+        assert!(
+            ep.reintegration().is_some(),
+            "{driver}: reintegration phase present"
+        );
+        assert!(ep.defect_at.is_some(), "kernel death anchored the episode");
+        assert_causal_order(&os, ep, dependent);
+        assert!(timeline.unaccounted().is_empty(), "no half-traced episodes");
+    }
 }
 
 #[test]

@@ -3,8 +3,10 @@
 //! Fig. 5 of the paper shows *two* file servers — the native MFS and a FAT
 //! server — both recovering transparently from block-driver failures. This
 //! module provides a compact but real FAT16 layout (boot sector with BPB,
-//! one FAT, a fixed root directory, cluster chains) so the FAT server in
-//! [`crate::fatfs`] has something faithful to mount.
+//! one FAT, a fixed root directory, cluster chains) and mounts it as a
+//! [`Volume`] of the one file server engine in [`crate::mfs`]: three
+//! reads (boot sector, FAT, root directory), after which every cluster
+//! chain is resolved into the same extent table the native format uses.
 //!
 //! ```text
 //! LBA 0                boot sector (BPB + 0xAA55)
@@ -13,8 +15,11 @@
 //! LBA 1+F+R..          data area (cluster 2 onward)
 //! ```
 
-use phoenix_hw::disk::{synth_sector, DiskModel, SECTOR};
-use phoenix_simcore::digest::Sha1;
+use phoenix_hw::disk::{DiskModel, SECTOR};
+
+use crate::fsfmt::{Extent, FileContent, FileSpec, Inode};
+use crate::libserver::Names;
+use crate::mfs::{FsNames, MountStep, Volume};
 
 /// Sectors per cluster used by `mkfs_fat`.
 pub const SECTORS_PER_CLUSTER: u8 = 4;
@@ -106,6 +111,8 @@ impl Bpb {
         if bpb.bytes_per_sector != SECTOR as u16
             || bpb.sectors_per_cluster == 0
             || bpb.num_fats == 0
+            || bpb.fat_size == 0
+            || bpb.root_entries == 0
         {
             return None;
         }
@@ -177,34 +184,171 @@ pub fn decode_dirent(raw: &[u8]) -> Option<DirEntry> {
     })
 }
 
-/// What `mkfs_fat` should put in a file.
-#[derive(Debug, Clone)]
-pub enum FatContent {
-    /// The disk's deterministic base pattern (free to create).
-    Synthetic {
-        /// Size in bytes.
-        size: u32,
-    },
-    /// Explicit bytes.
-    Bytes(Vec<u8>),
+/// Resolves the cluster chain starting at `first` into extents, merging
+/// physically consecutive clusters (chains allocated sequentially become
+/// one long run). A chain that leaves the FAT ends there, and a corrupt
+/// chain that loops is cut off after as many hops as the FAT has entries:
+/// the server serves what it has rather than spinning.
+pub fn chain_extents(bpb: &Bpb, fat: &[u16], first: u16) -> Vec<Extent> {
+    let per_cluster = u32::from(bpb.sectors_per_cluster);
+    let mut extents: Vec<Extent> = Vec::new();
+    let mut c = first;
+    for _ in 0..fat.len() {
+        if c < 2 || c == EOC || usize::from(c) >= fat.len() {
+            break;
+        }
+        let lba = bpb.cluster_lba(c);
+        match extents.last_mut() {
+            Some(e) if e.start + u64::from(e.sectors) == lba => e.sectors += per_cluster,
+            _ => extents.push(Extent {
+                start: lba,
+                sectors: per_cluster,
+            }),
+        }
+        c = fat[usize::from(c)];
+    }
+    extents
 }
 
-/// A file for `mkfs_fat`.
-#[derive(Debug, Clone)]
-pub struct FatFileSpec {
-    /// 8.3 file name (e.g. `"big.bin"`).
-    pub name: String,
-    /// Content.
-    pub content: FatContent,
+/// The root directory as the engine's file table.
+fn root_files(bpb: &Bpb, fat: &[u16], root: &[u8]) -> Vec<Inode> {
+    let entries = root.chunks_exact(32).filter_map(decode_dirent);
+    entries
+        .map(|e| Inode {
+            extents: chain_extents(bpb, fat, e.first_cluster),
+            name: e.name,
+            size: u64::from(e.size),
+        })
+        .collect()
+}
+
+/// FAT16 as a [`Volume`]. The value is the mount plan's progress; once
+/// mounted everything lives in the extent table and nothing is kept.
+#[derive(Debug, Default)]
+pub enum Fat16 {
+    /// Nothing read yet (also: mounted).
+    #[default]
+    Boot,
+    /// Boot sector parsed, the FAT is next.
+    Fat(Bpb),
+    /// FAT loaded, the root directory is next.
+    Root(Bpb, Vec<u16>),
+}
+
+impl Volume for Fat16 {
+    const NAMES: FsNames = FsNames {
+        shell: Names {
+            server: "fat",
+            state_key: "mount",
+            injected_crash: "fat.injected_crash",
+            stalled_events: "fat.stalled_events",
+            garbled_replies: "fat.garbled_replies",
+            restore_garbage: "fat.mount_restore_garbage",
+        },
+        reads: "fat.reads",
+        writes: "fat.writes",
+        pending_aborts: "fat.pending_aborts",
+        retries: "fat.retries",
+        reissues: "fat.reissues",
+        driver_reintegrations: "fat.driver_reintegrations",
+        mount_restored: "fat.mount_restored",
+        csum_retries: "sentinel.fat.csum_retries",
+        scrubs: "sentinel.fat.scrubs",
+        scrub_ok: "sentinel.fat.scrub_ok",
+        scrub_mismatch: "sentinel.fat.scrub_mismatch",
+    };
+
+    fn mount_step(&mut self, last_read: Option<&[u8]>) -> MountStep {
+        match (std::mem::take(self), last_read) {
+            (_, None) => MountStep::Read { lba: 0, sectors: 1 },
+            (Fat16::Boot, Some(boot)) => {
+                let Some(bpb) = Bpb::decode(boot) else {
+                    return MountStep::Bad("bad FAT boot sector");
+                };
+                let next = MountStep::Read {
+                    lba: bpb.fat_start(),
+                    sectors: u64::from(bpb.fat_size),
+                };
+                *self = Fat16::Fat(bpb);
+                next
+            }
+            (Fat16::Fat(bpb), Some(table)) => {
+                let fat = table
+                    .chunks_exact(2)
+                    .map(|c| u16::from_le_bytes([c[0], c[1]]));
+                let next = MountStep::Read {
+                    lba: bpb.root_start(),
+                    sectors: bpb.root_sectors(),
+                };
+                *self = Fat16::Root(bpb, fat.collect());
+                next
+            }
+            (Fat16::Root(bpb, fat), Some(root)) => MountStep::Mounted(root_files(&bpb, &fat, root)),
+        }
+    }
+
+    /// 8.3 names are case-insensitive; the table holds them lowercased.
+    fn canonical_name(raw: &[u8]) -> String {
+        String::from_utf8_lossy(raw).to_lowercase()
+    }
+
+    /// The resolved table: `count:u16`, then per file `name_len:u8 name
+    /// size:u64 extents:u32 (start:u64 sectors:u32)*`.
+    fn encode(&self, files: &[Inode]) -> Vec<u8> {
+        let mut out = (files.len() as u16).to_le_bytes().to_vec();
+        for f in files {
+            out.push(f.name.len() as u8);
+            out.extend_from_slice(f.name.as_bytes());
+            out.extend_from_slice(&f.size.to_le_bytes());
+            out.extend_from_slice(&(f.extents.len() as u32).to_le_bytes());
+            for e in &f.extents {
+                out.extend_from_slice(&e.start.to_le_bytes());
+                out.extend_from_slice(&e.sectors.to_le_bytes());
+            }
+        }
+        out
+    }
+
+    fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)> {
+        let mut at = 0usize;
+        let mut take = |n: usize| {
+            let bytes = payload.get(at..at.checked_add(n)?)?;
+            at += n;
+            Some(bytes)
+        };
+        let count = u16::from_le_bytes(take(2)?.try_into().ok()?);
+        let mut files = Vec::new();
+        for _ in 0..count {
+            let name_len = usize::from(take(1)?[0]);
+            let name = std::str::from_utf8(take(name_len)?).ok()?.to_string();
+            let size = u64::from_le_bytes(take(8)?.try_into().ok()?);
+            let n_extents = u32::from_le_bytes(take(4)?.try_into().ok()?);
+            let mut extents = Vec::new();
+            for _ in 0..n_extents {
+                extents.push(Extent {
+                    start: u64::from_le_bytes(take(8)?.try_into().ok()?),
+                    sectors: u32::from_le_bytes(take(4)?.try_into().ok()?),
+                });
+            }
+            files.push(Inode {
+                name,
+                size,
+                extents,
+            });
+        }
+        // Trailing bytes mean the payload is not one of ours.
+        (at == payload.len()).then_some((Fat16::Boot, files))
+    }
 }
 
 /// Formats `disk` as FAT16 with the given files (sequential cluster
-/// chains). Returns the BPB and directory entries created.
+/// chains). Returns the files as a mount will see them.
 ///
 /// # Panics
 ///
-/// Panics if the files do not fit.
-pub fn mkfs_fat(disk: &mut DiskModel, files: &[FatFileSpec]) -> (Bpb, Vec<DirEntry>) {
+/// Panics if the files do not fit, are 4 GB or larger, or a name is not
+/// 8.3.
+pub fn mkfs_fat(disk: &mut DiskModel, files: &[FileSpec]) -> Vec<Inode> {
     let total = disk.sectors().min(u64::from(u16::MAX)) as u16;
     // FAT sizing: one u16 per cluster, clusters ≈ total / spc.
     let clusters = total / u16::from(SECTORS_PER_CLUSTER);
@@ -226,9 +370,15 @@ pub fn mkfs_fat(disk: &mut DiskModel, files: &[FatFileSpec]) -> (Bpb, Vec<DirEnt
     let mut dirents = Vec::new();
     for spec in files {
         let size = match &spec.content {
-            FatContent::Synthetic { size } => *size,
-            FatContent::Bytes(b) => b.len() as u32,
+            FileContent::Synthetic { size } => *size,
+            FileContent::Bytes(b) => b.len() as u64,
         };
+        assert!(
+            size <= u64::from(u32::MAX),
+            "{} too big for FAT16",
+            spec.name
+        );
+        let size = size as u32;
         let n_clusters = size.div_ceil(cluster_bytes).max(1) as u16;
         let first = next_cluster;
         assert!(
@@ -244,7 +394,7 @@ pub fn mkfs_fat(disk: &mut DiskModel, files: &[FatFileSpec]) -> (Bpb, Vec<DirEnt
                 EOC
             };
         }
-        if let FatContent::Bytes(bytes) = &spec.content {
+        if let FileContent::Bytes(bytes) = &spec.content {
             let base = bpb.cluster_lba(first);
             for (i, chunk) in bytes.chunks(SECTOR).enumerate() {
                 let mut sector = chunk.to_vec();
@@ -277,24 +427,7 @@ pub fn mkfs_fat(disk: &mut DiskModel, files: &[FatFileSpec]) -> (Bpb, Vec<DirEnt
     for (i, chunk) in root.chunks(SECTOR).enumerate() {
         assert!(disk.write(bpb.root_start() + i as u64, chunk));
     }
-    (bpb, dirents)
-}
-
-/// SHA-1 a reader should observe for a *synthetic* FAT file created by
-/// [`mkfs_fat`] on a disk seeded with `disk_seed`.
-pub fn expected_sha1_fat(disk_seed: u64, bpb: &Bpb, entry: &DirEntry) -> String {
-    let mut h = Sha1::new();
-    let base = bpb.cluster_lba(entry.first_cluster);
-    let mut remaining = u64::from(entry.size);
-    let mut sector_index = 0u64;
-    while remaining > 0 {
-        let sector = synth_sector(disk_seed, base + sector_index);
-        let take = remaining.min(SECTOR as u64) as usize;
-        h.update(&sector[..take]);
-        remaining -= take as u64;
-        sector_index += 1;
-    }
-    h.finish_hex()
+    root_files(&bpb, &fat, &root)
 }
 
 #[cfg(test)]
@@ -312,8 +445,19 @@ mod tests {
             total_sectors: 8192,
             fat_size: 8,
         };
-        assert_eq!(Bpb::decode(&bpb.encode()), Some(bpb));
+        assert_eq!(Bpb::decode(&bpb.encode()), Some(bpb.clone()));
         assert_eq!(Bpb::decode(&vec![0u8; 512]), None, "no signature");
+        // Geometry a mount could not read: an empty FAT or root directory.
+        let no_fat = Bpb {
+            fat_size: 0,
+            ..bpb.clone()
+        };
+        assert_eq!(Bpb::decode(&no_fat.encode()), None);
+        let no_root = Bpb {
+            root_entries: 0,
+            ..bpb
+        };
+        assert_eq!(Bpb::decode(&no_root.encode()), None);
     }
 
     #[test]
@@ -343,25 +487,24 @@ mod tests {
         });
     }
 
+    fn spec(name: &str, content: FileContent) -> FileSpec {
+        FileSpec {
+            name: name.to_string(),
+            content,
+        }
+    }
+
     #[test]
     fn mkfs_layout_is_consistent() {
         let mut disk = DiskModel::new(8192, 3);
-        let (bpb, dirents) = mkfs_fat(
+        let files = mkfs_fat(
             &mut disk,
             &[
-                FatFileSpec {
-                    name: "hello.txt".to_string(),
-                    content: FatContent::Bytes(b"hello fat".to_vec()),
-                },
-                FatFileSpec {
-                    name: "big.bin".to_string(),
-                    content: FatContent::Synthetic { size: 1_000_000 },
-                },
+                spec("hello.txt", FileContent::Bytes(b"hello fat".to_vec())),
+                spec("big.bin", FileContent::Synthetic { size: 1_000_000 }),
             ],
         );
-        // Boot sector parses back.
-        let parsed = Bpb::decode(&disk.read(0).unwrap()).unwrap();
-        assert_eq!(parsed, bpb);
+        let bpb = Bpb::decode(&disk.read(0).unwrap()).expect("boot sector parses back");
         // Root dir holds both entries.
         let root = disk.read(bpb.root_start()).unwrap();
         let e0 = decode_dirent(&root[0..32]).unwrap();
@@ -388,40 +531,138 @@ mod tests {
             assert!(hops < 1000);
         }
         let cluster_bytes = 4 * 512;
-        assert_eq!(
-            hops + 1,
-            1_000_000_u32.div_ceil(cluster_bytes),
-            "chain length"
-        );
+        let chain_len = 1_000_000_u32.div_ceil(cluster_bytes);
+        assert_eq!(hops + 1, chain_len, "chain length");
         // Explicit content landed in the data area.
         let data = disk.read(bpb.cluster_lba(e0.first_cluster)).unwrap();
         assert_eq!(&data[..9], b"hello fat");
-        assert_eq!(dirents.len(), 2);
+        // What mkfs returns is the table a mount resolves: a sequential
+        // chain is one extent.
+        assert_eq!(files.len(), 2);
+        assert_eq!(files[1].size, 1_000_000);
+        let big = Extent {
+            start: bpb.cluster_lba(e1.first_cluster),
+            sectors: chain_len * 4,
+        };
+        assert_eq!(files[1].extents, vec![big]);
+    }
+
+    /// Runs the three-read mount plan against the disk model.
+    fn mount(disk: &DiskModel) -> Vec<Inode> {
+        let mut vol = Fat16::default();
+        let mut step = vol.mount_step(None);
+        loop {
+            match step {
+                MountStep::Read { lba, sectors } => {
+                    let mut data = Vec::new();
+                    for i in 0..sectors {
+                        data.extend(disk.read(lba + i).unwrap());
+                    }
+                    step = vol.mount_step(Some(&data));
+                }
+                MountStep::Mounted(files) => return files,
+                MountStep::Bad(why) => panic!("{why}"),
+            }
+        }
     }
 
     #[test]
-    fn expected_sha1_matches_manual_walk() {
-        let seed = 77;
-        let mut disk = DiskModel::new(4096, seed);
-        let (bpb, dirents) = mkfs_fat(
+    fn mount_plan_is_three_reads_and_agrees_with_mkfs() {
+        let mut disk = DiskModel::new(4096, 77);
+        let made = mkfs_fat(
             &mut disk,
-            &[FatFileSpec {
-                name: "f.bin".to_string(),
-                content: FatContent::Synthetic { size: 5000 },
-            }],
+            &[spec("f.bin", FileContent::Synthetic { size: 5000 })],
         );
-        let want = expected_sha1_fat(seed, &bpb, &dirents[0]);
-        let mut h = Sha1::new();
-        let base = bpb.cluster_lba(dirents[0].first_cluster);
-        let mut left = 5000usize;
-        let mut i = 0;
-        while left > 0 {
-            let s = disk.read(base + i).unwrap();
-            let take = left.min(512);
-            h.update(&s[..take]);
-            left -= take;
-            i += 1;
+        assert_eq!(mount(&disk), made);
+        let mut vol = Fat16::default();
+        assert_eq!(vol.mount_step(None), MountStep::Read { lba: 0, sectors: 1 });
+        let garbage = vec![0u8; SECTOR];
+        assert!(matches!(vol.mount_step(Some(&garbage)), MountStep::Bad(_)));
+        // A bad step leaves the plan at its start, not half-way.
+        assert!(matches!(vol, Fat16::Boot));
+    }
+
+    #[test]
+    fn checkpoint_codec_roundtrips_and_rejects_garbage() {
+        let mut disk = DiskModel::new(8192, 5);
+        let files = mkfs_fat(
+            &mut disk,
+            &[
+                spec("a.txt", FileContent::Bytes(b"abc".to_vec())),
+                spec("b.bin", FileContent::Synthetic { size: 70_000 }),
+            ],
+        );
+        let payload = Fat16::Boot.encode(&files);
+        let (_, back) = Fat16::decode(&payload).expect("own payload parses");
+        assert_eq!(back, files);
+        assert!(
+            Fat16::decode(&payload[..payload.len() - 1]).is_none(),
+            "truncated"
+        );
+        let mut long = payload.clone();
+        long.push(0);
+        assert!(Fat16::decode(&long).is_none(), "trailing bytes");
+        assert!(Fat16::decode(&[]).is_none(), "empty");
+        assert!(Fat16::decode(&[0xFF; 64]).is_none(), "noise");
+    }
+
+    fn test_bpb() -> Bpb {
+        Bpb {
+            bytes_per_sector: 512,
+            sectors_per_cluster: 4,
+            reserved_sectors: 1,
+            num_fats: 1,
+            root_entries: 64,
+            total_sectors: 8192,
+            fat_size: 8,
         }
-        assert_eq!(h.finish_hex(), want);
+    }
+
+    #[test]
+    fn fragmented_chain_coalesces_into_one_extent_per_run() {
+        let bpb = test_bpb();
+        // 2 -> 3 -> 7 -> 8 -> 9 -> 5 -> EOC: runs {2,3}, {7,8,9}, {5}.
+        let mut fat = vec![0u16; 16];
+        for (c, next) in [(2, 3), (3, 7), (7, 8), (8, 9), (9, 5), (5, EOC)] {
+            fat[c] = next;
+        }
+        let run = |first: u16, clusters: u32| Extent {
+            start: bpb.cluster_lba(first),
+            sectors: clusters * 4,
+        };
+        assert_eq!(
+            chain_extents(&bpb, &fat, 2),
+            vec![run(2, 2), run(7, 3), run(5, 1)]
+        );
+        // The extents serve the same sectors the chain names, in order.
+        let ino = Inode {
+            name: "f".to_string(),
+            size: 6 * 4 * 512,
+            extents: chain_extents(&bpb, &fat, 2),
+        };
+        let third_cluster = 2 * 4 * 512;
+        assert_eq!(ino.locate(third_cluster), Some((bpb.cluster_lba(7), 0)));
+        assert_eq!(ino.contiguous_sectors_at(third_cluster), 12);
+    }
+
+    #[test]
+    fn corrupt_chains_are_bounded_and_never_leave_the_fat() {
+        let bpb = test_bpb();
+        // A loop 2 -> 3 -> 2: cut off after as many hops as the FAT has
+        // entries, whatever they merge into.
+        let mut fat = vec![0u16; 16];
+        fat[2] = 3;
+        fat[3] = 2;
+        let looped = chain_extents(&bpb, &fat, 2);
+        let sectors: u32 = looped.iter().map(|e| e.sectors).sum();
+        assert_eq!(sectors, 16 * 4, "one cluster per hop, FAT-length hops");
+        // EOC (or a free/reserved marker) at the first cluster: no data.
+        assert_eq!(chain_extents(&bpb, &fat, EOC), vec![]);
+        assert_eq!(chain_extents(&bpb, &fat, 0), vec![]);
+        // A link pointing past the FAT ends the chain at the last good
+        // cluster instead of addressing sectors off the volume.
+        fat[4] = 4000;
+        assert_eq!(chain_extents(&bpb, &fat, 4).len(), 1);
+        assert_eq!(chain_extents(&bpb, &fat, 4)[0].sectors, 4);
     }
 }

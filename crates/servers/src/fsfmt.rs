@@ -18,6 +18,9 @@
 use phoenix_hw::disk::{synth_sector, DiskModel, SECTOR};
 use phoenix_simcore::digest::Sha1;
 
+use crate::libserver::Names;
+use crate::mfs::{FsNames, MountStep, Volume};
+
 /// Superblock magic.
 pub const MAGIC: &[u8; 8] = b"PHXFS1\0\0";
 /// Size of an on-disk inode.
@@ -161,6 +164,92 @@ impl Superblock {
             inode_table_lba: u64::from_le_bytes(raw[16..24].try_into().ok()?),
             inode_table_sectors: u32::from_le_bytes(raw[24..28].try_into().ok()?),
         })
+    }
+}
+
+/// The native format as a [`Volume`]: superblock, then the inode table.
+/// The superblock stays around after the mount because the checkpoint
+/// payload leads with it.
+#[derive(Debug, Default)]
+pub struct Minix {
+    superblock: Option<Superblock>,
+}
+
+impl Volume for Minix {
+    const NAMES: FsNames = FsNames {
+        shell: Names {
+            server: "mfs",
+            state_key: "mount",
+            injected_crash: "mfs.injected_crash",
+            stalled_events: "mfs.stalled_events",
+            garbled_replies: "mfs.garbled_replies",
+            restore_garbage: "mfs.mount_restore_garbage",
+        },
+        reads: "mfs.reads",
+        writes: "mfs.writes",
+        pending_aborts: "mfs.pending_aborts",
+        retries: "mfs.retries",
+        reissues: "mfs.reissues",
+        driver_reintegrations: "mfs.driver_reintegrations",
+        mount_restored: "mfs.mount_restored",
+        csum_retries: "sentinel.mfs.csum_retries",
+        scrubs: "sentinel.mfs.scrubs",
+        scrub_ok: "sentinel.mfs.scrub_ok",
+        scrub_mismatch: "sentinel.mfs.scrub_mismatch",
+    };
+
+    fn mount_step(&mut self, last_read: Option<&[u8]>) -> MountStep {
+        let Some(data) = last_read else {
+            self.superblock = None;
+            return MountStep::Read { lba: 0, sectors: 1 };
+        };
+        if self.superblock.is_some() {
+            let inodes = data.chunks(INODE_SIZE).filter_map(Inode::decode);
+            return MountStep::Mounted(inodes.collect());
+        }
+        let Some(sb) = Superblock::decode(data) else {
+            return MountStep::Bad("bad superblock");
+        };
+        let table = MountStep::Read {
+            lba: sb.inode_table_lba,
+            sectors: u64::from(sb.inode_table_sectors),
+        };
+        self.superblock = Some(sb);
+        table
+    }
+
+    fn canonical_name(raw: &[u8]) -> String {
+        String::from_utf8_lossy(raw).into_owned()
+    }
+
+    /// One superblock sector followed by the in-memory inode table.
+    fn encode(&self, files: &[Inode]) -> Vec<u8> {
+        let mut out = Vec::new();
+        match &self.superblock {
+            Some(sb) => out.extend_from_slice(&sb.encode()),
+            None => out.extend_from_slice(&vec![0u8; SECTOR]),
+        }
+        out.extend_from_slice(&(files.len() as u16).to_le_bytes());
+        for ino in files {
+            out.extend_from_slice(&ino.encode());
+        }
+        out
+    }
+
+    fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)> {
+        let sb = Superblock::decode(payload.get(..SECTOR)?)?;
+        let count = payload.get(SECTOR..SECTOR + 2)?;
+        let count = usize::from(u16::from_le_bytes([count[0], count[1]]));
+        let mut inodes = Vec::with_capacity(count);
+        let mut at = SECTOR + 2;
+        for _ in 0..count {
+            inodes.push(Inode::decode(payload.get(at..at + INODE_SIZE)?)?);
+            at += INODE_SIZE;
+        }
+        let volume = Minix {
+            superblock: Some(sb),
+        };
+        Some((volume, inodes))
     }
 }
 

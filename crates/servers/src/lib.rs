@@ -11,20 +11,20 @@
 //! * [`rs`] — the reincarnation server (§5): defect detection over all six
 //!   inputs and policy-driven recovery.
 //! * [`policy`] — the parametrized policy-script language (§5.2, Fig. 2).
-//! * [`vfs`] / [`mfs`] / [`fsfmt`] — the virtual file system, the file
-//!   server with transparent block-driver recovery (§6.2), and the
-//!   on-disk format + `mkfs`.
-//! * [`fatfs`] / [`fsfat`] — the second file server of Fig. 5: a FAT16
-//!   server with the same recovery contract, over its own disk + driver.
+//! * [`vfs`] / [`mfs`] — the virtual file system, and the one file
+//!   server engine with transparent block-driver recovery (§6.2).
+//! * [`fsfmt`] / [`fsfat`] — the on-disk formats it serves, each with its
+//!   `mkfs`: the native extent format and FAT16 (Fig. 5's two file
+//!   servers are `FileServer<Minix>` and `FileServer<Fat16>`, each over
+//!   its own disk + driver).
 //! * [`inet`] / [`netproto`] / [`peer`] — the network server with
 //!   transparent Ethernet-driver recovery (§6.1), the TCP-like transport,
 //!   and the remote "Internet server" peer of Fig. 7.
-//! * [`libserver`] — the shell VFS, MFS, INET and PM run inside: fault
+//! * [`libserver`] — the shell VFS, MFS, FAT, INET and PM run inside: fault
 //!   plane, externalised-state gate, data-store watch and complaint
 //!   filing, written once (what `libdriver` is for drivers).
 
 pub mod ds;
-pub mod fatfs;
 pub mod faultplane;
 pub mod fsfat;
 pub mod fsfmt;
@@ -40,7 +40,6 @@ pub mod rs;
 pub mod vfs;
 
 pub use ds::{DataStore, SharedRecords};
-pub use fatfs::FatServer;
 pub use faultplane::{FaultPlane, ServerFault};
 pub use inet::Inet;
 pub use libserver::Server;

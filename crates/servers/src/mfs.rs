@@ -1,16 +1,25 @@
-//! The MINIX-style file server (MFS) with transparent block-driver
-//! recovery (§6.2).
+//! The block-backed file server engine: transparent block-driver
+//! recovery (§6.2), written once.
 //!
 //! Disk block I/O is idempotent, so when the kernel aborts an IPC
-//! rendezvous because the disk driver died, MFS *marks the request
-//! pending*, waits for the data store to announce the restarted driver's
-//! new endpoint, re-opens its minor devices, and reissues the failed
-//! operations — transparently to the applications above it.
+//! rendezvous because the disk driver died, the file server *marks the
+//! request pending*, waits for the data store to announce the restarted
+//! driver's new endpoint, re-opens its minor devices, and reissues the
+//! failed operations — transparently to the applications above it.
 //!
-//! MFS can also act as the §5.1 arbiter input: if a driver sends a
-//! malformed reply (protocol violation) or fails to answer within a
-//! deadline, MFS files a complaint with the reincarnation server asking
-//! for replacement.
+//! The file server also acts as the §5.1 arbiter input: if a driver
+//! sends a malformed reply (protocol violation) or fails to answer
+//! within a deadline, it files a complaint with the reincarnation server
+//! asking for replacement.
+//!
+//! Fig. 5 puts two file servers on this procedure. They are one
+//! [`FileServer`] over two [`Volume`]s: the engine owns everything that
+//! is about the *driver* — endpoint, reopen, chunked grant I/O, parking,
+//! reissue, retry pacing, sentinels, complaints, the request queue — and
+//! a volume only what is about the *disk*: which sectors to read at
+//! mount and what they mean, how names compare, and how the mounted
+//! state is externalised. Both formats mount into the same table of
+//! [`Inode`]s, so the engine never asks which one it serves.
 
 use std::collections::VecDeque;
 
@@ -23,22 +32,24 @@ use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
 use phoenix_simcore::time::SimDuration;
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
-use crate::fsfmt::{Inode, Superblock, INODE_SIZE};
+use crate::fsfmt::Inode;
 use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
 use crate::proto::{evidence, fs};
 
-/// I/O buffer: offset 0 of MFS memory, room for one maximal transfer.
+/// I/O buffer: offset 0 of the server's memory, room for one maximal
+/// transfer.
 const IO_BUF: usize = 0;
 /// Largest single driver request (256 sectors).
 const MAX_CHUNK_SECTORS: u64 = 256;
-/// Driver response deadline before MFS complains to RS.
+/// Driver response deadline before the file server complains to RS.
 const DRIVER_DEADLINE: SimDuration = SimDuration::from_secs(5);
 /// Pause before retrying a chunk the driver answered with EAGAIN. An
 /// immediate reissue spins a tight IPC loop against a still-busy device
 /// (hundreds of round trips per device op), which under message chaos all
-/// but guarantees one EAGAIN reply is eventually lost — wedging MFS until
-/// the response deadline convicts a perfectly healthy driver. Pacing the
-/// retry past the typical device op keeps it to a handful of exchanges.
+/// but guarantees one EAGAIN reply is eventually lost — wedging the
+/// server until the response deadline convicts a perfectly healthy
+/// driver. Pacing the retry past the typical device op keeps it to a
+/// handful of exchanges.
 const RETRY_DELAY: SimDuration = SimDuration::from_millis(1);
 /// Checksum-mismatch retries before the active op fails with EIO. Matches
 /// RS's complaint quorum, so the retries file exactly the evidence needed
@@ -48,9 +59,78 @@ const CSUM_RETRIES: u32 = 3;
 /// sampled read-back scrub of the fail-silent sentinel).
 const SCRUB_SAMPLE: u64 = 8;
 
+/// The literal names one file server goes by: the shell's, plus the
+/// engine's own counters.
+#[derive(Debug, Clone, Copy)]
+pub struct FsNames {
+    /// What the `libserver` shell needs.
+    pub shell: Names,
+    /// Counter: client reads started.
+    pub reads: &'static str,
+    /// Counter: client writes started.
+    pub writes: &'static str,
+    /// Counter: driver requests parked on an aborted rendezvous.
+    pub pending_aborts: &'static str,
+    /// Counter: paced retries after `EAGAIN`.
+    pub retries: &'static str,
+    /// Counter: parked requests reissued to a restarted driver.
+    pub reissues: &'static str,
+    /// Counter: restarted drivers reopened.
+    pub driver_reintegrations: &'static str,
+    /// Counter: mounts rehydrated from a checkpoint.
+    pub mount_restored: &'static str,
+    /// Counter: chunks retried after a checksum-class violation.
+    pub csum_retries: &'static str,
+    /// Counter: read chunks sampled for the read-back scrub.
+    pub scrubs: &'static str,
+    /// Counter: scrub re-reads that agreed.
+    pub scrub_ok: &'static str,
+    /// Counter: scrub re-reads that differed.
+    pub scrub_mismatch: &'static str,
+}
+
+/// One step of a volume's mount read plan.
+#[derive(Debug, PartialEq, Eq)]
+pub enum MountStep {
+    /// Read these sectors and come back with their bytes.
+    Read {
+        /// First sector.
+        lba: u64,
+        /// Sector count.
+        sectors: u64,
+    },
+    /// Done: the volume's files, extents resolved.
+    Mounted(Vec<Inode>),
+    /// The last read does not parse as this format (the reason is
+    /// traced); the mount is abandoned and starts over on demand.
+    Bad(&'static str),
+}
+
+/// An on-disk format, as far as [`FileServer`] needs one. Implementations
+/// know sectors and bytes; they never see the driver, the kernel context
+/// or a metric (the `format-purity` lint holds them to that).
+pub trait Volume: Default {
+    /// The server's literal metric and store names.
+    const NAMES: FsNames;
+
+    /// The mount read plan as a step function: `None` starts it over,
+    /// `Some(bytes)` hands back what the previous [`MountStep::Read`]
+    /// asked for.
+    fn mount_step(&mut self, last_read: Option<&[u8]>) -> MountStep;
+
+    /// The spelling under which a requested name is looked up.
+    fn canonical_name(raw: &[u8]) -> String;
+
+    /// Serialises the mounted state for the checkpoint.
+    fn encode(&self, files: &[Inode]) -> Vec<u8>;
+
+    /// Parses a checkpoint payload; `None` if it is not one.
+    fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)>;
+}
+
 /// Byte-sum of the 16-byte request descriptor the driver validates —
-/// mirrors the checksum `routines::disk_request` computes, so MFS can
-/// cross-check the driver's echoed value.
+/// mirrors the checksum `routines::disk_request` computes, so the file
+/// server can cross-check the driver's echoed value.
 fn descriptor_sum(lba: u64, count: u64, capacity: u64) -> u32 {
     let mut d = [0u8; 16];
     d[0..4].copy_from_slice(&(lba as u32).to_le_bytes());
@@ -62,8 +142,8 @@ fn descriptor_sum(lba: u64, count: u64, capacity: u64) -> u32 {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum MountState {
     NotMounted,
-    ReadingSuper,
-    ReadingTable,
+    /// The volume's read plan is running.
+    Reading,
     Mounted,
 }
 
@@ -87,7 +167,7 @@ struct Active {
     remaining: u64,
     /// Bytes assembled so far (reads).
     assembled: Vec<u8>,
-    /// Inode index (usize::MAX during mount).
+    /// Index into the file table (usize::MAX during mount).
     ino: usize,
     // Current chunk at the driver:
     chunk_lba: u64,
@@ -106,11 +186,37 @@ struct Active {
     scrub: Option<Vec<u8>>,
 }
 
-/// The file server's logic; run it as `Server<FileServer>`. Its
-/// externalised state is the cache metadata (crash-only contract): the
-/// mounted superblock + inode table are checkpointed at mount time so a
-/// restarted incarnation rehydrates without re-reading the disk.
-pub struct FileServer {
+impl Active {
+    /// An op with nothing at the driver yet.
+    fn new(kind: OpKind, ino: usize, file_pos: u64, remaining: u64) -> Self {
+        let assembled = match kind {
+            OpKind::Read { .. } => Vec::with_capacity(remaining as usize),
+            OpKind::Mount | OpKind::Write { .. } => Vec::new(),
+        };
+        Active {
+            kind,
+            file_pos,
+            remaining,
+            assembled,
+            ino,
+            chunk_lba: 0,
+            chunk_sectors: 0,
+            chunk_skip: 0,
+            grant: None,
+            driver_call: None,
+            seq: 0,
+            waiting_driver: false,
+            csum_retries: 0,
+            scrub: None,
+        }
+    }
+}
+
+/// The file server's logic; run it as `Server<FileServer<V>>`. Its
+/// externalised state is the cache metadata (crash-only contract): what
+/// the volume read at mount is checkpointed at mount time so a restarted
+/// incarnation rehydrates without re-reading the disk.
+pub struct FileServer<V> {
     rs: Endpoint,
     driver_key: String,
     driver: Option<Endpoint>,
@@ -118,15 +224,15 @@ pub struct FileServer {
     open_call: Option<CallId>,
     /// Sequence number of the response-deadline alarm guarding the
     /// current reopen: the reply delivery can be lost in flight (chaos),
-    /// which completes the rendezvous without MFS ever hearing back, so
-    /// awaiting it unguarded would wedge the server forever.
+    /// which completes the rendezvous without the server ever hearing
+    /// back, so awaiting it unguarded would wedge the server forever.
     open_seq: Option<u64>,
     /// Sequence number of a pending EAGAIN-backoff alarm; the retry
     /// reissues the active chunk when it fires.
     retry_seq: Option<u64>,
     mount: MountState,
-    superblock: Option<Superblock>,
-    inodes: Vec<Inode>,
+    volume: V,
+    files: Vec<Inode>,
     queue: VecDeque<(CallId, Message)>,
     active: Option<Active>,
     next_seq: u64,
@@ -142,8 +248,8 @@ pub struct FileServer {
     scrub_chunks: u64,
 }
 
-impl FileServer {
-    /// Creates MFS bound to the block driver published under
+impl<V: Volume> FileServer<V> {
+    /// Creates a file server bound to the block driver published under
     /// `driver_key` (e.g. `"blk.sata"`); `rs` receives its complaints.
     pub fn new(rs: Endpoint, driver_key: &str) -> Self {
         FileServer {
@@ -155,8 +261,8 @@ impl FileServer {
             open_seq: None,
             retry_seq: None,
             mount: MountState::NotMounted,
-            superblock: None,
-            inodes: Vec::new(),
+            volume: V::default(),
+            files: Vec::new(),
             queue: VecDeque::new(),
             active: None,
             next_seq: 1,
@@ -191,7 +297,7 @@ impl FileServer {
         a.scrub = None;
         if a.csum_retries < CSUM_RETRIES {
             a.csum_retries += 1;
-            ctx.metrics().incr("sentinel.mfs.csum_retries");
+            ctx.metrics().incr(V::NAMES.csum_retries);
             self.issue_chunk(ctx);
         } else {
             self.finish_active(sh, ctx, status::EIO);
@@ -212,18 +318,13 @@ impl FileServer {
         };
         let bytes = (a.chunk_sectors * SECTOR as u64) as usize;
         let write = matches!(a.kind, OpKind::Write { .. });
-        if write {
-            // Stage the chunk's data in the I/O buffer.
-            if let OpKind::Write { data, .. } = &a.kind {
-                let start = (a.file_pos - a.chunk_skip as u64) as usize;
-                // file_pos is sector-aligned for writes; chunk data slice:
-                let done = data.len() - a.remaining as usize;
-                let _ = start;
-                let chunk = &data[done..done + bytes];
-                if ctx.mem_write(IO_BUF, chunk).is_err() {
-                    ctx.trace(TraceLevel::Error, "io buffer write failed".to_string());
-                    return;
-                }
+        if let OpKind::Write { data, .. } = &a.kind {
+            // Stage the chunk's data in the I/O buffer (writes are
+            // sector-aligned, so the chunk starts at what is done).
+            let done = data.len() - a.remaining as usize;
+            if ctx.mem_write(IO_BUF, &data[done..done + bytes]).is_err() {
+                ctx.trace(TraceLevel::Error, "io buffer write failed".to_string());
+                return;
             }
         }
         let access = if write {
@@ -267,7 +368,7 @@ impl FileServer {
                 a.grant = None;
                 a.driver_call = None;
                 a.waiting_driver = true;
-                ctx.metrics().incr("mfs.pending_aborts");
+                ctx.metrics().incr(V::NAMES.pending_aborts);
             }
         }
     }
@@ -283,10 +384,10 @@ impl FileServer {
                 // `mount_continue`.
             }
             OpKind::Read { .. } | OpKind::Write { .. } => {
-                // A corrupt or stale externalized inode table could leave
+                // A corrupt or stale externalized file table could leave
                 // the position out of bounds after a restore: fail the op,
                 // don't kill the incarnation.
-                let Some(ino) = self.inodes.get(a.ino) else {
+                let Some(ino) = self.files.get(a.ino) else {
                     self.finish_active(sh, ctx, status::EIO);
                     return;
                 };
@@ -343,58 +444,45 @@ impl FileServer {
         self.pump(sh, ctx);
     }
 
-    fn begin_mount(&mut self, ctx: &mut Ctx<'_>) {
-        self.mount = MountState::ReadingSuper;
-        self.active = Some(Active {
-            kind: OpKind::Mount,
-            file_pos: 0,
-            remaining: SECTOR as u64,
-            assembled: Vec::new(),
-            ino: usize::MAX,
-            chunk_lba: 0,
-            chunk_sectors: 1,
-            chunk_skip: 0,
-            grant: None,
-            driver_call: None,
-            seq: 0,
-            waiting_driver: false,
-            csum_retries: 0,
-            scrub: None,
-        });
+    /// Sends the mount op's next read, as the volume's plan asked.
+    fn mount_read(&mut self, ctx: &mut Ctx<'_>, lba: u64, sectors: u64) {
+        let Some(a) = self.active.as_mut() else {
+            self.mount = MountState::NotMounted;
+            return;
+        };
+        a.chunk_lba = lba;
+        a.chunk_sectors = sectors;
         self.issue_chunk(ctx);
     }
 
+    fn begin_mount(&mut self, ctx: &mut Ctx<'_>) {
+        let MountStep::Read { lba, sectors } = self.volume.mount_step(None) else {
+            return;
+        };
+        self.mount = MountState::Reading;
+        self.active = Some(Active::new(OpKind::Mount, usize::MAX, 0, SECTOR as u64));
+        self.mount_read(ctx, lba, sectors);
+    }
+
     fn mount_continue(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, data: Vec<u8>) {
-        match self.mount {
-            MountState::ReadingSuper => {
-                let Some(sb) = Superblock::decode(&data) else {
-                    ctx.trace(TraceLevel::Error, "bad superblock".to_string());
-                    self.active = None;
-                    self.mount = MountState::NotMounted;
-                    return;
-                };
-                self.mount = MountState::ReadingTable;
-                let Some(a) = self.active.as_mut() else {
-                    self.mount = MountState::NotMounted;
-                    return;
-                };
-                a.chunk_lba = sb.inode_table_lba;
-                a.chunk_sectors = u64::from(sb.inode_table_sectors);
-                self.superblock = Some(sb);
-                self.issue_chunk(ctx);
+        match self.volume.mount_step(Some(&data)) {
+            MountStep::Bad(why) => {
+                ctx.trace(TraceLevel::Error, why.to_string());
+                self.active = None;
+                self.mount = MountState::NotMounted;
             }
-            MountState::ReadingTable => {
-                self.inodes = data.chunks(INODE_SIZE).filter_map(Inode::decode).collect();
+            MountStep::Read { lba, sectors } => self.mount_read(ctx, lba, sectors),
+            MountStep::Mounted(files) => {
+                self.files = files;
                 self.mount = MountState::Mounted;
                 self.active = None;
                 sh.gate.mark_dirty();
                 ctx.trace(
                     TraceLevel::Info,
-                    format!("mounted: {} files", self.inodes.len()),
+                    format!("mounted: {} files", self.files.len()),
                 );
                 self.pump(sh, ctx);
             }
-            _ => {}
         }
     }
 
@@ -410,105 +498,58 @@ impl FileServer {
             return;
         }
         while let Some((call, msg)) = self.queue.pop_front() {
+            let status_reply = |st: u64| Message::new(fs::DATA_REPLY).with_param(0, st);
             match msg.mtype {
                 fs::OPEN => {
-                    let name = String::from_utf8_lossy(&msg.data).to_string();
-                    let reply = match self.inodes.iter().position(|i| i.name == name) {
+                    let name = V::canonical_name(&msg.data);
+                    let reply = match self.files.iter().position(|i| i.name == name) {
                         Some(idx) => Message::new(fs::OPEN_REPLY)
                             .with_param(0, status::OK)
                             .with_param(1, idx as u64)
-                            .with_param(2, self.inodes[idx].size),
+                            .with_param(2, self.files[idx].size),
                         None => Message::new(fs::OPEN_REPLY).with_param(0, status::ENODEV),
                     };
                     sh.reply(ctx, call, reply);
                 }
                 fs::READ => {
                     let (ino, offset, len) = (msg.param(0) as usize, msg.param(1), msg.param(2));
-                    let Some(inode) = self.inodes.get(ino) else {
-                        sh.reply(
-                            ctx,
-                            call,
-                            Message::new(fs::DATA_REPLY).with_param(0, status::EINVAL),
-                        );
+                    let Some(inode) = self.files.get(ino) else {
+                        sh.reply(ctx, call, status_reply(status::EINVAL));
                         continue;
                     };
                     let len = len.min(inode.size.saturating_sub(offset));
                     if len == 0 {
-                        sh.reply(
-                            ctx,
-                            call,
-                            Message::new(fs::DATA_REPLY)
-                                .with_param(0, status::OK)
-                                .with_param(1, 0),
-                        );
+                        sh.reply(ctx, call, status_reply(status::OK).with_param(1, 0));
                         continue;
                     }
-                    ctx.metrics().incr("mfs.reads");
-                    self.active = Some(Active {
-                        kind: OpKind::Read { client: call },
-                        file_pos: offset,
-                        remaining: len,
-                        assembled: Vec::with_capacity(len as usize),
-                        ino,
-                        chunk_lba: 0,
-                        chunk_sectors: 0,
-                        chunk_skip: 0,
-                        grant: None,
-                        driver_call: None,
-                        seq: 0,
-                        waiting_driver: false,
-                        csum_retries: 0,
-                        scrub: None,
-                    });
+                    ctx.metrics().incr(V::NAMES.reads);
+                    let kind = OpKind::Read { client: call };
+                    self.active = Some(Active::new(kind, ino, offset, len));
                     self.start_next_chunk(sh, ctx);
                     return;
                 }
                 fs::WRITE => {
+                    // In place only: sector-aligned and inside the file's
+                    // extents, which holds for either format's table.
                     let (ino, offset) = (msg.param(0) as usize, msg.param(1));
-                    let data = msg.data.clone();
+                    let data = msg.data;
+                    let len = data.len() as u64;
                     let aligned = offset % SECTOR as u64 == 0 && data.len() % SECTOR == 0;
                     let in_file = self
-                        .inodes
+                        .files
                         .get(ino)
-                        .is_some_and(|i| offset + data.len() as u64 <= i.size);
+                        .is_some_and(|i| offset.checked_add(len).is_some_and(|end| end <= i.size));
                     if data.is_empty() || !aligned || !in_file {
-                        sh.reply(
-                            ctx,
-                            call,
-                            Message::new(fs::DATA_REPLY).with_param(0, status::EINVAL),
-                        );
+                        sh.reply(ctx, call, status_reply(status::EINVAL));
                         continue;
                     }
-                    ctx.metrics().incr("mfs.writes");
-                    self.active = Some(Active {
-                        kind: OpKind::Write {
-                            client: call,
-                            data: data.clone(),
-                        },
-                        file_pos: offset,
-                        remaining: data.len() as u64,
-                        assembled: Vec::new(),
-                        ino,
-                        chunk_lba: 0,
-                        chunk_sectors: 0,
-                        chunk_skip: 0,
-                        grant: None,
-                        driver_call: None,
-                        seq: 0,
-                        waiting_driver: false,
-                        csum_retries: 0,
-                        scrub: None,
-                    });
+                    ctx.metrics().incr(V::NAMES.writes);
+                    let kind = OpKind::Write { client: call, data };
+                    self.active = Some(Active::new(kind, ino, offset, len));
                     self.start_next_chunk(sh, ctx);
                     return;
                 }
-                _ => {
-                    sh.reply(
-                        ctx,
-                        call,
-                        Message::new(fs::DATA_REPLY).with_param(0, status::EINVAL),
-                    );
-                }
+                _ => sh.reply(ctx, call, status_reply(status::EINVAL)),
             }
         }
     }
@@ -521,7 +562,7 @@ impl FileServer {
         // Reinitialize the driver by reopening minor devices (§6.2). The
         // reopen gets the same response deadline as data requests: its
         // reply can be lost in flight, and an unguarded await would leave
-        // MFS sitting on client requests with no call open — exactly what
+        // the server sitting on client requests with no call open — exactly what
         // the RS progress audit convicts.
         self.open_call = ctx
             .sendrec(ep, Message::new(bdev::OPEN).with_param(0, 0))
@@ -533,7 +574,7 @@ impl FileServer {
             let _ = ctx.set_alarm(DRIVER_DEADLINE, seq);
         }
         if recovered {
-            ctx.metrics().incr("mfs.driver_reintegrations");
+            ctx.metrics().incr(V::NAMES.driver_reintegrations);
             let ev = ctx
                 .event(TraceLevel::Info, format!("block driver recovered as {ep}"))
                 .with_field("ev", "reintegrate")
@@ -568,7 +609,7 @@ impl FileServer {
                 a.driver_call = None;
                 a.waiting_driver = true;
                 self.driver_open = false;
-                ctx.metrics().incr("mfs.pending_aborts");
+                ctx.metrics().incr(V::NAMES.pending_aborts);
                 ctx.trace(
                     TraceLevel::Warn,
                     "driver request aborted; marked pending until restart".to_string(),
@@ -637,11 +678,11 @@ impl FileServer {
                                     // Second read of a scrubbed chunk: the
                                     // two reads must agree byte for byte.
                                     if data != expected {
-                                        ctx.metrics().incr("sentinel.mfs.scrub_mismatch");
+                                        ctx.metrics().incr(V::NAMES.scrub_mismatch);
                                         self.csum_violation(sh, ctx, "read-back scrub mismatch");
                                         return;
                                     }
-                                    ctx.metrics().incr("sentinel.mfs.scrub_ok");
+                                    ctx.metrics().incr(V::NAMES.scrub_ok);
                                 }
                                 None => {
                                     self.scrub_chunks += 1;
@@ -649,7 +690,7 @@ impl FileServer {
                                         // Sampled read-back scrub: re-read
                                         // the same chunk and compare before
                                         // trusting the data.
-                                        ctx.metrics().incr("sentinel.mfs.scrubs");
+                                        ctx.metrics().incr(V::NAMES.scrubs);
                                         let Some(a) = self.active.as_mut() else {
                                             return;
                                         };
@@ -682,7 +723,7 @@ impl FileServer {
                         // op already at the device): back off past the op
                         // instead of hammering the driver with a same-tick
                         // reissue loop.
-                        ctx.metrics().incr("mfs.retries");
+                        ctx.metrics().incr(V::NAMES.retries);
                         let seq = self.next_seq;
                         self.next_seq += 1;
                         self.retry_seq = Some(seq);
@@ -697,62 +738,26 @@ impl FileServer {
     }
 }
 
-impl ServerLogic for FileServer {
-    const NAMES: Names = Names {
-        server: "mfs",
-        state_key: "mount",
-        injected_crash: "mfs.injected_crash",
-        stalled_events: "mfs.stalled_events",
-        garbled_replies: "mfs.garbled_replies",
-        restore_garbage: "mfs.mount_restore_garbage",
-    };
+impl<V: Volume> ServerLogic for FileServer<V> {
+    const NAMES: Names = V::NAMES.shell;
 
-    /// Serializes the mount metadata: one superblock sector followed by
-    /// the in-memory inode table. It only changes at mount time, so the
-    /// save fires once per incarnation that mounted.
+    /// Serializes the mount metadata. It only changes at mount time, so
+    /// the save fires once per incarnation that mounted.
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match &self.superblock {
-            Some(sb) => out.extend_from_slice(&sb.encode()),
-            None => out.extend_from_slice(&vec![0u8; SECTOR]),
-        }
-        out.extend_from_slice(&(self.inodes.len() as u16).to_le_bytes());
-        for ino in &self.inodes {
-            out.extend_from_slice(&ino.encode());
-        }
-        out
+        self.volume.encode(&self.files)
     }
 
     /// Rehydrates mount metadata from a restored snapshot. Returns
     /// `false` (leaving a clean slate, so the normal mount path runs) if
     /// the payload does not parse.
     fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let Some(sb_raw) = payload.get(..SECTOR) else {
+        let Some((volume, files)) = V::decode(payload) else {
             return false;
         };
-        let Some(sb) = Superblock::decode(sb_raw) else {
-            return false;
-        };
-        let Some(count_bytes) = payload.get(SECTOR..SECTOR + 2) else {
-            return false;
-        };
-        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2])) as usize;
-        let mut inodes = Vec::with_capacity(count);
-        let mut at = SECTOR + 2;
-        for _ in 0..count {
-            let Some(raw) = payload.get(at..at + INODE_SIZE) else {
-                return false;
-            };
-            let Some(ino) = Inode::decode(raw) else {
-                return false;
-            };
-            inodes.push(ino);
-            at += INODE_SIZE;
-        }
-        self.superblock = Some(sb);
-        self.inodes = inodes;
+        self.volume = volume;
+        self.files = files;
         self.mount = MountState::Mounted;
-        ctx.metrics().incr("mfs.mount_restored");
+        ctx.metrics().incr(V::NAMES.mount_restored);
         true
     }
 
@@ -797,7 +802,7 @@ impl ServerLogic for FileServer {
                                     .in_recovery_opt(rid)
                                     .with_parent_opt(parent);
                                 ctx.trace_event(ev);
-                                ctx.metrics().incr("mfs.reissues");
+                                ctx.metrics().incr(V::NAMES.reissues);
                                 self.issue_chunk(ctx);
                             } else {
                                 self.pump(sh, ctx);
