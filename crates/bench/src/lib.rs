@@ -2,7 +2,7 @@
 //! binary over the [`SCENARIOS`] registry.
 //!
 //! ```text
-//! phoenix-bench list [--ci]           # what exists (and what CI runs)
+//! phoenix-bench list                  # what exists
 //! phoenix-bench <scenario> [--quick]  # run one; --quick is the CI size
 //! ```
 //!
@@ -10,9 +10,10 @@
 //! talks to one [`Report`]: what it prints is what lands in
 //! `results/<scenario>[_quick].txt`, gate violations fold into the exit
 //! code (0 clean, 1 gate failed, 2 usage), and nothing under `results/`
-//! is touched by a run whose gates failed. `ci.sh` loops over
-//! `phoenix-bench list --ci` and ends on `git diff --exit-code results/`,
-//! so the committed artefacts are always what the code produces.
+//! is touched by a run whose gates failed. `ci.sh` runs every scenario
+//! `phoenix-bench list` names at `--quick` and ends on
+//! `git diff --exit-code results/`, so the committed artefacts are always
+//! what the code produces.
 
 use std::fmt::Display;
 use std::path::PathBuf;
@@ -32,8 +33,6 @@ pub struct Scenario {
     pub name: &'static str,
     /// What it tests and which subsystems are involved, in one line.
     pub blurb: &'static str,
-    /// Whether `ci.sh` runs it (with `--quick`).
-    pub ci: bool,
     /// The scenario body.
     pub run: fn(&mut Report),
 }
@@ -257,8 +256,8 @@ mod tests {
     }
 
     #[test]
-    fn every_ci_scenario_has_a_committed_quick_artefact() {
-        for s in SCENARIOS.iter().filter(|s| s.ci) {
+    fn every_scenario_has_a_committed_quick_artefact() {
+        for s in SCENARIOS {
             let committed = Report::new(s.name, true).committed(s.name, "txt");
             assert!(
                 committed.is_some(),

@@ -1,4 +1,4 @@
-//! `phoenix-bench <scenario> [--quick]` / `phoenix-bench list [--ci]`.
+//! `phoenix-bench <scenario> [--quick]` / `phoenix-bench list`.
 
 use std::process::ExitCode;
 
@@ -10,14 +10,7 @@ fn main() -> ExitCode {
     let (name, quick) = match args[..] {
         ["list"] => {
             for s in SCENARIOS {
-                let ci = if s.ci { "ci" } else { "  " };
-                println!("{:<20}  {ci}  {}", s.name, s.blurb);
-            }
-            return ExitCode::SUCCESS;
-        }
-        ["list", "--ci"] => {
-            for s in SCENARIOS.iter().filter(|s| s.ci) {
-                println!("{}", s.name);
+                println!("{:<20}  {}", s.name, s.blurb);
             }
             return ExitCode::SUCCESS;
         }
@@ -35,6 +28,6 @@ fn main() -> ExitCode {
 
 fn usage() -> ExitCode {
     eprintln!("usage: phoenix-bench <scenario> [--quick]");
-    eprintln!("       phoenix-bench list [--ci]");
+    eprintln!("       phoenix-bench list");
     ExitCode::from(2)
 }
