@@ -97,6 +97,11 @@ const COMPARISON_MACROS: &[&str] = &[
     "matches",
 ];
 
+/// Functions whose kind argument is what a reply is checked against, not
+/// something put on the wire: `classify(sock::ACK, &result)` — the one
+/// reply classifier of `servers/src/proto.rs` — handles the kind.
+const COMPARISON_FNS: &[&str] = &["classify"];
+
 /// What encloses a token: the innermost unmatched `(` walking backward.
 enum Enclosure {
     /// `name(...` — a call (or `name!(...` when `bang`).
@@ -152,7 +157,7 @@ fn enclosure(tokens: &[ast::Token], start: usize) -> Enclosure {
 /// the const's identifier token.
 ///
 /// Handle positions: `==`/`!=` adjacency; the argument list of a
-/// comparison macro; a match-arm pattern — including tuple patterns like
+/// comparison macro or of the reply classifier; a match-arm pattern — including tuple patterns like
 /// `(rsp::COMPLAIN, i) =>` — recognized by a forward scan to `=>` that
 /// is vetoed when the enclosing paren group is a call's argument list
 /// (`send(dst, K), NEXT => ...` stays a send). Everything else is a
@@ -174,8 +179,13 @@ fn classify(tokens: &[ast::Token], idx: usize) -> RefClass {
         _ => {}
     }
     let enc = enclosure(tokens, path_start(tokens, idx));
-    if let Enclosure::Call { name, bang: true } = &enc {
-        if COMPARISON_MACROS.contains(&name.as_str()) {
+    if let Enclosure::Call { name, bang } = &enc {
+        let comparisons = if *bang {
+            COMPARISON_MACROS
+        } else {
+            COMPARISON_FNS
+        };
+        if comparisons.contains(&name.as_str()) {
             return RefClass::Handle;
         }
     }
@@ -599,5 +609,8 @@ mod tests {
         // An ordinary function argument is still a send.
         let src = "enqueue(ds::ACK);";
         assert_eq!(class_of(src, "ACK"), RefClass::Send);
+        // The reply classifier's expected kind is a comparison.
+        let src = "let class = classify(sock::ACK, &result);";
+        assert_eq!(class_of(src, "ACK"), RefClass::Handle);
     }
 }

@@ -111,6 +111,7 @@ pub fn default_rules() -> Vec<Rule> {
                 "crates/simcore/src/export.rs",
                 "crates/ckpt/src",
                 "crates/core/src/loadgen.rs",
+                "crates/core/src/client.rs",
             ],
             exempt: &[],
             rationale: "a panic (unwrap/expect/panic!/unreachable!/todo!) in RS/DS/policy \
@@ -119,8 +120,9 @@ pub fn default_rules() -> Vec<Rule> {
                         garbled driver replies and corrupted externalized state on their \
                         restore paths, the timeline analyzer/exporters must survive corrupted \
                         traces, the checkpoint layer must survive corrupted snapshots, and \
-                        the SLO load generators must keep measuring through the very \
-                        failures they exist to observe; degrade or log instead",
+                        the SLO load generators and the client engines under the apps must \
+                        keep going through the very failures they exist to observe and \
+                        recover from; degrade or log instead",
         },
         Rule {
             name: "decide-purity",

@@ -4,21 +4,28 @@
 //! programs the paper's evaluation and examples are built around. Each app
 //! shares an observable state cell with the harness (single-threaded
 //! simulation, so `Rc<RefCell<..>>`).
+//!
+//! Every request here is built by `phoenix_servers::proto` and every
+//! reply read through its classifier. The printer daemons and the file
+//! readers are policies ([`Job`]s, [`Sink`]s) over the two engines of
+//! [`crate::client`]; the other apps keep their own event loop because
+//! their §6.3 policy *is* their control flow.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use phoenix_ckpt::proto::{reply_ack, tag_request};
 use phoenix_ckpt::WriteAheadLog;
-use phoenix_drivers::proto::{cdev, status};
+use phoenix_drivers::proto::cdev;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_servers::proto::{complain, evidence, fs, rs as rsp, sock};
-use phoenix_servers::vfs::DRIVER_DIED_PARAM;
+use phoenix_servers::proto::{self, classify, rs as rsp, sock, Dev, ReplyClass};
 use phoenix_simcore::digest::{Md5, Sha1};
 use phoenix_simcore::time::{SimDuration, SimTime};
 use phoenix_simcore::trace::TraceLevel;
+
+use crate::client::{After, CharWriter, Failure, FileReader, Job, Recover, Retry, Sink};
 
 /// Shared observable state of a [`Wget`] download.
 #[derive(Debug, Default)]
@@ -52,10 +59,10 @@ pub struct Wget {
     md5: Md5,
     status: Rc<RefCell<WgetStatus>>,
     gap_threshold: SimDuration,
-    /// Recovery-aware mode: where to file complaints about garbled INET
-    /// replies (`None` = the paper's recovery-unaware baseline, which
-    /// simply wedges when its server fails silently).
-    rs: Option<Endpoint>,
+    /// Recovery-aware mode: reissue across INET microreboots (the
+    /// default is the paper's recovery-unaware baseline, which simply
+    /// wedges when its server fails silently).
+    retry: Retry,
     /// The GET request was acknowledged; data flow resumes by itself
     /// after a server microreboot, no reissue needed.
     request_acked: bool,
@@ -77,7 +84,7 @@ impl Wget {
             md5: Md5::new(),
             status,
             gap_threshold: SimDuration::from_millis(50),
-            rs: None,
+            retry: Retry::default(),
             request_acked: false,
         }
     }
@@ -86,107 +93,90 @@ impl Wget {
     /// error-status calls are reissued, and garbled replies are reported
     /// to RS as `BAD_REPLY` evidence before retrying.
     pub fn recovery_aware(mut self, rs: Endpoint) -> Self {
-        self.rs = Some(rs);
+        self.retry = Retry::aware(rs);
         self
     }
 
     fn complain(&mut self, ctx: &mut Ctx<'_>, accused: Endpoint) {
-        let Some(rs) = self.rs else { return };
-        let _ = ctx.sendrec(rs, complain(evidence::BAD_REPLY, "inet", Some(accused)));
-        self.status.borrow_mut().complaints += 1;
+        if self.retry.complain(ctx, "inet", accused) {
+            self.status.borrow_mut().complaints += 1;
+        }
     }
 
-    /// Reissues whatever call the download is blocked on. The connection
-    /// handle survives a microreboot (INET's session slab is
-    /// externalized), so only the not-yet-acknowledged step is redone.
-    /// During the dead window the sendrec itself fails synchronously, so
-    /// a retry alarm keeps knocking until the sticky slot routes
-    /// somewhere live.
+    /// Issues whatever call the download is blocked on: the CONNECT
+    /// while there is no connection, then the GET until it is
+    /// acknowledged. During a server's dead window the sendrec itself
+    /// fails synchronously, so a retry alarm keeps knocking until the
+    /// sticky slot routes somewhere live.
+    fn issue(&mut self, ctx: &mut Ctx<'_>) {
+        let msg = match self.conn {
+            None => proto::connect(),
+            Some(conn) if !self.request_acked => proto::get(conn, self.size, self.content_seed),
+            Some(_) => return,
+        };
+        if ctx.sendrec(self.inet, msg).is_err() && self.retry.is_aware() {
+            Retry::knock(ctx);
+        }
+    }
+
+    /// Reissues after a failure. The connection handle survives a
+    /// microreboot (INET's session slab is externalized), so only the
+    /// not-yet-acknowledged step is redone.
     fn resume(&mut self, ctx: &mut Ctx<'_>) {
-        if self.status.borrow().done {
+        if self.status.borrow().done || !self.retry.is_aware() {
             return;
         }
         self.status.borrow_mut().retries += 1;
-        let sent = match self.conn {
-            None => ctx.sendrec(self.inet, Message::new(sock::CONNECT)).is_ok(),
-            Some(conn) if !self.request_acked => {
-                let req = format!("GET {} {}", self.size, self.content_seed);
-                ctx.sendrec(
-                    self.inet,
-                    Message::new(sock::SEND)
-                        .with_param(0, conn)
-                        .with_data(req.into_bytes()),
-                )
-                .is_ok()
-            }
-            Some(_) => true,
-        };
-        if !sent {
-            let _ = ctx.set_alarm(SimDuration::from_millis(50), 0);
-        }
+        self.issue(ctx);
     }
 }
 
 impl Process for Wget {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Start => {
-                let _ = ctx.sendrec(self.inet, Message::new(sock::CONNECT));
-            }
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } if reply.mtype == sock::CONNECT_REPLY && reply.param(0) == 0 => {
-                let conn = reply.param(1);
-                self.conn = Some(conn);
-                let req = format!("GET {} {}", self.size, self.content_seed);
-                let _ = ctx.sendrec(
-                    self.inet,
-                    Message::new(sock::SEND)
-                        .with_param(0, conn)
-                        .with_data(req.into_bytes()),
-                );
-            }
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } if reply.mtype == sock::ACK => {
-                if reply.param(0) == 0 {
-                    self.request_acked = true;
-                } else if self.rs.is_some() {
-                    // The restored session slab does not know this
-                    // connection (it died before the first quiescent-point
-                    // save): start the download over.
-                    self.conn = None;
-                    self.request_acked = false;
-                    self.resume(ctx);
-                }
-            }
+            ProcEvent::Start => self.issue(ctx),
             ProcEvent::Reply {
                 result: Ok(reply), ..
             } if reply.mtype == rsp::ACK => {
                 // RS acknowledged a complaint; nothing to do.
             }
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } if self.rs.is_some() => {
-                if reply.mtype == sock::CONNECT_REPLY {
-                    // Error-status connect: reissue.
-                    self.resume(ctx);
-                } else {
-                    // A reply type this app never asked for: fail-silent
-                    // evidence against the incarnation that sent it.
-                    self.complain(ctx, reply.source);
-                    self.resume(ctx);
+            ProcEvent::Reply { result, .. } => {
+                let class = match self.conn {
+                    None => classify(sock::CONNECT_REPLY, &result),
+                    Some(_) => classify(sock::ACK, &result),
+                };
+                match (class, result, self.conn) {
+                    (ReplyClass::Ok, Ok(reply), None) => {
+                        self.conn = Some(reply.param(1));
+                        self.issue(ctx);
+                    }
+                    (ReplyClass::Ok, ..) => self.request_acked = true,
+                    (ReplyClass::Garbled, Ok(reply), _) => {
+                        // A reply type this app never asked for: fail-silent
+                        // evidence against the incarnation that sent it.
+                        self.complain(ctx, reply.source);
+                        self.resume(ctx);
+                    }
+                    (ReplyClass::Gone, ..) | (_, _, None) => {
+                        // The call was aborted by the server's death, or
+                        // the connect came back with an error status:
+                        // reissue once the sticky slot routes to the
+                        // replacement incarnation.
+                        self.resume(ctx);
+                    }
+                    (_, _, Some(_)) if self.retry.is_aware() => {
+                        // The restored session slab does not know this
+                        // connection (it died before the first quiescent-point
+                        // save): start the download over.
+                        self.conn = None;
+                        self.request_acked = false;
+                        self.resume(ctx);
+                    }
+                    _ => {}
                 }
             }
-            ProcEvent::Reply { result: Err(_), .. } if self.rs.is_some() => {
-                // The call was aborted by the server's death; reissue once
-                // the sticky slot routes to the replacement incarnation.
-                self.resume(ctx);
-            }
-            ProcEvent::Alarm { .. } if self.rs.is_some() => {
-                // Retry knock from the dead window.
-                self.resume(ctx);
-            }
+            // Retry knock from the dead window.
+            ProcEvent::Alarm { .. } => self.resume(ctx),
             ProcEvent::Message(msg) if msg.mtype == sock::DATA => {
                 self.md5.update(&msg.data);
                 let now = ctx.now();
@@ -210,7 +200,7 @@ impl Process for Wget {
                     format!("wget complete: {} bytes", st.bytes),
                 );
             }
-            ProcEvent::Message(msg) if self.rs.is_some() => {
+            ProcEvent::Message(msg) => {
                 // A push of a type this app cannot parse: garbled stream
                 // traffic from a corrupting server.
                 self.complain(ctx, msg.source);
@@ -242,40 +232,28 @@ pub struct DdStatus {
 }
 
 /// `dd`: sequentially reads a file through VFS/MFS in fixed-size chunks
-/// and pipes it into `sha1sum` (Fig. 8).
-pub struct Dd {
-    vfs: Endpoint,
-    path: String,
-    chunk: u64,
-    ino: Option<u64>,
-    size: u64,
-    offset: u64,
-    /// Which mounted file server the handle belongs to (0 = root/MFS,
-    /// 1 = the `/fat/` mount).
-    fs_id: u64,
+/// and pipes it into `sha1sum` (Fig. 8). Paths under `/fat/` read from
+/// the FAT mount.
+pub type Dd = FileReader<Sha1Sum>;
+
+/// [`Dd`]'s [`Sink`]: hashes the stream and finishes at end of file.
+pub struct Sha1Sum {
     sha1: Sha1,
     status: Rc<RefCell<DdStatus>>,
-    /// Recovery-aware mode: where to file complaints about garbled VFS
-    /// replies (`None` = recovery-unaware baseline).
-    rs: Option<Endpoint>,
+    /// Recovery-aware mode: reissue across VFS/MFS microreboots (the
+    /// default is the recovery-unaware baseline).
+    retry: Retry,
 }
 
 impl Dd {
-    /// Creates the app reading `path` in `chunk`-byte reads. Paths under
-    /// `/fat/` read from the FAT mount.
+    /// Creates the app reading `path` in `chunk`-byte reads.
     pub fn new(vfs: Endpoint, path: &str, chunk: u64, status: Rc<RefCell<DdStatus>>) -> Self {
-        Dd {
-            vfs,
-            path: path.to_string(),
-            chunk,
-            ino: None,
-            size: 0,
-            offset: 0,
-            fs_id: u64::from(path.starts_with("/fat/")),
+        let sink = Sha1Sum {
             sha1: Sha1::new(),
             status,
-            rs: None,
-        }
+            retry: Retry::default(),
+        };
+        FileReader::with_sink(vfs, path, chunk, sink)
     }
 
     /// Makes the read survive VFS/MFS microreboots: aborted or
@@ -283,150 +261,41 @@ impl Dd {
     /// stays byte-exact), and garbled replies are reported to RS as
     /// `BAD_REPLY` evidence before retrying.
     pub fn recovery_aware(mut self, rs: Endpoint) -> Self {
-        self.rs = Some(rs);
+        self.sink.retry = Retry::aware(rs);
         self
-    }
-
-    fn complain(&mut self, ctx: &mut Ctx<'_>, accused: Endpoint) {
-        let Some(rs) = self.rs else { return };
-        let _ = ctx.sendrec(rs, complain(evidence::BAD_REPLY, "vfs", Some(accused)));
-        self.status.borrow_mut().complaints += 1;
-    }
-
-    /// Reissues whatever call the read is blocked on: the OPEN if no
-    /// handle exists yet, otherwise the READ at the unchanged offset.
-    /// During the dead window — the old incarnation is gone, the
-    /// replacement not yet spawned — the sendrec itself fails
-    /// synchronously, so a retry alarm keeps knocking until the sticky
-    /// slot routes somewhere live.
-    fn resume(&mut self, ctx: &mut Ctx<'_>) {
-        if self.status.borrow().done {
-            return;
-        }
-        self.status.borrow_mut().retries += 1;
-        let sent = if self.ino.is_some() {
-            self.next_read(ctx)
-        } else {
-            let path = self.path.clone();
-            ctx.sendrec(
-                self.vfs,
-                Message::new(fs::OPEN).with_data(path.into_bytes()),
-            )
-            .is_ok()
-        };
-        if !sent {
-            let _ = ctx.set_alarm(SimDuration::from_millis(50), 0);
-        }
-    }
-
-    fn next_read(&mut self, ctx: &mut Ctx<'_>) -> bool {
-        let ino = self.ino.expect("opened");
-        let want = self.chunk.min(self.size - self.offset);
-        ctx.sendrec(
-            self.vfs,
-            Message::new(fs::READ)
-                .with_param(0, ino)
-                .with_param(1, self.offset)
-                .with_param(2, want)
-                .with_param(7, self.fs_id),
-        )
-        .is_ok()
     }
 }
 
-impl Process for Dd {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match event {
-            ProcEvent::Start => {
-                let path = self.path.clone();
-                let _ = ctx.sendrec(
-                    self.vfs,
-                    Message::new(fs::OPEN).with_data(path.into_bytes()),
-                );
-            }
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } => match reply.mtype {
-                fs::OPEN_REPLY => {
-                    if reply.param(0) == status::OK {
-                        self.ino = Some(reply.param(1));
-                        self.size = reply.param(2);
-                        if self.size == 0 {
-                            let mut st = self.status.borrow_mut();
-                            st.done = true;
-                            st.finished_at = Some(ctx.now());
-                            st.sha1 = Some(self.sha1.clone().finish_hex());
-                            return;
-                        }
-                        self.next_read(ctx);
-                    } else if self.rs.is_some() {
-                        // Error-status open during a server microreboot
-                        // (e.g. the mount table is still rehydrating):
-                        // reissue rather than give up.
-                        self.resume(ctx);
-                    } else {
-                        self.status.borrow_mut().errors += 1;
-                    }
-                }
-                fs::DATA_REPLY => {
-                    if reply.param(0) != status::OK {
-                        if self.rs.is_some() {
-                            // Same offset, so no bytes are skipped or
-                            // double-hashed.
-                            self.resume(ctx);
-                        } else {
-                            self.status.borrow_mut().errors += 1;
-                        }
-                        return;
-                    }
-                    self.sha1.update(&reply.data);
-                    self.offset += reply.data.len() as u64;
-                    let mut st = self.status.borrow_mut();
-                    st.bytes = self.offset;
-                    if self.offset >= self.size {
-                        st.done = true;
-                        st.finished_at = Some(ctx.now());
-                        st.sha1 = Some(self.sha1.clone().finish_hex());
-                        drop(st);
-                        ctx.trace(
-                            TraceLevel::Info,
-                            format!("dd complete: {} bytes", self.offset),
-                        );
-                    } else {
-                        drop(st);
-                        self.next_read(ctx);
-                    }
-                }
-                rsp::ACK => {
-                    // RS acknowledged a complaint; nothing to do.
-                }
-                _ => {
-                    if self.rs.is_some() {
-                        // A reply type this app never asked for: garbled
-                        // server output. File the evidence, then retry the
-                        // in-flight call (the garbage consumed its reply).
-                        self.complain(ctx, reply.source);
-                        self.resume(ctx);
-                    }
-                }
-            },
-            ProcEvent::Reply { result: Err(_), .. } => {
-                if self.rs.is_some() {
-                    // The call was aborted by the server's death; reissue
-                    // once the sticky slot routes to the replacement.
-                    self.resume(ctx);
-                } else {
-                    // Recovery-unaware baseline: a server death is an I/O
-                    // error the application reports to the user.
-                    self.status.borrow_mut().errors += 1;
-                }
-            }
-            ProcEvent::Alarm { .. } if self.rs.is_some() => {
-                // Retry knock from the dead window.
-                self.resume(ctx);
-            }
-            _ => {}
+impl Sink for Sha1Sum {
+    fn data(&mut self, data: &[u8], offset: u64) {
+        self.sha1.update(data);
+        self.status.borrow_mut().bytes = offset;
+    }
+
+    fn end_of_file(&mut self, ctx: &mut Ctx<'_>, bytes: u64) -> bool {
+        let mut st = self.status.borrow_mut();
+        st.done = true;
+        st.finished_at = Some(ctx.now());
+        st.sha1 = Some(self.sha1.clone().finish_hex());
+        ctx.trace(TraceLevel::Info, format!("dd complete: {bytes} bytes"));
+        false
+    }
+
+    fn failed(&mut self, ctx: &mut Ctx<'_>, why: Failure) -> Recover {
+        let mut st = self.status.borrow_mut();
+        if !self.retry.is_aware() {
+            // Recovery-unaware baseline: a server death is an I/O error
+            // the application reports to the user.
+            st.errors += 1;
+            return Recover::Stop;
         }
+        if let Failure::Garbled(accused) = why {
+            // Garbled server output: file the evidence, then retry the
+            // in-flight call (the garbage consumed its reply).
+            st.complaints += u64::from(self.retry.complain(ctx, "vfs", accused));
+        }
+        st.retries += 1;
+        Recover::Reissue
     }
 }
 
@@ -451,149 +320,80 @@ pub struct LpdStatus {
 /// ([`Lpd::new_unaware`]) instead gives up and reports the failure, the
 /// paper's baseline for applications that were never taught about driver
 /// recovery.
-pub struct Lpd {
-    vfs: Endpoint,
-    job: Vec<u8>,
+pub type Lpd = CharWriter<PrintJob>;
+
+/// [`Lpd`]'s [`Job`]: one buffer, printed from the start again after a
+/// driver failure.
+pub struct PrintJob {
+    data: Vec<u8>,
     sent: usize,
-    state: LpdState,
     status: Rc<RefCell<LpdStatus>>,
-    retry_delay: SimDuration,
     recovery_aware: bool,
 }
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LpdState {
-    /// OPEN request outstanding.
-    Opening,
-    /// WRITE request outstanding.
-    Writing,
-    /// Waiting for the retry alarm, then reopen from scratch.
-    BackoffOpen,
-    /// Waiting for the FIFO to drain, then write more.
-    BackoffWrite,
-    /// Job finished.
-    Done,
-}
-
-const PRINTER_DEV_INDEX: u64 = 0; // /dev/lp in the VFS device table
 
 impl Lpd {
     /// Creates the daemon with one `job` to print.
     pub fn new(vfs: Endpoint, job: Vec<u8>, status: Rc<RefCell<LpdStatus>>) -> Self {
-        Lpd {
-            vfs,
-            job,
+        let job = PrintJob {
+            data: job,
             sent: 0,
-            state: LpdState::Opening,
             status,
-            retry_delay: SimDuration::from_millis(100),
             recovery_aware: true,
-        }
+        };
+        CharWriter::with_job(vfs, Dev::Printer, job)
     }
 
     /// Creates a recovery-*unaware* daemon: a driver failure is fatal and
     /// reported to the user instead of retried.
     pub fn new_unaware(vfs: Endpoint, job: Vec<u8>, status: Rc<RefCell<LpdStatus>>) -> Self {
         let mut lpd = Self::new(vfs, job, status);
-        lpd.recovery_aware = false;
+        lpd.job.recovery_aware = false;
         lpd
     }
+}
 
-    fn open(&mut self, ctx: &mut Ctx<'_>) {
-        self.state = LpdState::Opening;
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(fs::OPEN).with_data(b"/dev/lp".to_vec()),
-        );
+impl Job for PrintJob {
+    fn next_write(&mut self, dev: Dev) -> Option<Message> {
+        let rest = self.data.get(self.sent..).filter(|rest| !rest.is_empty())?;
+        Some(dev.write(rest[..rest.len().min(1024)].to_vec()))
     }
 
-    fn send_chunk(&mut self, ctx: &mut Ctx<'_>) {
-        self.state = LpdState::Writing;
-        let chunk = &self.job[self.sent..(self.sent + 1024).min(self.job.len())];
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(cdev::WRITE)
-                .with_param(7, PRINTER_DEV_INDEX)
-                .with_data(chunk.to_vec()),
-        );
+    fn acked(&mut self, reply: &Message) -> bool {
+        let accepted = reply.param(1);
+        self.sent += accepted as usize;
+        self.status.borrow_mut().accepted += accepted;
+        accepted > 0
     }
 
-    fn restart_job(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.recovery_aware {
-            // The baseline app: it has no recovery logic, so the driver
-            // failure surfaces to the user and the job is abandoned.
-            self.state = LpdState::Done;
-            let mut st = self.status.borrow_mut();
+    fn finished(&mut self, ctx: &mut Ctx<'_>) {
+        self.status.borrow_mut().done = true;
+        ctx.trace(TraceLevel::Info, "print job done".to_string());
+    }
+
+    fn failed(&mut self, ctx: &mut Ctx<'_>, died: bool) -> After {
+        let mut st = self.status.borrow_mut();
+        if !(died && self.recovery_aware) {
+            // The baseline app has no recovery logic, and an error the
+            // live driver reports (out of paper) is not a recovery matter
+            // for either variant: the failure surfaces to the user and
+            // the job is abandoned.
             st.fatal += 1;
             st.done = true;
             ctx.trace(
                 TraceLevel::Error,
                 "printer failed; job abandoned, user notified".to_string(),
             );
-            return;
+            return After::Abandon;
         }
         // The driver died: nobody can tell how much of the stream made it
         // to paper, so redo the job from the start after a grace period.
         self.sent = 0;
-        self.state = LpdState::BackoffOpen;
-        self.status.borrow_mut().job_restarts += 1;
+        st.job_restarts += 1;
         ctx.trace(
             TraceLevel::Warn,
             "printer failed; reissuing job".to_string(),
         );
-        let _ = ctx.set_alarm(self.retry_delay, 0);
-    }
-}
-
-impl Process for Lpd {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match event {
-            ProcEvent::Start => self.open(ctx),
-            ProcEvent::Alarm { .. } => match self.state {
-                LpdState::BackoffOpen => self.open(ctx),
-                LpdState::BackoffWrite => self.send_chunk(ctx),
-                _ => {}
-            },
-            ProcEvent::Reply { result: Err(_), .. } => self.restart_job(ctx),
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } => match self.state {
-                LpdState::Opening => {
-                    if reply.param(0) == status::OK {
-                        self.send_chunk(ctx);
-                    } else {
-                        // Driver not back yet; try again shortly.
-                        self.state = LpdState::BackoffOpen;
-                        let _ = ctx.set_alarm(self.retry_delay, 0);
-                    }
-                }
-                LpdState::Writing => match reply.param(0) {
-                    status::OK if reply.param(1) > 0 => {
-                        let accepted = reply.param(1) as usize;
-                        self.sent += accepted;
-                        self.status.borrow_mut().accepted += accepted as u64;
-                        if self.sent >= self.job.len() {
-                            self.state = LpdState::Done;
-                            self.status.borrow_mut().done = true;
-                            ctx.trace(TraceLevel::Info, "print job done".to_string());
-                        } else {
-                            self.send_chunk(ctx);
-                        }
-                    }
-                    status::OK | status::EAGAIN => {
-                        // Printer FIFO full: wait for it to drain a bit.
-                        self.state = LpdState::BackoffWrite;
-                        let _ = ctx.set_alarm(SimDuration::from_millis(20), 1);
-                    }
-                    _ if reply.param(DRIVER_DIED_PARAM) == 1 => self.restart_job(ctx),
-                    _ => {
-                        self.status.borrow_mut().fatal += 1;
-                    }
-                },
-                _ => {}
-            },
-            _ => {}
-        }
+        After::Reopen
     }
 }
 
@@ -618,8 +418,6 @@ pub struct Mp3Player {
     next_block: u64,
     status: Rc<RefCell<Mp3Status>>,
 }
-
-const AUDIO_DEV_INDEX: u64 = 1; // /dev/audio in the VFS device table
 
 impl Mp3Player {
     /// Plays `blocks_total` blocks of `block_bytes` bytes, one per
@@ -649,12 +447,7 @@ impl Mp3Player {
         }
         let block = vec![(self.next_block & 0xFF) as u8; self.block_bytes];
         self.next_block += 1;
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(cdev::WRITE)
-                .with_param(7, AUDIO_DEV_INDEX)
-                .with_data(block),
-        );
+        let _ = ctx.sendrec(self.vfs, Dev::Audio.write(block));
         let _ = ctx.set_alarm(self.block_period, 0);
     }
 }
@@ -665,9 +458,8 @@ impl Process for Mp3Player {
             ProcEvent::Start => self.feed(ctx),
             ProcEvent::Alarm { .. } => self.feed(ctx),
             ProcEvent::Reply { result, .. } => {
-                let ok = matches!(&result, Ok(reply) if reply.param(0) == status::OK);
                 let mut st = self.status.borrow_mut();
-                if ok {
+                if classify(cdev::REPLY, &result) == ReplyClass::Ok {
                     st.blocks_played += 1;
                 } else {
                     // Hiccup: the block is gone; keep playing (§6.3).
@@ -708,8 +500,6 @@ enum BurnState {
     Done,
 }
 
-const SCSI_DEV_INDEX: u64 = 2; // /dev/cd in the VFS device table
-
 impl CdBurn {
     /// Burns `chunks` chunks of `chunk_bytes` each.
     pub fn new(
@@ -727,6 +517,19 @@ impl CdBurn {
         }
     }
 
+    /// A burn has no retry: a send the kernel refuses ruins the disc like
+    /// any other failure.
+    fn call(&mut self, ctx: &mut Ctx<'_>, msg: Message) {
+        if ctx.sendrec(self.vfs, msg).is_err() {
+            self.fail(ctx);
+        }
+    }
+
+    fn burn_chunk(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
+        self.state = BurnState::Writing(seq);
+        self.call(ctx, Dev::Scsi.burn_chunk(seq, vec![0xCD; self.chunk_bytes]));
+    }
+
     fn fail(&mut self, ctx: &mut Ctx<'_>) {
         self.state = BurnState::Done;
         self.status.borrow_mut().reported_to_user = true;
@@ -740,51 +543,22 @@ impl CdBurn {
 impl Process for CdBurn {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Start => {
-                let _ = ctx.sendrec(
-                    self.vfs,
-                    Message::new(cdev::BURN_START)
-                        .with_param(0, self.chunks)
-                        .with_param(7, SCSI_DEV_INDEX),
-                );
-            }
+            ProcEvent::Start => self.call(ctx, Dev::Scsi.burn_start(self.chunks)),
             ProcEvent::Reply { result, .. } => {
-                let ok = matches!(&result, Ok(reply) if reply.param(0) == status::OK);
-                if !ok {
+                if classify(cdev::REPLY, &result) != ReplyClass::Ok {
                     self.fail(ctx);
                     return;
                 }
                 match self.state {
-                    BurnState::Starting => {
-                        self.state = BurnState::Writing(0);
-                        let chunk = vec![0xCD; self.chunk_bytes];
-                        let _ = ctx.sendrec(
-                            self.vfs,
-                            Message::new(cdev::BURN_CHUNK)
-                                .with_param(0, 0)
-                                .with_param(7, SCSI_DEV_INDEX)
-                                .with_data(chunk),
-                        );
-                    }
+                    BurnState::Starting => self.burn_chunk(ctx, 0),
                     BurnState::Writing(seq) => {
                         self.status.borrow_mut().chunks_written = seq + 1;
                         let next = seq + 1;
                         if next >= self.chunks {
                             self.state = BurnState::Finalizing;
-                            let _ = ctx.sendrec(
-                                self.vfs,
-                                Message::new(cdev::BURN_FINALIZE).with_param(7, SCSI_DEV_INDEX),
-                            );
+                            self.call(ctx, Dev::Scsi.burn_finalize());
                         } else {
-                            self.state = BurnState::Writing(next);
-                            let chunk = vec![0xCD; self.chunk_bytes];
-                            let _ = ctx.sendrec(
-                                self.vfs,
-                                Message::new(cdev::BURN_CHUNK)
-                                    .with_param(0, next)
-                                    .with_param(7, SCSI_DEV_INDEX)
-                                    .with_data(chunk),
-                            );
+                            self.burn_chunk(ctx, next);
                         }
                     }
                     BurnState::Finalizing => {
@@ -845,13 +619,7 @@ impl UdpPing {
     }
 
     fn send_seq(&mut self, ctx: &mut Ctx<'_>, seq: u64) {
-        let payload = seq.to_le_bytes().to_vec();
-        let _ = ctx.sendrec(
-            self.inet,
-            Message::new(sock::DGRAM_SEND)
-                .with_param(1, seq)
-                .with_data(payload),
-        );
+        let _ = ctx.sendrec(self.inet, proto::dgram(seq, seq.to_le_bytes().to_vec()));
         self.status.borrow_mut().sent += 1;
     }
 
@@ -913,8 +681,6 @@ pub struct TtyReader {
     status: Rc<RefCell<TtyStatus>>,
 }
 
-const KBD_DEV_INDEX: u64 = 3; // /dev/kbd in the VFS device table
-
 impl TtyReader {
     /// Creates a reader polling every `poll`.
     pub fn new(vfs: Endpoint, poll: SimDuration, status: Rc<RefCell<TtyStatus>>) -> Self {
@@ -922,12 +688,11 @@ impl TtyReader {
     }
 
     fn read(&mut self, ctx: &mut Ctx<'_>) {
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(cdev::READ)
-                .with_param(0, 256)
-                .with_param(7, KBD_DEV_INDEX),
-        );
+        if ctx.sendrec(self.vfs, Dev::Kbd.read(256)).is_err() {
+            // VFS itself is between incarnations: same as a dead driver.
+            self.status.borrow_mut().driver_errors += 1;
+            let _ = ctx.set_alarm(self.poll, 0);
+        }
     }
 }
 
@@ -937,8 +702,8 @@ impl Process for TtyReader {
             ProcEvent::Start => self.read(ctx),
             ProcEvent::Alarm { .. } => self.read(ctx),
             ProcEvent::Reply { result, .. } => {
-                match result {
-                    Ok(reply) if reply.param(0) == status::OK => {
+                match (classify(cdev::REPLY, &result), result) {
+                    (ReplyClass::Ok, Ok(reply)) => {
                         self.status
                             .borrow_mut()
                             .received
@@ -981,26 +746,13 @@ pub struct CkptLpdStatus {
 /// restored watermark deduplicates anything that already reached the
 /// device, so the printed stream is byte-exact: no duplicated page, no
 /// lost line (contrast with [`Lpd`], which reissues the whole job).
-pub struct CkptLpd {
-    vfs: Endpoint,
-    wal: WriteAheadLog,
-    state: CkptLpdState,
-    status: Rc<RefCell<CkptLpdStatus>>,
-    retry_delay: SimDuration,
-}
+pub type CkptLpd = CharWriter<LoggedJob>;
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum CkptLpdState {
-    /// OPEN request outstanding.
-    Opening,
-    /// Logged WRITE outstanding.
-    Writing,
-    /// Waiting out a driver recovery, then reopen and replay.
-    BackoffOpen,
-    /// Waiting for the FIFO to drain, then resend the unacked entry.
-    BackoffWrite,
-    /// Job fully committed.
-    Done,
+/// [`CkptLpd`]'s [`Job`]: the first unacknowledged log entry is always
+/// what comes next, before a failure or after one.
+pub struct LoggedJob {
+    wal: WriteAheadLog,
+    status: Rc<RefCell<CkptLpdStatus>>,
 }
 
 impl CkptLpd {
@@ -1012,107 +764,60 @@ impl CkptLpd {
             wal.append(chunk.to_vec());
         }
         status.borrow_mut().appended = wal.appended();
-        CkptLpd {
-            vfs,
-            wal,
-            state: CkptLpdState::Opening,
-            status,
-            retry_delay: SimDuration::from_millis(100),
+        CharWriter::with_job(vfs, Dev::Printer, LoggedJob { wal, status })
+    }
+}
+
+/// The WRITE of the first unacknowledged log entry, tagged with its log
+/// sequence and absolute stream offset; `None` when the log is drained.
+fn logged_write(wal: &WriteAheadLog, dev: Dev) -> Option<Message> {
+    let entry = wal.next_unacked()?;
+    let write = dev.write(entry.data.clone());
+    Some(tag_request(write, entry.seq, entry.offset))
+}
+
+/// Advances the log by the consumed-progress acknowledgment `reply`
+/// carries, if any; returns the acknowledged watermark.
+fn note_ack(wal: &mut WriteAheadLog, reply: &Message) -> u64 {
+    if let Some((consumed, _seq)) = reply_ack(reply) {
+        wal.ack(consumed);
+    }
+    wal.acked()
+}
+
+impl Job for LoggedJob {
+    fn next_write(&mut self, dev: Dev) -> Option<Message> {
+        logged_write(&self.wal, dev)
+    }
+
+    fn acked(&mut self, reply: &Message) -> bool {
+        let before = self.wal.acked();
+        let acked = note_ack(&mut self.wal, reply);
+        self.status.borrow_mut().acked = acked;
+        acked > before
+    }
+
+    fn finished(&mut self, ctx: &mut Ctx<'_>) {
+        self.status.borrow_mut().done = true;
+        ctx.trace(
+            TraceLevel::Info,
+            "print job committed byte-exact".to_string(),
+        );
+    }
+
+    fn failed(&mut self, ctx: &mut Ctx<'_>, died: bool) -> After {
+        if !died {
+            self.status.borrow_mut().app_errors += 1;
+            return After::Resend;
         }
-    }
-
-    fn open(&mut self, ctx: &mut Ctx<'_>) {
-        self.state = CkptLpdState::Opening;
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(fs::OPEN).with_data(b"/dev/lp".to_vec()),
-        );
-    }
-
-    fn send_next(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(entry) = self.wal.next_unacked() else {
-            self.state = CkptLpdState::Done;
-            self.status.borrow_mut().done = true;
-            ctx.trace(
-                TraceLevel::Info,
-                "print job committed byte-exact".to_string(),
-            );
-            return;
-        };
-        let msg = tag_request(
-            Message::new(cdev::WRITE)
-                .with_param(7, PRINTER_DEV_INDEX)
-                .with_data(entry.data.clone()),
-            entry.seq,
-            entry.offset,
-        );
-        self.state = CkptLpdState::Writing;
-        let _ = ctx.sendrec(self.vfs, msg);
-    }
-
-    fn replay(&mut self, ctx: &mut Ctx<'_>) {
         // The driver died mid-request. The log knows exactly what is
         // unacknowledged; wait out the restart, then replay from there.
         self.status.borrow_mut().replays += 1;
-        self.state = CkptLpdState::BackoffOpen;
         ctx.trace(
             TraceLevel::Warn,
             "printer failed; replaying write-ahead log".to_string(),
         );
-        let _ = ctx.set_alarm(self.retry_delay, 0);
-    }
-}
-
-impl Process for CkptLpd {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match event {
-            ProcEvent::Start => self.open(ctx),
-            ProcEvent::Alarm { .. } => match self.state {
-                CkptLpdState::BackoffOpen => self.open(ctx),
-                CkptLpdState::BackoffWrite => self.send_next(ctx),
-                _ => {}
-            },
-            ProcEvent::Reply { result: Err(_), .. } => self.replay(ctx),
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } => match self.state {
-                CkptLpdState::Opening => {
-                    if reply.param(0) == status::OK {
-                        self.send_next(ctx);
-                    } else {
-                        // Driver not republished yet; try again shortly.
-                        self.state = CkptLpdState::BackoffOpen;
-                        let _ = ctx.set_alarm(self.retry_delay, 0);
-                    }
-                }
-                CkptLpdState::Writing => {
-                    if reply.param(DRIVER_DIED_PARAM) == 1 {
-                        self.replay(ctx);
-                        return;
-                    }
-                    let before = self.wal.acked();
-                    if let Some((consumed, _seq)) = reply_ack(&reply) {
-                        self.wal.ack(consumed);
-                        self.status.borrow_mut().acked = self.wal.acked();
-                    }
-                    match reply.param(0) {
-                        status::OK if self.wal.acked() > before => self.send_next(ctx),
-                        status::OK | status::EAGAIN => {
-                            // FIFO full: wait for it to drain a bit.
-                            self.state = CkptLpdState::BackoffWrite;
-                            let _ = ctx.set_alarm(SimDuration::from_millis(20), 1);
-                        }
-                        _ => {
-                            self.status.borrow_mut().app_errors += 1;
-                            self.state = CkptLpdState::BackoffWrite;
-                            let _ = ctx.set_alarm(self.retry_delay, 1);
-                        }
-                    }
-                }
-                _ => {}
-            },
-            _ => {}
-        }
+        After::Reopen
     }
 }
 
@@ -1174,7 +879,7 @@ impl CkptMp3Player {
         if self.in_flight {
             return;
         }
-        let Some(entry) = self.wal.next_unacked() else {
+        let Some(msg) = logged_write(&self.wal, Dev::Audio) else {
             if self.appended >= self.blocks_total {
                 let mut st = self.status.borrow_mut();
                 if !st.done {
@@ -1187,13 +892,6 @@ impl CkptMp3Player {
             }
             return;
         };
-        let msg = tag_request(
-            Message::new(cdev::WRITE)
-                .with_param(7, AUDIO_DEV_INDEX)
-                .with_data(entry.data.clone()),
-            entry.seq,
-            entry.offset,
-        );
         self.in_flight = ctx.sendrec(self.vfs, msg).is_ok();
     }
 
@@ -1219,22 +917,16 @@ impl Process for CkptMp3Player {
             ProcEvent::Start | ProcEvent::Alarm { .. } => self.tick(ctx),
             ProcEvent::Reply { result, .. } => {
                 self.in_flight = false;
-                match result {
-                    Ok(reply) if reply.param(0) == status::OK => {
-                        if let Some((consumed, _seq)) = reply_ack(&reply) {
-                            self.wal.ack(consumed);
-                            self.status.borrow_mut().acked = self.wal.acked();
-                        }
+                match (classify(cdev::REPLY, &result), result) {
+                    (ReplyClass::Ok, Ok(reply)) => {
+                        self.status.borrow_mut().acked = note_ack(&mut self.wal, &reply);
                         self.pump(ctx);
                     }
-                    Ok(reply) if reply.param(DRIVER_DIED_PARAM) == 1 => {
+                    (ReplyClass::DriverDied | ReplyClass::Gone, _) => {
                         // Replayed on a later tick, once the driver is back.
                         self.status.borrow_mut().replays += 1;
                     }
-                    Err(_) => {
-                        self.status.borrow_mut().replays += 1;
-                    }
-                    Ok(_) => {
+                    _ => {
                         self.status.borrow_mut().app_errors += 1;
                     }
                 }
@@ -1260,98 +952,32 @@ pub struct DdLoopStatus {
 /// each pass and retries after errors instead of stopping — the
 /// block-class traffic source of the fail-silent campaign, where the
 /// *rate of progress* (not completion) is the liveness signal.
-pub struct DdLoop {
-    vfs: Endpoint,
-    path: String,
-    chunk: u64,
-    ino: Option<u64>,
-    size: u64,
-    offset: u64,
-    status: Rc<RefCell<DdLoopStatus>>,
-}
+pub type DdLoop = FileReader<Passes>;
+
+/// [`DdLoop`]'s [`Sink`]: counts bytes and passes, and after any failure
+/// reopens and starts the pass over.
+pub struct Passes(Rc<RefCell<DdLoopStatus>>);
 
 impl DdLoop {
     /// Creates the looping reader over `path` in `chunk`-byte reads.
     pub fn new(vfs: Endpoint, path: &str, chunk: u64, status: Rc<RefCell<DdLoopStatus>>) -> Self {
-        DdLoop {
-            vfs,
-            path: path.to_string(),
-            chunk,
-            ino: None,
-            size: 0,
-            offset: 0,
-            status,
-        }
-    }
-
-    fn open(&mut self, ctx: &mut Ctx<'_>) {
-        self.ino = None;
-        let path = self.path.clone();
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(fs::OPEN).with_data(path.into_bytes()),
-        );
-    }
-
-    fn next_read(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(ino) = self.ino else { return };
-        let want = self.chunk.min(self.size - self.offset);
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(fs::READ)
-                .with_param(0, ino)
-                .with_param(1, self.offset)
-                .with_param(2, want),
-        );
-    }
-
-    fn backoff(&mut self, ctx: &mut Ctx<'_>) {
-        self.status.borrow_mut().errors += 1;
-        let _ = ctx.set_alarm(SimDuration::from_millis(100), 0);
+        FileReader::with_sink(vfs, path, chunk, Passes(status))
     }
 }
 
-impl Process for DdLoop {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match event {
-            ProcEvent::Start => self.open(ctx),
-            ProcEvent::Alarm { .. } => self.open(ctx),
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } => match reply.mtype {
-                fs::OPEN_REPLY => {
-                    if reply.param(0) == status::OK && reply.param(2) > 0 {
-                        self.ino = Some(reply.param(1));
-                        self.size = reply.param(2);
-                        self.offset = 0;
-                        self.next_read(ctx);
-                    } else {
-                        self.backoff(ctx);
-                    }
-                }
-                fs::DATA_REPLY => {
-                    if reply.param(0) != status::OK || reply.data.is_empty() {
-                        self.backoff(ctx);
-                        return;
-                    }
-                    self.offset += reply.data.len() as u64;
-                    {
-                        let mut st = self.status.borrow_mut();
-                        st.bytes += reply.data.len() as u64;
-                        if self.offset >= self.size {
-                            st.passes += 1;
-                        }
-                    }
-                    if self.offset >= self.size {
-                        self.offset = 0;
-                    }
-                    self.next_read(ctx);
-                }
-                _ => self.backoff(ctx),
-            },
-            ProcEvent::Reply { result: Err(_), .. } => self.backoff(ctx),
-            _ => {}
-        }
+impl Sink for Passes {
+    fn data(&mut self, data: &[u8], _offset: u64) {
+        self.0.borrow_mut().bytes += data.len() as u64;
+    }
+
+    fn end_of_file(&mut self, _ctx: &mut Ctx<'_>, _bytes: u64) -> bool {
+        self.0.borrow_mut().passes += 1;
+        true
+    }
+
+    fn failed(&mut self, _ctx: &mut Ctx<'_>, _why: Failure) -> Recover {
+        self.0.borrow_mut().errors += 1;
+        Recover::Reopen
     }
 }
 
@@ -1364,96 +990,36 @@ pub struct LpdLoopStatus {
     pub errors: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum LpdLoopState {
-    Opening,
-    Writing,
-    BackoffOpen,
-    BackoffWrite,
-}
-
 /// Endless printer feeder: writes a fixed chunk to `/dev/lp` forever,
 /// backing off on a full FIFO and reopening after errors or driver
 /// deaths — the char-class traffic source of the fail-silent campaign.
-pub struct LpdLoop {
-    vfs: Endpoint,
+pub type LpdLoop = CharWriter<Feed>;
+
+/// [`LpdLoop`]'s [`Job`]: the same chunk, again; any failure just reopens.
+pub struct Feed {
     chunk: Vec<u8>,
-    state: LpdLoopState,
     status: Rc<RefCell<LpdLoopStatus>>,
 }
 
 impl LpdLoop {
     /// Creates the feeder writing `chunk` repeatedly.
     pub fn new(vfs: Endpoint, chunk: Vec<u8>, status: Rc<RefCell<LpdLoopStatus>>) -> Self {
-        LpdLoop {
-            vfs,
-            chunk,
-            state: LpdLoopState::Opening,
-            status,
-        }
-    }
-
-    fn open(&mut self, ctx: &mut Ctx<'_>) {
-        self.state = LpdLoopState::Opening;
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(fs::OPEN).with_data(b"/dev/lp".to_vec()),
-        );
-    }
-
-    fn write(&mut self, ctx: &mut Ctx<'_>) {
-        self.state = LpdLoopState::Writing;
-        let _ = ctx.sendrec(
-            self.vfs,
-            Message::new(cdev::WRITE)
-                .with_param(7, PRINTER_DEV_INDEX)
-                .with_data(self.chunk.clone()),
-        );
-    }
-
-    fn reopen_later(&mut self, ctx: &mut Ctx<'_>) {
-        self.state = LpdLoopState::BackoffOpen;
-        self.status.borrow_mut().errors += 1;
-        let _ = ctx.set_alarm(SimDuration::from_millis(100), 0);
+        CharWriter::with_job(vfs, Dev::Printer, Feed { chunk, status })
     }
 }
 
-impl Process for LpdLoop {
-    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
-        match event {
-            ProcEvent::Start => self.open(ctx),
-            ProcEvent::Alarm { .. } => match self.state {
-                LpdLoopState::BackoffOpen => self.open(ctx),
-                LpdLoopState::BackoffWrite => self.write(ctx),
-                _ => {}
-            },
-            ProcEvent::Reply { result: Err(_), .. } => self.reopen_later(ctx),
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } => match self.state {
-                LpdLoopState::Opening => {
-                    if reply.param(0) == status::OK {
-                        self.write(ctx);
-                    } else {
-                        self.state = LpdLoopState::BackoffOpen;
-                        let _ = ctx.set_alarm(SimDuration::from_millis(100), 0);
-                    }
-                }
-                LpdLoopState::Writing => match reply.param(0) {
-                    status::OK if reply.param(1) > 0 => {
-                        self.status.borrow_mut().accepted += reply.param(1);
-                        self.write(ctx);
-                    }
-                    status::OK | status::EAGAIN => {
-                        // FIFO full: wait for it to drain a bit.
-                        self.state = LpdLoopState::BackoffWrite;
-                        let _ = ctx.set_alarm(SimDuration::from_millis(20), 1);
-                    }
-                    _ => self.reopen_later(ctx),
-                },
-                _ => {}
-            },
-            _ => {}
-        }
+impl Job for Feed {
+    fn next_write(&mut self, dev: Dev) -> Option<Message> {
+        Some(dev.write(self.chunk.clone()))
+    }
+
+    fn acked(&mut self, reply: &Message) -> bool {
+        self.status.borrow_mut().accepted += reply.param(1);
+        reply.param(1) > 0
+    }
+
+    fn failed(&mut self, _ctx: &mut Ctx<'_>, _died: bool) -> After {
+        self.status.borrow_mut().errors += 1;
+        After::Reopen
     }
 }

@@ -37,6 +37,9 @@
 //! * [`os`] — [`os::Os`] and [`os::OsBuilder`]: assemble and drive the OS.
 //! * [`apps`] — `wget`, `dd`, printer daemon, MP3 player, CD burner, UDP
 //!   ping: the workloads of the paper's evaluation and examples.
+//! * [`client`] — the two protocol engines under the apps (char-stream
+//!   writer, file reader) and the retry they share: §6.3 from the
+//!   client's side, written once.
 //! * [`campaign`] — the §7 campaign families (§7.2 fault injection, chaos,
 //!   checkpointing, fail-silent, microreboot, SLO, hot standby) on one
 //!   shared kit.
@@ -45,6 +48,7 @@
 pub mod apps;
 pub mod audit;
 pub mod campaign;
+pub mod client;
 pub mod experiments;
 pub mod loadgen;
 pub mod os;

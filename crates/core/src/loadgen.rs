@@ -34,11 +34,10 @@ use std::cell::RefCell;
 use std::collections::{BTreeMap, VecDeque};
 use std::rc::Rc;
 
-use phoenix_drivers::proto::status;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, Message};
-use phoenix_servers::proto::{fs, sock};
+use phoenix_servers::proto::{self, classify, fs, sock, File, ReplyClass};
 use phoenix_simcore::obs::RequestRecord;
 use phoenix_simcore::time::{SimDuration, SimTime};
 
@@ -144,9 +143,232 @@ pub struct LoadStatus {
     pub records: Vec<RequestRecord>,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
-enum SlotState {
+/// Alarm-token tag bits (upper byte): arrival clock, linger timer,
+/// request deadline. Below the tag: the low 24 bits of the slot epoch
+/// the alarm was armed under, then the slot index.
+const TOK_ARRIVAL: u64 = 1 << 56;
+const TOK_LINGER: u64 = 2 << 56;
+const TOK_DEADLINE: u64 = 3 << 56;
+const TOK_TAG: u64 = 0xFF << 56;
+
+/// The metric names one generator reports under.
+struct LoadNames {
+    requests: &'static str,
+    completed: &'static str,
+    bytes: &'static str,
+    failed: &'static str,
+    shed: &'static str,
+    timeouts: &'static str,
+}
+
+/// One client slot. The open-loop half: its arrival clock, the arrivals
+/// waiting behind the request in service, and the epoch that retires
+/// that request's deadline alarm and late replies. `client` is whatever
+/// serving a request needs on top (`()` for a single read).
+#[derive(Debug, Default)]
+struct Slot<C> {
+    /// A request is in service (for INET: the session is not idle).
+    busy: bool,
+    /// Arrival instant of the request currently in service.
+    arrival: SimTime,
+    /// Next scheduled arrival for this slot (the open-loop clock).
+    next_arrival: SimTime,
+    /// Arrivals that landed while the slot was busy, oldest first.
+    backlog: VecDeque<SimTime>,
+    /// Monotone alarm epoch: stale deadline and linger alarms, and
+    /// replies to requests the client gave up on, are ignored by it.
+    epoch: u32,
+    client: C,
+}
+
+/// The open-loop slot machinery both generators run on: per-slot arrival
+/// clocks that advance from the previous *arrival*, bounded backlog then
+/// shed, one client deadline per request, O(1) drain accounting, and the
+/// one place a [`RequestRecord`] is written.
+struct OpenLoop<C> {
+    slots: Vec<Slot<C>>,
+    names: LoadNames,
+    status: Rc<RefCell<LoadStatus>>,
+    /// Load epoch zero: the process's `Start` instant. Horizons are
+    /// relative to it, not to boot (boot itself takes virtual seconds).
+    t0: SimTime,
+    /// Arrival chains that have run past the horizon (drain bookkeeping:
+    /// the drained check is O(1) counters, never a slot scan).
+    chains_done: u32,
+    /// Slots with a request in service.
+    busy_slots: u32,
+    /// Arrivals queued across all slot backlogs.
+    backlog_total: u64,
+}
+
+impl<C: Default> OpenLoop<C> {
+    fn new(slots: u32, names: LoadNames, status: Rc<RefCell<LoadStatus>>) -> Self {
+        OpenLoop {
+            slots: (0..slots).map(|_| Slot::default()).collect(),
+            names,
+            status,
+            t0: SimTime::ZERO,
+            chains_done: 0,
+            busy_slots: 0,
+            backlog_total: 0,
+        }
+    }
+
+    fn slot(&mut self, idx: u32) -> &mut Slot<C> {
+        &mut self.slots[idx as usize]
+    }
+
+    /// Splits an alarm token into `(tag, slot, epoch)`; `None` for a
+    /// slot this generator does not have.
+    fn decode(&self, token: u64) -> Option<(u64, u32, u32)> {
+        let idx = (token & 0xFFFF_FFFF) as u32;
+        let epoch = ((token >> 32) & 0xFF_FFFF) as u32;
+        ((idx as usize) < self.slots.len()).then_some((token & TOK_TAG, idx, epoch))
+    }
+
+    /// Whether an alarm or call tagged `epoch` still belongs to what the
+    /// slot is doing now.
+    fn current(&self, idx: u32, epoch: u32) -> bool {
+        self.slots[idx as usize].epoch & 0xFF_FFFF == epoch & 0xFF_FFFF
+    }
+
+    /// Fixes the slot's next arrival at `at` and arms the wakeup
+    /// (saturating: a past-due arrival fires immediately).
+    fn arm_arrival(&mut self, ctx: &mut Ctx<'_>, idx: u32, at: SimTime) {
+        self.slot(idx).next_arrival = at;
+        let _ = ctx.set_alarm(at.since(ctx.now()), TOK_ARRIVAL | u64::from(idx));
+    }
+
+    /// Queues the arrival that just fired behind the request in service.
+    fn queue(&mut self, idx: u32) {
+        let at = self.slot(idx).next_arrival;
+        self.slot(idx).backlog.push_back(at);
+        self.backlog_total += 1;
+    }
+
+    /// One arrival fired on a busy slot: queue it, or past `cap` queued
+    /// arrivals shed it — the client gave up before being served.
+    /// Recorded at the arrival instant so the failure attributes to the
+    /// phase that caused the queue.
+    fn queue_or_shed(&mut self, ctx: &mut Ctx<'_>, idx: u32, cap: usize) {
+        if self.slots[idx as usize].backlog.len() < cap {
+            return self.queue(idx);
+        }
+        self.status.borrow_mut().shed += 1;
+        let at = self.slot(idx).next_arrival;
+        self.record(ctx, at, 0, false);
+        ctx.metrics().incr(self.names.shed);
+    }
+
+    /// Open loop: the next arrival advances from this arrival by a draw
+    /// around `mean`, never from any completion; past `horizon` the chain
+    /// ends. Called once the arrival that fired has been served, queued
+    /// or shed.
+    fn next_arrival(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: u32,
+        mean: SimDuration,
+        horizon: SimDuration,
+    ) {
+        let next = self.slot(idx).next_arrival + draw_interval(ctx.rng(), mean);
+        if next.since(self.t0) < horizon {
+            self.arm_arrival(ctx, idx, next);
+        } else {
+            self.slot(idx).next_arrival = next;
+            self.chains_done += 1;
+        }
+    }
+
+    /// Puts the request that arrived at `arrival` in service on an idle
+    /// slot and arms its client `deadline`. The latency clock starts at
+    /// the *arrival* instant (open loop), not at the instant the slot got
+    /// around to serving it. Returns the epoch to tag its calls with.
+    fn begin(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: u32,
+        arrival: SimTime,
+        deadline: SimDuration,
+    ) -> u32 {
+        self.busy_slots += 1;
+        let slot = self.slot(idx);
+        slot.busy = true;
+        slot.arrival = arrival;
+        slot.epoch += 1;
+        let epoch = slot.epoch;
+        self.status.borrow_mut().started += 1;
+        ctx.metrics().incr(self.names.requests);
+        let tok = TOK_DEADLINE | (u64::from(epoch & 0xFF_FFFF) << 32) | u64::from(idx);
+        let _ = ctx.set_alarm(deadline, tok);
+        epoch
+    }
+
+    /// The request in service is over: records its outcome.
+    fn finish(&mut self, ctx: &mut Ctx<'_>, idx: u32, bytes: u64, ok: bool) {
+        let arrival = self.slot(idx).arrival;
+        self.record(ctx, arrival, bytes, ok);
+        let mut st = self.status.borrow_mut();
+        if ok {
+            st.completed += 1;
+            st.bytes += bytes;
+            ctx.metrics().incr(self.names.completed);
+            ctx.metrics().add(self.names.bytes, bytes);
+        } else {
+            st.failed += 1;
+            ctx.metrics().incr(self.names.failed);
+        }
+    }
+
+    fn record(&mut self, ctx: &mut Ctx<'_>, start: SimTime, bytes: u64, ok: bool) {
+        self.status.borrow_mut().records.push(RequestRecord {
+            start,
+            end: ctx.now(),
+            bytes,
+            ok,
+        });
+    }
+
+    /// A deadline alarm tagged `epoch` fired: `true` if the request it
+    /// was armed for is still in service — the client gives up, and the
+    /// wedge becomes a measured failure.
+    fn timed_out(&mut self, ctx: &mut Ctx<'_>, idx: u32, epoch: u32) -> bool {
+        let due = self.slots[idx as usize].busy && self.current(idx, epoch);
+        if due {
+            ctx.metrics().incr(self.names.timeouts);
+        }
+        due
+    }
+
+    /// The slot is free again: returns the oldest queued arrival, if
+    /// any, for the caller to serve next.
+    fn release(&mut self, idx: u32) -> Option<SimTime> {
+        self.slot(idx).busy = false;
+        self.busy_slots -= 1;
+        let next = self.slot(idx).backlog.pop_front();
+        self.backlog_total -= u64::from(next.is_some());
+        next
+    }
+
+    /// True when every arrival chain has run past the horizon, no slot is
+    /// mid-request and no arrival is queued. O(1): pure counters.
+    fn drained(&self) -> bool {
+        self.chains_done as usize == self.slots.len()
+            && self.busy_slots == 0
+            && self.backlog_total == 0
+    }
+
+    fn update_drained(&mut self) {
+        if self.drained() {
+            self.status.borrow_mut().drained = true;
+        }
+    }
+}
+
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+enum SessionState {
     /// No connection, no request in flight.
+    #[default]
     Idle,
     /// CONNECT issued, waiting for CONNECT_REPLY.
     Connecting,
@@ -158,7 +380,7 @@ enum SlotState {
     Closing,
 }
 
-/// What an outstanding `sendrec` call of a slot was for.
+/// What an outstanding `sendrec` call of a session was for.
 #[derive(Debug, Clone, Copy)]
 enum CallKind {
     Connect,
@@ -169,141 +391,84 @@ enum CallKind {
     CloseOrphan,
 }
 
-#[derive(Debug)]
-struct Slot {
-    state: SlotState,
+/// What one slot's client is doing over INET.
+#[derive(Debug, Default)]
+struct Session {
+    state: SessionState,
     /// Connection id while one is open.
     conn: Option<u64>,
-    /// Arrival instant of the request currently in service.
-    arrival: SimTime,
     /// Response bytes expected / received for the current request.
     want: u64,
     got: u64,
     /// Content seed of the current request (distinct per request so the
     /// peer's stream generator is exercised, not a cache).
     content_seed: u64,
-    /// Next scheduled arrival for this slot (the open-loop clock).
-    next_arrival: SimTime,
-    /// Arrivals that landed while the slot was busy, oldest first.
-    backlog: VecDeque<SimTime>,
-    /// Monotone alarm epoch: stale linger alarms are ignored.
-    epoch: u32,
 }
-
-/// Alarm-token tag bits (upper byte): arrival clock, linger timer,
-/// request deadline.
-const TOK_ARRIVAL: u64 = 1 << 56;
-const TOK_LINGER: u64 = 2 << 56;
-const TOK_DEADLINE: u64 = 3 << 56;
-const TOK_TAG: u64 = 0xFF << 56;
 
 /// The multiplexed INET client fleet. See the module docs for the model.
 pub struct InetLoadGen {
     inet: Endpoint,
     cfg: InetLoadConfig,
-    slots: Vec<Slot>,
+    lp: OpenLoop<Session>,
     /// In-flight `sendrec` calls: slot, purpose, and the slot epoch the
     /// call was issued under (stale replies — e.g. for a request that
     /// timed out — are discarded by epoch mismatch).
     calls: BTreeMap<CallId, (u32, CallKind, u32)>,
     /// Open connection id → slot (DATA/CLOSED pushes carry the conn id).
     by_conn: BTreeMap<u64, u32>,
-    status: Rc<RefCell<LoadStatus>>,
     /// Monotone per-request content-seed counter.
     seed_seq: u64,
-    /// Load epoch zero: the process's `Start` instant. Horizons are
-    /// relative to it, not to boot (boot itself takes virtual seconds).
-    t0: SimTime,
-    /// Arrival chains that have run past the horizon (drain bookkeeping:
-    /// the drained check is O(1) counters, never a slot scan).
-    chains_done: u32,
-    /// Slots not currently [`SlotState::Idle`].
-    busy_slots: u32,
-    /// Arrivals queued across all slot backlogs.
-    backlog_total: u64,
 }
 
 impl InetLoadGen {
     /// Creates the fleet; observe progress through `status`.
     pub fn new(inet: Endpoint, cfg: InetLoadConfig, status: Rc<RefCell<LoadStatus>>) -> Self {
-        let slots = (0..cfg.sessions)
-            .map(|_| Slot {
-                state: SlotState::Idle,
-                conn: None,
-                arrival: SimTime::ZERO,
-                want: 0,
-                got: 0,
-                content_seed: 0,
-                next_arrival: SimTime::ZERO,
-                backlog: VecDeque::new(),
-                epoch: 0,
-            })
-            .collect();
+        let names = LoadNames {
+            requests: "loadgen.inet.requests",
+            completed: "loadgen.inet.completed",
+            bytes: "loadgen.inet.bytes",
+            failed: "loadgen.inet.failed",
+            shed: "loadgen.inet.shed",
+            timeouts: "loadgen.inet.timeouts",
+        };
         InetLoadGen {
             inet,
+            lp: OpenLoop::new(cfg.sessions, names, status),
             cfg,
-            slots,
             calls: BTreeMap::new(),
             by_conn: BTreeMap::new(),
-            status,
             seed_seq: 0,
-            t0: SimTime::ZERO,
-            chains_done: 0,
-            busy_slots: 0,
-            backlog_total: 0,
         }
     }
 
-    fn slot(&mut self, idx: u32) -> &mut Slot {
-        &mut self.slots[idx as usize]
+    fn session(&mut self, idx: u32) -> &mut Session {
+        &mut self.lp.slot(idx).client
     }
 
-    /// Schedules the slot's next open-loop arrival alarm. The next
-    /// arrival time was already fixed when the previous one fired — this
-    /// only arms the wakeup.
-    fn arm_arrival(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let now = ctx.now();
-        let at = self.slot(idx).next_arrival;
-        let delay = at.since(now); // saturating: past-due fires immediately
-        let _ = ctx.set_alarm(delay, TOK_ARRIVAL | u64::from(idx));
+    /// Issues one call of session `idx`; `false` if the kernel refused
+    /// the send.
+    fn call(&mut self, ctx: &mut Ctx<'_>, idx: u32, kind: CallKind, msg: Message) -> bool {
+        let epoch = self.lp.slots[idx as usize].epoch;
+        let sent = ctx.sendrec(self.inet, msg);
+        if let Ok(call) = sent {
+            self.calls.insert(call, (idx, kind, epoch));
+        }
+        sent.is_ok()
     }
 
-    /// Starts the next queued request on an idle slot, if any.
-    fn start_next(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let Some(arrival) = self.slot(idx).backlog.pop_front() else {
-            return;
-        };
-        self.backlog_total -= 1;
-        self.begin_session(ctx, idx, arrival);
-    }
-
-    /// Begins one session: the request's latency clock starts at its
-    /// *arrival* instant (open loop), not at the instant the slot got
-    /// around to serving it.
+    /// Begins one session for the request that arrived at `arrival`.
     fn begin_session(&mut self, ctx: &mut Ctx<'_>, idx: u32, arrival: SimTime) {
         self.seed_seq += 1;
         let content_seed = self.seed_seq;
         let want = draw_size(ctx.rng(), &self.cfg.sizes);
-        self.busy_slots += 1; // only ever called on an Idle slot
-        let epoch = {
-            let slot = self.slot(idx);
-            slot.state = SlotState::Connecting;
-            slot.arrival = arrival;
-            slot.want = want;
-            slot.got = 0;
-            slot.content_seed = content_seed;
-            slot.epoch += 1;
-            slot.epoch
-        };
-        self.status.borrow_mut().started += 1;
-        ctx.metrics().incr("loadgen.inet.requests");
-        let tok = TOK_DEADLINE | (u64::from(epoch & 0xFF_FFFF) << 32) | u64::from(idx);
-        let _ = ctx.set_alarm(self.cfg.deadline, tok);
-        match ctx.sendrec(self.inet, Message::new(sock::CONNECT)) {
-            Ok(call) => {
-                self.calls.insert(call, (idx, CallKind::Connect, epoch));
-            }
-            Err(_) => self.finish_failed(ctx, idx),
+        let session = self.session(idx);
+        session.state = SessionState::Connecting;
+        session.want = want;
+        session.got = 0;
+        session.content_seed = content_seed;
+        self.lp.begin(ctx, idx, arrival, self.cfg.deadline);
+        if !self.call(ctx, idx, CallKind::Connect, proto::connect()) {
+            self.finish_failed(ctx, idx);
         }
     }
 
@@ -311,158 +476,90 @@ impl InetLoadGen {
     /// idle (serving its backlog if any). The connection, if one was
     /// established, is left for the close path.
     fn finish_failed(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let now = ctx.now();
         // Retire the request: its deadline alarm and any still-in-flight
         // reply for it are stale from here on.
-        self.slot(idx).epoch += 1;
-        let arrival = self.slot(idx).arrival;
-        {
-            let mut st = self.status.borrow_mut();
-            st.failed += 1;
-            st.records.push(RequestRecord {
-                start: arrival,
-                end: now,
-                bytes: 0,
-                ok: false,
-            });
-        }
-        ctx.metrics().incr("loadgen.inet.failed");
+        self.lp.slot(idx).epoch += 1;
+        self.lp.finish(ctx, idx, 0, false);
         self.close_or_idle(ctx, idx);
     }
 
     /// Closes the slot's connection if one is open, else goes idle.
     fn close_or_idle(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let conn = self.slot(idx).conn;
-        match conn {
+        match self.session(idx).conn {
             Some(conn) => {
-                self.slot(idx).state = SlotState::Closing;
-                let epoch = self.slot(idx).epoch;
-                match ctx.sendrec(self.inet, Message::new(sock::CLOSE).with_param(0, conn)) {
-                    Ok(call) => {
-                        self.calls.insert(call, (idx, CallKind::Close, epoch));
-                    }
-                    Err(_) => self.conn_gone(ctx, idx),
+                self.session(idx).state = SessionState::Closing;
+                if !self.call(ctx, idx, CallKind::Close, proto::close(conn)) {
+                    self.conn_gone(ctx, idx);
                 }
             }
-            None => {
-                self.slot(idx).state = SlotState::Idle;
-                self.busy_slots -= 1;
-                self.start_next(ctx, idx);
-            }
+            None => self.idle(ctx, idx),
         }
     }
 
     /// The connection is gone (closed, or INET lost it): drop the
     /// mapping, update the live gauge, go idle.
     fn conn_gone(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        if let Some(conn) = self.slot(idx).conn.take() {
+        if let Some(conn) = self.session(idx).conn.take() {
             // INET may have recycled the id to another slot's CONNECT
             // between our CLOSE and its ACK — only drop the mapping if
             // it is still ours, or the new owner's pushes would be lost.
             if self.by_conn.get(&conn) == Some(&idx) {
                 self.by_conn.remove(&conn);
             }
-            let mut st = self.status.borrow_mut();
+            let mut st = self.lp.status.borrow_mut();
             st.live = st.live.saturating_sub(1);
         }
-        self.slot(idx).state = SlotState::Idle;
-        self.busy_slots -= 1;
-        self.start_next(ctx, idx);
+        self.idle(ctx, idx);
+    }
+
+    /// Goes idle, then starts the next queued request, if any.
+    fn idle(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
+        self.session(idx).state = SessionState::Idle;
+        if let Some(arrival) = self.lp.release(idx) {
+            self.begin_session(ctx, idx, arrival);
+        }
     }
 
     /// One arrival fired for `idx`: admit it (or shed it), then schedule
     /// the slot's next arrival strictly from the arrival clock.
     fn on_arrival(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let now = ctx.now();
-        let at = self.slot(idx).next_arrival;
-        let state = self.slot(idx).state;
-        match state {
-            SlotState::Idle => self.begin_session(ctx, idx, at),
-            SlotState::Lingering => {
+        match self.session(idx).state {
+            SessionState::Idle => {
+                let at = self.lp.slot(idx).next_arrival;
+                self.begin_session(ctx, idx, at);
+            }
+            SessionState::Lingering => {
                 // A fresh request ends the keep-alive: close the idle
                 // connection now and serve this arrival when the close
                 // completes. Only genuinely-working slots queue arrivals,
                 // so steady-state load never sheds — only outages do.
-                self.slot(idx).epoch += 1; // the pending linger alarm is stale
-                self.slot(idx).backlog.push_back(at);
-                self.backlog_total += 1;
+                self.lp.slot(idx).epoch += 1; // the pending linger alarm is stale
+                self.lp.queue(idx);
                 self.close_or_idle(ctx, idx);
             }
-            _ if self.slots[idx as usize].backlog.len() < self.cfg.backlog_cap => {
-                self.slot(idx).backlog.push_back(at);
-                self.backlog_total += 1;
-            }
-            _ => {
-                // Shed: the client gave up before being served. Recorded
-                // at the arrival instant so the failure attributes to the
-                // phase that caused the queue.
-                self.status.borrow_mut().shed += 1;
-                self.status.borrow_mut().records.push(RequestRecord {
-                    start: at,
-                    end: now,
-                    bytes: 0,
-                    ok: false,
-                });
-                ctx.metrics().incr("loadgen.inet.shed");
-            }
+            _ => self.lp.queue_or_shed(ctx, idx, self.cfg.backlog_cap),
         }
-        // Open loop: the next arrival advances from this arrival, never
-        // from any completion. The horizon is relative to the load's own
-        // start (`t0`), not to boot.
-        let next = at + draw_interval(ctx.rng(), self.cfg.interarrival);
-        self.slot(idx).next_arrival = next;
-        if next.since(self.t0) < self.cfg.horizon {
-            self.arm_arrival(ctx, idx);
-        } else {
-            self.chains_done += 1;
-        }
+        self.lp
+            .next_arrival(ctx, idx, self.cfg.interarrival, self.cfg.horizon);
     }
 
     /// Response complete: record the latency sample and begin the
     /// keep-alive linger before closing.
     fn on_response_done(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let now = ctx.now();
-        let (arrival, got) = {
-            let slot = self.slot(idx);
-            (slot.arrival, slot.got)
-        };
-        {
-            let mut st = self.status.borrow_mut();
-            st.completed += 1;
-            st.bytes += got;
-            st.records.push(RequestRecord {
-                start: arrival,
-                end: now,
-                bytes: got,
-                ok: true,
-            });
-        }
-        ctx.metrics().incr("loadgen.inet.completed");
-        ctx.metrics().add("loadgen.inet.bytes", got);
+        let got = self.session(idx).got;
+        self.lp.finish(ctx, idx, got, true);
         let linger = draw_interval(ctx.rng(), self.cfg.linger);
-        let slot = self.slot(idx);
-        slot.state = SlotState::Lingering;
+        self.session(idx).state = SessionState::Lingering;
+        let slot = self.lp.slot(idx);
         slot.epoch += 1; // retires the request's deadline alarm
         let tok = TOK_LINGER | (u64::from(slot.epoch & 0xFF_FFFF) << 32) | u64::from(idx);
         let _ = ctx.set_alarm(linger, tok);
     }
 
     fn note_live(&mut self) {
-        let mut st = self.status.borrow_mut();
+        let mut st = self.lp.status.borrow_mut();
         st.live += 1;
         st.peak_live = st.peak_live.max(st.live);
-    }
-
-    /// True when every arrival chain has run past the horizon, no slot is
-    /// mid-session and no arrival is queued. O(1): pure counters.
-    fn drained(&self) -> bool {
-        self.chains_done == self.cfg.sessions && self.busy_slots == 0 && self.backlog_total == 0
-    }
-
-    fn update_drained(&mut self) {
-        if self.drained() {
-            self.status.borrow_mut().drained = true;
-        }
     }
 }
 
@@ -471,104 +568,77 @@ impl Process for InetLoadGen {
         match event {
             ProcEvent::Start => {
                 // Stagger first arrivals uniformly across the ramp window.
-                self.t0 = ctx.now();
-                let t0 = self.t0;
+                self.lp.t0 = ctx.now();
                 let ramp_us = self.cfg.ramp.as_micros().max(1);
                 for idx in 0..self.cfg.sessions {
                     let offset = SimDuration::from_micros(ctx.rng().range_u64(0..ramp_us));
-                    self.slot(idx).next_arrival = t0 + offset;
-                    self.arm_arrival(ctx, idx);
+                    self.lp.arm_arrival(ctx, idx, self.lp.t0 + offset);
                 }
             }
             ProcEvent::Alarm { token } => {
-                let idx = (token & 0xFFFF_FFFF) as u32;
-                if idx >= self.cfg.sessions {
+                let Some((tag, idx, epoch)) = self.lp.decode(token) else {
                     return;
-                }
-                let epoch = ((token >> 32) & 0xFF_FFFF) as u32;
-                match token & TOK_TAG {
+                };
+                let state = self.session(idx).state;
+                match tag {
                     TOK_ARRIVAL => self.on_arrival(ctx, idx),
-                    TOK_LINGER => {
-                        let slot = self.slot(idx);
-                        if slot.state == SlotState::Lingering && slot.epoch & 0xFF_FFFF == epoch {
-                            self.close_or_idle(ctx, idx);
-                        }
+                    TOK_LINGER
+                        if state == SessionState::Lingering && self.lp.current(idx, epoch) =>
+                    {
+                        self.close_or_idle(ctx, idx);
                     }
-                    TOK_DEADLINE => {
-                        // Client timeout: the request is still in flight
-                        // with no response in sight — give up, record the
-                        // failure, abandon the connection.
-                        let slot = self.slot(idx);
-                        let in_flight =
-                            matches!(slot.state, SlotState::Connecting | SlotState::Streaming);
-                        if in_flight && slot.epoch & 0xFF_FFFF == epoch {
-                            ctx.metrics().incr("loadgen.inet.timeouts");
-                            self.finish_failed(ctx, idx);
-                        }
+                    // Client timeout: the request is still in flight with
+                    // no response in sight — give up, record the failure,
+                    // abandon the connection.
+                    TOK_DEADLINE
+                        if matches!(state, SessionState::Connecting | SessionState::Streaming)
+                            && self.lp.timed_out(ctx, idx, epoch) =>
+                    {
+                        self.finish_failed(ctx, idx);
                     }
                     _ => {}
                 }
-                self.update_drained();
+                self.lp.update_drained();
             }
             ProcEvent::Reply { call, result } => {
                 let Some((idx, kind, epoch)) = self.calls.remove(&call) else {
                     return;
                 };
+                let ok = ReplyClass::Ok
+                    == match kind {
+                        CallKind::Connect => classify(sock::CONNECT_REPLY, &result),
+                        _ => classify(sock::ACK, &result),
+                    };
                 // A reply for a request the client already gave up on:
                 // ignore it — except a late-established connection, which
                 // must be closed or it would leak in INET's slab.
                 let stale = !matches!(kind, CallKind::Close | CallKind::CloseOrphan)
-                    && self.slot(idx).epoch != epoch;
-                if stale {
-                    if let (CallKind::Connect, Ok(reply)) = (kind, &result) {
-                        if reply.mtype == sock::CONNECT_REPLY && reply.param(0) == 0 {
-                            let conn = reply.param(1);
-                            if let Ok(call) = ctx
-                                .sendrec(self.inet, Message::new(sock::CLOSE).with_param(0, conn))
-                            {
-                                self.calls.insert(call, (idx, CallKind::CloseOrphan, epoch));
-                            }
-                        }
-                    }
-                    return;
-                }
+                    && self.lp.slots[idx as usize].epoch != epoch;
                 match (kind, result) {
-                    (CallKind::Connect, Ok(reply))
-                        if reply.mtype == sock::CONNECT_REPLY && reply.param(0) == 0 =>
-                    {
+                    (CallKind::Connect, Ok(reply)) if ok && stale => {
+                        if let Ok(call) = ctx.sendrec(self.inet, proto::close(reply.param(1))) {
+                            self.calls.insert(call, (idx, CallKind::CloseOrphan, epoch));
+                        }
+                        return;
+                    }
+                    _ if stale => return,
+                    (CallKind::Connect, Ok(reply)) if ok => {
                         let conn = reply.param(1);
-                        self.slot(idx).conn = Some(conn);
+                        self.session(idx).conn = Some(conn);
                         self.by_conn.insert(conn, idx);
                         self.note_live();
-                        self.slot(idx).state = SlotState::Streaming;
-                        let (want, content_seed) = {
-                            let slot = self.slot(idx);
-                            (slot.want, slot.content_seed)
-                        };
-                        let req = format!("GET {want} {content_seed}");
-                        match ctx.sendrec(
-                            self.inet,
-                            Message::new(sock::SEND)
-                                .with_param(0, conn)
-                                .with_data(req.into_bytes()),
-                        ) {
-                            Ok(call) => {
-                                self.calls.insert(call, (idx, CallKind::Send, epoch));
-                            }
-                            Err(_) => self.finish_failed(ctx, idx),
+                        let session = self.session(idx);
+                        session.state = SessionState::Streaming;
+                        let get = proto::get(conn, session.want, session.content_seed);
+                        if !self.call(ctx, idx, CallKind::Send, get) {
+                            self.finish_failed(ctx, idx);
                         }
                     }
-                    (CallKind::Connect, _) => {
-                        // Refused (slab exhausted), garbled, or aborted.
-                        self.finish_failed(ctx, idx);
-                    }
-                    (CallKind::Send, Ok(reply))
-                        if reply.mtype == sock::ACK && reply.param(0) == 0 =>
-                    {
-                        // Request accepted; response arrives as DATA
-                        // pushes, completion as got >= want.
-                    }
-                    (CallKind::Send, _) => self.finish_failed(ctx, idx),
+                    // Request accepted; response arrives as DATA pushes,
+                    // completion as got >= want.
+                    (CallKind::Send, _) if ok => {}
+                    // Refused (slab exhausted), garbled, or aborted.
+                    (CallKind::Connect | CallKind::Send, _) => self.finish_failed(ctx, idx),
                     (CallKind::Close, _) => {
                         // Closed (or the close call died with INET —
                         // either way this client is done with the conn).
@@ -576,18 +646,19 @@ impl Process for InetLoadGen {
                     }
                     (CallKind::CloseOrphan, _) => {}
                 }
-                self.update_drained();
+                self.lp.update_drained();
             }
             ProcEvent::Message(msg) if msg.mtype == sock::DATA => {
                 let conn = msg.param(0);
                 let Some(&idx) = self.by_conn.get(&conn) else {
                     return;
                 };
-                if self.slot(idx).state != SlotState::Streaming {
+                let session = self.session(idx);
+                if session.state != SessionState::Streaming {
                     return;
                 }
-                self.slot(idx).got += msg.data.len() as u64;
-                if self.slot(idx).got >= self.slot(idx).want {
+                session.got += msg.data.len() as u64;
+                if session.got >= session.want {
                     self.on_response_done(ctx, idx);
                 }
             }
@@ -599,7 +670,7 @@ impl Process for InetLoadGen {
                 let Some(&idx) = self.by_conn.get(&conn) else {
                     return;
                 };
-                if self.slot(idx).state == SlotState::Streaming {
+                if self.session(idx).state == SessionState::Streaming {
                     self.finish_failed(ctx, idx);
                 }
             }
@@ -644,97 +715,47 @@ impl Default for VfsLoadConfig {
     }
 }
 
-#[derive(Debug)]
-struct VfsSlot {
-    busy: bool,
-    arrival: SimTime,
-    next_arrival: SimTime,
-    backlog: VecDeque<SimTime>,
-    /// Bumped per issued read; retires the previous deadline alarm and
-    /// marks any still-in-flight reply as stale.
-    epoch: u32,
-}
-
 /// The multi-client VFS/disk job mix: `clients` readers issue open-loop
 /// random-offset reads of mixed chunk sizes against one shared file.
 pub struct VfsJobMix {
     vfs: Endpoint,
     cfg: VfsLoadConfig,
-    ino: Option<u64>,
-    size: u64,
-    slots: Vec<VfsSlot>,
+    file: Option<File>,
+    lp: OpenLoop<()>,
     /// In-flight calls: `call -> (slot, issue epoch)`.
     calls: BTreeMap<CallId, (u32, u32)>,
-    status: Rc<RefCell<LoadStatus>>,
-    /// Load epoch zero (see [`InetLoadGen::t0`]).
-    t0: SimTime,
-    /// Drain bookkeeping, as in [`InetLoadGen`].
-    chains_done: u32,
-    busy_slots: u32,
-    backlog_total: u64,
 }
 
 impl VfsJobMix {
     /// Creates the job mix; observe progress through `status`.
     pub fn new(vfs: Endpoint, cfg: VfsLoadConfig, status: Rc<RefCell<LoadStatus>>) -> Self {
-        let slots = (0..cfg.clients)
-            .map(|_| VfsSlot {
-                busy: false,
-                arrival: SimTime::ZERO,
-                next_arrival: SimTime::ZERO,
-                backlog: VecDeque::new(),
-                epoch: 0,
-            })
-            .collect();
+        let names = LoadNames {
+            requests: "loadgen.vfs.requests",
+            completed: "loadgen.vfs.completed",
+            bytes: "loadgen.vfs.bytes",
+            failed: "loadgen.vfs.failed",
+            shed: "loadgen.vfs.shed",
+            timeouts: "loadgen.vfs.timeouts",
+        };
         VfsJobMix {
             vfs,
+            file: None,
+            lp: OpenLoop::new(cfg.clients, names, status),
             cfg,
-            ino: None,
-            size: 0,
-            slots,
             calls: BTreeMap::new(),
-            status,
-            t0: SimTime::ZERO,
-            chains_done: 0,
-            busy_slots: 0,
-            backlog_total: 0,
         }
     }
 
-    fn arm_arrival(&mut self, ctx: &mut Ctx<'_>, idx: u32) {
-        let now = ctx.now();
-        let at = self.slots[idx as usize].next_arrival;
-        let _ = ctx.set_alarm(at.since(now), TOK_ARRIVAL | u64::from(idx));
-    }
-
     fn issue_read(&mut self, ctx: &mut Ctx<'_>, idx: u32, arrival: SimTime) {
-        let Some(ino) = self.ino else { return };
-        let chunk = draw_size(ctx.rng(), &self.cfg.chunks).min(self.size.max(1));
-        let offset = if self.size > chunk {
-            ctx.rng().range_u64(0..(self.size - chunk))
+        let Some(file) = self.file else { return };
+        let chunk = draw_size(ctx.rng(), &self.cfg.chunks).min(file.size.max(1));
+        let offset = if file.size > chunk {
+            ctx.rng().range_u64(0..(file.size - chunk))
         } else {
             0
         };
-        self.busy_slots += 1; // only ever called on a non-busy slot
-        let epoch = {
-            let slot = &mut self.slots[idx as usize];
-            slot.busy = true;
-            slot.arrival = arrival;
-            slot.epoch += 1;
-            slot.epoch
-        };
-        self.status.borrow_mut().started += 1;
-        ctx.metrics().incr("loadgen.vfs.requests");
-        let tok = TOK_DEADLINE | (u64::from(epoch & 0xFF_FFFF) << 32) | u64::from(idx);
-        let _ = ctx.set_alarm(self.cfg.deadline, tok);
-        match ctx.sendrec(
-            self.vfs,
-            Message::new(fs::READ)
-                .with_param(0, ino)
-                .with_param(1, offset)
-                .with_param(2, chunk)
-                .with_param(7, 0),
-        ) {
+        let epoch = self.lp.begin(ctx, idx, arrival, self.cfg.deadline);
+        match ctx.sendrec(self.vfs, file.read(offset, chunk)) {
             Ok(call) => {
                 self.calls.insert(call, (idx, epoch));
             }
@@ -743,46 +764,18 @@ impl VfsJobMix {
     }
 
     fn finish(&mut self, ctx: &mut Ctx<'_>, idx: u32, bytes: u64, ok: bool) {
-        let now = ctx.now();
-        let arrival = self.slots[idx as usize].arrival;
-        {
-            let mut st = self.status.borrow_mut();
-            if ok {
-                st.completed += 1;
-                st.bytes += bytes;
-            } else {
-                st.failed += 1;
-            }
-            st.records.push(RequestRecord {
-                start: arrival,
-                end: now,
-                bytes,
-                ok,
-            });
-        }
-        if ok {
-            ctx.metrics().incr("loadgen.vfs.completed");
-            ctx.metrics().add("loadgen.vfs.bytes", bytes);
-        } else {
-            ctx.metrics().incr("loadgen.vfs.failed");
-        }
-        self.slots[idx as usize].busy = false;
-        self.busy_slots -= 1;
-        if let Some(arrival) = self.slots[idx as usize].backlog.pop_front() {
-            self.backlog_total -= 1;
+        self.lp.finish(ctx, idx, bytes, ok);
+        if let Some(arrival) = self.lp.release(idx) {
             self.issue_read(ctx, idx, arrival);
         }
-        self.update_drained();
+        self.lp.update_drained();
     }
 
-    fn drained(&self) -> bool {
-        self.chains_done == self.cfg.clients && self.busy_slots == 0 && self.backlog_total == 0
-    }
-
-    fn update_drained(&mut self) {
-        if self.drained() {
-            self.status.borrow_mut().drained = true;
-        }
+    /// The file must exist for the mix to run; give up loudly rather
+    /// than hang the campaign.
+    fn open_failed(&mut self, ctx: &mut Ctx<'_>) {
+        ctx.metrics().incr("loadgen.vfs.open_failed");
+        self.lp.status.borrow_mut().drained = true;
     }
 }
 
@@ -790,93 +783,58 @@ impl Process for VfsJobMix {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start => {
-                self.t0 = ctx.now();
-                let path = self.cfg.path.clone();
-                let _ = ctx.sendrec(
-                    self.vfs,
-                    Message::new(fs::OPEN).with_data(path.into_bytes()),
-                );
-            }
-            ProcEvent::Reply {
-                result: Ok(reply), ..
-            } if reply.mtype == fs::OPEN_REPLY => {
-                if reply.param(0) != status::OK {
-                    // The file must exist for the mix to run; give up
-                    // loudly rather than hang the campaign.
-                    ctx.metrics().incr("loadgen.vfs.open_failed");
-                    self.status.borrow_mut().drained = true;
-                    return;
+                self.lp.t0 = ctx.now();
+                if ctx.sendrec(self.vfs, proto::open(&self.cfg.path)).is_err() {
+                    self.open_failed(ctx);
                 }
-                self.ino = Some(reply.param(1));
-                self.size = reply.param(2);
+            }
+            ProcEvent::Reply { result, .. } if self.file.is_none() => {
+                let (ReplyClass::Ok, Ok(reply)) = (classify(fs::OPEN_REPLY, &result), result)
+                else {
+                    return self.open_failed(ctx);
+                };
+                self.file = Some(File::opened(&self.cfg.path, &reply));
                 for idx in 0..self.cfg.clients {
                     let offset = draw_interval(ctx.rng(), self.cfg.interarrival);
-                    self.slots[idx as usize].next_arrival = ctx.now() + offset;
-                    self.arm_arrival(ctx, idx);
+                    self.lp.arm_arrival(ctx, idx, ctx.now() + offset);
                 }
             }
             ProcEvent::Alarm { token } => {
-                let idx = token as u32;
-                if idx >= self.cfg.clients || self.ino.is_none() {
+                let Some((tag, idx, epoch)) = self.lp.decode(token) else {
                     return;
-                }
-                match token & TOK_TAG {
+                };
+                match tag {
                     TOK_ARRIVAL => {
-                        let at = self.slots[idx as usize].next_arrival;
-                        if !self.slots[idx as usize].busy {
-                            self.issue_read(ctx, idx, at);
-                        } else if self.slots[idx as usize].backlog.len() < self.cfg.backlog_cap {
-                            self.slots[idx as usize].backlog.push_back(at);
-                            self.backlog_total += 1;
+                        let slot = &self.lp.slots[idx as usize];
+                        if slot.busy {
+                            self.lp.queue_or_shed(ctx, idx, self.cfg.backlog_cap);
                         } else {
-                            // Shed (see the INET generator): the client
-                            // gave up before being served.
-                            let mut st = self.status.borrow_mut();
-                            st.shed += 1;
-                            st.records.push(RequestRecord {
-                                start: at,
-                                end: ctx.now(),
-                                bytes: 0,
-                                ok: false,
-                            });
-                            drop(st);
-                            ctx.metrics().incr("loadgen.vfs.shed");
+                            self.issue_read(ctx, idx, slot.next_arrival);
                         }
-                        let next = at + draw_interval(ctx.rng(), self.cfg.interarrival);
-                        self.slots[idx as usize].next_arrival = next;
-                        if next.since(self.t0) < self.cfg.horizon {
-                            self.arm_arrival(ctx, idx);
-                        } else {
-                            self.chains_done += 1;
-                        }
+                        self.lp
+                            .next_arrival(ctx, idx, self.cfg.interarrival, self.cfg.horizon);
                     }
-                    TOK_DEADLINE => {
-                        let epoch = ((token >> 32) & 0xFF_FFFF) as u32;
-                        let slot = &self.slots[idx as usize];
-                        if slot.busy && slot.epoch & 0xFF_FFFF == epoch {
-                            // The read wedged (e.g. lost across a block
-                            // driver restart): the client gives up and the
-                            // request becomes a measured failure.
-                            ctx.metrics().incr("loadgen.vfs.timeouts");
-                            self.finish(ctx, idx, 0, false);
-                        }
+                    // The read wedged (e.g. lost across a block driver
+                    // restart).
+                    TOK_DEADLINE if self.lp.timed_out(ctx, idx, epoch) => {
+                        self.finish(ctx, idx, 0, false);
                     }
                     _ => {}
                 }
-                self.update_drained();
+                self.lp.update_drained();
             }
             ProcEvent::Reply { call, result } => {
                 let Some((idx, epoch)) = self.calls.remove(&call) else {
                     return;
                 };
                 // A reply for a read the client already timed out on.
-                if self.slots[idx as usize].epoch != epoch || !self.slots[idx as usize].busy {
+                let slot = &self.lp.slots[idx as usize];
+                if slot.epoch != epoch || !slot.busy {
                     return;
                 }
-                match result {
-                    Ok(reply) if reply.mtype == fs::DATA_REPLY && reply.param(0) == status::OK => {
-                        let bytes = reply.data.len() as u64;
-                        self.finish(ctx, idx, bytes, true);
+                match (classify(fs::DATA_REPLY, &result), result) {
+                    (ReplyClass::Ok, Ok(reply)) => {
+                        self.finish(ctx, idx, reply.data.len() as u64, true);
                     }
                     _ => self.finish(ctx, idx, 0, false),
                 }

@@ -5,7 +5,8 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use phoenix::apps::{Dd, DdStatus};
+use phoenix::apps::{Dd, DdLoop, DdLoopStatus, DdStatus};
+use phoenix::loadgen::{LoadStatus, VfsJobMix, VfsLoadConfig};
 use phoenix::os::{names, Os};
 use phoenix_fault::chaos::ChaosPlan;
 use phoenix_hw::disk::DiskModel;
@@ -195,12 +196,71 @@ fn neither_file_server_wedges_silently_under_driver_chaos() {
 }
 
 #[test]
+fn a_handle_reads_from_the_server_that_opened_it() {
+    // Every client that holds a file handle, on each mount of one `Os`
+    // with both disks: the bytes it moves must be read by the file server
+    // that opened the path, and the other one must not see a single READ.
+    type Spawn = fn(&mut Os, &str) -> Box<dyn Fn() -> u64>;
+    let readers: [(&str, Spawn); 3] = [
+        ("dd", |os, path| {
+            let st = Rc::new(RefCell::new(DdStatus::default()));
+            let vfs = os.endpoint(names::VFS).unwrap();
+            os.spawn_app("dd", Box::new(Dd::new(vfs, path, 64 * 1024, st.clone())));
+            Box::new(move || st.borrow().bytes)
+        }),
+        ("dd-loop", |os, path| {
+            let st = Rc::new(RefCell::new(DdLoopStatus::default()));
+            let vfs = os.endpoint(names::VFS).unwrap();
+            let dd = DdLoop::new(vfs, path, 64 * 1024, st.clone());
+            os.spawn_app("dd-loop", Box::new(dd));
+            Box::new(move || st.borrow().bytes)
+        }),
+        ("vfs-mix", |os, path| {
+            let st = Rc::new(RefCell::new(LoadStatus::default()));
+            let vfs = os.endpoint(names::VFS).unwrap();
+            let cfg = VfsLoadConfig {
+                clients: 4,
+                path: path.to_string(),
+                ..VfsLoadConfig::default()
+            };
+            os.spawn_app("mix", Box::new(VfsJobMix::new(vfs, cfg, st.clone())));
+            Box::new(move || st.borrow().bytes)
+        }),
+    ];
+    let size = 2_000_000u64;
+    let mounts = [
+        ("bigfile", "mfs.reads", "fat.reads"),
+        ("/fat/big.bin", "fat.reads", "mfs.reads"),
+    ];
+    for (reader, spawn) in readers {
+        for (path, owner, other) in mounts {
+            let mut os = Os::builder()
+                .seed(75)
+                .with_disk(
+                    size / 512 + 1024,
+                    55,
+                    phoenix::experiments::fig8_files(size),
+                )
+                .with_fat_disk(16_384, 73, fat_files(size))
+                .boot();
+            let bytes = spawn(&mut os, path);
+            os.run_for(SimDuration::from_secs(1));
+            let (owner_reads, other_reads) =
+                (os.metrics().counter(owner), os.metrics().counter(other));
+            assert!(bytes() > 0, "{reader} {path}: moved no bytes");
+            assert!(owner_reads > 0, "{reader} {path}: no {owner}");
+            assert_eq!(other_reads, 0, "{reader} {path}: {other} served the handle");
+        }
+    }
+}
+
+#[test]
 fn fat_small_file_and_missing_file() {
     use phoenix_drivers::proto::status;
     use phoenix_kernel::process::{ProcEvent, Process};
     use phoenix_kernel::system::Ctx;
-    use phoenix_kernel::types::{Endpoint, Message};
-    use phoenix_servers::proto::fs;
+    use phoenix_kernel::types::Endpoint;
+    use phoenix_servers::proto::{self, File};
 
     let mut os = Os::builder()
         .seed(73)
@@ -218,10 +278,7 @@ fn fat_small_file_and_missing_file() {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
             match event {
                 ProcEvent::Start => {
-                    let _ = ctx.sendrec(
-                        self.vfs,
-                        Message::new(fs::OPEN).with_data(b"/fat/hello.txt".to_vec()),
-                    );
+                    let _ = ctx.sendrec(self.vfs, proto::open("/fat/hello.txt"));
                 }
                 ProcEvent::Reply {
                     result: Ok(reply), ..
@@ -230,24 +287,15 @@ fn fat_small_file_and_missing_file() {
                         assert_eq!(reply.param(0), status::OK);
                         assert_eq!(reply.param(2), 14, "size of hello.txt");
                         self.step = 1;
-                        let _ = ctx.sendrec(
-                            self.vfs,
-                            Message::new(fs::READ)
-                                .with_param(0, reply.param(1))
-                                .with_param(1, 0)
-                                .with_param(2, 14)
-                                .with_param(7, 1),
-                        );
+                        let file = File::opened("/fat/hello.txt", &reply);
+                        let _ = ctx.sendrec(self.vfs, file.read(0, 14));
                     }
                     1 => {
                         self.results
                             .borrow_mut()
                             .push((reply.param(0), reply.data.clone()));
                         self.step = 2;
-                        let _ = ctx.sendrec(
-                            self.vfs,
-                            Message::new(fs::OPEN).with_data(b"/fat/nope.bin".to_vec()),
-                        );
+                        let _ = ctx.sendrec(self.vfs, proto::open("/fat/nope.bin"));
                     }
                     2 => {
                         self.results.borrow_mut().push((reply.param(0), Vec::new()));

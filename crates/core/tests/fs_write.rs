@@ -10,8 +10,8 @@ use phoenix_drivers::proto::status;
 use phoenix_hw::disk::{synth_sector, SECTOR};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
-use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_servers::proto::fs;
+use phoenix_kernel::types::Endpoint;
+use phoenix_servers::proto::{self, File};
 use phoenix_simcore::rng::SimRng;
 use phoenix_simcore::time::SimDuration;
 
@@ -23,57 +23,36 @@ fn ms(n: u64) -> SimDuration {
 struct WriteRead {
     vfs: Endpoint,
     path: &'static str,
-    ino: Option<u64>,
+    file: Option<File>,
     pattern: Vec<u8>,
     offset: u64,
     stage: u8,
     ok: Rc<RefCell<Option<bool>>>,
 }
 
-impl WriteRead {
-    /// The mount a data request is routed to (as `phoenix::apps::Dd`).
-    fn fs_id(&self) -> u64 {
-        u64::from(self.path.starts_with("/fat/"))
-    }
-}
-
 impl Process for WriteRead {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start => {
-                let _ = ctx.sendrec(
-                    self.vfs,
-                    Message::new(fs::OPEN).with_data(self.path.as_bytes().to_vec()),
-                );
+                let _ = ctx.sendrec(self.vfs, proto::open(self.path));
             }
             ProcEvent::Reply {
                 result: Ok(reply), ..
             } => match self.stage {
                 0 => {
                     assert_eq!(reply.param(0), status::OK, "open");
-                    self.ino = Some(reply.param(1));
+                    let file = File::opened(self.path, &reply);
+                    self.file = Some(file);
                     self.stage = 1;
-                    let _ = ctx.sendrec(
-                        self.vfs,
-                        Message::new(fs::WRITE)
-                            .with_param(0, self.ino.unwrap())
-                            .with_param(1, self.offset)
-                            .with_param(7, self.fs_id())
-                            .with_data(self.pattern.clone()),
-                    );
+                    let _ = ctx.sendrec(self.vfs, file.write(self.offset, self.pattern.clone()));
                 }
                 1 => {
                     assert_eq!(reply.param(0), status::OK, "write status");
                     assert_eq!(reply.param(1), self.pattern.len() as u64, "bytes written");
                     self.stage = 2;
-                    let _ = ctx.sendrec(
-                        self.vfs,
-                        Message::new(fs::READ)
-                            .with_param(0, self.ino.unwrap())
-                            .with_param(1, self.offset)
-                            .with_param(2, self.pattern.len() as u64)
-                            .with_param(7, self.fs_id()),
-                    );
+                    let file = self.file.unwrap();
+                    let _ =
+                        ctx.sendrec(self.vfs, file.read(self.offset, self.pattern.len() as u64));
                 }
                 2 => {
                     let good = reply.param(0) == status::OK && reply.data == self.pattern;
@@ -109,7 +88,7 @@ fn write_then_read_back_roundtrips() {
             Box::new(WriteRead {
                 vfs,
                 path,
-                ino: None,
+                file: None,
                 pattern: vec![0xC3; 4 * SECTOR],
                 offset: 10 * SECTOR as u64,
                 stage: 0,
@@ -138,29 +117,21 @@ fn write_survives_driver_kill_between_write_and_read() {
         vfs: Endpoint,
         pattern: Vec<u8>,
         done: Rc<RefCell<bool>>,
-        ino: Option<u64>,
+        opened: bool,
     }
     impl Process for WriteOnly {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
             match event {
                 ProcEvent::Start => {
-                    let _ = ctx.sendrec(
-                        self.vfs,
-                        Message::new(fs::OPEN).with_data(b"bigfile".to_vec()),
-                    );
+                    let _ = ctx.sendrec(self.vfs, proto::open("bigfile"));
                 }
                 ProcEvent::Reply {
                     result: Ok(reply), ..
                 } => {
-                    if self.ino.is_none() {
-                        self.ino = Some(reply.param(1));
-                        let _ = ctx.sendrec(
-                            self.vfs,
-                            Message::new(fs::WRITE)
-                                .with_param(0, self.ino.unwrap())
-                                .with_param(1, 0)
-                                .with_data(self.pattern.clone()),
-                        );
+                    if !self.opened {
+                        self.opened = true;
+                        let file = File::opened("bigfile", &reply);
+                        let _ = ctx.sendrec(self.vfs, file.write(0, self.pattern.clone()));
                     } else {
                         assert_eq!(reply.param(0), status::OK);
                         *self.done.borrow_mut() = true;
@@ -178,7 +149,7 @@ fn write_survives_driver_kill_between_write_and_read() {
             vfs,
             pattern: pattern.clone(),
             done: wrote.clone(),
-            ino: None,
+            opened: false,
         }),
     );
     let mut guard = 0;
@@ -198,29 +169,21 @@ fn write_survives_driver_kill_between_write_and_read() {
         vfs: Endpoint,
         want: Vec<u8>,
         ok: Rc<RefCell<Option<bool>>>,
-        ino: Option<u64>,
+        opened: bool,
     }
     impl Process for ReadBack {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
             match event {
                 ProcEvent::Start => {
-                    let _ = ctx.sendrec(
-                        self.vfs,
-                        Message::new(fs::OPEN).with_data(b"bigfile".to_vec()),
-                    );
+                    let _ = ctx.sendrec(self.vfs, proto::open("bigfile"));
                 }
                 ProcEvent::Reply {
                     result: Ok(reply), ..
                 } => {
-                    if self.ino.is_none() {
-                        self.ino = Some(reply.param(1));
-                        let _ = ctx.sendrec(
-                            self.vfs,
-                            Message::new(fs::READ)
-                                .with_param(0, self.ino.unwrap())
-                                .with_param(1, 0)
-                                .with_param(2, self.want.len() as u64),
-                        );
+                    if !self.opened {
+                        self.opened = true;
+                        let file = File::opened("bigfile", &reply);
+                        let _ = ctx.sendrec(self.vfs, file.read(0, self.want.len() as u64));
                     } else {
                         *self.ok.borrow_mut() = Some(reply.data == self.want);
                     }
@@ -236,7 +199,7 @@ fn write_survives_driver_kill_between_write_and_read() {
             vfs,
             want: pattern,
             ok: ok.clone(),
-            ino: None,
+            opened: false,
         }),
     );
     os.run_for(SimDuration::from_secs(2));
@@ -277,36 +240,27 @@ fn random_reads_match_the_synthetic_disk_model() {
         vfs: Endpoint,
         probes: Vec<(u64, u64)>,
         next: usize,
-        ino: Option<u64>,
+        file: Option<File>,
         results: Rc<RefCell<Vec<Vec<u8>>>>,
     }
     impl Process for Prober {
         fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
             match event {
                 ProcEvent::Start => {
-                    let _ = ctx.sendrec(
-                        self.vfs,
-                        Message::new(fs::OPEN).with_data(b"bigfile".to_vec()),
-                    );
+                    let _ = ctx.sendrec(self.vfs, proto::open("bigfile"));
                 }
                 ProcEvent::Reply {
                     result: Ok(reply), ..
                 } => {
-                    if self.ino.is_none() {
-                        self.ino = Some(reply.param(1));
+                    if self.file.is_none() {
+                        self.file = Some(File::opened("bigfile", &reply));
                     } else {
                         self.results.borrow_mut().push(reply.data.clone());
                         self.next += 1;
                     }
                     if self.next < self.probes.len() {
                         let (off, len) = self.probes[self.next];
-                        let _ = ctx.sendrec(
-                            self.vfs,
-                            Message::new(fs::READ)
-                                .with_param(0, self.ino.unwrap())
-                                .with_param(1, off)
-                                .with_param(2, len),
-                        );
+                        let _ = ctx.sendrec(self.vfs, self.file.unwrap().read(off, len));
                     }
                 }
                 _ => {}
@@ -320,7 +274,7 @@ fn random_reads_match_the_synthetic_disk_model() {
             vfs,
             probes: probes.clone(),
             next: 0,
-            ino: None,
+            file: None,
             results: results.clone(),
         }),
     );

@@ -2,11 +2,15 @@
 //!
 //! Complements `phoenix_drivers::proto` (driver-facing protocols) with the
 //! process manager, data store, reincarnation server, file system and
-//! socket protocols.
+//! socket protocols — and, at the end of the file, the client side of the
+//! last two: one constructor per request an application sends VFS or INET
+//! and one classifier for what comes back, so the param layout, the
+//! device order and the mount route are each written once.
 
 use std::borrow::Cow;
 
-use phoenix_kernel::types::{Endpoint, Message};
+use phoenix_drivers::proto::{cdev, status};
+use phoenix_kernel::types::{Endpoint, IpcError, Message};
 
 /// Packs an endpoint into two message params.
 pub fn pack_endpoint(ep: Endpoint) -> (u64, u64) {
@@ -239,7 +243,7 @@ impl Complaint<'_> {
 /// File system protocol (application ↔ VFS ↔ MFS).
 pub mod fs {
     /// Open by path (in `data`). Reply: OPEN_REPLY. `params[7]` routes
-    /// the handle to the owning file server (0 = root/MFS, 1 = FAT).
+    /// the handle to the owning file server (see `mount_of`).
     /// proto: request, reply=OPEN_REPLY, params 7=fs-route
     pub const OPEN: u32 = 0x0800;
     /// Reply: `params[0]` = status, `params[1]` = inode, `params[2]` =
@@ -297,6 +301,193 @@ pub mod sock {
     pub const CLOSE: u32 = 0x0908;
 }
 
+/// Request param routing a handle through VFS: the mount id of an `fs`
+/// handle ([`mount_of`]), the [`Dev`] index of a `cdev` request.
+pub const ROUTE_PARAM: usize = 7;
+
+/// [`ROUTE_PARAM`] of a handle on the FAT mount (the root mount is 0).
+pub const FAT_ROUTE: u64 = 1;
+
+/// VFS reply param: 1 when the failure was a dead driver (aborted
+/// rendezvous) rather than an ordinary I/O error (§6.3).
+pub const DRIVER_DIED_PARAM: usize = 2;
+
+/// The character devices VFS serves. The discriminant is the device's
+/// [`ROUTE_PARAM`] and its row in [`DEV_TABLE`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Dev {
+    /// `/dev/lp`.
+    Printer,
+    /// `/dev/audio`.
+    Audio,
+    /// `/dev/cd`.
+    Scsi,
+    /// `/dev/kbd`.
+    Kbd,
+}
+
+/// `(device, path, data-store key)`, in [`Dev`] order.
+pub const DEV_TABLE: [(Dev, &str, &str); 4] = [
+    (Dev::Printer, "/dev/lp", "chr.printer"),
+    (Dev::Audio, "/dev/audio", "chr.audio"),
+    (Dev::Scsi, "/dev/cd", "chr.scsi"),
+    (Dev::Kbd, "/dev/kbd", "chr.kbd"),
+];
+
+impl Dev {
+    fn routed(self, request: Message) -> Message {
+        request.with_param(ROUTE_PARAM, self as u64)
+    }
+
+    /// [`fs::OPEN`] of the device node.
+    pub fn open(self) -> Message {
+        open(DEV_TABLE[self as usize].1)
+    }
+
+    /// [`cdev::WRITE`] of `data`.
+    pub fn write(self, data: Vec<u8>) -> Message {
+        self.routed(Message::new(cdev::WRITE)).with_data(data)
+    }
+
+    /// [`cdev::READ`] of up to `len` bytes.
+    pub fn read(self, len: u64) -> Message {
+        self.routed(Message::new(cdev::READ)).with_param(0, len)
+    }
+
+    /// [`cdev::BURN_START`] of a `chunks`-chunk disc.
+    pub fn burn_start(self, chunks: u64) -> Message {
+        self.routed(Message::new(cdev::BURN_START))
+            .with_param(0, chunks)
+    }
+
+    /// [`cdev::BURN_CHUNK`] number `seq`.
+    pub fn burn_chunk(self, seq: u64, data: Vec<u8>) -> Message {
+        self.routed(Message::new(cdev::BURN_CHUNK))
+            .with_param(0, seq)
+            .with_data(data)
+    }
+
+    /// [`cdev::BURN_FINALIZE`].
+    pub fn burn_finalize(self) -> Message {
+        self.routed(Message::new(cdev::BURN_FINALIZE))
+    }
+}
+
+/// The mount a path lives on: `(route id, name within that mount)`.
+pub fn mount_of(path: &str) -> (u64, &str) {
+    match path.strip_prefix("/fat/") {
+        Some(name) => (FAT_ROUTE, name),
+        None => (0, path),
+    }
+}
+
+/// [`fs::OPEN`] of `path`.
+pub fn open(path: &str) -> Message {
+    Message::new(fs::OPEN).with_data(path.as_bytes().to_vec())
+}
+
+/// An open file as its client holds it. Data requests are built from the
+/// handle, so they go to the file server that opened it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct File {
+    /// Inode number on the owning file server.
+    pub ino: u64,
+    /// File size in bytes at open time.
+    pub size: u64,
+    route: u64,
+}
+
+impl File {
+    /// The handle an OK [`fs::OPEN_REPLY`] to [`open`]`(path)` grants.
+    pub fn opened(path: &str, reply: &Message) -> File {
+        File {
+            ino: reply.param(1),
+            size: reply.param(2),
+            route: mount_of(path).0,
+        }
+    }
+
+    fn at(&self, request: Message, offset: u64) -> Message {
+        request
+            .with_param(0, self.ino)
+            .with_param(1, offset)
+            .with_param(ROUTE_PARAM, self.route)
+    }
+
+    /// [`fs::READ`] of `len` bytes at `offset`.
+    pub fn read(&self, offset: u64, len: u64) -> Message {
+        self.at(Message::new(fs::READ), offset).with_param(2, len)
+    }
+
+    /// [`fs::WRITE`] of `data` at `offset`.
+    pub fn write(&self, offset: u64, data: Vec<u8>) -> Message {
+        self.at(Message::new(fs::WRITE), offset).with_data(data)
+    }
+}
+
+/// [`sock::CONNECT`].
+pub fn connect() -> Message {
+    Message::new(sock::CONNECT)
+}
+
+/// [`sock::SEND`] of the one request the remote peer understands:
+/// stream `size` bytes of the content `content_seed` generates.
+pub fn get(conn: u64, size: u64, content_seed: u64) -> Message {
+    Message::new(sock::SEND)
+        .with_param(0, conn)
+        .with_data(format!("GET {size} {content_seed}").into_bytes())
+}
+
+/// [`sock::CLOSE`] of `conn`.
+pub fn close(conn: u64) -> Message {
+    Message::new(sock::CLOSE).with_param(0, conn)
+}
+
+/// [`sock::DGRAM_SEND`] of datagram `seq`.
+pub fn dgram(seq: u64, payload: Vec<u8>) -> Message {
+    Message::new(sock::DGRAM_SEND)
+        .with_param(1, seq)
+        .with_data(payload)
+}
+
+/// What the answer to a VFS or INET call means to the client.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReplyClass {
+    /// The expected reply kind with status OK.
+    Ok,
+    /// `EAGAIN`: nothing wrong, try again shortly (a full device FIFO).
+    Busy,
+    /// An error pushed up by VFS because the driver behind the request
+    /// died (§6.3) — or was convicted by a protocol sentinel.
+    DriverDied,
+    /// The call itself was aborted: the server died holding it.
+    Gone,
+    /// Any other error status.
+    Status(u64),
+    /// A reply kind the request cannot produce.
+    Garbled,
+}
+
+/// Classifies the outcome of a call whose success reply is `expected`.
+/// VFS refuses a request it cannot forward with an error-status
+/// [`fs::DATA_REPLY`] whatever the request was, so that kind is accepted
+/// alongside the expected one.
+pub fn classify(expected: u32, result: &Result<Message, IpcError>) -> ReplyClass {
+    let Ok(reply) = result else {
+        return ReplyClass::Gone;
+    };
+    let st = reply.param(0);
+    if reply.mtype != expected && (reply.mtype != fs::DATA_REPLY || st == status::OK) {
+        return ReplyClass::Garbled;
+    }
+    match st {
+        status::OK => ReplyClass::Ok,
+        status::EAGAIN => ReplyClass::Busy,
+        _ if reply.param(DRIVER_DIED_PARAM) == 1 => ReplyClass::DriverDied,
+        _ => ReplyClass::Status(st),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,5 +513,66 @@ mod tests {
         let c = complain(0, "victim", None);
         assert_eq!(c.params[..3], [0, 0, 0]);
         assert_eq!(evidence::name(Complaint::decode(&c).kind), "unclassified");
+    }
+
+    #[test]
+    fn device_table_is_in_enum_order() {
+        for (i, (dev, path, _)) in DEV_TABLE.iter().enumerate() {
+            assert_eq!(*dev as usize, i);
+            assert_eq!(dev.write(vec![1]).param(ROUTE_PARAM), i as u64);
+            assert_eq!(dev.open().data, path.as_bytes());
+        }
+    }
+
+    #[test]
+    fn a_handle_carries_the_route_of_the_path_that_opened_it() {
+        let reply = Message::new(fs::OPEN_REPLY)
+            .with_param(1, 9)
+            .with_param(2, 4096);
+        let fat = File::opened("/fat/big.bin", &reply);
+        assert_eq!((fat.ino, fat.size), (9, 4096));
+        assert_eq!(fat.read(512, 64).param(ROUTE_PARAM), FAT_ROUTE);
+        assert_eq!(fat.write(0, vec![0]).param(ROUTE_PARAM), FAT_ROUTE);
+        assert_eq!(
+            File::opened("bigfile", &reply)
+                .read(0, 1)
+                .param(ROUTE_PARAM),
+            0
+        );
+        assert_eq!(mount_of("/fat/a/b"), (FAT_ROUTE, "a/b"));
+    }
+
+    #[test]
+    fn replies_classify_by_kind_then_status() {
+        let reply = |kind: u32, st: u64, died: u64| {
+            Ok(Message::new(kind)
+                .with_param(0, st)
+                .with_param(DRIVER_DIED_PARAM, died))
+        };
+        let class = |r| classify(cdev::REPLY, &r);
+        assert_eq!(class(reply(cdev::REPLY, status::OK, 0)), ReplyClass::Ok);
+        assert_eq!(
+            class(reply(cdev::REPLY, status::EAGAIN, 0)),
+            ReplyClass::Busy
+        );
+        assert_eq!(
+            class(reply(cdev::REPLY, status::EIO, 0)),
+            ReplyClass::Status(status::EIO)
+        );
+        // VFS's own refusal, with and without the driver-died flag.
+        assert_eq!(
+            class(reply(fs::DATA_REPLY, status::EIO, 1)),
+            ReplyClass::DriverDied
+        );
+        assert_eq!(
+            class(reply(fs::DATA_REPLY, status::ENODEV, 0)),
+            ReplyClass::Status(status::ENODEV)
+        );
+        assert_eq!(
+            class(reply(fs::DATA_REPLY, status::OK, 0)),
+            ReplyClass::Garbled
+        );
+        assert_eq!(class(reply(sock::ACK, status::OK, 0)), ReplyClass::Garbled);
+        assert_eq!(class(Err(IpcError::DeadDestination)), ReplyClass::Gone);
     }
 }

@@ -18,19 +18,7 @@ use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
 use phoenix_simcore::trace::TraceLevel;
 
 use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
-use crate::proto::{evidence, fs};
-
-/// Extra reply parameter index: set to 1 when the failure was a dead
-/// driver (aborted rendezvous) rather than an ordinary I/O error.
-pub const DRIVER_DIED_PARAM: usize = 2;
-
-/// Built-in device-name table: `/dev/<name>` -> data-store key.
-const DEV_TABLE: &[(&str, &str)] = &[
-    ("/dev/lp", "chr.printer"),
-    ("/dev/audio", "chr.audio"),
-    ("/dev/cd", "chr.scsi"),
-    ("/dev/kbd", "chr.kbd"),
-];
+use crate::proto::{self, evidence, fs, DEV_TABLE, DRIVER_DIED_PARAM, FAT_ROUTE, ROUTE_PARAM};
 
 #[derive(Debug, Clone)]
 struct Forward {
@@ -177,8 +165,8 @@ impl Vfs {
     fn device_key(path: &str) -> Option<&'static str> {
         DEV_TABLE
             .iter()
-            .find(|(dev, _)| *dev == path)
-            .map(|(_, key)| *key)
+            .find(|(_, dev, _)| *dev == path)
+            .map(|(_, _, key)| *key)
     }
 
     fn fail(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, st: u64, died: bool) {
@@ -294,12 +282,13 @@ impl Vfs {
 
     fn route(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
         // Character-device traffic carries the device path in OPEN; data
-        // requests carry the resolved key in params[7] (set by the app
-        // library in `phoenix::apps`), or the message is addressed to the
-        // file server.
+        // requests carry the route in `params[ROUTE_PARAM]` — the device
+        // index or the mount id, set by the request constructors of
+        // `crate::proto` that every application speaks through.
         match msg.mtype {
             fs::OPEN => {
                 let path = String::from_utf8_lossy(&msg.data).to_string();
+                let (route, name) = proto::mount_of(&path);
                 if let Some(key) = Self::device_key(&path) {
                     match self.chr.get(key).copied() {
                         Some(drv) => {
@@ -307,13 +296,11 @@ impl Vfs {
                         }
                         None => self.fail(sh, ctx, call, status::ENODEV, false),
                     }
-                } else if let Some(name) = path.strip_prefix("/fat/") {
+                } else if route == FAT_ROUTE {
                     // The FAT mount (Fig. 5's second file server).
                     match self.fat {
                         Some(fat) => {
-                            let fwd = Message::new(fs::OPEN)
-                                .with_param(7, 1) // fs id 1 = fat
-                                .with_data(name.as_bytes().to_vec());
+                            let fwd = proto::open(name).with_param(ROUTE_PARAM, route);
                             let fat_name = self.fat_key.clone().unwrap_or_default();
                             self.forward(sh, ctx, &fat_name, fat, call, fwd);
                         }
@@ -330,9 +317,8 @@ impl Vfs {
                 }
             }
             fs::READ | fs::WRITE => {
-                // params[7]: which file server the handle belongs to
-                // (0 = root/MFS, 1 = the FAT mount).
-                let fat_handle = msg.param(7) == 1;
+                // Which file server the handle belongs to.
+                let fat_handle = msg.param(ROUTE_PARAM) == FAT_ROUTE;
                 let dst = if fat_handle { self.fat } else { self.fs };
                 match dst {
                     Some(fsrv) => {
@@ -351,8 +337,7 @@ impl Vfs {
             | cdev::BURN_START
             | cdev::BURN_CHUNK
             | cdev::BURN_FINALIZE => {
-                // params[7] carries the device index into DEV_TABLE.
-                let Some((_, key)) = DEV_TABLE.get(msg.param(7) as usize) else {
+                let Some((_, _, key)) = DEV_TABLE.get(msg.param(ROUTE_PARAM) as usize) else {
                     self.fail(sh, ctx, call, status::EINVAL, false);
                     return;
                 };
