@@ -20,11 +20,13 @@
 //!   slots over one on-disk file, open-loop read arrivals with mixed
 //!   chunk sizes.
 //!
-//! Both record one [`RequestRecord`] per request (arrival time, completion
-//! time, payload bytes, outcome) into a harness-shared status cell; the
-//! campaign joins those records against the folded recovery timeline
-//! (`Timeline::record_requests_into`) to produce per-phase latency
-//! percentiles, goodput and head-of-line depth.
+//! Both run on one `OpenLoop` slot array — arrival clocks, backlog and
+//! shed, client deadlines, drain accounting — and keep only how a request
+//! is served. It records one [`RequestRecord`] per request (arrival time,
+//! completion time, payload bytes, outcome) into a harness-shared status
+//! cell; the campaign joins those records against the folded recovery
+//! timeline (`Timeline::record_requests_into`) to produce per-phase
+//! latency percentiles, goodput and head-of-line depth.
 //!
 //! Determinism: all randomness comes from the process's own forked
 //! [`SimRng`] stream (`ctx.rng()`), all time from virtual time, so two
