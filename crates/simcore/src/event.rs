@@ -69,9 +69,8 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
-    /// Ids scheduled and neither delivered nor cancelled. An id that comes
-    /// off the heap and is not in here was cancelled.
     pending: std::collections::BTreeSet<EventId>,
+    cancelled: std::collections::BTreeSet<EventId>,
     popped: u64,
 }
 
@@ -89,6 +88,7 @@ impl<E> EventQueue<E> {
             now: SimTime::ZERO,
             next_seq: 0,
             pending: std::collections::BTreeSet::new(),
+            cancelled: std::collections::BTreeSet::new(),
             popped: 0,
         }
     }
@@ -105,7 +105,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.heap.len() - self.cancelled.len()
     }
 
     /// `true` if no live events remain.
@@ -152,9 +152,14 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending. Cancelling an already
     /// delivered or already cancelled event returns `false` and is harmless.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // We cannot remove from the middle of a BinaryHeap; the entry stays
-        // and is skipped at pop time (lazy deletion).
-        self.pending.remove(&id)
+        // We cannot remove from the middle of a BinaryHeap; remember the id
+        // and skip it at pop time (lazy deletion).
+        if self.pending.remove(&id) {
+            self.cancelled.insert(id);
+            true
+        } else {
+            false
+        }
     }
 
     /// Pops the earliest live event, advancing the clock to its timestamp.
@@ -163,9 +168,10 @@ impl<E> EventQueue<E> {
     /// the time of the last delivered event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         while let Some(s) = self.heap.pop() {
-            if !self.pending.remove(&s.id) {
+            if self.cancelled.remove(&s.id) {
                 continue;
             }
+            self.pending.remove(&s.id);
             debug_assert!(s.at >= self.now, "event queue produced out-of-order event");
             self.now = s.at;
             self.popped += 1;
@@ -197,10 +203,14 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         // Drop cancelled events off the top first so the answer is live.
         while let Some(top) = self.heap.peek() {
-            if self.pending.contains(&top.id) {
+            if self.cancelled.contains(&top.id) {
+                // analyze:allow(panic-reach): the heap was non-empty one
+                // line up (peek returned Some); pop cannot miss.
+                let s = self.heap.pop().expect("peeked event vanished");
+                self.cancelled.remove(&s.id);
+            } else {
                 return Some(top.at);
             }
-            self.heap.pop();
         }
         None
     }
