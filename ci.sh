@@ -11,8 +11,8 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
-echo "==> cargo clippy -D warnings"
-cargo clippy --workspace --all-targets -q -- -D warnings
+echo "==> cargo clippy -D warnings (function-length ceiling in clippy.toml)"
+cargo clippy --workspace --all-targets -q -- -D warnings -D clippy::too_many_lines
 
 echo "==> phoenix-analyze: lints, conformance, reachability, authority audit"
 cargo run -q --release -p phoenix-analyze -- --report results/analyze_report.json

@@ -97,11 +97,6 @@ impl WriteAheadLog {
         self.next_offset
     }
 
-    /// Bytes appended but not yet acknowledged.
-    pub fn pending_bytes(&self) -> u64 {
-        self.next_offset - self.acked
-    }
-
     /// Entries still held for possible replay.
     pub fn pending_entries(&self) -> usize {
         self.entries.len()

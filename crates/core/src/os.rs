@@ -13,17 +13,16 @@ use std::rc::Rc;
 
 use phoenix_ckpt::CheckpointStore;
 use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDriver};
-use phoenix_drivers::libdriver::{Driver, FaultPort};
-use phoenix_drivers::{
-    DiskDriver, Dp8390Driver, KeyboardDriver, RamDiskDriver, Rtl8139Driver, ScsiCdDriver,
-};
+use phoenix_drivers::libdriver::{Driver, DriverLogic, FaultPort};
+use phoenix_drivers::net::{Dp8390Card, EthDriver, Nic, Rtl8139Card};
+use phoenix_drivers::{DiskDriver, KeyboardDriver, RamDiskDriver, ScsiCdDriver};
 use phoenix_fault::chaos::ChaosPlan;
 use phoenix_fault::mutate::{apply_random_fault, Mutation};
 use phoenix_hw::chardev::{AudioDac, Printer, ScsiCdBurner};
-use phoenix_hw::disk::DiskDevice;
+use phoenix_hw::disk::{DiskDevice, DiskModel};
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
 use phoenix_hw::rtl8139::{Rtl8139, Rtl8139Config};
-use phoenix_hw::{Bus, WireConfig};
+use phoenix_hw::{Bus, Device, Uart, WireConfig};
 use phoenix_kernel::authority::AuthorityUsage;
 use phoenix_kernel::chaos::ChaosInterposer;
 use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
@@ -31,7 +30,9 @@ use phoenix_kernel::process::{Process, ProgramFactory};
 use phoenix_kernel::system::{System, SystemConfig};
 use phoenix_kernel::types::{DeviceId, Endpoint, Signal};
 use phoenix_servers::fsfat::{self, Fat16};
-use phoenix_servers::fsfmt::{self, FileSpec, Minix};
+use phoenix_servers::fsfmt::{self, FileSpec, Inode, Minix};
+use phoenix_servers::libserver::ServerLogic;
+use phoenix_servers::mfs::Volume;
 use phoenix_servers::peer::{FilePeer, PeerConfig};
 use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
@@ -39,6 +40,7 @@ use phoenix_servers::{
     DataStore, FaultPlane, FileServer, Inet, ProcessManager, Server, ServerFault, Vfs,
 };
 use phoenix_simcore::metrics::MetricsRegistry;
+use phoenix_simcore::rng::SimRng;
 use phoenix_simcore::time::{SimDuration, SimTime};
 use phoenix_simcore::trace::TraceRing;
 
@@ -373,14 +375,402 @@ impl OsBuilder {
     }
 }
 
+impl OsBuilder {
+    /// Applies the per-service policy / dependency overrides and the
+    /// global restart budget to the service table.
+    fn override_services(&self, services: &mut [ServiceConfig]) {
+        for (name, policy, params) in &self.policy_overrides {
+            if let Some(svc) = services.iter_mut().find(|s| s.program == *name) {
+                svc.policy = policy.clone();
+                svc.policy_params = params.clone();
+            }
+        }
+        if let Some((budget, window)) = self.restart_budget {
+            for svc in services.iter_mut() {
+                svc.restart_budget = budget;
+                svc.budget_window = window;
+            }
+        }
+        for (name, deps) in &self.deps_overrides {
+            if let Some(svc) = services.iter_mut().find(|s| s.program == *name) {
+                svc.deps = deps.clone();
+            }
+        }
+    }
+}
+
+impl OverGrant {
+    fn apply(&self, p: &mut Privileges) {
+        match self {
+            OverGrant::Device(dev) => {
+                p.devices.insert(*dev);
+            }
+            OverGrant::Irq(line) => {
+                p.irq_lines.insert(*line);
+            }
+            OverGrant::Ipc(dest) => {
+                let mut names: BTreeSet<String> = match &p.ipc {
+                    IpcFilter::AllowNamed(set) => set.clone(),
+                    _ => BTreeSet::new(),
+                };
+                names.insert(dest.clone());
+                p.ipc = IpcFilter::AllowNamed(names);
+            }
+            OverGrant::Call(call) => {
+                p.kernel_calls.insert(*call);
+            }
+        }
+    }
+}
+
+/// What the trusted base hands every program factory: the endpoints a
+/// component is constructed against and the two fault-injection seams.
+#[derive(Clone)]
+struct Wiring {
+    rs: Endpoint,
+    ds: Endpoint,
+    /// The server fault plane, with the crash-only subsystem on: every
+    /// `Server<L>` shell then externalises its state and polls the plane.
+    crash_only: Option<FaultPlane>,
+    fault_port: FaultPort,
+}
+
+/// Builds one incarnation of a component.
+type Build = Box<dyn Fn(&Wiring) -> Box<dyn Process>>;
+/// A driver's service name, its device's bus slot and interrupt line.
+type Slot = (&'static str, DeviceId, u8);
+/// How every device driver is constructed on its slot.
+type NewDriver<L> = fn(DeviceId, u8, FaultPort) -> L;
+/// What `with_disk` / `with_fat_disk` recorded: sectors, seed, files.
+type DiskSpec = (u64, u64, Vec<FileSpec>);
+
+/// Everything boot knows about one guarded component: the §4
+/// least-authority declaration (device, IRQ, privileges) and the §5
+/// recovery declaration (the service-table entry) in one place.
+struct Row {
+    name: &'static str,
+    hardware: Option<(DeviceId, u8, Box<dyn Device>)>,
+    privileges: Privileges,
+    build: Build,
+    /// Recovery class, dependents, policy, heartbeat. Server-class rows
+    /// are also the sticky names (a message to a dead incarnation is
+    /// redirected to the live one, so applications holding the endpoint
+    /// survive its microreboots) and RS's configured complainants.
+    service: ServiceConfig,
+    /// The `standby.<name>` warm spare RS keeps beside the primary.
+    spare: Option<(Privileges, Build)>,
+    /// VFS forwards requests to this component, so VFS may address it.
+    vfs_routable: bool,
+}
+
+impl Row {
+    /// A crash-only system server inside the `Server<L>` shell, under
+    /// the name the server itself goes by: no heartbeat, direct restart,
+    /// recursive microreboot ladder, open complaints, stall auditing.
+    /// `deps` is the group rebooted with it at escalation level 2.
+    fn server<L: ServerLogic + 'static>(
+        privileges: Privileges,
+        deps: Vec<String>,
+        logic: impl Fn(&Wiring) -> L + 'static,
+    ) -> Row {
+        let name = L::NAMES.server;
+        Row {
+            name,
+            hardware: None,
+            privileges,
+            build: Box::new(move |w| Box::new(Server::new(logic(w), w.ds, w.crash_only.as_ref()))),
+            service: ServiceConfig::server(name, name).with_deps(deps),
+            spare: None,
+            vfs_routable: false,
+        }
+    }
+
+    /// A driver on the shared libdriver loop, restarted by `policy`
+    /// (`None` = directly, with no script) and pinged at the configured
+    /// heartbeat.
+    fn driver<L: DriverLogic + 'static>(
+        cfg: &OsBuilder,
+        name: &'static str,
+        privileges: Privileges,
+        policy: &Option<PolicyScript>,
+        logic: impl Fn(&Wiring) -> L + 'static,
+    ) -> Row {
+        let mut service = ServiceConfig::driver(name, name);
+        service.policy = policy.clone();
+        Row {
+            name,
+            hardware: None,
+            privileges,
+            build: Box::new(move |w| Box::new(Driver::new(logic(w)))),
+            service: match cfg.heartbeat {
+                Some((period, misses)) => service.with_heartbeat(period, misses),
+                None => service.without_heartbeat(),
+            },
+            spare: None,
+            vfs_routable: false,
+        }
+    }
+
+    /// INET over the Ethernet driver `eth`. Its IPC stays broad: it
+    /// pushes socket data to whatever application opened the connection,
+    /// and app names are dynamic.
+    fn inet(eth: &'static str) -> Row {
+        let privileges = Privileges::server().with_calls([KernelCall::SetAlarm]);
+        Row::server(privileges, vec![eth.to_string()], move |w| {
+            Inet::new(w.rs, eth)
+        })
+    }
+
+    /// The Ethernet driver for card model `N`; it pushes received frames
+    /// to INET.
+    fn nic<N: Nic + 'static>(cfg: &OsBuilder, name: &'static str, card: Box<dyn Device>) -> Row {
+        let (dev, irq) = (hwmap::NIC, hwmap::NIC_IRQ);
+        let privileges =
+            Privileges::driver(dev, irq).with_ipc(IpcFilter::named(["rs", names::INET]));
+        Row {
+            hardware: Some((dev, irq, card)),
+            ..Row::driver(cfg, name, privileges, &cfg.driver_policy, move |w| {
+                EthDriver::<N>::new(dev, irq, w.fault_port.clone())
+            })
+        }
+    }
+
+    /// A driver for the register-level disk controllers. §6.2: disk
+    /// drivers restart directly from the copy in RAM, not policy-driven —
+    /// the script could not be read from the dead disk.
+    fn disk(
+        cfg: &OsBuilder,
+        (name, dev, irq): Slot,
+        disk: DiskDevice,
+        new: NewDriver<DiskDriver>,
+    ) -> Row {
+        let privileges = Privileges::driver(dev, irq).with_calls(BLOCK_DRIVER_CALLS);
+        Row {
+            hardware: Some((dev, irq, Box::new(disk))),
+            ..Row::driver(cfg, name, privileges, &None, move |w| {
+                new(dev, irq, w.fault_port.clone())
+            })
+        }
+    }
+
+    /// A block-backed file server of on-disk format `V` over its own
+    /// SATA disk and recoverable driver (Fig. 5 shows MFS and FAT side
+    /// by side): the server row, then the driver row.
+    fn fs_stack<V: Volume + 'static>(
+        cfg: &OsBuilder,
+        driver: Slot,
+        (sectors, seed, files): &DiskSpec,
+        mkfs: fn(&mut DiskModel, &[FileSpec]) -> Vec<Inode>,
+    ) -> [Row; 2] {
+        let mut disk = DiskDevice::sata(*sectors, *seed);
+        mkfs(disk.model_mut(), files);
+        let privileges = Privileges::server()
+            .with_ipc(IpcFilter::named(["ds", "rs", driver.0]))
+            .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]);
+        let server = Row::server(privileges, vec![driver.0.to_string()], move |w| {
+            FileServer::<V>::new(w.rs, driver.0)
+        });
+        [
+            Row {
+                vfs_routable: true,
+                ..server
+            },
+            Row::disk(cfg, driver, disk, DiskDriver::sata),
+        ]
+    }
+
+    /// The trusted RAM disk of §6.2 footnote 1. It has no device or IRQ:
+    /// it serves requests out of `region` — dedicated physical memory,
+    /// whose contents survive driver restarts — copying through client
+    /// grants.
+    fn ramdisk(cfg: &OsBuilder, region: &Rc<RefCell<Vec<u8>>>) -> Row {
+        let mut privileges = Privileges::server()
+            .with_ipc(IpcFilter::named(["rs"]))
+            .with_calls([KernelCall::SafeCopy]);
+        privileges.uid = 900;
+        privileges.address_space = 256 * 1024;
+        let region = Rc::clone(region);
+        Row::driver(
+            cfg,
+            names::BLK_RAM,
+            privileges,
+            &cfg.driver_policy,
+            move |w| RamDiskDriver::new(Rc::clone(&region), w.fault_port.clone()),
+        )
+    }
+
+    /// A character driver holding kernel calls `calls`; VFS routes
+    /// `/dev/*` requests to it. With the checkpoint subsystem on, a
+    /// driver that has a `checkpointed` mode runs in it and talks to DS
+    /// (snapshot save/restore); the grant is added only then, so the
+    /// least-authority audit of the plain configuration stays tight.
+    fn chardev<L: DriverLogic + 'static>(
+        cfg: &OsBuilder,
+        (name, dev, irq): Slot,
+        model: Box<dyn Device>,
+        calls: &[KernelCall],
+        new: NewDriver<L>,
+        checkpointed: Option<fn(L, Endpoint) -> L>,
+    ) -> Row {
+        let checkpointed = checkpointed.filter(|_| cfg.checkpointing);
+        let mut privileges = Privileges::driver(dev, irq).with_calls(calls.iter().copied());
+        if checkpointed.is_some() {
+            privileges = privileges.with_ipc(IpcFilter::named(["rs", "ds"]));
+        }
+        let logic = move |w: &Wiring| {
+            let cold = new(dev, irq, w.fault_port.clone());
+            match checkpointed {
+                Some(mode) => mode(cold, w.ds),
+                None => cold,
+            }
+        };
+        Row {
+            hardware: Some((dev, irq, model)),
+            vfs_routable: true,
+            ..Row::driver(cfg, name, privileges, &cfg.driver_policy, logic)
+        }
+    }
+
+    /// A stream character driver (printer, audio) and, with hot standby,
+    /// its warm spare: same device authority as the primary plus the
+    /// alarm call the tail-poll timer needs.
+    fn stream<D: StreamDevice + 'static>(
+        cfg: &OsBuilder,
+        slot: Slot,
+        model: Box<dyn Device>,
+        calls: &[KernelCall],
+    ) -> Row {
+        let new: NewDriver<StreamDriver<D>> = StreamDriver::new;
+        let checkpointed = StreamDriver::with_checkpointing;
+        let mut row = Row::chardev(cfg, slot, model, calls, new, Some(checkpointed));
+        if cfg.hot_standby {
+            row.service = row.service.with_hot_standby();
+            let mut privileges = row.privileges.clone();
+            privileges.kernel_calls.insert(KernelCall::SetAlarm);
+            let (_, dev, irq) = slot;
+            let spare: Build = Box::new(move |w| {
+                let cold = new(dev, irq, w.fault_port.clone());
+                Box::new(Driver::new(cold.standby(w.ds)))
+            });
+            row.spare = Some((privileges, spare));
+        }
+        row
+    }
+
+    /// VFS in front of the `routable` rows: a closed, configuration-known
+    /// set of servers and drivers, so its IPC allow-list and its
+    /// dependents are read off the table. It needs no kernel calls (data
+    /// moves by grant between client, file server, and driver). A
+    /// promoted spare keeps its standby kernel identity while serving
+    /// under the primary's published name, so VFS may address it too.
+    fn vfs<'a>(routable: impl Iterator<Item = &'a Row>) -> Row {
+        let mut ipc = vec!["ds".to_string(), "rs".to_string()];
+        let mut deps = Vec::new();
+        for row in routable {
+            ipc.push(row.name.to_string());
+            if row.spare.is_some() {
+                ipc.push(format!("standby.{}", row.name));
+            }
+            if row.service.server {
+                deps.push(row.name.to_string());
+            }
+        }
+        let privileges = Privileges::server()
+            .with_ipc(IpcFilter::named(ipc))
+            .with_calls([]);
+        let has_fat = deps.iter().any(|d| d == names::FAT);
+        Row::server(privileges, deps, move |w| {
+            let vfs = Vfs::new(w.rs, names::MFS);
+            match has_fat {
+                true => vfs.with_fat(names::FAT),
+                false => vfs,
+            }
+        })
+    }
+
+    /// The component table of configuration `cfg`, in service-table
+    /// order: RS spawns in this order, so every digest depends on it.
+    fn table(cfg: &OsBuilder, ramdisk: Option<&Rc<RefCell<Vec<u8>>>>) -> Vec<Row> {
+        let mut rows = Vec::new();
+        if let Some((kind, ..)) = &cfg.nic {
+            rows.push(Row::inet(Os::driver_name(*kind)));
+        }
+        let vfs_slot = rows.len();
+        if let Some(spec) = &cfg.disk {
+            let sata = (names::BLK_SATA, hwmap::SATA, hwmap::SATA_IRQ);
+            rows.extend(Row::fs_stack::<Minix>(cfg, sata, spec, fsfmt::mkfs));
+        }
+        if let Some(spec) = &cfg.fat_disk {
+            let sata2 = (names::BLK_SATA2, hwmap::SATA2, hwmap::SATA2_IRQ);
+            rows.extend(Row::fs_stack::<Fat16>(cfg, sata2, spec, fsfat::mkfs_fat));
+        }
+        if let Some((kind, rtl, dp, ..)) = &cfg.nic {
+            let name = Os::driver_name(*kind);
+            rows.push(match kind {
+                NicKind::Rtl8139 => {
+                    Row::nic::<Rtl8139Card>(cfg, name, Box::new(Rtl8139::new(rtl.clone())))
+                }
+                NicKind::Dp8390 => {
+                    Row::nic::<Dp8390Card>(cfg, name, Box::new(Dp8390::new(dp.clone())))
+                }
+            });
+        }
+        if cfg.floppy {
+            let floppy = (names::BLK_FLOPPY, hwmap::FLOPPY, hwmap::FLOPPY_IRQ);
+            let disk = DiskDevice::floppy(cfg.seed);
+            rows.push(Row::disk(cfg, floppy, disk, DiskDriver::floppy));
+        }
+        if let Some(region) = ramdisk {
+            rows.push(Row::ramdisk(cfg, region));
+        }
+        if cfg.chardevs {
+            // The printer and keyboard move bytes by programmed I/O only;
+            // no DMA window, so no IommuMap (the audit flags it otherwise).
+            let pio = [KernelCall::Devio, KernelCall::IrqCtl];
+            let dma = [KernelCall::Devio, KernelCall::IrqCtl, KernelCall::IommuMap];
+            let printer = (names::CHR_PRINTER, hwmap::PRINTER, hwmap::PRINTER_IRQ);
+            let model = Box::new(Printer::new(32 * 1024));
+            rows.push(Row::stream::<PrinterPort>(cfg, printer, model, &pio));
+            let audio = (names::CHR_AUDIO, hwmap::AUDIO, hwmap::AUDIO_IRQ);
+            let model = Box::new(AudioDac::new(176_400));
+            rows.push(Row::stream::<AudioPort>(cfg, audio, model, &dma));
+            // The CD burner has no checkpointed mode: its side effect is
+            // external and unrepeatable.
+            let scsi = (names::CHR_SCSI, hwmap::SCSI, hwmap::SCSI_IRQ);
+            let model = Box::new(ScsiCdBurner::new(SimDuration::from_millis(300), 600_000));
+            rows.push(Row::chardev(
+                cfg,
+                scsi,
+                model,
+                &dma,
+                ScsiCdDriver::new,
+                None,
+            ));
+            let kbd = (names::CHR_KBD, hwmap::UART, hwmap::UART_IRQ);
+            let (model, mode) = (Box::new(Uart::new()), KeyboardDriver::with_checkpointing);
+            rows.push(Row::chardev(
+                cfg,
+                kbd,
+                model,
+                &pio,
+                KeyboardDriver::new,
+                Some(mode),
+            ));
+        }
+        if rows.iter().any(|r| r.vfs_routable) {
+            let vfs = Row::vfs(rows.iter().filter(|r| r.vfs_routable));
+            rows.insert(vfs_slot, vfs);
+        }
+        rows
+    }
+}
+
 /// The running failure-resilient operating system.
 pub struct Os {
     sys: System,
     bus: Bus,
     fault_port: FaultPort,
     fault_plane: FaultPlane,
-    pm: Endpoint,
-    ds: Endpoint,
     rs: Endpoint,
     nic_kind: Option<NicKind>,
     seed: u64,
@@ -409,54 +799,6 @@ impl Os {
         self.nic_kind.map(Self::driver_name)
     }
 
-    /// Checkpointed drivers talk to DS (snapshot save/restore); the grant
-    /// is added only when the subsystem is on, so the least-authority
-    /// audit of the plain configuration stays tight.
-    fn ckpt_ipc(privs: Privileges, ckpt_ds: Option<Endpoint>) -> Privileges {
-        match ckpt_ds {
-            Some(_) => privs.with_ipc(IpcFilter::named(["rs", "ds"])),
-            None => privs,
-        }
-    }
-
-    /// Registers the stream char driver `name` on `(dev, irq)` —
-    /// checkpointing against `ckpt_ds` when given — and, with `spare`,
-    /// its `standby.<name>` warm spare: same device authority as the
-    /// primary plus the alarm call the tail-poll timer needs.
-    fn register_stream<D: StreamDevice + 'static>(
-        sys: &mut System,
-        fp: &FaultPort,
-        (name, dev, irq): (&str, DeviceId, u8),
-        calls: &[KernelCall],
-        ckpt_ds: Option<Endpoint>,
-        spare: bool,
-    ) {
-        let privs = |calls: Vec<KernelCall>| {
-            Self::ckpt_ipc(Privileges::driver(dev, irq).with_calls(calls), ckpt_ds)
-        };
-        let fp = fp.clone();
-        let cold = move || -> StreamDriver<D> { StreamDriver::new(dev, irq, fp.clone()) };
-        let primary = cold.clone();
-        sys.register_program(
-            name,
-            privs(calls.to_vec()),
-            Box::new(move || {
-                let drv = primary();
-                Box::new(Driver::new(match ckpt_ds {
-                    Some(ds) => drv.with_checkpointing(ds),
-                    None => drv,
-                }))
-            }),
-        );
-        if let (true, Some(ds)) = (spare, ckpt_ds) {
-            sys.register_program(
-                &format!("standby.{name}"),
-                privs([calls, &[KernelCall::SetAlarm]].concat()),
-                Box::new(move || Box::new(Driver::new(cold().standby(ds)))),
-            );
-        }
-    }
-
     fn boot(cfg: OsBuilder) -> Os {
         let mut sys = System::new(SystemConfig {
             seed: cfg.seed,
@@ -465,88 +807,6 @@ impl Os {
         });
         let mut bus = Bus::new();
         let fault_port = FaultPort::new();
-
-        // ---------------- hardware ----------------
-        let mut services: Vec<ServiceConfig> = Vec::new();
-        let hb = cfg.heartbeat;
-        let nic_kind = cfg.nic.as_ref().map(|(k, ..)| *k);
-        let mk_service = |name: &str, policy: &Option<PolicyScript>| -> ServiceConfig {
-            let mut s = ServiceConfig::driver(name, name);
-            match policy {
-                Some(p) => s = s.with_policy(p.clone()),
-                None => s = s.without_policy(),
-            }
-            match hb {
-                Some((period, misses)) => s = s.with_heartbeat(period, misses),
-                None => s = s.without_heartbeat(),
-            }
-            s
-        };
-
-        let mut need_vfs = cfg.chardevs || cfg.fat_disk.is_some();
-        let mut need_mfs = false;
-        if let Some((kind, rtl_cfg, dp_cfg, wire, peer)) = &cfg.nic {
-            match kind {
-                NicKind::Rtl8139 => {
-                    bus.add_device(
-                        hwmap::NIC,
-                        hwmap::NIC_IRQ,
-                        Box::new(Rtl8139::new(rtl_cfg.clone())),
-                    );
-                }
-                NicKind::Dp8390 => {
-                    bus.add_device(
-                        hwmap::NIC,
-                        hwmap::NIC_IRQ,
-                        Box::new(Dp8390::new(dp_cfg.clone())),
-                    );
-                }
-            }
-            bus.attach_peer(hwmap::NIC, *wire, Box::new(FilePeer::new(peer.clone())));
-        }
-        let mut disk_seed = 0;
-        if let Some((sectors, dseed, files)) = &cfg.disk {
-            disk_seed = *dseed;
-            let mut disk = DiskDevice::sata(*sectors, *dseed);
-            fsfmt::mkfs(disk.model_mut(), files);
-            bus.add_device(hwmap::SATA, hwmap::SATA_IRQ, Box::new(disk));
-            need_vfs = true;
-            need_mfs = true;
-        }
-        if let Some((sectors, dseed, files)) = &cfg.fat_disk {
-            let mut disk = DiskDevice::sata(*sectors, *dseed);
-            fsfat::mkfs_fat(disk.model_mut(), files);
-            bus.add_device(hwmap::SATA2, hwmap::SATA2_IRQ, Box::new(disk));
-        }
-        if cfg.floppy {
-            bus.add_device(
-                hwmap::FLOPPY,
-                hwmap::FLOPPY_IRQ,
-                Box::new(DiskDevice::floppy(cfg.seed)),
-            );
-        }
-        if cfg.chardevs {
-            bus.add_device(
-                hwmap::PRINTER,
-                hwmap::PRINTER_IRQ,
-                Box::new(Printer::new(32 * 1024)),
-            );
-            bus.add_device(
-                hwmap::AUDIO,
-                hwmap::AUDIO_IRQ,
-                Box::new(AudioDac::new(176_400)),
-            );
-            bus.add_device(
-                hwmap::SCSI,
-                hwmap::SCSI_IRQ,
-                Box::new(ScsiCdBurner::new(SimDuration::from_millis(300), 600_000)),
-            );
-            bus.add_device(
-                hwmap::UART,
-                hwmap::UART_IRQ,
-                Box::new(phoenix_hw::Uart::new()),
-            );
-        }
 
         // ---------------- trusted base ----------------
         // DS boots first: PM checkpoints its process records against it
@@ -569,8 +829,7 @@ impl Os {
         );
         // The server fault plane: the microreboot campaign arms injected
         // defects (crash / stall / garble) against individual servers
-        // here; an unarmed plane is inert. With the crash-only subsystem
-        // on, every libserver shell externalises its state and polls it.
+        // here; an unarmed plane is inert.
         let fault_plane = FaultPlane::new();
         let crash_only = cfg.checkpointing.then(|| fault_plane.clone());
         let mut pm_privs = Privileges::process_manager();
@@ -582,92 +841,20 @@ impl Os {
         let pm_server = Server::new(ProcessManager::new(), ds, crash_only.as_ref());
         let pm = sys.spawn_boot("pm", pm_privs.clone(), Box::new(pm_server));
 
-        // ---------------- service table ----------------
-        // The system servers are server-class (crash-only): no heartbeat,
-        // direct restart, recursive microreboot ladder, open complaints,
-        // and stall auditing. Their dependent drivers are the group
-        // rebooted at escalation level 2.
-        if cfg.nic.is_some() {
-            // analyze:allow(panic-reach): boot-time invariant — nic_kind is
-            // set whenever cfg.nic is, two screens up in this function.
-            let eth = Self::driver_name(nic_kind.expect("nic kind set"));
-            services.push(
-                ServiceConfig::server(names::INET, names::INET).with_deps(vec![eth.to_string()]),
-            );
+        // ---------------- component table ----------------
+        let ramdisk_region = cfg.ramdisk_sectors.map(RamDiskDriver::region);
+        let mut rows = Row::table(&cfg, ramdisk_region.as_ref());
+        for (dev, irq, model) in rows.iter_mut().filter_map(|r| r.hardware.take()) {
+            bus.add_device(dev, irq, model);
         }
-        if need_vfs {
-            let mut vfs_deps = Vec::new();
-            if need_mfs {
-                vfs_deps.push(names::MFS.to_string());
-            }
-            if cfg.fat_disk.is_some() {
-                vfs_deps.push(names::FAT.to_string());
-            }
-            services.push(ServiceConfig::server(names::VFS, names::VFS).with_deps(vfs_deps));
+        if let Some((.., wire, peer)) = &cfg.nic {
+            bus.attach_peer(hwmap::NIC, *wire, Box::new(FilePeer::new(peer.clone())));
         }
-        if need_mfs {
-            services.push(
-                ServiceConfig::server(names::MFS, names::MFS)
-                    .with_deps(vec![names::BLK_SATA.to_string()]),
-            );
-            services.push(mk_service(names::BLK_SATA, &None)); // §6.2: disk
-                                                               // drivers restart directly from the copy in RAM, not policy-
-                                                               // driven.
-        }
-        if cfg.fat_disk.is_some() {
-            services.push(
-                ServiceConfig::server(names::FAT, names::FAT)
-                    .with_deps(vec![names::BLK_SATA2.to_string()]),
-            );
-            services.push(mk_service(names::BLK_SATA2, &None));
-        }
-        if let Some((kind, ..)) = &cfg.nic {
-            services.push(mk_service(Self::driver_name(*kind), &cfg.driver_policy));
-        }
-        if cfg.floppy {
-            services.push(mk_service(names::BLK_FLOPPY, &None));
-        }
-        if cfg.ramdisk_sectors.is_some() {
-            services.push(mk_service(names::BLK_RAM, &cfg.driver_policy));
-        }
-        if cfg.chardevs {
-            for name in [
-                names::CHR_PRINTER,
-                names::CHR_AUDIO,
-                names::CHR_SCSI,
-                names::CHR_KBD,
-            ] {
-                let mut svc = mk_service(name, &cfg.driver_policy);
-                if cfg.hot_standby && (name == names::CHR_PRINTER || name == names::CHR_AUDIO) {
-                    svc = svc.with_hot_standby();
-                }
-                services.push(svc);
-            }
-        }
-        for (name, policy, params) in &cfg.policy_overrides {
-            if let Some(svc) = services.iter_mut().find(|s| s.program == *name) {
-                svc.policy = policy.clone();
-                svc.policy_params = params.clone();
-            }
-        }
-        if let Some((budget, window)) = cfg.restart_budget {
-            for svc in &mut services {
-                svc.restart_budget = budget;
-                svc.budget_window = window;
-            }
-        }
-        for (name, deps) in &cfg.deps_overrides {
-            if let Some(svc) = services.iter_mut().find(|s| s.program == *name) {
-                svc.deps = deps.clone();
-            }
-        }
+        let mut services: Vec<ServiceConfig> = rows.iter().map(|r| r.service.clone()).collect();
+        cfg.override_services(&mut services);
+        let servers = rows.iter().filter(|r| r.service.server).map(|r| r.name);
+        let complainants = servers.clone().map(str::to_string).collect();
 
-        let complainants = vec![
-            names::MFS.to_string(),
-            names::FAT.to_string(),
-            names::VFS.to_string(),
-            names::INET.to_string(),
-        ];
         let mut rs_privs = Privileges::reincarnation_server();
         let mut rs_server =
             ReincarnationServer::new(pm, ds, services, complainants).with_sentinels(cfg.sentinels);
@@ -683,264 +870,39 @@ impl Os {
             rs_server = rs_server.with_pm_guard();
         }
         let rs = sys.spawn_boot("rs", rs_privs, Box::new(rs_server));
-
-        // Sticky names: a message sent to a dead incarnation of these is
-        // transparently redirected to the live one (and the replacement
-        // reclaims the slot), so applications holding a server endpoint
-        // survive its microreboots without re-resolving.
-        for name in [names::VFS, names::MFS, names::INET, names::FAT, "pm"] {
+        for name in servers.chain(["pm"]) {
             sys.mark_sticky(name);
         }
 
         // ---------------- program registry ----------------
-        let fp = fault_port.clone();
-        let ckpt_on = cfg.checkpointing;
-        if ckpt_on {
+        let wiring = Wiring {
+            rs,
+            ds,
+            crash_only,
+            fault_port: fault_port.clone(),
+        };
+        if cfg.checkpointing {
             // PM's replacement incarnations come from here: RS respawns
             // the program directly (sys_spawn) during recursive recovery.
-            let plane = crash_only.clone();
+            let plane = wiring.crash_only.clone();
             sys.register_program(
                 "pm",
                 pm_privs,
                 Box::new(move || Box::new(Server::new(ProcessManager::new(), ds, plane.as_ref()))),
             );
         }
-        if let Some(kind) = nic_kind {
-            // INET's IPC stays broad: it pushes socket data to whatever
-            // application opened the connection, and app names are dynamic.
-            let plane = crash_only.clone();
-            sys.register_program(
-                names::INET,
-                Privileges::server().with_calls([KernelCall::SetAlarm]),
-                Box::new(move || {
-                    let inet = Inet::new(rs, Self::driver_name(kind));
-                    Box::new(Server::new(inet, ds, plane.as_ref()))
-                }),
-            );
-        }
-        if need_vfs {
-            let has_fat = cfg.fat_disk.is_some();
-            // VFS routes to a closed, configuration-known set of servers
-            // and drivers; it needs no kernel calls (data moves by grant
-            // between client, file server, and driver).
-            let mut vfs_ipc = vec!["ds".to_string(), "rs".to_string()];
-            if need_mfs {
-                vfs_ipc.push(names::MFS.to_string());
-            }
-            if has_fat {
-                vfs_ipc.push(names::FAT.to_string());
-            }
-            if cfg.chardevs {
-                for chr in [
-                    names::CHR_PRINTER,
-                    names::CHR_AUDIO,
-                    names::CHR_SCSI,
-                    names::CHR_KBD,
-                ] {
-                    vfs_ipc.push(chr.to_string());
-                }
-            }
-            if cfg.hot_standby {
-                // A promoted spare keeps its standby kernel identity while
-                // serving under the primary's published name; VFS must be
-                // allowed to address it.
-                for chr in [names::CHR_PRINTER, names::CHR_AUDIO] {
-                    vfs_ipc.push(format!("standby.{chr}"));
-                }
-            }
-            let plane = crash_only.clone();
-            sys.register_program(
-                names::VFS,
-                Privileges::server()
-                    .with_ipc(IpcFilter::named(vfs_ipc))
-                    .with_calls([]),
-                Box::new(move || {
-                    let mut vfs = Vfs::new(rs, names::MFS);
-                    if has_fat {
-                        vfs = vfs.with_fat(names::FAT);
-                    }
-                    Box::new(Server::new(vfs, ds, plane.as_ref()))
-                }),
-            );
-        }
-        if cfg.fat_disk.is_some() {
-            let plane = crash_only.clone();
-            sys.register_program(
-                names::FAT,
-                Privileges::server()
-                    .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA2]))
-                    .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
-                Box::new(move || {
-                    let fat = FileServer::<Fat16>::new(rs, names::BLK_SATA2);
-                    Box::new(Server::new(fat, ds, plane.as_ref()))
-                }),
-            );
-            let fp2 = fp.clone();
-            sys.register_program(
-                names::BLK_SATA2,
-                Privileges::driver(hwmap::SATA2, hwmap::SATA2_IRQ).with_calls(BLOCK_DRIVER_CALLS),
-                Box::new(move || {
-                    Box::new(Driver::new(DiskDriver::sata(
-                        hwmap::SATA2,
-                        hwmap::SATA2_IRQ,
-                        fp2.clone(),
-                    )))
-                }),
-            );
-        }
-        if need_mfs {
-            let plane = crash_only.clone();
-            sys.register_program(
-                names::MFS,
-                Privileges::server()
-                    .with_ipc(IpcFilter::named(["ds", "rs", names::BLK_SATA]))
-                    .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]),
-                Box::new(move || {
-                    let mfs = FileServer::<Minix>::new(rs, names::BLK_SATA);
-                    Box::new(Server::new(mfs, ds, plane.as_ref()))
-                }),
-            );
-            let fp2 = fp.clone();
-            sys.register_program(
-                names::BLK_SATA,
-                Privileges::driver(hwmap::SATA, hwmap::SATA_IRQ).with_calls(BLOCK_DRIVER_CALLS),
-                Box::new(move || {
-                    Box::new(Driver::new(DiskDriver::sata(
-                        hwmap::SATA,
-                        hwmap::SATA_IRQ,
-                        fp2.clone(),
-                    )))
-                }),
-            );
-        }
-        if let Some((kind, ..)) = &cfg.nic {
-            let fp2 = fp.clone();
-            match kind {
-                NicKind::Rtl8139 => sys.register_program(
-                    names::ETH_RTL8139,
-                    Privileges::driver(hwmap::NIC, hwmap::NIC_IRQ)
-                        .with_ipc(IpcFilter::named(["rs", names::INET])),
-                    Box::new(move || {
-                        Box::new(Driver::new(Rtl8139Driver::new(
-                            hwmap::NIC,
-                            hwmap::NIC_IRQ,
-                            fp2.clone(),
-                        )))
-                    }),
-                ),
-                NicKind::Dp8390 => sys.register_program(
-                    names::ETH_DP8390,
-                    Privileges::driver(hwmap::NIC, hwmap::NIC_IRQ)
-                        .with_ipc(IpcFilter::named(["rs", names::INET])),
-                    Box::new(move || {
-                        Box::new(Driver::new(Dp8390Driver::new(
-                            hwmap::NIC,
-                            hwmap::NIC_IRQ,
-                            fp2.clone(),
-                        )))
-                    }),
-                ),
+        for row in rows {
+            let w = wiring.clone();
+            let build = row.build;
+            sys.register_program(row.name, row.privileges, Box::new(move || build(&w)));
+            if let Some((privileges, build)) = row.spare {
+                let w = wiring.clone();
+                let name = format!("standby.{}", row.name);
+                sys.register_program(&name, privileges, Box::new(move || build(&w)));
             }
         }
-        if cfg.floppy {
-            let fp2 = fp.clone();
-            sys.register_program(
-                names::BLK_FLOPPY,
-                Privileges::driver(hwmap::FLOPPY, hwmap::FLOPPY_IRQ).with_calls(BLOCK_DRIVER_CALLS),
-                Box::new(move || {
-                    Box::new(Driver::new(DiskDriver::floppy(
-                        hwmap::FLOPPY,
-                        hwmap::FLOPPY_IRQ,
-                        fp2.clone(),
-                    )))
-                }),
-            );
-        }
-        let mut ramdisk_region = None;
-        if let Some(sectors) = cfg.ramdisk_sectors {
-            // The backing region models dedicated physical memory: its
-            // contents survive driver restarts.
-            let region = RamDiskDriver::region(sectors);
-            ramdisk_region = Some(Rc::clone(&region));
-            let fp2 = fp.clone();
-            // The RAM disk has no device or IRQ: it serves requests out
-            // of its backing region, copying through client grants.
-            let mut privs = Privileges::server()
-                .with_ipc(IpcFilter::named(["rs"]))
-                .with_calls([KernelCall::SafeCopy]);
-            privs.uid = 900;
-            privs.address_space = 256 * 1024;
-            sys.register_program(
-                names::BLK_RAM,
-                privs,
-                Box::new(move || {
-                    Box::new(Driver::new(RamDiskDriver::new(
-                        Rc::clone(&region),
-                        fp2.clone(),
-                    )))
-                }),
-            );
-        }
-        if cfg.chardevs {
-            let ckpt_ds = cfg.checkpointing.then_some(ds);
-            // The printer and keyboard move bytes by programmed I/O only;
-            // no DMA window, so no IommuMap (the audit flags it otherwise).
-            let pio = [KernelCall::Devio, KernelCall::IrqCtl];
-            let dma = [KernelCall::Devio, KernelCall::IrqCtl, KernelCall::IommuMap];
-            let spares = cfg.hot_standby;
-            let printer = (names::CHR_PRINTER, hwmap::PRINTER, hwmap::PRINTER_IRQ);
-            Self::register_stream::<PrinterPort>(&mut sys, &fp, printer, &pio, ckpt_ds, spares);
-            let audio = (names::CHR_AUDIO, hwmap::AUDIO, hwmap::AUDIO_IRQ);
-            Self::register_stream::<AudioPort>(&mut sys, &fp, audio, &dma, ckpt_ds, spares);
-            let fp2 = fp.clone();
-            sys.register_program(
-                names::CHR_SCSI,
-                Privileges::driver(hwmap::SCSI, hwmap::SCSI_IRQ),
-                Box::new(move || {
-                    Box::new(Driver::new(ScsiCdDriver::new(
-                        hwmap::SCSI,
-                        hwmap::SCSI_IRQ,
-                        fp2.clone(),
-                    )))
-                }),
-            );
-            let fp2 = fp.clone();
-            sys.register_program(
-                names::CHR_KBD,
-                Self::ckpt_ipc(
-                    Privileges::driver(hwmap::UART, hwmap::UART_IRQ).with_calls(pio),
-                    ckpt_ds,
-                ),
-                Box::new(move || {
-                    let mut drv = KeyboardDriver::new(hwmap::UART, hwmap::UART_IRQ, fp2.clone());
-                    if let Some(ds) = ckpt_ds {
-                        drv = drv.with_checkpointing(ds);
-                    }
-                    Box::new(Driver::new(drv))
-                }),
-            );
-        }
-
         for (service, grant) in &cfg.overgrants {
-            sys.adjust_program_privileges(service, |p| match grant {
-                OverGrant::Device(dev) => {
-                    p.devices.insert(*dev);
-                }
-                OverGrant::Irq(line) => {
-                    p.irq_lines.insert(*line);
-                }
-                OverGrant::Ipc(dest) => {
-                    let mut names: BTreeSet<String> = match &p.ipc {
-                        IpcFilter::AllowNamed(set) => set.clone(),
-                        _ => BTreeSet::new(),
-                    };
-                    names.insert(dest.clone());
-                    p.ipc = IpcFilter::AllowNamed(names);
-                }
-                OverGrant::Call(call) => {
-                    p.kernel_calls.insert(*call);
-                }
-            });
+            sys.adjust_program_privileges(service, |p| grant.apply(p));
         }
 
         let mut os = Os {
@@ -948,12 +910,10 @@ impl Os {
             bus,
             fault_port,
             fault_plane,
-            pm,
-            ds,
             rs,
-            nic_kind,
+            nic_kind: cfg.nic.as_ref().map(|(kind, ..)| *kind),
             seed: cfg.seed,
-            disk_seed,
+            disk_seed: cfg.disk.as_ref().map_or(0, |(_, seed, _)| *seed),
             ramdisk_region,
             ckpt_store,
             ds_records,
@@ -1095,21 +1055,6 @@ impl Os {
         Rc::clone(&self.ds_records)
     }
 
-    /// The data store endpoint (for apps that use naming or state backup).
-    pub fn ds_endpoint(&self) -> Endpoint {
-        self.ds
-    }
-
-    /// The process manager endpoint.
-    pub fn pm_endpoint(&self) -> Endpoint {
-        self.pm
-    }
-
-    /// The reincarnation server endpoint.
-    pub fn rs_endpoint(&self) -> Endpoint {
-        self.rs
-    }
-
     /// Observed authority per component, as recorded by the kernel at its
     /// privilege-check hook points.
     pub fn authority_usage(&self) -> &AuthorityUsage {
@@ -1142,14 +1087,6 @@ impl Os {
     pub fn kill_by_user(&mut self, name: &str) -> bool {
         match self.sys.endpoint_by_name(name) {
             Some(ep) => self.sys.kill_by_user(ep, Signal::Kill),
-            None => false,
-        }
-    }
-
-    /// Sends SIGTERM in the name of an interactive user.
-    pub fn term_by_user(&mut self, name: &str) -> bool {
-        match self.sys.endpoint_by_name(name) {
-            Some(ep) => self.sys.kill_by_user(ep, Signal::Term),
             None => false,
         }
     }
@@ -1269,18 +1206,23 @@ impl Os {
         self.sys.chaos_active()
     }
 
+    /// A fresh RNG stream for one injection. The per-injection salt keeps
+    /// successive injections distinct while the whole campaign stays a
+    /// pure function of the OS seed.
+    fn injection_rng(&mut self, stream: &str) -> SimRng {
+        let salt = self.sys.metrics().counter("campaign.rng_salt");
+        self.sys.metrics_mut().incr("campaign.rng_salt");
+        // analyze:allow(rng-construction): salted off the root seed, so the
+        // injection stream is a pure function of (seed, injection index).
+        SimRng::new(self.seed ^ (salt << 1)).fork(stream)
+    }
+
     /// Injects one random binary fault (of the paper's seven types) into
     /// the *running* code of a driver (§7.2). Returns `None` if the driver
     /// has not published a code image.
     pub fn inject_fault(&mut self, driver: &str) -> Option<Mutation> {
         let code = self.fault_port.code_of(driver)?;
-        // Per-injection salt keeps successive injections distinct while
-        // the whole campaign stays a pure function of the OS seed.
-        let salt = self.sys.metrics().counter("campaign.rng_salt");
-        self.sys.metrics_mut().incr("campaign.rng_salt");
-        // analyze:allow(rng-construction): salted off the root seed, so the
-        // injection stream is a pure function of (seed, injection index).
-        let mut rng = phoenix_simcore::rng::SimRng::new(self.seed ^ (salt << 1)).fork("inject");
+        let mut rng = self.injection_rng("inject");
         let mut code = code.borrow_mut();
         apply_random_fault(&mut code, &mut rng)
     }
@@ -1291,13 +1233,7 @@ impl Os {
     /// ([`OsBuilder::with_checkpointing`]); an un-attached name arms a
     /// cell nothing ever polls.
     pub fn inject_server_fault(&mut self, server: &str) -> ServerFault {
-        let salt = self.sys.metrics().counter("campaign.rng_salt");
-        self.sys.metrics_mut().incr("campaign.rng_salt");
-        let salted = self.seed ^ (salt << 1);
-        // analyze:allow(rng-construction): salted off the root seed, so the
-        // injection stream is a pure function of (seed, injection index).
-        let mut rng = phoenix_simcore::rng::SimRng::new(salted).fork("inject-server");
-        let fault = match rng.range_u64(0..3) {
+        let fault = match self.injection_rng("inject-server").range_u64(0..3) {
             0 => ServerFault::Crash,
             1 => ServerFault::Stall,
             _ => ServerFault::Garble,
@@ -1325,22 +1261,6 @@ impl Os {
     pub fn type_input(&mut self, delay: SimDuration, bytes: Vec<u8>) {
         let chan = phoenix_hw::bus::wire_to_host_channel(hwmap::UART);
         self.sys.schedule_external(delay, chan, bytes);
-    }
-
-    /// Injects a fault of a *specific* type (targeted tests, ablations).
-    pub fn inject_fault_of(
-        &mut self,
-        driver: &str,
-        fault: phoenix_fault::FaultType,
-    ) -> Option<Mutation> {
-        let code = self.fault_port.code_of(driver)?;
-        let salt = self.sys.metrics().counter("campaign.rng_salt");
-        self.sys.metrics_mut().incr("campaign.rng_salt");
-        // analyze:allow(rng-construction): salted off the root seed, so the
-        // injection stream is a pure function of (seed, injection index).
-        let mut rng = phoenix_simcore::rng::SimRng::new(self.seed ^ (salt << 1)).fork("inject-of");
-        let mut code = code.borrow_mut();
-        phoenix_fault::mutate::apply_fault(&mut code, fault, &mut rng)
     }
 
     /// Overwrites the running driver's hot code so its next request loops

@@ -13,7 +13,7 @@ use std::rc::Rc;
 use phoenix_hw::disk::{cmd, disk_isr, regs, status as hw_status, SECTOR};
 use phoenix_kernel::memory::GrantId;
 use phoenix_kernel::system::Ctx;
-use phoenix_kernel::types::{CallId, DeviceId, Endpoint, IrqLine, Message};
+use phoenix_kernel::types::{CallId, DeviceId, Endpoint, ExceptionKind, IrqLine, Message};
 use phoenix_simcore::trace::TraceLevel;
 
 use crate::libdriver::{DriverLogic, FaultPort, GuardedRoutine};
@@ -69,45 +69,63 @@ impl DiskDriver {
             needs_motor,
             capacity: 0,
             pending: None,
-            routine: GuardedRoutine::new(&routines::with_cold_section(
-                routines::disk_request(),
-                30,
-            )),
+            routine: request_routine(),
             fault_port,
         }
     }
+}
 
-    fn reply_status(&self, ctx: &mut Ctx<'_>, call: CallId, st: u64, bytes: u64) {
-        let _ = ctx.reply(
-            call,
-            Message::new(bdev::REPLY)
-                .with_param(0, st)
-                .with_param(1, bytes),
-        );
-    }
+/// The request routine both drivers run every READ / WRITE through.
+fn request_routine() -> GuardedRoutine {
+    GuardedRoutine::new(&routines::with_cold_section(routines::disk_request(), 30))
+}
 
-    /// Validates the request through the (possibly mutated) VM routine.
-    /// Returns the transfer size in bytes and the routine's descriptor
-    /// checksum, or `None` if the driver died. The checksum is echoed in
-    /// the eventual reply so the file server's sentinel can verify the
-    /// driver actually processed the descriptor it was sent.
-    fn validate(&mut self, ctx: &mut Ctx<'_>, lba: u64, count: u64) -> Option<(usize, u32)> {
-        let capacity = self.capacity;
-        let vm = self.routine.run(ctx, 64, |vm| {
-            vm.regs[routines::reg::A0 as usize] = lba as u32;
-            vm.regs[routines::reg::A1 as usize] = count as u32;
-            vm.regs[routines::reg::A2 as usize] = capacity as u32;
-            let mut desc = [0u8; 16];
-            desc[0..4].copy_from_slice(&(lba as u32).to_le_bytes());
-            desc[4..8].copy_from_slice(&(count as u32).to_le_bytes());
-            desc[8..12].copy_from_slice(&(capacity as u32).to_le_bytes());
-            vm.mem[0..16].copy_from_slice(&desc);
-        })?;
-        let bytes = vm.regs[routines::reg::RES as usize] as usize;
-        // csum 0 = "no echo": the caller's sentinel skips the check.
-        let csum = u32::from_le_bytes(vm.mem[16..20].try_into().unwrap_or([0; 4]));
-        Some((bytes, csum))
-    }
+fn reply_status(ctx: &mut Ctx<'_>, call: CallId, st: u64, bytes: u64) {
+    let _ = ctx.reply(
+        call,
+        Message::new(bdev::REPLY)
+            .with_param(0, st)
+            .with_param(1, bytes),
+    );
+}
+
+/// Validates the request through the (possibly mutated) VM routine.
+/// Returns the transfer size in bytes and the routine's descriptor
+/// checksum, or `None` if the driver died. The checksum is echoed in
+/// the eventual reply (`param[2]` = 1 + checksum; 0 = "no echo", the
+/// file server's sentinel skips the check) so the sentinel can verify
+/// the driver actually processed the descriptor it was sent.
+fn validate(
+    routine: &GuardedRoutine,
+    ctx: &mut Ctx<'_>,
+    lba: u64,
+    count: u64,
+    capacity: u64,
+) -> Option<(usize, u32)> {
+    let vm = routine.run(ctx, 64, |vm| {
+        vm.regs[routines::reg::A0 as usize] = lba as u32;
+        vm.regs[routines::reg::A1 as usize] = count as u32;
+        vm.regs[routines::reg::A2 as usize] = capacity as u32;
+        let mut desc = [0u8; 16];
+        desc[0..4].copy_from_slice(&(lba as u32).to_le_bytes());
+        desc[4..8].copy_from_slice(&(count as u32).to_le_bytes());
+        desc[8..12].copy_from_slice(&(capacity as u32).to_le_bytes());
+        vm.mem[0..16].copy_from_slice(&desc);
+    })?;
+    let bytes = vm.regs[routines::reg::RES as usize] as usize;
+    let csum = u32::from_le_bytes(vm.mem[16..20].try_into().unwrap_or([0; 4]));
+    Some((bytes, csum))
+}
+
+/// Answers a completed transfer of `bytes` with the checksum echo.
+fn reply_done(ctx: &mut Ctx<'_>, call: CallId, bytes: usize, csum: u32) {
+    let _ = ctx.reply(
+        call,
+        Message::new(bdev::REPLY)
+            .with_param(0, status::OK)
+            .with_param(1, bytes as u64)
+            .with_param(2, 1 + u64::from(csum)),
+    );
 }
 
 impl DriverLogic for DiskDriver {
@@ -136,24 +154,18 @@ impl DriverLogic for DiskDriver {
 
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
         match msg.mtype {
-            bdev::OPEN => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(bdev::REPLY)
-                        .with_param(0, status::OK)
-                        .with_param(1, self.capacity),
-                );
-            }
+            bdev::OPEN => reply_status(ctx, call, status::OK, self.capacity),
             bdev::READ | bdev::WRITE => {
                 if self.pending.is_some() {
                     // One request at a time (MINIX drivers are
                     // single-threaded); the FS serializes, so this is
                     // defensive.
-                    self.reply_status(ctx, call, status::EAGAIN, 0);
+                    reply_status(ctx, call, status::EAGAIN, 0);
                     return;
                 }
                 let (lba, count, grant) = (msg.param(0), msg.param(1), msg.param(2));
-                let Some((bytes, csum)) = self.validate(ctx, lba, count) else {
+                let checked = validate(&self.routine, ctx, lba, count, self.capacity);
+                let Some((bytes, csum)) = checked else {
                     return; // driver is dying; rendezvous will abort
                 };
                 let is_read = msg.mtype == bdev::READ;
@@ -163,7 +175,7 @@ impl DriverLogic for DiskDriver {
                     // Fetch the payload from the client's grant into the
                     // DMA buffer before programming the device.
                     if ctx.safecopy_from(client, grant, 0, DMA_BUF, bytes).is_err() {
-                        self.reply_status(ctx, call, status::EINVAL, 0);
+                        reply_status(ctx, call, status::EINVAL, 0);
                         return;
                     }
                 }
@@ -180,13 +192,13 @@ impl DriverLogic for DiskDriver {
                         )
                         .is_ok();
                 if !ok {
-                    self.reply_status(ctx, call, status::EIO, 0);
+                    reply_status(ctx, call, status::EIO, 0);
                     return;
                 }
                 // Reject if the controller refused the command outright.
                 let st = ctx.devio_read(self.dev, regs::STATUS).unwrap_or(0);
                 if st & hw_status::BUSY == 0 {
-                    self.reply_status(ctx, call, status::EIO, 0);
+                    reply_status(ctx, call, status::EIO, 0);
                     return;
                 }
                 self.pending = Some(Pending {
@@ -198,7 +210,7 @@ impl DriverLogic for DiskDriver {
                     csum,
                 });
             }
-            _ => self.reply_status(ctx, call, status::EINVAL, 0),
+            _ => reply_status(ctx, call, status::EINVAL, 0),
         }
     }
 
@@ -213,19 +225,13 @@ impl DriverLogic for DiskDriver {
                     .safecopy_to(p.client, p.grant, 0, DMA_BUF, p.bytes)
                     .is_err()
                 {
-                    self.reply_status(ctx, p.call, status::EINVAL, 0);
+                    reply_status(ctx, p.call, status::EINVAL, 0);
                     return;
                 }
             }
-            let _ = ctx.reply(
-                p.call,
-                Message::new(bdev::REPLY)
-                    .with_param(0, status::OK)
-                    .with_param(1, p.bytes as u64)
-                    .with_param(2, 1 + u64::from(p.csum)),
-            );
+            reply_done(ctx, p.call, p.bytes, p.csum);
         } else {
-            self.reply_status(ctx, p.call, status::EIO, 0);
+            reply_status(ctx, p.call, status::EIO, 0);
         }
     }
 }
@@ -254,10 +260,7 @@ impl RamDiskDriver {
         );
         RamDiskDriver {
             region,
-            routine: GuardedRoutine::new(&routines::with_cold_section(
-                routines::disk_request(),
-                30,
-            )),
+            routine: request_routine(),
             fault_port,
         }
     }
@@ -269,15 +272,6 @@ impl RamDiskDriver {
 
     fn capacity(&self) -> u64 {
         (self.region.borrow().len() / SECTOR) as u64
-    }
-
-    fn reply_status(&self, ctx: &mut Ctx<'_>, call: CallId, st: u64, bytes: u64) {
-        let _ = ctx.reply(
-            call,
-            Message::new(bdev::REPLY)
-                .with_param(0, st)
-                .with_param(1, bytes),
-        );
     }
 }
 
@@ -293,61 +287,50 @@ impl DriverLogic for RamDiskDriver {
 
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
         match msg.mtype {
-            bdev::OPEN => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(bdev::REPLY)
-                        .with_param(0, status::OK)
-                        .with_param(1, self.capacity()),
-                );
-            }
+            bdev::OPEN => reply_status(ctx, call, status::OK, self.capacity()),
             bdev::READ | bdev::WRITE => {
                 let (lba, count, grant) = (msg.param(0), msg.param(1), msg.param(2));
-                let capacity = self.capacity();
-                let vm = self.routine.run(ctx, 64, |vm| {
-                    vm.regs[routines::reg::A0 as usize] = lba as u32;
-                    vm.regs[routines::reg::A1 as usize] = count as u32;
-                    vm.regs[routines::reg::A2 as usize] = capacity as u32;
-                    let mut desc = [0u8; 16];
-                    desc[0..4].copy_from_slice(&(lba as u32).to_le_bytes());
-                    desc[4..8].copy_from_slice(&(count as u32).to_le_bytes());
-                    desc[8..12].copy_from_slice(&(capacity as u32).to_le_bytes());
-                    vm.mem[0..16].copy_from_slice(&desc);
-                });
-                let Some(vm) = vm else { return };
-                let bytes = vm.regs[routines::reg::RES as usize] as usize;
-                // csum 0 = "no echo": the client's sentinel skips the check.
-                let csum = u32::from_le_bytes(vm.mem[16..20].try_into().unwrap_or([0; 4]));
+                let checked = validate(&self.routine, ctx, lba, count, self.capacity());
+                let Some((bytes, csum)) = checked else {
+                    return;
+                };
                 let grant = GrantId(grant as u32);
-                let off = lba as usize * SECTOR;
+                // `bytes` and `lba` passed a routine that may have been
+                // mutated: a span outside the region is a wild access by
+                // the driver, and kills it the way the MMU would.
+                let off = (lba as usize).saturating_mul(SECTOR);
+                let span = off..off.saturating_add(bytes);
                 if msg.mtype == bdev::READ {
-                    let data = self.region.borrow()[off..off + bytes].to_vec();
+                    let Some(data) = self.region.borrow().get(span).map(<[u8]>::to_vec) else {
+                        ctx.die_of_exception(ExceptionKind::MmuFault);
+                        return;
+                    };
                     if ctx.mem_write(0, &data).is_err()
                         || ctx.safecopy_to(msg.source, grant, 0, 0, bytes).is_err()
                     {
-                        self.reply_status(ctx, call, status::EINVAL, 0);
+                        reply_status(ctx, call, status::EINVAL, 0);
                         return;
                     }
                 } else {
                     if ctx.safecopy_from(msg.source, grant, 0, 0, bytes).is_err() {
-                        self.reply_status(ctx, call, status::EINVAL, 0);
+                        reply_status(ctx, call, status::EINVAL, 0);
                         return;
                     }
                     let Ok(data) = ctx.mem_read(0, bytes) else {
-                        self.reply_status(ctx, call, status::EIO, 0);
+                        reply_status(ctx, call, status::EIO, 0);
                         return;
                     };
-                    self.region.borrow_mut()[off..off + bytes].copy_from_slice(&data);
+                    match self.region.borrow_mut().get_mut(span) {
+                        Some(sectors) => sectors.copy_from_slice(&data),
+                        None => {
+                            ctx.die_of_exception(ExceptionKind::MmuFault);
+                            return;
+                        }
+                    }
                 }
-                let _ = ctx.reply(
-                    call,
-                    Message::new(bdev::REPLY)
-                        .with_param(0, status::OK)
-                        .with_param(1, bytes as u64)
-                        .with_param(2, 1 + u64::from(csum)),
-                );
+                reply_done(ctx, call, bytes, csum);
             }
-            _ => self.reply_status(ctx, call, status::EINVAL, 0),
+            _ => reply_status(ctx, call, status::EINVAL, 0),
         }
     }
 }

@@ -11,7 +11,7 @@ use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDrive
 use phoenix_drivers::libdriver::{Driver, FaultPort};
 use phoenix_drivers::proto::{bdev, cdev, drv, eth, status};
 use phoenix_drivers::{DiskDriver, Dp8390Driver, RamDiskDriver, Rtl8139Driver};
-use phoenix_fault::{encode, Instr};
+use phoenix_fault::{decode, encode, Instr};
 use phoenix_hw::bus::{Bus, WireConfig};
 use phoenix_hw::disk::{synth_sector, DiskDevice, SECTOR};
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
@@ -409,6 +409,62 @@ fn mutated_rx_path_kills_the_driver_with_an_exception() {
         "rx of the echoed frame trapped the driver"
     );
     assert!(sys.trace().find("MmuFault").is_some() || sys.trace().find("died").is_some());
+}
+
+#[test]
+fn mutated_ramdisk_request_dies_like_a_driver() {
+    // With the request routine's range asserts gone, a READ far past the
+    // 8-sector region reaches the copy out of the backing memory. That
+    // is a wild access by the driver — an MMU exception that kills the
+    // driver process — not a reason for the simulator to fall over.
+    let mut sys = System::new(SystemConfig::default());
+    let mut bus = Bus::new();
+    let fp = FaultPort::new();
+    let mut privs = Privileges::server();
+    privs.address_space = 256 * 1024;
+    let drv_ep = sys.spawn_boot(
+        "blk.ram",
+        privs,
+        Box::new(Driver::new(RamDiskDriver::new(
+            RamDiskDriver::region(8),
+            fp.clone(),
+        ))),
+    );
+    sys.run_until_idle(&mut bus, 50);
+    let code = fp.code_of("blk.ram").expect("driver published its code");
+    for word in code.borrow_mut().iter_mut() {
+        if matches!(decode(*word), Instr::Assert(_)) {
+            *word = encode(Instr::Nop);
+        }
+    }
+    let replied = Rc::new(RefCell::new(false));
+    let r2 = replied.clone();
+    sys.spawn_boot(
+        "client",
+        Privileges::server(),
+        Box::new(Probe {
+            hook: Box::new(move |ctx, ev| match ev {
+                ProcEvent::Start => {
+                    let g = ctx
+                        .grant_create(drv_ep, 0, SECTOR, GrantAccess::Write)
+                        .expect("grant");
+                    let _ = ctx.sendrec(
+                        drv_ep,
+                        Message::new(bdev::READ)
+                            .with_param(0, 100)
+                            .with_param(1, 1)
+                            .with_param(2, u64::from(g.0)),
+                    );
+                }
+                ProcEvent::Reply { result: Ok(_), .. } => *r2.borrow_mut() = true,
+                _ => {}
+            }),
+        }),
+    );
+    sys.run_until_idle(&mut bus, 200);
+    assert!(!sys.is_live(drv_ep), "the wild read killed the driver");
+    assert!(sys.trace().find("MmuFault").is_some());
+    assert!(!*replied.borrow(), "a dead driver answers nothing");
 }
 
 // ---------------------------------------------------------------------

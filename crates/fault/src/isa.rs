@@ -267,16 +267,6 @@ impl Asm {
         self.emit_jump(Instr::Jz(src, 0), label);
     }
 
-    /// Emits `Jnz src, label`.
-    pub fn jnz_to(&mut self, src: Reg, label: Label) {
-        self.emit_jump(Instr::Jnz(src, 0), label);
-    }
-
-    /// Emits `Jlt dst, src, label`.
-    pub fn jlt_to(&mut self, dst: Reg, src: Reg, label: Label) {
-        self.emit_jump(Instr::Jlt(dst, src, 0), label);
-    }
-
     /// Emits `Jge dst, src, label`.
     pub fn jge_to(&mut self, dst: Reg, src: Reg, label: Label) {
         self.emit_jump(Instr::Jge(dst, src, 0), label);

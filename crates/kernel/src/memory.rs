@@ -332,11 +332,6 @@ impl MemoryPool {
         Ok(())
     }
 
-    /// The current IOMMU window of `dev`, if mapped.
-    pub fn iommu_window(&self, dev: DeviceId) -> Option<IommuWindow> {
-        self.iommu.get(&dev).copied()
-    }
-
     fn dma_resolve(
         &self,
         dev: DeviceId,

@@ -287,11 +287,6 @@ impl System {
         &self.trace
     }
 
-    /// Mutable trace access (for machine-level annotations).
-    pub fn trace_mut(&mut self) -> &mut TraceRing {
-        &mut self.trace
-    }
-
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
