@@ -154,8 +154,8 @@ pub enum OverGrant {
 pub struct OsBuilder {
     seed: u64,
     nic: Option<(NicKind, Rtl8139Config, Dp8390Config, WireConfig, PeerConfig)>,
-    disk: Option<(u64, u64, Vec<FileSpec>)>,
-    fat_disk: Option<(u64, u64, Vec<FileSpec>)>,
+    disk: Option<DiskSpec>,
+    fat_disk: Option<DiskSpec>,
     floppy: bool,
     chardevs: bool,
     checkpointing: bool,
@@ -681,9 +681,10 @@ impl Row {
         let has_fat = deps.iter().any(|d| d == names::FAT);
         Row::server(privileges, deps, move |w| {
             let vfs = Vfs::new(w.rs, names::MFS);
-            match has_fat {
-                true => vfs.with_fat(names::FAT),
-                false => vfs,
+            if has_fat {
+                vfs.with_fat(names::FAT)
+            } else {
+                vfs
             }
         })
     }
@@ -747,14 +748,13 @@ impl Row {
                 None,
             ));
             let kbd = (names::CHR_KBD, hwmap::UART, hwmap::UART_IRQ);
-            let (model, mode) = (Box::new(Uart::new()), KeyboardDriver::with_checkpointing);
             rows.push(Row::chardev(
                 cfg,
                 kbd,
-                model,
+                Box::new(Uart::new()),
                 &pio,
                 KeyboardDriver::new,
-                Some(mode),
+                Some(KeyboardDriver::with_checkpointing),
             ));
         }
         if rows.iter().any(|r| r.vfs_routable) {
@@ -843,17 +843,26 @@ impl Os {
 
         // ---------------- component table ----------------
         let ramdisk_region = cfg.ramdisk_sectors.map(RamDiskDriver::region);
-        let mut rows = Row::table(&cfg, ramdisk_region.as_ref());
-        for (dev, irq, model) in rows.iter_mut().filter_map(|r| r.hardware.take()) {
-            bus.add_device(dev, irq, model);
+        let rows = Row::table(&cfg, ramdisk_region.as_ref());
+        let mut services = Vec::with_capacity(rows.len());
+        let mut complainants = Vec::new();
+        let mut programs = Vec::with_capacity(rows.len());
+        for row in rows {
+            if let Some((dev, irq, model)) = row.hardware {
+                bus.add_device(dev, irq, model);
+            }
+            if row.service.server {
+                sys.mark_sticky(row.name);
+                complainants.push(row.name.to_string());
+            }
+            services.push(row.service);
+            programs.push((row.name, row.privileges, row.build, row.spare));
         }
+        sys.mark_sticky("pm");
         if let Some((.., wire, peer)) = &cfg.nic {
             bus.attach_peer(hwmap::NIC, *wire, Box::new(FilePeer::new(peer.clone())));
         }
-        let mut services: Vec<ServiceConfig> = rows.iter().map(|r| r.service.clone()).collect();
         cfg.override_services(&mut services);
-        let servers = rows.iter().filter(|r| r.service.server).map(|r| r.name);
-        let complainants = servers.clone().map(str::to_string).collect();
 
         let mut rs_privs = Privileges::reincarnation_server();
         let mut rs_server =
@@ -870,9 +879,6 @@ impl Os {
             rs_server = rs_server.with_pm_guard();
         }
         let rs = sys.spawn_boot("rs", rs_privs, Box::new(rs_server));
-        for name in servers.chain(["pm"]) {
-            sys.mark_sticky(name);
-        }
 
         // ---------------- program registry ----------------
         let wiring = Wiring {
@@ -891,13 +897,12 @@ impl Os {
                 Box::new(move || Box::new(Server::new(ProcessManager::new(), ds, plane.as_ref()))),
             );
         }
-        for row in rows {
+        for (name, privileges, build, spare) in programs {
             let w = wiring.clone();
-            let build = row.build;
-            sys.register_program(row.name, row.privileges, Box::new(move || build(&w)));
-            if let Some((privileges, build)) = row.spare {
+            sys.register_program(name, privileges, Box::new(move || build(&w)));
+            if let Some((privileges, build)) = spare {
                 let w = wiring.clone();
-                let name = format!("standby.{}", row.name);
+                let name = format!("standby.{name}");
                 sys.register_program(&name, privileges, Box::new(move || build(&w)));
             }
         }

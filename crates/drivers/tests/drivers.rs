@@ -227,21 +227,22 @@ fn driver_exits_cleanly_on_sigterm() {
     );
 }
 
-#[test]
-fn ramdisk_driver_round_trips_without_hardware() {
+fn ramdisk_rig(region: Rc<RefCell<Vec<u8>>>, fp: FaultPort) -> (System, Bus, Endpoint) {
     let mut sys = System::new(SystemConfig::default());
-    let mut bus = Bus::new();
-    let region = RamDiskDriver::region(8);
     let mut privs = Privileges::server();
     privs.address_space = 256 * 1024;
     let drv_ep = sys.spawn_boot(
         "blk.ram",
         privs,
-        Box::new(Driver::new(RamDiskDriver::new(
-            region.clone(),
-            FaultPort::new(),
-        ))),
+        Box::new(Driver::new(RamDiskDriver::new(region, fp))),
     );
+    (sys, Bus::new(), drv_ep)
+}
+
+#[test]
+fn ramdisk_driver_round_trips_without_hardware() {
+    let region = RamDiskDriver::region(8);
+    let (mut sys, mut bus, drv_ep) = ramdisk_rig(region.clone(), FaultPort::new());
     let done = Rc::new(RefCell::new(false));
     let d2 = done.clone();
     sys.spawn_boot(
@@ -417,19 +418,8 @@ fn mutated_ramdisk_request_dies_like_a_driver() {
     // 8-sector region reaches the copy out of the backing memory. That
     // is a wild access by the driver — an MMU exception that kills the
     // driver process — not a reason for the simulator to fall over.
-    let mut sys = System::new(SystemConfig::default());
-    let mut bus = Bus::new();
     let fp = FaultPort::new();
-    let mut privs = Privileges::server();
-    privs.address_space = 256 * 1024;
-    let drv_ep = sys.spawn_boot(
-        "blk.ram",
-        privs,
-        Box::new(Driver::new(RamDiskDriver::new(
-            RamDiskDriver::region(8),
-            fp.clone(),
-        ))),
-    );
+    let (mut sys, mut bus, drv_ep) = ramdisk_rig(RamDiskDriver::region(8), fp.clone());
     sys.run_until_idle(&mut bus, 50);
     let code = fp.code_of("blk.ram").expect("driver published its code");
     for word in code.borrow_mut().iter_mut() {
