@@ -125,11 +125,17 @@ pub fn tokenize(source: &str) -> Vec<Token> {
                 }
             }
             b'"' => {
-                // String literal; honor escapes, count newlines.
+                // String literal; honor escapes, count newlines — also
+                // the one an escape swallows (a `\` line continuation).
                 i += 1;
                 while i < b.len() {
                     match b[i] {
-                        b'\\' => i += 2,
+                        b'\\' => {
+                            if b.get(i + 1) == Some(&b'\n') {
+                                line += 1;
+                            }
+                            i += 2;
+                        }
                         b'"' => {
                             i += 1;
                             break;
@@ -843,6 +849,23 @@ fn not_root() {}
         let ast = parse_file(src);
         assert!(ast.fns[0].recovery_root);
         assert!(!ast.fns[1].recovery_root);
+    }
+
+    #[test]
+    fn a_string_continuation_keeps_the_line_count() {
+        // Every `\` + newline inside a literal used to lose one line, so
+        // a marker below enough of them sat "above" the wrong function.
+        let src = "
+fn talks() {
+    let _ = \"one \\
+             two\";
+}
+// analyze:recovery-root
+fn entry() {}
+";
+        let ast = parse_file(src);
+        assert_eq!((ast.fns[1].name.as_str(), ast.fns[1].line), ("entry", 7));
+        assert!(ast.fns[1].recovery_root);
     }
 
     #[test]

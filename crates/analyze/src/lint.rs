@@ -86,45 +86,6 @@ pub fn default_rules() -> Vec<Rule> {
                         single-threaded by construction",
         },
         Rule {
-            name: "unwrap-recovery",
-            patterns: &[
-                ".unwrap()",
-                ".expect(",
-                "panic!(",
-                "unreachable!(",
-                "todo!(",
-            ],
-            // Only the recovery infrastructure: a panic here takes down
-            // the very machinery that exists to survive panics.
-            only_in: &[
-                "crates/servers/src/rs.rs",
-                "crates/servers/src/rs/decide.rs",
-                "crates/servers/src/ds.rs",
-                "crates/servers/src/policy.rs",
-                "crates/servers/src/libserver.rs",
-                "crates/servers/src/vfs.rs",
-                "crates/servers/src/inet.rs",
-                "crates/servers/src/mfs.rs",
-                "crates/servers/src/peer.rs",
-                "crates/servers/src/pm.rs",
-                "crates/simcore/src/obs.rs",
-                "crates/simcore/src/export.rs",
-                "crates/ckpt/src",
-                "crates/core/src/loadgen.rs",
-                "crates/core/src/client.rs",
-            ],
-            exempt: &[],
-            rationale: "a panic (unwrap/expect/panic!/unreachable!/todo!) in RS/DS/policy \
-                        kills the recovery infrastructure itself, the \
-                        crash-only servers (VFS, MFS, INET, PM) must survive arbitrarily \
-                        garbled driver replies and corrupted externalized state on their \
-                        restore paths, the timeline analyzer/exporters must survive corrupted \
-                        traces, the checkpoint layer must survive corrupted snapshots, and \
-                        the SLO load generators and the client engines under the apps must \
-                        keep going through the very failures they exist to observe and \
-                        recover from; degrade or log instead",
-        },
-        Rule {
             name: "decide-purity",
             patterns: &["Ctx<", "phoenix_kernel::system", ".metrics()", "TraceLevel"],
             only_in: &["crates/servers/src/rs/decide.rs"],
@@ -144,6 +105,23 @@ pub fn default_rules() -> Vec<Rule> {
                         handling growing a second copy outside the one file server engine \
                         (mfs.rs), where the deadlines, sentinels and complaints would not \
                         follow it; return the value and let the engine act on it",
+        },
+        Rule {
+            name: "raw-cursor",
+            patterns: &["from_le_bytes(", "to_le_bytes("],
+            only_in: &[
+                "crates/servers/src/inet.rs",
+                "crates/servers/src/vfs.rs",
+                "crates/servers/src/pm.rs",
+                "crates/fleet/src/proto.rs",
+                "crates/ckpt/src/snapshot.rs",
+            ],
+            exempt: &[],
+            rationale: "externalised state and snapshot frames are read and written through \
+                        the one bounds-checked cursor pair (phoenix_simcore::wire): a byte \
+                        conversion by hand in a state codec is an index the cursor would have \
+                        checked and a trailing byte `finish()` would have rejected; use \
+                        Reader/Writer",
         },
     ]
 }

@@ -3,11 +3,10 @@
 //! sites (`.unwrap()`, `.expect(..)`, `panic!`, `unreachable!`, `todo!`,
 //! `unimplemented!`) in *any* crate reachable from a root.
 //!
-//! This replaces the lexical `unwrap-recovery` rule's file-prefix
-//! scoping, which could not see a panic two calls deep in a helper
-//! living outside the scoped files (e.g. in `simcore` or the kernel):
-//! the lexical rule stays as a fast pre-gate, and this pass subsumes it
-//! wherever a root reaches.
+//! This replaced the lexical `unwrap-recovery` rule, whose hand-kept
+//! file list could not see a panic two calls deep in a helper living
+//! outside the listed files (e.g. in `simcore` or the kernel). Only the
+//! rule's pragma spelling survives, as a second way to suppress a site.
 //!
 //! ## Call resolution (documented approximation)
 //!
@@ -37,8 +36,8 @@
 //! crates are excluded entirely (host-side tooling, not sim code), and
 //! a panic site is suppressed by `// analyze:allow(panic-reach): why`
 //! on or above its line — `analyze:allow(unwrap-recovery)` is honored
-//! too for `.unwrap()`/`.expect(` sites so the two layers share one
-//! suppression vocabulary.
+//! too for `.unwrap()`/`.expect(` sites, the spelling the sources
+//! already carry.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
@@ -242,7 +241,8 @@ fn scan_body(tokens: &[ast::Token], body: std::ops::Range<usize>) -> (Vec<Callee
 /// Crate-name → dependency closure (crate directory names), parsed from
 /// each crate's `Cargo.toml`. A caller may only have edges into crates
 /// it (transitively) depends on, which keeps name-based method
-/// resolution from inventing edges the compiler would reject.
+/// resolution from inventing edges the compiler would reject. Test code
+/// never joins the graph, so `[dev-dependencies]` grant no edges.
 fn crate_dep_closure(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
     // package name -> dir name, and dir name -> direct dep package names
     let mut pkg_to_dir: BTreeMap<String, String> = BTreeMap::new();
@@ -268,7 +268,7 @@ fn crate_dep_closure(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
         for line in toml.lines() {
             let t = line.trim();
             if t.starts_with('[') {
-                in_deps = t == "[dependencies]" || t == "[dev-dependencies]";
+                in_deps = t == "[dependencies]";
                 continue;
             }
             if let Some(name) = t.strip_prefix("name = ") {

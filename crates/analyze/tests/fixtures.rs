@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use phoenix_analyze::deadedge::DeadEdgeReport;
-use phoenix_analyze::{conformance, lint, reach, report};
+use phoenix_analyze::{conformance, reach, report};
 
 fn src_pair(rel: &str, src: &str) -> Vec<(String, String)> {
     vec![(rel.to_string(), src.to_string())]
@@ -360,13 +360,11 @@ fn reach_pragma_moves_site_to_suppressed() {
     assert_eq!(out.suppressed[0].what, ".unwrap()");
 }
 
-// ------------------------------------------------------- subsumption
+// ------------------------------------------------------- path scope
 
-/// The lexical `unwrap-recovery` rule only watches an `only_in` path
-/// list; the reachability pass follows the call graph wherever it goes.
-/// Both halves below share one source: a recovery root whose helper
-/// unwraps.
-const SUBSUMPTION_SRC: &str = r#"
+/// The reachability pass follows the call graph wherever it goes: no
+/// path list decides where a recovery root's helper may not unwrap.
+const PATH_SCOPE_SRC: &str = r#"
 // analyze:recovery-root
 fn on_event(x: Option<u32>) {
     helper(x);
@@ -377,49 +375,14 @@ fn helper(x: Option<u32>) {
 "#;
 
 #[test]
-fn reachability_subsumes_lexical_rule() {
-    let rules = lint::default_rules();
-
-    // Inside the lexical scope (rs.rs is in `only_in`): both fire.
-    let lexical_in = lint::lint_source("crates/servers/src/rs.rs", SUBSUMPTION_SRC, &rules);
-    assert!(
-        lexical_in.iter().any(|f| f.rule == "unwrap-recovery"),
-        "lexical rule covers its scope"
-    );
-    let reach_in = reach::analyze(
-        &[reach_input(
-            "crates/servers/src/rs.rs",
-            "servers",
-            SUBSUMPTION_SRC,
-        )],
-        &no_closure(),
-    );
-    assert_eq!(
-        reach_in.findings.len(),
-        1,
-        "reach fires wherever lexical does"
-    );
-
-    // Outside the lexical scope: the lexical rule is blind, the
-    // reachability pass still fires — strict subsumption.
-    let lexical_out = lint::lint_source("crates/hw/src/gadget.rs", SUBSUMPTION_SRC, &rules);
-    assert!(
-        !lexical_out.iter().any(|f| f.rule == "unwrap-recovery"),
-        "gadget.rs is outside unwrap-recovery's only_in list"
-    );
-    let reach_out = reach::analyze(
-        &[reach_input(
-            "crates/hw/src/gadget.rs",
-            "hw",
-            SUBSUMPTION_SRC,
-        )],
-        &no_closure(),
-    );
-    assert_eq!(
-        reach_out.findings.len(),
-        1,
-        "reachability is path-scope-free"
-    );
+fn reachability_is_path_scope_free() {
+    for (rel, krate) in [
+        ("crates/servers/src/rs.rs", "servers"),
+        ("crates/hw/src/gadget.rs", "hw"),
+    ] {
+        let out = reach::analyze(&[reach_input(rel, krate, PATH_SCOPE_SRC)], &no_closure());
+        assert_eq!(out.findings.len(), 1, "{rel}");
+    }
 }
 
 // ------------------------------------------------------------- report

@@ -72,35 +72,6 @@ fn host_threads_are_flagged() {
 }
 
 #[test]
-fn unwrap_is_flagged_only_in_recovery_modules() {
-    let src = "let v = table.get(&k).unwrap();\n";
-    assert_eq!(
-        rules_hit("crates/servers/src/rs.rs", src),
-        ["unwrap-recovery"]
-    );
-    assert_eq!(
-        rules_hit("crates/servers/src/ds.rs", src),
-        ["unwrap-recovery"]
-    );
-    let src = "let v = cfg.period.expect(\"set at boot\");\n";
-    assert_eq!(
-        rules_hit("crates/servers/src/policy.rs", src),
-        ["unwrap-recovery"]
-    );
-    // The crash-only servers' restore paths are in scope too.
-    assert_eq!(
-        rules_hit("crates/servers/src/mfs.rs", src),
-        ["unwrap-recovery"]
-    );
-    assert_eq!(
-        rules_hit("crates/servers/src/pm.rs", src),
-        ["unwrap-recovery"]
-    );
-    // Ordinary modules may unwrap.
-    assert!(run("crates/servers/src/fsfmt.rs", src).is_empty());
-}
-
-#[test]
 fn rs_decide_file_must_stay_pure() {
     let decide = "crates/servers/src/rs/decide.rs";
     for src in [
@@ -113,9 +84,6 @@ fn rs_decide_file_must_stay_pure() {
         // The shell next door reports and acts on the decisions.
         assert!(run("crates/servers/src/rs.rs", src).is_empty());
     }
-    // The decide file is recovery code too: it may not panic.
-    let src = "let v = ledger.get(&k).unwrap();\n";
-    assert_eq!(rules_hit(decide, src), ["unwrap-recovery"]);
 }
 
 #[test]
@@ -131,6 +99,28 @@ fn format_files_know_nothing_about_drivers() {
         }
         // The engine is where the driver is handled.
         assert!(run("crates/servers/src/mfs.rs", src).is_empty());
+    }
+}
+
+#[test]
+fn state_codecs_go_through_the_wire_cursor() {
+    for src in [
+        "let n = u32::from_le_bytes(buf.get(at..at + 4)?.try_into().ok()?);\n",
+        "out.extend_from_slice(&ep.slot().to_le_bytes());\n",
+    ] {
+        for codec in [
+            "crates/servers/src/inet.rs",
+            "crates/servers/src/vfs.rs",
+            "crates/servers/src/pm.rs",
+            "crates/fleet/src/proto.rs",
+            "crates/ckpt/src/snapshot.rs",
+        ] {
+            assert_eq!(rules_hit(codec, src), ["raw-cursor"], "{src}");
+        }
+        // Fixed-offset layouts (on-disk structures, the cursor itself)
+        // convert by position.
+        assert!(run("crates/servers/src/fsfmt.rs", src).is_empty());
+        assert!(run("crates/simcore/src/wire.rs", src).is_empty());
     }
 }
 

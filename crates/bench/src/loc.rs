@@ -175,6 +175,8 @@ pub fn fig9_components() -> Vec<Component> {
         },
         Component {
             name: "Server Library",
+            // The crash-only shell and the state gate under it, which is
+            // the whole checkpoint client.
             paths: vec!["crates/servers/src/libserver.rs", "crates/ckpt/src/gate.rs"],
         },
         Component {

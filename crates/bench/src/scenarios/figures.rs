@@ -200,6 +200,7 @@ pub fn fig9(r: &mut Report) {
     r.line("       'File Server' is one engine (mfs.rs) and the two formats it serves, the");
     r.line("       native one and FAT16 (Fig. 5's MFS and FAT are both this server);");
     r.line("       'Server Library' is the crash-only shell VFS/MFS/FAT/INET/PM run inside plus");
-    r.line("       the checkpoint gate it shares with the char drivers.");
+    r.line("       the state gate it shares with the char drivers: the whole checkpoint client");
+    r.line("       (lazy restore, request parking, quiescent-point saves).");
     r.line("paper: RS 30%, DS 15%, VFS 5%, FS <1%, drivers ~5 lines each, PM/kernel 0%.");
 }

@@ -32,15 +32,13 @@
 //!    cannot: progress committed to hardware whose acknowledgment never
 //!    reached the caller.
 //!
-//! [`driver::DriverCkpt`] is the per-driver state machine gluing these
-//! together: lazy snapshot restore on first request after a (re)start,
-//! fire-and-forget saves, and `RecoveryId` threading so restore/replay
-//! show up as a `replay` phase on the causal recovery timeline.
-//! Components do not drive it directly: [`gate::StateGate`] wraps it in
-//! the crash-only contract (park until restored, apply then replay,
-//! quiescent-point save) that servers and drivers share.
+//! [`gate::StateGate`] is the per-component client gluing these
+//! together, and the crash-only contract servers and drivers share: lazy
+//! snapshot restore on the first request after a (re)start with requests
+//! parked behind it, apply then replay, fire-and-forget quiescent-point
+//! saves, and `RecoveryId` threading so restore/replay show up as a
+//! `replay` phase on the causal recovery timeline.
 
-pub mod driver;
 pub mod gate;
 pub mod proto;
 pub mod snapshot;
@@ -48,7 +46,6 @@ pub mod spare;
 pub mod store;
 pub mod wal;
 
-pub use driver::{DriverCkpt, RestoreEvent};
 pub use gate::StateGate;
 pub use snapshot::{crc32, Snapshot, SnapshotError};
 pub use spare::SpareTail;

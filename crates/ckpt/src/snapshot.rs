@@ -11,6 +11,8 @@
 
 use std::fmt;
 
+use phoenix_simcore::wire::{Len, Reader, Writer};
+
 /// Frame magic: "PCKP".
 const MAGIC: [u8; 4] = *b"PCKP";
 /// Current wire version.
@@ -82,28 +84,31 @@ impl Snapshot {
 
     /// Convenience for the common watermark-only snapshot.
     pub fn watermark(incarnation: u32, seq: u64, consumed: u64) -> Self {
-        Snapshot::new(incarnation, seq, consumed.to_le_bytes().to_vec())
+        let mut w = Writer::with_capacity(8);
+        w.u64(consumed);
+        Snapshot::new(incarnation, seq, w.into_bytes())
     }
 
     /// Reads the payload back as a little-endian `u64` watermark; `None`
     /// if the payload is not exactly 8 bytes.
     pub fn as_watermark(&self) -> Option<u64> {
-        let bytes: [u8; 8] = self.payload.as_slice().try_into().ok()?;
-        Some(u64::from_le_bytes(bytes))
+        let mut r = Reader::new(&self.payload);
+        let consumed = r.u64()?;
+        r.finish()?;
+        Some(consumed)
     }
 
-    /// Encodes the frame: header, payload, CRC-32 trailer.
+    /// Encodes the frame: `"PCKP" version:u8 incarnation:u32 seq:u64`,
+    /// the payload behind a `u32` length, and the CRC-32 of all of that.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
-        out.extend_from_slice(&MAGIC);
-        out.push(VERSION);
-        out.extend_from_slice(&self.incarnation.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        let crc = crc32(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let mut w = Writer::with_capacity(HEADER_LEN + self.payload.len() + TRAILER_LEN);
+        w.raw(&MAGIC);
+        w.u8(VERSION);
+        w.u32(self.incarnation);
+        w.u64(self.seq);
+        w.bytes(Len::U32, &self.payload);
+        w.u32(crc32(w.written()));
+        w.into_bytes()
     }
 
     /// Decodes and validates a frame.
@@ -111,30 +116,24 @@ impl Snapshot {
         if wire.len() < HEADER_LEN + TRAILER_LEN {
             return Err(SnapshotError::Truncated);
         }
-        if wire[..4] != MAGIC || wire[4] != VERSION {
+        let (body, trailer) = wire.split_at(wire.len() - TRAILER_LEN);
+        let mut r = Reader::new(body);
+        if r.take(MAGIC.len()) != Some(&MAGIC[..]) || r.u8() != Some(VERSION) {
             return Err(SnapshotError::BadHeader);
         }
-        let body = &wire[..wire.len() - TRAILER_LEN];
-        let mut crc_bytes = [0u8; 4];
-        crc_bytes.copy_from_slice(&wire[wire.len() - TRAILER_LEN..]);
-        if crc32(body) != u32::from_le_bytes(crc_bytes) {
+        if Reader::new(trailer).u32() != Some(crc32(body)) {
             return Err(SnapshotError::BadCrc);
         }
-        let mut inc = [0u8; 4];
-        inc.copy_from_slice(&wire[5..9]);
-        let mut seq = [0u8; 8];
-        seq.copy_from_slice(&wire[9..17]);
-        let mut len = [0u8; 4];
-        len.copy_from_slice(&wire[17..21]);
-        let payload_len = u32::from_le_bytes(len) as usize;
-        if HEADER_LEN + payload_len + TRAILER_LEN != wire.len() {
-            return Err(SnapshotError::BadLength);
-        }
-        Ok(Snapshot {
-            incarnation: u32::from_le_bytes(inc),
-            seq: u64::from_le_bytes(seq),
-            payload: body[HEADER_LEN..].to_vec(),
-        })
+        let mut fields = || {
+            Some(Snapshot::new(
+                r.u32()?,
+                r.u64()?,
+                r.bytes(Len::U32)?.to_vec(),
+            ))
+        };
+        let snap = fields().ok_or(SnapshotError::BadLength)?;
+        r.finish().ok_or(SnapshotError::BadLength)?;
+        Ok(snap)
     }
 }
 
@@ -180,5 +179,27 @@ mod tests {
         let mut bad = wire.clone();
         bad[0] = b'X';
         assert_eq!(Snapshot::decode(&bad), Err(SnapshotError::BadHeader));
+    }
+
+    /// A frame whose CRC is right but whose length field disagrees with
+    /// the bytes present — one short, one trailing — is not adopted.
+    #[test]
+    fn a_well_sealed_frame_of_the_wrong_length_is_rejected() {
+        let reseal = |mut body: Vec<u8>| {
+            let crc = crc32(&body);
+            body.extend_from_slice(&crc.to_le_bytes());
+            body
+        };
+        let wire = Snapshot::new(2, 9, vec![1, 2, 3]).encode();
+        let body = &wire[..wire.len() - TRAILER_LEN];
+        assert!(Snapshot::decode(&reseal(body.to_vec())).is_ok());
+        let short = reseal(body[..body.len() - 1].to_vec());
+        assert_eq!(Snapshot::decode(&short), Err(SnapshotError::BadLength));
+        let mut long = body.to_vec();
+        long.push(0);
+        assert_eq!(
+            Snapshot::decode(&reseal(long)),
+            Err(SnapshotError::BadLength)
+        );
     }
 }

@@ -14,7 +14,7 @@
 //! endpoint generation.
 //!
 //! At promotion the driver hands the adopted frame to its own
-//! [`crate::DriverCkpt`] via `adopt_warm` and continues exactly where
+//! [`crate::StateGate`] via `adopt_warm` and continues exactly where
 //! the primary's last quiescent point left off — the restore round-trip
 //! of a cold restart is never paid.
 

@@ -143,6 +143,7 @@ impl<J: Job> CharWriter<J> {
 }
 
 impl<J: Job> Process for CharWriter<J> {
+    // analyze:recovery-root
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start => self.call(ctx, Call::Open),
@@ -313,6 +314,7 @@ impl<S: Sink> FileReader<S> {
 }
 
 impl<S: Sink> Process for FileReader<S> {
+    // analyze:recovery-root
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start | ProcEvent::Alarm { .. } => self.issue(ctx),

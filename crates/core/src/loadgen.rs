@@ -566,6 +566,7 @@ impl InetLoadGen {
 }
 
 impl Process for InetLoadGen {
+    // analyze:recovery-root
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start => {
@@ -782,6 +783,7 @@ impl VfsJobMix {
 }
 
 impl Process for VfsJobMix {
+    // analyze:recovery-root
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start => {

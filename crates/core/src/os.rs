@@ -803,7 +803,6 @@ impl Os {
         let mut sys = System::new(SystemConfig {
             seed: cfg.seed,
             babble_guard: cfg.sentinels,
-            ..SystemConfig::default()
         });
         let mut bus = Bus::new();
         let fault_port = FaultPort::new();

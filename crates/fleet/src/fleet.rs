@@ -35,7 +35,7 @@ use phoenix_simcore::time::{SimDuration, SimTime};
 
 use crate::agent::{FleetAction, FleetAgent, LocalView};
 use crate::link::{SnapReceiver, SnapSender};
-use crate::proto::NodeSnapshot;
+use crate::proto::{decode_identity, encode_identity, NodeSnapshot};
 use crate::wire::{FleetWire, Payload};
 
 /// Fleet shape and pacing.
@@ -128,8 +128,7 @@ fn boot_node(node: u8, seed: u64, gen: u32, job_bytes: usize) -> (Os, Rc<RefCell
         let job = stream_chunk(seed ^ u64::from(gen), 0, job_bytes);
         os.spawn_app("ckpt-lpd", Box::new(CkptLpd::new(vfs, job, status.clone())));
     }
-    let mut ident = vec![node];
-    ident.extend_from_slice(&gen.to_le_bytes());
+    let ident = encode_identity(node, gen);
     os.ds_records()
         .borrow_mut()
         .insert("fleet.identity".to_string(), ("fleet".to_string(), ident));
@@ -213,8 +212,7 @@ impl Fleet {
         let records = os.ds_records();
         let borrowed = records.borrow();
         let (_, value) = borrowed.get("fleet.identity")?;
-        let gen = u32::from_le_bytes(value.get(1..5)?.try_into().ok()?);
-        Some((*value.first()?, gen))
+        decode_identity(value)
     }
 
     /// Advances the whole fleet by `d`.

@@ -9,6 +9,7 @@
 //! dispatch arm somewhere, or it is a message dropped on the floor.
 
 use phoenix_servers::netproto::crc16;
+use phoenix_simcore::wire::{Len, Reader, Writer};
 
 /// Inter-node fleet backbone kinds (0x0F00 range). All fire-and-forget:
 /// the backbone rides an unreliable datagram wire and tolerates loss by
@@ -146,103 +147,72 @@ pub struct NodeSnapshot {
 
 const SNAP_MAGIC: &[u8; 4] = b"FSNP";
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
-    out.extend_from_slice(&(s.len() as u16).to_le_bytes());
-    out.extend_from_slice(s.as_bytes());
+/// One `(name, name, value)` record: two `u16`-prefixed strings and a
+/// `u32`-prefixed value.
+fn put_record(w: &mut Writer, (a, b, value): &(String, String, Vec<u8>)) {
+    w.str(Len::U16, a);
+    w.str(Len::U16, b);
+    w.bytes(Len::U32, value);
 }
 
-fn put_bytes(out: &mut Vec<u8>, b: &[u8]) {
-    out.extend_from_slice(&(b.len() as u32).to_le_bytes());
-    out.extend_from_slice(b);
-}
-
-fn get_str(buf: &[u8], at: &mut usize) -> Option<String> {
-    let len = u16::from_le_bytes(buf.get(*at..*at + 2)?.try_into().ok()?) as usize;
-    *at += 2;
-    let s = std::str::from_utf8(buf.get(*at..*at + len)?)
-        .ok()?
-        .to_string();
-    *at += len;
-    Some(s)
-}
-
-fn get_bytes(buf: &[u8], at: &mut usize) -> Option<Vec<u8>> {
-    let len = u32::from_le_bytes(buf.get(*at..*at + 4)?.try_into().ok()?) as usize;
-    *at += 4;
-    let b = buf.get(*at..*at + len)?.to_vec();
-    *at += len;
-    Some(b)
+fn get_record(r: &mut Reader<'_>) -> Option<(String, String, Vec<u8>)> {
+    let a = r.str(Len::U16)?.to_string();
+    let b = r.str(Len::U16)?.to_string();
+    Some((a, b, r.bytes(Len::U32)?.to_vec()))
 }
 
 impl NodeSnapshot {
-    /// Serializes to the transfer wire format (magic + body + CRC-16,
-    /// the same checksum family the transport segments use).
+    /// Serializes to the transfer wire format: magic, `node:u8 gen:u32`,
+    /// the two record lists behind `u32` counts, and the CRC-16 of all of
+    /// that (the same checksum family the transport segments use).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(SNAP_MAGIC);
-        out.push(self.node);
-        out.extend_from_slice(&self.gen.to_le_bytes());
-        out.extend_from_slice(&(self.ckpt.len() as u32).to_le_bytes());
-        for (owner, key, wire) in &self.ckpt {
-            put_str(&mut out, owner);
-            put_str(&mut out, key);
-            put_bytes(&mut out, wire);
-        }
-        out.extend_from_slice(&(self.ds.len() as u32).to_le_bytes());
-        for (key, owner, value) in &self.ds {
-            put_str(&mut out, key);
-            put_str(&mut out, owner);
-            put_bytes(&mut out, value);
-        }
-        let crc = crc16(&out);
-        out.extend_from_slice(&crc.to_le_bytes());
-        out
+        let mut w = Writer::new();
+        w.raw(SNAP_MAGIC);
+        w.u8(self.node);
+        w.u32(self.gen);
+        w.seq(Len::U32, self.ckpt.iter(), put_record);
+        w.seq(Len::U32, self.ds.iter(), put_record);
+        w.u16(crc16(w.written()));
+        w.into_bytes()
     }
 
     /// Parses the transfer wire format; `None` for truncated or
     /// corrupted images (bad magic / CRC) — a damaged snapshot must be
     /// detected, not adopted.
     pub fn decode(buf: &[u8]) -> Option<NodeSnapshot> {
-        if buf.len() < SNAP_MAGIC.len() + 2 || &buf[..4] != SNAP_MAGIC {
+        let (body, trailer) = buf.split_at_checked(buf.len().checked_sub(2)?)?;
+        if Reader::new(trailer).u16() != Some(crc16(body)) {
             return None;
         }
-        let (body, crc_bytes) = buf.split_at(buf.len() - 2);
-        if crc16(body) != u16::from_le_bytes(crc_bytes.try_into().ok()?) {
+        let mut r = Reader::new(body);
+        if r.take(SNAP_MAGIC.len())? != SNAP_MAGIC {
             return None;
         }
-        let mut at = 4;
-        let node = *body.get(at)?;
-        at += 1;
-        let gen = u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?);
-        at += 4;
-        let ckpt_count = u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?);
-        at += 4;
-        let mut ckpt = Vec::new();
-        for _ in 0..ckpt_count {
-            let owner = get_str(body, &mut at)?;
-            let key = get_str(body, &mut at)?;
-            let wire = get_bytes(body, &mut at)?;
-            ckpt.push((owner, key, wire));
-        }
-        let ds_count = u32::from_le_bytes(body.get(at..at + 4)?.try_into().ok()?);
-        at += 4;
-        let mut ds = Vec::new();
-        for _ in 0..ds_count {
-            let key = get_str(body, &mut at)?;
-            let owner = get_str(body, &mut at)?;
-            let value = get_bytes(body, &mut at)?;
-            ds.push((key, owner, value));
-        }
-        if at != body.len() {
-            return None;
-        }
-        Some(NodeSnapshot {
-            node,
-            gen,
-            ckpt,
-            ds,
-        })
+        let snap = NodeSnapshot {
+            node: r.u8()?,
+            gen: r.u32()?,
+            ckpt: r.seq(Len::U32, get_record)?,
+            ds: r.seq(Len::U32, get_record)?,
+        };
+        r.finish()?;
+        Some(snap)
     }
+}
+
+/// The fleet identity record a node keeps in its DS: `node:u8 gen:u32`.
+pub fn encode_identity(node: u8, gen: u32) -> Vec<u8> {
+    let mut w = Writer::new();
+    w.u8(node);
+    w.u32(gen);
+    w.into_bytes()
+}
+
+/// Reads what [`encode_identity`] wrote.
+pub fn decode_identity(value: &[u8]) -> Option<(u8, u32)> {
+    let mut r = Reader::new(value);
+    let identity = (r.u8()?, r.u32()?);
+    r.finish()?;
+    Some(identity)
 }
 
 #[cfg(test)]
@@ -283,5 +253,62 @@ mod tests {
         assert_eq!(NodeSnapshot::decode(&wire), None);
         assert_eq!(NodeSnapshot::decode(b"FSNPxx"), None);
         assert_eq!(NodeSnapshot::decode(b""), None);
+    }
+
+    /// Replaces the CRC trailer so only the body decides the verdict.
+    fn resealed(mut body: Vec<u8>) -> Vec<u8> {
+        let crc = crc16(&body);
+        body.extend_from_slice(&crc.to_le_bytes());
+        body
+    }
+
+    #[test]
+    fn a_well_sealed_body_that_is_not_a_snapshot_is_rejected() {
+        let snap = NodeSnapshot {
+            node: 3,
+            gen: 2,
+            ckpt: vec![("vfs".to_string(), "mounts".to_string(), vec![0, 0])],
+            ds: vec![("k".to_string(), "o".to_string(), vec![7])],
+        };
+        let wire = snap.encode();
+        let body = &wire[..wire.len() - 2];
+        assert_eq!(NodeSnapshot::decode(&resealed(body.to_vec())), Some(snap));
+        // Every strict prefix, and one trailing byte.
+        for cut in 0..body.len() {
+            let short = resealed(body[..cut].to_vec());
+            assert_eq!(NodeSnapshot::decode(&short), None, "cut at {cut}");
+        }
+        let mut long = body.to_vec();
+        long.push(0);
+        assert_eq!(NodeSnapshot::decode(&resealed(long)), None);
+        // A name that is not UTF-8: the `v` of the first owner, behind
+        // magic, node, gen, the record count and the name's own prefix.
+        let mut bad = body.to_vec();
+        assert_eq!(bad[4 + 1 + 4 + 4 + 2], b'v');
+        bad[4 + 1 + 4 + 4 + 2] = 0xFF;
+        assert_eq!(NodeSnapshot::decode(&resealed(bad)), None);
+    }
+
+    #[test]
+    fn an_overlong_name_is_cut_not_corrupted() {
+        let long = "k".repeat(usize::from(u16::MAX) - 1) + "\u{e9}tail";
+        let snap = NodeSnapshot {
+            node: 0,
+            gen: 1,
+            ckpt: vec![],
+            ds: vec![(long.clone(), "o".to_string(), vec![7])],
+        };
+        let decoded = NodeSnapshot::decode(&snap.encode()).expect("still decodes");
+        assert_eq!(decoded.ds[0].0, long[..usize::from(u16::MAX) - 1]);
+        assert_eq!(decoded.ds[0].2, [7]);
+    }
+
+    #[test]
+    fn identity_record_round_trips_and_rejects_other_lengths() {
+        let wire = encode_identity(3, 0x0102_0304);
+        assert_eq!(wire, [3, 4, 3, 2, 1]);
+        assert_eq!(decode_identity(&wire), Some((3, 0x0102_0304)));
+        assert_eq!(decode_identity(&wire[..4]), None);
+        assert_eq!(decode_identity(&[3, 4, 3, 2, 1, 0]), None);
     }
 }

@@ -25,47 +25,43 @@ use crate::types::{
     KernelError, KillOrigin, Message, Signal, Slot,
 };
 
-/// Tunable kernel parameters.
+/// Latency of message/notification delivery (MINIX IPC is a few
+/// microseconds on 2007 hardware).
+const IPC_LATENCY: SimDuration = SimDuration::from_micros(2);
+/// Latency from IRQ assertion to driver notification.
+const IRQ_LATENCY: SimDuration = SimDuration::from_micros(1);
+/// Trace ring capacity.
+const TRACE_CAPACITY: usize = 65_536;
+/// Max sends + notifies one endpoint may originate within a single
+/// handler dispatch before it is flagged as babbling. Sized well above
+/// any legitimate burst (a full 48-page rx-ring drain is ~12 frames) and
+/// well below the spray a corrupted ring pointer produces (48 per
+/// interrupt).
+const BABBLE_DISPATCH_BUDGET: u32 = 24;
+/// Max replies one endpoint may issue within [`BABBLE_WINDOW`] before it
+/// is flagged (livelocked reply storm).
+const BABBLE_REPLY_BUDGET: u32 = 5_000;
+/// Sliding-window length for the reply-rate budget.
+const BABBLE_WINDOW: SimDuration = SimDuration::from_millis(100);
+
+/// What a run chooses about its kernel; everything else is a constant
+/// above.
 #[derive(Debug, Clone)]
 pub struct SystemConfig {
-    /// Latency of message/notification delivery (MINIX IPC is a few
-    /// microseconds on 2007 hardware).
-    pub ipc_latency: SimDuration,
-    /// Latency from IRQ assertion to driver notification.
-    pub irq_latency: SimDuration,
     /// Root seed for all randomness in the run.
     pub seed: u64,
-    /// Trace ring capacity.
-    pub trace_capacity: usize,
     /// Whether the babble guard observes the IPC fabric. The guard only
     /// *flags* endpoints (queried via [`Ctx::babble_flagged`]); it never
     /// suppresses delivery, so enabling it cannot change a run's event
     /// stream.
     pub babble_guard: bool,
-    /// Max sends + notifies one endpoint may originate within a single
-    /// handler dispatch before it is flagged as babbling. Sized well
-    /// above any legitimate burst (a full 48-page rx-ring drain is ~12
-    /// frames) and well below the spray a corrupted ring pointer
-    /// produces (48 per interrupt).
-    pub babble_dispatch_budget: u32,
-    /// Max replies one endpoint may issue within [`Self::babble_window`]
-    /// before it is flagged (livelocked reply storm).
-    pub babble_reply_budget: u32,
-    /// Sliding-window length for the reply-rate budget.
-    pub babble_window: SimDuration,
 }
 
 impl Default for SystemConfig {
     fn default() -> Self {
         SystemConfig {
-            ipc_latency: SimDuration::from_micros(2),
-            irq_latency: SimDuration::from_micros(1),
             seed: 0xDEAD_BEEF,
-            trace_capacity: 65_536,
             babble_guard: true,
-            babble_dispatch_budget: 24,
-            babble_reply_budget: 5_000,
-            babble_window: SimDuration::from_millis(100),
         }
     }
 }
@@ -187,7 +183,7 @@ impl System {
         // Chaos draws from its own forked stream so installing or removing
         // a plan never perturbs the randomness the rest of the run sees.
         let chaos_rng = rng.fork("kernel-chaos");
-        let trace = TraceRing::new(cfg.trace_capacity);
+        let trace = TraceRing::new(TRACE_CAPACITY);
         System {
             cfg,
             queue: EventQueue::new(),
@@ -478,7 +474,7 @@ impl System {
         if let Some(reports) = self.orphaned_reports.remove(name) {
             for item in reports {
                 self.queue
-                    .schedule_after(self.cfg.ipc_latency, SysEvent::Deliver { to: ep, item });
+                    .schedule_after(IPC_LATENCY, SysEvent::Deliver { to: ep, item });
             }
         }
         // Give an installed chaos plan the chance to kill this incarnation
@@ -524,7 +520,7 @@ impl System {
             }
             Signal::Term => {
                 self.queue.schedule_after(
-                    self.cfg.ipc_latency,
+                    IPC_LATENCY,
                     SysEvent::Deliver {
                         to: ep,
                         item: ProcEvent::Signal(Signal::Term),
@@ -568,6 +564,12 @@ impl System {
             Some(SlotState::Live(p)) if p.endpoint == ep => Some(&p.name),
             _ => None,
         }
+    }
+
+    /// [`System::name_of`] as a trace line spells it: owned, `?` for a
+    /// dead endpoint.
+    fn traced_name(&self, ep: Endpoint) -> String {
+        self.name_of(ep).unwrap_or("?").to_string()
     }
 
     /// Program version the process at `ep` was executed from (0 for boot
@@ -656,7 +658,7 @@ impl System {
         for (call, caller) in aborted {
             self.open_calls.remove(&call);
             self.metrics.incr("ipc.aborted_calls");
-            let caller_name = self.name_of(caller).unwrap_or("?").to_string();
+            let caller_name = self.traced_name(caller);
             let abort_ev = TraceEvent::new(
                 self.now(),
                 TraceLevel::Info,
@@ -668,7 +670,7 @@ impl System {
             .with_field("callee", name.as_str());
             self.trace.emit_event(abort_ev);
             self.queue.schedule_after(
-                self.cfg.ipc_latency,
+                IPC_LATENCY,
                 SysEvent::Deliver {
                     to: caller,
                     item: ProcEvent::Reply {
@@ -690,7 +692,7 @@ impl System {
                 reason,
             };
             self.queue.schedule_after(
-                self.cfg.ipc_latency,
+                IPC_LATENCY,
                 SysEvent::Deliver {
                     to: parent,
                     item: ProcEvent::ChildExited(status),
@@ -781,7 +783,7 @@ impl System {
                     Some(&ep) => {
                         self.metrics.incr("irq.delivered");
                         self.queue.schedule_after(
-                            self.cfg.irq_latency,
+                            IRQ_LATENCY,
                             SysEvent::Deliver {
                                 to: ep,
                                 item: ProcEvent::Irq { line },
@@ -820,7 +822,6 @@ impl System {
     /// one; without chaos the delivery is scheduled after the IPC latency,
     /// unchanged.
     fn schedule_ipc(&mut self, from: Endpoint, to: Endpoint, item: ProcEvent) {
-        let latency = self.cfg.ipc_latency;
         let class = match &item {
             ProcEvent::Message(_) => IpcClass::Send,
             ProcEvent::Request { .. } => IpcClass::Request,
@@ -839,8 +840,8 @@ impl System {
         // and gated so the (allocating) event is never built when the ring
         // filters it out — the common configuration.
         if self.trace.enabled(TraceLevel::Debug) {
-            let from_name = self.name_of(from).unwrap_or("?").to_string();
-            let to_name = self.name_of(to).unwrap_or("?").to_string();
+            let from_name = self.traced_name(from);
+            let to_name = self.traced_name(to);
             let ipc_ev = TraceEvent::new(
                 self.now(),
                 TraceLevel::Debug,
@@ -855,11 +856,11 @@ impl System {
         }
         let Some(mut chaos) = self.chaos.take() else {
             self.queue
-                .schedule_after(latency, SysEvent::Deliver { to, item });
+                .schedule_after(IPC_LATENCY, SysEvent::Deliver { to, item });
             return;
         };
-        let from_name = self.name_of(from).unwrap_or("?").to_string();
-        let to_name = self.name_of(to).unwrap_or("?").to_string();
+        let from_name = self.traced_name(from);
+        let to_name = self.traced_name(to);
         let now = self.now();
         let verdict = chaos.on_ipc(
             now,
@@ -876,7 +877,7 @@ impl System {
         match verdict {
             ChaosVerdict::Deliver => {
                 self.queue
-                    .schedule_after(latency, SysEvent::Deliver { to, item });
+                    .schedule_after(IPC_LATENCY, SysEvent::Deliver { to, item });
             }
             ChaosVerdict::Drop => {
                 self.metrics.incr("chaos.dropped");
@@ -892,19 +893,19 @@ impl System {
             ChaosVerdict::Delay(extra) => {
                 self.metrics.incr("chaos.delayed");
                 self.queue
-                    .schedule_after(latency + extra, SysEvent::Deliver { to, item });
+                    .schedule_after(IPC_LATENCY + extra, SysEvent::Deliver { to, item });
             }
             ChaosVerdict::Duplicate { extra_delay } => {
                 self.metrics.incr("chaos.duplicated");
                 self.queue.schedule_after(
-                    latency,
+                    IPC_LATENCY,
                     SysEvent::Deliver {
                         to,
                         item: item.clone(),
                     },
                 );
                 self.queue
-                    .schedule_after(latency + extra_delay, SysEvent::Deliver { to, item });
+                    .schedule_after(IPC_LATENCY + extra_delay, SysEvent::Deliver { to, item });
             }
             ChaosVerdict::Corrupt => {
                 let mut item = item;
@@ -929,11 +930,11 @@ impl System {
                     );
                 }
                 self.queue
-                    .schedule_after(latency, SysEvent::Deliver { to, item });
+                    .schedule_after(IPC_LATENCY, SysEvent::Deliver { to, item });
             }
             ChaosVerdict::HoldUntil(release) => {
                 self.metrics.incr("chaos.stalled");
-                let at = std::cmp::max(now + latency, release);
+                let at = std::cmp::max(now + IPC_LATENCY, release);
                 self.queue.schedule_at(at, SysEvent::Deliver { to, item });
             }
         }
@@ -946,11 +947,10 @@ impl System {
     fn babble_account(&mut self, from: Endpoint, class: IpcClass) {
         match class {
             IpcClass::Send | IpcClass::Notify => {
-                let budget = self.cfg.babble_dispatch_budget;
                 if let Some((ep, count)) = self.cur_dispatch.as_mut() {
                     if *ep == from {
                         *count += 1;
-                        if *count > budget {
+                        if *count > BABBLE_DISPATCH_BUDGET {
                             self.flag_babble(from, "unsolicited-send burst");
                         }
                     }
@@ -958,14 +958,12 @@ impl System {
             }
             IpcClass::Reply => {
                 let now = self.now();
-                let window = self.cfg.babble_window;
-                let budget = self.cfg.babble_reply_budget;
                 let entry = self.reply_windows.entry(from).or_insert((now, 0));
-                if now.since(entry.0) > window {
+                if now.since(entry.0) > BABBLE_WINDOW {
                     *entry = (now, 0);
                 }
                 entry.1 += 1;
-                if entry.1 > budget {
+                if entry.1 > BABBLE_REPLY_BUDGET {
                     self.flag_babble(from, "reply-rate over budget");
                 }
             }
@@ -980,7 +978,7 @@ impl System {
         }
         self.babble_flagged.insert(ep, why);
         self.metrics.incr("kernel.babble.flagged");
-        let name = self.name_of(ep).unwrap_or("?").to_string();
+        let name = self.traced_name(ep);
         let ev = TraceEvent::new(
             self.now(),
             TraceLevel::Warn,
@@ -1042,7 +1040,7 @@ impl System {
                 if let Some(c) = self.open_calls.remove(&call) {
                     self.metrics.incr("ipc.aborted_calls");
                     if self.trace.enabled(TraceLevel::Debug) {
-                        let caller_name = self.name_of(c.caller).unwrap_or("?").to_string();
+                        let caller_name = self.traced_name(c.caller);
                         let abort_ev = TraceEvent::new(
                             self.now(),
                             TraceLevel::Debug,
@@ -1054,7 +1052,7 @@ impl System {
                         self.trace.emit_event(abort_ev);
                     }
                     self.queue.schedule_after(
-                        self.cfg.ipc_latency,
+                        IPC_LATENCY,
                         SysEvent::Deliver {
                             to: c.caller,
                             item: ProcEvent::Reply {
@@ -1077,7 +1075,7 @@ impl System {
                     | ProcEvent::Notify { .. }
             )
         {
-            let to_name = self.name_of(to).unwrap_or("?").to_string();
+            let to_name = self.traced_name(to);
             let deliver_ev = TraceEvent::new(
                 self.now(),
                 TraceLevel::Debug,
@@ -1427,7 +1425,7 @@ impl<'a> Ctx<'a> {
             }
             Signal::Term => {
                 self.sys.queue.schedule_after(
-                    self.sys.cfg.ipc_latency,
+                    IPC_LATENCY,
                     SysEvent::Deliver {
                         to: target,
                         item: ProcEvent::Signal(Signal::Term),

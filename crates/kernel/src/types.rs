@@ -2,6 +2,8 @@
 
 use std::fmt;
 
+use phoenix_simcore::wire::{Reader, Writer};
+
 /// A process slot index in the kernel's process table.
 pub type Slot = u16;
 
@@ -33,6 +35,38 @@ impl Endpoint {
     /// The incarnation number of the slot.
     pub const fn generation(self) -> u32 {
         self.generation
+    }
+
+    /// Appends the endpoint as externalised state holds it:
+    /// `slot:u16 generation:u32`.
+    pub fn put(self, w: &mut Writer) {
+        w.u16(self.slot);
+        w.u32(self.generation);
+    }
+
+    /// Reads what [`Endpoint::put`] wrote.
+    pub fn get(r: &mut Reader<'_>) -> Option<Endpoint> {
+        Some(Endpoint::new(r.u16()?, r.u32()?))
+    }
+
+    /// Appends an optional endpoint: a `1` tag and the endpoint, or `0`.
+    pub fn put_opt(ep: Option<Endpoint>, w: &mut Writer) {
+        match ep {
+            Some(ep) => {
+                w.u8(1);
+                ep.put(w);
+            }
+            None => w.u8(0),
+        }
+    }
+
+    /// Reads what [`Endpoint::put_opt`] wrote; any other tag is garbage.
+    pub fn get_opt(r: &mut Reader<'_>) -> Option<Option<Endpoint>> {
+        match r.u8()? {
+            0 => Some(None),
+            1 => Endpoint::get(r).map(Some),
+            _ => None,
+        }
     }
 }
 

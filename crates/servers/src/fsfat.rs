@@ -16,6 +16,7 @@
 //! ```
 
 use phoenix_hw::disk::{DiskModel, SECTOR};
+use phoenix_simcore::wire::{Len, Reader, Writer};
 
 use crate::fsfmt::{Extent, FileContent, FileSpec, Inode};
 use crate::libserver::Names;
@@ -292,52 +293,40 @@ impl Volume for Fat16 {
         String::from_utf8_lossy(raw).to_lowercase()
     }
 
-    /// The resolved table: `count:u16`, then per file `name_len:u8 name
-    /// size:u64 extents:u32 (start:u64 sectors:u32)*`.
+    /// The resolved table: `count:u16`, then per file `name:str8
+    /// size:u64`, `count:u32` and that many `start:u64 sectors:u32`.
     fn encode(&self, files: &[Inode]) -> Vec<u8> {
-        let mut out = (files.len() as u16).to_le_bytes().to_vec();
-        for f in files {
-            out.push(f.name.len() as u8);
-            out.extend_from_slice(f.name.as_bytes());
-            out.extend_from_slice(&f.size.to_le_bytes());
-            out.extend_from_slice(&(f.extents.len() as u32).to_le_bytes());
-            for e in &f.extents {
-                out.extend_from_slice(&e.start.to_le_bytes());
-                out.extend_from_slice(&e.sectors.to_le_bytes());
-            }
-        }
-        out
+        let mut w = Writer::new();
+        w.seq(Len::U16, files.iter(), |w, f| {
+            w.str(Len::U8, &f.name);
+            w.u64(f.size);
+            w.seq(Len::U32, f.extents.iter(), |w, e| {
+                w.u64(e.start);
+                w.u32(e.sectors);
+            });
+        });
+        w.into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)> {
-        let mut at = 0usize;
-        let mut take = |n: usize| {
-            let bytes = payload.get(at..at.checked_add(n)?)?;
-            at += n;
-            Some(bytes)
-        };
-        let count = u16::from_le_bytes(take(2)?.try_into().ok()?);
-        let mut files = Vec::new();
-        for _ in 0..count {
-            let name_len = usize::from(take(1)?[0]);
-            let name = std::str::from_utf8(take(name_len)?).ok()?.to_string();
-            let size = u64::from_le_bytes(take(8)?.try_into().ok()?);
-            let n_extents = u32::from_le_bytes(take(4)?.try_into().ok()?);
-            let mut extents = Vec::new();
-            for _ in 0..n_extents {
-                extents.push(Extent {
-                    start: u64::from_le_bytes(take(8)?.try_into().ok()?),
-                    sectors: u32::from_le_bytes(take(4)?.try_into().ok()?),
-                });
-            }
-            files.push(Inode {
+        let mut r = Reader::new(payload);
+        let files = r.seq(Len::U16, |r| {
+            let name = r.str(Len::U8)?.to_string();
+            let size = r.u64()?;
+            let extents = r.seq(Len::U32, |r| {
+                Some(Extent {
+                    start: r.u64()?,
+                    sectors: r.u32()?,
+                })
+            })?;
+            Some(Inode {
                 name,
                 size,
                 extents,
-            });
-        }
-        // Trailing bytes mean the payload is not one of ours.
-        (at == payload.len()).then_some((Fat16::Boot, files))
+            })
+        })?;
+        r.finish()?;
+        Some((Fat16::Boot, files))
     }
 }
 

@@ -17,6 +17,7 @@
 
 use phoenix_hw::disk::{synth_sector, DiskModel, SECTOR};
 use phoenix_simcore::digest::Sha1;
+use phoenix_simcore::wire::{Len, Reader, Writer};
 
 use crate::libserver::Names;
 use crate::mfs::{FsNames, MountStep, Volume};
@@ -222,34 +223,24 @@ impl Volume for Minix {
         String::from_utf8_lossy(raw).into_owned()
     }
 
-    /// One superblock sector followed by the in-memory inode table.
+    /// One superblock sector, then `count:u16` and that many inodes in
+    /// their on-disk encoding.
     fn encode(&self, files: &[Inode]) -> Vec<u8> {
-        let mut out = Vec::new();
+        let mut w = Writer::new();
         match &self.superblock {
-            Some(sb) => out.extend_from_slice(&sb.encode()),
-            None => out.extend_from_slice(&vec![0u8; SECTOR]),
+            Some(sb) => w.raw(&sb.encode()),
+            None => w.raw(&[0u8; SECTOR]),
         }
-        out.extend_from_slice(&(files.len() as u16).to_le_bytes());
-        for ino in files {
-            out.extend_from_slice(&ino.encode());
-        }
-        out
+        w.seq(Len::U16, files.iter(), |w, ino| w.raw(&ino.encode()));
+        w.into_bytes()
     }
 
     fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)> {
-        let sb = Superblock::decode(payload.get(..SECTOR)?)?;
-        let count = payload.get(SECTOR..SECTOR + 2)?;
-        let count = usize::from(u16::from_le_bytes([count[0], count[1]]));
-        let mut inodes = Vec::with_capacity(count);
-        let mut at = SECTOR + 2;
-        for _ in 0..count {
-            inodes.push(Inode::decode(payload.get(at..at + INODE_SIZE)?)?);
-            at += INODE_SIZE;
-        }
-        let volume = Minix {
-            superblock: Some(sb),
-        };
-        Some((volume, inodes))
+        let mut r = Reader::new(payload);
+        let superblock = Some(Superblock::decode(r.take(SECTOR)?)?);
+        let inodes = r.seq(Len::U16, |r| Inode::decode(r.take(INODE_SIZE)?))?;
+        r.finish()?;
+        Some((Minix { superblock }, inodes))
     }
 }
 

@@ -16,6 +16,7 @@ use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, Message};
 use phoenix_simcore::time::SimDuration;
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
+use phoenix_simcore::wire::{Len, Reader, Writer};
 
 use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
 use crate::netproto::{flags, Segment};
@@ -55,10 +56,61 @@ struct Conn {
     timer_epoch: u32,
 }
 
-/// The network server's logic; run it as `Server<Inet>`. Its
-/// externalised state is the session (crash-only contract): the
-/// connection slab, datagram binding and id allocator are checkpointed
-/// after every change and rehydrated by a restarted incarnation.
+/// INET's externalised state (crash-only contract): the connection slab
+/// and the datagram binding, checkpointed after every change and
+/// rehydrated by a restarted incarnation.
+#[derive(Debug)]
+pub struct Session {
+    /// Flat per-connection slab indexed by connection id. Slot 0 is
+    /// permanently reserved — the INIT retry alarm shares the timer-token
+    /// space under conn id 0 — and closed slots return to `free_conns`
+    /// for reuse: at 10⁴⁺-session load the old monotonic 16-bit ids
+    /// would exhaust within a single campaign.
+    conns: Vec<Option<Conn>>,
+    dgram_app: Option<Endpoint>,
+}
+
+impl Session {
+    fn conn(&self, id: u16) -> Option<&Conn> {
+        self.conns.get(usize::from(id)).and_then(Option::as_ref)
+    }
+
+    fn conn_mut(&mut self, id: u16) -> Option<&mut Conn> {
+        self.conns.get_mut(usize::from(id)).and_then(Option::as_mut)
+    }
+
+    /// Occupied slots, ascending by connection id.
+    fn live(&self) -> impl Iterator<Item = (u16, &Conn)> {
+        let slots = self.conns.iter().enumerate();
+        slots.filter_map(|(i, c)| Some((u16::try_from(i).ok()?, c.as_ref()?)))
+    }
+
+    fn conn_ids(&self) -> Vec<u16> {
+        self.live().map(|(id, _)| id).collect()
+    }
+
+    /// Serialises the slab high-water mark, the datagram binding and each
+    /// live connection's transport state (layout: DESIGN §5e, "what is on
+    /// the wire"). Timers, in-flight connect calls and the free list are
+    /// per-incarnation and rebuilt, not externalised.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        w.u32(u32::try_from(self.conns.len()).unwrap_or(u32::MAX));
+        Endpoint::put_opt(self.dgram_app, &mut w);
+        let live: Vec<(u16, &Conn)> = self.live().collect();
+        w.seq(Len::U16, live.into_iter(), |w, (id, c)| {
+            w.u16(id);
+            c.app.put(w);
+            w.u8(u8::from(c.established) | (u8::from(c.closed) << 1));
+            w.u32(c.rcv_nxt);
+            w.u32(c.snd_base);
+            w.bytes(Len::U32, &c.snd_buf);
+        });
+        w.into_bytes()
+    }
+}
+
+/// The network server's logic; run it as `Server<Inet>`.
 pub struct Inet {
     rs: Endpoint,
     driver_key: String,
@@ -74,17 +126,11 @@ pub struct Inet {
     /// alarm may re-send (stale alarms are ignored).
     init_epoch: u32,
     eth_calls: BTreeSet<CallId>,
-    /// Flat per-connection slab indexed by connection id. Slot 0 is
-    /// permanently reserved — the INIT retry alarm shares the timer-token
-    /// space under conn id 0 — and closed slots return to `free_conns`
-    /// for reuse: at 10⁴⁺-session load the old monotonic 16-bit ids
-    /// would exhaust within a single campaign.
-    conns: Vec<Option<Conn>>,
+    session: Session,
     /// Recycled connection ids, each with the timer epoch it retired at,
     /// so a reused slot keeps its epoch monotone and alarms armed before
     /// the close can never fire into the successor session.
     free_conns: Vec<(u16, u32)>,
-    dgram_app: Option<Endpoint>,
     /// Recovery episode behind the driver update currently being
     /// reintegrated (from the DS CHECK reply), used to tag our own
     /// reinit/resume trace events with the causing episode.
@@ -106,9 +152,11 @@ impl Inet {
             init_call: None,
             init_epoch: 0,
             eth_calls: BTreeSet::new(),
-            conns: vec![None],
+            session: Session {
+                conns: vec![None],
+                dgram_app: None,
+            },
             free_conns: Vec::new(),
-            dgram_app: None,
             recovery: None,
             recovery_parent: None,
         }
@@ -116,36 +164,20 @@ impl Inet {
 
     // ---------------- connection slab ----------------
 
-    fn conn(&self, id: u16) -> Option<&Conn> {
-        self.conns.get(usize::from(id)).and_then(Option::as_ref)
-    }
-
-    fn conn_mut(&mut self, id: u16) -> Option<&mut Conn> {
-        self.conns.get_mut(usize::from(id)).and_then(Option::as_mut)
-    }
-
-    /// Occupied connection ids, ascending.
-    fn conn_ids(&self) -> Vec<u16> {
-        (1..self.conns.len())
-            .filter(|&i| self.conns[i].is_some())
-            .map(|i| i as u16)
-            .collect()
-    }
-
     /// Places a connection in the slab, preferring a recycled id (which
     /// inherits the retired slot's timer epoch). Returns `None` when the
     /// 16-bit id space is fully live.
     fn alloc_conn(&mut self, mut conn: Conn) -> Option<u16> {
         if let Some((id, epoch)) = self.free_conns.pop() {
             conn.timer_epoch = epoch;
-            self.conns[usize::from(id)] = Some(conn);
+            self.session.conns[usize::from(id)] = Some(conn);
             return Some(id);
         }
-        if self.conns.len() > usize::from(u16::MAX) {
+        if self.session.conns.len() > usize::from(u16::MAX) {
             return None;
         }
-        let id = self.conns.len() as u16;
-        self.conns.push(Some(conn));
+        let id = self.session.conns.len() as u16;
+        self.session.conns.push(Some(conn));
         Some(id)
     }
 
@@ -154,25 +186,11 @@ impl Inet {
         if id == 0 {
             return;
         }
-        if let Some(slot) = self.conns.get_mut(usize::from(id)) {
+        if let Some(slot) = self.session.conns.get_mut(usize::from(id)) {
             if let Some(conn) = slot.take() {
                 self.free_conns.push((id, conn.timer_epoch));
             }
         }
-    }
-
-    // ---------------- session externalization ----------------
-
-    fn push_ep(out: &mut Vec<u8>, ep: Endpoint) {
-        out.extend_from_slice(&ep.slot().to_le_bytes());
-        out.extend_from_slice(&ep.generation().to_le_bytes());
-    }
-
-    fn read_ep(buf: &[u8], at: &mut usize) -> Option<Endpoint> {
-        let slot = u16::from_le_bytes(buf.get(*at..*at + 2)?.try_into().ok()?);
-        let generation = u32::from_le_bytes(buf.get(*at + 2..*at + 6)?.try_into().ok()?);
-        *at += 6;
-        Some(Endpoint::new(slot, generation))
     }
 
     /// Sends a frame through the Ethernet driver. Failures flip
@@ -204,7 +222,7 @@ impl Inet {
     }
 
     fn arm_timer(&mut self, ctx: &mut Ctx<'_>, conn_id: u16) {
-        let Some(conn) = self.conn_mut(conn_id) else {
+        let Some(conn) = self.session.conn_mut(conn_id) else {
             return;
         };
         conn.timer_epoch += 1;
@@ -229,7 +247,7 @@ impl Inet {
 
     /// (Re)transmits all unacknowledged outgoing bytes of a connection.
     fn send_unacked(&mut self, ctx: &mut Ctx<'_>, conn_id: u16) {
-        let Some(conn) = self.conn_mut(conn_id) else {
+        let Some(conn) = self.session.conn_mut(conn_id) else {
             return;
         };
         if conn.snd_buf.is_empty() {
@@ -247,7 +265,7 @@ impl Inet {
     }
 
     fn send_ack(&mut self, ctx: &mut Ctx<'_>, conn_id: u16) {
-        let Some(conn) = self.conn(conn_id) else {
+        let Some(conn) = self.session.conn(conn_id) else {
             return;
         };
         let seg = Segment {
@@ -338,7 +356,7 @@ impl Inet {
         };
         self.garbled_streak = 0;
         if seg.flags & flags::DGRAM != 0 {
-            if let Some(app) = self.dgram_app {
+            if let Some(app) = self.session.dgram_app {
                 sh.push(
                     ctx,
                     app,
@@ -348,7 +366,7 @@ impl Inet {
             return;
         }
         let conn_id = seg.conn;
-        if self.conn(conn_id).is_none() {
+        if self.session.conn(conn_id).is_none() {
             if seg.flags & flags::FIN != 0 {
                 // The slot was already released by an app-side CLOSE; ack
                 // the peer's FIN retransmission so it stops resending
@@ -364,7 +382,7 @@ impl Inet {
             }
             return;
         }
-        let Some(conn) = self.conn_mut(conn_id) else {
+        let Some(conn) = self.session.conn_mut(conn_id) else {
             return;
         };
         if seg.flags & flags::SYN != 0 && seg.flags & flags::ACK != 0 {
@@ -402,7 +420,7 @@ impl Inet {
                 }
             }
         }
-        let Some(conn) = self.conn_mut(conn_id) else {
+        let Some(conn) = self.session.conn_mut(conn_id) else {
             return;
         };
         if seg.flags & flags::DATA != 0 {
@@ -452,127 +470,65 @@ impl ServerLogic for Inet {
         restore_garbage: "inet.session_restore_garbage",
     };
 
-    /// Serializes the session: slab high-water mark, datagram binding,
-    /// and each live connection's transport state (timers, in-flight
-    /// connect calls and the free list are per-incarnation and rebuilt,
-    /// not externalized).
+    type Saved = Session;
+
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        out.extend_from_slice(&(self.conns.len() as u32).to_le_bytes());
-        match self.dgram_app {
-            Some(ep) => {
-                out.push(1);
-                Self::push_ep(&mut out, ep);
-            }
-            None => out.push(0),
-        }
-        let ids = self.conn_ids();
-        out.extend_from_slice(&(ids.len() as u16).to_le_bytes());
-        for id in ids {
-            let Some(c) = self.conn(id) else { continue };
-            out.extend_from_slice(&id.to_le_bytes());
-            Self::push_ep(&mut out, c.app);
-            out.push(u8::from(c.established) | (u8::from(c.closed) << 1));
-            out.extend_from_slice(&c.rcv_nxt.to_le_bytes());
-            out.extend_from_slice(&c.snd_base.to_le_bytes());
-            out.extend_from_slice(&(c.snd_buf.len() as u32).to_le_bytes());
-            out.extend_from_slice(&c.snd_buf);
-        }
-        out
+        self.session.encode()
     }
 
-    /// Rehydrates the session from a restored snapshot payload and nudges
-    /// retransmission for rebuilt connections. Returns `false` (leaving a
-    /// clean slate) if the payload does not parse.
-    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let mut at = 0usize;
-        let Some(hw) = payload.get(at..at + 4) else {
-            return false;
-        };
-        let slab_len = u32::from_le_bytes(hw.try_into().unwrap_or([0; 4])) as usize;
+    fn decode(payload: &[u8]) -> Option<Session> {
+        let mut r = Reader::new(payload);
+        let slab_len = usize::try_from(r.u32()?).ok()?;
         if slab_len == 0 || slab_len > usize::from(u16::MAX) + 1 {
-            return false;
+            return None;
         }
-        at += 4;
-        let Some(&has_dgram) = payload.get(at) else {
-            return false;
-        };
-        at += 1;
-        let dgram_app = if has_dgram == 1 {
-            match Self::read_ep(payload, &mut at) {
-                Some(ep) => Some(ep),
-                None => return false,
-            }
-        } else {
-            None
-        };
-        let Some(count_bytes) = payload.get(at..at + 2) else {
-            return false;
-        };
-        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2]));
-        at += 2;
-        let mut slab: Vec<Option<Conn>> = Vec::new();
-        slab.resize_with(slab_len, || None);
-        for _ in 0..count {
-            let Some(id_bytes) = payload.get(at..at + 2) else {
-                return false;
-            };
-            let id = u16::from_le_bytes(id_bytes.try_into().unwrap_or([0; 2]));
-            if id == 0 || usize::from(id) >= slab_len {
-                return false;
-            }
-            at += 2;
-            let Some(app) = Self::read_ep(payload, &mut at) else {
-                return false;
-            };
-            let Some(&bits) = payload.get(at) else {
-                return false;
-            };
-            at += 1;
-            let Some(rcv) = payload.get(at..at + 4) else {
-                return false;
-            };
-            let rcv_nxt = u32::from_le_bytes(rcv.try_into().unwrap_or([0; 4]));
-            at += 4;
-            let Some(base) = payload.get(at..at + 4) else {
-                return false;
-            };
-            let snd_base = u32::from_le_bytes(base.try_into().unwrap_or([0; 4]));
-            at += 4;
-            let Some(len_bytes) = payload.get(at..at + 4) else {
-                return false;
-            };
-            let len = u32::from_le_bytes(len_bytes.try_into().unwrap_or([0; 4])) as usize;
-            at += 4;
-            let Some(buf) = payload.get(at..at + len) else {
-                return false;
-            };
-            at += len;
-            slab[usize::from(id)] = Some(Conn {
+        let dgram_app = Endpoint::get_opt(&mut r)?;
+        let mut conns: Vec<Option<Conn>> = Vec::new();
+        conns.resize_with(slab_len, || None);
+        r.seq(Len::U16, |r| {
+            let id = r.u16()?;
+            let app = Endpoint::get(r)?;
+            let bits = r.u8()?;
+            let rcv_nxt = r.u32()?;
+            let snd_base = r.u32()?;
+            let snd_buf = r.bytes(Len::U32)?.to_vec();
+            let slot = conns.get_mut(usize::from(id)).filter(|_| id != 0)?;
+            *slot = Some(Conn {
                 app,
                 connect_call: None,
                 established: bits & 1 != 0,
                 closed: bits & 2 != 0,
                 rcv_nxt,
-                snd_buf: buf.to_vec(),
+                snd_buf,
                 snd_base,
                 rto: RTO,
                 timer_epoch: 0,
             });
-        }
-        self.dgram_app = dgram_app.or(self.dgram_app);
-        self.conns = slab;
+            Some(())
+        })?;
+        r.finish()?;
+        Some(Session { conns, dgram_app })
+    }
+
+    /// Takes over the restored session and nudges retransmission for the
+    /// rebuilt connections.
+    fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: Session) {
+        self.session = Session {
+            conns: saved.conns,
+            dgram_app: saved.dgram_app.or(self.session.dgram_app),
+        };
         // Rebuild the free list: every unoccupied slot below the restored
         // high-water mark is reusable, recycled smallest-id first.
-        self.free_conns = (1..self.conns.len())
+        self.free_conns = (1..self.session.conns.len())
             .rev()
-            .filter(|&i| self.conns[i].is_none())
+            .filter(|&i| self.session.conns[i].is_none())
             .map(|i| (i as u16, 0))
             .collect();
         ctx.metrics().incr("inet.session_restored");
         if self.driver_ready {
-            for id in self.conn_ids() {
+            for id in self.session.conn_ids() {
                 let Some((needs_syn, needs_data)) = self
+                    .session
                     .conn(id)
                     .map(|c| (!c.established && !c.closed, !c.snd_buf.is_empty()))
                 else {
@@ -585,7 +541,6 @@ impl ServerLogic for Inet {
                 }
             }
         }
-        true
     }
 
     fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
@@ -629,8 +584,9 @@ impl ServerLogic for Inet {
                             ctx.trace_event(ev);
                             // Nudge retransmission so streams resume
                             // promptly after reintegration.
-                            for id in self.conn_ids() {
+                            for id in self.session.conn_ids() {
                                 let Some((needs_syn, needs_data)) = self
+                                    .session
                                     .conn(id)
                                     .map(|c| (!c.established, !c.snd_buf.is_empty()))
                                 else {
@@ -703,7 +659,7 @@ impl ServerLogic for Inet {
                     }
                     return;
                 }
-                let Some(conn) = self.conn_mut(conn_id) else {
+                let Some(conn) = self.session.conn_mut(conn_id) else {
                     return;
                 };
                 if conn.timer_epoch != epoch {
@@ -759,7 +715,7 @@ impl ServerLogic for Inet {
             }
             sock::SEND => {
                 let conn_id = msg.param(0) as u16;
-                let ok = match self.conn_mut(conn_id) {
+                let ok = match self.session.conn_mut(conn_id) {
                     Some(conn) if conn.established => {
                         conn.snd_buf.extend_from_slice(&msg.data);
                         true
@@ -778,7 +734,7 @@ impl ServerLogic for Inet {
             }
             sock::CLOSE => {
                 let conn_id = msg.param(0) as u16;
-                if self.conn(conn_id).is_some() {
+                if self.session.conn(conn_id).is_some() {
                     self.free_conn(conn_id);
                     sh.gate.mark_dirty();
                     ctx.metrics().incr("inet.conns_closed");
@@ -788,8 +744,8 @@ impl ServerLogic for Inet {
                 sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
             }
             sock::DGRAM_SEND => {
-                if self.dgram_app != Some(msg.source) {
-                    self.dgram_app = Some(msg.source);
+                if self.session.dgram_app != Some(msg.source) {
+                    self.session.dgram_app = Some(msg.source);
                     sh.gate.mark_dirty();
                 }
                 let seg = Segment {

@@ -12,16 +12,19 @@
 //!   type of every client-facing frame sent through [`Shell::reply`] /
 //!   [`Shell::push`];
 //! * the **state gate** ([`StateGate`]): requests park until the
-//!   snapshot is restored, `apply` runs before the backlog replays in
-//!   arrival order, and one save goes out per dirty event;
+//!   snapshot is restored, `decode` then `adopt` run before the backlog
+//!   replays in arrival order, and one save goes out per dirty event. A
+//!   payload `decode` rejects — truncated, trailing bytes, a name that is
+//!   not UTF-8 — is garbage: the shell counts it and the incarnation
+//!   keeps its clean slate, the same rule for every server;
 //! * the **data-store watch** ([`DsWatch`]): subscribe, notify → `CHECK`,
 //!   the decoded update, and the drain of queued updates;
 //! * **complaint filing** ([`Shell::complain`]).
 //!
 //! Inside one event the order is fixed: fault poll → dispatch → save;
 //! inside a reply: gate → data-store watch → the component's own calls.
-//! A server supplies its state codec (`encode` / `apply`), its request
-//! logic and its sentinels — nothing else.
+//! A server supplies its state codec (`encode` / `decode` / `adopt`),
+//! its request logic and its sentinels — nothing else.
 
 use phoenix_ckpt::StateGate;
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -46,7 +49,7 @@ pub struct Names {
     pub stalled_events: &'static str,
     /// Counter: client-facing frames garbled.
     pub garbled_replies: &'static str,
-    /// Counter: restored payloads `apply` rejected.
+    /// Counter: restored payloads `decode` rejected.
     pub restore_garbage: &'static str,
 }
 
@@ -55,14 +58,20 @@ pub trait ServerLogic {
     /// The server's literal metric and store names.
     const NAMES: Names;
 
+    /// What a payload decodes into.
+    type Saved;
+
     /// Serialises the externalised state (called at most once per event,
     /// and only when [`StateGate::mark_dirty`] was).
     fn encode(&self) -> Vec<u8>;
 
-    /// Rehydrates from a restored payload before any request is served.
-    /// `false` = the payload does not parse; the server keeps its cold
+    /// Parses a restored payload; pure, and total over arbitrary bytes.
+    /// `None` = not something `encode` wrote: the server keeps its cold
     /// state and the shell counts [`Names::restore_garbage`].
-    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool;
+    fn decode(payload: &[u8]) -> Option<Self::Saved>;
+
+    /// Merges decoded state in, before any request is served.
+    fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: Self::Saved);
 
     /// Serves one client request — live, or replayed from the backlog
     /// parked behind the restore.
@@ -272,8 +281,9 @@ impl<L: ServerLogic> Process for Server<L> {
             ProcEvent::Reply { call, result } => {
                 let garbage = sh.names.restore_garbage;
                 let restored = sh.gate.on_reply(ctx, call, &result, |ctx, snap| {
-                    if !logic.apply(ctx, &snap.payload) {
-                        ctx.metrics().incr(garbage);
+                    match L::decode(&snap.payload) {
+                        Some(saved) => logic.adopt(ctx, saved),
+                        None => ctx.metrics().incr(garbage),
                     }
                 });
                 if let Some(parked) = restored {

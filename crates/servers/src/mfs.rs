@@ -747,18 +747,19 @@ impl<V: Volume> ServerLogic for FileServer<V> {
         self.volume.encode(&self.files)
     }
 
-    /// Rehydrates mount metadata from a restored snapshot. Returns
-    /// `false` (leaving a clean slate, so the normal mount path runs) if
-    /// the payload does not parse.
-    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let Some((volume, files)) = V::decode(payload) else {
-            return false;
-        };
+    type Saved = (V, Vec<Inode>);
+
+    fn decode(payload: &[u8]) -> Option<(V, Vec<Inode>)> {
+        V::decode(payload)
+    }
+
+    /// Mounts from the restored metadata, so the normal mount path (and
+    /// its three reads) is skipped.
+    fn adopt(&mut self, ctx: &mut Ctx<'_>, (volume, files): (V, Vec<Inode>)) {
         self.volume = volume;
         self.files = files;
         self.mount = MountState::Mounted;
         ctx.metrics().incr(V::NAMES.mount_restored);
-        true
     }
 
     fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {

@@ -172,6 +172,7 @@ impl FilePeer {
 }
 
 impl RemotePeer for FilePeer {
+    // analyze:recovery-root
     fn frame_from_host(&mut self, ctx: &mut PeerCtx<'_, '_>, frame: &[u8]) {
         let Some(seg) = Segment::decode(frame) else {
             return;
@@ -289,6 +290,7 @@ impl RemotePeer for FilePeer {
         }
     }
 
+    // analyze:recovery-root
     fn timer(&mut self, ctx: &mut PeerCtx<'_, '_>, token: u64) {
         let conn_id = (token >> 32) as u16;
         let epoch = (token & 0xFFFF_FFFF) as u32;

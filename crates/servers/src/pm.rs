@@ -13,6 +13,7 @@ use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, ExitReason, KillOrigin, Message, Signal};
 use phoenix_simcore::trace::TraceLevel;
+use phoenix_simcore::wire::{Len, Reader, Writer};
 
 use crate::libserver::{Names, ServerLogic, Shell};
 use crate::proto::{pack_endpoint, pm, unpack_endpoint};
@@ -57,18 +58,6 @@ impl ProcessManager {
             ExitReason::Signaled(_, KillOrigin::System) => (3, 0),
         }
     }
-
-    fn push_ep(out: &mut Vec<u8>, ep: Endpoint) {
-        out.extend_from_slice(&ep.slot().to_le_bytes());
-        out.extend_from_slice(&ep.generation().to_le_bytes());
-    }
-
-    fn read_ep(buf: &[u8], at: &mut usize) -> Option<Endpoint> {
-        let slot = u16::from_le_bytes(buf.get(*at..*at + 2)?.try_into().ok()?);
-        let generation = u32::from_le_bytes(buf.get(*at + 2..*at + 6)?.try_into().ok()?);
-        *at += 6;
-        Some(Endpoint::new(slot, generation))
-    }
 }
 
 impl ServerLogic for ProcessManager {
@@ -81,71 +70,42 @@ impl ServerLogic for ProcessManager {
         restore_garbage: "pm.records_restore_garbage",
     };
 
-    /// Serializes the reaper binding and the started-service records.
+    /// PM's whole state is externalised, so a payload decodes into a PM.
+    type Saved = ProcessManager;
+
+    /// Serialises the reaper binding and the started-service records
+    /// (layout: DESIGN §5e, "what is on the wire").
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        match self.reaper {
-            Some(ep) => {
-                out.push(1);
-                Self::push_ep(&mut out, ep);
-            }
-            None => out.push(0),
-        }
-        out.extend_from_slice(&(self.records.len() as u16).to_le_bytes());
-        for (name, &ep) in &self.records {
-            out.push(name.len() as u8);
-            out.extend_from_slice(name.as_bytes());
-            Self::push_ep(&mut out, ep);
-        }
-        out
+        let mut w = Writer::new();
+        Endpoint::put_opt(self.reaper, &mut w);
+        w.seq(Len::U16, self.records.iter(), |w, (name, &ep)| {
+            w.str(Len::U8, name);
+            ep.put(w);
+        });
+        w.into_bytes()
     }
 
-    /// Rehydrates the process records. A live reaper binding delivered
-    /// after the restart (RS re-registers on respawn) wins over the
-    /// snapshot. Returns `false` if the payload does not parse.
-    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let mut at = 0usize;
-        let Some(&has_reaper) = payload.get(at) else {
-            return false;
-        };
-        at += 1;
-        let reaper = if has_reaper == 1 {
-            match Self::read_ep(payload, &mut at) {
-                Some(ep) => Some(ep),
-                None => return false,
-            }
-        } else {
-            None
-        };
-        let Some(count_bytes) = payload.get(at..at + 2) else {
-            return false;
-        };
-        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2]));
-        at += 2;
-        let mut records = Vec::new();
-        for _ in 0..count {
-            let Some(&nlen) = payload.get(at) else {
-                return false;
-            };
-            at += 1;
-            let Some(raw) = payload.get(at..at + nlen as usize) else {
-                return false;
-            };
-            let name = String::from_utf8_lossy(raw).to_string();
-            at += nlen as usize;
-            let Some(ep) = Self::read_ep(payload, &mut at) else {
-                return false;
-            };
-            records.push((name, ep));
-        }
-        if self.reaper.is_none() {
-            self.reaper = reaper;
-        }
-        for (name, ep) in records {
+    fn decode(payload: &[u8]) -> Option<ProcessManager> {
+        let mut r = Reader::new(payload);
+        let reaper = Endpoint::get_opt(&mut r)?;
+        let records = r.seq(Len::U16, |r| {
+            Some((r.str(Len::U8)?.to_string(), Endpoint::get(r)?))
+        })?;
+        r.finish()?;
+        Some(ProcessManager {
+            reaper,
+            records: records.into_iter().collect(),
+        })
+    }
+
+    /// A live reaper binding delivered after the restart (RS
+    /// re-registers on respawn) wins over the snapshot.
+    fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: ProcessManager) {
+        self.reaper = self.reaper.or(saved.reaper);
+        for (name, ep) in saved.records {
             self.records.entry(name).or_insert(ep);
         }
         ctx.metrics().incr("pm.records_restored");
-        true
     }
 
     fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent) {
@@ -261,5 +221,23 @@ impl ServerLogic for ProcessManager {
                 );
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A program name longer than the one-byte prefix can say is cut,
+    /// prefix and bytes agreeing: the frame still decodes.
+    #[test]
+    fn an_overlong_name_is_cut_not_corrupted() {
+        let mut pm = ProcessManager::new();
+        let long = "p".repeat(254) + "\u{e9}tail";
+        pm.records.insert(long.clone(), Endpoint::new(9, 1));
+        pm.records.insert("vfs".to_string(), Endpoint::new(4, 1));
+        let restored = ProcessManager::decode(&pm.encode()).expect("still one of ours");
+        let names: Vec<&str> = restored.records.keys().map(String::as_str).collect();
+        assert_eq!(names, [&long[..254], "vfs"]);
     }
 }

@@ -1957,7 +1957,7 @@ impl ReincarnationServer {
         let svc = &mut self.services[i];
         if svc.state == SvcState::GivenUp {
             svc.state = SvcState::Down;
-            svc.restarts.reset();
+            svc.restarts.operator_override();
         }
         self.start_service(ctx, i);
     }

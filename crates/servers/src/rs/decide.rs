@@ -168,7 +168,7 @@ impl RestartRecord {
 
     /// The operator overrides the ladder (`service up` / `restart` on a
     /// given-up service, e.g. after fixing the hardware out of band).
-    pub fn reset(&mut self) {
+    pub fn operator_override(&mut self) {
         *self = RestartRecord::default();
     }
 }
@@ -503,7 +503,7 @@ mod tests {
         for t in 0..3 {
             record.on_defect(at(t), reason::EXIT, 1, ms(1_000), false);
         }
-        record.reset();
+        record.operator_override();
         let got = record.on_defect(at(10), reason::EXIT, 1, ms(1_000), false);
         assert_eq!(got, esc(1, 0, None));
     }

@@ -16,6 +16,7 @@ use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
 use phoenix_simcore::trace::TraceLevel;
+use phoenix_simcore::wire::{Len, Reader, Writer};
 
 use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
 use crate::proto::{self, evidence, fs, DEV_TABLE, DRIVER_DIED_PARAM, FAT_ROUTE, ROUTE_PARAM};
@@ -97,18 +98,37 @@ fn vet_reply(exp: &SentinelExpect, reply: &Message) -> Option<(u32, &'static str
     None
 }
 
-/// The VFS server's logic; run it as `Server<Vfs>`. Its externalised
-/// state is the mount table (crash-only contract): the route bindings
-/// are checkpointed so a restarted incarnation serves its first request
+/// The route bindings: VFS's externalised state (crash-only contract),
+/// checkpointed so a restarted incarnation serves its first request
 /// without waiting for the DS re-subscribe round-trips.
+#[derive(Debug, Default)]
+pub struct Mounts {
+    fs: Option<Endpoint>,
+    fat: Option<Endpoint>,
+    chr: BTreeMap<String, Endpoint>,
+}
+
+impl Mounts {
+    /// Serialises the bindings (layout: DESIGN §5e, "what is on the wire").
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = Writer::new();
+        Endpoint::put_opt(self.fs, &mut w);
+        Endpoint::put_opt(self.fat, &mut w);
+        w.seq(Len::U16, self.chr.iter(), |w, (key, &ep)| {
+            w.str(Len::U8, key);
+            Endpoint::put_opt(Some(ep), w);
+        });
+        w.into_bytes()
+    }
+}
+
+/// The VFS server's logic; run it as `Server<Vfs>`.
 pub struct Vfs {
     rs: Endpoint,
     fs_key: String,
-    fs: Option<Endpoint>,
     /// Optional second file server (Fig. 5's FAT) mounted at `/fat/`.
     fat_key: Option<String>,
-    fat: Option<Endpoint>,
-    chr: BTreeMap<String, Endpoint>,
+    mounts: Mounts,
     forwards: BTreeMap<CallId, Forward>,
     /// Requests parked until the file server is known.
     waiting_fs: Vec<(CallId, Message)>,
@@ -121,38 +141,11 @@ impl Vfs {
         Vfs {
             rs,
             fs_key: fs_key.to_string(),
-            fs: None,
             fat_key: None,
-            fat: None,
-            chr: BTreeMap::new(),
+            mounts: Mounts::default(),
             forwards: BTreeMap::new(),
             waiting_fs: Vec::new(),
         }
-    }
-
-    // ---------------- mount-table externalization ----------------
-
-    fn push_ep(out: &mut Vec<u8>, ep: Option<Endpoint>) {
-        match ep {
-            Some(ep) => {
-                out.push(1);
-                out.extend_from_slice(&ep.slot().to_le_bytes());
-                out.extend_from_slice(&ep.generation().to_le_bytes());
-            }
-            None => out.push(0),
-        }
-    }
-
-    fn read_ep(buf: &[u8], at: &mut usize) -> Option<Option<Endpoint>> {
-        let &tag = buf.get(*at)?;
-        *at += 1;
-        if tag == 0 {
-            return Some(None);
-        }
-        let slot = u16::from_le_bytes(buf.get(*at..*at + 2)?.try_into().ok()?);
-        let generation = u32::from_le_bytes(buf.get(*at + 2..*at + 6)?.try_into().ok()?);
-        *at += 6;
-        Some(Some(Endpoint::new(slot, generation)))
     }
 
     /// Additionally mounts a FAT server (discovered under `fat_key`) at
@@ -290,7 +283,7 @@ impl Vfs {
                 let path = String::from_utf8_lossy(&msg.data).to_string();
                 let (route, name) = proto::mount_of(&path);
                 if let Some(key) = Self::device_key(&path) {
-                    match self.chr.get(key).copied() {
+                    match self.mounts.chr.get(key).copied() {
                         Some(drv) => {
                             self.forward_dev(sh, ctx, key, drv, call, Message::new(cdev::OPEN));
                         }
@@ -298,7 +291,7 @@ impl Vfs {
                     }
                 } else if route == FAT_ROUTE {
                     // The FAT mount (Fig. 5's second file server).
-                    match self.fat {
+                    match self.mounts.fat {
                         Some(fat) => {
                             let fwd = proto::open(name).with_param(ROUTE_PARAM, route);
                             let fat_name = self.fat_key.clone().unwrap_or_default();
@@ -307,7 +300,7 @@ impl Vfs {
                         None => self.fail(sh, ctx, call, status::ENODEV, false),
                     }
                 } else {
-                    match self.fs {
+                    match self.mounts.fs {
                         Some(fsrv) => {
                             let fs_name = self.fs_key.clone();
                             self.forward(sh, ctx, &fs_name, fsrv, call, msg);
@@ -319,7 +312,11 @@ impl Vfs {
             fs::READ | fs::WRITE => {
                 // Which file server the handle belongs to.
                 let fat_handle = msg.param(ROUTE_PARAM) == FAT_ROUTE;
-                let dst = if fat_handle { self.fat } else { self.fs };
+                let dst = if fat_handle {
+                    self.mounts.fat
+                } else {
+                    self.mounts.fs
+                };
                 match dst {
                     Some(fsrv) => {
                         let fs_name = if fat_handle {
@@ -341,7 +338,7 @@ impl Vfs {
                     self.fail(sh, ctx, call, status::EINVAL, false);
                     return;
                 };
-                match self.chr.get(*key).copied() {
+                match self.mounts.chr.get(*key).copied() {
                     Some(drv) => self.forward_dev(sh, ctx, key, drv, call, msg),
                     None => self.fail(sh, ctx, call, status::ENODEV, false),
                 }
@@ -413,63 +410,38 @@ impl ServerLogic for Vfs {
         restore_garbage: "vfs.mounts_restore_garbage",
     };
 
-    /// Serializes the route bindings (fs, fat, char drivers).
+    type Saved = Mounts;
+
     fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        Self::push_ep(&mut out, self.fs);
-        Self::push_ep(&mut out, self.fat);
-        out.extend_from_slice(&(self.chr.len() as u16).to_le_bytes());
-        for (key, &ep) in &self.chr {
-            out.push(key.len() as u8);
-            out.extend_from_slice(key.as_bytes());
-            Self::push_ep(&mut out, Some(ep));
-        }
-        out
+        self.mounts.encode()
     }
 
-    /// Rehydrates the route bindings, filling in only what the DS replay
-    /// has not already delivered (fresher endpoints win over the
-    /// snapshot; a stale binding merely costs one driver-died failure).
-    fn apply(&mut self, ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let mut at = 0usize;
-        let Some(fs) = Self::read_ep(payload, &mut at) else {
-            return false;
-        };
-        let Some(fat) = Self::read_ep(payload, &mut at) else {
-            return false;
-        };
-        let Some(count_bytes) = payload.get(at..at + 2) else {
-            return false;
-        };
-        let count = u16::from_le_bytes(count_bytes.try_into().unwrap_or([0; 2]));
-        at += 2;
-        let mut chr = Vec::new();
-        for _ in 0..count {
-            let Some(&klen) = payload.get(at) else {
-                return false;
-            };
-            at += 1;
-            let Some(kraw) = payload.get(at..at + klen as usize) else {
-                return false;
-            };
-            let key = String::from_utf8_lossy(kraw).to_string();
-            at += klen as usize;
-            let Some(Some(ep)) = Self::read_ep(payload, &mut at) else {
-                return false;
-            };
-            chr.push((key, ep));
-        }
-        if self.fs.is_none() {
-            self.fs = fs;
-        }
-        if self.fat.is_none() {
-            self.fat = fat;
-        }
-        for (key, ep) in chr {
-            self.chr.entry(key).or_insert(ep);
+    fn decode(payload: &[u8]) -> Option<Mounts> {
+        let mut r = Reader::new(payload);
+        let fs = Endpoint::get_opt(&mut r)?;
+        let fat = Endpoint::get_opt(&mut r)?;
+        let chr = r.seq(Len::U16, |r| {
+            Some((r.str(Len::U8)?.to_string(), Endpoint::get_opt(r)??))
+        })?;
+        r.finish()?;
+        Some(Mounts {
+            fs,
+            fat,
+            chr: chr.into_iter().collect(),
+        })
+    }
+
+    /// Fills in only what the DS replay has not already delivered
+    /// (fresher endpoints win over the snapshot; a stale binding merely
+    /// costs one driver-died failure).
+    fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: Mounts) {
+        let m = &mut self.mounts;
+        m.fs = m.fs.or(saved.fs);
+        m.fat = m.fat.or(saved.fat);
+        for (key, ep) in saved.chr {
+            m.chr.entry(key).or_insert(ep);
         }
         ctx.metrics().incr("vfs.mounts_restored");
-        true
     }
 
     fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
@@ -485,11 +457,11 @@ impl ServerLogic for Vfs {
             parent,
         } = update;
         if key == self.fs_key {
-            let rebound = self.fs.is_some_and(|old| old != ep);
-            if self.fs != Some(ep) {
+            let rebound = self.mounts.fs.is_some_and(|old| old != ep);
+            if self.mounts.fs != Some(ep) {
                 sh.gate.mark_dirty();
             }
-            self.fs = Some(ep);
+            self.mounts.fs = Some(ep);
             let parked = std::mem::take(&mut self.waiting_fs);
             if rebound || !parked.is_empty() {
                 let ev = ctx
@@ -512,13 +484,13 @@ impl ServerLogic for Vfs {
                 self.forward(sh, ctx, &fs_name, ep, c, m);
             }
         } else if Some(&key) == self.fat_key.as_ref() {
-            if self.fat != Some(ep) {
+            if self.mounts.fat != Some(ep) {
                 sh.gate.mark_dirty();
             }
-            self.fat = Some(ep);
+            self.mounts.fat = Some(ep);
         } else if key.starts_with("chr.") {
-            let rebound = self.chr.get(&key).is_some_and(|&old| old != ep);
-            if self.chr.get(&key) != Some(&ep) {
+            let rebound = self.mounts.chr.get(&key).is_some_and(|&old| old != ep);
+            if self.mounts.chr.get(&key) != Some(&ep) {
                 sh.gate.mark_dirty();
             }
             let ev = ctx
@@ -528,7 +500,7 @@ impl ServerLogic for Vfs {
                 .in_recovery_opt(rid)
                 .with_parent_opt(parent);
             ctx.trace_event(ev);
-            self.chr.insert(key, ep);
+            self.mounts.chr.insert(key, ep);
         }
     }
 
@@ -549,5 +521,25 @@ impl ServerLogic for Vfs {
             }
             _ => {}
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A data-store key longer than the one-byte prefix can say is cut,
+    /// prefix and bytes agreeing: the frame still decodes.
+    #[test]
+    fn an_overlong_key_is_cut_not_corrupted() {
+        let mut mounts = Mounts::default();
+        let long = format!("chr.{}\u{e9}tail", "x".repeat(250));
+        mounts.chr.insert(long.clone(), Endpoint::new(9, 1));
+        mounts
+            .chr
+            .insert("chr.kbd".to_string(), Endpoint::new(13, 1));
+        let restored = Vfs::decode(&mounts.encode()).expect("still one of ours");
+        let keys: Vec<&str> = restored.chr.keys().map(String::as_str).collect();
+        assert_eq!(keys, ["chr.kbd", &long[..254]]);
     }
 }

@@ -56,13 +56,15 @@ impl ServerLogic for Fake {
         self.value.to_le_bytes().to_vec()
     }
 
-    fn apply(&mut self, _ctx: &mut Ctx<'_>, payload: &[u8]) -> bool {
-        let Ok(raw) = payload.try_into() else {
-            return false;
-        };
-        self.value = u64::from_le_bytes(raw);
+    type Saved = u64;
+
+    fn decode(payload: &[u8]) -> Option<u64> {
+        Some(u64::from_le_bytes(payload.try_into().ok()?))
+    }
+
+    fn adopt(&mut self, _ctx: &mut Ctx<'_>, saved: u64) {
+        self.value = saved;
         self.log.borrow_mut().push(format!("apply:{}", self.value));
-        true
     }
 
     fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {

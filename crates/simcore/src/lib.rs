@@ -47,6 +47,7 @@ pub mod obs;
 pub mod rng;
 pub mod time;
 pub mod trace;
+pub mod wire;
 
 pub use event::{EventId, EventQueue};
 pub use export::{export_chrome_trace, export_jsonl, parse_jsonl};
