@@ -125,15 +125,11 @@ impl Snapshot {
             return Err(SnapshotError::BadCrc);
         }
         let mut fields = || {
-            Some(Snapshot::new(
-                r.u32()?,
-                r.u64()?,
-                r.bytes(Len::U32)?.to_vec(),
-            ))
+            let snap = Snapshot::new(r.u32()?, r.u64()?, r.bytes(Len::U32)?.to_vec());
+            r.finish()?;
+            Some(snap)
         };
-        let snap = fields().ok_or(SnapshotError::BadLength)?;
-        r.finish().ok_or(SnapshotError::BadLength)?;
-        Ok(snap)
+        fields().ok_or(SnapshotError::BadLength)
     }
 }
 

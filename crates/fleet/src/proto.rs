@@ -200,7 +200,7 @@ impl NodeSnapshot {
 }
 
 /// The fleet identity record a node keeps in its DS: `node:u8 gen:u32`.
-pub fn encode_identity(node: u8, gen: u32) -> Vec<u8> {
+pub(crate) fn encode_identity(node: u8, gen: u32) -> Vec<u8> {
     let mut w = Writer::new();
     w.u8(node);
     w.u32(gen);
@@ -208,7 +208,7 @@ pub fn encode_identity(node: u8, gen: u32) -> Vec<u8> {
 }
 
 /// Reads what [`encode_identity`] wrote.
-pub fn decode_identity(value: &[u8]) -> Option<(u8, u32)> {
+pub(crate) fn decode_identity(value: &[u8]) -> Option<(u8, u32)> {
     let mut r = Reader::new(value);
     let identity = (r.u8()?, r.u32()?);
     r.finish()?;

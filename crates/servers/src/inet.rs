@@ -485,7 +485,8 @@ impl ServerLogic for Inet {
         let dgram_app = Endpoint::get_opt(&mut r)?;
         let mut conns: Vec<Option<Conn>> = Vec::new();
         conns.resize_with(slab_len, || None);
-        r.seq(Len::U16, |r| {
+        // Each connection goes straight into its slot; nothing to keep.
+        let () = r.seq(Len::U16, |r| {
             let id = r.u16()?;
             let app = Endpoint::get(r)?;
             let bits = r.u8()?;

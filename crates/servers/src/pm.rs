@@ -87,15 +87,14 @@ impl ServerLogic for ProcessManager {
 
     fn decode(payload: &[u8]) -> Option<ProcessManager> {
         let mut r = Reader::new(payload);
-        let reaper = Endpoint::get_opt(&mut r)?;
-        let records = r.seq(Len::U16, |r| {
-            Some((r.str(Len::U8)?.to_string(), Endpoint::get(r)?))
-        })?;
+        let pm = ProcessManager {
+            reaper: Endpoint::get_opt(&mut r)?,
+            records: r.seq(Len::U16, |r| {
+                Some((r.str(Len::U8)?.to_string(), Endpoint::get(r)?))
+            })?,
+        };
         r.finish()?;
-        Some(ProcessManager {
-            reaper,
-            records: records.into_iter().collect(),
-        })
+        Some(pm)
     }
 
     /// A live reaper binding delivered after the restart (RS

@@ -418,17 +418,15 @@ impl ServerLogic for Vfs {
 
     fn decode(payload: &[u8]) -> Option<Mounts> {
         let mut r = Reader::new(payload);
-        let fs = Endpoint::get_opt(&mut r)?;
-        let fat = Endpoint::get_opt(&mut r)?;
-        let chr = r.seq(Len::U16, |r| {
-            Some((r.str(Len::U8)?.to_string(), Endpoint::get_opt(r)??))
-        })?;
+        let mounts = Mounts {
+            fs: Endpoint::get_opt(&mut r)?,
+            fat: Endpoint::get_opt(&mut r)?,
+            chr: r.seq(Len::U16, |r| {
+                Some((r.str(Len::U8)?.to_string(), Endpoint::get_opt(r)??))
+            })?,
+        };
         r.finish()?;
-        Some(Mounts {
-            fs,
-            fat,
-            chr: chr.into_iter().collect(),
-        })
+        Some(mounts)
     }
 
     /// Fills in only what the DS replay has not already delivered

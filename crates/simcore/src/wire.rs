@@ -97,13 +97,14 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.bytes(prefix)?).ok()
     }
 
-    /// A count-prefixed sequence of whatever `get` reads. Nothing is
-    /// allocated up front, so a garbage count costs no memory.
-    pub fn seq<T>(
+    /// A count-prefixed sequence of whatever `get` reads, collected into
+    /// what the caller keeps it in. Nothing is allocated up front, so a
+    /// garbage count costs no memory.
+    pub fn seq<T, C: FromIterator<T>>(
         &mut self,
         prefix: Len,
         mut get: impl FnMut(&mut Self) -> Option<T>,
-    ) -> Option<Vec<T>> {
+    ) -> Option<C> {
         let n = self.len(prefix)?;
         (0..n).map(|_| get(self)).collect()
     }
@@ -302,10 +303,12 @@ mod tests {
         let wire = w.into_bytes();
         let mut r = Reader::new(&wire);
         assert_eq!(r.seq(Len::U16, Reader::u32), Some(vec![3, 4, 5]));
-        assert_eq!(r.seq(Len::U8, Reader::u8).map(|v| v.len()), Some(255));
+        let bytes: Vec<u8> = r.seq(Len::U8, Reader::u8).expect("255 of them");
+        assert_eq!(bytes.len(), 255);
         assert_eq!(r.finish(), Some(()));
         // A count the bytes cannot back fails without allocating for it.
         let huge = [0xFF, 0xFF, 0xFF, 0xFF, 1];
-        assert_eq!(Reader::new(&huge).seq(Len::U32, Reader::u64), None);
+        let got: Option<Vec<u64>> = Reader::new(&huge).seq(Len::U32, Reader::u64);
+        assert_eq!(got, None);
     }
 }
