@@ -809,6 +809,110 @@ mod tests {
         assert_eq!(m.counter("slo.hol_depth.steady"), 1);
     }
 
+    /// The fold's answers, pinned at the commit before its per-request
+    /// `format!` and per-episode `Vec` were removed: every counter the
+    /// fold writes, over all five phases, as one rendered string.
+    #[test]
+    fn request_fold_renders_the_pinned_counters() {
+        let mut events = full_episode();
+        events.push(ev(700, "drv", kind::REPLAY, Some(1)));
+        let tl = fold_timeline(events.iter());
+        let reqs: Vec<RequestRecord> = (0..1000u64)
+            .map(|i| {
+                let start = (i * 7) % 1100;
+                let ok = i % 7 != 0;
+                RequestRecord {
+                    start: t(start),
+                    end: t(start + 1 + (i * 13) % 97),
+                    bytes: if ok { (i % 5) * 100 } else { 0 },
+                    ok,
+                }
+            })
+            .collect();
+        let mut m = MetricsRegistry::new();
+        tl.record_requests_into(&reqs, &mut m);
+        assert_eq!(m.render_counters(), PINNED_FOLD_COUNTERS);
+        let latencies: Vec<(&str, u64, Option<u64>)> = m
+            .log_histograms()
+            .map(|(name, h)| (name, h.count(), h.max()))
+            .collect();
+        assert_eq!(latencies, PINNED_FOLD_LATENCIES);
+    }
+
+    const PINNED_FOLD_COUNTERS: &str = "\
+        slo.failed.reintegrate = 24\n\
+        slo.failed.repair = 57\n\
+        slo.failed.replay = 24\n\
+        slo.failed.steady = 38\n\
+        slo.goodput_bytes.detect = 1400\n\
+        slo.goodput_bytes.reintegrate = 31800\n\
+        slo.goodput_bytes.repair = 65100\n\
+        slo.goodput_bytes.replay = 27400\n\
+        slo.goodput_bytes.steady = 45700\n\
+        slo.hol_depth.detect = 50\n\
+        slo.hol_depth.reintegrate = 44\n\
+        slo.hol_depth.repair = 51\n\
+        slo.hol_depth.replay = 44\n\
+        slo.hol_depth.steady = 51\n\
+        slo.phase_us.detect = 10\n\
+        slo.phase_us.reintegrate = 200\n\
+        slo.phase_us.repair = 390\n\
+        slo.phase_us.replay = 190\n\
+        slo.phase_us.steady = 397\n\
+        slo.requests.detect = 9\n\
+        slo.requests.reintegrate = 181\n\
+        slo.requests.repair = 383\n\
+        slo.requests.replay = 162\n\
+        slo.requests.steady = 265\n\
+    ";
+    const PINNED_FOLD_LATENCIES: [(&str, u64, Option<u64>); 5] = [
+        ("slo.latency.detect", 9, Some(74)),
+        ("slo.latency.reintegrate", 157, Some(97)),
+        ("slo.latency.repair", 326, Some(97)),
+        ("slo.latency.replay", 138, Some(97)),
+        ("slo.latency.steady", 227, Some(97)),
+    ];
+
+    #[test]
+    fn windows_are_the_same_triples_in_the_same_order() {
+        let windows = |events: Vec<TraceEvent>| -> Vec<(&'static str, SimTime, SimTime)> {
+            let tl = fold_timeline(events.iter());
+            tl.episodes[0].windows().into_iter().collect()
+        };
+        // Not noticed: only a corrupted-id skeleton, no defect event.
+        assert_eq!(
+            windows(vec![ev(520, "inet", kind::REINTEGRATE, Some(1))]),
+            vec![]
+        );
+        // Noticed only.
+        let mut events = full_episode();
+        events.truncate(3);
+        assert_eq!(windows(events), vec![(phase::DETECT, t(100), t(110))]);
+        // Alive, never published: reintegration is empty.
+        let mut events = full_episode();
+        events.truncate(4);
+        assert_eq!(
+            windows(events),
+            vec![
+                (phase::DETECT, t(100), t(110)),
+                (phase::REPAIR, t(110), t(500)),
+                (phase::REINTEGRATE, t(500), t(500)),
+            ]
+        );
+        // Full episode with a replay window.
+        let mut events = full_episode();
+        events.push(ev(700, "drv", kind::REPLAY, Some(1)));
+        assert_eq!(
+            windows(events),
+            vec![
+                (phase::DETECT, t(100), t(110)),
+                (phase::REPAIR, t(110), t(500)),
+                (phase::REPLAY, t(510), t(700)),
+                (phase::REINTEGRATE, t(500), t(900)),
+            ]
+        );
+    }
+
     #[test]
     fn request_fold_on_empty_input_is_a_noop() {
         let tl = fold_timeline(full_episode().iter());
