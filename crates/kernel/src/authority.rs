@@ -16,6 +16,8 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
+use phoenix_simcore::metrics::named_mut;
+
 use crate::privileges::{IpcFilter, KernelCall, Privileges};
 use crate::types::{DeviceId, IrqLine};
 
@@ -45,7 +47,7 @@ impl AuthorityUsage {
     }
 
     fn rec(&mut self, who: &str) -> &mut UsageRecord {
-        self.map.entry(who.to_string()).or_default()
+        named_mut(&mut self.map, who)
     }
 
     /// Records a successful IPC send from `from` to `to`.

@@ -7,6 +7,7 @@
 //! system calls through [`Ctx`].
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::rc::Rc;
 
 use phoenix_simcore::event::{EventId, EventQueue};
 use phoenix_simcore::metrics::MetricsRegistry;
@@ -85,10 +86,19 @@ enum SysEvent {
     ChaosKill {
         ep: Endpoint,
     },
+    /// An alarm firing: forgets the alarm, then delivers
+    /// [`ProcEvent::Alarm`] to its owner.
+    Alarm {
+        to: Endpoint,
+        id: AlarmId,
+        token: u64,
+    },
 }
 
 struct LiveProc {
-    name: String,
+    /// Interned at spawn: every dispatch, privilege check and chaos
+    /// envelope of this incarnation borrows or ref-counts this one copy.
+    name: Rc<str>,
     endpoint: Endpoint,
     parent: Option<Endpoint>,
     privileges: Privileges,
@@ -101,6 +111,16 @@ struct LiveProc {
 enum SlotState {
     Free,
     Live(Box<LiveProc>),
+}
+
+/// The live process at `ep`, if `ep` is its current incarnation. Takes the
+/// slot table rather than the [`System`] so a caller can hold the answer
+/// while it mutates the kernel's other tables.
+fn live_in(slots: &[SlotState], ep: Endpoint) -> Option<&LiveProc> {
+    match slots.get(ep.slot() as usize) {
+        Some(SlotState::Live(p)) if p.endpoint == ep => Some(p),
+        _ => None,
+    }
 }
 
 struct OpenCall {
@@ -133,6 +153,7 @@ pub struct System {
     generations: Vec<u32>,
     open_calls: BTreeMap<CallId, OpenCall>,
     next_call: u64,
+    /// Alarms set and not yet fired, cancelled or orphaned by a death.
     alarms: BTreeMap<AlarmId, (Endpoint, EventId)>,
     next_alarm: u64,
     irq_handlers: BTreeMap<IrqLine, Endpoint>,
@@ -144,6 +165,10 @@ pub struct System {
     rng: SimRng,
     chaos: Option<Box<dyn ChaosInterposer>>,
     chaos_rng: SimRng,
+    /// The side-effect buffer every hardware call fills and
+    /// [`System::apply_fx`] drains: taken, used and put back, so its
+    /// capacity is allocated once per kernel.
+    fx_scratch: Vec<HwSideEffect>,
     /// Endpoint currently being dispatched, with the number of sends +
     /// notifies it has originated within this dispatch (babble guard).
     cur_dispatch: Option<(Endpoint, u32)>,
@@ -202,6 +227,7 @@ impl System {
             rng,
             chaos: None,
             chaos_rng,
+            fx_scratch: Vec::new(),
             cur_dispatch: None,
             reply_windows: BTreeMap::new(),
             babble_flagged: BTreeMap::new(),
@@ -316,7 +342,7 @@ impl System {
         let mut out = BTreeMap::new();
         for s in &self.slots {
             if let SlotState::Live(p) = s {
-                out.insert(p.name.clone(), p.privileges.clone());
+                out.insert(p.name.to_string(), p.privileges.clone());
             }
         }
         for (name, entry) in &self.programs {
@@ -446,7 +472,7 @@ impl System {
             None => (None, 0),
         };
         self.slots[slot as usize] = SlotState::Live(Box::new(LiveProc {
-            name: name.to_string(),
+            name: Rc::from(name),
             endpoint: ep,
             parent,
             privileges,
@@ -553,17 +579,14 @@ impl System {
     /// the data store for naming, as the paper prescribes.
     pub fn endpoint_by_name(&self, name: &str) -> Option<Endpoint> {
         self.slots.iter().find_map(|s| match s {
-            SlotState::Live(p) if p.name == name => Some(p.endpoint),
+            SlotState::Live(p) if &*p.name == name => Some(p.endpoint),
             _ => None,
         })
     }
 
     /// Name of the live process at `ep`, if any.
     pub fn name_of(&self, ep: Endpoint) -> Option<&str> {
-        match self.slots.get(ep.slot() as usize) {
-            Some(SlotState::Live(p)) if p.endpoint == ep => Some(&p.name),
-            _ => None,
-        }
+        live_in(&self.slots, ep).map(|p| &*p.name)
     }
 
     /// [`System::name_of`] as a trace line spells it: owned, `?` for a
@@ -594,7 +617,7 @@ impl System {
         self.slots
             .iter()
             .filter_map(|s| match s {
-                SlotState::Live(p) => Some((p.name.clone(), p.endpoint)),
+                SlotState::Live(p) => Some((p.name.to_string(), p.endpoint)),
                 _ => None,
             })
             .collect()
@@ -621,12 +644,12 @@ impl System {
             format!("process {name} ({ep}) died: {reason:?}"),
         )
         .with_field("ev", "death")
-        .with_field("proc", name.as_str())
+        .with_field("proc", &*name)
         .with_field("reason", format!("{reason:?}"));
         self.trace.emit_event(death_ev);
         self.metrics.incr("kernel.deaths");
-        if self.sticky_names.contains(&name) {
-            self.retired_sticky.insert(ep, name.clone());
+        if self.sticky_names.contains(&*name) {
+            self.retired_sticky.insert(ep, name.to_string());
         }
         self.slots[slot] = SlotState::Free;
         // Tear down all kernel state referring to the dead incarnation.
@@ -667,7 +690,7 @@ impl System {
             )
             .with_field("ev", "abort")
             .with_field("caller", caller_name.as_str())
-            .with_field("callee", name.as_str());
+            .with_field("callee", &*name);
             self.trace.emit_event(abort_ev);
             self.queue.schedule_after(
                 IPC_LATENCY,
@@ -688,7 +711,7 @@ impl System {
         if let Some(parent) = parent {
             let status = ExitStatus {
                 endpoint: ep,
-                name,
+                name: name.to_string(),
                 reason,
             };
             self.queue.schedule_after(
@@ -718,27 +741,22 @@ impl System {
         let Some((_, ev)) = self.queue.pop() else {
             return StepStatus::Idle;
         };
+        self.handle(platform, ev);
+        StepStatus::Progress
+    }
+
+    fn handle(&mut self, platform: &mut dyn Platform, ev: SysEvent) {
         match ev {
             SysEvent::Deliver { to, item } => self.dispatch(platform, to, item),
+            SysEvent::Alarm { to, id, token } => {
+                self.alarms.remove(&id);
+                self.dispatch(platform, to, ProcEvent::Alarm { token });
+            }
             SysEvent::DevTimer { dev, token } => {
-                let mut fx = Vec::new();
-                let now = self.queue.now();
-                platform.timer(
-                    dev,
-                    token,
-                    &mut HwCtx::new(now, &mut self.mem, &mut self.rng, &mut fx),
-                );
-                self.apply_fx(fx);
+                self.with_hw(|hw| platform.timer(dev, token, hw));
             }
             SysEvent::External { channel, payload } => {
-                let mut fx = Vec::new();
-                let now = self.queue.now();
-                platform.external(
-                    channel,
-                    payload,
-                    &mut HwCtx::new(now, &mut self.mem, &mut self.rng, &mut fx),
-                );
-                self.apply_fx(fx);
+                self.with_hw(|hw| platform.external(channel, payload, hw));
             }
             SysEvent::ChaosKill { ep } => {
                 if self.is_live(ep) {
@@ -747,7 +765,17 @@ impl System {
                 }
             }
         }
-        StepStatus::Progress
+    }
+
+    /// Runs one hardware call against the kernel's memory, RNG and the
+    /// scratch side-effect buffer, then applies what the device asked for.
+    fn with_hw<R>(&mut self, call: impl FnOnce(&mut HwCtx<'_>) -> R) -> R {
+        let mut fx = std::mem::take(&mut self.fx_scratch);
+        let now = self.queue.now();
+        let out = call(&mut HwCtx::new(now, &mut self.mem, &mut self.rng, &mut fx));
+        self.apply_fx(&mut fx);
+        self.fx_scratch = fx;
+        out
     }
 
     /// Runs until the queue is idle or `max_events` were dispatched.
@@ -763,21 +791,16 @@ impl System {
     /// Runs all events up to and including time `t`, then advances the
     /// clock to exactly `t`.
     pub fn run_until(&mut self, platform: &mut dyn Platform, t: SimTime) {
-        loop {
-            match self.queue.peek_time() {
-                Some(next) if next <= t => {
-                    self.step(platform);
-                }
-                _ => break,
-            }
+        while let Some((_, ev)) = self.queue.pop_due(t) {
+            self.handle(platform, ev);
         }
         if self.queue.now() < t {
             self.queue.advance_to(t);
         }
     }
 
-    fn apply_fx(&mut self, fx: Vec<HwSideEffect>) {
-        for f in fx {
+    fn apply_fx(&mut self, fx: &mut Vec<HwSideEffect>) {
+        for f in fx.drain(..) {
             match f {
                 HwSideEffect::RaiseIrq(line) => match self.irq_handlers.get(&line) {
                     Some(&ep) => {
@@ -859,16 +882,17 @@ impl System {
                 .schedule_after(IPC_LATENCY, SysEvent::Deliver { to, item });
             return;
         };
-        let from_name = self.traced_name(from);
-        let to_name = self.traced_name(to);
-        let now = self.now();
+        let name_in = |slots, ep| live_in(slots, ep).map_or("?", |p| &*p.name);
+        let from_name = name_in(&self.slots, from);
+        let to_name = name_in(&self.slots, to);
+        let now = self.queue.now();
         let verdict = chaos.on_ipc(
             now,
             &IpcEnvelope {
                 from,
                 to,
-                from_name: &from_name,
-                to_name: &to_name,
+                from_name,
+                to_name,
                 class,
             },
             &mut self.chaos_rng,
@@ -1102,7 +1126,7 @@ impl System {
         // analyze:allow(panic-reach): kernel TCB invariant — handler is only absent
         // while that same process is being dispatched, and dispatch is not reentrant.
         let mut handler = p.handler.take().expect("handler present for live process");
-        let name = p.name.clone();
+        let name = Rc::clone(&p.name);
         let mut ctx = Ctx {
             sys: self,
             platform,
@@ -1141,7 +1165,7 @@ pub struct Ctx<'a> {
     sys: &'a mut System,
     platform: &'a mut dyn Platform,
     self_ep: Endpoint,
-    self_name: String,
+    self_name: Rc<str>,
     exit: Option<ExitReason>,
     hang: bool,
 }
@@ -1170,15 +1194,14 @@ impl<'a> Ctx<'a> {
     /// Emits a trace event attributed to this process.
     pub fn trace(&mut self, level: TraceLevel, message: String) {
         let now = self.sys.now();
-        let name = self.self_name.clone();
-        self.sys.trace.emit(now, level, &name, message);
+        self.sys.trace.emit(now, level, &self.self_name, message);
     }
 
     /// Builds a structured event attributed to this process at the current
     /// virtual time. Chain `with_field`/`in_recovery`/`with_span` on the
     /// result and record it with [`Ctx::trace_event`].
     pub fn event(&self, level: TraceLevel, message: impl Into<String>) -> TraceEvent {
-        TraceEvent::new(self.sys.now(), level, self.self_name.clone(), message)
+        TraceEvent::new(self.sys.now(), level, &*self.self_name, message)
     }
 
     /// Records a structured event (subject to the ring's level filter).
@@ -1197,11 +1220,17 @@ impl<'a> Ctx<'a> {
     }
 
     fn privileges(&self) -> &Privileges {
-        match &self.sys.slots[self.self_ep.slot() as usize] {
-            SlotState::Live(p) => &p.privileges,
+        Self::privileges_in(&self.sys.slots, self.self_ep)
+    }
+
+    /// [`Ctx::privileges`] over the slot table alone, for a check that
+    /// records into another kernel table while it holds the answer.
+    fn privileges_in(slots: &[SlotState], self_ep: Endpoint) -> &Privileges {
+        match live_in(slots, self_ep) {
+            Some(p) => &p.privileges,
             // analyze:allow(panic-reach): kernel TCB invariant — a Ctx only exists
             // while its process runs, and a running process is by construction live.
-            _ => unreachable!("running process must be live"),
+            None => unreachable!("running process must be live"),
         }
     }
 
@@ -1215,16 +1244,18 @@ impl<'a> Ctx<'a> {
     }
 
     fn check_ipc_target(&mut self, dst: Endpoint) -> Result<(), IpcError> {
-        let name = self
-            .sys
-            .name_of(dst)
+        let sys = &mut *self.sys;
+        let name = &*live_in(&sys.slots, dst)
             .ok_or(IpcError::DeadDestination)?
-            .to_string();
-        if self.privileges().ipc.allows(&name) {
-            self.sys.usage.record_ipc(&self.self_name, &name);
+            .name;
+        if Self::privileges_in(&sys.slots, self.self_ep)
+            .ipc
+            .allows(name)
+        {
+            sys.usage.record_ipc(&self.self_name, name);
             Ok(())
         } else {
-            self.sys.metrics.incr("ipc.denied");
+            sys.metrics.incr("ipc.denied");
             Err(IpcError::NotPermitted)
         }
     }
@@ -1518,13 +1549,10 @@ impl<'a> Ctx<'a> {
         let id = AlarmId(self.sys.next_alarm);
         self.sys.next_alarm += 1;
         let ep = self.self_ep;
-        let evt = self.sys.queue.schedule_after(
-            after,
-            SysEvent::Deliver {
-                to: ep,
-                item: ProcEvent::Alarm { token },
-            },
-        );
+        let evt = self
+            .sys
+            .queue
+            .schedule_after(after, SysEvent::Alarm { to: ep, id, token });
         self.sys.alarms.insert(id, (ep, evt));
         Ok(id)
     }
@@ -1566,15 +1594,7 @@ impl<'a> Ctx<'a> {
     /// [`KernelError::NoSuchDevice`] if the bus has no such device.
     pub fn devio_read(&mut self, dev: DeviceId, reg: u16) -> Result<u32, KernelError> {
         self.check_device(dev)?;
-        let mut fx = Vec::new();
-        let now = self.sys.now();
-        let v = self.platform.io_read(
-            dev,
-            reg,
-            &mut HwCtx::new(now, &mut self.sys.mem, &mut self.sys.rng, &mut fx),
-        );
-        self.sys.apply_fx(fx);
-        Ok(v)
+        Ok(self.sys.with_hw(|hw| self.platform.io_read(dev, reg, hw)))
     }
 
     /// Writes a device register (`sys_devio`).
@@ -1584,15 +1604,8 @@ impl<'a> Ctx<'a> {
     /// Same as [`Ctx::devio_read`].
     pub fn devio_write(&mut self, dev: DeviceId, reg: u16, value: u32) -> Result<(), KernelError> {
         self.check_device(dev)?;
-        let mut fx = Vec::new();
-        let now = self.sys.now();
-        self.platform.io_write(
-            dev,
-            reg,
-            value,
-            &mut HwCtx::new(now, &mut self.sys.mem, &mut self.sys.rng, &mut fx),
-        );
-        self.sys.apply_fx(fx);
+        self.sys
+            .with_hw(|hw| self.platform.io_write(dev, reg, value, hw));
         Ok(())
     }
 
@@ -1608,16 +1621,9 @@ impl<'a> Ctx<'a> {
         len: usize,
     ) -> Result<Vec<u8>, KernelError> {
         self.check_device(dev)?;
-        let mut fx = Vec::new();
-        let now = self.sys.now();
-        let data = self.platform.io_read_block(
-            dev,
-            reg,
-            len,
-            &mut HwCtx::new(now, &mut self.sys.mem, &mut self.sys.rng, &mut fx),
-        );
-        self.sys.apply_fx(fx);
-        Ok(data)
+        Ok(self
+            .sys
+            .with_hw(|hw| self.platform.io_read_block(dev, reg, len, hw)))
     }
 
     /// Buffered port output (MINIX `sys_sdevio`).
@@ -1632,15 +1638,8 @@ impl<'a> Ctx<'a> {
         data: &[u8],
     ) -> Result<(), KernelError> {
         self.check_device(dev)?;
-        let mut fx = Vec::new();
-        let now = self.sys.now();
-        self.platform.io_write_block(
-            dev,
-            reg,
-            data,
-            &mut HwCtx::new(now, &mut self.sys.mem, &mut self.sys.rng, &mut fx),
-        );
-        self.sys.apply_fx(fx);
+        self.sys
+            .with_hw(|hw| self.platform.io_write_block(dev, reg, data, hw));
         Ok(())
     }
 
@@ -1794,5 +1793,66 @@ impl<'a> Ctx<'a> {
         self.sys
             .mem
             .safecopy_to(self.self_ep, granter, grant, grant_offset, src_offset, len)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::cell::RefCell;
+
+    use super::*;
+    use crate::platform::NullPlatform;
+
+    /// Sets `n` 1 ms alarms at start and cancels the first at once; on a
+    /// signal, tries to cancel every one of them and reports the answers.
+    struct Alarmist {
+        n: u64,
+        ids: Vec<AlarmId>,
+        recancelled: Rc<RefCell<Vec<bool>>>,
+    }
+
+    impl Process for Alarmist {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+            match event {
+                ProcEvent::Start => {
+                    for token in 0..self.n {
+                        let id = ctx.set_alarm(SimDuration::from_millis(1), token);
+                        self.ids.push(id.expect("servers may set alarms"));
+                    }
+                    assert!(ctx.cancel_alarm(self.ids[0]));
+                }
+                ProcEvent::Signal(_) => {
+                    *self.recancelled.borrow_mut() =
+                        self.ids.iter().map(|&id| ctx.cancel_alarm(id)).collect();
+                }
+                _ => {}
+            }
+        }
+    }
+
+    #[test]
+    fn a_fired_alarm_is_forgotten() {
+        let mut sys = System::new(SystemConfig::default());
+        let recancelled = Rc::new(RefCell::new(Vec::new()));
+        let ep = sys.spawn_boot(
+            "a",
+            Privileges::server(),
+            Box::new(Alarmist {
+                n: 50,
+                ids: Vec::new(),
+                recancelled: Rc::clone(&recancelled),
+            }),
+        );
+        sys.step(&mut NullPlatform);
+        assert_eq!(sys.alarms.len(), 49, "50 set, one cancelled");
+        sys.run_until(&mut NullPlatform, SimTime::from_micros(2_000));
+        assert!(sys.alarms.is_empty(), "49 fired: nothing left to walk");
+        sys.kill_by_user(ep, Signal::Term);
+        sys.run_until_idle(&mut NullPlatform, 10);
+        assert_eq!(
+            *recancelled.borrow(),
+            vec![false; 50],
+            "neither the cancelled alarm nor a fired one is pending"
+        );
     }
 }

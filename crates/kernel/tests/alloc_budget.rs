@@ -1,0 +1,230 @@
+//! Heap budget of the per-message path: how many allocations one IPC
+//! round trip, notification, alarm, device write or counter increment may
+//! make once the containers they touch have grown.
+//!
+//! This file holds the only `unsafe` in the workspace: a counting
+//! [`GlobalAlloc`] that forwards to [`System`](std::alloc::System), the
+//! same shape as `benchmark/src/alloc.rs`. It is confined to this test
+//! binary, which is why the budget is a single test in a file of its own —
+//! a second test running on another thread would be counted too.
+
+use std::alloc::{GlobalAlloc, Layout};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use phoenix_kernel::chaos::{ChaosInterposer, ChaosVerdict, IpcEnvelope};
+use phoenix_kernel::platform::{HwCtx, Platform};
+use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
+use phoenix_kernel::process::{ProcEvent, Process};
+use phoenix_kernel::system::{Ctx, System, SystemConfig};
+use phoenix_kernel::types::{DeviceId, Endpoint, Message, Signal};
+use phoenix_simcore::rng::SimRng;
+use phoenix_simcore::time::{SimDuration, SimTime};
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
+// read on the thread that bumped it) touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout` (this allocator
+        // hands out nothing else); the caller vouches for `new_size`.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const DEV: DeviceId = DeviceId(1);
+const IRQ: u8 = 4;
+/// Iterations one "go" signal starts.
+const BATCH: u32 = 100;
+
+/// A chaos plan that lets everything through, so every send takes the
+/// interposed branch and the envelope carries both names.
+struct AlwaysDeliver;
+
+impl ChaosInterposer for AlwaysDeliver {
+    fn on_ipc(&mut self, _now: SimTime, env: &IpcEnvelope<'_>, _rng: &mut SimRng) -> ChaosVerdict {
+        assert!(
+            matches!(
+                (env.from_name, env.to_name),
+                ("ping", "pong") | ("pong", "ping")
+            ),
+            "the interposer sees both names: {env:?}"
+        );
+        ChaosVerdict::Deliver
+    }
+}
+
+/// Every register write raises the IRQ line.
+struct IrqOnWrite;
+
+impl Platform for IrqOnWrite {
+    fn io_read(&mut self, _dev: DeviceId, _reg: u16, _ctx: &mut HwCtx<'_>) -> u32 {
+        0
+    }
+    fn io_write(&mut self, _dev: DeviceId, _reg: u16, _value: u32, ctx: &mut HwCtx<'_>) {
+        ctx.raise_irq(IRQ);
+    }
+    fn timer(&mut self, _dev: DeviceId, _token: u64, _ctx: &mut HwCtx<'_>) {}
+    fn external(&mut self, _channel: u64, _payload: Vec<u8>, _ctx: &mut HwCtx<'_>) {}
+    fn has_device(&self, dev: DeviceId) -> bool {
+        dev == DEV
+    }
+}
+
+#[derive(Clone, Copy)]
+enum Op {
+    RoundTrip,
+    Notify,
+    AlarmFires,
+    AlarmCancelled,
+    DevWrite,
+    Incr,
+}
+
+/// `ping`: SIGTERM is the test's "go" — run `op` [`BATCH`] times, each
+/// completion event starting the next iteration.
+struct Ping {
+    pong: Endpoint,
+    op: Op,
+    left: u32,
+}
+
+impl Ping {
+    fn step(&mut self, ctx: &mut Ctx<'_>) {
+        while self.left > 0 {
+            self.left -= 1;
+            match self.op {
+                Op::RoundTrip => {
+                    ctx.sendrec(self.pong, Message::new(1)).expect("permitted");
+                    return;
+                }
+                Op::Notify => return ctx.notify(self.pong).expect("permitted"),
+                Op::AlarmFires => {
+                    ctx.set_alarm(SimDuration::from_millis(1), 7)
+                        .expect("permitted");
+                    return;
+                }
+                Op::DevWrite => return ctx.devio_write(DEV, 0, 1).expect("permitted"),
+                // These two complete within the call: no event to wait for.
+                Op::AlarmCancelled => {
+                    let id = ctx
+                        .set_alarm(SimDuration::from_secs(1), 7)
+                        .expect("permitted");
+                    assert!(ctx.cancel_alarm(id));
+                }
+                Op::Incr => ctx.metrics().incr("ipc.sends"),
+            }
+        }
+    }
+}
+
+impl Process for Ping {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+        match event {
+            ProcEvent::Start => ctx.irq_enable(IRQ).expect("permitted"),
+            ProcEvent::Signal(Signal::Term) => {
+                self.left = BATCH;
+                self.step(ctx);
+            }
+            ProcEvent::Reply { .. }
+            | ProcEvent::Notify { .. }
+            | ProcEvent::Alarm { .. }
+            | ProcEvent::Irq { .. } => self.step(ctx),
+            _ => {}
+        }
+    }
+}
+
+/// `pong`: answers a request with a reply and a notification with one back.
+struct Pong;
+
+impl Process for Pong {
+    fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+        match event {
+            ProcEvent::Request { call, .. } => ctx.reply(call, Message::new(2)).expect("open"),
+            ProcEvent::Notify { from } => ctx.notify(from).expect("permitted"),
+            _ => {}
+        }
+    }
+}
+
+/// Allocations made while `ping` runs `op` `iters` times, after one warm-up
+/// batch on the same kernel has grown every container the loop touches.
+fn allocations(op: Op, iters: u32) -> u64 {
+    let mut sys = System::new(SystemConfig::default());
+    sys.set_chaos(Box::new(AlwaysDeliver));
+    let pong = sys.spawn_boot(
+        "pong",
+        Privileges::server().with_ipc(IpcFilter::named(["ping"])),
+        Box::new(Pong),
+    );
+    let ping = sys.spawn_boot(
+        "ping",
+        Privileges::driver(DEV, IRQ)
+            .with_ipc(IpcFilter::named(["pong"]))
+            .with_calls([KernelCall::Devio, KernelCall::IrqCtl, KernelCall::SetAlarm]),
+        Box::new(Ping { pong, op, left: 0 }),
+    );
+    let mut hw = IrqOnWrite;
+    let mut run = |batches: u32| {
+        for _ in 0..batches {
+            assert!(sys.kill_by_user(ping, Signal::Term));
+            sys.run_until_idle(&mut hw, u64::MAX);
+        }
+    };
+    run(1);
+    let before = ALLOCS.load(Ordering::Relaxed);
+    run(iters / BATCH);
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// At the commit before the per-message path stopped copying names the
+/// same loops read, over 1,000 iterations: `sendrec` + `reply` 10,010 (5 per
+/// message), `notify` 12,010 (two notifications an iteration, 6 each), an
+/// alarm that fires 2,176, `set_alarm` + `cancel_alarm` 1,170, `devio_write`
+/// + IRQ 5,010, `incr` 1,010. The odd tens are the ten "go" signals.
+#[test]
+fn the_per_message_path_stays_off_the_heap() {
+    const ITERS: u32 = 1_000;
+    let round_trip = allocations(Op::RoundTrip, ITERS);
+    let quiet = [
+        ("notify", allocations(Op::Notify, ITERS)),
+        ("alarm that fires", allocations(Op::AlarmFires, ITERS)),
+        (
+            "set_alarm + cancel_alarm",
+            allocations(Op::AlarmCancelled, ITERS),
+        ),
+        ("devio_write + irq", allocations(Op::DevWrite, ITERS)),
+        ("incr", allocations(Op::Incr, ITERS)),
+    ];
+    eprintln!("sendrec + reply: {round_trip}; {quiet:?}");
+    for (what, n) in quiet {
+        assert!(n <= 8, "{what}: {n} allocations over {ITERS} iterations");
+    }
+    // One B-tree node of `open_calls` per handful of calls, amortised.
+    assert!(
+        round_trip <= u64::from(ITERS),
+        "sendrec + reply: {round_trip} allocations over {ITERS} round trips"
+    );
+}

@@ -6,21 +6,36 @@
 //! insertion order (FIFO), which keeps runs deterministic.
 
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
+use std::collections::binary_heap::{BinaryHeap, PeekMut};
 
 use crate::time::{SimDuration, SimTime};
 
 /// Identifies a scheduled event so it can be cancelled.
 ///
 /// Ids are unique for the lifetime of one [`EventQueue`] and are never
-/// reused.
+/// reused: the slot an event occupied is, but the generation is part of
+/// the id.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
-pub struct EventId(u64);
+pub struct EventId {
+    slot: usize,
+    generation: u64,
+}
+
+/// One entry of the liveness slab. A slot belongs to one heap entry from
+/// `schedule_at` until that entry leaves the heap (delivered, or discarded
+/// as cancelled); only then does it go back on the free list.
+struct Slot {
+    /// Schedule sequence number of the current (or last) occupant: it
+    /// never repeats, so a stale id can never match a later occupant.
+    generation: u64,
+    /// Set while the occupant is scheduled and not cancelled.
+    live: bool,
+}
 
 struct Scheduled<E> {
     at: SimTime,
     seq: u64,
-    id: EventId,
+    slot: usize,
     payload: E,
 }
 
@@ -52,6 +67,11 @@ impl<E> Ord for Scheduled<E> {
 /// Scheduling in the past is not allowed and panics, because it would break
 /// causality within the simulation.
 ///
+/// Cancellation is lazy: the heap entry stays where it is and is skipped
+/// when it surfaces. What makes that O(1) is the slab beside the heap — an
+/// id is live iff its slot's generation matches and the slot's `live` flag
+/// is set.
+///
 /// # Example
 ///
 /// ```
@@ -69,8 +89,10 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Scheduled<E>>,
     now: SimTime,
     next_seq: u64,
-    pending: std::collections::BTreeSet<EventId>,
-    cancelled: std::collections::BTreeSet<EventId>,
+    slots: Vec<Slot>,
+    free: Vec<usize>,
+    /// Heap entries whose slot is no longer live.
+    cancelled: usize,
     popped: u64,
 }
 
@@ -87,8 +109,9 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             now: SimTime::ZERO,
             next_seq: 0,
-            pending: std::collections::BTreeSet::new(),
-            cancelled: std::collections::BTreeSet::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
+            cancelled: 0,
             popped: 0,
         }
     }
@@ -105,7 +128,7 @@ impl<E> EventQueue<E> {
 
     /// Number of pending (non-cancelled) events.
     pub fn len(&self) -> usize {
-        self.heap.len() - self.cancelled.len()
+        self.heap.len() - self.cancelled
     }
 
     /// `true` if no live events remain.
@@ -124,16 +147,32 @@ impl<E> EventQueue<E> {
             "cannot schedule event in the past: {at:?} < now {:?}",
             self.now
         );
-        let id = EventId(self.next_seq);
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        let occupant = Slot {
+            generation: seq,
+            live: true,
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot] = occupant;
+                slot
+            }
+            None => {
+                self.slots.push(occupant);
+                self.slots.len() - 1
+            }
+        };
         self.heap.push(Scheduled {
             at,
-            seq: self.next_seq,
-            id,
+            seq,
+            slot,
             payload,
         });
-        self.pending.insert(id);
-        self.next_seq += 1;
-        id
+        EventId {
+            slot,
+            generation: seq,
+        }
     }
 
     /// Schedules `payload` for delivery `delay` after the current time.
@@ -152,14 +191,46 @@ impl<E> EventQueue<E> {
     /// Returns `true` if the event was still pending. Cancelling an already
     /// delivered or already cancelled event returns `false` and is harmless.
     pub fn cancel(&mut self, id: EventId) -> bool {
-        // We cannot remove from the middle of a BinaryHeap; remember the id
-        // and skip it at pop time (lazy deletion).
-        if self.pending.remove(&id) {
-            self.cancelled.insert(id);
-            true
-        } else {
-            false
+        // We cannot remove from the middle of a BinaryHeap; clear the
+        // slot's flag and skip the entry at pop time (lazy deletion).
+        match self.slots.get_mut(id.slot) {
+            Some(slot) if slot.generation == id.generation && slot.live => {
+                slot.live = false;
+                self.cancelled += 1;
+                true
+            }
+            _ => false,
         }
+    }
+
+    /// Timestamp of the earliest live event, discarding the cancelled
+    /// entries above it.
+    fn next_live_at(&mut self) -> Option<SimTime> {
+        while let Some(top) = self.heap.peek_mut() {
+            if self.slots[top.slot].live {
+                return Some(top.at);
+            }
+            self.free.push(PeekMut::pop(top).slot);
+            self.cancelled -= 1;
+        }
+        None
+    }
+
+    /// Pops the earliest live event if it is due at or before `t`,
+    /// advancing the clock to its timestamp.
+    pub fn pop_due(&mut self, t: SimTime) -> Option<(SimTime, E)> {
+        if self.next_live_at()? > t {
+            return None;
+        }
+        // analyze:allow(panic-reach): `next_live_at` returned the time of
+        // the heap's top entry one line up; pop cannot miss.
+        let s = self.heap.pop().expect("peeked event vanished");
+        self.slots[s.slot].live = false;
+        self.free.push(s.slot);
+        debug_assert!(s.at >= self.now, "event queue produced out-of-order event");
+        self.now = s.at;
+        self.popped += 1;
+        Some((s.at, s.payload))
     }
 
     /// Pops the earliest live event, advancing the clock to its timestamp.
@@ -167,17 +238,7 @@ impl<E> EventQueue<E> {
     /// Returns `None` when the queue is exhausted; the clock then stays at
     /// the time of the last delivered event.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(s) = self.heap.pop() {
-            if self.cancelled.remove(&s.id) {
-                continue;
-            }
-            self.pending.remove(&s.id);
-            debug_assert!(s.at >= self.now, "event queue produced out-of-order event");
-            self.now = s.at;
-            self.popped += 1;
-            return Some((s.at, s.payload));
-        }
-        None
+        self.pop_due(SimTime::from_micros(u64::MAX))
     }
 
     /// Advances the clock to `t` without delivering anything.
@@ -190,29 +251,13 @@ impl<E> EventQueue<E> {
     /// popped first) or if `t` is in the past.
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot advance clock backwards");
-        if let Some(next) = self.peek_time() {
+        if let Some(next) = self.next_live_at() {
             assert!(
                 next >= t,
                 "cannot skip over pending event at {next:?} while advancing to {t:?}"
             );
         }
         self.now = t;
-    }
-
-    /// Timestamp of the next live event without popping it.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        // Drop cancelled events off the top first so the answer is live.
-        while let Some(top) = self.heap.peek() {
-            if self.cancelled.contains(&top.id) {
-                // analyze:allow(panic-reach): the heap was non-empty one
-                // line up (peek returned Some); pop cannot miss.
-                let s = self.heap.pop().expect("peeked event vanished");
-                self.cancelled.remove(&s.id);
-            } else {
-                return Some(top.at);
-            }
-        }
-        None
     }
 }
 
@@ -275,16 +320,39 @@ mod tests {
     #[test]
     fn cancel_unknown_id_is_harmless() {
         let mut q: EventQueue<()> = EventQueue::new();
-        assert!(!q.cancel(EventId(999)));
+        let unknown = EventId {
+            slot: 999,
+            generation: 999,
+        };
+        assert!(!q.cancel(unknown));
+        q.schedule_now(());
+        assert!(!q.cancel(unknown), "nor with a slot table to miss in");
+        assert_eq!(q.len(), 1);
     }
 
     #[test]
-    fn peek_time_skips_cancelled() {
+    fn pop_due_skips_cancelled_and_stops_at_the_limit() {
         let mut q = EventQueue::new();
         let a = q.schedule_after(SimDuration::from_micros(1), 'a');
         q.schedule_after(SimDuration::from_micros(5), 'b');
         q.cancel(a);
-        assert_eq!(q.peek_time(), Some(SimTime::from_micros(5)));
+        assert_eq!(q.pop_due(SimTime::from_micros(4)), None);
+        assert_eq!(q.now(), SimTime::ZERO, "nothing due: the clock stays");
+        assert_eq!(
+            q.pop_due(SimTime::from_micros(5)),
+            Some((SimTime::from_micros(5), 'b'))
+        );
+        assert_eq!(q.pop_due(SimTime::from_micros(9)), None);
+    }
+
+    #[test]
+    fn a_stale_id_does_not_cancel_the_slot_s_next_occupant() {
+        let mut q = EventQueue::new();
+        let first = q.schedule_after(SimDuration::from_micros(1), 'a');
+        q.pop();
+        let second = q.schedule_after(SimDuration::from_micros(1), 'b');
+        assert_eq!(first.slot, second.slot, "the slot is reused");
+        assert!(!q.cancel(first));
         assert_eq!(q.pop().map(|(_, e)| e), Some('b'));
     }
 

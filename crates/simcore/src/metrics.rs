@@ -318,6 +318,19 @@ impl LogHistogram {
     }
 }
 
+/// The entry of a name-keyed table, created on first touch. The lookup
+/// borrows `name`; the owned key is built only for the insertion, so
+/// touching an entry that exists — every time but the first — stays off
+/// the heap.
+pub fn named_mut<'a, V: Default>(table: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !table.contains_key(name) {
+        table.insert(name.to_string(), V::default());
+    }
+    // analyze:allow(panic-reach): the key was inserted two lines up if it
+    // was absent; the lookup cannot miss.
+    table.get_mut(name).expect("present or just inserted")
+}
+
 /// A named collection of counters and histograms.
 ///
 /// The registry is shared by the OS components and read out by the harness
@@ -352,7 +365,7 @@ impl MetricsRegistry {
 
     /// Mutable access to a counter, creating it if absent.
     pub fn counter_mut(&mut self, name: &str) -> &mut Counter {
-        self.counters.entry(name.to_string()).or_default()
+        named_mut(&mut self.counters, name)
     }
 
     /// Value of a counter, zero if absent.
@@ -362,7 +375,7 @@ impl MetricsRegistry {
 
     /// Mutable access to a histogram, creating it if absent.
     pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        self.histograms.entry(name.to_string()).or_default()
+        named_mut(&mut self.histograms, name)
     }
 
     /// Records a duration sample into the named histogram — the typed
@@ -381,7 +394,7 @@ impl MetricsRegistry {
     /// absent. High-volume series (per-request latencies) go here; the
     /// exact-sample [`Histogram`] stays for small recovery-time series.
     pub fn log_histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
-        self.log_histograms.entry(name.to_string()).or_default()
+        named_mut(&mut self.log_histograms, name)
     }
 
     /// Read access to a log-bucketed histogram, if present.

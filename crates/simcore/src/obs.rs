@@ -93,6 +93,44 @@ pub mod phase {
     pub const ALL: [&str; 5] = [STEADY, DETECT, REPAIR, REINTEGRATE, REPLAY];
 }
 
+/// The `slo.*` metric names of one phase, so the request fold names a
+/// counter without building its name.
+struct SloNames {
+    phase: &'static str,
+    requests: &'static str,
+    failed: &'static str,
+    latency: &'static str,
+    goodput_bytes: &'static str,
+    phase_us: &'static str,
+    hol_depth: &'static str,
+}
+
+macro_rules! slo_names {
+    ($($phase:literal),*) => {
+        [$(SloNames {
+            phase: $phase,
+            requests: concat!("slo.requests.", $phase),
+            failed: concat!("slo.failed.", $phase),
+            latency: concat!("slo.latency.", $phase),
+            goodput_bytes: concat!("slo.goodput_bytes.", $phase),
+            phase_us: concat!("slo.phase_us.", $phase),
+            hol_depth: concat!("slo.hol_depth.", $phase),
+        }),*]
+    };
+}
+
+/// One row per label of [`phase::ALL`], in that order.
+static SLO_NAMES: [SloNames; 5] = slo_names!("steady", "detect", "repair", "reintegrate", "replay");
+
+fn slo_names(phase: &str) -> &'static SloNames {
+    SLO_NAMES
+        .iter()
+        .find(|names| names.phase == phase)
+        // analyze:allow(panic-reach): callers pass a label of `phase::ALL`,
+        // and a unit test holds the table to that list.
+        .expect("a label of phase::ALL")
+}
+
 /// One client request as recorded by the load generator: issue and
 /// completion instants on the virtual clock, payload size, and whether
 /// it completed successfully. The attribution fold joins these against
@@ -220,25 +258,26 @@ impl Episode {
     /// window). Windows are half-open `[start, end)`: a request
     /// completing exactly when the last dependent resumed already sees
     /// the recovered system and counts as steady state.
-    pub fn windows(&self) -> Vec<(&'static str, SimTime, SimTime)> {
-        let Some(noticed) = self.noticed_at else {
-            return Vec::new();
-        };
-        let start = self.defect_at.unwrap_or(noticed);
-        let mut out = vec![(phase::DETECT, start, noticed)];
-        let Some(alive) = self.alive_at else {
-            return out;
-        };
-        out.push((phase::REPAIR, noticed, alive));
-        if let (Some(published), Some(replay_done)) = (self.published_at, self.replay_done_at) {
-            out.push((phase::REPLAY, published, replay_done));
+    pub fn windows(&self) -> impl Iterator<Item = (&'static str, SimTime, SimTime)> {
+        let mut out = [None; 4];
+        if let Some(noticed) = self.noticed_at {
+            let start = self.defect_at.unwrap_or(noticed);
+            out[0] = Some((phase::DETECT, start, noticed));
+            if let Some(alive) = self.alive_at {
+                out[1] = Some((phase::REPAIR, noticed, alive));
+                if let (Some(published), Some(replay_done)) =
+                    (self.published_at, self.replay_done_at)
+                {
+                    out[2] = Some((phase::REPLAY, published, replay_done));
+                }
+                let reint_end = [self.published_at, self.resumed_at, self.replay_done_at]
+                    .into_iter()
+                    .flatten()
+                    .fold(alive, SimTime::max);
+                out[3] = Some((phase::REINTEGRATE, alive, reint_end));
+            }
         }
-        let reint_end = [self.published_at, self.resumed_at, self.replay_done_at]
-            .into_iter()
-            .flatten()
-            .fold(alive, SimTime::max);
-        out.push((phase::REINTEGRATE, alive, reint_end));
-        out
+        out.into_iter().flatten()
     }
 
     /// One human-readable summary line.
@@ -473,15 +512,15 @@ impl Timeline {
             return;
         }
         for r in requests {
-            let (ph, _) = self.attribute(r.end);
-            metrics.incr(&format!("slo.requests.{ph}"));
+            let names = slo_names(self.attribute(r.end).0);
+            metrics.incr(names.requests);
             if r.ok {
                 metrics
-                    .log_histogram_mut(&format!("slo.latency.{ph}"))
+                    .log_histogram_mut(names.latency)
                     .record_duration(r.end.since(r.start));
-                metrics.add(&format!("slo.goodput_bytes.{ph}"), r.bytes);
+                metrics.add(names.goodput_bytes, r.bytes);
             } else {
-                metrics.incr(&format!("slo.failed.{ph}"));
+                metrics.incr(names.failed);
             }
         }
         // Phase wall-time: clip every episode window to the request span
@@ -504,13 +543,16 @@ impl Timeline {
                 let e = if end < span_end { end } else { span_end };
                 if e > s {
                     let us = e.since(s).as_micros();
-                    metrics.add(&format!("slo.phase_us.{ph}"), us);
+                    metrics.add(slo_names(ph).phase_us, us);
                     recovery_us += us;
                     charged_until = e;
                 }
             }
         }
-        metrics.add("slo.phase_us.steady", span_us.saturating_sub(recovery_us));
+        metrics.add(
+            slo_names(phase::STEADY).phase_us,
+            span_us.saturating_sub(recovery_us),
+        );
         // Head-of-line depth: sweep arrivals/completions in time order
         // (completions first at equal instants) and record the peak
         // in-flight depth seen within each phase.
@@ -531,7 +573,7 @@ impl Timeline {
             }
         }
         for (ph, d) in peak {
-            metrics.set(&format!("slo.hol_depth.{ph}"), d.max(0) as u64);
+            metrics.set(slo_names(ph).hol_depth, d.max(0) as u64);
         }
     }
 
@@ -701,7 +743,7 @@ mod tests {
     fn windows_partition_an_episode_in_precedence_order() {
         let tl = fold_timeline(full_episode().iter());
         let ep = &tl.episodes[0];
-        let w = ep.windows();
+        let w: Vec<_> = ep.windows().collect();
         // detection [100,110), repair [110,500), reintegrate [500,900).
         assert_eq!(w[0], (phase::DETECT, t(100), t(110)));
         assert_eq!(w[1], (phase::REPAIR, t(110), t(500)));
@@ -874,10 +916,16 @@ mod tests {
     ];
 
     #[test]
+    fn the_name_table_has_one_row_per_phase_label() {
+        let rows: Vec<&str> = SLO_NAMES.iter().map(|names| names.phase).collect();
+        assert_eq!(rows, phase::ALL);
+    }
+
+    #[test]
     fn windows_are_the_same_triples_in_the_same_order() {
         let windows = |events: Vec<TraceEvent>| -> Vec<(&'static str, SimTime, SimTime)> {
             let tl = fold_timeline(events.iter());
-            tl.episodes[0].windows().into_iter().collect()
+            tl.episodes[0].windows().collect()
         };
         // Not noticed: only a corrupted-id skeleton, no defect event.
         assert_eq!(

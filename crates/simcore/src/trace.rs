@@ -23,6 +23,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
+use crate::metrics::named_mut;
 use crate::time::SimTime;
 
 /// Severity of a trace event.
@@ -350,7 +351,7 @@ impl TraceRing {
         if self.events.len() == self.capacity {
             if let Some(evicted) = self.events.pop_front() {
                 let kind = evicted.kind().unwrap_or("(untyped)");
-                *self.dropped_by_kind.entry(kind.to_string()).or_default() += 1;
+                *named_mut(&mut self.dropped_by_kind, kind) += 1;
             }
             self.dropped += 1;
         }
