@@ -1,8 +1,9 @@
 #!/bin/sh
 # Local CI gate: formatting, lints, static analysis, every test in the
 # workspace, then every scenario of the phoenix-bench registry at
-# --quick size. Ends on a clean `git diff results/`: the committed
-# artefacts must be exactly what the code produces.
+# --quick size and the benchmark's exact counts for one workload and
+# seed. Ends on a clean `git diff results/`: the committed artefacts must
+# be exactly what the code produces.
 # Usage: ./ci.sh
 set -eu
 
@@ -34,6 +35,19 @@ for s in $("$bench" list | cut -d" " -f1); do
     echo "==> phoenix-bench $s --quick"
     "$bench" "$s" --quick
 done
+
+echo "==> benchmark/run.sh slo_chaos: the exact (host-independent) numbers of one seed"
+last=$(benchmark/run.sh --workload slo_chaos --seed 2007 --seconds 1 --trace 0 | tail -n 1)
+echo "$last" | grep -q '"correct":true'
+{
+    for k in attempted failed; do
+        echo "$k $(echo "$last" | grep -o "\"$k\":[0-9]*" | sed 's/.*://')"
+    done
+    for k in allocs_per_op alloc_kb_per_op sim_ms_per_op mttr_sim_ms; do
+        echo "$k $(echo "$last" | grep -o "\"$k\":{\"value\":[0-9.e+-]*" | sed 's/.*://')"
+    done
+} > results/BENCH_exact_slo_chaos.txt
+test "$(grep -c ' [0-9]' results/BENCH_exact_slo_chaos.txt)" -eq 6
 
 echo "==> results/ matches what the code produces"
 git diff --exit-code -- results/

@@ -16,7 +16,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use phoenix_simcore::metrics::named_mut;
+use phoenix_simcore::metrics::with_named;
 
 use crate::privileges::{IpcFilter, KernelCall, Privileges};
 use crate::types::{DeviceId, IrqLine};
@@ -46,31 +46,28 @@ impl AuthorityUsage {
         Self::default()
     }
 
-    fn rec(&mut self, who: &str) -> &mut UsageRecord {
-        named_mut(&mut self.map, who)
-    }
-
     /// Records a successful IPC send from `from` to `to`.
     pub fn record_ipc(&mut self, from: &str, to: &str) {
-        let r = self.rec(from);
-        if !r.ipc_to.contains(to) {
-            r.ipc_to.insert(to.to_string());
-        }
+        with_named(&mut self.map, from, |r| {
+            if !r.ipc_to.contains(to) {
+                r.ipc_to.insert(to.to_string());
+            }
+        });
     }
 
     /// Records a kernel call that passed the privilege check.
     pub fn record_call(&mut self, who: &str, call: KernelCall) {
-        self.rec(who).calls.insert(call);
+        with_named(&mut self.map, who, |r| r.calls.insert(call));
     }
 
     /// Records device register access that passed the privilege check.
     pub fn record_device(&mut self, who: &str, dev: DeviceId) {
-        self.rec(who).devices.insert(dev);
+        with_named(&mut self.map, who, |r| r.devices.insert(dev));
     }
 
     /// Records an IRQ line registration that passed the privilege check.
     pub fn record_irq(&mut self, who: &str, irq: IrqLine) {
-        self.rec(who).irqs.insert(irq);
+        with_named(&mut self.map, who, |r| r.irqs.insert(irq));
     }
 
     /// The usage record of `who`, if it exercised any authority.

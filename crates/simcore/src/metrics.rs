@@ -318,17 +318,28 @@ impl LogHistogram {
     }
 }
 
-/// The entry of a name-keyed table, created on first touch. The lookup
-/// borrows `name`; the owned key is built only for the insertion, so
-/// touching an entry that exists — every time but the first — stays off
-/// the heap.
-pub fn named_mut<'a, V: Default>(table: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
-    if !table.contains_key(name) {
-        table.insert(name.to_string(), V::default());
+/// Runs `f` on the entry of a name-keyed table, creating the entry on
+/// first touch. The lookup borrows `name`; the owned key is built only for
+/// the insertion, so touching an entry that exists — every time but the
+/// first — is one walk of the tree and stays off the heap.
+pub fn with_named<V: Default, R>(
+    table: &mut BTreeMap<String, V>,
+    name: &str,
+    f: impl FnOnce(&mut V) -> R,
+) -> R {
+    match table.get_mut(name) {
+        Some(v) => f(v),
+        None => f(table.entry(name.to_string()).or_default()),
     }
-    // analyze:allow(panic-reach): the key was inserted two lines up if it
+}
+
+/// [`with_named`] for a caller that keeps the entry: a reference cannot
+/// leave the `match` above, so this pays a second walk instead.
+fn named_mut<'a, V: Default>(table: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    with_named(table, name, |_| ());
+    // analyze:allow(panic-reach): the line above created the entry if it
     // was absent; the lookup cannot miss.
-    table.get_mut(name).expect("present or just inserted")
+    table.get_mut(name).expect("present or just created")
 }
 
 /// A named collection of counters and histograms.
@@ -350,22 +361,17 @@ impl MetricsRegistry {
 
     /// Increments the named counter, creating it at zero if absent.
     pub fn incr(&mut self, name: &str) {
-        self.counter_mut(name).incr();
+        with_named(&mut self.counters, name, Counter::incr);
     }
 
     /// Adds `n` to the named counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        self.counter_mut(name).add(n);
+        with_named(&mut self.counters, name, |c| c.add(n));
     }
 
     /// Sets the named counter to an absolute value (gauge semantics).
     pub fn set(&mut self, name: &str, v: u64) {
-        self.counter_mut(name).set(v);
-    }
-
-    /// Mutable access to a counter, creating it if absent.
-    pub fn counter_mut(&mut self, name: &str) -> &mut Counter {
-        named_mut(&mut self.counters, name)
+        with_named(&mut self.counters, name, |c| c.set(v));
     }
 
     /// Value of a counter, zero if absent.

@@ -23,7 +23,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
-use crate::metrics::named_mut;
+use crate::metrics::with_named;
 use crate::time::SimTime;
 
 /// Severity of a trace event.
@@ -351,7 +351,7 @@ impl TraceRing {
         if self.events.len() == self.capacity {
             if let Some(evicted) = self.events.pop_front() {
                 let kind = evicted.kind().unwrap_or("(untyped)");
-                *named_mut(&mut self.dropped_by_kind, kind) += 1;
+                with_named(&mut self.dropped_by_kind, kind, |n| *n += 1);
             }
             self.dropped += 1;
         }
