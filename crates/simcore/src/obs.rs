@@ -549,10 +549,7 @@ impl Timeline {
                 }
             }
         }
-        metrics.add(
-            slo_names(phase::STEADY).phase_us,
-            span_us.saturating_sub(recovery_us),
-        );
+        metrics.add("slo.phase_us.steady", span_us.saturating_sub(recovery_us));
         // Head-of-line depth: sweep arrivals/completions in time order
         // (completions first at equal instants) and record the peak
         // in-flight depth seen within each phase.
