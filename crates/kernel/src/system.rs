@@ -368,15 +368,19 @@ impl System {
         privileges: Privileges,
         factory: ProgramFactory,
     ) {
-        let entry = self
-            .programs
-            .entry(name.to_string())
-            .or_insert_with(|| ProgramEntry {
-                privileges: Privileges::user(),
-                factories: Vec::new(),
-            });
-        entry.privileges = privileges;
-        entry.factories.push(factory);
+        match self.programs.get_mut(name) {
+            Some(entry) => {
+                entry.privileges = privileges;
+                entry.factories.push(factory);
+            }
+            None => {
+                let entry = ProgramEntry {
+                    privileges,
+                    factories: vec![factory],
+                };
+                self.programs.insert(name.to_string(), entry);
+            }
+        }
     }
 
     /// Applies `f` to the privilege table a program's future incarnations

@@ -329,7 +329,10 @@ pub fn with_named<V: Default, R>(
 ) -> R {
     match table.get_mut(name) {
         Some(v) => f(v),
-        None => f(table.entry(name.to_string()).or_default()),
+        None => {
+            let key = name.to_string();
+            f(table.entry(key).or_default())
+        }
     }
 }
 
