@@ -216,8 +216,11 @@ impl FleetAgent {
         self.ledger.get(&node).map_or(0, Vec::len)
     }
 
-    fn others(&self) -> impl Iterator<Item = u8> + '_ {
-        (0..self.n).filter(move |&p| p != self.id)
+    /// Every node id but this agent's, in id order. Owns its two
+    /// numbers, so a loop over it may mutate the agent.
+    fn others(&self) -> impl Iterator<Item = u8> {
+        let id = self.id;
+        (0..self.n).filter(move |&p| p != id)
     }
 
     fn in_grace(&self, node: u8, now: SimTime) -> bool {
@@ -271,7 +274,7 @@ impl FleetAgent {
             log.retain(|&(_, at)| horizon(at));
         }
         self.accusations.retain(|_, log| !log.is_empty());
-        let inverted = self.inverted.clone();
+        let inverted = &self.inverted;
         for entries in self.ledger.values_mut() {
             entries.retain(|c| horizon(c.at) && !inverted.contains_key(&c.accuser));
         }
@@ -375,7 +378,7 @@ impl FleetAgent {
     pub fn on_frame(&mut self, now: SimTime, frame: &Frame) {
         match frame.kind {
             gossip::HEARTBEAT => {
-                for stat in &frame.view.clone() {
+                for stat in &frame.view {
                     self.merge_stat(now, stat);
                 }
             }
@@ -394,7 +397,7 @@ impl FleetAgent {
             }
             gossip::ALIVE => {
                 let mut beacon_advanced = false;
-                for stat in &frame.view.clone() {
+                for stat in &frame.view {
                     beacon_advanced |= self.merge_stat(now, stat);
                 }
                 // A live rebuttal at the current generation clears
@@ -419,6 +422,44 @@ impl FleetAgent {
         }
     }
 
+    /// A lower bound on the next instant at which [`tick`] has anything
+    /// to do. The contract: for any `t < next_due(now)` with no
+    /// [`on_frame`] in between, `tick(t, _)` returns an empty
+    /// [`AgentOutput`] and leaves nothing behind that a later `tick` or
+    /// `on_frame` could tell from having been ticked at `t`. Waking
+    /// early is always allowed, waking late never.
+    ///
+    /// Deliberately conservative: due *now* while a rebuttal is owed or
+    /// the ledger or the inversion table holds anything (so whatever
+    /// `prune` guards is pruned every quantum exactly when there is
+    /// something to prune; `accusations` re-filters itself by the window
+    /// where `accept_complaint` reads it). Otherwise the next heartbeat,
+    /// or the first instant a peer can be accused: its silence threshold,
+    /// not before its grace ends, not before the re-complaint spacing.
+    /// The silence comparisons in `tick` are strict, so the threshold
+    /// itself is one step early — early is allowed.
+    ///
+    /// [`tick`]: FleetAgent::tick
+    /// [`on_frame`]: FleetAgent::on_frame
+    pub fn next_due(&self, now: SimTime) -> SimTime {
+        if self.rebut.is_some() || !self.ledger.is_empty() || !self.inverted.is_empty() {
+            return now;
+        }
+        let mut due = self.next_hb_at;
+        for (node, view) in &self.views {
+            let mut at = (view.last_change_at + NODE_SUSPECT_AFTER)
+                .min(view.beacon_change_at + RS_SUSPECT_AFTER);
+            if let Some(&grace) = self.grace_until.get(node) {
+                at = at.max(grace);
+            }
+            if let Some(&last) = self.last_complaint_at.get(node) {
+                at = at.max(last + RECOMPLAIN_AFTER);
+            }
+            due = due.min(at);
+        }
+        due
+    }
+
     /// One agent tick: gossip heartbeats, raise suspicions, arbitrate.
     // analyze:recovery-root
     pub fn tick(&mut self, now: SimTime, local: &LocalView) -> AgentOutput {
@@ -429,13 +470,14 @@ impl FleetAgent {
         if now >= self.next_hb_at {
             self.hb_seq += 1;
             self.next_hb_at = now + HB_PERIOD;
-            let mut vector = vec![NodeStat {
+            let mut vector = Vec::with_capacity(self.views.len() + 1);
+            vector.push(NodeStat {
                 node: self.id,
                 gen: self.gen,
                 hb_seq: self.hb_seq,
                 beacon: local.rs_beacon,
                 rs_up: local.rs_up,
-            }];
+            });
             for (&node, view) in &self.views {
                 vector.push(NodeStat {
                     node,
@@ -447,15 +489,17 @@ impl FleetAgent {
             }
             let succ = (self.id + 1) % self.n;
             let pred = (self.id + self.n - 1) % self.n;
-            let mut targets = vec![succ];
+            // Successor first; the last target takes the vector itself.
+            // (`pred != succ` only from three nodes up, where neither is
+            // this node.)
             if pred != succ {
-                targets.push(pred);
-            }
-            for to in targets {
-                if to != self.id {
-                    out.frames
-                        .push((to, Frame::heartbeat(self.id, self.gen, vector.clone())));
-                }
+                out.frames
+                    .push((succ, Frame::heartbeat(self.id, self.gen, vector.clone())));
+                out.frames
+                    .push((pred, Frame::heartbeat(self.id, self.gen, vector)));
+            } else if succ != self.id {
+                out.frames
+                    .push((succ, Frame::heartbeat(self.id, self.gen, vector)));
             }
         }
 
@@ -472,14 +516,14 @@ impl FleetAgent {
                     beacon: local.rs_beacon,
                     rs_up: local.rs_up,
                 };
-                for to in self.others().collect::<Vec<_>>() {
+                for to in self.others() {
                     out.frames.push((to, Frame::alive(self.id, self.gen, stat)));
                 }
             }
         }
 
         // Suspicion scan: typed complaints, broadcast and self-logged.
-        for j in self.others().collect::<Vec<_>>() {
+        for j in self.others() {
             if self.in_grace(j, now) {
                 continue;
             }
@@ -506,12 +550,11 @@ impl FleetAgent {
             };
             let frame = Frame::complain(self.id, self.gen, j, view.gen, ev);
             self.stats.complaints_sent += 1;
-            for to in self.others().collect::<Vec<_>>() {
+            for to in self.others() {
                 out.frames.push((to, frame.clone()));
             }
             // Our own observation is evidence too.
-            let own = frame.clone();
-            self.accept_complaint(now, self.id, &own);
+            self.accept_complaint(now, self.id, &frame);
         }
 
         // Quorum check and arbitration.
@@ -523,7 +566,9 @@ impl FleetAgent {
             let Some(view) = self.views.get(&subject).copied() else {
                 continue;
             };
-            let entries = self.ledger.get(&subject).cloned().unwrap_or_default();
+            let Some(entries) = self.ledger.get(&subject) else {
+                continue;
+            };
             let mut accusers: Vec<u8> = entries
                 .iter()
                 .filter(|c| c.subject_gen == view.gen)
@@ -540,7 +585,7 @@ impl FleetAgent {
             // Dominant evidence kind: most frequent, ties to the lower
             // kind value for determinism.
             let mut tally: BTreeMap<u32, usize> = BTreeMap::new();
-            for c in &entries {
+            for c in entries {
                 *tally.entry(c.evidence).or_default() += 1;
             }
             let ev = tally
@@ -550,7 +595,7 @@ impl FleetAgent {
                 .unwrap_or(evidence::NODE_UNREACHABLE);
             self.stats.convictions += 1;
             let verdict = Frame::convict(self.id, self.gen, subject, view.gen, ev);
-            for to in self.others().collect::<Vec<_>>() {
+            for to in self.others() {
                 out.frames.push((to, verdict.clone()));
             }
             out.actions.push(FleetAction::Convict {

@@ -2,10 +2,14 @@
 //! loop, joined by the inter-node wire, the per-node watchdog agents,
 //! and the snapshot-replication links.
 //!
-//! Every quantum the loop (in fixed node-id order): applies due
-//! node-level faults, advances each live node's machine by one quantum,
-//! delivers wire payloads, ticks the agents, drives snapshot
-//! replication, and completes pending reboots. Each node's `Os` is
+//! Time advances on a grid of quanta, and one quantum's round (in fixed
+//! node-id order) applies due node-level faults, advances each live
+//! node's machine by one quantum, delivers wire payloads, ticks the due
+//! agents, drives snapshot replication, and completes pending reboots.
+//! The loop is due-driven: a stretch of quanta in which no fault,
+//! delivery, agent, transfer or reboot falls due would only advance the
+//! machines, so every machine covers it in one `run_for` and the round
+//! runs at the first instant something is due. Each node's `Os` is
 //! seeded from its own forked RNG stream, every link has its own, and
 //! all cross-node state lives in ordered maps — so the same fleet seed
 //! replays byte-identically.
@@ -106,6 +110,10 @@ pub struct Fleet {
     pending_faults: BTreeMap<u8, SimTime>,
     reint_watch: Vec<(u8, u32, SimTime)>,
     finalized: bool,
+    /// When each round ran (the wake-source tests read it; not a metric,
+    /// because fleet counters are in the digest).
+    #[cfg(test)]
+    stepped_at: Vec<SimTime>,
     /// Fleet-level counters and MTTR histograms.
     pub metrics: MetricsRegistry,
 }
@@ -140,6 +148,7 @@ impl Fleet {
     /// node-level fault schedule (empty for a no-fault control).
     pub fn new(cfg: FleetConfig, plan: NodeChaosPlan) -> Fleet {
         assert!(cfg.nodes >= 2, "a fleet needs at least 2 nodes");
+        assert!(!cfg.quantum.is_zero(), "a fleet needs a non-zero quantum");
         // analyze:allow(rng-construction): the fleet root stream; every
         // node and link stream is forked off it by domain and index.
         let root = SimRng::new(cfg.seed);
@@ -178,6 +187,8 @@ impl Fleet {
             pending_faults: BTreeMap::new(),
             reint_watch: Vec::new(),
             finalized: false,
+            #[cfg(test)]
+            stepped_at: Vec::new(),
             metrics: MetricsRegistry::new(),
         }
     }
@@ -215,19 +226,74 @@ impl Fleet {
         decode_identity(value)
     }
 
-    /// Advances the whole fleet by `d`.
+    /// Advances the whole fleet by `d`, rounded up to whole quanta. On
+    /// return every live machine has been run up to fleet time.
     // analyze:recovery-root
     pub fn run_for(&mut self, d: SimDuration) {
-        let end = self.now + d;
-        while self.now < end {
+        let quantum = self.cfg.quantum;
+        let end = self.now + quantum * d.as_micros().div_ceil(quantum.as_micros());
+        loop {
+            self.idle_until(self.next_wake(end));
+            if self.now >= end {
+                break;
+            }
             self.step_quantum();
         }
+    }
+
+    /// The first grid instant in `now..=end` at which a round could do
+    /// more than advance the machines. Each source is a lower bound on
+    /// when it next acts: the plan's next fault, the head of the wire
+    /// queue, every pending reboot, and per live node its agent's
+    /// [`FleetAgent::next_due`] and either its transfer in flight or,
+    /// when none is, its next export. (Reintegration is watched by every
+    /// round and needs no wake of its own: agent views change only in a
+    /// round with a delivery or a tick, generations only in one with a
+    /// reboot.)
+    fn next_wake(&self, end: SimTime) -> SimTime {
+        let now = self.now;
+        let shared = [self.plan.next_at(), self.wire.next_delivery_at()];
+        let per_node = (0..).zip(&self.slots).flat_map(|(id, slot)| {
+            let reboot = slot.reboot.as_ref().map(|r| r.ready_at);
+            let live = slot.os.as_ref().map(|_| {
+                let transfer = self.senders.get(&id).and_then(SnapSender::next_due);
+                let export = || self.next_snap_at.get(&id).copied().unwrap_or(now);
+                slot.agent
+                    .next_due(now)
+                    .min(transfer.unwrap_or_else(export))
+            });
+            [reboot, live]
+        });
+        let wake = shared
+            .into_iter()
+            .chain(per_node)
+            .flatten()
+            .fold(end, SimTime::min)
+            .max(now);
+        let quantum = self.cfg.quantum.as_micros();
+        SimTime::from_micros(wake.as_micros().div_ceil(quantum) * quantum)
+    }
+
+    /// Lets every live machine cover the quanta up to `wake` in one go.
+    fn idle_until(&mut self, wake: SimTime) {
+        let gap = wake - self.now;
+        if gap.is_zero() {
+            return;
+        }
+        for slot in &mut self.slots {
+            if let Some(os) = slot.os.as_mut() {
+                os.run_for(gap);
+            }
+        }
+        self.now = wake;
     }
 
     /// One event-loop round in fixed node-id order: faults, machines,
     /// wire, agents, replication, reboots.
     // analyze:recovery-root
     fn step_quantum(&mut self) {
+        #[cfg(test)]
+        self.stepped_at.push(self.now);
         let now = self.now;
         for fault in self.plan.pop_due(now) {
             self.apply_fault(now, &fault);
@@ -344,13 +410,17 @@ impl Fleet {
         }
     }
 
-    /// Ticks every live agent with a fresh local-health sample.
+    /// Ticks every live agent that is due with a fresh local-health
+    /// sample.
     fn tick_agents(&mut self, now: SimTime) {
         for id in 0..self.cfg.nodes {
             let slot = &mut self.slots[usize::from(id)];
             let Some(os) = slot.os.as_ref() else {
                 continue;
             };
+            if slot.agent.next_due(now) > now {
+                continue;
+            }
             let local = LocalView {
                 rs_beacon: os.metrics().counter("rs.beacon"),
                 rs_up: os.is_up("rs"),
@@ -621,6 +691,7 @@ impl Fleet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proto::Frame;
     use phoenix_fault::LinkDirection;
 
     fn quick_cfg(seed: u64) -> FleetConfig {
@@ -636,6 +707,164 @@ mod tests {
         fleet.run_for(d);
         fleet.finalize();
         fleet
+    }
+
+    fn at_us(us: u64) -> SimTime {
+        SimTime::ZERO + SimDuration::from_micros(us)
+    }
+
+    fn ms(n: u64) -> SimDuration {
+        SimDuration::from_millis(n)
+    }
+
+    /// A 4-node no-fault fleet at 205 ms with its step log cleared: the
+    /// beats of 200 ms and node 0's first export have drained, so until
+    /// the beats of 250 ms nothing is due anywhere.
+    fn quiet_fleet() -> Fleet {
+        let mut fleet = Fleet::new(quick_cfg(5), NodeChaosPlan::new());
+        fleet.run_for(ms(205));
+        fleet.stepped_at.clear();
+        fleet
+    }
+
+    /// With nothing due the loop runs no round at all, and the machines
+    /// still arrive at fleet time (a machine's own clock starts at its
+    /// boot settle, so it reads that much more).
+    #[test]
+    fn a_stretch_with_nothing_due_runs_no_round() {
+        let clocks = |fleet: &Fleet| -> Vec<SimTime> {
+            let live = fleet.slots.iter().filter_map(|slot| slot.os.as_ref());
+            live.map(Os::now).collect()
+        };
+        let booted = clocks(&Fleet::new(quick_cfg(5), NodeChaosPlan::new()));
+        assert_eq!(booted.len(), 4);
+        let mut fleet = quiet_fleet();
+        fleet.run_for(ms(40));
+        assert_eq!(fleet.now(), at_us(245_000));
+        assert_eq!(fleet.stepped_at, []);
+        let elapsed = fleet.now() - SimTime::ZERO;
+        let expected: Vec<SimTime> = booted.iter().map(|&t| t + elapsed).collect();
+        assert_eq!(clocks(&fleet), expected);
+        // The beats of 250 ms and their deliveries one latency later.
+        fleet.run_for(ms(40));
+        assert_eq!(fleet.stepped_at, [at_us(250_000), at_us(251_000)]);
+    }
+
+    /// A scheduled fault wakes the loop at the first grid instant at or
+    /// after its time, and not before.
+    #[test]
+    fn a_scheduled_fault_wakes_the_loop_at_its_quantum() {
+        let mut fleet = quiet_fleet();
+        fleet.plan = NodeChaosPlan::new().schedule(
+            at_us(220_500),
+            NodeFaultKind::Loss {
+                a: 0,
+                b: 1,
+                direction: LinkDirection::Both,
+                prob: 0.0,
+                duration: ms(1),
+            },
+        );
+        fleet.run_for(ms(40));
+        assert_eq!(fleet.stepped_at, [at_us(221_000)]);
+        assert_eq!(fleet.metrics.counter("fleet.fault.loss"), 1);
+    }
+
+    /// A queued delivery wakes the loop when it falls due.
+    #[test]
+    fn a_queued_delivery_wakes_the_loop_at_its_quantum() {
+        let mut fleet = quiet_fleet();
+        let frame = Frame::heartbeat(0, 1, Vec::new());
+        fleet
+            .wire
+            .send(at_us(217_300), 0, 1, Payload::Gossip(frame));
+        let delivered = fleet.wire.stats.delivered;
+        fleet.run_for(ms(40));
+        assert_eq!(fleet.stepped_at, [at_us(219_000)]);
+        assert_eq!(fleet.wire.stats.delivered, delivered + 1);
+    }
+
+    /// A pending reboot wakes the loop when the outage has elapsed.
+    #[test]
+    fn a_pending_reboot_wakes_the_loop_at_its_quantum() {
+        let mut fleet = quiet_fleet();
+        fleet.slots[2].os = None;
+        fleet.slots[2].reboot = Some(Reboot {
+            ready_at: at_us(230_200),
+            snapshot: None,
+            convict_at: fleet.now(),
+        });
+        fleet.run_for(ms(27));
+        assert_eq!(fleet.stepped_at, [at_us(231_000)]);
+        assert_eq!(fleet.generation(2), 2);
+        assert!(fleet.is_up(2));
+    }
+
+    /// A node's next export wakes the loop while it has no transfer in
+    /// flight.
+    #[test]
+    fn a_due_export_wakes_the_loop_at_its_quantum() {
+        let mut fleet = quiet_fleet();
+        let exported = fleet.metrics.counter("fleet.snap.exported");
+        fleet.next_snap_at.insert(3, at_us(225_400));
+        fleet.run_for(ms(22));
+        assert_eq!(fleet.stepped_at, [at_us(226_000)]);
+        assert_eq!(fleet.metrics.counter("fleet.snap.exported"), exported + 1);
+    }
+
+    /// A transfer in flight wakes the loop at its RTO deadline — and its
+    /// node's export time, long past, does not.
+    #[test]
+    fn a_sender_rto_deadline_wakes_the_loop_at_its_quantum() {
+        let mut fleet = quiet_fleet();
+        let mut tx = SnapSender::new(99, vec![7; 100]);
+        // The first flight is lost; the RTO runs from when it was sent.
+        let lost = tx.tick(at_us(22_600));
+        assert_eq!(lost.len(), 1);
+        fleet.senders.insert(0, tx);
+        fleet.next_snap_at.insert(0, SimTime::ZERO);
+        let sent = fleet.wire.stats.sent;
+        fleet.run_for(ms(19));
+        assert_eq!(fleet.stepped_at, [at_us(223_000)]);
+        assert_eq!(fleet.wire.stats.sent, sent + 1, "the retransmission");
+    }
+
+    /// An agent whose ledger holds anything is ticked every quantum.
+    #[test]
+    fn an_agent_with_a_ledger_entry_is_stepped_every_quantum() {
+        let mut fleet = quiet_fleet();
+        let now = fleet.now();
+        let complaint = Frame::complain(1, 1, 2, 1, evidence::NODE_UNREACHABLE);
+        fleet.slots[0].agent.on_frame(now, &complaint);
+        assert_eq!(fleet.slots[0].agent.complaints_against(2), 1);
+        fleet.run_for(ms(20));
+        let every: Vec<SimTime> = (205..225).map(|t| at_us(t * 1_000)).collect();
+        assert_eq!(fleet.stepped_at, every);
+    }
+
+    /// The benchmark's campaign shape at 12 faults: fewer than a quarter
+    /// of the elapsed quanta run a round (all of them did before the loop
+    /// was due-driven).
+    #[test]
+    fn the_campaign_runs_a_round_in_under_a_quarter_of_its_quanta() {
+        let cfg = FleetConfig {
+            nodes: 8,
+            seed: 2007,
+            ..FleetConfig::default()
+        };
+        let mut rng = SimRng::new(cfg.seed).fork("fleet-campaign-plan");
+        let plan = NodeChaosPlan::campaign_mix(
+            cfg.nodes,
+            12,
+            SimTime::ZERO + SimDuration::from_secs(5),
+            SimDuration::from_secs(10),
+            &mut rng,
+        );
+        let fleet = run(cfg, plan, SimDuration::from_secs(140));
+        assert_eq!(fleet.metrics.counter("fleet.faults.unrecovered"), 0);
+        let quanta = 140_000;
+        let rounds = fleet.stepped_at.len();
+        assert!(rounds * 4 < quanta, "{rounds} rounds in {quanta} quanta");
     }
 
     /// A fault-free fleet never convicts anyone: every node stays up at

@@ -66,6 +66,23 @@ impl SnapSender {
         self.done
     }
 
+    /// A lower bound on the next instant at which [`tick`] emits a
+    /// segment: `None` once the image is acknowledged, the epoch (that
+    /// is, now) while a go-back is pending or the window has room for
+    /// unsent data, otherwise the RTO deadline.
+    ///
+    /// [`tick`]: SnapSender::tick
+    pub fn next_due(&self) -> Option<SimTime> {
+        if self.done {
+            return None;
+        }
+        let sendable = self.snd_nxt < self.data.len() && self.in_flight() < WINDOW;
+        if self.go_back || sendable {
+            return Some(SimTime::ZERO);
+        }
+        self.deadline
+    }
+
     /// Processes a cumulative ACK.
     pub fn on_ack(&mut self, now: SimTime, seg: &Segment) {
         if seg.conn != self.conn || self.done {
@@ -173,7 +190,8 @@ impl SnapReceiver {
             self.rcv_nxt += seg.payload.len();
             if seg.flags & flags::FIN != 0 {
                 self.done = true;
-                complete = Some(self.buf.clone());
+                // `done` stops every later read of `buf`: hand it out.
+                complete = Some(std::mem::take(&mut self.buf));
             }
         }
         let ack = Segment {
@@ -280,6 +298,59 @@ mod tests {
         }
         assert_eq!(img, Some(data));
         assert!(tx.is_done());
+    }
+
+    /// The receiver hands its buffer out on `FIN`: a retransmitted `FIN`
+    /// after completion still acks the whole image and completes
+    /// nothing, and the next connection starts from an empty buffer.
+    #[test]
+    fn retransmitted_fin_after_completion_acks_and_returns_nothing() {
+        let data = image(3000);
+        let mut tx = SnapSender::new(4, data.clone());
+        let mut rx = SnapReceiver::new();
+        let segs = tx.tick(t(0));
+        let mut img = None;
+        for seg in &segs {
+            img = img.or(rx.on_segment(seg).1);
+        }
+        assert_eq!(img, Some(data));
+        let fin = segs.last().expect("the image has a last segment");
+        assert!(fin.flags & flags::FIN != 0);
+        let (ack, complete) = rx.on_segment(fin);
+        assert_eq!(ack.ack, 3000);
+        assert_eq!(complete, None);
+        let short = image(100);
+        let segs = SnapSender::new(5, short.clone()).tick(t(10));
+        let (ack, complete) = rx.on_segment(&segs[0]);
+        assert_eq!(ack.ack, 100);
+        assert_eq!(complete, Some(short));
+    }
+
+    /// `next_due` never trails what `tick` would do: immediately while
+    /// there is something to send, the RTO deadline while the window is
+    /// in flight, nothing once the image is acknowledged.
+    #[test]
+    fn next_due_is_now_then_the_rto_deadline_then_nothing() {
+        let mut tx = SnapSender::new(6, image(2000));
+        assert_eq!(tx.next_due(), Some(SimTime::ZERO), "unsent data");
+        let segs = tx.tick(t(5));
+        assert_eq!(tx.next_due(), Some(t(5) + RTO_BASE));
+        assert!(tx.tick(t(204)).is_empty(), "not before the deadline");
+        assert_eq!(tx.tick(t(205)).len(), 2, "at the deadline");
+        assert_eq!(tx.next_due(), Some(t(205) + RTO_BASE * 2));
+        let mut rx = SnapReceiver::new();
+        let ack = rx.on_segment(&segs[0]).0;
+        tx.on_ack(t(206), &ack);
+        assert_eq!(tx.next_due(), Some(t(206) + RTO_BASE), "fresh progress");
+        for _ in 0..3 {
+            tx.on_ack(t(207), &ack);
+        }
+        assert_eq!(tx.next_due(), Some(SimTime::ZERO), "fast retransmit owed");
+        let resent = tx.tick(t(207));
+        let ack = rx.on_segment(&resent[0]).0;
+        tx.on_ack(t(208), &ack);
+        assert!(tx.is_done());
+        assert_eq!(tx.next_due(), None);
     }
 
     /// A new conn id resets the receiver even when the previous image

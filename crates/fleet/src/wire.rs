@@ -128,17 +128,19 @@ impl FleetWire {
     /// (time, send order).
     pub fn pop_due(&mut self, now: SimTime) -> Vec<Delivery> {
         let mut due = Vec::new();
-        while self
-            .queue
-            .first_key_value()
-            .is_some_and(|(&(at, _), _)| at <= now)
-        {
+        while self.next_delivery_at().is_some_and(|at| at <= now) {
             if let Some((_, d)) = self.queue.pop_first() {
                 self.stats.delivered += 1;
                 due.push(d);
             }
         }
         due
+    }
+
+    /// When the payload at the head of the queue falls due, if any is
+    /// queued.
+    pub fn next_delivery_at(&self) -> Option<SimTime> {
+        self.queue.first_key_value().map(|(&(at, _), _)| at)
     }
 
     /// Opens a hard-cut window on the `a`/`b` link pair in the given
@@ -191,11 +193,13 @@ mod tests {
         let mut wire = FleetWire::new(3, SimDuration::from_millis(1), &rng);
         wire.send(t(0), 0, 1, hb(0));
         wire.send(t(0), 2, 1, hb(2));
+        assert_eq!(wire.next_delivery_at(), Some(t(1)));
         assert!(wire.pop_due(t(0)).is_empty());
         let due = wire.pop_due(t(1));
         assert_eq!(due.len(), 2);
         assert_eq!((due[0].from, due[1].from), (0, 2));
         assert_eq!(wire.stats.delivered, 2);
+        assert_eq!(wire.next_delivery_at(), None);
     }
 
     #[test]
