@@ -722,6 +722,13 @@ pub fn parse_file(source: &str) -> FileAst {
             }
             TokenKind::Close('}') => {
                 stack.pop();
+                pending_cfg_test = false;
+                i += 1;
+            }
+            // An attribute on a field, a variant or a statement ends with
+            // it; it says nothing about the next item.
+            TokenKind::Punct(',' | ';') => {
+                pending_cfg_test = false;
                 i += 1;
             }
             _ => {
@@ -837,6 +844,33 @@ fn after() {}
             !by_name("after").cfg_test,
             "scanning resumes after a test mod"
         );
+    }
+
+    #[test]
+    fn cfg_test_on_a_field_or_a_statement_does_not_reach_the_next_fn() {
+        let src = "
+struct S {
+    a: u8,
+    #[cfg(test)]
+    log: Vec<u8>,
+}
+fn after_field() {
+    #[cfg(test)]
+    log.push(1);
+    for x in y {}
+}
+fn after_statement() {}
+struct Last {
+    #[cfg(test)]
+    only: u8
+}
+fn after_last_field() {}
+";
+        let ast = parse_file(src);
+        for f in &ast.fns {
+            assert!(!f.cfg_test, "{} is shipped code", f.name);
+        }
+        assert_eq!(ast.fns.len(), 3);
     }
 
     #[test]
