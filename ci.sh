@@ -1,7 +1,7 @@
 #!/bin/sh
 # Local CI gate: formatting, lints, static analysis, every test in the
 # workspace, then every scenario of the phoenix-bench registry at
-# --quick size and the benchmark's exact counts for one workload and
+# --quick size and the benchmark's exact counts for two workloads at one
 # seed. Ends on a clean `git diff results/`: the committed artefacts must
 # be exactly what the code produces.
 # Usage: ./ci.sh
@@ -25,6 +25,9 @@ cargo test -q
 echo "==> cargo test --workspace"
 cargo test --workspace -q
 
+echo "==> agent_due at full size: 500 schedules per node count (a debug build runs 100)"
+cargo test -q --release -p phoenix-fleet --test agent_due
+
 echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
@@ -36,14 +39,16 @@ for s in $("$bench" list | cut -d" " -f1); do
     "$bench" "$s" --quick
 done
 
-echo "==> benchmark/run.sh slo_chaos: the exact (host-independent) numbers of one seed"
-last=$(benchmark/run.sh --workload slo_chaos --seed 2007 --seconds 1 --trace 0 | tail -n 1)
-echo "$last" | grep -q '"correct":true'
-for k in attempted failed allocs_per_op alloc_kb_per_op sim_ms_per_op mttr_sim_ms; do
-    # `"attempted":40566` at the top level, `"allocs_per_op":{"value":62.0,..` below it.
-    echo "$k $(echo "$last" | grep -o "\"$k\":\({\"value\":\)\?[0-9.e+-]*" | sed 's/.*://')"
-done > results/BENCH_exact_slo_chaos.txt
-test "$(grep -c ' [0-9]' results/BENCH_exact_slo_chaos.txt)" -eq 6
+for w in slo_chaos fleet_failover; do
+    echo "==> benchmark/run.sh $w: the exact (host-independent) numbers of one seed"
+    last=$(benchmark/run.sh --workload "$w" --seed 2007 --seconds 1 --trace 0 | tail -n 1)
+    echo "$last" | grep -q '"correct":true'
+    for k in attempted failed allocs_per_op alloc_kb_per_op sim_ms_per_op mttr_sim_ms; do
+        # `"attempted":40566` at the top level, `"allocs_per_op":{"value":62.0,..` below it.
+        echo "$k $(echo "$last" | grep -o "\"$k\":\({\"value\":\)\?[0-9.e+-]*" | sed 's/.*://')"
+    done > "results/BENCH_exact_$w.txt"
+    test "$(grep -c ' [0-9]' "results/BENCH_exact_$w.txt")" -eq 6
+done
 
 echo "==> results/ matches what the code produces"
 git diff --exit-code -- results/
