@@ -230,8 +230,7 @@ impl Fleet {
     /// return every live machine has been run up to fleet time.
     // analyze:recovery-root
     pub fn run_for(&mut self, d: SimDuration) {
-        let quantum = self.cfg.quantum;
-        let end = self.now + quantum * d.as_micros().div_ceil(quantum.as_micros());
+        let end = self.now + SimDuration::from_micros(self.whole_quanta(d.as_micros()));
         loop {
             self.idle_until(self.next_wake(end));
             if self.now >= end {
@@ -255,7 +254,7 @@ impl Fleet {
         let shared = [self.plan.next_at(), self.wire.next_delivery_at()];
         let per_node = (0..).zip(&self.slots).flat_map(|(id, slot)| {
             let reboot = slot.reboot.as_ref().map(|r| r.ready_at);
-            let live = slot.os.as_ref().map(|_| {
+            let live = slot.os.is_some().then(|| {
                 let transfer = self.senders.get(&id).and_then(SnapSender::next_due);
                 let export = || self.next_snap_at.get(&id).copied().unwrap_or(now);
                 slot.agent
@@ -270,8 +269,13 @@ impl Fleet {
             .flatten()
             .fold(end, SimTime::min)
             .max(now);
+        SimTime::from_micros(self.whole_quanta(wake.as_micros()))
+    }
+
+    /// `micros` rounded up to a whole number of quanta.
+    fn whole_quanta(&self, micros: u64) -> u64 {
         let quantum = self.cfg.quantum.as_micros();
-        SimTime::from_micros(wake.as_micros().div_ceil(quantum) * quantum)
+        micros.div_ceil(quantum) * quantum
     }
 
     /// Lets every live machine cover the quanta up to `wake` in one go.
