@@ -632,6 +632,33 @@ mod tests {
         assert_eq!(h.quantile(0.5), None);
         assert_eq!(h.mean(), None);
         assert_eq!(h.min(), None);
+        assert_eq!(h.max(), None);
+        assert_eq!(h.quantile_duration(0.5), None);
+    }
+
+    #[test]
+    fn log_histogram_single_sample_quantiles() {
+        // 7_500 sits inside a bucket (upper edge 7_551): every quantile of
+        // one sample is that sample, not its bucket's edge.
+        let mut h = LogHistogram::new();
+        h.record(7_500);
+        for q in [0.0, 0.5, 1.0, -3.0, 42.0, f64::NAN] {
+            assert_eq!(h.quantile(q), Some(7_500), "q={q}");
+        }
+        assert_eq!(h.mean(), Some(7_500.0));
+    }
+
+    #[test]
+    fn log_histogram_quantile_clamps_and_survives_nan() {
+        let mut h = LogHistogram::new();
+        for v in [1_000, 2_000, 3_000] {
+            h.record(v);
+        }
+        assert_eq!(h.quantile(-0.5), Some(1_000), "q below range is p0");
+        assert_eq!(h.quantile(1.5), Some(3_000), "q above range is p100");
+        assert_eq!(h.quantile(f64::NAN), Some(1_000), "NaN q treated as p0");
+        assert_eq!(h.quantile(f64::INFINITY), Some(3_000));
+        assert_eq!(h.quantile(f64::NEG_INFINITY), Some(1_000));
     }
 
     #[test]
