@@ -20,6 +20,7 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use phoenix::Os;
+use phoenix_simcore::obs::RECOVERY_PHASES;
 use phoenix_simcore::time::SimDuration;
 
 pub mod loc;
@@ -180,14 +181,12 @@ fn render_table(headers: &[&str], rows: &[Vec<String>]) -> Vec<String> {
 
 /// Count / mean / p50 / p95 / max rows of the folded recovery-phase
 /// histograms, one per phase that saw an episode.
-fn phase_rows(os: &mut Os) -> Vec<Vec<String>> {
+fn phase_rows(os: &Os) -> Vec<Vec<String>> {
     let mut rows = Vec::new();
-    for phase in ["detect", "repair", "reintegrate", "replay", "total"] {
-        let name = format!("recovery.phase.{phase}");
-        let h = os.metrics_mut().histogram_mut(&name);
-        if h.count() == 0 {
+    for (phase, name) in RECOVERY_PHASES {
+        let Some(h) = os.metrics().log_histogram(name) else {
             continue;
-        }
+        };
         let fmt = |d: Option<SimDuration>| d.map_or("-".to_string(), |d| d.to_string());
         rows.push(vec![
             phase.to_string(),
@@ -195,7 +194,7 @@ fn phase_rows(os: &mut Os) -> Vec<Vec<String>> {
             fmt(h.mean_duration()),
             fmt(h.quantile_duration(0.5)),
             fmt(h.quantile_duration(0.95)),
-            fmt(h.max_duration()),
+            fmt(h.quantile_duration(1.0)),
         ]);
     }
     rows

@@ -100,7 +100,7 @@ pub fn timeline(r: &mut Report) {
     ));
 
     // Two same-seed runs: the second exists only to check determinism.
-    let (result, mut os) = run_chaos_campaign_traced(&cfg);
+    let (result, os) = run_chaos_campaign_traced(&cfg);
     let (_, os2) = run_chaos_campaign_traced(&cfg);
     let jsonl = export_jsonl(os.trace().events());
     r.require(
@@ -119,7 +119,7 @@ pub fn timeline(r: &mut Report) {
     r.line(result.render());
     r.line("");
     r.line(timeline.render());
-    r.rows(&phase_rows(&mut os));
+    r.rows(&phase_rows(&os));
 
     let expected = result.kills.iter().filter(|k| k.recovered).count();
     r.require(

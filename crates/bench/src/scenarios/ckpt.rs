@@ -40,7 +40,7 @@ pub fn ckpt(r: &mut Report) {
         "checkpoint overhead — char-driver kills with and without \
          phoenix-ckpt ({faults} faults)\n",
     ));
-    let (ckpt, mut os) = run_ckpt_campaign(&cfg(true));
+    let (ckpt, os) = run_ckpt_campaign(&cfg(true));
     let (rerun, _) = run_ckpt_campaign(&cfg(true));
     let (legacy, _) = run_ckpt_campaign(&cfg(false));
 
@@ -48,7 +48,7 @@ pub fn ckpt(r: &mut Report) {
     r.line(legacy.render());
     r.line("");
     r.rows(&[mode_row(&ckpt), mode_row(&legacy)]);
-    r.rows(&phase_rows(&mut os));
+    r.rows(&phase_rows(&os));
 
     r.require_same_digest(&ckpt.digest, &rerun.digest);
     r.require(ckpt.workloads_done, "checkpointed workloads did not finish");

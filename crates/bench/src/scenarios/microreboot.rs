@@ -54,18 +54,11 @@ pub fn microreboot(r: &mut Report) {
         control.disk_bytes,
     ));
     r.line("");
-    let mut counters: Vec<(&str, u64)> = os
-        .metrics()
-        .counters()
-        .filter(|(k, _)| {
-            ["rs.", "ds.snapshot", "ckpt.", "pm."]
-                .iter()
-                .any(|p| k.starts_with(p))
-        })
-        .collect();
-    counters.sort();
-    for (k, v) in counters {
-        r.line(format!("{k}={v}"));
+    let shown = ["rs.", "ds.snapshot", "ckpt.", "pm."];
+    for (k, v) in os.metrics().counters() {
+        if shown.iter().any(|p| k.starts_with(p)) {
+            r.line(format!("{k}={v}"));
+        }
     }
     r.line("");
     r.line(os.timeline().render());

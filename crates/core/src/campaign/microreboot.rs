@@ -3,7 +3,9 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
+use phoenix_servers::rs::ESCALATION_COUNTERS;
 use phoenix_servers::ServerFault;
+use phoenix_simcore::obs::RECOVERY_PHASES;
 use phoenix_simcore::time::SimDuration;
 
 use super::{
@@ -100,7 +102,7 @@ pub struct MicrorebootResult {
     pub snapshot_cap_bytes: u64,
     /// Per-phase MTTR rows folded from the causal trace:
     /// `(phase, episodes, mean)`.
-    pub phase_mttr: Vec<(String, usize, SimDuration)>,
+    pub phase_mttr: Vec<(&'static str, u64, SimDuration)>,
     /// Trace events lost to ring eviction (0 = complete timeline).
     pub trace_dropped: u64,
     /// Per-event-kind breakdown of [`MicrorebootResult::trace_dropped`].
@@ -455,16 +457,16 @@ pub fn run_microreboot_campaign(cfg: &MicrorebootConfig) -> (MicrorebootResult, 
     rig.os.run_for(SimDuration::from_secs(1));
     let fossil = fossilize(&mut rig.os, &[]);
     let m = rig.os.metrics();
-    let phase_mttr = ["detect", "repair", "reintegrate", "replay", "total"]
+    let phase_mttr = RECOVERY_PHASES
         .iter()
-        .filter_map(|phase| {
-            let h = m.histogram(&format!("recovery.phase.{phase}"))?;
-            Some((phase.to_string(), h.count(), h.mean_duration()?))
+        .filter_map(|&(phase, name)| {
+            let h = m.log_histogram(name)?;
+            Some((phase, h.count(), h.mean_duration()?))
         })
         .collect();
     let result = MicrorebootResult {
         servers,
-        escalations: [1, 2, 3].map(|level| m.counter(&format!("rs.escalations.level{level}"))),
+        escalations: ESCALATION_COUNTERS.map(|name| m.counter(name)),
         snapshot_bytes: m.counter("ds.snapshot_bytes"),
         snapshot_records: m.counter("ckpt.store_size"),
         snapshot_cap_bytes: cfg.snapshot_cap_bytes,
@@ -498,9 +500,7 @@ pub fn run_microreboot_control(
         restarts: m.counter("rs.recoveries"),
         pm_recoveries: m.counter("rs.pm_recoveries"),
         complaints_accepted: m.counter("rs.complaints.accepted"),
-        escalations: (1..=3)
-            .map(|level| m.counter(&format!("rs.escalations.level{level}")))
-            .sum(),
+        escalations: ESCALATION_COUNTERS.iter().map(|name| m.counter(name)).sum(),
         echoed,
         disk_bytes: observers.iter().map(Observer::progress).sum(),
         digest,

@@ -65,16 +65,8 @@ pub fn fossilize_trace_loss(os: &mut Os) -> (u64, Vec<(String, u64)>) {
 
 /// MD5 over the sorted counter dump: the determinism fingerprint of a run.
 pub fn metrics_digest(os: &Os) -> String {
-    let mut counters: Vec<(String, u64)> = os
-        .metrics()
-        .counters()
-        .map(|(k, v)| (k.to_string(), v))
-        .collect();
-    counters.sort();
     let mut md5 = Md5::new();
-    for (k, v) in counters {
-        md5.update(format!("{k}={v}\n").as_bytes());
-    }
+    os.metrics().digest_counters(&mut md5);
     md5.finish_hex()
 }
 

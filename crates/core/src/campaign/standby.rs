@@ -372,12 +372,11 @@ fn standby_fossilize(os: &mut Os, cfg: &StandbyCampaignConfig) -> StandbyCampaig
     if cfg.adapt {
         for rule in standby_adapt_script().adapt_rules() {
             let (lo, hi) = rule.clamp_band();
-            let name = format!("rs.adapt.trace.{}", rule.param.name());
-            if let Some(h) = os.metrics().histogram(&name) {
-                let min = h.min().unwrap_or(lo as f64);
-                let max = h.max().unwrap_or(hi as f64);
-                adapt_trace.push((rule.param.name().to_string(), min as u64, max as u64));
-                if min < lo as f64 || max > hi as f64 {
+            let name = rule.param.trace();
+            if let Some(h) = os.metrics().log_histogram(name) {
+                let (min, max) = (h.min().unwrap_or(lo), h.max().unwrap_or(hi));
+                adapt_trace.push((rule.param.name().to_string(), min, max));
+                if min < lo || max > hi {
                     out_of_band.push(format!(
                         "{name} left clamp band [{lo}, {hi}]: saw [{min}, {max}]"
                     ));

@@ -175,7 +175,7 @@ fn chaos_campaign_episodes_stay_causally_ordered() {
     }
     // Phase histograms landed in the registry.
     assert!(os.metrics().counter("obs.episodes.complete") >= 6);
-    assert!(os.metrics().histogram("recovery.phase.total").is_some());
+    assert!(os.metrics().log_histogram("recovery.phase.total").is_some());
 }
 
 #[test]

@@ -498,7 +498,7 @@ fn repeated_kills_always_recover() {
     assert_eq!(os.metrics().counter("rs.recoveries"), 20);
     assert_eq!(
         os.metrics()
-            .histogram("rs.recovery_time")
+            .log_histogram("rs.recovery_time")
             .map(|h| h.count()),
         Some(20)
     );

@@ -435,9 +435,12 @@ impl FleetAgent {
     /// something to prune; `accusations` re-filters itself by the window
     /// where `accept_complaint` reads it). Otherwise the next heartbeat,
     /// or the first instant a peer can be accused: its silence threshold,
-    /// not before its grace ends, not before the re-complaint spacing.
-    /// The silence comparisons in `tick` are strict, so the threshold
-    /// itself is one step early — early is allowed.
+    /// not before its grace ends. (The re-complaint spacing is not a
+    /// term: a complaint of the agent's own sits in its ledger for the
+    /// whole spacing unless a rebuttal clears it, so the agent is due
+    /// every quantum of it anyway.) The silence comparisons in `tick` are
+    /// strict, so the threshold itself is one step early — early is
+    /// allowed.
     ///
     /// [`tick`]: FleetAgent::tick
     /// [`on_frame`]: FleetAgent::on_frame
@@ -451,9 +454,6 @@ impl FleetAgent {
                 .min(view.beacon_change_at + RS_SUSPECT_AFTER);
             if let Some(&grace) = self.grace_until.get(node) {
                 at = at.max(grace);
-            }
-            if let Some(&last) = self.last_complaint_at.get(node) {
-                at = at.max(last + RECOMPLAIN_AFTER);
             }
             due = due.min(at);
         }

@@ -83,30 +83,14 @@ pub struct FleetCampaignResult {
 }
 
 fn phase_stat(fleet: &Fleet, name: &str) -> PhaseStat {
-    let samples = fleet.metrics.counter(&format!("{name}.samples"));
-    if samples == 0 {
+    let Some(h) = fleet.metrics.log_histogram(name) else {
         return PhaseStat::default();
-    }
-    let total = fleet.metrics.counter(&format!("{name}.total_us"));
-    let mut secs: Vec<f64> = fleet
-        .metrics
-        .histogram(name)
-        .map(|h| h.samples().to_vec())
-        .unwrap_or_default();
-    secs.sort_by(f64::total_cmp);
-    let us = |v: f64| (v * 1_000_000.0).round() as u64;
-    let (p95_us, max_us) = match secs.last() {
-        Some(&last) => {
-            let idx = ((secs.len() as f64 - 1.0) * 0.95).round() as usize;
-            (us(secs[idx.min(secs.len() - 1)]), us(last))
-        }
-        None => (0, 0),
     };
     PhaseStat {
-        samples,
-        mean_us: total / samples,
-        p95_us,
-        max_us,
+        samples: h.count(),
+        mean_us: h.mean().map_or(0, |us| us as u64),
+        p95_us: h.quantile(0.95).unwrap_or(0),
+        max_us: h.max().unwrap_or(0),
     }
 }
 

@@ -454,8 +454,7 @@ impl Fleet {
             return;
         }
         self.metrics.incr("fleet.convictions");
-        self.metrics
-            .incr(&format!("fleet.convictions.{}", evidence::name(ev)));
+        self.metrics.incr(evidence::conviction_counter(ev));
         match self.pending_faults.remove(&node) {
             Some(fault_at) => {
                 let detect = now - fault_at;
@@ -679,15 +678,7 @@ impl Fleet {
         for (id, d) in self.node_digests().iter().enumerate() {
             md5.update(format!("node{id}={d}\n").as_bytes());
         }
-        let mut counters: Vec<(String, u64)> = self
-            .metrics
-            .counters()
-            .map(|(k, v)| (k.to_string(), v))
-            .collect();
-        counters.sort();
-        for (k, v) in counters {
-            md5.update(format!("{k}={v}\n").as_bytes());
-        }
+        self.metrics.digest_counters(&mut md5);
         md5.finish_hex()
     }
 }

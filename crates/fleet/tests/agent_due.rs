@@ -26,19 +26,20 @@
 //!   its next heartbeat and goes on discarding that accuser's complaints,
 //!   so its `complaints_accepted` falls behind A's (the generator makes a
 //!   mass accuser speak again just as its inversion lapses);
-//! * a quantum added to `next_hb_at`, to `grace_until` or to
-//!   `last_complaint_at + RECOMPLAIN_AFTER`, either silence threshold
-//!   dropped, or two quanta added to one (one is still a lower bound on a
-//!   1 ms grid, because `tick` compares silences strictly): step (2) at
-//!   the first late heartbeat or complaint;
+//! * a quantum added to `next_hb_at` or to `grace_until`, either silence
+//!   threshold dropped, or two quanta added to one (one is still a lower
+//!   bound on a 1 ms grid, because `tick` compares silences strictly):
+//!   step (2) at the first late heartbeat or complaint;
 //! * the `grace_until` term dropped: a wake that is early, which the
 //!   contract allows, for the whole grace — step (4), at 2, 3 and 4 nodes
 //!   (50 to 300 times the idle ticks; at 8 the inversions' own quanta
-//!   hide it);
-//! * the `last_complaint_at` term dropped: nothing. While a complaint of
-//!   the agent's own is that recent its ledger is almost never empty, so
-//!   the term saves 0.01 % of the ticks here; it is kept because it is
-//!   what `tick` tests.
+//!   hide it).
+//!
+//! `next_due` has no term for `RECOMPLAIN_AFTER`, though `tick` tests that
+//! spacing: a complaint of the agent's own sits in its ledger for longer,
+//! which makes the agent due every quantum of it already. The term would
+//! save 0.01 % of the ticks here and no schedule can tell it from its
+//! absence.
 
 use std::collections::BTreeMap;
 

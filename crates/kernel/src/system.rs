@@ -250,20 +250,12 @@ impl System {
         if self.is_live(dst) {
             return dst;
         }
-        let Some(name) = self.retired_sticky.get(&dst).cloned() else {
+        let Some(name) = self.retired_sticky.get(&dst) else {
             return dst;
         };
-        match self.endpoint_by_name(&name) {
+        match self.endpoint_by_name(name) {
             Some(live) => {
                 self.metrics.incr("kernel.sticky_redirects");
-                if self.trace.enabled(TraceLevel::Debug) {
-                    self.trace.emit(
-                        self.now(),
-                        TraceLevel::Debug,
-                        "kernel",
-                        format!("sticky redirect {dst} -> {live} ({name})"),
-                    );
-                }
                 live
             }
             None => dst,
@@ -863,24 +855,6 @@ impl System {
         if self.cfg.babble_guard {
             self.babble_account(from, class);
         }
-        // Hot-path span: every send enters the fabric here. Debug level,
-        // and gated so the (allocating) event is never built when the ring
-        // filters it out — the common configuration.
-        if self.trace.enabled(TraceLevel::Debug) {
-            let from_name = self.traced_name(from);
-            let to_name = self.traced_name(to);
-            let ipc_ev = TraceEvent::new(
-                self.now(),
-                TraceLevel::Debug,
-                "kernel",
-                format!("ipc {class:?} {from_name}->{to_name}"),
-            )
-            .with_field("ev", "ipc")
-            .with_field("class", format!("{class:?}"))
-            .with_field("from", from_name)
-            .with_field("to", to_name);
-            self.trace.emit_event(ipc_ev);
-        }
         let Some(mut chaos) = self.chaos.take() else {
             self.queue
                 .schedule_after(IPC_LATENCY, SysEvent::Deliver { to, item });
@@ -909,12 +883,6 @@ impl System {
             }
             ChaosVerdict::Drop => {
                 self.metrics.incr("chaos.dropped");
-                self.trace.emit(
-                    now,
-                    TraceLevel::Debug,
-                    "chaos",
-                    format!("dropped {class:?} {from_name}->{to_name}"),
-                );
                 // A dropped request leaves the rendezvous open on purpose:
                 // the caller experiences a lost message, not an abort.
             }
@@ -950,12 +918,6 @@ impl System {
                 };
                 if flipped {
                     self.metrics.incr("chaos.corrupted");
-                    self.trace.emit(
-                        now,
-                        TraceLevel::Debug,
-                        "chaos",
-                        format!("corrupted {class:?} {from_name}->{to_name}"),
-                    );
                 }
                 self.queue
                     .schedule_after(IPC_LATENCY, SysEvent::Deliver { to, item });
@@ -1067,18 +1029,6 @@ impl System {
             if let ProcEvent::Request { call, .. } = item {
                 if let Some(c) = self.open_calls.remove(&call) {
                     self.metrics.incr("ipc.aborted_calls");
-                    if self.trace.enabled(TraceLevel::Debug) {
-                        let caller_name = self.traced_name(c.caller);
-                        let abort_ev = TraceEvent::new(
-                            self.now(),
-                            TraceLevel::Debug,
-                            "kernel",
-                            format!("abort rendezvous: stale request from {caller_name}"),
-                        )
-                        .with_field("ev", "abort")
-                        .with_field("caller", caller_name.as_str());
-                        self.trace.emit_event(abort_ev);
-                    }
                     self.queue.schedule_after(
                         IPC_LATENCY,
                         SysEvent::Deliver {
@@ -1093,26 +1043,6 @@ impl System {
             }
             self.metrics.incr("ipc.stale_drops");
             return;
-        }
-        if self.trace.enabled(TraceLevel::Debug)
-            && matches!(
-                &item,
-                ProcEvent::Message(_)
-                    | ProcEvent::Request { .. }
-                    | ProcEvent::Reply { .. }
-                    | ProcEvent::Notify { .. }
-            )
-        {
-            let to_name = self.traced_name(to);
-            let deliver_ev = TraceEvent::new(
-                self.now(),
-                TraceLevel::Debug,
-                "kernel",
-                format!("deliver to {to_name}"),
-            )
-            .with_field("ev", "deliver")
-            .with_field("to", to_name);
-            self.trace.emit_event(deliver_ev);
         }
         let SlotState::Live(p) = &mut self.slots[slot] else {
             // analyze:allow(panic-reach): kernel TCB invariant — the dispatcher only
@@ -1224,13 +1154,7 @@ impl<'a> Ctx<'a> {
     }
 
     fn privileges(&self) -> &Privileges {
-        Self::privileges_in(&self.sys.slots, self.self_ep)
-    }
-
-    /// [`Ctx::privileges`] over the slot table alone, for a check that
-    /// records into another kernel table while it holds the answer.
-    fn privileges_in(slots: &[SlotState], self_ep: Endpoint) -> &Privileges {
-        match live_in(slots, self_ep) {
+        match live_in(&self.sys.slots, self.self_ep) {
             Some(p) => &p.privileges,
             // analyze:allow(panic-reach): kernel TCB invariant — a Ctx only exists
             // while its process runs, and a running process is by construction live.
@@ -1248,18 +1172,14 @@ impl<'a> Ctx<'a> {
     }
 
     fn check_ipc_target(&mut self, dst: Endpoint) -> Result<(), IpcError> {
-        let sys = &mut *self.sys;
-        let name = &*live_in(&sys.slots, dst)
+        let name = &*live_in(&self.sys.slots, dst)
             .ok_or(IpcError::DeadDestination)?
             .name;
-        if Self::privileges_in(&sys.slots, self.self_ep)
-            .ipc
-            .allows(name)
-        {
-            sys.usage.record_ipc(&self.self_name, name);
+        if self.privileges().ipc.allows(name) {
+            self.sys.usage.record_ipc(&self.self_name, name);
             Ok(())
         } else {
-            sys.metrics.incr("ipc.denied");
+            self.sys.metrics.incr("ipc.denied");
             Err(IpcError::NotPermitted)
         }
     }

@@ -1,6 +1,7 @@
 //! Heap budget of the per-message path: how many allocations one IPC
-//! round trip, notification, alarm, device write or counter increment may
-//! make once the containers they touch have grown.
+//! round trip, notification, alarm, device write, counter increment or
+//! send the chaos plan refuses may make once the containers they touch
+//! have grown.
 //!
 //! This file holds the only `unsafe` in the workspace: a counting
 //! [`GlobalAlloc`] that forwards to [`System`](std::alloc::System), the
@@ -58,11 +59,11 @@ const IRQ: u8 = 4;
 /// Iterations one "go" signal starts.
 const BATCH: u32 = 100;
 
-/// A chaos plan that lets everything through, so every send takes the
+/// A chaos plan with one verdict for everything, so every send takes the
 /// interposed branch and the envelope carries both names.
-struct AlwaysDeliver;
+struct Always(ChaosVerdict);
 
-impl ChaosInterposer for AlwaysDeliver {
+impl ChaosInterposer for Always {
     fn on_ipc(&mut self, _now: SimTime, env: &IpcEnvelope<'_>, _rng: &mut SimRng) -> ChaosVerdict {
         assert!(
             matches!(
@@ -71,7 +72,7 @@ impl ChaosInterposer for AlwaysDeliver {
             ),
             "the interposer sees both names: {env:?}"
         );
-        ChaosVerdict::Deliver
+        self.0
     }
 }
 
@@ -100,6 +101,7 @@ enum Op {
     AlarmCancelled,
     DevWrite,
     Incr,
+    Send,
 }
 
 /// `ping`: SIGTERM is the test's "go" — run `op` [`BATCH`] times, each
@@ -126,7 +128,7 @@ impl Ping {
                     return;
                 }
                 Op::DevWrite => return ctx.devio_write(DEV, 0, 1).expect("permitted"),
-                // These two complete within the call: no event to wait for.
+                // These three complete within the call: no event to wait for.
                 Op::AlarmCancelled => {
                     let id = ctx
                         .set_alarm(SimDuration::from_secs(1), 7)
@@ -134,6 +136,7 @@ impl Ping {
                     assert!(ctx.cancel_alarm(id));
                 }
                 Op::Incr => ctx.metrics().incr("ipc.sends"),
+                Op::Send => ctx.send(self.pong, Message::new(1)).expect("permitted"),
             }
         }
     }
@@ -169,11 +172,12 @@ impl Process for Pong {
     }
 }
 
-/// Allocations made while `ping` runs `op` `iters` times, after one warm-up
-/// batch on the same kernel has grown every container the loop touches.
-fn allocations(op: Op, iters: u32) -> u64 {
+/// Allocations made while `ping` runs `op` `iters` times under `verdict`,
+/// after one warm-up batch on the same kernel has grown every container
+/// the loop touches.
+fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
     let mut sys = System::new(SystemConfig::default());
-    sys.set_chaos(Box::new(AlwaysDeliver));
+    sys.set_chaos(Box::new(Always(verdict)));
     let pong = sys.spawn_boot(
         "pong",
         Privileges::server().with_ipc(IpcFilter::named(["ping"])),
@@ -203,20 +207,28 @@ fn allocations(op: Op, iters: u32) -> u64 {
 /// same loops read, over 1,000 iterations: `sendrec` + `reply` 10,010 (5 per
 /// message), `notify` 12,010 (two notifications an iteration, 6 each), an
 /// alarm that fires 2,176, `set_alarm` + `cancel_alarm` 1,170, `devio_write`
-/// + IRQ 5,010, `incr` 1,010. The odd tens are the ten "go" signals.
+/// + IRQ 5,010, `incr` 1,010. The odd tens are the ten "go" signals. While
+/// the kernel still built a trace line for a level nothing could enable, a
+/// dropped `send` read 3,000 and a corrupted one 2,000.
 #[test]
 fn the_per_message_path_stays_off_the_heap() {
     const ITERS: u32 = 1_000;
-    let round_trip = allocations(Op::RoundTrip, ITERS);
+    let delivered = |op| allocations(ChaosVerdict::Deliver, op, ITERS);
+    let round_trip = delivered(Op::RoundTrip);
     let quiet = [
-        ("notify", allocations(Op::Notify, ITERS)),
-        ("alarm that fires", allocations(Op::AlarmFires, ITERS)),
+        ("notify", delivered(Op::Notify)),
+        ("alarm that fires", delivered(Op::AlarmFires)),
+        ("set_alarm + cancel_alarm", delivered(Op::AlarmCancelled)),
+        ("devio_write + irq", delivered(Op::DevWrite)),
+        ("incr", delivered(Op::Incr)),
         (
-            "set_alarm + cancel_alarm",
-            allocations(Op::AlarmCancelled, ITERS),
+            "send, dropped",
+            allocations(ChaosVerdict::Drop, Op::Send, ITERS),
         ),
-        ("devio_write + irq", allocations(Op::DevWrite, ITERS)),
-        ("incr", allocations(Op::Incr, ITERS)),
+        (
+            "send, corrupted",
+            allocations(ChaosVerdict::Corrupt, Op::Send, ITERS),
+        ),
     ];
     eprintln!("sendrec + reply: {round_trip}; {quiet:?}");
     for (what, n) in quiet {

@@ -55,6 +55,19 @@ pub mod reason {
             _ => "unknown",
         }
     }
+
+    /// The `rs.defect.*` counter of a defect class.
+    pub fn counter(r: u8) -> &'static str {
+        match r {
+            EXIT => "rs.defect.exit",
+            EXCEPTION => "rs.defect.exception",
+            KILLED => "rs.defect.killed",
+            HEARTBEAT => "rs.defect.heartbeat",
+            COMPLAINT => "rs.defect.complaint",
+            UPDATE => "rs.defect.update",
+            _ => "rs.defect.unknown",
+        }
+    }
 }
 
 /// Inputs the reincarnation server passes to the script (§5.2: "which
@@ -179,6 +192,18 @@ impl AdaptParam {
             AdaptParam::RestartBudget => "rs.adapt.restart_budget",
             AdaptParam::BudgetWindow => "rs.adapt.budget_window_us",
             AdaptParam::QuorumComplaints => "rs.adapt.quorum_complaints",
+        }
+    }
+
+    /// Obs series of the value each audit sweep left the parameter at.
+    pub fn trace(self) -> &'static str {
+        match self {
+            AdaptParam::HeartbeatPeriod => "rs.adapt.trace.heartbeat_period",
+            AdaptParam::BackoffBase => "rs.adapt.trace.backoff_base",
+            AdaptParam::BackoffCap => "rs.adapt.trace.backoff_cap",
+            AdaptParam::RestartBudget => "rs.adapt.trace.restart_budget",
+            AdaptParam::BudgetWindow => "rs.adapt.trace.budget_window",
+            AdaptParam::QuorumComplaints => "rs.adapt.trace.quorum_complaints",
         }
     }
 
@@ -1036,6 +1061,17 @@ mod tests {
             params: vec!["admin@example.org".to_string()],
             backoff_base: None,
             backoff_cap: None,
+        }
+    }
+
+    #[test]
+    fn metric_names_are_the_prefixed_spelling() {
+        for r in 0..=reason::UPDATE + 1 {
+            let class = reason::name(r);
+            assert_eq!(reason::counter(r), format!("rs.defect.{class}"));
+        }
+        for p in AdaptParam::ALL {
+            assert_eq!(p.trace().strip_prefix("rs.adapt.trace."), Some(p.name()));
         }
     }
 

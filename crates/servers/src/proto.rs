@@ -186,21 +186,37 @@ pub mod evidence {
         )
     }
 
-    /// Human-readable evidence-class name (metrics / trace labels).
-    pub fn name(kind: u32) -> &'static str {
-        match kind {
-            DEADLINE => "deadline",
-            BAD_REPLY => "bad-reply",
-            SHORT_TRANSFER => "short-transfer",
-            CRC_MISMATCH => "crc-mismatch",
-            BABBLE => "babble",
-            PROGRESS => "progress",
-            SUSPECT_REPLY => "suspect-reply",
-            GARBLED_FRAMES => "garbled-frames",
-            RS_SILENT => "rs-silent",
-            NODE_UNREACHABLE => "node-unreachable",
-            _ => "unclassified",
-        }
+    /// One row per evidence class: its label (metrics / trace), RS's
+    /// `rs.complaints.evidence.*` counter and the fleet's
+    /// `fleet.convictions.*` counter, so no caller builds a name.
+    macro_rules! evidence_names {
+        ($($kind:pat => $name:literal,)*) => {
+            /// Human-readable evidence-class name (metrics / trace labels).
+            pub fn name(kind: u32) -> &'static str {
+                match kind { $($kind => $name,)* }
+            }
+            /// RS's counter of complaints filed with this evidence.
+            pub fn complaint_counter(kind: u32) -> &'static str {
+                match kind { $($kind => concat!("rs.complaints.evidence.", $name),)* }
+            }
+            /// The fleet's counter of convictions on this evidence.
+            pub fn conviction_counter(kind: u32) -> &'static str {
+                match kind { $($kind => concat!("fleet.convictions.", $name),)* }
+            }
+        };
+    }
+    evidence_names! {
+        DEADLINE => "deadline",
+        BAD_REPLY => "bad-reply",
+        SHORT_TRANSFER => "short-transfer",
+        CRC_MISMATCH => "crc-mismatch",
+        BABBLE => "babble",
+        PROGRESS => "progress",
+        SUSPECT_REPLY => "suspect-reply",
+        GARBLED_FRAMES => "garbled-frames",
+        RS_SILENT => "rs-silent",
+        NODE_UNREACHABLE => "node-unreachable",
+        _ => "unclassified",
     }
 }
 
@@ -513,6 +529,25 @@ mod tests {
         let c = complain(0, "victim", None);
         assert_eq!(c.params[..3], [0, 0, 0]);
         assert_eq!(evidence::name(Complaint::decode(&c).kind), "unclassified");
+    }
+
+    #[test]
+    fn evidence_counters_are_the_prefixed_class_name() {
+        for kind in 0..=evidence::NODE_UNREACHABLE + 1 {
+            let name = evidence::name(kind);
+            assert_eq!(
+                evidence::complaint_counter(kind),
+                format!("rs.complaints.evidence.{name}")
+            );
+            assert_eq!(
+                evidence::conviction_counter(kind),
+                format!("fleet.convictions.{name}")
+            );
+        }
+        assert_eq!(
+            evidence::name(evidence::NODE_UNREACHABLE + 1),
+            "unclassified"
+        );
     }
 
     #[test]

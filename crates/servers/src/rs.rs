@@ -276,7 +276,7 @@ impl Episode {
         let rid = RecoveryId(*minted);
         let span = ctx.new_span();
         let class = reason::name(defect);
-        ctx.metrics().incr(&format!("rs.defect.{class}"));
+        ctx.metrics().incr(reason::counter(defect));
         let message = match failures {
             Some(n) => format!("defect in {service}: {class} (failure #{n})"),
             None => format!("defect in {service}: {class}"),
@@ -464,6 +464,31 @@ fn started(result: &CallResult) -> Option<Endpoint> {
 /// Most unmatched dead endpoints remembered for early-death reconciliation.
 const EARLY_DEATHS_CAP: usize = 64;
 
+/// Counters of the escalation ladder, one per [`Rung`] from the bottom:
+/// microreboot, dependency group, storm.
+pub const ESCALATION_COUNTERS: [&str; 3] = [
+    "rs.escalations.level1",
+    "rs.escalations.level2",
+    "rs.escalations.level3",
+];
+
+/// What one of RS's own in-flight calls asked for.
+enum Call {
+    /// PM_START of a service.
+    Start,
+    /// A PM_START RS timed out on; a late success reply reveals a ghost
+    /// incarnation that must be killed.
+    Orphan,
+    /// PM_KILL, for NO_PROCESS reconciliation.
+    Kill,
+    /// DS publish of a fresh endpoint.
+    Publish,
+    /// PM_START of a warm spare.
+    SpareStart,
+    /// `ckpt::PROMOTE` re-framing call to DS.
+    Promote,
+}
+
 /// The reincarnation server.
 pub struct ReincarnationServer {
     pm: Endpoint,
@@ -473,15 +498,8 @@ pub struct ReincarnationServer {
     /// Service names authorized to file complaints (trusted servers with
     /// `may_complain`).
     complainants: Vec<String>,
-    /// In-flight PM_START calls.
-    start_calls: BTreeMap<CallId, usize>,
-    /// PM_START calls RS timed out on; a late success reply reveals a
-    /// ghost incarnation that must be killed.
-    orphan_calls: BTreeMap<CallId, usize>,
-    /// In-flight PM_KILL calls, for NO_PROCESS reconciliation.
-    kill_calls: BTreeMap<CallId, usize>,
-    /// In-flight DS publish calls.
-    publish_calls: BTreeMap<CallId, usize>,
+    /// RS's own in-flight calls: what each asked for, and of which service.
+    calls: BTreeMap<CallId, (Call, usize)>,
     /// Dead endpoints from SIGCHLD reports that matched no service (yet).
     early_deaths: VecDeque<Endpoint>,
     /// Deterministic jitter source, forked from the run seed at Start.
@@ -531,10 +549,6 @@ pub struct ReincarnationServer {
     /// Most recent repair-MTTR samples in microseconds, capped at
     /// [`ADAPT_MTTR_SAMPLES`] (p95 signal).
     adapt_mttr: VecDeque<u64>,
-    /// In-flight PM_START calls for warm spares.
-    spare_start_calls: BTreeMap<CallId, usize>,
-    /// Outstanding `ckpt::PROMOTE` re-framing calls to DS, by service.
-    promote_calls: BTreeMap<CallId, usize>,
 }
 
 impl ReincarnationServer {
@@ -577,10 +591,7 @@ impl ReincarnationServer {
             services,
             by_name,
             complainants,
-            start_calls: BTreeMap::new(),
-            orphan_calls: BTreeMap::new(),
-            kill_calls: BTreeMap::new(),
-            publish_calls: BTreeMap::new(),
+            calls: BTreeMap::new(),
             early_deaths: VecDeque::new(),
             jitter: None,
             started_boot: false,
@@ -596,8 +607,6 @@ impl ReincarnationServer {
             adapt_defects: Window::default(),
             adapt_complaints: Window::default(),
             adapt_mttr: VecDeque::new(),
-            spare_start_calls: BTreeMap::new(),
-            promote_calls: BTreeMap::new(),
         }
     }
 
@@ -652,7 +661,7 @@ impl ReincarnationServer {
                     format!("exec {name} (attempt {attempt})"),
                     &[("attempt", u64::from(attempt))],
                 );
-                self.start_calls.insert(call, idx);
+                self.calls.insert(call, (Call::Start, idx));
                 // If neither the request nor its reply survives the fabric,
                 // this alarm notices and retries.
                 let _ = ctx.set_alarm(START_TIMEOUT, token_seq(TOK_START_TIMEOUT, attempt, idx));
@@ -691,7 +700,7 @@ impl ReincarnationServer {
         };
         self.arbiter.clear(idx);
         if let Ok(call) = ctx.sendrec(self.pm, pm_kill(ep, term)) {
-            self.kill_calls.insert(call, idx);
+            self.calls.insert(call, (Call::Kill, idx));
         }
     }
 
@@ -716,7 +725,7 @@ impl ReincarnationServer {
         svc.pending_publish = Some(PendingPublish { ep, attempts });
         let key = svc.cfg.publish_key.clone().into_bytes();
         if let Ok(call) = ctx.sendrec(self.ds, ds_publish(key, ep, svc.episode)) {
-            self.publish_calls.insert(call, idx);
+            self.calls.insert(call, (Call::Publish, idx));
         }
         // Verify the acknowledgement arrives; re-publish if it does not.
         let seq = attempts as u16;
@@ -926,9 +935,9 @@ impl ReincarnationServer {
             );
         }
         match escalation.rung {
-            Some(Rung::Micro) => ctx.metrics().incr("rs.escalations.level1"),
+            Some(Rung::Micro) => ctx.metrics().incr(ESCALATION_COUNTERS[0]),
             Some(Rung::Group { reboot }) => {
-                ctx.metrics().incr("rs.escalations.level2");
+                ctx.metrics().incr(ESCALATION_COUNTERS[1]);
                 if reboot {
                     subject.emit(
                         ctx,
@@ -944,7 +953,7 @@ impl ReincarnationServer {
                     self.restart_dependents(ctx, deps, Some("group reboot"));
                 }
             }
-            Some(Rung::Storm) => ctx.metrics().incr("rs.escalations.level3"),
+            Some(Rung::Storm) => ctx.metrics().incr(ESCALATION_COUNTERS[2]),
             None => {}
         }
         escalation
@@ -1005,9 +1014,7 @@ impl ReincarnationServer {
         };
         let dt = ctx.now().since(died);
         ctx.metrics().incr(counter);
-        ctx.metrics()
-            .histogram_mut("rs.recovery_time")
-            .record_duration(dt);
+        ctx.metrics().record_duration("rs.recovery_time", dt);
         let how = if promoted { " by promotion" } else { "" };
         // `promoted` is recorded only on a promotion.
         let fields = [("mttr_us", dt.as_micros()), ("promoted", 1)];
@@ -1066,8 +1073,7 @@ impl ReincarnationServer {
     }
 
     fn bump_evidence(ctx: &mut Ctx<'_>, kind: u32) {
-        ctx.metrics()
-            .incr(&format!("rs.complaints.evidence.{}", evidence::name(kind)));
+        ctx.metrics().incr(evidence::complaint_counter(kind));
     }
 
     /// Restarts service `idx` on a complaint-class defect: marks the
@@ -1224,7 +1230,7 @@ impl ReincarnationServer {
             .with_data(program.into_bytes());
         if let Ok(call) = ctx.sendrec(self.pm, msg) {
             svc.spare_pending = true;
-            self.spare_start_calls.insert(call, idx);
+            self.calls.insert(call, (Call::SpareStart, idx));
         }
     }
 
@@ -1301,7 +1307,7 @@ impl ReincarnationServer {
         let key = svc.cfg.publish_key.clone();
         let promote = Message::new(ckpt::PROMOTE).with_data(key.into_bytes());
         if let Ok(call) = ctx.sendrec(self.ds, promote) {
-            self.promote_calls.insert(call, idx);
+            self.calls.insert(call, (Call::Promote, idx));
         }
         // Tell the spare to go live: deferred device init, fault-port
         // publish under the primary name, stop tailing, adopt the
@@ -1364,8 +1370,8 @@ impl ReincarnationServer {
                 ctx.trace_event(ev);
             }
             ctx.metrics()
-                .histogram_mut(&format!("rs.adapt.trace.{param}"))
-                .record(rule.param.read(&self.params) as f64);
+                .log_histogram_mut(rule.param.trace())
+                .record(rule.param.read(&self.params));
         }
         self.adapt_script = Some(script);
     }
@@ -1591,10 +1597,10 @@ impl ReincarnationServer {
         if current != attempt || svc.state != SvcState::Starting {
             return;
         }
-        if self.start_calls.remove(&call).is_some() {
+        if let Some((what @ Call::Start, _)) = self.calls.get_mut(&call) {
             // The attempt is abandoned, not forgotten: a late success
             // reply means a ghost to reap.
-            self.orphan_calls.insert(call, idx);
+            *what = Call::Orphan;
             svc.current_start = None;
             svc.state = SvcState::Down;
             ctx.metrics().incr("rs.start_timeouts");
@@ -1772,24 +1778,25 @@ impl ReincarnationServer {
 
     /// Reconciles the reply to one of RS's own calls.
     fn on_reply(&mut self, ctx: &mut Ctx<'_>, call: CallId, result: CallResult) {
-        if let Some(idx) = self.start_calls.remove(&call) {
-            self.start_replied(ctx, idx, result);
-        } else if let Some(idx) = self.orphan_calls.remove(&call) {
-            // A reply to a start attempt RS had given up on. If it
-            // succeeded, a ghost incarnation is running unguarded. Never
-            // kill the endpoint we currently guard: the "orphan" may be
-            // the very call whose timeout raced its reply.
-            if let Some(ghost) = started(&result) {
-                if self.services[idx].endpoint != Some(ghost) {
-                    self.kill_ghost(ctx, ghost);
+        let Some((what, idx)) = self.calls.remove(&call) else {
+            return;
+        };
+        match what {
+            Call::Start => self.start_replied(ctx, idx, result),
+            Call::Orphan => {
+                // If the abandoned attempt succeeded, a ghost incarnation
+                // is running unguarded. Never kill the endpoint we
+                // currently guard: the "orphan" may be the very call
+                // whose timeout raced its reply.
+                if let Some(ghost) = started(&result) {
+                    if self.services[idx].endpoint != Some(ghost) {
+                        self.kill_ghost(ctx, ghost);
+                    }
                 }
             }
-        } else if let Some(idx) = self.kill_calls.remove(&call) {
-            self.kill_replied(ctx, idx, result);
-        } else if let Some(idx) = self.spare_start_calls.remove(&call) {
-            self.complete_spare_start(ctx, idx, result);
-        } else if let Some(idx) = self.promote_calls.remove(&call) {
-            match result {
+            Call::Kill => self.kill_replied(ctx, idx, result),
+            Call::SpareStart => self.complete_spare_start(ctx, idx, result),
+            Call::Promote => match result {
                 Ok(reply)
                     if reply.mtype == ckpt::PROMOTE_REPLY && reply.param(0) == ckpt_status::OK =>
                 {
@@ -1808,21 +1815,22 @@ impl ReincarnationServer {
                         format!("snapshot re-frame for promoted {name} not confirmed"),
                     );
                 }
-            }
-        } else if let Some(idx) = self.publish_calls.remove(&call) {
-            let svc = &mut self.services[idx];
-            if result.is_ok_and(|reply| reply.mtype == ds::ACK && reply.param(0) == 0) {
-                if svc.pending_publish.take().is_some() {
-                    ctx.metrics().incr("rs.publish_verified");
+            },
+            Call::Publish => {
+                let svc = &mut self.services[idx];
+                if result.is_ok_and(|reply| reply.mtype == ds::ACK && reply.param(0) == 0) {
+                    if svc.pending_publish.take().is_some() {
+                        ctx.metrics().incr("rs.publish_verified");
+                    }
+                } else {
+                    // Bad status or aborted call: leave the pending record;
+                    // the re-publish alarm will retry.
+                    let key = &svc.cfg.publish_key;
+                    ctx.trace(
+                        TraceLevel::Warn,
+                        format!("publish of {key} not acknowledged cleanly"),
+                    );
                 }
-            } else {
-                // Bad status or aborted call: leave the pending record;
-                // the re-publish alarm will retry.
-                let key = &svc.cfg.publish_key;
-                ctx.trace(
-                    TraceLevel::Warn,
-                    format!("publish of {key} not acknowledged cleanly"),
-                );
             }
         }
     }

@@ -233,7 +233,6 @@ impl<'a> Parser<'a> {
 
 fn level_from_str(s: &str) -> Result<TraceLevel, String> {
     match s {
-        "DEBUG" => Ok(TraceLevel::Debug),
         "INFO" => Ok(TraceLevel::Info),
         "WARN" => Ok(TraceLevel::Warn),
         "ERROR" => Ok(TraceLevel::Error),

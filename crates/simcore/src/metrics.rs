@@ -7,6 +7,7 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
+use crate::digest::Md5;
 use crate::time::SimDuration;
 
 /// A monotonically increasing event counter.
@@ -49,127 +50,15 @@ impl fmt::Display for Counter {
     }
 }
 
-/// A histogram of `f64` samples with exact min/max/mean and percentile
-/// estimation over the stored samples.
-///
-/// Experiments are short (hundreds to a few thousand samples — e.g. one
-/// recovery time per simulated crash), so we keep every sample rather than
-/// bucketing.
-#[derive(Debug, Clone, Default)]
-pub struct Histogram {
-    samples: Vec<f64>,
-    sorted: bool,
-}
-
-impl Histogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Histogram {
-            samples: Vec::new(),
-            sorted: true,
-        }
-    }
-
-    /// Records one sample.
-    pub fn record(&mut self, v: f64) {
-        self.samples.push(v);
-        self.sorted = false;
-    }
-
-    /// Records a duration in seconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_secs_f64());
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// `true` if no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Arithmetic mean, or `None` if empty.
-    pub fn mean(&self) -> Option<f64> {
-        if self.samples.is_empty() {
-            None
-        } else {
-            Some(self.samples.iter().sum::<f64>() / self.samples.len() as f64)
-        }
-    }
-
-    /// Smallest sample, or `None` if empty.
-    pub fn min(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::min)
-    }
-
-    /// Largest sample, or `None` if empty.
-    pub fn max(&self) -> Option<f64> {
-        self.samples.iter().copied().reduce(f64::max)
-    }
-
-    /// `q`-quantile (0.0 ≤ q ≤ 1.0) by nearest-rank, or `None` if empty.
-    ///
-    /// Edge cases are total: `q` outside `[0, 1]` clamps, a NaN `q` is
-    /// treated as 0, a single-sample histogram returns that sample for
-    /// every `q`, and NaN *samples* sort via IEEE total order instead of
-    /// panicking (they end up at the extremes, where p0/p100 expose them).
-    pub fn quantile(&mut self, q: f64) -> Option<f64> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        if !self.sorted {
-            self.samples.sort_by(|a, b| a.total_cmp(b));
-            self.sorted = true;
-        }
-        let q = if q.is_nan() { 0.0 } else { q.clamp(0.0, 1.0) };
-        let idx = ((self.samples.len() as f64 - 1.0) * q).round() as usize;
-        Some(self.samples[idx.min(self.samples.len() - 1)])
-    }
-
-    /// `q`-quantile as a [`SimDuration`], for histograms recorded via
-    /// [`Histogram::record_duration`]. Negative/NaN values clamp to zero.
-    pub fn quantile_duration(&mut self, q: f64) -> Option<SimDuration> {
-        self.quantile(q).map(duration_from_secs)
-    }
-
-    /// Arithmetic mean as a [`SimDuration`], or `None` if empty.
-    pub fn mean_duration(&self) -> Option<SimDuration> {
-        self.mean().map(duration_from_secs)
-    }
-
-    /// Largest sample as a [`SimDuration`], or `None` if empty.
-    pub fn max_duration(&self) -> Option<SimDuration> {
-        self.max().map(duration_from_secs)
-    }
-
-    /// All samples in insertion order (pre-sort) or sorted order (post
-    /// quantile queries).
-    pub fn samples(&self) -> &[f64] {
-        &self.samples
-    }
-}
-
-/// Converts fractional seconds back to a duration, mapping NaN (a NaN
-/// sample surfaced by p0/p100) to zero rather than propagating it.
-fn duration_from_secs(secs: f64) -> SimDuration {
-    if secs.is_nan() {
-        SimDuration::ZERO
-    } else {
-        SimDuration::from_secs_f64(secs)
-    }
-}
-
 /// Sub-bucket resolution of [`LogHistogram`]: 2^5 = 32 sub-buckets per
 /// octave bounds the relative quantile error at 1/32 ≈ 3.1%.
 const LOG_SUB_BITS: u32 = 5;
 const LOG_SUB: u64 = 1 << LOG_SUB_BITS;
 
-/// A log-bucketed (HDR-style) histogram of `u64` samples, for
-/// high-volume series where [`Histogram`]'s keep-every-sample policy
-/// would not survive millions of records.
+/// A log-bucketed (HDR-style) histogram of `u64` samples: the one
+/// histogram type, behind a handful of recovery times per campaign and
+/// millions of request latencies alike. Count, sum, minimum and maximum
+/// are exact; only a quantile is an estimate.
 ///
 /// Values below 64 are recorded exactly; above that, buckets widen
 /// geometrically with 32 sub-buckets per power of two, so any quantile
@@ -298,6 +187,12 @@ impl LogHistogram {
         self.quantile(q).map(SimDuration::from_micros)
     }
 
+    /// Exact mean as a [`SimDuration`], to the nearest microsecond.
+    pub fn mean_duration(&self) -> Option<SimDuration> {
+        self.mean()
+            .map(|us| SimDuration::from_micros(us.round() as u64))
+    }
+
     /// Merges another histogram into this one.
     pub fn merge(&mut self, other: &LogHistogram) {
         if other.count == 0 {
@@ -336,15 +231,6 @@ pub fn with_named<V: Default, R>(
     }
 }
 
-/// [`with_named`] for a caller that keeps the entry: a reference cannot
-/// leave the `match` above, so this pays a second walk instead.
-fn named_mut<'a, V: Default>(table: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
-    with_named(table, name, |_| ());
-    // analyze:allow(panic-reach): the line above created the entry if it
-    // was absent; the lookup cannot miss.
-    table.get_mut(name).expect("present or just created")
-}
-
 /// A named collection of counters and histograms.
 ///
 /// The registry is shared by the OS components and read out by the harness
@@ -352,7 +238,6 @@ fn named_mut<'a, V: Default>(table: &'a mut BTreeMap<String, V>, name: &str) -> 
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, Counter>,
-    histograms: BTreeMap<String, Histogram>,
     log_histograms: BTreeMap<String, LogHistogram>,
 }
 
@@ -382,36 +267,30 @@ impl MetricsRegistry {
         self.counters.get(name).map_or(0, Counter::get)
     }
 
-    /// Mutable access to a histogram, creating it if absent.
-    pub fn histogram_mut(&mut self, name: &str) -> &mut Histogram {
-        named_mut(&mut self.histograms, name)
+    /// Records a duration sample, as whole microseconds, into the named
+    /// histogram — the typed entry point, so call sites never hand-convert
+    /// a [`SimDuration`].
+    pub fn record_duration(&mut self, name: &str, d: SimDuration) {
+        with_named(&mut self.log_histograms, name, |h| h.record_duration(d));
     }
 
-    /// Records a duration sample into the named histogram — the typed
-    /// convenience for phase timings, so call sites never hand-convert a
-    /// [`SimDuration`] to `f64`.
-    pub fn record_duration(&mut self, name: &str, d: SimDuration) {
-        self.histogram_mut(name).record_duration(d);
+    /// Mutable access to a histogram, creating it if absent: a second
+    /// walk, because a reference cannot leave [`with_named`]'s `match`.
+    pub fn log_histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
+        with_named(&mut self.log_histograms, name, |_| ());
+        // analyze:allow(panic-reach): the line above created the entry if it
+        // was absent; the lookup cannot miss.
+        self.log_histograms
+            .get_mut(name)
+            .expect("present or just created")
     }
 
     /// Read access to a histogram, if present.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.histograms.get(name)
-    }
-
-    /// Mutable access to a log-bucketed histogram, creating it if
-    /// absent. High-volume series (per-request latencies) go here; the
-    /// exact-sample [`Histogram`] stays for small recovery-time series.
-    pub fn log_histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
-        named_mut(&mut self.log_histograms, name)
-    }
-
-    /// Read access to a log-bucketed histogram, if present.
     pub fn log_histogram(&self, name: &str) -> Option<&LogHistogram> {
         self.log_histograms.get(name)
     }
 
-    /// Iterates over log-bucketed histograms in name order.
+    /// Iterates over histograms in name order.
     pub fn log_histograms(&self) -> impl Iterator<Item = (&str, &LogHistogram)> {
         self.log_histograms.iter().map(|(k, v)| (k.as_str(), v))
     }
@@ -419,6 +298,14 @@ impl MetricsRegistry {
     /// Iterates over counter `(name, value)` pairs in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
+    }
+
+    /// Feeds every counter to `md5` as a `name=value` line, in name order:
+    /// the determinism fingerprint campaigns and the fleet pin runs by.
+    pub fn digest_counters(&self, md5: &mut Md5) {
+        for (k, v) in &self.counters {
+            md5.update(format!("{k}={}\n", v.get()).as_bytes());
+        }
     }
 
     /// Renders all counters as a stable, sorted report (for logs and tests).
@@ -445,78 +332,12 @@ mod tests {
     }
 
     #[test]
-    fn histogram_stats() {
-        let mut h = Histogram::new();
-        for v in [4.0, 1.0, 3.0, 2.0] {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 4);
-        assert_eq!(h.mean(), Some(2.5));
-        assert_eq!(h.min(), Some(1.0));
-        assert_eq!(h.max(), Some(4.0));
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert_eq!(h.quantile(1.0), Some(4.0));
-        assert_eq!(h.quantile(0.5), Some(3.0)); // nearest rank of 4 samples
-    }
-
-    #[test]
-    fn histogram_empty_is_none() {
-        let mut h = Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.mean(), None);
-        assert_eq!(h.quantile(0.5), None);
-    }
-
-    #[test]
-    fn histogram_duration_samples_in_seconds() {
-        let mut h = Histogram::new();
-        h.record_duration(SimDuration::from_millis(480));
-        assert_eq!(h.mean(), Some(0.48));
-    }
-
-    #[test]
-    fn histogram_single_sample_quantiles() {
-        let mut h = Histogram::new();
-        h.record(7.5);
-        for q in [0.0, 0.5, 1.0, -3.0, 42.0] {
-            assert_eq!(h.quantile(q), Some(7.5), "q={q}");
-        }
-    }
-
-    #[test]
-    fn histogram_quantile_clamps_and_survives_nan() {
-        let mut h = Histogram::new();
-        h.record(1.0);
-        h.record(2.0);
-        h.record(3.0);
-        assert_eq!(h.quantile(-0.5), Some(1.0), "q below range clamps to p0");
-        assert_eq!(h.quantile(1.5), Some(3.0), "q above range clamps to p100");
-        assert_eq!(h.quantile(f64::NAN), Some(1.0), "NaN q treated as p0");
-        // A NaN *sample* must not panic the sort; total order puts it last.
-        h.record(f64::NAN);
-        assert_eq!(h.quantile(0.0), Some(1.0));
-        assert!(h.quantile(1.0).unwrap().is_nan());
-    }
-
-    #[test]
-    fn histogram_duration_quantiles() {
-        let mut h = Histogram::new();
-        assert_eq!(h.quantile_duration(0.5), None);
-        assert_eq!(h.mean_duration(), None);
-        h.record_duration(SimDuration::from_millis(10));
-        h.record_duration(SimDuration::from_millis(30));
-        assert_eq!(h.quantile_duration(0.0), Some(SimDuration::from_millis(10)));
-        assert_eq!(h.quantile_duration(1.0), Some(SimDuration::from_millis(30)));
-        assert_eq!(h.mean_duration(), Some(SimDuration::from_millis(20)));
-        assert_eq!(h.max_duration(), Some(SimDuration::from_millis(30)));
-    }
-
-    #[test]
     fn registry_record_duration_convenience() {
         let mut m = MetricsRegistry::new();
         m.record_duration("recovery.phase.repair", SimDuration::from_millis(25));
-        let h = m.histogram_mut("recovery.phase.repair");
+        let h = m.log_histogram("recovery.phase.repair").unwrap();
         assert_eq!(h.count(), 1);
+        assert_eq!(h.min(), Some(25_000), "durations are whole microseconds");
         assert_eq!(h.mean_duration(), Some(SimDuration::from_millis(25)));
     }
 
@@ -528,6 +349,18 @@ mod tests {
         assert_eq!(m.counter("rs.restarts"), 3);
         assert_eq!(m.counter("absent"), 0);
         assert_eq!(m.render_counters(), "rs.restarts = 3\n");
+    }
+
+    #[test]
+    fn digest_counters_feeds_name_value_lines_in_name_order() {
+        let mut m = MetricsRegistry::new();
+        m.add("b.second", 2);
+        m.incr("a.first");
+        let mut got = Md5::new();
+        m.digest_counters(&mut got);
+        let mut want = Md5::new();
+        want.update(b"a.first=1\nb.second=2\n");
+        assert_eq!(got.finish_hex(), want.finish_hex());
     }
 
     #[test]
@@ -586,7 +419,7 @@ mod tests {
         // Quantile estimates must never undershoot the true sample and
         // overshoot by at most one sub-bucket width (1/32 ≈ 3.2%).
         let mut h = LogHistogram::new();
-        let mut exact = Histogram::new();
+        let mut exact = Vec::new();
         let mut x = 1u64;
         for i in 0..10_000u64 {
             // Deterministic spread across five decades.
@@ -595,11 +428,12 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             let v = 1 + (x >> 32) % 10u64.pow(1 + (i % 5) as u32);
             h.record(v);
-            exact.record(v as f64);
+            exact.push(v);
         }
+        exact.sort_unstable();
         for q in [0.5, 0.9, 0.99, 0.999] {
             let est = h.quantile(q).unwrap() as f64;
-            let truth = exact.quantile(q).unwrap();
+            let truth = exact[((exact.len() as f64 - 1.0) * q).round() as usize] as f64;
             assert!(est >= truth, "q={q}: est {est} < true {truth}");
             assert!(
                 est <= truth * (1.0 + 1.0 / 32.0) + 1.0,
@@ -623,6 +457,8 @@ mod tests {
         assert_eq!(a.max(), Some(9_000));
         let p100 = a.quantile_duration(1.0).unwrap();
         assert_eq!(p100, SimDuration::from_millis(9), "max clamps to exact");
+        assert_eq!(a.mean_duration(), Some(SimDuration::from_millis(6)));
+        assert_eq!(LogHistogram::new().mean_duration(), None);
     }
 
     #[test]

@@ -93,6 +93,17 @@ pub mod phase {
     pub const ALL: [&str; 5] = [STEADY, DETECT, REPAIR, REINTEGRATE, REPLAY];
 }
 
+/// The recovery-time histograms [`Timeline::record_into`] feeds, in
+/// microseconds: `(phase label, metric name)` in report order — the
+/// phases of an episode, then the episode end to end.
+pub const RECOVERY_PHASES: [(&str, &str); 5] = [
+    (phase::DETECT, "recovery.phase.detect"),
+    (phase::REPAIR, "recovery.phase.repair"),
+    (phase::REINTEGRATE, "recovery.phase.reintegrate"),
+    (phase::REPLAY, "recovery.phase.replay"),
+    ("total", "recovery.phase.total"),
+];
+
 /// The `slo.*` metric names of one phase, so the request fold names a
 /// counter without building its name.
 struct SloNames {
@@ -439,10 +450,10 @@ impl Timeline {
             .collect()
     }
 
-    /// Feeds per-phase histograms and episode counters into `metrics`.
-    /// Histograms: `recovery.phase.{detect,repair,reintegrate,replay,total}`
-    /// (seconds, from complete episodes; `replay` only for episodes with
-    /// checkpointed dependents). Counters: `obs.episodes.*`.
+    /// Feeds per-phase histograms and episode counters into `metrics`:
+    /// one [`RECOVERY_PHASES`] sample per phase a complete episode went
+    /// through (`replay` only with checkpointed dependents), and the
+    /// `obs.episodes.*` counters.
     // analyze:recovery-root
     pub fn record_into(&self, metrics: &mut MetricsRegistry) {
         for ep in &self.episodes {
@@ -457,20 +468,17 @@ impl Timeline {
                 continue;
             }
             metrics.incr("obs.episodes.complete");
-            if let Some(d) = ep.detection() {
-                metrics.record_duration("recovery.phase.detect", d);
-            }
-            if let Some(d) = ep.repair() {
-                metrics.record_duration("recovery.phase.repair", d);
-            }
-            if let Some(d) = ep.reintegration() {
-                metrics.record_duration("recovery.phase.reintegrate", d);
-            }
-            if let Some(d) = ep.replay() {
-                metrics.record_duration("recovery.phase.replay", d);
-            }
-            if let Some(d) = ep.total() {
-                metrics.record_duration("recovery.phase.total", d);
+            let durations = [
+                ep.detection(),
+                ep.repair(),
+                ep.reintegration(),
+                ep.replay(),
+                ep.total(),
+            ];
+            for ((_, name), d) in RECOVERY_PHASES.iter().zip(durations) {
+                if let Some(d) = d {
+                    metrics.record_duration(name, d);
+                }
             }
         }
     }
@@ -515,9 +523,7 @@ impl Timeline {
             let names = slo_names(self.attribute(r.end).0);
             metrics.incr(names.requests);
             if r.ok {
-                metrics
-                    .log_histogram_mut(names.latency)
-                    .record_duration(r.end.since(r.start));
+                metrics.record_duration(names.latency, r.end.since(r.start));
                 metrics.add(names.goodput_bytes, r.bytes);
             } else {
                 metrics.incr(names.failed);
@@ -714,9 +720,14 @@ mod tests {
         tl.record_into(&mut m);
         assert_eq!(m.counter("obs.episodes"), 1);
         assert_eq!(m.counter("obs.episodes.complete"), 1);
-        let h = m.histogram_mut("recovery.phase.repair");
+        let h = m.log_histogram("recovery.phase.repair").unwrap();
         assert_eq!(h.count(), 1);
         assert_eq!(h.mean_duration(), Some(SimDuration::from_micros(390)));
+        assert_eq!(
+            m.log_histogram("recovery.phase.total").unwrap().max(),
+            Some(800)
+        );
+        assert!(m.log_histogram("recovery.phase.replay").is_none());
     }
 
     #[test]
@@ -734,17 +745,6 @@ mod tests {
                 ("sentinel.mfs.crc-mismatch".to_string(), 1),
             ]
         );
-    }
-
-    #[test]
-    fn windows_partition_an_episode_in_precedence_order() {
-        let tl = fold_timeline(full_episode().iter());
-        let ep = &tl.episodes[0];
-        let w: Vec<_> = ep.windows().collect();
-        // detection [100,110), repair [110,500), reintegrate [500,900).
-        assert_eq!(w[0], (phase::DETECT, t(100), t(110)));
-        assert_eq!(w[1], (phase::REPAIR, t(110), t(500)));
-        assert_eq!(*w.last().unwrap(), (phase::REINTEGRATE, t(500), t(900)));
     }
 
     #[test]
@@ -916,6 +916,16 @@ mod tests {
     fn the_name_table_has_one_row_per_phase_label() {
         let rows: Vec<&str> = SLO_NAMES.iter().map(|names| names.phase).collect();
         assert_eq!(rows, phase::ALL);
+    }
+
+    #[test]
+    fn recovery_phase_names_follow_the_phase_labels() {
+        let labels: Vec<&str> = RECOVERY_PHASES.iter().map(|(label, _)| *label).collect();
+        assert_eq!(labels[..4], phase::ALL[1..], "every label but steady");
+        assert_eq!(labels[4], "total");
+        for (label, name) in RECOVERY_PHASES {
+            assert_eq!(name, format!("recovery.phase.{label}"));
+        }
     }
 
     #[test]

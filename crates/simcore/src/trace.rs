@@ -29,8 +29,6 @@ use crate::time::SimTime;
 /// Severity of a trace event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceLevel {
-    /// High-volume events (every message, every DMA transfer).
-    Debug,
     /// Normal operational milestones (driver started, transfer done).
     Info,
     /// Something failed but the system is handling it (driver crash).
@@ -42,7 +40,6 @@ pub enum TraceLevel {
 impl fmt::Display for TraceLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
-            TraceLevel::Debug => "DEBUG",
             TraceLevel::Info => "INFO",
             TraceLevel::Warn => "WARN",
             TraceLevel::Error => "ERROR",
@@ -283,13 +280,12 @@ impl fmt::Display for TraceEvent {
 
 /// A bounded ring buffer of trace events.
 ///
-/// When full, the oldest events are discarded. A minimum level filters
-/// high-volume debug traffic out at record time.
+/// When full, the oldest events are discarded; nothing else filters what
+/// is emitted.
 #[derive(Debug)]
 pub struct TraceRing {
     events: VecDeque<TraceEvent>,
     capacity: usize,
-    min_level: TraceLevel,
     dropped: u64,
     /// Evictions broken down by the evicted event's `ev` kind field
     /// (events without one count under `"(untyped)"`). Under request
@@ -307,29 +303,16 @@ impl Default for TraceRing {
 }
 
 impl TraceRing {
-    /// Creates a ring holding at most `capacity` events at level
-    /// [`TraceLevel::Info`] and above.
+    /// Creates a ring holding at most `capacity` events.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace ring capacity must be positive");
         TraceRing {
             events: VecDeque::with_capacity(capacity.min(4096)),
             capacity,
-            min_level: TraceLevel::Info,
             dropped: 0,
             dropped_by_kind: BTreeMap::new(),
             next_span: 0,
         }
-    }
-
-    /// Sets the minimum recorded level.
-    pub fn set_min_level(&mut self, level: TraceLevel) {
-        self.min_level = level;
-    }
-
-    /// `true` if an event at `level` would be recorded. Lets hot paths
-    /// skip building structured events that the filter would discard.
-    pub fn enabled(&self, level: TraceLevel) -> bool {
-        level >= self.min_level
     }
 
     /// Allocates a fresh span id from the ring's monotonic counter.
@@ -338,16 +321,13 @@ impl TraceRing {
         SpanId(self.next_span)
     }
 
-    /// Records an event if it passes the level filter.
+    /// Records an event.
     pub fn emit(&mut self, at: SimTime, level: TraceLevel, component: &str, message: String) {
         self.emit_event(TraceEvent::new(at, level, component, message));
     }
 
-    /// Records a structured event if it passes the level filter.
+    /// Records a structured event.
     pub fn emit_event(&mut self, event: TraceEvent) {
-        if event.level < self.min_level {
-            return;
-        }
         if self.events.len() == self.capacity {
             if let Some(evicted) = self.events.pop_front() {
                 let kind = evicted.kind().unwrap_or("(untyped)");
@@ -442,18 +422,6 @@ mod tests {
         let s = r.render();
         assert!(s.contains("driver started"));
         assert!(s.contains("WARN"));
-    }
-
-    #[test]
-    fn level_filter_drops_debug_by_default() {
-        let mut r = TraceRing::new(8);
-        ev(&mut r, 1, TraceLevel::Debug, "noisy");
-        assert!(r.is_empty());
-        assert!(!r.enabled(TraceLevel::Debug));
-        r.set_min_level(TraceLevel::Debug);
-        assert!(r.enabled(TraceLevel::Debug));
-        ev(&mut r, 2, TraceLevel::Debug, "kept");
-        assert_eq!(r.len(), 1);
     }
 
     #[test]
@@ -574,17 +542,5 @@ mod tests {
         );
         let hits: Vec<usize> = r.events_for(RecoveryId(1)).map(|(i, _)| i).collect();
         assert_eq!(hits, vec![0, 2]);
-    }
-
-    #[test]
-    fn level_filter_applies_to_structured_events() {
-        let mut r = TraceRing::new(8);
-        r.emit_event(TraceEvent::new(
-            SimTime::ZERO,
-            TraceLevel::Debug,
-            "k",
-            "ipc",
-        ));
-        assert!(r.is_empty());
     }
 }

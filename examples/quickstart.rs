@@ -44,9 +44,9 @@ fn main() {
     ] {
         println!("  {key:<28} {}", os.metrics().counter(key));
     }
-    if let Some(h) = os.metrics().histogram("rs.recovery_time") {
-        if let Some(mean) = h.mean() {
-            println!("  mean recovery time           {mean:.3}s");
+    if let Some(h) = os.metrics().log_histogram("rs.recovery_time") {
+        if let Some(mean) = h.mean_duration() {
+            println!("  mean recovery time           {:.3}s", mean.as_secs_f64());
         }
     }
 

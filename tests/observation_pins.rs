@@ -21,27 +21,22 @@ use phoenix_fault::{NodeChaosPlan, NodeFaultKind};
 use phoenix_fleet::{Fleet, FleetConfig};
 use phoenix_servers::policy::AdaptParam;
 use phoenix_simcore::metrics::MetricsRegistry;
+use phoenix_simcore::obs::RECOVERY_PHASES;
 use phoenix_simcore::time::{SimDuration, SimTime};
 
 /// `name count min max mean` of one series: durations in whole
 /// microseconds, trajectories in the parameter's own unit, the mean to one
 /// decimal.
-fn series_line(out: &mut String, m: &MetricsRegistry, name: &str, unit_scale: f64) {
-    let Some(h) = m.histogram(name).filter(|h| !h.is_empty()) else {
+fn series_line(out: &mut String, m: &MetricsRegistry, name: &str) {
+    let Some(h) = m.log_histogram(name) else {
         writeln!(out, "{name} absent").unwrap();
         return;
     };
-    let exact: Vec<u64> = h
-        .samples()
-        .iter()
-        .map(|s| (s * unit_scale).round() as u64)
-        .collect();
-    let (min, max) = (exact.iter().min().unwrap(), exact.iter().max().unwrap());
-    let mean = exact.iter().sum::<u64>() as f64 / exact.len() as f64;
+    let (count, min, max) = (h.count(), h.min().unwrap(), h.max().unwrap());
+    let mean = h.mean().unwrap();
     writeln!(
         out,
-        "{name} count={} min={min} max={max} mean={mean:.1}",
-        exact.len()
+        "{name} count={count} min={min} max={max} mean={mean:.1}"
     )
     .unwrap();
 }
@@ -77,12 +72,12 @@ fn machine_dump() -> String {
 
     let mut out = String::from("== machine: seed 2007, five driver kills\n");
     let m = os.metrics();
-    for phase in ["detect", "repair", "reintegrate", "replay", "total"] {
-        series_line(&mut out, m, &format!("recovery.phase.{phase}"), 1e6);
+    for (_, name) in RECOVERY_PHASES {
+        series_line(&mut out, m, name);
     }
-    series_line(&mut out, m, "rs.recovery_time", 1e6);
+    series_line(&mut out, m, "rs.recovery_time");
     for p in AdaptParam::ALL {
-        series_line(&mut out, m, &format!("rs.adapt.trace.{}", p.name()), 1.0);
+        series_line(&mut out, m, p.trace());
     }
     out.push_str(&m.render_counters());
     writeln!(out, "digest {}", metrics_digest(&os)).unwrap();
@@ -106,12 +101,7 @@ fn fleet_dump() -> String {
 
     let mut out = String::from("== fleet: 3 nodes, seed 2007, two node faults\n");
     for phase in ["detect", "repair", "reintegrate"] {
-        series_line(
-            &mut out,
-            &fleet.metrics,
-            &format!("fleet.mttr.{phase}"),
-            1e6,
-        );
+        series_line(&mut out, &fleet.metrics, &format!("fleet.mttr.{phase}"));
     }
     out.push_str(&fleet.metrics.render_counters());
     writeln!(out, "digest {}", fleet.digest()).unwrap();
