@@ -1370,8 +1370,7 @@ impl ReincarnationServer {
                 ctx.trace_event(ev);
             }
             ctx.metrics()
-                .log_histogram_mut(rule.param.trace())
-                .record(rule.param.read(&self.params));
+                .record(rule.param.trace(), rule.param.read(&self.params));
         }
         self.adapt_script = Some(script);
     }

@@ -51,7 +51,7 @@ pub mod wire;
 
 pub use event::{EventId, EventQueue};
 pub use export::{export_chrome_trace, export_jsonl, parse_jsonl};
-pub use metrics::{Counter, LogHistogram, MetricsRegistry};
+pub use metrics::{LogHistogram, MetricsRegistry};
 pub use obs::{fold_timeline, Episode, Timeline};
 pub use rng::SimRng;
 pub use time::{SimDuration, SimTime};

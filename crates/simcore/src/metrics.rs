@@ -5,50 +5,9 @@
 //! counters and histograms those reports are built from.
 
 use std::collections::BTreeMap;
-use std::fmt;
 
 use crate::digest::Md5;
 use crate::time::SimDuration;
-
-/// A monotonically increasing event counter.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Creates a counter at zero.
-    pub fn new() -> Self {
-        Counter(0)
-    }
-
-    /// Adds one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Adds `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 += n;
-    }
-
-    /// Overwrites the value — the gauge escape hatch for quantities that
-    /// can shrink (e.g. checkpoint-store occupancy). Gauges live in the
-    /// counter map on purpose: they render into the same sorted dump and
-    /// therefore into the campaign digest.
-    pub fn set(&mut self, v: u64) {
-        self.0 = v;
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Sub-bucket resolution of [`LogHistogram`]: 2^5 = 32 sub-buckets per
 /// octave bounds the relative quantile error at 1/32 ≈ 3.1%.
@@ -124,11 +83,6 @@ impl LogHistogram {
         self.sum += u128::from(v);
     }
 
-    /// Records a duration as whole microseconds.
-    pub fn record_duration(&mut self, d: SimDuration) {
-        self.record(d.as_micros());
-    }
-
     /// Number of samples.
     pub fn count(&self) -> u64 {
         self.count
@@ -182,7 +136,7 @@ impl LogHistogram {
     }
 
     /// `q`-quantile as a [`SimDuration`], for histograms recorded via
-    /// [`LogHistogram::record_duration`].
+    /// [`MetricsRegistry::record_duration`].
     pub fn quantile_duration(&self, q: f64) -> Option<SimDuration> {
         self.quantile(q).map(SimDuration::from_micros)
     }
@@ -191,25 +145,6 @@ impl LogHistogram {
     pub fn mean_duration(&self) -> Option<SimDuration> {
         self.mean()
             .map(|us| SimDuration::from_micros(us.round() as u64))
-    }
-
-    /// Merges another histogram into this one.
-    pub fn merge(&mut self, other: &LogHistogram) {
-        if other.count == 0 {
-            return;
-        }
-        for (&idx, &n) in &other.buckets {
-            *self.buckets.entry(idx).or_default() += n;
-        }
-        if self.count == 0 {
-            self.min = other.min;
-            self.max = other.max;
-        } else {
-            self.min = self.min.min(other.min);
-            self.max = self.max.max(other.max);
-        }
-        self.count += other.count;
-        self.sum += other.sum;
     }
 }
 
@@ -237,7 +172,7 @@ pub fn with_named<V: Default, R>(
 /// after a run.
 #[derive(Debug, Default)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, Counter>,
+    counters: BTreeMap<String, u64>,
     log_histograms: BTreeMap<String, LogHistogram>,
 }
 
@@ -249,40 +184,36 @@ impl MetricsRegistry {
 
     /// Increments the named counter, creating it at zero if absent.
     pub fn incr(&mut self, name: &str) {
-        with_named(&mut self.counters, name, Counter::incr);
+        with_named(&mut self.counters, name, |c| *c += 1);
     }
 
     /// Adds `n` to the named counter.
     pub fn add(&mut self, name: &str, n: u64) {
-        with_named(&mut self.counters, name, |c| c.add(n));
+        with_named(&mut self.counters, name, |c| *c += n);
     }
 
-    /// Sets the named counter to an absolute value (gauge semantics).
+    /// Sets the named counter to an absolute value — the gauge escape
+    /// hatch for quantities that can shrink (e.g. checkpoint-store
+    /// occupancy). Gauges live in the counter map on purpose: they render
+    /// into the same sorted dump and therefore into the campaign digest.
     pub fn set(&mut self, name: &str, v: u64) {
-        with_named(&mut self.counters, name, |c| c.set(v));
+        with_named(&mut self.counters, name, |c| *c = v);
     }
 
     /// Value of a counter, zero if absent.
     pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).map_or(0, Counter::get)
+        self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Records a duration sample, as whole microseconds, into the named
-    /// histogram — the typed entry point, so call sites never hand-convert
-    /// a [`SimDuration`].
+    /// Records one sample into the named histogram, creating it if absent.
+    pub fn record(&mut self, name: &str, v: u64) {
+        with_named(&mut self.log_histograms, name, |h| h.record(v));
+    }
+
+    /// Records a duration sample as whole microseconds — the typed entry
+    /// point, so call sites never hand-convert a [`SimDuration`].
     pub fn record_duration(&mut self, name: &str, d: SimDuration) {
-        with_named(&mut self.log_histograms, name, |h| h.record_duration(d));
-    }
-
-    /// Mutable access to a histogram, creating it if absent: a second
-    /// walk, because a reference cannot leave [`with_named`]'s `match`.
-    pub fn log_histogram_mut(&mut self, name: &str) -> &mut LogHistogram {
-        with_named(&mut self.log_histograms, name, |_| ());
-        // analyze:allow(panic-reach): the line above created the entry if it
-        // was absent; the lookup cannot miss.
-        self.log_histograms
-            .get_mut(name)
-            .expect("present or just created")
+        self.record(name, d.as_micros());
     }
 
     /// Read access to a histogram, if present.
@@ -297,14 +228,14 @@ impl MetricsRegistry {
 
     /// Iterates over counter `(name, value)` pairs in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
-        self.counters.iter().map(|(k, v)| (k.as_str(), v.get()))
+        self.counters.iter().map(|(k, v)| (k.as_str(), *v))
     }
 
     /// Feeds every counter to `md5` as a `name=value` line, in name order:
     /// the determinism fingerprint campaigns and the fleet pin runs by.
     pub fn digest_counters(&self, md5: &mut Md5) {
         for (k, v) in &self.counters {
-            md5.update(format!("{k}={}\n", v.get()).as_bytes());
+            md5.update(format!("{k}={v}\n").as_bytes());
         }
     }
 
@@ -312,7 +243,7 @@ impl MetricsRegistry {
     pub fn render_counters(&self) -> String {
         let mut out = String::new();
         for (k, v) in &self.counters {
-            out.push_str(&format!("{k} = {}\n", v.get()));
+            out.push_str(&format!("{k} = {v}\n"));
         }
         out
     }
@@ -321,25 +252,6 @@ impl MetricsRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::new();
-        c.incr();
-        c.add(4);
-        assert_eq!(c.get(), 5);
-        assert_eq!(c.to_string(), "5");
-    }
-
-    #[test]
-    fn registry_record_duration_convenience() {
-        let mut m = MetricsRegistry::new();
-        m.record_duration("recovery.phase.repair", SimDuration::from_millis(25));
-        let h = m.log_histogram("recovery.phase.repair").unwrap();
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.min(), Some(25_000), "durations are whole microseconds");
-        assert_eq!(h.mean_duration(), Some(SimDuration::from_millis(25)));
-    }
 
     #[test]
     fn registry_counters_autocreate() {
@@ -445,13 +357,11 @@ mod tests {
     }
 
     #[test]
-    fn log_histogram_durations_and_merge() {
-        let mut a = LogHistogram::new();
-        a.record_duration(SimDuration::from_millis(3));
-        let mut b = LogHistogram::new();
-        b.record_duration(SimDuration::from_millis(9));
-        a.merge(&b);
-        a.merge(&LogHistogram::new()); // empty merge is a no-op
+    fn durations_are_recorded_as_whole_microseconds() {
+        let mut m = MetricsRegistry::new();
+        m.record_duration("recovery.phase.repair", SimDuration::from_millis(3));
+        m.record_duration("recovery.phase.repair", SimDuration::from_millis(9));
+        let a = m.log_histogram("recovery.phase.repair").unwrap();
         assert_eq!(a.count(), 2);
         assert_eq!(a.min(), Some(3_000));
         assert_eq!(a.max(), Some(9_000));
@@ -500,7 +410,7 @@ mod tests {
     #[test]
     fn registry_log_histograms() {
         let mut m = MetricsRegistry::new();
-        m.log_histogram_mut("slo.latency").record(100);
+        m.record("slo.latency", 100);
         assert_eq!(m.log_histogram("slo.latency").unwrap().count(), 1);
         assert!(m.log_histogram("absent").is_none());
         let names: Vec<&str> = m.log_histograms().map(|(k, _)| k).collect();
