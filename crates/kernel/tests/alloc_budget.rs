@@ -207,9 +207,10 @@ fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
 /// same loops read, over 1,000 iterations: `sendrec` + `reply` 10,010 (5 per
 /// message), `notify` 12,010 (two notifications an iteration, 6 each), an
 /// alarm that fires 2,176, `set_alarm` + `cancel_alarm` 1,170, `devio_write`
-/// + IRQ 5,010, `incr` 1,010. The odd tens are the ten "go" signals. While
-/// the kernel still built a trace line for a level nothing could enable, a
-/// dropped `send` read 3,000 and a corrupted one 2,000.
+/// + IRQ 5,010, `incr` 1,010. The odd tens are the ten "go" signals.
+///
+/// While the kernel still built a trace line for a level nothing could
+/// enable, a dropped `send` read 3,000 and a corrupted one 2,000.
 #[test]
 fn the_per_message_path_stays_off_the_heap() {
     const ITERS: u32 = 1_000;
