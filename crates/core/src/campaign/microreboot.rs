@@ -3,7 +3,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use phoenix_servers::rs::ESCALATION_COUNTERS;
 use phoenix_servers::ServerFault;
 use phoenix_simcore::obs::RECOVERY_PHASES;
 use phoenix_simcore::time::SimDuration;
@@ -19,6 +18,14 @@ use crate::os::{names, NicKind, Os};
 /// the RS service table — its recovery is the *recursive* path where RS
 /// spawns the replacement itself.
 const MICROREBOOT_TARGETS: [&str; 4] = [names::VFS, names::MFS, names::INET, "pm"];
+
+/// RS's counters of the recursive ladder's rungs, bottom up: microreboot,
+/// dependency-group reboot, storm.
+const ESCALATION_COUNTERS: [&str; 3] = [
+    "rs.escalations.level1",
+    "rs.escalations.level2",
+    "rs.escalations.level3",
+];
 
 /// Parameters of the server-microreboot campaign.
 #[derive(Debug, Clone)]

@@ -138,10 +138,7 @@ const DEFECTS: [u8; 6] = [
 /// The `rs.defect.*` counters in [`DEFECTS`] order; a before/after delta
 /// says which detector fired.
 fn defect_counts(os: &Os) -> [u64; 6] {
-    DEFECTS.map(|d| {
-        os.metrics()
-            .counter(&format!("rs.defect.{}", reason::name(d)))
-    })
+    DEFECTS.map(|d| os.metrics().counter(reason::counter(d)))
 }
 
 // ------------------------------------------------------------------------

@@ -43,17 +43,10 @@ pub mod reason {
     /// 6: dynamic update by user.
     pub const UPDATE: u8 = 6;
 
-    /// Human-readable name of a defect class.
+    /// Human-readable name of a defect class: the last segment of its
+    /// counter.
     pub fn name(r: u8) -> &'static str {
-        match r {
-            EXIT => "exit",
-            EXCEPTION => "exception",
-            KILLED => "killed",
-            HEARTBEAT => "heartbeat",
-            COMPLAINT => "complaint",
-            UPDATE => "update",
-            _ => "unknown",
-        }
+        &counter(r)["rs.defect.".len()..]
     }
 
     /// The `rs.defect.*` counter of a defect class.
@@ -171,16 +164,10 @@ impl AdaptParam {
         AdaptParam::QuorumComplaints,
     ];
 
-    /// Script spelling of the parameter.
+    /// Script spelling of the parameter: the last segment of its
+    /// trajectory series.
     pub fn name(self) -> &'static str {
-        match self {
-            AdaptParam::HeartbeatPeriod => "heartbeat_period",
-            AdaptParam::BackoffBase => "backoff_base",
-            AdaptParam::BackoffCap => "backoff_cap",
-            AdaptParam::RestartBudget => "restart_budget",
-            AdaptParam::BudgetWindow => "budget_window",
-            AdaptParam::QuorumComplaints => "quorum_complaints",
-        }
+        &self.trace()["rs.adapt.trace.".len()..]
     }
 
     /// Obs gauge name carrying the live value (µs for durations).
@@ -195,7 +182,8 @@ impl AdaptParam {
         }
     }
 
-    /// Obs series of the value each audit sweep left the parameter at.
+    /// Obs series of the value each audit sweep left the parameter at
+    /// (µs for durations).
     pub fn trace(self) -> &'static str {
         match self {
             AdaptParam::HeartbeatPeriod => "rs.adapt.trace.heartbeat_period",
@@ -1065,13 +1053,44 @@ mod tests {
     }
 
     #[test]
-    fn metric_names_are_the_prefixed_spelling() {
+    fn names_are_the_last_segment_of_the_metric() {
+        let classes: Vec<&str> = (0..=reason::UPDATE + 1).map(reason::name).collect();
+        assert_eq!(
+            classes,
+            [
+                "unknown",
+                "exit",
+                "exception",
+                "killed",
+                "heartbeat",
+                "complaint",
+                "update",
+                "unknown"
+            ]
+        );
         for r in 0..=reason::UPDATE + 1 {
-            let class = reason::name(r);
-            assert_eq!(reason::counter(r), format!("rs.defect.{class}"));
+            assert_eq!(
+                reason::counter(r),
+                format!("rs.defect.{}", classes[r as usize])
+            );
         }
-        for p in AdaptParam::ALL {
-            assert_eq!(p.trace().strip_prefix("rs.adapt.trace."), Some(p.name()));
+        let spelled = [
+            "heartbeat_period",
+            "backoff_base",
+            "backoff_cap",
+            "restart_budget",
+            "budget_window",
+            "quorum_complaints",
+        ];
+        assert_eq!(AdaptParam::ALL.map(AdaptParam::name), spelled);
+        for (p, name) in AdaptParam::ALL.into_iter().zip(spelled) {
+            assert_eq!(p.trace().strip_prefix("rs.adapt.trace."), Some(name));
+            assert_eq!(
+                p.gauge()
+                    .strip_prefix("rs.adapt.")
+                    .map(|g| g.trim_end_matches("_us")),
+                Some(name)
+            );
         }
     }
 

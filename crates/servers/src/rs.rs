@@ -464,14 +464,6 @@ fn started(result: &CallResult) -> Option<Endpoint> {
 /// Most unmatched dead endpoints remembered for early-death reconciliation.
 const EARLY_DEATHS_CAP: usize = 64;
 
-/// Counters of the escalation ladder, one per [`Rung`] from the bottom:
-/// microreboot, dependency group, storm.
-pub const ESCALATION_COUNTERS: [&str; 3] = [
-    "rs.escalations.level1",
-    "rs.escalations.level2",
-    "rs.escalations.level3",
-];
-
 /// What one of RS's own in-flight calls asked for.
 enum Call {
     /// PM_START of a service.
@@ -935,9 +927,9 @@ impl ReincarnationServer {
             );
         }
         match escalation.rung {
-            Some(Rung::Micro) => ctx.metrics().incr(ESCALATION_COUNTERS[0]),
+            Some(Rung::Micro) => ctx.metrics().incr("rs.escalations.level1"),
             Some(Rung::Group { reboot }) => {
-                ctx.metrics().incr(ESCALATION_COUNTERS[1]);
+                ctx.metrics().incr("rs.escalations.level2");
                 if reboot {
                     subject.emit(
                         ctx,
@@ -953,7 +945,7 @@ impl ReincarnationServer {
                     self.restart_dependents(ctx, deps, Some("group reboot"));
                 }
             }
-            Some(Rung::Storm) => ctx.metrics().incr(ESCALATION_COUNTERS[2]),
+            Some(Rung::Storm) => ctx.metrics().incr("rs.escalations.level3"),
             None => {}
         }
         escalation
@@ -1072,10 +1064,6 @@ impl ReincarnationServer {
         })
     }
 
-    fn bump_evidence(ctx: &mut Ctx<'_>, kind: u32) {
-        ctx.metrics().incr(evidence::complaint_counter(kind));
-    }
-
     /// Restarts service `idx` on a complaint-class defect: marks the
     /// pending reason and kills it so the policy restart runs.
     fn restart_on_complaint(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: String) {
@@ -1119,7 +1107,7 @@ impl ReincarnationServer {
         };
         let verdict = self.arbiter.judge(ctx.now(), &self.params, &accusation);
         if verdict.vetted() {
-            Self::bump_evidence(ctx, kind);
+            ctx.metrics().incr(evidence::complaint_counter(kind));
             // Observed-complaint signal for the adapt controllers.
             if self.adapt_script.is_some() {
                 self.adapt_complaints.push(ctx.now(), ());
@@ -1669,7 +1657,8 @@ impl ReincarnationServer {
             if !ctx.proc_alive(self.pm) {
                 self.recover_pm(ctx, reason::EXIT, true);
             } else if !self.arbiter.disarmed && ctx.request_stalled(self.pm, STALL_AGE) {
-                Self::bump_evidence(ctx, evidence::PROGRESS);
+                ctx.metrics()
+                    .incr(evidence::complaint_counter(evidence::PROGRESS));
                 self.recover_pm(ctx, reason::HEARTBEAT, false);
             } else if self.pm_pong_outstanding >= 3 {
                 // Three audits without a pong: PM is alive per the kernel
@@ -1741,7 +1730,7 @@ impl ReincarnationServer {
         } else {
             return;
         };
-        Self::bump_evidence(ctx, kind);
+        ctx.metrics().incr(evidence::complaint_counter(kind));
         self.convict(ctx, i, why);
     }
     // [recovery:end]
