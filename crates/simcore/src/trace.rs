@@ -27,7 +27,7 @@ use crate::metrics::with_named;
 use crate::time::SimTime;
 
 /// Severity of a trace event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TraceLevel {
     /// Normal operational milestones (driver started, transfer done).
     Info,
