@@ -301,13 +301,14 @@ impl DriverLogic for RamDiskDriver {
                 let off = (lba as usize).saturating_mul(SECTOR);
                 let span = off..off.saturating_add(bytes);
                 if msg.mtype == bdev::READ {
-                    let Some(data) = self.region.borrow().get(span).map(<[u8]>::to_vec) else {
-                        ctx.die_of_exception(ExceptionKind::MmuFault);
-                        return;
+                    let staged = match self.region.borrow().get(span) {
+                        Some(sectors) => ctx.mem_write(0, sectors),
+                        None => {
+                            ctx.die_of_exception(ExceptionKind::MmuFault);
+                            return;
+                        }
                     };
-                    if ctx.mem_write(0, &data).is_err()
-                        || ctx.safecopy_to(msg.source, grant, 0, 0, bytes).is_err()
-                    {
+                    if staged.is_err() || ctx.safecopy_to(msg.source, grant, 0, 0, bytes).is_err() {
                         reply_status(ctx, call, status::EINVAL, 0);
                         return;
                     }
@@ -316,12 +317,12 @@ impl DriverLogic for RamDiskDriver {
                         reply_status(ctx, call, status::EINVAL, 0);
                         return;
                     }
-                    let Ok(data) = ctx.mem_read(0, bytes) else {
+                    let Ok(data) = ctx.mem(0, bytes) else {
                         reply_status(ctx, call, status::EIO, 0);
                         return;
                     };
                     match self.region.borrow_mut().get_mut(span) {
-                        Some(sectors) => sectors.copy_from_slice(&data),
+                        Some(sectors) => sectors.copy_from_slice(data),
                         None => {
                             ctx.die_of_exception(ExceptionKind::MmuFault);
                             return;

@@ -208,11 +208,12 @@ impl Rtl8139Card {
         // The ring lives in our own memory; reads may wrap.
         let off = off % RX_RING_LEN;
         if off + len <= RX_RING_LEN {
-            ctx.mem_read(off, len).expect("ring in own space")
+            ctx.mem(off, len).expect("ring in own space").to_vec()
         } else {
             let first = RX_RING_LEN - off;
-            let mut v = ctx.mem_read(off, first).expect("ring head");
-            v.extend(ctx.mem_read(0, len - first).expect("ring tail"));
+            let mut v = Vec::with_capacity(len);
+            v.extend_from_slice(ctx.mem(off, first).expect("ring head"));
+            v.extend_from_slice(ctx.mem(0, len - first).expect("ring tail"));
             v
         }
     }

@@ -84,7 +84,7 @@ fn block_driver_serves_reads_through_grants() {
                     assert_eq!(reply.mtype, bdev::REPLY);
                     assert_eq!(reply.param(0), status::OK);
                     assert_eq!(reply.param(1), 2 * SECTOR as u64);
-                    *g2.borrow_mut() = ctx.mem_read(0, 2 * SECTOR).unwrap();
+                    *g2.borrow_mut() = ctx.mem(0, 2 * SECTOR).unwrap().to_vec();
                 }
                 _ => {}
             }),

@@ -95,6 +95,17 @@ impl<'a, 'b> DevCtx<'a, 'b> {
         self.hw.dma_write(self.dev, addr, data)
     }
 
+    /// The driver memory behind a transfer of `len` bytes at `addr`, for
+    /// the device to read or fill in place: all of it, or the part before
+    /// the end of the IOMMU window.
+    ///
+    /// # Errors
+    ///
+    /// See [`DmaFault`].
+    pub fn dma_span(&mut self, addr: u64, len: usize) -> Result<&mut [u8], DmaFault> {
+        self.hw.dma_span(self.dev, addr, len)
+    }
+
     /// Transmits a frame onto the wire attached to this device (NICs).
     pub fn tx_frame(&mut self, frame: Vec<u8>) {
         self.hw

@@ -18,21 +18,61 @@ use crate::bus::{DevCtx, Device};
 /// Sector size in bytes.
 pub const SECTOR: usize = 512;
 
+/// Where the xorshift64* chain of sector `lba` starts.
+fn chain_start(seed: u64, lba: u64) -> u64 {
+    seed ^ lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66_D1CE_4E5B
+}
+
+/// Advances a chain one step and returns the eight bytes it yields.
+#[inline(always)]
+fn chain_next(x: &mut u64) -> [u8; 8] {
+    *x ^= *x >> 12;
+    *x ^= *x << 25;
+    *x ^= *x >> 27;
+    x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes()
+}
+
+/// Writes the content of unwritten sector `lba` into `out`.
+pub fn synth_sector_into(seed: u64, lba: u64, out: &mut [u8; SECTOR]) {
+    let mut x = chain_start(seed, lba);
+    for word in out.as_chunks_mut::<8>().0 {
+        *word = chain_next(&mut x);
+    }
+}
+
 /// Deterministic content of an unwritten sector.
 ///
 /// A small xorshift keyed by `(seed, lba)`; the experiment harness uses the
 /// same function to compute expected checksums.
 pub fn synth_sector(seed: u64, lba: u64) -> Vec<u8> {
-    let mut x = seed ^ lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66_D1CE_4E5B;
-    let mut out = Vec::with_capacity(SECTOR);
-    for _ in 0..SECTOR / 8 {
-        // xorshift64*
-        x ^= x >> 12;
-        x ^= x << 25;
-        x ^= x >> 27;
-        out.extend_from_slice(&x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes());
+    let mut out = [0; SECTOR];
+    synth_sector_into(seed, lba, &mut out);
+    out.to_vec()
+}
+
+/// Writes the content of the unwritten sectors from `lba` on into `out`,
+/// whole sectors. One sector's chain is serial — each word waits for the
+/// one before it — but sectors do not depend on each other, so four
+/// chains advance in lockstep and the host overlaps their latencies.
+fn synth_run_into(seed: u64, lba: u64, out: &mut [u8]) {
+    let (sectors, _) = out.as_chunks_mut::<SECTOR>();
+    let (quads, rest) = sectors.as_chunks_mut::<4>();
+    let mut lba = lba;
+    for [s0, s1, s2, s3] in quads {
+        let mut x = [0, 1, 2, 3].map(|lane| chain_start(seed, lba + lane));
+        for word in 0..SECTOR / 8 {
+            let at = word * 8..word * 8 + 8;
+            s0[at.clone()].copy_from_slice(&chain_next(&mut x[0]));
+            s1[at.clone()].copy_from_slice(&chain_next(&mut x[1]));
+            s2[at.clone()].copy_from_slice(&chain_next(&mut x[2]));
+            s3[at].copy_from_slice(&chain_next(&mut x[3]));
+        }
+        lba += 4;
     }
-    out
+    for sector in rest {
+        synth_sector_into(seed, lba, sector);
+        lba += 1;
+    }
 }
 
 /// Pure storage model: capacity, synthetic base content, write overlay.
@@ -72,13 +112,34 @@ impl DiskModel {
         )
     }
 
+    /// Reads the sectors from `lba` on into `out`, whole sectors, in
+    /// place: written sectors are copied out of the overlay and the runs
+    /// of unwritten ones between them synthesised where they land. The
+    /// caller has checked the run against [`DiskModel::sectors`].
+    pub fn read_run(&self, lba: u64, out: &mut [u8]) {
+        let at = |l: u64| (l - lba) as usize * SECTOR;
+        let end = lba + (out.len() / SECTOR) as u64;
+        let mut next = lba;
+        for (&written, data) in self.overlay.range(lba..end) {
+            synth_run_into(self.seed, next, &mut out[at(next)..at(written)]);
+            out[at(written)..at(written + 1)].copy_from_slice(data);
+            next = written + 1;
+        }
+        synth_run_into(self.seed, next, &mut out[at(next)..at(end)]);
+    }
+
     /// Writes one sector. Returns `false` for out-of-range LBAs or short
     /// data.
     pub fn write(&mut self, lba: u64, data: &[u8]) -> bool {
         if lba >= self.sectors || data.len() != SECTOR {
             return false;
         }
-        self.overlay.insert(lba, data.to_vec());
+        match self.overlay.get_mut(&lba) {
+            Some(sector) => sector.copy_from_slice(data),
+            None => {
+                self.overlay.insert(lba, data.to_vec());
+            }
+        }
         true
     }
 
@@ -359,36 +420,33 @@ impl Device for DiskDevice {
         if token != self.op_epoch {
             return; // aborted by reset
         }
-        match self.pending {
-            Pending::None => {}
-            Pending::Read { lba, count, dma } => {
-                for i in 0..u64::from(count) {
-                    let sector = self.model.read(lba + i).expect("range checked at start");
-                    if ctx.dma_write(dma + i * SECTOR as u64, &sector).is_err() {
-                        self.fail(ctx);
-                        return;
-                    }
-                }
-                self.pending = Pending::None;
-                self.ops_done += 1;
-                self.isr |= disk_isr::DONE;
-                ctx.raise_irq();
+        let (write, lba, count, dma) = match self.pending {
+            Pending::None => return,
+            Pending::Read { lba, count, dma } => (false, lba, count, dma),
+            Pending::Write { lba, count, dma } => (true, lba, count, dma),
+        };
+        // The window is resolved once for the request. What it exposes of
+        // the transfer, cut to whole sectors, is what moves: sector `i`
+        // moves iff sectors `0..=i` all lie inside the window.
+        let span = ctx
+            .dma_span(dma, count as usize * SECTOR)
+            .unwrap_or_default();
+        let (sectors, _) = span.as_chunks_mut::<SECTOR>();
+        if write {
+            for (i, sector) in sectors.iter().enumerate() {
+                self.model.write(lba + i as u64, sector);
             }
-            Pending::Write { lba, count, dma } => {
-                let mut buf = vec![0u8; SECTOR];
-                for i in 0..u64::from(count) {
-                    if ctx.dma_read(dma + i * SECTOR as u64, &mut buf).is_err() {
-                        self.fail(ctx);
-                        return;
-                    }
-                    self.model.write(lba + i, &buf);
-                }
-                self.pending = Pending::None;
-                self.ops_done += 1;
-                self.isr |= disk_isr::DONE;
-                ctx.raise_irq();
-            }
+        } else {
+            self.model.read_run(lba, sectors.as_flattened_mut());
         }
+        if sectors.len() < count as usize {
+            self.fail(ctx);
+            return;
+        }
+        self.pending = Pending::None;
+        self.ops_done += 1;
+        self.isr |= disk_isr::DONE;
+        ctx.raise_irq();
     }
 
     fn hard_reset(&mut self) {
@@ -426,6 +484,56 @@ mod tests {
         assert_ne!(m.read(3).unwrap(), base);
         assert_eq!(m.read(4).unwrap(), synth_sector(42, 4));
         assert_eq!(m.written_sectors(), 1);
+    }
+
+    /// `synth_sector` as it was first written: one serial chain, one
+    /// `Vec`, eight bytes pushed a step.
+    fn synth_sector_serial(seed: u64, lba: u64) -> Vec<u8> {
+        let mut x = seed ^ lba.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0x5DEE_CE66_D1CE_4E5B;
+        let mut out = Vec::with_capacity(SECTOR);
+        for _ in 0..SECTOR / 8 {
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            out.extend_from_slice(&x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes());
+        }
+        out
+    }
+
+    /// The four-lane run against one sector at a time, at run lengths on
+    /// both sides of every lane boundary, with and without a written
+    /// sector somewhere in the run.
+    #[test]
+    fn read_run_equals_sector_by_sector_reads() {
+        const LBA: u64 = 5;
+        for run in [1usize, 3, 4, 5, 8, 31, 32] {
+            for written in [None, Some(0), Some(run / 2), Some(run - 1)] {
+                let mut m = DiskModel::new(64, 42);
+                if let Some(w) = written {
+                    assert!(m.write(LBA + w as u64, &[0xAB; SECTOR]));
+                }
+                let mut got = vec![0xEE; run * SECTOR];
+                m.read_run(LBA, &mut got);
+                for (i, sector) in got.chunks_exact(SECTOR).enumerate() {
+                    let want = if written == Some(i) {
+                        vec![0xAB; SECTOR]
+                    } else {
+                        synth_sector_serial(42, LBA + i as u64)
+                    };
+                    assert_eq!(sector, want, "sector {i} of {run}, written {written:?}");
+                    assert_eq!(m.read(LBA + i as u64).unwrap(), want);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn rewriting_a_sector_keeps_one_overlay_entry() {
+        let mut m = DiskModel::new(8, 1);
+        assert!(m.write(2, &[1; SECTOR]));
+        assert!(m.write(2, &[2; SECTOR]));
+        assert_eq!(m.written_sectors(), 1);
+        assert_eq!(m.read(2).unwrap(), vec![2; SECTOR]);
     }
 
     #[test]

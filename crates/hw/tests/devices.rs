@@ -69,7 +69,7 @@ fn sata_read_roundtrip_via_dma_and_irq() {
                 let isr = ctx.devio_read(DEV, dregs::ISR).unwrap();
                 assert_eq!(isr & disk_isr::DONE, disk_isr::DONE);
                 ctx.devio_write(DEV, dregs::ISR, isr).unwrap();
-                *got2.borrow_mut() = ctx.mem_read(0, 4 * SECTOR).unwrap();
+                *got2.borrow_mut() = ctx.mem(0, 4 * SECTOR).unwrap().to_vec();
             }
             _ => {}
         }),
@@ -119,7 +119,7 @@ fn sata_write_then_read_back() {
                     ctx.mem_write(0, &vec![0u8; SECTOR]).unwrap();
                     ctx.devio_write(DEV, dregs::CMD, dcmd::READ).unwrap();
                 } else {
-                    let data = ctx.mem_read(0, SECTOR).unwrap();
+                    let data = ctx.mem(0, SECTOR).unwrap();
                     assert!(data.iter().all(|&b| b == 0x5A));
                     *p = 2;
                 }
@@ -258,9 +258,9 @@ fn rtl8139_tx_rx_through_wire() {
                 ctx.devio_write(DEV, rtl8139::regs::ISR, isr).unwrap();
                 if isr & rtl8139::isr::ROK != 0 {
                     // Parse the ring: status(2) len(2) payload.
-                    let hdr = ctx.mem_read(0, 4).unwrap();
+                    let hdr = ctx.mem(0, 4).unwrap();
                     let len = u16::from_le_bytes([hdr[2], hdr[3]]) as usize;
-                    *rx.borrow_mut() = ctx.mem_read(4, len).unwrap();
+                    *rx.borrow_mut() = ctx.mem(4, len).unwrap().to_vec();
                 }
             }
             _ => {}

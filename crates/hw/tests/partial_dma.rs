@@ -69,7 +69,7 @@ impl Process for Driver {
             }
             ProcEvent::Irq { .. } => {
                 let isr = ctx.devio_read(DEV, dregs::ISR).unwrap();
-                let mem = ctx.mem_read(0, MEM).unwrap();
+                let mem = ctx.mem(0, MEM).unwrap().to_vec();
                 *self.seen.borrow_mut() = Some((isr, mem));
             }
             _ => {}

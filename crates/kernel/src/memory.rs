@@ -8,6 +8,7 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
+use std::ops::Range;
 
 use crate::types::{DeviceId, Endpoint, KernelError, Slot};
 
@@ -48,12 +49,39 @@ struct Grant {
 }
 
 /// One process's private memory plus its outstanding grants.
+///
+/// `size` is the address space every bound is checked against; `mem` is
+/// the prefix of it something has reached so far. The bytes from
+/// `mem.len()` to `size` exist as far as any check can tell, were never
+/// written, and read as zero — so a space costs the host what its process
+/// touches, not what its privileges allow.
 #[derive(Debug, Default)]
 struct Space {
     mem: Vec<u8>,
+    size: usize,
     owner: Option<Endpoint>,
     grants: BTreeMap<GrantId, Grant>,
     next_grant: u32,
+}
+
+impl Space {
+    /// `range` of the space, which the caller has checked to end at or
+    /// before `size`; the touched prefix grows, zero-filled, to reach it.
+    fn touch(&mut self, range: Range<usize>) -> &mut [u8] {
+        debug_assert!(range.end <= self.size);
+        if self.mem.len() < range.end {
+            self.mem.resize(range.end, 0);
+        }
+        &mut self.mem[range]
+    }
+
+    /// `offset..offset + len`, if it lies inside the space.
+    fn range(&self, offset: usize, len: usize) -> Result<Range<usize>, KernelError> {
+        match offset.checked_add(len) {
+            Some(end) if end <= self.size => Ok(offset..end),
+            _ => Err(KernelError::BadRange),
+        }
+    }
 }
 
 /// An I/O MMU window authorizing one device to DMA into a region of one
@@ -125,7 +153,8 @@ impl MemoryPool {
             self.spaces.resize_with(idx + 1, Space::default);
         }
         self.spaces[idx] = Space {
-            mem: vec![0; size],
+            mem: Vec::new(),
+            size,
             owner: Some(owner),
             grants: BTreeMap::new(),
             next_grant: 1,
@@ -163,11 +192,15 @@ impl MemoryPool {
     }
 
     /// Reads `len` bytes at `offset` from `ep`'s own memory.
-    pub fn read_own(&self, ep: Endpoint, offset: usize, len: usize) -> Result<&[u8], KernelError> {
-        let sp = self.live_space_of(ep)?;
-        sp.mem
-            .get(offset..offset.checked_add(len).ok_or(KernelError::BadRange)?)
-            .ok_or(KernelError::BadRange)
+    pub fn read_own(
+        &mut self,
+        ep: Endpoint,
+        offset: usize,
+        len: usize,
+    ) -> Result<&[u8], KernelError> {
+        let sp = self.live_space_of_mut(ep)?;
+        let range = sp.range(offset, len)?;
+        Ok(sp.touch(range))
     }
 
     /// Writes `data` at `offset` into `ep`'s own memory.
@@ -178,17 +211,14 @@ impl MemoryPool {
         data: &[u8],
     ) -> Result<(), KernelError> {
         let sp = self.live_space_of_mut(ep)?;
-        let end = offset
-            .checked_add(data.len())
-            .ok_or(KernelError::BadRange)?;
-        let dst = sp.mem.get_mut(offset..end).ok_or(KernelError::BadRange)?;
-        dst.copy_from_slice(data);
+        let range = sp.range(offset, data.len())?;
+        sp.touch(range).copy_from_slice(data);
         Ok(())
     }
 
     /// Size of `ep`'s address space.
     pub fn size_of(&self, ep: Endpoint) -> Result<usize, KernelError> {
-        Ok(self.live_space_of(ep)?.mem.len())
+        Ok(self.live_space_of(ep)?.size)
     }
 
     /// Creates a grant on `granter`'s memory for `grantee`.
@@ -201,10 +231,7 @@ impl MemoryPool {
         access: GrantAccess,
     ) -> Result<GrantId, KernelError> {
         let sp = self.live_space_of_mut(granter)?;
-        let end = offset.checked_add(len).ok_or(KernelError::BadRange)?;
-        if end > sp.mem.len() {
-            return Err(KernelError::BadRange);
-        }
+        sp.range(offset, len)?;
         let id = GrantId(sp.next_grant);
         sp.next_grant += 1;
         sp.grants.insert(
@@ -257,6 +284,54 @@ impl MemoryPool {
         Ok(g.offset + offset)
     }
 
+    /// The copy under both SafeCopy calls: `len` bytes between
+    /// (`granter`, `grant`) at `grant_offset` and `caller`'s own memory at
+    /// `own_offset`, towards the grant when `to_grant`. Every check runs
+    /// before a byte moves — the grant, then the caller's liveness, then
+    /// the caller's range — and the bytes move once, straight from one
+    /// space into the other.
+    #[allow(clippy::too_many_arguments)]
+    fn copy_between(
+        &mut self,
+        caller: Endpoint,
+        granter: Endpoint,
+        grant: GrantId,
+        grant_offset: usize,
+        own_offset: usize,
+        len: usize,
+        to_grant: bool,
+    ) -> Result<(), KernelError> {
+        let granted = self.check_grant(granter, grant, caller, grant_offset, len, to_grant)?;
+        let own = self.live_space_of(caller)?.range(own_offset, len)?;
+        let (granter, caller) = (granter.slot() as usize, caller.slot() as usize);
+        let granted = granted..granted + len;
+        if granter == caller {
+            // A process copying through a grant on itself: the ranges may
+            // overlap, and the result is that of a copy through a buffer.
+            let sp = &mut self.spaces[caller];
+            sp.touch(0..granted.end.max(own.end));
+            let (src, dst) = if to_grant {
+                (own, granted)
+            } else {
+                (granted, own)
+            };
+            sp.mem.copy_within(src, dst.start);
+            return Ok(());
+        }
+        let both = self.spaces.get_disjoint_mut([granter, caller]);
+        // analyze:allow(panic-reach): both spaces were found live above
+        // and the slots differ, so the two indices are in range and
+        // disjoint; the lookup cannot miss.
+        let [g, c] = both.expect("two live spaces in different slots");
+        let (g, c) = (g.touch(granted), c.touch(own));
+        if to_grant {
+            g.copy_from_slice(c);
+        } else {
+            c.copy_from_slice(g);
+        }
+        Ok(())
+    }
+
     /// `sys_safecopyfrom`: copies `len` bytes from (`granter`, `grant`) at
     /// `grant_offset` into `caller`'s memory at `dst_offset`.
     ///
@@ -276,14 +351,7 @@ impl MemoryPool {
         dst_offset: usize,
         len: usize,
     ) -> Result<(), KernelError> {
-        let src_base = self.check_grant(granter, grant, caller, grant_offset, len, false)?;
-        let data = self
-            .live_space_of(granter)?
-            .mem
-            .get(src_base..src_base + len)
-            .ok_or(KernelError::BadRange)?
-            .to_vec();
-        self.write_own(caller, dst_offset, &data)
+        self.copy_between(caller, granter, grant, grant_offset, dst_offset, len, false)
     }
 
     /// `sys_safecopyto`: copies `len` bytes from `caller`'s memory at
@@ -303,11 +371,7 @@ impl MemoryPool {
         src_offset: usize,
         len: usize,
     ) -> Result<(), KernelError> {
-        let dst_base = self.check_grant(granter, grant, caller, grant_offset, len, true)?;
-        let data = self.read_own(caller, src_offset, len)?.to_vec();
-        let sp = self.live_space_of_mut(granter)?;
-        sp.mem[dst_base..dst_base + len].copy_from_slice(&data);
-        Ok(())
+        self.copy_between(caller, granter, grant, grant_offset, src_offset, len, true)
     }
 
     /// Maps (or unmaps, with `None`) the IOMMU window of a device.
@@ -318,11 +382,7 @@ impl MemoryPool {
     ) -> Result<(), KernelError> {
         match window {
             Some(w) => {
-                let sp = self.live_space_of(w.owner)?;
-                let end = w.offset.checked_add(w.len).ok_or(KernelError::BadRange)?;
-                if end > sp.mem.len() {
-                    return Err(KernelError::BadRange);
-                }
+                self.live_space_of(w.owner)?.range(w.offset, w.len)?;
                 self.iommu.insert(dev, w);
             }
             None => {
@@ -332,12 +392,14 @@ impl MemoryPool {
         Ok(())
     }
 
+    /// The owner's slot and the range of its space that `len` bytes at
+    /// device address `addr` name, if all of them lie in the window.
     fn dma_resolve(
         &self,
         dev: DeviceId,
         addr: u64,
         len: usize,
-    ) -> Result<(Endpoint, usize), DmaFault> {
+    ) -> Result<(usize, Range<usize>), DmaFault> {
         let w = self.iommu.get(&dev).ok_or(DmaFault::NoWindow)?;
         let end = addr.checked_add(len as u64).ok_or(DmaFault::OutOfWindow)?;
         if addr < w.base || end > w.base + w.len as u64 {
@@ -347,7 +409,8 @@ impl MemoryPool {
         if sp.owner != Some(w.owner) {
             return Err(DmaFault::StaleOwner);
         }
-        Ok((w.owner, w.offset + (addr - w.base) as usize))
+        let offset = w.offset + (addr - w.base) as usize;
+        Ok((w.owner.slot() as usize, offset..offset + len))
     }
 
     /// Device-initiated read of `buf.len()` bytes at device address `addr`.
@@ -357,13 +420,9 @@ impl MemoryPool {
     /// Faults if no window is mapped, the access leaves the window, or the
     /// owning process has died — exactly the protection §4 ascribes to the
     /// I/O MMU.
-    pub fn dma_read(&self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), DmaFault> {
-        let (owner, off) = self.dma_resolve(dev, addr, buf.len())?;
-        // analyze:allow(panic-reach): dma_resolve faulted already unless
-        // the owning space exists; the lookup cannot miss on the line
-        // after a successful resolve.
-        let sp = self.space(owner.slot()).expect("resolved space");
-        buf.copy_from_slice(&sp.mem[off..off + buf.len()]);
+    pub fn dma_read(&mut self, dev: DeviceId, addr: u64, buf: &mut [u8]) -> Result<(), DmaFault> {
+        let (slot, range) = self.dma_resolve(dev, addr, buf.len())?;
+        buf.copy_from_slice(self.spaces[slot].touch(range));
         Ok(())
     }
 
@@ -373,10 +432,32 @@ impl MemoryPool {
     ///
     /// Same failure modes as [`MemoryPool::dma_read`].
     pub fn dma_write(&mut self, dev: DeviceId, addr: u64, data: &[u8]) -> Result<(), DmaFault> {
-        let (owner, off) = self.dma_resolve(dev, addr, data.len())?;
-        let sp = self.space_mut(owner.slot()).expect("resolved space");
-        sp.mem[off..off + data.len()].copy_from_slice(data);
+        let (slot, range) = self.dma_resolve(dev, addr, data.len())?;
+        self.spaces[slot].touch(range).copy_from_slice(data);
         Ok(())
+    }
+
+    /// The memory behind a device transfer of `len` bytes at device
+    /// address `addr`, for the device to read or fill in place: all `len`
+    /// bytes, or only as many as lie before the end of the window — the
+    /// part a transfer moves before it faults. The window is resolved once
+    /// for the transfer, not once per piece of it.
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`MemoryPool::dma_read`]; an `addr` outside
+    /// the window is [`DmaFault::OutOfWindow`].
+    pub fn dma_span(
+        &mut self,
+        dev: DeviceId,
+        addr: u64,
+        len: usize,
+    ) -> Result<&mut [u8], DmaFault> {
+        let w = self.iommu.get(&dev).ok_or(DmaFault::NoWindow)?;
+        let room = (w.base + w.len as u64).saturating_sub(addr);
+        let len = len.min(usize::try_from(room).unwrap_or(usize::MAX));
+        let (slot, range) = self.dma_resolve(dev, addr, len)?;
+        Ok(self.spaces[slot].touch(range))
     }
 }
 
@@ -550,6 +631,160 @@ mod tests {
         let mut buf = [0u8; 4];
         // detach unmaps the window entirely.
         assert_eq!(p.dma_read(dev, 0, &mut buf), Err(DmaFault::NoWindow));
+    }
+
+    fn window(owner: Endpoint, offset: usize, len: usize) -> Option<IommuWindow> {
+        Some(IommuWindow {
+            owner,
+            base: 0,
+            offset,
+            len,
+        })
+    }
+
+    #[test]
+    fn untouched_memory_reads_zero_on_every_path() {
+        const SIZE: usize = 4 << 20;
+        let dev = DeviceId(7);
+        let mut p = pool_with(&[(A, SIZE), (B, SIZE)]);
+        assert_eq!(p.spaces[0].mem.len(), 0, "attach allocates nothing");
+        assert_eq!(p.read_own(A, SIZE - 16, 16).unwrap(), [0; 16]);
+        // B reads, through a grant, a region of A nothing ever wrote.
+        let g = p
+            .grant_create(A, B, 1 << 20, 64, GrantAccess::Read)
+            .unwrap();
+        p.write_own(B, 0, &[0xFF; 64]).unwrap();
+        p.safecopy_from(B, A, g, 0, 0, 64).unwrap();
+        assert_eq!(p.read_own(B, 0, 64).unwrap(), [0; 64]);
+        p.iommu_map(dev, window(B, 2 << 20, 512)).unwrap();
+        let mut buf = [0xFF; 512];
+        p.dma_read(dev, 0, &mut buf).unwrap();
+        assert_eq!(buf, [0; 512]);
+        assert_eq!(p.dma_span(dev, 0, 512).unwrap(), [0; 512]);
+    }
+
+    #[test]
+    fn bounds_are_those_of_the_size_not_of_the_touched_prefix() {
+        const SIZE: usize = 1 << 16;
+        let dev = DeviceId(7);
+        let mut p = pool_with(&[(A, SIZE), (B, SIZE)]);
+        assert_eq!(p.size_of(A).unwrap(), SIZE);
+        // Ending at `size`: accepted. One byte past it: today's error.
+        assert!(p.write_own(A, SIZE - 4, b"tail").is_ok());
+        assert_eq!(
+            p.write_own(A, SIZE - 3, b"tail"),
+            Err(KernelError::BadRange)
+        );
+        assert!(p.read_own(B, SIZE - 8, 8).is_ok());
+        assert_eq!(
+            p.read_own(B, SIZE - 8, 9).err(),
+            Some(KernelError::BadRange)
+        );
+        assert!(p.grant_create(A, B, SIZE - 8, 8, GrantAccess::Read).is_ok());
+        assert_eq!(
+            p.grant_create(A, B, SIZE - 8, 9, GrantAccess::Read),
+            Err(KernelError::BadRange)
+        );
+        assert_eq!(
+            p.grant_create(A, B, usize::MAX, 2, GrantAccess::Read),
+            Err(KernelError::BadRange)
+        );
+        assert!(p.iommu_map(dev, window(A, SIZE - 512, 512)).is_ok());
+        assert_eq!(
+            p.iommu_map(dev, window(A, SIZE - 512, 513)),
+            Err(KernelError::BadRange)
+        );
+        // The caller's side of a SafeCopy is held to the caller's size.
+        let g = p.grant_create(A, B, 0, 16, GrantAccess::ReadWrite).unwrap();
+        assert!(p.safecopy_from(B, A, g, 0, SIZE - 16, 16).is_ok());
+        assert_eq!(
+            p.safecopy_from(B, A, g, 0, SIZE - 15, 16),
+            Err(KernelError::BadRange)
+        );
+        assert_eq!(
+            p.safecopy_to(B, A, g, 0, SIZE - 15, 16),
+            Err(KernelError::BadRange)
+        );
+    }
+
+    #[test]
+    fn dma_span_is_the_part_of_the_transfer_before_the_window_ends() {
+        let dev = DeviceId(7);
+        let mut p = pool_with(&[(A, 4096)]);
+        p.iommu_map(
+            dev,
+            Some(IommuWindow {
+                owner: A,
+                base: 0x1000,
+                offset: 100,
+                len: 1000,
+            }),
+        )
+        .unwrap();
+        p.write_own(A, 100, b"head").unwrap();
+        assert_eq!(p.dma_span(dev, 0x1000, 600).unwrap().len(), 600);
+        assert_eq!(&p.dma_span(dev, 0x1000, 1000).unwrap()[..4], b"head");
+        assert_eq!(p.dma_span(dev, 0x1000, 1001).unwrap().len(), 1000);
+        assert_eq!(p.dma_span(dev, 0x1000 + 990, 64).unwrap().len(), 10);
+        assert_eq!(p.dma_span(dev, 0x1000 + 1000, 64).unwrap().len(), 0);
+        assert_eq!(
+            p.dma_span(dev, 0x0FFF, 64).err(),
+            Some(DmaFault::OutOfWindow)
+        );
+        assert_eq!(
+            p.dma_span(dev, 0x1000 + 1001, 1).err(),
+            Some(DmaFault::OutOfWindow)
+        );
+        assert_eq!(
+            p.dma_span(DeviceId(9), 0x1000, 1).err(),
+            Some(DmaFault::NoWindow)
+        );
+        p.dma_span(dev, 0x1000 + 4, 2)
+            .unwrap()
+            .copy_from_slice(b"!!");
+        assert_eq!(p.read_own(A, 100, 6).unwrap(), b"head!!");
+    }
+
+    #[test]
+    fn a_new_incarnation_reads_zero_where_the_old_one_wrote() {
+        let mut p = pool_with(&[(A, 1024)]);
+        p.write_own(A, 500, b"secret").unwrap();
+        p.detach(A);
+        let a2 = Endpoint::new(0, 2);
+        p.attach(a2, 1024);
+        assert_eq!(p.read_own(a2, 500, 6).unwrap(), [0; 6]);
+        assert_eq!(p.read_own(A, 500, 6).err(), Some(KernelError::BadEndpoint));
+    }
+
+    /// A process that copies through a grant on itself gets what a copy
+    /// through a bounce buffer gave: the source as it was before the copy.
+    #[test]
+    fn safecopy_onto_an_overlapping_range_of_the_same_space() {
+        let pattern: Vec<u8> = (0..64).collect();
+        for (grant_at, own_at) in [(0usize, 8usize), (8, 0), (4, 4), (0, 40)] {
+            for to_grant in [false, true] {
+                let mut p = pool_with(&[(A, 256)]);
+                p.write_own(A, 0, &pattern).unwrap();
+                let g = p
+                    .grant_create(A, A, grant_at, 24, GrantAccess::ReadWrite)
+                    .unwrap();
+                let (src, dst) = if to_grant {
+                    p.safecopy_to(A, A, g, 0, own_at, 24).unwrap();
+                    (own_at, grant_at)
+                } else {
+                    p.safecopy_from(A, A, g, 0, own_at, 24).unwrap();
+                    (grant_at, own_at)
+                };
+                let bounce = pattern[src..src + 24].to_vec();
+                let mut want = pattern.clone();
+                want[dst..dst + 24].copy_from_slice(&bounce);
+                assert_eq!(
+                    p.read_own(A, 0, 64).unwrap(),
+                    want,
+                    "grant at {grant_at}, own at {own_at}, to_grant {to_grant}"
+                );
+            }
+        }
     }
 
     #[test]

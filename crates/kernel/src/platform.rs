@@ -114,6 +114,22 @@ impl<'a> HwCtx<'a> {
     pub fn dma_write(&mut self, dev: DeviceId, addr: u64, data: &[u8]) -> Result<(), DmaFault> {
         self.mem.dma_write(dev, addr, data)
     }
+
+    /// The process memory behind a transfer of `len` bytes at `addr`, or
+    /// the part of it before the end of the window (see
+    /// [`MemoryPool::dma_span`]).
+    ///
+    /// # Errors
+    ///
+    /// Same failure modes as [`HwCtx::dma_read`].
+    pub fn dma_span(
+        &mut self,
+        dev: DeviceId,
+        addr: u64,
+        len: usize,
+    ) -> Result<&mut [u8], DmaFault> {
+        self.mem.dma_span(dev, addr, len)
+    }
 }
 
 /// The hardware platform as seen by the kernel.

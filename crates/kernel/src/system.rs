@@ -1630,16 +1630,14 @@ impl<'a> Ctx<'a> {
         self.sys.mem.write_own(self.self_ep, offset, data)
     }
 
-    /// Reads from this process's own address space.
+    /// Borrows `len` bytes at `offset` of this process's own address
+    /// space.
     ///
     /// # Errors
     ///
     /// [`KernelError::BadRange`] if out of bounds.
-    pub fn mem_read(&mut self, offset: usize, len: usize) -> Result<Vec<u8>, KernelError> {
-        self.sys
-            .mem
-            .read_own(self.self_ep, offset, len)
-            .map(<[u8]>::to_vec)
+    pub fn mem(&mut self, offset: usize, len: usize) -> Result<&[u8], KernelError> {
+        self.sys.mem.read_own(self.self_ep, offset, len)
     }
 
     /// Size of this process's address space.

@@ -1,7 +1,7 @@
 //! Heap budget of the per-message path: how many allocations one IPC
-//! round trip, notification, alarm, device write, counter increment or
-//! send the chaos plan refuses may make once the containers they touch
-//! have grown.
+//! round trip, notification, alarm, device write, counter increment,
+//! SafeCopy round trip or send the chaos plan refuses may make once the
+//! containers they touch have grown.
 //!
 //! This file holds the only `unsafe` in the workspace: a counting
 //! [`GlobalAlloc`] that forwards to [`System`](std::alloc::System), the
@@ -13,6 +13,7 @@ use std::alloc::{GlobalAlloc, Layout};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use phoenix_kernel::chaos::{ChaosInterposer, ChaosVerdict, IpcEnvelope};
+use phoenix_kernel::memory::{GrantAccess, GrantId};
 use phoenix_kernel::platform::{HwCtx, Platform};
 use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -58,6 +59,11 @@ const DEV: DeviceId = DeviceId(1);
 const IRQ: u8 = 4;
 /// Iterations one "go" signal starts.
 const BATCH: u32 = 100;
+/// Bytes one [`Op::SafeCopy`] moves each way.
+const COPY: usize = 4096;
+/// Request type: "grant me [`COPY`] bytes of your memory"; the reply's
+/// first parameter is the grant.
+const GRANT: u32 = 3;
 
 /// A chaos plan with one verdict for everything, so every send takes the
 /// interposed branch and the envelope carries both names.
@@ -102,6 +108,7 @@ enum Op {
     DevWrite,
     Incr,
     Send,
+    SafeCopy,
 }
 
 /// `ping`: SIGTERM is the test's "go" — run `op` [`BATCH`] times, each
@@ -110,6 +117,8 @@ struct Ping {
     pong: Endpoint,
     op: Op,
     left: u32,
+    /// What `pong` granted, for [`Op::SafeCopy`].
+    grant: GrantId,
 }
 
 impl Ping {
@@ -128,7 +137,7 @@ impl Ping {
                     return;
                 }
                 Op::DevWrite => return ctx.devio_write(DEV, 0, 1).expect("permitted"),
-                // These three complete within the call: no event to wait for.
+                // These four complete within the call: no event to wait for.
                 Op::AlarmCancelled => {
                     let id = ctx
                         .set_alarm(SimDuration::from_secs(1), 7)
@@ -137,6 +146,12 @@ impl Ping {
                 }
                 Op::Incr => ctx.metrics().incr("ipc.sends"),
                 Op::Send => ctx.send(self.pong, Message::new(1)).expect("permitted"),
+                Op::SafeCopy => {
+                    ctx.safecopy_from(self.pong, self.grant, 0, 0, COPY)
+                        .expect("granted");
+                    ctx.safecopy_to(self.pong, self.grant, 0, 0, COPY)
+                        .expect("granted");
+                }
             }
         }
     }
@@ -145,10 +160,19 @@ impl Ping {
 impl Process for Ping {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Start => ctx.irq_enable(IRQ).expect("permitted"),
+            ProcEvent::Start => {
+                ctx.irq_enable(IRQ).expect("permitted");
+                if matches!(self.op, Op::SafeCopy) {
+                    ctx.sendrec(self.pong, Message::new(GRANT))
+                        .expect("permitted");
+                }
+            }
             ProcEvent::Signal(Signal::Term) => {
                 self.left = BATCH;
                 self.step(ctx);
+            }
+            ProcEvent::Reply { result: Ok(m), .. } if matches!(self.op, Op::SafeCopy) => {
+                self.grant = GrantId(m.param(0) as u32);
             }
             ProcEvent::Reply { .. }
             | ProcEvent::Notify { .. }
@@ -159,13 +183,23 @@ impl Process for Ping {
     }
 }
 
-/// `pong`: answers a request with a reply and a notification with one back.
+/// `pong`: answers a request with a reply — carrying a grant if that was
+/// the request — and a notification with one back.
 struct Pong;
 
 impl Process for Pong {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Request { call, .. } => ctx.reply(call, Message::new(2)).expect("open"),
+            ProcEvent::Request { call, msg } => {
+                let grant = if msg.mtype == GRANT {
+                    ctx.grant_create(msg.source, 0, COPY, GrantAccess::ReadWrite)
+                        .expect("permitted")
+                } else {
+                    GrantId(0)
+                };
+                let reply = Message::new(2).with_param(0, u64::from(grant.0));
+                ctx.reply(call, reply).expect("open");
+            }
             ProcEvent::Notify { from } => ctx.notify(from).expect("permitted"),
             _ => {}
         }
@@ -187,10 +221,22 @@ fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
         "ping",
         Privileges::driver(DEV, IRQ)
             .with_ipc(IpcFilter::named(["pong"]))
-            .with_calls([KernelCall::Devio, KernelCall::IrqCtl, KernelCall::SetAlarm]),
-        Box::new(Ping { pong, op, left: 0 }),
+            .with_calls([
+                KernelCall::Devio,
+                KernelCall::IrqCtl,
+                KernelCall::SetAlarm,
+                KernelCall::SafeCopy,
+            ]),
+        Box::new(Ping {
+            pong,
+            op,
+            left: 0,
+            grant: GrantId(0),
+        }),
     );
     let mut hw = IrqOnWrite;
+    // Both started, and `ping` holds its grant, before the first "go".
+    sys.run_until_idle(&mut hw, u64::MAX);
     let mut run = |batches: u32| {
         for _ in 0..batches {
             assert!(sys.kill_by_user(ping, Signal::Term));
@@ -210,7 +256,9 @@ fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
 /// + IRQ 5,010, `incr` 1,010. The odd tens are the ten "go" signals.
 ///
 /// While the kernel still built a trace line for a level nothing could
-/// enable, a dropped `send` read 3,000 and a corrupted one 2,000.
+/// enable, a dropped `send` read 3,000 and a corrupted one 2,000. While
+/// SafeCopy bounced every copy through a `Vec`, a 4 KB `safecopy_from` +
+/// `safecopy_to` round trip read 2,000.
 #[test]
 fn the_per_message_path_stays_off_the_heap() {
     const ITERS: u32 = 1_000;
@@ -222,6 +270,7 @@ fn the_per_message_path_stays_off_the_heap() {
         ("set_alarm + cancel_alarm", delivered(Op::AlarmCancelled)),
         ("devio_write + irq", delivered(Op::DevWrite)),
         ("incr", delivered(Op::Incr)),
+        ("safecopy_from + safecopy_to, 4 KB", delivered(Op::SafeCopy)),
         (
             "send, dropped",
             allocations(ChaosVerdict::Drop, Op::Send, ITERS),

@@ -974,8 +974,7 @@ fn grants_work_through_ctx() {
                 ProcEvent::Message(m) if m.mtype == 2 => {
                     let g = phoenix_kernel::memory::GrantId(m.param(0) as u32);
                     ctx.safecopy_from(producer, g, 0, 0, 8).unwrap();
-                    let data = ctx.mem_read(0, 8).unwrap();
-                    assert_eq!(&data, b"payload!");
+                    assert_eq!(ctx.mem(0, 8).unwrap(), b"payload!");
                     ctx.trace(phoenix_simcore::trace::TraceLevel::Info, "copied".into());
                 }
                 _ => {}

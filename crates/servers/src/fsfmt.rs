@@ -15,7 +15,7 @@
 //! 1 GB file is free, and the experiment harness can compute the expected
 //! SHA-1 without touching the simulated disk.
 
-use phoenix_hw::disk::{synth_sector, DiskModel, SECTOR};
+use phoenix_hw::disk::{synth_sector_into, DiskModel, SECTOR};
 use phoenix_simcore::digest::Sha1;
 use phoenix_simcore::wire::{Len, Reader, Writer};
 
@@ -327,12 +327,13 @@ pub fn mkfs(disk: &mut DiskModel, files: &[FileSpec]) -> Vec<Inode> {
 /// any I/O. Mirrors what `sha1sum` reports in Fig. 8.
 pub fn expected_sha1(disk_seed: u64, inode: &Inode) -> String {
     let mut h = Sha1::new();
+    let mut sector = [0; SECTOR];
     let mut remaining = inode.size;
     let mut offset = 0u64;
     while remaining > 0 {
         let (lba, in_off) = inode.locate(offset).expect("within file");
         debug_assert_eq!(in_off, 0, "synthetic files are sector-aligned");
-        let sector = synth_sector(disk_seed, lba);
+        synth_sector_into(disk_seed, lba, &mut sector);
         let take = remaining.min(SECTOR as u64) as usize;
         h.update(&sector[..take]);
         remaining -= take as u64;

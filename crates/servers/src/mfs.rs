@@ -464,8 +464,8 @@ impl<V: Volume> FileServer<V> {
         self.mount_read(ctx, lba, sectors);
     }
 
-    fn mount_continue(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, data: Vec<u8>) {
-        match self.volume.mount_step(Some(&data)) {
+    fn mount_continue(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, step: MountStep) {
+        match step {
             MountStep::Bad(why) => {
                 ctx.trace(TraceLevel::Error, why.to_string());
                 self.active = None;
@@ -649,12 +649,13 @@ impl<V: Volume> FileServer<V> {
                             return;
                         }
                         if is_mount {
-                            let Ok(data) = ctx.mem_read(IO_BUF, bytes) else {
+                            let Ok(data) = ctx.mem(IO_BUF, bytes) else {
                                 ctx.trace(TraceLevel::Error, "io buffer read failed".to_string());
                                 self.finish_active(sh, ctx, status::EIO);
                                 return;
                             };
-                            self.mount_continue(sh, ctx, data);
+                            let step = self.volume.mount_step(Some(data));
+                            self.mount_continue(sh, ctx, step);
                             return;
                         }
                         if is_write {
@@ -665,7 +666,7 @@ impl<V: Volume> FileServer<V> {
                             a.file_pos += take;
                             a.remaining -= take.min(a.remaining);
                         } else {
-                            let Ok(data) = ctx.mem_read(IO_BUF, bytes) else {
+                            let Ok(data) = ctx.mem(IO_BUF, bytes) else {
                                 ctx.trace(TraceLevel::Error, "io buffer read failed".to_string());
                                 self.finish_active(sh, ctx, status::EIO);
                                 return;
@@ -673,7 +674,8 @@ impl<V: Volume> FileServer<V> {
                             let Some(a) = self.active.as_mut() else {
                                 return;
                             };
-                            match a.scrub.take() {
+                            let scrubbed = a.scrub.take();
+                            match &scrubbed {
                                 Some(expected) => {
                                     // Second read of a scrubbed chunk: the
                                     // two reads must agree byte for byte.
@@ -682,32 +684,28 @@ impl<V: Volume> FileServer<V> {
                                         self.csum_violation(sh, ctx, "read-back scrub mismatch");
                                         return;
                                     }
-                                    ctx.metrics().incr(V::NAMES.scrub_ok);
                                 }
                                 None => {
                                     self.scrub_chunks += 1;
                                     if self.scrub_chunks.is_multiple_of(SCRUB_SAMPLE) {
-                                        // Sampled read-back scrub: re-read
-                                        // the same chunk and compare before
-                                        // trusting the data.
+                                        // Sampled read-back scrub: keep a
+                                        // copy, re-read the same chunk and
+                                        // compare before trusting the data.
+                                        a.scrub = Some(data.to_vec());
                                         ctx.metrics().incr(V::NAMES.scrubs);
-                                        let Some(a) = self.active.as_mut() else {
-                                            return;
-                                        };
-                                        a.scrub = Some(data);
                                         self.issue_chunk(ctx);
                                         return;
                                     }
                                 }
                             }
-                            let Some(a) = self.active.as_mut() else {
-                                return;
-                            };
                             let start = a.chunk_skip;
                             let take = (bytes - start).min(a.remaining as usize);
                             a.assembled.extend_from_slice(&data[start..start + take]);
                             a.file_pos += take as u64;
                             a.remaining -= take as u64;
+                            if scrubbed.is_some() {
+                                ctx.metrics().incr(V::NAMES.scrub_ok);
+                            }
                         }
                         let remaining = self.active.as_ref().map_or(0, |a| a.remaining);
                         if remaining == 0 {

@@ -51,20 +51,57 @@ pub struct Segment {
     pub payload: Vec<u8>,
 }
 
-/// CRC-16/CCITT-FALSE — detects *all* single-bit errors (and all burst
-/// errors up to 16 bits), which is what the chaos layer's bit-flip
-/// corruption produces.
-pub fn crc16(data: &[u8]) -> u16 {
-    let mut crc: u16 = 0xFFFF;
-    for &b in data {
-        crc ^= u16::from(b) << 8;
-        for _ in 0..8 {
+/// `CRC16[k][b]`: what byte `b` followed by `k` zero bytes leaves in a
+/// zero register (polynomial 0x1021, most significant bit first). Row 0
+/// is the bytewise table; rows 1–3 let four input bytes be folded in with
+/// four independent lookups instead of four dependent ones.
+static CRC16: [[u16; 256]; 4] = crc16_tables();
+
+const fn crc16_tables() -> [[u16; 256]; 4] {
+    let mut t = [[0u16; 256]; 4];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = (b as u16) << 8;
+        let mut bit = 0;
+        while bit < 8 {
             crc = if crc & 0x8000 != 0 {
                 (crc << 1) ^ 0x1021
             } else {
                 crc << 1
             };
+            bit += 1;
         }
+        t[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 4 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = t[k - 1][b];
+            t[k][b] = (prev << 8) ^ t[0][(prev >> 8) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    t
+}
+
+/// CRC-16/CCITT-FALSE — detects *all* single-bit errors (and all burst
+/// errors up to 16 bits), which is what the chaos layer's bit-flip
+/// corruption produces.
+pub fn crc16(data: &[u8]) -> u16 {
+    let (words, tail) = data.as_chunks::<4>();
+    let mut crc: u16 = 0xFFFF;
+    for w in words {
+        // The register only meets the first two of the four bytes.
+        crc = CRC16[3][usize::from((crc >> 8) as u8 ^ w[0])]
+            ^ CRC16[2][usize::from(crc as u8 ^ w[1])]
+            ^ CRC16[1][usize::from(w[2])]
+            ^ CRC16[0][usize::from(w[3])];
+    }
+    for &b in tail {
+        crc = (crc << 8) ^ CRC16[0][usize::from((crc >> 8) as u8 ^ b)];
     }
     crc
 }
@@ -124,28 +161,31 @@ impl Segment {
     }
 }
 
-/// Deterministic download content: byte stream a "remote file server"
-/// serves, computable at any offset by both the peer and the experiment
-/// harness (for MD5 verification, Fig. 7).
-pub fn stream_chunk(seed: u64, offset: u64, len: usize) -> Vec<u8> {
-    let mut out = Vec::with_capacity(len);
+/// Appends bytes `offset..offset + len` of the download content to `out`,
+/// a word at a time: word `i` of the stream is a function of `(seed, i)`
+/// alone, so any offset is computable without the bytes before it.
+fn stream_extend(seed: u64, offset: u64, len: usize, out: &mut Vec<u8>) {
+    let end = offset + len as u64;
     let mut pos = offset;
-    while out.len() < len {
-        let word_index = pos / 8;
-        let mut x = seed ^ word_index.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x9E37_79B9_7F4A_7C15;
+    while pos < end {
+        let mut x = seed ^ (pos / 8).wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x9E37_79B9_7F4A_7C15;
         x ^= x >> 12;
         x ^= x << 25;
         x ^= x >> 27;
         let word = x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
         let start = (pos % 8) as usize;
-        for &b in &word[start..] {
-            if out.len() == len {
-                break;
-            }
-            out.push(b);
-        }
-        pos += (8 - start) as u64;
+        let take = (8 - start).min((end - pos) as usize);
+        out.extend_from_slice(&word[start..start + take]);
+        pos += take as u64;
     }
+}
+
+/// Deterministic download content: byte stream a "remote file server"
+/// serves, computable at any offset by both the peer and the experiment
+/// harness (for MD5 verification, Fig. 7).
+pub fn stream_chunk(seed: u64, offset: u64, len: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(len);
+    stream_extend(seed, offset, len, &mut out);
     out
 }
 
@@ -153,10 +193,13 @@ pub fn stream_chunk(seed: u64, offset: u64, len: usize) -> Vec<u8> {
 /// `md5sum` would report for the downloaded file.
 pub fn stream_md5(seed: u64, size: u64) -> String {
     let mut h = phoenix_simcore::digest::Md5::new();
+    let mut chunk = Vec::with_capacity(1 << 16);
     let mut off = 0u64;
     while off < size {
         let take = (size - off).min(1 << 16) as usize;
-        h.update(&stream_chunk(seed, off, take));
+        chunk.clear();
+        stream_extend(seed, off, take, &mut chunk);
+        h.update(&chunk);
         off += take as u64;
     }
     h.finish_hex()
@@ -227,6 +270,76 @@ mod tests {
             Segment::decode(&frame).is_some(),
             "pristine frame still decodes"
         );
+    }
+
+    /// `crc16` one bit at a time, as the polynomial defines it.
+    fn crc16_bitwise(data: &[u8]) -> u16 {
+        let mut crc: u16 = 0xFFFF;
+        for &b in data {
+            crc ^= u16::from(b) << 8;
+            for _ in 0..8 {
+                crc = if crc & 0x8000 != 0 {
+                    (crc << 1) ^ 0x1021
+                } else {
+                    crc << 1
+                };
+            }
+        }
+        crc
+    }
+
+    #[test]
+    fn sliced_crc16_equals_the_bitwise_loop() {
+        assert_eq!(
+            crc16(b"123456789"),
+            0x29B1,
+            "CRC-16/CCITT-FALSE check value"
+        );
+        let data = stream_chunk(16, 0, 5003);
+        let lengths = (0..=200).chain(1459..=1461).chain(4999..=5000);
+        for len in lengths {
+            for at in 0..4 {
+                let d = &data[at..at + len];
+                assert_eq!(crc16(d), crc16_bitwise(d), "{len} bytes at offset {at}");
+            }
+        }
+    }
+
+    /// `stream_chunk` one byte at a time.
+    fn stream_chunk_bytewise(seed: u64, offset: u64, len: usize) -> Vec<u8> {
+        let mut out = Vec::with_capacity(len);
+        let mut pos = offset;
+        while out.len() < len {
+            let word_index = pos / 8;
+            let mut x =
+                seed ^ word_index.wrapping_mul(0xA076_1D64_78BD_642F) ^ 0x9E37_79B9_7F4A_7C15;
+            x ^= x >> 12;
+            x ^= x << 25;
+            x ^= x >> 27;
+            let word = x.wrapping_mul(0x2545_F491_4F6C_DD1D).to_le_bytes();
+            let start = (pos % 8) as usize;
+            for &b in &word[start..] {
+                if out.len() == len {
+                    break;
+                }
+                out.push(b);
+            }
+            pos += (8 - start) as u64;
+        }
+        out
+    }
+
+    #[test]
+    fn stream_chunk_by_words_equals_the_bytewise_form() {
+        for offset in 0..=8 {
+            for len in 0..=40 {
+                assert_eq!(
+                    stream_chunk(42, offset, len),
+                    stream_chunk_bytewise(42, offset, len),
+                    "{len} bytes at offset {offset}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -138,7 +138,7 @@ fn fake_driver(sys: &mut System, script: &Rc<RefCell<DriverScript>>) -> Endpoint
                             ctx.safecopy_to(msg.source, grant, 0, 0, bytes).unwrap();
                         } else {
                             ctx.safecopy_from(msg.source, grant, 0, 0, bytes).unwrap();
-                            let data = ctx.mem_read(0, bytes).unwrap();
+                            let data = ctx.mem(0, bytes).unwrap();
                             for (i, sector) in data.chunks(SECTOR).enumerate() {
                                 assert!(s.disk.write(lba + i as u64, sector));
                             }

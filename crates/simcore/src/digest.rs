@@ -6,6 +6,58 @@
 //! do the same without an external dependency. They are for *integrity
 //! checking inside the simulation only* — do not use them for security.
 
+/// The 64-byte block buffer MD5 and SHA-1 share: the input `update` has
+/// not compressed yet, and the message length the padding ends on.
+#[derive(Debug, Clone)]
+struct Blocks {
+    buf: [u8; 64],
+    buf_len: usize,
+    total_len: u64,
+}
+
+impl Blocks {
+    fn new() -> Self {
+        Blocks {
+            buf: [0; 64],
+            buf_len: 0,
+            total_len: 0,
+        }
+    }
+
+    /// Hands `compress` every whole block of the buffered input followed
+    /// by `data`, borrowed from `data` wherever a block lies inside it.
+    fn update(&mut self, mut data: &[u8], mut compress: impl FnMut(&[u8; 64])) {
+        self.total_len = self.total_len.wrapping_add(data.len() as u64);
+        if self.buf_len > 0 {
+            let take = (64 - self.buf_len).min(data.len());
+            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
+            self.buf_len += take;
+            data = &data[take..];
+            if self.buf_len < 64 {
+                return;
+            }
+            compress(&self.buf);
+        }
+        let (blocks, tail) = data.as_chunks::<64>();
+        blocks.iter().for_each(&mut compress);
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
+    }
+
+    /// Pads the message — `0x80`, zeros up to 56 mod 64, the bit length as
+    /// `len_bytes` spells it — and compresses the one or two blocks left.
+    fn finish(&mut self, len_bytes: fn(u64) -> [u8; 8], mut compress: impl FnMut(&[u8; 64])) {
+        self.buf[self.buf_len] = 0x80;
+        self.buf[self.buf_len + 1..].fill(0);
+        if self.buf_len >= 56 {
+            compress(&self.buf);
+            self.buf.fill(0);
+        }
+        self.buf[56..].copy_from_slice(&len_bytes(self.total_len.wrapping_mul(8)));
+        compress(&self.buf);
+    }
+}
+
 /// Streaming MD5 (RFC 1321).
 ///
 /// # Example
@@ -20,9 +72,7 @@
 #[derive(Debug, Clone)]
 pub struct Md5 {
     state: [u32; 4],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
+    blocks: Blocks,
 }
 
 const MD5_S: [u32; 64] = [
@@ -43,6 +93,73 @@ const MD5_K: [u32; 64] = [
     0x6fa87e4f, 0xfe2ce6e0, 0xa3014314, 0x4e0811a1, 0xf7537e82, 0xbd3af235, 0x2ad7d2bb, 0xeb86d391,
 ];
 
+/// One MD5 block: four groups of sixteen steps, every message index,
+/// shift and constant fixed at compile time. Step `i` is
+/// `a = b + rol(a + f(b, c, d) + K[i] + m[g(i)], S[i])` and the four
+/// names change role from one step to the next instead of being shuffled.
+fn md5_compress(state: &mut [u32; 4], block: &[u8; 64]) {
+    let mut m = [0u32; 16];
+    for (m, c) in m.iter_mut().zip(block.chunks_exact(4)) {
+        *m = u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    let [mut a, mut b, mut c, mut d] = *state;
+    macro_rules! step {
+        ($f:expr, $a:ident, $b:ident, $c:ident, $d:ident, $i:expr, $g:expr) => {
+            $a = $b.wrapping_add(
+                $a.wrapping_add($f($b, $c, $d))
+                    .wrapping_add(MD5_K[$i])
+                    .wrapping_add(m[$g % 16])
+                    .rotate_left(MD5_S[$i]),
+            );
+        };
+    }
+    // Sixteen steps from step `$i`; `$g` maps a step to its message word.
+    macro_rules! group {
+        ($f:expr, $g:expr, $($i:expr),+) => {$(
+            step!($f, a, b, c, d, $i, $g($i));
+            step!($f, d, a, b, c, $i + 1, $g($i + 1));
+            step!($f, c, d, a, b, $i + 2, $g($i + 2));
+            step!($f, b, c, d, a, $i + 3, $g($i + 3));
+        )+};
+    }
+    group!(
+        |x: u32, y: u32, z: u32| z ^ (x & (y ^ z)),
+        |i: usize| i,
+        0,
+        4,
+        8,
+        12
+    );
+    group!(
+        |x: u32, y: u32, z: u32| y ^ (z & (x ^ y)),
+        |i: usize| 5 * i + 1,
+        16,
+        20,
+        24,
+        28
+    );
+    group!(
+        |x: u32, y: u32, z: u32| x ^ y ^ z,
+        |i: usize| 3 * i + 5,
+        32,
+        36,
+        40,
+        44
+    );
+    group!(
+        |x: u32, y: u32, z: u32| y ^ (x | !z),
+        |i: usize| 7 * i,
+        48,
+        52,
+        56,
+        60
+    );
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+}
+
 impl Default for Md5 {
     fn default() -> Self {
         Self::new()
@@ -54,83 +171,24 @@ impl Md5 {
     pub fn new() -> Self {
         Md5 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476],
-            buf: [0; 64],
-            buf_len: 0,
-            total_len: 0,
+            blocks: Blocks::new(),
         }
     }
 
     /// Feeds `data` into the hash.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut data = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut m = [0u32; 16];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        let [mut a, mut b, mut c, mut d] = self.state;
-        for i in 0..64 {
-            let (f, g) = match i / 16 {
-                0 => ((b & c) | (!b & d), i),
-                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
-                2 => (b ^ c ^ d, (3 * i + 5) % 16),
-                _ => (c ^ (b | !d), (7 * i) % 16),
-            };
-            let tmp = d;
-            d = c;
-            c = b;
-            b = b.wrapping_add(
-                a.wrapping_add(f)
-                    .wrapping_add(MD5_K[i])
-                    .wrapping_add(m[g])
-                    .rotate_left(MD5_S[i]),
-            );
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
+        let state = &mut self.state;
+        self.blocks.update(data, |b| md5_compress(state, b));
     }
 
     /// Consumes the hasher and returns the 16-byte digest.
     pub fn finish(mut self) -> [u8; 16] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        // Length must bypass total_len accounting; write block manually.
-        self.buf[56..64].copy_from_slice(&bit_len.to_le_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        let state = &mut self.state;
+        self.blocks
+            .finish(u64::to_le_bytes, |b| md5_compress(state, b));
         let mut out = [0u8; 16];
-        for (i, s) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_le_bytes());
+        for (o, s) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&s.to_le_bytes());
         }
         out
     }
@@ -162,9 +220,7 @@ impl Md5 {
 #[derive(Debug, Clone)]
 pub struct Sha1 {
     state: [u32; 5],
-    buf: [u8; 64],
-    buf_len: usize,
-    total_len: u64,
+    blocks: Blocks,
 }
 
 impl Default for Sha1 {
@@ -173,92 +229,97 @@ impl Default for Sha1 {
     }
 }
 
+/// Word `i` of the SHA-1 message schedule, kept in a 16-word circle:
+/// from round 16 on a word is computed over the slot of the word sixteen
+/// rounds back, the last round that needs that one.
+#[inline(always)]
+fn sha1_word(w: &mut [u32; 16], i: usize) -> u32 {
+    if i >= 16 {
+        w[i % 16] =
+            (w[(i + 13) % 16] ^ w[(i + 8) % 16] ^ w[(i + 2) % 16] ^ w[i % 16]).rotate_left(1);
+    }
+    w[i % 16]
+}
+
+/// One SHA-1 block, eighty rounds with every index fixed at compile time.
+/// A round is `e += rol5(a) + f(b, c, d) + k + w; b = rol30(b)` and the
+/// five names change role from one round to the next instead of being
+/// shuffled, so five rounds bring every name back to its own role.
+fn sha1_compress(state: &mut [u32; 5], block: &[u8; 64]) {
+    let mut w = [0u32; 16];
+    for (w, c) in w.iter_mut().zip(block.chunks_exact(4)) {
+        *w = u32::from_be_bytes([c[0], c[1], c[2], c[3]]);
+    }
+    let [mut a, mut b, mut c, mut d, mut e] = *state;
+    macro_rules! round {
+        ($f:expr, $k:expr, $a:ident, $b:ident, $c:ident, $d:ident, $e:ident, $i:expr) => {
+            $e = $e
+                .wrapping_add($a.rotate_left(5))
+                .wrapping_add($f($b, $c, $d))
+                .wrapping_add($k)
+                .wrapping_add(sha1_word(&mut w, $i));
+            $b = $b.rotate_left(30);
+        };
+    }
+    // Twenty rounds under one `f` and `k`, five from each `$i`.
+    macro_rules! twenty {
+        ($f:expr, $k:expr, $($i:expr),+) => {$(
+            round!($f, $k, a, b, c, d, e, $i);
+            round!($f, $k, e, a, b, c, d, $i + 1);
+            round!($f, $k, d, e, a, b, c, $i + 2);
+            round!($f, $k, c, d, e, a, b, $i + 3);
+            round!($f, $k, b, c, d, e, a, $i + 4);
+        )+};
+    }
+    let parity = |x: u32, y: u32, z: u32| x ^ y ^ z;
+    twenty!(
+        |x: u32, y: u32, z: u32| z ^ (x & (y ^ z)),
+        0x5a827999,
+        0,
+        5,
+        10,
+        15
+    );
+    twenty!(parity, 0x6ed9eba1, 20, 25, 30, 35);
+    twenty!(
+        |x: u32, y: u32, z: u32| (x & y) | (z & (x | y)),
+        0x8f1bbcdc,
+        40,
+        45,
+        50,
+        55
+    );
+    twenty!(parity, 0xca62c1d6, 60, 65, 70, 75);
+    state[0] = state[0].wrapping_add(a);
+    state[1] = state[1].wrapping_add(b);
+    state[2] = state[2].wrapping_add(c);
+    state[3] = state[3].wrapping_add(d);
+    state[4] = state[4].wrapping_add(e);
+}
+
 impl Sha1 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
         Sha1 {
             state: [0x67452301, 0xefcdab89, 0x98badcfe, 0x10325476, 0xc3d2e1f0],
-            buf: [0; 64],
-            buf_len: 0,
-            total_len: 0,
+            blocks: Blocks::new(),
         }
     }
 
     /// Feeds `data` into the hash.
     pub fn update(&mut self, data: &[u8]) {
-        self.total_len = self.total_len.wrapping_add(data.len() as u64);
-        let mut data = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(data.len());
-            self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&data[..take]);
-            self.buf_len += take;
-            data = &data[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while data.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&data[..64]);
-            self.compress(&block);
-            data = &data[64..];
-        }
-        if !data.is_empty() {
-            self.buf[..data.len()].copy_from_slice(data);
-            self.buf_len = data.len();
-        }
-    }
-
-    fn compress(&mut self, block: &[u8; 64]) {
-        let mut w = [0u32; 80];
-        for (i, chunk) in block.chunks_exact(4).enumerate() {
-            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
-        }
-        for i in 16..80 {
-            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
-        }
-        let [mut a, mut b, mut c, mut d, mut e] = self.state;
-        for (i, &wi) in w.iter().enumerate() {
-            let (f, k) = match i / 20 {
-                0 => ((b & c) | (!b & d), 0x5a827999),
-                1 => (b ^ c ^ d, 0x6ed9eba1),
-                2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
-                _ => (b ^ c ^ d, 0xca62c1d6),
-            };
-            let tmp = a
-                .rotate_left(5)
-                .wrapping_add(f)
-                .wrapping_add(e)
-                .wrapping_add(k)
-                .wrapping_add(wi);
-            e = d;
-            d = c;
-            c = b.rotate_left(30);
-            b = a;
-            a = tmp;
-        }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
+        let state = &mut self.state;
+        self.blocks.update(data, |b| sha1_compress(state, b));
     }
 
     /// Consumes the hasher and returns the 20-byte digest.
     pub fn finish(mut self) -> [u8; 20] {
-        let bit_len = self.total_len.wrapping_mul(8);
-        self.update(&[0x80]);
-        while self.buf_len != 56 {
-            self.update(&[0]);
-        }
-        self.buf[56..64].copy_from_slice(&bit_len.to_be_bytes());
-        let block = self.buf;
-        self.compress(&block);
+        let state = &mut self.state;
+        self.blocks
+            .finish(u64::to_be_bytes, |b| sha1_compress(state, b));
         let mut out = [0u8; 20];
-        for (i, s) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&s.to_be_bytes());
+        for (o, s) in out.chunks_exact_mut(4).zip(self.state) {
+            o.copy_from_slice(&s.to_be_bytes());
         }
         out
     }
@@ -278,9 +339,11 @@ impl Sha1 {
 
 /// Renders bytes as lowercase hex.
 pub fn to_hex(bytes: &[u8]) -> String {
+    const DIGITS: &[u8; 16] = b"0123456789abcdef";
     let mut s = String::with_capacity(bytes.len() * 2);
-    for b in bytes {
-        s.push_str(&format!("{b:02x}"));
+    for &b in bytes {
+        s.push(char::from(DIGITS[usize::from(b >> 4)]));
+        s.push(char::from(DIGITS[usize::from(b & 0xf)]));
     }
     s
 }
@@ -362,6 +425,121 @@ mod tests {
             s.update(&data[split..]);
             assert_eq!(s.finish(), Sha1::digest(&data), "sha1 split {split}");
         }
+    }
+
+    /// `md5_compress` as RFC 1321 writes it: one loop, the function and
+    /// message index picked by round number, the four words shuffled.
+    fn md5_compress_loop(state: &mut [u32; 4], block: &[u8; 64]) {
+        let mut m = [0u32; 16];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            m[i] = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        let [mut a, mut b, mut c, mut d] = *state;
+        for i in 0..64 {
+            let (f, g) = match i / 16 {
+                0 => ((b & c) | (!b & d), i),
+                1 => ((d & b) | (!d & c), (5 * i + 1) % 16),
+                2 => (b ^ c ^ d, (3 * i + 5) % 16),
+                _ => (c ^ (b | !d), (7 * i) % 16),
+            };
+            let tmp = d;
+            d = c;
+            c = b;
+            b = b.wrapping_add(
+                a.wrapping_add(f)
+                    .wrapping_add(MD5_K[i])
+                    .wrapping_add(m[g])
+                    .rotate_left(MD5_S[i]),
+            );
+            a = tmp;
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// `sha1_compress` as RFC 3174 writes it: an 80-word schedule and one
+    /// loop, the function and constant picked by round number.
+    fn sha1_compress_loop(state: &mut [u32; 5], block: &[u8; 64]) {
+        let mut w = [0u32; 80];
+        for (i, chunk) in block.chunks_exact(4).enumerate() {
+            w[i] = u32::from_be_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]);
+        }
+        for i in 16..80 {
+            w[i] = (w[i - 3] ^ w[i - 8] ^ w[i - 14] ^ w[i - 16]).rotate_left(1);
+        }
+        let [mut a, mut b, mut c, mut d, mut e] = *state;
+        for (i, &wi) in w.iter().enumerate() {
+            let (f, k) = match i / 20 {
+                0 => ((b & c) | (!b & d), 0x5a827999),
+                1 => (b ^ c ^ d, 0x6ed9eba1),
+                2 => ((b & c) | (b & d) | (c & d), 0x8f1bbcdc),
+                _ => (b ^ c ^ d, 0xca62c1d6),
+            };
+            let tmp = a
+                .rotate_left(5)
+                .wrapping_add(f)
+                .wrapping_add(e)
+                .wrapping_add(k)
+                .wrapping_add(wi);
+            e = d;
+            d = c;
+            c = b.rotate_left(30);
+            b = a;
+            a = tmp;
+        }
+        for (s, v) in state.iter_mut().zip([a, b, c, d, e]) {
+            *s = s.wrapping_add(v);
+        }
+    }
+
+    /// The unrolled compressions against the loop forms, chained: each
+    /// block starts from the state the previous one left.
+    #[test]
+    fn unrolled_compress_equals_the_loop_form() {
+        let mut rng = crate::rng::SimRng::new(0xD16E57);
+        let (mut md5, mut md5_ref) = (Md5::new().state, Md5::new().state);
+        let (mut sha1, mut sha1_ref) = (Sha1::new().state, Sha1::new().state);
+        for i in 0..1000 {
+            let mut block = [0u8; 64];
+            rng.fill_bytes(&mut block);
+            md5_compress(&mut md5, &block);
+            md5_compress_loop(&mut md5_ref, &block);
+            assert_eq!(md5, md5_ref, "md5 block {i}");
+            sha1_compress(&mut sha1, &block);
+            sha1_compress_loop(&mut sha1_ref, &block);
+            assert_eq!(sha1, sha1_ref, "sha1 block {i}");
+        }
+    }
+
+    /// Padding at every buffered length: 55 is the last that fits one
+    /// block, 56..=63 spill the length into a second.
+    #[test]
+    fn padding_at_every_tail_length() {
+        let data = [0x61u8; 130];
+        for len in 0..=data.len() {
+            let mut bytewise = Sha1::new();
+            let mut md5_bytewise = Md5::new();
+            for b in &data[..len] {
+                bytewise.update(std::slice::from_ref(b));
+                md5_bytewise.update(std::slice::from_ref(b));
+            }
+            assert_eq!(bytewise.finish(), Sha1::digest(&data[..len]), "sha1 {len}");
+            assert_eq!(
+                md5_bytewise.finish(),
+                Md5::digest(&data[..len]),
+                "md5 {len}"
+            );
+        }
+        // 56 and 64 'a's, from an independent implementation.
+        assert_eq!(
+            to_hex(&Sha1::digest(&data[..56])),
+            "c2db330f6083854c99d4b5bfb6e8f29f201be699"
+        );
+        assert_eq!(
+            to_hex(&Md5::digest(&data[..64])),
+            "014842d480b571495a4a0363793f7367"
+        );
     }
 
     #[test]
