@@ -1,8 +1,8 @@
 #!/bin/sh
 # Local CI gate: formatting, lints, static analysis, every test in the
 # workspace, then every scenario of the phoenix-bench registry at
-# --quick size and the benchmark's exact counts for two workloads at one
-# seed. Ends on a clean `git diff results/`: the committed artefacts must
+# --quick size and the benchmark's exact counts for all four workloads at
+# one seed. Ends on a clean `git diff results/`: the committed artefacts must
 # be exactly what the code produces.
 # Usage: ./ci.sh
 set -eu
@@ -39,7 +39,7 @@ for s in $("$bench" list | cut -d" " -f1); do
     "$bench" "$s" --quick
 done
 
-for w in slo_chaos fleet_failover; do
+for w in slo_chaos bulk_io mutation fleet_failover; do
     echo "==> benchmark/run.sh $w: the exact (host-independent) numbers of one seed"
     last=$(benchmark/run.sh --workload "$w" --seed 2007 --seconds 1 --trace 0 | tail -n 1)
     echo "$last" | grep -q '"correct":true'
