@@ -58,14 +58,12 @@ fn synth_run_into(seed: u64, lba: u64, out: &mut [u8]) {
     let (sectors, _) = out.as_chunks_mut::<SECTOR>();
     let (quads, rest) = sectors.as_chunks_mut::<4>();
     let mut lba = lba;
-    for [s0, s1, s2, s3] in quads {
-        let mut x = [0, 1, 2, 3].map(|lane| chain_start(seed, lba + lane));
+    for quad in quads {
+        let mut chains = [0, 1, 2, 3].map(|lane| chain_start(seed, lba + lane));
         for word in 0..SECTOR / 8 {
-            let at = word * 8..word * 8 + 8;
-            s0[at.clone()].copy_from_slice(&chain_next(&mut x[0]));
-            s1[at.clone()].copy_from_slice(&chain_next(&mut x[1]));
-            s2[at.clone()].copy_from_slice(&chain_next(&mut x[2]));
-            s3[at].copy_from_slice(&chain_next(&mut x[3]));
+            for (sector, x) in quad.iter_mut().zip(&mut chains) {
+                sector[word * 8..word * 8 + 8].copy_from_slice(&chain_next(x));
+            }
         }
         lba += 4;
     }

@@ -113,9 +113,10 @@ fn md5_compress(state: &mut [u32; 4], block: &[u8; 64]) {
             );
         };
     }
-    // Sixteen steps from step `$i`; `$g` maps a step to its message word.
+    // Four steps from each `$i`, which bring every name back to its own
+    // role; `$g` maps a step to its message word.
     macro_rules! group {
-        ($f:expr, $g:expr, $($i:expr),+) => {$(
+        ($f:expr, $g:expr, [$($i:expr),+] $(,)?) => {$(
             step!($f, a, b, c, d, $i, $g($i));
             step!($f, d, a, b, c, $i + 1, $g($i + 1));
             step!($f, c, d, a, b, $i + 2, $g($i + 2));
@@ -125,34 +126,22 @@ fn md5_compress(state: &mut [u32; 4], block: &[u8; 64]) {
     group!(
         |x: u32, y: u32, z: u32| z ^ (x & (y ^ z)),
         |i: usize| i,
-        0,
-        4,
-        8,
-        12
+        [0, 4, 8, 12],
     );
     group!(
         |x: u32, y: u32, z: u32| y ^ (z & (x ^ y)),
         |i: usize| 5 * i + 1,
-        16,
-        20,
-        24,
-        28
+        [16, 20, 24, 28],
     );
     group!(
         |x: u32, y: u32, z: u32| x ^ y ^ z,
         |i: usize| 3 * i + 5,
-        32,
-        36,
-        40,
-        44
+        [32, 36, 40, 44],
     );
     group!(
         |x: u32, y: u32, z: u32| y ^ (x | !z),
         |i: usize| 7 * i,
-        48,
-        52,
-        56,
-        60
+        [48, 52, 56, 60],
     );
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
@@ -263,7 +252,7 @@ fn sha1_compress(state: &mut [u32; 5], block: &[u8; 64]) {
     }
     // Twenty rounds under one `f` and `k`, five from each `$i`.
     macro_rules! twenty {
-        ($f:expr, $k:expr, $($i:expr),+) => {$(
+        ($f:expr, $k:expr, [$($i:expr),+] $(,)?) => {$(
             round!($f, $k, a, b, c, d, e, $i);
             round!($f, $k, e, a, b, c, d, $i + 1);
             round!($f, $k, d, e, a, b, c, $i + 2);
@@ -275,21 +264,15 @@ fn sha1_compress(state: &mut [u32; 5], block: &[u8; 64]) {
     twenty!(
         |x: u32, y: u32, z: u32| z ^ (x & (y ^ z)),
         0x5a827999,
-        0,
-        5,
-        10,
-        15
+        [0, 5, 10, 15],
     );
-    twenty!(parity, 0x6ed9eba1, 20, 25, 30, 35);
+    twenty!(parity, 0x6ed9eba1, [20, 25, 30, 35]);
     twenty!(
         |x: u32, y: u32, z: u32| (x & y) | (z & (x | y)),
         0x8f1bbcdc,
-        40,
-        45,
-        50,
-        55
+        [40, 45, 50, 55],
     );
-    twenty!(parity, 0xca62c1d6, 60, 65, 70, 75);
+    twenty!(parity, 0xca62c1d6, [60, 65, 70, 75]);
     state[0] = state[0].wrapping_add(a);
     state[1] = state[1].wrapping_add(b);
     state[2] = state[2].wrapping_add(c);
