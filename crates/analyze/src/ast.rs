@@ -1,21 +1,20 @@
-//! A purpose-built AST layer for the analyzer's program-analysis passes.
+//! The analyzer's one front end: every pass reads Rust through it.
 //!
 //! The container this repo builds in has no crate registry, so `syn` is
 //! unavailable; this module implements the *subset* of Rust structure
-//! the conformance and reachability passes need — a real tokenizer
-//! (strings, chars, lifetimes, nested block comments, doc comments) and
-//! an item-level scanner (modules, impl blocks, functions with body
-//! token ranges, consts with attached doc comments, `#[cfg(test)]`
-//! tracking) — instead of substring matching. Everything downstream of
-//! here reasons over tokens, never raw lines, which closes the lexical
-//! linter's documented blind spots (multi-line expressions, patterns
-//! quoted inside strings or comments).
+//! the passes need — a real tokenizer (strings, chars, lifetimes, nested
+//! block comments, doc comments) and an item-level scanner (modules,
+//! impl blocks, functions with body token ranges, consts with attached
+//! doc comments, and which tokens sit under `#[cfg(test)]`). Everything
+//! downstream of here reasons over tokens, never raw lines, so a
+//! construct split over several lines is still one construct and text
+//! quoted inside a string or a comment is not code.
 //!
 //! What it deliberately does not do: expression parsing, type
 //! resolution, or macro expansion. The passes that build on it document
-//! the approximations they layer on top (name-based call resolution in
-//! [`crate::reach`], token-context classification in
-//! [`crate::conformance`]).
+//! the approximations they layer on top (token-run patterns in
+//! [`crate::lint`], name-based call resolution in [`crate::reach`],
+//! token-context classification in [`crate::conformance`]).
 
 use std::fmt;
 
@@ -82,8 +81,8 @@ impl fmt::Display for TokenKind {
 }
 
 /// Tokenizes Rust source. String/char/lifetime-aware; comments are
-/// dropped here (doc comments and pragmas are recovered line-wise by the
-/// item scanner, which keeps the raw source alongside the tokens).
+/// dropped here (doc comments and root markers are recovered line-wise
+/// by the item scanner, pragmas by [`allowed_at`] from the raw source).
 // One hand-written scanner loop: an arm per lexeme class, state in locals.
 #[allow(clippy::too_many_lines)]
 pub fn tokenize(source: &str) -> Vec<Token> {
@@ -366,9 +365,11 @@ pub struct FileAst {
     pub fns: Vec<FnItem>,
     pub consts: Vec<ConstItem>,
     pub mods: Vec<ModItem>,
-    /// Lines (1-based) whose raw text carries an `analyze:allow(...)`
-    /// pragma, with the raw line text for reason extraction.
-    pub pragma_lines: Vec<(usize, String)>,
+    /// Per token: whether it sits under `#[cfg(test)]` — from the
+    /// attribute to the end of the item, field or statement it gates, or
+    /// anywhere inside a gated `mod`/`impl`/brace group. A function is
+    /// cut whole: an attribute inside a shipping body gates nothing.
+    pub in_test: Vec<bool>,
 }
 
 /// Comment metadata gathered per source line before tokenizing.
@@ -379,16 +380,13 @@ struct LineNotes {
     comment_or_blank: Vec<bool>,
     /// Whether the line's comment text contains `analyze:recovery-root`.
     root_marker: Vec<bool>,
-    /// Raw text of lines containing `analyze:allow(`.
-    pragmas: Vec<(usize, String)>,
 }
 
 fn scan_lines(source: &str) -> LineNotes {
     let mut doc = Vec::new();
     let mut comment_or_blank = Vec::new();
     let mut root_marker = Vec::new();
-    let mut pragmas = Vec::new();
-    for (i, raw) in source.lines().enumerate() {
+    for raw in source.lines() {
         let t = raw.trim();
         let is_doc = t.starts_with("///") && !t.starts_with("////");
         doc.push(is_doc.then(|| {
@@ -399,15 +397,11 @@ fn scan_lines(source: &str) -> LineNotes {
         }));
         comment_or_blank.push(t.is_empty() || t.starts_with("//"));
         root_marker.push(t.starts_with("//") && t.contains("analyze:recovery-root"));
-        if raw.contains("analyze:allow(") {
-            pragmas.push((i + 1, raw.to_string()));
-        }
     }
     LineNotes {
         doc,
         comment_or_blank,
         root_marker,
-        pragmas,
     }
 }
 
@@ -417,6 +411,14 @@ enum Scope {
     Mod(String, bool),               // name, cfg_test
     Impl(String, Vec<String>, bool), // type name, type params, cfg_test
     Other(bool),                     // any other brace (fn body handled separately)
+}
+
+impl Scope {
+    fn cfg_test(&self) -> bool {
+        match self {
+            Scope::Mod(_, t) | Scope::Impl(_, _, t) | Scope::Other(t) => *t,
+        }
+    }
 }
 
 /// Type-parameter names of the generics list opening at `tokens[at]`
@@ -491,7 +493,13 @@ pub fn parse_file(source: &str) -> FileAst {
     // Attributes seen since the last item at this nesting level; only
     // cfg(test) is tracked.
     let mut pending_cfg_test = false;
+    let mut in_test = vec![false; tokens.len()];
     while i < tokens.len() {
+        // The `#[cfg(test)]` cut: whatever this step consumes — one token,
+        // an item header, a whole function — takes the verdict that holds
+        // where it starts.
+        let start = i;
+        let gated = pending_cfg_test || stack.iter().any(Scope::cfg_test);
         match &tokens[i].kind {
             TokenKind::Pound
                 if matches!(
@@ -634,12 +642,6 @@ pub fn parse_file(source: &str) -> FileAst {
                     }
                     j += 1;
                 }
-                let enclosing_test = stack.iter().any(|s| {
-                    matches!(
-                        s,
-                        Scope::Mod(_, true) | Scope::Impl(_, _, true) | Scope::Other(true)
-                    )
-                });
                 let enclosing_impl = stack.iter().rev().find_map(|s| match s {
                     Scope::Impl(t, params, _) => Some((t.clone(), params.clone())),
                     _ => None,
@@ -665,7 +667,7 @@ pub fn parse_file(source: &str) -> FileAst {
                         line,
                         body,
                         recovery_root: root_above(line),
-                        cfg_test: pending_cfg_test || enclosing_test,
+                        cfg_test: gated,
                     });
                 }
                 pending_cfg_test = false;
@@ -691,13 +693,7 @@ pub fn parse_file(source: &str) -> FileAst {
                 } else {
                     String::new()
                 };
-                let enclosing_test = stack.iter().any(|s| {
-                    matches!(
-                        s,
-                        Scope::Mod(_, true) | Scope::Impl(_, _, true) | Scope::Other(true)
-                    )
-                });
-                if !name.is_empty() && !ty.is_empty() && !enclosing_test && !pending_cfg_test {
+                if !name.is_empty() && !ty.is_empty() && !gated {
                     consts.push(ConstItem {
                         name,
                         ty,
@@ -735,6 +731,8 @@ pub fn parse_file(source: &str) -> FileAst {
                 i += 1;
             }
         }
+        let end = i.min(in_test.len());
+        in_test[start..end].fill(gated);
     }
 
     FileAst {
@@ -742,14 +740,13 @@ pub fn parse_file(source: &str) -> FileAst {
         fns,
         consts,
         mods,
-        pragma_lines: notes.pragmas,
+        in_test,
     }
 }
 
 /// Whether line `l` (1-based) carries — or sits directly below a comment
 /// block carrying — an `analyze:allow(rule)` pragma, given the raw
-/// source. Mirrors the lexical linter's suppression semantics so both
-/// layers agree about what an allow covers.
+/// source. The one suppression rule every pass shares.
 pub fn allowed_at(source: &str, l: usize, rule: &str) -> bool {
     let needle = format!("analyze:allow({rule})");
     let lines: Vec<&str> = source.lines().collect();
@@ -871,6 +868,13 @@ fn after_last_field() {}
             assert!(!f.cfg_test, "{} is shipped code", f.name);
         }
         assert_eq!(ast.fns.len(), 3);
+        // The per-token cut: the gated fields and nothing else. A function
+        // body is taken whole, so the statement inside one is not cut.
+        let cut: Vec<&str> = (ast.tokens.iter().zip(&ast.in_test))
+            .filter(|(_, gated)| **gated)
+            .filter_map(|(t, _)| t.kind.ident())
+            .collect();
+        assert_eq!(cut, ["log", "Vec", "u8", "only", "u8"]);
     }
 
     #[test]

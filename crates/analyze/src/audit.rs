@@ -84,58 +84,3 @@ pub fn run_audit(seed: u64, overgrants: Vec<(String, OverGrant)>) -> AuditOutcom
         justified,
     }
 }
-
-/// Renders the full authority table: per component, which grants were
-/// exercised and which were flagged or justified.
-pub fn render_report(outcome: &AuditOutcome) -> String {
-    let mut out = String::new();
-    out.push_str("least-authority audit (observed vs declared)\n");
-    out.push_str("============================================\n");
-    for name in &outcome.snapshot.scope {
-        let Some(decl) = outcome.snapshot.declared.get(name) else {
-            continue;
-        };
-        out.push_str(&format!("\n{name}\n"));
-        let usage = outcome.snapshot.usage.get(name);
-        let ipc_to = usage.map(|u| u.ipc_to.clone()).unwrap_or_default();
-        let calls = usage.map(|u| u.calls.clone()).unwrap_or_default();
-        let devices = usage.map(|u| u.devices.clone()).unwrap_or_default();
-        let irqs = usage.map(|u| u.irqs.clone()).unwrap_or_default();
-        out.push_str(&format!("  ipc declared: {:?}\n", decl.ipc));
-        out.push_str(&format!("  ipc used:     {ipc_to:?}\n"));
-        out.push_str(&format!(
-            "  calls declared: {:?}\n",
-            decl.kernel_calls
-                .iter()
-                .map(|c| c.name())
-                .collect::<Vec<_>>()
-        ));
-        out.push_str(&format!(
-            "  calls used:     {:?}\n",
-            calls.iter().map(|c| c.name()).collect::<Vec<_>>()
-        ));
-        if !decl.devices.is_empty() || !devices.is_empty() {
-            out.push_str(&format!(
-                "  devices declared: {:?} used: {:?}\n",
-                decl.devices, devices
-            ));
-        }
-        if !decl.irq_lines.is_empty() || !irqs.is_empty() {
-            out.push_str(&format!(
-                "  irqs declared: {:?} used: {:?}\n",
-                decl.irq_lines, irqs
-            ));
-        }
-    }
-    out.push('\n');
-    for (finding, reason) in &outcome.justified {
-        out.push_str(&format!("justified: {finding}\n  reason: {reason}\n"));
-    }
-    for finding in &outcome.violations {
-        out.push_str(&format!("VIOLATION: {finding}\n"));
-    }
-    if outcome.violations.is_empty() {
-        out.push_str("no violations\n");
-    }
-    out
-}

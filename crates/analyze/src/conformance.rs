@@ -11,27 +11,31 @@
 //!    `reply` kind must be the target of at least one request; `oneway`
 //!    and `value` kinds must not carry pairing or (for values) slot
 //!    clauses (`proto-bad-reply`, `proto-orphan-reply`).
-//! 3. **Handler coverage** — the dual of the dead-edge pass. Every
-//!    reference to a kind is classified by its token context as a *send*
-//!    (construction/argument position) or a *handle* (a `match` arm
-//!    pattern or an `==`/`!=` comparison). A kind sent somewhere but
-//!    handled nowhere is a message the system emits and then drops on
-//!    the floor (`proto-unhandled`); a kind handled somewhere but never
-//!    sent is a dispatch arm that can never fire (`proto-unsent`).
-//!    Kinds referenced nowhere at all stay the dead-edge pass's
-//!    business and are not re-reported here.
+//! 3. **Handler coverage** — every reference to a kind is resolved
+//!    through the file's `use` lines (`rsp::COMPLAIN` with
+//!    `use ..proto::rs as rsp`, so same-named kinds of different modules
+//!    — `bdev::READ`, `cdev::READ` — are kept apart) and classified by
+//!    its token context as a *send* (construction/argument position) or
+//!    a *handle* (a `match` arm pattern or an `==`/`!=` comparison). A
+//!    kind sent somewhere but handled nowhere is a message the system
+//!    emits and then drops on the floor (`proto-unhandled`); a kind
+//!    handled somewhere but never sent is a dispatch arm that can never
+//!    fire (`proto-unsent`).
+//! 4. **Dead edges** — a kind (message or value) the usage table has no
+//!    row for: nothing in the workspace, tests included, names it. It
+//!    widens the nominal protocol surface, and therefore what an audit
+//!    must reason about, without buying any behavior (`dead-edge`).
 //!
-//! Findings anchor at the kind's definition line and are suppressed by
-//! the usual `// analyze:allow(rule): reason` pragma in the comment
-//! block above the const.
+//! Findings anchor at the kind's definition line; all but `dead-edge`
+//! are suppressed by the usual `// analyze:allow(rule): reason` pragma
+//! in the comment block above the const.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
-use std::path::Path;
 
 use crate::ast::{self, TokenKind};
-use crate::deadedge::use_map;
 use crate::proto_model::{self, Dir, ProtoModel, SlotRegistry};
+use crate::Source;
 
 /// The protocol files the model is built from.
 pub const PROTO_FILES: &[&str] = &[
@@ -83,8 +87,13 @@ pub struct Outcome {
     pub suppressed: Vec<Suppressed>,
     pub model: ProtoModel,
     pub registry: SlotRegistry,
-    /// `module::KIND` → usage counts (message kinds only).
+    /// `module::KIND` → usage counts: one row per kind named anywhere
+    /// (what a send or a handle means is defined for message kinds only).
     pub usage: BTreeMap<String, KindUsage>,
+    /// Kinds with no row in `usage` (rule `dead-edge`).
+    pub dead_edges: Vec<Finding>,
+    /// Module globs, whose kinds all count as live.
+    pub glob_warnings: Vec<GlobImport>,
 }
 
 /// Macros whose argument position is an equality / pattern check, not a
@@ -240,18 +249,130 @@ fn path_start(tokens: &[ast::Token], idx: usize) -> usize {
     i
 }
 
-/// Counts send/handle references to `kinds` in one file.
+/// A `use ...proto::m::*` glob import: a bare `NAME` under it may be the
+/// module's const or a local, so reference counting would undercount
+/// and report false-positive dead edges. Every const of the globbed
+/// module is instead conservatively live, and the import is surfaced as
+/// a loud warning so someone narrows it.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct GlobImport {
+    /// Workspace-relative path of the importing file.
+    pub file: String,
+    /// 1-based line of the `use`.
+    pub line: usize,
+    /// The globbed protocol module (empty for `use ...proto::*`, which
+    /// is fully resolved instead of warned about).
+    pub module: String,
+}
+
+impl fmt::Display for GlobImport {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{}:{}: [glob-import] `use ...proto::{}::*` defeats per-const reference \
+             counting; all of `{}`'s kinds are conservatively treated as live — import \
+             the kinds by name",
+            self.file, self.line, self.module, self.module
+        )
+    }
+}
+
+/// Per-file import resolution for protocol references.
+#[derive(Clone, Debug, Default)]
+struct UseMap {
+    /// Local alias → protocol module (`rsp` → `rs`, `cdev` → `cdev`).
+    modules: BTreeMap<String, String>,
+    /// Consts imported by bare name: local name → `(module, const)`.
+    consts: BTreeMap<String, (String, String)>,
+    /// `use ...proto::m::*` imports seen in this file.
+    globs: Vec<GlobImport>,
+}
+
+/// Builds the local import map for one file from its `use` lines
+/// (`use crate::proto::{cdev, status};`, `use crate::proto::rs as rsp;`,
+/// `use crate::proto::bdev::{READ, WRITE};`). `use ...proto::*` resolves
+/// to every module (which the fallback below already grants);
+/// `use ...proto::m::*` is recorded as a [`GlobImport`].
+fn use_map(rel_path: &str, source: &str, modules: &BTreeSet<String>) -> UseMap {
+    let mut out = UseMap::default();
+    for (lineno, line) in source.lines().enumerate() {
+        let t = line.trim();
+        if !t.starts_with("use ") {
+            continue;
+        }
+        let Some(idx) = t.rfind("proto::") else {
+            continue;
+        };
+        let tail = t[idx + "proto::".len()..].trim_end_matches(';');
+        if tail == "*" {
+            // `use ...proto::*`: every module lands in scope under its
+            // own name — the fully-qualified fallback below covers it.
+            continue;
+        }
+        if let Some(inner) = tail.strip_prefix('{') {
+            for item in inner.trim_end_matches('}').split(',') {
+                let item = item.trim();
+                if item.is_empty() {
+                    continue;
+                }
+                match item.split_once(" as ") {
+                    Some((real, alias)) => {
+                        out.modules
+                            .insert(alias.trim().to_string(), real.trim().to_string());
+                    }
+                    None => {
+                        out.modules.insert(item.to_string(), item.to_string());
+                    }
+                }
+            }
+        } else if let Some((module, rest)) = tail.split_once("::") {
+            // `use ...proto::m::{A, B}`, `use ...proto::m::A`, or
+            // `use ...proto::m::*`.
+            if modules.contains(module) {
+                if rest.trim() == "*" {
+                    out.globs.push(GlobImport {
+                        file: rel_path.to_string(),
+                        line: lineno + 1,
+                        module: module.to_string(),
+                    });
+                    continue;
+                }
+                let names = rest.trim_start_matches('{').trim_end_matches('}');
+                for name in names.split(',') {
+                    out.consts.insert(
+                        name.trim().to_string(),
+                        (module.to_string(), name.trim().to_string()),
+                    );
+                }
+            }
+        } else {
+            match tail.split_once(" as ") {
+                Some((real, alias)) => {
+                    out.modules
+                        .insert(alias.trim().to_string(), real.trim().to_string());
+                }
+                None => {
+                    out.modules.insert(tail.to_string(), tail.to_string());
+                }
+            }
+        }
+    }
+    // A fully qualified `proto::m::CONST` needs no import at all.
+    for m in modules {
+        out.modules.entry(m.clone()).or_insert_with(|| m.clone());
+    }
+    out
+}
+
+/// Counts send/handle references to `kinds` in one file's tokens.
 fn count_refs(
-    source: &str,
-    modules: &BTreeSet<String>,
+    tokens: &[ast::Token],
+    uses: &UseMap,
     kinds: &BTreeSet<(String, String)>,
-    rel_path: &str,
     usage: &mut BTreeMap<String, KindUsage>,
 ) {
-    let uses = use_map(rel_path, source, modules);
     // Consts of glob-imported modules are referenceable by bare name.
     let glob_mods: BTreeSet<&str> = uses.globs.iter().map(|g| g.module.as_str()).collect();
-    let tokens = ast::tokenize(source);
     for (i, tok) in tokens.iter().enumerate() {
         let TokenKind::Ident(name) = &tok.kind else {
             continue;
@@ -288,58 +409,53 @@ fn count_refs(
             continue;
         };
         let entry = usage.entry(format!("{module}::{konst}")).or_default();
-        match classify(&tokens, i) {
+        match classify(tokens, i) {
             RefClass::Send => entry.sends += 1,
             RefClass::Handle => entry.handles += 1,
         }
     }
 }
 
-/// Runs the conformance pass over the workspace rooted at `root`.
-pub fn run(root: &Path) -> Outcome {
-    let mut proto_sources: Vec<(String, String)> = Vec::new();
-    for rel in PROTO_FILES {
-        let Ok(source) = std::fs::read_to_string(root.join(rel)) else {
-            continue;
-        };
-        proto_sources.push((rel.to_string(), source));
-    }
-    let mut usage_sources: Vec<(String, String)> = Vec::new();
-    let mut paths = crate::workspace_sources(root);
-    paths.extend(crate::workspace_test_sources(root));
-    for path in paths {
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        usage_sources.push((crate::rel(root, &path), source));
-    }
-    analyze(&proto_sources, &usage_sources)
-}
-
-/// Runs the conformance pass over in-memory sources: `proto_sources`
-/// are `(rel_path, text)` protocol definition files, `usage_sources`
-/// the files whose kind references are counted. This is the seam the
-/// fixture tests drive.
-pub fn analyze(proto_sources: &[(String, String)], usage_sources: &[(String, String)]) -> Outcome {
-    let models = proto_sources
-        .iter()
-        .map(|(rel, source)| proto_model::parse_proto_source(rel, source))
-        .collect();
-    let model = proto_model::merge(models);
+/// Runs the conformance pass over the loaded workspace: the files
+/// named in `proto_files` define the model, kind references are counted
+/// in every file (tests included). The gate passes [`PROTO_FILES`]; the
+/// fixture tests name their own.
+pub fn analyze(files: &[Source], proto_files: &[&str]) -> Outcome {
+    // In `proto_files` order: it is the order of the model and the report.
+    let protos = || {
+        proto_files
+            .iter()
+            .filter_map(|p| files.iter().find(|f| f.rel == *p))
+    };
+    let model = proto_model::merge(protos().map(proto_model::parse_proto_source).collect());
     let registry = proto_model::build_slot_registry(&model);
 
-    let message_kinds: BTreeSet<(String, String)> = model
+    let kinds: BTreeSet<(String, String)> = model
         .kinds
         .iter()
-        .filter(|k| k.dir != Dir::Value)
         .map(|k| (k.module.clone(), k.name.clone()))
         .collect();
     let modules: BTreeSet<String> = model.kinds.iter().map(|k| k.module.clone()).collect();
 
     let mut usage: BTreeMap<String, KindUsage> = BTreeMap::new();
-    for (rel, source) in usage_sources {
-        count_refs(source, &modules, &message_kinds, rel, &mut usage);
+    let mut glob_warnings: Vec<GlobImport> = Vec::new();
+    for file in files {
+        let uses = use_map(&file.rel, &file.text, &modules);
+        count_refs(&file.ast.tokens, &uses, &kinds, &mut usage);
+        glob_warnings.extend(uses.globs);
     }
+    let globbed: BTreeSet<&str> = glob_warnings.iter().map(|g| g.module.as_str()).collect();
+    let dead_edges = model
+        .kinds
+        .iter()
+        .filter(|k| !usage.contains_key(&k.key()) && !globbed.contains(k.module.as_str()))
+        .map(|k| Finding {
+            file: k.file.clone(),
+            line: k.line,
+            rule: "dead-edge",
+            message: format!("{} is never sent or handled", k.key()),
+        })
+        .collect();
 
     let mut raw: Vec<Finding> = Vec::new();
     for e in &model.errors {
@@ -453,7 +569,7 @@ pub fn analyze(proto_sources: &[(String, String)], usage_sources: &[(String, Str
             continue;
         }
         let Some(u) = usage.get(&k.key()) else {
-            continue; // unreferenced entirely: the dead-edge pass owns it
+            continue; // unreferenced entirely: a dead edge, reported above
         };
         if u.sends > 0 && u.handles == 0 {
             raw.push(Finding {
@@ -483,9 +599,8 @@ pub fn analyze(proto_sources: &[(String, String)], usage_sources: &[(String, Str
     // Split suppressed findings out via pragmas at the definition site.
     let mut findings = Vec::new();
     let mut suppressed = Vec::new();
-    let src_by_file: BTreeMap<&str, &str> = proto_sources
-        .iter()
-        .map(|(f, s)| (f.as_str(), s.as_str()))
+    let src_by_file: BTreeMap<&str, &str> = protos()
+        .map(|f| (f.rel.as_str(), f.text.as_str()))
         .collect();
     for f in raw {
         let allowed = src_by_file
@@ -511,6 +626,8 @@ pub fn analyze(proto_sources: &[(String, String)], usage_sources: &[(String, Str
         model,
         registry,
         usage,
+        dead_edges,
+        glob_warnings,
     }
 }
 
@@ -529,6 +646,71 @@ mod tests {
             .position(|t| t.kind.ident() == Some(name))
             .unwrap();
         classify(&tokens, idx)
+    }
+
+    fn module_set(names: &[&str]) -> BTreeSet<String> {
+        names.iter().map(|n| n.to_string()).collect()
+    }
+
+    #[test]
+    fn aliased_and_brace_imports_resolve() {
+        let src = "\
+use crate::proto::{cdev, status};
+use crate::proto::rs as rsp;
+";
+        let map = use_map("f.rs", src, &module_set(&["rs", "blk", "cdev"])).modules;
+        assert_eq!(map.get("cdev").map(String::as_str), Some("cdev"));
+        assert_eq!(map.get("rsp").map(String::as_str), Some("rs"));
+        // Unimported modules still resolve under their own name (full
+        // `proto::m::CONST` paths need no use line).
+        assert_eq!(map.get("blk").map(String::as_str), Some("blk"));
+    }
+
+    #[test]
+    fn proto_level_glob_resolves_every_module() {
+        let uses = use_map(
+            "f.rs",
+            "use crate::proto::*;\n",
+            &module_set(&["rs", "blk"]),
+        );
+        assert!(uses.globs.is_empty(), "proto::* is resolved, not warned");
+        assert_eq!(uses.modules.get("rs").map(String::as_str), Some("rs"));
+        assert_eq!(uses.modules.get("blk").map(String::as_str), Some("blk"));
+    }
+
+    #[test]
+    fn module_level_glob_is_warned_and_conservative() {
+        let uses = use_map(
+            "crates/x/src/f.rs",
+            "use crate::proto::blk::*;\n",
+            &module_set(&["blk"]),
+        );
+        assert_eq!(uses.globs.len(), 1);
+        let g = &uses.globs[0];
+        assert_eq!(g.module, "blk");
+        assert_eq!(g.line, 1);
+        assert_eq!(g.file, "crates/x/src/f.rs");
+        assert!(
+            g.to_string().contains("glob-import"),
+            "warning names its rule loudly: {g}"
+        );
+    }
+
+    #[test]
+    fn direct_const_imports_count_as_references() {
+        let uses = use_map(
+            "f.rs",
+            "use crate::proto::blk::{READ, WRITE};\n",
+            &module_set(&["blk"]),
+        );
+        assert_eq!(
+            uses.consts.get("READ"),
+            Some(&("blk".to_string(), "READ".to_string()))
+        );
+        assert_eq!(
+            uses.consts.get("WRITE"),
+            Some(&("blk".to_string(), "WRITE".to_string()))
+        );
     }
 
     #[test]

@@ -3,13 +3,15 @@
 //! Two concerns, both run by the `phoenix-analyze` binary and gated in
 //! `ci.sh`:
 //!
-//! 1. **Determinism lints** ([`lint`]) — a dependency-free lexical scan
-//!    over every crate's sources for constructs that break the
-//!    same-seed-same-bytes invariant (wall-clock reads, hash-ordered
-//!    collections, ad-hoc RNGs, host threads) or that let the recovery
-//!    infrastructure crash itself (`unwrap` in RS/DS/policy paths).
-//!    [`deadedge`] rides along: protocol message kinds nothing ever
-//!    sends or handles.
+//! 1. **Source passes** over one load of the workspace ([`load`]: every
+//!    file read and parsed once by [`ast`], the front end all three
+//!    share) — determinism lints ([`lint`]: wall-clock reads,
+//!    hash-ordered collections, ad-hoc RNGs, host threads, layer
+//!    purity), protocol conformance ([`conformance`]: the typed
+//!    `/// proto:` model, send/handle coverage, and the dead edges — the
+//!    kinds its usage table has no row for) and recovery-path
+//!    reachability ([`reach`]: no panic site reachable from a recovery
+//!    root).
 //!
 //! 2. **Least-authority audit** ([`audit`]) — runs the deterministic
 //!    authority workload from `phoenix::audit` and diffs each
@@ -21,7 +23,6 @@
 pub mod ast;
 pub mod audit;
 pub mod conformance;
-pub mod deadedge;
 pub mod lint;
 pub mod proto_model;
 pub mod reach;
@@ -38,47 +39,61 @@ pub fn workspace_root() -> PathBuf {
         .to_path_buf()
 }
 
-/// Collects every `.rs` file under `crates/*/src`, excluding this crate
-/// itself (its sources quote the very patterns it scans for).
-pub fn workspace_sources(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    let crates = root.join("crates");
-    let Ok(entries) = std::fs::read_dir(&crates) else {
-        return out;
-    };
-    let mut crate_dirs: Vec<PathBuf> = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter(|p| p.is_dir() && p.file_name().is_some_and(|n| n != "analyze"))
-        .collect();
-    crate_dirs.sort();
-    for dir in crate_dirs {
-        collect_rs(&dir.join("src"), &mut out);
-    }
-    out.sort();
-    out
+/// One source file of the workspace, read and parsed once; every pass
+/// borrows it.
+pub struct Source {
+    /// Workspace-relative path with `/` separators.
+    pub rel: String,
+    pub text: String,
+    pub ast: ast::FileAst,
 }
 
-/// Collects the non-`crates/*/src` sources that can still reference
-/// protocol kinds: the umbrella crate's `src` and `tests`, and every
-/// crate's integration-test tree. Used by the passes that count
-/// references (a kind exercised only by a test is not dead), never by
-/// the lint/reach passes (test code may panic freely).
-pub fn workspace_test_sources(root: &Path) -> Vec<PathBuf> {
-    let mut out = Vec::new();
-    collect_rs(&root.join("tests"), &mut out);
-    collect_rs(&root.join("src"), &mut out);
-    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
-        let mut crate_dirs: Vec<PathBuf> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter(|p| p.is_dir())
-            .collect();
-        crate_dirs.sort();
-        for dir in crate_dirs {
-            collect_rs(&dir.join("tests"), &mut out);
+impl Source {
+    pub fn new(rel: impl Into<String>, text: impl Into<String>) -> Source {
+        let text = text.into();
+        Source {
+            rel: rel.into(),
+            ast: ast::parse_file(&text),
+            text,
         }
     }
-    out.sort();
-    out
+
+    /// The crate directory name of a shipping file (`crates/<name>/src/..`);
+    /// `None` for integration tests and the umbrella crate, which only
+    /// the reference-counting pass reads (a kind exercised only by a test
+    /// is not dead; test code may panic and hash freely).
+    pub fn krate(&self) -> Option<&str> {
+        let (krate, rest) = self.rel.strip_prefix("crates/")?.split_once('/')?;
+        rest.starts_with("src/").then_some(krate)
+    }
+}
+
+/// Reads and parses every `.rs` file the gate looks at, in path order:
+/// `crates/*/src` (except this crate's, whose sources quote the very
+/// patterns it scans for), every crate's `tests`, and the umbrella
+/// crate's `src` and `tests`. A file that cannot be read is an error
+/// naming it: the gate must not pass over what it could not see.
+pub fn load(root: &Path) -> std::io::Result<Vec<Source>> {
+    let mut paths = Vec::new();
+    collect_rs(&root.join("tests"), &mut paths);
+    collect_rs(&root.join("src"), &mut paths);
+    if let Ok(entries) = std::fs::read_dir(root.join("crates")) {
+        for dir in entries.filter_map(|e| e.ok().map(|e| e.path())) {
+            if dir.file_name().is_some_and(|n| n != "analyze") {
+                collect_rs(&dir.join("src"), &mut paths);
+            }
+            collect_rs(&dir.join("tests"), &mut paths);
+        }
+    }
+    paths.sort();
+    paths
+        .iter()
+        .map(|path| {
+            let text = std::fs::read_to_string(path)
+                .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", rel(root, path))))?;
+            Ok(Source::new(rel(root, path), text))
+        })
+        .collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
@@ -97,7 +112,7 @@ fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {
 
 /// Path relative to the workspace root, with `/` separators, for stable
 /// report output.
-pub fn rel(root: &Path, path: &Path) -> String {
+fn rel(root: &Path, path: &Path) -> String {
     path.strip_prefix(root)
         .unwrap_or(path)
         .to_string_lossy()

@@ -1,135 +1,120 @@
 //! The `phoenix-analyze` gate binary.
 //!
 //! ```text
-//! cargo run -q -p phoenix-analyze            # full gate: all passes
-//! cargo run -q -p phoenix-analyze -- --lint-only
-//! cargo run -q -p phoenix-analyze -- --audit-only
-//! cargo run -q -p phoenix-analyze -- --authority-report     # verbose authority tables
+//! cargo run -q -p phoenix-analyze            # the gate: every pass
 //! cargo run -q -p phoenix-analyze -- --report results/analyze_report.json
 //! ```
 //!
-//! Passes: determinism lints + dead protocol edges (lexical pre-gate),
-//! protocol conformance + recovery-path reachability (AST layer), and
-//! the least-authority audit. Exit status 0 iff no unsuppressed finding
-//! of any kind; `ci.sh` treats a nonzero exit as a hard failure.
+//! Passes: determinism lints, protocol conformance (dead protocol edges
+//! included) and recovery-path reachability over one load of the
+//! workspace, then the least-authority audit. Exit status 0 iff no
+//! unsuppressed finding of any kind, 1 on findings, 2 if the gate could
+//! not do its job (a bad flag, a source file it cannot read, a report it
+//! cannot write); `ci.sh` treats a nonzero exit as a hard failure.
 //! `--report PATH` additionally writes the deterministic JSON report
 //! (sorted keys, no timestamps — safe to commit and diff).
 
-use phoenix_analyze::{audit, conformance, deadedge, lint, reach, report, workspace_root};
+use phoenix_analyze::{audit, conformance, lint, load, reach, report, workspace_root};
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let lint_only = args.iter().any(|a| a == "--lint-only");
-    let audit_only = args.iter().any(|a| a == "--audit-only");
-    let authority_report = args.iter().any(|a| a == "--authority-report");
     let mut report_path: Option<String> = None;
-    let mut it = args.iter().peekable();
-    while let Some(a) = it.next() {
+    let mut args = std::env::args().skip(1);
+    while let Some(a) = args.next() {
         match a.as_str() {
-            "--lint-only" | "--audit-only" | "--authority-report" => {}
-            "--report" => match it.next() {
-                Some(p) if !p.starts_with("--") => report_path = Some(p.clone()),
+            "--report" => match args.next() {
+                Some(p) if !p.starts_with("--") => report_path = Some(p),
                 _ => {
                     eprintln!("--report requires a path argument");
                     std::process::exit(2);
                 }
             },
             bad => {
-                eprintln!(
-                    "unknown flag {bad}; flags: --lint-only --audit-only \
-                     --authority-report --report PATH"
-                );
+                eprintln!("unknown flag {bad}; flags: --report PATH");
                 std::process::exit(2);
             }
         }
     }
 
     let root = workspace_root();
-    let mut failures = 0usize;
+    let files = load(&root).unwrap_or_else(|e| {
+        eprintln!("cannot read source file {e}");
+        std::process::exit(2);
+    });
 
-    if !audit_only {
-        let findings = lint::lint_workspace(&root);
-        let dead = deadedge::find_dead_edges(&root);
-        println!(
-            "determinism lints: {} finding(s), {} dead protocol edge(s), {} glob warning(s)",
-            findings.len(),
-            dead.edges.len(),
-            dead.glob_warnings.len()
-        );
-        for f in &findings {
-            println!("  {f}");
-        }
-        for e in &dead.edges {
-            println!("  {e}");
-        }
-        for g in &dead.glob_warnings {
-            println!("  WARNING: {g}");
-        }
-        failures += findings.len() + dead.edges.len();
+    let findings = lint::lint_workspace(&files);
+    let conf = conformance::analyze(&files, conformance::PROTO_FILES);
+    println!(
+        "determinism lints: {} finding(s), {} dead protocol edge(s), {} glob warning(s)",
+        findings.len(),
+        conf.dead_edges.len(),
+        conf.glob_warnings.len()
+    );
+    for f in &findings {
+        println!("  {f}");
+    }
+    for e in &conf.dead_edges {
+        println!("  {e}");
+    }
+    for g in &conf.glob_warnings {
+        println!("  WARNING: {g}");
+    }
+    let mut failures = findings.len() + conf.dead_edges.len();
 
-        let conf = conformance::run(&root);
-        println!(
-            "protocol conformance: {} finding(s) across {} kind(s), {} slot claim(s), \
-             {} suppressed",
-            conf.findings.len(),
-            conf.model.kinds.len(),
-            conf.registry.slots.len(),
-            conf.suppressed.len()
-        );
-        for f in &conf.findings {
-            println!("  {f}");
-        }
-        failures += conf.findings.len();
+    println!(
+        "protocol conformance: {} finding(s) across {} kind(s), {} slot claim(s), \
+         {} suppressed",
+        conf.findings.len(),
+        conf.model.kinds.len(),
+        conf.registry.slots.len(),
+        conf.suppressed.len()
+    );
+    for f in &conf.findings {
+        println!("  {f}");
+    }
+    failures += conf.findings.len();
 
-        let reached = reach::run(&root);
-        println!(
-            "recovery-path reachability: {} finding(s), {}/{} function(s) reachable from \
-             {} root(s), {} suppressed",
-            reached.findings.len(),
-            reached.reachable,
-            reached.functions,
-            reached.roots.len(),
-            reached.suppressed.len()
-        );
-        for f in &reached.findings {
-            println!("  {f}");
-        }
-        failures += reached.findings.len();
+    let reached = reach::analyze(&files, &reach::crate_dep_closure(&root));
+    println!(
+        "recovery-path reachability: {} finding(s), {}/{} function(s) reachable from \
+         {} root(s), {} suppressed",
+        reached.findings.len(),
+        reached.reachable,
+        reached.functions,
+        reached.roots.len(),
+        reached.suppressed.len()
+    );
+    for f in &reached.findings {
+        println!("  {f}");
+    }
+    failures += reached.findings.len();
 
-        if let Some(path) = &report_path {
-            let doc = report::build(&findings, &dead, &conf, &reached);
-            let out = root.join(path);
-            if let Some(dir) = out.parent() {
-                let _ = std::fs::create_dir_all(dir);
-            }
-            match std::fs::write(&out, doc.render()) {
-                Ok(()) => println!("report written to {path}"),
-                Err(e) => {
-                    eprintln!("failed to write report {path}: {e}");
-                    std::process::exit(2);
-                }
+    if let Some(path) = &report_path {
+        let doc = report::build(&findings, &conf, &reached);
+        let out = root.join(path);
+        if let Some(dir) = out.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        match std::fs::write(&out, doc.render()) {
+            Ok(()) => println!("report written to {path}"),
+            Err(e) => {
+                eprintln!("failed to write report {path}: {e}");
+                std::process::exit(2);
             }
         }
     }
 
-    if !lint_only {
-        let outcome = audit::run_audit(audit::AUDIT_SEED, Vec::new());
-        if authority_report {
-            println!("{}", audit::render_report(&outcome));
-        } else {
-            println!(
-                "least-authority audit: {} violation(s), {} justified wildcard(s) \
-                 across {} audited component(s)",
-                outcome.violations.len(),
-                outcome.justified.len(),
-                outcome.snapshot.scope.len()
-            );
-            for v in &outcome.violations {
-                println!("  VIOLATION: {v}");
-            }
-        }
-        failures += outcome.violations.len();
+    let outcome = audit::run_audit(audit::AUDIT_SEED, Vec::new());
+    println!(
+        "least-authority audit: {} violation(s), {} justified wildcard(s) \
+         across {} audited component(s)",
+        outcome.violations.len(),
+        outcome.justified.len(),
+        outcome.snapshot.scope.len()
+    );
+    for v in &outcome.violations {
+        println!("  VIOLATION: {v}");
     }
+    failures += outcome.violations.len();
 
     if failures > 0 {
         eprintln!("phoenix-analyze: {failures} finding(s)");

@@ -42,7 +42,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::ast;
+use crate::Source;
 
 /// Direction of a message kind.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -234,10 +234,9 @@ fn proto_lines(docs: &[String]) -> Vec<String> {
         .collect()
 }
 
-/// Parses one protocol source file into kinds + errors. `rel_path` is
-/// the workspace-relative path used in reports.
-pub fn parse_proto_source(rel_path: &str, source: &str) -> ProtoModel {
-    let file = ast::parse_file(source);
+/// Parses one protocol source file into kinds + errors.
+pub fn parse_proto_source(source: &Source) -> ProtoModel {
+    let (rel_path, file) = (source.rel.as_str(), &source.ast);
     let mut model = ProtoModel::default();
 
     // Modules whose doc says `proto: values`: every const inside is a
@@ -407,6 +406,10 @@ pub fn merge(models: Vec<ProtoModel>) -> ProtoModel {
 mod tests {
     use super::*;
 
+    fn parse(src: &str) -> ProtoModel {
+        parse_proto_source(&Source::new("p.rs", src))
+    }
+
     const SRC: &str = "
 pub mod ds {
     /// Publish a key.
@@ -424,7 +427,7 @@ pub mod evidence {
 
     #[test]
     fn parses_directions_pairing_and_slots() {
-        let m = parse_proto_source("p.rs", SRC);
+        let m = parse(SRC);
         assert!(m.errors.is_empty(), "{:?}", m.errors);
         let publish = m.kind("ds", "PUBLISH").unwrap();
         assert_eq!(publish.dir, Dir::Request);
@@ -438,7 +441,7 @@ pub mod evidence {
 
     #[test]
     fn missing_annotation_is_an_error() {
-        let m = parse_proto_source("p.rs", "pub mod x { pub const A: u32 = 1; }");
+        let m = parse("pub mod x { pub const A: u32 = 1; }");
         assert_eq!(m.errors.len(), 1);
         assert_eq!(m.errors[0].rule, "proto-missing");
     }
@@ -446,7 +449,7 @@ pub mod evidence {
     #[test]
     fn malformed_clause_is_an_error() {
         let src = "pub mod x {\n    /// proto: request, reply=\n    pub const A: u32 = 1;\n}";
-        let m = parse_proto_source("p.rs", src);
+        let m = parse(src);
         assert_eq!(m.errors.len(), 1);
         assert_eq!(m.errors[0].rule, "proto-malformed");
     }
@@ -454,7 +457,7 @@ pub mod evidence {
     #[test]
     fn slot_out_of_range_is_an_error() {
         let src = "pub mod x {\n    /// proto: oneway, params 9=nope\n    pub const A: u32 = 1;\n}";
-        let m = parse_proto_source("p.rs", src);
+        let m = parse(src);
         assert_eq!(m.errors.len(), 1);
         assert!(m.errors[0].message.contains("out of range"));
     }
@@ -469,7 +472,7 @@ pub mod x {
     pub const R: u32 = 2;
 }
 ";
-        let m = parse_proto_source("p.rs", src);
+        let m = parse(src);
         let reg = build_slot_registry(&m);
         assert_eq!(reg.collisions.len(), 1);
         let c = &reg.collisions[0];
@@ -487,7 +490,7 @@ pub mod x {
     pub const R: u32 = 2;
 }
 ";
-        let m = parse_proto_source("p.rs", src);
+        let m = parse(src);
         let reg = build_slot_registry(&m);
         assert!(reg.collisions.is_empty());
     }

@@ -44,6 +44,7 @@ use std::fmt;
 use std::path::Path;
 
 use crate::ast::{self, TokenKind};
+use crate::Source;
 
 /// One panic site reachable from a recovery root.
 #[derive(Clone, Debug)]
@@ -243,7 +244,7 @@ fn scan_body(tokens: &[ast::Token], body: std::ops::Range<usize>) -> (Vec<Callee
 /// it (transitively) depends on, which keeps name-based method
 /// resolution from inventing edges the compiler would reject. Test code
 /// never joins the graph, so `[dev-dependencies]` grant no edges.
-fn crate_dep_closure(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
+pub fn crate_dep_closure(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
     // package name -> dir name, and dir name -> direct dep package names
     let mut pkg_to_dir: BTreeMap<String, String> = BTreeMap::new();
     let mut direct: BTreeMap<String, Vec<String>> = BTreeMap::new();
@@ -309,58 +310,28 @@ fn crate_dep_closure(root: &Path) -> BTreeMap<String, BTreeSet<String>> {
 /// neither runs inside the simulator nor is reachable from it.
 const EXCLUDED_CRATES: &[&str] = &["analyze", "bench"];
 
-/// One input file for [`analyze`].
-pub struct Input {
-    /// Workspace-relative path (used in reports).
-    pub rel: String,
-    /// Crate directory name, for dependency-closure visibility.
-    pub krate: String,
-    pub source: String,
-}
-
-/// Runs the reachability pass over the workspace rooted at `root`.
-pub fn run(root: &Path) -> Outcome {
-    let closure = crate_dep_closure(root);
-    let mut files = Vec::new();
-    for path in crate::workspace_sources(root) {
-        let rel = crate::rel(root, &path);
-        let krate = rel
-            .strip_prefix("crates/")
-            .and_then(|r| r.split('/').next())
-            .unwrap_or("")
-            .to_string();
-        if EXCLUDED_CRATES.contains(&krate.as_str()) {
-            continue;
-        }
-        let Ok(source) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        files.push(Input { rel, krate, source });
-    }
-    analyze(&files, &closure)
-}
-
-/// Runs the reachability pass over in-memory sources. An empty `closure`
-/// entry for a crate means it sees only itself.
-pub fn analyze(files: &[Input], closure: &BTreeMap<String, BTreeSet<String>>) -> Outcome {
-    // Parse every graph-eligible source file.
+/// Runs the reachability pass over the shipping files of the loaded
+/// workspace. An empty `closure` entry for a crate means it sees only
+/// itself.
+pub fn analyze(files: &[Source], closure: &BTreeMap<String, BTreeSet<String>>) -> Outcome {
+    // One node per shipping function of every graph-eligible file.
     let mut nodes: Vec<FnNode> = Vec::new();
-    let mut sources: BTreeMap<String, String> = BTreeMap::new();
+    let mut sources: BTreeMap<&str, &str> = BTreeMap::new();
     let mut file_stem_of: BTreeMap<usize, String> = BTreeMap::new();
     for input in files {
-        let rel = input.rel.clone();
-        let krate = input.krate.clone();
-        let source = input.source.clone();
-        let fast = ast::parse_file(&source);
-        for f in &fast.fns {
+        let Some(krate) = input.krate().filter(|k| !EXCLUDED_CRATES.contains(k)) else {
+            continue;
+        };
+        let rel = &input.rel;
+        for f in &input.ast.fns {
             if f.cfg_test {
                 continue;
             }
-            let (calls, panics) = scan_body(&fast.tokens, f.body.clone());
+            let (calls, panics) = scan_body(&input.ast.tokens, f.body.clone());
             let idx = nodes.len();
             nodes.push(FnNode {
                 file: rel.clone(),
-                krate: krate.clone(),
+                krate: krate.to_string(),
                 name: f.name.clone(),
                 impl_type: f.impl_type.clone(),
                 type_params: f.type_params.clone(),
@@ -377,7 +348,7 @@ pub fn analyze(files: &[Input], closure: &BTreeMap<String, BTreeSet<String>>) ->
                 .to_string();
             file_stem_of.insert(idx, stem);
         }
-        sources.insert(rel, source);
+        sources.insert(rel, &input.text);
     }
 
     // Indices for resolution.
@@ -500,7 +471,7 @@ pub fn analyze(files: &[Input], closure: &BTreeMap<String, BTreeSet<String>>) ->
             continue;
         }
         for p in &n.panics {
-            let src = sources.get(&n.file).map(String::as_str).unwrap_or("");
+            let src = sources.get(n.file.as_str()).copied().unwrap_or("");
             let allowed = ast::allowed_at(src, p.line, "panic-reach")
                 || (p.what.starts_with('.') && ast::allowed_at(src, p.line, "unwrap-recovery"));
             if allowed {

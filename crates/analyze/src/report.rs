@@ -9,8 +9,8 @@
 use std::collections::BTreeMap;
 
 use crate::conformance;
-use crate::deadedge::DeadEdgeReport;
 use crate::lint::LintFinding;
+use crate::proto_model::Dir;
 use crate::reach;
 
 /// Minimal JSON value: just what the report needs, no dependency.
@@ -106,12 +106,7 @@ fn finding_json(file: &str, line: usize, rule: &str, message: &str) -> Json {
 }
 
 /// Builds the full report document.
-pub fn build(
-    lint: &[LintFinding],
-    dead: &DeadEdgeReport,
-    conf: &conformance::Outcome,
-    reach: &reach::Outcome,
-) -> Json {
+pub fn build(lint: &[LintFinding], conf: &conformance::Outcome, reach: &reach::Outcome) -> Json {
     let lint_json = Json::obj(vec![(
         "findings",
         Json::Arr(
@@ -125,23 +120,16 @@ pub fn build(
         (
             "edges",
             Json::Arr(
-                dead.edges
+                conf.dead_edges
                     .iter()
-                    .map(|e| {
-                        finding_json(
-                            &e.file,
-                            e.line,
-                            "dead-edge",
-                            &format!("{}::{} is never sent or handled", e.module, e.name),
-                        )
-                    })
+                    .map(|f| finding_json(&f.file, f.line, f.rule, &f.message))
                     .collect(),
             ),
         ),
         (
             "glob_warnings",
             Json::Arr(
-                dead.glob_warnings
+                conf.glob_warnings
                     .iter()
                     .map(|g| {
                         finding_json(
@@ -183,7 +171,8 @@ pub fn build(
                 if let Some(r) = &k.reply {
                     pairs.push(("reply", Json::Str(format!("{}::{}", k.module, r))));
                 }
-                if let Some(u) = conf.usage.get(&k.key()) {
+                // A value is not a message: its row says it is named, no more.
+                if let Some(u) = conf.usage.get(&k.key()).filter(|_| k.dir != Dir::Value) {
                     pairs.push(("handles", Json::Num(u.handles as i64)));
                     pairs.push(("sends", Json::Num(u.sends as i64)));
                 }

@@ -27,9 +27,7 @@ fn real_system_passes_the_audit_clean() {
     assert_eq!(justified, ["ds", "inet", "rs"]);
     // Sanity: the workload exercised the full breadth of the system.
     assert!(outcome.snapshot.scope.len() >= 14);
-    let report = phoenix_analyze::audit::render_report(&outcome);
-    assert!(report.contains("no violations"));
-    assert!(report.contains("eth.rtl8139"));
+    assert!(outcome.snapshot.scope.iter().any(|c| c == "eth.rtl8139"));
 }
 
 #[test]

@@ -9,23 +9,22 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_analyze::deadedge::DeadEdgeReport;
-use phoenix_analyze::{conformance, reach, report};
+use phoenix_analyze::{conformance, reach, report, Source};
 
-fn src_pair(rel: &str, src: &str) -> Vec<(String, String)> {
-    vec![(rel.to_string(), src.to_string())]
+const PROTO: &str = "crates/x/src/proto.rs";
+
+/// The conformance pass over one protocol file and one user of it.
+fn conform(proto: &str, user: &str) -> conformance::Outcome {
+    let files = [
+        Source::new(PROTO, proto),
+        Source::new("crates/x/src/client.rs", user),
+    ];
+    conformance::analyze(&files, &[PROTO])
 }
 
-fn reach_input(rel: &str, krate: &str, src: &str) -> reach::Input {
-    reach::Input {
-        rel: rel.to_string(),
-        krate: krate.to_string(),
-        source: src.to_string(),
-    }
-}
-
-fn no_closure() -> BTreeMap<String, std::collections::BTreeSet<String>> {
-    BTreeMap::new()
+/// The reachability pass over one file (its crate is the path's).
+fn reach_over(rel: &str, src: &str) -> reach::Outcome {
+    reach::analyze(&[Source::new(rel, src)], &BTreeMap::new())
 }
 
 // ---------------------------------------------------------------- slots
@@ -54,7 +53,7 @@ pub mod ping {
 
 #[test]
 fn slot_collision_red_green() {
-    let red = conformance::analyze(&src_pair("crates/x/src/proto.rs", SLOT_COLLISION_RED), &[]);
+    let red = conform(SLOT_COLLISION_RED, "");
     let hits: Vec<_> = red
         .findings
         .iter()
@@ -67,10 +66,7 @@ fn slot_collision_red_green() {
         hits[0].message
     );
 
-    let green = conformance::analyze(
-        &src_pair("crates/x/src/proto.rs", SLOT_COLLISION_GREEN),
-        &[],
-    );
+    let green = conform(SLOT_COLLISION_GREEN, "");
     assert!(
         green.findings.is_empty(),
         "same-owner claims merge: {:?}",
@@ -117,24 +113,16 @@ fn server(ctx: &mut Ctx, call: CallId, msg: &Message) {
 
 #[test]
 fn sent_but_unhandled_red_green() {
-    let proto = src_pair("crates/x/src/proto.rs", COVERAGE_PROTO);
-
     // Red: a client sends PING, but no dispatch arm anywhere matches it
     // — the message is emitted and dropped on the floor. Its reply is
     // the dual: compared against but never constructed.
-    let red = conformance::analyze(
-        &proto,
-        &src_pair("crates/x/src/client.rs", COVERAGE_USAGE_RED),
-    );
+    let red = conform(COVERAGE_PROTO, COVERAGE_USAGE_RED);
     let rules: Vec<&str> = red.findings.iter().map(|f| f.rule).collect();
     assert!(rules.contains(&"proto-unhandled"), "findings: {rules:?}");
     assert!(rules.contains(&"proto-unsent"), "findings: {rules:?}");
 
     // Green: add the server's dispatch arm and the reply construction.
-    let green = conformance::analyze(
-        &proto,
-        &src_pair("crates/x/src/client.rs", COVERAGE_USAGE_GREEN),
-    );
+    let green = conform(COVERAGE_PROTO, COVERAGE_USAGE_GREEN);
     assert!(green.findings.is_empty(), "findings: {:?}", green.findings);
     let ping = &green.usage["ping::PING"];
     assert!(ping.sends >= 1 && ping.handles >= 1);
@@ -153,13 +141,30 @@ pub mod ping {
 
 #[test]
 fn conformance_pragma_moves_finding_to_suppressed() {
-    let out = conformance::analyze(
-        &src_pair("crates/x/src/proto.rs", SUPPRESSED_PROTO),
-        &src_pair("crates/x/src/client.rs", COVERAGE_USAGE_RED),
-    );
+    let out = conform(SUPPRESSED_PROTO, COVERAGE_USAGE_RED);
     assert!(out.findings.is_empty(), "findings: {:?}", out.findings);
     let rules: Vec<&str> = out.suppressed.iter().map(|f| f.rule).collect();
     assert_eq!(rules, vec!["proto-unhandled", "proto-unsent"]);
+}
+
+#[test]
+fn a_kind_named_only_in_a_comment_or_a_string_is_dead() {
+    // Red: the names occur in the text of the file, not in its code.
+    let red = conform(
+        COVERAGE_PROTO,
+        "// replies with ping::PONG\nfn f() { log(\"ping::PING\"); }\n",
+    );
+    let dead: Vec<String> = red.dead_edges.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        dead,
+        [
+            "crates/x/src/proto.rs:4: [dead-edge] ping::PING is never sent or handled",
+            "crates/x/src/proto.rs:6: [dead-edge] ping::PONG is never sent or handled",
+        ]
+    );
+
+    let green = conform(COVERAGE_PROTO, COVERAGE_USAGE_GREEN);
+    assert!(green.dead_edges.is_empty(), "{:?}", green.dead_edges);
 }
 
 // -------------------------------------------------------------    reach
@@ -192,10 +197,7 @@ fn deeper(x: Option<u32>) {
 
 #[test]
 fn transitive_panic_through_helper_red_green() {
-    let red = reach::analyze(
-        &[reach_input("crates/x/src/srv.rs", "x", REACH_RED)],
-        &no_closure(),
-    );
+    let red = reach_over("crates/x/src/srv.rs", REACH_RED);
     assert_eq!(red.findings.len(), 1, "findings: {:?}", red.findings);
     let f = &red.findings[0];
     assert_eq!(f.what, ".unwrap()");
@@ -209,10 +211,7 @@ fn transitive_panic_through_helper_red_green() {
     assert!(f.path[2].ends_with("deeper"));
     assert_eq!(red.reachable, 3);
 
-    let green = reach::analyze(
-        &[reach_input("crates/x/src/srv.rs", "x", REACH_GREEN)],
-        &no_closure(),
-    );
+    let green = reach_over("crates/x/src/srv.rs", REACH_GREEN);
     assert!(green.findings.is_empty());
     assert_eq!(green.reachable, 0, "no roots, nothing reachable");
     assert_eq!(green.functions, 3, "the graph still sees every fn");
@@ -250,10 +249,7 @@ fn register<T>(x: Option<u32>) {
 
 #[test]
 fn generic_shell_root_reaches_trait_impl_dispatch() {
-    let red = reach::analyze(
-        &[reach_input("crates/x/src/shell.rs", "x", REACH_SHELL_RED)],
-        &no_closure(),
-    );
+    let red = reach_over("crates/x/src/shell.rs", REACH_SHELL_RED);
     assert_eq!(red.findings.len(), 2, "findings: {:?}", red.findings);
     let f = &red.findings[0];
     assert_eq!(f.what, ".unwrap()");
@@ -267,10 +263,7 @@ fn generic_shell_root_reaches_trait_impl_dispatch() {
 
     // Without the root marker the same indirection is not recovery-critical.
     let green = REACH_SHELL_RED.replace("// analyze:recovery-root", "");
-    let green = reach::analyze(
-        &[reach_input("crates/x/src/shell.rs", "x", &green)],
-        &no_closure(),
-    );
+    let green = reach_over("crates/x/src/shell.rs", &green);
     assert!(green.findings.is_empty());
     assert_eq!(green.reachable, 0);
 }
@@ -307,14 +300,7 @@ impl Volume for Fat {
 
 #[test]
 fn calls_through_a_type_parameter_reach_every_implementor() {
-    let red = reach::analyze(
-        &[reach_input(
-            "crates/x/src/engine.rs",
-            "x",
-            REACH_TYPE_PARAM_RED,
-        )],
-        &no_closure(),
-    );
+    let red = reach_over("crates/x/src/engine.rs", REACH_TYPE_PARAM_RED);
     assert_eq!(red.findings.len(), 1, "findings: {:?}", red.findings);
     let f = &red.findings[0];
     assert_eq!(f.path.len(), 2, "apply -> decode, got {:?}", f.path);
@@ -324,17 +310,11 @@ fn calls_through_a_type_parameter_reach_every_implementor() {
     // A fn's own parameter counts like the impl's; a const parameter or
     // an unknown qualifier (`N::`, `Vec::`) still contributes no edge.
     let only_fn = REACH_TYPE_PARAM_RED.replace("self.volume = V::decode(x);", "");
-    let out = reach::analyze(
-        &[reach_input("crates/x/src/engine.rs", "x", &only_fn)],
-        &no_closure(),
-    );
+    let out = reach_over("crates/x/src/engine.rs", &only_fn);
     assert_eq!(out.findings.len(), 1);
     assert_eq!(out.findings[0].path.len(), 3, "apply -> rebuild -> decode");
     let neither = only_fn.replace("let _ = T::decode(x);", "");
-    let out = reach::analyze(
-        &[reach_input("crates/x/src/engine.rs", "x", &neither)],
-        &no_closure(),
-    );
+    let out = reach_over("crates/x/src/engine.rs", &neither);
     assert!(out.findings.is_empty(), "findings: {:?}", out.findings);
 }
 
@@ -351,10 +331,7 @@ fn helper(x: Option<u32>) {
 
 #[test]
 fn reach_pragma_moves_site_to_suppressed() {
-    let out = reach::analyze(
-        &[reach_input("crates/x/src/srv.rs", "x", REACH_SUPPRESSED)],
-        &no_closure(),
-    );
+    let out = reach_over("crates/x/src/srv.rs", REACH_SUPPRESSED);
     assert!(out.findings.is_empty(), "findings: {:?}", out.findings);
     assert_eq!(out.suppressed.len(), 1);
     assert_eq!(out.suppressed[0].what, ".unwrap()");
@@ -376,31 +353,42 @@ fn helper(x: Option<u32>) {
 
 #[test]
 fn reachability_is_path_scope_free() {
-    for (rel, krate) in [
-        ("crates/servers/src/rs.rs", "servers"),
-        ("crates/hw/src/gadget.rs", "hw"),
-    ] {
-        let out = reach::analyze(&[reach_input(rel, krate, PATH_SCOPE_SRC)], &no_closure());
+    for rel in ["crates/servers/src/rs.rs", "crates/hw/src/gadget.rs"] {
+        let out = reach_over(rel, PATH_SCOPE_SRC);
         assert_eq!(out.findings.len(), 1, "{rel}");
     }
+}
+
+// --------------------------------------------------------------- load
+
+#[test]
+fn a_source_file_that_cannot_be_read_is_an_error_naming_it() {
+    let root = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("unreadable");
+    let dir = root.join("crates/hw/src");
+    std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("fine.rs"), "fn f() {}\n").unwrap();
+    assert_eq!(phoenix_analyze::load(&root).unwrap().len(), 1);
+
+    // Not UTF-8: `read_to_string` refuses it (so does a dangling link or
+    // a file without read permission).
+    std::fs::write(dir.join("torn.rs"), [0xff, 0xfe]).unwrap();
+    let err = phoenix_analyze::load(&root).err().expect("load must fail");
+    assert!(
+        err.to_string().starts_with("crates/hw/src/torn.rs: "),
+        "{err}"
+    );
+    std::fs::remove_file(dir.join("torn.rs")).unwrap();
 }
 
 // ------------------------------------------------------------- report
 
 #[test]
 fn report_is_byte_stable() {
-    let conf = conformance::analyze(
-        &src_pair("crates/x/src/proto.rs", COVERAGE_PROTO),
-        &src_pair("crates/x/src/client.rs", COVERAGE_USAGE_RED),
-    );
-    let rch = reach::analyze(
-        &[reach_input("crates/x/src/srv.rs", "x", REACH_RED)],
-        &no_closure(),
-    );
-    let dead = DeadEdgeReport::default();
+    let conf = conform(COVERAGE_PROTO, COVERAGE_USAGE_RED);
+    let rch = reach_over("crates/x/src/srv.rs", REACH_RED);
 
-    let a = report::build(&[], &dead, &conf, &rch).render();
-    let b = report::build(&[], &dead, &conf, &rch).render();
+    let a = report::build(&[], &conf, &rch).render();
+    let b = report::build(&[], &conf, &rch).render();
     assert_eq!(a, b, "two builds over identical inputs are byte-identical");
     assert!(a.ends_with('\n'));
     assert!(a.contains("\"schema\": \"phoenix-analyze/v1\""));
@@ -409,9 +397,8 @@ fn report_is_byte_stable() {
 #[test]
 fn empty_report_golden() {
     let conf = conformance::analyze(&[], &[]);
-    let rch = reach::analyze(&[], &no_closure());
-    let dead = DeadEdgeReport::default();
-    let rendered = report::build(&[], &dead, &conf, &rch).render();
+    let rch = reach::analyze(&[], &BTreeMap::new());
+    let rendered = report::build(&[], &conf, &rch).render();
     let golden = "{\n\
                   \x20 \"conformance\": {\n\
                   \x20   \"findings\": [],\n\

@@ -181,6 +181,55 @@ mod tests {
 }
 
 #[test]
+fn a_gated_struct_field_exempts_itself_only() {
+    let src = "\
+struct S {
+    #[cfg(test)]
+    log: HashSet<u8>,
+    m: HashMap<u8, u8>,
+}
+";
+    let hits = run("crates/fleet/src/x.rs", src);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!((hits[0].line, hits[0].rule), (4, "hash-collection"));
+}
+
+#[test]
+fn a_gated_struct_literal_field_exempts_itself_only() {
+    // Neither the next field nor the first line of the next function.
+    let src = "\
+fn new() -> S {
+    S {
+        #[cfg(test)]
+        log: Vec::new(),
+        m: HashMap::new(),
+    }
+}
+fn next(m: &HashMap<u8, u8>) {}
+";
+    let lines: Vec<usize> = (run("crates/fleet/src/x.rs", src).iter())
+        .map(|f| f.line)
+        .collect();
+    assert_eq!(lines, [5, 8]);
+}
+
+#[test]
+fn a_pattern_matches_whole_tokens_of_code() {
+    // Not the inside of a string, not part of a longer identifier.
+    let src = "let s = \"HashMap\";\nlet m = MyHashMapper::new();\n";
+    assert!(run("crates/kernel/src/x.rs", src).is_empty());
+}
+
+#[test]
+fn a_path_split_over_lines_is_one_finding_at_its_first_line() {
+    let src = "fn f() {\n    let rng = SimRng::\n        new(1);\n}\n";
+    let hits = run("crates/drivers/src/x.rs", src);
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!((hits[0].line, hits[0].rule), (2, "rng-construction"));
+    assert_eq!(hits[0].excerpt, "let rng = SimRng::");
+}
+
+#[test]
 fn findings_carry_position_and_excerpt() {
     let src = "fn a() {}\nuse std::collections::HashMap;\n";
     let hits = run("crates/hw/src/bus.rs", src);
@@ -198,9 +247,10 @@ fn findings_carry_position_and_excerpt() {
 fn the_real_workspace_is_clean() {
     // The gate ci.sh enforces, as a test: no unsuppressed determinism
     // findings and no dead protocol edges in the actual sources.
-    let root = phoenix_analyze::workspace_root();
-    let findings = phoenix_analyze::lint::lint_workspace(&root);
+    use phoenix_analyze::conformance;
+    let files = phoenix_analyze::load(&phoenix_analyze::workspace_root()).unwrap();
+    let findings = phoenix_analyze::lint::lint_workspace(&files);
     assert!(findings.is_empty(), "determinism lints: {findings:?}");
-    let edges = phoenix_analyze::deadedge::find_dead_edges(&root).edges;
+    let edges = conformance::analyze(&files, conformance::PROTO_FILES).dead_edges;
     assert!(edges.is_empty(), "dead protocol edges: {edges:?}");
 }

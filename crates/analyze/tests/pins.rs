@@ -7,7 +7,7 @@
 
 use std::path::{Path, PathBuf};
 
-use phoenix_analyze::{conformance, deadedge, lint, workspace_root};
+use phoenix_analyze::{conformance, lint, load, workspace_root};
 
 // ------------------------------------------------------------- adapters
 
@@ -21,7 +21,7 @@ fn lint_hits(path: &str, src: &str) -> Vec<(usize, &'static str)> {
 
 /// `(file, line, rule)` of every lint finding under `root`.
 fn workspace_lint(root: &Path) -> Vec<(String, usize, &'static str)> {
-    lint::lint_workspace(root)
+    lint::lint_workspace(&load(root).unwrap())
         .into_iter()
         .map(|f| (f.file, f.line, f.rule))
         .collect()
@@ -30,9 +30,9 @@ fn workspace_lint(root: &Path) -> Vec<(String, usize, &'static str)> {
 /// The dead edges as the gate prints them, and `(file, line, module)` of
 /// every glob warning.
 fn dead_edges(root: &Path) -> (Vec<String>, Vec<(String, usize, String)>) {
-    let dead = deadedge::find_dead_edges(root);
+    let dead = conformance::analyze(&load(root).unwrap(), conformance::PROTO_FILES);
     (
-        dead.edges.iter().map(ToString::to_string).collect(),
+        dead.dead_edges.iter().map(ToString::to_string).collect(),
         dead.glob_warnings
             .into_iter()
             .map(|g| (g.file, g.line, g.module))
@@ -42,7 +42,7 @@ fn dead_edges(root: &Path) -> (Vec<String>, Vec<(String, usize, String)>) {
 
 /// Keys of the usage table that count no reference at all.
 fn zero_rows(root: &Path) -> Vec<String> {
-    conformance::run(root)
+    conformance::analyze(&load(root).unwrap(), conformance::PROTO_FILES)
         .usage
         .into_iter()
         .filter(|(_, u)| u.sends + u.handles == 0)
