@@ -3,7 +3,9 @@
 //! checkpointing servers, sticky slots, recursive PM guard, escalation
 //! ladder.
 
-use phoenix::campaign::{run_microreboot_campaign, run_microreboot_control, MicrorebootConfig};
+use phoenix::campaign::{
+    run_microreboot_campaign, run_microreboot_control, MicrorebootConfig, SNAPSHOT_CAP_BYTES,
+};
 use phoenix_simcore::time::SimDuration;
 
 use crate::Report;
@@ -91,7 +93,7 @@ pub fn microreboot(r: &mut Report) {
         !campaign.snapshot_over_cap(),
         format!(
             "externalized server state {} bytes exceeds the {}-byte cap",
-            campaign.snapshot_bytes, campaign.snapshot_cap_bytes
+            campaign.snapshot_bytes, SNAPSHOT_CAP_BYTES
         ),
     );
     r.require(

@@ -26,8 +26,6 @@ pub struct ChaosCampaignConfig {
     /// Arm one kill of the network driver's *fresh incarnation during
     /// recovery* (crash-during-recovery resilience).
     pub mid_recovery_kill: bool,
-    /// Background datagram period.
-    pub traffic_period: SimDuration,
 }
 
 impl Default for ChaosCampaignConfig {
@@ -38,7 +36,6 @@ impl Default for ChaosCampaignConfig {
             kills_per_target: 4,
             kill_interval: SimDuration::from_secs(5),
             mid_recovery_kill: true,
-            traffic_period: SimDuration::from_millis(5),
         }
     }
 }
@@ -153,7 +150,7 @@ pub fn run_chaos_campaign_traced(cfg: &ChaosCampaignConfig) -> (ChaosCampaignRes
         .heartbeat(SimDuration::from_millis(500), 3)
         .chaos(plan)
         .boot();
-    spawn_udp_traffic(&mut os, cfg.traffic_period);
+    spawn_udp_traffic(&mut os);
     os.run_for(SimDuration::from_millis(100));
 
     let kills = kill_net_and_block(&mut os, cfg.kills_per_target, cfg.kill_interval);

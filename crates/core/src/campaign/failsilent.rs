@@ -263,7 +263,7 @@ fn failsilent_rig(cfg: &FailsilentConfig) -> (Os, Workloads) {
     let mut os = builder.boot();
     let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
 
-    let udp = spawn_udp_traffic(&mut os, SimDuration::from_millis(5));
+    let udp = spawn_udp_traffic(&mut os);
     let dd = Rc::new(RefCell::new(DdLoopStatus::default()));
     os.spawn_app(
         "dd-loop",

@@ -39,11 +39,12 @@ pub struct MicrorebootConfig {
     /// detector's horizon: the kernel request-age guard (8 s) plus one
     /// RS audit period, and three missed PM liveness pings.
     pub detect_window: SimDuration,
-    /// Warn when a server's externalized session state exceeds this many
-    /// bytes in the DS snapshot store — crash-only restarts are only
-    /// cheap while the state that must be rehydrated stays small.
-    pub snapshot_cap_bytes: u64,
 }
+
+/// Warn when a server's externalized session state exceeds this many
+/// bytes in the DS snapshot store — crash-only restarts are only cheap
+/// while the state that must be rehydrated stays small.
+pub const SNAPSHOT_CAP_BYTES: u64 = 16 * 1024;
 
 impl Default for MicrorebootConfig {
     fn default() -> Self {
@@ -51,7 +52,6 @@ impl Default for MicrorebootConfig {
             seed: 2007,
             rounds: 10,
             detect_window: SimDuration::from_secs(12),
-            snapshot_cap_bytes: 16 * 1024,
         }
     }
 }
@@ -105,8 +105,6 @@ pub struct MicrorebootResult {
     pub snapshot_bytes: u64,
     /// Final `ckpt.store_size` gauge (records in the DS snapshot store).
     pub snapshot_records: u64,
-    /// The configured snapshot cap, echoed for the report.
-    pub snapshot_cap_bytes: u64,
     /// Per-phase MTTR rows folded from the causal trace:
     /// `(phase, episodes, mean)`.
     pub phase_mttr: Vec<(&'static str, u64, SimDuration)>,
@@ -155,9 +153,9 @@ impl MicrorebootResult {
         ratio(self.transparent(), self.detected())
     }
 
-    /// `true` when the externalized state outgrew the configured cap.
+    /// `true` when the externalized state outgrew [`SNAPSHOT_CAP_BYTES`].
     pub fn snapshot_over_cap(&self) -> bool {
-        self.snapshot_bytes > self.snapshot_cap_bytes
+        self.snapshot_bytes > SNAPSHOT_CAP_BYTES
     }
 
     /// Renders the per-server table, the escalation ladder, the phase
@@ -192,7 +190,7 @@ impl MicrorebootResult {
         }
         out.push_str(&format!(
             "snapshot store: {} bytes in {} records (cap {})",
-            self.snapshot_bytes, self.snapshot_records, self.snapshot_cap_bytes,
+            self.snapshot_bytes, self.snapshot_records, SNAPSHOT_CAP_BYTES,
         ));
         if self.snapshot_over_cap() {
             out.push_str(" -- WARNING: over cap, rehydration no longer cheap");
@@ -335,7 +333,7 @@ fn microreboot_rig(cfg: &MicrorebootConfig) -> MicrorebootRig {
         .boot();
     let inet = os.endpoint(names::INET).expect("inet up after boot");
     let vfs = os.endpoint(names::VFS).expect("vfs up after boot");
-    let udp = spawn_udp_traffic(&mut os, SimDuration::from_millis(5));
+    let udp = spawn_udp_traffic(&mut os);
 
     // Pristine reference jobs: their digests define "byte-exact" for
     // every later observer, and they warm the mount tables and session
@@ -476,7 +474,6 @@ pub fn run_microreboot_campaign(cfg: &MicrorebootConfig) -> (MicrorebootResult, 
         escalations: ESCALATION_COUNTERS.map(|name| m.counter(name)),
         snapshot_bytes: m.counter("ds.snapshot_bytes"),
         snapshot_records: m.counter("ckpt.store_size"),
-        snapshot_cap_bytes: cfg.snapshot_cap_bytes,
         phase_mttr,
         trace_dropped: fossil.trace_dropped,
         trace_dropped_by_kind: fossil.trace_dropped_by_kind,

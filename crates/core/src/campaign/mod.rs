@@ -293,15 +293,23 @@ fn user_restart(os: &mut Os, service: &str, before: Endpoint) -> bool {
 // ------------------------------------------------------------------------
 // Rigs: background traffic, and the char-device streams with their oracle.
 
+/// Background datagram period of [`spawn_udp_traffic`]'s pinger.
+const TRAFFIC_PERIOD: SimDuration = SimDuration::from_millis(5);
+
 /// Spawns the always-on datagram pinger that keeps a network driver's
 /// hot paths executing, so mutations, drops and corruptions actually
 /// have something to hit.
-fn spawn_udp_traffic(os: &mut Os, period: SimDuration) -> Rc<RefCell<UdpStatus>> {
+fn spawn_udp_traffic(os: &mut Os) -> Rc<RefCell<UdpStatus>> {
     let status = Rc::new(RefCell::new(UdpStatus::default()));
     let inet = os.endpoint(names::INET).expect("inet up after boot");
     os.spawn_app(
         "udp-traffic",
-        Box::new(UdpPing::new(inet, 2_000_000, period, status.clone())),
+        Box::new(UdpPing::new(
+            inet,
+            2_000_000,
+            TRAFFIC_PERIOD,
+            status.clone(),
+        )),
     );
     status
 }

@@ -21,7 +21,6 @@ use std::rc::Rc;
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
 use phoenix_hw::rtl8139::Rtl8139Config;
 use phoenix_hw::WireConfig;
-use phoenix_servers::peer::PeerConfig;
 use phoenix_servers::policy::reason;
 use phoenix_simcore::time::SimDuration;
 
@@ -36,27 +35,24 @@ pub struct CampaignConfig {
     pub seed: u64,
     /// Total faults to inject.
     pub injections: u64,
-    /// Virtual time between injections.
-    pub injection_interval: SimDuration,
     /// Probability that a reserved-register write wedges the NIC
     /// (0 for the emulator campaign, small for the "real hardware" one).
     pub wedge_prob: f64,
-    /// Background datagram period (traffic exercising the driver).
-    pub traffic_period: SimDuration,
     /// Heartbeat period for the driver under test.
     pub heartbeat_period: SimDuration,
     /// Consecutive misses before heartbeat recovery.
     pub heartbeat_misses: u32,
 }
 
+/// Virtual time between injections.
+const INJECTION_INTERVAL: SimDuration = SimDuration::from_millis(20);
+
 impl Default for CampaignConfig {
     fn default() -> Self {
         CampaignConfig {
             seed: 2007,
             injections: 12_500,
-            injection_interval: SimDuration::from_millis(20),
             wedge_prob: 0.0,
-            traffic_period: SimDuration::from_millis(5),
             heartbeat_period: SimDuration::from_millis(500),
             heartbeat_misses: 2,
         }
@@ -180,10 +176,8 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
             Rtl8139Config::default(),
             Dp8390Config {
                 wedge_prob: cfg.wedge_prob,
-                ..Dp8390Config::default()
             },
             WireConfig::default(),
-            PeerConfig::default(),
         )
         .heartbeat(cfg.heartbeat_period, cfg.heartbeat_misses)
         // The paper's direct-restart policy: the campaign crashes the
@@ -192,7 +186,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
         // on every 13th crash.
         .restart_budget(u32::MAX, SimDuration::from_secs(30))
         .boot();
-    let status = spawn_udp_traffic(&mut os, cfg.traffic_period);
+    let status = spawn_udp_traffic(&mut os);
     os.run_for(SimDuration::from_millis(50));
 
     let mut result = CampaignResult::default();
@@ -242,7 +236,7 @@ pub fn run_campaign(cfg: &CampaignConfig) -> (CampaignResult, Rc<RefCell<UdpStat
         }
         result.injections += 1;
         since_last += 1;
-        os.run_for(cfg.injection_interval);
+        os.run_for(INJECTION_INTERVAL);
         // Crash detection: the incarnation changed or the driver is gone.
         // A *stuck* driver is still "alive" here; it is detected when the
         // heartbeat misses accumulate, within a later interval.

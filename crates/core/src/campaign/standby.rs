@@ -68,8 +68,6 @@ pub struct StandbyCampaignConfig {
     /// driver alternating wedge (heartbeat defect) / garble (complaint
     /// defect).
     pub faults: u64,
-    /// Virtual settle time after each recovery.
-    pub fault_interval: SimDuration,
     /// `true` = warm spares tail the WAL and are promoted at detection
     /// time; `false` = the cold restart+replay baseline.
     pub hot_standby: bool,
@@ -77,12 +75,14 @@ pub struct StandbyCampaignConfig {
     pub adapt: bool,
 }
 
+/// Virtual settle time after each recovery.
+const FAULT_INTERVAL: SimDuration = SimDuration::from_millis(400);
+
 impl Default for StandbyCampaignConfig {
     fn default() -> Self {
         StandbyCampaignConfig {
             seed: 2007,
             faults: 100,
-            fault_interval: SimDuration::from_millis(400),
             hot_standby: true,
             adapt: true,
         }
@@ -458,7 +458,7 @@ pub fn run_standby_campaign(cfg: &StandbyCampaignConfig) -> (StandbyCampaignResu
         } else {
             class_unrecovered[class] += 1;
         }
-        os.run_for(cfg.fault_interval);
+        os.run_for(FAULT_INTERVAL);
     }
 
     // Drain: the streams are sized to outlast the schedule, so let both

@@ -33,7 +33,7 @@ use phoenix_servers::fsfat::{self, Fat16};
 use phoenix_servers::fsfmt::{self, FileSpec, Inode, Minix};
 use phoenix_servers::libserver::ServerLogic;
 use phoenix_servers::mfs::Volume;
-use phoenix_servers::peer::{FilePeer, PeerConfig};
+use phoenix_servers::peer::FilePeer;
 use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
 use phoenix_servers::{
@@ -153,7 +153,7 @@ pub enum OverGrant {
 /// Builder for [`Os`].
 pub struct OsBuilder {
     seed: u64,
-    nic: Option<(NicKind, Rtl8139Config, Dp8390Config, WireConfig, PeerConfig)>,
+    nic: Option<(NicKind, Rtl8139Config, Dp8390Config, WireConfig)>,
     disk: Option<DiskSpec>,
     fat_disk: Option<DiskSpec>,
     floppy: bool,
@@ -211,7 +211,6 @@ impl OsBuilder {
             Rtl8139Config::default(),
             Dp8390Config::default(),
             WireConfig::default(),
-            PeerConfig::default(),
         ));
         self
     }
@@ -222,10 +221,9 @@ impl OsBuilder {
         rtl: Rtl8139Config,
         dp: Dp8390Config,
         wire: WireConfig,
-        peer: PeerConfig,
     ) -> Self {
         if let Some((kind, ..)) = self.nic {
-            self.nic = Some((kind, rtl, dp, wire, peer));
+            self.nic = Some((kind, rtl, dp, wire));
         }
         self
     }
@@ -858,8 +856,8 @@ impl Os {
             programs.push((row.name, row.privileges, row.build, row.spare));
         }
         sys.mark_sticky("pm");
-        if let Some((.., wire, peer)) = &cfg.nic {
-            bus.attach_peer(hwmap::NIC, *wire, Box::new(FilePeer::new(peer.clone())));
+        if let Some((.., wire)) = &cfg.nic {
+            bus.attach_peer(hwmap::NIC, *wire, Box::new(FilePeer::default()));
         }
         cfg.override_services(&mut services);
 

@@ -11,7 +11,6 @@ use phoenix_hw::dp8390::Dp8390Config;
 use phoenix_hw::rtl8139::Rtl8139Config;
 use phoenix_hw::WireConfig;
 use phoenix_servers::netproto::stream_md5;
-use phoenix_servers::peer::PeerConfig;
 use phoenix_servers::policy::PolicyScript;
 use phoenix_simcore::time::SimDuration;
 
@@ -37,7 +36,6 @@ fn download_survives_packet_loss_plus_driver_kills() {
                 latency: SimDuration::from_micros(200),
                 loss_prob: 0.01,
             },
-            PeerConfig::default(),
         )
         .boot();
     let inet = os.endpoint(names::INET).unwrap();

@@ -51,16 +51,17 @@ pub struct FleetConfig {
     pub seed: u64,
     /// Event-loop quantum: how much each node runs per round.
     pub quantum: SimDuration,
-    /// One-way inter-node link latency.
-    pub link_latency: SimDuration,
-    /// How often each node replicates its snapshot to its successor.
-    pub snap_period: SimDuration,
-    /// Modeled outage between a conviction and the reborn node's boot.
-    pub reboot_delay: SimDuration,
-    /// Per-node checkpointed print-job size (keeps real records in the
-    /// checkpoint store for replication to carry).
-    pub job_bytes: usize,
 }
+
+/// One-way inter-node link latency.
+const LINK_LATENCY: SimDuration = SimDuration::from_millis(1);
+/// How often each node replicates its snapshot to its successor.
+const SNAP_PERIOD: SimDuration = SimDuration::from_secs(2);
+/// Modeled outage between a conviction and the reborn node's boot.
+const REBOOT_DELAY: SimDuration = SimDuration::from_millis(250);
+/// Per-node checkpointed print-job size (keeps real records in the
+/// checkpoint store for replication to carry).
+const JOB_BYTES: usize = 6144;
 
 impl Default for FleetConfig {
     fn default() -> Self {
@@ -68,10 +69,6 @@ impl Default for FleetConfig {
             nodes: 4,
             seed: 0xF1EE7,
             quantum: SimDuration::from_millis(1),
-            link_latency: SimDuration::from_millis(1),
-            snap_period: SimDuration::from_secs(2),
-            reboot_delay: SimDuration::from_millis(250),
-            job_bytes: 6144,
         }
     }
 }
@@ -120,7 +117,7 @@ pub struct Fleet {
 
 /// Boots one node machine for `(seed, gen)` with the checkpointed
 /// printer workload and the fleet identity record installed.
-fn boot_node(node: u8, seed: u64, gen: u32, job_bytes: usize) -> (Os, Rc<RefCell<CkptLpdStatus>>) {
+fn boot_node(node: u8, seed: u64, gen: u32) -> (Os, Rc<RefCell<CkptLpdStatus>>) {
     // analyze:allow(rng-construction): incarnation seed is a pure
     // function of the node's forked stream seed and its generation.
     let inc_seed = SimRng::new(seed).fork_indexed("gen", u64::from(gen)).seed();
@@ -133,7 +130,7 @@ fn boot_node(node: u8, seed: u64, gen: u32, job_bytes: usize) -> (Os, Rc<RefCell
     // A node that somehow boots without VFS still rejoins the ring and
     // lets its own RS recover the filesystem; only the workload is lost.
     if let Some(vfs) = os.endpoint(names::VFS) {
-        let job = stream_chunk(seed ^ u64::from(gen), 0, job_bytes);
+        let job = stream_chunk(seed ^ u64::from(gen), 0, JOB_BYTES);
         os.spawn_app("ckpt-lpd", Box::new(CkptLpd::new(vfs, job, status.clone())));
     }
     let ident = encode_identity(node, gen);
@@ -152,12 +149,12 @@ impl Fleet {
         // analyze:allow(rng-construction): the fleet root stream; every
         // node and link stream is forked off it by domain and index.
         let root = SimRng::new(cfg.seed);
-        let wire = FleetWire::new(cfg.nodes, cfg.link_latency, &root);
+        let wire = FleetWire::new(cfg.nodes, LINK_LATENCY, &root);
         let mut slots = Vec::new();
         let mut next_snap_at = BTreeMap::new();
         for id in 0..cfg.nodes {
             let seed = root.fork_indexed("fleet-node", u64::from(id)).seed();
-            let (os, status) = boot_node(id, seed, 1, cfg.job_bytes);
+            let (os, status) = boot_node(id, seed, 1);
             slots.push(NodeSlot {
                 gen: 1,
                 seed,
@@ -488,7 +485,7 @@ impl Fleet {
             self.metrics.incr("fleet.recover.cold");
         }
         self.slots[idx].reboot = Some(Reboot {
-            ready_at: now + self.cfg.reboot_delay,
+            ready_at: now + REBOOT_DELAY,
             snapshot,
             convict_at: now,
         });
@@ -506,7 +503,7 @@ impl Fleet {
             if !(due && idle) {
                 continue;
             }
-            self.next_snap_at.insert(id, now + self.cfg.snap_period);
+            self.next_snap_at.insert(id, now + SNAP_PERIOD);
             let ckpt = os
                 .ckpt_store()
                 .map(|store| store.borrow().export())
@@ -562,7 +559,7 @@ impl Fleet {
             let gen = self.slots[idx].gen + 1;
             self.slots[idx].gen = gen;
             let seed = self.slots[idx].seed;
-            let (os, status) = boot_node(id, seed, gen, self.cfg.job_bytes);
+            let (os, status) = boot_node(id, seed, gen);
             if let Some(snap) = &reboot.snapshot {
                 if let Some(store) = os.ckpt_store() {
                     let mut store = store.borrow_mut();

@@ -244,6 +244,11 @@ pub trait RemotePeer {
     fn as_any(&mut self) -> &mut dyn Any;
 }
 
+/// Line rate of both NIC models in bytes/second: 100 Mb/s Ethernet ≈
+/// 12.5 MB/s (a real DP8390 is a 10 Mb/s card; it is modelled at 100 to
+/// keep the two drivers' experiments comparable).
+pub const LINE_RATE: u64 = 12_500_000;
+
 /// Wire parameters between a NIC and its remote peer.
 #[derive(Debug, Clone, Copy)]
 pub struct WireConfig {

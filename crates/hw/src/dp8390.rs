@@ -13,7 +13,7 @@ use std::any::Any;
 
 use phoenix_simcore::time::SimDuration;
 
-use crate::bus::{DevCtx, Device};
+use crate::bus::{DevCtx, Device, LINE_RATE};
 
 /// Card-local packet memory size.
 pub const CARD_MEM: usize = 16 * 1024;
@@ -97,19 +97,13 @@ pub mod rcr {
 /// Tunable model parameters.
 #[derive(Debug, Clone)]
 pub struct Dp8390Config {
-    /// Line rate in bytes/second (10 Mb/s Ethernet ≈ 1.25 MB/s for a real
-    /// DP8390; we default to 100 Mb/s to keep experiments comparable).
-    pub line_rate: u64,
     /// Probability that a reserved-register write wedges the card.
     pub wedge_prob: f64,
 }
 
 impl Default for Dp8390Config {
     fn default() -> Self {
-        Dp8390Config {
-            line_rate: 12_500_000,
-            wedge_prob: 0.0,
-        }
+        Dp8390Config { wedge_prob: 0.0 }
     }
 }
 
@@ -304,7 +298,7 @@ impl Device for Dp8390 {
                     }
                     let frame = self.mem[start..start + len].to_vec();
                     self.tx_ok += 1;
-                    let delay = SimDuration::for_transfer(len as u64, self.cfg.line_rate);
+                    let delay = SimDuration::for_transfer(len as u64, LINE_RATE);
                     ctx.tx_frame(frame);
                     ctx.set_timer_after(delay, 0);
                 }

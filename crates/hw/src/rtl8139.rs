@@ -13,7 +13,7 @@ use std::any::Any;
 
 use phoenix_simcore::time::SimDuration;
 
-use crate::bus::{DevCtx, Device};
+use crate::bus::{DevCtx, Device, LINE_RATE};
 
 /// Register map (offsets into the device's register window).
 pub mod regs {
@@ -77,23 +77,14 @@ pub const RX_HEADER_LEN: usize = 4;
 /// Tunable model parameters.
 #[derive(Debug, Clone)]
 pub struct Rtl8139Config {
-    /// Line rate in bytes/second (100 Mb/s Ethernet ≈ 12.5 MB/s).
-    pub line_rate: u64,
     /// Probability that a write to a reserved register wedges the card
     /// (models the "card confused by the faulty driver" tail of §7.2).
     pub wedge_prob: f64,
-    /// Whether the card supports a *master reset* command that can clear a
-    /// wedge (the paper's card did not; default `false`).
-    pub has_master_reset: bool,
 }
 
 impl Default for Rtl8139Config {
     fn default() -> Self {
-        Rtl8139Config {
-            line_rate: 12_500_000,
-            wedge_prob: 0.0,
-            has_master_reset: false,
-        }
+        Rtl8139Config { wedge_prob: 0.0 }
     }
 }
 
@@ -279,7 +270,7 @@ impl Device for Rtl8139 {
                 match ctx.dma_read(u64::from(self.tsad[slot]), &mut frame) {
                     Ok(()) => {
                         self.tx_ok += 1;
-                        let delay = SimDuration::for_transfer(len as u64, self.cfg.line_rate);
+                        let delay = SimDuration::for_transfer(len as u64, LINE_RATE);
                         // Serialize onto the wire, then report TOK.
                         ctx.tx_frame(frame);
                         ctx.set_timer_after(delay, u64::from(slot as u32));

@@ -44,7 +44,7 @@ pub use faultplane::{FaultPlane, ServerFault};
 pub use inet::Inet;
 pub use libserver::Server;
 pub use mfs::FileServer;
-pub use peer::{FilePeer, PeerConfig};
+pub use peer::FilePeer;
 pub use pm::ProcessManager;
 pub use policy::{PolicyDecision, PolicyInput, PolicyScript};
 pub use rs::{ReincarnationServer, ServiceConfig};

@@ -1,7 +1,7 @@
 //! The remote peer: the "Internet server" `wget` downloads from (Fig. 7).
 //!
 //! Implements the server side of the [`crate::netproto`] transport with a
-//! go-back-N window, paced transmission at a configurable uplink rate, and
+//! go-back-N window, paced transmission at the uplink rate, and
 //! an exponentially backed-off retransmission timeout. While the host's
 //! Ethernet driver is dead, segments go unacknowledged and the peer backs
 //! off; once the restarted driver is reintegrated, the retransmitted
@@ -15,29 +15,14 @@ use phoenix_simcore::time::{SimDuration, SimTime};
 
 use crate::netproto::{flags, stream_chunk, Segment, MSS};
 
-/// Peer tuning.
-#[derive(Debug, Clone)]
-pub struct PeerConfig {
-    /// Payload pacing rate in bytes/second (the peer's uplink).
-    pub rate: u64,
-    /// Initial retransmission timeout.
-    pub rto: SimDuration,
-    /// Maximum RTO after backoff.
-    pub rto_max: SimDuration,
-    /// Send window in segments.
-    pub window: usize,
-}
-
-impl Default for PeerConfig {
-    fn default() -> Self {
-        PeerConfig {
-            rate: 11_000_000,
-            rto: SimDuration::from_millis(300),
-            rto_max: SimDuration::from_secs(3),
-            window: 64,
-        }
-    }
-}
+/// Payload pacing rate in bytes/second (the peer's uplink).
+const RATE: u64 = 11_000_000;
+/// Initial retransmission timeout.
+const RTO: SimDuration = SimDuration::from_millis(300);
+/// Maximum RTO after backoff.
+const RTO_MAX: SimDuration = SimDuration::from_secs(3);
+/// Send window in segments.
+const WINDOW: usize = 64;
 
 #[derive(Debug)]
 struct PeerConn {
@@ -56,9 +41,10 @@ struct PeerConn {
     dup_acks: u32,
 }
 
-/// The remote file-serving peer.
+/// The remote file-serving peer; `default()` is one with no connection
+/// open.
+#[derive(Default)]
 pub struct FilePeer {
-    cfg: PeerConfig,
     conns: BTreeMap<u16, PeerConn>,
     tx_clock: SimTime,
     retransmissions: u64,
@@ -66,17 +52,6 @@ pub struct FilePeer {
 }
 
 impl FilePeer {
-    /// Creates a peer with the given tuning.
-    pub fn new(cfg: PeerConfig) -> Self {
-        FilePeer {
-            cfg,
-            conns: BTreeMap::new(),
-            tx_clock: SimTime::ZERO,
-            retransmissions: 0,
-            dgrams_echoed: 0,
-        }
-    }
-
     /// Total segment retransmissions performed (a measure of how much the
     /// driver outages cost end-to-end).
     pub fn retransmissions(&self) -> u64 {
@@ -88,13 +63,13 @@ impl FilePeer {
         self.dgrams_echoed
     }
 
-    /// Paced transmit: frames leave at most at `cfg.rate` payload bytes
-    /// per second.
+    /// Paced transmit: frames leave at most at [`RATE`] payload bytes per
+    /// second.
     fn paced_send(&mut self, ctx: &mut PeerCtx<'_, '_>, seg: Segment) {
         let now = ctx.now();
         self.tx_clock = self.tx_clock.max(now);
         let delay = self.tx_clock.since(now);
-        self.tx_clock += SimDuration::for_transfer(seg.payload.len().max(64) as u64, self.cfg.rate);
+        self.tx_clock += SimDuration::for_transfer(seg.payload.len().max(64) as u64, RATE);
         ctx.send_to_host_after(delay, seg.encode());
     }
 
@@ -126,7 +101,7 @@ impl FilePeer {
         if from_una {
             conn.snd_nxt = conn.snd_una;
         }
-        let window_end = conn.snd_una as u64 + (self.cfg.window * MSS) as u64;
+        let window_end = conn.snd_una as u64 + (WINDOW * MSS) as u64;
         let mut to_send = Vec::new();
         while u64::from(conn.snd_nxt) < total && u64::from(conn.snd_nxt) < window_end {
             let off = u64::from(conn.snd_nxt);
@@ -208,7 +183,7 @@ impl RemotePeer for FilePeer {
                     snd_una: 0,
                     snd_nxt: 0,
                     fin_acked: false,
-                    rto: self.cfg.rto,
+                    rto: RTO,
                     timer_epoch: epoch,
                     timer_armed: false,
                     dup_acks: 0,
@@ -264,7 +239,7 @@ impl RemotePeer for FilePeer {
             let fin_seq = total as u32;
             if seg.ack > conn.snd_una {
                 conn.snd_una = seg.ack.min(fin_seq.wrapping_add(1));
-                conn.rto = self.cfg.rto; // fresh progress resets backoff
+                conn.rto = RTO; // fresh progress resets backoff
                 conn.dup_acks = 0;
                 if seg.ack > fin_seq {
                     // Session complete: drop the state so the id can be
@@ -301,7 +276,7 @@ impl RemotePeer for FilePeer {
             return;
         }
         // Retransmission timeout: go back to snd_una, double the RTO.
-        conn.rto = (conn.rto * 2).min(self.cfg.rto_max);
+        conn.rto = (conn.rto * 2).min(RTO_MAX);
         self.retransmissions += 1;
         self.fill_window(ctx, conn_id, true);
     }
@@ -384,7 +359,7 @@ mod tests {
     /// window — no byte is lost end-to-end.
     #[test]
     fn one_way_loss_to_host_recovers_via_rto_after_heal() {
-        let mut peer = FilePeer::new(PeerConfig::default());
+        let mut peer = FilePeer::default();
         let syn = Segment {
             flags: flags::SYN,
             conn: 1,
@@ -425,7 +400,7 @@ mod tests {
     /// cut leg drops everything, and the peer's state still advances.
     #[test]
     fn one_way_partition_cut_drops_replies_but_state_advances() {
-        let mut peer = FilePeer::new(PeerConfig::default());
+        let mut peer = FilePeer::default();
         let dgram = Segment::dgram(3, 42, b"ping".to_vec());
         let (frames, _) = feed(&mut peer, SimTime::ZERO, 0.0, true, &dgram);
         assert!(frames.is_empty(), "echo dropped by the cut");

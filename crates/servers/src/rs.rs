@@ -188,12 +188,6 @@ impl ServiceConfig {
         self
     }
 
-    /// Disables the policy script: direct restart (§6.2 disk drivers).
-    pub fn without_policy(mut self) -> Self {
-        self.policy = None;
-        self
-    }
-
     /// Sets the heartbeat period (builder style).
     pub fn with_heartbeat(mut self, period: SimDuration, misses: u32) -> Self {
         self.heartbeat_period = Some(period);
