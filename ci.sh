@@ -15,8 +15,14 @@ cargo fmt --all -- --check
 echo "==> cargo clippy -D warnings (function-length ceiling in clippy.toml)"
 cargo clippy --workspace --all-targets -q -- -D warnings -D clippy::too_many_lines
 
-echo "==> phoenix-analyze: lints, conformance, reachability, authority audit"
+echo "==> phoenix-analyze: lints, conformance + dead edges, reachability, authority audit"
 cargo run -q --release -p phoenix-analyze -- --report results/analyze_report.json
+
+echo "==> shipping lines per crate (up to a column-0 #[cfg(test)]; no blanks, no comment lines)"
+for c in crates/*/; do
+    find "$c/src" -name '*.rs' -exec sed -s '/^#\[cfg(test)\]/,$d' {} + | grep -vcE '^\s*(//|$)' |
+        sed "s|^|$(basename "$c") |"
+done
 
 echo "==> tier-1: cargo build --release && cargo test -q"
 cargo build --release

@@ -754,7 +754,7 @@ use crate::proto::rs as rsp;
 
     #[test]
     fn multiline_send_expressions_classify_correctly() {
-        // The lexical scanner's blind spot: the kind sits on its own line.
+        // The kind sits on its own line: tokens do not care.
         let src = "let m =\n    Message::new(\n        ds::PUBLISH,\n    );";
         assert_eq!(class_of(src, "PUBLISH"), RefClass::Send);
     }

@@ -3,7 +3,7 @@
 //! sites (`.unwrap()`, `.expect(..)`, `panic!`, `unreachable!`, `todo!`,
 //! `unimplemented!`) in *any* crate reachable from a root.
 //!
-//! This replaced the lexical `unwrap-recovery` rule, whose hand-kept
+//! This replaced the path-listed `unwrap-recovery` rule, whose hand-kept
 //! file list could not see a panic two calls deep in a helper living
 //! outside the listed files (e.g. in `simcore` or the kernel). Only the
 //! rule's pragma spelling survives, as a second way to suppress a site.

@@ -4,8 +4,8 @@
 //!
 //! The message kinds live here (rather than in `servers/proto.rs`)
 //! because the protocol's *clients* are drivers and the drivers crate
-//! cannot depend on the servers crate; the dead-edge pass in
-//! `phoenix-analyze` scans this file alongside the other proto modules.
+//! cannot depend on the servers crate; `phoenix-analyze`'s conformance
+//! pass reads this file alongside the other proto modules.
 
 use phoenix_kernel::types::Message;
 
