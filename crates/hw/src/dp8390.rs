@@ -95,16 +95,10 @@ pub mod rcr {
 }
 
 /// Tunable model parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Dp8390Config {
     /// Probability that a reserved-register write wedges the card.
     pub wedge_prob: f64,
-}
-
-impl Default for Dp8390Config {
-    fn default() -> Self {
-        Dp8390Config { wedge_prob: 0.0 }
-    }
 }
 
 /// The DP8390 device model.

@@ -75,17 +75,11 @@ pub const RX_RING_LEN: usize = 64 * 1024;
 pub const RX_HEADER_LEN: usize = 4;
 
 /// Tunable model parameters.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Rtl8139Config {
     /// Probability that a write to a reserved register wedges the card
     /// (models the "card confused by the faulty driver" tail of §7.2).
     pub wedge_prob: f64,
-}
-
-impl Default for Rtl8139Config {
-    fn default() -> Self {
-        Rtl8139Config { wedge_prob: 0.0 }
-    }
 }
 
 /// The RTL8139 device model.
