@@ -1766,9 +1766,9 @@ mod tests {
             }),
         );
         sys.step(&mut NullPlatform);
-        assert_eq!(sys.alarms.len(), 49, "50 set, one cancelled");
+        assert_eq!(sys.queue.len(), 49, "50 set, one cancelled");
         sys.run_until(&mut NullPlatform, SimTime::from_micros(2_000));
-        assert!(sys.alarms.is_empty(), "49 fired: nothing left to walk");
+        assert!(sys.queue.is_empty(), "49 fired: nothing left to walk");
         sys.kill_by_user(ep, Signal::Term);
         sys.run_until_idle(&mut NullPlatform, 10);
         assert_eq!(

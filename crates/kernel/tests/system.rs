@@ -10,8 +10,8 @@ use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{
-    DeviceId, Endpoint, ExceptionKind, ExitReason, IpcError, KernelError, KillOrigin, Message,
-    Signal,
+    AlarmId, DeviceId, Endpoint, ExceptionKind, ExitReason, IpcError, KernelError, KillOrigin,
+    Message, Signal,
 };
 use phoenix_simcore::time::{SimDuration, SimTime};
 
@@ -366,26 +366,128 @@ fn cancelled_alarm_does_not_fire() {
     assert!(!lg.contains(&"t@alarm:1".to_string()));
 }
 
+/// Sets `n` alarms 5 ms ahead at start, tokens `0..n`.
+fn sets_alarms(log: Rc<RefCell<Vec<String>>>, n: u64) -> Box<Scripted> {
+    Box::new(Scripted::with_react(
+        log,
+        Box::new(move |ctx, ev| {
+            if matches!(ev, ProcEvent::Start) {
+                for token in 0..n {
+                    ctx.set_alarm(SimDuration::from_millis(5), token).unwrap();
+                }
+            }
+        }),
+    ))
+}
+
 #[test]
 fn death_cancels_pending_alarms() {
     let mut sys = new_sys();
     let l = log();
-    let t = sys.spawn_boot(
-        "t",
+    let t = sys.spawn_boot("t", Privileges::server(), sets_alarms(l.clone(), 100));
+    sys.spawn_boot("other", Privileges::server(), sets_alarms(l.clone(), 1));
+    sys.step(&mut NullPlatform); // t's start (sets its alarms)
+    sys.kill_by_user(t, Signal::Kill);
+    // The next incarnation takes the slot: an alarm of the dead one that
+    // still fired would be addressed to a stale endpoint.
+    let again = sys.spawn_boot("t", Privileges::server(), sets_alarms(l.clone(), 0));
+    assert_eq!(again.slot(), t.slot());
+    sys.run_until_idle(&mut NullPlatform, 1_000);
+    let lg = l.borrow();
+    assert!(!lg.iter().any(|e| e.starts_with("t@alarm")), "{lg:?}");
+    assert!(lg.contains(&"other@alarm:0".to_string()), "{lg:?}");
+    assert_eq!(
+        sys.metrics().counter("ipc.stale_drops"),
+        0,
+        "cancelled with their owner, not delivered and dropped"
+    );
+    assert_eq!(sys.now(), SimTime::from_micros(5_000));
+}
+
+/// `cancel_alarm` answers `true` only to the process that set the alarm,
+/// and only while it is pending: not to another process holding the id,
+/// not once the alarm fired, not through an id whose place in the kernel's
+/// tables a later alarm has taken.
+#[test]
+fn an_alarm_id_answers_only_to_its_owner_and_only_while_pending() {
+    let mut sys = new_sys();
+    let l = log();
+    let board: Rc<RefCell<Vec<AlarmId>>> = Rc::default();
+    let (a_board, a_log) = (board.clone(), l.clone());
+    sys.spawn_boot(
+        "a",
         Privileges::server(),
         Box::new(Scripted::with_react(
             l.clone(),
-            Box::new(|ctx, ev| {
-                if matches!(ev, ProcEvent::Start) {
-                    ctx.set_alarm(SimDuration::from_millis(5), 1).unwrap();
+            Box::new(move |ctx, ev| match ev {
+                ProcEvent::Start => {
+                    for (ms, token) in [(5, 1), (1, 2)] {
+                        let id = ctx.set_alarm(SimDuration::from_millis(ms), token);
+                        a_board.borrow_mut().push(id.unwrap());
+                    }
                 }
+                ProcEvent::Alarm { token: 2 } => {
+                    let fired = a_board.borrow()[1];
+                    let mut answers = vec![ctx.cancel_alarm(fired)];
+                    // Whatever the fired alarm occupied is free to be
+                    // taken by these; its id must not reach them.
+                    for _ in 0..3 {
+                        ctx.set_alarm(SimDuration::from_millis(2), 3).unwrap();
+                        answers.push(ctx.cancel_alarm(fired));
+                    }
+                    a_log
+                        .borrow_mut()
+                        .push(format!("a cancels fired: {answers:?}"));
+                }
+                _ => {}
             }),
         )),
     );
-    sys.step(&mut NullPlatform); // start (sets alarm)
-    sys.kill_by_user(t, Signal::Kill);
-    sys.run_until_idle(&mut NullPlatform, 10);
-    assert!(!l.borrow().iter().any(|e| e.contains("alarm")));
+    let (b_board, b_log) = (board.clone(), l.clone());
+    sys.spawn_boot(
+        "b",
+        Privileges::server(),
+        Box::new(Scripted::with_react(
+            l.clone(),
+            Box::new(move |ctx, ev| match ev {
+                ProcEvent::Start => {
+                    ctx.set_alarm(SimDuration::from_millis(2), 9).unwrap();
+                }
+                ProcEvent::Alarm { .. } => {
+                    let answers: Vec<bool> = b_board
+                        .borrow()
+                        .iter()
+                        .map(|&id| ctx.cancel_alarm(id))
+                        .collect();
+                    b_log
+                        .borrow_mut()
+                        .push(format!("b cancels a's: {answers:?}"));
+                }
+                _ => {}
+            }),
+        )),
+    );
+    sys.run_until_idle(&mut NullPlatform, 100);
+    let lg = l.borrow();
+    let alarms: Vec<&str> = lg
+        .iter()
+        .filter(|e| e.contains("alarm") || e.contains("cancels"))
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        alarms,
+        [
+            "a@alarm:2",
+            "a cancels fired: [false, false, false, false]",
+            "b@alarm:9",
+            "b cancels a's: [false, false]",
+            "a@alarm:3",
+            "a@alarm:3",
+            "a@alarm:3",
+            "a@alarm:1",
+        ]
+    );
+    assert_eq!(sys.now(), SimTime::from_micros(5_000));
 }
 
 #[test]
