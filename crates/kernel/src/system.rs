@@ -9,7 +9,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
-use phoenix_simcore::event::{EventId, EventQueue};
+use phoenix_simcore::event::EventQueue;
 use phoenix_simcore::metrics::MetricsRegistry;
 use phoenix_simcore::rng::SimRng;
 use phoenix_simcore::time::{SimDuration, SimTime};
@@ -86,13 +86,20 @@ enum SysEvent {
     ChaosKill {
         ep: Endpoint,
     },
-    /// An alarm firing: forgets the alarm, then delivers
-    /// [`ProcEvent::Alarm`] to its owner.
+    /// An alarm firing: delivers [`ProcEvent::Alarm`] to its owner. While
+    /// it is pending, this entry of the queue is all the kernel keeps of it.
     Alarm {
         to: Endpoint,
-        id: AlarmId,
         token: u64,
     },
+}
+
+impl SysEvent {
+    /// Whether this is a pending alarm `ep` set: what entitles `ep` to
+    /// cancel it, and what dooms it when `ep` dies.
+    fn is_alarm_of(&self, ep: Endpoint) -> bool {
+        matches!(self, SysEvent::Alarm { to, .. } if *to == ep)
+    }
 }
 
 struct LiveProc {
@@ -153,9 +160,6 @@ pub struct System {
     generations: Vec<u32>,
     open_calls: BTreeMap<CallId, OpenCall>,
     next_call: u64,
-    /// Alarms set and not yet fired, cancelled or orphaned by a death.
-    alarms: BTreeMap<AlarmId, (Endpoint, EventId)>,
-    next_alarm: u64,
     irq_handlers: BTreeMap<IrqLine, Endpoint>,
     programs: BTreeMap<String, ProgramEntry>,
     usage: AuthorityUsage,
@@ -216,8 +220,6 @@ impl System {
             generations: Vec::new(),
             open_calls: BTreeMap::new(),
             next_call: 1,
-            alarms: BTreeMap::new(),
-            next_alarm: 1,
             irq_handlers: BTreeMap::new(),
             programs: BTreeMap::new(),
             usage: AuthorityUsage::new(),
@@ -654,17 +656,7 @@ impl System {
         self.reply_windows.remove(&ep);
         self.babble_flagged.remove(&ep);
         self.ipc_activity.remove(&ep);
-        let dead_alarms: Vec<AlarmId> = self
-            .alarms
-            .iter()
-            .filter(|(_, (owner, _))| *owner == ep)
-            .map(|(id, _)| *id)
-            .collect();
-        for id in dead_alarms {
-            if let Some((_, evt)) = self.alarms.remove(&id) {
-                self.queue.cancel(evt);
-            }
-        }
+        self.queue.cancel_where(|ev| ev.is_alarm_of(ep));
         // Abort rendezvous where the dead process was the callee: the
         // kernel tells each caller the call failed (EDEADSRCDST). This is
         // what lets the file server mark requests pending (§6.2).
@@ -744,8 +736,7 @@ impl System {
     fn handle(&mut self, platform: &mut dyn Platform, ev: SysEvent) {
         match ev {
             SysEvent::Deliver { to, item } => self.dispatch(platform, to, item),
-            SysEvent::Alarm { to, id, token } => {
-                self.alarms.remove(&id);
+            SysEvent::Alarm { to, token } => {
                 self.dispatch(platform, to, ProcEvent::Alarm { token });
             }
             SysEvent::DevTimer { dev, token } => {
@@ -1470,28 +1461,16 @@ impl<'a> Ctx<'a> {
     /// [`KernelError::CallNotPermitted`] without the `SetAlarm` privilege.
     pub fn set_alarm(&mut self, after: SimDuration, token: u64) -> Result<AlarmId, KernelError> {
         self.check_call(KernelCall::SetAlarm)?;
-        let id = AlarmId(self.sys.next_alarm);
-        self.sys.next_alarm += 1;
-        let ep = self.self_ep;
-        let evt = self
-            .sys
-            .queue
-            .schedule_after(after, SysEvent::Alarm { to: ep, id, token });
-        self.sys.alarms.insert(id, (ep, evt));
-        Ok(id)
+        let to = self.self_ep;
+        let alarm = SysEvent::Alarm { to, token };
+        Ok(AlarmId(self.sys.queue.schedule_after(after, alarm)))
     }
 
     /// Cancels an alarm set earlier. Returns `true` if it was still
     /// pending and belonged to this process.
     pub fn cancel_alarm(&mut self, id: AlarmId) -> bool {
-        match self.sys.alarms.get(&id) {
-            Some((owner, evt)) if *owner == self.self_ep => {
-                let evt = *evt;
-                self.sys.alarms.remove(&id);
-                self.sys.queue.cancel(evt)
-            }
-            _ => false,
-        }
+        let me = self.self_ep;
+        self.sys.queue.cancel_if(id.0, |ev| ev.is_alarm_of(me))
     }
 
     // ------------------------------------------------------------------
@@ -1768,7 +1747,7 @@ mod tests {
         sys.step(&mut NullPlatform);
         assert_eq!(sys.queue.len(), 49, "50 set, one cancelled");
         sys.run_until(&mut NullPlatform, SimTime::from_micros(2_000));
-        assert!(sys.queue.is_empty(), "49 fired: nothing left to walk");
+        assert!(sys.queue.is_empty(), "49 fired: nothing of them is kept");
         sys.kill_by_user(ep, Signal::Term);
         sys.run_until_idle(&mut NullPlatform, 10);
         assert_eq!(

@@ -2,6 +2,7 @@
 
 use std::fmt;
 
+use phoenix_simcore::event::EventId;
 use phoenix_simcore::wire::{Reader, Writer};
 
 /// A process slot index in the kernel's process table.
@@ -164,9 +165,10 @@ impl fmt::Debug for Message {
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct CallId(pub u64);
 
-/// Identifies a pending kernel alarm so it can be cancelled.
+/// Identifies a pending kernel alarm so it can be cancelled: the id of its
+/// entry in the kernel's event queue, which only the kernel can name.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
-pub struct AlarmId(pub u64);
+pub struct AlarmId(pub(crate) EventId);
 
 /// POSIX-style signals the kernel can deliver or act upon.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]

@@ -1,7 +1,7 @@
 //! Heap budget of the per-message path: how many allocations one IPC
-//! round trip, notification, alarm, device write, counter increment,
-//! SafeCopy round trip or send the chaos plan refuses may make once the
-//! containers they touch have grown.
+//! round trip, notification, alarm, park of a thousand alarms, device
+//! write, counter increment, SafeCopy round trip or send the chaos plan
+//! refuses may make once the containers they touch have grown.
 //!
 //! This file holds the only `unsafe` in the workspace: a counting
 //! [`GlobalAlloc`] that forwards to [`System`](std::alloc::System), the
@@ -64,6 +64,8 @@ const COPY: usize = 4096;
 /// Request type: "grant me [`COPY`] bytes of your memory"; the reply's
 /// first parameter is the grant.
 const GRANT: u32 = 3;
+/// Alarms one [`Op::AlarmsParked`] batch has pending at once.
+const PARKED: u32 = 1_000;
 
 /// A chaos plan with one verdict for everything, so every send takes the
 /// interposed branch and the envelope carries both names.
@@ -105,6 +107,7 @@ enum Op {
     Notify,
     AlarmFires,
     AlarmCancelled,
+    AlarmsParked,
     DevWrite,
     Incr,
     Send,
@@ -137,6 +140,16 @@ impl Ping {
                     return;
                 }
                 Op::DevWrite => return ctx.devio_write(DEV, 0, 1).expect("permitted"),
+                // One batch is the whole park: all pending together, all
+                // fired before the run goes idle.
+                Op::AlarmsParked => {
+                    for _ in 0..PARKED {
+                        ctx.set_alarm(SimDuration::from_secs(5), 7)
+                            .expect("permitted");
+                    }
+                    self.left = 0;
+                    return;
+                }
                 // These four complete within the call: no event to wait for.
                 Op::AlarmCancelled => {
                     let id = ctx
@@ -258,7 +271,9 @@ fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
 /// While the kernel still built a trace line for a level nothing could
 /// enable, a dropped `send` read 3,000 and a corrupted one 2,000. While
 /// SafeCopy bounced every copy through a `Vec`, a 4 KB `safecopy_from` +
-/// `safecopy_to` round trip read 2,000.
+/// `safecopy_to` round trip read 2,000. While the kernel kept a B-tree of
+/// pending alarms beside the event queue, parking 1,000 and firing them
+/// read 166.
 #[test]
 fn the_per_message_path_stays_off_the_heap() {
     const ITERS: u32 = 1_000;
@@ -268,6 +283,10 @@ fn the_per_message_path_stays_off_the_heap() {
         ("notify", delivered(Op::Notify)),
         ("alarm that fires", delivered(Op::AlarmFires)),
         ("set_alarm + cancel_alarm", delivered(Op::AlarmCancelled)),
+        (
+            "1,000 alarms parked 5 s ahead, then fired",
+            allocations(ChaosVerdict::Deliver, Op::AlarmsParked, BATCH),
+        ),
         ("devio_write + irq", delivered(Op::DevWrite)),
         ("incr", delivered(Op::Incr)),
         ("safecopy_from + safecopy_to, 4 KB", delivered(Op::SafeCopy)),
