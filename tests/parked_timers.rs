@@ -32,7 +32,7 @@ impl Process for Parker {
 }
 
 /// What the run left behind: the rendered trace and every counter.
-#[derive(PartialEq, Debug)]
+#[derive(PartialEq)]
 struct Observed {
     trace: String,
     counters: String,
