@@ -24,12 +24,9 @@ for c in crates/*/; do
         sed "s|^|$(basename "$c") |"
 done
 
-echo "==> tier-1: cargo build --release && cargo test -q"
+echo "==> tier-1: cargo build --release && cargo test -q (default-members: the whole workspace)"
 cargo build --release
 cargo test -q
-
-echo "==> cargo test --workspace"
-cargo test --workspace -q
 
 echo "==> agent_due at full size: 500 schedules per node count (a debug build runs 100)"
 cargo test -q --release -p phoenix-fleet --test agent_due
