@@ -24,9 +24,9 @@
 //!   (detect / repair / reintegrate) and a byte-stable fleet digest.
 //!
 //! Determinism contract: same fleet seed → byte-identical per-node and
-//! fleet digests. All cross-node state lives in ordered maps, every
-//! node, link and schedule stream is forked off the fleet seed by
-//! domain, and nothing reads wall-clock time.
+//! fleet digests. All cross-node state is indexed by node id and
+//! iterated in id order, every node, link and schedule stream is forked
+//! off the fleet seed by domain, and nothing reads wall-clock time.
 
 pub mod agent;
 pub mod campaign;
