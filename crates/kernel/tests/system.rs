@@ -217,6 +217,227 @@ fn request_in_flight_to_dying_process_also_aborts() {
         .borrow()
         .contains(&"fs@reply-err:DeadDestination".to_string()));
     assert!(!l.borrow().contains(&"drv@req:5".to_string()));
+    // The call is aborted once, at the death; the late request is only
+    // dropped.
+    assert_eq!(sys.metrics().counter("ipc.aborted_calls"), 1);
+    assert_eq!(sys.metrics().counter("ipc.stale_drops"), 1);
+}
+
+#[test]
+fn a_dying_callee_aborts_what_it_owes_in_call_order() {
+    let mut sys = new_sys();
+    let l = log();
+    let driver = sys.spawn_boot(
+        "drv",
+        Privileges::server(),
+        Box::new(Scripted::new(l.clone())),
+    );
+    // Three callers open their calls in the order c, a, b: not the order
+    // of their slots.
+    for (name, at_ms) in [("a", 2), ("b", 3), ("c", 1)] {
+        let calls = l.clone();
+        sys.spawn_boot(
+            name,
+            Privileges::server(),
+            Box::new(Scripted::with_react(
+                l.clone(),
+                Box::new(move |ctx, ev| match ev {
+                    ProcEvent::Start => {
+                        ctx.set_alarm(SimDuration::from_millis(at_ms), 0).unwrap();
+                    }
+                    ProcEvent::Alarm { .. } => {
+                        let call = ctx.sendrec(driver, Message::new(1)).unwrap();
+                        let me = ctx.self_name().to_string();
+                        calls.borrow_mut().push(format!("{me} opened {}", call.0));
+                    }
+                    _ => {}
+                }),
+            )),
+        );
+    }
+    sys.run_until(&mut NullPlatform, SimTime::from_micros(4_000));
+    assert!(sys.kill_by_user(driver, Signal::Kill));
+    sys.run_until_idle(&mut NullPlatform, 20);
+    let lg = l.borrow();
+    let calls: Vec<&str> = lg
+        .iter()
+        .filter(|e| e.contains("opened") || e.contains("reply"))
+        .map(String::as_str)
+        .collect();
+    assert_eq!(
+        calls,
+        [
+            "c opened 1",
+            "a opened 2",
+            "b opened 3",
+            "c@reply-err:DeadDestination",
+            "a@reply-err:DeadDestination",
+            "b@reply-err:DeadDestination",
+        ]
+    );
+    assert_eq!(sys.metrics().counter("ipc.aborted_calls"), 3);
+}
+
+/// What a process does with the events it is sent; the endpoint is a
+/// bystander it may call or talk to.
+type Callee = fn(&mut Ctx<'_>, &ProcEvent, Endpoint);
+
+/// `request_stalled(callee, 10 ms)` as a third process sees it 20 ms
+/// after `caller` opened a call to `callee`, which reacts with `does`;
+/// `dies` names a process killed 5 ms in.
+fn stalled_after_20ms(does: Callee, dies: Option<&str>) -> bool {
+    let mut sys = new_sys();
+    let l = log();
+    let sink = sys.spawn_boot(
+        "sink",
+        Privileges::server(),
+        Box::new(Scripted::new(l.clone())),
+    );
+    let callee = sys.spawn_boot(
+        "callee",
+        Privileges::server(),
+        Box::new(Scripted::with_react(
+            l.clone(),
+            Box::new(move |ctx, ev| does(ctx, ev, sink)),
+        )),
+    );
+    sys.spawn_boot(
+        "caller",
+        Privileges::server(),
+        Box::new(Scripted::with_react(
+            l.clone(),
+            Box::new(move |ctx, ev| {
+                if matches!(ev, ProcEvent::Start) {
+                    ctx.sendrec(callee, Message::new(1)).unwrap();
+                }
+            }),
+        )),
+    );
+    let answer = Rc::new(RefCell::new(None));
+    let answer2 = answer.clone();
+    let watcher = sys.spawn_boot(
+        "watcher",
+        Privileges::server(),
+        Box::new(Scripted::with_react(
+            l,
+            Box::new(move |ctx, ev| {
+                if matches!(ev, ProcEvent::Signal(_)) {
+                    let stalled = ctx.request_stalled(callee, SimDuration::from_millis(10));
+                    *answer2.borrow_mut() = Some(stalled);
+                }
+            }),
+        )),
+    );
+    sys.run_until(&mut NullPlatform, SimTime::from_micros(5_000));
+    if let Some(name) = dies {
+        let ep = sys.endpoint_by_name(name).unwrap();
+        assert!(sys.kill_by_user(ep, Signal::Kill));
+    }
+    sys.run_until(&mut NullPlatform, SimTime::from_micros(20_000));
+    assert!(sys.kill_by_user(watcher, Signal::Term));
+    sys.run_until_idle(&mut NullPlatform, 100);
+    answer.take().expect("the watcher answered")
+}
+
+#[test]
+fn request_stalled_truth_table() {
+    let silent: Callee = |_, _, _| {};
+    let talked_before_the_window: Callee = |ctx, ev, sink| {
+        if matches!(ev, ProcEvent::Start) {
+            ctx.notify(sink).unwrap();
+        }
+    };
+    let calls_downstream: Callee = |ctx, ev, sink| {
+        if matches!(ev, ProcEvent::Request { .. }) {
+            ctx.sendrec(sink, Message::new(2)).unwrap();
+        }
+    };
+    let talks_within_the_window: Callee = |ctx, ev, sink| match ev {
+        ProcEvent::Request { .. } => {
+            ctx.set_alarm(SimDuration::from_millis(15), 0).unwrap();
+        }
+        ProcEvent::Alarm { .. } => ctx.send(sink, Message::new(3)).unwrap(),
+        _ => {}
+    };
+    let table = [
+        ("sat upon, never talked", silent, None, true),
+        (
+            "sat upon, talked before the window",
+            talked_before_the_window,
+            None,
+            true,
+        ),
+        ("holds a call of its own", calls_downstream, None, false),
+        (
+            "talked within the window",
+            talks_within_the_window,
+            None,
+            false,
+        ),
+        ("the caller is dead", silent, Some("caller"), false),
+        ("the callee is dead", silent, Some("callee"), false),
+    ];
+    for (case, does, dies, stalled) in table {
+        assert_eq!(stalled_after_20ms(does, dies), stalled, "{case}");
+    }
+}
+
+#[test]
+fn a_babble_flag_dies_with_its_incarnation() {
+    let mut sys = new_sys();
+    sys.mark_sticky("echo");
+    let echo = || -> Box<Scripted> {
+        Box::new(Scripted::with_react(
+            log(),
+            Box::new(|ctx, ev| {
+                if let ProcEvent::Request { call, .. } = ev {
+                    ctx.reply(*call, Message::new(0)).unwrap();
+                }
+            }),
+        ))
+    };
+    let first = sys.spawn_boot("echo", Privileges::server(), echo());
+    // On SIGTERM the client asks whether `target` is flagged, then opens
+    // `burst` calls to it at once: `burst` replies in the same instant.
+    let target = Rc::new(std::cell::Cell::new(first));
+    let burst = Rc::new(std::cell::Cell::new(0u32));
+    let answers: Rc<RefCell<Vec<bool>>> = Rc::default();
+    let (t, b, a) = (target.clone(), burst.clone(), answers.clone());
+    let client = sys.spawn_boot(
+        "client",
+        Privileges::server(),
+        Box::new(Scripted::with_react(
+            log(),
+            Box::new(move |ctx, ev| {
+                if matches!(ev, ProcEvent::Signal(_)) {
+                    a.borrow_mut().push(ctx.babble_flagged(t.get()));
+                    for _ in 0..b.get() {
+                        ctx.sendrec(t.get(), Message::new(1)).unwrap();
+                    }
+                }
+            }),
+        )),
+    );
+    let round = |sys: &mut System, n: u32| {
+        burst.set(n);
+        assert!(sys.kill_by_user(client, Signal::Term));
+        sys.run_until_idle(&mut NullPlatform, 20_000);
+    };
+    sys.run_until_idle(&mut NullPlatform, 10);
+    round(&mut sys, 5_001); // one reply over the budget
+    round(&mut sys, 0);
+    assert!(sys.kill_by_user(first, Signal::Kill));
+    let second = sys.spawn_boot("echo", Privileges::server(), echo());
+    assert_eq!(second.slot(), first.slot(), "the sticky slot is reclaimed");
+    target.set(second);
+    // Within the same 100 ms: a window the dead incarnation opened would
+    // be over budget at the first of these replies.
+    round(&mut sys, 5_000);
+    round(&mut sys, 1);
+    round(&mut sys, 0);
+    assert_eq!(*answers.borrow(), [false, true, false, false, true]);
+    assert_eq!(sys.metrics().counter("kernel.babble.flagged"), 2);
+    assert!(sys.now() < SimTime::from_micros(100_000), "one window");
 }
 
 #[test]
