@@ -53,12 +53,12 @@ pub struct Segment {
 
 /// `CRC16[k][b]`: what byte `b` followed by `k` zero bytes leaves in a
 /// zero register (polynomial 0x1021, most significant bit first). Row 0
-/// is the bytewise table; rows 1–3 let four input bytes be folded in with
-/// four independent lookups instead of four dependent ones.
-static CRC16: [[u16; 256]; 4] = crc16_tables();
+/// is the bytewise table; rows 1–15 let sixteen input bytes be folded in
+/// with sixteen independent lookups instead of sixteen dependent ones.
+static CRC16: [[u16; 256]; 16] = crc16_tables();
 
-const fn crc16_tables() -> [[u16; 256]; 4] {
-    let mut t = [[0u16; 256]; 4];
+const fn crc16_tables() -> [[u16; 256]; 16] {
+    let mut t = [[0u16; 256]; 16];
     let mut b = 0;
     while b < 256 {
         let mut crc = (b as u16) << 8;
@@ -75,7 +75,7 @@ const fn crc16_tables() -> [[u16; 256]; 4] {
         b += 1;
     }
     let mut k = 1;
-    while k < 4 {
+    while k < 16 {
         let mut b = 0;
         while b < 256 {
             let prev = t[k - 1][b];
@@ -91,14 +91,16 @@ const fn crc16_tables() -> [[u16; 256]; 4] {
 /// errors up to 16 bits), which is what the chaos layer's bit-flip
 /// corruption produces.
 pub fn crc16(data: &[u8]) -> u16 {
-    let (words, tail) = data.as_chunks::<4>();
+    let (blocks, tail) = data.as_chunks::<16>();
     let mut crc: u16 = 0xFFFF;
-    for w in words {
-        // The register only meets the first two of the four bytes.
-        crc = CRC16[3][usize::from((crc >> 8) as u8 ^ w[0])]
-            ^ CRC16[2][usize::from(crc as u8 ^ w[1])]
-            ^ CRC16[1][usize::from(w[2])]
-            ^ CRC16[0][usize::from(w[3])];
+    for block in blocks {
+        // The register only meets the first two of the sixteen bytes.
+        let mut next = CRC16[15][usize::from((crc >> 8) as u8 ^ block[0])]
+            ^ CRC16[14][usize::from(crc as u8 ^ block[1])];
+        for (row, &b) in CRC16[..14].iter().rev().zip(&block[2..]) {
+            next ^= row[usize::from(b)];
+        }
+        crc = next;
     }
     for &b in tail {
         crc = (crc << 8) ^ CRC16[0][usize::from((crc >> 8) as u8 ^ b)];
