@@ -38,8 +38,12 @@ echo "==> phoenix-bench: every scenario, --quick"
 cargo build -q --release -p phoenix-bench
 bench="${CARGO_TARGET_DIR:-target}/release/phoenix-bench"
 for s in $("$bench" list | cut -d" " -f1); do
-    echo "==> phoenix-bench $s --quick"
-    "$bench" "$s" --quick
+    # Host wall seconds ride on the `==>` line; they are printed, not gated.
+    t0=$(date +%s.%N)
+    out=$("$bench" "$s" --quick) || { echo "$out"; echo "==> phoenix-bench $s --quick failed"; exit 1; }
+    t1=$(date +%s.%N)
+    echo "==> phoenix-bench $s --quick: $(awk "BEGIN { printf \"%.2f\", $t1 - $t0 }") s"
+    echo "$out"
 done
 
 for w in slo_chaos bulk_io mutation fleet_failover; do
