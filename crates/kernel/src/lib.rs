@@ -14,6 +14,8 @@
 //!   its endpoint so stale messages are never misdelivered (§5.3).
 //! * [`system::System`] — process table, IPC, signals, alarms, IRQ routing,
 //!   and the discrete-event dispatch loop.
+//! * [`protocol!`] — one row per message kind: its value, direction,
+//!   reply, and which params slot each field rides in ([`layout`]).
 //! * [`system::Ctx`] — the system-call interface handed to a process while
 //!   it handles an event.
 //! * [`memory::MemoryPool`] — address spaces, capability-style memory
@@ -47,6 +49,7 @@
 
 pub mod authority;
 pub mod chaos;
+pub mod layout;
 pub mod memory;
 pub mod platform;
 pub mod privileges;
