@@ -4,8 +4,8 @@
 //! unavailable; this module implements the *subset* of Rust structure
 //! the passes need — a real tokenizer (strings, chars, lifetimes, nested
 //! block comments, doc comments) and an item-level scanner (modules,
-//! impl blocks, functions with body token ranges, consts with attached
-//! doc comments, and which tokens sit under `#[cfg(test)]`). Everything
+//! impl blocks, functions with body token ranges, brace-delimited macro
+//! invocations, and which tokens sit under `#[cfg(test)]`). Everything
 //! downstream of here reasons over tokens, never raw lines, so a
 //! construct split over several lines is still one construct and text
 //! quoted inside a string or a comment is not code.
@@ -81,8 +81,8 @@ impl fmt::Display for TokenKind {
 }
 
 /// Tokenizes Rust source. String/char/lifetime-aware; comments are
-/// dropped here (doc comments and root markers are recovered line-wise
-/// by the item scanner, pragmas by [`allowed_at`] from the raw source).
+/// dropped here (root markers are recovered line-wise by the item
+/// scanner, pragmas by [`allowed_at`] from the raw source).
 // One hand-written scanner loop: an arm per lexeme class, state in locals.
 #[allow(clippy::too_many_lines)]
 pub fn tokenize(source: &str) -> Vec<Token> {
@@ -334,28 +334,15 @@ pub struct FnItem {
     pub cfg_test: bool,
 }
 
-/// A `pub const NAME: TYPE = ...` item with its attached doc comment.
+/// A brace-delimited macro invocation among the items (`protocol! { .. }`).
 #[derive(Clone, Debug)]
-pub struct ConstItem {
+pub struct MacroCall {
+    /// The macro's name: the last path segment before the `!`.
     pub name: String,
-    /// Declared type as written (`u32`, `u64`, `usize`).
-    pub ty: String,
     /// Enclosing inline `mod` path segments.
     pub mod_path: Vec<String>,
-    /// 1-based line of the declaration.
-    pub line: usize,
-    /// Doc-comment lines (`///` content, leading space trimmed) directly
-    /// above the item, in order.
-    pub docs: Vec<String>,
-}
-
-/// A `mod name` item (inline or out-of-line) with its doc comment.
-#[derive(Clone, Debug)]
-pub struct ModItem {
-    pub name: String,
-    pub line: usize,
-    /// `///` lines above the declaration plus `//!` lines just inside.
-    pub docs: Vec<String>,
+    /// Token index range of the body (inside the braces), half-open.
+    pub body: std::ops::Range<usize>,
 }
 
 /// Item-level view of one source file.
@@ -363,8 +350,7 @@ pub struct ModItem {
 pub struct FileAst {
     pub tokens: Vec<Token>,
     pub fns: Vec<FnItem>,
-    pub consts: Vec<ConstItem>,
-    pub mods: Vec<ModItem>,
+    pub macros: Vec<MacroCall>,
     /// Per token: whether it sits under `#[cfg(test)]` — from the
     /// attribute to the end of the item, field or statement it gates, or
     /// anywhere inside a gated `mod`/`impl`/brace group. A function is
@@ -374,8 +360,6 @@ pub struct FileAst {
 
 /// Comment metadata gathered per source line before tokenizing.
 struct LineNotes {
-    /// `///` doc text per line (None when the line is not a doc comment).
-    doc: Vec<Option<String>>,
     /// Whether the line is comment-only or blank (doc or plain).
     comment_or_blank: Vec<bool>,
     /// Whether the line's comment text contains `analyze:recovery-root`.
@@ -383,23 +367,14 @@ struct LineNotes {
 }
 
 fn scan_lines(source: &str) -> LineNotes {
-    let mut doc = Vec::new();
     let mut comment_or_blank = Vec::new();
     let mut root_marker = Vec::new();
     for raw in source.lines() {
         let t = raw.trim();
-        let is_doc = t.starts_with("///") && !t.starts_with("////");
-        doc.push(is_doc.then(|| {
-            t.trim_start_matches("///")
-                .strip_prefix(' ')
-                .unwrap_or(t.trim_start_matches("///"))
-                .to_string()
-        }));
         comment_or_blank.push(t.is_empty() || t.starts_with("//"));
         root_marker.push(t.starts_with("//") && t.contains("analyze:recovery-root"));
     }
     LineNotes {
-        doc,
         comment_or_blank,
         root_marker,
     }
@@ -419,6 +394,34 @@ impl Scope {
             Scope::Mod(_, t) | Scope::Impl(_, _, t) | Scope::Other(t) => *t,
         }
     }
+}
+
+/// The inline `mod` path of a scope stack.
+fn mod_path(stack: &[Scope]) -> Vec<String> {
+    stack
+        .iter()
+        .filter_map(|s| match s {
+            Scope::Mod(m, _) => Some(m.clone()),
+            _ => None,
+        })
+        .collect()
+}
+
+/// Index of the `}` closing the brace at `tokens[open]`, or the end of
+/// the stream if it never closes.
+fn brace_end(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0;
+    for (k, t) in tokens.iter().enumerate().skip(open) {
+        match t.kind {
+            TokenKind::Open('{') => depth += 1,
+            TokenKind::Close('}') => depth -= 1,
+            _ => {}
+        }
+        if depth == 0 {
+            return k;
+        }
+    }
+    tokens.len()
 }
 
 /// Type-parameter names of the generics list opening at `tokens[at]`
@@ -456,27 +459,7 @@ pub fn parse_file(source: &str) -> FileAst {
     let notes = scan_lines(source);
     let tokens = tokenize(source);
     let mut fns = Vec::new();
-    let mut consts = Vec::new();
-    let mut mods = Vec::new();
-
-    // Doc comment block directly above line `l` (1-based).
-    let docs_above = |l: usize| -> Vec<String> {
-        let mut out = Vec::new();
-        let mut i = l.saturating_sub(1); // index of line above, 1-based
-        while i >= 1 {
-            let idx = i - 1;
-            match &notes.doc[idx] {
-                Some(d) => out.push(d.clone()),
-                // Plain comments and blank lines between the doc block
-                // and the item are skipped; code ends the walk.
-                None if notes.comment_or_blank[idx] => {}
-                None => break,
-            }
-            i -= 1;
-        }
-        out.reverse();
-        out
-    };
+    let mut macros = Vec::new();
     let root_above = |l: usize| -> bool {
         let mut i = l.saturating_sub(1);
         while i >= 1 && notes.comment_or_blank[i - 1] {
@@ -540,14 +523,6 @@ pub fn parse_file(source: &str) -> FileAst {
                     .and_then(|t| t.kind.ident())
                     .unwrap_or("")
                     .to_string();
-                let line = tokens[i].line;
-                if !name.is_empty() {
-                    mods.push(ModItem {
-                        name: name.clone(),
-                        line,
-                        docs: docs_above(line),
-                    });
-                }
                 // Inline mod? The `{` follows the name (possibly after
                 // nothing else — `mod x;` is out-of-line).
                 match tokens.get(i + 2).map(|t| &t.kind) {
@@ -618,20 +593,9 @@ pub fn parse_file(source: &str) -> FileAst {
                         TokenKind::Open('(') | TokenKind::Open('[') => paren += 1,
                         TokenKind::Close(')') | TokenKind::Close(']') => paren -= 1,
                         TokenKind::Open('{') if paren == 0 => {
-                            // Body: match braces to find the end.
-                            let start = j + 1;
-                            let mut depth = 1;
-                            let mut k = start;
-                            while k < tokens.len() && depth > 0 {
-                                match &tokens[k].kind {
-                                    TokenKind::Open('{') => depth += 1,
-                                    TokenKind::Close('}') => depth -= 1,
-                                    _ => {}
-                                }
-                                k += 1;
-                            }
-                            body = start..k.saturating_sub(1);
-                            j = k;
+                            let end = brace_end(&tokens, j);
+                            body = j + 1..end.min(tokens.len() - 1);
+                            j = end + 1;
                             break;
                         }
                         TokenKind::Punct(';') if paren == 0 => {
@@ -651,19 +615,12 @@ pub fn parse_file(source: &str) -> FileAst {
                     None => (None, Vec::new()),
                 };
                 in_scope.extend(type_params(&tokens, i + 2));
-                let mod_path: Vec<String> = stack
-                    .iter()
-                    .filter_map(|s| match s {
-                        Scope::Mod(m, _) => Some(m.clone()),
-                        _ => None,
-                    })
-                    .collect();
                 if !name.is_empty() {
                     fns.push(FnItem {
                         name,
                         impl_type,
                         type_params: in_scope,
-                        mod_path,
+                        mod_path: mod_path(&stack),
                         line,
                         body,
                         recovery_root: root_above(line),
@@ -673,43 +630,21 @@ pub fn parse_file(source: &str) -> FileAst {
                 pending_cfg_test = false;
                 i = j;
             }
-            TokenKind::Ident(kw) if kw == "const" => {
-                // `[pub] const NAME: TYPE = ...;`
-                let name = tokens
-                    .get(i + 1)
-                    .and_then(|t| t.kind.ident())
-                    .unwrap_or("")
-                    .to_string();
-                let line = tokens[i].line;
-                let ty = if matches!(
-                    tokens.get(i + 2).map(|t| &t.kind),
-                    Some(TokenKind::Punct(':'))
-                ) {
-                    tokens
-                        .get(i + 3)
-                        .and_then(|t| t.kind.ident())
-                        .unwrap_or("")
-                        .to_string()
-                } else {
-                    String::new()
-                };
-                if !name.is_empty() && !ty.is_empty() && !gated {
-                    consts.push(ConstItem {
-                        name,
-                        ty,
-                        mod_path: stack
-                            .iter()
-                            .filter_map(|s| match s {
-                                Scope::Mod(m, _) => Some(m.clone()),
-                                _ => None,
-                            })
-                            .collect(),
-                        line,
-                        docs: docs_above(line),
+            // `name! { .. }` among the items: its body stays in the walk.
+            TokenKind::Bang
+                if matches!(
+                    tokens.get(i + 1).map(|t| &t.kind),
+                    Some(TokenKind::Open('{'))
+                ) =>
+            {
+                if let Some(name) = i.checked_sub(1).and_then(|p| tokens[p].kind.ident()) {
+                    macros.push(MacroCall {
+                        name: name.to_string(),
+                        mod_path: mod_path(&stack),
+                        body: i + 2..brace_end(&tokens, i + 1),
                     });
                 }
-                pending_cfg_test = false;
-                i += 2;
+                i += 1;
             }
             TokenKind::Open('{') => {
                 stack.push(Scope::Other(pending_cfg_test));
@@ -738,8 +673,7 @@ pub fn parse_file(source: &str) -> FileAst {
     FileAst {
         tokens,
         fns,
-        consts,
-        mods,
+        macros,
         in_test,
     }
 }
@@ -907,23 +841,33 @@ fn entry() {}
     }
 
     #[test]
-    fn consts_capture_docs_and_type() {
+    fn brace_macro_calls_capture_their_module_and_body() {
         let src = "
 pub mod ds {
-    /// Publish a key.
-    /// proto: request, reply=ACK
-    pub const PUBLISH: u32 = 0x0600;
-    pub const STATUS: u64 = 0;
+    phoenix_kernel::protocol! {
+        /// Publish a key.
+        request PUBLISH = 0x0600 -> ACK;
+    }
+    macro_rules! not_a_call { () => {}; }
+    fn f() { inner! { x } }
+    pub const fn g() -> u8 { 0 }
 }
 ";
         let ast = parse_file(src);
-        assert_eq!(ast.consts.len(), 2);
-        let p = &ast.consts[0];
-        assert_eq!(p.name, "PUBLISH");
-        assert_eq!(p.ty, "u32");
-        assert_eq!(p.mod_path, vec!["ds".to_string()]);
-        assert_eq!(p.docs.len(), 2);
-        assert!(p.docs[1].starts_with("proto:"));
+        assert_eq!(ast.macros.len(), 1, "{:?}", ast.macros);
+        let call = &ast.macros[0];
+        assert_eq!(
+            (call.name.as_str(), &call.mod_path[..]),
+            ("protocol", &["ds".to_string()][..])
+        );
+        let body: Vec<String> = ast.tokens[call.body.clone()]
+            .iter()
+            .map(|t| t.kind.to_string())
+            .collect();
+        assert_eq!(body.concat(), "requestPUBLISH=0x0600->ACK;");
+        // The walk goes on past the body, and a `const fn` is a fn.
+        let fns: Vec<&str> = ast.fns.iter().map(|f| f.name.as_str()).collect();
+        assert_eq!(fns, ["f", "g"]);
     }
 
     #[test]

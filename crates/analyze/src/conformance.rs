@@ -1,40 +1,39 @@
-//! Protocol-conformance pass: checks the typed protocol model parsed by
-//! [`crate::proto_model`] against itself and against how the workspace
-//! actually uses each message kind.
+//! Protocol-conformance pass: holds the rows of the `protocol!` tables
+//! ([`crate::proto_model`]) against how the workspace actually uses each
+//! message kind.
 //!
-//! Three families of findings:
+//! What a row gets wrong on its own (a slot out of range, two fields in
+//! one slot, a request without a reply, a reply that names no kind) the
+//! compiler rejects. What is left needs the whole workspace:
 //!
-//! 1. **Model errors** — unannotated or malformed kinds
-//!    (`proto-missing`, `proto-malformed`), surfaced from the parser.
-//! 2. **Pairing symmetry** — a `request` must name an existing `reply`
-//!    kind in its module; the named kind must be annotated `reply`; a
-//!    `reply` kind must be the target of at least one request; `oneway`
-//!    and `value` kinds must not carry pairing or (for values) slot
-//!    clauses (`proto-bad-reply`, `proto-orphan-reply`).
-//! 3. **Handler coverage** — every reference to a kind is resolved
+//! 1. **Pairing** — a `reply` kind must be the reply of at least one
+//!    request (`proto-orphan-reply`).
+//! 2. **Handler coverage** — every reference to a kind is resolved
 //!    through the file's `use` lines (`rsp::COMPLAIN` with
 //!    `use ..proto::rs as rsp`, so same-named kinds of different modules
 //!    — `bdev::READ`, `cdev::READ` — are kept apart) and classified by
 //!    its token context as a *send* (construction/argument position) or
 //!    a *handle* (a `match` arm pattern or an `==`/`!=` comparison). A
-//!    kind sent somewhere but handled nowhere is a message the system
-//!    emits and then drops on the floor (`proto-unhandled`); a kind
-//!    handled somewhere but never sent is a dispatch arm that can never
-//!    fire (`proto-unsent`).
-//! 4. **Dead edges** — a kind (message or value) the usage table has no
+//!    row's layout struct stands for its kind: `cdev::Reply::from_message`
+//!    handles `cdev::REPLY`, any other mention of `cdev::Reply` (a struct
+//!    literal, `into_message`) sends it. A kind sent somewhere but handled
+//!    nowhere is a message the system emits and then drops on the floor
+//!    (`proto-unhandled`); a kind handled somewhere but never sent is a
+//!    dispatch arm that can never fire (`proto-unsent`).
+//! 3. **Dead edges** — a kind (message or value) the usage table has no
 //!    row for: nothing in the workspace, tests included, names it. It
 //!    widens the nominal protocol surface, and therefore what an audit
 //!    must reason about, without buying any behavior (`dead-edge`).
 //!
-//! Findings anchor at the kind's definition line; all but `dead-edge`
-//! are suppressed by the usual `// analyze:allow(rule): reason` pragma
-//! in the comment block above the const.
+//! Findings anchor at the row's line; all but `dead-edge` are suppressed
+//! by the usual `// analyze:allow(rule): reason` pragma in the comment
+//! block above the row.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::ast::{self, TokenKind};
-use crate::proto_model::{self, Dir, ProtoModel, SlotRegistry};
+use crate::proto_model::{self, Dir, Kind};
 use crate::Source;
 
 /// The protocol files the model is built from.
@@ -85,8 +84,8 @@ pub struct KindUsage {
 pub struct Outcome {
     pub findings: Vec<Finding>,
     pub suppressed: Vec<Suppressed>,
-    pub model: ProtoModel,
-    pub registry: SlotRegistry,
+    /// Every row of the protocol files, in file then row order.
+    pub kinds: Vec<Kind>,
     /// `module::KIND` → usage counts: one row per kind named anywhere
     /// (what a send or a handle means is defined for message kinds only).
     pub usage: BTreeMap<String, KindUsage>,
@@ -364,11 +363,15 @@ fn use_map(rel_path: &str, source: &str, modules: &BTreeSet<String>) -> UseMap {
     out
 }
 
-/// Counts send/handle references to `kinds` in one file's tokens.
+/// What a protocol name refers to: `(module, ident)` of a row's const or
+/// layout struct → the row's key, and whether it is the layout.
+type Names = BTreeMap<(String, String), (String, bool)>;
+
+/// Counts send/handle references to the rows' kinds in one file's tokens.
 fn count_refs(
     tokens: &[ast::Token],
     uses: &UseMap,
-    kinds: &BTreeSet<(String, String)>,
+    names: &Names,
     usage: &mut BTreeMap<String, KindUsage>,
 ) {
     // Consts of glob-imported modules are referenceable by bare name.
@@ -377,222 +380,134 @@ fn count_refs(
         let TokenKind::Ident(name) = &tok.kind else {
             continue;
         };
+        let lookup = |module: &str| names.get(&(module.to_string(), name.clone()));
         // Qualified `alias::NAME`?
-        let resolved: Option<(String, String)> =
-            if i >= 2 && tokens[i - 1].kind == TokenKind::PathSep {
-                match &tokens[i - 2].kind {
-                    TokenKind::Ident(q) => uses
-                        .modules
-                        .get(q)
-                        .map(|m| (m.clone(), name.clone()))
-                        .filter(|key| kinds.contains(key)),
-                    _ => None,
-                }
-            } else if tokens
-                .get(i + 1)
-                .is_some_and(|t| t.kind == TokenKind::PathSep)
-            {
-                // First segment of a path — not the const itself.
-                None
-            } else if let Some((m, c)) = uses.consts.get(name) {
-                let key = (m.clone(), c.clone());
-                kinds.contains(&key).then_some(key)
-            } else if !glob_mods.is_empty() {
-                glob_mods
-                    .iter()
-                    .map(|m| (m.to_string(), name.clone()))
-                    .find(|key| kinds.contains(key))
-            } else {
-                None
-            };
-        let Some((module, konst)) = resolved else {
+        let resolved = if i >= 2 && tokens[i - 1].kind == TokenKind::PathSep {
+            match &tokens[i - 2].kind {
+                TokenKind::Ident(q) => uses.modules.get(q).and_then(|m| lookup(m)),
+                _ => None,
+            }
+        } else if tokens
+            .get(i + 1)
+            .is_some_and(|t| t.kind == TokenKind::PathSep)
+        {
+            // First segment of a path — not the const itself.
+            None
+        } else if let Some((m, c)) = uses.consts.get(name) {
+            names.get(&(m.clone(), c.clone()))
+        } else {
+            glob_mods.iter().find_map(|m| lookup(m))
+        };
+        let Some((key, layout)) = resolved else {
             continue;
         };
-        let entry = usage.entry(format!("{module}::{konst}")).or_default();
-        match classify(tokens, i) {
+        let entry = usage.entry(key.clone()).or_default();
+        let class = if *layout {
+            // `Layout::from_message` reads the kind; anything else builds it.
+            let decodes = matches!(
+                (tokens.get(i + 1).map(|t| &t.kind), tokens.get(i + 2).map(|t| &t.kind)),
+                (Some(TokenKind::PathSep), Some(TokenKind::Ident(f))) if f == "from_message"
+            );
+            if decodes {
+                RefClass::Handle
+            } else {
+                RefClass::Send
+            }
+        } else {
+            classify(tokens, i)
+        };
+        match class {
             RefClass::Send => entry.sends += 1,
             RefClass::Handle => entry.handles += 1,
         }
     }
 }
 
+/// A finding anchored at row `k`.
+fn at_row(k: &Kind, rule: &'static str, message: String) -> Finding {
+    Finding {
+        file: k.file.clone(),
+        line: k.line,
+        rule,
+        message,
+    }
+}
+
 /// Runs the conformance pass over the loaded workspace: the files
-/// named in `proto_files` define the model, kind references are counted
+/// named in `proto_files` hold the rows, kind references are counted
 /// in every file (tests included). The gate passes [`PROTO_FILES`]; the
 /// fixture tests name their own.
 pub fn analyze(files: &[Source], proto_files: &[&str]) -> Outcome {
-    // In `proto_files` order: it is the order of the model and the report.
+    // In `proto_files` order: it is the order of the rows and the report.
     let protos = || {
         proto_files
             .iter()
             .filter_map(|p| files.iter().find(|f| f.rel == *p))
     };
-    let model = proto_model::merge(protos().map(proto_model::parse_proto_source).collect());
-    let registry = proto_model::build_slot_registry(&model);
+    let kinds: Vec<Kind> = protos().flat_map(proto_model::parse_proto_source).collect();
 
-    let kinds: BTreeSet<(String, String)> = model
-        .kinds
-        .iter()
-        .map(|k| (k.module.clone(), k.name.clone()))
-        .collect();
-    let modules: BTreeSet<String> = model.kinds.iter().map(|k| k.module.clone()).collect();
+    let mut names = Names::new();
+    for k in &kinds {
+        let key = k.key();
+        names.insert((k.module.clone(), k.name.clone()), (key.clone(), false));
+        if let Some(layout) = &k.layout {
+            names.insert((k.module.clone(), layout.clone()), (key, true));
+        }
+    }
+    let modules: BTreeSet<String> = kinds.iter().map(|k| k.module.clone()).collect();
 
     let mut usage: BTreeMap<String, KindUsage> = BTreeMap::new();
     let mut glob_warnings: Vec<GlobImport> = Vec::new();
     for file in files {
         let uses = use_map(&file.rel, &file.text, &modules);
-        count_refs(&file.ast.tokens, &uses, &kinds, &mut usage);
+        count_refs(&file.ast.tokens, &uses, &names, &mut usage);
         glob_warnings.extend(uses.globs);
     }
     let globbed: BTreeSet<&str> = glob_warnings.iter().map(|g| g.module.as_str()).collect();
-    let dead_edges = model
-        .kinds
+    let dead_edges = kinds
         .iter()
         .filter(|k| !usage.contains_key(&k.key()) && !globbed.contains(k.module.as_str()))
-        .map(|k| Finding {
-            file: k.file.clone(),
-            line: k.line,
-            rule: "dead-edge",
-            message: format!("{} is never sent or handled", k.key()),
+        .map(|k| {
+            at_row(
+                k,
+                "dead-edge",
+                format!("{} is never sent or handled", k.key()),
+            )
         })
         .collect();
 
     let mut raw: Vec<Finding> = Vec::new();
-    for e in &model.errors {
-        raw.push(Finding {
-            file: e.file.clone(),
-            line: e.line,
-            rule: e.rule,
-            message: e.message.clone(),
-        });
-    }
-
-    // Pairing symmetry.
-    let mut reply_targets: BTreeMap<String, Vec<String>> = BTreeMap::new();
-    for k in &model.kinds {
-        if let Some(r) = &k.reply {
-            reply_targets
-                .entry(format!("{}::{}", k.module, r))
-                .or_default()
-                .push(k.key());
+    // Pairing: a reply nobody asks for.
+    let replied: BTreeSet<(&str, &str)> = kinds
+        .iter()
+        .filter_map(|k| Some((k.module.as_str(), k.reply.as_deref()?)))
+        .collect();
+    for k in kinds.iter().filter(|k| k.dir == Dir::Reply) {
+        if !replied.contains(&(k.module.as_str(), k.name.as_str())) {
+            let message = format!("reply {} is not the declared reply of any request", k.key());
+            raw.push(at_row(k, "proto-orphan-reply", message));
         }
-    }
-    for k in &model.kinds {
-        match k.dir {
-            Dir::Request => match &k.reply {
-                None => raw.push(Finding {
-                    file: k.file.clone(),
-                    line: k.line,
-                    rule: "proto-bad-reply",
-                    message: format!("request {} declares no reply kind", k.key()),
-                }),
-                Some(r) => match model.kind(&k.module, r) {
-                    None => raw.push(Finding {
-                        file: k.file.clone(),
-                        line: k.line,
-                        rule: "proto-bad-reply",
-                        message: format!(
-                            "request {} names reply `{}` which does not exist in module `{}`",
-                            k.key(),
-                            r,
-                            k.module
-                        ),
-                    }),
-                    Some(t) if t.dir != Dir::Reply => raw.push(Finding {
-                        file: k.file.clone(),
-                        line: k.line,
-                        rule: "proto-bad-reply",
-                        message: format!(
-                            "request {} names `{}` as its reply, but that kind is annotated `{}`",
-                            k.key(),
-                            t.key(),
-                            t.dir.name()
-                        ),
-                    }),
-                    Some(_) => {}
-                },
-            },
-            Dir::Reply => {
-                if !reply_targets.contains_key(&k.key()) {
-                    raw.push(Finding {
-                        file: k.file.clone(),
-                        line: k.line,
-                        rule: "proto-orphan-reply",
-                        message: format!(
-                            "reply {} is not the declared reply of any request",
-                            k.key()
-                        ),
-                    });
-                }
-            }
-            Dir::Oneway | Dir::Value => {
-                if k.reply.is_some() {
-                    raw.push(Finding {
-                        file: k.file.clone(),
-                        line: k.line,
-                        rule: "proto-malformed",
-                        message: format!(
-                            "{} kind {} must not declare a reply pairing",
-                            k.dir.name(),
-                            k.key()
-                        ),
-                    });
-                }
-                if k.dir == Dir::Value && (!k.params.is_empty() || !k.reply_params.is_empty()) {
-                    raw.push(Finding {
-                        file: k.file.clone(),
-                        line: k.line,
-                        rule: "proto-malformed",
-                        message: format!("value {} must not claim parameter slots", k.key()),
-                    });
-                }
-            }
-        }
-    }
-
-    // Slot collisions.
-    for c in &registry.collisions {
-        raw.push(Finding {
-            file: c.file.clone(),
-            line: c.line,
-            rule: "proto-slot-collision",
-            message: format!(
-                "{} param {} claimed by both `{}` and `{}`",
-                c.kind, c.slot, c.first_owner, c.second_owner
-            ),
-        });
     }
 
     // Handler coverage.
-    for k in &model.kinds {
-        if k.dir == Dir::Value {
-            continue;
-        }
+    for k in kinds.iter().filter(|k| k.dir != Dir::Value) {
         let Some(u) = usage.get(&k.key()) else {
             continue; // unreferenced entirely: a dead edge, reported above
         };
         if u.sends > 0 && u.handles == 0 {
-            raw.push(Finding {
-                file: k.file.clone(),
-                line: k.line,
-                rule: "proto-unhandled",
-                message: format!(
-                    "{} is sent at {} site(s) but matched in no dispatch arm",
-                    k.key(),
-                    u.sends
-                ),
-            });
+            let message = format!(
+                "{} is sent at {} site(s) but matched in no dispatch arm",
+                k.key(),
+                u.sends
+            );
+            raw.push(at_row(k, "proto-unhandled", message));
         } else if u.handles > 0 && u.sends == 0 {
-            raw.push(Finding {
-                file: k.file.clone(),
-                line: k.line,
-                rule: "proto-unsent",
-                message: format!(
-                    "{} is matched in {} dispatch arm(s) but never sent",
-                    k.key(),
-                    u.handles
-                ),
-            });
+            let message = format!(
+                "{} is matched in {} dispatch arm(s) but never sent",
+                k.key(),
+                u.handles
+            );
+            raw.push(at_row(k, "proto-unsent", message));
         }
     }
 
@@ -623,8 +538,7 @@ pub fn analyze(files: &[Source], proto_files: &[&str]) -> Outcome {
     Outcome {
         findings,
         suppressed,
-        model,
-        registry,
+        kinds,
         usage,
         dead_edges,
         glob_warnings,

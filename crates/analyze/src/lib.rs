@@ -7,9 +7,9 @@
 //!    file read and parsed once by [`ast`], the front end all three
 //!    share) — determinism lints ([`lint`]: wall-clock reads,
 //!    hash-ordered collections, ad-hoc RNGs, host threads, layer
-//!    purity), protocol conformance ([`conformance`]: the typed
-//!    `/// proto:` model, send/handle coverage, and the dead edges — the
-//!    kinds its usage table has no row for) and recovery-path
+//!    purity), protocol conformance ([`conformance`]: the rows of
+//!    the `protocol!` tables, send/handle coverage, and the dead edges —
+//!    the kinds its usage table has no row for) and recovery-path
 //!    reachability ([`reach`]: no panic site reachable from a recovery
 //!    root).
 //!

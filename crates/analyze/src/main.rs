@@ -61,11 +61,10 @@ fn main() {
     let mut failures = findings.len() + conf.dead_edges.len();
 
     println!(
-        "protocol conformance: {} finding(s) across {} kind(s), {} slot claim(s), \
-         {} suppressed",
+        "protocol conformance: {} finding(s) across {} kind(s), {} field(s), {} suppressed",
         conf.findings.len(),
-        conf.model.kinds.len(),
-        conf.registry.slots.len(),
+        conf.kinds.len(),
+        conf.kinds.iter().map(|k| k.fields.len()).sum::<usize>(),
         conf.suppressed.len()
     );
     for f in &conf.findings {

@@ -144,24 +144,22 @@ pub fn build(lint: &[LintFinding], conf: &conformance::Outcome, reach: &reach::O
         ),
     ]);
 
-    // Slot registry rendered as kind -> { "slot" -> owner }.
-    let mut slots_by_kind: BTreeMap<String, BTreeMap<String, Json>> = BTreeMap::new();
-    for ((kind, slot), (owner, _, _)) in &conf.registry.slots {
-        slots_by_kind
-            .entry(kind.clone())
-            .or_default()
-            .insert(slot.to_string(), Json::Str(owner.clone()));
-    }
+    // Slot registry rendered as kind -> { "slot" -> field }.
     let slots_json = Json::Obj(
-        slots_by_kind
-            .into_iter()
-            .map(|(k, v)| (k, Json::Obj(v)))
+        conf.kinds
+            .iter()
+            .filter(|k| !k.fields.is_empty())
+            .map(|k| {
+                let fields = k.fields.iter();
+                let slots =
+                    fields.map(|(slot, field)| (slot.to_string(), Json::Str(field.clone())));
+                (k.key(), Json::Obj(slots.collect()))
+            })
             .collect(),
     );
 
     let kinds_json = Json::Arr(
-        conf.model
-            .kinds
+        conf.kinds
             .iter()
             .map(|k| {
                 let mut pairs = vec![

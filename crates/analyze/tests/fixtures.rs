@@ -27,61 +27,15 @@ fn reach_over(rel: &str, src: &str) -> reach::Outcome {
     reach::analyze(&[Source::new(rel, src)], &BTreeMap::new())
 }
 
-// ---------------------------------------------------------------- slots
-
-const SLOT_COLLISION_RED: &str = r#"
-pub mod ping {
-    /// proto: request, reply=PONG, reply-params 1=alpha
-    pub const PING: u32 = 0x100;
-    /// proto: request, reply=PONG, reply-params 1=beta
-    pub const PROBE: u32 = 0x102;
-    /// proto: reply, params 0=status
-    pub const PONG: u32 = 0x101;
-}
-"#;
-
-const SLOT_COLLISION_GREEN: &str = r#"
-pub mod ping {
-    /// proto: request, reply=PONG, reply-params 1=alpha
-    pub const PING: u32 = 0x100;
-    /// proto: request, reply=PONG, reply-params 1=alpha
-    pub const PROBE: u32 = 0x102;
-    /// proto: reply, params 0=status
-    pub const PONG: u32 = 0x101;
-}
-"#;
-
-#[test]
-fn slot_collision_red_green() {
-    let red = conform(SLOT_COLLISION_RED, "");
-    let hits: Vec<_> = red
-        .findings
-        .iter()
-        .filter(|f| f.rule == "proto-slot-collision")
-        .collect();
-    assert_eq!(hits.len(), 1, "exactly one collision: {:?}", red.findings);
-    assert!(
-        hits[0].message.contains("alpha") && hits[0].message.contains("beta"),
-        "collision names both owners: {}",
-        hits[0].message
-    );
-
-    let green = conform(SLOT_COLLISION_GREEN, "");
-    assert!(
-        green.findings.is_empty(),
-        "same-owner claims merge: {:?}",
-        green.findings
-    );
-}
-
 // ------------------------------------------------------------- coverage
 
 const COVERAGE_PROTO: &str = r#"
 pub mod ping {
-    /// proto: request, reply=PONG, params 0=nonce
-    pub const PING: u32 = 0x100;
-    /// proto: reply, params 0=nonce
-    pub const PONG: u32 = 0x101;
+    phoenix_kernel::protocol! {
+        request PING = 0x100 -> PONG, Ping { nonce: 0 }
+        /// The echo.
+        reply PONG = 0x101, Pong { nonce: 0 }
+    }
 }
 "#;
 
@@ -130,14 +84,55 @@ fn sent_but_unhandled_red_green() {
 
 const SUPPRESSED_PROTO: &str = r#"
 pub mod ping {
-    /// proto: request, reply=PONG, params 0=nonce
-    // analyze:allow(proto-unhandled): fixture — the handler ships next PR.
-    pub const PING: u32 = 0x100;
-    /// proto: reply, params 0=nonce
-    // analyze:allow(proto-unsent): dual of PING's proto-unhandled.
-    pub const PONG: u32 = 0x101;
+    phoenix_kernel::protocol! {
+        // analyze:allow(proto-unhandled): fixture — the handler ships next PR.
+        request PING = 0x100 -> PONG, Ping { nonce: 0 }
+        // analyze:allow(proto-unsent): dual of PING's proto-unhandled.
+        reply PONG = 0x101, Pong { nonce: 0 }
+    }
 }
 "#;
+
+/// The same protocol spoken through its rows' layout structs: a struct
+/// literal (or any other mention of the struct, `into_message` included)
+/// builds the kind, `from_message` reads it.
+const LAYOUT_USAGE_CLIENT: &str = r#"
+use crate::proto::ping;
+fn client(ctx: &mut Ctx, dst: Endpoint) {
+    ctx.sendrec(dst, ping::Ping { nonce: 7 }.into_message());
+}
+fn client_done(reply: &Message) -> Option<u64> {
+    ping::Pong::from_message(reply).map(|pong| pong.nonce)
+}
+"#;
+
+const LAYOUT_USAGE_SERVER: &str = r#"
+fn server(ctx: &mut Ctx, call: CallId, msg: &Message) {
+    if let Some(ping) = ping::Ping::from_message(msg) {
+        ctx.reply(call, ping::Pong { nonce: ping.nonce }.into_message());
+    }
+}
+"#;
+
+#[test]
+fn layouts_count_as_sends_and_handles() {
+    // Red: the client alone sends a PING nobody reads and reads a PONG
+    // nobody sends.
+    let red = conform(COVERAGE_PROTO, LAYOUT_USAGE_CLIENT);
+    let rules: Vec<&str> = red.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, ["proto-unhandled", "proto-unsent"]);
+
+    // Green: the server reads the PING and builds the PONG.
+    let green = conform(
+        COVERAGE_PROTO,
+        &format!("{LAYOUT_USAGE_CLIENT}{LAYOUT_USAGE_SERVER}"),
+    );
+    assert!(green.findings.is_empty(), "findings: {:?}", green.findings);
+    for kind in ["ping::PING", "ping::PONG"] {
+        let usage = &green.usage[kind];
+        assert_eq!((usage.sends, usage.handles), (1, 1), "{kind}");
+    }
+}
 
 #[test]
 fn conformance_pragma_moves_finding_to_suppressed() {

@@ -3,7 +3,9 @@
 //! the real workspace, and on one protocol fixture written under the
 //! build's scratch directory. Captured from the lexical scanners before
 //! their rules moved onto the token stream; the adapters below may follow
-//! the crate's entry points, the expected values may not.
+//! the crate's entry points, the expected values may not. The fixture is
+//! written in `protocol!` rows, each kind on the line its annotated const
+//! stood on when the values were captured.
 
 use std::path::{Path, PathBuf};
 
@@ -243,35 +245,36 @@ pub mod status {
     pub const OK: u64 = 0;
 }
 pub mod bdev {
-    /// proto: request, reply=REPLY
-    pub const READ: u32 = 0x201;
-    /// proto: reply
-    pub const REPLY: u32 = 0x202;
+    phoenix_kernel::protocol! {
+        request READ = 0x201 -> REPLY;
+        reply REPLY = 0x202;
+    }
 }
 pub mod cdev {
-    /// proto: request, reply=REPLY
-    pub const READ: u32 = 0x301;
-    /// proto: reply
-    pub const REPLY: u32 = 0x302;
+    phoenix_kernel::protocol! {
+        request READ = 0x301 -> REPLY;
+        reply REPLY = 0x302;
+    }
 }
 pub mod ping {
-    /// proto: oneway
-    pub const PLANTED: u32 = 0x102;
-    /// proto: oneway
-    pub const TESTED: u32 = 0x103;
-    /// proto: oneway
-    pub const IMPORTED: u32 = 0x104;
+    phoenix_kernel::protocol! {
+        oneway PLANTED = 0x102;
+        oneway TESTED = 0x103;
+        oneway IMPORTED = 0x104;
+    }
 }
-/// proto: values
 pub mod evidence {
-    pub const DEADLINE: u32 = 1;
-    pub const PLANTED: u32 = 2;
+    phoenix_kernel::protocol! {
+        /// The driver failed to answer in time.
+        value DEADLINE = 1;
+        value PLANTED = 2;
+    }
 }
 pub mod globbed {
-    /// proto: oneway
-    pub const NAMED: u32 = 0x400;
-    /// proto: oneway
-    pub const UNNAMED: u32 = 0x401;
+    phoenix_kernel::protocol! {
+        oneway NAMED = 0x400;
+        oneway UNNAMED = 0x401;
+    }
 }
 ";
 

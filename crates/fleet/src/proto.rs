@@ -16,22 +16,20 @@ use phoenix_simcore::wire::{Len, Reader, Writer};
 /// periodic re-send, never by blocking — a wedged peer must not be able
 /// to wedge its watchdog.
 pub mod gossip {
-    /// Agent -> ring neighbors: liveness beat carrying the sender's
-    /// whole gossip vector (freshest known stat per fleet node).
-    /// proto: oneway
-    pub const HEARTBEAT: u32 = 0x0F00;
-    /// Agent -> all peers: typed accusation that `subject` (at
-    /// `subject_gen`) is failing, with the evidence kind attached.
-    /// proto: oneway
-    pub const COMPLAIN: u32 = 0x0F01;
-    /// Arbiter -> all peers: quorum reached, `subject` is convicted and
-    /// will be reincarnated at `subject_gen + 1`.
-    /// proto: oneway
-    pub const CONVICT: u32 = 0x0F02;
-    /// Accused -> all peers: liveness rebuttal (I am reachable / my RS
-    /// beacon still advances) that clears ghost complaints.
-    /// proto: oneway
-    pub const ALIVE: u32 = 0x0F03;
+    phoenix::kernel::protocol! {
+        /// Agent -> ring neighbors: liveness beat carrying the sender's
+        /// whole gossip vector (freshest known stat per fleet node).
+        oneway HEARTBEAT = 0x0F00;
+        /// Agent -> all peers: typed accusation that `subject` (at
+        /// `subject_gen`) is failing, with the evidence kind attached.
+        oneway COMPLAIN = 0x0F01;
+        /// Arbiter -> all peers: quorum reached, `subject` is convicted and
+        /// will be reincarnated at `subject_gen + 1`.
+        oneway CONVICT = 0x0F02;
+        /// Accused -> all peers: liveness rebuttal (I am reachable / my RS
+        /// beacon still advances) that clears ghost complaints.
+        oneway ALIVE = 0x0F03;
+    }
 }
 
 /// One node's freshest known state, as carried in heartbeat gossip
