@@ -168,22 +168,25 @@ impl StateGate {
         }
         self.restore_call = None;
         self.phase = Phase::Ready;
-        let event = match result {
+        let reply = result
+            .as_ref()
+            .map(|m| (ckpt::RestoreReply::from_message(m), &m.data));
+        let event = match reply {
             Err(_) => {
                 ctx.metrics().incr("ckpt.restore_aborted");
                 RestoreEvent::Missing
             }
-            Ok(reply) if reply.mtype != ckpt::RESTORE_REPLY => {
+            Ok((None, _)) => {
                 // Wrong-type reply: don't interpret foreign params as a
                 // snapshot; fall back to fresh state.
                 ctx.metrics().incr("ckpt.restore_bad_reply");
                 RestoreEvent::Rejected
             }
-            Ok(reply) => {
-                self.recovery = RecoveryId::from_wire(reply.param(1));
-                self.span = SpanId::from_wire(reply.param(2));
-                match reply.param(0) {
-                    s if s == ckpt_status::OK => match Snapshot::decode(&reply.data) {
+            Ok((Some(reply), data)) => {
+                self.recovery = RecoveryId::from_wire(reply.recovery);
+                self.span = SpanId::from_wire(reply.span);
+                match reply.status {
+                    s if s == ckpt_status::OK => match Snapshot::decode(data) {
                         Ok(snap) => {
                             self.next_seq = snap.seq;
                             ctx.metrics().incr("ckpt.restores");
@@ -221,24 +224,27 @@ impl StateGate {
 
     /// The store answered a save.
     fn save_replied(ctx: &mut Ctx<'_>, result: &Result<Message, IpcError>) {
-        match result {
-            Ok(reply) if reply.mtype != ckpt::SAVE_REPLY => {
+        let reply = result
+            .as_ref()
+            .map(|m| (ckpt::SaveReply::from_message(m), m.mtype));
+        match reply {
+            Ok((None, mtype)) => {
                 // Wrong-type reply: a garbled or misdirected message
                 // must not be decoded as a save outcome.
                 ctx.metrics().incr("ckpt.save_bad_reply");
                 ctx.trace(
                     TraceLevel::Warn,
-                    format!("checkpoint save got reply type {:#x}", reply.mtype),
+                    format!("checkpoint save got reply type {mtype:#x}"),
                 );
             }
-            Ok(reply) if reply.param(0) == ckpt_status::OK => {
+            Ok((Some(reply), _)) if reply.status == ckpt_status::OK => {
                 ctx.metrics().incr("ckpt.saves_acked");
             }
-            Ok(reply) => {
+            Ok((Some(reply), _)) => {
                 ctx.metrics().incr("ckpt.saves_rejected");
                 ctx.trace(
                     TraceLevel::Warn,
-                    format!("checkpoint save rejected: status {}", reply.param(0)),
+                    format!("checkpoint save rejected: status {}", reply.status),
                 );
             }
             // DS died mid-save; the next save supersedes it.
@@ -276,9 +282,7 @@ impl StateGate {
         let mut data = self.key.clone().into_bytes();
         let key_len = data.len() as u64;
         data.extend_from_slice(&snap.encode());
-        let req = Message::new(ckpt::SAVE)
-            .with_param(0, key_len)
-            .with_data(data);
+        let req = ckpt::Save { key_len }.into_message().with_data(data);
         match ctx.sendrec(self.ds, req) {
             Ok(call) => {
                 self.save_calls.insert(call);

@@ -104,24 +104,26 @@ impl SpareTail {
             return false;
         }
         self.poll_call = None;
-        let reply = match result {
-            Ok(reply) if reply.mtype == ckpt::TAIL_REPLY => reply,
-            Ok(reply) => {
-                ctx.metrics().incr("ckpt.tail_bad_reply");
-                ctx.trace(
-                    TraceLevel::Warn,
-                    format!("tail poll got reply type {:#x}", reply.mtype),
-                );
-                return true;
-            }
+        let (tail, data) = match result {
+            Ok(reply) => match ckpt::TailReply::from_message(reply) {
+                Some(tail) => (tail, &reply.data),
+                None => {
+                    ctx.metrics().incr("ckpt.tail_bad_reply");
+                    ctx.trace(
+                        TraceLevel::Warn,
+                        format!("tail poll got reply type {:#x}", reply.mtype),
+                    );
+                    return true;
+                }
+            },
             Err(_) => {
                 // DS died mid-poll; the next alarm retries.
                 ctx.metrics().incr("ckpt.tail_aborted");
                 return true;
             }
         };
-        match reply.param(0) {
-            s if s == ckpt_status::OK => match Snapshot::decode(&reply.data) {
+        match tail.status {
+            s if s == ckpt_status::OK => match Snapshot::decode(data) {
                 Ok(snap) => {
                     let frame = (snap.incarnation, snap.seq);
                     if self.cursor.is_some_and(|cur| frame <= cur) {

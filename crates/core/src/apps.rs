@@ -14,7 +14,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use phoenix_ckpt::proto::{reply_ack, tag_request};
 use phoenix_ckpt::WriteAheadLog;
 use phoenix_drivers::proto::cdev;
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -147,7 +146,7 @@ impl Process for Wget {
                 };
                 match (class, result, self.conn) {
                     (ReplyClass::Ok, Ok(reply), None) => {
-                        self.conn = Some(reply.param(1));
+                        self.conn = sock::ConnectReply::from_message(&reply).map(|r| r.conn);
                         self.issue(ctx);
                     }
                     (ReplyClass::Ok, ..) => self.request_acked = true,
@@ -358,8 +357,8 @@ impl Job for PrintJob {
         Some(dev.write(rest[..rest.len().min(1024)].to_vec()))
     }
 
-    fn acked(&mut self, reply: &Message) -> bool {
-        let accepted = reply.param(1);
+    fn acked(&mut self, reply: &cdev::Reply) -> bool {
+        let accepted = reply.count;
         self.sent += accepted as usize;
         self.status.borrow_mut().accepted += accepted;
         accepted > 0
@@ -772,15 +771,14 @@ impl CkptLpd {
 /// sequence and absolute stream offset; `None` when the log is drained.
 fn logged_write(wal: &WriteAheadLog, dev: Dev) -> Option<Message> {
     let entry = wal.next_unacked()?;
-    let write = dev.write(entry.data.clone());
-    Some(tag_request(write, entry.seq, entry.offset))
+    Some(dev.logged_write(entry.data.clone(), entry.seq, entry.offset))
 }
 
 /// Advances the log by the consumed-progress acknowledgment `reply`
 /// carries, if any; returns the acknowledged watermark.
-fn note_ack(wal: &mut WriteAheadLog, reply: &Message) -> u64 {
-    if let Some((consumed, _seq)) = reply_ack(reply) {
-        wal.ack(consumed);
+fn note_ack(wal: &mut WriteAheadLog, reply: &cdev::Reply) -> u64 {
+    if reply.ack_seq != 0 {
+        wal.ack(reply.consumed);
     }
     wal.acked()
 }
@@ -790,7 +788,7 @@ impl Job for LoggedJob {
         logged_write(&self.wal, dev)
     }
 
-    fn acked(&mut self, reply: &Message) -> bool {
+    fn acked(&mut self, reply: &cdev::Reply) -> bool {
         let before = self.wal.acked();
         let acked = note_ack(&mut self.wal, reply);
         self.status.borrow_mut().acked = acked;
@@ -919,6 +917,7 @@ impl Process for CkptMp3Player {
                 self.in_flight = false;
                 match (classify(cdev::REPLY, &result), result) {
                     (ReplyClass::Ok, Ok(reply)) => {
+                        let reply = cdev::Reply::from_message(&reply).unwrap_or_default();
                         self.status.borrow_mut().acked = note_ack(&mut self.wal, &reply);
                         self.pump(ctx);
                     }
@@ -1013,9 +1012,9 @@ impl Job for Feed {
         Some(dev.write(self.chunk.clone()))
     }
 
-    fn acked(&mut self, reply: &Message) -> bool {
-        self.status.borrow_mut().accepted += reply.param(1);
-        reply.param(1) > 0
+    fn acked(&mut self, reply: &cdev::Reply) -> bool {
+        self.status.borrow_mut().accepted += reply.count;
+        reply.count > 0
     }
 
     fn failed(&mut self, _ctx: &mut Ctx<'_>, _died: bool) -> After {

@@ -21,8 +21,8 @@
 //! holding. *Every event ends in a call in flight, an armed alarm, or a
 //! terminal status the harness can see* — no client parks silently.
 //!
-//! Requests and reply classes come from `phoenix_servers::proto`; nothing
-//! here knows a param index.
+//! Requests, replies and reply classes come from `phoenix_servers::proto`
+//! and the `protocol!` rows; nothing here knows a param index.
 
 use phoenix_drivers::proto::cdev;
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -55,9 +55,10 @@ pub enum After {
 pub trait Job {
     /// The next WRITE to `dev`, or `None` when the job is complete.
     fn next_write(&mut self, dev: Dev) -> Option<Message>;
-    /// Notes the progress a reply from the driver reports; `true` if the
-    /// stream advanced (otherwise the FIFO was full).
-    fn acked(&mut self, reply: &Message) -> bool;
+    /// Notes the progress a reply from the driver reports (as
+    /// [`proto::dev_reply`] reads it); `true` if the stream advanced
+    /// (otherwise the FIFO was full).
+    fn acked(&mut self, reply: &cdev::Reply) -> bool;
     /// Every chunk is written.
     fn finished(&mut self, _ctx: &mut Ctx<'_>) {}
     /// A call failed. `died`: the driver died under the job (§6.3), so
@@ -130,7 +131,7 @@ impl<J: Job> CharWriter<J> {
             ReplyClass::Ok | ReplyClass::Busy | ReplyClass::Status(_) => {
                 // Error and busy replies of a checkpointed driver still
                 // carry its consumed watermark.
-                let advanced = self.job.acked(reply);
+                let advanced = self.job.acked(&proto::dev_reply(reply).unwrap_or_default());
                 match class {
                     ReplyClass::Ok if advanced => return self.call(ctx, Call::Write),
                     ReplyClass::Status(_) => false,
@@ -329,12 +330,14 @@ impl<S: Sink> Process for FileReader<S> {
                     Some(_) => classify(fs::DATA_REPLY, &result),
                 };
                 match (class, result, self.file) {
-                    (ReplyClass::Ok, Ok(reply), None) => {
-                        let file = File::opened(&self.path, &reply);
-                        self.file = Some(file);
-                        self.offset = 0;
-                        self.advance(ctx, file);
-                    }
+                    (ReplyClass::Ok, Ok(reply), None) => match File::opened(&self.path, &reply) {
+                        Some(file) => {
+                            self.file = Some(file);
+                            self.offset = 0;
+                            self.advance(ctx, file);
+                        }
+                        None => self.failed(ctx, Failure::Status),
+                    },
                     (ReplyClass::Ok, Ok(reply), Some(file)) if !reply.data.is_empty() => {
                         self.offset += reply.data.len() as u64;
                         self.sink.data(&reply.data, self.offset);

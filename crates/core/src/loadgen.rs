@@ -619,14 +619,15 @@ impl Process for InetLoadGen {
                     && self.lp.slots[idx as usize].epoch != epoch;
                 match (kind, result) {
                     (CallKind::Connect, Ok(reply)) if ok && stale => {
-                        if let Ok(call) = ctx.sendrec(self.inet, proto::close(reply.param(1))) {
+                        let conn = sock::ConnectReply::from_message(&reply).map_or(0, |r| r.conn);
+                        if let Ok(call) = ctx.sendrec(self.inet, proto::close(conn)) {
                             self.calls.insert(call, (idx, CallKind::CloseOrphan, epoch));
                         }
                         return;
                     }
                     _ if stale => return,
                     (CallKind::Connect, Ok(reply)) if ok => {
-                        let conn = reply.param(1);
+                        let conn = sock::ConnectReply::from_message(&reply).map_or(0, |r| r.conn);
                         self.session(idx).conn = Some(conn);
                         self.by_conn.insert(conn, idx);
                         self.note_live();
@@ -652,7 +653,7 @@ impl Process for InetLoadGen {
                 self.lp.update_drained();
             }
             ProcEvent::Message(msg) if msg.mtype == sock::DATA => {
-                let conn = msg.param(0);
+                let conn = sock::Data::from_message(&msg).map_or(0, |d| d.conn);
                 let Some(&idx) = self.by_conn.get(&conn) else {
                     return;
                 };
@@ -669,7 +670,7 @@ impl Process for InetLoadGen {
                 // Peer FIN. Normally arrives while lingering (the stream
                 // completed); a FIN racing an unfinished request means the
                 // response was cut short.
-                let conn = msg.param(0);
+                let conn = sock::Closed::from_message(&msg).map_or(0, |c| c.conn);
                 let Some(&idx) = self.by_conn.get(&conn) else {
                     return;
                 };
@@ -797,7 +798,7 @@ impl Process for VfsJobMix {
                 else {
                     return self.open_failed(ctx);
                 };
-                self.file = Some(File::opened(&self.cfg.path, &reply));
+                self.file = File::opened(&self.cfg.path, &reply);
                 for idx in 0..self.cfg.clients {
                     let offset = draw_interval(ctx.rng(), self.cfg.interarrival);
                     self.lp.arm_arrival(ctx, idx, ctx.now() + offset);

@@ -18,13 +18,12 @@ use phoenix::apps::{
     CkptLpd, CkptLpdStatus, Dd, DdLoop, DdLoopStatus, DdStatus, Lpd, LpdLoop, LpdLoopStatus,
     LpdStatus,
 };
-use phoenix::ckpt::proto::{ack_reply, request_wal};
 use phoenix::os::Os;
 use phoenix_drivers::proto::{cdev, status};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_servers::proto::{evidence, fs, rs, Complaint, DRIVER_DIED_PARAM};
+use phoenix_servers::proto::{evidence, fs, rs, Complaint};
 use phoenix_simcore::time::{SimDuration, SimTime};
 
 /// What the script does with one request.
@@ -142,13 +141,26 @@ fn dev_reply(st: u64, accepted: u64) -> Message {
 /// An accepted 1 KB chunk; the acknowledgment is what a checkpointed
 /// driver adds (ignored by the other jobs).
 fn accepted_chunk(n: u64) -> Message {
-    ack_reply(dev_reply(status::OK, 1024), n * 1024, n)
+    let acked = cdev::Reply {
+        status: status::OK,
+        count: 1024,
+        consumed: n * 1024,
+        ack_seq: n,
+        ..Default::default()
+    };
+    acked.into_message()
+}
+
+/// `(seq, offset)` of a logged write; `None` for an unlogged one.
+fn wal(write: &Message) -> Option<(u64, u64)> {
+    let write = cdev::Write::from_message(write).filter(|w| w.seq != 0)?;
+    Some((write.seq, write.offset))
 }
 
 fn driver_died() -> Message {
     Message::new(fs::DATA_REPLY)
         .with_param(0, status::EIO)
-        .with_param(DRIVER_DIED_PARAM, 1)
+        .with_param(2, 1)
 }
 
 fn opened(size: u64) -> Message {
@@ -260,7 +272,7 @@ fn a_transient_error_gets_the_declared_policy_and_never_parks() {
             // The logged job resends the same entry after the grace period.
             "ckpt-lpd" => {
                 assert_eq!(rig.kinds(), [OPEN, WRITE, WRITE]);
-                assert_eq!(request_wal(&rig.request(2)), request_wal(&rig.request(1)));
+                assert_eq!(wal(&rig.request(2)), wal(&rig.request(1)));
                 assert!(rig.gap(1, 2) >= SimDuration::from_millis(100));
             }
             // The feeder reopens.
@@ -390,7 +402,7 @@ fn a_dead_driver_means_what_the_job_declared() {
             // Replay from the first unacknowledged log entry: chunk 2.
             "ckpt-lpd" => {
                 assert_eq!(resumed.data, vec![1; 1024]);
-                assert_eq!(request_wal(&resumed), Some((2, 1024)));
+                assert_eq!(wal(&resumed), Some((2, 1024)));
             }
             // Just reopen and keep feeding.
             _ => assert_eq!(resumed.data, vec![9; 1024]),
@@ -411,7 +423,7 @@ fn a_garbled_reply_to_an_aware_reader_is_one_complaint_then_the_same_offset() {
     assert_eq!((st.borrow().complaints, st.borrow().retries), (1, 1));
     let complaints = rig.complaints.borrow();
     assert_eq!(complaints.len(), 1);
-    let filed = Complaint::decode(&complaints[0].1);
+    let filed = Complaint::decode(&complaints[0].1).expect("a complaint");
     assert_eq!(
         (filed.kind, &*filed.accused, filed.incarnation),
         (evidence::BAD_REPLY, "vfs", Some(rig.vfs))

@@ -287,7 +287,7 @@ fn fat_small_file_and_missing_file() {
                         assert_eq!(reply.param(0), status::OK);
                         assert_eq!(reply.param(2), 14, "size of hello.txt");
                         self.step = 1;
-                        let file = File::opened("/fat/hello.txt", &reply);
+                        let file = File::opened("/fat/hello.txt", &reply).expect("an open reply");
                         let _ = ctx.sendrec(self.vfs, file.read(0, 14));
                     }
                     1 => {

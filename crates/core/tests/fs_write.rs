@@ -41,7 +41,7 @@ impl Process for WriteRead {
             } => match self.stage {
                 0 => {
                     assert_eq!(reply.param(0), status::OK, "open");
-                    let file = File::opened(self.path, &reply);
+                    let file = File::opened(self.path, &reply).expect("an open reply");
                     self.file = Some(file);
                     self.stage = 1;
                     let _ = ctx.sendrec(self.vfs, file.write(self.offset, self.pattern.clone()));
@@ -130,7 +130,7 @@ fn write_survives_driver_kill_between_write_and_read() {
                 } => {
                     if !self.opened {
                         self.opened = true;
-                        let file = File::opened("bigfile", &reply);
+                        let file = File::opened("bigfile", &reply).expect("an open reply");
                         let _ = ctx.sendrec(self.vfs, file.write(0, self.pattern.clone()));
                     } else {
                         assert_eq!(reply.param(0), status::OK);
@@ -182,7 +182,7 @@ fn write_survives_driver_kill_between_write_and_read() {
                 } => {
                     if !self.opened {
                         self.opened = true;
-                        let file = File::opened("bigfile", &reply);
+                        let file = File::opened("bigfile", &reply).expect("an open reply");
                         let _ = ctx.sendrec(self.vfs, file.read(0, self.want.len() as u64));
                     } else {
                         *self.ok.borrow_mut() = Some(reply.data == self.want);
@@ -253,7 +253,7 @@ fn random_reads_match_the_synthetic_disk_model() {
                     result: Ok(reply), ..
                 } => {
                     if self.file.is_none() {
-                        self.file = Some(File::opened("bigfile", &reply));
+                        self.file = Some(File::opened("bigfile", &reply).expect("an open reply"));
                     } else {
                         self.results.borrow_mut().push(reply.data.clone());
                         self.next += 1;

@@ -80,19 +80,31 @@ fn request_routine() -> GuardedRoutine {
     GuardedRoutine::new(&routines::with_cold_section(routines::disk_request(), 30))
 }
 
-fn reply_status(ctx: &mut Ctx<'_>, call: CallId, st: u64, bytes: u64) {
-    let _ = ctx.reply(
-        call,
-        Message::new(bdev::REPLY)
-            .with_param(0, st)
-            .with_param(1, bytes),
-    );
+fn reply_status(ctx: &mut Ctx<'_>, call: CallId, status: u64, count: u64) {
+    let reply = bdev::Reply {
+        status,
+        count,
+        csum_echo: 0,
+    };
+    let _ = ctx.reply(call, reply.into_message());
+}
+
+/// `(lba, count, grant)` of a READ or a WRITE, which share one layout.
+fn transfer(msg: &Message) -> Option<(u64, u64, u64)> {
+    match (
+        bdev::Read::from_message(msg),
+        bdev::Write::from_message(msg),
+    ) {
+        (Some(bdev::Read { lba, count, grant }), _)
+        | (_, Some(bdev::Write { lba, count, grant })) => Some((lba, count, grant)),
+        _ => None,
+    }
 }
 
 /// Validates the request through the (possibly mutated) VM routine.
 /// Returns the transfer size in bytes and the routine's descriptor
 /// checksum, or `None` if the driver died. The checksum is echoed in
-/// the eventual reply (`param[2]` = 1 + checksum; 0 = "no echo", the
+/// the eventual reply (`csum_echo` = 1 + checksum; 0 = "no echo", the
 /// file server's sentinel skips the check) so the sentinel can verify
 /// the driver actually processed the descriptor it was sent.
 fn validate(
@@ -119,13 +131,12 @@ fn validate(
 
 /// Answers a completed transfer of `bytes` with the checksum echo.
 fn reply_done(ctx: &mut Ctx<'_>, call: CallId, bytes: usize, csum: u32) {
-    let _ = ctx.reply(
-        call,
-        Message::new(bdev::REPLY)
-            .with_param(0, status::OK)
-            .with_param(1, bytes as u64)
-            .with_param(2, 1 + u64::from(csum)),
-    );
+    let reply = bdev::Reply {
+        status: status::OK,
+        count: bytes as u64,
+        csum_echo: 1 + u64::from(csum),
+    };
+    let _ = ctx.reply(call, reply.into_message());
 }
 
 impl DriverLogic for DiskDriver {
@@ -163,7 +174,7 @@ impl DriverLogic for DiskDriver {
                     reply_status(ctx, call, status::EAGAIN, 0);
                     return;
                 }
-                let (lba, count, grant) = (msg.param(0), msg.param(1), msg.param(2));
+                let (lba, count, grant) = transfer(msg).unwrap_or_default();
                 let checked = validate(&self.routine, ctx, lba, count, self.capacity);
                 let Some((bytes, csum)) = checked else {
                     return; // driver is dying; rendezvous will abort
@@ -289,7 +300,7 @@ impl DriverLogic for RamDiskDriver {
         match msg.mtype {
             bdev::OPEN => reply_status(ctx, call, status::OK, self.capacity()),
             bdev::READ | bdev::WRITE => {
-                let (lba, count, grant) = (msg.param(0), msg.param(1), msg.param(2));
+                let (lba, count, grant) = transfer(msg).unwrap_or_default();
                 let checked = validate(&self.routine, ctx, lba, count, self.capacity());
                 let Some((bytes, csum)) = checked else {
                     return;

@@ -18,7 +18,6 @@
 //! effect (the laser) is external and unrepeatable, so a half-burned
 //! disc remains the paper's irrecoverable case.
 
-use phoenix_ckpt::proto::{ack_reply, request_wal};
 use phoenix_ckpt::{ConsumedCursor, SpareTail, StateGate};
 use phoenix_hw::chardev::{audio_regs, printer_regs, scsi_cmd, scsi_regs, scsi_status};
 use phoenix_hw::uart::uart_regs;
@@ -80,7 +79,7 @@ impl StandbyRole {
     /// polling — the cadence stays a policy decision, not a driver one.
     // analyze:recovery-root
     fn on_standby(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
-        let us = msg.param(0);
+        let us = drv::Standby::from_message(msg).map_or(0, |s| s.period_us);
         if us > 0 {
             self.period = SimDuration::from_micros(us);
         }
@@ -111,10 +110,20 @@ impl StandbyRole {
 /// Decodes RS's promote message into the recovery-episode tag the first
 /// served request will stamp on its `replay` timeline event.
 fn promote_token(msg: &Message) -> (Option<RecoveryId>, Option<SpanId>) {
+    let promote = drv::Promote::from_message(msg).unwrap_or_default();
     (
-        RecoveryId::from_wire(msg.param(0)),
-        SpanId::from_wire(msg.param(1)),
+        RecoveryId::from_wire(promote.recovery),
+        SpanId::from_wire(promote.span),
     )
+}
+
+/// A cdev reply that carries nothing but its status.
+fn status_reply(status: u64) -> Message {
+    let reply = cdev::Reply {
+        status,
+        ..Default::default()
+    };
+    reply.into_message()
 }
 
 /// The primary service name of a (possibly standby) incarnation: a warm
@@ -283,26 +292,25 @@ impl<D: StreamDevice> StreamDriver<D> {
 
     /// Serves a validated WRITE (the fault point has already run).
     /// `csum` is the payload byte-sum the VM routine computed; it is
-    /// echoed in the reply (`param[2]` = 1 + sum) so the VFS sentinel can
+    /// echoed in the reply (`csum_echo` = 1 + sum) so the VFS sentinel can
     /// verify the driver processed the payload it was sent.
     fn serve_write(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message, csum: u32) {
         ctx.metrics().incr("cdev.writes");
-        let wal = self.gate.enabled().then(|| request_wal(msg)).flatten();
-        let reply = |st: u64, accepted: u64| {
-            Message::new(cdev::REPLY)
-                .with_param(0, st)
-                .with_param(1, accepted)
-                .with_param(2, 1 + u64::from(csum))
+        let write = cdev::Write::from_message(msg).filter(|w| self.gate.enabled() && w.seq != 0);
+        let reply = |count: u64| cdev::Reply {
+            status: match count {
+                0 => status::EAGAIN,
+                _ => status::OK,
+            },
+            count,
+            csum_echo: 1 + u64::from(csum),
+            ..Default::default()
         };
-        let status_of = |accepted: u64| match accepted {
-            0 => status::EAGAIN,
-            _ => status::OK,
-        };
-        let Some((seq, offset)) = wal else {
+        let Some(cdev::Write { seq, offset, .. }) = write else {
             // Legacy path: push what the device takes, let the client loop.
             let msg = match self.device.push(ctx, self.dev, &msg.data) {
-                Some(take) => reply(status_of(take as u64), take as u64),
-                None => Message::new(cdev::REPLY).with_param(0, status::EIO),
+                Some(take) => reply(take as u64).into_message(),
+                None => status_reply(status::EIO),
             };
             let _ = ctx.reply(call, msg);
             return;
@@ -319,8 +327,13 @@ impl<D: StreamDevice> StreamDriver<D> {
         let mut accepted = plan.dup_bytes;
         if !plan.fresh.is_empty() {
             let Some(take) = self.device.push(ctx, self.dev, plan.fresh) else {
-                let eio = Message::new(cdev::REPLY).with_param(0, status::EIO);
-                let _ = ctx.reply(call, ack_reply(eio, self.cursor.committed(), seq));
+                let eio = cdev::Reply {
+                    status: status::EIO,
+                    consumed: self.cursor.committed(),
+                    ack_seq: seq,
+                    ..Default::default()
+                };
+                let _ = ctx.reply(call, eio.into_message());
                 return;
             };
             if take > 0 {
@@ -335,10 +348,12 @@ impl<D: StreamDevice> StreamDriver<D> {
             // sent — snapshot before acknowledging.
             self.gate.save_now(ctx, || consumed.to_le_bytes().to_vec());
         }
-        let _ = ctx.reply(
-            call,
-            ack_reply(reply(status_of(accepted), accepted), consumed, seq),
-        );
+        let acked = cdev::Reply {
+            consumed,
+            ack_seq: seq,
+            ..reply(accepted)
+        };
+        let _ = ctx.reply(call, acked.into_message());
     }
 }
 
@@ -374,15 +389,12 @@ impl<D: StreamDevice> DriverLogic for StreamDriver<D> {
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
         match msg.mtype {
             cdev::OPEN => {
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::OK));
+                let _ = ctx.reply(call, status_reply(status::OK));
             }
             cdev::WRITE => {
                 let data = &msg.data;
                 if data.is_empty() || data.len() > D::MAX_WRITE {
-                    let _ = ctx.reply(
-                        call,
-                        Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                    );
+                    let _ = ctx.reply(call, status_reply(status::EINVAL));
                     return;
                 }
                 if self.gate.park(ctx, call, msg) {
@@ -399,10 +411,7 @@ impl<D: StreamDevice> DriverLogic for StreamDriver<D> {
                 self.serve_write(ctx, call, msg, csum);
             }
             _ => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                );
+                let _ = ctx.reply(call, status_reply(status::EINVAL));
             }
         }
     }
@@ -470,10 +479,10 @@ impl DriverLogic for ScsiCdDriver {
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
         match msg.mtype {
             cdev::OPEN => {
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::OK));
+                let _ = ctx.reply(call, status_reply(status::OK));
             }
             cdev::BURN_START => {
-                let total = msg.param(0) as u32;
+                let total = cdev::BurnStart::from_message(msg).map_or(0, |b| b.chunks) as u32;
                 let _ = ctx.devio_write(self.dev, scsi_regs::TOTAL_CHUNKS, total);
                 let _ = ctx.devio_write(self.dev, scsi_regs::CMD, scsi_cmd::START_BURN);
                 let st = if self.device_status(ctx) == scsi_status::BURNING {
@@ -481,16 +490,13 @@ impl DriverLogic for ScsiCdDriver {
                 } else {
                     status::EIO
                 };
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, st));
+                let _ = ctx.reply(call, status_reply(st));
             }
             cdev::BURN_CHUNK => {
-                let seq = msg.param(0) as u32;
+                let seq = cdev::BurnChunk::from_message(msg).map_or(0, |b| b.index) as u32;
                 let data = &msg.data;
                 if data.is_empty() || data.len() > 64 * 1024 {
-                    let _ = ctx.reply(
-                        call,
-                        Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                    );
+                    let _ = ctx.reply(call, status_reply(status::EINVAL));
                     return;
                 }
                 let ok = self.routine.run(ctx, data.len() + 16, |vm| {
@@ -501,7 +507,7 @@ impl DriverLogic for ScsiCdDriver {
                     return;
                 }
                 if ctx.mem_write(0, data).is_err() {
-                    let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::EIO));
+                    let _ = ctx.reply(call, status_reply(status::EIO));
                     return;
                 }
                 let _ = ctx.devio_write(self.dev, scsi_regs::CHUNK_SEQ, seq);
@@ -516,8 +522,7 @@ impl DriverLogic for ScsiCdDriver {
                     }
                     _ => {
                         // Disc ruined: error pushed up to the application.
-                        let _ =
-                            ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::EIO));
+                        let _ = ctx.reply(call, status_reply(status::EIO));
                     }
                 }
             }
@@ -528,13 +533,10 @@ impl DriverLogic for ScsiCdDriver {
                 } else {
                     status::EIO
                 };
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, st));
+                let _ = ctx.reply(call, status_reply(st));
             }
             _ => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                );
+                let _ = ctx.reply(call, status_reply(status::EINVAL));
             }
         }
     }
@@ -547,7 +549,7 @@ impl DriverLogic for ScsiCdDriver {
             scsi_status::BURNING | scsi_status::COMPLETE => status::OK,
             _ => status::EIO,
         };
-        let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, st));
+        let _ = ctx.reply(call, status_reply(st));
     }
 }
 
@@ -608,13 +610,15 @@ impl DriverLogic for KeyboardDriver {
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
         match msg.mtype {
             cdev::OPEN => {
-                let _ = ctx.reply(call, Message::new(cdev::REPLY).with_param(0, status::OK));
+                let _ = ctx.reply(call, status_reply(status::OK));
             }
             cdev::READ => {
                 if self.gate.park(ctx, call, msg) {
                     return; // served after the snapshot restore
                 }
-                let want = (msg.param(0) as usize).min(4096);
+                let want = cdev::Read::from_message(msg)
+                    .map_or(0, |r| r.len as usize)
+                    .min(4096);
                 let n = want.min(self.line_buf.len());
                 let mut csum = 0u32;
                 if n > 0 {
@@ -640,20 +644,16 @@ impl DriverLogic for KeyboardDriver {
                 // Echo the routine's byte-sum only when it ran (n > 0);
                 // 0 = no echo, so empty reads stay sentinel-neutral.
                 let echo = if n > 0 { 1 + u64::from(csum) } else { 0 };
-                let _ = ctx.reply(
-                    call,
-                    Message::new(cdev::REPLY)
-                        .with_param(0, status::OK)
-                        .with_param(1, n as u64)
-                        .with_param(2, echo)
-                        .with_data(data),
-                );
+                let reply = cdev::Reply {
+                    status: status::OK,
+                    count: n as u64,
+                    csum_echo: echo,
+                    ..Default::default()
+                };
+                let _ = ctx.reply(call, reply.into_message().with_data(data));
             }
             _ => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(cdev::REPLY).with_param(0, status::EINVAL),
-                );
+                let _ = ctx.reply(call, status_reply(status::EINVAL));
             }
         }
     }

@@ -204,7 +204,8 @@ impl<L: DriverLogic> Process for Driver<L> {
                     // [recovery] heartbeat request so it can tell a live
                     // [recovery] driver from a stuck one (§5.1, input 4).
                     if !self.deaf {
-                        let pong = Message::new(drv::HB_PONG).with_param(0, msg.param(0)); // [recovery]
+                        let nonce = drv::HbPing::from_message(&msg).map_or(0, |p| p.nonce); // [recovery]
+                        let pong = drv::HbPong { nonce }.into_message(); // [recovery]
                         let _ = ctx.send(msg.source, pong); // [recovery]
                     }
                 }

@@ -166,19 +166,23 @@ impl<N: Nic> DriverLogic for EthDriver<N> {
     }
 
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
-        let (kind, st) = match msg.mtype {
+        let reply = match msg.mtype {
             eth::INIT => {
                 // (Re)initialization on behalf of the network server.
                 self.client = Some(msg.source);
-                (eth::INIT_REPLY, io_status(self.nic.enable(ctx, self.dev)))
+                let status = io_status(self.nic.enable(ctx, self.dev));
+                eth::InitReply { status }.into_message()
             }
             eth::WRITE => match self.write(ctx, &msg.data) {
-                Some(st) => (eth::WRITE_REPLY, st),
+                Some(status) => eth::WriteReply { status }.into_message(),
                 None => return, // dying
             },
-            _ => (eth::WRITE_REPLY, status::EINVAL),
+            _ => {
+                let status = status::EINVAL;
+                eth::WriteReply { status }.into_message()
+            }
         };
-        let _ = ctx.reply(call, Message::new(kind).with_param(0, st));
+        let _ = ctx.reply(call, reply);
     }
 
     fn irq(&mut self, ctx: &mut Ctx<'_>) {

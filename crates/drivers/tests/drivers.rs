@@ -5,7 +5,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use phoenix_ckpt::proto::{ckpt, ckpt_status, reply_ack, tag_request};
+use phoenix_ckpt::proto::{ckpt, ckpt_status};
 use phoenix_ckpt::Snapshot;
 use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDriver};
 use phoenix_drivers::libdriver::{Driver, FaultPort};
@@ -525,9 +525,13 @@ fn stream_session<D: StreamDevice + 'static>(
                     result: Ok(reply), ..
                 } = ev
                 {
-                    let consumed = reply_ack(reply).map_or(0, |(consumed, _)| consumed);
-                    r2.borrow_mut()
-                        .push((reply.param(0), reply.param(1), consumed));
+                    let reply = cdev::Reply::from_message(reply).expect("a cdev reply");
+                    let consumed = if reply.ack_seq != 0 {
+                        reply.consumed
+                    } else {
+                        0
+                    };
+                    r2.borrow_mut().push((reply.status, reply.count, consumed));
                 }
                 if matches!(ev, ProcEvent::Start | ProcEvent::Reply { .. }) {
                     if let Some(next) = queue.next() {
@@ -556,11 +560,12 @@ fn stream_dedup_gap_cases<D: StreamDevice + 'static>(
     hw_bytes: impl Fn(&mut Bus) -> u64,
 ) {
     let write = |seq, offset, len| {
-        tag_request(
-            Message::new(cdev::WRITE).with_data(vec![b'x'; len]),
+        let tagged = cdev::Write {
             seq,
             offset,
-        )
+            dev: 0,
+        };
+        tagged.into_message().with_data(vec![b'x'; len])
     };
     let writes = vec![
         write(1, 0, 100),  // fresh
@@ -600,8 +605,12 @@ fn stream_driver_dedups_replays_and_jumps_gaps_on_both_devices() {
 #[test]
 fn stream_driver_partial_accept_is_the_device_halfs_decision() {
     let big = |tagged: bool| {
-        let msg = Message::new(cdev::WRITE).with_data(vec![b'x'; 6144]);
-        vec![if tagged { tag_request(msg, 1, 0) } else { msg }]
+        let seq = u64::from(tagged);
+        let write = cdev::Write {
+            seq,
+            ..Default::default()
+        };
+        vec![write.into_message().with_data(vec![b'x'; 6144])]
     };
     let printer = || Box::new(Printer::new(1024)); // slow: 1 KB/s
     let dac = || Box::new(AudioDac::new(1 << 20));

@@ -149,7 +149,7 @@ impl DataStore {
     }
 
     fn handle_ckpt_save(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
-        let fail = |st: u64| Message::new(ckpt::SAVE_REPLY).with_param(0, st);
+        let fail = |status| ckpt::SaveReply { status, seq: 0 }.into_message();
         let Some(store) = self.ckpt_store.as_ref() else {
             return fail(ckpt_status::DENIED);
         };
@@ -157,7 +157,7 @@ impl DataStore {
             ctx.metrics().incr("ds.ckpt_denied");
             return fail(ckpt_status::DENIED);
         };
-        let klen = msg.param(0) as usize;
+        let klen = ckpt::Save::from_message(msg).map_or(0, |s| s.key_len) as usize;
         if klen == 0 || klen > msg.data.len() {
             return fail(ckpt_status::CORRUPT);
         }
@@ -175,9 +175,8 @@ impl DataStore {
                 };
                 ctx.metrics().set("ds.snapshot_bytes", bytes);
                 ctx.metrics().set("ckpt.store_size", records);
-                Message::new(ckpt::SAVE_REPLY)
-                    .with_param(0, ckpt_status::OK)
-                    .with_param(1, seq)
+                let status = ckpt_status::OK;
+                ckpt::SaveReply { status, seq }.into_message()
             }
             SaveOutcome::Stale { .. } => {
                 ctx.metrics().incr("ds.ckpt_stale_rejected");
@@ -191,37 +190,43 @@ impl DataStore {
     }
 
     fn handle_ckpt_restore(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
-        let fail = |st: u64| Message::new(ckpt::RESTORE_REPLY).with_param(0, st);
+        let denied = ckpt::RestoreReply {
+            status: ckpt_status::DENIED,
+            ..Default::default()
+        };
         let Some(store) = self.ckpt_store.as_ref() else {
-            return fail(ckpt_status::DENIED);
+            return denied.into_message();
         };
         let Some(owner) = self.owner_name_of(msg.source).map(str::to_string) else {
             ctx.metrics().incr("ds.ckpt_denied");
-            return fail(ckpt_status::DENIED);
+            return denied.into_message();
         };
         // Thread the recovery episode that (re)published this name so the
         // driver can tag its restore/replay trace events with it; 0/0 on
         // a boot-time publish.
-        let (rid, span) = self.last_publish.get(&owner).copied().unwrap_or((0, 0));
+        let (recovery, span) = self.last_publish.get(&owner).copied().unwrap_or((0, 0));
         let key = String::from_utf8_lossy(&msg.data).to_string();
         let outcome = store.borrow_mut().restore(&owner, &key);
-        let reply = match outcome {
+        let (status, snapshot) = match outcome {
             RestoreOutcome::Found(snap) => {
                 ctx.metrics().incr("ds.ckpt_restores");
-                Message::new(ckpt::RESTORE_REPLY)
-                    .with_param(0, ckpt_status::OK)
-                    .with_data(snap.encode())
+                (ckpt_status::OK, snap.encode())
             }
             RestoreOutcome::Missing => {
                 ctx.metrics().incr("ds.ckpt_restore_missing");
-                fail(ckpt_status::NOT_FOUND)
+                (ckpt_status::NOT_FOUND, Vec::new())
             }
             RestoreOutcome::Corrupt => {
                 ctx.metrics().incr("ds.ckpt_restore_corrupt");
-                fail(ckpt_status::CORRUPT)
+                (ckpt_status::CORRUPT, Vec::new())
             }
         };
-        reply.with_param(1, rid).with_param(2, span)
+        let reply = ckpt::RestoreReply {
+            status,
+            recovery,
+            span,
+        };
+        reply.into_message().with_data(snapshot)
     }
 
     /// Serves a warm spare's `ckpt::TAIL` poll: the latest snapshot
@@ -230,9 +235,9 @@ impl DataStore {
     /// may tail `<name>`'s records — which, like every owner check here,
     /// binds the capability to the caller's live endpoint generation.
     fn handle_ckpt_tail(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
-        let fail = |st: u64| Message::new(ckpt::TAIL_REPLY).with_param(0, st);
+        let reply = |status| ckpt::TailReply { status }.into_message();
         let Some(store) = self.ckpt_store.as_ref() else {
-            return fail(ckpt_status::DENIED);
+            return reply(ckpt_status::DENIED);
         };
         let Some(primary) = self
             .owner_name_of(msg.source)
@@ -240,21 +245,19 @@ impl DataStore {
             .map(str::to_string)
         else {
             ctx.metrics().incr("ds.ckpt_tail_denied");
-            return fail(ckpt_status::DENIED);
+            return reply(ckpt_status::DENIED);
         };
         let key = String::from_utf8_lossy(&msg.data).to_string();
         let outcome = store.borrow_mut().restore(&primary, &key);
         match outcome {
             RestoreOutcome::Found(snap) => {
                 ctx.metrics().incr("ds.ckpt_tails");
-                Message::new(ckpt::TAIL_REPLY)
-                    .with_param(0, ckpt_status::OK)
-                    .with_data(snap.encode())
+                reply(ckpt_status::OK).with_data(snap.encode())
             }
-            RestoreOutcome::Missing => fail(ckpt_status::NOT_FOUND),
+            RestoreOutcome::Missing => reply(ckpt_status::NOT_FOUND),
             RestoreOutcome::Corrupt => {
                 ctx.metrics().incr("ds.ckpt_restore_corrupt");
-                fail(ckpt_status::CORRUPT)
+                reply(ckpt_status::CORRUPT)
             }
         }
     }
@@ -265,12 +268,13 @@ impl DataStore {
     /// without tripping the store's ghost check. Only the trusted
     /// publisher (RS) may request this.
     fn handle_ckpt_promote(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
+        let fail = |status| ckpt::PromoteReply { status, adopted: 0 }.into_message();
         if self.publisher != Some(msg.source) {
             ctx.metrics().incr("ds.ckpt_promote_denied");
-            return Message::new(ckpt::PROMOTE_REPLY).with_param(0, ckpt_status::DENIED);
+            return fail(ckpt_status::DENIED);
         }
         let Some(store) = self.ckpt_store.as_ref() else {
-            return Message::new(ckpt::PROMOTE_REPLY).with_param(0, ckpt_status::NOT_FOUND);
+            return fail(ckpt_status::NOT_FOUND);
         };
         let owner = String::from_utf8_lossy(&msg.data).to_string();
         let frames: Vec<(String, Vec<u8>)> = store
@@ -291,11 +295,15 @@ impl DataStore {
         // capability dies with the role).
         self.names.remove(&format!("standby.{owner}"));
         ctx.metrics().incr("ds.ckpt_promotions");
-        Message::new(ckpt::PROMOTE_REPLY)
-            .with_param(0, ckpt_status::OK)
-            .with_param(1, adopted)
+        let status = ckpt_status::OK;
+        ckpt::PromoteReply { status, adopted }.into_message()
     }
     // [recovery:end]
+}
+
+/// The generic acknowledgement of `status`.
+fn ack(status: u64) -> Message {
+    ds::Ack { status }.into_message()
 }
 
 impl Default for DataStore {
@@ -318,13 +326,14 @@ impl Process for DataStore {
                     self.publisher = Some(msg.source);
                 }
                 if self.publisher != Some(msg.source) {
-                    let _ = ctx.reply(call, Message::new(ds::ACK).with_param(0, ds_status::DENIED));
+                    let _ = ctx.reply(call, ack(ds_status::DENIED));
                     return;
                 }
                 let key = String::from_utf8_lossy(&msg.data).to_string();
-                let ep = unpack_endpoint(msg.param(0), msg.param(1));
-                self.publish(ctx, key, ep, msg.param(2), msg.param(3));
-                let _ = ctx.reply(call, Message::new(ds::ACK).with_param(0, ds_status::OK));
+                let publish = ds::Publish::from_message(&msg).unwrap_or_default();
+                let ep = unpack_endpoint(publish.slot, publish.generation);
+                self.publish(ctx, key, ep, publish.recovery, publish.span);
+                let _ = ctx.reply(call, ack(ds_status::OK));
             }
             // [recovery:begin]
             ds::SUBSCRIBE => {
@@ -356,22 +365,29 @@ impl Process for DataStore {
                     TraceLevel::Info,
                     format!("{} subscribed to {pat}", msg.source),
                 );
-                let _ = ctx.reply(call, Message::new(ds::ACK).with_param(0, ds_status::OK));
+                let _ = ctx.reply(call, ack(ds_status::OK));
             }
             ds::CHECK => {
                 let q = self.pending.entry(msg.source).or_default();
                 let reply = match q.pop_front() {
-                    Some((key, ep, rid, span)) => {
-                        let (s, g) = pack_endpoint(ep);
-                        Message::new(ds::CHECK_REPLY)
-                            .with_param(0, ds_status::OK)
-                            .with_param(1, s)
-                            .with_param(2, g)
-                            .with_param(3, rid)
-                            .with_param(4, span)
-                            .with_data(key.into_bytes())
+                    Some((key, ep, recovery, span)) => {
+                        let (slot, generation) = pack_endpoint(ep);
+                        let update = ds::CheckReply {
+                            status: ds_status::OK,
+                            slot,
+                            generation,
+                            recovery,
+                            span,
+                        };
+                        update.into_message().with_data(key.into_bytes())
                     }
-                    None => Message::new(ds::CHECK_REPLY).with_param(0, ds_status::NO_UPDATE),
+                    None => {
+                        let drained = ds::CheckReply {
+                            status: ds_status::NO_UPDATE,
+                            ..Default::default()
+                        };
+                        drained.into_message()
+                    }
                 };
                 let _ = ctx.reply(call, reply);
             }
@@ -397,10 +413,7 @@ impl Process for DataStore {
                 let _ = ctx.reply(call, reply);
             }
             _ => {
-                let _ = ctx.reply(
-                    call,
-                    Message::new(ds::ACK).with_param(0, ds_status::BAD_REQUEST),
-                );
+                let _ = ctx.reply(call, ack(ds_status::BAD_REQUEST));
             } // [recovery:end]
         }
     }

@@ -394,13 +394,12 @@ impl Inet {
                 sh.gate.mark_dirty();
             }
             if let Some(call) = reply_call {
-                sh.reply(
-                    ctx,
-                    call,
-                    Message::new(sock::CONNECT_REPLY)
-                        .with_param(0, 0)
-                        .with_param(1, u64::from(conn_id)),
-                );
+                let conn = u64::from(conn_id);
+                let reply = sock::ConnectReply {
+                    conn,
+                    ..Default::default()
+                };
+                sh.reply(ctx, call, reply.into_message());
             }
             return;
         }
@@ -430,13 +429,9 @@ impl Inet {
                 sh.gate.mark_dirty();
                 ctx.metrics()
                     .add("inet.stream_bytes", seg.payload.len() as u64);
-                sh.push(
-                    ctx,
-                    app,
-                    Message::new(sock::DATA)
-                        .with_param(0, u64::from(conn_id))
-                        .with_data(seg.payload),
-                );
+                let conn = u64::from(conn_id);
+                let data = sock::Data { conn }.into_message();
+                sh.push(ctx, app, data.with_data(seg.payload));
             } else {
                 ctx.metrics().incr("inet.out_of_order");
             }
@@ -449,15 +444,21 @@ impl Inet {
                 conn.rcv_nxt = conn.rcv_nxt.wrapping_add(1);
                 let app = conn.app;
                 sh.gate.mark_dirty();
-                sh.push(
-                    ctx,
-                    app,
-                    Message::new(sock::CLOSED).with_param(0, u64::from(conn_id)),
-                );
+                let conn = u64::from(conn_id);
+                sh.push(ctx, app, sock::Closed { conn }.into_message());
             }
             self.send_ack(ctx, conn_id);
         }
     }
+}
+
+/// The socket acknowledgement of `status`.
+fn ack(status: u64) -> Message {
+    let ack = sock::Ack {
+        status,
+        driver_died: 0,
+    };
+    ack.into_message()
 }
 
 impl ServerLogic for Inet {
@@ -572,8 +573,9 @@ impl ServerLogic for Inet {
             ProcEvent::Reply { call, result } => {
                 if Some(call) == self.init_call {
                     self.init_call = None;
-                    match result {
-                        Ok(reply) if reply.mtype == eth::INIT_REPLY && reply.param(0) == 0 => {
+                    let init = result.as_ref().ok().and_then(eth::InitReply::from_message);
+                    match init {
+                        Some(init) if init.status == 0 => {
                             self.driver_ready = true;
                             self.init_epoch += 1; // disarm the retry alarm
                             let ev = ctx
@@ -704,18 +706,16 @@ impl ServerLogic for Inet {
                         // Every 16-bit id is live: refuse rather than
                         // silently reuse an open session's id.
                         ctx.metrics().incr("inet.conns_exhausted");
-                        sh.reply(
-                            ctx,
-                            call,
-                            Message::new(sock::CONNECT_REPLY)
-                                .with_param(0, 1)
-                                .with_param(1, 0),
-                        );
+                        let refused = sock::ConnectReply {
+                            status: 1,
+                            ..Default::default()
+                        };
+                        sh.reply(ctx, call, refused.into_message());
                     }
                 }
             }
             sock::SEND => {
-                let conn_id = msg.param(0) as u16;
+                let conn_id = sock::Send::from_message(&msg).map_or(0, |s| s.conn) as u16;
                 let ok = match self.session.conn_mut(conn_id) {
                     Some(conn) if conn.established => {
                         conn.snd_buf.extend_from_slice(&msg.data);
@@ -727,14 +727,10 @@ impl ServerLogic for Inet {
                     sh.gate.mark_dirty();
                     self.send_unacked(ctx, conn_id);
                 }
-                sh.reply(
-                    ctx,
-                    call,
-                    Message::new(sock::ACK).with_param(0, u64::from(!ok)),
-                );
+                sh.reply(ctx, call, ack(u64::from(!ok)));
             }
             sock::CLOSE => {
-                let conn_id = msg.param(0) as u16;
+                let conn_id = sock::Close::from_message(&msg).map_or(0, |c| c.conn) as u16;
                 if self.session.conn(conn_id).is_some() {
                     self.free_conn(conn_id);
                     sh.gate.mark_dirty();
@@ -742,7 +738,7 @@ impl ServerLogic for Inet {
                 }
                 // Idempotent: a CLOSE replayed after a session restore
                 // (or re-sent by the app) is status 0 as well.
-                sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
+                sh.reply(ctx, call, ack(0));
             }
             sock::DGRAM_SEND => {
                 if self.session.dgram_app != Some(msg.source) {
@@ -752,17 +748,17 @@ impl ServerLogic for Inet {
                 let seg = Segment {
                     flags: flags::DGRAM,
                     conn: 0,
-                    seq: msg.param(1) as u32,
+                    seq: sock::DgramSend::from_message(&msg).map_or(0, |d| d.seq) as u32,
                     ack: 0,
                     payload: msg.data.clone(),
                 };
                 // Unreliable: fire and forget; loss is explicitly
                 // tolerated (§6.1).
                 self.send_segment(ctx, seg);
-                sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 0));
+                sh.reply(ctx, call, ack(0));
             }
             _ => {
-                sh.reply(ctx, call, Message::new(sock::ACK).with_param(0, 22));
+                sh.reply(ctx, call, ack(22));
             }
         }
     }

@@ -151,16 +151,16 @@ impl DsWatch {
             return None;
         }
         self.check_call = None;
-        let update = match result {
-            Ok(reply) if reply.mtype == ds::CHECK_REPLY && reply.param(0) == 0 => Some(DsUpdate {
-                key: String::from_utf8_lossy(&reply.data).to_string(),
-                endpoint: unpack_endpoint(reply.param(1), reply.param(2)),
-                recovery: RecoveryId::from_wire(reply.param(3)),
-                parent: SpanId::from_wire(reply.param(4)),
-            }),
-            _ => None,
+        let Ok(reply) = result else {
+            return Some(None);
         };
-        Some(update)
+        let update = ds::CheckReply::from_message(reply).filter(|u| u.status == 0);
+        Some(update.map(|u| DsUpdate {
+            key: String::from_utf8_lossy(&reply.data).to_string(),
+            endpoint: unpack_endpoint(u.slot, u.generation),
+            recovery: RecoveryId::from_wire(u.recovery),
+            parent: SpanId::from_wire(u.span),
+        }))
     }
 }
 

@@ -128,6 +128,16 @@ pub trait Volume: Default {
     fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)>;
 }
 
+/// The DATA_REPLY of `status` and byte `count`.
+fn data_reply(status: u64, count: u64) -> Message {
+    let reply = fs::DataReply {
+        status,
+        count,
+        ..Default::default()
+    };
+    reply.into_message()
+}
+
 /// Byte-sum of the 16-byte request descriptor the driver validates —
 /// mirrors the checksum `routines::disk_request` computes, so the file
 /// server can cross-check the driver's echoed value.
@@ -339,11 +349,14 @@ impl<V: Volume> FileServer<V> {
                 return;
             }
         };
-        let mtype = if write { bdev::WRITE } else { bdev::READ };
-        let msg = Message::new(mtype)
-            .with_param(0, a.chunk_lba)
-            .with_param(1, a.chunk_sectors)
-            .with_param(2, u64::from(grant.0));
+        let msg = {
+            let (lba, count, grant) = (a.chunk_lba, a.chunk_sectors, u64::from(grant.0));
+            if write {
+                bdev::Write { lba, count, grant }.into_message()
+            } else {
+                bdev::Read { lba, count, grant }.into_message()
+            }
+        };
         let seq = self.next_seq;
         self.next_seq += 1;
         match ctx.sendrec(driver, msg) {
@@ -421,22 +434,18 @@ impl<V: Volume> FileServer<V> {
             }
             OpKind::Read { client } => {
                 let reply = if st == status::OK {
-                    Message::new(fs::DATA_REPLY)
-                        .with_param(0, status::OK)
-                        .with_param(1, a.assembled.len() as u64)
-                        .with_data(a.assembled)
+                    let count = a.assembled.len() as u64;
+                    data_reply(status::OK, count).with_data(a.assembled)
                 } else {
-                    Message::new(fs::DATA_REPLY).with_param(0, st)
+                    data_reply(st, 0)
                 };
                 sh.reply(ctx, client, reply);
             }
             OpKind::Write { client, data } => {
                 let reply = if st == status::OK {
-                    Message::new(fs::DATA_REPLY)
-                        .with_param(0, status::OK)
-                        .with_param(1, data.len() as u64)
+                    data_reply(status::OK, data.len() as u64)
                 } else {
-                    Message::new(fs::DATA_REPLY).with_param(0, st)
+                    data_reply(st, 0)
                 };
                 sh.reply(ctx, client, reply);
             }
@@ -498,28 +507,33 @@ impl<V: Volume> FileServer<V> {
             return;
         }
         while let Some((call, msg)) = self.queue.pop_front() {
-            let status_reply = |st: u64| Message::new(fs::DATA_REPLY).with_param(0, st);
             match msg.mtype {
                 fs::OPEN => {
                     let name = V::canonical_name(&msg.data);
-                    let reply = match self.files.iter().position(|i| i.name == name) {
-                        Some(idx) => Message::new(fs::OPEN_REPLY)
-                            .with_param(0, status::OK)
-                            .with_param(1, idx as u64)
-                            .with_param(2, self.files[idx].size),
-                        None => Message::new(fs::OPEN_REPLY).with_param(0, status::ENODEV),
+                    let opened = self.files.iter().position(|i| i.name == name);
+                    let reply = match opened {
+                        Some(idx) => fs::OpenReply {
+                            status: status::OK,
+                            ino: idx as u64,
+                            size: self.files[idx].size,
+                        },
+                        None => fs::OpenReply {
+                            status: status::ENODEV,
+                            ..Default::default()
+                        },
                     };
-                    sh.reply(ctx, call, reply);
+                    sh.reply(ctx, call, reply.into_message());
                 }
                 fs::READ => {
-                    let (ino, offset, len) = (msg.param(0) as usize, msg.param(1), msg.param(2));
+                    let read = fs::Read::from_message(&msg).unwrap_or_default();
+                    let (ino, offset, len) = (read.ino as usize, read.offset, read.len);
                     let Some(inode) = self.files.get(ino) else {
-                        sh.reply(ctx, call, status_reply(status::EINVAL));
+                        sh.reply(ctx, call, data_reply(status::EINVAL, 0));
                         continue;
                     };
                     let len = len.min(inode.size.saturating_sub(offset));
                     if len == 0 {
-                        sh.reply(ctx, call, status_reply(status::OK).with_param(1, 0));
+                        sh.reply(ctx, call, data_reply(status::OK, 0));
                         continue;
                     }
                     ctx.metrics().incr(V::NAMES.reads);
@@ -531,7 +545,8 @@ impl<V: Volume> FileServer<V> {
                 fs::WRITE => {
                     // In place only: sector-aligned and inside the file's
                     // extents, which holds for either format's table.
-                    let (ino, offset) = (msg.param(0) as usize, msg.param(1));
+                    let write = fs::Write::from_message(&msg).unwrap_or_default();
+                    let (ino, offset) = (write.ino as usize, write.offset);
                     let data = msg.data;
                     let len = data.len() as u64;
                     let aligned = offset % SECTOR as u64 == 0 && data.len() % SECTOR == 0;
@@ -540,7 +555,7 @@ impl<V: Volume> FileServer<V> {
                         .get(ino)
                         .is_some_and(|i| offset.checked_add(len).is_some_and(|end| end <= i.size));
                     if data.is_empty() || !aligned || !in_file {
-                        sh.reply(ctx, call, status_reply(status::EINVAL));
+                        sh.reply(ctx, call, data_reply(status::EINVAL, 0));
                         continue;
                     }
                     ctx.metrics().incr(V::NAMES.writes);
@@ -549,7 +564,7 @@ impl<V: Volume> FileServer<V> {
                     self.start_next_chunk(sh, ctx);
                     return;
                 }
-                _ => sh.reply(ctx, call, status_reply(status::EINVAL)),
+                _ => sh.reply(ctx, call, data_reply(status::EINVAL, 0)),
             }
         }
     }
@@ -564,9 +579,8 @@ impl<V: Volume> FileServer<V> {
         // reply can be lost in flight, and an unguarded await would leave
         // the server sitting on client requests with no call open — exactly what
         // the RS progress audit convicts.
-        self.open_call = ctx
-            .sendrec(ep, Message::new(bdev::OPEN).with_param(0, 0))
-            .ok();
+        let open = bdev::Open { minor: 0 }.into_message();
+        self.open_call = ctx.sendrec(ep, open).ok();
         if self.open_call.is_some() {
             let seq = self.next_seq;
             self.next_seq += 1;
@@ -621,29 +635,29 @@ impl<V: Volume> FileServer<V> {
                     return;
                 };
                 a.driver_call = None;
-                if reply.mtype != bdev::REPLY {
+                let Some(reply) = bdev::Reply::from_message(&reply) else {
                     // Protocol violation: unexpected message type.
                     a.waiting_driver = true;
                     self.complain(sh, ctx, evidence::BAD_REPLY, "unexpected reply type");
                     return;
-                }
-                match reply.param(0) {
+                };
+                match reply.status {
                     status::OK => {
                         let is_write = matches!(a.kind, OpKind::Write { .. });
                         let is_mount = matches!(a.kind, OpKind::Mount);
                         let bytes = (a.chunk_sectors * SECTOR as u64) as usize;
                         let expect_sum =
                             descriptor_sum(a.chunk_lba, a.chunk_sectors, self.capacity);
-                        if reply.param(1) as usize != bytes {
+                        if reply.count as usize != bytes {
                             a.waiting_driver = true;
                             self.complain(sh, ctx, evidence::SHORT_TRANSFER, "short transfer");
                             return;
                         }
                         // Sentinel: the driver echoes the checksum of the
-                        // request descriptor it validated (params[2] =
-                        // 1 + sum, 0 = no echo); a disagreement means its
-                        // validation path computed garbage.
-                        let echo = reply.param(2);
+                        // request descriptor it validated (1 + sum, 0 = no
+                        // echo); a disagreement means its validation path
+                        // computed garbage.
+                        let echo = reply.csum_echo;
                         if echo != 0 && echo != 1 + u64::from(expect_sum) {
                             self.csum_violation(sh, ctx, "descriptor checksum echo mismatch");
                             return;
@@ -780,12 +794,15 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                 if Some(call) == self.open_call {
                     self.open_call = None;
                     self.open_seq = None;
-                    match result {
-                        Ok(reply) if reply.mtype == bdev::REPLY && reply.param(0) == status::OK => {
+                    let opened = result.as_ref().map(|reply| {
+                        bdev::Reply::from_message(reply).filter(|r| r.status == status::OK)
+                    });
+                    match opened {
+                        Ok(Some(reply)) => {
                             self.driver_open = true;
                             // OPEN replies carry the device capacity, which
                             // feeds the descriptor-checksum cross-check.
-                            self.capacity = reply.param(1);
+                            self.capacity = reply.count;
                             // [recovery:begin]
                             // Reissue the pending request, then resume
                             // normal operation (§6.2). The episode id is
@@ -808,7 +825,7 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                             }
                             // [recovery:end]
                         }
-                        Ok(_) => {
+                        Ok(None) => {
                             // A restarted driver answering its reopen with
                             // garbage is as defective as one that never
                             // answers: complain so RS replaces it instead

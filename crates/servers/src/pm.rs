@@ -30,6 +30,17 @@ pub mod pm_status {
     pub const DENIED: u64 = 13;
 }
 
+/// The START_REPLY of `status`, naming the started endpoint if any.
+fn start_reply(status: u64, started: Option<Endpoint>) -> Message {
+    let (slot, generation) = started.map_or((0, 0), pack_endpoint);
+    let reply = pm::StartReply {
+        status,
+        slot,
+        generation,
+    };
+    reply.into_message()
+}
+
 /// The process manager's logic; run it as `Server<ProcessManager>`. Its
 /// externalised state (crash-only contract) is the reaper binding and
 /// the started-service records, saved on every change so a restarted PM
@@ -132,17 +143,16 @@ impl ServerLogic for ProcessManager {
                 // the SIGCHLD + wait() path that makes defect classes 1-3
                 // immediately visible (§5.1).
                 if let Some(reaper) = self.reaper {
-                    let (kind, detail) = Self::encode_reason(&status.reason);
-                    let (s, g) = pack_endpoint(status.endpoint);
-                    let _ = ctx.send(
-                        reaper,
-                        Message::new(pm::SIGCHLD)
-                            .with_param(0, s)
-                            .with_param(1, g)
-                            .with_param(2, kind)
-                            .with_param(3, detail)
-                            .with_data(status.name.into_bytes()),
-                    );
+                    let (reason, detail) = Self::encode_reason(&status.reason);
+                    let (slot, generation) = pack_endpoint(status.endpoint);
+                    let exit = pm::Sigchld {
+                        slot,
+                        generation,
+                        reason,
+                        detail,
+                    };
+                    let name = status.name.into_bytes();
+                    let _ = ctx.send(reaper, exit.into_message().with_data(name));
                 }
             }
             _ => {}
@@ -156,15 +166,11 @@ impl ServerLogic for ProcessManager {
             pm::START => {
                 // Only the registered reaper (RS) may start services.
                 if self.reaper != Some(msg.source) {
-                    sh.reply(
-                        ctx,
-                        call,
-                        Message::new(pm::START_REPLY).with_param(0, pm_status::DENIED),
-                    );
+                    sh.reply(ctx, call, start_reply(pm_status::DENIED, None));
                     return;
                 }
                 let program = String::from_utf8_lossy(&msg.data).to_string();
-                let version = match msg.param(0) {
+                let version = match pm::Start::from_message(&msg).map_or(0, |s| s.version) {
                     0 => None,
                     v => Some(v as u32),
                 };
@@ -172,36 +178,24 @@ impl ServerLogic for ProcessManager {
                     Ok(ep) => {
                         self.records.insert(program, ep);
                         sh.gate.mark_dirty();
-                        let (s, g) = pack_endpoint(ep);
-                        sh.reply(
-                            ctx,
-                            call,
-                            Message::new(pm::START_REPLY)
-                                .with_param(0, pm_status::OK)
-                                .with_param(1, s)
-                                .with_param(2, g),
-                        );
+                        sh.reply(ctx, call, start_reply(pm_status::OK, Some(ep)));
                     }
                     Err(_) => {
-                        sh.reply(
-                            ctx,
-                            call,
-                            Message::new(pm::START_REPLY).with_param(0, pm_status::NO_PROGRAM),
-                        );
+                        sh.reply(ctx, call, start_reply(pm_status::NO_PROGRAM, None));
                     }
                 }
             }
             pm::KILL => {
                 if self.reaper != Some(msg.source) {
-                    sh.reply(
-                        ctx,
-                        call,
-                        Message::new(pm::KILL_REPLY).with_param(0, pm_status::DENIED),
-                    );
+                    let denied = pm::KillReply {
+                        status: pm_status::DENIED,
+                    };
+                    sh.reply(ctx, call, denied.into_message());
                     return;
                 }
-                let target = unpack_endpoint(msg.param(0), msg.param(1));
-                let signal = if msg.param(2) == 1 {
+                let kill = pm::Kill::from_message(&msg).unwrap_or_default();
+                let target = unpack_endpoint(kill.slot, kill.generation);
+                let signal = if kill.signal == 1 {
                     Signal::Kill
                 } else {
                     Signal::Term
@@ -210,14 +204,13 @@ impl ServerLogic for ProcessManager {
                     Ok(()) => pm_status::OK,
                     Err(_) => pm_status::NO_PROCESS,
                 };
-                sh.reply(ctx, call, Message::new(pm::KILL_REPLY).with_param(0, st));
+                sh.reply(ctx, call, pm::KillReply { status: st }.into_message());
             }
             _ => {
-                sh.reply(
-                    ctx,
-                    call,
-                    Message::new(pm::KILL_REPLY).with_param(0, pm_status::DENIED),
-                );
+                let denied = pm::KillReply {
+                    status: pm_status::DENIED,
+                };
+                sh.reply(ctx, call, denied.into_message());
             }
         }
     }

@@ -92,10 +92,11 @@ use self::decide::{
     Accusation, Accused, Arbiter, Escalation, Grounds, Repair, RestartRecord, Rung, Verdict,
     Window, EXEC_LATENCY,
 };
+use crate::pm::pm_status;
 use crate::policy::{
     reason, AdaptParam, AdaptSignal, PolicyDecision, PolicyInput, PolicyParams, PolicyScript,
 };
-use crate::proto::{ds, evidence, pm, rs as rsp, unpack_endpoint, Complaint};
+use crate::proto::{ds, evidence, pack_endpoint, pm, rs as rsp, unpack_endpoint, Complaint};
 
 /// Configuration of one guarded service, as passed to the `service`
 /// utility in MINIX (§5: "the driver's binary, a stable name, the process'
@@ -290,6 +291,12 @@ impl Episode {
             died_at: Some(ctx.now()),
         }
     }
+
+    /// The token and root span of `episode` as wire values; `(0, 0)` for a
+    /// boot-time start, which has none.
+    fn wire(episode: Option<Episode>) -> (u64, u64) {
+        episode.map_or((0, 0), |e| (e.rid.as_u64(), e.span.as_u64()))
+    }
 }
 
 /// Whom an RS event is about: a stable name and its most recent episode
@@ -419,41 +426,9 @@ fn token_seq(kind: u64, seq: u16, idx: usize) -> u64 {
     (kind << 32) | (u64::from(seq) << 16) | idx as u64
 }
 
-/// The `pm::KILL` request for `ep`: SIGTERM if `term`, else SIGKILL.
-fn pm_kill(ep: Endpoint, term: bool) -> Message {
-    Message::new(pm::KILL)
-        .with_param(0, u64::from(ep.slot()))
-        .with_param(1, u64::from(ep.generation()))
-        .with_param(2, u64::from(!term))
-}
-
-/// The `ds::PUBLISH` request binding `key` to `ep`. The episode's token
-/// and root span ride in spare parameters so DS — and, through DS's
-/// update notifications, every dependent — can tag its own reintegration
-/// events with the same episode id.
-fn ds_publish(key: Vec<u8>, ep: Endpoint, episode: Option<Episode>) -> Message {
-    Message::new(ds::PUBLISH)
-        .with_param(0, u64::from(ep.slot()))
-        .with_param(1, u64::from(ep.generation()))
-        .with_param(2, episode.map_or(0, |e| e.rid.as_u64()))
-        .with_param(3, episode.map_or(0, |e| e.span.as_u64()))
-        .with_data(key)
-}
-
 /// What one of RS's own calls came back with: the reply message, or the
 /// abort error.
 type CallResult = Result<Message, IpcError>;
-
-/// The fresh incarnation a PM_START reply announces, if it is a
-/// well-formed success.
-fn started(result: &CallResult) -> Option<Endpoint> {
-    match result {
-        Ok(reply) if reply.mtype == pm::START_REPLY && reply.param(0) == 0 => {
-            Some(unpack_endpoint(reply.param(1), reply.param(2)))
-        }
-        _ => None,
-    }
-}
 
 /// Most unmatched dead endpoints remembered for early-death reconciliation.
 const EARLY_DEATHS_CAP: usize = 64;
@@ -631,8 +606,8 @@ impl ReincarnationServer {
         }
         let name = &svc.cfg.program;
         let version = svc.next_version.take().map_or(0, u64::from);
-        let msg = Message::new(pm::START)
-            .with_param(0, version)
+        let msg = pm::Start { version }
+            .into_message()
             .with_data(name.clone().into_bytes());
         match ctx.sendrec(self.pm, msg) {
             Ok(call) => {
@@ -685,7 +660,14 @@ impl ReincarnationServer {
             return;
         };
         self.arbiter.clear(idx);
-        if let Ok(call) = ctx.sendrec(self.pm, pm_kill(ep, term)) {
+        let (slot, generation) = pack_endpoint(ep);
+        let signal = u64::from(!term);
+        let kill = pm::Kill {
+            slot,
+            generation,
+            signal,
+        };
+        if let Ok(call) = ctx.sendrec(self.pm, kill.into_message()) {
             self.calls.insert(call, (Call::Kill, idx));
         }
     }
@@ -699,7 +681,13 @@ impl ReincarnationServer {
             TraceLevel::Warn,
             format!("killing ghost incarnation {ep} from an abandoned start"),
         );
-        let _ = ctx.sendrec(self.pm, pm_kill(ep, false));
+        let (slot, generation) = pack_endpoint(ep);
+        let kill = pm::Kill {
+            slot,
+            generation,
+            signal: 1,
+        };
+        let _ = ctx.sendrec(self.pm, kill.into_message());
     }
 
     fn publish(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
@@ -709,8 +697,19 @@ impl ReincarnationServer {
             _ => 0,
         };
         svc.pending_publish = Some(PendingPublish { ep, attempts });
+        // The episode rides along so DS — and, through DS's update
+        // notifications, every dependent — can tag its own reintegration
+        // events with the same episode id.
+        let ((slot, generation), (recovery, span)) =
+            (pack_endpoint(ep), Episode::wire(svc.episode));
+        let publish = ds::Publish {
+            slot,
+            generation,
+            recovery,
+            span,
+        };
         let key = svc.cfg.publish_key.clone().into_bytes();
-        if let Ok(call) = ctx.sendrec(self.ds, ds_publish(key, ep, svc.episode)) {
+        if let Ok(call) = ctx.sendrec(self.ds, publish.into_message().with_data(key)) {
             self.calls.insert(call, (Call::Publish, idx));
         }
         // Verify the acknowledgement arrives; re-publish if it does not.
@@ -1083,7 +1082,9 @@ impl ReincarnationServer {
         name: &str,
     ) -> u64 {
         let source = msg.source;
-        let complaint = Complaint::decode(msg);
+        let Some(complaint) = Complaint::decode(msg) else {
+            return 22; // EINVAL: not a complaint
+        };
         let kind = complaint.kind;
         let accuser_idx = self.service_by_endpoint(source);
         let accusation = Accusation {
@@ -1190,7 +1191,13 @@ impl ReincarnationServer {
             TraceLevel::Info,
             format!("retiring stale spare {ep} of {name}"),
         );
-        let _ = ctx.sendrec(self.pm, pm_kill(ep, false));
+        let (slot, generation) = pack_endpoint(ep);
+        let kill = pm::Kill {
+            slot,
+            generation,
+            signal: 1,
+        };
+        let _ = ctx.sendrec(self.pm, kill.into_message());
     }
 
     /// Spawns the warm spare incarnation for a hot-standby service. The
@@ -1207,8 +1214,8 @@ impl ReincarnationServer {
             return;
         }
         let program = format!("standby.{}", svc.cfg.program);
-        let msg = Message::new(pm::START)
-            .with_param(0, 0)
+        let msg = pm::Start { version: 0 }
+            .into_message()
             .with_data(program.into_bytes());
         if let Ok(call) = ctx.sendrec(self.pm, msg) {
             svc.spare_pending = true;
@@ -1221,8 +1228,9 @@ impl ReincarnationServer {
         let svc = &mut self.services[idx];
         svc.spare_pending = false;
         let name = &svc.cfg.program;
-        let Some(ep) = started(&result) else {
-            if result.is_ok_and(|reply| reply.mtype == pm::START_REPLY) {
+        let reply = result.as_ref().ok().and_then(pm::StartReply::from_message);
+        let Some(spare) = reply.filter(|r| r.status == pm_status::OK) else {
+            if reply.is_some() {
                 // PM says the standby program cannot run (most likely no
                 // `standby.<program>` registry entry): disable hot
                 // standby for this service instead of spawn-looping.
@@ -1239,6 +1247,7 @@ impl ReincarnationServer {
             }
             return;
         };
+        let ep = unpack_endpoint(spare.slot, spare.generation);
         if !svc.cfg.hot_standby || svc.state != SvcState::Up || svc.spare.is_some() {
             // The primary died (or the spare slot was filled) while this
             // spawn was in flight; the incarnation is a ghost.
@@ -1254,9 +1263,16 @@ impl ReincarnationServer {
         // owner-authenticate its tail reads against the live endpoint
         // generation, then start the tail loop.
         let standby_key = format!("standby.{}", svc.cfg.publish_key);
-        let _ = ctx.sendrec(self.ds, ds_publish(standby_key.into_bytes(), ep, None));
-        let arm = Message::new(drv::STANDBY).with_param(0, SPARE_TAIL_PERIOD.as_micros());
-        let _ = ctx.send(ep, arm);
+        let (slot, generation) = pack_endpoint(ep);
+        let publish = ds::Publish {
+            slot,
+            generation,
+            ..Default::default()
+        };
+        let publish = publish.into_message().with_data(standby_key.into_bytes());
+        let _ = ctx.sendrec(self.ds, publish);
+        let period_us = SPARE_TAIL_PERIOD.as_micros();
+        let _ = ctx.send(ep, drv::Standby { period_us }.into_message());
     }
 
     /// Marks service `idx` up as incarnation `ep` and returns the fresh
@@ -1294,11 +1310,8 @@ impl ReincarnationServer {
         // Tell the spare to go live: deferred device init, fault-port
         // publish under the primary name, stop tailing, adopt the
         // tailed watermark as warm state.
-        let episode = svc.episode;
-        let go = Message::new(drv::PROMOTE)
-            .with_param(0, episode.map_or(0, |e| e.rid.as_u64()))
-            .with_param(1, episode.map_or(0, |e| e.span.as_u64()));
-        let _ = ctx.send(ep, go);
+        let (recovery, span) = Episode::wire(svc.episode);
+        let _ = ctx.send(ep, drv::Promote { recovery, span }.into_message());
         // Publish before dependents are notified (§5.3), verified like
         // any other publish.
         self.publish(ctx, idx, ep);
@@ -1399,10 +1412,16 @@ impl ReincarnationServer {
     /// owner authentication. DS is in the never-restarted trusted base,
     /// so this skips the verified-publish ladder used for services.
     fn publish_pm(&mut self, ctx: &mut Ctx<'_>) {
-        let _ = ctx.sendrec(
-            self.ds,
-            ds_publish(PM_NAME.into(), self.pm, self.pm_episode),
-        );
+        let ((slot, generation), (recovery, span)) =
+            (pack_endpoint(self.pm), Episode::wire(self.pm_episode));
+        let publish = ds::Publish {
+            slot,
+            generation,
+            recovery,
+            span,
+        };
+        let publish = publish.into_message().with_data(PM_NAME.into());
+        let _ = ctx.sendrec(self.ds, publish);
     }
 
     /// PM defect entry point — recursive recovery. RS cannot ask PM to
@@ -1462,10 +1481,11 @@ impl ReincarnationServer {
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         match msg.mtype {
             pm::SIGCHLD => {
-                let ep = unpack_endpoint(msg.param(0), msg.param(1));
+                let exit = pm::Sigchld::from_message(msg).unwrap_or_default();
+                let ep = unpack_endpoint(exit.slot, exit.generation);
                 if let Some(idx) = self.service_by_endpoint(ep) {
                     // Defect classes 1-3 (§5.1) from the exit status.
-                    let observed = match msg.param(2) {
+                    let observed = match exit.reason {
                         0 | 1 => reason::EXIT,
                         2 => reason::EXCEPTION,
                         _ => reason::KILLED,
@@ -1562,7 +1582,7 @@ impl ReincarnationServer {
         if let Some(ep) = svc.endpoint {
             // Nonblocking status request (§5.1): a sick driver can never
             // hang RS.
-            let _ = ctx.send(ep, Message::new(drv::HB_PING).with_param(0, nonce));
+            let _ = ctx.send(ep, drv::HbPing { nonce }.into_message());
         }
         let _ = ctx.set_alarm(period, token_seq(TOK_HB, epoch, idx));
     }
@@ -1770,7 +1790,9 @@ impl ReincarnationServer {
                 // is running unguarded. Never kill the endpoint we
                 // currently guard: the "orphan" may be the very call
                 // whose timeout raced its reply.
-                if let Some(ghost) = started(&result) {
+                let reply = result.as_ref().ok().and_then(pm::StartReply::from_message);
+                if let Some(ghost) = reply.filter(|r| r.status == pm_status::OK) {
+                    let ghost = unpack_endpoint(ghost.slot, ghost.generation);
                     if self.services[idx].endpoint != Some(ghost) {
                         self.kill_ghost(ctx, ghost);
                     }
@@ -1778,12 +1800,14 @@ impl ReincarnationServer {
             }
             Call::Kill => self.kill_replied(ctx, idx, result),
             Call::SpareStart => self.complete_spare_start(ctx, idx, result),
-            Call::Promote => match result {
-                Ok(reply)
-                    if reply.mtype == ckpt::PROMOTE_REPLY && reply.param(0) == ckpt_status::OK =>
-                {
+            Call::Promote => match result
+                .as_ref()
+                .ok()
+                .and_then(ckpt::PromoteReply::from_message)
+            {
+                Some(reply) if reply.status == ckpt_status::OK => {
                     ctx.metrics()
-                        .add("rs.standby.records_adopted", reply.param(1));
+                        .add("rs.standby.records_adopted", reply.adopted);
                 }
                 _ => {
                     // The snapshot re-frame failed (no records, DS died
@@ -1800,7 +1824,8 @@ impl ReincarnationServer {
             },
             Call::Publish => {
                 let svc = &mut self.services[idx];
-                if result.is_ok_and(|reply| reply.mtype == ds::ACK && reply.param(0) == 0) {
+                let ack = result.as_ref().ok().and_then(ds::Ack::from_message);
+                if ack.is_some_and(|ack| ack.status == 0) {
                     if svc.pending_publish.take().is_some() {
                         ctx.metrics().incr("rs.publish_verified");
                     }
@@ -1819,25 +1844,27 @@ impl ReincarnationServer {
 
     /// The reply to the tracked PM_START call of service `idx`.
     fn start_replied(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
-        if let Some(ep) = started(&result) {
+        let reply = result.as_ref().ok().and_then(pm::StartReply::from_message);
+        if let Some(started) = reply.filter(|r| r.status == pm_status::OK) {
+            let ep = unpack_endpoint(started.slot, started.generation);
             return self.complete_start(ctx, idx, ep);
         }
         let svc = &mut self.services[idx];
         svc.current_start = None;
         let name = &svc.cfg.program;
-        match result {
-            Ok(reply) if reply.mtype == pm::START_REPLY => {
+        match (reply, result) {
+            (Some(reply), _) => {
                 // A well-formed failure status (unknown program, denied)
                 // is PM telling the truth: the service cannot run.
                 svc.state = SvcState::GivenUp;
                 ctx.metrics().incr("rs.gave_up");
-                let status = reply.param(0);
+                let status = reply.status;
                 ctx.trace(
                     TraceLevel::Error,
                     format!("failed to start {name}: status {status}"),
                 );
             }
-            Ok(reply) => {
+            (None, Ok(reply)) => {
                 // Wrong reply type: PM is garbling. The start outcome is
                 // unknown, so retry it, and treat the garble as a PM
                 // defect (high-confidence evidence — RS observed it
@@ -1851,7 +1878,7 @@ impl ReincarnationServer {
                 self.arm_restart(ctx, idx, RETRY_DELAY);
                 self.recover_pm(ctx, reason::COMPLAINT, false);
             }
-            Err(_) => {
+            (None, Err(_)) => {
                 // The rendezvous aborted: PM died with the call open.
                 // Re-arm the start; PM recovery (exit report or audit)
                 // runs in parallel.
@@ -1871,14 +1898,15 @@ impl ReincarnationServer {
     /// The reply to an RS kill of service `idx`.
     fn kill_replied(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
         let Ok(reply) = result else { return };
-        let svc = &self.services[idx];
-        if reply.mtype != pm::KILL_REPLY {
+        let Some(reply) = pm::KillReply::from_message(&reply) else {
             // Garbled kill reply: a PM defect. The kill's real outcome is
             // unknown; the liveness audit reconciles the target either
             // way.
             ctx.metrics().incr("rs.pm_garbled_replies");
-            self.recover_pm(ctx, reason::COMPLAINT, false);
-        } else if reply.param(0) == crate::pm::pm_status::NO_PROCESS && svc.state == SvcState::Up {
+            return self.recover_pm(ctx, reason::COMPLAINT, false);
+        };
+        let svc = &self.services[idx];
+        if reply.status == pm_status::NO_PROCESS && svc.state == SvcState::Up {
             // PM said NO_PROCESS while RS still thinks the service is up:
             // the exit report was lost. Synthesize the defect rather than
             // wait for the audit.
@@ -1937,7 +1965,7 @@ impl ReincarnationServer {
             (rsp::COMPLAIN, i) => st = self.on_complaint(ctx, msg, i, &name),
             _ => st = 22, // EINVAL / unknown service
         }
-        let _ = ctx.reply(call, Message::new(rsp::ACK).with_param(0, st));
+        let _ = ctx.reply(call, rsp::Ack { status: st }.into_message());
     }
 
     /// Starts a service that is not up on the operator's word. On a

@@ -10,7 +10,6 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_ckpt::proto::wal_params;
 use phoenix_drivers::proto::{cdev, status};
 use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
@@ -19,7 +18,7 @@ use phoenix_simcore::trace::TraceLevel;
 use phoenix_simcore::wire::{Len, Reader, Writer};
 
 use crate::libserver::{DsUpdate, Names, ServerLogic, Shell};
-use crate::proto::{self, evidence, fs, DEV_TABLE, DRIVER_DIED_PARAM, FAT_ROUTE, ROUTE_PARAM};
+use crate::proto::{self, evidence, fs, DEV_TABLE, FAT_ROUTE};
 
 #[derive(Debug, Clone)]
 struct Forward {
@@ -63,13 +62,13 @@ fn byte_sum(data: &[u8]) -> u32 {
 /// Validates a char-driver reply against the sentinel expectation.
 /// Returns the evidence class and description of the violation, if any.
 fn vet_reply(exp: &SentinelExpect, reply: &Message) -> Option<(u32, &'static str)> {
-    if reply.mtype != cdev::REPLY {
+    let Some(driver) = cdev::Reply::from_message(reply) else {
         return Some((evidence::BAD_REPLY, "wrong reply type"));
-    }
-    if reply.param(0) != status::OK {
+    };
+    if driver.status != status::OK {
         return None; // error replies carry nothing to vet
     }
-    let bytes = reply.param(1) as usize;
+    let bytes = driver.count as usize;
     match exp.kind {
         cdev::WRITE if bytes > exp.len => {
             return Some((evidence::SUSPECT_REPLY, "accepted more bytes than sent"));
@@ -79,10 +78,10 @@ fn vet_reply(exp: &SentinelExpect, reply: &Message) -> Option<(u32, &'static str
         }
         _ => {}
     }
-    // Checksum echo (params[2] = 1 + sum, 0 = driver does not echo):
-    // writes are checked against the payload we forwarded, reads
-    // against the data the driver delivered.
-    let echo = reply.param(2);
+    // Checksum echo (1 + sum, 0 = driver does not echo): writes are
+    // checked against the payload we forwarded, reads against the data
+    // the driver delivered.
+    let echo = driver.csum_echo;
     if echo != 0 {
         let sum = match exp.kind {
             cdev::WRITE => exp.sum,
@@ -96,6 +95,16 @@ fn vet_reply(exp: &SentinelExpect, reply: &Message) -> Option<(u32, &'static str
         }
     }
     None
+}
+
+/// The device a character-device request is routed to.
+fn dev_of(msg: &Message) -> Option<u64> {
+    cdev::Write::from_message(msg)
+        .map(|r| r.dev)
+        .or_else(|| cdev::Read::from_message(msg).map(|r| r.dev))
+        .or_else(|| cdev::BurnStart::from_message(msg).map(|r| r.dev))
+        .or_else(|| cdev::BurnChunk::from_message(msg).map(|r| r.dev))
+        .or_else(|| cdev::BurnFinalize::from_message(msg).map(|r| r.dev))
 }
 
 /// The route bindings: VFS's externalised state (crash-only contract),
@@ -178,14 +187,13 @@ impl Vfs {
         if wal_seq != 0 {
             ctx.metrics().incr("vfs.ckpt_aborted_requests");
         }
-        sh.reply(
-            ctx,
-            call,
-            Message::new(fs::DATA_REPLY)
-                .with_param(0, st)
-                .with_param(DRIVER_DIED_PARAM, u64::from(driver_died))
-                .with_param(wal_params::ACK_SEQ, wal_seq),
-        );
+        let refusal = fs::DataReply {
+            status: st,
+            driver_died: u64::from(driver_died),
+            ack_seq: wal_seq,
+            ..Default::default()
+        };
+        sh.reply(ctx, call, refusal.into_message());
     }
 
     /// Forwards to a file server, recording the accused identity so the
@@ -223,10 +231,7 @@ impl Vfs {
             key,
             driver: drv,
             kind: msg.mtype,
-            len: match msg.mtype {
-                cdev::READ => msg.param(0) as usize,
-                _ => msg.data.len(),
-            },
+            len: cdev::Read::from_message(&msg).map_or(msg.data.len(), |r| r.len as usize),
             sum: match msg.mtype {
                 cdev::WRITE => Some(byte_sum(&msg.data)),
                 _ => None,
@@ -249,7 +254,7 @@ impl Vfs {
         msg: Message,
         mut fwd: Forward,
     ) {
-        fwd.wal_seq = msg.param(wal_params::REQ_SEQ);
+        fwd.wal_seq = cdev::Write::from_message(&msg).map_or(0, |w| w.seq);
         match ctx.sendrec(dst, msg) {
             Ok(call) => {
                 self.forwards.insert(call, fwd);
@@ -275,9 +280,10 @@ impl Vfs {
 
     fn route(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
         // Character-device traffic carries the device path in OPEN; data
-        // requests carry the route in `params[ROUTE_PARAM]` — the device
-        // index or the mount id, set by the request constructors of
-        // `crate::proto` that every application speaks through.
+        // requests carry their route — the `dev` of a cdev request, the
+        // `route` (mount id) of an fs one — set by the request
+        // constructors of `crate::proto` that every application speaks
+        // through.
         match msg.mtype {
             fs::OPEN => {
                 let path = String::from_utf8_lossy(&msg.data).to_string();
@@ -293,7 +299,8 @@ impl Vfs {
                     // The FAT mount (Fig. 5's second file server).
                     match self.mounts.fat {
                         Some(fat) => {
-                            let fwd = proto::open(name).with_param(ROUTE_PARAM, route);
+                            let open = fs::Open { route }.into_message();
+                            let fwd = open.with_data(name.as_bytes().to_vec());
                             let fat_name = self.fat_key.clone().unwrap_or_default();
                             self.forward(sh, ctx, &fat_name, fat, call, fwd);
                         }
@@ -311,7 +318,10 @@ impl Vfs {
             }
             fs::READ | fs::WRITE => {
                 // Which file server the handle belongs to.
-                let fat_handle = msg.param(ROUTE_PARAM) == FAT_ROUTE;
+                let route = fs::Read::from_message(&msg)
+                    .map(|r| r.route)
+                    .or_else(|| fs::Write::from_message(&msg).map(|w| w.route));
+                let fat_handle = route == Some(FAT_ROUTE);
                 let dst = if fat_handle {
                     self.mounts.fat
                 } else {
@@ -334,7 +344,8 @@ impl Vfs {
             | cdev::BURN_START
             | cdev::BURN_CHUNK
             | cdev::BURN_FINALIZE => {
-                let Some((_, _, key)) = DEV_TABLE.get(msg.param(ROUTE_PARAM) as usize) else {
+                let dev = dev_of(&msg).and_then(|dev| DEV_TABLE.get(dev as usize));
+                let Some((_, _, key)) = dev else {
                     self.fail(sh, ctx, call, status::EINVAL, false);
                     return;
                 };
@@ -372,7 +383,14 @@ impl Vfs {
                     // The checksum echo is a VFS<->driver protocol
                     // detail; strip it so the client-visible slot keeps
                     // its driver-died-flag meaning.
-                    reply.params[DRIVER_DIED_PARAM] = 0;
+                    if let Some(driver) = cdev::Reply::from_message(&reply) {
+                        let data = std::mem::take(&mut reply.data);
+                        let stripped = cdev::Reply {
+                            csum_echo: 0,
+                            ..driver
+                        };
+                        reply = stripped.into_message().with_data(data);
+                    }
                 } else if let Some((name, accused)) = fwd.fs_accused {
                     // File-server forward: a reply of the wrong type
                     // means the sibling server's reply path computes

@@ -214,7 +214,7 @@ impl Rig {
             "rs",
             Box::new(move |_, ev| {
                 if let ProcEvent::Request { msg, .. } = ev {
-                    let c = Complaint::decode(msg);
+                    let c = Complaint::decode(msg).expect("a complaint");
                     seen.borrow_mut()
                         .push((c.kind, c.accused.to_string(), c.incarnation));
                 }
