@@ -125,6 +125,18 @@ pub fn default_rules() -> Vec<Rule> {
                         checked and a trailing byte `finish()` would have rejected; use \
                         Reader/Writer",
         },
+        Rule {
+            name: "raw-param",
+            patterns: &[".param(", ".with_param(", ".params["],
+            only_in: &[],
+            // The message type itself, and the macro that generates every
+            // kind's typed view of it.
+            exempt: &["crates/kernel/src/types.rs", "crates/kernel/src/layout.rs"],
+            rationale: "a message slot is read and written through its kind's protocol! row \
+                        (Layout { .. }.into_message(), Layout::from_message): the row names \
+                        the field and from_message checks the kind; a slot index by hand is \
+                        a layout no row states and a kind nobody checked",
+        },
     ]
 }
 

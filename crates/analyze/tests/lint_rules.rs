@@ -125,6 +125,33 @@ fn state_codecs_go_through_the_wire_cursor() {
 }
 
 #[test]
+fn message_slots_go_through_their_rows() {
+    for src in [
+        "let nonce = msg.param(0);\n",
+        "let pong = Message::new(drv::HB_PONG).with_param(0, nonce);\n",
+        "reply.params[2] = 0;\n",
+    ] {
+        assert_eq!(
+            rules_hit("crates/servers/src/vfs.rs", src),
+            ["raw-param"],
+            "{src}"
+        );
+        // The message type and the layout macro are where a slot is a number.
+        assert!(run("crates/kernel/src/types.rs", src).is_empty());
+        assert!(run("crates/kernel/src/layout.rs", src).is_empty());
+    }
+    // The row names the slot and checks the kind.
+    let src = "let nonce = drv::HbPing::from_message(&msg).map_or(0, |p| p.nonce);\n";
+    assert!(run("crates/drivers/src/libdriver.rs", src).is_empty());
+    // The chaos corrupter flips a bit of any kind, under its one pragma.
+    let src = "\
+// analyze:allow(raw-param): chaos flips a bit of any kind by design.
+msg.params[b / 64] ^= 1 << (b % 64);
+";
+    assert!(run("crates/kernel/src/system.rs", src).is_empty());
+}
+
+#[test]
 fn same_line_pragma_suppresses() {
     let src = "use std::collections::HashMap; // analyze:allow(hash-collection): ffi table\n";
     assert!(run("crates/kernel/src/x.rs", src).is_empty());

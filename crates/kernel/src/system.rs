@@ -984,6 +984,7 @@ impl System {
             msg.mtype ^= 1 << bit;
         } else if bit < 32 + 8 * 64 {
             let b = bit - 32;
+            // analyze:allow(raw-param): chaos flips a bit of any kind by design.
             msg.params[b / 64] ^= 1 << (b % 64);
         } else {
             let b = bit - 32 - 8 * 64;
