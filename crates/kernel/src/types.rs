@@ -122,7 +122,8 @@ impl Message {
         }
     }
 
-    /// Sets parameter `i` (builder style).
+    /// Sets parameter `i` (builder style). Shipping code writes a slot
+    /// through its kind's [`protocol!`](crate::protocol) row instead.
     ///
     /// # Panics
     ///
@@ -138,7 +139,8 @@ impl Message {
         self
     }
 
-    /// Parameter `i` as `u64`.
+    /// Parameter `i` as `u64`. Shipping code reads a slot through its
+    /// kind's [`protocol!`](crate::protocol) row instead.
     ///
     /// # Panics
     ///
