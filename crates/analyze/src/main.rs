@@ -93,7 +93,7 @@ fn main() {
         if let Some(dir) = out.parent() {
             let _ = std::fs::create_dir_all(dir);
         }
-        match std::fs::write(&out, doc.render()) {
+        match std::fs::write(&out, doc.pretty()) {
             Ok(()) => println!("report written to {path}"),
             Err(e) => {
                 eprintln!("failed to write report {path}: {e}");

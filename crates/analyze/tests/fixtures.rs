@@ -382,8 +382,8 @@ fn report_is_byte_stable() {
     let conf = conform(COVERAGE_PROTO, COVERAGE_USAGE_RED);
     let rch = reach_over("crates/x/src/srv.rs", REACH_RED);
 
-    let a = report::build(&[], &conf, &rch).render();
-    let b = report::build(&[], &conf, &rch).render();
+    let a = report::build(&[], &conf, &rch).pretty();
+    let b = report::build(&[], &conf, &rch).pretty();
     assert_eq!(a, b, "two builds over identical inputs are byte-identical");
     assert!(a.ends_with('\n'));
     assert!(a.contains("\"schema\": \"phoenix-analyze/v1\""));
@@ -393,7 +393,7 @@ fn report_is_byte_stable() {
 fn empty_report_golden() {
     let conf = conformance::analyze(&[], &[]);
     let rch = reach::analyze(&[], &BTreeMap::new());
-    let rendered = report::build(&[], &conf, &rch).render();
+    let rendered = report::build(&[], &conf, &rch).pretty();
     let golden = "{\n\
                   \x20 \"conformance\": {\n\
                   \x20   \"findings\": [],\n\

@@ -1,9 +1,8 @@
 //! SLO-under-chaos bench: the repo's first committed perf trajectory.
 
-use std::fmt::Write as _;
-
-use phoenix::campaign::{run_slo_campaign, SloCampaignConfig, SloCampaignResult};
+use phoenix::campaign::{run_slo_campaign, SloCampaignConfig, SloCampaignResult, SloPhaseRow};
 use phoenix::loadgen::{InetLoadConfig, VfsLoadConfig};
+use phoenix_simcore::json::Json;
 use phoenix_simcore::obs::phase;
 use phoenix_simcore::time::SimDuration;
 
@@ -104,97 +103,75 @@ fn sweep(quick: bool) -> Vec<SweepPoint> {
 }
 
 // ---------------------------------------------------------------------
-// JSON: hand-rolled, integers only, fixed key order — byte-stable for a
-// given sweep outcome, so the committed file doubles as a determinism
-// witness.
+// JSON: integers only, fixed key order — byte-stable for a given sweep
+// outcome, so the committed file doubles as a determinism witness.
 
-fn push_phases(out: &mut String, r: &SloCampaignResult) {
-    out.push_str("\"phases\":[");
-    for (i, p) in r.phases.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"phase\":\"{}\",\"requests\":{},\"failed\":{},\
-             \"goodput_bytes\":{},\"phase_us\":{},\"hol_depth\":{},\
-             \"samples\":{},\"p50_us\":{},\"p99_us\":{},\"p999_us\":{}}}",
-            p.phase,
-            p.requests,
-            p.failed,
-            p.goodput_bytes,
-            p.phase_us,
-            p.hol_depth,
-            p.samples,
-            p.p50_us,
-            p.p99_us,
-            p.p999_us,
-        );
-    }
-    out.push(']');
+fn phase_json(p: &SloPhaseRow) -> Json {
+    Json::obj([
+        ("phase", p.phase.as_str().into()),
+        ("requests", p.requests.into()),
+        ("failed", p.failed.into()),
+        ("goodput_bytes", p.goodput_bytes.into()),
+        ("phase_us", p.phase_us.into()),
+        ("hol_depth", p.hol_depth.into()),
+        ("samples", p.samples.into()),
+        ("p50_us", p.p50_us.into()),
+        ("p99_us", p.p99_us.into()),
+        ("p999_us", p.p999_us.into()),
+    ])
+}
+
+fn run_json(pt: &SweepPoint, r: &SloCampaignResult) -> Json {
+    let recovered = r.kills.iter().filter(|k| k.recovered).count();
+    Json::obj([
+        ("load", pt.load.into()),
+        ("sessions", pt.cfg.inet.sessions.into()),
+        ("vfs_clients", pt.cfg.vfs.clients.into()),
+        ("intensity_permille", pt.intensity_permille.into()),
+        ("seed", pt.cfg.seed.into()),
+        ("kills", r.kills.len().into()),
+        ("recovered", recovered.into()),
+        ("started", r.started.into()),
+        ("completed", r.completed.into()),
+        ("failed", r.failed.into()),
+        ("shed", r.shed.into()),
+        ("peak_live", r.peak_live.into()),
+        ("inet_drained", u64::from(r.inet_drained).into()),
+        ("vfs_drained", u64::from(r.vfs_drained).into()),
+        ("unaccounted", r.unaccounted_episodes.into()),
+        ("trace_dropped", r.trace_dropped.into()),
+        ("digest", r.digest.as_str().into()),
+        (
+            "phases",
+            Json::Arr(r.phases.iter().map(phase_json).collect()),
+        ),
+    ])
 }
 
 fn render_json(quick: bool, runs: &[(SweepPoint, SloCampaignResult)]) -> String {
-    let mut out = String::new();
-    out.push_str("{\"schema\":\"phoenix-bench-slo/v1\",");
-    let _ = write!(out, "\"quick\":{},", u8::from(quick));
-    // The gate block repeats the primary run's headline numbers as flat
-    // scalars so the regression gate can read a committed baseline
-    // without a JSON parser.
+    let mut doc: Vec<(&str, Json)> = vec![
+        ("schema", "phoenix-bench-slo/v1".into()),
+        ("quick", u64::from(quick).into()),
+    ];
+    // The gate block repeats the primary run's headline numbers, so the
+    // regression gate reads one flat object of the committed baseline.
     if let Some((pt, r)) = runs.iter().find(|(pt, _)| pt.primary) {
         let steady_p99 = r.phase(phase::STEADY).map_or(0, |p| p.p99_us);
         let (rec_p99, rec_samples) = recovery_p99(r);
-        let _ = write!(
-            out,
-            "\"gate\":{{\"sessions\":{},\"intensity_permille\":{},\
-             \"completed\":{},\"goodput_bytes\":{},\"steady_p99_us\":{},\
-             \"recovery_p99_us\":{},\"recovery_samples\":{}}},",
-            pt.cfg.inet.sessions,
-            pt.intensity_permille,
-            r.completed,
-            total_goodput(r),
-            steady_p99,
-            rec_p99,
-            rec_samples,
-        );
+        let gate = Json::obj([
+            ("sessions", pt.cfg.inet.sessions.into()),
+            ("intensity_permille", pt.intensity_permille.into()),
+            ("completed", r.completed.into()),
+            ("goodput_bytes", total_goodput(r).into()),
+            ("steady_p99_us", steady_p99.into()),
+            ("recovery_p99_us", rec_p99.into()),
+            ("recovery_samples", rec_samples.into()),
+        ]);
+        doc.push(("gate", gate));
     }
-    out.push_str("\"runs\":[");
-    for (i, (pt, r)) in runs.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let recovered = r.kills.iter().filter(|k| k.recovered).count();
-        let _ = write!(
-            out,
-            "{{\"load\":\"{}\",\"sessions\":{},\"vfs_clients\":{},\
-             \"intensity_permille\":{},\"seed\":{},\"kills\":{},\
-             \"recovered\":{},\"started\":{},\"completed\":{},\
-             \"failed\":{},\"shed\":{},\"peak_live\":{},\
-             \"inet_drained\":{},\"vfs_drained\":{},\"unaccounted\":{},\
-             \"trace_dropped\":{},\"digest\":\"{}\",",
-            pt.load,
-            pt.cfg.inet.sessions,
-            pt.cfg.vfs.clients,
-            pt.intensity_permille,
-            pt.cfg.seed,
-            r.kills.len(),
-            recovered,
-            r.started,
-            r.completed,
-            r.failed,
-            r.shed,
-            r.peak_live,
-            u8::from(r.inet_drained),
-            u8::from(r.vfs_drained),
-            r.unaccounted_episodes,
-            r.trace_dropped,
-            r.digest,
-        );
-        push_phases(&mut out, r);
-        out.push('}');
-    }
-    out.push_str("]}\n");
-    out
+    let runs = runs.iter().map(|(pt, r)| run_json(pt, r)).collect();
+    doc.push(("runs", Json::Arr(runs)));
+    Json::obj(doc).compact() + "\n"
 }
 
 /// Response bytes delivered across all phases of a run.
@@ -211,18 +188,6 @@ fn recovery_p99(r: &SloCampaignResult) -> (u64, u64) {
         .map(|p| (p.p99_us, p.samples))
         .max_by_key(|&(_, samples)| samples)
         .unwrap_or((0, 0))
-}
-
-/// Pulls `"key":<integer>` out of a committed baseline file. The schema
-/// is our own fixed-order integer JSON, so a scan is exact — no parser.
-fn baseline_u64(json: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = json.find(&needle)? + needle.len();
-    let digits: String = json[at..]
-        .chars()
-        .take_while(char::is_ascii_digit)
-        .collect();
-    digits.parse().ok()
 }
 
 /// Sweeps the SLO campaign over load level × chaos intensity: an
@@ -357,10 +322,18 @@ fn check_regression(baseline: &str, runs: &[(SweepPoint, SloCampaignResult)], re
     let Some((pt, r)) = runs.iter().find(|(pt, _)| pt.primary) else {
         return;
     };
+    let doc = match Json::parse(baseline) {
+        Ok(doc) => doc,
+        Err(e) => return report.require(false, format!("committed baseline: {e}")),
+    };
+    let Some(gate) = doc.get("gate") else {
+        return report.note("committed baseline has no gate block — skipping");
+    };
+    let gate_u64 = |key| gate.get(key).and_then(Json::as_u64);
     // A baseline recorded for a different sweep shape is not comparable;
     // regenerating it lands in the same commit as the config change.
-    if baseline_u64(baseline, "sessions") != Some(u64::from(pt.cfg.inet.sessions))
-        || baseline_u64(baseline, "intensity_permille") != Some(u64::from(pt.intensity_permille))
+    if gate_u64("sessions") != Some(u64::from(pt.cfg.inet.sessions))
+        || gate_u64("intensity_permille") != Some(u64::from(pt.intensity_permille))
     {
         report.note("baseline was recorded for a different primary config — skipping");
         return;
@@ -371,7 +344,7 @@ fn check_regression(baseline: &str, runs: &[(SweepPoint, SloCampaignResult)], re
         ("completed", r.completed),
         ("goodput_bytes", total_goodput(r)),
     ] {
-        let Some(base) = baseline_u64(baseline, key) else {
+        let Some(base) = gate_u64(key) else {
             continue;
         };
         report.require(
@@ -382,7 +355,7 @@ fn check_regression(baseline: &str, runs: &[(SweepPoint, SloCampaignResult)], re
     // Higher-is-regression latencies; skip under-sampled rows.
     let steady = r.phase(phase::STEADY);
     let (rec_p99, rec_samples) = recovery_p99(r);
-    let base_rec_samples = baseline_u64(baseline, "recovery_samples").unwrap_or(0);
+    let base_rec_samples = gate_u64("recovery_samples").unwrap_or(0);
     let checks = [
         (
             "steady_p99_us",
@@ -396,7 +369,7 @@ fn check_regression(baseline: &str, runs: &[(SweepPoint, SloCampaignResult)], re
         ),
     ];
     for (key, now, samples) in checks {
-        let Some(base) = baseline_u64(baseline, key) else {
+        let Some(base) = gate_u64(key) else {
             continue;
         };
         if samples < GATE_MIN_SAMPLES || base == 0 {
@@ -405,6 +378,82 @@ fn check_regression(baseline: &str, runs: &[(SweepPoint, SloCampaignResult)], re
         report.require(
             now * 100 <= base * (100 + pct),
             format!("{key} regressed more than {pct}%: {now}us vs baseline {base}us"),
+        );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The primary quick point with one steady row: `completed` requests
+    /// at a steady-state p99 of `p99_us`, over 1,000 samples.
+    fn primary_run(completed: u64, p99_us: u64) -> Vec<(SweepPoint, SloCampaignResult)> {
+        let point = sweep(true)
+            .into_iter()
+            .find(|pt| pt.primary)
+            .expect("the quick sweep has a primary point");
+        let steady = SloPhaseRow {
+            phase: phase::STEADY.to_string(),
+            requests: completed,
+            failed: 0,
+            goodput_bytes: completed * 1_000,
+            phase_us: 5_000_000,
+            hol_depth: 1,
+            samples: 1_000,
+            p50_us: p99_us / 2,
+            p99_us,
+            p999_us: p99_us,
+        };
+        let result = SloCampaignResult {
+            completed,
+            phases: vec![steady],
+            ..SloCampaignResult::default()
+        };
+        vec![(point, result)]
+    }
+
+    fn gate_failures(baseline: &str, now: &[(SweepPoint, SloCampaignResult)]) -> Vec<String> {
+        let mut report = Report::new("slo", true);
+        check_regression(baseline, now, &mut report);
+        report.failures
+    }
+
+    #[test]
+    fn a_run_within_the_band_passes() {
+        let baseline = render_json(true, &primary_run(1_000, 10_000));
+        // 9 % fewer completions and goodput, a 9 % higher p99.
+        let now = primary_run(910, 10_900);
+        assert_eq!(gate_failures(&baseline, &now), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_run_outside_the_band_fails_on_each_metric() {
+        let baseline = render_json(true, &primary_run(1_000, 10_000));
+        let now = primary_run(890, 11_100);
+        assert_eq!(
+            gate_failures(&baseline, &now),
+            [
+                "completed regressed more than 10%: 890 vs baseline 1000",
+                "goodput_bytes regressed more than 10%: 890000 vs baseline 1000000",
+                "steady_p99_us regressed more than 10%: 11100us vs baseline 10000us",
+            ]
+        );
+    }
+
+    #[test]
+    fn a_baseline_without_a_gate_block_is_skipped() {
+        let baseline = "{\"schema\":\"phoenix-bench-slo/v1\",\"quick\":1,\"runs\":[]}\n";
+        let now = primary_run(1, u64::MAX / 200);
+        assert_eq!(gate_failures(baseline, &now), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_baseline_that_does_not_parse_fails_the_gate() {
+        let now = primary_run(1_000, 10_000);
+        assert_eq!(
+            gate_failures("{\"gate\":", &now),
+            ["committed baseline: unexpected end of input at byte 8"]
         );
     }
 }

@@ -1,69 +1,60 @@
 //! Standby MTTR bench: hot-standby failover vs cold restart+replay.
 
-use std::fmt::Write as _;
-
 use phoenix::campaign::{
     render_adapt_gauges, run_standby_campaign, run_standby_control, StandbyCampaignConfig,
     StandbyCampaignResult,
 };
+use phoenix_simcore::json::Json;
 use phoenix_simcore::time::SimDuration;
 
 use crate::Report;
 
 // ---------------------------------------------------------------------
-// JSON: hand-rolled, integers only, fixed key order — byte-stable for a
-// given outcome, so the committed file doubles as a determinism witness.
+// JSON in a fixed key order — byte-stable for a given outcome, so the
+// committed file doubles as a determinism witness.
 
-fn push_arm(out: &mut String, label: &str, r: &StandbyCampaignResult) {
-    let _ = write!(
-        out,
-        "{{\"arm\":\"{label}\",\"hot_standby\":{},\"faults\":{},\
-         \"recoveries\":{},\"promotions\":{},\"spares_started\":{},\
-         \"tail_polls\":{},\"tail_adopted\":{},\"replays\":{},\
-         \"app_errors\":{},\"printer_byte_exact\":{},\
-         \"audio_dup_bytes\":{},\"watermark_jumps\":{},\
-         \"adapt_updates\":{},\"classes\":[",
-        r.hot_standby,
-        r.faults,
-        r.recoveries,
-        r.promotions,
-        r.spares_started,
-        r.tail_polls,
-        r.tail_adopted,
-        r.replays,
-        r.app_visible_errors,
-        r.printer_byte_exact,
-        r.audio_dup_bytes,
-        r.watermark_jumps,
-        r.adapt_updates,
-    );
-    for (i, c) in r.classes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(
-            out,
-            "{{\"driver\":\"{}\",\"faults\":{},\"recovered\":{},\
-             \"repair_episodes\":{},\"repair_mean_us\":{},\
-             \"repair_max_us\":{}}}",
-            c.driver, c.faults, c.recovered, c.repair_episodes, c.repair_mean_us, c.repair_max_us,
-        );
-    }
-    out.push_str("],\"adapt\":[");
-    for (i, (k, v)) in r.adapt_gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"gauge\":\"{k}\",\"value\":{v}}}");
-    }
-    out.push_str("],\"adapt_trace\":[");
-    for (i, (p, lo, hi)) in r.adapt_trace.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let _ = write!(out, "{{\"param\":\"{p}\",\"min\":{lo},\"max\":{hi}}}");
-    }
-    let _ = write!(out, "],\"digest\":\"{}\"}}", r.digest);
+fn arm_json(label: &str, r: &StandbyCampaignResult) -> Json {
+    let classes = r.classes.iter().map(|c| {
+        Json::obj([
+            ("driver", c.driver.as_str().into()),
+            ("faults", c.faults.into()),
+            ("recovered", c.recovered.into()),
+            ("repair_episodes", c.repair_episodes.into()),
+            ("repair_mean_us", c.repair_mean_us.into()),
+            ("repair_max_us", c.repair_max_us.into()),
+        ])
+    });
+    let adapt = r
+        .adapt_gauges
+        .iter()
+        .map(|(k, v)| Json::obj([("gauge", k.as_str().into()), ("value", (*v).into())]));
+    let adapt_trace = r.adapt_trace.iter().map(|(p, lo, hi)| {
+        Json::obj([
+            ("param", p.as_str().into()),
+            ("min", (*lo).into()),
+            ("max", (*hi).into()),
+        ])
+    });
+    Json::obj([
+        ("arm", label.into()),
+        ("hot_standby", r.hot_standby.into()),
+        ("faults", r.faults.into()),
+        ("recoveries", r.recoveries.into()),
+        ("promotions", r.promotions.into()),
+        ("spares_started", r.spares_started.into()),
+        ("tail_polls", r.tail_polls.into()),
+        ("tail_adopted", r.tail_adopted.into()),
+        ("replays", r.replays.into()),
+        ("app_errors", r.app_visible_errors.into()),
+        ("printer_byte_exact", r.printer_byte_exact.into()),
+        ("audio_dup_bytes", r.audio_dup_bytes.into()),
+        ("watermark_jumps", r.watermark_jumps.into()),
+        ("adapt_updates", r.adapt_updates.into()),
+        ("classes", Json::Arr(classes.collect())),
+        ("adapt", Json::Arr(adapt.collect())),
+        ("adapt_trace", Json::Arr(adapt_trace.collect())),
+        ("digest", r.digest.as_str().into()),
+    ])
 }
 
 /// Runs the standby campaign twice on the same deterministic defect
@@ -221,21 +212,21 @@ pub fn standby(r: &mut Report) {
         "control: workloads made no progress",
     );
 
-    let mut json = String::from("{\"schema\":\"phoenix-bench-standby/v1\",\"arms\":[");
-    push_arm(&mut json, "standby", &standby);
-    json.push(',');
-    push_arm(&mut json, "cold", &cold);
-    let _ = writeln!(
-        json,
-        "],\"control\":{{\"promotions\":{},\"recoveries\":{},\
-         \"complaints_accepted\":{},\"spares_started\":{},\
-         \"tail_polls\":{},\"digest\":\"{}\"}}}}",
-        control.promotions,
-        control.recoveries,
-        control.complaints_accepted,
-        control.spares_started,
-        control.tail_polls,
-        control.digest,
-    );
-    r.attach("BENCH_standby", "json", json);
+    let control = Json::obj([
+        ("promotions", control.promotions.into()),
+        ("recoveries", control.recoveries.into()),
+        ("complaints_accepted", control.complaints_accepted.into()),
+        ("spares_started", control.spares_started.into()),
+        ("tail_polls", control.tail_polls.into()),
+        ("digest", control.digest.as_str().into()),
+    ]);
+    let doc = Json::obj([
+        ("schema", "phoenix-bench-standby/v1".into()),
+        (
+            "arms",
+            Json::Arr(vec![arm_json("standby", &standby), arm_json("cold", &cold)]),
+        ),
+        ("control", control),
+    ]);
+    r.attach("BENCH_standby", "json", doc.compact() + "\n");
 }

@@ -17,8 +17,10 @@
 //!   and causal identity (spans, recovery correlation tokens).
 //! * [`obs`] — folds a trace into per-recovery-episode phase timings
 //!   (detection / repair / reintegration latency, §7.1).
+//! * [`json`] — the one JSON value, writer and total parser every JSON
+//!   artefact of the workspace goes through.
 //! * [`export`] — deterministic JSONL and Chrome-trace-format dumps of a
-//!   trace, with a round-trip parser for CI checks.
+//!   trace, with a round-trip reader for CI checks.
 //! * [`digest`] — minimal MD5 and SHA-1 implementations used to verify data
 //!   integrity across driver crashes, mirroring the paper's use of `md5sum`
 //!   (Fig. 7) and `sha1sum` (Fig. 8).
@@ -42,6 +44,7 @@
 pub mod digest;
 pub mod event;
 pub mod export;
+pub mod json;
 pub mod metrics;
 pub mod obs;
 pub mod rng;
