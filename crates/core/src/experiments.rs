@@ -50,30 +50,12 @@ pub fn fig7_network_run(size: u64, kill_interval: Option<SimDuration>, seed: u64
     );
 
     let driver = os.eth_driver_name().expect("network configured");
-    let mut kills = 0u64;
-    let mut next_kill = kill_interval.map(|i| start + i);
     // Generous timeout: 20x the ideal transfer time plus a minute.
     let deadline =
         start + SimDuration::from_secs_f64(size as f64 / 500_000.0) + SimDuration::from_secs(60);
-    let slice = SimDuration::from_millis(100);
-    while !status.borrow().done && os.now() < deadline {
-        let target = match next_kill {
-            Some(nk) => nk.min(os.now() + slice),
-            None => os.now() + slice,
-        };
-        let d = target.since(os.now()).max_one();
-        os.run_for(d);
-        if let Some(nk) = next_kill {
-            if os.now() >= nk {
-                // The paper's crash-simulation script: look up the driver
-                // and SIGKILL it (§7.1).
-                if os.kill_by_user(driver) {
-                    kills += 1;
-                }
-                next_kill = Some(nk + kill_interval.expect("interval set"));
-            }
-        }
-    }
+    let kills = run_under_kills(&mut os, driver, kill_interval, deadline, || {
+        status.borrow().done
+    });
     let st = status.borrow();
     let finished = st.finished_at.unwrap_or(os.now());
     let elapsed = finished.since(start);
@@ -101,6 +83,38 @@ pub fn fig7_network_run(size: u64, kill_interval: Option<SimDuration>, seed: u64
         mean_gap,
         retransmissions,
     }
+}
+
+/// The paper's crash-simulation script (§7.1) around a transfer: runs `os`
+/// in 100 ms slices until `done` holds or `deadline` passes, looking up
+/// `driver` and SIGKILLing it every `kill_interval` (never if `None`),
+/// counted from now. Returns the kills that found the driver.
+fn run_under_kills(
+    os: &mut Os,
+    driver: &str,
+    kill_interval: Option<SimDuration>,
+    deadline: SimTime,
+    done: impl Fn() -> bool,
+) -> u64 {
+    let mut kills = 0;
+    let mut next_kill = kill_interval.map(|i| os.now() + i);
+    let slice = SimDuration::from_millis(100);
+    while !done() && os.now() < deadline {
+        let target = match next_kill {
+            Some(nk) => nk.min(os.now() + slice),
+            None => os.now() + slice,
+        };
+        os.run_for(target.since(os.now()).max(SimDuration::from_micros(1)));
+        if let (Some(nk), Some(interval)) = (next_kill, kill_interval) {
+            if os.now() >= nk {
+                if os.kill_by_user(driver) {
+                    kills += 1;
+                }
+                next_kill = Some(nk + interval);
+            }
+        }
+    }
+    kills
 }
 
 /// Result of one Fig. 8 disk run.
@@ -157,27 +171,12 @@ pub fn fig8_disk_run(
         Box::new(Dd::new(vfs, "bigfile", 128 * 1024, status.clone())),
     );
 
-    let mut kills = 0u64;
-    let mut next_kill = kill_interval.map(|i| start + i);
     let deadline = start
         + SimDuration::from_secs_f64(file_size as f64 / 1_500_000.0)
         + SimDuration::from_secs(60);
-    let slice = SimDuration::from_millis(100);
-    while !status.borrow().done && os.now() < deadline {
-        let target = match next_kill {
-            Some(nk) => nk.min(os.now() + slice),
-            None => os.now() + slice,
-        };
-        os.run_for(target.since(os.now()).max_one());
-        if let Some(nk) = next_kill {
-            if os.now() >= nk {
-                if os.kill_by_user(names::BLK_SATA) {
-                    kills += 1;
-                }
-                next_kill = Some(nk + kill_interval.expect("interval set"));
-            }
-        }
-    }
+    let kills = run_under_kills(&mut os, names::BLK_SATA, kill_interval, deadline, || {
+        status.borrow().done
+    });
     let st = status.borrow();
     let finished = st.finished_at.unwrap_or(os.now());
     let elapsed = finished.since(start);
@@ -227,11 +226,7 @@ pub fn fig3_schemes(seed: u64) -> Vec<SchemeOutcome> {
         );
         os.run_for(SimDuration::from_millis(300));
         os.kill_by_user(names::ETH_RTL8139);
-        let mut waited = 0;
-        while !status.borrow().done && waited < 400 {
-            os.run_for(SimDuration::from_millis(100));
-            waited += 1;
-        }
+        os.run_until(SimDuration::from_millis(100), 400, |_| status.borrow().done);
         let st = status.borrow();
         let md5_ok = st.md5.as_deref() == Some(stream_md5(content_seed, size).as_str());
         out.push(SchemeOutcome {
@@ -260,16 +255,10 @@ pub fn fig3_schemes(seed: u64) -> Vec<SchemeOutcome> {
         );
         os.run_for(SimDuration::from_millis(100));
         os.kill_by_user(names::BLK_SATA);
-        let mut waited = 0;
-        while !status.borrow().done && waited < 400 {
-            os.run_for(SimDuration::from_millis(100));
-            waited += 1;
-        }
+        os.run_until(SimDuration::from_millis(100), 400, |_| status.borrow().done);
         let st = status.borrow();
-        let mut scratch = DiskModel::new(sectors, disk_seed);
-        let inodes = fsfmt::mkfs(&mut scratch, &fig8_files(file_size));
-        let sha_ok =
-            st.sha1.as_deref() == Some(fsfmt::expected_sha1(disk_seed, &inodes[0]).as_str());
+        let expected = fig8_expected_sha1(sectors, disk_seed, file_size);
+        let sha_ok = st.sha1.as_deref() == Some(expected.as_str());
         out.push(SchemeOutcome {
             class: "block",
             transparent: st.done && sha_ok && st.errors == 0,
@@ -288,11 +277,7 @@ pub fn fig3_schemes(seed: u64) -> Vec<SchemeOutcome> {
         os.spawn_app("lpd", Box::new(Lpd::new(vfs, job, status.clone())));
         os.run_for(SimDuration::from_millis(300));
         os.kill_by_user(names::CHR_PRINTER);
-        let mut waited = 0;
-        while !status.borrow().done && waited < 400 {
-            os.run_for(SimDuration::from_millis(100));
-            waited += 1;
-        }
+        os.run_until(SimDuration::from_millis(100), 400, |_| status.borrow().done);
         let st = status.borrow();
         out.push(SchemeOutcome {
             class: "character (printer)",
@@ -314,16 +299,10 @@ pub fn fig3_schemes(seed: u64) -> Vec<SchemeOutcome> {
         );
         os.run_for(SimDuration::from_millis(200));
         os.kill_by_user(names::CHR_SCSI);
-        let mut waited = 0;
-        while waited < 100 {
+        os.run_until(SimDuration::from_millis(100), 100, |_| {
             let st = status.borrow();
-            if st.completed || st.reported_to_user {
-                break;
-            }
-            drop(st);
-            os.run_for(SimDuration::from_millis(100));
-            waited += 1;
-        }
+            st.completed || st.reported_to_user
+        });
         let st = status.borrow();
         out.push(SchemeOutcome {
             class: "character (cd burn)",
@@ -336,22 +315,3 @@ pub fn fig3_schemes(seed: u64) -> Vec<SchemeOutcome> {
 
     out
 }
-
-/// Small extension trait to keep run loops from issuing zero-length runs.
-trait MaxOne {
-    /// At least one microsecond.
-    fn max_one(self) -> Self;
-}
-
-impl MaxOne for SimDuration {
-    fn max_one(self) -> Self {
-        if self.is_zero() {
-            SimDuration::from_micros(1)
-        } else {
-            self
-        }
-    }
-}
-
-/// The SimTime type re-exported for harness convenience.
-pub type Instant = SimTime;
