@@ -19,10 +19,13 @@ echo "==> phoenix-analyze: lints, conformance + dead edges, reachability, author
 cargo run -q --release -p phoenix-analyze -- --report results/analyze_report.json
 
 echo "==> shipping lines per crate (up to a column-0 #[cfg(test)]; no blanks, no comment lines)"
+total=0
 for c in crates/*/; do
-    find "$c/src" -name '*.rs' -exec sed -s '/^#\[cfg(test)\]/,$d' {} + | grep -vcE '^\s*(//|$)' |
-        sed "s|^|$(basename "$c") |"
+    n=$(find "$c/src" -name '*.rs' -exec sed -s '/^#\[cfg(test)\]/,$d' {} + | grep -vcE '^\s*(//|$)')
+    echo "$(basename "$c") $n"
+    total=$((total + n))
 done
+echo "workspace $total"
 
 echo "==> tier-1: cargo build --release && cargo test -q (default-members: the whole workspace)"
 cargo build --release
