@@ -233,8 +233,8 @@ pub struct MicrorebootControl {
     pub digest: String,
 }
 
-struct MicrorebootRig {
-    os: Os,
+pub(super) struct MicrorebootRig {
+    pub(super) os: Os,
     udp: Rc<RefCell<UdpStatus>>,
     /// SHA-1 a pristine, fault-free read of the stream file produces.
     expected_sha1: String,
@@ -319,7 +319,7 @@ impl MicrorebootRig {
 /// Boots the crash-only machine (checkpointing servers, sticky slots,
 /// PM guard) with always-on datagram traffic, and records the byte-exact
 /// expectations from one pristine run of each observer job.
-fn microreboot_rig(cfg: &MicrorebootConfig) -> MicrorebootRig {
+pub(super) fn microreboot_rig(cfg: &MicrorebootConfig) -> MicrorebootRig {
     let mut os = Os::builder()
         .seed(cfg.seed)
         .with_network(NicKind::Dp8390)
