@@ -29,12 +29,16 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_servers::policy::PolicyParams;
 use phoenix_servers::proto::evidence;
 use phoenix_simcore::metrics::MetricsRegistry;
 use phoenix_simcore::time::{SimDuration, SimTime};
 
 use crate::proto::{gossip, Frame, NodeStat};
+
+// The sliding evidence window for quorum and inversion, and the distinct
+// subjects inside it that invert an accuser, are RS's own arbitration
+// consts: the node level cannot drift from them.
+pub use phoenix_servers::rs::decide::{COMPLAINT_WINDOW, INVERSION_ACCUSED};
 
 /// Heartbeat gossip period.
 pub const HB_PERIOD: SimDuration = SimDuration::from_millis(50);
@@ -44,15 +48,8 @@ pub const NODE_SUSPECT_AFTER: SimDuration = SimDuration::from_millis(500);
 /// sweep advances the beacon every 750 ms, so anything past two missed
 /// sweeps plus gossip propagation is a stall, not jitter.
 pub const RS_SUSPECT_AFTER: SimDuration = SimDuration::from_secs(2);
-/// Sliding evidence window for quorum and inversion — the node-level
-/// analogue of RS's complaint arbitration, sourced from the same
-/// baseline table so the two layers cannot drift apart.
-pub const COMPLAINT_WINDOW: SimDuration = PolicyParams::BASELINE.complaint_window;
 /// Minimum spacing between re-complaints about the same subject.
 pub const RECOMPLAIN_AFTER: SimDuration = SimDuration::from_millis(500);
-/// Distinct subjects within the window that invert an accuser
-/// ([`PolicyParams::BASELINE`], shared with RS's arbitration).
-pub const INVERSION_ACCUSED: usize = PolicyParams::BASELINE.inversion_accused as usize;
 /// Complaint suppression around a conviction, covering the reboot.
 pub const REBOOT_GRACE: SimDuration = SimDuration::from_secs(4);
 

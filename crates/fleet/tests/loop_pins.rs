@@ -155,14 +155,14 @@ fn two_nodes() {
     check(
         2,
         [
-            "1a7c02c6bd3e78eed254b55a61363d87",
-            "8284d8041029b232946842765b62d7e2",
-            "b74341b1bc054d5e1f9c6d457f86aa9a",
-            "aecf8dfc3d3e2d1cfe0783b8422d7ad3",
-            "1a7c02c6bd3e78eed254b55a61363d87",
-            "800c61a88bdcbb6fc39b89ef7584a569",
-            "b8328a222ca74a1ebde88b6adf0e92b8",
-            "aecf8dfc3d3e2d1cfe0783b8422d7ad3",
+            "2ced6b830eb374673f7428de9c0cd062",
+            "c3a4ecc2a9fa4dff201653ac87496b60",
+            "e37467063815ff4cb49db24ce00c2f94",
+            "6c8d21b6c0aa950c1321faa8c9a7340d",
+            "2ced6b830eb374673f7428de9c0cd062",
+            "32011439b35fcfc1014338337b94d851",
+            "f406b907fb82bee7e0cf1be474a31050",
+            "6c8d21b6c0aa950c1321faa8c9a7340d",
         ],
     );
 }
@@ -172,14 +172,14 @@ fn three_nodes() {
     check(
         3,
         [
-            "5d17ad58286aaa89d7ea23e756750a43",
-            "530320e31879fa25519574f491782561",
-            "8995727438d7e327cac275dc42962b40",
-            "1445e2f9b97213b55c379e68ee29c188",
-            "5d17ad58286aaa89d7ea23e756750a43",
-            "5ad49657cffdb1690fdda92e1f018f18",
-            "75dda013d605930b8343f932dad2bdc2",
-            "1445e2f9b97213b55c379e68ee29c188",
+            "7dd042cccb364244a831f7fe2daa73fc",
+            "fb621f449c460cd73bb5310b53535a04",
+            "7c1e13b5fd82c74279286a4607e76dba",
+            "beb143820e04a495e1b24f522d563caf",
+            "7dd042cccb364244a831f7fe2daa73fc",
+            "efd0d50a1e1346b1328ad1398746646c",
+            "287f7e4b0ea8ef5e7bf0c56fc91e4114",
+            "beb143820e04a495e1b24f522d563caf",
         ],
     );
 }
@@ -189,14 +189,14 @@ fn four_nodes() {
     check(
         4,
         [
-            "dde5f800e4f32b31c0483c0301a99f48",
-            "c09edeba043506d0d0fc89303c273974",
-            "0011b288460f2100bb6a9fffdf8404ba",
-            "4398a9972acdf9e32e8b904c42adbc47",
-            "dde5f800e4f32b31c0483c0301a99f48",
-            "b479eca9873469d5409711ffcf78514a",
-            "d5119407b6d5110d88258e22bdb4e03b",
-            "4398a9972acdf9e32e8b904c42adbc47",
+            "3fefe95a68a8191e562c20f45b34afaf",
+            "87cfed85fa285502df518e763fce43d6",
+            "c98dd46bb1f61d9fa03e9ff076df29c3",
+            "33d62a13b856ea28ad014d696ad55765",
+            "3fefe95a68a8191e562c20f45b34afaf",
+            "2fcd42d2ed283d9101cc07f555ddef0a",
+            "2243e972ddfce2dfd171c17d2f443f7d",
+            "33d62a13b856ea28ad014d696ad55765",
         ],
     );
 }
@@ -206,14 +206,14 @@ fn eight_nodes() {
     check(
         8,
         [
-            "20a384c6092bb637ed9199db7a765a2b",
-            "79c769ab7b25f24235860389d9989ebe",
-            "6ec3c1a850888ee28833ba421529c13b",
-            "5e7a43e66cab1732bd60e38e2a6c2028",
-            "20a384c6092bb637ed9199db7a765a2b",
-            "23c42f259604b437343cdbfe133843cb",
-            "ed844bd481c5ef312ccf05c5d571c505",
-            "5e7a43e66cab1732bd60e38e2a6c2028",
+            "a6162b4dc40480412946c79d29befb29",
+            "27e3ed09a749aa626cd36bad37e4614a",
+            "b08965cfbc73203395002291968a3d25",
+            "51f6fdec8f75393d8fa3e39afe4c9cda",
+            "a6162b4dc40480412946c79d29befb29",
+            "bcb158a7e58c9c3c0fca44a84c190fcb",
+            "d2bf57a31df6cd1f56c4f9df8d4a4193",
+            "51f6fdec8f75393d8fa3e39afe4c9cda",
         ],
     );
 }

@@ -76,23 +76,22 @@ pub struct PolicyInput {
     pub repetition: u32,
     /// Script parameters (`$1`, `$2`, ...).
     pub params: Vec<String>,
-    /// Live `backoff()` base from the adapt controllers; `None` = use
-    /// the script's literal base.
+    /// The service's `backoff()` base when an adapt rule binds it;
+    /// `None` = the script's literal base.
     pub backoff_base: Option<SimDuration>,
-    /// Live cap on backoff doublings; `None` = the baseline cap.
+    /// The service's cap on backoff doublings; `None` = no cap.
     pub backoff_cap: Option<u32>,
 }
 
-/// The tunable recovery parameters the reincarnation server runs on.
+/// The tunable recovery parameters of one guarded service.
 ///
-/// One table centralizes every hand-set constant that used to be
-/// scattered across `rs.rs` and `fleet/agent.rs`. The static defaults
-/// are [`PolicyParams::BASELINE`]; the `adapt` controllers write through
-/// the same struct at runtime, so each parameter has exactly one home
-/// whether it is fixed or self-tuning.
+/// Every guarded service carries one table, built from
+/// [`PolicyParams::BASELINE`] by the `ServiceConfig` builders; the
+/// `adapt` controllers step it at runtime, so each parameter has exactly
+/// one home whether it is fixed or self-tuning.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PolicyParams {
-    /// Heartbeat ping period for driver-class services.
+    /// Heartbeat ping period, when the service is pinged at all.
     pub heartbeat_period: SimDuration,
     /// Consecutive missed heartbeats before a class-4 defect.
     pub heartbeat_misses: u32,
@@ -104,18 +103,13 @@ pub struct PolicyParams {
     pub restart_budget: u32,
     /// Width of the sliding restart-budget window.
     pub budget_window: SimDuration,
-    /// Complaint arbitration window.
-    pub complaint_window: SimDuration,
-    /// Complaints inside the window that convict on volume alone.
+    /// Complaints against the service inside the arbitration window that
+    /// convict it on volume alone.
     pub quorum_complaints: u32,
-    /// Distinct accusers inside the window that convict.
-    pub quorum_accusers: u32,
-    /// Distinct accused at which an accuser is inverted (PR 5).
-    pub inversion_accused: u32,
 }
 
 impl PolicyParams {
-    /// The hand-tuned defaults every static (non-adaptive) run uses.
+    /// The hand-tuned defaults every service starts from.
     pub const BASELINE: PolicyParams = PolicyParams {
         heartbeat_period: SimDuration::from_secs(1),
         heartbeat_misses: 3,
@@ -123,17 +117,8 @@ impl PolicyParams {
         backoff_cap: 7,
         restart_budget: 10,
         budget_window: SimDuration::from_secs(30),
-        complaint_window: SimDuration::from_secs(2),
         quorum_complaints: 3,
-        quorum_accusers: 2,
-        inversion_accused: 3,
     };
-}
-
-impl Default for PolicyParams {
-    fn default() -> Self {
-        PolicyParams::BASELINE
-    }
 }
 
 /// Parameters an `adapt` rule may bind to a closed-loop controller.
@@ -170,16 +155,11 @@ impl AdaptParam {
         &self.trace()["rs.adapt.trace.".len()..]
     }
 
-    /// Obs gauge name carrying the live value (µs for durations).
-    pub fn gauge(self) -> &'static str {
-        match self {
-            AdaptParam::HeartbeatPeriod => "rs.adapt.heartbeat_period_us",
-            AdaptParam::BackoffBase => "rs.adapt.backoff_base_us",
-            AdaptParam::BackoffCap => "rs.adapt.backoff_cap",
-            AdaptParam::RestartBudget => "rs.adapt.restart_budget",
-            AdaptParam::BudgetWindow => "rs.adapt.budget_window_us",
-            AdaptParam::QuorumComplaints => "rs.adapt.quorum_complaints",
-        }
+    /// Obs gauge name carrying `service`'s live value (µs for
+    /// durations).
+    pub fn gauge(self, service: &str) -> String {
+        let unit = if self.is_duration() { "_us" } else { "" };
+        format!("rs.adapt.{service}.{}{unit}", self.name())
     }
 
     /// Obs series of the value each audit sweep left the parameter at
@@ -906,6 +886,11 @@ impl PolicyScript {
         &self.adapt
     }
 
+    /// Whether one of the script's `adapt` rules drives `p`.
+    pub(crate) fn binds(&self, p: AdaptParam) -> bool {
+        self.adapt.iter().any(|r| r.param == p)
+    }
+
     fn eval(&self, e: &Expr, input: &PolicyInput) -> Value {
         match e {
             Expr::Int(n) => Value::Int(*n),
@@ -916,12 +901,10 @@ impl PolicyScript {
             Expr::Param(n) => Value::Str(input.params.get(*n - 1).cloned().unwrap_or_default()),
             Expr::Backoff(base) => {
                 // Binary exponential backoff: base << (repetition - 1),
-                // capped to stay sane under crash loops. The adapt
-                // controllers may override both the base and the cap.
+                // capped by the service's parameter to stay sane under
+                // crash loops. An adapt rule may override the base.
                 let base = input.backoff_base.unwrap_or(*base);
-                let cap = input
-                    .backoff_cap
-                    .unwrap_or(PolicyParams::BASELINE.backoff_cap);
+                let cap = input.backoff_cap.unwrap_or(u32::MAX);
                 let shift = input.repetition.saturating_sub(1).min(cap).min(63);
                 Value::Dur(base.saturating_mul(1 << shift))
             }
@@ -1048,7 +1031,7 @@ mod tests {
             repetition,
             params: vec!["admin@example.org".to_string()],
             backoff_base: None,
-            backoff_cap: None,
+            backoff_cap: Some(PolicyParams::BASELINE.backoff_cap),
         }
     }
 
@@ -1086,12 +1069,16 @@ mod tests {
         for (p, name) in AdaptParam::ALL.into_iter().zip(spelled) {
             assert_eq!(p.trace().strip_prefix("rs.adapt.trace."), Some(name));
             assert_eq!(
-                p.gauge()
-                    .strip_prefix("rs.adapt.")
+                p.gauge("chr.printer")
+                    .strip_prefix("rs.adapt.chr.printer.")
                     .map(|g| g.trim_end_matches("_us")),
                 Some(name)
             );
         }
+        assert_eq!(
+            AdaptParam::HeartbeatPeriod.gauge("eth.rtl8139"),
+            "rs.adapt.eth.rtl8139.heartbeat_period_us"
+        );
     }
 
     #[test]
@@ -1315,11 +1302,7 @@ log "restarted network stack for $component"
         assert_eq!(p.backoff_cap, 7);
         assert_eq!(p.restart_budget, 10);
         assert_eq!(p.budget_window, SimDuration::from_secs(30));
-        assert_eq!(p.complaint_window, SimDuration::from_secs(2));
         assert_eq!(p.quorum_complaints, 3);
-        assert_eq!(p.quorum_accusers, 2);
-        assert_eq!(p.inversion_accused, 3);
-        assert_eq!(PolicyParams::default(), p);
     }
 
     #[test]
