@@ -12,6 +12,10 @@ use super::{
 use crate::apps::{DdLoop, DdLoopStatus, LpdLoop, LpdLoopStatus, UdpStatus};
 use crate::os::{names, NicKind, Os};
 
+/// Virtual time between an injection and the first classification check
+/// (the mutation needs live traffic to take effect).
+const INJECTION_INTERVAL: SimDuration = SimDuration::from_millis(20);
+
 /// The three driver classes the fail-silent campaign mutates, with the
 /// workload class that observes each one.
 const FAILSILENT_TARGETS: [(&str, &str); 3] = [
@@ -27,9 +31,6 @@ pub struct FailsilentConfig {
     pub seed: u64,
     /// Injection rounds. Each round mutates every driver class once.
     pub rounds: u64,
-    /// Virtual time between an injection and the first classification
-    /// check (the mutation needs live traffic to take effect).
-    pub injection_interval: SimDuration,
     /// How long an injected driver may sit endpoint-stable with a frozen
     /// workload before we declare the defect *fail-silent survived*. Must
     /// exceed every detector's horizon (MFS deadline 5 s, kernel progress
@@ -48,7 +49,6 @@ impl Default for FailsilentConfig {
         FailsilentConfig {
             seed: 2007,
             rounds: 40,
-            injection_interval: SimDuration::from_millis(20),
             detect_window: SimDuration::from_secs(10),
             sentinels: true,
         }
@@ -324,7 +324,7 @@ pub fn run_failsilent_campaign(cfg: &FailsilentConfig) -> (FailsilentResult, Os)
                 }
                 mutations += 1;
                 stats.injections += 1;
-                os.run_for(cfg.injection_interval);
+                os.run_for(INJECTION_INTERVAL);
                 let p0 = loads.progress(i);
                 outcome = watch_window(
                     &mut os,
