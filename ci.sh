@@ -12,6 +12,12 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> no ignored tests: a pin-first #[ignore] does not outlive its change"
+if grep -rn --include='*.rs' '#\[ignore' crates tests src examples; then
+    echo "==> ignored tests found"
+    exit 1
+fi
+
 echo "==> cargo clippy -D warnings (function-length ceiling in clippy.toml)"
 cargo clippy --workspace --all-targets -q -- -D warnings -D clippy::too_many_lines
 
