@@ -212,3 +212,68 @@ fn replies_classify_by_kind_then_status_then_slot_two() {
     assert_eq!(class(0x0907, 0x0907, with(22, 1)), ReplyClass::DriverDied);
     assert_eq!(class(0x0907, 0x0907, with(11, 1)), ReplyClass::Busy);
 }
+
+/// VFS, MFS and INET each answer a request of another table's kind, and
+/// a reply kind of their own tables sent as a request, with their
+/// refusal: `(kind, status)` of the reply.
+#[test]
+fn every_server_refuses_a_foreign_kind_and_its_own_reply_kind() {
+    use std::cell::RefCell;
+    use std::rc::Rc;
+
+    use phoenix::os::{names, NicKind, Os};
+    use phoenix_drivers::proto::status;
+    use phoenix_kernel::process::{ProcEvent, Process};
+    use phoenix_kernel::system::Ctx;
+    use phoenix_servers::fsfmt::{FileContent, FileSpec};
+    use phoenix_servers::proto::{ds, fs, sock};
+    use phoenix_simcore::time::SimDuration;
+
+    /// Sends one request and keeps what comes back.
+    struct Ask(Endpoint, u32, Rc<RefCell<Option<(u32, u64)>>>);
+    impl Process for Ask {
+        fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
+            match event {
+                ProcEvent::Start => {
+                    let _ = ctx.sendrec(self.0, Message::new(self.1));
+                }
+                ProcEvent::Reply {
+                    result: Ok(reply), ..
+                } => *self.2.borrow_mut() = Some((reply.mtype, reply.param(0))),
+                _ => {}
+            }
+        }
+    }
+
+    let file = FileSpec {
+        name: "bigfile".to_string(),
+        content: FileContent::Synthetic { size: 4096 },
+    };
+    let mut os = Os::builder()
+        .seed(3)
+        .with_network(NicKind::Rtl8139)
+        .with_disk(2048, 11, vec![file])
+        .with_chardevs()
+        .boot();
+    os.run_for(SimDuration::from_millis(200));
+    let einval_fs = Some((fs::DATA_REPLY, status::EINVAL));
+    let einval_sock = Some((sock::ACK, status::EINVAL));
+    // (server, request kind, answer)
+    let cases = [
+        (names::VFS, ds::PUBLISH, einval_fs),
+        (names::VFS, fs::OPEN_REPLY, einval_fs),
+        (names::VFS, cdev::REPLY, einval_fs),
+        (names::MFS, ds::PUBLISH, einval_fs),
+        (names::MFS, fs::DATA_REPLY, einval_fs),
+        (names::INET, ds::PUBLISH, einval_sock),
+        (names::INET, sock::CONNECT_REPLY, einval_sock),
+    ];
+    for (server, kind, expected) in cases {
+        let answer = Rc::new(RefCell::new(None));
+        let ep = os.endpoint(server).unwrap();
+        let ask = Box::new(Ask(ep, kind, answer.clone()));
+        os.spawn_app_with_ipc("client", ask, &[server]);
+        os.run_for(SimDuration::from_millis(50));
+        assert_eq!(*answer.borrow(), expected, "{server} answering {kind:#x}");
+    }
+}

@@ -10,18 +10,21 @@ use phoenix_ckpt::Snapshot;
 use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDriver};
 use phoenix_drivers::libdriver::{Driver, FaultPort};
 use phoenix_drivers::proto::{bdev, cdev, drv, eth, status};
-use phoenix_drivers::{DiskDriver, Dp8390Driver, RamDiskDriver, Rtl8139Driver};
+use phoenix_drivers::{
+    DiskDriver, Dp8390Driver, KeyboardDriver, RamDiskDriver, Rtl8139Driver, ScsiCdDriver,
+};
 use phoenix_fault::{decode, encode, Instr};
 use phoenix_hw::bus::{Bus, WireConfig};
 use phoenix_hw::disk::{synth_sector, DiskDevice, SECTOR};
 use phoenix_hw::dp8390::{Dp8390, Dp8390Config};
 use phoenix_hw::rtl8139::{Rtl8139, Rtl8139Config};
-use phoenix_hw::{AudioDac, Device, PeerCtx, Printer, RemotePeer};
+use phoenix_hw::{AudioDac, Device, PeerCtx, Printer, RemotePeer, ScsiCdBurner, Uart};
 use phoenix_kernel::memory::GrantAccess;
 use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{DeviceId, Endpoint, Message};
+use phoenix_simcore::time::SimDuration;
 
 type Hook = Box<dyn FnMut(&mut Ctx<'_>, &ProcEvent)>;
 
@@ -636,4 +639,178 @@ fn stream_driver_partial_accept_is_the_device_halfs_decision() {
     let empty = || vec![Message::new(cdev::WRITE)];
     einval(stream_session::<AudioPort>(dac(), false, empty()));
     einval(stream_session::<PrinterPort>(printer(), false, empty()));
+}
+
+/// What a driver sends back for one request: the reply's kind and status,
+/// or `None` when nothing comes back.
+type Answer = Option<(u32, u64)>;
+
+/// Boots `driver` (on `device`, when it has one) and hands it one
+/// `mtype` request with every param zero.
+fn answer_to(device: Option<Box<dyn Device>>, driver: Box<dyn Process>, mtype: u32) -> Answer {
+    let mut sys = System::new(SystemConfig::default());
+    let mut bus = Bus::new();
+    if let Some(device) = device {
+        bus.add_device(DEV, IRQ, device);
+    }
+    let mut privileges = Privileges::driver(DEV, IRQ)
+        .with_calls([
+            KernelCall::Devio,
+            KernelCall::IrqCtl,
+            KernelCall::IommuMap,
+            KernelCall::SafeCopy,
+        ])
+        .with_ipc(IpcFilter::named(["rs", "ds", "inet"]));
+    privileges.address_space = 256 * 1024;
+    let drv_ep = sys.spawn_boot("drv", privileges, driver);
+    let answer: Rc<RefCell<Answer>> = Rc::new(RefCell::new(None));
+    let a2 = answer.clone();
+    sys.spawn_boot(
+        "client",
+        Privileges::server(),
+        Box::new(Probe {
+            hook: Box::new(move |ctx, ev| match ev {
+                ProcEvent::Start => {
+                    let _ = ctx.sendrec(drv_ep, Message::new(mtype));
+                }
+                ProcEvent::Reply {
+                    result: Ok(reply), ..
+                } => *a2.borrow_mut() = Some((reply.mtype, reply.param(0))),
+                _ => {}
+            }),
+        }),
+    );
+    sys.run_until_idle(&mut bus, 1000);
+    let answer = *answer.borrow();
+    answer
+}
+
+#[test]
+fn every_driver_refuses_a_foreign_kind_and_its_own_reply_kind() {
+    type Rig = fn() -> (Option<Box<dyn Device>>, Box<dyn Process>);
+    // (driver, its rig, a request of another table, a reply of its own
+    // table, the answer to each).
+    let cases: [(&str, Rig, u32, u32, Answer, Answer); 8] = [
+        (
+            "disk",
+            || {
+                let disk = DiskDevice::sata(128, 1);
+                (
+                    Some(Box::new(disk)),
+                    Box::new(Driver::new(DiskDriver::sata(DEV, IRQ, FaultPort::new()))),
+                )
+            },
+            cdev::OPEN,
+            bdev::REPLY,
+            Some((bdev::REPLY, status::EINVAL)),
+            Some((bdev::REPLY, status::EINVAL)),
+        ),
+        (
+            "ramdisk",
+            || {
+                let region = RamDiskDriver::region(8);
+                (
+                    None,
+                    Box::new(Driver::new(RamDiskDriver::new(region, FaultPort::new()))),
+                )
+            },
+            cdev::OPEN,
+            bdev::REPLY,
+            Some((bdev::REPLY, status::EINVAL)),
+            Some((bdev::REPLY, status::EINVAL)),
+        ),
+        (
+            "printer",
+            || {
+                let drv = StreamDriver::<PrinterPort>::new(DEV, IRQ, FaultPort::new());
+                (
+                    Some(Box::new(Printer::new(32 * 1024))),
+                    Box::new(Driver::new(drv)),
+                )
+            },
+            bdev::OPEN,
+            cdev::REPLY,
+            Some((cdev::REPLY, status::EINVAL)),
+            Some((cdev::REPLY, status::EINVAL)),
+        ),
+        (
+            "audio",
+            || {
+                let drv = StreamDriver::<AudioPort>::new(DEV, IRQ, FaultPort::new());
+                (
+                    Some(Box::new(AudioDac::new(176_400))),
+                    Box::new(Driver::new(drv)),
+                )
+            },
+            bdev::OPEN,
+            cdev::REPLY,
+            Some((cdev::REPLY, status::EINVAL)),
+            Some((cdev::REPLY, status::EINVAL)),
+        ),
+        (
+            "scsi",
+            || {
+                let drv = ScsiCdDriver::new(DEV, IRQ, FaultPort::new());
+                let burner = ScsiCdBurner::new(SimDuration::from_millis(300), 600_000);
+                (Some(Box::new(burner)), Box::new(Driver::new(drv)))
+            },
+            bdev::OPEN,
+            cdev::REPLY,
+            Some((cdev::REPLY, status::EINVAL)),
+            Some((cdev::REPLY, status::EINVAL)),
+        ),
+        (
+            "keyboard",
+            || {
+                let drv = KeyboardDriver::new(DEV, IRQ, FaultPort::new());
+                (Some(Box::new(Uart::new())), Box::new(Driver::new(drv)))
+            },
+            bdev::OPEN,
+            cdev::REPLY,
+            Some((cdev::REPLY, status::EINVAL)),
+            Some((cdev::REPLY, status::EINVAL)),
+        ),
+        (
+            "rtl8139",
+            || {
+                let nic = Rtl8139::new(Rtl8139Config::default());
+                (
+                    Some(Box::new(nic)),
+                    Box::new(Driver::new(Rtl8139Driver::new(DEV, IRQ, FaultPort::new()))),
+                )
+            },
+            cdev::OPEN,
+            eth::INIT_REPLY,
+            Some((eth::WRITE_REPLY, status::EINVAL)),
+            Some((eth::WRITE_REPLY, status::EINVAL)),
+        ),
+        (
+            "dp8390",
+            || {
+                let nic = Dp8390::new(Dp8390Config::default());
+                (
+                    Some(Box::new(nic)),
+                    Box::new(Driver::new(Dp8390Driver::new(DEV, IRQ, FaultPort::new()))),
+                )
+            },
+            cdev::OPEN,
+            eth::INIT_REPLY,
+            Some((eth::WRITE_REPLY, status::EINVAL)),
+            Some((eth::WRITE_REPLY, status::EINVAL)),
+        ),
+    ];
+    for (name, rig, foreign, own_reply, to_foreign, to_own_reply) in cases {
+        let (device, driver) = rig();
+        assert_eq!(
+            answer_to(device, driver, foreign),
+            to_foreign,
+            "{name}: {foreign:#x}"
+        );
+        let (device, driver) = rig();
+        assert_eq!(
+            answer_to(device, driver, own_reply),
+            to_own_reply,
+            "{name}: {own_reply:#x}"
+        );
+    }
 }

@@ -909,3 +909,53 @@ fn rs_two_distinct_accusers_form_a_quorum() {
     );
     assert_eq!(sys.metrics().counter("rs.complaints.quorum_restarts"), 1);
 }
+
+// ---------------------------------------------------------------------
+// Dispatch
+// ---------------------------------------------------------------------
+
+/// DS, PM and RS each answer a request of another table's kind, and a
+/// reply kind of their own table sent as a request, with their refusal:
+/// `(kind, status)` of the reply.
+#[test]
+fn every_server_refuses_a_foreign_kind_and_its_own_reply_kind() {
+    use phoenix_servers::pm::pm_status;
+    use phoenix_servers::proto::pm;
+    let mut sys = System::new(SystemConfig::default());
+    let rse = boot_rs(&mut sys, Vec::new());
+    run(&mut sys);
+    let dse = sys.endpoint_by_name("ds").unwrap();
+    let pme = sys.endpoint_by_name("pm").unwrap();
+    let bad_ds = Some((ds::ACK, ds_status::BAD_REQUEST));
+    let denied_pm = Some((pm::KILL_REPLY, pm_status::DENIED));
+    let einval_rs = Some((rsp::ACK, 22));
+    // (server, request kind, answer)
+    let cases = [
+        (dse, rsp::UP, bad_ds),
+        (dse, ds::ACK, bad_ds),
+        (dse, ckpt::SAVE_REPLY, bad_ds),
+        (pme, ds::PUBLISH, denied_pm),
+        (pme, pm::START_REPLY, denied_pm),
+        (rse, ds::PUBLISH, einval_rs),
+        (rse, rsp::ACK, einval_rs),
+    ];
+    for (server, kind, expected) in cases {
+        let answer: Rc<RefCell<Option<(u32, u64)>>> = Rc::new(RefCell::new(None));
+        let a2 = answer.clone();
+        probe(
+            &mut sys,
+            "client",
+            Box::new(move |ctx, ev| match ev {
+                ProcEvent::Start => {
+                    let _ = ctx.sendrec(server, Message::new(kind).with_data(b"x".to_vec()));
+                }
+                ProcEvent::Reply {
+                    result: Ok(reply), ..
+                } => *a2.borrow_mut() = Some((reply.mtype, reply.param(0))),
+                _ => {}
+            }),
+        );
+        run(&mut sys);
+        assert_eq!(*answer.borrow(), expected, "{server} answering {kind:#x}");
+    }
+}
