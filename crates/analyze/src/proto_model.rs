@@ -14,8 +14,8 @@
 //! The compiler has already checked what a row can get wrong on its own: a
 //! slot outside 0..=7, two fields in one slot, a request without a reply,
 //! a reply that names no kind, an unknown direction. The model only
-//! records each row (its module, direction, reply and fields) for the
-//! conformance pass and the report.
+//! records each row (its module, direction, value, reply and fields) for
+//! the conformance pass and the report.
 
 use crate::ast::{Token, TokenKind};
 use crate::Source;
@@ -59,6 +59,8 @@ pub struct Kind {
     /// 1-based line of the const's name in the row.
     pub line: usize,
     pub dir: Dir,
+    /// The kind's number, e.g. `0x0201`.
+    pub value: u32,
     /// For requests: the reply kind (same module).
     pub reply: Option<String>,
     /// The row's layout struct, e.g. `Read`; `None` for a row without
@@ -138,7 +140,11 @@ impl Rows<'_> {
         let line = self.tokens.get(self.at)?.line;
         let name = self.ident()?;
         self.eat(&TokenKind::Punct('='))?;
-        self.number()?;
+        let value = self.number()?.replace('_', "");
+        let value = match value.strip_prefix("0x") {
+            Some(hex) => u32::from_str_radix(hex, 16).ok()?,
+            None => value.parse().ok()?,
+        };
         let reply = match self.eat(&TokenKind::Punct('-')) {
             Some(()) => {
                 self.eat(&TokenKind::Punct('>'))?;
@@ -152,6 +158,7 @@ impl Rows<'_> {
             file: String::new(),
             line,
             dir,
+            value,
             reply,
             layout: None,
             fields: Vec::new(),
@@ -204,16 +211,17 @@ pub mod evidence {
             .map(|k| {
                 let reply = k.reply.as_deref().unwrap_or("-");
                 let layout = k.layout.as_deref().unwrap_or("-");
-                format!("{}: {} {} {reply} {layout}", k.line, k.dir.name(), k.key())
+                let (line, dir, key, value) = (k.line, k.dir.name(), k.key(), k.value);
+                format!("{line}: {dir} {key} {value:#x} {reply} {layout}")
             })
             .collect();
         assert_eq!(
             rows,
             [
-                "5: request ds::PUBLISH ACK Publish",
-                "10: reply ds::ACK - Ack",
-                "11: oneway ds::GONE - -",
-                "16: value evidence::DEADLINE - -",
+                "5: request ds::PUBLISH 0x600 ACK Publish",
+                "10: reply ds::ACK 0x60a - Ack",
+                "11: oneway ds::GONE 0x60b - -",
+                "16: value evidence::DEADLINE 0x1 - -",
             ]
         );
         let publish = &kinds[0];

@@ -136,7 +136,7 @@ impl Process for Wget {
             ProcEvent::Start => self.issue(ctx),
             ProcEvent::Reply {
                 result: Ok(reply), ..
-            } if reply.mtype == rsp::ACK => {
+            } if matches!(rsp::Msg::decode(&reply), Some(rsp::Msg::ACK(_))) => {
                 // RS acknowledged a complaint; nothing to do.
             }
             ProcEvent::Reply { result, .. } => {
@@ -176,34 +176,34 @@ impl Process for Wget {
             }
             // Retry knock from the dead window.
             ProcEvent::Alarm { .. } => self.resume(ctx),
-            ProcEvent::Message(msg) if msg.mtype == sock::DATA => {
-                self.md5.update(&msg.data);
-                let now = ctx.now();
-                let mut st = self.status.borrow_mut();
-                if let Some(prev) = st.last_data_at {
-                    let gap = now.since(prev);
-                    if gap >= self.gap_threshold {
-                        st.gaps.push((prev, gap));
+            ProcEvent::Message(msg) => match sock::Msg::decode(&msg) {
+                Some(sock::Msg::DATA(_)) => {
+                    self.md5.update(&msg.data);
+                    let now = ctx.now();
+                    let mut st = self.status.borrow_mut();
+                    if let Some(prev) = st.last_data_at {
+                        let gap = now.since(prev);
+                        if gap >= self.gap_threshold {
+                            st.gaps.push((prev, gap));
+                        }
                     }
+                    st.last_data_at = Some(now);
+                    st.bytes += msg.data.len() as u64;
                 }
-                st.last_data_at = Some(now);
-                st.bytes += msg.data.len() as u64;
-            }
-            ProcEvent::Message(msg) if msg.mtype == sock::CLOSED => {
-                let mut st = self.status.borrow_mut();
-                st.done = true;
-                st.finished_at = Some(ctx.now());
-                st.md5 = Some(self.md5.clone().finish_hex());
-                ctx.trace(
-                    TraceLevel::Info,
-                    format!("wget complete: {} bytes", st.bytes),
-                );
-            }
-            ProcEvent::Message(msg) => {
+                Some(sock::Msg::CLOSED(_)) => {
+                    let mut st = self.status.borrow_mut();
+                    st.done = true;
+                    st.finished_at = Some(ctx.now());
+                    st.md5 = Some(self.md5.clone().finish_hex());
+                    ctx.trace(
+                        TraceLevel::Info,
+                        format!("wget complete: {} bytes", st.bytes),
+                    );
+                }
                 // A push of a type this app cannot parse: garbled stream
                 // traffic from a corrupting server.
-                self.complain(ctx, msg.source);
-            }
+                _ => self.complain(ctx, msg.source),
+            },
             _ => {}
         }
     }
@@ -646,7 +646,10 @@ impl Process for UdpPing {
     fn on_event(&mut self, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
             ProcEvent::Start | ProcEvent::Alarm { .. } => self.tick(ctx),
-            ProcEvent::Message(msg) if msg.mtype == sock::DGRAM_DATA && msg.data.len() == 8 => {
+            ProcEvent::Message(msg)
+                if matches!(sock::Msg::decode(&msg), Some(sock::Msg::DGRAM_DATA))
+                    && msg.data.len() == 8 =>
+            {
                 let seq = u64::from_le_bytes(msg.data[..8].try_into().expect("8 bytes"));
                 if let Some(slot) = self.acked.get_mut(seq as usize) {
                     if !*slot {
@@ -915,9 +918,9 @@ impl Process for CkptMp3Player {
             ProcEvent::Start | ProcEvent::Alarm { .. } => self.tick(ctx),
             ProcEvent::Reply { result, .. } => {
                 self.in_flight = false;
-                match (classify(cdev::REPLY, &result), result) {
-                    (ReplyClass::Ok, Ok(reply)) => {
-                        let reply = cdev::Reply::from_message(&reply).unwrap_or_default();
+                let reply = result.as_ref().ok().and_then(cdev::Reply::from_message);
+                match (classify(cdev::REPLY, &result), reply) {
+                    (ReplyClass::Ok, Some(reply)) => {
                         self.status.borrow_mut().acked = note_ack(&mut self.wal, &reply);
                         self.pump(ctx);
                     }

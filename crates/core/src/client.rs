@@ -321,7 +321,7 @@ impl<S: Sink> Process for FileReader<S> {
             ProcEvent::Start | ProcEvent::Alarm { .. } => self.issue(ctx),
             ProcEvent::Reply {
                 result: Ok(reply), ..
-            } if reply.mtype == rs::ACK => {
+            } if matches!(rs::Msg::decode(&reply), Some(rs::Msg::ACK(_))) => {
                 // RS acknowledged a complaint; nothing to do.
             }
             ProcEvent::Reply { result, .. } => {

@@ -652,32 +652,33 @@ impl Process for InetLoadGen {
                 }
                 self.lp.update_drained();
             }
-            ProcEvent::Message(msg) if msg.mtype == sock::DATA => {
-                let conn = sock::Data::from_message(&msg).map_or(0, |d| d.conn);
-                let Some(&idx) = self.by_conn.get(&conn) else {
-                    return;
-                };
-                let session = self.session(idx);
-                if session.state != SessionState::Streaming {
-                    return;
+            ProcEvent::Message(msg) => match sock::Msg::decode(&msg) {
+                Some(sock::Msg::DATA(sock::Data { conn })) => {
+                    let Some(&idx) = self.by_conn.get(&conn) else {
+                        return;
+                    };
+                    let session = self.session(idx);
+                    if session.state != SessionState::Streaming {
+                        return;
+                    }
+                    session.got += msg.data.len() as u64;
+                    if session.got >= session.want {
+                        self.on_response_done(ctx, idx);
+                    }
                 }
-                session.got += msg.data.len() as u64;
-                if session.got >= session.want {
-                    self.on_response_done(ctx, idx);
+                Some(sock::Msg::CLOSED(sock::Closed { conn })) => {
+                    // Peer FIN. Normally arrives while lingering (the stream
+                    // completed); a FIN racing an unfinished request means the
+                    // response was cut short.
+                    let Some(&idx) = self.by_conn.get(&conn) else {
+                        return;
+                    };
+                    if self.session(idx).state == SessionState::Streaming {
+                        self.finish_failed(ctx, idx);
+                    }
                 }
-            }
-            ProcEvent::Message(msg) if msg.mtype == sock::CLOSED => {
-                // Peer FIN. Normally arrives while lingering (the stream
-                // completed); a FIN racing an unfinished request means the
-                // response was cut short.
-                let conn = sock::Closed::from_message(&msg).map_or(0, |c| c.conn);
-                let Some(&idx) = self.by_conn.get(&conn) else {
-                    return;
-                };
-                if self.session(idx).state == SessionState::Streaming {
-                    self.finish_failed(ctx, idx);
-                }
-            }
+                _ => {}
+            },
             _ => {}
         }
     }

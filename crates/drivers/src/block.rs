@@ -89,18 +89,6 @@ fn reply_status(ctx: &mut Ctx<'_>, call: CallId, status: u64, count: u64) {
     let _ = ctx.reply(call, reply.into_message());
 }
 
-/// `(lba, count, grant)` of a READ or a WRITE, which share one layout.
-fn transfer(msg: &Message) -> Option<(u64, u64, u64)> {
-    match (
-        bdev::Read::from_message(msg),
-        bdev::Write::from_message(msg),
-    ) {
-        (Some(bdev::Read { lba, count, grant }), _)
-        | (_, Some(bdev::Write { lba, count, grant })) => Some((lba, count, grant)),
-        _ => None,
-    }
-}
-
 /// Validates the request through the (possibly mutated) VM routine.
 /// Returns the transfer size in bytes and the routine's descriptor
 /// checksum, or `None` if the driver died. The checksum is echoed in
@@ -164,65 +152,62 @@ impl DriverLogic for DiskDriver {
     }
 
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
-        match msg.mtype {
-            bdev::OPEN => reply_status(ctx, call, status::OK, self.capacity),
-            bdev::READ | bdev::WRITE => {
-                if self.pending.is_some() {
-                    // One request at a time (MINIX drivers are
-                    // single-threaded); the FS serializes, so this is
-                    // defensive.
-                    reply_status(ctx, call, status::EAGAIN, 0);
-                    return;
-                }
-                let (lba, count, grant) = transfer(msg).unwrap_or_default();
-                let checked = validate(&self.routine, ctx, lba, count, self.capacity);
-                let Some((bytes, csum)) = checked else {
-                    return; // driver is dying; rendezvous will abort
-                };
-                let is_read = msg.mtype == bdev::READ;
-                let client = msg.source;
-                let grant = GrantId(grant as u32);
-                if !is_read {
-                    // Fetch the payload from the client's grant into the
-                    // DMA buffer before programming the device.
-                    if ctx.safecopy_from(client, grant, 0, DMA_BUF, bytes).is_err() {
-                        reply_status(ctx, call, status::EINVAL, 0);
-                        return;
-                    }
-                }
-                let ok = ctx.devio_write(self.dev, regs::LBA, lba as u32).is_ok()
-                    && ctx.devio_write(self.dev, regs::COUNT, count as u32).is_ok()
-                    && ctx
-                        .devio_write(self.dev, regs::DMA_ADDR, DMA_BUF as u32)
-                        .is_ok()
-                    && ctx
-                        .devio_write(
-                            self.dev,
-                            regs::CMD,
-                            if is_read { cmd::READ } else { cmd::WRITE },
-                        )
-                        .is_ok();
-                if !ok {
-                    reply_status(ctx, call, status::EIO, 0);
-                    return;
-                }
-                // Reject if the controller refused the command outright.
-                let st = ctx.devio_read(self.dev, regs::STATUS).unwrap_or(0);
-                if st & hw_status::BUSY == 0 {
-                    reply_status(ctx, call, status::EIO, 0);
-                    return;
-                }
-                self.pending = Some(Pending {
-                    call,
-                    client,
-                    grant,
-                    bytes,
-                    is_read,
-                    csum,
-                });
-            }
-            _ => reply_status(ctx, call, status::EINVAL, 0),
+        let (is_read, lba, count, grant) = match bdev::Msg::decode(msg) {
+            Some(bdev::Msg::OPEN(_)) => return reply_status(ctx, call, status::OK, self.capacity),
+            Some(bdev::Msg::READ(bdev::Read { lba, count, grant })) => (true, lba, count, grant),
+            Some(bdev::Msg::WRITE(bdev::Write { lba, count, grant })) => (false, lba, count, grant),
+            Some(bdev::Msg::REPLY(_)) | None => return reply_status(ctx, call, status::EINVAL, 0),
+        };
+        if self.pending.is_some() {
+            // One request at a time (MINIX drivers are single-threaded);
+            // the FS serializes, so this is defensive.
+            reply_status(ctx, call, status::EAGAIN, 0);
+            return;
         }
+        let checked = validate(&self.routine, ctx, lba, count, self.capacity);
+        let Some((bytes, csum)) = checked else {
+            return; // driver is dying; rendezvous will abort
+        };
+        let client = msg.source;
+        let grant = GrantId(grant as u32);
+        if !is_read {
+            // Fetch the payload from the client's grant into the DMA
+            // buffer before programming the device.
+            if ctx.safecopy_from(client, grant, 0, DMA_BUF, bytes).is_err() {
+                reply_status(ctx, call, status::EINVAL, 0);
+                return;
+            }
+        }
+        let ok = ctx.devio_write(self.dev, regs::LBA, lba as u32).is_ok()
+            && ctx.devio_write(self.dev, regs::COUNT, count as u32).is_ok()
+            && ctx
+                .devio_write(self.dev, regs::DMA_ADDR, DMA_BUF as u32)
+                .is_ok()
+            && ctx
+                .devio_write(
+                    self.dev,
+                    regs::CMD,
+                    if is_read { cmd::READ } else { cmd::WRITE },
+                )
+                .is_ok();
+        if !ok {
+            reply_status(ctx, call, status::EIO, 0);
+            return;
+        }
+        // Reject if the controller refused the command outright.
+        let st = ctx.devio_read(self.dev, regs::STATUS).unwrap_or(0);
+        if st & hw_status::BUSY == 0 {
+            reply_status(ctx, call, status::EIO, 0);
+            return;
+        }
+        self.pending = Some(Pending {
+            call,
+            client,
+            grant,
+            bytes,
+            is_read,
+            csum,
+        });
     }
 
     fn irq(&mut self, ctx: &mut Ctx<'_>) {
@@ -297,52 +282,53 @@ impl DriverLogic for RamDiskDriver {
     }
 
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
-        match msg.mtype {
-            bdev::OPEN => reply_status(ctx, call, status::OK, self.capacity()),
-            bdev::READ | bdev::WRITE => {
-                let (lba, count, grant) = transfer(msg).unwrap_or_default();
-                let checked = validate(&self.routine, ctx, lba, count, self.capacity());
-                let Some((bytes, csum)) = checked else {
-                    return;
-                };
-                let grant = GrantId(grant as u32);
-                // `bytes` and `lba` passed a routine that may have been
-                // mutated: a span outside the region is a wild access by
-                // the driver, and kills it the way the MMU would.
-                let off = (lba as usize).saturating_mul(SECTOR);
-                let span = off..off.saturating_add(bytes);
-                if msg.mtype == bdev::READ {
-                    let staged = match self.region.borrow().get(span) {
-                        Some(sectors) => ctx.mem_write(0, sectors),
-                        None => {
-                            ctx.die_of_exception(ExceptionKind::MmuFault);
-                            return;
-                        }
-                    };
-                    if staged.is_err() || ctx.safecopy_to(msg.source, grant, 0, 0, bytes).is_err() {
-                        reply_status(ctx, call, status::EINVAL, 0);
-                        return;
-                    }
-                } else {
-                    if ctx.safecopy_from(msg.source, grant, 0, 0, bytes).is_err() {
-                        reply_status(ctx, call, status::EINVAL, 0);
-                        return;
-                    }
-                    let Ok(data) = ctx.mem(0, bytes) else {
-                        reply_status(ctx, call, status::EIO, 0);
-                        return;
-                    };
-                    match self.region.borrow_mut().get_mut(span) {
-                        Some(sectors) => sectors.copy_from_slice(data),
-                        None => {
-                            ctx.die_of_exception(ExceptionKind::MmuFault);
-                            return;
-                        }
-                    }
-                }
-                reply_done(ctx, call, bytes, csum);
+        let (is_read, lba, count, grant) = match bdev::Msg::decode(msg) {
+            Some(bdev::Msg::OPEN(_)) => {
+                return reply_status(ctx, call, status::OK, self.capacity());
             }
-            _ => reply_status(ctx, call, status::EINVAL, 0),
+            Some(bdev::Msg::READ(bdev::Read { lba, count, grant })) => (true, lba, count, grant),
+            Some(bdev::Msg::WRITE(bdev::Write { lba, count, grant })) => (false, lba, count, grant),
+            Some(bdev::Msg::REPLY(_)) | None => return reply_status(ctx, call, status::EINVAL, 0),
+        };
+        let checked = validate(&self.routine, ctx, lba, count, self.capacity());
+        let Some((bytes, csum)) = checked else {
+            return;
+        };
+        let grant = GrantId(grant as u32);
+        // `bytes` and `lba` passed a routine that may have been mutated: a
+        // span outside the region is a wild access by the driver, and
+        // kills it the way the MMU would.
+        let off = (lba as usize).saturating_mul(SECTOR);
+        let span = off..off.saturating_add(bytes);
+        if is_read {
+            let staged = match self.region.borrow().get(span) {
+                Some(sectors) => ctx.mem_write(0, sectors),
+                None => {
+                    ctx.die_of_exception(ExceptionKind::MmuFault);
+                    return;
+                }
+            };
+            if staged.is_err() || ctx.safecopy_to(msg.source, grant, 0, 0, bytes).is_err() {
+                reply_status(ctx, call, status::EINVAL, 0);
+                return;
+            }
+        } else {
+            if ctx.safecopy_from(msg.source, grant, 0, 0, bytes).is_err() {
+                reply_status(ctx, call, status::EINVAL, 0);
+                return;
+            }
+            let Ok(data) = ctx.mem(0, bytes) else {
+                reply_status(ctx, call, status::EIO, 0);
+                return;
+            };
+            match self.region.borrow_mut().get_mut(span) {
+                Some(sectors) => sectors.copy_from_slice(data),
+                None => {
+                    ctx.die_of_exception(ExceptionKind::MmuFault);
+                    return;
+                }
+            }
         }
+        reply_done(ctx, call, bytes, csum);
     }
 }

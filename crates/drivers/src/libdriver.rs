@@ -198,13 +198,12 @@ impl<L: DriverLogic> Process for Driver<L> {
                 ctx.trace_event(ev);
                 self.logic.init(ctx);
             }
-            ProcEvent::Message(msg) => match msg.mtype {
-                drv::HB_PING => {
+            ProcEvent::Message(msg) => match drv::Msg::decode(&msg) {
+                Some(drv::Msg::HB_PING(drv::HbPing { nonce })) => {
                     // [recovery] reply to the reincarnation server's
                     // [recovery] heartbeat request so it can tell a live
                     // [recovery] driver from a stuck one (§5.1, input 4).
                     if !self.deaf {
-                        let nonce = drv::HbPing::from_message(&msg).map_or(0, |p| p.nonce); // [recovery]
                         let pong = drv::HbPong { nonce }.into_message(); // [recovery]
                         let _ = ctx.send(msg.source, pong); // [recovery]
                     }

@@ -166,18 +166,18 @@ impl<N: Nic> DriverLogic for EthDriver<N> {
     }
 
     fn request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
-        let reply = match msg.mtype {
-            eth::INIT => {
+        let reply = match eth::Msg::decode(msg) {
+            Some(eth::Msg::INIT) => {
                 // (Re)initialization on behalf of the network server.
                 self.client = Some(msg.source);
                 let status = io_status(self.nic.enable(ctx, self.dev));
                 eth::InitReply { status }.into_message()
             }
-            eth::WRITE => match self.write(ctx, &msg.data) {
+            Some(eth::Msg::WRITE) => match self.write(ctx, &msg.data) {
                 Some(status) => eth::WriteReply { status }.into_message(),
                 None => return, // dying
             },
-            _ => {
+            Some(eth::Msg::INIT_REPLY(_) | eth::Msg::WRITE_REPLY(_) | eth::Msg::RECV) | None => {
                 let status = status::EINVAL;
                 eth::WriteReply { status }.into_message()
             }

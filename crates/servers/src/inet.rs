@@ -559,7 +559,7 @@ impl ServerLogic for Inet {
             // configuration of Ethernet drivers by registering the
             // expression 'eth.*'".
             ProcEvent::Start => sh.watch.subscribe(ctx, "eth.*"),
-            ProcEvent::Message(msg) if msg.mtype == eth::RECV => {
+            ProcEvent::Message(msg) if matches!(eth::Msg::decode(&msg), Some(eth::Msg::RECV)) => {
                 // A restarted incarnation drops frames that race its
                 // session restore; the peer's retransmission covers them.
                 if !sh.gate.ready() {
@@ -624,7 +624,7 @@ impl ServerLogic for Inet {
                             self.driver_ready = false;
                             ctx.metrics().incr("inet.postponed_writes");
                         }
-                        Ok(reply) if reply.mtype != eth::WRITE_REPLY => {
+                        Ok(reply) if eth::WriteReply::from_message(&reply).is_none() => {
                             // Wrong-type reply to our WRITE. The chaos
                             // fabric flips reply headers too, so treat
                             // an isolated one like a lost frame (the
@@ -684,8 +684,8 @@ impl ServerLogic for Inet {
     /// Serves one socket request (also the replay path for requests that
     /// were parked behind a session restore).
     fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        match msg.mtype {
-            sock::CONNECT => {
+        match sock::Msg::decode(&msg) {
+            Some(sock::Msg::CONNECT) => {
                 let conn = Conn {
                     app: msg.source,
                     connect_call: Some(call),
@@ -714,8 +714,8 @@ impl ServerLogic for Inet {
                     }
                 }
             }
-            sock::SEND => {
-                let conn_id = sock::Send::from_message(&msg).map_or(0, |s| s.conn) as u16;
+            Some(sock::Msg::SEND(send)) => {
+                let conn_id = send.conn as u16;
                 let ok = match self.session.conn_mut(conn_id) {
                     Some(conn) if conn.established => {
                         conn.snd_buf.extend_from_slice(&msg.data);
@@ -729,8 +729,8 @@ impl ServerLogic for Inet {
                 }
                 sh.reply(ctx, call, ack(u64::from(!ok)));
             }
-            sock::CLOSE => {
-                let conn_id = sock::Close::from_message(&msg).map_or(0, |c| c.conn) as u16;
+            Some(sock::Msg::CLOSE(close)) => {
+                let conn_id = close.conn as u16;
                 if self.session.conn(conn_id).is_some() {
                     self.free_conn(conn_id);
                     sh.gate.mark_dirty();
@@ -740,7 +740,7 @@ impl ServerLogic for Inet {
                 // (or re-sent by the app) is status 0 as well.
                 sh.reply(ctx, call, ack(0));
             }
-            sock::DGRAM_SEND => {
+            Some(sock::Msg::DGRAM_SEND(dgram)) => {
                 if self.session.dgram_app != Some(msg.source) {
                     self.session.dgram_app = Some(msg.source);
                     sh.gate.mark_dirty();
@@ -748,7 +748,7 @@ impl ServerLogic for Inet {
                 let seg = Segment {
                     flags: flags::DGRAM,
                     conn: 0,
-                    seq: sock::DgramSend::from_message(&msg).map_or(0, |d| d.seq) as u32,
+                    seq: dgram.seq as u32,
                     ack: 0,
                     payload: msg.data.clone(),
                 };
@@ -757,9 +757,10 @@ impl ServerLogic for Inet {
                 self.send_segment(ctx, seg);
                 sh.reply(ctx, call, ack(0));
             }
-            _ => {
-                sh.reply(ctx, call, ack(22));
-            }
+            // The replies and pushes INET itself sends, or another table's kind.
+            Some(sock::Msg::CONNECT_REPLY(_) | sock::Msg::ACK(_))
+            | Some(sock::Msg::DATA(_) | sock::Msg::CLOSED(_) | sock::Msg::DGRAM_DATA)
+            | None => sh.reply(ctx, call, ack(22)),
         }
     }
 }

@@ -507,8 +507,8 @@ impl<V: Volume> FileServer<V> {
             return;
         }
         while let Some((call, msg)) = self.queue.pop_front() {
-            match msg.mtype {
-                fs::OPEN => {
+            match fs::Msg::decode(&msg) {
+                Some(fs::Msg::OPEN(_)) => {
                     let name = V::canonical_name(&msg.data);
                     let opened = self.files.iter().position(|i| i.name == name);
                     let reply = match opened {
@@ -524,8 +524,7 @@ impl<V: Volume> FileServer<V> {
                     };
                     sh.reply(ctx, call, reply.into_message());
                 }
-                fs::READ => {
-                    let read = fs::Read::from_message(&msg).unwrap_or_default();
+                Some(fs::Msg::READ(read)) => {
                     let (ino, offset, len) = (read.ino as usize, read.offset, read.len);
                     let Some(inode) = self.files.get(ino) else {
                         sh.reply(ctx, call, data_reply(status::EINVAL, 0));
@@ -542,10 +541,9 @@ impl<V: Volume> FileServer<V> {
                     self.start_next_chunk(sh, ctx);
                     return;
                 }
-                fs::WRITE => {
+                Some(fs::Msg::WRITE(write)) => {
                     // In place only: sector-aligned and inside the file's
                     // extents, which holds for either format's table.
-                    let write = fs::Write::from_message(&msg).unwrap_or_default();
                     let (ino, offset) = (write.ino as usize, write.offset);
                     let data = msg.data;
                     let len = data.len() as u64;
@@ -564,7 +562,9 @@ impl<V: Volume> FileServer<V> {
                     self.start_next_chunk(sh, ctx);
                     return;
                 }
-                _ => sh.reply(ctx, call, data_reply(status::EINVAL, 0)),
+                Some(fs::Msg::OPEN_REPLY(_) | fs::Msg::DATA_REPLY(_)) | None => {
+                    sh.reply(ctx, call, data_reply(status::EINVAL, 0));
+                }
             }
         }
     }

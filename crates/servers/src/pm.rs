@@ -120,7 +120,9 @@ impl ServerLogic for ProcessManager {
 
     fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent) {
         match event {
-            ProcEvent::Message(msg) if msg.mtype == drv::HB_PING => {
+            ProcEvent::Message(msg)
+                if matches!(drv::Msg::decode(&msg), Some(drv::Msg::HB_PING(_))) =>
+            {
                 // RS liveness ping: with no START/KILL in flight a wedged
                 // PM would leave no stalled request to audit, so RS pings
                 // it like a driver. The pong goes through the garble
@@ -128,7 +130,7 @@ impl ServerLogic for ProcessManager {
                 // same as silence.
                 sh.push(ctx, msg.source, Message::new(drv::HB_PONG));
             }
-            ProcEvent::Message(msg) if msg.mtype == pm::REGISTER => {
+            ProcEvent::Message(msg) if matches!(pm::Msg::decode(&msg), Some(pm::Msg::REGISTER)) => {
                 if self.reaper != Some(msg.source) {
                     self.reaper = Some(msg.source);
                     sh.gate.mark_dirty();
@@ -162,15 +164,14 @@ impl ServerLogic for ProcessManager {
     /// Serves one START/KILL request (also the replay path for requests
     /// parked behind a record restore).
     fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
-        match msg.mtype {
-            pm::START => {
-                // Only the registered reaper (RS) may start services.
-                if self.reaper != Some(msg.source) {
-                    sh.reply(ctx, call, start_reply(pm_status::DENIED, None));
-                    return;
-                }
+        match pm::Msg::decode(&msg) {
+            // Only the registered reaper (RS) may start services.
+            Some(pm::Msg::START(_)) if self.reaper != Some(msg.source) => {
+                sh.reply(ctx, call, start_reply(pm_status::DENIED, None));
+            }
+            Some(pm::Msg::START(start)) => {
                 let program = String::from_utf8_lossy(&msg.data).to_string();
-                let version = match pm::Start::from_message(&msg).map_or(0, |s| s.version) {
+                let version = match start.version {
                     0 => None,
                     v => Some(v as u32),
                 };
@@ -185,15 +186,7 @@ impl ServerLogic for ProcessManager {
                     }
                 }
             }
-            pm::KILL => {
-                if self.reaper != Some(msg.source) {
-                    let denied = pm::KillReply {
-                        status: pm_status::DENIED,
-                    };
-                    sh.reply(ctx, call, denied.into_message());
-                    return;
-                }
-                let kill = pm::Kill::from_message(&msg).unwrap_or_default();
+            Some(pm::Msg::KILL(kill)) if self.reaper == Some(msg.source) => {
                 let target = unpack_endpoint(kill.slot, kill.generation);
                 let signal = if kill.signal == 1 {
                     Signal::Kill
@@ -206,7 +199,11 @@ impl ServerLogic for ProcessManager {
                 };
                 sh.reply(ctx, call, pm::KillReply { status: st }.into_message());
             }
-            _ => {
+            // A KILL from anyone but the reaper; a one-way message or a
+            // reply; another table's kind.
+            Some(pm::Msg::KILL(_) | pm::Msg::REGISTER | pm::Msg::SIGCHLD(_))
+            | Some(pm::Msg::START_REPLY(_) | pm::Msg::KILL_REPLY(_))
+            | None => {
                 let denied = pm::KillReply {
                     status: pm_status::DENIED,
                 };

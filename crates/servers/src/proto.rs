@@ -242,15 +242,20 @@ impl Complaint<'_> {
     /// Reads a complaint back out of an [`rs::COMPLAIN`] request; `None`
     /// for a message of any other kind.
     pub fn decode(msg: &Message) -> Option<Complaint<'_>> {
-        let c = rs::Complain::from_message(msg)?;
-        Some(Complaint {
+        Some(Complaint::read(rs::Complain::from_message(msg)?, &msg.data))
+    }
+
+    /// The complaint of an [`rs::COMPLAIN`] request decoded to `c`, whose
+    /// payload is `data`.
+    pub fn read(c: rs::Complain, data: &[u8]) -> Complaint<'_> {
+        Complaint {
             kind: c.kind as u32,
-            accused: String::from_utf8_lossy(&msg.data),
+            accused: String::from_utf8_lossy(data),
             incarnation: match (c.slot, c.generation) {
                 (0, 0) => None,
                 (slot, generation) => Some(unpack_endpoint(slot, generation)),
             },
-        })
+        }
     }
 }
 
@@ -505,6 +510,8 @@ pub fn classify(expected: u32, result: &Result<Message, IpcError>) -> ReplyClass
     let Ok(reply) = result else {
         return ReplyClass::Gone;
     };
+    // analyze:allow(raw-mtype): the garble check of a reply against the
+    // one kind its call expects, which the caller names as a number.
     let outcome = if reply.mtype == expected {
         status_and_slot_two(reply)
     } else {
@@ -525,14 +532,13 @@ pub fn classify(expected: u32, result: &Result<Message, IpcError>) -> ReplyClass
 /// others carry 0 there: VFS zeroes a relayed [`cdev::REPLY`]'s checksum
 /// echo, a failed open has no size and INET never sets it.
 fn status_and_slot_two(reply: &Message) -> Option<(u64, u64)> {
-    let open = |r: fs::OpenReply| (r.status, r.size);
-    let connect = |r: sock::ConnectReply| (r.status, r.driver_died);
-    let ack = |r: sock::Ack| (r.status, r.driver_died);
-    dev_reply(reply)
-        .map(|r| (r.status, r.csum_echo))
-        .or_else(|| fs::OpenReply::from_message(reply).map(open))
-        .or_else(|| sock::ConnectReply::from_message(reply).map(connect))
-        .or_else(|| sock::Ack::from_message(reply).map(ack))
+    match (fs::Msg::decode(reply), sock::Msg::decode(reply)) {
+        (Some(fs::Msg::OPEN_REPLY(r)), _) => Some((r.status, r.size)),
+        (Some(fs::Msg::DATA_REPLY(r)), _) => Some((r.status, r.driver_died)),
+        (_, Some(sock::Msg::CONNECT_REPLY(r))) => Some((r.status, r.driver_died)),
+        (_, Some(sock::Msg::ACK(r))) => Some((r.status, r.driver_died)),
+        _ => cdev::Reply::from_message(reply).map(|r| (r.status, r.csum_echo)),
+    }
 }
 
 /// A character device's answer as its client reads it: the driver's
@@ -540,14 +546,17 @@ fn status_and_slot_two(reply: &Message) -> Option<(u64, u64)> {
 /// refusal, whose slots mean the same (a refused logged write echoes its
 /// log sequence where the driver's acknowledgment would be).
 pub fn dev_reply(reply: &Message) -> Option<cdev::Reply> {
-    let refusal = |r: fs::DataReply| cdev::Reply {
-        status: r.status,
-        count: r.count,
-        csum_echo: r.driver_died,
-        consumed: r.consumed,
-        ack_seq: r.ack_seq,
-    };
-    cdev::Reply::from_message(reply).or_else(|| fs::DataReply::from_message(reply).map(refusal))
+    match (cdev::Msg::decode(reply), fs::Msg::decode(reply)) {
+        (Some(cdev::Msg::REPLY(r)), _) => Some(r),
+        (_, Some(fs::Msg::DATA_REPLY(r))) => Some(cdev::Reply {
+            status: r.status,
+            count: r.count,
+            csum_echo: r.driver_died,
+            consumed: r.consumed,
+            ack_seq: r.ack_seq,
+        }),
+        _ => None,
+    }
 }
 
 #[cfg(test)]

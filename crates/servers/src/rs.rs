@@ -1078,14 +1078,11 @@ impl ReincarnationServer {
     fn on_complaint(
         &mut self,
         ctx: &mut Ctx<'_>,
-        msg: &Message,
+        source: Endpoint,
+        complaint: Complaint<'_>,
         idx: Option<usize>,
-        name: &str,
     ) -> u64 {
-        let source = msg.source;
-        let Some(complaint) = Complaint::decode(msg) else {
-            return 22; // EINVAL: not a complaint
-        };
+        let name = &*complaint.accused;
         let kind = complaint.kind;
         let accuser_idx = self.service_by_endpoint(source);
         let accusation = Accusation {
@@ -1490,49 +1487,47 @@ impl ReincarnationServer {
 
     /// Exit reports and heartbeat replies.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
-        match msg.mtype {
-            pm::SIGCHLD => {
-                let exit = pm::Sigchld::from_message(msg).unwrap_or_default();
-                let ep = unpack_endpoint(exit.slot, exit.generation);
-                if let Some(idx) = self.service_by_endpoint(ep) {
-                    // Defect classes 1-3 (§5.1) from the exit status.
-                    let observed = match exit.reason {
-                        0 | 1 => reason::EXIT,
-                        2 => reason::EXCEPTION,
-                        _ => reason::KILLED,
-                    };
-                    self.reap(ctx, idx, observed);
-                } else if let Some(i) = self.services.iter().position(|s| s.spare == Some(ep)) {
-                    // The warm spare died, not the primary: no recovery
-                    // episode, just refill the slot after a spawn latency.
-                    self.services[i].spare = None;
-                    ctx.metrics().incr("rs.standby.spare_deaths");
-                    let name = &self.services[i].cfg.program;
-                    ctx.trace(
-                        TraceLevel::Warn,
-                        format!("warm spare {ep} of {name} died; respawning"),
-                    );
-                    let _ = ctx.set_alarm(EXEC_LATENCY, token(TOK_SPARE, i));
-                } else {
-                    // Not a currently-guarded endpoint: either a user
-                    // process (ignore) or a service incarnation that died
-                    // before RS bound it. Remember it, so a later
-                    // START_REPLY naming it is recognized as an
-                    // already-dead incarnation.
-                    if self.early_deaths.len() >= EARLY_DEATHS_CAP {
-                        self.early_deaths.pop_front();
-                    }
-                    self.early_deaths.push_back(ep);
-                }
+        if let Some(drv::Msg::HB_PONG(_)) = drv::Msg::decode(msg) {
+            if self.pm_guard && msg.source == self.pm {
+                self.pm_pong_outstanding = 0;
+            } else if let Some(idx) = self.service_by_endpoint(msg.source) {
+                self.services[idx].hb_outstanding = 0;
             }
-            drv::HB_PONG => {
-                if self.pm_guard && msg.source == self.pm {
-                    self.pm_pong_outstanding = 0;
-                } else if let Some(idx) = self.service_by_endpoint(msg.source) {
-                    self.services[idx].hb_outstanding = 0;
-                }
+            return;
+        }
+        let Some(pm::Msg::SIGCHLD(exit)) = pm::Msg::decode(msg) else {
+            return;
+        };
+        let ep = unpack_endpoint(exit.slot, exit.generation);
+        if let Some(idx) = self.service_by_endpoint(ep) {
+            // Defect classes 1-3 (§5.1) from the exit status.
+            let observed = match exit.reason {
+                0 | 1 => reason::EXIT,
+                2 => reason::EXCEPTION,
+                _ => reason::KILLED,
+            };
+            self.reap(ctx, idx, observed);
+        } else if let Some(i) = self.services.iter().position(|s| s.spare == Some(ep)) {
+            // The warm spare died, not the primary: no recovery
+            // episode, just refill the slot after a spawn latency.
+            self.services[i].spare = None;
+            ctx.metrics().incr("rs.standby.spare_deaths");
+            let name = &self.services[i].cfg.program;
+            ctx.trace(
+                TraceLevel::Warn,
+                format!("warm spare {ep} of {name} died; respawning"),
+            );
+            let _ = ctx.set_alarm(EXEC_LATENCY, token(TOK_SPARE, i));
+        } else {
+            // Not a currently-guarded endpoint: either a user
+            // process (ignore) or a service incarnation that died
+            // before RS bound it. Remember it, so a later
+            // START_REPLY naming it is recognized as an
+            // already-dead incarnation.
+            if self.early_deaths.len() >= EARLY_DEATHS_CAP {
+                self.early_deaths.pop_front();
             }
-            _ => {}
+            self.early_deaths.push_back(ep);
         }
     }
 
@@ -1936,13 +1931,13 @@ impl ReincarnationServer {
         let name = String::from_utf8_lossy(&msg.data).to_string();
         let idx = self.by_name.get(&name).copied();
         let mut st = 0u64;
-        match (msg.mtype, idx) {
-            (rsp::UP, Some(i)) => {
+        match (rsp::Msg::decode(msg), idx) {
+            (Some(rsp::Msg::UP), Some(i)) => {
                 self.services[i].admin_down = false;
                 self.start_by_operator(ctx, i);
             }
             // User-initiated replacement, defect class 3.
-            (rsp::RESTART, Some(i)) => {
+            (Some(rsp::Msg::RESTART), Some(i)) => {
                 if self.services[i].state == SvcState::Up {
                     self.services[i].pending_reason = Some(reason::KILLED);
                     self.kill_service(ctx, i, false);
@@ -1952,7 +1947,7 @@ impl ReincarnationServer {
             }
             // Dynamic update, defect class 6: ask nicely with SIGTERM,
             // escalate to SIGKILL if this incarnation ignores it (§6).
-            (rsp::UPDATE, Some(i)) => {
+            (Some(rsp::Msg::UPDATE), Some(i)) => {
                 if self.services[i].state == SvcState::Up {
                     self.services[i].pending_reason = Some(reason::UPDATE);
                     self.kill_service(ctx, i, true);
@@ -1962,7 +1957,7 @@ impl ReincarnationServer {
                     self.start_service(ctx, i);
                 }
             }
-            (rsp::DOWN, Some(i)) => {
+            (Some(rsp::Msg::DOWN), Some(i)) => {
                 if self.services[i].state == SvcState::Up {
                     self.services[i].admin_down = true;
                     self.kill_service(ctx, i, false);
@@ -1972,8 +1967,12 @@ impl ReincarnationServer {
             }
             // Defect class 5: an authorized server reports a protocol
             // violation; RS arbitrates (§5.1).
-            (rsp::COMPLAIN, i) => st = self.on_complaint(ctx, msg, i, &name),
-            _ => st = 22, // EINVAL / unknown service
+            (Some(rsp::Msg::COMPLAIN(c)), i) => {
+                st = self.on_complaint(ctx, msg.source, Complaint::read(c, &msg.data), i);
+            }
+            // EINVAL: an unknown service, or not a request RS serves.
+            (Some(rsp::Msg::UP | rsp::Msg::RESTART | rsp::Msg::UPDATE | rsp::Msg::DOWN), None)
+            | (Some(rsp::Msg::ACK(_)) | None, _) => st = 22,
         }
         let _ = ctx.reply(call, rsp::Ack { status: st }.into_message());
     }
