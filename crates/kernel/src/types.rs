@@ -155,6 +155,7 @@ impl fmt::Debug for Message {
         write!(
             f,
             "Message{{type={}, from={}, params={:?}, {}B}}",
+            // analyze:allow(raw-mtype): a print of the kind, no dispatch.
             self.mtype,
             self.source,
             &self.params[..4],
