@@ -240,8 +240,8 @@ fn the_real_workspace_reports_nothing() {
     let values = proto.kinds.iter().filter(|k| k.dir == Dir::Value).count();
     assert_eq!(
         (proto.kinds.len(), values),
-        (73, 10),
-        "63 message kinds, 10 values"
+        (77, 14),
+        "63 message kinds, 14 values"
     );
     // `Msg::decode`'s `None` means "another table's kind" only while no
     // two message rows, in any tables, share a value.

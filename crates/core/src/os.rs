@@ -15,6 +15,7 @@ use phoenix_ckpt::CheckpointStore;
 use phoenix_drivers::chardrv::{AudioPort, PrinterPort, StreamDevice, StreamDriver};
 use phoenix_drivers::libdriver::{Driver, DriverLogic, FaultPort};
 use phoenix_drivers::net::{Dp8390Card, EthDriver, Nic, Rtl8139Card};
+use phoenix_drivers::proto::drv;
 use phoenix_drivers::{DiskDriver, KeyboardDriver, RamDiskDriver, ScsiCdDriver};
 use phoenix_fault::chaos::ChaosPlan;
 use phoenix_fault::mutate::{apply_random_fault, Mutation};
@@ -448,7 +449,7 @@ struct Row {
     /// Recovery class, dependents, policy, heartbeat. Server-class rows
     /// are also the sticky names (a message to a dead incarnation is
     /// redirected to the live one, so applications holding the endpoint
-    /// survive its microreboots) and RS's configured complainants.
+    /// survive its microreboots) and RS's complainants.
     service: ServiceConfig,
     /// The `standby.<name>` warm spare RS keeps beside the primary.
     spare: Option<(Privileges, Build)>,
@@ -472,7 +473,7 @@ impl Row {
             hardware: None,
             privileges,
             build: Box::new(move |w| Box::new(Server::new(logic(w), w.ds, w.crash_only.as_ref()))),
-            service: ServiceConfig::server(name, name).with_deps(deps),
+            service: ServiceConfig::server(name).with_deps(deps),
             spare: None,
             vfs_routable: false,
         }
@@ -488,7 +489,7 @@ impl Row {
         policy: &Option<PolicyScript>,
         logic: impl Fn(&Wiring) -> L + 'static,
     ) -> Row {
-        let mut service = ServiceConfig::driver(name, name);
+        let mut service = ServiceConfig::driver(name);
         service.policy = policy.clone();
         Row {
             name,
@@ -662,7 +663,7 @@ impl Row {
         for row in routable {
             ipc.push(row.name.to_string());
             if row.spare.is_some() {
-                ipc.push(format!("standby.{}", row.name));
+                ipc.push(drv::spare_name(row.name));
             }
             if row.service.server {
                 deps.push(row.name.to_string());
@@ -835,7 +836,6 @@ impl Os {
         let ramdisk_region = cfg.ramdisk_sectors.map(RamDiskDriver::region);
         let rows = Row::table(&cfg, ramdisk_region.as_ref());
         let mut services = Vec::with_capacity(rows.len());
-        let mut complainants = Vec::new();
         let mut programs = Vec::with_capacity(rows.len());
         for row in rows {
             if let Some((dev, irq, model)) = row.hardware {
@@ -843,7 +843,6 @@ impl Os {
             }
             if row.service.server {
                 sys.mark_sticky(row.name);
-                complainants.push(row.name.to_string());
             }
             services.push(match cfg.restart_budget {
                 Some((budget, window)) => row.service.with_restart_budget(budget, window),
@@ -859,7 +858,7 @@ impl Os {
 
         let mut rs_privs = Privileges::reincarnation_server();
         let mut rs_server =
-            ReincarnationServer::new(pm, ds, services, complainants).with_sentinels(cfg.sentinels);
+            ReincarnationServer::new(pm, ds, services).with_sentinels(cfg.sentinels);
         if let Some(script) = cfg.adapt.clone() {
             rs_server = rs_server.with_adapt(script);
         }
@@ -895,7 +894,7 @@ impl Os {
             sys.register_program(name, privileges, Box::new(move || build(&w)));
             if let Some((privileges, build)) = spare {
                 let w = wiring.clone();
-                let name = format!("standby.{name}");
+                let name = drv::spare_name(name);
                 sys.register_program(&name, privileges, Box::new(move || build(&w)));
             }
         }

@@ -120,7 +120,7 @@ fn status_reply(status: u64) -> Message {
 /// spare named `standby.chr.printer` goes live as `chr.printer`.
 fn primary_name(ctx: &Ctx<'_>) -> String {
     let name = ctx.self_name();
-    name.strip_prefix("standby.").unwrap_or(name).to_string()
+    drv::spare_of(name).unwrap_or(name).to_string()
 }
 
 /// The device half of a stream driver: everything that differs between

@@ -15,6 +15,9 @@ pub mod status {
     pub const EIO: u64 = 5;
     /// Temporarily out of resources; retry later.
     pub const EAGAIN: u64 = 11;
+    /// Permission denied (a complaint from a component that may not file
+    /// one).
+    pub const EACCES: u64 = 13;
     /// Invalid argument (bad LBA, bad length).
     pub const EINVAL: u64 = 22;
     /// Device not ready / no medium.
@@ -41,6 +44,21 @@ pub mod drv {
             recovery: 0,
             span: 1,
         }
+    }
+
+    /// What makes a program or data-store name a warm spare's.
+    const SPARE: &str = "standby.";
+
+    /// The program and data-store name of `primary`'s warm spare, the
+    /// incarnation [`STANDBY`] and [`PROMOTE`] address.
+    pub fn spare_name(primary: &str) -> String {
+        [SPARE, primary].concat()
+    }
+
+    /// The primary whose warm spare goes by `name`, `None` if `name` is
+    /// no spare's.
+    pub fn spare_of(name: &str) -> Option<&str> {
+        name.strip_prefix(SPARE)
     }
 }
 

@@ -21,6 +21,7 @@ use std::rc::Rc;
 
 use phoenix_ckpt::proto::{ckpt, ckpt_status};
 use phoenix_ckpt::{CheckpointStore, RestoreOutcome, SaveOutcome};
+use phoenix_drivers::proto::drv;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{Endpoint, Message};
@@ -241,7 +242,7 @@ impl DataStore {
         };
         let Some(primary) = self
             .owner_name_of(msg.source)
-            .and_then(|n| n.strip_prefix("standby."))
+            .and_then(drv::spare_of)
             .map(str::to_string)
         else {
             ctx.metrics().incr("ds.ckpt_tail_denied");
@@ -293,7 +294,7 @@ impl DataStore {
         // The spare is the primary now: drop its standby binding so the
         // endpoint resolves to exactly one owner name (and the tail
         // capability dies with the role).
-        self.names.remove(&format!("standby.{owner}"));
+        self.names.remove(&drv::spare_name(&owner));
         ctx.metrics().incr("ds.ckpt_promotions");
         let status = ckpt_status::OK;
         ckpt::PromoteReply { status, adopted }.into_message()

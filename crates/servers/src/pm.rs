@@ -60,13 +60,14 @@ impl ProcessManager {
         Self::default()
     }
 
+    /// The SIGCHLD `reason` kind and `detail` of an exit.
     fn encode_reason(reason: &ExitReason) -> (u64, u64) {
         match reason {
-            ExitReason::Exited(code) => (0, *code as u64),
-            ExitReason::Panicked(_) => (1, 0),
-            ExitReason::Exception(k) => (2, *k as u64),
-            ExitReason::Signaled(_, KillOrigin::User) => (3, 1),
-            ExitReason::Signaled(_, KillOrigin::System) => (3, 0),
+            ExitReason::Exited(code) => (u64::from(pm::EXITED), *code as u64),
+            ExitReason::Panicked(_) => (u64::from(pm::PANICKED), 0),
+            ExitReason::Exception(k) => (u64::from(pm::EXCEPTION), *k as u64),
+            ExitReason::Signaled(_, KillOrigin::User) => (u64::from(pm::SIGNALED), 1),
+            ExitReason::Signaled(_, KillOrigin::System) => (u64::from(pm::SIGNALED), 0),
         }
     }
 }

@@ -44,15 +44,23 @@ pub mod pm {
         /// The status of a KILL.
         reply KILL_REPLY = 0x0504, KillReply { status: 0 }
         /// Child exit report to RS (one-way): the endpoint, the `reason`
-        /// kind (0 exit, 1 panic, 2 exception, 3 signal) and its `detail`
-        /// (exit code / exception / 1 if a user-originated signal); the
-        /// process name in `data`.
+        /// kind (one of the values below) and its `detail` (exit code /
+        /// exception / 1 if a user-originated signal); the process name in
+        /// `data`.
         oneway SIGCHLD = 0x0505, Sigchld {
             slot: 0,
             generation: 1,
             reason: 2,
             detail: 3,
         }
+        /// SIGCHLD `reason`: the process exited with a code.
+        value EXITED = 0;
+        /// SIGCHLD `reason`: the process panicked.
+        value PANICKED = 1;
+        /// SIGCHLD `reason`: a CPU or MMU exception killed the process.
+        value EXCEPTION = 2;
+        /// SIGCHLD `reason`: a signal killed the process.
+        value SIGNALED = 3;
     }
 }
 

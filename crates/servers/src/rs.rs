@@ -10,7 +10,9 @@
 //! 2. killed by CPU/MMU exception — SIGCHLD report from PM;
 //! 3. killed by user — SIGCHLD report, or an explicit `service restart`;
 //! 4. heartbeat missing N consecutive times — RS's own periodic pings;
-//! 5. complaint by an authorized component — `rs::COMPLAIN`;
+//! 5. complaint by an authorized component — `rs::COMPLAIN`; the
+//!    complainants are the live incarnations of the server-class services
+//!    of the table;
 //! 6. dynamic update — `rs::UPDATE` (SIGTERM, escalating to SIGKILL).
 //!
 //! On a defect RS runs the component's policy script (§5.2) and carries
@@ -42,14 +44,16 @@
 //!   yet bound to a service is remembered; if a later START_REPLY names that
 //!   endpoint, the fresh incarnation died mid-recovery and recovery re-runs.
 //! * **Kill-reply reconciliation** — PM answering `NO_PROCESS` to an RS
-//!   kill while RS still thinks the service is up means the exit report was
-//!   lost; the defect is synthesized on the spot.
+//!   kill of the incarnation RS still guards means its exit report was
+//!   lost; the defect is synthesized on the spot. A reply about an earlier
+//!   incarnation says nothing about its successor.
 //! * **Liveness audit** — a periodic sweep asks the kernel whether each
 //!   supposedly-up endpoint is still alive, catching any remaining lost
 //!   exit notifications.
 //! * **Verified publish** — DS publishes are acknowledged; a missing or
 //!   failed acknowledgement triggers bounded re-publish with an alert when
-//!   the budget is exhausted.
+//!   the budget is exhausted. An acknowledgement verifies the publish of
+//!   its own incarnation only.
 //! * **Restart budgets + storm escalation** — each service has a sliding-
 //!   window restart budget; exceeding it escalates restart → restart with
 //!   dependents → alert with extended cool-down → give up, instead of
@@ -81,7 +85,7 @@ pub mod decide;
 use std::collections::{BTreeMap, VecDeque};
 
 use phoenix_ckpt::proto::{ckpt, ckpt_status};
-use phoenix_drivers::proto::drv;
+use phoenix_drivers::proto::{drv, status};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, ExitReason, IpcError, Message, Signal};
@@ -109,10 +113,9 @@ use crate::proto::{ds, evidence, pack_endpoint, pm, rs as rsp, unpack_endpoint, 
 /// so they are not repeated here.
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
-    /// Program name in the kernel registry; doubles as the stable name.
+    /// Program name in the kernel registry; doubles as the stable name
+    /// and the key published in the data store (e.g. `eth.rtl8139`).
     pub program: String,
-    /// Key published in the data store (e.g. `eth.rtl8139`, `blk.sata`).
-    pub publish_key: String,
     /// Recovery policy; `None` means a direct restart with no script
     /// (like disk drivers, whose script could not be read from the dead
     /// disk, §6.2).
@@ -133,8 +136,9 @@ pub struct ServiceConfig {
     /// externalized session state. Server-class services get the recursive
     /// escalation ladder (microreboot first, dependency-group reboot on
     /// recurrence), are audited for progress stalls even without
-    /// heartbeats, and may be accused by any live caller, not only the
-    /// configured complainants.
+    /// heartbeats, may be accused by any live caller, and are the
+    /// complainants: a complaint filed by a server's live incarnation is
+    /// authorized.
     pub server: bool,
     /// RS pings the service at `params.heartbeat_period`.
     heartbeat: bool,
@@ -149,10 +153,9 @@ pub struct ServiceConfig {
 impl ServiceConfig {
     /// The baseline parameters from [`PolicyParams::BASELINE`] around
     /// `policy`, heartbeats on.
-    fn baseline(program: &str, publish_key: &str, policy: PolicyScript) -> Self {
+    fn baseline(program: &str, policy: PolicyScript) -> Self {
         ServiceConfig {
             program: program.to_string(),
-            publish_key: publish_key.to_string(),
             policy: Some(policy),
             policy_params: Vec::new(),
             params: PolicyParams::BASELINE,
@@ -165,18 +168,18 @@ impl ServiceConfig {
 
     /// A driver config with the generic Fig. 2 policy and the baseline
     /// heartbeat/budget parameters.
-    pub fn driver(program: &str, publish_key: &str) -> Self {
-        Self::baseline(program, publish_key, PolicyScript::generic())
+    pub fn driver(program: &str) -> Self {
+        Self::baseline(program, PolicyScript::generic())
     }
 
     /// A crash-only system-server config: no heartbeats (servers
     /// legitimately block on their drivers), direct-restart policy, and
     /// the recursive microreboot ladder enabled.
-    pub fn server(program: &str, publish_key: &str) -> Self {
+    pub fn server(program: &str) -> Self {
         ServiceConfig {
             server: true,
             heartbeat: false,
-            ..Self::baseline(program, publish_key, PolicyScript::direct_restart())
+            ..Self::baseline(program, PolicyScript::direct_restart())
         }
     }
 
@@ -263,21 +266,36 @@ impl ServiceConfig {
 enum SvcState {
     /// Not running, no restart scheduled.
     Down,
-    /// PM_START in flight.
-    Starting,
+    /// The PM_START call `call`, start attempt `attempt`, is in flight.
+    Starting { call: CallId, attempt: u16 },
     /// Running and guarded.
-    Up,
+    Up(Live),
     /// Dead; restart alarm armed.
     WaitRestart,
     /// Policy gave up (or administrative down); no automatic recovery.
     GivenUp,
 }
 
-/// An unacknowledged DS publish being verified.
-#[derive(Debug, Clone, Copy)]
-struct PendingPublish {
+/// What RS knows of a running incarnation; it dies with it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Live {
     ep: Endpoint,
-    attempts: u32,
+    /// Heartbeat pings not answered yet.
+    pings: u32,
+    /// Attempts of the DS publish being verified, `None` once its
+    /// acknowledgement arrived or RS stopped trying.
+    publish: Option<u32>,
+}
+
+/// The warm spare of a hot-standby service.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Spare {
+    /// No spare, none being spawned.
+    Absent,
+    /// A spare PM_START is in flight.
+    Spawning,
+    /// Up, tailing the primary's checkpoint record.
+    Tailing(Endpoint),
 }
 
 // [recovery:begin]
@@ -377,7 +395,6 @@ struct Service {
     /// `cfg.params`, named once at boot.
     gauges: Vec<(AdaptParam, String)>,
     state: SvcState,
-    endpoint: Option<Endpoint>,
     /// Failure count fed to the policy as `repetition`.
     failures: u32,
     /// Defect class RS already knows (set before RS-initiated kills).
@@ -385,26 +402,47 @@ struct Service {
     /// Program version to use for the next start (None = latest).
     next_version: Option<u32>,
     hb_nonce: u64,
-    hb_outstanding: u32,
     /// Incarnation epoch, bumped whenever a fresh incarnation goes up.
     /// Heartbeat chains and update-escalation alarms carry the epoch they
     /// were armed for; a stale one is ignored.
     hb_epoch: u16,
     admin_down: bool,
-    /// The PM_START call currently awaited, with its attempt number.
-    current_start: Option<(CallId, u16)>,
+    /// The number of the most recent start attempt.
     start_attempt: u16,
     /// Restart history inside the sliding budget window and the
     /// storm-ladder position.
     restarts: RestartRecord,
-    pending_publish: Option<PendingPublish>,
     /// The most recent recovery episode.
     episode: Option<Episode>,
-    /// The warm spare incarnation tailing this service's checkpoint
-    /// record, if hot standby is on and the spare is up.
-    spare: Option<Endpoint>,
-    /// A spare PM_START is in flight.
-    spare_pending: bool,
+    /// The warm spare of a hot-standby service.
+    spare: Spare,
+}
+
+impl Service {
+    /// The running incarnation, if the service is up.
+    fn live_mut(&mut self) -> Option<&mut Live> {
+        match &mut self.state {
+            SvcState::Up(live) => Some(live),
+            _ => None,
+        }
+    }
+
+    /// The endpoint of the running incarnation, if the service is up.
+    fn endpoint(&self) -> Option<Endpoint> {
+        match self.state {
+            SvcState::Up(live) => Some(live.ep),
+            _ => None,
+        }
+    }
+
+    /// Takes the warm spare if it is up; a spawn in flight stays.
+    fn take_spare(&mut self) -> Option<Endpoint> {
+        let Spare::Tailing(ep) = self.spare else {
+            return None;
+        };
+        self.spare = Spare::Absent;
+        Some(ep)
+    }
 }
 
 /// How long RS waits for a PM_START reply before assuming the request or
@@ -484,14 +522,77 @@ enum Call {
     /// A PM_START RS timed out on; a late success reply reveals a ghost
     /// incarnation that must be killed.
     Orphan,
-    /// PM_KILL, for NO_PROCESS reconciliation.
-    Kill,
-    /// DS publish of a fresh endpoint.
-    Publish,
+    /// PM_KILL of the incarnation, for NO_PROCESS reconciliation.
+    Kill(Endpoint),
+    /// DS publish of the incarnation.
+    Publish(Endpoint),
     /// PM_START of a warm spare.
     SpareStart,
     /// `ckpt::PROMOTE` re-framing call to DS.
     Promote,
+}
+
+/// PM_START of `program` at `version` (0 = latest).
+fn start_request(program: String, version: u64) -> Message {
+    let start = pm::Start { version }.into_message();
+    start.with_data(program.into_bytes())
+}
+
+/// PM_KILL of `ep`: SIGTERM if `term`, else SIGKILL.
+fn kill_request(ep: Endpoint, term: bool) -> Message {
+    let (slot, generation) = pack_endpoint(ep);
+    let signal = u64::from(!term);
+    let kill = pm::Kill {
+        slot,
+        generation,
+        signal,
+    };
+    kill.into_message()
+}
+
+/// DS publish of `key` → `ep`. The episode rides along so DS — and,
+/// through DS's update notifications, every dependent — can tag its own
+/// reintegration events with the same episode id.
+fn publish_request(key: String, ep: Endpoint, episode: Option<Episode>) -> Message {
+    let ((slot, generation), (recovery, span)) = (pack_endpoint(ep), Episode::wire(episode));
+    let publish = ds::Publish {
+        slot,
+        generation,
+        recovery,
+        span,
+    };
+    publish.into_message().with_data(key.into_bytes())
+}
+
+/// RS's guard of PM itself. PM is outside the service table — it is the
+/// trusted process *executor* — so its recovery is recursive: RS uses its
+/// own spawn/kill privileges instead of asking PM to act on itself, on a
+/// fixed plan (no script, no budget, no jitter).
+#[derive(Debug, Clone, Copy, Default)]
+struct PmGuard {
+    /// A PM respawn alarm is armed; suppresses duplicate defect handling
+    /// from the audit sweep while the replacement incarnation boots.
+    restarting: bool,
+    /// The most recent PM recovery episode, so `fold_timeline` attributes
+    /// it like any other.
+    episode: Option<Episode>,
+    /// Liveness pings to PM the pong for which has not come back yet. A
+    /// wedged PM with no START/KILL in flight leaves no stalled request
+    /// to audit, so RS pings it like a driver heartbeat.
+    pings: u32,
+}
+
+/// The admin-editable adapt script and the signal windows its rules are
+/// stepped against, once per audit sweep.
+struct Adapt {
+    script: PolicyScript,
+    /// Defect detections inside [`ADAPT_WINDOW`] (failure-rate signal).
+    defects: Window<()>,
+    /// Complaint filings inside [`ADAPT_WINDOW`] (complaint-rate signal).
+    complaints: Window<()>,
+    /// Most recent repair-MTTR samples in microseconds, capped at
+    /// [`ADAPT_MTTR_SAMPLES`] (p95 signal).
+    mttr: VecDeque<u64>,
 }
 
 /// The reincarnation server.
@@ -499,17 +600,13 @@ pub struct ReincarnationServer {
     pm: Endpoint,
     ds: Endpoint,
     services: Vec<Service>,
-    by_name: BTreeMap<String, usize>,
-    /// Service names authorized to file complaints (trusted servers with
-    /// `may_complain`).
-    complainants: Vec<String>,
     /// RS's own in-flight calls: what each asked for, and of which service.
     calls: BTreeMap<CallId, (Call, usize)>,
     /// Dead endpoints from SIGCHLD reports that matched no service (yet).
     early_deaths: VecDeque<Endpoint>,
-    /// Deterministic jitter source, forked from the run seed at Start.
+    /// Deterministic jitter source, forked from the run seed at Start;
+    /// `None` until RS has booted.
     jitter: Option<SimRng>,
-    started_boot: bool,
     /// Monotonic source of recovery correlation tokens (ids start at 1;
     /// 0 is the wire encoding of "none").
     next_recovery: u64,
@@ -519,95 +616,51 @@ pub struct ReincarnationServer {
     /// progress guards — the crash-only baseline arm of the fail-silent
     /// campaign.
     arbiter: Arbiter,
-    /// Whether RS guards PM itself. PM is outside the service table — it
-    /// is the trusted process *executor* — so its recovery is recursive:
-    /// RS uses its own spawn/kill privileges instead of asking PM to act
-    /// on itself, on a fixed plan (no script, no budget, no jitter).
-    pm_guard: bool,
-    /// A PM respawn alarm is armed; suppresses duplicate defect handling
-    /// from the audit sweep while the replacement incarnation boots.
-    pm_restarting: bool,
-    /// The most recent PM recovery episode, so `fold_timeline` attributes
-    /// it like any other.
-    pm_episode: Option<Episode>,
-    /// Liveness pings to PM the pong for which has not come back yet. A
-    /// wedged PM with no START/KILL in flight leaves no stalled request
-    /// to audit, so RS pings it like a driver heartbeat.
-    pm_pong_outstanding: u32,
+    /// Whether, and how, RS guards PM itself.
+    pm_guard: Option<PmGuard>,
     /// When the most recent service recovery completed. Client requests
     /// legitimately age while a dependency is being reincarnated, so the
     /// progress watchdog gives server-class components a full stall
     /// window of grace after any recovery before convicting them.
     last_recovery_done: Option<SimTime>,
-    /// Admin-editable adapt script: its `adapt` rules are stepped once
-    /// per audit sweep against the observed signal windows. `None` keeps
-    /// every parameter static.
-    adapt_script: Option<PolicyScript>,
-    /// Defect detections inside [`ADAPT_WINDOW`] (failure-rate signal).
-    adapt_defects: Window<()>,
-    /// Complaint filings inside [`ADAPT_WINDOW`] (complaint-rate signal).
-    adapt_complaints: Window<()>,
-    /// Most recent repair-MTTR samples in microseconds, capped at
-    /// [`ADAPT_MTTR_SAMPLES`] (p95 signal).
-    adapt_mttr: VecDeque<u64>,
+    /// `None` keeps every parameter static.
+    adapt: Option<Adapt>,
 }
 
 impl ReincarnationServer {
-    /// Creates RS, wired to PM and DS, guarding `services`.
-    pub fn new(
-        pm: Endpoint,
-        ds: Endpoint,
-        services: Vec<ServiceConfig>,
-        complainants: Vec<String>,
-    ) -> Self {
-        let mut by_name = BTreeMap::new();
-        let services: Vec<Service> = services
+    /// Creates RS, wired to PM and DS, guarding `services`. The
+    /// server-class services are the complainants.
+    pub fn new(pm: Endpoint, ds: Endpoint, services: Vec<ServiceConfig>) -> Self {
+        let services = services
             .into_iter()
             .map(|cfg| Service {
                 cfg,
                 gauges: Vec::new(),
                 state: SvcState::Down,
-                endpoint: None,
                 failures: 0,
                 pending_reason: None,
                 next_version: None,
                 hb_nonce: 0,
-                hb_outstanding: 0,
                 hb_epoch: 0,
                 admin_down: false,
-                current_start: None,
                 start_attempt: 0,
                 restarts: RestartRecord::default(),
-                pending_publish: None,
                 episode: None,
-                spare: None,
-                spare_pending: false,
+                spare: Spare::Absent,
             })
             .collect();
-        for (i, s) in services.iter().enumerate() {
-            by_name.insert(s.cfg.program.clone(), i);
-        }
         ReincarnationServer {
             pm,
             ds,
             services,
-            by_name,
-            complainants,
             calls: BTreeMap::new(),
             early_deaths: VecDeque::new(),
             jitter: None,
-            started_boot: false,
             next_recovery: 0,
             arbiter: Arbiter::default(),
-            pm_guard: false,
-            pm_restarting: false,
-            pm_episode: None,
-            pm_pong_outstanding: 0,
+            pm_guard: None,
             last_recovery_done: None,
-            adapt_script: None,
-            adapt_defects: Window::default(),
-            adapt_complaints: Window::default(),
-            adapt_mttr: VecDeque::new(),
+            adapt: None,
         }
     }
 
@@ -616,7 +669,12 @@ impl ReincarnationServer {
     /// [`PolicyParams`] of every service it binds, within its declared
     /// clamp band.
     pub fn with_adapt(mut self, script: PolicyScript) -> Self {
-        self.adapt_script = Some(script);
+        self.adapt = Some(Adapt {
+            script,
+            defects: Window::default(),
+            complaints: Window::default(),
+            mttr: VecDeque::new(),
+        });
         self
     }
 
@@ -626,7 +684,7 @@ impl ReincarnationServer {
     /// re-registers as exit-report sink, and re-publishes the `pm` name
     /// so the new incarnation can rehydrate its checkpointed records.
     pub fn with_pm_guard(mut self) -> Self {
-        self.pm_guard = true;
+        self.pm_guard = Some(PmGuard::default());
         self
     }
 
@@ -642,20 +700,16 @@ impl ReincarnationServer {
 
     fn start_service(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let svc = &mut self.services[idx];
-        if matches!(svc.state, SvcState::Starting | SvcState::Up) {
+        if matches!(svc.state, SvcState::Starting { .. } | SvcState::Up(_)) {
             return;
         }
         let name = &svc.cfg.program;
         let version = svc.next_version.take().map_or(0, u64::from);
-        let msg = pm::Start { version }
-            .into_message()
-            .with_data(name.clone().into_bytes());
-        match ctx.sendrec(self.pm, msg) {
+        match ctx.sendrec(self.pm, start_request(name.clone(), version)) {
             Ok(call) => {
-                svc.state = SvcState::Starting;
                 svc.start_attempt = svc.start_attempt.wrapping_add(1);
-                svc.current_start = Some((call, svc.start_attempt));
                 let attempt = svc.start_attempt;
+                svc.state = SvcState::Starting { call, attempt };
                 Subject(name, svc.episode).emit(
                     ctx,
                     TraceLevel::Info,
@@ -668,7 +722,7 @@ impl ReincarnationServer {
                 // this alarm notices and retries.
                 let _ = ctx.set_alarm(START_TIMEOUT, token_seq(TOK_START_TIMEOUT, attempt, idx));
             }
-            Err(e) if self.pm_guard => {
+            Err(e) if self.pm_guard.is_some() => {
                 // PM itself is down. Re-arm the start and recover PM
                 // recursively rather than abandoning the service.
                 ctx.trace(
@@ -697,19 +751,12 @@ impl ReincarnationServer {
     }
 
     fn kill_service(&mut self, ctx: &mut Ctx<'_>, idx: usize, term: bool) {
-        let Some(ep) = self.services[idx].endpoint else {
+        let Some(ep) = self.services[idx].endpoint() else {
             return;
         };
         self.arbiter.clear(idx);
-        let (slot, generation) = pack_endpoint(ep);
-        let signal = u64::from(!term);
-        let kill = pm::Kill {
-            slot,
-            generation,
-            signal,
-        };
-        if let Ok(call) = ctx.sendrec(self.pm, kill.into_message()) {
-            self.calls.insert(call, (Call::Kill, idx));
+        if let Ok(call) = ctx.sendrec(self.pm, kill_request(ep, term)) {
+            self.calls.insert(call, (Call::Kill(ep), idx));
         }
     }
 
@@ -722,36 +769,20 @@ impl ReincarnationServer {
             TraceLevel::Warn,
             format!("killing ghost incarnation {ep} from an abandoned start"),
         );
-        let (slot, generation) = pack_endpoint(ep);
-        let kill = pm::Kill {
-            slot,
-            generation,
-            signal: 1,
-        };
-        let _ = ctx.sendrec(self.pm, kill.into_message());
+        let _ = ctx.sendrec(self.pm, kill_request(ep, false));
     }
 
-    fn publish(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
+    /// Publishes the live incarnation of service `idx` in DS, verified:
+    /// the attempt is booked until its acknowledgement arrives.
+    fn publish(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let svc = &mut self.services[idx];
-        let attempts = match &svc.pending_publish {
-            Some(pp) if pp.ep == ep => pp.attempts,
-            _ => 0,
+        let Some(live) = svc.live_mut() else {
+            return;
         };
-        svc.pending_publish = Some(PendingPublish { ep, attempts });
-        // The episode rides along so DS — and, through DS's update
-        // notifications, every dependent — can tag its own reintegration
-        // events with the same episode id.
-        let ((slot, generation), (recovery, span)) =
-            (pack_endpoint(ep), Episode::wire(svc.episode));
-        let publish = ds::Publish {
-            slot,
-            generation,
-            recovery,
-            span,
-        };
-        let key = svc.cfg.publish_key.clone().into_bytes();
-        if let Ok(call) = ctx.sendrec(self.ds, publish.into_message().with_data(key)) {
-            self.calls.insert(call, (Call::Publish, idx));
+        let (ep, attempts) = (live.ep, *live.publish.get_or_insert(0));
+        let publish = publish_request(svc.cfg.program.clone(), ep, svc.episode);
+        if let Ok(call) = ctx.sendrec(self.ds, publish) {
+            self.calls.insert(call, (Call::Publish(ep), idx));
         }
         // Verify the acknowledgement arrives; re-publish if it does not.
         let seq = attempts as u16;
@@ -770,13 +801,13 @@ impl ReincarnationServer {
 
     /// Feeds one repair-MTTR sample to the adapt signal window.
     fn note_mttr(&mut self, dt: SimDuration) {
-        if self.adapt_script.is_none() {
+        let Some(adapt) = &mut self.adapt else {
             return;
+        };
+        if adapt.mttr.len() >= ADAPT_MTTR_SAMPLES {
+            adapt.mttr.pop_front();
         }
-        if self.adapt_mttr.len() >= ADAPT_MTTR_SAMPLES {
-            self.adapt_mttr.pop_front();
-        }
-        self.adapt_mttr.push_back(dt.as_micros());
+        adapt.mttr.push_back(dt.as_micros());
     }
 
     // [recovery:begin]
@@ -786,9 +817,6 @@ impl ReincarnationServer {
     fn handle_defect(&mut self, ctx: &mut Ctx<'_>, idx: usize, defect: u8) {
         let svc = &mut self.services[idx];
         svc.state = SvcState::Down;
-        svc.endpoint = None;
-        svc.hb_outstanding = 0;
-        svc.pending_publish = None;
         let name = svc.cfg.program.clone();
         if svc.admin_down {
             svc.admin_down = false;
@@ -805,8 +833,10 @@ impl ReincarnationServer {
         let episode = Episode::open(ctx, &mut self.next_recovery, &name, defect, Some(failures));
         svc.episode = Some(episode);
         // Observed-failure signal for the adapt controllers.
-        if self.adapt_script.is_some() && defect != reason::UPDATE && defect != reason::KILLED {
-            self.adapt_defects.push(ctx.now(), ());
+        if let Some(adapt) = &mut self.adapt {
+            if defect != reason::UPDATE && defect != reason::KILLED {
+                adapt.defects.push(ctx.now(), ());
+            }
         }
         let escalation = self.escalate(ctx, idx, &name, defect);
         if escalation.gives_up() {
@@ -820,9 +850,8 @@ impl ReincarnationServer {
         // script (disk drivers) means a direct restart from the copy in
         // RAM (§6.2).
         let svc = &self.services[idx];
-        let input = svc
-            .cfg
-            .policy_input(defect, failures.max(1), self.adapt_script.as_ref());
+        let adapt = self.adapt.as_ref().map(|a| &a.script);
+        let input = svc.cfg.policy_input(defect, failures.max(1), adapt);
         let decision = match &svc.cfg.policy {
             Some(script) => script.run(&input),
             None => PolicyDecision {
@@ -845,12 +874,12 @@ impl ReincarnationServer {
                 "policy requested system reboot".to_string(),
             );
         }
-        let spare = self.services[idx].spare;
-        let spare_alive = spare.is_some_and(|ep| ctx.proc_alive(ep));
+        let spare_alive =
+            matches!(self.services[idx].spare, Spare::Tailing(ep) if ctx.proc_alive(ep));
         match Repair::plan(&decision, defect, &escalation, spare_alive) {
             Repair::GiveUp => self.give_up(ctx, idx, ""),
             Repair::PromoteSpare => {
-                if let Some(spare) = self.services[idx].spare.take() {
+                if let Some(spare) = self.services[idx].take_spare() {
                     self.promote_spare(ctx, idx, spare);
                 }
             }
@@ -858,7 +887,7 @@ impl ReincarnationServer {
                 self.services[idx].next_version = decision.version;
                 if stale_spare {
                     self.retire_spare(ctx, idx);
-                } else if self.services[idx].spare.take().is_some() {
+                } else if self.services[idx].take_spare().is_some() {
                     // The spare died alongside the primary (correlated
                     // fault): cold restart; the audit sweep refills the
                     // spare slot once the service is back up.
@@ -949,10 +978,10 @@ impl ReincarnationServer {
     /// restarts it; `why` labels the trace line.
     fn restart_dependents(&mut self, ctx: &mut Ctx<'_>, deps: Vec<String>, why: Option<&str>) {
         for dep in deps {
-            let Some(&dep_idx) = self.by_name.get(&dep) else {
+            let Some(dep_idx) = self.service_named(&dep) else {
                 continue;
             };
-            if self.services[dep_idx].state != SvcState::Up {
+            if self.services[dep_idx].endpoint().is_none() {
                 continue;
             }
             if let Some(why) = why {
@@ -993,7 +1022,12 @@ impl ReincarnationServer {
                 let svc = &mut self.services[i];
                 (&mut svc.episode, svc.cfg.program.as_str(), "rs.recoveries")
             }
-            None => (&mut self.pm_episode, PM_NAME, "rs.pm_recoveries"),
+            None => {
+                let Some(guard) = &mut self.pm_guard else {
+                    return false;
+                };
+                (&mut guard.episode, PM_NAME, "rs.pm_recoveries")
+            }
         };
         let Some(died) = episode.as_mut().and_then(|e| e.died_at.take()) else {
             return false;
@@ -1025,7 +1059,11 @@ impl ReincarnationServer {
     }
 
     fn service_by_endpoint(&self, ep: Endpoint) -> Option<usize> {
-        self.services.iter().position(|s| s.endpoint == Some(ep))
+        self.services.iter().position(|s| s.endpoint() == Some(ep))
+    }
+
+    fn service_named(&self, name: &str) -> Option<usize> {
+        self.services.iter().position(|s| s.cfg.program == name)
     }
 
     /// Whether some recovery is in flight, or completed less than a full
@@ -1033,29 +1071,12 @@ impl ReincarnationServer {
     /// *server* prove nothing — the server may simply be waiting out a
     /// dependency's reincarnation — so the progress watchdog holds fire.
     fn recovery_in_flight(&self, now: SimTime) -> bool {
-        if self.pm_restarting {
-            return true;
-        }
-        if self
-            .last_recovery_done
-            .is_some_and(|t| now.since(t) <= STALL_AGE)
-        {
-            return true;
-        }
-        self.services.iter().any(|s| {
-            matches!(
-                s.state,
-                SvcState::Starting | SvcState::WaitRestart | SvcState::Down
-            )
-        })
-    }
-
-    fn endpoint_is_complainant(&self, ep: Endpoint) -> bool {
-        self.complainants.iter().any(|name| {
-            self.by_name
-                .get(name)
-                .is_some_and(|&i| self.services[i].endpoint == Some(ep))
-        })
+        let recovering = |s: &Service| !matches!(s.state, SvcState::Up(_) | SvcState::GivenUp);
+        self.pm_guard.is_some_and(|g| g.restarting)
+            || self
+                .last_recovery_done
+                .is_some_and(|t| now.since(t) <= STALL_AGE)
+            || self.services.iter().any(recovering)
     }
 
     /// Restarts service `idx` on a complaint-class defect: marks the
@@ -1085,32 +1106,37 @@ impl ReincarnationServer {
         let name = &*complaint.accused;
         let kind = complaint.kind;
         let accuser_idx = self.service_by_endpoint(source);
+        let accuser = accuser_idx.map(|a| &self.services[a]);
         let accusation = Accusation {
             source,
-            accuser: accuser_idx.map(|a| self.services[a].cfg.program.as_str()),
-            authorized: self.endpoint_is_complainant(source),
+            accuser: accuser.map(|a| a.cfg.program.as_str()),
+            // The complainants are the live server-class incarnations.
+            authorized: accuser.is_some_and(|a| a.cfg.server),
             kind,
             incarnation: complaint.incarnation,
-            accused: idx.map(|i| Accused {
-                idx: i,
-                server: self.services[i].cfg.server,
-                up: self.services[i].state == SvcState::Up,
-                endpoint: self.services[i].endpoint,
-                quorum_complaints: self.services[i].cfg.params.quorum_complaints,
+            accused: idx.map(|i| {
+                let svc = &self.services[i];
+                Accused {
+                    idx: i,
+                    server: svc.cfg.server,
+                    up: svc.endpoint().is_some(),
+                    endpoint: svc.endpoint(),
+                    quorum_complaints: svc.cfg.params.quorum_complaints,
+                }
             }),
         };
         let verdict = self.arbiter.judge(ctx.now(), &accusation);
         if verdict.vetted() {
             ctx.metrics().incr(evidence::complaint_counter(kind));
             // Observed-complaint signal for the adapt controllers.
-            if self.adapt_script.is_some() {
-                self.adapt_complaints.push(ctx.now(), ());
+            if let Some(adapt) = &mut self.adapt {
+                adapt.complaints.push(ctx.now(), ());
             }
         }
         match verdict {
             Verdict::Unauthorized => {
                 ctx.metrics().incr("rs.complaints.rejected_unauthorized");
-                return 13; // EACCES
+                return status::EACCES;
             }
             Verdict::Unknown => {
                 ctx.metrics().incr("rs.complaints.rejected_unknown");
@@ -1118,7 +1144,7 @@ impl ReincarnationServer {
                     TraceLevel::Warn,
                     format!("complaint about unknown service {name:?} from {source}"),
                 );
-                return 22; // EINVAL
+                return status::EINVAL;
             }
             Verdict::SelfAccusation => {
                 ctx.metrics().incr("rs.complaints.rejected_self");
@@ -1126,7 +1152,7 @@ impl ReincarnationServer {
                     TraceLevel::Warn,
                     format!("self-complaint from {name} ({source}) rejected"),
                 );
-                return 22;
+                return status::EINVAL;
             }
             Verdict::Ghost { incarnation } => {
                 ctx.metrics().incr("rs.complaints.rejected_ghost");
@@ -1139,7 +1165,7 @@ impl ReincarnationServer {
             Verdict::Disarmed => ctx.metrics().incr("rs.complaints.disarmed"),
             Verdict::Inverted { accuser, distinct } => {
                 ctx.metrics().incr("rs.complaints.inversions");
-                match accuser_idx.filter(|&a| self.services[a].state == SvcState::Up) {
+                match accuser_idx {
                     Some(a) => self.restart_on_complaint(
                         ctx,
                         a,
@@ -1179,8 +1205,7 @@ impl ReincarnationServer {
     /// incarnation that will never be promoted).
     fn retire_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let svc = &mut self.services[idx];
-        svc.spare_pending = false;
-        let Some(ep) = svc.spare.take() else {
+        let Spare::Tailing(ep) = std::mem::replace(&mut svc.spare, Spare::Absent) else {
             return;
         };
         ctx.metrics().incr("rs.standby.spares_retired");
@@ -1189,13 +1214,7 @@ impl ReincarnationServer {
             TraceLevel::Info,
             format!("retiring stale spare {ep} of {name}"),
         );
-        let (slot, generation) = pack_endpoint(ep);
-        let kill = pm::Kill {
-            slot,
-            generation,
-            signal: 1,
-        };
-        let _ = ctx.sendrec(self.pm, kill.into_message());
+        let _ = ctx.sendrec(self.pm, kill_request(ep, false));
     }
 
     /// Spawns the warm spare incarnation for a hot-standby service. The
@@ -1204,19 +1223,12 @@ impl ReincarnationServer {
     /// tailing the primary's checkpoint record until promoted.
     fn start_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let svc = &mut self.services[idx];
-        if !svc.cfg.hot_standby
-            || svc.spare.is_some()
-            || svc.spare_pending
-            || svc.state != SvcState::Up
-        {
+        if !svc.cfg.hot_standby || svc.spare != Spare::Absent || svc.endpoint().is_none() {
             return;
         }
-        let program = format!("standby.{}", svc.cfg.program);
-        let msg = pm::Start { version: 0 }
-            .into_message()
-            .with_data(program.into_bytes());
-        if let Ok(call) = ctx.sendrec(self.pm, msg) {
-            svc.spare_pending = true;
+        let start = start_request(drv::spare_name(&svc.cfg.program), 0);
+        if let Ok(call) = ctx.sendrec(self.pm, start) {
+            svc.spare = Spare::Spawning;
             self.calls.insert(call, (Call::SpareStart, idx));
         }
     }
@@ -1224,7 +1236,9 @@ impl ReincarnationServer {
     /// Handles the PM reply to a spare spawn.
     fn complete_spare_start(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
         let svc = &mut self.services[idx];
-        svc.spare_pending = false;
+        if svc.spare == Spare::Spawning {
+            svc.spare = Spare::Absent;
+        }
         let name = &svc.cfg.program;
         let reply = result.as_ref().ok().and_then(pm::StartReply::from_message);
         let Some(spare) = reply.filter(|r| r.status == pm_status::OK) else {
@@ -1246,12 +1260,12 @@ impl ReincarnationServer {
             return;
         };
         let ep = unpack_endpoint(spare.slot, spare.generation);
-        if !svc.cfg.hot_standby || svc.state != SvcState::Up || svc.spare.is_some() {
+        if !svc.cfg.hot_standby || svc.endpoint().is_none() || svc.spare != Spare::Absent {
             // The primary died (or the spare slot was filled) while this
             // spawn was in flight; the incarnation is a ghost.
             return self.kill_ghost(ctx, ep);
         }
-        svc.spare = Some(ep);
+        svc.spare = Spare::Tailing(ep);
         ctx.metrics().incr("rs.standby.spares_started");
         ctx.trace(
             TraceLevel::Info,
@@ -1260,14 +1274,7 @@ impl ReincarnationServer {
         // Publish the spare under its standby name so DS can
         // owner-authenticate its tail reads against the live endpoint
         // generation, then start the tail loop.
-        let standby_key = format!("standby.{}", svc.cfg.publish_key);
-        let (slot, generation) = pack_endpoint(ep);
-        let publish = ds::Publish {
-            slot,
-            generation,
-            ..Default::default()
-        };
-        let publish = publish.into_message().with_data(standby_key.into_bytes());
+        let publish = publish_request(drv::spare_name(&svc.cfg.program), ep, None);
         let _ = ctx.sendrec(self.ds, publish);
         let period_us = SPARE_TAIL_PERIOD.as_micros();
         let _ = ctx.send(ep, drv::Standby { period_us }.into_message());
@@ -1277,9 +1284,11 @@ impl ReincarnationServer {
     /// incarnation epoch its heartbeat chain runs under.
     fn bind_incarnation(&mut self, idx: usize, ep: Endpoint) -> u16 {
         let svc = &mut self.services[idx];
-        svc.state = SvcState::Up;
-        svc.endpoint = Some(ep);
-        svc.hb_outstanding = 0;
+        svc.state = SvcState::Up(Live {
+            ep,
+            pings: 0,
+            publish: None,
+        });
         svc.hb_epoch = svc.hb_epoch.wrapping_add(1);
         svc.hb_epoch
     }
@@ -1300,7 +1309,7 @@ impl ReincarnationServer {
         // Re-frame the stored snapshot with a clamped incarnation: the
         // spare lives in a younger slot generation than the dead
         // primary, so its first save would otherwise be ghost-rejected.
-        let key = svc.cfg.publish_key.clone();
+        let key = svc.cfg.program.clone();
         let promote = Message::new(ckpt::PROMOTE).with_data(key.into_bytes());
         if let Ok(call) = ctx.sendrec(self.ds, promote) {
             self.calls.insert(call, (Call::Promote, idx));
@@ -1312,7 +1321,7 @@ impl ReincarnationServer {
         let _ = ctx.send(ep, drv::Promote { recovery, span }.into_message());
         // Publish before dependents are notified (§5.3), verified like
         // any other publish.
-        self.publish(ctx, idx, ep);
+        self.publish(ctx, idx);
         self.close_episode(ctx, Some(idx), ep, true);
         let cfg = &self.services[idx].cfg;
         if cfg.heartbeat {
@@ -1330,21 +1339,21 @@ impl ReincarnationServer {
     /// inside the clamp band.
     // analyze:recovery-root
     fn run_adapt_controllers(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(script) = self.adapt_script.take() else {
+        let Some(adapt) = &mut self.adapt else {
             return;
         };
         let now = ctx.now();
-        self.adapt_defects.prune(now, ADAPT_WINDOW);
-        self.adapt_complaints.prune(now, ADAPT_WINDOW);
-        for rule in script.adapt_rules() {
+        adapt.defects.prune(now, ADAPT_WINDOW);
+        adapt.complaints.prune(now, ADAPT_WINDOW);
+        for rule in adapt.script.adapt_rules() {
             let sample = match rule.signal {
-                AdaptSignal::Failures => self.adapt_defects.len() as i64,
-                AdaptSignal::Complaints => self.adapt_complaints.len() as i64,
+                AdaptSignal::Failures => adapt.defects.len() as i64,
+                AdaptSignal::Complaints => adapt.complaints.len() as i64,
                 AdaptSignal::MttrP95Ms => {
-                    if self.adapt_mttr.is_empty() {
+                    if adapt.mttr.is_empty() {
                         0
                     } else {
-                        let mut v: Vec<u64> = self.adapt_mttr.iter().copied().collect();
+                        let mut v: Vec<u64> = adapt.mttr.iter().copied().collect();
                         v.sort_unstable();
                         (v[(v.len() - 1) * 95 / 100] / 1000) as i64
                     }
@@ -1374,33 +1383,28 @@ impl ReincarnationServer {
                     .record(rule.param.trace(), rule.param.read(&svc.cfg.params));
             }
         }
-        self.adapt_script = Some(script);
     }
 
     /// Handles the successful completion of a tracked PM_START call.
     fn complete_start(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
-        let svc = &mut self.services[idx];
-        svc.current_start = None;
         if let Some(pos) = self.early_deaths.iter().position(|&d| d == ep) {
             // The fresh incarnation is already dead — it crashed between
             // its spawn and this reply (a mid-recovery kill). Re-enter
             // recovery instead of guarding a corpse.
             self.early_deaths.remove(pos);
             ctx.metrics().incr("rs.early_death_rescues");
-            let name = &svc.cfg.program;
+            let name = &self.services[idx].cfg.program;
             ctx.trace(
                 TraceLevel::Warn,
                 format!("{name} incarnation {ep} died before start completed; re-running recovery"),
             );
-            svc.state = SvcState::Up;
-            svc.endpoint = Some(ep);
             return self.reap(ctx, idx, reason::KILLED);
         }
         let epoch = self.bind_incarnation(idx, ep);
         // Publish the new endpoint *before* dependents are notified — the
         // data store does both atomically from the subscribers' point of
         // view (§5.3) — and verify the acknowledgement comes back.
-        self.publish(ctx, idx, ep);
+        self.publish(ctx, idx);
         if !self.close_episode(ctx, Some(idx), ep, false) {
             ctx.metrics().incr("rs.starts");
             let name = &self.services[idx].cfg.program;
@@ -1419,16 +1423,9 @@ impl ReincarnationServer {
     /// the process manager and PM's own checkpoint saves pass DS's
     /// owner authentication. DS is in the never-restarted trusted base,
     /// so this skips the verified-publish ladder used for services.
-    fn publish_pm(&mut self, ctx: &mut Ctx<'_>) {
-        let ((slot, generation), (recovery, span)) =
-            (pack_endpoint(self.pm), Episode::wire(self.pm_episode));
-        let publish = ds::Publish {
-            slot,
-            generation,
-            recovery,
-            span,
-        };
-        let publish = publish.into_message().with_data(PM_NAME.into());
+    fn publish_pm(&self, ctx: &mut Ctx<'_>) {
+        let episode = self.pm_guard.and_then(|g| g.episode);
+        let publish = publish_request(PM_NAME.to_string(), self.pm, episode);
         let _ = ctx.sendrec(self.ds, publish);
     }
 
@@ -1438,13 +1435,13 @@ impl ReincarnationServer {
     /// already gone (audit or exit report) or must be killed first
     /// (stall, garbled replies).
     fn recover_pm(&mut self, ctx: &mut Ctx<'_>, defect: u8, dead: bool) {
-        if !self.pm_guard || self.pm_restarting {
+        let Some(guard) = self.pm_guard.as_mut().filter(|g| !g.restarting) else {
             return;
-        }
-        self.pm_restarting = true;
+        };
+        guard.restarting = true;
         ctx.metrics().incr("rs.pm_defects");
         let episode = Episode::open(ctx, &mut self.next_recovery, PM_NAME, defect, None);
-        self.pm_episode = Some(episode);
+        guard.episode = Some(episode);
         if !dead {
             let _ = ctx.sys_kill(self.pm, Signal::Kill);
         }
@@ -1457,16 +1454,19 @@ impl ReincarnationServer {
     /// their error replies re-arm per-service restart alarms, which
     /// re-drive the starts against the new incarnation.
     fn respawn_pm(&mut self, ctx: &mut Ctx<'_>) {
-        if !self.pm_guard {
+        let Some(guard) = self.pm_guard else {
             return;
-        }
+        };
         let message = "exec pm (recursive recovery)".to_string();
-        Subject(PM_NAME, self.pm_episode).emit(ctx, TraceLevel::Info, kind::EXEC, message, &[]);
+        Subject(PM_NAME, guard.episode).emit(ctx, TraceLevel::Info, kind::EXEC, message, &[]);
         match ctx.sys_spawn(PM_NAME, None) {
             Ok(ep) => {
                 self.pm = ep;
-                self.pm_restarting = false;
-                self.pm_pong_outstanding = 0;
+                self.pm_guard = Some(PmGuard {
+                    restarting: false,
+                    pings: 0,
+                    ..guard
+                });
                 // Become the new incarnation's exit-report sink before any
                 // child can die, then make the name visible again.
                 let _ = ctx.send(ep, Message::new(pm::REGISTER));
@@ -1488,10 +1488,15 @@ impl ReincarnationServer {
     /// Exit reports and heartbeat replies.
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         if let Some(drv::Msg::HB_PONG(_)) = drv::Msg::decode(msg) {
-            if self.pm_guard && msg.source == self.pm {
-                self.pm_pong_outstanding = 0;
-            } else if let Some(idx) = self.service_by_endpoint(msg.source) {
-                self.services[idx].hb_outstanding = 0;
+            let source = msg.source;
+            if let Some(guard) = self.pm_guard.as_mut().filter(|_| source == self.pm) {
+                guard.pings = 0;
+            } else if let Some(live) = self
+                .services
+                .iter_mut()
+                .find_map(|s| s.live_mut().filter(|l| l.ep == source))
+            {
+                live.pings = 0;
             }
             return;
         }
@@ -1500,17 +1505,21 @@ impl ReincarnationServer {
         };
         let ep = unpack_endpoint(exit.slot, exit.generation);
         if let Some(idx) = self.service_by_endpoint(ep) {
-            // Defect classes 1-3 (§5.1) from the exit status.
-            let observed = match exit.reason {
-                0 | 1 => reason::EXIT,
-                2 => reason::EXCEPTION,
+            // Defect classes 1-3 (§5.1) from the exit kind.
+            let observed = match u32::try_from(exit.reason) {
+                Ok(pm::EXITED | pm::PANICKED) => reason::EXIT,
+                Ok(pm::EXCEPTION) => reason::EXCEPTION,
                 _ => reason::KILLED,
             };
             self.reap(ctx, idx, observed);
-        } else if let Some(i) = self.services.iter().position(|s| s.spare == Some(ep)) {
+        } else if let Some(i) = self
+            .services
+            .iter()
+            .position(|s| s.spare == Spare::Tailing(ep))
+        {
             // The warm spare died, not the primary: no recovery
             // episode, just refill the slot after a spawn latency.
-            self.services[i].spare = None;
+            self.services[i].spare = Spare::Absent;
             ctx.metrics().incr("rs.standby.spare_deaths");
             let name = &self.services[i].cfg.program;
             ctx.trace(
@@ -1548,7 +1557,7 @@ impl ReincarnationServer {
             TOK_SPARE => self.start_spare(ctx, idx),
             // SIGTERM was ignored by the incarnation it was sent to;
             // escalate to SIGKILL.
-            TOK_ESCALATE if svc.state == SvcState::Up && svc.hb_epoch == seq => {
+            TOK_ESCALATE if svc.endpoint().is_some() && svc.hb_epoch == seq => {
                 self.kill_service(ctx, idx, false);
             }
             TOK_START_TIMEOUT => self.start_timed_out(ctx, idx, seq),
@@ -1560,13 +1569,16 @@ impl ReincarnationServer {
     /// One link of service `idx`'s heartbeat chain (defect class 4).
     fn heartbeat(&mut self, ctx: &mut Ctx<'_>, idx: usize, epoch: u16) {
         let svc = &mut self.services[idx];
-        if svc.state != SvcState::Up || svc.hb_epoch != epoch {
+        let SvcState::Up(live) = &mut svc.state else {
             return; // heartbeat chain ends; restart rearms
+        };
+        if svc.hb_epoch != epoch {
+            return;
         }
-        if svc.hb_outstanding >= svc.cfg.params.heartbeat_misses {
+        if live.pings >= svc.cfg.params.heartbeat_misses {
             // Defect class 4: the process is stuck.
             svc.pending_reason = Some(reason::HEARTBEAT);
-            let (name, missed) = (&svc.cfg.program, svc.hb_outstanding);
+            let (name, missed) = (&svc.cfg.program, live.pings);
             ctx.trace(
                 TraceLevel::Warn,
                 format!("{name} missed {missed} heartbeats, killing"),
@@ -1575,15 +1587,13 @@ impl ReincarnationServer {
         }
         svc.hb_nonce += 1;
         let nonce = svc.hb_nonce;
-        svc.hb_outstanding += 1;
+        live.pings += 1;
+        // Nonblocking status request (§5.1): a sick driver can never
+        // hang RS.
+        let _ = ctx.send(live.ep, drv::HbPing { nonce }.into_message());
         // The period is live: the next ping in the chain honors the
         // adapt controller's latest value.
         let period = svc.cfg.params.heartbeat_period;
-        if let Some(ep) = svc.endpoint {
-            // Nonblocking status request (§5.1): a sick driver can never
-            // hang RS.
-            let _ = ctx.send(ep, drv::HbPing { nonce }.into_message());
-        }
         let _ = ctx.set_alarm(period, token_seq(TOK_HB, epoch, idx));
     }
 
@@ -1592,17 +1602,14 @@ impl ReincarnationServer {
     /// completed or superseded attempts are stale.
     fn start_timed_out(&mut self, ctx: &mut Ctx<'_>, idx: usize, attempt: u16) {
         let svc = &mut self.services[idx];
-        let Some((call, current)) = svc.current_start else {
-            return;
+        let call = match svc.state {
+            SvcState::Starting { call, attempt: a } if a == attempt => call,
+            _ => return,
         };
-        if current != attempt || svc.state != SvcState::Starting {
-            return;
-        }
         if let Some((what @ Call::Start, _)) = self.calls.get_mut(&call) {
             // The attempt is abandoned, not forgotten: a late success
             // reply means a ghost to reap.
             *what = Call::Orphan;
-            svc.current_start = None;
             svc.state = SvcState::Down;
             ctx.metrics().incr("rs.start_timeouts");
             let name = &svc.cfg.program;
@@ -1618,18 +1625,17 @@ impl ReincarnationServer {
     /// re-publish, within the retry budget.
     fn republish(&mut self, ctx: &mut Ctx<'_>, idx: usize, attempt: u16) {
         let svc = &mut self.services[idx];
-        let Some(pp) = svc.pending_publish else {
-            return;
-        };
         // Stale alarm from an earlier publish attempt, or the service
         // died meanwhile.
-        if pp.attempts as u16 != attempt || svc.state != SvcState::Up || svc.endpoint != Some(pp.ep)
-        {
+        let SvcState::Up(live) = &mut svc.state else {
             return;
-        }
-        let (key, attempts) = (&svc.cfg.publish_key, pp.attempts);
+        };
+        let Some(attempts) = live.publish.filter(|&a| a as u16 == attempt) else {
+            return;
+        };
+        let key = &svc.cfg.program;
         if attempts >= MAX_PUBLISH_RETRIES {
-            svc.pending_publish = None;
+            live.publish = None;
             ctx.metrics().incr("rs.publish_failed");
             ctx.metrics().incr("rs.alerts");
             ctx.trace(
@@ -1639,16 +1645,13 @@ impl ReincarnationServer {
             return;
         }
         let attempts = attempts + 1;
-        svc.pending_publish = Some(PendingPublish {
-            ep: pp.ep,
-            attempts,
-        });
+        live.publish = Some(attempts);
         ctx.metrics().incr("rs.publish_retries");
         ctx.trace(
             TraceLevel::Warn,
             format!("re-publishing {key} (attempt {attempts})"),
         );
-        self.publish(ctx, idx, pp.ep);
+        self.publish(ctx, idx);
     }
 
     /// The periodic liveness audit: catches lost exit notifications and
@@ -1667,21 +1670,21 @@ impl ReincarnationServer {
         // depends on it, and no one else reports its death (its own
         // forwarding is gone). Three detectors: gone, sitting on a
         // request, deaf to pings.
-        if self.pm_guard && !self.pm_restarting {
+        if let Some(guard) = self.pm_guard.as_mut().filter(|g| !g.restarting) {
             if !ctx.proc_alive(self.pm) {
                 self.recover_pm(ctx, reason::EXIT, true);
             } else if !self.arbiter.disarmed && ctx.request_stalled(self.pm, STALL_AGE) {
                 ctx.metrics()
                     .incr(evidence::complaint_counter(evidence::PROGRESS));
                 self.recover_pm(ctx, reason::HEARTBEAT, false);
-            } else if self.pm_pong_outstanding >= 3 {
+            } else if guard.pings >= 3 {
                 // Three audits without a pong: PM is alive per the kernel
                 // but swallowing (or garbling) everything it is sent.
-                self.pm_pong_outstanding = 0;
+                guard.pings = 0;
                 ctx.metrics().incr("rs.pm_pings_missed");
                 self.recover_pm(ctx, reason::HEARTBEAT, false);
             } else {
-                self.pm_pong_outstanding += 1;
+                guard.pings += 1;
                 let _ = ctx.send(self.pm, Message::new(drv::HB_PING));
             }
         }
@@ -1696,7 +1699,7 @@ impl ReincarnationServer {
     /// upkeep; then the kernel guards.
     fn audit_service(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let svc = &mut self.services[i];
-        let (Some(ep), SvcState::Up) = (svc.endpoint, svc.state) else {
+        let Some(ep) = svc.endpoint() else {
             return;
         };
         let name = &svc.cfg.program;
@@ -1712,8 +1715,8 @@ impl ReincarnationServer {
         // Hot-standby upkeep: reap a silently-dead spare and refill an
         // empty slot (covers lost spare SIGCHLDs and spawn retries).
         if svc.cfg.hot_standby {
-            if svc.spare.is_some_and(|sep| !ctx.proc_alive(sep)) {
-                svc.spare = None;
+            if matches!(svc.spare, Spare::Tailing(sep) if !ctx.proc_alive(sep)) {
+                svc.spare = Spare::Absent;
                 ctx.metrics().incr("rs.standby.spare_deaths");
             }
             self.start_spare(ctx, i);
@@ -1750,16 +1753,15 @@ impl ReincarnationServer {
     // [recovery:end]
 
     fn boot(&mut self, ctx: &mut Ctx<'_>) {
-        if self.started_boot {
+        if self.jitter.is_some() {
             return;
         }
-        self.started_boot = true;
         // Forking is a pure function of (seed, domain): jitter gets its
         // own stream without perturbing anyone else's draws.
         self.jitter = Some(ctx.rng().fork("rs-jitter"));
         // Every parameter RS reads is a gauge from boot, so campaign
         // digests always show each service's live table.
-        let adapt = self.adapt_script.as_ref();
+        let adapt = self.adapt.as_ref().map(|a| &a.script);
         for svc in &mut self.services {
             let cfg = &svc.cfg;
             let read = AdaptParam::ALL.into_iter().filter(|&p| cfg.reads(p, adapt));
@@ -1770,7 +1772,7 @@ impl ReincarnationServer {
         }
         // Become PM's exit-report sink before any child can die.
         let _ = ctx.send(self.pm, Message::new(pm::REGISTER));
-        if self.pm_guard {
+        if self.pm_guard.is_some() {
             // PM's checkpoint saves are owner-authenticated against the
             // published `pm` name; publish it before the first service
             // start can make PM dirty.
@@ -1798,12 +1800,12 @@ impl ReincarnationServer {
                 let reply = result.as_ref().ok().and_then(pm::StartReply::from_message);
                 if let Some(ghost) = reply.filter(|r| r.status == pm_status::OK) {
                     let ghost = unpack_endpoint(ghost.slot, ghost.generation);
-                    if self.services[idx].endpoint != Some(ghost) {
+                    if self.services[idx].endpoint() != Some(ghost) {
                         self.kill_ghost(ctx, ghost);
                     }
                 }
             }
-            Call::Kill => self.kill_replied(ctx, idx, result),
+            Call::Kill(target) => self.kill_replied(ctx, idx, target, result),
             Call::SpareStart => self.complete_spare_start(ctx, idx, result),
             Call::Promote => match result
                 .as_ref()
@@ -1827,17 +1829,19 @@ impl ReincarnationServer {
                     );
                 }
             },
-            Call::Publish => {
+            Call::Publish(ep) => {
                 let svc = &mut self.services[idx];
                 let ack = result.as_ref().ok().and_then(ds::Ack::from_message);
                 if ack.is_some_and(|ack| ack.status == 0) {
-                    if svc.pending_publish.take().is_some() {
+                    // It verifies the publish of its own incarnation only.
+                    let live = svc.live_mut().filter(|l| l.ep == ep);
+                    if live.and_then(|l| l.publish.take()).is_some() {
                         ctx.metrics().incr("rs.publish_verified");
                     }
                 } else {
                     // Bad status or aborted call: leave the pending record;
                     // the re-publish alarm will retry.
-                    let key = &svc.cfg.publish_key;
+                    let key = &svc.cfg.program;
                     ctx.trace(
                         TraceLevel::Warn,
                         format!("publish of {key} not acknowledged cleanly"),
@@ -1855,7 +1859,6 @@ impl ReincarnationServer {
             return self.complete_start(ctx, idx, ep);
         }
         let svc = &mut self.services[idx];
-        svc.current_start = None;
         let name = &svc.cfg.program;
         match (reply, result) {
             (Some(reply), _) => {
@@ -1900,8 +1903,14 @@ impl ReincarnationServer {
         }
     }
 
-    /// The reply to an RS kill of service `idx`.
-    fn kill_replied(&mut self, ctx: &mut Ctx<'_>, idx: usize, result: CallResult) {
+    /// The reply to an RS kill of incarnation `target` of service `idx`.
+    fn kill_replied(
+        &mut self,
+        ctx: &mut Ctx<'_>,
+        idx: usize,
+        target: Endpoint,
+        result: CallResult,
+    ) {
         let Ok(reply) = result else { return };
         let Some(reply) = pm::KillReply::from_message(&reply) else {
             // Garbled kill reply: a PM defect. The kill's real outcome is
@@ -1911,9 +1920,9 @@ impl ReincarnationServer {
             return self.recover_pm(ctx, reason::COMPLAINT, false);
         };
         let svc = &self.services[idx];
-        if reply.status == pm_status::NO_PROCESS && svc.state == SvcState::Up {
-            // PM said NO_PROCESS while RS still thinks the service is up:
-            // the exit report was lost. Synthesize the defect rather than
+        if reply.status == pm_status::NO_PROCESS && svc.endpoint() == Some(target) {
+            // PM said NO_PROCESS about the incarnation RS still guards:
+            // its exit report was lost. Synthesize the defect rather than
             // wait for the audit.
             ctx.metrics().incr("rs.lost_sigchld");
             let name = &svc.cfg.program;
@@ -1929,7 +1938,7 @@ impl ReincarnationServer {
     /// 5 and 6).
     fn on_request(&mut self, ctx: &mut Ctx<'_>, call: CallId, msg: &Message) {
         let name = String::from_utf8_lossy(&msg.data).to_string();
-        let idx = self.by_name.get(&name).copied();
+        let idx = self.service_named(&name);
         let mut st = 0u64;
         match (rsp::Msg::decode(msg), idx) {
             (Some(rsp::Msg::UP), Some(i)) => {
@@ -1938,7 +1947,7 @@ impl ReincarnationServer {
             }
             // User-initiated replacement, defect class 3.
             (Some(rsp::Msg::RESTART), Some(i)) => {
-                if self.services[i].state == SvcState::Up {
+                if self.services[i].endpoint().is_some() {
                     self.services[i].pending_reason = Some(reason::KILLED);
                     self.kill_service(ctx, i, false);
                 } else {
@@ -1948,7 +1957,7 @@ impl ReincarnationServer {
             // Dynamic update, defect class 6: ask nicely with SIGTERM,
             // escalate to SIGKILL if this incarnation ignores it (§6).
             (Some(rsp::Msg::UPDATE), Some(i)) => {
-                if self.services[i].state == SvcState::Up {
+                if self.services[i].endpoint().is_some() {
                     self.services[i].pending_reason = Some(reason::UPDATE);
                     self.kill_service(ctx, i, true);
                     let epoch = self.services[i].hb_epoch;
@@ -1958,7 +1967,7 @@ impl ReincarnationServer {
                 }
             }
             (Some(rsp::Msg::DOWN), Some(i)) => {
-                if self.services[i].state == SvcState::Up {
+                if self.services[i].endpoint().is_some() {
                     self.services[i].admin_down = true;
                     self.kill_service(ctx, i, false);
                 } else {
@@ -1972,7 +1981,7 @@ impl ReincarnationServer {
             }
             // EINVAL: an unknown service, or not a request RS serves.
             (Some(rsp::Msg::UP | rsp::Msg::RESTART | rsp::Msg::UPDATE | rsp::Msg::DOWN), None)
-            | (Some(rsp::Msg::ACK(_)) | None, _) => st = 22,
+            | (Some(rsp::Msg::ACK(_)) | None, _) => st = status::EINVAL,
         }
         let _ = ctx.reply(call, rsp::Ack { status: st }.into_message());
     }
@@ -1999,8 +2008,8 @@ impl Process for ReincarnationServer {
             // RS is the parent of any PM incarnation it respawned, so the
             // kernel reports that incarnation's death directly here — no
             // forwarding PM exists to relay it.
-            ProcEvent::ChildExited(status) if self.pm_guard && status.endpoint == self.pm => {
-                let defect = match status.reason {
+            ProcEvent::ChildExited(exit) if self.pm_guard.is_some() && exit.endpoint == self.pm => {
+                let defect = match exit.reason {
                     ExitReason::Exception(_) => reason::EXCEPTION,
                     _ => reason::EXIT,
                 };
@@ -2049,7 +2058,7 @@ mod tests {
         let pm = Box::new(Server::new(ProcessManager::new(), ds, None));
         let pm = sys.spawn_boot("pm", Privileges::process_manager(), pm);
         let adapt = PolicyScript::parse(adapt).unwrap();
-        let rs = ReincarnationServer::new(pm, ds, services, Vec::new()).with_adapt(adapt);
+        let rs = ReincarnationServer::new(pm, ds, services).with_adapt(adapt);
         sys.spawn_boot("rs", Privileges::reincarnation_server(), Box::new(rs));
         let end = SimTime::ZERO + AUDIT_PERIOD + SimDuration::from_millis(1);
         sys.run_until(&mut NullPlatform, end);
@@ -2062,8 +2071,8 @@ mod tests {
     #[test]
     fn a_rule_steps_each_bound_service_from_its_own_value() {
         let services = vec![
-            ServiceConfig::driver("fast", "fast").with_heartbeat(SimDuration::from_millis(500), 3),
-            ServiceConfig::driver("slow", "slow"),
+            ServiceConfig::driver("fast").with_heartbeat(SimDuration::from_millis(500), 3),
+            ServiceConfig::driver("slow"),
         ];
         let sys = one_sweep(services, HALVE_HEARTBEAT);
         let period = |svc| {
@@ -2078,9 +2087,9 @@ mod tests {
     #[test]
     fn a_heartbeat_period_rule_leaves_a_service_without_heartbeats_alone() {
         let services = vec![
-            ServiceConfig::driver("pinged", "pinged"),
-            ServiceConfig::driver("quiet", "quiet").without_heartbeat(),
-            ServiceConfig::server("server", "server"),
+            ServiceConfig::driver("pinged"),
+            ServiceConfig::driver("quiet").without_heartbeat(),
+            ServiceConfig::server("server"),
         ];
         let sys = one_sweep(services, HALVE_HEARTBEAT);
         let m = sys.metrics();
@@ -2099,7 +2108,7 @@ mod tests {
 
     fn backoff_2s() -> ServiceConfig {
         let policy = PolicyScript::parse("sleep backoff(2s)\nrestart\n").unwrap();
-        ServiceConfig::driver("d", "d").with_policy(policy)
+        ServiceConfig::driver("d").with_policy(policy)
     }
 
     #[test]

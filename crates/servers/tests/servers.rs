@@ -272,12 +272,24 @@ impl Process for NullService {
     fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: ProcEvent) {}
 }
 
+/// Boots DS, PM and RS guarding `services`; the server-class ones are
+/// RS's complainants.
 fn boot_rs(sys: &mut System, services: Vec<ServiceConfig>) -> Endpoint {
-    boot_rs_with(sys, services, vec!["complainer".to_string()])
+    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
+    let pm = sys.spawn_boot(
+        "pm",
+        Privileges::process_manager(),
+        Box::new(Server::new(ProcessManager::new(), dse, None)),
+    );
+    sys.spawn_boot(
+        "rs",
+        Privileges::reincarnation_server(),
+        Box::new(ReincarnationServer::new(pm, dse, services)),
+    )
 }
 
 fn svc(name: &str, policy: PolicyScript) -> ServiceConfig {
-    ServiceConfig::driver(name, name)
+    ServiceConfig::driver(name)
         .with_policy(policy)
         .without_heartbeat()
 }
@@ -359,7 +371,7 @@ fn rs_accepts_complaints_from_authorized_complainants() {
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
         svc("victim", PolicyScript::direct_restart()),
-        svc("complainer", PolicyScript::direct_restart()),
+        ServiceConfig::server("complainer"),
     ];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
@@ -485,25 +497,6 @@ fn rs_sigterm_escalates_to_sigkill_on_update() {
 
 use phoenix_servers::proto::evidence;
 
-/// Like [`boot_rs`], but with an explicit complainant allowlist.
-fn boot_rs_with(
-    sys: &mut System,
-    services: Vec<ServiceConfig>,
-    complainants: Vec<String>,
-) -> Endpoint {
-    let dse = sys.spawn_boot("ds", Privileges::server(), Box::new(DataStore::new()));
-    let pm = sys.spawn_boot(
-        "pm",
-        Privileges::process_manager(),
-        Box::new(Server::new(ProcessManager::new(), dse, None)),
-    );
-    sys.spawn_boot(
-        "rs",
-        Privileges::reincarnation_server(),
-        Box::new(ReincarnationServer::new(pm, dse, services, complainants)),
-    )
-}
-
 fn complain_msg(accused: &str, kind: u32) -> Message {
     complain(kind, accused, None)
 }
@@ -513,7 +506,7 @@ fn rs_low_confidence_complaint_below_quorum_does_not_restart() {
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
         svc("victim", PolicyScript::direct_restart()),
-        svc("complainer", PolicyScript::direct_restart()),
+        ServiceConfig::server("complainer"),
     ];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
@@ -562,7 +555,7 @@ fn rs_low_confidence_quorum_restarts_the_accused() {
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
         svc("victim", PolicyScript::direct_restart()),
-        svc("complainer", PolicyScript::direct_restart()),
+        ServiceConfig::server("complainer"),
     ];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
@@ -623,7 +616,7 @@ fn rs_inverts_suspicion_onto_a_babbling_accuser() {
         svc("victim-a", PolicyScript::direct_restart()),
         svc("victim-b", PolicyScript::direct_restart()),
         svc("victim-c", PolicyScript::direct_restart()),
-        svc("complainer", PolicyScript::direct_restart()),
+        ServiceConfig::server("complainer"),
     ];
     let rs = boot_rs(&mut sys, services);
     for name in ["victim-a", "victim-b", "victim-c"] {
@@ -687,7 +680,7 @@ fn rs_drops_ghost_complaints_against_dead_incarnations() {
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
         svc("victim", PolicyScript::direct_restart()),
-        svc("complainer", PolicyScript::direct_restart()),
+        ServiceConfig::server("complainer"),
     ];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
@@ -757,7 +750,7 @@ fn rs_drops_ghost_complaints_against_dead_incarnations() {
 #[test]
 fn rs_rejects_self_complaints() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![svc("complainer", PolicyScript::direct_restart())];
+    let services = vec![ServiceConfig::server("complainer")];
     let rs = boot_rs(&mut sys, services);
     let st: Rc<RefCell<Option<u64>>> = Rc::new(RefCell::new(None));
     let st2 = st.clone();
@@ -808,7 +801,7 @@ fn rs_rejects_self_complaints() {
 #[test]
 fn rs_counts_but_ignores_complaints_about_unknown_services() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![svc("complainer", PolicyScript::direct_restart())];
+    let services = vec![ServiceConfig::server("complainer")];
     let rs = boot_rs(&mut sys, services);
     let st: Rc<RefCell<Option<u64>>> = Rc::new(RefCell::new(None));
     let st2 = st.clone();
@@ -854,14 +847,10 @@ fn rs_two_distinct_accusers_form_a_quorum() {
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
         svc("victim", PolicyScript::direct_restart()),
-        svc("acc-one", PolicyScript::direct_restart()),
-        svc("acc-two", PolicyScript::direct_restart()),
+        ServiceConfig::server("acc-one"),
+        ServiceConfig::server("acc-two"),
     ];
-    let rs = boot_rs_with(
-        &mut sys,
-        services,
-        vec!["acc-one".to_string(), "acc-two".to_string()],
-    );
+    let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "victim",
         Privileges::server(),

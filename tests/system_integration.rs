@@ -161,13 +161,13 @@ fn stateful_component_recovers_state_from_data_store() {
     let restored: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let denied = Rc::new(RefCell::new(0));
     let (r2, d2) = (restored.clone(), denied.clone());
-    let svc = ServiceConfig::driver("statefuld", "statefuld")
+    let svc = ServiceConfig::driver("statefuld")
         .with_policy(PolicyScript::direct_restart())
         .without_heartbeat();
     let rs = sys.spawn_boot(
         "rs",
         Privileges::reincarnation_server(),
-        Box::new(ReincarnationServer::new(pm, dse, vec![svc], vec![])),
+        Box::new(ReincarnationServer::new(pm, dse, vec![svc])),
     );
     let _ = rs;
     sys.register_program(
