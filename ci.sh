@@ -40,6 +40,10 @@ cargo test -q
 echo "==> agent_due at full size: 500 schedules per node count (a debug build runs 100)"
 cargo test -q --release -p phoenix-fleet --test agent_due
 
+echo "==> decide_enumerated at full depth: states explored and wall seconds, printed, not gated (a debug build goes one step less)"
+out=$(cargo test -q --release --test decide_enumerated -- --nocapture) || { echo "$out"; exit 1; }
+echo "$out" | grep -o 'enumerated .*'
+
 echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

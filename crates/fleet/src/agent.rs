@@ -11,34 +11,29 @@
 //! execute. It never touches an `Os` directly, which keeps every
 //! transition unit-testable without booting machines.
 //!
-//! Ledger semantics mirror the single-node RS complaint arbitration,
-//! federated across nodes:
-//!
-//! * **typed complaints** — accusations carry an evidence kind
-//!   (`rs-silent` when a node's heartbeats stay fresh but its RS beacon
-//!   stops advancing; `node-unreachable` when the heartbeats themselves
-//!   stop) and the accused generation;
-//! * **ghost rejection** — complaints about an older generation than
-//!   the accused's current one are about a corpse and are discarded;
-//! * **accuser inversion** — an accuser naming [`INVERSION_ACCUSED`]
-//!   distinct subjects within the complaint window is the likelier
-//!   defect (an isolated node sees *everyone* as dead); its complaints
-//!   are struck and ignored;
-//! * **quorum** — [`quorum`] distinct un-inverted accusers within the
-//!   window convict; the ring-successor arbiter executes the verdict.
+//! Complaints are judged by RS's own arbiter ([`Arbiter`]), keyed by node
+//! id: the rules of a node and of the fleet are one rule set (DESIGN §5f
+//! has the table that chose it). A complaint carries an evidence kind
+//! (`rs-silent` when a node's heartbeats stay fresh but its RS beacon
+//! stops advancing; `node-unreachable` when the heartbeats themselves
+//! stop) and the accused generation, so a node is an incarnation
+//! `(id, generation)` to the arbiter. What is the fleet's own: the peer
+//! views, the reboot grace around a conviction, the liveness rebuttal
+//! that withdraws evidence, and the ring-successor arbiter that alone
+//! executes a verdict, checked at every tick.
 
 use std::collections::BTreeMap;
 
-use phoenix::kernel::types::Message;
+use phoenix::kernel::types::{Endpoint, Message};
 use phoenix_servers::proto::evidence;
+use phoenix_servers::rs::decide::{Accusation, Accused, Arbiter, Quorum, Verdict};
 use phoenix_simcore::metrics::MetricsRegistry;
 use phoenix_simcore::time::{SimDuration, SimTime};
 
 use crate::proto::{gossip, Frame, NodeStat};
 
 // The sliding evidence window for quorum and inversion, and the distinct
-// subjects inside it that invert an accuser, are RS's own arbitration
-// consts: the node level cannot drift from them.
+// subjects inside it that invert an accuser, are the arbiter's.
 pub use phoenix_servers::rs::decide::{COMPLAINT_WINDOW, INVERSION_ACCUSED};
 
 /// Heartbeat gossip period.
@@ -54,9 +49,15 @@ pub const RECOMPLAIN_AFTER: SimDuration = SimDuration::from_millis(500);
 /// Complaint suppression around a conviction, covering the reboot.
 pub const REBOOT_GRACE: SimDuration = SimDuration::from_secs(4);
 
-/// Distinct accusers required to convict in an `n`-node fleet.
-pub fn quorum(n: u8) -> usize {
-    usize::from(n.saturating_sub(1)).min(2)
+/// What convicts a node of an `n`-node fleet: `min(n − 1, 2)` distinct
+/// accusers. Repeats never convict on volume alone: they are one
+/// observer's view, and a partitioned node repeats itself every
+/// [`RECOMPLAIN_AFTER`].
+pub fn quorum(n: u8) -> Quorum {
+    Quorum {
+        complaints: usize::MAX,
+        accusers: usize::from(n.saturating_sub(1)).min(2),
+    }
 }
 
 /// What the fleet event loop must do on the agent's behalf.
@@ -119,7 +120,7 @@ impl PeerView {
 }
 
 /// What the agent keeps about one node id.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 struct Peer {
     /// `None` at the agent's own id.
     view: Option<PeerView>,
@@ -127,15 +128,6 @@ struct Peer {
     /// start) reads as no grace at all.
     grace_until: SimTime,
     last_complaint_at: Option<SimTime>,
-}
-
-/// One accepted ledger entry.
-#[derive(Clone, Copy, Debug)]
-struct Complaint {
-    accuser: u8,
-    at: SimTime,
-    evidence: u32,
-    subject_gen: u32,
 }
 
 /// Ledger and protocol counters, folded into the fleet's metrics.
@@ -171,7 +163,7 @@ impl AgentStats {
 }
 
 /// The per-node watchdog agent.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct FleetAgent {
     /// This node's id.
     pub id: u8,
@@ -182,9 +174,7 @@ pub struct FleetAgent {
     next_hb_at: SimTime,
     /// Indexed by node id.
     peers: Vec<Peer>,
-    ledger: BTreeMap<u8, Vec<Complaint>>,
-    accusations: BTreeMap<u8, Vec<(u8, SimTime)>>,
-    inverted: BTreeMap<u8, SimTime>,
+    arbiter: Arbiter<u8>,
     rebut: Option<u32>,
     /// Protocol counters.
     pub stats: AgentStats,
@@ -209,9 +199,7 @@ impl FleetAgent {
             hb_seq: 0,
             next_hb_at: now,
             peers,
-            ledger: BTreeMap::new(),
-            accusations: BTreeMap::new(),
-            inverted: BTreeMap::new(),
+            arbiter: Arbiter::default(),
             rebut: None,
             stats: AgentStats::default(),
         }
@@ -230,7 +218,19 @@ impl FleetAgent {
 
     /// Active (windowed) complaints against `node` in this ledger.
     pub fn complaints_against(&self, node: u8) -> usize {
-        self.ledger.get(&node).map_or(0, Vec::len)
+        self.arbiter.evidence(usize::from(node)).count()
+    }
+
+    /// The arbiter, for a test that checks what it holds.
+    pub fn arbiter(&self) -> &Arbiter<u8> {
+        &self.arbiter
+    }
+
+    /// The node `step` places after `node` on the ring. Summed wide:
+    /// past 128 nodes `node + step` does not fit a `u8`, though the
+    /// position, below `n`, does.
+    fn ring(&self, node: u8, step: u8) -> u8 {
+        ((u16::from(node) + u16::from(step)) % u16::from(self.n)) as u8
     }
 
     /// Every node id but this agent's, in id order. Owns its two
@@ -238,12 +238,6 @@ impl FleetAgent {
     fn others(&self) -> impl Iterator<Item = u8> {
         let id = self.id;
         (0..self.n).filter(move |&p| p != id)
-    }
-
-    fn in_grace(&self, node: u8, now: SimTime) -> bool {
-        self.peers
-            .get(usize::from(node))
-            .is_some_and(|p| now < p.grace_until)
     }
 
     /// Merges one gossiped stat into the view table. Returns whether the
@@ -264,7 +258,7 @@ impl FleetAgent {
                 beacon_change_at: now,
                 rs_up: stat.rs_up,
             };
-            self.ledger.remove(&stat.node);
+            self.arbiter.clear(usize::from(stat.node));
             return true;
         }
         if stat.gen < view.gen {
@@ -284,62 +278,34 @@ impl FleetAgent {
         beacon_advanced
     }
 
-    fn prune(&mut self, now: SimTime) {
-        let horizon = |at: SimTime| now - at <= COMPLAINT_WINDOW;
-        self.inverted.retain(|_, &mut at| horizon(at));
-        for log in self.accusations.values_mut() {
-            log.retain(|&(_, at)| horizon(at));
-        }
-        self.accusations.retain(|_, log| !log.is_empty());
-        let inverted = &self.inverted;
-        for entries in self.ledger.values_mut() {
-            entries.retain(|c| horizon(c.at) && !inverted.contains_key(&c.accuser));
-        }
-        self.ledger.retain(|_, entries| !entries.is_empty());
-    }
-
-    fn accept_complaint(&mut self, now: SimTime, accuser: u8, frame: &Frame) {
-        let subject = frame.subject;
-        if self.in_grace(subject, now) {
-            return;
-        }
-        let Some(view) = self.view(subject) else {
-            return;
-        };
-        if frame.subject_gen < view.gen {
-            self.stats.ghost_rejected += 1;
-            return;
-        }
-        // Accuser inversion: track the distinct subjects this accuser
-        // has named inside the window; naming (nearly) everyone marks
-        // the accuser itself as the defect.
-        let log = self.accusations.entry(accuser).or_default();
-        log.retain(|&(_, at)| now - at <= COMPLAINT_WINDOW);
-        if !log.iter().any(|&(s, _)| s == subject) {
-            log.push((subject, now));
-        }
-        let distinct = log.len();
-        if distinct >= INVERSION_ACCUSED {
-            self.inverted.insert(accuser, now);
-            self.stats.inversions += 1;
-            for entries in self.ledger.values_mut() {
-                entries.retain(|c| c.accuser != accuser);
-            }
-            return;
-        }
-        if self.inverted.contains_key(&accuser) {
-            return;
-        }
-        let entries = self.ledger.entry(subject).or_default();
-        // One live entry per accuser: a repeat refreshes, not stacks.
-        entries.retain(|c| c.accuser != accuser);
-        entries.push(Complaint {
-            accuser,
-            at: now,
-            evidence: frame.evidence,
-            subject_gen: frame.subject_gen,
+    /// Puts one complaint before the arbiter. A node's incarnation is
+    /// its id and boot generation; one rebooting under a conviction's
+    /// grace is no one the arbiter knows.
+    fn judge(&mut self, now: SimTime, frame: &Frame) {
+        let peer = self.peers.get(usize::from(frame.subject));
+        let peer = peer.filter(|p| now >= p.grace_until);
+        let accused = peer.and_then(|p| p.view).map(|view| Accused {
+            idx: usize::from(frame.subject),
+            server: false,
+            endpoint: Some(Endpoint::new(u16::from(frame.subject), view.gen)),
+            quorum: quorum(self.n),
         });
-        self.stats.complaints_accepted += 1;
+        let accusation = Accusation {
+            source: Endpoint::new(u16::from(frame.from), frame.gen),
+            accuser: frame.from,
+            authorized: true,
+            kind: frame.evidence,
+            incarnation: Some(Endpoint::new(u16::from(frame.subject), frame.subject_gen)),
+            accused,
+        };
+        match self.arbiter.judge(now, accusation) {
+            Verdict::Ghost { .. } => self.stats.ghost_rejected += 1,
+            Verdict::Inverted { .. } => self.stats.inversions += 1,
+            Verdict::BelowQuorum | Verdict::Convicted { .. } => {
+                self.stats.complaints_accepted += 1;
+            }
+            _ => {}
+        }
     }
 
     /// The arbiter for a conviction of `subject`: walking the ring from
@@ -348,10 +314,7 @@ impl FleetAgent {
     fn arbiter_for(&self, subject: u8, now: SimTime) -> Option<u8> {
         let mut fallback = None;
         for step in 1..self.n {
-            let c = (subject + step) % self.n;
-            if c == subject {
-                continue;
-            }
+            let c = self.ring(subject, step);
             let alive = c == self.id
                 || self
                     .view(c)
@@ -362,7 +325,7 @@ impl FleetAgent {
             if fallback.is_none() {
                 fallback = Some(c);
             }
-            if self.ledger.get(&c).is_none_or(Vec::is_empty) {
+            if self.complaints_against(c) == 0 {
                 return Some(c);
             }
         }
@@ -373,7 +336,7 @@ impl FleetAgent {
     /// incarnation is expected at `gen + 1`, its ledger is cleared, and
     /// complaints are suppressed while it reboots.
     fn apply_conviction(&mut self, now: SimTime, subject: u8, gen: u32) {
-        self.ledger.remove(&subject);
+        self.arbiter.clear(usize::from(subject));
         let Some(peer) = self.peers.get_mut(usize::from(subject)) else {
             return;
         };
@@ -401,7 +364,7 @@ impl FleetAgent {
                     // hand to back it).
                     self.rebut = Some(frame.evidence);
                 } else {
-                    self.accept_complaint(now, frame.from, frame);
+                    self.judge(now, frame);
                 }
             }
             Some(gossip::Msg::CONVICT) if frame.subject != self.id => {
@@ -415,16 +378,12 @@ impl FleetAgent {
                 // A live rebuttal at the current generation clears
                 // reachability complaints; an advancing beacon clears
                 // RS-silence complaints too.
-                let current = self.view(frame.from).is_some_and(|v| v.gen == frame.gen);
-                if current {
-                    if let Some(entries) = self.ledger.get_mut(&frame.from) {
-                        let before = entries.len();
-                        entries.retain(|c| {
-                            c.evidence != evidence::NODE_UNREACHABLE
-                                && (c.evidence != evidence::RS_SILENT || !beacon_advanced)
-                        });
-                        self.stats.rebutted_cleared += (before - entries.len()) as u64;
-                    }
+                if self.view(frame.from).is_some_and(|v| v.gen == frame.gen) {
+                    let withdrawn = self.arbiter.withdraw(usize::from(frame.from), |kind| {
+                        kind == evidence::NODE_UNREACHABLE
+                            || (kind == evidence::RS_SILENT && beacon_advanced)
+                    });
+                    self.stats.rebutted_cleared += withdrawn as u64;
                 }
             }
             _ => {}
@@ -439,22 +398,22 @@ impl FleetAgent {
     /// early is always allowed, waking late never.
     ///
     /// Deliberately conservative: due *now* while a rebuttal is owed or
-    /// the ledger or the inversion table holds anything (so whatever
-    /// `prune` guards is pruned every quantum exactly when there is
-    /// something to prune; `accusations` re-filters itself by the window
-    /// where `accept_complaint` reads it). Otherwise the next heartbeat,
-    /// or the first instant a peer can be accused: its silence threshold,
-    /// not before its grace ends. (The re-complaint spacing is not a
-    /// term: a complaint of the agent's own sits in its ledger for the
-    /// whole spacing unless a rebuttal clears it, so the agent is due
-    /// every quantum of it anyway.) The silence comparisons in `tick` are
-    /// strict, so the threshold itself is one step early — early is
-    /// allowed.
+    /// any evidence is held, since the arbiter role can pass to this
+    /// agent at any instant a peer falls silent. (The arbiter's other
+    /// windows need no tick: every rule reads them pruned.) Otherwise the
+    /// next heartbeat, or the first instant a peer can be accused: its
+    /// silence threshold, not before its grace ends. (The re-complaint
+    /// spacing is not a term: a complaint of the agent's own sits in its
+    /// ledger for the whole spacing, so the agent is due every quantum of
+    /// it anyway — unless a rebuttal withdrew it or the agent stands
+    /// discredited, at most a window per inversion.) The silence
+    /// comparisons in `tick` are strict, so the threshold itself is one
+    /// step early — early is allowed.
     ///
     /// [`tick`]: FleetAgent::tick
     /// [`on_frame`]: FleetAgent::on_frame
     pub fn next_due(&self, now: SimTime) -> SimTime {
-        if self.rebut.is_some() || !self.ledger.is_empty() || !self.inverted.is_empty() {
+        if self.rebut.is_some() || self.arbiter.holds_evidence() {
             return now;
         }
         let mut due = self.next_hb_at;
@@ -472,7 +431,7 @@ impl FleetAgent {
     // analyze:recovery-root
     pub fn tick(&mut self, now: SimTime, local: &LocalView) -> AgentOutput {
         let mut out = AgentOutput::default();
-        self.prune(now);
+        self.arbiter.expire(now);
 
         // Heartbeats to the ring neighbors, carrying the gossip vector.
         if now >= self.next_hb_at {
@@ -498,8 +457,8 @@ impl FleetAgent {
                     rs_up: view.rs_up,
                 });
             }
-            let succ = (self.id + 1) % self.n;
-            let pred = (self.id + self.n - 1) % self.n;
+            let succ = self.ring(self.id, 1);
+            let pred = self.ring(self.id, self.n - 1);
             // Successor first; the last target takes the vector itself.
             // (`pred != succ` only from three nodes up, where neither is
             // this node.)
@@ -565,39 +524,26 @@ impl FleetAgent {
                 out.frames.push((to, frame.clone()));
             }
             // Our own observation is evidence too.
-            self.accept_complaint(now, self.id, &frame);
+            self.judge(now, &frame);
         }
 
         // Quorum check and arbitration.
-        let subjects: Vec<u8> = self.ledger.keys().copied().collect();
-        for subject in subjects {
-            if self.in_grace(subject, now) {
-                continue;
-            }
+        if !self.arbiter.holds_evidence() {
+            return out;
+        }
+        for subject in self.others() {
             let Some(view) = self.view(subject) else {
                 continue;
             };
-            let Some(entries) = self.ledger.get(&subject) else {
-                continue;
-            };
-            let mut accusers: Vec<u8> = entries
-                .iter()
-                .filter(|c| c.subject_gen == view.gen)
-                .map(|c| c.accuser)
-                .collect();
-            accusers.sort_unstable();
-            accusers.dedup();
-            if accusers.len() < quorum(self.n) {
-                continue;
-            }
-            if self.arbiter_for(subject, now) != Some(self.id) {
+            let convicts = self.arbiter.standing(usize::from(subject), quorum(self.n));
+            if convicts.is_none() || self.arbiter_for(subject, now) != Some(self.id) {
                 continue;
             }
             // Dominant evidence kind: most frequent, ties to the lower
             // kind value for determinism.
             let mut tally: BTreeMap<u32, usize> = BTreeMap::new();
-            for c in entries {
-                *tally.entry(c.evidence).or_default() += 1;
+            for kind in self.arbiter.evidence(usize::from(subject)) {
+                *tally.entry(kind).or_default() += 1;
             }
             let ev = tally
                 .iter()
@@ -833,12 +779,42 @@ mod tests {
         assert_eq!(agent.complaints_against(1), 0);
         assert_eq!(agent.complaints_against(2), 0);
         assert_eq!(agent.complaints_against(3), 0);
-        // Further complaints from the inverted accuser are ignored.
+        // Further complaints from the inverted accuser are ignored for a
+        // window, and are not inversions of their own ...
         agent.on_frame(
             t(40),
             &Frame::complain(4, 1, 1, 1, evidence::NODE_UNREACHABLE),
         );
         assert_eq!(agent.complaints_against(1), 0);
+        assert_eq!(agent.stats.inversions, 1);
+        // ... after which the accuser is heard again.
+        agent.on_frame(
+            t(2_031),
+            &Frame::complain(4, 1, 1, 1, evidence::NODE_UNREACHABLE),
+        );
+        assert_eq!(agent.complaints_against(1), 1);
+    }
+
+    /// Ring positions are computed wide: past 128 nodes, `id + n − 1`
+    /// and `subject + step` no longer fit a `u8`.
+    #[test]
+    fn ring_arithmetic_holds_past_128_nodes() {
+        let mut agent = FleetAgent::new(200, 201, 1, t(0));
+        let out = agent.tick(t(0), &local());
+        let to: Vec<u8> = out.frames.iter().map(|&(to, _)| to).collect();
+        assert_eq!(to, [0, 199], "successor, then predecessor");
+        // Only node 150 is alive: the walk from 200 reaches it at step
+        // 151, having passed node 255's place at step 55.
+        let mut agent = FleetAgent::new(199, 201, 1, t(0));
+        let stat = NodeStat {
+            node: 150,
+            gen: 1,
+            hb_seq: 1,
+            beacon: 1,
+            rs_up: true,
+        };
+        agent.on_frame(t(1_000), &Frame::heartbeat(150, 1, vec![stat]));
+        assert_eq!(agent.arbiter_for(200, t(1_000)), Some(150));
     }
 
     #[test]

@@ -16,30 +16,34 @@
 //!   agree for every node;
 //! * step (4), which the contract does not demand but the loop's cost
 //!   does: B's ticks that did nothing and left an empty ledger stay under
-//!   a thousandth of the steps, plus the quanta an inversion was held.
+//!   a thousandth of the steps, plus one window of quanta per inversion
+//!   (an agent that inverted itself — it accused everyone — is due every
+//!   quantum its complaints stay discredited).
 //!
 //! What a broken `next_due` trips, each tried by hand against this file:
 //!
-//! * ignoring `rebut`: step (2) at the first rebuttal; ignoring `ledger`:
-//!   step (2) at the first verdict;
-//! * ignoring `inverted`: step (3) — B carries a lapsed inversion until
-//!   its next heartbeat and goes on discarding that accuser's complaints,
-//!   so its `complaints_accepted` falls behind A's (the generator makes a
-//!   mass accuser speak again just as its inversion lapses);
+//! * ignoring `rebut`: step (2) at the first rebuttal; ignoring the
+//!   arbiter's evidence: step (2) at the first verdict;
 //! * a quantum added to `next_hb_at` or to `grace_until`, either silence
 //!   threshold dropped, or two quanta added to one (one is still a lower
 //!   bound on a 1 ms grid, because `tick` compares silences strictly):
 //!   step (2) at the first late heartbeat or complaint;
 //! * the `grace_until` term dropped: a wake that is early, which the
 //!   contract allows, for the whole grace — step (4), at 2, 3 and 4 nodes
-//!   (50 to 300 times the idle ticks; at 8 the inversions' own quanta
-//!   hide it).
+//!   (6 to 12 times the allowance; at 8 the inversions' allowance hides
+//!   it);
+//! * the arbiter reading an inverted accuser's discredit unpruned: step
+//!   (3), since B, untouched for the whole discredit, still discards the
+//!   accuser's next complaint where A hears it (the generator makes a
+//!   mass accuser speak again just as its discredit lapses). `next_due`
+//!   needs no term for a discredit.
 //!
 //! `next_due` has no term for `RECOMPLAIN_AFTER`, though `tick` tests that
 //! spacing: a complaint of the agent's own sits in its ledger for longer,
-//! which makes the agent due every quantum of it already. The term would
-//! save 0.01 % of the ticks here and no schedule can tell it from its
-//! absence.
+//! which makes the agent due every quantum of it already — unless it was
+//! withdrawn by a rebuttal, or the agent stands discredited. The term
+//! would save the allowance of step (4) (at 8 nodes, 96,158 idle ticks in
+//! 1.5 × 10⁷ steps).
 
 use std::collections::BTreeMap;
 
@@ -169,7 +173,7 @@ impl World {
         }
         let first = subjects[0];
         if named == INVERSION_ACCUSED && self.rng.chance(0.5) {
-            // The mass accuser speaks again just as its inversion lapses.
+            // The mass accuser speaks again just as its discredit lapses.
             let gen = self.peers[usize::from(accuser)].gen;
             let subject_gen = self.peers[usize::from(first)].gen;
             let again = Frame::complain(accuser, gen, first, subject_gen, kind);
@@ -360,8 +364,8 @@ fn check(n: u8) {
     if usize::from(n) > INVERSION_ACCUSED + 1 {
         assert!(seen("inversions"), "{report}");
     }
-    // Step (4): B's idle ticks are the quanta an inversion is held (the
-    // conservative rule) and one early wake per strict threshold, not more.
+    // Step (4): B's idle ticks are one early wake per strict threshold and
+    // at most one discredit's quanta per inversion, not more.
     let steps = SCHEDULES * STEPS;
     let held =
         cov.stats.counter("fleet.agent.inversions") * (COMPLAINT_WINDOW.as_micros() / 1_000 + 1);

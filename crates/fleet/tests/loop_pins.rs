@@ -211,7 +211,7 @@ fn eight_nodes() {
             "b08965cfbc73203395002291968a3d25",
             "51f6fdec8f75393d8fa3e39afe4c9cda",
             "a6162b4dc40480412946c79d29befb29",
-            "bcb158a7e58c9c3c0fca44a84c190fcb",
+            "9ba9a35b41f6e43a07fc22b57070df2e",
             "d2bf57a31df6cd1f56c4f9df8d4a4193",
             "51f6fdec8f75393d8fa3e39afe4c9cda",
         ],

@@ -95,8 +95,8 @@ use phoenix_simcore::time::{SimDuration, SimTime};
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
 use self::decide::{
-    Accusation, Accused, Arbiter, Escalation, Grounds, Repair, RestartRecord, Rung, Verdict,
-    Window, COMPLAINT_WINDOW, EXEC_LATENCY,
+    Accusation, Accused, Arbiter, Escalation, Grounds, Quorum, Repair, RestartRecord, Rung,
+    Verdict, Window, COMPLAINT_WINDOW, EXEC_LATENCY,
 };
 use crate::pm::pm_status;
 use crate::policy::{
@@ -615,7 +615,7 @@ pub struct ReincarnationServer {
     /// acted on and the audit sweep does not poll the kernel babble and
     /// progress guards — the crash-only baseline arm of the fail-silent
     /// campaign.
-    arbiter: Arbiter,
+    arbiter: Arbiter<String>,
     /// Whether, and how, RS guards PM itself.
     pm_guard: Option<PmGuard>,
     /// When the most recent service recovery completed. Client requests
@@ -1109,7 +1109,10 @@ impl ReincarnationServer {
         let accuser = accuser_idx.map(|a| &self.services[a]);
         let accusation = Accusation {
             source,
-            accuser: accuser.map(|a| a.cfg.program.as_str()),
+            // A guarded accuser is keyed on its stable name; an unguarded
+            // caller, which never changes incarnation under RS, on its
+            // endpoint.
+            accuser: accuser.map_or_else(|| source.to_string(), |a| a.cfg.program.clone()),
             // The complainants are the live server-class incarnations.
             authorized: accuser.is_some_and(|a| a.cfg.server),
             kind,
@@ -1119,13 +1122,12 @@ impl ReincarnationServer {
                 Accused {
                     idx: i,
                     server: svc.cfg.server,
-                    up: svc.endpoint().is_some(),
                     endpoint: svc.endpoint(),
-                    quorum_complaints: svc.cfg.params.quorum_complaints,
+                    quorum: Quorum::service(svc.cfg.params.quorum_complaints),
                 }
             }),
         };
-        let verdict = self.arbiter.judge(ctx.now(), &accusation);
+        let verdict = self.arbiter.judge(ctx.now(), accusation);
         if verdict.vetted() {
             ctx.metrics().incr(evidence::complaint_counter(kind));
             // Observed-complaint signal for the adapt controllers.
@@ -1163,6 +1165,7 @@ impl ReincarnationServer {
             }
             Verdict::Down => ctx.metrics().incr("rs.complaints.ignored_down"),
             Verdict::Disarmed => ctx.metrics().incr("rs.complaints.disarmed"),
+            Verdict::Discredited => ctx.metrics().incr("rs.complaints.discredited"),
             Verdict::Inverted { accuser, distinct } => {
                 ctx.metrics().incr("rs.complaints.inversions");
                 match accuser_idx {

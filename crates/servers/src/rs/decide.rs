@@ -9,10 +9,11 @@
 //!
 //! * [`Window`] — the one sliding window every age-pruned history uses.
 //! * [`RestartRecord::on_defect`] → [`Escalation`] — the restart ladder.
-//! * [`Arbiter::judge`] → [`Verdict`] — complaint arbitration.
+//! * [`Arbiter::judge`] → [`Verdict`] — complaint arbitration, for RS
+//!   and for the fleet agent alike (`phoenix-fleet`'s `agent.rs`).
 //! * [`Repair::plan`] — what becomes of the policy script's decision.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, VecDeque};
 
 use phoenix_kernel::types::Endpoint;
 use phoenix_simcore::time::{SimDuration, SimTime};
@@ -28,7 +29,7 @@ pub const EXEC_LATENCY: SimDuration = SimDuration::from_millis(10);
 /// complaints inside it.
 pub const COMPLAINT_WINDOW: SimDuration = SimDuration::from_secs(2);
 
-/// Distinct accusers inside the window that convict.
+/// Distinct accusers inside the window that convict a service.
 const QUORUM_ACCUSERS: usize = 2;
 
 /// Distinct accused inside the window at which an accuser is inverted.
@@ -36,7 +37,7 @@ pub const INVERSION_ACCUSED: usize = 3;
 
 // [recovery:begin]
 /// Timestamped entries, oldest first, pruned by age.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Window<T> {
     entries: VecDeque<(SimTime, T)>,
 }
@@ -47,10 +48,10 @@ impl<T> Window<T> {
         self.entries.push_back((now, item));
     }
 
-    /// Drops every entry older than `width` at `now`. [`SimTime::since`]
-    /// saturates, so this is also the `t < now − width` rule with the
-    /// subtraction clamped at zero.
-    pub fn prune(&mut self, now: SimTime, width: SimDuration) {
+    /// Drops every entry older than `width` at `now`, and says whether
+    /// any is left. [`SimTime::since`] saturates, so this is also the
+    /// `t < now − width` rule with the subtraction clamped at zero.
+    pub fn prune(&mut self, now: SimTime, width: SimDuration) -> bool {
         while self
             .entries
             .front()
@@ -58,6 +59,7 @@ impl<T> Window<T> {
         {
             self.entries.pop_front();
         }
+        !self.entries.is_empty()
     }
 
     /// Entries currently held.
@@ -73,6 +75,21 @@ impl<T> Window<T> {
     /// The held items, oldest first.
     pub fn items(&self) -> impl Iterator<Item = &T> {
         self.entries.iter().map(|(_, item)| item)
+    }
+
+    /// Keeps only the items `keep` accepts.
+    pub fn retain(&mut self, mut keep: impl FnMut(&T) -> bool) {
+        self.entries.retain(|(_, item)| keep(item));
+    }
+
+    /// How many distinct `key`s the held items have. Quadratic and
+    /// allocation-free: a window holds a handful of entries.
+    pub fn distinct<U: PartialEq + ?Sized>(&self, key: impl Fn(&T) -> &U) -> usize {
+        let keys = || self.items().map(&key);
+        keys()
+            .enumerate()
+            .filter(|(i, k)| keys().take(*i).all(|e| e != *k))
+            .count()
     }
 }
 
@@ -227,40 +244,56 @@ impl Repair {
     }
 }
 
-/// What RS knows about the accused service when a complaint arrives.
+/// Complaints inside the window that convict on low-confidence evidence:
+/// `complaints` of them (repeats counted) or `accusers` distinct accusers,
+/// whichever comes first. Each caller passes its own.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Quorum {
+    /// Complaints that convict on volume.
+    pub complaints: usize,
+    /// Distinct accusers that convict.
+    pub accusers: usize,
+}
+
+impl Quorum {
+    /// A service's under RS: the `quorum_complaints` of its policy, or
+    /// two distinct accusers.
+    pub fn service(quorum_complaints: u32) -> Quorum {
+        Quorum {
+            complaints: quorum_complaints as usize,
+            accusers: QUORUM_ACCUSERS,
+        }
+    }
+}
+
+/// What the caller knows about the accused when a complaint arrives.
 #[derive(Debug, Clone, Copy)]
 pub struct Accused {
-    /// Index in RS's service table.
+    /// Its index: RS's service table, the fleet's node id.
     pub idx: usize,
     /// Server-class (may be accused by any live caller).
     pub server: bool,
-    /// Currently up and guarded.
-    pub up: bool,
-    /// Its live incarnation.
+    /// Its live incarnation; `None` while it is down.
     pub endpoint: Option<Endpoint>,
-    /// Complaints inside the window that convict it on volume alone:
-    /// its own [`crate::policy::PolicyParams::quorum_complaints`].
-    pub quorum_complaints: u32,
+    /// What convicts it on low-confidence evidence.
+    pub quorum: Quorum,
 }
 
-/// One `rs::COMPLAIN`, with the table facts the rules need.
+/// One complaint, with the facts the rules need.
 #[derive(Debug, Clone, Copy)]
-pub struct Accusation<'a> {
-    /// The complaining endpoint.
+pub struct Accusation<K> {
+    /// The complaining incarnation.
     pub source: Endpoint,
-    /// Its stable published name when it is a guarded service. Histories
-    /// are keyed on it (falling back to the endpoint rendering for
-    /// unguarded callers, which never change incarnation under RS), so a
-    /// server that restarts keeps its accusation history and one flapping
-    /// accuser cannot impersonate a quorum across its own incarnations.
-    pub accuser: Option<&'a str>,
+    /// Whom the histories are keyed on: one key across the accuser's own
+    /// incarnations, so a flapping accuser cannot impersonate a quorum.
+    pub accuser: K,
     /// The source is on the complainant allowlist.
     pub authorized: bool,
     /// Evidence class (see [`evidence`]).
     pub kind: u32,
     /// The incarnation the evidence was gathered against, if stated.
     pub incarnation: Option<Endpoint>,
-    /// The accused, `None` when RS guards no service of that name.
+    /// The accused, `None` when there is no such component.
     pub accused: Option<Accused>,
 }
 
@@ -276,32 +309,36 @@ pub enum Grounds {
 
 /// Outcome of arbitrating one complaint (defect class 5, §5.1).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Verdict {
+pub enum Verdict<K> {
     /// Neither a configured complainant nor a caller of a server-class
     /// component.
     Unauthorized,
-    /// No such service. Counted, not acted on.
+    /// No such component. Counted, not acted on.
     Unknown,
     /// A component cannot be witness against itself (and a confused
     /// server must not trigger its own restart through this path).
     SelfAccusation,
-    /// Evidence against an incarnation that has already been replaced
-    /// says nothing about its successor.
+    /// Evidence against an incarnation other than the live one says
+    /// nothing about the live one.
     Ghost { incarnation: Endpoint },
     /// The accused is not up.
     Down,
     /// Crash-only baseline: vetted and counted, never acted on.
     Disarmed,
-    /// The accuser blamed `distinct` services inside one window and is
-    /// the more plausible defect; its history is forgotten.
-    Inverted { accuser: String, distinct: usize },
-    /// Restart service `accused`.
+    /// The accuser was inverted less than a window ago: its complaints
+    /// are ignored until the window has passed.
+    Discredited,
+    /// The accuser blamed `distinct` components inside one window and is
+    /// the more plausible defect: its evidence is struck and it is
+    /// discredited for a window.
+    Inverted { accuser: K, distinct: usize },
+    /// Restart component `accused`.
     Convicted { accused: usize, grounds: Grounds },
-    /// Low-confidence evidence, recorded toward a quorum.
+    /// Evidence recorded toward a quorum.
     BelowQuorum,
 }
 
-impl Verdict {
+impl<K> Verdict<K> {
     /// Authorized accuser, known accused: the complaint counts as
     /// evidence whatever becomes of it.
     pub fn vetted(&self) -> bool {
@@ -309,25 +346,31 @@ impl Verdict {
     }
 }
 
-/// The complaint arbiter: the low-confidence ledger and the accusers'
-/// recent targets, both pruned to the complaint window.
-#[derive(Debug, Clone, Default)]
-pub struct Arbiter {
+/// The complaint arbiter of both levels: a node's RS keys accusers by
+/// stable name, the fleet agent by node id. Its state is the evidence per
+/// accused, the accusers' recent targets and the inverted accusers, all
+/// pruned to the complaint window.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Arbiter<K> {
     /// Evidence is not acted on. Complaints are still vetted, so the
     /// evidence stream stays observable.
     pub disarmed: bool,
-    /// Accuser names per accused service.
-    ledger: BTreeMap<usize, Window<String>>,
-    /// Accused services per accuser name.
-    history: BTreeMap<String, Window<usize>>,
+    /// `(accuser, evidence kind)` per accused, low-confidence only: one
+    /// high-confidence complaint convicts as it is judged.
+    ledger: BTreeMap<usize, Window<(K, u32)>>,
+    /// Accused per accuser.
+    history: BTreeMap<K, Window<usize>>,
+    /// Accusers inverted inside the window.
+    discredited: Window<K>,
 }
 
-impl Arbiter {
-    /// Rejects unauthorized, unknown, self- and ghost complaints, inverts
-    /// accuser-vs-accused when one accuser blames too many services,
-    /// convicts at once on high-confidence evidence, and requires a
-    /// quorum for the rest.
-    pub fn judge(&mut self, now: SimTime, a: &Accusation<'_>) -> Verdict {
+impl<K: Ord + Clone + Default> Arbiter<K> {
+    /// Rejects unauthorized, unknown, self- and ghost complaints, ignores
+    /// a discredited accuser, inverts accuser-vs-accused when one accuser
+    /// blames too many components, and records the rest: one complaint of
+    /// a high-confidence class convicts, low-confidence evidence needs the
+    /// accused's quorum.
+    pub fn judge(&mut self, now: SimTime, a: Accusation<K>) -> Verdict<K> {
         if !a.authorized && !a.accused.is_some_and(|s| s.server) {
             return Verdict::Unauthorized;
         }
@@ -342,21 +385,28 @@ impl Arbiter {
                 return Verdict::Ghost { incarnation };
             }
         }
-        if !accused.up {
+        if accused.endpoint.is_none() {
             return Verdict::Down;
         }
         if self.disarmed {
             return Verdict::Disarmed;
         }
-        let accuser = a
-            .accuser
-            .map_or_else(|| a.source.to_string(), str::to_owned);
-        let targets = self.history.entry(accuser.clone()).or_default();
+        self.discredited.prune(now, COMPLAINT_WINDOW);
+        if self.discredited.items().any(|k| *k == a.accuser) {
+            return Verdict::Discredited;
+        }
+        let targets = self.history.entry(a.accuser.clone()).or_default();
         targets.push(now, accused.idx);
         targets.prune(now, COMPLAINT_WINDOW);
-        let distinct = targets.items().collect::<BTreeSet<_>>().len();
+        let distinct = targets.distinct(|target| target);
         if distinct >= INVERSION_ACCUSED {
-            self.history.remove(&accuser);
+            // Its history needs no forgetting: by the time the discredit
+            // lapses, the history has left the window too.
+            for held in self.ledger.values_mut() {
+                held.retain(|(k, _)| *k != a.accuser);
+            }
+            let accuser = a.accuser;
+            self.discredited.push(now, accuser.clone());
             return Verdict::Inverted { accuser, distinct };
         }
         if evidence::high_confidence(a.kind) {
@@ -365,19 +415,49 @@ impl Arbiter {
                 grounds: Grounds::HighConfidence,
             };
         }
-        let accusers = self.ledger.entry(accused.idx).or_default();
-        accusers.push(now, accuser);
-        accusers.prune(now, COMPLAINT_WINDOW);
-        let n = accusers.len();
-        let distinct = accusers.items().collect::<BTreeSet<_>>().len();
-        if n >= accused.quorum_complaints as usize || distinct >= QUORUM_ACCUSERS {
-            Verdict::Convicted {
+        let held = self.ledger.entry(accused.idx).or_default();
+        held.push(now, (a.accuser, a.kind));
+        held.prune(now, COMPLAINT_WINDOW);
+        match self.standing(accused.idx, accused.quorum) {
+            Some(grounds) => Verdict::Convicted {
                 accused: accused.idx,
-                grounds: Grounds::Quorum { n, distinct },
-            }
-        } else {
-            Verdict::BelowQuorum
+                grounds,
+            },
+            None => Verdict::BelowQuorum,
         }
+    }
+
+    /// Whether the low-confidence evidence held against `accused` makes
+    /// `quorum`. Reads the window as last pruned, by [`Arbiter::judge`]
+    /// or [`Arbiter::expire`].
+    pub fn standing(&self, accused: usize, quorum: Quorum) -> Option<Grounds> {
+        let held = self.ledger.get(&accused)?;
+        let n = held.len();
+        let distinct = held.distinct(|(k, _)| k);
+        (n >= quorum.complaints || distinct >= quorum.accusers)
+            .then_some(Grounds::Quorum { n, distinct })
+    }
+
+    /// Whether any evidence may be held: a window a strike or a
+    /// withdrawal emptied stays until the next [`Arbiter::expire`].
+    pub fn holds_evidence(&self) -> bool {
+        !self.ledger.is_empty()
+    }
+
+    /// The evidence kinds held against `accused`, oldest first.
+    pub fn evidence(&self, accused: usize) -> impl Iterator<Item = u32> + '_ {
+        let held = self.ledger.get(&accused).into_iter();
+        held.flat_map(|held| held.items().map(|&(_, kind)| kind))
+    }
+
+    /// Withdraws the evidence against `accused` of the kinds `rebutted`
+    /// names, and returns how many complaints that was.
+    pub fn withdraw(&mut self, accused: usize, rebutted: impl Fn(u32) -> bool) -> usize {
+        self.ledger.get_mut(&accused).map_or(0, |held| {
+            let before = held.len();
+            held.retain(|&(_, kind)| !rebutted(kind));
+            before - held.len()
+        })
     }
 
     /// The incarnation under accusation is going away; its successor
@@ -386,13 +466,14 @@ impl Arbiter {
         self.ledger.remove(&accused);
     }
 
-    /// Keeps the accusation history from leaking: drops accusers whose
-    /// whole window has expired.
+    /// Drops everything whose window has expired, so that nothing leaks
+    /// and [`Arbiter::standing`] reads only the evidence inside it.
     pub fn expire(&mut self, now: SimTime) {
-        self.history.retain(|_, targets| {
-            targets.prune(now, COMPLAINT_WINDOW);
-            !targets.is_empty()
-        });
+        self.ledger
+            .retain(|_, held| held.prune(now, COMPLAINT_WINDOW));
+        self.history
+            .retain(|_, named| named.prune(now, COMPLAINT_WINDOW));
+        self.discredited.prune(now, COMPLAINT_WINDOW);
     }
 }
 // [recovery:end]
@@ -602,9 +683,11 @@ mod tests {
         Accused {
             idx,
             server: false,
-            up: true,
             endpoint: Some(VICTIM),
-            quorum_complaints: PolicyParams::BASELINE.quorum_complaints,
+            quorum: Quorum {
+                complaints: PolicyParams::BASELINE.quorum_complaints as usize,
+                accusers: QUORUM_ACCUSERS,
+            },
         }
     }
 
@@ -615,10 +698,10 @@ mod tests {
         source: Endpoint,
         kind: u32,
         accused: Accused,
-    ) -> Accusation<'static> {
+    ) -> Accusation<String> {
         Accusation {
             source,
-            accuser: Some(accuser),
+            accuser: accuser.to_string(),
             authorized: true,
             kind,
             incarnation: None,
@@ -647,7 +730,7 @@ mod tests {
                 true,
                 Accusation {
                     authorized: false,
-                    ..base
+                    ..base.clone()
                 },
                 Verdict::Unauthorized,
             ),
@@ -657,7 +740,7 @@ mod tests {
                 Accusation {
                     authorized: false,
                     accused: Some(server),
-                    ..base
+                    ..base.clone()
                 },
                 convicted(Grounds::HighConfidence),
             ),
@@ -665,7 +748,7 @@ mod tests {
                 true,
                 Accusation {
                     accused: None,
-                    ..base
+                    ..base.clone()
                 },
                 Verdict::Unknown,
             ),
@@ -674,7 +757,7 @@ mod tests {
                 Accusation {
                     authorized: false,
                     accused: None,
-                    ..base
+                    ..base.clone()
                 },
                 Verdict::Unauthorized,
             ),
@@ -682,7 +765,7 @@ mod tests {
                 true,
                 Accusation {
                     source: VICTIM,
-                    ..base
+                    ..base.clone()
                 },
                 Verdict::SelfAccusation,
             ),
@@ -690,7 +773,7 @@ mod tests {
                 true,
                 Accusation {
                     incarnation: Some(Endpoint::new(10, 0)),
-                    ..base
+                    ..base.clone()
                 },
                 Verdict::Ghost {
                     incarnation: Endpoint::new(10, 0),
@@ -700,7 +783,7 @@ mod tests {
                 true,
                 Accusation {
                     incarnation: Some(VICTIM),
-                    ..base
+                    ..base.clone()
                 },
                 convicted(Grounds::HighConfidence),
             ),
@@ -708,15 +791,15 @@ mod tests {
                 true,
                 Accusation {
                     accused: Some(Accused {
-                        up: false,
+                        endpoint: None,
                         ..victim(0)
                     }),
-                    ..base
+                    ..base.clone()
                 },
                 Verdict::Down,
             ),
-            (false, base, Verdict::Disarmed),
-            (true, base, convicted(Grounds::HighConfidence)),
+            (false, base.clone(), Verdict::Disarmed),
+            (true, base.clone(), convicted(Grounds::HighConfidence)),
             (true, Accusation { kind: LOW, ..base }, Verdict::BelowQuorum),
         ];
         for (i, (armed, accusation, expected)) in rows.iter().enumerate() {
@@ -725,7 +808,7 @@ mod tests {
                 disarmed: !armed,
                 ..Arbiter::default()
             };
-            let got = arbiter.judge(at(0), accusation);
+            let got = arbiter.judge(at(0), accusation.clone());
             assert_eq!(got, *expected, "row {i}");
             assert_eq!(got.vetted(), i != 0 && i != 2 && i != 3, "row {i} vetted");
         }
@@ -754,7 +837,11 @@ mod tests {
             ),
         ];
         for (i, (t, accusation, expected)) in rows.iter().enumerate() {
-            assert_eq!(arbiter.judge(at(*t), accusation), *expected, "row {i}");
+            assert_eq!(
+                arbiter.judge(at(*t), accusation.clone()),
+                *expected,
+                "row {i}"
+            );
         }
         // The accused is killed: its successor starts with a clean record.
         arbiter.clear(0);
@@ -768,17 +855,18 @@ mod tests {
             (400, accuse("mfs", MFS, LOW, victim(0)), quorum(2, 2)),
         ];
         for (i, (t, accusation, expected)) in rows.iter().enumerate() {
-            assert_eq!(arbiter.judge(at(*t), accusation), *expected, "row {i}");
+            assert_eq!(
+                arbiter.judge(at(*t), accusation.clone()),
+                *expected,
+                "row {i}"
+            );
         }
         // An unguarded caller is keyed on its endpoint rendering.
         arbiter.clear(0);
-        let app = Accusation {
-            accuser: None,
-            ..accuse("", Endpoint::new(40, 1), LOW, victim(0))
-        };
-        assert_eq!(arbiter.judge(at(500), &app), Verdict::BelowQuorum);
+        let app = accuse("(40, 1)", Endpoint::new(40, 1), LOW, victim(0));
+        assert_eq!(arbiter.judge(at(500), app), Verdict::BelowQuorum);
         assert_eq!(
-            arbiter.judge(at(600), &accuse("vfs", VFS, LOW, victim(0))),
+            arbiter.judge(at(600), accuse("vfs", VFS, LOW, victim(0))),
             quorum(2, 2)
         );
     }
@@ -806,14 +894,12 @@ mod tests {
             } else {
                 Verdict::BelowQuorum
             };
-            assert_eq!(arbiter.judge(at(t), &low), expected, "complaint {i}");
+            assert_eq!(arbiter.judge(at(t), low.clone()), expected, "complaint {i}");
         }
     }
 
     #[test]
-    fn arbiter_inversion_forgets_the_accuser() {
-        // RS's semantics, pinned so the explorer can diff them against
-        // the fleet arbiter's (which remembers an inversion for a window).
+    fn arbiter_inversion_strikes_and_discredits_the_accuser() {
         let mut arbiter = Arbiter::default();
         let inverted = Verdict::Inverted {
             accuser: "vfs".to_string(),
@@ -825,27 +911,36 @@ mod tests {
             // Repeating a target does not add a distinct one.
             (20, 1, Verdict::BelowQuorum),
             (30, 2, inverted.clone()),
-            // Forgotten: the next complaint starts a new history.
-            (40, 3, Verdict::BelowQuorum),
-            (50, 4, Verdict::BelowQuorum),
-            (60, 5, inverted.clone()),
+            // Discredited for a window from the inversion ...
+            (40, 3, Verdict::Discredited),
+            (2_030, 0, Verdict::Discredited),
+            // ... then heard again, with a fresh history.
+            (2_031, 3, Verdict::BelowQuorum),
+            (2_040, 4, Verdict::BelowQuorum),
+            (2_050, 5, inverted.clone()),
         ];
         for (i, (t, target, expected)) in rows.iter().enumerate() {
             let accusation = accuse("vfs", VFS, LOW, victim(*target));
-            assert_eq!(arbiter.judge(at(*t), &accusation), *expected, "row {i}");
+            assert_eq!(arbiter.judge(at(*t), accusation), *expected, "row {i}");
         }
-        // Targets older than the window no longer count toward it.
-        let w = COMPLAINT_WINDOW.as_micros() / 1000;
-        for (i, (t, target)) in [(1_000, 6), (1_010, 7), (w + 1_011, 8)].iter().enumerate() {
-            let accusation = accuse("vfs", VFS, LOW, victim(*target));
-            assert_eq!(
-                arbiter.judge(at(*t), &accusation),
-                Verdict::BelowQuorum,
-                "late row {i}"
-            );
+        // The sweep leaves nothing behind once the window has passed.
+        arbiter.expire(at(10_000));
+        assert_eq!(arbiter, Arbiter::default());
+    }
+
+    /// An accuser's evidence dies with its inversion: a second accuser
+    /// inside the window does not complete a quorum with it. (RS used to
+    /// keep the discredited accuser's entries and convicted here.)
+    #[test]
+    fn arbiter_inverted_accuser_evidence_convicts_nobody() {
+        let mut arbiter = Arbiter::default();
+        for (t, target) in [(0, 0), (10, 1)] {
+            let accusation = accuse("x", VFS, LOW, victim(target));
+            assert_eq!(arbiter.judge(at(t), accusation), Verdict::BelowQuorum);
         }
-        // The audit sweep drops accusers whose whole window has expired.
-        arbiter.expire(at(10 * w));
-        assert!(arbiter.history.is_empty());
+        let verdict = arbiter.judge(at(20), accuse("x", VFS, LOW, victim(2)));
+        assert!(matches!(verdict, Verdict::Inverted { .. }), "{verdict:?}");
+        let verdict = arbiter.judge(at(30), accuse("y", MFS, LOW, victim(0)));
+        assert_eq!(verdict, Verdict::BelowQuorum);
     }
 }
