@@ -6,7 +6,9 @@
 //! read as a deterministic function of `(disk_seed, lba)`, and writes are
 //! kept in a sparse overlay. This lets the Fig. 8 experiment read a 1 GB
 //! "file filled with random data" without a gigabyte of host memory, while
-//! the harness can independently compute the expected SHA-1.
+//! the harness can independently compute the expected SHA-1. A disk of at
+//! most [`STORED_SECTORS`] computes that content once, when it is made,
+//! and copies it out on every read; a bigger one computes it at each read.
 
 use std::any::Any;
 use std::collections::BTreeMap;
@@ -17,6 +19,12 @@ use crate::bus::{DevCtx, Device};
 
 /// Sector size in bytes.
 pub const SECTOR: usize = 512;
+
+/// The largest disk whose unwritten content is built once and kept:
+/// 8,192 sectors, 4 MiB, the largest server address space. A small disk
+/// is re-read thousands of times per sector by a campaign, a bigger one
+/// (Fig. 8's) about once, so only the small one is worth its memory.
+pub const STORED_SECTORS: u64 = 8192;
 
 /// Where the xorshift64* chain of sector `lba` starts.
 fn chain_start(seed: u64, lba: u64) -> u64 {
@@ -78,6 +86,9 @@ fn synth_run_into(seed: u64, lba: u64, out: &mut [u8]) {
 pub struct DiskModel {
     sectors: u64,
     seed: u64,
+    /// The base content of every sector, for a disk of at most
+    /// [`STORED_SECTORS`]; a bigger disk synthesises it at each read.
+    image: Option<Box<[u8]>>,
     overlay: BTreeMap<u64, Vec<u8>>,
 }
 
@@ -85,9 +96,15 @@ impl DiskModel {
     /// Creates a disk of `sectors` sectors with synthetic content derived
     /// from `seed`.
     pub fn new(sectors: u64, seed: u64) -> Self {
+        let image = (sectors <= STORED_SECTORS).then(|| {
+            let mut image = vec![0; sectors as usize * SECTOR];
+            synth_run_into(seed, 0, &mut image);
+            image.into_boxed_slice()
+        });
         DiskModel {
             sectors,
             seed,
+            image,
             overlay: BTreeMap::new(),
         }
     }
@@ -102,28 +119,38 @@ impl DiskModel {
         if lba >= self.sectors {
             return None;
         }
-        Some(
-            self.overlay
-                .get(&lba)
-                .cloned()
-                .unwrap_or_else(|| synth_sector(self.seed, lba)),
-        )
+        let mut out = vec![0; SECTOR];
+        self.read_run(lba, &mut out);
+        Some(out)
     }
 
     /// Reads the sectors from `lba` on into `out`, whole sectors, in
     /// place: written sectors are copied out of the overlay and the runs
-    /// of unwritten ones between them synthesised where they land. The
+    /// of unwritten ones between them out of the base content. The
     /// caller has checked the run against [`DiskModel::sectors`].
     pub fn read_run(&self, lba: u64, out: &mut [u8]) {
         let at = |l: u64| (l - lba) as usize * SECTOR;
         let end = lba + (out.len() / SECTOR) as u64;
         let mut next = lba;
         for (&written, data) in self.overlay.range(lba..end) {
-            synth_run_into(self.seed, next, &mut out[at(next)..at(written)]);
+            self.base_into(next, &mut out[at(next)..at(written)]);
             out[at(written)..at(written + 1)].copy_from_slice(data);
             next = written + 1;
         }
-        synth_run_into(self.seed, next, &mut out[at(next)..at(end)]);
+        self.base_into(next, &mut out[at(next)..at(end)]);
+    }
+
+    /// Writes the base content of the sectors from `lba` on into `out`,
+    /// whole sectors: copied from the image if the disk has one,
+    /// synthesised where it lands if not.
+    fn base_into(&self, lba: u64, out: &mut [u8]) {
+        match &self.image {
+            Some(image) => {
+                let from = lba as usize * SECTOR;
+                out.copy_from_slice(&image[from..from + out.len()]);
+            }
+            None => synth_run_into(self.seed, lba, out),
+        }
     }
 
     /// Writes one sector. Returns `false` for out-of-range LBAs or short
@@ -500,26 +527,30 @@ mod tests {
 
     /// The four-lane run against one sector at a time, at run lengths on
     /// both sides of every lane boundary, with and without a written
-    /// sector somewhere in the run.
+    /// sector somewhere in the run, on a disk that stores its content and
+    /// on one that synthesises it.
     #[test]
     fn read_run_equals_sector_by_sector_reads() {
         const LBA: u64 = 5;
-        for run in [1usize, 3, 4, 5, 8, 31, 32] {
-            for written in [None, Some(0), Some(run / 2), Some(run - 1)] {
-                let mut m = DiskModel::new(64, 42);
-                if let Some(w) = written {
-                    assert!(m.write(LBA + w as u64, &[0xAB; SECTOR]));
-                }
-                let mut got = vec![0xEE; run * SECTOR];
-                m.read_run(LBA, &mut got);
-                for (i, sector) in got.chunks_exact(SECTOR).enumerate() {
-                    let want = if written == Some(i) {
-                        vec![0xAB; SECTOR]
-                    } else {
-                        synth_sector_serial(42, LBA + i as u64)
-                    };
-                    assert_eq!(sector, want, "sector {i} of {run}, written {written:?}");
-                    assert_eq!(m.read(LBA + i as u64).unwrap(), want);
+        for sectors in [64, STORED_SECTORS + 1] {
+            for run in [1usize, 3, 4, 5, 8, 31, 32] {
+                for written in [None, Some(0), Some(run / 2), Some(run - 1)] {
+                    let mut m = DiskModel::new(sectors, 42);
+                    if let Some(w) = written {
+                        assert!(m.write(LBA + w as u64, &[0xAB; SECTOR]));
+                    }
+                    let mut got = vec![0xEE; run * SECTOR];
+                    m.read_run(LBA, &mut got);
+                    for (i, sector) in got.chunks_exact(SECTOR).enumerate() {
+                        let want = if written == Some(i) {
+                            vec![0xAB; SECTOR]
+                        } else {
+                            synth_sector_serial(42, LBA + i as u64)
+                        };
+                        let case = format!("{sectors} sectors, run {run}, written {written:?}");
+                        assert_eq!(sector, want, "sector {i}, {case}");
+                        assert_eq!(m.read(LBA + i as u64).unwrap(), want);
+                    }
                 }
             }
         }

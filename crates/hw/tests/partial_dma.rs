@@ -2,13 +2,16 @@
 //! than the request: sector `i` moves iff sectors `0..=i` all lie inside
 //! the window — the longest in-window prefix of whole sectors — and then
 //! the controller raises `FAIL`. A sector that would fit is still not
-//! moved once an earlier one did not.
+//! moved once an earlier one did not. Each rule is checked on a disk
+//! that stores its content and on one that synthesises it.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
 use phoenix_hw::bus::Bus;
-use phoenix_hw::disk::{cmd as dcmd, disk_isr, regs as dregs, synth_sector, SECTOR};
+use phoenix_hw::disk::{
+    cmd as dcmd, disk_isr, regs as dregs, synth_sector, SECTOR, STORED_SECTORS,
+};
 use phoenix_hw::DiskDevice;
 use phoenix_kernel::privileges::Privileges;
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -20,6 +23,8 @@ const IRQ: u8 = 5;
 const DISK_SEED: u64 = 7;
 const LBA: u32 = 10;
 const COUNT: usize = 4;
+/// Disk sizes on both sides of the stored-content bound.
+const DISKS: [u64; 2] = [64, STORED_SECTORS + 1];
 
 /// Device address and length of the window; it exposes driver memory
 /// from `WIN_OFFSET` on. 1,280 bytes hold two and a half sectors.
@@ -97,10 +102,10 @@ impl Outcome {
     }
 }
 
-fn transfer(command: u32, dma_addr: u32) -> Outcome {
+fn transfer(sectors: u64, command: u32, dma_addr: u32) -> Outcome {
     let mut sys = System::new(SystemConfig::default());
     let mut bus = Bus::new();
-    bus.add_device(DEV, IRQ, Box::new(DiskDevice::sata(64, DISK_SEED)));
+    bus.add_device(DEV, IRQ, Box::new(DiskDevice::sata(sectors, DISK_SEED)));
     let seen = Seen::default();
     sys.spawn_boot(
         "drv",
@@ -121,33 +126,41 @@ fn transfer(command: u32, dma_addr: u32) -> Outcome {
 
 #[test]
 fn read_moves_the_whole_sectors_that_fit_then_fails() {
-    let mut out = transfer(dcmd::READ, WIN_BASE);
-    out.failed_once();
-    let mut want = vec![0xEE; MEM];
-    for i in 0..2 {
-        let at = WIN_OFFSET + i * SECTOR;
-        want[at..at + SECTOR].copy_from_slice(&synth_sector(DISK_SEED, u64::from(LBA) + i as u64));
+    for disk in DISKS {
+        let mut out = transfer(disk, dcmd::READ, WIN_BASE);
+        out.failed_once();
+        let mut want = vec![0xEE; MEM];
+        for i in 0..2 {
+            let at = WIN_OFFSET + i * SECTOR;
+            let lba = u64::from(LBA) + i as u64;
+            want[at..at + SECTOR].copy_from_slice(&synth_sector(DISK_SEED, lba));
+        }
+        // The half sector of window left after the second one stays untouched.
+        assert!(
+            out.mem == want,
+            "exactly sectors 0 and 1 arrived ({disk} sectors)"
+        );
+        assert_eq!(out.disk().model().written_sectors(), 0);
     }
-    // The half sector of window left after the second one stays untouched.
-    assert!(out.mem == want, "exactly sectors 0 and 1 arrived");
-    assert_eq!(out.disk().model().written_sectors(), 0);
 }
 
 #[test]
 fn write_stores_the_whole_sectors_that_fit_then_fails() {
-    let mut out = transfer(dcmd::WRITE, WIN_BASE);
-    out.failed_once();
-    let lba = u64::from(LBA);
-    let model = out.disk().model().clone();
-    assert_eq!(model.written_sectors(), 2);
-    assert_eq!(model.read(lba).unwrap(), staged(0));
-    assert_eq!(model.read(lba + 1).unwrap(), staged(1));
-    for i in 2..COUNT as u64 {
-        assert_eq!(
-            model.read(lba + i).unwrap(),
-            synth_sector(DISK_SEED, lba + i),
-            "sector {i} keeps its synthetic content"
-        );
+    for disk in DISKS {
+        let mut out = transfer(disk, dcmd::WRITE, WIN_BASE);
+        out.failed_once();
+        let lba = u64::from(LBA);
+        let model = out.disk().model().clone();
+        assert_eq!(model.written_sectors(), 2);
+        assert_eq!(model.read(lba).unwrap(), staged(0));
+        assert_eq!(model.read(lba + 1).unwrap(), staged(1));
+        for i in 2..COUNT as u64 {
+            assert_eq!(
+                model.read(lba + i).unwrap(),
+                synth_sector(DISK_SEED, lba + i),
+                "sector {i} keeps its synthetic content ({disk} sectors)"
+            );
+        }
     }
 }
 
@@ -157,12 +170,16 @@ fn write_stores_the_whole_sectors_that_fit_then_fails() {
 #[test]
 fn a_first_sector_below_the_window_base_moves_nothing() {
     let below = WIN_BASE - (SECTOR / 2) as u32;
+    for disk in DISKS {
+        let mut read = transfer(disk, dcmd::READ, below);
+        read.failed_once();
+        assert!(
+            read.mem == vec![0xEE; MEM],
+            "driver memory untouched ({disk} sectors)"
+        );
 
-    let mut read = transfer(dcmd::READ, below);
-    read.failed_once();
-    assert!(read.mem == vec![0xEE; MEM], "driver memory untouched");
-
-    let mut write = transfer(dcmd::WRITE, below);
-    write.failed_once();
-    assert_eq!(write.disk().model().written_sectors(), 0);
+        let mut write = transfer(disk, dcmd::WRITE, below);
+        write.failed_once();
+        assert_eq!(write.disk().model().written_sectors(), 0);
+    }
 }

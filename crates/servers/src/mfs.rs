@@ -28,7 +28,7 @@ use phoenix_hw::disk::SECTOR;
 use phoenix_kernel::memory::{GrantAccess, GrantId};
 use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
-use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
+use phoenix_kernel::types::{AlarmId, CallId, Endpoint, IpcError, Message};
 use phoenix_simcore::time::SimDuration;
 use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
@@ -187,6 +187,8 @@ struct Active {
     driver_call: Option<CallId>,
     /// Sequence number used by the response-deadline alarm.
     seq: u64,
+    /// The response-deadline alarm itself, cancelled when the reply lands.
+    deadline: Option<AlarmId>,
     /// Set when the rendezvous was aborted: retry on driver restart.
     waiting_driver: bool,
     /// Checksum-mismatch retries consumed by the current op.
@@ -215,6 +217,7 @@ impl Active {
             grant: None,
             driver_call: None,
             seq: 0,
+            deadline: None,
             waiting_driver: false,
             csum_retries: 0,
             scrub: None,
@@ -370,7 +373,7 @@ impl<V: Volume> FileServer<V> {
                 a.seq = seq;
                 a.waiting_driver = false;
                 // Response deadline (complaint input, §5.1).
-                let _ = ctx.set_alarm(DRIVER_DEADLINE, seq);
+                a.deadline = ctx.set_alarm(DRIVER_DEADLINE, seq).ok();
             }
             Err(_) => {
                 // Driver died between publish and send: wait for restart.
@@ -606,9 +609,14 @@ impl<V: Volume> FileServer<V> {
         ctx: &mut Ctx<'_>,
         result: Result<Message, IpcError>,
     ) {
-        // Revoke the chunk grant in all cases.
-        if let Some(g) = self.active.as_mut().and_then(|a| a.grant.take()) {
-            let _ = ctx.grant_revoke(g);
+        // Revoke the chunk grant and cancel its deadline in all cases.
+        if let Some(a) = self.active.as_mut() {
+            if let Some(g) = a.grant.take() {
+                let _ = ctx.grant_revoke(g);
+            }
+            if let Some(deadline) = a.deadline.take() {
+                ctx.cancel_alarm(deadline);
+            }
         }
         match result {
             // [recovery:begin]

@@ -515,6 +515,25 @@ fn lost_data_reply_ends_in_a_deadline_complaint_and_revokes_the_grant<V: Volume 
     assert_eq!(rig.counter("reissues"), 1);
 }
 
+/// A chunk's response deadline is cancelled when its reply lands: after
+/// whole-file reads the system goes idle where the last reply did, with
+/// no deadline left to fire five seconds later as a no-op.
+fn answered_chunks_leave_no_deadline_behind<V: Volume + 'static>(mkfs: Mkfs) {
+    let mut rig = Rig::up::<V>(mkfs);
+    let (t0, before) = (rig.sys.now(), rig.data_requests().len());
+    for _ in 0..3 {
+        assert_eq!(rig.read_all(), vec![(status::OK, content())]);
+    }
+    let chunks = rig.data_requests().len() - before;
+    assert!(chunks >= 3, "a chunk or more per read, {chunks} in all");
+    let idle_after = rig.sys.now().since(t0);
+    assert!(
+        idle_after < SimDuration::from_secs(1),
+        "idle {idle_after:?} after the reads began: a deadline outlived its reply"
+    );
+    assert!(rig.complaints.borrow().is_empty());
+}
+
 /// `EAGAIN` is retried once after `RETRY_DELAY`, never in the same tick
 /// (the same-tick loop is what livelocked under message chaos).
 fn eagain_is_retried_once_after_a_pause<V: Volume + 'static>(mkfs: Mkfs) {
@@ -656,6 +675,7 @@ for_both_formats!(
     abort_parks_until_publish_then_reopens_and_reissues,
     lost_reopen_reply_ends_in_a_deadline_complaint,
     lost_data_reply_ends_in_a_deadline_complaint_and_revokes_the_grant,
+    answered_chunks_leave_no_deadline_behind,
     eagain_is_retried_once_after_a_pause,
     reply_sentinels_file_typed_complaints,
     every_eighth_chunk_is_scrubbed,

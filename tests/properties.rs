@@ -6,7 +6,7 @@
 use phoenix_fault::isa::{decode, encode, Instr};
 use phoenix_fault::mutate::{apply_fault, ALL_FAULT_TYPES};
 use phoenix_fault::vm::Vm;
-use phoenix_hw::disk::{DiskModel, SECTOR};
+use phoenix_hw::disk::{DiskModel, SECTOR, STORED_SECTORS};
 use phoenix_servers::fsfmt::{Extent, Inode, Superblock};
 use phoenix_servers::netproto::{stream_chunk, Segment};
 use phoenix_servers::policy::{PolicyInput, PolicyScript};
@@ -178,13 +178,15 @@ fn event_queue_time_ordered() {
 }
 
 /// Disk overlay semantics: what you write is what you read; what you
-/// never wrote is the deterministic base pattern.
+/// never wrote is the deterministic base pattern — whether the disk
+/// stores that pattern or synthesises it.
 #[test]
 fn disk_model_read_your_writes() {
     let mut rng = rng_for("disk-ryw");
-    for _ in 0..CASES {
+    for case in 0..CASES {
         let seed = rng.next_u64();
-        let mut disk = DiskModel::new(64, seed);
+        let sectors = [64, STORED_SECTORS + 64][case % 2];
+        let mut disk = DiskModel::new(sectors, seed);
         let mut expected = std::collections::HashMap::new();
         for _ in 0..rng.range_usize(0..32) {
             let lba = rng.range_u64(0..64);
