@@ -641,6 +641,30 @@ fn stream_driver_partial_accept_is_the_device_halfs_decision() {
     einval(stream_session::<PrinterPort>(printer(), false, empty()));
 }
 
+#[test]
+fn a_stream_write_longer_than_one_routine_run_is_served() {
+    // 8 KB is within both devices' MAX_WRITE but over what one run of the
+    // pristine write routine sums inside the driver's step budget. The
+    // second, small write is answered only by a driver that is still up.
+    let writes = || {
+        vec![
+            Message::new(cdev::WRITE).with_data(vec![b'x'; 8192]),
+            Message::new(cdev::WRITE).with_data(vec![b'y'; 16]),
+        ]
+    };
+    let run = stream_session::<AudioPort>(Box::new(AudioDac::new(1 << 20)), false, writes());
+    assert_eq!(
+        run.replies,
+        [(status::OK, 8192, 0), (status::OK, 16, 0)],
+        "audio"
+    );
+    let run = stream_session::<PrinterPort>(Box::new(Printer::new(1 << 20)), false, writes());
+    assert_eq!(run.replies.len(), 2, "printer: {:?}", run.replies);
+    let (st, accepted, _) = run.replies[0];
+    assert_eq!(st, status::OK);
+    assert!(accepted > 0 && accepted <= 8192, "printer: {accepted}");
+}
+
 /// What a driver sends back for one request: the reply's kind and status,
 /// or `None` when nothing comes back.
 type Answer = Option<(u32, u64)>;
