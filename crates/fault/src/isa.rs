@@ -76,7 +76,8 @@ pub enum Instr {
     Invalid(u32),
 }
 
-mod op {
+/// Opcode numbers, bits 31..26 of a word.
+pub(crate) mod op {
     pub const NOP: u32 = 0;
     pub const MOVI: u32 = 1;
     pub const MOV: u32 = 2;
