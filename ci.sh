@@ -44,6 +44,10 @@ echo "==> decide_enumerated at full depth: states explored and wall seconds, pri
 out=$(cargo test -q --release --test decide_enumerated -- --nocapture) || { echo "$out"; exit 1; }
 echo "$out" | grep -o 'enumerated .*'
 
+echo "==> byte_sum_fusion at full size: the fused byte-sum loop against the step loop on every single-word mutant of the four routines; runs and wall seconds, printed, not gated (a debug build takes every 97th program)"
+out=$(cargo test -q --release -p phoenix-drivers --test byte_sum_fusion -- --nocapture) || { echo "$out"; exit 1; }
+echo "$out" | grep -o 'differential .*'
+
 echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
