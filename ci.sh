@@ -52,6 +52,10 @@ echo "==> event_oracle at full size: the timing wheel against the single-heap re
 out=$(cargo test -q --release -p phoenix-simcore --test event_oracle -- --nocapture 2>&1) || { echo "$out"; exit 1; }
 echo "$out" | grep -o 'oracle .*'
 
+echo "==> fleet loop work: rounds and machine advances of an 8-node, 12-fault campaign; printed, and pinned as literals in the test"
+out=$(cargo test -q --release -p phoenix-fleet --lib the_campaign_pins_its_rounds_and_machine_advances -- --nocapture) || { echo "$out"; exit 1; }
+echo "$out" | grep -o 'fleet loop: .*'
+
 echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

@@ -176,6 +176,10 @@ pub struct FleetAgent {
     peers: Vec<Peer>,
     arbiter: Arbiter<u8>,
     rebut: Option<u32>,
+    /// [`FleetAgent::next_due`]'s watch term, [`FleetAgent::watch_scan`]
+    /// kept fresh where `new`, `on_frame` and `tick` end: nothing else
+    /// changes `next_hb_at`, a view or a grace.
+    watch_due: SimTime,
     /// Protocol counters.
     pub stats: AgentStats,
 }
@@ -192,7 +196,7 @@ impl FleetAgent {
                 last_complaint_at: None,
             })
             .collect();
-        FleetAgent {
+        let mut agent = FleetAgent {
             id,
             n,
             gen,
@@ -201,8 +205,11 @@ impl FleetAgent {
             peers,
             arbiter: Arbiter::default(),
             rebut: None,
+            watch_due: now,
             stats: AgentStats::default(),
-        }
+        };
+        agent.watch_due = agent.watch_scan();
+        agent
     }
 
     /// The agent's current view of `node`: `(generation, hb sequence)`.
@@ -388,6 +395,7 @@ impl FleetAgent {
             }
             _ => {}
         }
+        self.watch_due = self.watch_scan();
     }
 
     /// A lower bound on the next instant at which [`tick`] has anything
@@ -401,8 +409,10 @@ impl FleetAgent {
     /// any evidence is held, since the arbiter role can pass to this
     /// agent at any instant a peer falls silent. (The arbiter's other
     /// windows need no tick: every rule reads them pruned.) Otherwise the
-    /// next heartbeat, or the first instant a peer can be accused: its
-    /// silence threshold, not before its grace ends. (The re-complaint
+    /// kept watch term: the next heartbeat, or the first instant a peer
+    /// can be accused — its silence threshold, not before its grace ends.
+    /// No call scans the peers; `on_frame` and `tick` refresh the term
+    /// where they end, and a debug build checks it here. (The re-complaint
     /// spacing is not a term: a complaint of the agent's own sits in its
     /// ledger for the whole spacing, so the agent is due every quantum of
     /// it anyway — unless a rebuttal withdrew it or the agent stands
@@ -413,9 +423,17 @@ impl FleetAgent {
     /// [`tick`]: FleetAgent::tick
     /// [`on_frame`]: FleetAgent::on_frame
     pub fn next_due(&self, now: SimTime) -> SimTime {
+        debug_assert_eq!(self.watch_due, self.watch_scan(), "a stale watch term");
         if self.rebut.is_some() || self.arbiter.holds_evidence() {
             return now;
         }
+        self.watch_due
+    }
+
+    /// The watch term of [`FleetAgent::next_due`], scanned: the next
+    /// heartbeat, or per peer the earlier silence threshold, not before
+    /// the peer's grace ends.
+    fn watch_scan(&self) -> SimTime {
         let mut due = self.next_hb_at;
         for peer in &self.peers {
             if let Some(view) = &peer.view {
@@ -527,9 +545,16 @@ impl FleetAgent {
             self.judge(now, &frame);
         }
 
-        // Quorum check and arbitration.
+        self.arbitrate(now, &mut out);
+        self.watch_due = self.watch_scan();
+        out
+    }
+
+    /// Quorum check and arbitration: convicts every subject with a
+    /// standing quorum against it for which this agent is the arbiter.
+    fn arbitrate(&mut self, now: SimTime, out: &mut AgentOutput) {
         if !self.arbiter.holds_evidence() {
-            return out;
+            return;
         }
         for subject in self.others() {
             let Some(view) = self.view(subject) else {
@@ -562,7 +587,6 @@ impl FleetAgent {
             });
             self.apply_conviction(now, subject, view.gen);
         }
-        out
     }
 }
 
