@@ -36,7 +36,17 @@
 //!   (3), since B, untouched for the whole discredit, still discards the
 //!   accuser's next complaint where A hears it (the generator makes a
 //!   mass accuser speak again just as its discredit lapses). `next_due`
-//!   needs no term for a discredit.
+//!   needs no term for a discredit;
+//! * a refresh of the kept watch term dropped from `on_frame` or `tick`:
+//!   in a debug build, the `debug_assert_eq!` in `next_due` at its first
+//!   call after the change. In `--release`, a term not refreshed by
+//!   `tick` stays at the heartbeat just sent, so B is due every step
+//!   until a frame arrives: step (4), at every node count. One not
+//!   refreshed by `on_frame` passes here, because a frame only moves a
+//!   view or a grace later: the kept term is early, which the contract
+//!   allows, and the next `tick` refreshes it. The fleet's
+//!   `the_campaign_pins_its_rounds_and_machine_advances` catches it (7
+//!   more machine advances).
 //!
 //! `next_due` has no term for `RECOMPLAIN_AFTER`, though `tick` tests that
 //! spacing: a complaint of the agent's own sits in its ledger for longer,
