@@ -155,14 +155,14 @@ fn two_nodes() {
     check(
         2,
         [
-            "2ced6b830eb374673f7428de9c0cd062",
-            "c3a4ecc2a9fa4dff201653ac87496b60",
-            "e37467063815ff4cb49db24ce00c2f94",
-            "6c8d21b6c0aa950c1321faa8c9a7340d",
-            "2ced6b830eb374673f7428de9c0cd062",
-            "32011439b35fcfc1014338337b94d851",
-            "f406b907fb82bee7e0cf1be474a31050",
-            "6c8d21b6c0aa950c1321faa8c9a7340d",
+            "878789f5256e73859069be9380ad6997",
+            "d831728147eb3925867dfa858239f14b",
+            "3caca8797877fecfb36accc2462db205",
+            "4a5345356b0a0d4bfbae18da31693efa",
+            "878789f5256e73859069be9380ad6997",
+            "7639b1f9109dccc991c86601d554dd45",
+            "3077fa24b585ea7b59fcfd8294671e85",
+            "4a5345356b0a0d4bfbae18da31693efa",
         ],
     );
 }
@@ -172,14 +172,14 @@ fn three_nodes() {
     check(
         3,
         [
-            "7dd042cccb364244a831f7fe2daa73fc",
-            "fb621f449c460cd73bb5310b53535a04",
-            "7c1e13b5fd82c74279286a4607e76dba",
-            "beb143820e04a495e1b24f522d563caf",
-            "7dd042cccb364244a831f7fe2daa73fc",
-            "efd0d50a1e1346b1328ad1398746646c",
-            "287f7e4b0ea8ef5e7bf0c56fc91e4114",
-            "beb143820e04a495e1b24f522d563caf",
+            "41b46bb3f0b8dd906ebe0838bcdc3301",
+            "a6c0bc2e684a07bfc96b5a57fbdf4e17",
+            "c3eb4d647fe125ce268426d3e1125ffe",
+            "6d662342f8ffe687618124516e948c27",
+            "41b46bb3f0b8dd906ebe0838bcdc3301",
+            "01be0d64c27818ab8343fe569c3f5833",
+            "689b1025f14017e9c840b721025bda42",
+            "6d662342f8ffe687618124516e948c27",
         ],
     );
 }
@@ -189,14 +189,14 @@ fn four_nodes() {
     check(
         4,
         [
-            "3fefe95a68a8191e562c20f45b34afaf",
-            "87cfed85fa285502df518e763fce43d6",
-            "c98dd46bb1f61d9fa03e9ff076df29c3",
-            "33d62a13b856ea28ad014d696ad55765",
-            "3fefe95a68a8191e562c20f45b34afaf",
-            "2fcd42d2ed283d9101cc07f555ddef0a",
-            "2243e972ddfce2dfd171c17d2f443f7d",
-            "33d62a13b856ea28ad014d696ad55765",
+            "c7797ead13e71297cf3bdbf612ca3c83",
+            "027dc472bc4d55880c8a0303b82615bd",
+            "4e4571c01c89f799f6b7f2f199e2a4e3",
+            "93063d5ead6d33c0f95bd4b6fa8d9fe6",
+            "c7797ead13e71297cf3bdbf612ca3c83",
+            "8913acfed2f7a108c0b9011a7c19b737",
+            "bdf769fac4cfc8ee55c7ab0f1f2c8f68",
+            "93063d5ead6d33c0f95bd4b6fa8d9fe6",
         ],
     );
 }
@@ -206,14 +206,14 @@ fn eight_nodes() {
     check(
         8,
         [
-            "a6162b4dc40480412946c79d29befb29",
-            "27e3ed09a749aa626cd36bad37e4614a",
-            "b08965cfbc73203395002291968a3d25",
-            "51f6fdec8f75393d8fa3e39afe4c9cda",
-            "a6162b4dc40480412946c79d29befb29",
-            "9ba9a35b41f6e43a07fc22b57070df2e",
-            "d2bf57a31df6cd1f56c4f9df8d4a4193",
-            "51f6fdec8f75393d8fa3e39afe4c9cda",
+            "1a3449bf9e4c969c35305368bc535dc9",
+            "b5d3700feecff71a8f02167ae3ab1f9b",
+            "765ca45faaf50be8ed832a6dacb46a38",
+            "06b3e0e9707b15d049a8978a412304c0",
+            "1a3449bf9e4c969c35305368bc535dc9",
+            "fe5f7544515823987aa22a3b8d984b01",
+            "31667fe7a3a893756602ce371f6d8a07",
+            "06b3e0e9707b15d049a8978a412304c0",
         ],
     );
 }

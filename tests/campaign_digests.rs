@@ -53,7 +53,7 @@ fn ckpt_digests_are_pinned() {
         };
         run_ckpt_campaign(&cfg).0.digest
     };
-    assert_eq!(digest(true), "351198f56ce89bd77f2b601f635412b6");
+    assert_eq!(digest(true), "108b0930d558f736737c135d26376613");
     assert_eq!(digest(false), "c236985b1355a4b82777cde5afcc7046");
 }
 
@@ -91,10 +91,10 @@ fn microreboot_digests_are_pinned() {
     };
     assert_eq!(
         run_microreboot_campaign(&cfg).0.digest,
-        "6dcf12b62d049e1dfb4f24de6e0d23ba"
+        "3b73b6b2b7f36ea5d65c3b352ce0c2d1"
     );
     let control = run_microreboot_control(&cfg, SimDuration::from_secs(2));
-    assert_eq!(control.digest, "de8d9c8b7db43f6445e2e82067e9e346");
+    assert_eq!(control.digest, "6f32b8ac44ea644cf2d43ab6330f03d4");
 }
 
 #[test]
@@ -135,14 +135,14 @@ fn standby_digests_are_pinned() {
     };
     assert_eq!(
         run_standby_campaign(&cfg(true)).0.digest,
-        "fd3bc3cc339d320f87a86f32b468bfb2"
+        "f961cbf2e02fa8e085196bcce6574bae"
     );
     assert_eq!(
         run_standby_campaign(&cfg(false)).0.digest,
-        "40b81fb3eefe5169271e13c97108b3f7"
+        "44d487ca1ad1e233c2012376c75af458"
     );
     let control = run_standby_control(&cfg(true), SimDuration::from_secs(2));
-    assert_eq!(control.digest, "f11614c63a1d828faf505fbb032e215d");
+    assert_eq!(control.digest, "9b42995f279359fe31ddbfd18820558a");
 }
 
 #[test]
@@ -153,6 +153,6 @@ fn fleet_digest_is_pinned() {
     };
     assert_eq!(
         run_fleet_campaign(&cfg).digest,
-        "892a795f21841a70d767b5369269a8fa"
+        "a4be30342ab09a3ac505078d684a1efd"
     );
 }
