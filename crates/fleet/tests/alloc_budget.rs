@@ -1,0 +1,112 @@
+//! Heap budget of the fleet's steady state: how many allocations a
+//! warmed-up, fault-free 8-node fleet makes over a second of heartbeat
+//! rounds with no snapshot export due, and over a second in which every
+//! node exports, transfers and has its successor receive one image.
+//!
+//! The counting [`GlobalAlloc`] is the same shape as the kernel's
+//! `tests/alloc_budget.rs` and `benchmark/src/alloc.rs`, confined to this
+//! test binary; the budget is a single test in a file of its own because a
+//! second test running on another thread would be counted too.
+//!
+//! A node exports at 200 + 100·id ms and every 2 s after, so from an even
+//! second the first second of each 2 s period holds eight exports and the
+//! second none. A node machine that only runs (RS audits and heartbeats, a
+//! finished print job) allocates nothing, so what is counted is the
+//! fleet's own work.
+
+use std::alloc::{GlobalAlloc, Layout};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use phoenix_fault::NodeChaosPlan;
+use phoenix_fleet::{Fleet, FleetConfig};
+use phoenix_simcore::time::SimDuration;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
+// read on the thread that bumped it) touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout` (this allocator
+        // hands out nothing else); the caller vouches for `new_size`.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const NODES: u8 = 8;
+/// Heartbeat rounds in one second: the beats every 50 ms, each followed
+/// by a round of their deliveries one link latency later.
+const BEATS: u64 = 20;
+/// What one replicated image costs: the image the sender encodes from
+/// its checkpoint store, the payload of each segment it sends (an image
+/// of a few hundred bytes is one segment), and the buffer the successor
+/// reassembles it into and keeps.
+const PER_IMAGE: [(&str, u64); 3] = [
+    ("image", 1),
+    ("segment payloads", 1),
+    ("reassembled buffer", 1),
+];
+
+/// Allocations while `fleet` runs one more second.
+fn second(fleet: &mut Fleet) -> u64 {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    fleet.run_for(SimDuration::from_secs(1));
+    ALLOCS.load(Ordering::Relaxed) - before
+}
+
+/// At the commit before heartbeats, deliveries and images left the heap,
+/// the quiet second read 500, 25 a beat: each agent's gossip vector, its
+/// clone for the second ring neighbour and the tick's output `Vec` (24),
+/// and the delivery round's collected `Vec` (1). A second of exports read
+/// the same 500 and 32 per image.
+#[test]
+fn the_fleet_steady_state_stays_off_the_heap() {
+    let cfg = FleetConfig {
+        nodes: NODES,
+        seed: 2007,
+        ..FleetConfig::default()
+    };
+    let mut fleet = Fleet::new(cfg, NodeChaosPlan::new());
+    fleet.run_for(SimDuration::from_secs(10));
+    // Warm-up: a second of exports, so every buffer a round or an image
+    // reuses has grown.
+    let _ = second(&mut fleet);
+    let quiet = second(&mut fleet);
+    let replicated = |fleet: &Fleet| fleet.metrics.counter("fleet.snap.replicated");
+    let before = replicated(&fleet);
+    let exporting = second(&mut fleet);
+    let images = replicated(&fleet) - before;
+    assert_eq!(images, u64::from(NODES), "one image per node in the second");
+    assert_eq!(fleet.metrics.counter("fleet.convictions"), 0);
+    let per_image: u64 = PER_IMAGE.iter().map(|&(_, n)| n).sum();
+    println!(
+        "fleet heap: {NODES} nodes, fault-free: {} allocations per heartbeat round \
+         ({quiet} over {BEATS}), {} per replicated image ({exporting} over {images}, \
+         pinned {PER_IMAGE:?})",
+        quiet / BEATS,
+        exporting.saturating_sub(quiet) / images,
+    );
+    assert_eq!(quiet, 0, "a second of heartbeat rounds with no export due");
+    assert_eq!(exporting, images * per_image, "a second of exports");
+}
