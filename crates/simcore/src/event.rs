@@ -289,19 +289,22 @@ impl<E> EventQueue<E> {
     }
 
     /// Empties occupied `bucket` and links its entries again, in list
-    /// order, relative to `base`. Every entry must belong below `bucket`'s
-    /// level relative to `base`, on levels that are empty: so each list
-    /// they join keeps schedule order.
-    fn relink(&mut self, bucket: usize, base: SimTime) {
+    /// order, relative to `base`, and returns the earliest `at` among them.
+    /// Every entry must belong below `bucket`'s level relative to `base`,
+    /// on levels that are empty: so each list they join keeps schedule
+    /// order.
+    fn relink(&mut self, bucket: usize, base: SimTime) -> SimTime {
         let first = self.heads[bucket];
         self.heads[bucket] = NIL;
         self.occupied[bucket / WIDTH] &= !(1 << (bucket % WIDTH));
+        let mut earliest = self.links[first as usize].at;
         let mut slot = first;
         loop {
-            let next = self.links[slot as usize].next;
+            let Link { at, next, .. } = self.links[slot as usize];
+            earliest = earliest.min(at);
             self.link(slot, base);
             if next == first {
-                return;
+                return earliest;
             }
             slot = next;
         }
@@ -380,23 +383,26 @@ impl<E> EventQueue<E> {
     pub fn advance_to(&mut self, t: SimTime) {
         assert!(t >= self.now, "cannot advance clock backwards");
         // Relative to the old clock, every event in a bucket below the one
-        // `t` belongs in is earlier than `t`; those in that bucket share
-        // `t`'s groups from its level up and must move below it.
+        // `t` belongs in is earlier than `t`. Those in that bucket share
+        // `t`'s groups from its level up: on level 0 that is all of `at`,
+        // so they are due at `t` itself; above it they move below the
+        // level, in the one walk that finds the earliest of them.
         let bucket = bucket_of(t, self.now);
         let (level, group) = (bucket / WIDTH, bucket % WIDTH);
         let below = self.occupied[..level].iter().any(|&word| word != 0)
             || self.occupied[level] & ((1 << group) - 1) != 0;
-        let held = self.heads[bucket] != NIL;
-        let skipped = below || (held && self.earliest_in(bucket) < t);
+        let skipped = if below {
+            self.lowest_bucket().map(|lowest| self.earliest_in(lowest))
+        } else if level > 0 && self.heads[bucket] != NIL {
+            Some(self.relink(bucket, t)).filter(|&earliest| earliest < t)
+        } else {
+            None
+        };
         assert!(
-            !skipped,
+            skipped.is_none(),
             "cannot skip over pending event at {:?} while advancing to {t:?}",
-            self.lowest_bucket()
-                .map_or(t, |lowest| self.earliest_in(lowest))
+            skipped.unwrap_or(t)
         );
-        if held && level > 0 {
-            self.relink(bucket, t);
-        }
         self.now = t;
     }
 }
