@@ -149,12 +149,18 @@ impl CheckpointStore {
         );
     }
 
-    /// Exports every record as `(owner, key, wire frame)` in key order —
-    /// the unit the fleet layer replicates to a peer-held node snapshot.
-    pub fn export(&self) -> Vec<(String, String, Vec<u8>)> {
+    /// Every record as `(owner, key, wire frame)` in key order, borrowed —
+    /// the unit the fleet layer encodes into a peer-held node snapshot.
+    pub fn records(&self) -> impl ExactSizeIterator<Item = (&str, &str, &[u8])> + Clone + '_ {
         self.records
             .iter()
-            .map(|((o, k), r)| (o.clone(), k.clone(), r.wire.clone()))
+            .map(|((o, k), r)| (o.as_str(), k.as_str(), r.wire.as_slice()))
+    }
+
+    /// [`CheckpointStore::records`], copied out.
+    pub fn export(&self) -> Vec<(String, String, Vec<u8>)> {
+        self.records()
+            .map(|(o, k, w)| (o.to_string(), k.to_string(), w.to_vec()))
             .collect()
     }
 
