@@ -7,9 +7,10 @@
 //! The agent is a pure protocol state machine: the fleet event loop
 //! feeds it delivered frames ([`FleetAgent::on_frame`]) and ticks it
 //! with a sample of its node's local state ([`FleetAgent::tick`]); it
-//! returns frames to transmit and [`FleetAction`]s for the fleet to
-//! execute. It never touches an `Os` directly, which keeps every
-//! transition unit-testable without booting machines.
+//! hands back frames to transmit and [`FleetAction`]s for the fleet to
+//! execute, in an output buffer it keeps. It never touches an `Os`
+//! directly, which keeps every transition unit-testable without booting
+//! machines.
 //!
 //! Complaints are judged by RS's own arbiter ([`Arbiter`]), keyed by node
 //! id: the rules of a node and of the fleet are one rule set (DESIGN §5f
@@ -23,6 +24,7 @@
 //! executes a verdict, checked at every tick.
 
 use std::collections::BTreeMap;
+use std::rc::Rc;
 
 use phoenix::kernel::types::{Endpoint, Message};
 use phoenix_servers::proto::evidence;
@@ -76,7 +78,7 @@ pub enum FleetAction {
     },
 }
 
-/// One tick's output.
+/// One tick's output, in a buffer the agent keeps across ticks.
 #[derive(Clone, Debug, Default)]
 pub struct AgentOutput {
     /// Frames to transmit, as `(destination, frame)`.
@@ -180,6 +182,14 @@ pub struct FleetAgent {
     /// kept fresh where `new`, `on_frame` and `tick` end: nothing else
     /// changes `next_hb_at`, a view or a grace.
     watch_due: SimTime,
+    /// The gossip vector of the last beat, `n` stats: this node's, then
+    /// every peer's in id order. Each beat refills it through
+    /// `Rc::make_mut`, which writes in place when no frame holds it any
+    /// more and into a copy when one still does (or a clone of the agent
+    /// shares it), so a frame in flight keeps the stats of its send time.
+    beat: Rc<[NodeStat]>,
+    /// What the last [`FleetAgent::tick`] put out.
+    out: AgentOutput,
     /// Protocol counters.
     pub stats: AgentStats,
 }
@@ -206,6 +216,8 @@ impl FleetAgent {
             arbiter: Arbiter::default(),
             rebut: None,
             watch_due: now,
+            beat: std::iter::repeat_n(NodeStat::default(), usize::from(n)).collect(),
+            out: AgentOutput::default(),
             stats: AgentStats::default(),
         };
         agent.watch_due = agent.watch_scan();
@@ -360,7 +372,7 @@ impl FleetAgent {
         // `gossip` table all the same.
         match gossip::Msg::decode(&Message::new(frame.kind)) {
             Some(gossip::Msg::HEARTBEAT) => {
-                for stat in &frame.view {
+                for stat in frame.view.iter() {
                     self.merge_stat(now, stat);
                 }
             }
@@ -379,7 +391,7 @@ impl FleetAgent {
             }
             Some(gossip::Msg::ALIVE) => {
                 let mut beacon_advanced = false;
-                for stat in &frame.view {
+                for stat in frame.view.iter() {
                     beacon_advanced |= self.merge_stat(now, stat);
                 }
                 // A live rebuttal at the current generation clears
@@ -446,48 +458,50 @@ impl FleetAgent {
     }
 
     /// One agent tick: gossip heartbeats, raise suspicions, arbitrate.
+    /// The frames and verdicts go into the agent's output buffer, which is
+    /// returned: the caller drains what it acts on, and what it leaves is
+    /// dropped at the next tick, before the beat is refilled.
     // analyze:recovery-root
-    pub fn tick(&mut self, now: SimTime, local: &LocalView) -> AgentOutput {
-        let mut out = AgentOutput::default();
+    pub fn tick(&mut self, now: SimTime, local: &LocalView) -> &mut AgentOutput {
+        self.out.frames.clear();
+        self.out.actions.clear();
         self.arbiter.expire(now);
 
         // Heartbeats to the ring neighbors, carrying the gossip vector.
         if now >= self.next_hb_at {
             self.hb_seq += 1;
             self.next_hb_at = now + HB_PERIOD;
-            let mut vector = Vec::with_capacity(self.peers.len());
-            vector.push(NodeStat {
+            let own = NodeStat {
                 node: self.id,
                 gen: self.gen,
                 hb_seq: self.hb_seq,
                 beacon: local.rs_beacon,
                 rs_up: local.rs_up,
-            });
-            for (node, peer) in (0..).zip(&self.peers) {
-                let Some(view) = &peer.view else {
-                    continue;
-                };
-                vector.push(NodeStat {
+            };
+            // Every id but this agent's has a view.
+            let peers = (0..).zip(&self.peers).filter_map(|(node, peer)| {
+                peer.view.map(|view| NodeStat {
                     node,
                     gen: view.gen,
                     hb_seq: view.hb_seq,
                     beacon: view.beacon,
                     rs_up: view.rs_up,
-                });
+                })
+            });
+            let beat = Rc::make_mut(&mut self.beat);
+            for (slot, stat) in beat.iter_mut().zip(std::iter::once(own).chain(peers)) {
+                *slot = stat;
             }
             let succ = self.ring(self.id, 1);
             let pred = self.ring(self.id, self.n - 1);
-            // Successor first; the last target takes the vector itself.
-            // (`pred != succ` only from three nodes up, where neither is
-            // this node.)
-            if pred != succ {
-                out.frames
-                    .push((succ, Frame::heartbeat(self.id, self.gen, vector.clone())));
-                out.frames
-                    .push((pred, Frame::heartbeat(self.id, self.gen, vector)));
-            } else if succ != self.id {
-                out.frames
-                    .push((succ, Frame::heartbeat(self.id, self.gen, vector)));
+            // Successor first, then the predecessor, both holding the one
+            // beat. (`pred != succ` only from three nodes up, where neither
+            // is this node.)
+            let id = self.id;
+            let second = (pred != succ).then_some(pred);
+            for to in std::iter::once(succ).chain(second).filter(|&to| to != id) {
+                let frame = Frame::heartbeat(id, self.gen, Rc::clone(&self.beat));
+                self.out.frames.push((to, frame));
             }
         }
 
@@ -505,7 +519,9 @@ impl FleetAgent {
                     rs_up: local.rs_up,
                 };
                 for to in self.others() {
-                    out.frames.push((to, Frame::alive(self.id, self.gen, stat)));
+                    self.out
+                        .frames
+                        .push((to, Frame::alive(self.id, self.gen, stat)));
                 }
             }
         }
@@ -539,20 +555,20 @@ impl FleetAgent {
             let frame = Frame::complain(self.id, self.gen, j, view.gen, ev);
             self.stats.complaints_sent += 1;
             for to in self.others() {
-                out.frames.push((to, frame.clone()));
+                self.out.frames.push((to, frame.clone()));
             }
             // Our own observation is evidence too.
             self.judge(now, &frame);
         }
 
-        self.arbitrate(now, &mut out);
+        self.arbitrate(now);
         self.watch_due = self.watch_scan();
-        out
+        &mut self.out
     }
 
     /// Quorum check and arbitration: convicts every subject with a
     /// standing quorum against it for which this agent is the arbiter.
-    fn arbitrate(&mut self, now: SimTime, out: &mut AgentOutput) {
+    fn arbitrate(&mut self, now: SimTime) {
         if !self.arbiter.holds_evidence() {
             return;
         }
@@ -578,9 +594,9 @@ impl FleetAgent {
             self.stats.convictions += 1;
             let verdict = Frame::convict(self.id, self.gen, subject, view.gen, ev);
             for to in self.others() {
-                out.frames.push((to, verdict.clone()));
+                self.out.frames.push((to, verdict.clone()));
             }
-            out.actions.push(FleetAction::Convict {
+            self.out.actions.push(FleetAction::Convict {
                 node: subject,
                 gen: view.gen,
                 evidence: ev,
@@ -713,6 +729,75 @@ mod tests {
         assert!(saw_rs_silent);
     }
 
+    /// The heartbeats `agent` sends at `now`, as the frames a wire would
+    /// carry.
+    fn beats(agent: &mut FleetAgent, now: SimTime, local: &LocalView) -> Vec<(u8, Frame)> {
+        let out = agent.tick(now, local);
+        assert!(out.frames.iter().all(|(_, f)| f.kind == gossip::HEARTBEAT));
+        out.frames.drain(..).collect()
+    }
+
+    /// A heartbeat still in flight when its sender's view table changes
+    /// delivers the stats of its send time; both neighbours got the one
+    /// buffer, and once no frame holds it the next beat writes in place.
+    #[test]
+    fn a_heartbeat_in_flight_keeps_the_stats_of_its_send_time() {
+        let mut agent = FleetAgent::new(0, 4, 1, t(0));
+        feed_fresh(&mut agent, t(0), 1);
+        let first = beats(&mut agent, t(0), &local());
+        assert_eq!(first.len(), 2, "successor and predecessor");
+        assert!(Rc::ptr_eq(&first[0].1.view, &first[1].1.view));
+        let sent: Vec<NodeStat> = first[0].1.view.to_vec();
+        assert_eq!(sent[0].hb_seq, 1, "its own stat leads");
+        assert_eq!(sent[1].hb_seq, 1, "node 1 as of the send");
+
+        feed_fresh(&mut agent, t(30), 7);
+        let fresh = LocalView {
+            rs_beacon: 9,
+            rs_up: true,
+        };
+        let second = beats(&mut agent, t(50), &fresh);
+        assert_eq!(*first[0].1.view, *sent, "the frame in flight moved");
+        assert_eq!(*first[1].1.view, *sent);
+        assert!(!Rc::ptr_eq(&first[0].1.view, &second[0].1.view));
+        let now = &second[0].1.view;
+        assert_eq!((now[0].hb_seq, now[0].beacon), (2, 9));
+        assert_eq!(now[1].hb_seq, 7, "node 1 as of the second beat");
+
+        // Delivered: no frame holds either buffer.
+        drop(first);
+        let buffer = Rc::as_ptr(&second[0].1.view);
+        drop(second);
+        let third = beats(&mut agent, t(100), &fresh);
+        assert_eq!(Rc::as_ptr(&third[0].1.view), buffer, "written in place");
+        assert_eq!(third[0].1.view[0].hb_seq, 3);
+    }
+
+    /// A clone of an agent shares its beat buffer, and neither writes into
+    /// it while the other, or a frame, still holds it.
+    #[test]
+    fn a_cloned_agent_never_writes_into_a_shared_beat() {
+        let mut agent = FleetAgent::new(1, 4, 1, t(0));
+        feed_fresh(&mut agent, t(0), 1);
+        let in_flight = beats(&mut agent, t(0), &local());
+        let sent: Vec<NodeStat> = in_flight[0].1.view.to_vec();
+        let mut twin = agent.clone();
+        let beat_of = |agent: &mut FleetAgent, seq: u64, beacon: u64| {
+            feed_fresh(agent, t(40), seq);
+            let local = LocalView {
+                rs_beacon: beacon,
+                rs_up: true,
+            };
+            beats(agent, t(50), &local).swap_remove(0).1.view
+        };
+        let twin_beat = beat_of(&mut twin, 5, 50);
+        let agent_beat = beat_of(&mut agent, 6, 60);
+        assert_eq!(*in_flight[0].1.view, *sent, "the frame in flight moved");
+        assert!(!Rc::ptr_eq(&twin_beat, &agent_beat));
+        assert_eq!((twin_beat[0].beacon, twin_beat[1].hb_seq), (50, 5));
+        assert_eq!((agent_beat[0].beacon, agent_beat[1].hb_seq), (60, 6));
+    }
+
     #[test]
     fn ghost_complaints_about_old_generations_are_rejected() {
         let mut agent = FleetAgent::new(0, 4, 1, t(0));
@@ -770,7 +855,7 @@ mod tests {
         same(&seen, &twin, t(30));
         for ms in (50..1_000).step_by(50) {
             let (a, b) = (seen.tick(t(ms), &local()), twin.tick(t(ms), &local()));
-            assert_eq!((a.frames, a.actions), (b.frames, b.actions));
+            assert_eq!((&a.frames, &a.actions), (&b.frames, &b.actions));
             same(&seen, &twin, t(ms));
         }
         assert!(

@@ -14,6 +14,9 @@
 //! serialized, and the id disambiguates a late retransmission of the
 //! previous image from the start of the next.
 
+use std::array;
+use std::iter::Flatten;
+
 use phoenix_servers::netproto::{flags, Segment, MSS};
 use phoenix_simcore::time::{SimDuration, SimTime};
 
@@ -23,6 +26,10 @@ pub const WINDOW: usize = 8;
 pub const RTO_BASE: SimDuration = SimDuration::from_millis(200);
 /// Backoff cap.
 pub const RTO_MAX: SimDuration = SimDuration::from_secs(2);
+
+/// The segments one [`SnapSender::tick`] emits, held inline: never more
+/// than a window.
+pub type Flight = Flatten<array::IntoIter<Option<Segment>, WINDOW>>;
 
 /// Go-back-N sender for one snapshot image.
 #[derive(Debug)]
@@ -115,9 +122,10 @@ impl SnapSender {
 
     /// Advances the sender: retransmits on RTO expiry or a pending fast
     /// retransmit, then fills the window with new segments.
-    pub fn tick(&mut self, now: SimTime) -> Vec<Segment> {
+    pub fn tick(&mut self, now: SimTime) -> Flight {
+        let mut flight: [Option<Segment>; WINDOW] = Default::default();
         if self.done {
-            return Vec::new();
+            return flight.into_iter().flatten();
         }
         if let Some(d) = self.deadline {
             if now >= d {
@@ -131,14 +139,17 @@ impl SnapSender {
             self.snd_nxt = self.snd_una;
             self.deadline = Some(now + self.rto);
         }
-        let mut out = Vec::new();
-        while self.snd_nxt < self.data.len() && self.in_flight() < WINDOW {
+        // A window of segments at most, so the flight has room for each.
+        for slot in &mut flight {
+            if self.snd_nxt >= self.data.len() || self.in_flight() >= WINDOW {
+                break;
+            }
             let end = (self.snd_nxt + MSS).min(self.data.len());
             let mut seg_flags = flags::DATA;
             if end == self.data.len() {
                 seg_flags |= flags::FIN;
             }
-            out.push(Segment {
+            *slot = Some(Segment {
                 flags: seg_flags,
                 conn: self.conn,
                 seq: self.snd_nxt as u32,
@@ -147,10 +158,10 @@ impl SnapSender {
             });
             self.snd_nxt = end;
         }
-        if !out.is_empty() && self.deadline.is_none() {
+        if flight[0].is_some() && self.deadline.is_none() {
             self.deadline = Some(now + self.rto);
         }
-        out
+        flight.into_iter().flatten()
     }
 
     fn in_flight(&self) -> usize {
@@ -217,13 +228,18 @@ mod tests {
         (0..len).map(|i| (i * 7 % 251) as u8).collect()
     }
 
+    /// What `tx` sends at `now`.
+    fn sent(tx: &mut SnapSender, now: SimTime) -> Vec<Segment> {
+        tx.tick(now).collect()
+    }
+
     /// Lossless in-order delivery completes in one window pass.
     #[test]
     fn transfer_completes_without_loss() {
         let data = image(4000);
         let mut tx = SnapSender::new(1, data.clone());
         let mut rx = SnapReceiver::new();
-        let segs = tx.tick(t(0));
+        let segs = sent(&mut tx, t(0));
         assert_eq!(segs.len(), 3, "4000 bytes / MSS 1460 = 3 segments");
         assert!(segs[2].flags & flags::FIN != 0);
         for seg in &segs {
@@ -234,7 +250,7 @@ mod tests {
             tx.on_ack(t(1), &ack);
         }
         assert!(tx.is_done());
-        assert!(tx.tick(t(2)).is_empty());
+        assert!(sent(&mut tx, t(2)).is_empty());
         assert_eq!(tx.retransmissions, 0);
     }
 
@@ -245,7 +261,7 @@ mod tests {
         let data = image(4000);
         let mut tx = SnapSender::new(2, data.clone());
         let mut rx = SnapReceiver::new();
-        let segs = tx.tick(t(0));
+        let segs = sent(&mut tx, t(0));
         let mut acks = Vec::new();
         for (i, seg) in segs.iter().enumerate() {
             if i == 1 {
@@ -257,10 +273,10 @@ mod tests {
             tx.on_ack(t(1), ack);
         }
         // 1 fresh ACK (seg 0) + 1 dup: not yet at the dup-ACK threshold.
-        assert!(tx.tick(t(2)).is_empty());
+        assert!(sent(&mut tx, t(2)).is_empty());
         tx.on_ack(t(2), &acks[1].clone());
         tx.on_ack(t(2), &acks[1].clone());
-        let resent = tx.tick(t(3));
+        let resent = sent(&mut tx, t(3));
         assert_eq!(tx.retransmissions, 1);
         assert_eq!(resent[0].seq as usize, MSS, "go back to the hole");
         let mut img = None;
@@ -280,14 +296,14 @@ mod tests {
         let data = image(2000);
         let mut tx = SnapSender::new(3, data.clone());
         let mut rx = SnapReceiver::new();
-        let first = tx.tick(t(0));
+        let first = sent(&mut tx, t(0));
         assert_eq!(first.len(), 2);
         // Outage: nothing arrives. First RTO at +200ms, second at +600ms.
-        assert!(tx.tick(t(100)).is_empty());
-        let retx1 = tx.tick(t(200));
+        assert!(sent(&mut tx, t(100)).is_empty());
+        let retx1 = sent(&mut tx, t(200));
         assert_eq!(retx1.len(), 2);
         assert_eq!(retx1[0].seq, 0);
-        let retx2 = tx.tick(t(600));
+        let retx2 = sent(&mut tx, t(600));
         assert_eq!(retx2.len(), 2, "backoff doubled to 400ms");
         assert_eq!(tx.retransmissions, 2);
         let mut img = None;
@@ -308,7 +324,7 @@ mod tests {
         let data = image(3000);
         let mut tx = SnapSender::new(4, data.clone());
         let mut rx = SnapReceiver::new();
-        let segs = tx.tick(t(0));
+        let segs = sent(&mut tx, t(0));
         let mut img = None;
         for seg in &segs {
             img = img.or(rx.on_segment(seg).1);
@@ -320,7 +336,7 @@ mod tests {
         assert_eq!(ack.ack, 3000);
         assert_eq!(complete, None);
         let short = image(100);
-        let segs = SnapSender::new(5, short.clone()).tick(t(10));
+        let segs = sent(&mut SnapSender::new(5, short.clone()), t(10));
         let (ack, complete) = rx.on_segment(&segs[0]);
         assert_eq!(ack.ack, 100);
         assert_eq!(complete, Some(short));
@@ -333,10 +349,10 @@ mod tests {
     fn next_due_is_now_then_the_rto_deadline_then_nothing() {
         let mut tx = SnapSender::new(6, image(2000));
         assert_eq!(tx.next_due(), Some(SimTime::ZERO), "unsent data");
-        let segs = tx.tick(t(5));
+        let segs = sent(&mut tx, t(5));
         assert_eq!(tx.next_due(), Some(t(5) + RTO_BASE));
-        assert!(tx.tick(t(204)).is_empty(), "not before the deadline");
-        assert_eq!(tx.tick(t(205)).len(), 2, "at the deadline");
+        assert!(sent(&mut tx, t(204)).is_empty(), "not before the deadline");
+        assert_eq!(sent(&mut tx, t(205)).len(), 2, "at the deadline");
         assert_eq!(tx.next_due(), Some(t(205) + RTO_BASE * 2));
         let mut rx = SnapReceiver::new();
         let ack = rx.on_segment(&segs[0]).0;
@@ -346,7 +362,7 @@ mod tests {
             tx.on_ack(t(207), &ack);
         }
         assert_eq!(tx.next_due(), Some(SimTime::ZERO), "fast retransmit owed");
-        let resent = tx.tick(t(207));
+        let resent = sent(&mut tx, t(207));
         let ack = rx.on_segment(&resent[0]).0;
         tx.on_ack(t(208), &ack);
         assert!(tx.is_done());
@@ -359,11 +375,11 @@ mod tests {
     fn new_conn_resets_receiver() {
         let mut rx = SnapReceiver::new();
         let mut tx1 = SnapSender::new(7, image(3000));
-        let segs = tx1.tick(t(0));
+        let segs = sent(&mut tx1, t(0));
         let _ = rx.on_segment(&segs[0]); // partial image, then sender dies
         let short = image(100);
         let mut tx2 = SnapSender::new(8, short.clone());
-        let segs = tx2.tick(t(10));
+        let segs = sent(&mut tx2, t(10));
         let (ack, complete) = rx.on_segment(&segs[0]);
         assert_eq!(complete, Some(short));
         assert_eq!(ack.ack, 100);

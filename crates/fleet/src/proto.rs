@@ -8,6 +8,8 @@
 //! surface like any other: every kind an agent can emit must have a
 //! dispatch arm somewhere, or it is a message dropped on the floor.
 
+use std::rc::Rc;
+
 use phoenix_servers::netproto::crc16;
 use phoenix_simcore::wire::{Len, Reader, Writer};
 
@@ -36,7 +38,7 @@ pub mod gossip {
 /// vectors. Comparisons are monotone: a stat only supersedes a view
 /// when its generation or sequence is strictly newer, so stale gossip
 /// echoing around the ring can never roll a view backward.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct NodeStat {
     /// Which node this stat describes.
     pub node: u8,
@@ -70,12 +72,15 @@ pub struct Frame {
     /// complaints and convictions.
     pub evidence: u32,
     /// Gossip vector (heartbeats) or the sender's own stat (rebuttals).
-    pub view: Vec<NodeStat>,
+    /// Shared, never written through: an agent hands one beat to both
+    /// ring neighbours, and a frame in flight keeps the stats of its send
+    /// time however the sender's table moves on.
+    pub view: Rc<[NodeStat]>,
 }
 
 impl Frame {
     /// A heartbeat carrying the sender's gossip vector.
-    pub fn heartbeat(from: u8, gen: u32, view: Vec<NodeStat>) -> Frame {
+    pub fn heartbeat(from: u8, gen: u32, view: impl Into<Rc<[NodeStat]>>) -> Frame {
         Frame {
             kind: gossip::HEARTBEAT,
             from,
@@ -83,7 +88,7 @@ impl Frame {
             subject: from,
             subject_gen: gen,
             evidence: 0,
-            view,
+            view: view.into(),
         }
     }
 
@@ -96,7 +101,7 @@ impl Frame {
             subject,
             subject_gen,
             evidence,
-            view: Vec::new(),
+            view: Rc::default(),
         }
     }
 
@@ -109,7 +114,7 @@ impl Frame {
             subject,
             subject_gen,
             evidence,
-            view: Vec::new(),
+            view: Rc::default(),
         }
     }
 
@@ -122,7 +127,7 @@ impl Frame {
             subject: from,
             subject_gen: gen,
             evidence: 0,
-            view: vec![stat],
+            view: Rc::new([stat]),
         }
     }
 }
@@ -147,61 +152,133 @@ pub struct NodeSnapshot {
 
 const SNAP_MAGIC: &[u8; 4] = b"FSNP";
 
-/// One `(name, name, value)` record: two `u16`-prefixed strings and a
-/// `u32`-prefixed value.
-fn put_record(w: &mut Writer, (a, b, value): &(String, String, Vec<u8>)) {
+/// One `(name, name, value)` record as an image holds it, borrowed.
+pub type Record<'a> = (&'a str, &'a str, &'a [u8]);
+
+/// One record: two `u16`-prefixed strings and a `u32`-prefixed value.
+fn put_record(w: &mut Writer, (a, b, value): Record<'_>) {
     w.str(Len::U16, a);
     w.str(Len::U16, b);
     w.bytes(Len::U32, value);
 }
 
-fn get_record(r: &mut Reader<'_>) -> Option<(String, String, Vec<u8>)> {
-    let a = r.str(Len::U16)?.to_string();
-    let b = r.str(Len::U16)?.to_string();
-    Some((a, b, r.bytes(Len::U32)?.to_vec()))
+fn get_record<'a>(r: &mut Reader<'a>) -> Option<Record<'a>> {
+    Some((r.str(Len::U16)?, r.str(Len::U16)?, r.bytes(Len::U32)?))
+}
+
+/// What [`put_record`] writes for `records` at most (less only where a
+/// name or value is cut to its prefix).
+fn records_len<'a>(records: impl Iterator<Item = Record<'a>>) -> usize {
+    records
+        .map(|(a, b, v)| 2 + a.len() + 2 + b.len() + 4 + v.len())
+        .sum()
+}
+
+/// The owned records of a [`NodeSnapshot`], borrowed.
+fn borrowed(
+    records: &[(String, String, Vec<u8>)],
+) -> impl ExactSizeIterator<Item = Record<'_>> + Clone {
+    records
+        .iter()
+        .map(|(a, b, v)| (a.as_str(), b.as_str(), v.as_slice()))
+}
+
+/// The one reader of the image format: every check `decode` makes, with
+/// `keep` choosing what survives of each record. Collected into `()`, it
+/// copies nothing and allocates nothing.
+fn parse<'a, T, C: FromIterator<T>>(
+    buf: &'a [u8],
+    keep: impl Fn(Record<'a>) -> T + Copy,
+) -> Option<(u8, u32, C, C)> {
+    let (body, trailer) = buf.split_at_checked(buf.len().checked_sub(2)?)?;
+    if Reader::new(trailer).u16() != Some(crc16(body)) {
+        return None;
+    }
+    let mut r = Reader::new(body);
+    if r.take(SNAP_MAGIC.len())? != SNAP_MAGIC {
+        return None;
+    }
+    let node = r.u8()?;
+    let gen = r.u32()?;
+    let ckpt = r.seq(Len::U32, |r| get_record(r).map(keep))?;
+    let ds = r.seq(Len::U32, |r| get_record(r).map(keep))?;
+    r.finish()?;
+    Some((node, gen, ckpt, ds))
 }
 
 impl NodeSnapshot {
-    /// Serializes to the transfer wire format: magic, `node:u8 gen:u32`,
-    /// the two record lists behind `u32` counts, and the CRC-16 of all of
-    /// that (the same checksum family the transport segments use).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+    /// The transfer wire format of a snapshot of `node` at `gen` holding
+    /// the `ckpt` and `ds` records: magic, `node:u8 gen:u32`, the two
+    /// record lists behind `u32` counts, and the CRC-16 of all of that
+    /// (the same checksum family the transport segments use). Written
+    /// into one buffer sized for it up front, straight from borrowed
+    /// records: a node exports its checkpoint store without copying it.
+    pub fn image<'a>(
+        node: u8,
+        gen: u32,
+        ckpt: impl ExactSizeIterator<Item = Record<'a>> + Clone,
+        ds: impl ExactSizeIterator<Item = Record<'a>> + Clone,
+    ) -> Vec<u8> {
+        let len = SNAP_MAGIC.len() + 1 + 4 + 4 + 4 + 2;
+        let mut w =
+            Writer::with_capacity(len + records_len(ckpt.clone()) + records_len(ds.clone()));
         w.raw(SNAP_MAGIC);
-        w.u8(self.node);
-        w.u32(self.gen);
-        w.seq(Len::U32, self.ckpt.iter(), put_record);
-        w.seq(Len::U32, self.ds.iter(), put_record);
+        w.u8(node);
+        w.u32(gen);
+        w.seq(Len::U32, ckpt, put_record);
+        w.seq(Len::U32, ds, put_record);
         w.u16(crc16(w.written()));
         w.into_bytes()
+    }
+
+    /// Serializes to the transfer wire format ([`NodeSnapshot::image`]).
+    pub fn encode(&self) -> Vec<u8> {
+        Self::image(
+            self.node,
+            self.gen,
+            borrowed(&self.ckpt),
+            borrowed(&self.ds),
+        )
     }
 
     /// Parses the transfer wire format; `None` for truncated or
     /// corrupted images (bad magic / CRC) — a damaged snapshot must be
     /// detected, not adopted.
     pub fn decode(buf: &[u8]) -> Option<NodeSnapshot> {
-        let (body, trailer) = buf.split_at_checked(buf.len().checked_sub(2)?)?;
-        if Reader::new(trailer).u16() != Some(crc16(body)) {
-            return None;
-        }
-        let mut r = Reader::new(body);
-        if r.take(SNAP_MAGIC.len())? != SNAP_MAGIC {
-            return None;
-        }
-        let snap = NodeSnapshot {
-            node: r.u8()?,
-            gen: r.u32()?,
-            ckpt: r.seq(Len::U32, get_record)?,
-            ds: r.seq(Len::U32, get_record)?,
-        };
-        r.finish()?;
-        Some(snap)
+        let own = |(a, b, v): Record<'_>| (a.to_string(), b.to_string(), v.to_vec());
+        let (node, gen, ckpt, ds) = parse(buf, own)?;
+        Some(NodeSnapshot {
+            node,
+            gen,
+            ckpt,
+            ds,
+        })
+    }
+
+    /// Whether [`NodeSnapshot::decode`] accepts `buf`, checked in place by
+    /// the same walk: a receiver keeps an image as the bytes that arrived
+    /// and decodes it only to adopt it.
+    pub fn check(buf: &[u8]) -> bool {
+        parse::<(), ()>(buf, |_| ()).is_some()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use phoenix_ckpt::{CheckpointStore, Snapshot};
+
+    /// `decode`'s verdict on `buf`, after checking that the receipt check
+    /// gives the same one.
+    fn decoded(buf: &[u8]) -> Option<NodeSnapshot> {
+        let snap = NodeSnapshot::decode(buf);
+        assert_eq!(
+            NodeSnapshot::check(buf),
+            snap.is_some(),
+            "check and decode disagree on {buf:02x?}"
+        );
+        snap
+    }
 
     #[test]
     fn snapshot_round_trips() {
@@ -216,7 +293,8 @@ mod tests {
             ds: vec![("k".to_string(), "o".to_string(), vec![9, 9])],
         };
         let wire = snap.encode();
-        assert_eq!(NodeSnapshot::decode(&wire), Some(snap));
+        assert_eq!(wire.capacity(), wire.len(), "sized up front, exactly");
+        assert_eq!(decoded(&wire), Some(snap));
     }
 
     #[test]
@@ -227,12 +305,15 @@ mod tests {
             ckpt: vec![],
             ds: vec![("k".to_string(), "o".to_string(), vec![7])],
         };
-        let mut wire = snap.encode();
-        let mid = wire.len() / 2;
-        wire[mid] ^= 0x10;
-        assert_eq!(NodeSnapshot::decode(&wire), None);
-        assert_eq!(NodeSnapshot::decode(b"FSNPxx"), None);
-        assert_eq!(NodeSnapshot::decode(b""), None);
+        let wire = snap.encode();
+        // Every single-bit flip, the CRC trailer's included.
+        for bit in 0..wire.len() * 8 {
+            let mut flipped = wire.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            assert_eq!(decoded(&flipped), None, "bit {bit}");
+        }
+        assert_eq!(decoded(b"FSNPxx"), None);
+        assert_eq!(decoded(b""), None);
     }
 
     /// Replaces the CRC trailer so only the body decides the verdict.
@@ -252,21 +333,21 @@ mod tests {
         };
         let wire = snap.encode();
         let body = &wire[..wire.len() - 2];
-        assert_eq!(NodeSnapshot::decode(&resealed(body.to_vec())), Some(snap));
+        assert_eq!(decoded(&resealed(body.to_vec())), Some(snap));
         // Every strict prefix, and one trailing byte.
         for cut in 0..body.len() {
             let short = resealed(body[..cut].to_vec());
-            assert_eq!(NodeSnapshot::decode(&short), None, "cut at {cut}");
+            assert_eq!(decoded(&short), None, "cut at {cut}");
         }
         let mut long = body.to_vec();
         long.push(0);
-        assert_eq!(NodeSnapshot::decode(&resealed(long)), None);
+        assert_eq!(decoded(&resealed(long)), None);
         // A name that is not UTF-8: the `v` of the first owner, behind
         // magic, node, gen, the record count and the name's own prefix.
         let mut bad = body.to_vec();
         assert_eq!(bad[4 + 1 + 4 + 4 + 2], b'v');
         bad[4 + 1 + 4 + 4 + 2] = 0xFF;
-        assert_eq!(NodeSnapshot::decode(&resealed(bad)), None);
+        assert_eq!(decoded(&resealed(bad)), None);
     }
 
     #[test]
@@ -278,8 +359,42 @@ mod tests {
             ckpt: vec![],
             ds: vec![(long.clone(), "o".to_string(), vec![7])],
         };
-        let decoded = NodeSnapshot::decode(&snap.encode()).expect("still decodes");
+        let decoded = decoded(&snap.encode()).expect("still decodes");
         assert_eq!(decoded.ds[0].0, long[..usize::from(u16::MAX) - 1]);
         assert_eq!(decoded.ds[0].2, [7]);
+    }
+
+    /// A node exports its checkpoint store by encoding its borrowed
+    /// records: the same bytes as the owned copy the store exports, put in
+    /// a snapshot and encoded, and one exactly sized buffer.
+    #[test]
+    fn the_borrowed_export_writes_the_owned_snapshot_s_bytes() {
+        let mut store = CheckpointStore::new();
+        let frame = |inc, seq, payload: &[u8]| Snapshot::new(inc, seq, payload.to_vec()).encode();
+        for (owner, key, wire) in [
+            ("vfs", "mounts", frame(1, 2, &[0, 0, 0, 0])),
+            (
+                "chr.printer",
+                "printer",
+                frame(3, 17, &4096u64.to_le_bytes()),
+            ),
+            ("chr.printer", "queue", frame(3, 4, &[9; 40])),
+            ("inet", "sessions", frame(2, 8, &[])),
+        ] {
+            assert!(matches!(
+                store.save(owner, key, &wire),
+                phoenix_ckpt::SaveOutcome::Stored { .. }
+            ));
+        }
+        let image = NodeSnapshot::image(6, 3, store.records(), std::iter::empty());
+        let owned = NodeSnapshot {
+            node: 6,
+            gen: 3,
+            ckpt: store.export(),
+            ds: vec![],
+        };
+        assert_eq!(image, owned.encode());
+        assert_eq!(image.capacity(), image.len());
+        assert_eq!(decoded(&image), Some(owned));
     }
 }

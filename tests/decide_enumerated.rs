@@ -241,7 +241,7 @@ impl Fleet {
 
     /// Every node fresh at `now`, through one gossip vector.
     fn beat(&mut self, now: SimTime, depth: u64) {
-        let view = (0..NODES)
+        let view: Vec<NodeStat> = (0..NODES)
             .filter(|&p| p != AGENT)
             .map(|node| NodeStat {
                 node,
