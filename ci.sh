@@ -58,6 +58,10 @@ echo "==> fleet loop work: rounds and machine advances of an 8-node, 12-fault ca
 out=$(cargo test -q --release -p phoenix-fleet --lib the_campaign_pins_its_rounds_and_machine_advances -- --nocapture) || { echo "$out"; exit 1; }
 echo "$out" | grep -o 'fleet loop: .*'
 
+echo "==> fleet heap: allocations per heartbeat round and per replicated image of a fault-free 8-node fleet; printed, and pinned as literals in the test"
+out=$(cargo test -q --release -p phoenix-fleet --test alloc_budget -- --nocapture) || { echo "$out"; exit 1; }
+echo "$out" | grep -o 'fleet heap: .*'
+
 echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 
