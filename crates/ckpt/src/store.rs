@@ -208,15 +208,6 @@ impl CheckpointStore {
         self.records.values().map(|r| r.wire.len() as u64).sum()
     }
 
-    /// Size in bytes of the largest single record, with its `(owner, key)`
-    /// slot — drives the campaign's per-snapshot cap warning.
-    pub fn largest_record(&self) -> Option<(&str, &str, u64)> {
-        self.records
-            .iter()
-            .max_by_key(|(_, r)| r.wire.len())
-            .map(|((o, k), r)| (o.as_str(), k.as_str(), r.wire.len() as u64))
-    }
-
     /// Whether the store holds no records.
     pub fn is_empty(&self) -> bool {
         self.records.is_empty()
@@ -298,15 +289,11 @@ mod tests {
     fn occupancy_accounting() {
         let mut store = CheckpointStore::new();
         assert_eq!(store.total_bytes(), 0);
-        assert!(store.largest_record().is_none());
         let a = wire(1, 1, 10);
         let b = wire(1, 1, 20);
         store.save("chr.printer", "printer", &a);
         store.save("vfs", "session", &b);
         assert_eq!(store.total_bytes(), (a.len() + b.len()) as u64);
-        let (owner, key, bytes) = store.largest_record().unwrap();
-        assert!(bytes >= a.len().min(b.len()) as u64);
-        assert!(!owner.is_empty() && !key.is_empty());
     }
 
     #[test]

@@ -97,11 +97,6 @@ impl WriteAheadLog {
         self.next_offset
     }
 
-    /// Entries still held for possible replay.
-    pub fn pending_entries(&self) -> usize {
-        self.entries.len()
-    }
-
     /// Whether every appended byte has been acknowledged.
     pub fn is_drained(&self) -> bool {
         self.acked == self.next_offset
@@ -188,7 +183,6 @@ mod tests {
         let e = wal.next_unacked().expect("head entry");
         assert_eq!((e.seq, e.offset), (1, 0));
         assert_eq!(wal.appended(), 150);
-        assert_eq!(wal.pending_entries(), 2);
     }
 
     #[test]

@@ -280,11 +280,6 @@ impl ChaosPlan {
         }
         plan
     }
-
-    /// Whether any recovery-kill trigger is still armed.
-    pub fn kills_armed(&self) -> bool {
-        self.kills.iter().any(|k| k.count > 0)
-    }
 }
 
 impl ChaosInterposer for ChaosPlan {
@@ -480,13 +475,11 @@ mod tests {
             plan.on_spawn(SimTime::ZERO, "eth.rtl8139", ep, &mut rng),
             Some(SimDuration::from_millis(1))
         );
-        assert!(plan.kills_armed());
         assert_eq!(
             plan.on_spawn(SimTime::ZERO, "eth.rtl8139", ep, &mut rng),
             Some(SimDuration::from_millis(1))
         );
         // Disarmed afterwards.
-        assert!(!plan.kills_armed());
         assert!(plan
             .on_spawn(SimTime::ZERO, "eth.rtl8139", ep, &mut rng)
             .is_none());

@@ -263,11 +263,6 @@ impl Asm {
         self.emit_jump(Instr::Jmp(0), label);
     }
 
-    /// Emits `Jz src, label`.
-    pub fn jz_to(&mut self, src: Reg, label: Label) {
-        self.emit_jump(Instr::Jz(src, 0), label);
-    }
-
     /// Emits `Jge dst, src, label`.
     pub fn jge_to(&mut self, dst: Reg, src: Reg, label: Label) {
         self.emit_jump(Instr::Jge(dst, src, 0), label);
@@ -347,12 +342,12 @@ mod tests {
         let end = a.label();
         a.bind(top);
         a.emit(Instr::AddImm(0, 1));
-        a.jz_to(1, end); // forward
+        a.jge_to(1, 2, end); // forward
         a.jmp_to(top); // backward
         a.bind(end);
         a.emit(Instr::Halt);
         let p = a.finish();
-        assert_eq!(decode(p[1]), Instr::Jz(1, 3));
+        assert_eq!(decode(p[1]), Instr::Jge(1, 2, 3));
         assert_eq!(decode(p[2]), Instr::Jmp(0));
         assert_eq!(decode(p[3]), Instr::Halt);
     }

@@ -297,25 +297,6 @@ impl WireChaos {
             ..Self::default()
         }
     }
-
-    /// A one-way partition: host frames still reach the peer, nothing
-    /// comes back (the asymmetric failure a symmetric loss knob cannot
-    /// model — ACK starvation with an intact forward path).
-    pub fn one_way_to_host_cut() -> Self {
-        WireChaos {
-            cut_to_host: true,
-            ..Self::default()
-        }
-    }
-
-    /// A one-way partition in the opposite direction: the peer's frames
-    /// arrive, the host's never leave.
-    pub fn one_way_to_peer_cut() -> Self {
-        WireChaos {
-            cut_to_peer: true,
-            ..Self::default()
-        }
-    }
 }
 
 struct DeviceSlot {
@@ -660,7 +641,13 @@ mod tests {
             WireConfig::default(),
             Box::new(CountingPeer { seen: 0 }),
         );
-        bus.set_wire_chaos(dev, WireChaos::one_way_to_host_cut());
+        bus.set_wire_chaos(
+            dev,
+            WireChaos {
+                cut_to_host: true,
+                ..Default::default()
+            },
+        );
         send_one(&mut bus, dev, 0x11);
         // Forward path intact: the peer saw the frame...
         assert_eq!(bus.peer_mut::<CountingPeer>(dev).unwrap().seen, 1);
@@ -678,7 +665,13 @@ mod tests {
             WireConfig::default(),
             Box::new(CountingPeer { seen: 0 }),
         );
-        bus.set_wire_chaos(dev, WireChaos::one_way_to_peer_cut());
+        bus.set_wire_chaos(
+            dev,
+            WireChaos {
+                cut_to_peer: true,
+                ..Default::default()
+            },
+        );
         send_one(&mut bus, dev, 0x22);
         assert_eq!(bus.peer_mut::<CountingPeer>(dev).unwrap().seen, 0);
         assert!(bus.device_mut::<EchoNic>(dev).unwrap().rx.is_empty());

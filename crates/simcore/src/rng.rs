@@ -154,13 +154,6 @@ impl SimRng {
         &slice[self.range_usize(0..slice.len())]
     }
 
-    /// Exponentially distributed duration in seconds with the given mean
-    /// (used for Poisson failure arrivals in stress tests).
-    pub fn exp_secs(&mut self, mean_secs: f64) -> f64 {
-        let u = self.f64_unit().max(f64::EPSILON);
-        -mean_secs * u.ln()
-    }
-
     /// Uniform in `[0, 1)` with 53 bits of precision.
     fn f64_unit(&mut self) -> f64 {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
@@ -285,18 +278,6 @@ mod tests {
             seen[r.range_usize(0..10)] = true;
         }
         assert!(seen.iter().all(|&s| s), "some bucket never drawn: {seen:?}");
-    }
-
-    #[test]
-    fn exp_secs_positive_with_reasonable_mean() {
-        let mut r = SimRng::new(5);
-        let n = 10_000;
-        let total: f64 = (0..n).map(|_| r.exp_secs(2.0)).sum();
-        let mean = total / n as f64;
-        assert!(
-            mean > 1.8 && mean < 2.2,
-            "sample mean {mean} too far from 2.0"
-        );
     }
 
     #[test]

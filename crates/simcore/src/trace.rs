@@ -240,14 +240,6 @@ impl TraceEvent {
         }
     }
 
-    /// Integer value of the field named `key`, if present and an integer.
-    pub fn field_u64(&self, key: &str) -> Option<u64> {
-        match self.field(key) {
-            Some(FieldValue::U64(v)) => Some(*v),
-            _ => None,
-        }
-    }
-
     /// The conventional event-kind field (`ev`), used by the timeline
     /// analyzer to recognize phase boundaries without parsing messages.
     pub fn kind(&self) -> Option<&str> {
@@ -484,7 +476,7 @@ mod tests {
             .with_field("failures", 3u64);
         assert_eq!(e.kind(), Some("defect"));
         assert_eq!(e.field_str("service"), Some("eth.rtl8139"));
-        assert_eq!(e.field_u64("failures"), Some(3));
+        assert_eq!(e.field("failures"), Some(&FieldValue::U64(3)));
         assert_eq!(e.field_str("failures"), None, "type mismatch is None");
         assert_eq!(e.field("absent"), None);
     }
