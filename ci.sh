@@ -21,19 +21,8 @@ fi
 echo "==> cargo clippy -D warnings (function-length ceiling in clippy.toml)"
 cargo clippy --workspace --all-targets -q -- -D warnings -D clippy::too_many_lines
 
-echo "==> phoenix-analyze: lints, conformance + dead edges, reachability, authority audit"
+echo "==> phoenix-analyze: lints, conformance + dead edges, reachability, line count (shipping lines per crate, the workspace and servers/src/rs.rs; recovery markers), authority audit"
 cargo run -q --release -p phoenix-analyze -- --report results/analyze_report.json
-
-echo "==> shipping lines per crate, then servers/src/rs.rs alone (up to a column-0 #[cfg(test)]; no blanks, no comment lines)"
-total=0
-for c in crates/*/; do
-    n=$(find "$c/src" -name '*.rs' -exec sed -s '/^#\[cfg(test)\]/,$d' {} + | grep -vcE '^\s*(//|$)')
-    echo "$(basename "$c") $n"
-    total=$((total + n))
-done
-echo "workspace $total"
-# RS's own file, counted the same way: ROADMAP items state their exits in it.
-echo "servers/src/rs.rs $(sed '/^#\[cfg(test)\]/,$d' crates/servers/src/rs.rs | grep -vcE '^\s*(//|$)')"
 
 echo "==> tier-1: cargo build --release && cargo test -q (default-members: the whole workspace)"
 cargo build --release

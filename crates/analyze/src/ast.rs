@@ -407,14 +407,14 @@ fn mod_path(stack: &[Scope]) -> Vec<String> {
         .collect()
 }
 
-/// Index of the `}` closing the brace at `tokens[open]`, or the end of
+/// Index of the bracket closing the one at `tokens[open]`, or the end of
 /// the stream if it never closes.
-fn brace_end(tokens: &[Token], open: usize) -> usize {
+pub(crate) fn brace_end(tokens: &[Token], open: usize) -> usize {
     let mut depth = 0;
     for (k, t) in tokens.iter().enumerate().skip(open) {
         match t.kind {
-            TokenKind::Open('{') => depth += 1,
-            TokenKind::Close('}') => depth -= 1,
+            TokenKind::Open(_) => depth += 1,
+            TokenKind::Close(_) => depth -= 1,
             _ => {}
         }
         if depth == 0 {

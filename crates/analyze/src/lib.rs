@@ -24,6 +24,7 @@ pub mod ast;
 pub mod audit;
 pub mod conformance;
 pub mod lint;
+pub mod loc;
 pub mod proto_model;
 pub mod reach;
 pub mod report;
@@ -85,15 +86,22 @@ pub fn load(root: &Path) -> std::io::Result<Vec<Source>> {
             collect_rs(&dir.join("tests"), &mut paths);
         }
     }
+    let read = read(root, paths)?.into_iter();
+    Ok(read.map(|(rel, text)| Source::new(rel, text)).collect())
+}
+
+/// `(workspace-relative path, text)` of every file of `paths`, in path
+/// order; a file that cannot be read is an error naming it.
+fn read(root: &Path, mut paths: Vec<PathBuf>) -> std::io::Result<Vec<(String, String)>> {
     paths.sort();
-    paths
-        .iter()
-        .map(|path| {
-            let text = std::fs::read_to_string(path)
-                .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", rel(root, path))))?;
-            Ok(Source::new(rel(root, path), text))
-        })
-        .collect()
+    let read = |path: &PathBuf| {
+        let rel = rel(root, path);
+        match std::fs::read_to_string(path) {
+            Ok(text) => Ok((rel, text)),
+            Err(e) => Err(std::io::Error::new(e.kind(), format!("{rel}: {e}"))),
+        }
+    };
+    paths.iter().map(read).collect()
 }
 
 fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) {

@@ -7,14 +7,16 @@
 //!
 //! Passes: determinism lints, protocol conformance (dead protocol edges
 //! included) and recovery-path reachability over one load of the
-//! workspace, then the least-authority audit. Exit status 0 iff no
+//! workspace, then the line count ([`loc`]: shipping lines per crate,
+//! the workspace and `servers/src/rs.rs`, one `<name> <n>` line each, and
+//! the recovery markers), then the least-authority audit. Exit status 0 iff no
 //! unsuppressed finding of any kind, 1 on findings, 2 if the gate could
 //! not do its job (a bad flag, a source file it cannot read, a report it
 //! cannot write); `ci.sh` treats a nonzero exit as a hard failure.
 //! `--report PATH` additionally writes the deterministic JSON report
 //! (sorted keys, no timestamps — safe to commit and diff).
 
-use phoenix_analyze::{audit, conformance, lint, load, reach, report, workspace_root};
+use phoenix_analyze::{audit, conformance, lint, load, loc, reach, report, workspace_root};
 
 fn main() {
     let mut report_path: Option<String> = None;
@@ -36,7 +38,8 @@ fn main() {
     }
 
     let root = workspace_root();
-    let files = load(&root).unwrap_or_else(|e| {
+    let loaded = load(&root).and_then(|files| Ok((files, loc::count(&root)?)));
+    let (files, lines) = loaded.unwrap_or_else(|e| {
         eprintln!("cannot read source file {e}");
         std::process::exit(2);
     });
@@ -87,8 +90,23 @@ fn main() {
     }
     failures += reached.findings.len();
 
+    println!("shipping lines (up to a column-0 #[cfg(test)]; no blanks, no comment lines):");
+    for (krate, n) in lines.crates() {
+        println!("{krate} {n}");
+    }
+    println!("workspace {}", lines.crates().values().sum::<usize>());
+    // RS's own file, counted the same way: ROADMAP items state their exits in it.
+    let rs = lines.shipping.get("crates/servers/src/rs.rs");
+    println!("servers/src/rs.rs {}", rs.unwrap_or(&0));
+    let (found, units) = (lines.findings.len(), lines.units.len());
+    println!("recovery markers: {found} finding(s), {units} unit(s)");
+    for f in &lines.findings {
+        println!("  {f}");
+    }
+    failures += lines.findings.len();
+
     if let Some(path) = &report_path {
-        let doc = report::build(&findings, &conf, &reached);
+        let doc = report::build(&findings, &conf, &reached, &lines);
         let out = root.join(path);
         if let Some(dir) = out.parent() {
             let _ = std::fs::create_dir_all(dir);

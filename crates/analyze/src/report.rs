@@ -10,6 +10,7 @@ use phoenix_simcore::json::Json;
 
 use crate::conformance;
 use crate::lint::LintFinding;
+use crate::loc;
 use crate::proto_model::Dir;
 use crate::reach;
 
@@ -23,7 +24,12 @@ fn finding_json(file: &str, line: usize, rule: &str, message: &str) -> Json {
 }
 
 /// Builds the full report document.
-pub fn build(lint: &[LintFinding], conf: &conformance::Outcome, reach: &reach::Outcome) -> Json {
+pub fn build(
+    lint: &[LintFinding],
+    conf: &conformance::Outcome,
+    reach: &reach::Outcome,
+    lines: &loc::Counted,
+) -> Json {
     let findings = |fs: &[conformance::Finding]| {
         let rows = fs
             .iter()
@@ -99,10 +105,35 @@ pub fn build(lint: &[LintFinding], conf: &conformance::Outcome, reach: &reach::O
         ("suppressed", Json::Arr(reach_suppressed.collect())),
     ]);
 
+    // Fig. 9: each component's lines and every recovery unit in it.
+    let fig9 = lines.fig9().into_iter().filter(|&(_, total, ..)| total > 0);
+    let fig9 = fig9.map(|(name, total, recovery, units)| {
+        let units = units.iter().map(|u| {
+            let (file, unit) = (u.file.as_str().into(), u.what.as_str().into());
+            Json::obj([
+                ("file", file),
+                ("line", u.line.into()),
+                ("lines", u.lines.into()),
+                ("unit", unit),
+            ])
+        });
+        Json::obj([
+            ("component", name.into()),
+            ("recovery", recovery.into()),
+            ("total", total.into()),
+            ("units", Json::Arr(units.collect())),
+        ])
+    });
+    let loc_json = Json::obj([
+        ("fig9", Json::Arr(fig9.collect())),
+        ("findings", findings(&lines.findings)),
+    ]);
+
     Json::obj([
         ("conformance", conf_json),
         ("dead_edges", dead_json),
         ("lint", lint_json),
+        ("loc", loc_json),
         ("reach", reach_json),
         ("schema", "phoenix-analyze/v1".into()),
     ])

@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_analyze::{conformance, reach, report, Source};
+use phoenix_analyze::{conformance, loc, reach, report, Source};
 
 const PROTO: &str = "crates/x/src/proto.rs";
 
@@ -424,8 +424,8 @@ fn report_is_byte_stable() {
     let conf = conform(COVERAGE_PROTO, COVERAGE_USAGE_RED);
     let rch = reach_over("crates/x/src/srv.rs", REACH_RED);
 
-    let a = report::build(&[], &conf, &rch).pretty();
-    let b = report::build(&[], &conf, &rch).pretty();
+    let a = report::build(&[], &conf, &rch, &loc::Counted::default()).pretty();
+    let b = report::build(&[], &conf, &rch, &loc::Counted::default()).pretty();
     assert_eq!(a, b, "two builds over identical inputs are byte-identical");
     assert!(a.ends_with('\n'));
     assert!(a.contains("\"schema\": \"phoenix-analyze/v1\""));
@@ -435,7 +435,7 @@ fn report_is_byte_stable() {
 fn empty_report_golden() {
     let conf = conformance::analyze(&[], &[]);
     let rch = reach::analyze(&[], &BTreeMap::new());
-    let rendered = report::build(&[], &conf, &rch).pretty();
+    let rendered = report::build(&[], &conf, &rch, &loc::Counted::default()).pretty();
     let golden = "{\n\
                   \x20 \"conformance\": {\n\
                   \x20   \"findings\": [],\n\
@@ -448,6 +448,10 @@ fn empty_report_golden() {
                   \x20   \"glob_warnings\": []\n\
                   \x20 },\n\
                   \x20 \"lint\": {\n\
+                  \x20   \"findings\": []\n\
+                  \x20 },\n\
+                  \x20 \"loc\": {\n\
+                  \x20   \"fig9\": [],\n\
                   \x20   \"findings\": []\n\
                   \x20 },\n\
                   \x20 \"reach\": {\n\

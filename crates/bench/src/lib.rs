@@ -20,10 +20,10 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 
 use phoenix::Os;
+pub use phoenix_analyze::workspace_root;
 use phoenix_simcore::obs::RECOVERY_PHASES;
 use phoenix_simcore::time::SimDuration;
 
-pub mod loc;
 mod scenarios;
 
 pub use scenarios::SCENARIOS;
@@ -198,19 +198,6 @@ fn phase_rows(os: &Os) -> Vec<Vec<String>> {
         ]);
     }
     rows
-}
-
-/// Workspace root (the binary runs from anywhere inside the workspace).
-pub fn workspace_root() -> PathBuf {
-    let mut dir = std::env::current_dir().expect("cwd");
-    loop {
-        if dir.join("Cargo.toml").exists() && dir.join("crates").exists() {
-            return dir;
-        }
-        if !dir.pop() {
-            panic!("run from inside the workspace");
-        }
-    }
 }
 
 fn results_dir() -> PathBuf {

@@ -29,6 +29,10 @@
 //! restores on the first incoming request: park the request, fetch the
 //! snapshot, then serve the parked backlog. The extra round-trip costs
 //! one DS exchange per incarnation, not per request.
+//!
+//! A system without failure handling keeps no checkpoints, so the whole
+//! module is recovery code in Fig. 9's count:
+//! analyze:recovery
 
 use std::collections::BTreeSet;
 

@@ -4,7 +4,8 @@
 //! [`libdriver::Driver`] loop, which contributes the generic protocol
 //! handling — including the heartbeat and shutdown support that §7.3
 //! reports cost "exactly 5 lines of code in the shared driver library"
-//! (marked `// [recovery]` in the source so the Fig. 9 counter finds them).
+//! (the heartbeat reply is marked `// analyze:recovery` in the source, so
+//! the Fig. 9 counter finds it).
 //!
 //! Driver hot paths execute on the fault-injection VM (see
 //! [`routines`]); the §7.2 campaign mutates the *running* driver's code

@@ -3,9 +3,10 @@
 //! MINIX device drivers share a message loop provided by a small library;
 //! §7.3 reports that supporting recovery required "exactly 5 lines of code
 //! in the shared driver library to handle the new request types" —
-//! heartbeat replies and clean shutdown. Those lines are marked with
-//! `// [recovery]` so the Fig. 9 reengineering-effort counter can find
-//! them.
+//! heartbeat replies and clean shutdown. The heartbeat reply carries an
+//! `// analyze:recovery` marker, which Fig. 9's counter reads; the clean
+//! shutdown does not, as a system without failure handling still stops
+//! and replaces drivers.
 //!
 //! The library also hosts the fault-injection plumbing: a driver's hot-path
 //! routines are VM programs cloned from a pristine image at start; the
@@ -199,13 +200,13 @@ impl<L: DriverLogic> Process for Driver<L> {
                 self.logic.init(ctx);
             }
             ProcEvent::Message(msg) => match drv::Msg::decode(&msg) {
+                // Reply to the reincarnation server's heartbeat request so
+                // it can tell a live driver from a stuck one (§5.1, input 4).
+                // analyze:recovery
                 Some(drv::Msg::HB_PING(drv::HbPing { nonce })) => {
-                    // [recovery] reply to the reincarnation server's
-                    // [recovery] heartbeat request so it can tell a live
-                    // [recovery] driver from a stuck one (§5.1, input 4).
                     if !self.deaf {
-                        let pong = drv::HbPong { nonce }.into_message(); // [recovery]
-                        let _ = ctx.send(msg.source, pong); // [recovery]
+                        let pong = drv::HbPong { nonce }.into_message();
+                        let _ = ctx.send(msg.source, pong);
                     }
                 }
                 _ => self.logic.message(ctx, &msg),
@@ -215,9 +216,9 @@ impl<L: DriverLogic> Process for Driver<L> {
             ProcEvent::Irq { .. } => self.logic.irq(ctx),
             ProcEvent::Alarm { token } => self.logic.alarm(ctx, token),
             ProcEvent::Signal(Signal::Term) => {
-                // [recovery] clean shutdown on SIGTERM so dynamic updates
-                // [recovery] can replace a live driver (§6).
-                ctx.exit(0); // [recovery]
+                // Clean shutdown on SIGTERM so dynamic updates can replace
+                // a live driver (§6).
+                ctx.exit(0);
             }
             _ => {}
         }

@@ -26,6 +26,7 @@ pub mod status {
 
 /// Generic driver protocol (every driver speaks this; supporting it is the
 /// "exactly 5 lines of code in the shared driver library" of §7.3).
+// analyze:recovery
 pub mod drv {
     phoenix_kernel::protocol! {
         /// Heartbeat ping from the reincarnation server.

@@ -38,11 +38,14 @@ const TRACE_CAPACITY: usize = 65_536;
 /// any legitimate burst (a full 48-page rx-ring drain is ~12 frames) and
 /// well below the spray a corrupted ring pointer produces (48 per
 /// interrupt).
+// analyze:recovery
 const BABBLE_DISPATCH_BUDGET: u32 = 24;
 /// Max replies one endpoint may issue within [`BABBLE_WINDOW`] before it
 /// is flagged (livelocked reply storm).
+// analyze:recovery
 const BABBLE_REPLY_BUDGET: u32 = 5_000;
 /// Sliding-window length for the reply-rate budget.
+// analyze:recovery
 const BABBLE_WINDOW: SimDuration = SimDuration::from_millis(100);
 
 /// What a run chooses about its kernel; everything else is a constant
@@ -842,6 +845,7 @@ impl System {
             // the paper's fault model (§3) places outside the recoverable set.
             _ => unreachable!("schedule_ipc called with a non-IPC event"),
         };
+        // analyze:recovery
         if self.cfg.babble_guard {
             self.babble_account(from, class);
         }
@@ -924,6 +928,7 @@ impl System {
     /// observational: budgets are counted and endpoints flagged, but the
     /// delivery itself is untouched, so the guard can never perturb a
     /// run's event stream.
+    // analyze:recovery
     fn babble_account(&mut self, from: Endpoint, class: IpcClass) {
         match class {
             IpcClass::Send | IpcClass::Notify => {
@@ -955,6 +960,7 @@ impl System {
     }
 
     /// Marks `ep` as babbling (idempotent per incarnation).
+    // analyze:recovery
     fn flag_babble(&mut self, ep: Endpoint, why: &'static str) {
         match live_in_mut(&mut self.slots, ep) {
             Some(p) if p.babble.is_none() => p.babble = Some(why),
@@ -1379,6 +1385,7 @@ impl<'a> Ctx<'a> {
     /// Status query used by the reincarnation server's liveness audit: when
     /// chaos (or real hardware) loses an exit notification, RS can still
     /// detect that a supposedly-up service is gone and start recovery.
+    // analyze:recovery
     pub fn proc_alive(&self, target: Endpoint) -> bool {
         self.sys.is_live(target)
     }
@@ -1387,6 +1394,7 @@ impl<'a> Ctx<'a> {
     /// incarnation for exceeding its unsolicited-send or reply-rate
     /// budget. Status query for the reincarnation server's audit sweep;
     /// the flag dies with the incarnation.
+    // analyze:recovery
     pub fn babble_flagged(&self, target: Endpoint) -> bool {
         live_in(&self.sys.slots, target).is_some_and(|p| p.babble.is_some())
     }
@@ -1402,6 +1410,7 @@ impl<'a> Ctx<'a> {
     /// *slow* — its requests may legitimately age while a dependency
     /// limps through recovery on a chaotic fabric. Only a callee that is
     /// both sat-upon and silent is wedged.
+    // analyze:recovery
     pub fn request_stalled(&self, target: Endpoint, older_than: SimDuration) -> bool {
         let now = self.sys.now();
         let Some(callee) = live_in(&self.sys.slots, target) else {

@@ -101,11 +101,13 @@ impl DataStore {
     /// Enables the driver-checkpoint extension, backed by `store`
     /// (builder style). The handle is shared: the embedding machine keeps
     /// a clone for out-of-band inspection and fault injection.
+    // analyze:recovery
     pub fn with_checkpoint_store(mut self, store: Rc<RefCell<CheckpointStore>>) -> Self {
         self.ckpt_store = Some(store);
         self
     }
 
+    // analyze:recovery
     fn owner_name_of(&self, ep: Endpoint) -> Option<&str> {
         self.names
             .iter()
@@ -113,15 +115,16 @@ impl DataStore {
             .map(|(k, _)| k.as_str())
     }
 
-    // [recovery:begin]
     fn publish(&mut self, ctx: &mut Ctx<'_>, key: String, ep: Endpoint, rid: u64, span: u64) {
         // A rebound name retires its old incarnation: that endpoint's
         // subscriptions and undrained updates go with it (its successor
         // subscribes afresh from its own endpoint).
+        // analyze:recovery
         if let Some(old) = self.names.insert(key.clone(), ep).filter(|&old| old != ep) {
             self.subs.retain(|s| s.subscriber != old);
             self.pending.remove(&old);
         }
+        // analyze:recovery
         self.last_publish.insert(key.clone(), (rid, span));
         let ev = ctx
             .event(TraceLevel::Info, format!("publish {key} -> {ep}"))
@@ -149,6 +152,7 @@ impl DataStore {
         }
     }
 
+    // analyze:recovery
     fn handle_ckpt_save(&mut self, ctx: &mut Ctx<'_>, msg: &Message, save: ckpt::Save) -> Message {
         let fail = |status| ckpt::SaveReply { status, seq: 0 }.into_message();
         let Some(store) = self.ckpt_store.as_ref() else {
@@ -190,6 +194,7 @@ impl DataStore {
         }
     }
 
+    // analyze:recovery
     fn handle_ckpt_restore(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
         let denied = ckpt::RestoreReply {
             status: ckpt_status::DENIED,
@@ -235,6 +240,7 @@ impl DataStore {
     /// convention — only the endpoint published under `standby.<name>`
     /// may tail `<name>`'s records — which, like every owner check here,
     /// binds the capability to the caller's live endpoint generation.
+    // analyze:recovery
     fn handle_ckpt_tail(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
         let reply = |status| ckpt::TailReply { status }.into_message();
         let Some(store) = self.ckpt_store.as_ref() else {
@@ -268,6 +274,7 @@ impl DataStore {
     /// younger slot generation than the dead primary — can keep saving
     /// without tripping the store's ghost check. Only the trusted
     /// publisher (RS) may request this.
+    // analyze:recovery
     fn handle_ckpt_promote(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
         let fail = |status| ckpt::PromoteReply { status, adopted: 0 }.into_message();
         if self.publisher != Some(msg.source) {
@@ -299,7 +306,6 @@ impl DataStore {
         let status = ckpt_status::OK;
         ckpt::PromoteReply { status, adopted }.into_message()
     }
-    // [recovery:end]
 
     /// Serves one naming / publish-subscribe request and returns the reply.
     fn on_ds_request(&mut self, ctx: &mut Ctx<'_>, msg: &Message) -> Message {
@@ -318,7 +324,6 @@ impl DataStore {
                 self.publish(ctx, key, ep, publish.recovery, publish.span);
                 ack(ds_status::OK)
             }
-            // [recovery:begin]
             Some(ds::Msg::SUBSCRIBE) => {
                 let pat = String::from_utf8_lossy(&msg.data).to_string();
                 let (prefix, exact) = match pat.strip_suffix('*') {
@@ -374,7 +379,6 @@ impl DataStore {
                 }
             }
             Some(ds::Msg::CHECK_REPLY(_) | ds::Msg::ACK(_)) | None => ack(ds_status::BAD_REQUEST),
-            // [recovery:end]
         }
     }
 }
@@ -397,17 +401,19 @@ impl Process for DataStore {
             return;
         };
         let reply = match ckpt::Msg::decode(&msg) {
-            // [recovery:begin]
             // Checkpoint save, authenticated by the caller's published
             // name: the record is scoped to that *stable name*, so a
             // restarted incarnation reads its own snapshots while a ghost
             // (previous incarnation racing its replacement) is rejected
             // by the store's incarnation tag.
+            // analyze:recovery
             Some(ckpt::Msg::SAVE(save)) => self.handle_ckpt_save(ctx, &msg, save),
+            // analyze:recovery
             Some(ckpt::Msg::RESTORE) => self.handle_ckpt_restore(ctx, &msg),
+            // analyze:recovery
             Some(ckpt::Msg::TAIL) => self.handle_ckpt_tail(ctx, &msg),
+            // analyze:recovery
             Some(ckpt::Msg::PROMOTE) => self.handle_ckpt_promote(ctx, &msg),
-            // [recovery:end]
             // A checkpoint reply is no data-store kind either: the data
             // store's own dispatch answers it BAD_REQUEST.
             Some(

@@ -295,6 +295,7 @@ impl Volume for Fat16 {
 
     /// The resolved table: `count:u16`, then per file `name:str8
     /// size:u64`, `count:u32` and that many `start:u64 sectors:u32`.
+    // analyze:recovery
     fn encode(&self, files: &[Inode]) -> Vec<u8> {
         let mut w = Writer::new();
         w.seq(Len::U16, files.iter(), |w, f| {
@@ -308,6 +309,7 @@ impl Volume for Fat16 {
         w.into_bytes()
     }
 
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)> {
         let mut r = Reader::new(payload);
         let files = r.seq(Len::U16, |r| {

@@ -225,6 +225,7 @@ impl Volume for Minix {
 
     /// One superblock sector, then `count:u16` and that many inodes in
     /// their on-disk encoding.
+    // analyze:recovery
     fn encode(&self, files: &[Inode]) -> Vec<u8> {
         let mut w = Writer::new();
         match &self.superblock {
@@ -235,6 +236,7 @@ impl Volume for Minix {
         w.into_bytes()
     }
 
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)> {
         let mut r = Reader::new(payload);
         let superblock = Some(Superblock::decode(r.take(SECTOR)?)?);

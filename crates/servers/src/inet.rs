@@ -28,17 +28,20 @@ const RTO_MAX: SimDuration = SimDuration::from_secs(3);
 /// Garbled frames per complaint: the wire itself loses/corrupts frames,
 /// so INET first retransmits quietly; only a *sustained* stream of
 /// undecodable frames escalates to a (low-confidence) RS complaint.
+// analyze:recovery
 const GARBLE_COMPLAINT_THRESHOLD: u64 = 8;
 
 /// Consecutive wrong-type WRITE replies before a complaint. The chaos
 /// fabric corrupts reply headers too, so one bad type proves nothing; a
 /// *streak* cannot plausibly be the wire (independent ~0.1% flips), only
 /// a driver stuck answering garbage.
+// analyze:recovery
 const BAD_REPLY_COMPLAINT_THRESHOLD: u64 = 3;
 
 /// How long INET waits for an `eth::INIT` reply before re-sending it — a
 /// lost or corrupted INIT exchange must not leave the driver unused
 /// forever.
+// analyze:recovery
 const INIT_RETRY: SimDuration = SimDuration::from_millis(100);
 
 #[derive(Debug)]
@@ -93,6 +96,7 @@ impl Session {
     /// live connection's transport state (layout: DESIGN §5e, "what is on
     /// the wire"). Timers, in-flight connect calls and the free list are
     /// per-incarnation and rebuilt, not externalised.
+    // analyze:recovery
     pub fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         w.u32(u32::try_from(self.conns.len()).unwrap_or(u32::MAX));
@@ -278,14 +282,17 @@ impl Inet {
         self.send_segment(ctx, seg);
     }
 
-    // [recovery:begin]
     fn on_driver_published(&mut self, ctx: &mut Ctx<'_>, ep: Endpoint) {
+        // analyze:recovery
         let recovered = self.driver.is_some_and(|old| old != ep);
         self.driver = Some(ep);
         self.driver_ready = false;
         // The new incarnation starts with a clean slate.
+        // analyze:recovery
         self.garbled_streak = 0;
+        // analyze:recovery
         self.bad_reply_streak = 0;
+        // analyze:recovery
         if recovered {
             ctx.metrics().incr("inet.driver_reintegrations");
             let ev = ctx
@@ -309,17 +316,19 @@ impl Inet {
     /// the driver permanently unused.
     fn send_init(&mut self, ctx: &mut Ctx<'_>, ep: Endpoint) {
         self.init_call = ctx.sendrec(ep, Message::new(eth::INIT)).ok();
+        // analyze:recovery
         self.init_epoch += 1;
         // Connection ids start at 1, so conn 0 is free for the INIT timer.
+        // analyze:recovery
         let _ = ctx.set_alarm(INIT_RETRY, Self::token(0, self.init_epoch));
     }
-    // [recovery:end]
 
     /// A sustained streak of wrong-type WRITE replies — beyond what
     /// independent wire corruption can plausibly produce. Filed as
     /// `SUSPECT_REPLY`, low-confidence evidence that accumulates toward
     /// RS's quorum (§5.1): a driver that *keeps* answering with garbage
     /// gets replaced, a flipped bit on the wire does not flap it.
+    // analyze:recovery
     fn complain_bad_reply(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         let trace = format!(
             "wrong-type reply to an ethernet WRITE from {}; complaining to RS",
@@ -334,6 +343,7 @@ impl Inet {
     /// is babbling: once the streak reaches the threshold, escalate from
     /// silent retransmission to a low-confidence RS complaint and let
     /// arbitration decide.
+    // analyze:recovery
     fn on_garbled(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         ctx.metrics().incr("inet.garbled_frames");
         self.garbled_streak += 1;
@@ -354,6 +364,7 @@ impl Inet {
             self.on_garbled(sh, ctx);
             return;
         };
+        // analyze:recovery
         self.garbled_streak = 0;
         if seg.flags & flags::DGRAM != 0 {
             if let Some(app) = self.session.dgram_app {
@@ -471,12 +482,15 @@ impl ServerLogic for Inet {
         restore_garbage: "inet.session_restore_garbage",
     };
 
+    // analyze:recovery
     type Saved = Session;
 
+    // analyze:recovery
     fn encode(&self) -> Vec<u8> {
         self.session.encode()
     }
 
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<Session> {
         let mut r = Reader::new(payload);
         let slab_len = usize::try_from(r.u32()?).ok()?;
@@ -514,6 +528,7 @@ impl ServerLogic for Inet {
 
     /// Takes over the restored session and nudges retransmission for the
     /// rebuilt connections.
+    // analyze:recovery
     fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: Session) {
         self.session = Session {
             conns: saved.conns,
@@ -547,7 +562,9 @@ impl ServerLogic for Inet {
 
     fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
         if update.key == self.driver_key {
+            // analyze:recovery
             self.recovery = update.recovery;
+            // analyze:recovery
             self.recovery_parent = update.parent;
             self.on_driver_published(ctx, update.endpoint);
         }
@@ -562,6 +579,7 @@ impl ServerLogic for Inet {
             ProcEvent::Message(msg) if matches!(eth::Msg::decode(&msg), Some(eth::Msg::RECV)) => {
                 // A restarted incarnation drops frames that race its
                 // session restore; the peer's retransmission covers them.
+                // analyze:recovery
                 if !sh.gate.ready() {
                     sh.gate.ensure_restore(ctx);
                     ctx.metrics().incr("inet.frames_dropped_prerestore");
@@ -577,6 +595,7 @@ impl ServerLogic for Inet {
                     match init {
                         Some(init) if init.status == 0 => {
                             self.driver_ready = true;
+                            // analyze:recovery
                             self.init_epoch += 1; // disarm the retry alarm
                             let ev = ctx
                                 .event(TraceLevel::Info, "ethernet driver initialized".to_string())
@@ -587,6 +606,7 @@ impl ServerLogic for Inet {
                             ctx.trace_event(ev);
                             // Nudge retransmission so streams resume
                             // promptly after reintegration.
+                            // analyze:recovery
                             for id in self.session.conn_ids() {
                                 let Some((needs_syn, needs_data)) = self
                                     .session
@@ -614,8 +634,8 @@ impl ServerLogic for Inet {
                     }
                     return;
                 }
-                // [recovery:begin]
                 if self.eth_calls.remove(&call) {
+                    // analyze:recovery
                     match result {
                         Err(_) => {
                             // Rendezvous aborted: the driver died with
@@ -642,11 +662,11 @@ impl ServerLogic for Inet {
                         }
                     }
                 }
-                // [recovery:end]
             }
             ProcEvent::Alarm { token } => {
                 let conn_id = (token >> 32) as u16;
                 let epoch = (token & 0xFFFF_FFFF) as u32;
+                // analyze:recovery
                 if conn_id == 0 {
                     // INIT retry timer: still not ready and no newer
                     // attempt superseded this alarm -> resend INIT.

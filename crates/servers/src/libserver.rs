@@ -59,18 +59,22 @@ pub trait ServerLogic {
     const NAMES: Names;
 
     /// What a payload decodes into.
+    // analyze:recovery
     type Saved;
 
     /// Serialises the externalised state (called at most once per event,
     /// and only when [`StateGate::mark_dirty`] was).
+    // analyze:recovery
     fn encode(&self) -> Vec<u8>;
 
     /// Parses a restored payload; pure, and total over arbitrary bytes.
     /// `None` = not something `encode` wrote: the server keeps its cold
     /// state and the shell counts [`Names::restore_garbage`].
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<Self::Saved>;
 
     /// Merges decoded state in, before any request is served.
+    // analyze:recovery
     fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: Self::Saved);
 
     /// Serves one client request — live, or replayed from the backlog
@@ -200,6 +204,7 @@ impl Shell {
     /// Files a typed complaint with the reincarnation server at `rs`
     /// (§5.1 input 5): RS verifies the accuser's authority and weighs
     /// the evidence class before acting. `trace` is the warning logged.
+    // analyze:recovery
     pub fn complain(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -208,14 +213,12 @@ impl Shell {
         kind: u32,
         trace: String,
     ) {
-        // [recovery:begin]
         ctx.trace(TraceLevel::Warn, trace);
         let server = self.names.server;
         ctx.metrics().incr(&format!("{server}.complaints"));
         ctx.metrics()
             .incr(&format!("sentinel.{server}.{}", evidence::name(kind)));
         let _ = ctx.sendrec(rs, complain(kind, accused, incarnation));
-        // [recovery:end]
     }
 }
 
@@ -279,7 +282,9 @@ impl<L: ServerLogic> Process for Server<L> {
                 }
             }
             ProcEvent::Reply { call, result } => {
+                // analyze:recovery
                 let garbage = sh.names.restore_garbage;
+                // analyze:recovery
                 let restored = sh.gate.on_reply(ctx, call, &result, |ctx, snap| {
                     match L::decode(&snap.payload) {
                         Some(saved) => logic.adopt(ctx, saved),
@@ -301,6 +306,7 @@ impl<L: ServerLogic> Process for Server<L> {
             }
             other => logic.event(sh, ctx, other),
         }
+        // analyze:recovery
         sh.gate.save_if_dirty(ctx, || logic.encode());
     }
 }

@@ -42,6 +42,7 @@ const IO_BUF: usize = 0;
 /// Largest single driver request (256 sectors).
 const MAX_CHUNK_SECTORS: u64 = 256;
 /// Driver response deadline before the file server complains to RS.
+// analyze:recovery
 const DRIVER_DEADLINE: SimDuration = SimDuration::from_secs(5);
 /// Pause before retrying a chunk the driver answered with EAGAIN. An
 /// immediate reissue spins a tight IPC loop against a still-busy device
@@ -54,9 +55,11 @@ const RETRY_DELAY: SimDuration = SimDuration::from_millis(1);
 /// Checksum-mismatch retries before the active op fails with EIO. Matches
 /// RS's complaint quorum, so the retries file exactly the evidence needed
 /// for a restart of a driver that persistently miscomputes.
+// analyze:recovery
 const CSUM_RETRIES: u32 = 3;
 /// One in `SCRUB_SAMPLE` read chunks is re-read and compared (the
 /// sampled read-back scrub of the fail-silent sentinel).
+// analyze:recovery
 const SCRUB_SAMPLE: u64 = 8;
 
 /// The literal names one file server goes by: the shell's, plus the
@@ -122,9 +125,11 @@ pub trait Volume: Default {
     fn canonical_name(raw: &[u8]) -> String;
 
     /// Serialises the mounted state for the checkpoint.
+    // analyze:recovery
     fn encode(&self, files: &[Inode]) -> Vec<u8>;
 
     /// Parses a checkpoint payload; `None` if it is not one.
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<(Self, Vec<Inode>)>;
 }
 
@@ -141,6 +146,7 @@ fn data_reply(status: u64, count: u64) -> Message {
 /// Byte-sum of the 16-byte request descriptor the driver validates —
 /// mirrors the checksum `routines::disk_request` computes, so the file
 /// server can cross-check the driver's echoed value.
+// analyze:recovery
 fn descriptor_sum(lba: u64, count: u64, capacity: u64) -> u32 {
     let mut d = [0u8; 16];
     d[0..4].copy_from_slice(&(lba as u32).to_le_bytes());
@@ -290,7 +296,7 @@ impl<V: Volume> FileServer<V> {
         self.driver.is_some() && self.driver_open
     }
 
-    // [recovery:begin]
+    // analyze:recovery
     fn complain(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, kind: u32, why: &str) {
         // §5.1 input 5: ask RS to replace the malfunctioning driver.
         let trace = format!("complaining about {}: {why}", self.driver_key);
@@ -302,6 +308,7 @@ impl<V: Volume> FileServer<V> {
     /// the chunk a bounded number of times; if the driver keeps
     /// miscomputing, fail the op so the client is not stuck while RS's
     /// restart is in flight.
+    // analyze:recovery
     fn csum_violation(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, why: &str) {
         self.complain(sh, ctx, evidence::CRC_MISMATCH, why);
         let Some(a) = self.active.as_mut() else {
@@ -316,7 +323,6 @@ impl<V: Volume> FileServer<V> {
             self.finish_active(sh, ctx, status::EIO);
         }
     }
-    // [recovery:end]
 
     /// Issues (or reissues) the current chunk to the driver.
     fn issue_chunk(&mut self, ctx: &mut Ctx<'_>) {
@@ -373,8 +379,10 @@ impl<V: Volume> FileServer<V> {
                 a.seq = seq;
                 a.waiting_driver = false;
                 // Response deadline (complaint input, §5.1).
+                // analyze:recovery
                 a.deadline = ctx.set_alarm(DRIVER_DEADLINE, seq).ok();
             }
+            // analyze:recovery
             Err(_) => {
                 // Driver died between publish and send: wait for restart.
                 let _ = ctx.grant_revoke(grant);
@@ -572,8 +580,8 @@ impl<V: Volume> FileServer<V> {
         }
     }
 
-    // [recovery:begin]
     fn on_driver_published(&mut self, ctx: &mut Ctx<'_>, ep: Endpoint) {
+        // analyze:recovery
         let recovered = self.driver.is_some_and(|old| old != ep);
         self.driver = Some(ep);
         self.driver_open = false;
@@ -584,12 +592,14 @@ impl<V: Volume> FileServer<V> {
         // the RS progress audit convicts.
         let open = bdev::Open { minor: 0 }.into_message();
         self.open_call = ctx.sendrec(ep, open).ok();
+        // analyze:recovery
         if self.open_call.is_some() {
             let seq = self.next_seq;
             self.next_seq += 1;
             self.open_seq = Some(seq);
             let _ = ctx.set_alarm(DRIVER_DEADLINE, seq);
         }
+        // analyze:recovery
         if recovered {
             ctx.metrics().incr(V::NAMES.driver_reintegrations);
             let ev = ctx
@@ -601,7 +611,6 @@ impl<V: Volume> FileServer<V> {
             ctx.trace_event(ev);
         }
     }
-    // [recovery:end]
 
     fn on_driver_reply(
         &mut self,
@@ -619,7 +628,7 @@ impl<V: Volume> FileServer<V> {
             }
         }
         match result {
-            // [recovery:begin]
+            // analyze:recovery
             Err(_) => {
                 // §6.2: "If I/O was in progress at the time of the
                 // failure, the IPC rendezvous will be aborted by the
@@ -637,12 +646,12 @@ impl<V: Volume> FileServer<V> {
                     "driver request aborted; marked pending until restart".to_string(),
                 );
             }
-            // [recovery:end]
             Ok(reply) => {
                 let Some(a) = self.active.as_mut() else {
                     return;
                 };
                 a.driver_call = None;
+                // analyze:recovery
                 let Some(reply) = bdev::Reply::from_message(&reply) else {
                     // Protocol violation: unexpected message type.
                     a.waiting_driver = true;
@@ -654,8 +663,10 @@ impl<V: Volume> FileServer<V> {
                         let is_write = matches!(a.kind, OpKind::Write { .. });
                         let is_mount = matches!(a.kind, OpKind::Mount);
                         let bytes = (a.chunk_sectors * SECTOR as u64) as usize;
+                        // analyze:recovery
                         let expect_sum =
                             descriptor_sum(a.chunk_lba, a.chunk_sectors, self.capacity);
+                        // analyze:recovery
                         if reply.count as usize != bytes {
                             a.waiting_driver = true;
                             self.complain(sh, ctx, evidence::SHORT_TRANSFER, "short transfer");
@@ -665,7 +676,9 @@ impl<V: Volume> FileServer<V> {
                         // request descriptor it validated (1 + sum, 0 = no
                         // echo); a disagreement means its validation path
                         // computed garbage.
+                        // analyze:recovery
                         let echo = reply.csum_echo;
+                        // analyze:recovery
                         if echo != 0 && echo != 1 + u64::from(expect_sum) {
                             self.csum_violation(sh, ctx, "descriptor checksum echo mismatch");
                             return;
@@ -696,7 +709,9 @@ impl<V: Volume> FileServer<V> {
                             let Some(a) = self.active.as_mut() else {
                                 return;
                             };
+                            // analyze:recovery
                             let scrubbed = a.scrub.take();
+                            // analyze:recovery
                             match &scrubbed {
                                 Some(expected) => {
                                     // Second read of a scrubbed chunk: the
@@ -725,6 +740,7 @@ impl<V: Volume> FileServer<V> {
                             a.assembled.extend_from_slice(&data[start..start + take]);
                             a.file_pos += take as u64;
                             a.remaining -= take as u64;
+                            // analyze:recovery
                             if scrubbed.is_some() {
                                 ctx.metrics().incr(V::NAMES.scrub_ok);
                             }
@@ -733,8 +749,6 @@ impl<V: Volume> FileServer<V> {
                         if remaining == 0 {
                             self.finish_active(sh, ctx, status::OK);
                         } else {
-                            // [recovery] continue with the next chunk of a
-                            // multi-chunk transfer.
                             self.start_next_chunk(sh, ctx);
                         }
                     }
@@ -763,18 +777,22 @@ impl<V: Volume> ServerLogic for FileServer<V> {
 
     /// Serializes the mount metadata. It only changes at mount time, so
     /// the save fires once per incarnation that mounted.
+    // analyze:recovery
     fn encode(&self) -> Vec<u8> {
         self.volume.encode(&self.files)
     }
 
+    // analyze:recovery
     type Saved = (V, Vec<Inode>);
 
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<(V, Vec<Inode>)> {
         V::decode(payload)
     }
 
     /// Mounts from the restored metadata, so the normal mount path (and
     /// its three reads) is skipped.
+    // analyze:recovery
     fn adopt(&mut self, ctx: &mut Ctx<'_>, (volume, files): (V, Vec<Inode>)) {
         self.volume = volume;
         self.files = files;
@@ -789,7 +807,9 @@ impl<V: Volume> ServerLogic for FileServer<V> {
 
     fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
         if update.key == self.driver_key {
+            // analyze:recovery
             self.recovery = update.recovery;
+            // analyze:recovery
             self.recovery_parent = update.parent;
             self.on_driver_published(ctx, update.endpoint);
         }
@@ -811,13 +831,15 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                             // OPEN replies carry the device capacity, which
                             // feeds the descriptor-checksum cross-check.
                             self.capacity = reply.count;
-                            // [recovery:begin]
                             // Reissue the pending request, then resume
                             // normal operation (§6.2). The episode id is
                             // consumed here: whatever happens next is
                             // ordinary operation again.
+                            // analyze:recovery
                             let rid = self.recovery.take();
+                            // analyze:recovery
                             let parent = self.recovery_parent.take();
+                            // analyze:recovery
                             if self.active.as_ref().is_some_and(|a| a.waiting_driver) {
                                 let ev = ctx
                                     .event(TraceLevel::Info, "reissue pending io".to_string())
@@ -831,8 +853,8 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                             } else {
                                 self.pump(sh, ctx);
                             }
-                            // [recovery:end]
                         }
+                        // analyze:recovery
                         Ok(None) => {
                             // A restarted driver answering its reopen with
                             // garbage is as defective as one that never
@@ -844,6 +866,7 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                         }
                         // Died before answering: the kernel already told
                         // RS; the restart publish retriggers the reopen.
+                        // analyze:recovery
                         Err(_) => {}
                     }
                     return;
@@ -853,13 +876,13 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                 }
                 // Replies to SUBSCRIBE / COMPLAIN need no action.
             }
-            // [recovery:begin]
             ProcEvent::Alarm { token } => {
                 // Reopen deadline: no usable reply to the post-restart
                 // OPEN within the window. The reply may have been lost in
                 // flight (the rendezvous is closed, so no abort will ever
                 // wake us) — complain so RS restarts the driver and the
                 // resulting publish retriggers the reopen.
+                // analyze:recovery
                 if self.open_seq == Some(token) {
                     self.open_seq = None;
                     self.open_call = None;
@@ -882,10 +905,12 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                 // Driver response deadline: if the same request is still
                 // outstanding, the driver "fails to respond to a request"
                 // (§5.1) and we ask RS to replace it.
+                // analyze:recovery
                 let stuck = self
                     .active
                     .as_ref()
                     .is_some_and(|a| a.driver_call.is_some() && a.seq == token);
+                // analyze:recovery
                 if stuck {
                     if let Some(a) = self.active.as_mut() {
                         a.driver_call = None;
@@ -897,7 +922,6 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                     self.complain(sh, ctx, evidence::DEADLINE, "no response within deadline");
                 }
             }
-            // [recovery:end]
             _ => {}
         }
     }

@@ -83,10 +83,12 @@ impl ServerLogic for ProcessManager {
     };
 
     /// PM's whole state is externalised, so a payload decodes into a PM.
+    // analyze:recovery
     type Saved = ProcessManager;
 
     /// Serialises the reaper binding and the started-service records
     /// (layout: DESIGN §5e, "what is on the wire").
+    // analyze:recovery
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         Endpoint::put_opt(self.reaper, &mut w);
@@ -97,6 +99,7 @@ impl ServerLogic for ProcessManager {
         w.into_bytes()
     }
 
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<ProcessManager> {
         let mut r = Reader::new(payload);
         let pm = ProcessManager {
@@ -111,6 +114,7 @@ impl ServerLogic for ProcessManager {
 
     /// A live reaper binding delivered after the restart (RS
     /// re-registers on respawn) wins over the snapshot.
+    // analyze:recovery
     fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: ProcessManager) {
         self.reaper = self.reaper.or(saved.reaper);
         for (name, ep) in saved.records {

@@ -21,9 +21,11 @@
 //!     alert "failure: $component reason=$reason count=$repetition -> $1"
 //! end
 //! ```
+//!
+//! The language exists solely for policy-driven recovery, so the whole
+//! module is recovery code in Fig. 9's count:
+//! analyze:recovery
 
-// [recovery:begin] -- the policy-script language exists solely for
-// policy-driven recovery (§5.2)
 use std::fmt;
 
 use phoenix_simcore::time::SimDuration;
@@ -1470,4 +1472,3 @@ restart
         assert_eq!(reason::name(4), "heartbeat");
     }
 }
-// [recovery:end]

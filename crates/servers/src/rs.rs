@@ -194,12 +194,14 @@ impl ServiceConfig {
     }
 
     /// Replaces the policy script (builder style).
+    // analyze:recovery
     pub fn with_policy(mut self, policy: PolicyScript) -> Self {
         self.policy = Some(policy);
         self
     }
 
     /// Sets the heartbeat period (builder style).
+    // analyze:recovery
     pub fn with_heartbeat(mut self, period: SimDuration, misses: u32) -> Self {
         self.heartbeat = true;
         self.params.heartbeat_period = period;
@@ -208,6 +210,7 @@ impl ServiceConfig {
     }
 
     /// Disables heartbeats (builder style).
+    // analyze:recovery
     pub fn without_heartbeat(mut self) -> Self {
         self.heartbeat = false;
         self
@@ -215,6 +218,7 @@ impl ServiceConfig {
 
     /// Sets the restart budget: restarts within `window` before the
     /// storm-escalation ladder engages (builder style).
+    // analyze:recovery
     pub fn with_restart_budget(mut self, budget: u32, window: SimDuration) -> Self {
         self.params.restart_budget = budget;
         self.params.budget_window = window;
@@ -223,6 +227,7 @@ impl ServiceConfig {
 
     /// Sets the components restarted with this one when a storm escalates
     /// (builder style).
+    // analyze:recovery
     pub fn with_deps(mut self, deps: Vec<String>) -> Self {
         self.deps = deps;
         self
@@ -231,6 +236,7 @@ impl ServiceConfig {
     /// Enables hot-standby failover (builder style): RS keeps a warm
     /// spare tailing the checkpoint record and promotes it at defect
     /// time instead of cold-restarting.
+    // analyze:recovery
     pub fn with_hot_standby(mut self) -> Self {
         self.hot_standby = true;
         self
@@ -242,6 +248,7 @@ impl ServiceConfig {
     /// only if a rule of the `adapt` script drives it (the policy
     /// script's `backoff(<literal>)` applies otherwise), every other
     /// parameter always.
+    // analyze:recovery
     fn reads(&self, p: AdaptParam, adapt: Option<&PolicyScript>) -> bool {
         match p {
             AdaptParam::HeartbeatPeriod => self.heartbeat,
@@ -252,6 +259,7 @@ impl ServiceConfig {
 
     /// What the policy script sees of failure number `repetition`, of
     /// class `defect`, under the `adapt` script.
+    // analyze:recovery
     fn policy_input(
         &self,
         defect: u8,
@@ -353,7 +361,6 @@ impl Slot {
     }
 }
 
-// [recovery:begin]
 /// One recovery episode, a guarded service's or PM's own: opened at
 /// detection, it tags every RS event of the recovery chain and rides on
 /// the DS publish, so the data store and each dependent tag their
@@ -361,6 +368,7 @@ impl Slot {
 /// reassemble the episode and time its phases. The tags outlive the
 /// recovery (a late re-publish still belongs to it) until the next defect
 /// overwrites them.
+// analyze:recovery
 #[derive(Debug, Clone, Copy)]
 struct Episode {
     /// Correlation token.
@@ -371,6 +379,7 @@ struct Episode {
     died_at: Option<SimTime>,
 }
 
+// analyze:recovery
 impl Episode {
     /// Mints the token and root span and reports the defect. `failures`
     /// is the count fed to the policy script (PM runs none).
@@ -415,9 +424,11 @@ impl Episode {
 
 /// Whom an RS event is about: a stable name and its most recent episode
 /// (a boot-time start has none).
+// analyze:recovery
 #[derive(Clone, Copy)]
 struct Subject<'a>(&'a str, Option<Episode>);
 
+// analyze:recovery
 impl Subject<'_> {
     /// Records an event of kind `ev` with the given integer fields,
     /// tagged with the episode.
@@ -442,7 +453,6 @@ impl Subject<'_> {
         ctx.trace_event(event);
     }
 }
-// [recovery:end]
 
 struct Service {
     cfg: ServiceConfig,
@@ -480,6 +490,7 @@ impl Service {
 
     /// Whether a spare may start: the service runs hot standby and its
     /// primary is up.
+    // analyze:recovery
     fn wants_spare(&self) -> bool {
         self.cfg.hot_standby && self.endpoint().is_some()
     }
@@ -494,6 +505,7 @@ impl Service {
     }
 
     /// Takes the warm spare if it is up; a start in flight stays.
+    // analyze:recovery
     fn take_spare(&mut self) -> Option<Endpoint> {
         let ep = self.spare.endpoint()?;
         self.spare.state = SvcState::Down;
@@ -503,20 +515,25 @@ impl Service {
 
 /// How long RS waits for a PM_START reply before assuming the request or
 /// its reply was lost and retrying.
+// analyze:recovery
 const START_TIMEOUT: SimDuration = SimDuration::from_millis(50);
 
 /// Back-off before retrying a start, spawn or respawn that PM (or the
 /// kernel) could not carry out.
+// analyze:recovery
 const RETRY_DELAY: SimDuration = SimDuration::from_micros(EXEC_LATENCY.as_micros() * 4);
 
 /// How long RS waits for a DS publish acknowledgement before re-publishing.
+// analyze:recovery
 const PUBLISH_TIMEOUT: SimDuration = SimDuration::from_millis(10);
 
 /// Re-publish attempts before RS raises an alert and stops trying.
+// analyze:recovery
 const MAX_PUBLISH_RETRIES: u32 = 3;
 
 /// Period of the liveness audit that catches lost exit notifications.
 /// Deliberately off-cycle from the 1 s heartbeat default.
+// analyze:recovery
 const AUDIT_PERIOD: SimDuration = SimDuration::from_millis(750);
 
 /// How long a SIGTERMed service has to exit before a dynamic update
@@ -527,32 +544,42 @@ const UPDATE_GRACE: SimDuration = SimDuration::from_millis(500);
 /// complaints. Wider than the complaint window so slow-burn flapping is
 /// visible; narrower than the budget window so controllers react before
 /// the storm ladder fires.
+// analyze:recovery
 const ADAPT_WINDOW: SimDuration = SimDuration::from_secs(10);
 
 /// Most recent repair-MTTR samples kept for the `mttr_p95` adapt signal.
+// analyze:recovery
 const ADAPT_MTTR_SAMPLES: usize = 32;
 
 /// How often a warm spare polls DS for the primary's latest checkpoint
 /// frame (the WAL-tail period passed in `drv::STANDBY`).
+// analyze:recovery
 const SPARE_TAIL_PERIOD: SimDuration = SimDuration::from_millis(100);
 
 /// Age beyond which an open request against a heartbeat-guarded driver
 /// counts as a progress stall. Deliberately longer than the servers' own
 /// 5 s driver deadlines, so the kernel watchdog is the second line, not
 /// the first.
+// analyze:recovery
 const STALL_AGE: SimDuration = SimDuration::from_secs(8);
 
 /// Program, stable name and DS key of the process manager RS guards.
+// analyze:recovery
 const PM_NAME: &str = "pm";
 
 // Alarm token layout: kind from bit 40, the slot's role in bits 32..40, a
 // 16-bit sequence/epoch in bits 16..32, the service index in the low 16
 // bits.
+// analyze:recovery
 const TOK_HB: u64 = 1;
+// analyze:recovery
 const TOK_RESTART: u64 = 2;
 const TOK_ESCALATE: u64 = 3;
+// analyze:recovery
 const TOK_START_TIMEOUT: u64 = 4;
+// analyze:recovery
 const TOK_REPUBLISH: u64 = 5;
+// analyze:recovery
 const TOK_AUDIT: u64 = 6;
 
 /// The alarm token of `kind` with sequence `seq` for slot `role`.
@@ -570,6 +597,7 @@ fn token(kind: u64, seq: u16, role: Role) -> u64 {
 type CallResult = Result<Message, IpcError>;
 
 /// Most unmatched dead endpoints remembered for early-death reconciliation.
+// analyze:recovery
 const EARLY_DEATHS_CAP: usize = 64;
 
 /// What one of RS's own in-flight calls asked for.
@@ -618,6 +646,7 @@ fn publish_request(key: String, ep: Endpoint, episode: Option<Episode>) -> Messa
 
 /// The admin-editable adapt script and the signal windows its rules are
 /// stepped against, once per audit sweep.
+// analyze:recovery
 struct Adapt {
     script: PolicyScript,
     /// Defect detections inside [`ADAPT_WINDOW`] (failure-rate signal).
@@ -704,6 +733,7 @@ impl ReincarnationServer {
     /// stepped once per audit sweep, each writing through the
     /// [`PolicyParams`] of every service it binds, within its declared
     /// clamp band.
+    // analyze:recovery
     pub fn with_adapt(mut self, script: PolicyScript) -> Self {
         self.adapt = Some(Adapt {
             script,
@@ -719,6 +749,7 @@ impl ReincarnationServer {
     /// instance spawn/kill privileges — respawns the `pm` program,
     /// re-registers as exit-report sink, and re-publishes the `pm` name
     /// so the new incarnation can rehydrate its checkpointed records.
+    // analyze:recovery
     pub fn with_pm_guard(mut self) -> Self {
         let mut pm = Slot::default();
         pm.bind(self.pm);
@@ -731,6 +762,7 @@ impl ReincarnationServer {
     /// progress guards. Disarmed, complaints are still vetted and
     /// counted, so the evidence stream stays observable in the crash-only
     /// baseline.
+    // analyze:recovery
     pub fn with_sentinels(mut self, on: bool) -> Self {
         self.arbiter.disarmed = !on;
         self
@@ -776,9 +808,12 @@ impl ReincarnationServer {
         };
         let version = match role {
             _ if !ready => return,
+            // analyze:recovery
             Role::Pm => return self.spawn_pm(ctx),
             Role::Primary(i) => self.services[i].next_version.take(),
+            // analyze:recovery
             Role::Spare(i) if self.services[i].wants_spare() => None,
+            // analyze:recovery
             Role::Spare(_) => return,
         };
         let start = start_request(self.name(role).to_string(), version.map_or(0, u64::from));
@@ -791,8 +826,10 @@ impl ReincarnationServer {
                 self.calls.insert(call, (Call::Start, role));
                 // If neither the request nor its reply survives the fabric,
                 // this alarm notices and retries.
+                // analyze:recovery
                 let _ = ctx.set_alarm(START_TIMEOUT, token(TOK_START_TIMEOUT, attempt, role));
             }
+            // analyze:recovery
             Err(e) => {
                 let why = format!("cannot reach PM to start {}: {e}", self.name(role));
                 self.pm_lost(ctx, role, why);
@@ -801,6 +838,7 @@ impl ReincarnationServer {
     }
 
     /// PM's starter: RS's own spawn call, which answers at once.
+    // analyze:recovery
     fn spawn_pm(&mut self, ctx: &mut Ctx<'_>) {
         self.exec(ctx, Role::Pm);
         match ctx.sys_spawn(PM_NAME, None) {
@@ -839,6 +877,7 @@ impl ReincarnationServer {
     /// Slot `role`'s start failed, as `why` says, because PM is gone.
     /// Under the PM guard the start is re-armed and PM recovered; without
     /// it, PM is not coming back, and RS gives up.
+    // analyze:recovery
     fn pm_lost(&mut self, ctx: &mut Ctx<'_>, role: Role, why: String) {
         ctx.trace(TraceLevel::Warn, why);
         if self.pm_slot.is_none() {
@@ -854,6 +893,7 @@ impl ReincarnationServer {
     }
 
     /// Parks slot `role` until a restart alarm `delay` from now.
+    // analyze:recovery
     fn arm_restart(&mut self, ctx: &mut Ctx<'_>, role: Role, delay: SimDuration) {
         if let Some(slot) = self.slot(role) {
             slot.state = SvcState::WaitRestart;
@@ -865,6 +905,7 @@ impl ReincarnationServer {
         let Some(ep) = self.services[idx].endpoint() else {
             return;
         };
+        // analyze:recovery
         self.arbiter.clear(idx);
         self.kill(ctx, Role::Primary(idx), ep, term);
     }
@@ -896,12 +937,15 @@ impl ReincarnationServer {
             self.calls.insert(call, (Call::Publish(ep), role));
         }
         // Verify the acknowledgement arrives; re-publish if it does not.
+        // analyze:recovery
         let seq = attempts as u16;
+        // analyze:recovery
         let _ = ctx.set_alarm(PUBLISH_TIMEOUT, token(TOK_REPUBLISH, seq, role));
     }
 
     /// Applies deterministic jitter (multiplier in [1.0, 1.25)) to a
     /// restart delay so synchronized failures do not restart in lock-step.
+    // analyze:recovery
     fn jittered(&mut self, delay: SimDuration) -> SimDuration {
         let Some(rng) = self.jitter.as_mut() else {
             return delay;
@@ -911,6 +955,7 @@ impl ReincarnationServer {
     }
 
     /// Feeds one repair-MTTR sample to the adapt signal window.
+    // analyze:recovery
     fn note_mttr(&mut self, dt: SimDuration) {
         let Some(adapt) = &mut self.adapt else {
             return;
@@ -921,10 +966,10 @@ impl ReincarnationServer {
         adapt.mttr.push_back(dt.as_micros());
     }
 
-    // [recovery:begin]
     /// Common defect entry point (§5.2): reset the service, open the
     /// episode, consult the restart ladder, run the policy script, carry
     /// out the repair.
+    // analyze:recovery
     fn handle_defect(&mut self, ctx: &mut Ctx<'_>, idx: usize, defect: u8) {
         let svc = &mut self.services[idx];
         svc.stop(SvcState::Down);
@@ -1029,6 +1074,7 @@ impl ReincarnationServer {
     /// what it says short of the give-up: the storm alert, the
     /// server-class rung, the once-per-window group reboot. The budget
     /// and its window are the service's own.
+    // analyze:recovery
     fn escalate(&mut self, ctx: &mut Ctx<'_>, idx: usize, name: &str, defect: u8) -> Escalation {
         let svc = &mut self.services[idx];
         let (budget, window) = (svc.cfg.params.restart_budget, svc.cfg.params.budget_window);
@@ -1079,6 +1125,7 @@ impl ReincarnationServer {
 
     /// Kills every service of `deps` that is up, so its own recovery
     /// restarts it; `why` labels the trace line.
+    // analyze:recovery
     fn restart_dependents(&mut self, ctx: &mut Ctx<'_>, deps: Vec<String>, why: Option<&str>) {
         for dep in deps {
             let Some(dep_idx) = self.service_named(&dep) else {
@@ -1100,6 +1147,7 @@ impl ReincarnationServer {
 
     /// Ends the episode without a restart: the policy script or the storm
     /// ladder gave up on service `idx`.
+    // analyze:recovery
     fn give_up(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: &str) {
         let svc = &mut self.services[idx];
         svc.primary.state = SvcState::GivenUp;
@@ -1119,6 +1167,7 @@ impl ReincarnationServer {
     /// Closes the open episode of slot `role` now that its fresh
     /// incarnation is alive, with the MTTR accounting. Returns false when
     /// no episode was open: a first start, or a spare, which has none.
+    // analyze:recovery
     fn close_episode(&mut self, ctx: &mut Ctx<'_>, role: Role, promoted: bool) -> bool {
         let counter = match role {
             Role::Pm => "rs.pm_recoveries",
@@ -1157,6 +1206,7 @@ impl ReincarnationServer {
     /// (heartbeat 4, complaint 5, update 6, user 3), else `observed`; for a
     /// spare a refill, with no episode; for PM the fixed plan, with no
     /// script, no ladder and no jitter.
+    // analyze:recovery
     fn reap(&mut self, ctx: &mut Ctx<'_>, role: Role, observed: u8) {
         match role {
             Role::Primary(idx) => {
@@ -1188,6 +1238,7 @@ impl ReincarnationServer {
     /// stall window ago. While that holds, old client requests against a
     /// *server* prove nothing — the server may simply be waiting out a
     /// dependency's reincarnation — so the progress watchdog holds fire.
+    // analyze:recovery
     fn recovery_in_flight(&self, now: SimTime) -> bool {
         let recovering =
             |s: &Service| !matches!(s.primary.state, SvcState::Up(_) | SvcState::GivenUp);
@@ -1200,6 +1251,7 @@ impl ReincarnationServer {
 
     /// Restarts service `idx` on a complaint-class defect: marks the
     /// pending reason and kills it so the policy restart runs.
+    // analyze:recovery
     fn restart_on_complaint(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: String) {
         ctx.trace(TraceLevel::Warn, why);
         self.services[idx].pending_reason = Some(reason::COMPLAINT);
@@ -1207,6 +1259,7 @@ impl ReincarnationServer {
     }
 
     /// Convicts the accused service `idx`.
+    // analyze:recovery
     fn convict(&mut self, ctx: &mut Ctx<'_>, idx: usize, why: String) {
         ctx.metrics().incr("rs.complaints.accepted");
         self.restart_on_complaint(ctx, idx, why);
@@ -1215,6 +1268,7 @@ impl ReincarnationServer {
     /// Puts an `rs::COMPLAIN` message (defect class 5, §5.1) about the
     /// service named `name` (table entry `idx`) before the arbiter,
     /// reports and carries out the verdict, and returns the reply status.
+    // analyze:recovery
     fn on_complaint(
         &mut self,
         ctx: &mut Ctx<'_>,
@@ -1328,6 +1382,7 @@ impl ReincarnationServer {
 
     /// Kills a retired warm spare (its tailed state is for a binary or
     /// incarnation that will never be promoted).
+    // analyze:recovery
     fn retire_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let Some(ep) = self.services[idx].take_spare() else {
             return;
@@ -1344,6 +1399,7 @@ impl ReincarnationServer {
     /// Starts the heartbeat epoch of service `idx`'s fresh primary:
     /// heartbeat chains and update escalations of earlier incarnations
     /// go stale. RS pings the primary from now, if it pings the service.
+    // analyze:recovery
     fn arm_heartbeat(&mut self, ctx: &mut Ctx<'_>, idx: usize) {
         let svc = &mut self.services[idx];
         svc.hb_epoch = svc.hb_epoch.wrapping_add(1);
@@ -1359,6 +1415,7 @@ impl ReincarnationServer {
     /// ghost check), then the spare is told to go live, then the new
     /// endpoint is published before dependents learn of it (§5.3).
     // analyze:recovery-root
+    // analyze:recovery
     fn promote_spare(&mut self, ctx: &mut Ctx<'_>, idx: usize, ep: Endpoint) {
         let role = Role::Primary(idx);
         self.services[idx].primary.bind(ep);
@@ -1396,6 +1453,7 @@ impl ReincarnationServer {
     /// per-parameter trajectory histogram that campaigns assert stays
     /// inside the clamp band.
     // analyze:recovery-root
+    // analyze:recovery
     fn run_adapt_controllers(&mut self, ctx: &mut Ctx<'_>) {
         let Some(adapt) = &mut self.adapt else {
             return;
@@ -1446,6 +1504,7 @@ impl ReincarnationServer {
     /// Binds incarnation `ep`, just started, to slot `role`, unless it is
     /// already dead.
     fn complete_start(&mut self, ctx: &mut Ctx<'_>, role: Role, ep: Endpoint) {
+        // analyze:recovery
         if let Some(pos) = self.early_deaths.iter().position(|&d| d == ep) {
             // The fresh incarnation is already dead — it crashed between
             // its spawn and this reply (a mid-recovery kill). Reap it
@@ -1462,6 +1521,7 @@ impl ReincarnationServer {
         if let Some(slot) = self.slot(role) {
             slot.bind(ep);
         }
+        // analyze:recovery
         if role == Role::Pm {
             // Become the new incarnation's exit-report sink before any
             // child can die. PM_START calls in flight were aborted with
@@ -1476,6 +1536,7 @@ impl ReincarnationServer {
         // owner-authenticates PM's checkpoint saves and a spare's tail
         // reads against the published endpoint.
         self.publish(ctx, role);
+        // analyze:recovery
         let recovered = self.close_episode(ctx, role, false);
         match role {
             Role::Primary(idx) => {
@@ -1484,12 +1545,15 @@ impl ReincarnationServer {
                     let name = &self.services[idx].cfg.program;
                     ctx.trace(TraceLevel::Info, format!("started {name} as {ep}"));
                 }
+                // analyze:recovery
                 self.arm_heartbeat(ctx, idx);
                 // A hot-standby service gets its warm spare as soon as the
                 // primary is up (initial start and after every cold
                 // restart).
+                // analyze:recovery
                 self.start(ctx, Role::Spare(idx));
             }
+            // analyze:recovery
             Role::Spare(idx) => {
                 ctx.metrics().incr("rs.standby.spares_started");
                 let name = &self.services[idx].cfg.program;
@@ -1500,6 +1564,7 @@ impl ReincarnationServer {
                 let period_us = SPARE_TAIL_PERIOD.as_micros();
                 let _ = ctx.send(ep, drv::Standby { period_us }.into_message());
             }
+            // analyze:recovery
             Role::Pm => {}
         }
     }
@@ -1507,6 +1572,7 @@ impl ReincarnationServer {
     /// PM defect entry point — recursive recovery. `dead` says whether
     /// the incarnation is already gone (audit or exit report) or RS must
     /// kill it first (stall, garbled replies).
+    // analyze:recovery
     fn recover_pm(&mut self, ctx: &mut Ctx<'_>, defect: u8, dead: bool) {
         let Some(ep) = self.pm_slot.and_then(|s| s.endpoint()) else {
             return;
@@ -1518,6 +1584,7 @@ impl ReincarnationServer {
     }
 
     /// Exit reports and heartbeat replies.
+    // analyze:recovery
     fn on_message(&mut self, ctx: &mut Ctx<'_>, msg: &Message) {
         if let Some(drv::Msg::HB_PONG(_)) = drv::Msg::decode(msg) {
             let role = self.slot_of(msg.source);
@@ -1554,11 +1621,13 @@ impl ReincarnationServer {
         let (kind, seq, idx) = (t >> 40, (t >> 16) as u16, (t & 0xFFFF) as usize);
         let role = match (t >> 32) & 0xFF {
             0 => Role::Primary(idx),
+            // analyze:recovery
             1 => Role::Spare(idx),
             _ => Role::Pm,
         };
         // The audit is table-free: it must run over an empty service
         // table too.
+        // analyze:recovery
         if kind == TOK_AUDIT {
             return self.audit(ctx);
         }
@@ -1566,9 +1635,13 @@ impl ReincarnationServer {
             return;
         };
         match (kind, role) {
+            // analyze:recovery
             (TOK_RESTART, _) if slot.state == SvcState::WaitRestart => self.start(ctx, role),
+            // analyze:recovery
             (TOK_START_TIMEOUT, _) => self.start_timed_out(ctx, role, seq),
+            // analyze:recovery
             (TOK_REPUBLISH, _) => self.republish(ctx, role, seq),
+            // analyze:recovery
             (TOK_HB, Role::Primary(idx)) => self.heartbeat(ctx, idx, seq),
             // SIGTERM was ignored by the incarnation it was sent to;
             // escalate to SIGKILL.
@@ -1582,6 +1655,7 @@ impl ReincarnationServer {
     }
 
     /// One link of service `idx`'s heartbeat chain (defect class 4).
+    // analyze:recovery
     fn heartbeat(&mut self, ctx: &mut Ctx<'_>, idx: usize, epoch: u16) {
         let svc = &mut self.services[idx];
         let SvcState::Up(live) = &mut svc.primary.state else {
@@ -1615,6 +1689,7 @@ impl ReincarnationServer {
     /// The start-call timeout of attempt `attempt` of slot `role` fired.
     /// Only the alarm matching the current attempt may declare it lost;
     /// alarms from completed or superseded attempts are stale.
+    // analyze:recovery
     fn start_timed_out(&mut self, ctx: &mut Ctx<'_>, role: Role, attempt: u16) {
         let Some(slot) = self.slot(role) else {
             return;
@@ -1636,6 +1711,7 @@ impl ReincarnationServer {
 
     /// The acknowledgement of publish attempt `attempt` of slot `role` is
     /// overdue: re-publish, within the retry budget.
+    // analyze:recovery
     fn republish(&mut self, ctx: &mut Ctx<'_>, role: Role, attempt: u16) {
         // Stale alarm from an earlier publish attempt, or the incarnation
         // died meanwhile.
@@ -1669,6 +1745,7 @@ impl ReincarnationServer {
 
     /// The periodic liveness audit: catches lost exit notifications and
     /// silent stalls, and is RS's own sign of life.
+    // analyze:recovery
     fn audit(&mut self, ctx: &mut Ctx<'_>) {
         // Liveness beacon for the fleet layer: a healthy RS advances this
         // counter every audit sweep, so a per-node fleet agent gossiping
@@ -1708,6 +1785,7 @@ impl ReincarnationServer {
 
     /// Whether slot `role` holds an incarnation the kernel no longer
     /// knows: a death whose exit report never made it, reaped here.
+    // analyze:recovery
     fn audit_gone(&mut self, ctx: &mut Ctx<'_>, role: Role) -> bool {
         let Some(ep) = self.slot(role).and_then(|s| s.endpoint()) else {
             return false;
@@ -1729,6 +1807,7 @@ impl ReincarnationServer {
     /// Audits one supposedly-up service: its primary and its spare for
     /// lost exit reports, then a refill of an empty spare slot, then the
     /// kernel guards.
+    // analyze:recovery
     fn audit_service(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let Some(ep) = self.services[i].endpoint() else {
             return;
@@ -1767,7 +1846,6 @@ impl ReincarnationServer {
         ctx.metrics().incr(evidence::complaint_counter(kind));
         self.convict(ctx, i, why);
     }
-    // [recovery:end]
 
     fn boot(&mut self, ctx: &mut Ctx<'_>) {
         if self.jitter.is_some() {
@@ -1775,10 +1853,13 @@ impl ReincarnationServer {
         }
         // Forking is a pure function of (seed, domain): jitter gets its
         // own stream without perturbing anyone else's draws.
+        // analyze:recovery
         self.jitter = Some(ctx.rng().fork("rs-jitter"));
         // Every parameter RS reads is a gauge from boot, so campaign
         // digests always show each service's live table.
+        // analyze:recovery
         let adapt = self.adapt.as_ref().map(|a| &a.script);
+        // analyze:recovery
         for svc in &mut self.services {
             let cfg = &svc.cfg;
             let read = AdaptParam::ALL.into_iter().filter(|&p| cfg.reads(p, adapt));
@@ -1788,15 +1869,18 @@ impl ReincarnationServer {
             }
         }
         // Become PM's exit-report sink before any child can die.
+        // analyze:recovery
         let _ = ctx.send(self.pm, Message::new(pm::REGISTER));
         // PM's checkpoint saves are owner-authenticated against the
         // published `pm` name; under the guard, publish it before the
         // first service start can make PM dirty.
+        // analyze:recovery
         self.publish(ctx, Role::Pm);
         for idx in 0..self.services.len() {
             self.start(ctx, Role::Primary(idx));
         }
         // Periodic liveness audit: catches lost exit reports.
+        // analyze:recovery
         let _ = ctx.set_alarm(AUDIT_PERIOD, token(TOK_AUDIT, 0, Role::Pm));
     }
 
@@ -1807,7 +1891,9 @@ impl ReincarnationServer {
         };
         match what {
             Call::Start => self.start_replied(ctx, call, role, result),
+            // analyze:recovery
             Call::Kill(ep) => self.kill_replied(ctx, role, ep, result),
+            // analyze:recovery
             Call::Promote => match result
                 .as_ref()
                 .ok()
@@ -1830,6 +1916,7 @@ impl ReincarnationServer {
                     );
                 }
             },
+            // analyze:recovery
             Call::Publish(ep) => {
                 let ack = result.as_ref().ok().and_then(ds::Ack::from_message);
                 if ack.is_some_and(|ack| ack.status == 0) {
@@ -1866,6 +1953,7 @@ impl ReincarnationServer {
         let Some(&mut slot) = self.slot(role) else {
             return;
         };
+        // analyze:recovery
         if !matches!(slot.state, SvcState::Starting { call: c, .. } if c == call) {
             if let Some(ghost) = started.filter(|&ep| slot.endpoint() != Some(ep)) {
                 ctx.metrics().incr("rs.ghost_kills");
@@ -1888,6 +1976,7 @@ impl ReincarnationServer {
                 // spare, most likely no `standby.<program>` entry: the
                 // service runs without one.
                 let counter = match role {
+                    // analyze:recovery
                     Role::Spare(_) => "rs.standby.unavailable",
                     _ => "rs.gave_up",
                 };
@@ -1901,6 +1990,7 @@ impl ReincarnationServer {
                     slot.state = SvcState::GivenUp;
                 }
             }
+            // analyze:recovery
             (None, Ok(reply)) => {
                 // Wrong reply type: PM is garbling. The start outcome is
                 // unknown, so retry it, and treat the garble as a PM
@@ -1915,6 +2005,7 @@ impl ReincarnationServer {
                 self.arm_restart(ctx, role, RETRY_DELAY);
                 self.recover_pm(ctx, reason::COMPLAINT, false);
             }
+            // analyze:recovery
             (None, Err(_)) => {
                 // The rendezvous aborted: PM died with the call open. PM
                 // recovery (exit report or audit) runs in parallel.
@@ -1926,6 +2017,7 @@ impl ReincarnationServer {
     }
 
     /// The reply to an RS kill of incarnation `ep` of slot `role`.
+    // analyze:recovery
     fn kill_replied(&mut self, ctx: &mut Ctx<'_>, role: Role, ep: Endpoint, result: CallResult) {
         let Ok(reply) = result else { return };
         let Some(reply) = pm::KillReply::from_message(&reply) else {
@@ -1989,6 +2081,7 @@ impl ReincarnationServer {
             }
             // Defect class 5: an authorized server reports a protocol
             // violation; RS arbitrates (§5.1).
+            // analyze:recovery
             (Some(rsp::Msg::COMPLAIN(c)), i) => {
                 st = self.on_complaint(ctx, msg.source, Complaint::read(c, &msg.data), i);
             }
@@ -2004,6 +2097,7 @@ impl ReincarnationServer {
     /// fixing the hardware out of band), so the storm state resets too.
     fn start_by_operator(&mut self, ctx: &mut Ctx<'_>, i: usize) {
         let svc = &mut self.services[i];
+        // analyze:recovery
         if svc.primary.state == SvcState::GivenUp {
             svc.primary.state = SvcState::Down;
             svc.restarts.operator_override();
@@ -2021,6 +2115,7 @@ impl Process for ReincarnationServer {
             // RS is the parent of any PM incarnation it respawned, so the
             // kernel reports that incarnation's death directly here — no
             // forwarding PM exists to relay it.
+            // analyze:recovery
             ProcEvent::ChildExited(exit) if self.slot_of(exit.endpoint) == Some(Role::Pm) => {
                 let defect = match exit.reason {
                     ExitReason::Exception(_) => reason::EXCEPTION,
@@ -2028,6 +2123,7 @@ impl Process for ReincarnationServer {
                 };
                 self.reap(ctx, Role::Pm, defect);
             }
+            // analyze:recovery
             ProcEvent::Message(msg) => self.on_message(ctx, &msg),
             ProcEvent::Request { call, msg } => self.on_request(ctx, call, &msg),
             ProcEvent::Alarm { token } => self.on_alarm(ctx, token),

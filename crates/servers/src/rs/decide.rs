@@ -12,6 +12,10 @@
 //! * [`Arbiter::judge`] → [`Verdict`] — complaint arbitration, for RS
 //!   and for the fleet agent alike (`phoenix-fleet`'s `agent.rs`).
 //! * [`Repair::plan`] — what becomes of the policy script's decision.
+//!
+//! A system without failure handling decides none of this, so the whole
+//! module is recovery code in Fig. 9's count:
+//! analyze:recovery
 
 use std::collections::{BTreeMap, VecDeque};
 
@@ -35,7 +39,6 @@ const QUORUM_ACCUSERS: usize = 2;
 /// Distinct accused inside the window at which an accuser is inverted.
 pub const INVERSION_ACCUSED: usize = 3;
 
-// [recovery:begin]
 /// Timestamped entries, oldest first, pruned by age.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Window<T> {
@@ -476,7 +479,6 @@ impl<K: Ord + Clone + Default> Arbiter<K> {
         self.discredited.prune(now, COMPLAINT_WINDOW);
     }
 }
-// [recovery:end]
 
 #[cfg(test)]
 mod tests {

@@ -44,6 +44,7 @@ impl Forward {
     /// logged). It is echoed in the failure reply so a checkpointing
     /// client can mark exactly which log entry was in flight when the
     /// driver died — the entry it must replay first.
+    // analyze:recovery
     fn wal_seq(&self) -> u64 {
         match self {
             Forward::Dev(_, exp) => match exp.kind {
@@ -57,6 +58,7 @@ impl Forward {
 
 /// What a char-driver reply must conform to (the protocol sentinel's
 /// state-machine expectation, recorded when the request was forwarded).
+// analyze:recovery
 #[derive(Debug, Clone, Copy)]
 struct SentinelExpect {
     /// Data-store key (doubles as the accused service name).
@@ -73,6 +75,7 @@ struct SentinelExpect {
 
 /// The sentinel expectation for the request `kind`, decoded from `msg`,
 /// forwarded to the char driver published under `key`.
+// analyze:recovery
 fn sentinel(key: &'static str, driver: Endpoint, kind: cdev::Msg, msg: &Message) -> SentinelExpect {
     let (len, sum) = match kind {
         cdev::Msg::READ(read) => (read.len as usize, None),
@@ -90,6 +93,7 @@ fn sentinel(key: &'static str, driver: Endpoint, kind: cdev::Msg, msg: &Message)
 
 /// Plain byte-sum, mirroring the checksum the char-driver fault routine
 /// computes over the payload it processed.
+// analyze:recovery
 fn byte_sum(data: &[u8]) -> u32 {
     data.iter().map(|&b| u32::from(b)).sum()
 }
@@ -97,6 +101,7 @@ fn byte_sum(data: &[u8]) -> u32 {
 /// Validates a char-driver reply against the sentinel expectation.
 /// Returns the driver's reply, or the evidence class and description of
 /// the violation.
+// analyze:recovery
 fn vet_reply(exp: &SentinelExpect, reply: &Message) -> Result<cdev::Reply, (u32, &'static str)> {
     let Some(driver) = cdev::Reply::from_message(reply) else {
         return Err((evidence::BAD_REPLY, "wrong reply type"));
@@ -153,6 +158,7 @@ fn dev_of(msg: &Message) -> Option<(cdev::Msg, &'static str)> {
 /// The route bindings: VFS's externalised state (crash-only contract),
 /// checkpointed so a restarted incarnation serves its first request
 /// without waiting for the DS re-subscribe round-trips.
+// analyze:recovery
 #[derive(Debug, Default)]
 pub struct Mounts {
     fs: Option<Endpoint>,
@@ -160,6 +166,7 @@ pub struct Mounts {
     chr: BTreeMap<String, Endpoint>,
 }
 
+// analyze:recovery
 impl Mounts {
     /// Serialises the bindings (layout: DESIGN §5e, "what is on the wire").
     pub fn encode(&self) -> Vec<u8> {
@@ -226,6 +233,7 @@ impl Vfs {
     /// Fails a forwarded request whose server died or broke protocol,
     /// echoing the write-ahead-log sequence of the request (0 = not
     /// logged).
+    // analyze:recovery
     fn fail_forward(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, fwd: &Forward) {
         let wal_seq = fwd.wal_seq();
         if wal_seq != 0 {
@@ -267,12 +275,14 @@ impl Vfs {
             Ok(call) => {
                 self.forwards.insert(call, fwd);
             }
+            // analyze:recovery
             Err(_) => self.fail_forward(sh, ctx, &fwd),
         }
     }
 
     /// Files a typed complaint with RS against any accused component —
     /// char drivers and sibling servers go through the same arbiter.
+    // analyze:recovery
     fn complain(
         &mut self,
         sh: &mut Shell,
@@ -372,9 +382,9 @@ impl Vfs {
         fwd: Forward,
         result: Result<Message, IpcError>,
     ) {
-        // [recovery:begin]
         match result {
             Ok(mut reply) => {
+                // analyze:recovery
                 match &fwd {
                     Forward::Dev(_, exp) => {
                         let driver = match vet_reply(exp, &reply) {
@@ -419,6 +429,7 @@ impl Vfs {
                 }
                 sh.reply(ctx, fwd.client(), reply);
             }
+            // analyze:recovery
             Err(_) => {
                 // §6.3: the char driver (or FS) died mid-request; push
                 // the error to the application.
@@ -426,7 +437,6 @@ impl Vfs {
                 self.fail_forward(sh, ctx, &fwd);
             }
         }
-        // [recovery:end]
     }
 }
 
@@ -440,12 +450,15 @@ impl ServerLogic for Vfs {
         restore_garbage: "vfs.mounts_restore_garbage",
     };
 
+    // analyze:recovery
     type Saved = Mounts;
 
+    // analyze:recovery
     fn encode(&self) -> Vec<u8> {
         self.mounts.encode()
     }
 
+    // analyze:recovery
     fn decode(payload: &[u8]) -> Option<Mounts> {
         let mut r = Reader::new(payload);
         let mounts = Mounts {
@@ -462,6 +475,7 @@ impl ServerLogic for Vfs {
     /// Fills in only what the DS replay has not already delivered
     /// (fresher endpoints win over the snapshot; a stale binding merely
     /// costs one driver-died failure).
+    // analyze:recovery
     fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: Mounts) {
         let m = &mut self.mounts;
         m.fs = m.fs.or(saved.fs);
@@ -485,7 +499,9 @@ impl ServerLogic for Vfs {
             parent,
         } = update;
         if key == self.fs_key {
+            // analyze:recovery
             let rebound = self.mounts.fs.is_some_and(|old| old != ep);
+            // analyze:recovery
             if self.mounts.fs != Some(ep) {
                 sh.gate.mark_dirty();
             }
@@ -512,12 +528,15 @@ impl ServerLogic for Vfs {
                 self.forward(sh, ctx, &fs_name, ep, c, m);
             }
         } else if Some(&key) == self.fat_key.as_ref() {
+            // analyze:recovery
             if self.mounts.fat != Some(ep) {
                 sh.gate.mark_dirty();
             }
             self.mounts.fat = Some(ep);
         } else if key.starts_with("chr.") {
+            // analyze:recovery
             let rebound = self.mounts.chr.get(&key).is_some_and(|&old| old != ep);
+            // analyze:recovery
             if self.mounts.chr.get(&key) != Some(&ep) {
                 sh.gate.mark_dirty();
             }
