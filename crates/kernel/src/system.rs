@@ -352,10 +352,8 @@ impl System {
     /// restarted incarnation will be granted).
     pub fn declared_privileges(&self) -> BTreeMap<String, Privileges> {
         let mut out = BTreeMap::new();
-        for s in &self.slots {
-            if let SlotState::Live(p) = s {
-                out.insert(p.name.to_string(), p.privileges.clone());
-            }
+        for p in self.live() {
+            out.insert(p.name.to_string(), p.privileges.clone());
         }
         for (name, entry) in &self.programs {
             out.insert(name.clone(), entry.privileges.clone());
@@ -593,10 +591,7 @@ impl System {
     /// This is a machine/test convenience; components themselves must use
     /// the data store for naming, as the paper prescribes.
     pub fn endpoint_by_name(&self, name: &str) -> Option<Endpoint> {
-        self.slots.iter().find_map(|s| match s {
-            SlotState::Live(p) if &*p.name == name => Some(p.endpoint),
-            _ => None,
-        })
+        self.live().find(|p| &*p.name == name).map(|p| p.endpoint)
     }
 
     /// Name of the live process at `ep`, if any.
@@ -623,13 +618,16 @@ impl System {
 
     /// Names and endpoints of all live processes, in slot order.
     pub fn live_processes(&self) -> Vec<(String, Endpoint)> {
-        self.slots
-            .iter()
-            .filter_map(|s| match s {
-                SlotState::Live(p) => Some((p.name.to_string(), p.endpoint)),
-                _ => None,
-            })
-            .collect()
+        let live = self.live().map(|p| (p.name.to_string(), p.endpoint));
+        live.collect()
+    }
+
+    /// Every live process, in slot order.
+    fn live(&self) -> impl Iterator<Item = &LiveProc> {
+        self.slots.iter().filter_map(|s| match s {
+            SlotState::Live(p) => Some(&**p),
+            SlotState::Free => None,
+        })
     }
 
     fn destroy(&mut self, ep: Endpoint, reason: ExitReason) {
@@ -1390,6 +1388,22 @@ impl<'a> Ctx<'a> {
         self.sys.is_live(target)
     }
 
+    /// The live incarnations of registered program `program` — the
+    /// processes [`Ctx::sys_spawn`] made from it, whoever their parent —
+    /// in slot order.
+    ///
+    /// Status query used by the reincarnation server's start
+    /// reconciliation: an incarnation of a guarded program that no slot
+    /// holds is an orphan of a start whose reply was lost.
+    // analyze:recovery
+    pub fn live_incarnations<'s>(
+        &'s self,
+        program: &'s str,
+    ) -> impl Iterator<Item = Endpoint> + 's {
+        let runs = move |p: &&LiveProc| p.program.as_deref() == Some(program);
+        self.sys.live().filter(runs).map(|p| p.endpoint)
+    }
+
     /// Whether the kernel babble guard has flagged `target`'s current
     /// incarnation for exceeding its unsolicited-send or reply-rate
     /// budget. Status query for the reincarnation server's audit sweep;
@@ -1425,10 +1439,8 @@ impl<'a> Ctx<'a> {
         }
         // The target's own calls sit with their callees: a scan of the
         // live slots, once per reincarnation-server audit.
-        let calling = self.sys.slots.iter().any(|s| match s {
-            SlotState::Live(p) => p.owed.iter().any(|c| c.caller == target),
-            SlotState::Free => false,
-        });
+        let owes = |p: &LiveProc| p.owed.iter().any(|c| c.caller == target);
+        let calling = self.sys.live().any(owes);
         !calling && callee.last_ipc.is_none_or(|t| now.since(t) > older_than)
     }
 

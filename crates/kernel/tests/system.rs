@@ -1411,3 +1411,64 @@ fn live_processes_lists_current_incarnations() {
     assert_eq!(sys.endpoint_by_name("a"), None);
     assert!(sys.endpoint_by_name("b").is_some());
 }
+
+/// A program's live incarnations are the processes `sys_spawn` made from
+/// it, in slot order: a boot process of the same name and another
+/// program's children are not among them, a killed one leaves, and a
+/// child stays after its parent dies.
+#[test]
+fn live_incarnations_lists_what_sys_spawn_made_of_one_program() {
+    struct Idle;
+    impl Process for Idle {
+        fn on_event(&mut self, _ctx: &mut Ctx<'_>, _event: ProcEvent) {}
+    }
+    let mut sys = new_sys();
+    sys.register_program("d", Privileges::server(), Box::new(|| Box::new(Idle)));
+    sys.register_program("e", Privileges::server(), Box::new(|| Box::new(Idle)));
+    let spawned: Rc<RefCell<Vec<Endpoint>>> = Rc::new(RefCell::new(Vec::new()));
+    let s = spawned.clone();
+    let spawn = Box::new(move |ctx: &mut Ctx<'_>, ev: &ProcEvent| {
+        if matches!(ev, ProcEvent::Start) {
+            for program in ["d", "e", "d"] {
+                s.borrow_mut().push(ctx.sys_spawn(program, None).unwrap());
+            }
+        }
+    });
+    let pm = sys.spawn_boot(
+        "pm",
+        Privileges::process_manager(),
+        Box::new(Scripted::with_react(log(), spawn)),
+    );
+    sys.spawn_boot("d", Privileges::server(), Box::new(Idle));
+    sys.run_until_idle(&mut NullPlatform, 10);
+    // What a process asking the kernel sees now.
+    let mut probes = 0;
+    let mut probe = |sys: &mut System| {
+        let seen: Rc<RefCell<Vec<Endpoint>>> = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        let ask = Box::new(move |ctx: &mut Ctx<'_>, ev: &ProcEvent| {
+            if matches!(ev, ProcEvent::Start) {
+                *s.borrow_mut() = ctx.live_incarnations("d").collect();
+            }
+        });
+        probes += 1;
+        let name = format!("probe{probes}");
+        sys.spawn_boot(
+            &name,
+            Privileges::server(),
+            Box::new(Scripted::with_react(log(), ask)),
+        );
+        sys.run_until_idle(&mut NullPlatform, 10);
+        seen.take()
+    };
+    let (d1, d2) = (spawned.borrow()[0], spawned.borrow()[2]);
+    let mut both = vec![d1, d2];
+    both.sort_by_key(|ep| ep.slot());
+    assert_eq!(probe(&mut sys), both);
+    assert!(sys.kill_by_user(pm, Signal::Kill));
+    sys.run_until_idle(&mut NullPlatform, 10);
+    assert_eq!(probe(&mut sys), both, "a child outlives its parent");
+    assert!(sys.kill_by_user(d1, Signal::Kill));
+    sys.run_until_idle(&mut NullPlatform, 10);
+    assert_eq!(probe(&mut sys), [d2]);
+}
