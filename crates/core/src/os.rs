@@ -801,7 +801,7 @@ impl Os {
         let fault_port = FaultPort::new();
 
         // ---------------- trusted base ----------------
-        // DS boots first: PM checkpoints its process records against it
+        // DS boots first: PM checkpoints its reaper binding against it
         // when the subsystem is on. DS issues no kernel calls at all: it
         // only receives requests and notifies subscribers. Its IPC must
         // stay broad — subscribers are arbitrary processes (including

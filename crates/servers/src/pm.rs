@@ -5,15 +5,17 @@
 //! itself), delivers signals, and — being the parent — receives every
 //! child's exit status from the kernel, which it forwards to RS as a
 //! `SIGCHLD` report "according to the POSIX specification" (§5.1).
-
-use std::collections::BTreeMap;
+//!
+//! PM keeps no process registry of its own: the kernel's process table is
+//! the only one, and RS reconciles its slots against it. PM's one piece
+//! of state is whom it forwards exit reports to.
 
 use phoenix_drivers::proto::drv;
 use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, ExitReason, KillOrigin, Message, Signal};
 use phoenix_simcore::trace::TraceLevel;
-use phoenix_simcore::wire::{Len, Reader, Writer};
+use phoenix_simcore::wire::{Reader, Writer};
 
 use crate::libserver::{Names, ServerLogic, Shell};
 use crate::proto::{pack_endpoint, pm, unpack_endpoint};
@@ -42,16 +44,13 @@ fn start_reply(status: u64, started: Option<Endpoint>) -> Message {
 }
 
 /// The process manager's logic; run it as `Server<ProcessManager>`. Its
-/// externalised state (crash-only contract) is the reaper binding and
-/// the started-service records, saved on every change so a restarted PM
-/// still knows what it runs.
+/// externalised state (crash-only contract) is the reaper binding alone,
+/// saved when it changes: if the registration of the reincarnation server
+/// with a restarted PM is lost, the restore rebinds it.
 #[derive(Debug, Default)]
 pub struct ProcessManager {
     /// Who receives SIGCHLD forwards (the reincarnation server).
     reaper: Option<Endpoint>,
-    /// Process records: program name -> endpoint of the most recent
-    /// incarnation PM started for it.
-    records: BTreeMap<String, Endpoint>,
 }
 
 impl ProcessManager {
@@ -86,30 +85,21 @@ impl ServerLogic for ProcessManager {
     // analyze:recovery
     type Saved = ProcessManager;
 
-    /// Serialises the reaper binding and the started-service records
-    /// (layout: DESIGN §5e, "what is on the wire").
+    /// Serialises the reaper binding (layout: DESIGN §5e, "what is on
+    /// the wire").
     // analyze:recovery
     fn encode(&self) -> Vec<u8> {
         let mut w = Writer::new();
         Endpoint::put_opt(self.reaper, &mut w);
-        w.seq(Len::U16, self.records.iter(), |w, (name, &ep)| {
-            w.str(Len::U8, name);
-            ep.put(w);
-        });
         w.into_bytes()
     }
 
     // analyze:recovery
     fn decode(payload: &[u8]) -> Option<ProcessManager> {
         let mut r = Reader::new(payload);
-        let pm = ProcessManager {
-            reaper: Endpoint::get_opt(&mut r)?,
-            records: r.seq(Len::U16, |r| {
-                Some((r.str(Len::U8)?.to_string(), Endpoint::get(r)?))
-            })?,
-        };
+        let reaper = Endpoint::get_opt(&mut r)?;
         r.finish()?;
-        Some(pm)
+        Some(ProcessManager { reaper })
     }
 
     /// A live reaper binding delivered after the restart (RS
@@ -117,9 +107,6 @@ impl ServerLogic for ProcessManager {
     // analyze:recovery
     fn adopt(&mut self, ctx: &mut Ctx<'_>, saved: ProcessManager) {
         self.reaper = self.reaper.or(saved.reaper);
-        for (name, ep) in saved.records {
-            self.records.entry(name).or_insert(ep);
-        }
         ctx.metrics().incr("pm.records_restored");
     }
 
@@ -167,7 +154,7 @@ impl ServerLogic for ProcessManager {
     }
 
     /// Serves one START/KILL request (also the replay path for requests
-    /// parked behind a record restore).
+    /// parked behind a restore).
     fn request(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, call: CallId, msg: Message) {
         match pm::Msg::decode(&msg) {
             // Only the registered reaper (RS) may start services.
@@ -175,21 +162,16 @@ impl ServerLogic for ProcessManager {
                 sh.reply(ctx, call, start_reply(pm_status::DENIED, None));
             }
             Some(pm::Msg::START(start)) => {
-                let program = String::from_utf8_lossy(&msg.data).to_string();
+                let program = String::from_utf8_lossy(&msg.data);
                 let version = match start.version {
                     0 => None,
                     v => Some(v as u32),
                 };
-                match ctx.sys_spawn(&program, version) {
-                    Ok(ep) => {
-                        self.records.insert(program, ep);
-                        sh.gate.mark_dirty();
-                        sh.reply(ctx, call, start_reply(pm_status::OK, Some(ep)));
-                    }
-                    Err(_) => {
-                        sh.reply(ctx, call, start_reply(pm_status::NO_PROGRAM, None));
-                    }
-                }
+                let reply = match ctx.sys_spawn(&program, version) {
+                    Ok(ep) => start_reply(pm_status::OK, Some(ep)),
+                    Err(_) => start_reply(pm_status::NO_PROGRAM, None),
+                };
+                sh.reply(ctx, call, reply);
             }
             Some(pm::Msg::KILL(kill)) if self.reaper == Some(msg.source) => {
                 let target = unpack_endpoint(kill.slot, kill.generation);
@@ -215,23 +197,5 @@ impl ServerLogic for ProcessManager {
                 sh.reply(ctx, call, denied.into_message());
             }
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// A program name longer than the one-byte prefix can say is cut,
-    /// prefix and bytes agreeing: the frame still decodes.
-    #[test]
-    fn an_overlong_name_is_cut_not_corrupted() {
-        let mut pm = ProcessManager::new();
-        let long = "p".repeat(254) + "\u{e9}tail";
-        pm.records.insert(long.clone(), Endpoint::new(9, 1));
-        pm.records.insert("vfs".to_string(), Endpoint::new(4, 1));
-        let restored = ProcessManager::decode(&pm.encode()).expect("still one of ours");
-        let names: Vec<&str> = restored.records.keys().map(String::as_str).collect();
-        assert_eq!(names, [&long[..254], "vfs"]);
     }
 }

@@ -46,20 +46,15 @@ fn vfs_mounts() -> Row {
     }
 }
 
+/// PM's reaper binding, its whole state.
 fn pm_records() -> Row {
     let mut w = Writer::new();
     Endpoint::put_opt(Some(ep(2, 1)), &mut w);
-    w.u16(2);
-    let name_at = w.written().len() + 1;
-    for (name, slot) in [("blk.sata", 6), ("vfs", 4)] {
-        w.str(Len::U8, name);
-        ep(slot, 3).put(&mut w);
-    }
     Row {
         what: "pm records",
         frame: w.into_bytes(),
         recode: |b| Some(ProcessManager::decode(b)?.encode()),
-        name_at: Some(name_at),
+        name_at: None,
     }
 }
 
