@@ -155,14 +155,14 @@ fn two_nodes() {
     check(
         2,
         [
-            "878789f5256e73859069be9380ad6997",
-            "d831728147eb3925867dfa858239f14b",
-            "3caca8797877fecfb36accc2462db205",
-            "4a5345356b0a0d4bfbae18da31693efa",
-            "878789f5256e73859069be9380ad6997",
-            "7639b1f9109dccc991c86601d554dd45",
-            "3077fa24b585ea7b59fcfd8294671e85",
-            "4a5345356b0a0d4bfbae18da31693efa",
+            "e14fec4c1b3b82e8eea2db8ff56cb22f",
+            "1beb5e70629e0037487ab91e25d565cf",
+            "2b066b37409762c39a5a6757daed65ea",
+            "00ed72a7f9e2334547fb3be9e4b15250",
+            "e14fec4c1b3b82e8eea2db8ff56cb22f",
+            "1316b7b13c605e484c0adc374fcd9f28",
+            "50431e7317d097086bfa9c815c5151fd",
+            "00ed72a7f9e2334547fb3be9e4b15250",
         ],
     );
 }
@@ -172,14 +172,14 @@ fn three_nodes() {
     check(
         3,
         [
-            "41b46bb3f0b8dd906ebe0838bcdc3301",
-            "a6c0bc2e684a07bfc96b5a57fbdf4e17",
-            "c3eb4d647fe125ce268426d3e1125ffe",
-            "6d662342f8ffe687618124516e948c27",
-            "41b46bb3f0b8dd906ebe0838bcdc3301",
-            "01be0d64c27818ab8343fe569c3f5833",
-            "689b1025f14017e9c840b721025bda42",
-            "6d662342f8ffe687618124516e948c27",
+            "aa1c8692baded3b91eabc2b49a3ee55b",
+            "8277ab31c76e54fcf65a9d964e3d8b4d",
+            "86fc06f3e9192f11a48f426461b301fb",
+            "09c7deb374221193f57a353a34c71c56",
+            "aa1c8692baded3b91eabc2b49a3ee55b",
+            "b4a2965da5012279e54a6c0dd21805ea",
+            "a2d7f610db35415214408c1b3f884cf5",
+            "09c7deb374221193f57a353a34c71c56",
         ],
     );
 }
@@ -189,14 +189,14 @@ fn four_nodes() {
     check(
         4,
         [
-            "c7797ead13e71297cf3bdbf612ca3c83",
-            "027dc472bc4d55880c8a0303b82615bd",
-            "4e4571c01c89f799f6b7f2f199e2a4e3",
-            "93063d5ead6d33c0f95bd4b6fa8d9fe6",
-            "c7797ead13e71297cf3bdbf612ca3c83",
-            "8913acfed2f7a108c0b9011a7c19b737",
-            "bdf769fac4cfc8ee55c7ab0f1f2c8f68",
-            "93063d5ead6d33c0f95bd4b6fa8d9fe6",
+            "59c11f106029be6e8b06facd3f1b0eab",
+            "fff9fe5db858b4efa82486cbac4737ef",
+            "2287d81c8ec4f3feb8214e28fe0f9a9a",
+            "9a749e6d0c25b91301777524398b64c1",
+            "59c11f106029be6e8b06facd3f1b0eab",
+            "fac1436e790a491be6fe6e117a43cdbe",
+            "042b72e45ac6cfb853d8e1bb6989c466",
+            "9a749e6d0c25b91301777524398b64c1",
         ],
     );
 }
@@ -206,14 +206,14 @@ fn eight_nodes() {
     check(
         8,
         [
-            "1a3449bf9e4c969c35305368bc535dc9",
-            "b5d3700feecff71a8f02167ae3ab1f9b",
-            "765ca45faaf50be8ed832a6dacb46a38",
-            "06b3e0e9707b15d049a8978a412304c0",
-            "1a3449bf9e4c969c35305368bc535dc9",
-            "fe5f7544515823987aa22a3b8d984b01",
-            "31667fe7a3a893756602ce371f6d8a07",
-            "06b3e0e9707b15d049a8978a412304c0",
+            "ef5482104b2e1540d783b0c35e7331ce",
+            "db404497694480ca2e81d7ec4bc19a56",
+            "ca988d8239d1636e26eb006d975992ff",
+            "a8e601e43e67655a91cc412df779e99f",
+            "ef5482104b2e1540d783b0c35e7331ce",
+            "cf24fbb9a1f5840340bec01c03e06919",
+            "1012cf540d180eb5af482d23e0625282",
+            "a8e601e43e67655a91cc412df779e99f",
         ],
     );
 }

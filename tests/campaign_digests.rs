@@ -53,7 +53,7 @@ fn ckpt_digests_are_pinned() {
         };
         run_ckpt_campaign(&cfg).0.digest
     };
-    assert_eq!(digest(true), "108b0930d558f736737c135d26376613");
+    assert_eq!(digest(true), "fb0429a07ed09fa5c136aad7943f7e9b");
     assert_eq!(digest(false), "c236985b1355a4b82777cde5afcc7046");
 }
 
@@ -91,10 +91,10 @@ fn microreboot_digests_are_pinned() {
     };
     assert_eq!(
         run_microreboot_campaign(&cfg).0.digest,
-        "3b73b6b2b7f36ea5d65c3b352ce0c2d1"
+        "6ab34a0cd89b984686ae3d144111a990"
     );
     let control = run_microreboot_control(&cfg, SimDuration::from_secs(2));
-    assert_eq!(control.digest, "6f32b8ac44ea644cf2d43ab6330f03d4");
+    assert_eq!(control.digest, "69ea5c42d7f437d6d1ab118b851fbeaa");
 }
 
 #[test]
@@ -135,14 +135,14 @@ fn standby_digests_are_pinned() {
     };
     assert_eq!(
         run_standby_campaign(&cfg(true)).0.digest,
-        "f961cbf2e02fa8e085196bcce6574bae"
+        "f2aef7988a3dde0934ab77a6b2d347bc"
     );
     assert_eq!(
         run_standby_campaign(&cfg(false)).0.digest,
-        "44d487ca1ad1e233c2012376c75af458"
+        "0e2be675d9d4452c7248b65f844e239b"
     );
     let control = run_standby_control(&cfg(true), SimDuration::from_secs(2));
-    assert_eq!(control.digest, "9b42995f279359fe31ddbfd18820558a");
+    assert_eq!(control.digest, "286ea1febc85b89a5da979cf1cfe7a27");
 }
 
 #[test]
@@ -153,6 +153,6 @@ fn fleet_digest_is_pinned() {
     };
     assert_eq!(
         run_fleet_campaign(&cfg).digest,
-        "a4be30342ab09a3ac505078d684a1efd"
+        "201e364cad300585abe0d9f32edfa911"
     );
 }
