@@ -310,7 +310,7 @@ fn failover(name: &'static str, holds: Vec<Hold>) -> Case {
 }
 
 /// One row per role (the primary, its warm spare, PM) and per loss.
-fn role_rows() -> [Row; 11] {
+fn role_rows() -> [Row; 12] {
     use IpcClass::Reply;
     let standby = drv().with_hot_standby();
     // RS guarding PM as well as `drv`.
@@ -351,6 +351,29 @@ fn role_rows() -> [Row; 11] {
                 ("rs.starts", 1),
                 ("rs.start_timeouts", 1),
                 ("rs.ghost_kills", 1),
+            ],
+            &["drv", "pm"],
+        ),
+        (
+            // The START request is held past the retry's own timeout too
+            // (to 150 ms) and its reply is lost: the spawn comes after
+            // both timeouts' reconciles and no reply names it, so the
+            // audit at 750 ms reaps it as an orphan.
+            Case {
+                end_ms: 1_000,
+                ..Case::new(
+                    "primary: start request outlives the retry's timeout, its reply lost",
+                    drv(),
+                    vec![
+                        hold("rs", "pm", IpcClass::Request, 1, 150),
+                        lose("pm", "rs", Reply, 2),
+                    ],
+                )
+            },
+            &[
+                ("rs.starts", 1),
+                ("rs.start_timeouts", 1),
+                ("rs.orphans_reaped", 1),
             ],
             &["drv", "pm"],
         ),
