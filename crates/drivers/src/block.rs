@@ -96,7 +96,7 @@ fn reply_status(ctx: &mut Ctx<'_>, call: CallId, status: u64, count: u64) {
 /// file server's sentinel skips the check) so the sentinel can verify
 /// the driver actually processed the descriptor it was sent.
 fn validate(
-    routine: &GuardedRoutine,
+    routine: &mut GuardedRoutine,
     ctx: &mut Ctx<'_>,
     lba: u64,
     count: u64,
@@ -164,7 +164,7 @@ impl DriverLogic for DiskDriver {
             reply_status(ctx, call, status::EAGAIN, 0);
             return;
         }
-        let checked = validate(&self.routine, ctx, lba, count, self.capacity);
+        let checked = validate(&mut self.routine, ctx, lba, count, self.capacity);
         let Some((bytes, csum)) = checked else {
             return; // driver is dying; rendezvous will abort
         };
@@ -290,7 +290,8 @@ impl DriverLogic for RamDiskDriver {
             Some(bdev::Msg::WRITE(bdev::Write { lba, count, grant })) => (false, lba, count, grant),
             Some(bdev::Msg::REPLY(_)) | None => return reply_status(ctx, call, status::EINVAL, 0),
         };
-        let checked = validate(&self.routine, ctx, lba, count, self.capacity());
+        let capacity = self.capacity();
+        let checked = validate(&mut self.routine, ctx, lba, count, capacity);
         let Some((bytes, csum)) = checked else {
             return;
         };

@@ -121,7 +121,7 @@ fn status_reply(status: u64) -> Message {
 /// `mem_size(piece length)` bytes, and returns the wrapping sum of the
 /// pieces' byte sums; `None` if a run killed the driver.
 fn sum_payload(
-    routine: &GuardedRoutine,
+    routine: &mut GuardedRoutine,
     ctx: &mut Ctx<'_>,
     data: &[u8],
     mem_size: impl Fn(usize) -> usize,
@@ -421,7 +421,7 @@ impl<D: StreamDevice> DriverLogic for StreamDriver<D> {
                 if self.gate.park(ctx, call, msg) {
                     return; // served after the snapshot restore
                 }
-                let Some(csum) = sum_payload(&self.routine, ctx, data, |len| len.max(16) + 16)
+                let Some(csum) = sum_payload(&mut self.routine, ctx, data, |len| len.max(16) + 16)
                 else {
                     return; // dying
                 };
@@ -522,7 +522,7 @@ impl DriverLogic for ScsiCdDriver {
                     let _ = ctx.reply(call, status_reply(status::EINVAL));
                     return;
                 }
-                if sum_payload(&self.routine, ctx, data, |len| len + 16).is_none() {
+                if sum_payload(&mut self.routine, ctx, data, |len| len + 16).is_none() {
                     return;
                 }
                 if ctx.mem_write(0, data).is_err() {
@@ -641,9 +641,9 @@ impl DriverLogic for KeyboardDriver {
                 if n > 0 {
                     // The per-byte processing loop runs on the fault VM so
                     // the §7.2 campaign can target input drivers too.
-                    let data = self.line_buf[..n].to_vec();
+                    let line = &self.line_buf[..n];
                     let vm = self.routine.run(ctx, n + 16, |vm| {
-                        vm.mem[0..n].copy_from_slice(&data);
+                        vm.mem[0..n].copy_from_slice(line);
                         vm.regs[routines::reg::A0 as usize] = n as u32;
                     });
                     let Some(vm) = vm else {

@@ -66,10 +66,13 @@ impl std::fmt::Debug for FaultPort {
 /// A driver hot path compiled to fault-VM code.
 ///
 /// Cloned from the pristine image at driver start; the running copy may be
-/// mutated by the injector.
+/// mutated by the injector. The routine owns the one [`Vm`] it runs on:
+/// its memory is allocated at the first run and reset before every run
+/// to what [`Vm::new`] returns, so no run sees what an earlier one left.
 #[derive(Debug, Clone)]
 pub struct GuardedRoutine {
     live: CodeCell,
+    vm: Vm,
 }
 
 impl GuardedRoutine {
@@ -77,6 +80,7 @@ impl GuardedRoutine {
     pub fn new(pristine: &[u32]) -> Self {
         GuardedRoutine {
             live: Rc::new(RefCell::new(pristine.to_vec())),
+            vm: Vm::new(0),
         }
     }
 
@@ -85,28 +89,33 @@ impl GuardedRoutine {
         Rc::clone(&self.live)
     }
 
-    /// Executes the routine with `setup` preparing registers/memory.
+    /// Runs the live code in the routine's VM, reset to `mem_size`
+    /// zeroed bytes and prepared by `setup`: the outcome, and the VM as
+    /// the run left it.
+    pub fn outcome(&mut self, mem_size: usize, setup: impl FnOnce(&mut Vm)) -> (Outcome, &Vm) {
+        self.vm.reset_to(mem_size);
+        setup(&mut self.vm);
+        let outcome = self.vm.run(&self.live.borrow(), GAS_LIMIT);
+        (outcome, &self.vm)
+    }
+
+    /// Executes the routine in a VM of `mem_size` zeroed bytes, with
+    /// `setup` preparing registers/memory.
     ///
     /// Returns `Some(vm)` on normal completion so the caller can read
     /// results. On a trap or loop the driver dies the way the mutated
     /// binary dictates — panic, exception, or hang — and `None` is
     /// returned; the caller must abandon the request immediately.
     pub fn run(
-        &self,
+        &mut self,
         ctx: &mut Ctx<'_>,
         mem_size: usize,
         setup: impl FnOnce(&mut Vm),
-    ) -> Option<Vm> {
-        let mut vm = Vm::new(mem_size);
-        setup(&mut vm);
-        let code = self.live.borrow();
-        match vm.run(&code, GAS_LIMIT) {
-            Outcome::Halted { .. } => {
-                drop(code);
-                Some(vm)
-            }
+    ) -> Option<&Vm> {
+        let (outcome, vm) = self.outcome(mem_size, setup);
+        match outcome {
+            Outcome::Halted { .. } => Some(vm),
             Outcome::Trapped { trap, pc } => {
-                drop(code);
                 match trap {
                     // The driver's own sanity check: an internal panic
                     // (defect class 1).
@@ -125,7 +134,6 @@ impl GuardedRoutine {
                 None
             }
             Outcome::OutOfGas => {
-                drop(code);
                 // Infinite loop: the driver stops responding; only missing
                 // heartbeats (class 4) or SIGKILL get rid of it.
                 ctx.hang();

@@ -24,13 +24,18 @@
 //! every word of every enumerated program, and on every register
 //! assignment of the bare loop.
 //!
+//! A driver runs its routine on the one VM its `GuardedRoutine` keeps,
+//! reset before every run; every single-word mutant is also run there,
+//! after a run that left the VM dirty at a larger or a smaller memory
+//! size, and must leave what a run on a fresh `Vm::new` leaves.
+//!
 //! `cargo test --release` (as `ci.sh` runs it) takes every program and
 //! prints the run count; an unoptimised build takes every `STRIDE`-th so
 //! that tier-1 stays within seconds.
 
 use std::time::Instant;
 
-use phoenix_drivers::libdriver::GAS_LIMIT;
+use phoenix_drivers::libdriver::{GuardedRoutine, GAS_LIMIT};
 use phoenix_drivers::routines::{self, reg};
 use phoenix_fault::isa::{decode, encode, Instr, Reg, NUM_REGS};
 use phoenix_fault::mutate::{apply_fault, ALL_FAULT_TYPES};
@@ -421,6 +426,74 @@ fn every_single_word_mutant_of_every_routine_runs_as_it_steps() {
     }
     println!(
         "differential {runs} runs, {programs} single-word programs, 0 mismatches, wall {:.2} s",
+        t0.elapsed().as_secs_f64()
+    );
+}
+
+/// What a driver's setup writes for `input`: its nonzero registers and
+/// bytes only, so every zero the run reads must come from the reset.
+fn driver_setup(input: &Input) -> impl Fn(&mut Vm) + '_ {
+    |vm| {
+        for (r, &v) in vm.regs.iter_mut().zip(&input.regs) {
+            if v != 0 {
+                *r = v;
+            }
+        }
+        for (m, &b) in vm.mem.iter_mut().zip(&input.mem) {
+            if b != 0 {
+                *m = b;
+            }
+        }
+    }
+}
+
+#[test]
+fn a_reused_vm_runs_every_single_word_mutant_as_a_fresh_one() {
+    let t0 = Instant::now();
+    let (mut runs, mut seen) = (0, 0usize);
+    for r in routines() {
+        let pristine = routines::with_cold_section(r.hot.clone(), COLD_COPIES);
+        let inputs = inputs(&r, &pristine);
+        let mut routine = GuardedRoutine::new(&pristine);
+        let live = routine.live();
+        for (idx, &w) in pristine.iter().enumerate() {
+            for m in word_mutants(w) {
+                seen += 1;
+                if seen % STRIDE != 0 {
+                    continue;
+                }
+                live.borrow_mut()[idx] = m;
+                let program = live.borrow().clone();
+                for (k, input) in inputs.iter().enumerate() {
+                    let size = input.mem.len();
+                    // The run before leaves junk everywhere, its memory
+                    // larger than this run's for even `k`, smaller for odd.
+                    let dirty = if k % 2 == 0 { size + 37 } else { size / 2 };
+                    let _ = routine.outcome(dirty, |vm| {
+                        vm.regs = [0xA5A5_A5A5; NUM_REGS];
+                        vm.mem.fill(0xA5);
+                    });
+                    let (outcome, reused) = routine.outcome(size, driver_setup(input));
+                    let mut fresh = Vm::new(size);
+                    driver_setup(input)(&mut fresh);
+                    let expected = fresh.run(&program, GAS_LIMIT);
+                    assert!(
+                        (outcome, reused.regs) == (expected, fresh.regs) && reused.mem == fresh.mem,
+                        "{}, word {idx} = {m:#010x}, input {k}: reused {outcome:?} {:?} / \
+                         fresh {expected:?} {:?}, memory equal: {}",
+                        r.name,
+                        reused.regs,
+                        fresh.regs,
+                        reused.mem == fresh.mem
+                    );
+                    runs += 1;
+                }
+            }
+            live.borrow_mut()[idx] = w;
+        }
+    }
+    println!(
+        "differential {runs} runs on a reused VM against a fresh one, 0 mismatches, wall {:.2} s",
         t0.elapsed().as_secs_f64()
     );
 }
