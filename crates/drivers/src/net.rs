@@ -27,7 +27,7 @@ pub const MAX_FRAME: usize = 1518;
 /// One frame as the card presented it, before validation.
 pub struct RxFrame {
     /// The 4-byte ring header.
-    hdr: Vec<u8>,
+    hdr: [u8; 4],
     /// Frame length the header declares (the rx routine bounds-checks it).
     declared_len: usize,
     /// The payload actually read, at most [`MAX_FRAME`] bytes.
@@ -139,7 +139,7 @@ impl<N: Nic> EthDriver<N> {
             let Some(vm) = vm else {
                 return; // driver dying
             };
-            self.nic.consume(ctx, self.dev, &rx, &vm);
+            self.nic.consume(ctx, self.dev, &rx, vm);
             if let Some(client) = self.client {
                 let _ = ctx.send(client, Message::new(eth::RECV).with_data(rx.frame));
             }
@@ -204,17 +204,17 @@ const TX_STAGE: usize = RX_RING_LEN; // tx staging right after the rx ring
 const TX_STAGE_LEN: usize = 2048;
 
 impl Rtl8139Card {
-    fn ring_read(ctx: &mut Ctx<'_>, off: usize, len: usize) -> Vec<u8> {
+    /// Fills `out` with the ring bytes at `off`.
+    fn ring_read(ctx: &mut Ctx<'_>, off: usize, out: &mut [u8]) {
         // The ring lives in our own memory; reads may wrap.
         let off = off % RX_RING_LEN;
+        let len = out.len();
         if off + len <= RX_RING_LEN {
-            ctx.mem(off, len).expect("ring in own space").to_vec()
+            out.copy_from_slice(ctx.mem(off, len).expect("ring in own space"));
         } else {
-            let first = RX_RING_LEN - off;
-            let mut v = Vec::with_capacity(len);
-            v.extend_from_slice(ctx.mem(off, first).expect("ring head"));
-            v.extend_from_slice(ctx.mem(0, len - first).expect("ring tail"));
-            v
+            let (head, tail) = out.split_at_mut(RX_RING_LEN - off);
+            head.copy_from_slice(ctx.mem(off, head.len()).expect("ring head"));
+            tail.copy_from_slice(ctx.mem(0, tail.len()).expect("ring tail"));
         }
     }
 }
@@ -259,9 +259,12 @@ impl Nic for Rtl8139Card {
         if cbr == self.capr {
             return None;
         }
-        let hdr = Self::ring_read(ctx, self.capr, 4);
+        let mut hdr = [0; 4];
+        Self::ring_read(ctx, self.capr, &mut hdr);
         let declared_len = usize::from(u16::from_le_bytes([hdr[2], hdr[3]]));
-        let frame = Self::ring_read(ctx, self.capr + 4, declared_len.min(MAX_FRAME));
+        // The frame's one allocation: it travels on to INET as it is.
+        let mut frame = vec![0; declared_len.min(MAX_FRAME)];
+        Self::ring_read(ctx, self.capr + 4, &mut frame);
         Some(RxFrame {
             hdr,
             declared_len,
@@ -358,7 +361,8 @@ impl Nic for Dp8390Card {
         if curr == self.bnry {
             return None;
         }
-        let hdr = Self::remote_read(ctx, dev, u16::from(self.bnry) * 256, 4);
+        let mut hdr = [0; 4];
+        hdr.copy_from_slice(&Self::remote_read(ctx, dev, u16::from(self.bnry) * 256, 4));
         let total = usize::from(u16::from_le_bytes([hdr[2], hdr[3]]));
         let declared_len = total.saturating_sub(4).min(MAX_FRAME);
         // Payload may wrap at PSTOP; read in up to two pieces.

@@ -97,6 +97,9 @@ pub struct Rtl8139 {
     tsad: [u32; 4],
     ready: bool,
     wedged: bool,
+    /// The ring header and frame `frame_in` is writing, kept so a frame
+    /// costs no allocation once the buffer has grown.
+    pkt: Vec<u8>,
     // Statistics (observable by tests and the harness).
     rx_ok: u64,
     rx_dropped: u64,
@@ -119,6 +122,7 @@ impl Rtl8139 {
             tsad: [0; 4],
             ready: false,
             wedged: false,
+            pkt: Vec::new(),
             rx_ok: 0,
             rx_dropped: 0,
             tx_ok: 0,
@@ -316,7 +320,8 @@ impl Device for Rtl8139 {
             return;
         }
         // Compose header + frame and DMA it into the ring (wrapping).
-        let mut pkt = Vec::with_capacity(need);
+        let pkt = &mut self.pkt;
+        pkt.clear();
         pkt.extend_from_slice(&1u16.to_le_bytes()); // status: OK
         pkt.extend_from_slice(&(frame.len() as u16).to_le_bytes());
         pkt.extend_from_slice(frame);

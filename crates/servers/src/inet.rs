@@ -217,7 +217,7 @@ impl Inet {
         }
     }
 
-    fn send_segment(&mut self, ctx: &mut Ctx<'_>, seg: Segment) {
+    fn send_segment(&mut self, ctx: &mut Ctx<'_>, seg: Segment<impl AsRef<[u8]>>) {
         self.eth_write(ctx, seg.encode());
     }
 
@@ -262,9 +262,10 @@ impl Inet {
             conn: conn_id,
             seq: conn.snd_base,
             ack: conn.rcv_nxt,
-            payload: conn.snd_buf.clone(),
+            payload: conn.snd_buf.as_slice(),
         };
-        self.send_segment(ctx, seg);
+        let frame = seg.encode();
+        self.eth_write(ctx, frame);
         self.arm_timer(ctx, conn_id);
     }
 
@@ -359,8 +360,10 @@ impl Inet {
         sh.complain(ctx, self.rs, accused, evidence::GARBLED_FRAMES, trace);
     }
 
-    fn on_frame(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, frame: &[u8]) {
-        let Some(seg) = Segment::decode(frame) else {
+    /// A frame the driver delivered; it becomes the payload handed on to
+    /// the application, the header removed in place.
+    fn on_frame(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, frame: Vec<u8>) {
+        let Some(seg) = Segment::from_frame(frame) else {
             self.on_garbled(sh, ctx);
             return;
         };
@@ -585,8 +588,7 @@ impl ServerLogic for Inet {
                     ctx.metrics().incr("inet.frames_dropped_prerestore");
                     return;
                 }
-                let frame = msg.data.clone();
-                self.on_frame(sh, ctx, &frame);
+                self.on_frame(sh, ctx, msg.data);
             }
             ProcEvent::Reply { call, result } => {
                 if Some(call) == self.init_call {
@@ -770,7 +772,7 @@ impl ServerLogic for Inet {
                     conn: 0,
                     seq: dgram.seq as u32,
                     ack: 0,
-                    payload: msg.data.clone(),
+                    payload: msg.data.as_slice(),
                 };
                 // Unreliable: fire and forget; loss is explicitly
                 // tolerated (§6.1).

@@ -36,9 +36,12 @@ pub mod flags {
     pub const DGRAM: u8 = 0x10;
 }
 
-/// A parsed transport segment.
+/// A transport segment. The payload `P` is owned (`Vec<u8>`, the
+/// default), borrowed from the frame it was parsed from (`&[u8]`, what
+/// [`Segment::parse`] returns), or absent (`()`: a header whose payload
+/// [`Segment::encode_with`] writes straight into the frame).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Segment {
+pub struct Segment<P = Vec<u8>> {
     /// Flag bits.
     pub flags: u8,
     /// Connection id.
@@ -48,7 +51,7 @@ pub struct Segment {
     /// Cumulative acknowledgement (next expected byte).
     pub ack: u32,
     /// Payload.
-    pub payload: Vec<u8>,
+    pub payload: P,
 }
 
 /// `CRC16[k][b]`: what byte `b` followed by `k` zero bytes leaves in a
@@ -122,25 +125,21 @@ impl Segment {
         }
     }
 
-    /// Serializes to wire format (header + CRC-16 + payload).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER + self.payload.len());
-        out.push(MAGIC);
-        out.push(self.flags);
-        out.extend_from_slice(&self.conn.to_le_bytes());
-        out.extend_from_slice(&self.seq.to_le_bytes());
-        out.extend_from_slice(&self.ack.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u16).to_le_bytes());
-        let mut crc = crc16(&out);
-        crc = crc.wrapping_add(crc16(&self.payload));
-        out.extend_from_slice(&crc.to_le_bytes());
-        out.extend_from_slice(&self.payload);
-        out
+    /// [`Segment::parse`] keeping `frame` as the payload: the header is
+    /// removed in place, so a received frame becomes the payload an
+    /// application is handed without a copy.
+    pub fn from_frame(mut frame: Vec<u8>) -> Option<Segment> {
+        let head = Segment::parse(&frame)?.header();
+        frame.drain(..HEADER);
+        Some(head.with_payload(frame))
     }
+}
 
-    /// Parses wire format; `None` for frames that are not ours or are
-    /// truncated/corrupt (bad CRC).
-    pub fn decode(frame: &[u8]) -> Option<Segment> {
+impl<'a> Segment<&'a [u8]> {
+    /// Parses wire format, borrowing the payload from `frame`: the one
+    /// header parser and CRC check. `None` for frames that are not ours
+    /// or are truncated/corrupt (bad CRC).
+    pub fn parse(frame: &'a [u8]) -> Option<Self> {
         if frame.len() < HEADER || frame[0] != MAGIC {
             return None;
         }
@@ -158,15 +157,69 @@ impl Segment {
             conn: u16::from_le_bytes([frame[2], frame[3]]),
             seq: u32::from_le_bytes(frame[4..8].try_into().ok()?),
             ack: u32::from_le_bytes(frame[8..12].try_into().ok()?),
-            payload: frame[HEADER..].to_vec(),
+            payload: &frame[HEADER..],
         })
+    }
+}
+
+impl<P: AsRef<[u8]>> Segment<P> {
+    /// Serializes to wire format (header + CRC-16 + payload).
+    pub fn encode(&self) -> Vec<u8> {
+        let payload = self.payload.as_ref();
+        self.header()
+            .encode_with(payload.len(), |out| out.extend_from_slice(payload))
+    }
+}
+
+impl<P> Segment<P> {
+    /// The segment without its payload.
+    pub fn header(&self) -> Segment<()> {
+        Segment {
+            flags: self.flags,
+            conn: self.conn,
+            seq: self.seq,
+            ack: self.ack,
+            payload: (),
+        }
+    }
+}
+
+impl Segment<()> {
+    /// This header with `payload`.
+    pub fn with_payload<P>(self, payload: P) -> Segment<P> {
+        Segment {
+            flags: self.flags,
+            conn: self.conn,
+            seq: self.seq,
+            ack: self.ack,
+            payload,
+        }
+    }
+
+    /// Serializes this header with a `len`-byte payload that `fill`
+    /// appends to the frame, so content made on the fly is written once,
+    /// in place.
+    pub fn encode_with(&self, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+        let mut out = Vec::with_capacity(HEADER + len);
+        out.push(MAGIC);
+        out.push(self.flags);
+        out.extend_from_slice(&self.conn.to_le_bytes());
+        out.extend_from_slice(&self.seq.to_le_bytes());
+        out.extend_from_slice(&self.ack.to_le_bytes());
+        out.extend_from_slice(&(len as u16).to_le_bytes());
+        out.extend_from_slice(&[0; 2]); // the CRC, once the payload is in
+        fill(&mut out);
+        debug_assert_eq!(out.len(), HEADER + len, "payload of the declared length");
+        let crc = crc16(&out[..14]).wrapping_add(crc16(&out[HEADER..]));
+        out[14..HEADER].copy_from_slice(&crc.to_le_bytes());
+        out
     }
 }
 
 /// Appends bytes `offset..offset + len` of the download content to `out`,
 /// a word at a time: word `i` of the stream is a function of `(seed, i)`
 /// alone, so any offset is computable without the bytes before it.
-fn stream_extend(seed: u64, offset: u64, len: usize, out: &mut Vec<u8>) {
+pub fn stream_extend(seed: u64, offset: u64, len: usize, out: &mut Vec<u8>) {
     let end = offset + len as u64;
     let mut pos = offset;
     while pos < end {
@@ -220,7 +273,7 @@ mod tests {
             ack: 99,
             payload: vec![1, 2, 3],
         };
-        assert_eq!(Segment::decode(&s.encode()), Some(s));
+        assert_eq!(Segment::from_frame(s.encode()), Some(s));
     }
 
     #[test]
@@ -228,12 +281,32 @@ mod tests {
         let d = Segment::dgram(9, 345, b"gossip".to_vec());
         assert_eq!(d.flags, flags::DGRAM);
         assert_eq!(d.ack, 0);
-        assert_eq!(Segment::decode(&d.encode()), Some(d));
+        assert_eq!(Segment::from_frame(d.encode()), Some(d));
+    }
+
+    #[test]
+    fn the_borrowed_and_in_place_forms_agree() {
+        let s = Segment {
+            flags: flags::DATA | flags::ACK,
+            conn: 4,
+            seq: 1460,
+            ack: 3,
+            payload: stream_chunk(9, 1460, 1460),
+        };
+        let frame = s.encode();
+        let streamed = s
+            .header()
+            .encode_with(1460, |out| stream_extend(9, 1460, 1460, out));
+        assert_eq!(streamed, frame, "content written in place");
+        let parsed = Segment::parse(&frame).expect("one of ours");
+        assert_eq!(parsed, s.header().with_payload(s.payload.as_slice()));
+        assert_eq!(Segment::from_frame(frame[1..].to_vec()), None);
+        assert_eq!(Segment::from_frame(frame), Some(s));
     }
 
     #[test]
     fn decode_rejects_foreign_and_truncated_frames() {
-        assert_eq!(Segment::decode(b"not ours"), None);
+        assert_eq!(Segment::parse(b"not ours"), None);
         let mut good = Segment {
             flags: flags::DATA,
             conn: 1,
@@ -243,7 +316,7 @@ mod tests {
         }
         .encode();
         good.truncate(good.len() - 1);
-        assert_eq!(Segment::decode(&good), None);
+        assert_eq!(Segment::parse(&good), None);
     }
 
     #[test]
@@ -263,13 +336,13 @@ mod tests {
             let mut bad = frame.clone();
             bad[bit / 8] ^= 1 << (bit % 8);
             assert_eq!(
-                Segment::decode(&bad),
+                Segment::parse(&bad),
                 None,
                 "flip of bit {bit} must be rejected"
             );
         }
         assert!(
-            Segment::decode(&frame).is_some(),
+            Segment::parse(&frame).is_some(),
             "pristine frame still decodes"
         );
     }

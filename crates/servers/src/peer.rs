@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use phoenix_hw::bus::{PeerCtx, RemotePeer};
 use phoenix_simcore::time::{SimDuration, SimTime};
 
-use crate::netproto::{flags, stream_chunk, Segment, MSS};
+use crate::netproto::{flags, stream_extend, Segment, HEADER, MSS};
 
 /// Payload pacing rate in bytes/second (the peer's uplink).
 const RATE: u64 = 11_000_000;
@@ -64,13 +64,14 @@ impl FilePeer {
     }
 
     /// Paced transmit: frames leave at most at [`RATE`] payload bytes per
-    /// second.
-    fn paced_send(&mut self, ctx: &mut PeerCtx<'_, '_>, seg: Segment) {
+    /// second; `tx_clock` is when the uplink is next free.
+    fn paced_send(tx_clock: &mut SimTime, ctx: &mut PeerCtx<'_, '_>, frame: Vec<u8>) {
         let now = ctx.now();
-        self.tx_clock = self.tx_clock.max(now);
-        let delay = self.tx_clock.since(now);
-        self.tx_clock += SimDuration::for_transfer(seg.payload.len().max(64) as u64, RATE);
-        ctx.send_to_host_after(delay, seg.encode());
+        *tx_clock = (*tx_clock).max(now);
+        let delay = tx_clock.since(now);
+        let payload_len = frame.len() - HEADER;
+        *tx_clock += SimDuration::for_transfer(payload_len.max(64) as u64, RATE);
+        ctx.send_to_host_after(delay, frame);
     }
 
     fn token(conn: u16, epoch: u32) -> u64 {
@@ -90,7 +91,8 @@ impl FilePeer {
         ctx.set_timer_after(delay, tok);
     }
 
-    /// Sends (or resends) everything from `snd_una` up to the window.
+    /// Sends (or resends) everything from `snd_una` up to the window,
+    /// each segment's content written straight into its frame.
     fn fill_window(&mut self, ctx: &mut PeerCtx<'_, '_>, conn_id: u16, from_una: bool) {
         let Some(conn) = self.conns.get_mut(&conn_id) else {
             return;
@@ -102,45 +104,31 @@ impl FilePeer {
             conn.snd_nxt = conn.snd_una;
         }
         let window_end = conn.snd_una as u64 + (WINDOW * MSS) as u64;
-        let mut to_send = Vec::new();
         while u64::from(conn.snd_nxt) < total && u64::from(conn.snd_nxt) < window_end {
             let off = u64::from(conn.snd_nxt);
             let len = (total - off).min(MSS as u64) as usize;
-            to_send.push((conn.snd_nxt, len));
+            let head = Segment {
+                flags: flags::DATA | flags::ACK,
+                conn: conn_id,
+                seq: conn.snd_nxt,
+                ack: conn.rcv_nxt,
+                payload: (),
+            };
+            let frame = head.encode_with(len, |out| stream_extend(seed, off, len, out));
+            Self::paced_send(&mut self.tx_clock, ctx, frame);
             conn.snd_nxt += len as u32;
         }
-        let fin_due = u64::from(conn.snd_una) >= total && !conn.fin_acked;
-        let rcv_nxt = conn.rcv_nxt;
-        for (seq, len) in to_send {
-            let payload = stream_chunk(seed, u64::from(seq), len);
-            self.paced_send(
-                ctx,
-                Segment {
-                    flags: flags::DATA | flags::ACK,
-                    conn: conn_id,
-                    seq,
-                    ack: rcv_nxt,
-                    payload,
-                },
-            );
+        if u64::from(conn.snd_una) >= total && !conn.fin_acked {
+            let fin = Segment {
+                flags: flags::FIN | flags::ACK,
+                conn: conn_id,
+                seq: total as u32,
+                ack: conn.rcv_nxt,
+                payload: (),
+            };
+            Self::paced_send(&mut self.tx_clock, ctx, fin.encode_with(0, |_| {}));
         }
-        if fin_due {
-            self.paced_send(
-                ctx,
-                Segment {
-                    flags: flags::FIN | flags::ACK,
-                    conn: conn_id,
-                    seq: total as u32,
-                    ack: rcv_nxt,
-                    payload: Vec::new(),
-                },
-            );
-        }
-        let Some(conn) = self.conns.get_mut(&conn_id) else {
-            return;
-        };
-        let all_done = conn.fin_acked;
-        if !all_done {
+        if !conn.fin_acked {
             self.arm_timer(ctx, conn_id);
         }
     }
@@ -149,7 +137,7 @@ impl FilePeer {
 impl RemotePeer for FilePeer {
     // analyze:recovery-root
     fn frame_from_host(&mut self, ctx: &mut PeerCtx<'_, '_>, frame: &[u8]) {
-        let Some(seg) = Segment::decode(frame) else {
+        let Some(seg) = Segment::parse(frame) else {
             return;
         };
         if seg.flags & flags::DGRAM != 0 {
@@ -207,7 +195,7 @@ impl RemotePeer for FilePeer {
             if seg.seq == conn.rcv_nxt {
                 conn.rcv_nxt += seg.payload.len() as u32;
                 // The only request we understand: "GET <bytes> <seed>".
-                let req = String::from_utf8_lossy(&seg.payload).to_string();
+                let req = String::from_utf8_lossy(seg.payload);
                 let mut parts = req.split_whitespace();
                 if parts.next() == Some("GET") {
                     let size: Option<u64> = parts.next().and_then(|s| s.parse().ok());
@@ -391,7 +379,7 @@ mod tests {
         assert_eq!(peer.retransmissions(), 1);
         assert_eq!(frames.len(), 3, "whole window retransmitted after heal");
         assert_eq!(timers.len(), 1, "window re-arms its next RTO");
-        let first = Segment::decode(&frames[0]).expect("valid segment");
+        let first = Segment::parse(&frames[0]).expect("valid segment");
         assert_eq!(first.seq, 0, "go-back-N restarts from snd_una");
         assert_eq!(first.payload.len(), MSS);
     }
