@@ -26,10 +26,12 @@ use crate::proto::{self, evidence, fs, DEV_TABLE, FAT_ROUTE};
 enum Forward {
     /// To a char driver: the protocol sentinel's expectation.
     Dev(CallId, SentinelExpect),
-    /// To a file server: the accused `(stable name, endpoint)` should the
-    /// reply violate the fs protocol — VFS vets its sibling servers'
-    /// replies just as it vets char drivers' (MFS has its own sentinels).
-    Fs(CallId, String, Endpoint),
+    /// To a file server: the accused `(route, endpoint)` should the reply
+    /// violate the fs protocol — VFS vets its sibling servers' replies
+    /// just as it vets char drivers' (MFS has its own sentinels). The
+    /// route names the server: [`FAT_ROUTE`] the FAT mount, any other
+    /// the root file server.
+    Fs(CallId, u64, Endpoint),
 }
 
 impl Forward {
@@ -248,19 +250,18 @@ impl Vfs {
         sh.reply(ctx, fwd.client(), refusal.into_message());
     }
 
-    /// Forwards to a file server, recording the accused identity so the
-    /// reply can be vetted against the fs protocol.
+    /// Forwards to the file server of `route`, recording the accused
+    /// identity so the reply can be vetted against the fs protocol.
     fn forward(
         &mut self,
         sh: &mut Shell,
         ctx: &mut Ctx<'_>,
-        fs_name: &str,
+        route: u64,
         dst: Endpoint,
         client: CallId,
         msg: Message,
     ) {
-        let fwd = Forward::Fs(client, fs_name.to_string(), dst);
-        self.forward_vetted(sh, ctx, dst, msg, fwd);
+        self.forward_vetted(sh, ctx, dst, msg, Forward::Fs(client, route, dst));
     }
 
     fn forward_vetted(
@@ -280,18 +281,15 @@ impl Vfs {
         }
     }
 
-    /// Files a typed complaint with RS against any accused component —
-    /// char drivers and sibling servers go through the same arbiter.
+    /// Files a typed complaint with RS against the component `fwd` went
+    /// to — char drivers and sibling servers go through the same arbiter.
     // analyze:recovery
-    fn complain(
-        &mut self,
-        sh: &mut Shell,
-        ctx: &mut Ctx<'_>,
-        name: &str,
-        accused: Endpoint,
-        kind: u32,
-        why: &str,
-    ) {
+    fn complain(&self, sh: &mut Shell, ctx: &mut Ctx<'_>, fwd: &Forward, kind: u32, why: &str) {
+        let (name, accused) = match *fwd {
+            Forward::Dev(_, exp) => (exp.key, exp.driver),
+            Forward::Fs(_, FAT_ROUTE, fat) => (self.fat_key.as_deref().unwrap_or_default(), fat),
+            Forward::Fs(_, _, fsrv) => (self.fs_key.as_str(), fsrv),
+        };
         let trace = format!("complaining about {name}: {why}");
         sh.complain(ctx, self.rs, (name, Some(accused)), kind, trace);
     }
@@ -321,17 +319,13 @@ impl Vfs {
                         Some(fat) => {
                             let open = fs::Open { route }.into_message();
                             let fwd = open.with_data(name.as_bytes().to_vec());
-                            let fat_name = self.fat_key.clone().unwrap_or_default();
-                            self.forward(sh, ctx, &fat_name, fat, call, fwd);
+                            self.forward(sh, ctx, route, fat, call, fwd);
                         }
                         None => self.fail(sh, ctx, call, status::ENODEV),
                     }
                 } else {
                     match self.mounts.fs {
-                        Some(fsrv) => {
-                            let fs_name = self.fs_key.clone();
-                            self.forward(sh, ctx, &fs_name, fsrv, call, msg);
-                        }
+                        Some(fsrv) => self.forward(sh, ctx, route, fsrv, call, msg),
                         None => self.waiting_fs.push((call, msg)),
                     }
                 }
@@ -340,21 +334,13 @@ impl Vfs {
             Some(
                 fs::Msg::READ(fs::Read { route, .. }) | fs::Msg::WRITE(fs::Write { route, .. }),
             ) => {
-                let fat_handle = route == FAT_ROUTE;
-                let dst = if fat_handle {
+                let dst = if route == FAT_ROUTE {
                     self.mounts.fat
                 } else {
                     self.mounts.fs
                 };
                 match dst {
-                    Some(fsrv) => {
-                        let fs_name = if fat_handle {
-                            self.fat_key.clone().unwrap_or_default()
-                        } else {
-                            self.fs_key.clone()
-                        };
-                        self.forward(sh, ctx, &fs_name, fsrv, call, msg);
-                    }
+                    Some(fsrv) => self.forward(sh, ctx, route, fsrv, call, msg),
                     None => self.waiting_fs.push((call, msg)),
                 }
             }
@@ -396,7 +382,7 @@ impl Vfs {
                                 // set so recovery-aware clients treat the
                                 // suspect driver like a dead one and redo the
                                 // work.
-                                self.complain(sh, ctx, exp.key, exp.driver, kind, why);
+                                self.complain(sh, ctx, &fwd, kind, why);
                                 self.fail_forward(sh, ctx, &fwd);
                                 return;
                             }
@@ -411,7 +397,7 @@ impl Vfs {
                         };
                         reply = stripped.into_message().with_data(data);
                     }
-                    Forward::Fs(_, name, accused) => {
+                    Forward::Fs(..) => {
                         // File-server forward: a reply of the wrong type
                         // means the sibling server's reply path computes
                         // garbage — a fail-silent server defect. Complain
@@ -421,7 +407,7 @@ impl Vfs {
                         let kind = fs::Msg::decode(&reply);
                         if !matches!(kind, Some(fs::Msg::OPEN_REPLY(_) | fs::Msg::DATA_REPLY(_))) {
                             let why = "wrong fs reply type";
-                            self.complain(sh, ctx, name, *accused, evidence::BAD_REPLY, why);
+                            self.complain(sh, ctx, &fwd, evidence::BAD_REPLY, why);
                             self.fail_forward(sh, ctx, &fwd);
                             return;
                         }
@@ -523,9 +509,10 @@ impl ServerLogic for Vfs {
                     .with_parent_opt(parent);
                 ctx.trace_event(ev);
             }
+            // Parked requests all go to the root file server, whatever
+            // their route.
             for (c, m) in parked {
-                let fs_name = self.fs_key.clone();
-                self.forward(sh, ctx, &fs_name, ep, c, m);
+                self.forward(sh, ctx, 0, ep, c, m);
             }
         } else if Some(&key) == self.fat_key.as_ref() {
             // analyze:recovery
