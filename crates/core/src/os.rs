@@ -187,7 +187,7 @@ impl Default for OsBuilder {
             hot_standby: false,
             adapt: None,
             ramdisk_sectors: None,
-            driver_policy: Some(PolicyScript::direct_restart()),
+            driver_policy: None,
             heartbeat: Some((base.heartbeat_period, base.heartbeat_misses)),
             policy_overrides: Vec::new(),
             chaos: None,
@@ -295,8 +295,8 @@ impl OsBuilder {
         self
     }
 
-    /// Sets the default driver recovery policy (default: direct restart,
-    /// as in the §7.1 experiments).
+    /// Sets the default driver recovery policy (default: none, a direct
+    /// restart, as in the §7.1 experiments).
     pub fn driver_policy(mut self, policy: PolicyScript) -> Self {
         self.driver_policy = Some(policy);
         self

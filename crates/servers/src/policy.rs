@@ -399,7 +399,6 @@ enum Stmt {
 pub struct PolicyScript {
     body: Vec<Stmt>,
     adapt: Vec<AdaptRule>,
-    source: String,
 }
 
 /// The generic recovery script of Fig. 2: exponential backoff except for
@@ -414,11 +413,6 @@ if param(1) != "" then
     alert "failure: $component reason=$reason count=$repetition -> $1"
 end
 "#;
-
-/// A policy that always restarts immediately — the recovery policy used
-/// for the performance tests of §7.1 ("directly restarts the driver
-/// without introducing delays").
-pub const DIRECT_RESTART_POLICY: &str = "restart\n";
 
 fn tokenize(line: &str) -> Result<Vec<String>, String> {
     let mut out = Vec::new();
@@ -494,14 +488,13 @@ fn parse_duration(tok: &str) -> Option<SimDuration> {
     }
 }
 
-struct Parser<'a> {
+struct Parser {
     lines: Vec<(usize, Vec<String>)>,
     pos: usize,
     adapt: Vec<AdaptRule>,
-    _src: &'a str,
 }
 
-impl<'a> Parser<'a> {
+impl Parser {
     fn err(&self, line: usize, message: impl Into<String>) -> ParseError {
         ParseError {
             line,
@@ -853,13 +846,11 @@ impl PolicyScript {
             lines,
             pos: 0,
             adapt: Vec::new(),
-            _src: source,
         };
         let (body, _) = p.parse_block(&[])?;
         Ok(PolicyScript {
             body,
             adapt: p.adapt,
-            source: source.to_string(),
         })
     }
 
@@ -868,18 +859,6 @@ impl PolicyScript {
         // analyze:allow(unwrap-recovery): parses a const known-good script;
         // covered by the policy unit tests, cannot fail at runtime.
         Self::parse(GENERIC_POLICY).expect("generic policy parses")
-    }
-
-    /// A policy that restarts immediately with no delay (§7.1).
-    pub fn direct_restart() -> Self {
-        // analyze:allow(unwrap-recovery): parses a const known-good script;
-        // covered by the policy unit tests, cannot fail at runtime.
-        Self::parse(DIRECT_RESTART_POLICY).expect("direct policy parses")
-    }
-
-    /// The original script text.
-    pub fn source(&self) -> &str {
-        &self.source
     }
 
     /// The `adapt` controller rules declared by the script, in source
@@ -1115,12 +1094,44 @@ mod tests {
         assert!(p.run(&i2).alerts.is_empty());
     }
 
+    /// A service with no script restarts directly: RS's no-script arm
+    /// decides `restart` and nothing else. The one-line script `restart`
+    /// decides exactly that for every input, so a direct restart needs
+    /// no script.
     #[test]
     fn direct_restart_has_no_delay() {
-        let p = PolicyScript::direct_restart();
-        let d = p.run(&input(reason::KILLED, 7));
-        assert!(d.restart);
-        assert_eq!(d.delay, SimDuration::ZERO);
+        let no_script = PolicyDecision {
+            restart: true,
+            delay: SimDuration::ZERO,
+            version: None,
+            alerts: Vec::new(),
+            logs: Vec::new(),
+            restart_components: Vec::new(),
+            reboot: false,
+            gave_up: false,
+        };
+        let script = PolicyScript::parse("restart\n").unwrap();
+        let params = [Vec::new(), vec!["admin@example.org".to_string()]];
+        let backoff = [
+            (None, None),
+            (None, Some(PolicyParams::BASELINE.backoff_cap)),
+            (Some(SimDuration::from_millis(250)), Some(1)),
+        ];
+        for r in reason::EXIT..=reason::UPDATE {
+            for repetition in 1..=12 {
+                for params in &params {
+                    for (backoff_base, backoff_cap) in backoff {
+                        let input = PolicyInput {
+                            params: params.clone(),
+                            backoff_base,
+                            backoff_cap,
+                            ..input(r, repetition)
+                        };
+                        assert_eq!(script.run(&input), no_script, "{input:?}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -16,7 +16,6 @@ use phoenix_kernel::privileges::{KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{Endpoint, Message, Signal};
-use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::proto::rs as rsp;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
 use phoenix_servers::{DataStore, ProcessManager, Server};
@@ -115,9 +114,7 @@ enum Act {
 
 /// The guarded driver: no heartbeat, restarted directly.
 fn drv() -> ServiceConfig {
-    ServiceConfig::driver("drv")
-        .with_policy(PolicyScript::direct_restart())
-        .without_heartbeat()
+    ServiceConfig::driver("drv").without_heartbeat()
 }
 
 /// One run: RS guarding `service` (and, if `server`, the server-class

@@ -288,10 +288,8 @@ fn boot_rs(sys: &mut System, services: Vec<ServiceConfig>) -> Endpoint {
     )
 }
 
-fn svc(name: &str, policy: PolicyScript) -> ServiceConfig {
-    ServiceConfig::driver(name)
-        .with_policy(policy)
-        .without_heartbeat()
+fn svc(name: &str) -> ServiceConfig {
+    ServiceConfig::driver(name).without_heartbeat()
 }
 
 #[test]
@@ -301,10 +299,7 @@ fn rs_policy_restarts_dependent_components() {
     // policy restarts `dhcpd` whenever inetd recovers.
     let mut sys = System::new(SystemConfig::default());
     let policy = PolicyScript::parse("restart\nrestart-component dhcpd\n").unwrap();
-    let services = vec![
-        svc("inetd", policy),
-        svc("dhcpd", PolicyScript::direct_restart()),
-    ];
+    let services = vec![svc("inetd").with_policy(policy), svc("dhcpd")];
     boot_rs(&mut sys, services);
     sys.register_program(
         "inetd",
@@ -331,7 +326,7 @@ fn rs_policy_restarts_dependent_components() {
 #[test]
 fn rs_rejects_complaints_from_unauthorized_sources() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![svc("victim", PolicyScript::direct_restart())];
+    let services = vec![svc("victim")];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "victim",
@@ -369,10 +364,7 @@ fn rs_rejects_complaints_from_unauthorized_sources() {
 #[test]
 fn rs_accepts_complaints_from_authorized_complainants() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![
-        svc("victim", PolicyScript::direct_restart()),
-        ServiceConfig::server("complainer"),
-    ];
+    let services = vec![svc("victim"), ServiceConfig::server("complainer")];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "victim",
@@ -417,7 +409,7 @@ fn rs_accepts_complaints_from_authorized_complainants() {
 #[test]
 fn rs_admin_down_disables_recovery() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![svc("drv", PolicyScript::direct_restart())];
+    let services = vec![svc("drv")];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "drv",
@@ -463,7 +455,7 @@ fn rs_sigterm_escalates_to_sigkill_on_update() {
         }
     }
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![svc("stubborn", PolicyScript::generic())];
+    let services = vec![svc("stubborn").with_policy(PolicyScript::generic())];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "stubborn",
@@ -504,10 +496,7 @@ fn complain_msg(accused: &str, kind: u32) -> Message {
 #[test]
 fn rs_low_confidence_complaint_below_quorum_does_not_restart() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![
-        svc("victim", PolicyScript::direct_restart()),
-        ServiceConfig::server("complainer"),
-    ];
+    let services = vec![svc("victim"), ServiceConfig::server("complainer")];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "victim",
@@ -553,10 +542,7 @@ fn rs_low_confidence_complaint_below_quorum_does_not_restart() {
 #[test]
 fn rs_low_confidence_quorum_restarts_the_accused() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![
-        svc("victim", PolicyScript::direct_restart()),
-        ServiceConfig::server("complainer"),
-    ];
+    let services = vec![svc("victim"), ServiceConfig::server("complainer")];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "victim",
@@ -613,9 +599,9 @@ fn rs_inverts_suspicion_onto_a_babbling_accuser() {
     // accused.
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
-        svc("victim-a", PolicyScript::direct_restart()),
-        svc("victim-b", PolicyScript::direct_restart()),
-        svc("victim-c", PolicyScript::direct_restart()),
+        svc("victim-a"),
+        svc("victim-b"),
+        svc("victim-c"),
         ServiceConfig::server("complainer"),
     ];
     let rs = boot_rs(&mut sys, services);
@@ -678,10 +664,7 @@ fn rs_inverts_suspicion_onto_a_babbling_accuser() {
 #[test]
 fn rs_drops_ghost_complaints_against_dead_incarnations() {
     let mut sys = System::new(SystemConfig::default());
-    let services = vec![
-        svc("victim", PolicyScript::direct_restart()),
-        ServiceConfig::server("complainer"),
-    ];
+    let services = vec![svc("victim"), ServiceConfig::server("complainer")];
     let rs = boot_rs(&mut sys, services);
     sys.register_program(
         "victim",
@@ -846,7 +829,7 @@ fn rs_counts_but_ignores_complaints_about_unknown_services() {
 fn rs_two_distinct_accusers_form_a_quorum() {
     let mut sys = System::new(SystemConfig::default());
     let services = vec![
-        svc("victim", PolicyScript::direct_restart()),
+        svc("victim"),
         ServiceConfig::server("acc-one"),
         ServiceConfig::server("acc-two"),
     ];

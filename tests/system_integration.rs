@@ -15,7 +15,6 @@ use phoenix_kernel::privileges::Privileges;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_servers::policy::PolicyScript;
 use phoenix_servers::proto::pm as pm_proto;
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
 use phoenix_servers::{DataStore, ProcessManager, Server};
@@ -161,9 +160,7 @@ fn stateful_component_recovers_state_from_data_store() {
     let restored: Rc<RefCell<Vec<u64>>> = Rc::new(RefCell::new(Vec::new()));
     let denied = Rc::new(RefCell::new(0));
     let (r2, d2) = (restored.clone(), denied.clone());
-    let svc = ServiceConfig::driver("statefuld")
-        .with_policy(PolicyScript::direct_restart())
-        .without_heartbeat();
+    let svc = ServiceConfig::driver("statefuld").without_heartbeat();
     let rs = sys.spawn_boot(
         "rs",
         Privileges::reincarnation_server(),
