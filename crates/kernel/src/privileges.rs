@@ -28,14 +28,12 @@ pub enum KernelCall {
     Spawn,
     /// Destroy a process (`sys_kill`; PM only).
     Kill,
-    /// Update another process's privilege table (RS via PM).
-    PrivCtl,
 }
 
 impl KernelCall {
     /// Every kernel call, in declaration order. Used by the least-authority
     /// audit to diff declared grants against observed usage.
-    pub const ALL: [KernelCall; 9] = [
+    pub const ALL: [KernelCall; 8] = [
         KernelCall::Devio,
         KernelCall::IrqCtl,
         KernelCall::SafeCopy,
@@ -44,7 +42,6 @@ impl KernelCall {
         KernelCall::SetAlarm,
         KernelCall::Spawn,
         KernelCall::Kill,
-        KernelCall::PrivCtl,
     ];
 
     /// Stable lowercase name matching the MINIX-style call it models.
@@ -58,7 +55,6 @@ impl KernelCall {
             KernelCall::SetAlarm => "sys_setalarm",
             KernelCall::Spawn => "sys_spawn",
             KernelCall::Kill => "sys_kill",
-            KernelCall::PrivCtl => "sys_privctl",
         }
     }
 }
@@ -187,10 +183,10 @@ impl Privileges {
     }
 
     /// Privileges of the process manager: may spawn and kill processes,
-    /// and reports exits only to the reincarnation server. PM deliberately
-    /// does not hold `PrivCtl`: name-based IPC filters survive restarts,
-    /// so nothing in the system needs runtime filter rewrites (the audit
-    /// flagged the grant as never exercised).
+    /// and reports exits only to the reincarnation server. Name-based IPC
+    /// filters survive restarts, so nothing rewrites a filter at runtime
+    /// and the kernel has no call for it (the audit flagged PM's old
+    /// `sys_privctl` grant as never exercised).
     pub fn process_manager() -> Self {
         let mut p = Privileges::server();
         p.uid = 0;

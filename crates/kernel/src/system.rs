@@ -19,7 +19,7 @@ use crate::authority::{AuthorityUsage, UsageSlot};
 use crate::chaos::{ChaosInterposer, ChaosVerdict, IpcClass, IpcEnvelope};
 use crate::memory::{GrantAccess, GrantId, IommuWindow, MemoryPool};
 use crate::platform::{HwCtx, HwSideEffect, Platform};
-use crate::privileges::{IpcFilter, KernelCall, Privileges};
+use crate::privileges::{KernelCall, Privileges};
 use crate::process::{ProcEvent, Process, ProgramFactory};
 use crate::types::{
     AlarmId, CallId, DeviceId, Endpoint, ExceptionKind, ExitReason, ExitStatus, IpcError, IrqLine,
@@ -1442,25 +1442,6 @@ impl<'a> Ctx<'a> {
         let owes = |p: &LiveProc| p.owed.iter().any(|c| c.caller == target);
         let calling = self.sys.live().any(owes);
         !calling && callee.last_ipc.is_none_or(|t| now.since(t) > older_than)
-    }
-
-    /// Replaces the IPC filter of another process (RS via PM after a
-    /// restart; with name-based filters this is rarely needed, but the
-    /// mechanism exists as in MINIX's `sys_privctl`).
-    ///
-    /// # Errors
-    ///
-    /// [`KernelError::CallNotPermitted`] without the `PrivCtl` privilege;
-    /// [`KernelError::BadEndpoint`] if `target` is stale.
-    pub fn sys_set_ipc_filter(
-        &mut self,
-        target: Endpoint,
-        filter: IpcFilter,
-    ) -> Result<(), KernelError> {
-        self.check_call(KernelCall::PrivCtl)?;
-        let p = live_in_mut(&mut self.sys.slots, target).ok_or(KernelError::BadEndpoint)?;
-        p.privileges.ipc = filter;
-        Ok(())
     }
 
     // ------------------------------------------------------------------

@@ -2,11 +2,10 @@
 //! lifecycle, rendezvous abort on death, privileges, alarms, device I/O.
 
 use std::cell::RefCell;
-use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use phoenix_kernel::platform::{HwCtx, NullPlatform, Platform};
-use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
+use phoenix_kernel::privileges::{IpcFilter, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{
@@ -1306,51 +1305,6 @@ fn grants_work_through_ctx() {
     );
     sys.run_until_idle(&mut NullPlatform, 20);
     assert!(sys.trace().find("copied").is_some());
-}
-
-#[test]
-fn privctl_updates_ipc_filter() {
-    let mut sys = new_sys();
-    let l = log();
-    let target = sys.spawn_boot(
-        "target",
-        Privileges::server(),
-        Box::new(Scripted::new(l.clone())),
-    );
-    let victim = sys.spawn_boot(
-        "victim",
-        Privileges::server(),
-        Box::new(Scripted::new(l.clone())),
-    );
-    sys.spawn_boot(
-        "pm",
-        // The real PM no longer carries PrivCtl (the audit showed it
-        // unused); this test exercises the call itself, so grant it here.
-        Privileges::process_manager()
-            .with_calls([KernelCall::Spawn, KernelCall::Kill, KernelCall::PrivCtl])
-            .with_ipc(IpcFilter::named(["rs", "target"])),
-        Box::new(Scripted::with_react(
-            l.clone(),
-            Box::new(move |ctx, ev| {
-                if matches!(ev, ProcEvent::Start) {
-                    ctx.sys_set_ipc_filter(
-                        target,
-                        IpcFilter::AllowNamed(BTreeSet::from(["pm".to_string()])),
-                    )
-                    .unwrap();
-                    // Now poke target so it tries to message victim.
-                    ctx.send(target, Message::new(50)).unwrap();
-                }
-            }),
-        )),
-    );
-    // Target tries to send to victim whenever it gets mtype 50.
-    // We need reaction logic on target; respawn pattern: instead check via
-    // metrics that a denied send occurs. Simpler: use a fresh system.
-    let _ = victim;
-    sys.run_until_idle(&mut NullPlatform, 10);
-    // The filter was applied without error; enforcement itself is covered
-    // by `ipc_filter_enforced`.
 }
 
 #[test]
