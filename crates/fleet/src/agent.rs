@@ -235,11 +235,6 @@ impl FleetAgent {
         self.peers.get(usize::from(node))?.view
     }
 
-    /// Active (windowed) complaints against `node` in this ledger.
-    pub fn complaints_against(&self, node: u8) -> usize {
-        self.arbiter.evidence(usize::from(node)).count()
-    }
-
     /// The arbiter, for a test that checks what it holds.
     pub fn arbiter(&self) -> &Arbiter<u8> {
         &self.arbiter
@@ -344,7 +339,7 @@ impl FleetAgent {
             if fallback.is_none() {
                 fallback = Some(c);
             }
-            if self.complaints_against(c) == 0 {
+            if self.arbiter.evidence(usize::from(c)).next().is_none() {
                 return Some(c);
             }
         }
@@ -816,7 +811,7 @@ mod tests {
             &Frame::complain(1, 1, 2, 1, evidence::NODE_UNREACHABLE),
         );
         assert_eq!(agent.stats.ghost_rejected, 1);
-        assert_eq!(agent.complaints_against(2), 0);
+        assert_eq!(agent.arbiter().evidence(2).count(), 0);
     }
 
     /// Frames naming a node id past the fleet (a gossiped stat, a
@@ -847,7 +842,8 @@ mod tests {
         let same = |seen: &FleetAgent, twin: &FleetAgent, now: SimTime| {
             for node in 0..10 {
                 assert_eq!(seen.view_of(node), twin.view_of(node));
-                assert_eq!(seen.complaints_against(node), twin.complaints_against(node));
+                let held = |a: &FleetAgent| a.arbiter().evidence(usize::from(node)).count();
+                assert_eq!(held(seen), held(twin));
             }
             assert_eq!(format!("{:?}", seen.stats), format!("{:?}", twin.stats));
             assert_eq!(seen.next_due(now), twin.next_due(now));
@@ -873,7 +869,7 @@ mod tests {
             t(10),
             &Frame::complain(4, 1, 1, 1, evidence::NODE_UNREACHABLE),
         );
-        assert_eq!(agent.complaints_against(1), 1);
+        assert_eq!(agent.arbiter().evidence(1).count(), 1);
         // Then two more distinct subjects inside the window: inverted,
         // and its earlier complaint is struck.
         agent.on_frame(
@@ -885,23 +881,23 @@ mod tests {
             &Frame::complain(4, 1, 3, 1, evidence::NODE_UNREACHABLE),
         );
         assert_eq!(agent.stats.inversions, 1);
-        assert_eq!(agent.complaints_against(1), 0);
-        assert_eq!(agent.complaints_against(2), 0);
-        assert_eq!(agent.complaints_against(3), 0);
+        assert_eq!(agent.arbiter().evidence(1).count(), 0);
+        assert_eq!(agent.arbiter().evidence(2).count(), 0);
+        assert_eq!(agent.arbiter().evidence(3).count(), 0);
         // Further complaints from the inverted accuser are ignored for a
         // window, and are not inversions of their own ...
         agent.on_frame(
             t(40),
             &Frame::complain(4, 1, 1, 1, evidence::NODE_UNREACHABLE),
         );
-        assert_eq!(agent.complaints_against(1), 0);
+        assert_eq!(agent.arbiter().evidence(1).count(), 0);
         assert_eq!(agent.stats.inversions, 1);
         // ... after which the accuser is heard again.
         agent.on_frame(
             t(2_031),
             &Frame::complain(4, 1, 1, 1, evidence::NODE_UNREACHABLE),
         );
-        assert_eq!(agent.complaints_against(1), 1);
+        assert_eq!(agent.arbiter().evidence(1).count(), 1);
     }
 
     /// Ring positions are computed wide: past 128 nodes, `id + n − 1`
@@ -938,7 +934,7 @@ mod tests {
             t(15),
             &Frame::complain(3, 1, 2, 1, evidence::NODE_UNREACHABLE),
         );
-        assert_eq!(agent.complaints_against(2), 2);
+        assert_eq!(agent.arbiter().evidence(2).count(), 2);
         let stat = NodeStat {
             node: 2,
             gen: 1,
@@ -947,7 +943,7 @@ mod tests {
             rs_up: true,
         };
         agent.on_frame(t(20), &Frame::alive(2, 1, stat));
-        assert_eq!(agent.complaints_against(2), 0);
+        assert_eq!(agent.arbiter().evidence(2).count(), 0);
         assert_eq!(agent.stats.rebutted_cleared, 2);
     }
 

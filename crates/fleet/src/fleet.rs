@@ -882,7 +882,7 @@ mod tests {
         let now = fleet.now();
         let complaint = Frame::complain(1, 1, 2, 1, evidence::NODE_UNREACHABLE);
         fleet.slots[0].agent.on_frame(now, &complaint);
-        assert_eq!(fleet.slots[0].agent.complaints_against(2), 1);
+        assert_eq!(fleet.slots[0].agent.arbiter().evidence(2).count(), 1);
         fleet.run_for(ms(20));
         let every: Vec<SimTime> = (205..225).map(|t| at_us(t * 1_000)).collect();
         assert_eq!(fleet.stepped_at, every);

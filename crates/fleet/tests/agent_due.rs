@@ -12,7 +12,7 @@
 //!
 //! * step (1): at every instant B was ticked, its output equals A's;
 //! * step (2): at every instant B was skipped, A's output is empty;
-//! * step (3): at the end, `stats`, `view_of` and `complaints_against`
+//! * step (3): at the end, `stats`, `view_of` and the arbiter's evidence
 //!   agree for every node;
 //! * step (4), which the contract does not demand but the loop's cost
 //!   does: B's ticks that did nothing and left an empty ledger stay under
@@ -327,7 +327,8 @@ fn run_schedule(n: u8, schedule: u64, cov: &mut Coverage) {
             );
             cov.ticked += 1;
             let quiet = due.frames.is_empty() && due.actions.is_empty();
-            if quiet && (0..n).all(|node| b.complaints_against(node) == 0) {
+            let empty = |node| b.arbiter().evidence(usize::from(node)).next().is_none();
+            if quiet && (0..n).all(empty) {
                 cov.wasted += 1;
             }
         } else {
@@ -344,8 +345,8 @@ fn run_schedule(n: u8, schedule: u64, cov: &mut Coverage) {
     assert_eq!(format!("{:?}", a.stats), format!("{:?}", b.stats), "{at}");
     for node in 0..n {
         assert_eq!(a.view_of(node), b.view_of(node), "{at} node {node}");
-        let (ca, cb) = (a.complaints_against(node), b.complaints_against(node));
-        assert_eq!(ca, cb, "{at} node {node}");
+        let held = |x: &FleetAgent| x.arbiter().evidence(usize::from(node)).count();
+        assert_eq!(held(&a), held(&b), "{at} node {node}");
     }
     a.stats.fold_into(&mut cov.stats);
 }
