@@ -1,0 +1,89 @@
+//! Heap budget of a node boot: how many allocations one fleet node
+//! machine makes while it boots, with the options the fleet boots every
+//! node and every rebooted node with, and how many `Os::builder()` makes
+//! before any option is set.
+//!
+//! Node boots and reboots are most of a fleet's allocations, so this is
+//! the gate that keeps a boot from doing work it does not need: a
+//! direct restart is configured by having no script, so no boot parses
+//! or clones one.
+//!
+//! The counting [`GlobalAlloc`] is the same shape as `tests/alloc_budget.rs`,
+//! confined to this test binary; the budget is a single test in a file of
+//! its own because a second test running on another thread would be
+//! counted too.
+
+use std::alloc::{GlobalAlloc, Layout};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use phoenix::os::Os;
+use phoenix_simcore::time::SimDuration;
+
+static ALLOCS: AtomicU64 = AtomicU64::new(0);
+
+struct Counting;
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
+// read on the thread that bumped it) touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc(layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: same layout the caller vouched for.
+        unsafe { std::alloc::System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: `ptr` came from `System` with `layout` (this allocator
+        // hands out nothing else); the caller vouches for `new_size`.
+        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` with `layout`.
+        unsafe { std::alloc::System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Allocations while `f` runs, and what it returned.
+fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCS.load(Ordering::Relaxed);
+    let out = f();
+    (ALLOCS.load(Ordering::Relaxed) - before, out)
+}
+
+/// A node machine as the fleet boots it (`fleet.rs`, `boot_node`).
+fn boot_node(seed: u64) -> Os {
+    Os::builder()
+        .seed(seed)
+        .heartbeat(SimDuration::from_millis(500), 3)
+        .with_checkpointing()
+        .boot()
+}
+
+/// Before a direct restart was spelled only as "no script", a node boot
+/// read 1,066: every driver row parsed Fig. 2's generic script and threw
+/// it away for the builder's one-line `restart` script, which the builder
+/// parsed once and every driver row cloned, and every server row parsed
+/// that one-line script too. `Os::builder()` read 7, all of them that
+/// one-line script's parse.
+#[test]
+fn a_node_boot_parses_no_policy() {
+    // Warm-up: a first boot, so nothing lazily initialised once per
+    // process is counted.
+    drop(boot_node(2006));
+    let (boot, os) = counted(|| boot_node(2007));
+    drop(os);
+    let (builder, b) = counted(Os::builder);
+    drop(b);
+    println!("boot heap: {boot} allocations per node boot, {builder} per Os::builder()");
+    assert_eq!(builder, 0, "Os::builder()");
+    assert_eq!(boot, 732, "one node boot");
+}
