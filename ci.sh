@@ -59,6 +59,10 @@ echo "==> frame heap: allocations per delivered data frame of an RTL8139 downloa
 out=$(cargo test -q --release -p phoenix --test frame_heap -- --nocapture) || { echo "$out"; exit 1; }
 echo "$out" | grep -o 'frame heap: .*'
 
+echo "==> read heap: allocations over 400 warmed-up 16 KB file reads through VFS and MFS; printed, and pinned as a literal in the test"
+out=$(cargo test -q --release -p phoenix --test read_heap -- --nocapture) || { echo "$out"; exit 1; }
+echo "$out" | grep -o 'read heap: .*'
+
 echo "==> benchmark/: the frozen benchmark crate still builds against the crate APIs"
 cargo test -q --offline --manifest-path benchmark/Cargo.toml
 

@@ -38,6 +38,11 @@ const REOPEN_DELAY: SimDuration = SimDuration::from_millis(100);
 /// How long a full device FIFO is given to drain before writing more.
 const FIFO_DELAY: SimDuration = SimDuration::from_millis(20);
 
+/// Where a [`FileReader`]'s chunk lands in its own address space: the
+/// file server copies it there through VFS's grant, and the reply says
+/// how many bytes it copied.
+const READ_BUF: u64 = 0;
+
 /// What a [`Job`] wants after a failure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum After {
@@ -277,7 +282,7 @@ impl<S: Sink> FileReader<S> {
             None => proto::open(&self.path),
             Some(file) => {
                 let left = file.size.saturating_sub(self.offset);
-                file.read(self.offset, self.chunk.min(left))
+                file.read(self.offset, self.chunk.min(left), READ_BUF)
             }
         };
         if ctx.sendrec(self.vfs, msg).is_err() {
@@ -338,10 +343,16 @@ impl<S: Sink> Process for FileReader<S> {
                         }
                         None => self.failed(ctx, Failure::Status),
                     },
-                    (ReplyClass::Ok, Ok(reply), Some(file)) if !reply.data.is_empty() => {
-                        self.offset += reply.data.len() as u64;
-                        self.sink.data(&reply.data, self.offset);
-                        self.advance(ctx, file);
+                    (ReplyClass::Ok, Ok(reply), Some(file)) => {
+                        let count = fs::DataReply::from_message(&reply).map_or(0, |r| r.count);
+                        match ctx.mem(READ_BUF as usize, count as usize) {
+                            Ok(data) if count > 0 => {
+                                self.offset += count;
+                                self.sink.data(data, self.offset);
+                                self.advance(ctx, file);
+                            }
+                            _ => self.failed(ctx, Failure::Status),
+                        }
                     }
                     (ReplyClass::Garbled, Ok(reply), _) => {
                         self.failed(ctx, Failure::Garbled(reply.source));

@@ -722,9 +722,13 @@ impl Default for VfsLoadConfig {
 
 /// The multi-client VFS/disk job mix: `clients` readers issue open-loop
 /// random-offset reads of mixed chunk sizes against one shared file.
+/// Reads of different slots overlap, so each slot reads into a buffer of
+/// its own: slot `i`'s is at `i * buf_len` of the mix's address space.
 pub struct VfsJobMix {
     vfs: Endpoint,
     cfg: VfsLoadConfig,
+    /// The largest chunk the mix draws: one slot's buffer.
+    buf_len: u64,
     file: Option<File>,
     lp: OpenLoop<()>,
     /// In-flight calls: `call -> (slot, issue epoch)`.
@@ -742,8 +746,10 @@ impl VfsJobMix {
             shed: "loadgen.vfs.shed",
             timeouts: "loadgen.vfs.timeouts",
         };
+        let buf_len = cfg.chunks.iter().map(|&(size, _)| size).fold(256, u64::max);
         VfsJobMix {
             vfs,
+            buf_len,
             file: None,
             lp: OpenLoop::new(cfg.clients, names, status),
             cfg,
@@ -760,7 +766,8 @@ impl VfsJobMix {
             0
         };
         let epoch = self.lp.begin(ctx, idx, arrival, self.cfg.deadline);
-        match ctx.sendrec(self.vfs, file.read(offset, chunk)) {
+        let buf = u64::from(idx) * self.buf_len;
+        match ctx.sendrec(self.vfs, file.read(offset, chunk, buf)) {
             Ok(call) => {
                 self.calls.insert(call, (idx, epoch));
             }
@@ -840,7 +847,8 @@ impl Process for VfsJobMix {
                 }
                 match (classify(fs::DATA_REPLY, &result), result) {
                     (ReplyClass::Ok, Ok(reply)) => {
-                        self.finish(ctx, idx, reply.data.len() as u64, true);
+                        let count = fs::DataReply::from_message(&reply).map_or(0, |r| r.count);
+                        self.finish(ctx, idx, count, true);
                     }
                     _ => self.finish(ctx, idx, 0, false),
                 }

@@ -560,7 +560,11 @@ impl Row {
         mkfs(disk.model_mut(), files);
         let privileges = Privileges::server()
             .with_ipc(IpcFilter::named(["ds", "rs", driver.0]))
-            .with_calls([KernelCall::SetGrant, KernelCall::SetAlarm]);
+            .with_calls([
+                KernelCall::SafeCopy,
+                KernelCall::SetGrant,
+                KernelCall::SetAlarm,
+            ]);
         let server = Row::server(privileges, vec![driver.0.to_string()], move |w| {
             FileServer::<V>::new(w.rs, driver.0)
         });
@@ -653,10 +657,12 @@ impl Row {
 
     /// VFS in front of the `routable` rows: a closed, configuration-known
     /// set of servers and drivers, so its IPC allow-list and its
-    /// dependents are read off the table. It needs no kernel calls (data
-    /// moves by grant between client, file server, and driver). A
-    /// promoted spare keeps its standby kernel identity while serving
-    /// under the primary's published name, so VFS may address it too.
+    /// dependents are read off the table. In front of a file server it
+    /// holds one kernel call, `sys_magicgrant`: it grants a client's
+    /// buffer to the file server, which copies file data straight into or
+    /// out of it. A promoted spare keeps its standby kernel identity while
+    /// serving under the primary's published name, so VFS may address it
+    /// too.
     fn vfs<'a>(routable: impl Iterator<Item = &'a Row>) -> Row {
         let mut ipc = vec!["ds".to_string(), "rs".to_string()];
         let mut deps = Vec::new();
@@ -669,9 +675,10 @@ impl Row {
                 deps.push(row.name.to_string());
             }
         }
+        let magic = (!deps.is_empty()).then_some(KernelCall::MagicGrant);
         let privileges = Privileges::server()
             .with_ipc(IpcFilter::named(ipc))
-            .with_calls([]);
+            .with_calls(magic);
         let has_fat = deps.iter().any(|d| d == names::FAT);
         Row::server(privileges, deps, move |w| {
             let vfs = Vfs::new(w.rs, names::MFS);
@@ -1003,6 +1010,13 @@ impl Os {
     /// Endpoint of a live process by name.
     pub fn endpoint(&self, name: &str) -> Option<Endpoint> {
         self.sys.endpoint_by_name(name)
+    }
+
+    /// How many memory grants the named process holds open (0 if it is
+    /// not running): VFS holds one per READ or WRITE in flight.
+    pub fn grants_held(&self, name: &str) -> usize {
+        self.endpoint(name)
+            .map_or(0, |ep| self.sys.memory().grants_held(ep))
     }
 
     /// Whether a named process is currently alive.

@@ -169,8 +169,10 @@ fn opened(size: u64) -> Message {
         .with_param(2, size)
 }
 
-fn data(len: usize) -> Message {
-    Message::new(fs::DATA_REPLY).with_data(vec![7; len])
+/// An OK read reply of `len` bytes: only the count, as a file server
+/// sends it (the script copies nothing into the reader's buffer).
+fn data(len: u64) -> Message {
+    Message::new(fs::DATA_REPLY).with_param(1, len)
 }
 
 /// A 4 KB job whose n-th 1 KB chunk is all `n`s.

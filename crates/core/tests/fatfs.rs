@@ -288,12 +288,12 @@ fn fat_small_file_and_missing_file() {
                         assert_eq!(reply.param(2), 14, "size of hello.txt");
                         self.step = 1;
                         let file = File::opened("/fat/hello.txt", &reply).expect("an open reply");
-                        let _ = ctx.sendrec(self.vfs, file.read(0, 14));
+                        let _ = ctx.sendrec(self.vfs, file.read(0, 14, 0));
                     }
                     1 => {
-                        self.results
-                            .borrow_mut()
-                            .push((reply.param(0), reply.data.clone()));
+                        let count = reply.param(1) as usize;
+                        let data = ctx.mem(0, count).expect("in the buffer").to_vec();
+                        self.results.borrow_mut().push((reply.param(0), data));
                         self.step = 2;
                         let _ = ctx.sendrec(self.vfs, proto::open("/fat/nope.bin"));
                     }

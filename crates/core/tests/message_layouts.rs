@@ -7,7 +7,7 @@
 use phoenix_drivers::proto::cdev;
 use phoenix_kernel::types::{Endpoint, IpcError, Message};
 use phoenix_servers::proto::{
-    classify, close, complain, dev_reply, dgram, get, open, Complaint, Dev, File, ReplyClass,
+    classify, close, complain, dev_reply, dgram, fs, get, open, Complaint, Dev, File, ReplyClass,
 };
 
 /// A message's wire content.
@@ -61,24 +61,34 @@ fn file_requests_carry_the_handle_and_its_mount() {
     let reply = msg(0x0801, [0, 9, 4096, 0, 0, 0, 0, 0], b"");
     let fat = File::opened("/fat/big.bin", &reply).expect("an open reply");
     assert_eq!((fat.ino, fat.size), (9, 4096));
+    // The buffer in the caller's space in slot 3; VFS's grant over it in
+    // slot 4 of the request it forwards, 0 from the client.
     assert_eq!(
-        shape(&fat.read(512, 64)),
-        (0x0802, [9, 512, 64, 0, 0, 0, 0, 1], Vec::new())
+        shape(&fat.read(512, 64, 0x2000)),
+        (0x0802, [9, 512, 64, 0x2000, 0, 0, 0, 1], Vec::new())
     );
     assert_eq!(
-        shape(&fat.write(1024, vec![5, 6])),
-        (0x0803, [9, 1024, 0, 0, 0, 0, 0, 1], vec![5, 6])
+        shape(&fat.write(1024, 512, 0x400)),
+        (0x0803, [9, 1024, 512, 0x400, 0, 0, 0, 1], Vec::new())
     );
     let root = File::opened("bigfile", &msg(0x0801, [0, 3, 100, 0, 0, 0, 0, 0], b""))
         .expect("an open reply");
     assert_eq!((root.ino, root.size), (3, 100));
     assert_eq!(
-        shape(&root.read(0, 100)),
+        shape(&root.read(0, 100, 0)),
         (0x0802, [3, 0, 100, 0, 0, 0, 0, 0], Vec::new())
     );
     assert_eq!(
-        shape(&root.write(0, vec![1])),
-        (0x0803, [3, 0, 0, 0, 0, 0, 0, 0], vec![1])
+        shape(&root.write(0, 512, 64)),
+        (0x0803, [3, 0, 512, 64, 0, 0, 0, 0], Vec::new())
+    );
+    let forwarded = fs::Read {
+        grant: 7,
+        ..fs::Read::from_message(&root.read(0, 100, 0)).expect("a read")
+    };
+    assert_eq!(
+        shape(&forwarded.into_message()),
+        (0x0802, [3, 0, 100, 0, 7, 0, 0, 0], Vec::new())
     );
 }
 

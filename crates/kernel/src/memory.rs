@@ -32,16 +32,21 @@ impl GrantAccess {
     }
 }
 
-/// A capability referring to a region of the *granter's* memory.
+/// A capability referring to a region of the *granter's* memory — or, for
+/// a magic grant, of the memory of the process the granter acts for.
 ///
 /// Grant ids are only meaningful together with the granter's endpoint; a
 /// granter restart invalidates all its grants because the endpoint
-/// generation no longer matches.
+/// generation no longer matches, and an owner restart invalidates every
+/// grant on its memory the same way.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct GrantId(pub u32);
 
 #[derive(Clone, Debug)]
 struct Grant {
+    /// Whose memory the grant names: the granter's own, or for a magic
+    /// grant another process's, pinned to its incarnation.
+    owner: Endpoint,
     grantee: Endpoint,
     offset: usize,
     len: usize,
@@ -230,20 +235,47 @@ impl MemoryPool {
         len: usize,
         access: GrantAccess,
     ) -> Result<GrantId, KernelError> {
+        self.magic_grant_create(granter, granter, grantee, offset, len, access)
+    }
+
+    /// Creates a *magic* grant (MINIX's `cpf_grant_magic`): a grant in
+    /// `granter`'s table, for `grantee`, over `offset..offset + len` of
+    /// `owner`'s memory. VFS makes one over a client's buffer so the file
+    /// server copies file data straight into or out of it; the grant dies
+    /// with either the granter or the owner incarnation.
+    ///
+    /// # Errors
+    ///
+    /// [`KernelError::BadEndpoint`] when the granter or the owner is dead
+    /// or restarted; [`KernelError::BadRange`] when the region leaves the
+    /// owner's space.
+    pub fn magic_grant_create(
+        &mut self,
+        granter: Endpoint,
+        owner: Endpoint,
+        grantee: Endpoint,
+        offset: usize,
+        len: usize,
+        access: GrantAccess,
+    ) -> Result<GrantId, KernelError> {
+        self.live_space_of(owner)?.range(offset, len)?;
         let sp = self.live_space_of_mut(granter)?;
-        sp.range(offset, len)?;
         let id = GrantId(sp.next_grant);
         sp.next_grant += 1;
-        sp.grants.insert(
-            id,
-            Grant {
-                grantee,
-                offset,
-                len,
-                access,
-            },
-        );
+        let grant = Grant {
+            owner,
+            grantee,
+            offset,
+            len,
+            access,
+        };
+        sp.grants.insert(id, grant);
         Ok(id)
+    }
+
+    /// How many grants `granter`'s table holds; 0 for a dead endpoint.
+    pub fn grants_held(&self, granter: Endpoint) -> usize {
+        self.live_space_of(granter).map_or(0, |sp| sp.grants.len())
     }
 
     /// Revokes a grant previously created by `granter`.
@@ -255,6 +287,12 @@ impl MemoryPool {
             .ok_or(KernelError::BadGrant)
     }
 
+    /// The owner and the range of its space that `len` bytes at `offset`
+    /// of (`granter`, `id`) name, if `caller` may move them in the
+    /// direction `write` says. The checks run in a fixed order: the
+    /// granter is live, the grant exists (not revoked), `caller` is its
+    /// grantee, the access allows the direction, the range lies inside
+    /// the grant, and last the owner incarnation is still live.
     fn check_grant(
         &self,
         granter: Endpoint,
@@ -263,7 +301,7 @@ impl MemoryPool {
         offset: usize,
         len: usize,
         write: bool,
-    ) -> Result<usize, KernelError> {
+    ) -> Result<(Endpoint, Range<usize>), KernelError> {
         let sp = self.live_space_of(granter)?;
         let g = sp.grants.get(&id).ok_or(KernelError::BadGrant)?;
         if g.grantee != caller {
@@ -281,15 +319,17 @@ impl MemoryPool {
         if end > g.len {
             return Err(KernelError::BadRange);
         }
-        Ok(g.offset + offset)
+        self.live_space_of(g.owner)?;
+        let start = g.offset + offset;
+        Ok((g.owner, start..start + len))
     }
 
     /// The copy under both SafeCopy calls: `len` bytes between
     /// (`granter`, `grant`) at `grant_offset` and `caller`'s own memory at
     /// `own_offset`, towards the grant when `to_grant`. Every check runs
-    /// before a byte moves — the grant, then the caller's liveness, then
-    /// the caller's range — and the bytes move once, straight from one
-    /// space into the other.
+    /// before a byte moves — the grant and its owner, then the caller's
+    /// liveness, then the caller's range — and the bytes move once,
+    /// straight from the owner's space into the caller's or back.
     #[allow(clippy::too_many_arguments)]
     fn copy_between(
         &mut self,
@@ -301,13 +341,14 @@ impl MemoryPool {
         len: usize,
         to_grant: bool,
     ) -> Result<(), KernelError> {
-        let granted = self.check_grant(granter, grant, caller, grant_offset, len, to_grant)?;
+        let (owner, granted) =
+            self.check_grant(granter, grant, caller, grant_offset, len, to_grant)?;
         let own = self.live_space_of(caller)?.range(own_offset, len)?;
-        let (granter, caller) = (granter.slot() as usize, caller.slot() as usize);
-        let granted = granted..granted + len;
-        if granter == caller {
-            // A process copying through a grant on itself: the ranges may
-            // overlap, and the result is that of a copy through a buffer.
+        let (owner, caller) = (owner.slot() as usize, caller.slot() as usize);
+        if owner == caller {
+            // A process copying through a grant on its own memory: the
+            // ranges may overlap, and the result is that of a copy through
+            // a buffer.
             let sp = &mut self.spaces[caller];
             sp.touch(0..granted.end.max(own.end));
             let (src, dst) = if to_grant {
@@ -318,7 +359,7 @@ impl MemoryPool {
             sp.mem.copy_within(src, dst.start);
             return Ok(());
         }
-        let both = self.spaces.get_disjoint_mut([granter, caller]);
+        let both = self.spaces.get_disjoint_mut([owner, caller]);
         // analyze:allow(panic-reach): both spaces were found live above
         // and the slots differ, so the two indices are in range and
         // disjoint; the lookup cannot miss.
@@ -339,7 +380,8 @@ impl MemoryPool {
     ///
     /// Fails with [`KernelError::BadGrant`] when the grant does not exist,
     /// is not addressed to the caller, or lacks read access; with
-    /// [`KernelError::BadEndpoint`] when the granter is dead or restarted;
+    /// [`KernelError::BadEndpoint`] when the granter or the owner of the
+    /// memory is dead or restarted;
     /// with [`KernelError::BadRange`] when any range is out of bounds.
     #[allow(clippy::too_many_arguments)]
     pub fn safecopy_from(
@@ -785,6 +827,101 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// VFS (`A`) grants the file server (`B`) a buffer of the client
+    /// (`C`): the bytes land in the client's space, not the granter's.
+    const C: Endpoint = Endpoint::new(2, 1);
+
+    fn magic_pool(access: GrantAccess) -> (MemoryPool, GrantId) {
+        let mut p = pool_with(&[(A, 256), (B, 256), (C, 256)]);
+        let g = p.magic_grant_create(A, C, B, 64, 32, access).unwrap();
+        (p, g)
+    }
+
+    #[test]
+    fn a_magic_grant_moves_the_owners_bytes() {
+        let (mut p, g) = magic_pool(GrantAccess::Write);
+        p.write_own(B, 0, b"chunk").unwrap();
+        p.safecopy_to(B, A, g, 4, 0, 5).unwrap();
+        assert_eq!(p.read_own(C, 68, 5).unwrap(), b"chunk");
+        assert_eq!(p.read_own(A, 68, 5).unwrap(), [0; 5], "not the granter's");
+        let (mut p, g) = magic_pool(GrantAccess::Read);
+        p.write_own(C, 64, b"write").unwrap();
+        p.safecopy_from(B, A, g, 0, 100, 5).unwrap();
+        assert_eq!(p.read_own(B, 100, 5).unwrap(), b"write");
+    }
+
+    #[test]
+    fn a_magic_grant_is_refused_to_another_grantee() {
+        let (mut p, g) = magic_pool(GrantAccess::ReadWrite);
+        for caller in [A, C] {
+            assert_eq!(
+                p.safecopy_from(caller, A, g, 0, 0, 4),
+                Err(KernelError::BadGrant)
+            );
+        }
+    }
+
+    #[test]
+    fn a_magic_grant_is_refused_in_the_wrong_direction() {
+        let (mut p, g) = magic_pool(GrantAccess::Write);
+        assert_eq!(
+            p.safecopy_from(B, A, g, 0, 0, 4),
+            Err(KernelError::BadGrant)
+        );
+        let (mut p, g) = magic_pool(GrantAccess::Read);
+        assert_eq!(p.safecopy_to(B, A, g, 0, 0, 4), Err(KernelError::BadGrant));
+    }
+
+    #[test]
+    fn a_magic_grant_is_refused_out_of_range() {
+        let (mut p, g) = magic_pool(GrantAccess::ReadWrite);
+        assert_eq!(p.safecopy_to(B, A, g, 29, 0, 4), Err(KernelError::BadRange));
+        assert!(p.safecopy_to(B, A, g, 28, 0, 4).is_ok());
+        // Created only over the owner's space, and only while it lives.
+        assert_eq!(
+            p.magic_grant_create(A, C, B, 250, 8, GrantAccess::Read),
+            Err(KernelError::BadRange)
+        );
+        p.detach(C);
+        assert_eq!(
+            p.magic_grant_create(A, C, B, 0, 8, GrantAccess::Read),
+            Err(KernelError::BadEndpoint)
+        );
+    }
+
+    #[test]
+    fn a_revoked_magic_grant_is_refused() {
+        let (mut p, g) = magic_pool(GrantAccess::ReadWrite);
+        p.grant_revoke(A, g).unwrap();
+        assert_eq!(p.safecopy_to(B, A, g, 0, 0, 4), Err(KernelError::BadGrant));
+        assert_eq!(p.grant_revoke(A, g), Err(KernelError::BadGrant));
+    }
+
+    #[test]
+    fn a_magic_grant_dies_with_its_owner_and_its_granter() {
+        let (mut p, g) = magic_pool(GrantAccess::ReadWrite);
+        p.detach(C);
+        assert_eq!(
+            p.safecopy_to(B, A, g, 0, 0, 4),
+            Err(KernelError::BadEndpoint),
+            "the owner died"
+        );
+        // The owner's slot holds a new incarnation: not the grant's.
+        p.attach(Endpoint::new(2, 2), 256);
+        assert_eq!(
+            p.safecopy_from(B, A, g, 0, 0, 4),
+            Err(KernelError::BadEndpoint),
+            "the owner restarted"
+        );
+        let (mut p, g) = magic_pool(GrantAccess::ReadWrite);
+        p.detach(A);
+        assert_eq!(
+            p.safecopy_to(B, A, g, 0, 0, 4),
+            Err(KernelError::BadEndpoint),
+            "the granter died"
+        );
     }
 
     #[test]

@@ -20,6 +20,10 @@ pub enum KernelCall {
     SafeCopy,
     /// Create/revoke memory grants (`sys_setgrant`).
     SetGrant,
+    /// Create/revoke grants over *another* process's memory (MINIX's
+    /// `cpf_grant_magic`, `sys_magicgrant`): VFS granting a client's
+    /// buffer to a file server.
+    MagicGrant,
     /// Map an I/O MMU window for DMA (`sys_iommu`).
     IommuMap,
     /// Set a watchdog/alarm timer (`sys_setalarm`).
@@ -31,19 +35,6 @@ pub enum KernelCall {
 }
 
 impl KernelCall {
-    /// Every kernel call, in declaration order. Used by the least-authority
-    /// audit to diff declared grants against observed usage.
-    pub const ALL: [KernelCall; 8] = [
-        KernelCall::Devio,
-        KernelCall::IrqCtl,
-        KernelCall::SafeCopy,
-        KernelCall::SetGrant,
-        KernelCall::IommuMap,
-        KernelCall::SetAlarm,
-        KernelCall::Spawn,
-        KernelCall::Kill,
-    ];
-
     /// Stable lowercase name matching the MINIX-style call it models.
     pub const fn name(self) -> &'static str {
         match self {
@@ -51,6 +42,7 @@ impl KernelCall {
             KernelCall::IrqCtl => "sys_irqctl",
             KernelCall::SafeCopy => "sys_safecopy",
             KernelCall::SetGrant => "sys_setgrant",
+            KernelCall::MagicGrant => "sys_magicgrant",
             KernelCall::IommuMap => "sys_iommu",
             KernelCall::SetAlarm => "sys_setalarm",
             KernelCall::Spawn => "sys_spawn",
@@ -134,7 +126,10 @@ impl Privileges {
             kernel_calls: [KernelCall::SetAlarm].into_iter().collect(),
             devices: BTreeSet::new(),
             irq_lines: BTreeSet::new(),
-            address_space: 64 * 1024,
+            // Room for the buffers file reads land in: `dd`'s 128 KB
+            // chunk, a job mix's 32 slots of 64 KB. A space costs the
+            // host only the bytes its process touches.
+            address_space: 4 * 1024 * 1024,
             may_complain: false,
         }
     }

@@ -1650,6 +1650,37 @@ impl<'a> Ctx<'a> {
         self.sys.mem.grant_revoke(self.self_ep, id)
     }
 
+    /// Creates a grant for `grantee` over `offset..offset + len` of
+    /// `owner`'s memory (`sys_magicgrant`, MINIX's `cpf_grant_magic`).
+    ///
+    /// # Errors
+    ///
+    /// Privilege failures; see
+    /// [`MemoryPool::magic_grant_create`](crate::memory::MemoryPool::magic_grant_create).
+    pub fn magic_grant_create(
+        &mut self,
+        owner: Endpoint,
+        grantee: Endpoint,
+        offset: usize,
+        len: usize,
+        access: GrantAccess,
+    ) -> Result<GrantId, KernelError> {
+        self.check_call(KernelCall::MagicGrant)?;
+        self.sys
+            .mem
+            .magic_grant_create(self.self_ep, owner, grantee, offset, len, access)
+    }
+
+    /// Revokes a magic grant created earlier.
+    ///
+    /// # Errors
+    ///
+    /// Privilege failures; [`KernelError::BadGrant`] if unknown.
+    pub fn magic_grant_revoke(&mut self, id: GrantId) -> Result<(), KernelError> {
+        self.check_call(KernelCall::MagicGrant)?;
+        self.sys.mem.grant_revoke(self.self_ep, id)
+    }
+
     /// Copies from a granter's memory into this process's
     /// (`sys_safecopyfrom`).
     ///

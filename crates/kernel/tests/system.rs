@@ -803,6 +803,48 @@ fn kernel_call_mask_enforced() {
     );
 }
 
+/// Only a holder of `MagicGrant` may grant another process's memory: a
+/// server holding `SetGrant` is refused exactly as a missing call is.
+#[test]
+fn a_magic_grant_needs_its_own_call() {
+    use phoenix_kernel::memory::{GrantAccess, GrantId};
+    use phoenix_kernel::privileges::KernelCall;
+    let mut sys = new_sys();
+    let l = log();
+    let errs: Rc<RefCell<Vec<Result<(), KernelError>>>> = Rc::default();
+    let user = sys.spawn_boot(
+        "client",
+        Privileges::user(),
+        Box::new(Scripted::new(l.clone())),
+    );
+    for (name, calls) in [
+        ("srv", vec![KernelCall::SetGrant, KernelCall::SafeCopy]),
+        ("vfs", vec![KernelCall::MagicGrant]),
+    ] {
+        let errs = errs.clone();
+        sys.spawn_boot(
+            name,
+            Privileges::server().with_calls(calls),
+            Box::new(Scripted::with_react(
+                l.clone(),
+                Box::new(move |ctx, ev| {
+                    if matches!(ev, ProcEvent::Start) {
+                        let me = ctx.self_endpoint();
+                        let made = ctx.magic_grant_create(user, me, 0, 64, GrantAccess::Write);
+                        let revoked = ctx.magic_grant_revoke(*made.as_ref().unwrap_or(&GrantId(1)));
+                        errs.borrow_mut().extend([made.map(|_| ()), revoked]);
+                    }
+                }),
+            )),
+        );
+    }
+    sys.run_until_idle(&mut NullPlatform, 10);
+    // `srv` starts first: refused twice; then `vfs`, granted and revoked.
+    let refused = Err(KernelError::CallNotPermitted);
+    assert_eq!(errs.borrow().as_slice(), [refused, refused, Ok(()), Ok(())]);
+    assert!(!Privileges::server().allows_call(KernelCall::MagicGrant));
+}
+
 #[test]
 fn exception_death_reports_reason_to_parent() {
     // PM-style parent: spawns a child program that dies of an MMU fault.

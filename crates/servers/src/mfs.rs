@@ -163,14 +163,37 @@ enum MountState {
     Mounted,
 }
 
+/// A client's buffer as the file server reaches it: the grant the
+/// request named, in the table of its sender (VFS's magic grant over the
+/// buffer in the client's own space).
+#[derive(Debug, Clone, Copy)]
+struct ClientBuf {
+    granter: Endpoint,
+    grant: GrantId,
+}
+
+impl ClientBuf {
+    /// The buffer of request `msg`, whose `grant` slot says `grant`;
+    /// `None` if that cannot be a grant id.
+    fn named(msg: &Message, grant: u64) -> Option<Self> {
+        let grant = GrantId(u32::try_from(grant).ok()?);
+        Some(ClientBuf {
+            granter: msg.source,
+            grant,
+        })
+    }
+}
+
 #[derive(Debug)]
 enum OpKind {
     /// Internal mount I/O.
     Mount,
-    /// Client read: reply with data.
-    Read { client: CallId },
-    /// Client write: reply with byte count.
-    Write { client: CallId, data: Vec<u8> },
+    /// Client read: each chunk is copied into the client's buffer; the
+    /// reply carries the byte count.
+    Read { client: CallId, buf: ClientBuf },
+    /// Client write: each chunk is copied out of the client's buffer;
+    /// the reply carries the byte count.
+    Write { client: CallId, buf: ClientBuf },
 }
 
 #[derive(Debug)]
@@ -181,8 +204,9 @@ struct Active {
     file_pos: u64,
     /// Total bytes still to transfer.
     remaining: u64,
-    /// Bytes assembled so far (reads).
-    assembled: Vec<u8>,
+    /// Bytes moved so far: the offset of the next chunk in the client's
+    /// buffer.
+    done: u64,
     /// Index into the file table (usize::MAX during mount).
     ino: usize,
     // Current chunk at the driver:
@@ -199,23 +223,19 @@ struct Active {
     waiting_driver: bool,
     /// Checksum-mismatch retries consumed by the current op.
     csum_retries: u32,
-    /// Data of the first read of a sampled chunk, awaiting the re-read
-    /// for comparison (`None` = not scrubbing).
-    scrub: Option<Vec<u8>>,
+    /// The chunk at the driver is the re-read of a sampled chunk, whose
+    /// first read waits in [`FileServer`]'s scrub buffer.
+    scrubbing: bool,
 }
 
 impl Active {
     /// An op with nothing at the driver yet.
     fn new(kind: OpKind, ino: usize, file_pos: u64, remaining: u64) -> Self {
-        let assembled = match kind {
-            OpKind::Read { .. } => Vec::with_capacity(remaining as usize),
-            OpKind::Mount | OpKind::Write { .. } => Vec::new(),
-        };
         Active {
             kind,
             file_pos,
             remaining,
-            assembled,
+            done: 0,
             ino,
             chunk_lba: 0,
             chunk_sectors: 0,
@@ -226,7 +246,7 @@ impl Active {
             deadline: None,
             waiting_driver: false,
             csum_retries: 0,
-            scrub: None,
+            scrubbing: false,
         }
     }
 }
@@ -265,6 +285,9 @@ pub struct FileServer<V> {
     capacity: u64,
     /// Read chunks completed, for scrub sampling.
     scrub_chunks: u64,
+    /// The first read of the sampled chunk being scrubbed; one buffer,
+    /// reused for every sample.
+    scrub_buf: Vec<u8>,
 }
 
 impl<V: Volume> FileServer<V> {
@@ -289,6 +312,7 @@ impl<V: Volume> FileServer<V> {
             recovery_parent: None,
             capacity: 0,
             scrub_chunks: 0,
+            scrub_buf: Vec::new(),
         }
     }
 
@@ -314,18 +338,18 @@ impl<V: Volume> FileServer<V> {
         let Some(a) = self.active.as_mut() else {
             return;
         };
-        a.scrub = None;
+        a.scrubbing = false;
         if a.csum_retries < CSUM_RETRIES {
             a.csum_retries += 1;
             ctx.metrics().incr(V::NAMES.csum_retries);
-            self.issue_chunk(ctx);
+            self.issue_chunk(sh, ctx);
         } else {
             self.finish_active(sh, ctx, status::EIO);
         }
     }
 
     /// Issues (or reissues) the current chunk to the driver.
-    fn issue_chunk(&mut self, ctx: &mut Ctx<'_>) {
+    fn issue_chunk(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         let Some(driver) = self.driver else {
             if let Some(a) = self.active.as_mut() {
                 a.waiting_driver = true;
@@ -337,13 +361,16 @@ impl<V: Volume> FileServer<V> {
         };
         let bytes = (a.chunk_sectors * SECTOR as u64) as usize;
         let write = matches!(a.kind, OpKind::Write { .. });
-        if let OpKind::Write { data, .. } = &a.kind {
-            // Stage the chunk's data in the I/O buffer (writes are
-            // sector-aligned, so the chunk starts at what is done).
-            let done = data.len() - a.remaining as usize;
-            if ctx.mem_write(IO_BUF, &data[done..done + bytes]).is_err() {
-                ctx.trace(TraceLevel::Error, "io buffer write failed".to_string());
-                return;
+        if let OpKind::Write { buf, .. } = a.kind {
+            // Stage the chunk in the I/O buffer, straight from the
+            // client's (writes are sector-aligned, so the chunk starts at
+            // what is done).
+            let done = a.done as usize;
+            if ctx
+                .safecopy_from(buf.granter, buf.grant, done, IO_BUF, bytes)
+                .is_err()
+            {
+                return self.client_gone(sh, ctx);
             }
         }
         let access = if write {
@@ -397,6 +424,15 @@ impl<V: Volume> FileServer<V> {
         }
     }
 
+    /// Ends the active op whose client buffer the kernel no longer
+    /// reaches: the client (or the VFS incarnation that granted it) is
+    /// gone, so nobody is waiting for the bytes. The driver did its part;
+    /// nothing is filed against it.
+    fn client_gone(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
+        ctx.trace(TraceLevel::Warn, "client buffer gone".to_string());
+        self.finish_active(sh, ctx, status::EIO);
+    }
+
     /// Computes the next chunk for the active op and sends it.
     fn start_next_chunk(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         let Some(a) = self.active.as_mut() else {
@@ -430,7 +466,7 @@ impl<V: Volume> FileServer<V> {
                 a.chunk_skip = in_off;
             }
         }
-        self.issue_chunk(ctx);
+        self.issue_chunk(sh, ctx);
     }
 
     fn finish_active(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, st: u64) {
@@ -443,45 +479,32 @@ impl<V: Volume> FileServer<V> {
                 ctx.trace(TraceLevel::Error, format!("mount I/O failed: {st}"));
                 self.mount = MountState::NotMounted;
             }
-            OpKind::Read { client } => {
-                let reply = if st == status::OK {
-                    let count = a.assembled.len() as u64;
-                    data_reply(status::OK, count).with_data(a.assembled)
-                } else {
-                    data_reply(st, 0)
-                };
-                sh.reply(ctx, client, reply);
-            }
-            OpKind::Write { client, data } => {
-                let reply = if st == status::OK {
-                    data_reply(status::OK, data.len() as u64)
-                } else {
-                    data_reply(st, 0)
-                };
-                sh.reply(ctx, client, reply);
+            OpKind::Read { client, .. } | OpKind::Write { client, .. } => {
+                let count = if st == status::OK { a.done } else { 0 };
+                sh.reply(ctx, client, data_reply(st, count));
             }
         }
         self.pump(sh, ctx);
     }
 
     /// Sends the mount op's next read, as the volume's plan asked.
-    fn mount_read(&mut self, ctx: &mut Ctx<'_>, lba: u64, sectors: u64) {
+    fn mount_read(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, lba: u64, sectors: u64) {
         let Some(a) = self.active.as_mut() else {
             self.mount = MountState::NotMounted;
             return;
         };
         a.chunk_lba = lba;
         a.chunk_sectors = sectors;
-        self.issue_chunk(ctx);
+        self.issue_chunk(sh, ctx);
     }
 
-    fn begin_mount(&mut self, ctx: &mut Ctx<'_>) {
+    fn begin_mount(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>) {
         let MountStep::Read { lba, sectors } = self.volume.mount_step(None) else {
             return;
         };
         self.mount = MountState::Reading;
         self.active = Some(Active::new(OpKind::Mount, usize::MAX, 0, SECTOR as u64));
-        self.mount_read(ctx, lba, sectors);
+        self.mount_read(sh, ctx, lba, sectors);
     }
 
     fn mount_continue(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, step: MountStep) {
@@ -491,7 +514,7 @@ impl<V: Volume> FileServer<V> {
                 self.active = None;
                 self.mount = MountState::NotMounted;
             }
-            MountStep::Read { lba, sectors } => self.mount_read(ctx, lba, sectors),
+            MountStep::Read { lba, sectors } => self.mount_read(sh, ctx, lba, sectors),
             MountStep::Mounted(files) => {
                 self.files = files;
                 self.mount = MountState::Mounted;
@@ -513,7 +536,7 @@ impl<V: Volume> FileServer<V> {
         }
         if self.mount != MountState::Mounted {
             if self.mount == MountState::NotMounted {
-                self.begin_mount(ctx);
+                self.begin_mount(sh, ctx);
             }
             return;
         }
@@ -537,7 +560,9 @@ impl<V: Volume> FileServer<V> {
                 }
                 Some(fs::Msg::READ(read)) => {
                     let (ino, offset, len) = (read.ino as usize, read.offset, read.len);
-                    let Some(inode) = self.files.get(ino) else {
+                    let (Some(inode), Some(buf)) =
+                        (self.files.get(ino), ClientBuf::named(&msg, read.grant))
+                    else {
                         sh.reply(ctx, call, data_reply(status::EINVAL, 0));
                         continue;
                     };
@@ -547,7 +572,7 @@ impl<V: Volume> FileServer<V> {
                         continue;
                     }
                     ctx.metrics().incr(V::NAMES.reads);
-                    let kind = OpKind::Read { client: call };
+                    let kind = OpKind::Read { client: call, buf };
                     self.active = Some(Active::new(kind, ino, offset, len));
                     self.start_next_chunk(sh, ctx);
                     return;
@@ -555,20 +580,19 @@ impl<V: Volume> FileServer<V> {
                 Some(fs::Msg::WRITE(write)) => {
                     // In place only: sector-aligned and inside the file's
                     // extents, which holds for either format's table.
-                    let (ino, offset) = (write.ino as usize, write.offset);
-                    let data = msg.data;
-                    let len = data.len() as u64;
-                    let aligned = offset % SECTOR as u64 == 0 && data.len() % SECTOR == 0;
+                    let (ino, offset, len) = (write.ino as usize, write.offset, write.len);
+                    let aligned = offset % SECTOR as u64 == 0 && len % SECTOR as u64 == 0;
                     let in_file = self
                         .files
                         .get(ino)
                         .is_some_and(|i| offset.checked_add(len).is_some_and(|end| end <= i.size));
-                    if data.is_empty() || !aligned || !in_file {
+                    let buf = ClientBuf::named(&msg, write.grant);
+                    let Some(buf) = buf.filter(|_| len != 0 && aligned && in_file) else {
                         sh.reply(ctx, call, data_reply(status::EINVAL, 0));
                         continue;
-                    }
+                    };
                     ctx.metrics().incr(V::NAMES.writes);
-                    let kind = OpKind::Write { client: call, data };
+                    let kind = OpKind::Write { client: call, buf };
                     self.active = Some(Active::new(kind, ino, offset, len));
                     self.start_next_chunk(sh, ctx);
                     return;
@@ -698,6 +722,7 @@ impl<V: Volume> FileServer<V> {
                                 return;
                             };
                             let take = bytes as u64;
+                            a.done += take;
                             a.file_pos += take;
                             a.remaining -= take.min(a.remaining);
                         } else {
@@ -710,38 +735,49 @@ impl<V: Volume> FileServer<V> {
                                 return;
                             };
                             // analyze:recovery
-                            let scrubbed = a.scrub.take();
+                            let scrubbed = std::mem::take(&mut a.scrubbing);
                             // analyze:recovery
-                            match &scrubbed {
-                                Some(expected) => {
-                                    // Second read of a scrubbed chunk: the
-                                    // two reads must agree byte for byte.
-                                    if data != expected {
-                                        ctx.metrics().incr(V::NAMES.scrub_mismatch);
-                                        self.csum_violation(sh, ctx, "read-back scrub mismatch");
-                                        return;
-                                    }
+                            if scrubbed {
+                                // Second read of a scrubbed chunk: the two
+                                // reads must agree byte for byte.
+                                if data != self.scrub_buf {
+                                    ctx.metrics().incr(V::NAMES.scrub_mismatch);
+                                    self.csum_violation(sh, ctx, "read-back scrub mismatch");
+                                    return;
                                 }
-                                None => {
-                                    self.scrub_chunks += 1;
-                                    if self.scrub_chunks.is_multiple_of(SCRUB_SAMPLE) {
-                                        // Sampled read-back scrub: keep a
-                                        // copy, re-read the same chunk and
-                                        // compare before trusting the data.
-                                        a.scrub = Some(data.to_vec());
-                                        ctx.metrics().incr(V::NAMES.scrubs);
-                                        self.issue_chunk(ctx);
-                                        return;
-                                    }
+                            } else {
+                                self.scrub_chunks += 1;
+                                if self.scrub_chunks.is_multiple_of(SCRUB_SAMPLE) {
+                                    // Sampled read-back scrub: keep a copy,
+                                    // re-read the same chunk and compare
+                                    // before trusting the data.
+                                    self.scrub_buf.clear();
+                                    self.scrub_buf.extend_from_slice(data);
+                                    a.scrubbing = true;
+                                    ctx.metrics().incr(V::NAMES.scrubs);
+                                    self.issue_chunk(sh, ctx);
+                                    return;
                                 }
                             }
-                            let start = a.chunk_skip;
+                            let OpKind::Read { buf, .. } = a.kind else {
+                                return;
+                            };
+                            // The chunk goes straight into the client's
+                            // buffer, after the bytes already there.
+                            let (start, done) = (a.chunk_skip, a.done as usize);
                             let take = (bytes - start).min(a.remaining as usize);
-                            a.assembled.extend_from_slice(&data[start..start + take]);
+                            let (granter, grant) = (buf.granter, buf.grant);
+                            if ctx
+                                .safecopy_to(granter, grant, done, IO_BUF + start, take)
+                                .is_err()
+                            {
+                                return self.client_gone(sh, ctx);
+                            }
+                            a.done += take as u64;
                             a.file_pos += take as u64;
                             a.remaining -= take as u64;
                             // analyze:recovery
-                            if scrubbed.is_some() {
+                            if scrubbed {
                                 ctx.metrics().incr(V::NAMES.scrub_ok);
                             }
                         }
@@ -849,7 +885,7 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                                     .with_parent_opt(parent);
                                 ctx.trace_event(ev);
                                 ctx.metrics().incr(V::NAMES.reissues);
-                                self.issue_chunk(ctx);
+                                self.issue_chunk(sh, ctx);
                             } else {
                                 self.pump(sh, ctx);
                             }
@@ -898,7 +934,7 @@ impl<V: Volume> ServerLogic for FileServer<V> {
                         .as_ref()
                         .is_some_and(|a| a.driver_call.is_none() && !a.waiting_driver);
                     if idle {
-                        self.issue_chunk(ctx);
+                        self.issue_chunk(sh, ctx);
                     }
                     return;
                 }

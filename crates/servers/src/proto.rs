@@ -279,20 +279,31 @@ pub mod fs {
             ino: 1,
             size: 2,
         }
-        /// Read `len` bytes at `offset`.
+        /// Read `len` bytes at `offset` into `buf..buf + len` of the
+        /// caller's address space. No file byte rides in a message: VFS
+        /// forwards the request with `grant` set to its magic grant over
+        /// that buffer, for the file server, which copies each chunk into
+        /// it (a client leaves `grant` 0).
         request READ = 0x0802 -> DATA_REPLY, Read {
             ino: 0,
             offset: 1,
             len: 2,
+            buf: 3,
+            grant: 4,
             route: 7,
         }
-        /// Write the payload in `data` at `offset`.
+        /// Write the `len` bytes at `buf` of the caller's address space at
+        /// `offset`; `grant` as in READ.
         request WRITE = 0x0803 -> DATA_REPLY, Write {
             ino: 0,
             offset: 1,
+            len: 2,
+            buf: 3,
+            grant: 4,
             route: 7,
         }
-        /// The status and the byte count; read data in `data`. VFS answers
+        /// The status and the byte count; a file server's reply carries no
+        /// data (a read's bytes are in the client's buffer). VFS answers
         /// a request it cannot forward — whatever its kind — with an error
         /// DATA_REPLY of its own: `driver_died` is 1 when the failure was a
         /// dead driver (§6.3), and a refused logged `cdev::WRITE` echoes
@@ -450,23 +461,34 @@ impl File {
         })
     }
 
-    /// [`fs::READ`] of `len` bytes at `offset`.
-    pub fn read(&self, offset: u64, len: u64) -> Message {
+    /// [`fs::READ`] of `len` bytes at `offset` into the caller's buffer
+    /// at `buf`.
+    pub fn read(&self, offset: u64, len: u64, buf: u64) -> Message {
         let (ino, route) = (self.ino, self.route);
         fs::Read {
             ino,
             offset,
             len,
+            buf,
+            grant: 0,
             route,
         }
         .into_message()
     }
 
-    /// [`fs::WRITE`] of `data` at `offset`.
-    pub fn write(&self, offset: u64, data: Vec<u8>) -> Message {
+    /// [`fs::WRITE`] at `offset` of the `len` bytes of the caller's
+    /// buffer at `buf`.
+    pub fn write(&self, offset: u64, len: u64, buf: u64) -> Message {
         let (ino, route) = (self.ino, self.route);
-        let write = fs::Write { ino, offset, route };
-        write.into_message().with_data(data)
+        fs::Write {
+            ino,
+            offset,
+            len,
+            buf,
+            grant: 0,
+            route,
+        }
+        .into_message()
     }
 }
 
@@ -634,12 +656,12 @@ mod tests {
             .with_param(2, 4096);
         let fat = File::opened("/fat/big.bin", &reply).expect("an open reply");
         assert_eq!((fat.ino, fat.size), (9, 4096));
-        let read = fs::Read::from_message(&fat.read(512, 64));
+        let read = fs::Read::from_message(&fat.read(512, 64, 0));
         assert_eq!(read.map(|r| r.route), Some(FAT_ROUTE));
-        let write = fs::Write::from_message(&fat.write(0, vec![0]));
+        let write = fs::Write::from_message(&fat.write(0, 512, 0));
         assert_eq!(write.map(|w| w.route), Some(FAT_ROUTE));
         let root = File::opened("bigfile", &reply).expect("an open reply");
-        let read = fs::Read::from_message(&root.read(0, 1));
+        let read = fs::Read::from_message(&root.read(0, 1, 0));
         assert_eq!(read.map(|r| r.route), Some(0));
         assert_eq!(mount_of("/fat/a/b"), (FAT_ROUTE, "a/b"));
         assert_eq!(File::opened("bigfile", &Message::new(fs::DATA_REPLY)), None);

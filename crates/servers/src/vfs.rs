@@ -11,6 +11,7 @@
 use std::collections::BTreeMap;
 
 use phoenix_drivers::proto::{cdev, status};
+use phoenix_kernel::memory::{GrantAccess, GrantId};
 use phoenix_kernel::process::ProcEvent;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
@@ -30,8 +31,9 @@ enum Forward {
     /// violate the fs protocol — VFS vets its sibling servers' replies
     /// just as it vets char drivers' (MFS has its own sentinels). The
     /// route names the server: [`FAT_ROUTE`] the FAT mount, any other
-    /// the root file server.
-    Fs(CallId, u64, Endpoint),
+    /// the root file server. Last, the magic grant over the client's
+    /// buffer a READ or WRITE carries, revoked when the forward ends.
+    Fs(CallId, u64, Endpoint, Option<GrantId>),
 }
 
 impl Forward {
@@ -251,7 +253,9 @@ impl Vfs {
     }
 
     /// Forwards to the file server of `route`, recording the accused
-    /// identity so the reply can be vetted against the fs protocol.
+    /// identity so the reply can be vetted against the fs protocol. A
+    /// READ or WRITE goes with a grant over the client's buffer; one the
+    /// client's space does not hold is refused.
     fn forward(
         &mut self,
         sh: &mut Shell,
@@ -261,7 +265,48 @@ impl Vfs {
         client: CallId,
         msg: Message,
     ) {
-        self.forward_vetted(sh, ctx, dst, msg, Forward::Fs(client, route, dst));
+        let Some((msg, grant)) = Self::grant_buffer(ctx, dst, msg) else {
+            return self.fail(sh, ctx, client, status::EINVAL);
+        };
+        self.forward_vetted(sh, ctx, dst, msg, Forward::Fs(client, route, dst, grant));
+    }
+
+    /// `msg` as it goes to the file server `dst`: a READ (WRITE) names,
+    /// in `grant`, VFS's magic grant of write (read) access for `dst`
+    /// over the buffer the client named in its own space — MINIX's
+    /// `cpf_grant_magic`, so file data never rides in a message. Any
+    /// other request goes as it came. `None` if the client's space does
+    /// not hold the buffer, or the client is gone.
+    fn grant_buffer(
+        ctx: &mut Ctx<'_>,
+        dst: Endpoint,
+        msg: Message,
+    ) -> Option<(Message, Option<GrantId>)> {
+        let request = fs::Msg::decode(&msg);
+        let (buf, len, access) = match request {
+            Some(fs::Msg::READ(r)) => (r.buf, r.len, GrantAccess::Write),
+            Some(fs::Msg::WRITE(w)) => (w.buf, w.len, GrantAccess::Read),
+            _ => return Some((msg, None)),
+        };
+        let (buf, len) = (usize::try_from(buf).ok()?, usize::try_from(len).ok()?);
+        let grant = ctx
+            .magic_grant_create(msg.source, dst, buf, len, access)
+            .ok()?;
+        let id = u64::from(grant.0);
+        let granted = match request {
+            Some(fs::Msg::WRITE(w)) => fs::Write { grant: id, ..w }.into_message(),
+            Some(fs::Msg::READ(r)) => fs::Read { grant: id, ..r }.into_message(),
+            _ => msg,
+        };
+        Some((granted, Some(grant)))
+    }
+
+    /// Revokes the grant a forward carried: its file server has answered,
+    /// died, or was never reached.
+    fn end_forward(ctx: &mut Ctx<'_>, fwd: &Forward) {
+        if let Forward::Fs(.., Some(grant)) = *fwd {
+            let _ = ctx.magic_grant_revoke(grant);
+        }
     }
 
     fn forward_vetted(
@@ -277,7 +322,10 @@ impl Vfs {
                 self.forwards.insert(call, fwd);
             }
             // analyze:recovery
-            Err(_) => self.fail_forward(sh, ctx, &fwd),
+            Err(_) => {
+                Self::end_forward(ctx, &fwd);
+                self.fail_forward(sh, ctx, &fwd);
+            }
         }
     }
 
@@ -287,8 +335,8 @@ impl Vfs {
     fn complain(&self, sh: &mut Shell, ctx: &mut Ctx<'_>, fwd: &Forward, kind: u32, why: &str) {
         let (name, accused) = match *fwd {
             Forward::Dev(_, exp) => (exp.key, exp.driver),
-            Forward::Fs(_, FAT_ROUTE, fat) => (self.fat_key.as_deref().unwrap_or_default(), fat),
-            Forward::Fs(_, _, fsrv) => (self.fs_key.as_str(), fsrv),
+            Forward::Fs(_, FAT_ROUTE, fat, _) => (self.fat_key.as_deref().unwrap_or_default(), fat),
+            Forward::Fs(_, _, fsrv, _) => (self.fs_key.as_str(), fsrv),
         };
         let trace = format!("complaining about {name}: {why}");
         sh.complain(ctx, self.rs, (name, Some(accused)), kind, trace);
@@ -368,6 +416,7 @@ impl Vfs {
         fwd: Forward,
         result: Result<Message, IpcError>,
     ) {
+        Self::end_forward(ctx, &fwd);
         match result {
             Ok(mut reply) => {
                 // analyze:recovery

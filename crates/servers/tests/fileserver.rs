@@ -14,7 +14,7 @@ use phoenix_ckpt::proto::{ckpt, ckpt_status};
 use phoenix_ckpt::Snapshot;
 use phoenix_drivers::proto::{bdev, status};
 use phoenix_hw::disk::{DiskModel, SECTOR};
-use phoenix_kernel::memory::GrantId;
+use phoenix_kernel::memory::{GrantAccess, GrantId};
 use phoenix_kernel::platform::NullPlatform;
 use phoenix_kernel::privileges::Privileges;
 use phoenix_kernel::process::{ProcEvent, Process};
@@ -373,14 +373,27 @@ impl Rig {
                 }
                 ProcEvent::Reply {
                     result: Ok(reply), ..
-                } => sink.borrow_mut().push((reply.param(0), reply.data.clone())),
+                } => {
+                    // The bytes are in the reader's buffer; the reply,
+                    // OK or not, carries only their count.
+                    assert!(reply.data.is_empty(), "no file byte in a reply");
+                    let count = reply.param(1) as usize;
+                    let data = ctx.mem(0, count).expect("the count fits the buffer");
+                    sink.borrow_mut().push((reply.param(0), data.to_vec()));
+                }
                 _ => return,
             }
             if let (Some(ino), Some((offset, len))) = (ino, todo.pop_front()) {
+                // Straight to the file server: the reader grants it its
+                // own buffer, as VFS grants it a client's.
+                let grant = ctx
+                    .grant_create(server, 0, len as usize, GrantAccess::Write)
+                    .expect("the buffer fits");
                 let read = Message::new(fs::READ)
                     .with_param(0, ino)
                     .with_param(1, offset)
-                    .with_param(2, len);
+                    .with_param(2, len)
+                    .with_param(4, u64::from(grant.0));
                 let _ = ctx.sendrec(server, read);
             }
         }));
