@@ -50,10 +50,12 @@ pub fn build(
         ("glob_warnings", Json::Arr(globs.collect())),
     ]);
 
-    // Slot registry rendered as kind -> { "slot" -> field }.
+    // Slot registry rendered as kind -> { "slot" -> field }, one entry
+    // for each slot a field fills.
     let registry = conf.kinds.iter().filter(|k| !k.fields.is_empty()).map(|k| {
-        let slots = k.fields.iter();
-        let slots = slots.map(|(slot, field)| (slot.to_string(), field.as_str().into()));
+        let slots = k.fields.iter().flat_map(|(slot, slots, field)| {
+            (*slot..slot + slots).map(|slot| (slot.to_string(), field.as_str().into()))
+        });
         (k.key(), Json::Obj(slots.collect()))
     });
     let kinds = conf.kinds.iter().map(|k| {

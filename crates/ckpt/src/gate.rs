@@ -187,8 +187,8 @@ impl StateGate {
                 RestoreEvent::Rejected
             }
             Ok((Some(reply), data)) => {
-                self.recovery = RecoveryId::from_wire(reply.recovery);
-                self.span = SpanId::from_wire(reply.span);
+                self.recovery = reply.recovery;
+                self.span = reply.span;
                 match reply.status {
                     s if s == ckpt_status::OK => match Snapshot::decode(data) {
                         Ok(snap) => {

@@ -10,6 +10,8 @@
 
 /// Checkpoint save/restore message kinds (0x0A00 range).
 pub mod ckpt {
+    use phoenix_simcore::trace::{RecoveryId, SpanId};
+
     phoenix_kernel::protocol! {
         /// Driver -> store: persist a snapshot. `data` is the key
         /// (`key_len` bytes) followed by the [`crate::snapshot::Snapshot`]
@@ -24,12 +26,12 @@ pub mod ckpt {
         request RESTORE = 0x0A02 -> RESTORE_REPLY;
         /// Store -> driver: the status, the snapshot wire encoding in
         /// `data` when OK, and always the episode of the owner's most
-        /// recent re-publish (0 = none), so the fresh incarnation can tag
-        /// its restore/replay trace events.
+        /// recent re-publish (`None` for a boot-time publish), so the
+        /// fresh incarnation can tag its restore/replay trace events.
         reply RESTORE_REPLY = 0x0A03, RestoreReply {
             status: 0,
-            recovery: 1,
-            span: 2,
+            recovery: 1 as Option<RecoveryId>,
+            span: 2 as Option<SpanId>,
         }
         /// Warm spare -> store: poll the latest snapshot frame of the
         /// *primary's* key in `data`. Only a spare published under

@@ -23,7 +23,7 @@ use phoenix_drivers::proto::{cdev, status};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_servers::proto::{evidence, fs, rs, Complaint};
+use phoenix_servers::proto::{evidence, fs, rs};
 use phoenix_simcore::time::{SimDuration, SimTime};
 
 /// What the script does with one request.
@@ -425,10 +425,15 @@ fn a_garbled_reply_to_an_aware_reader_is_one_complaint_then_the_same_offset() {
     assert_eq!((st.borrow().complaints, st.borrow().retries), (1, 1));
     let complaints = rig.complaints.borrow();
     assert_eq!(complaints.len(), 1);
-    let filed = Complaint::decode(&complaints[0].1).expect("a complaint");
+    let filed = &complaints[0].1;
+    let c = rs::Complain::from_message(filed).expect("a complaint");
     assert_eq!(
-        (filed.kind, &*filed.accused, filed.incarnation),
-        (evidence::BAD_REPLY, "vfs", Some(rig.vfs))
+        (c.kind, filed.data.as_slice(), c.incarnation),
+        (
+            u64::from(evidence::BAD_REPLY),
+            b"vfs".as_slice(),
+            Some(rig.vfs)
+        )
     );
     // The read the garbage consumed is asked again: offset 4096 both times.
     assert_eq!(rig.kinds(), [OPEN, READ, READ, READ]);

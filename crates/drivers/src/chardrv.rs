@@ -24,7 +24,7 @@ use phoenix_hw::uart::uart_regs;
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, DeviceId, Endpoint, IpcError, IrqLine, Message};
 use phoenix_simcore::time::SimDuration;
-use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
+use phoenix_simcore::trace::TraceLevel;
 
 use crate::libdriver::{DriverLogic, FaultPort, GuardedRoutine};
 use crate::proto::{cdev, drv, status};
@@ -285,22 +285,21 @@ impl<D: StreamDevice> StreamDriver<D> {
         let Some(role) = self.standby.take() else {
             return; // already live (duplicate promote)
         };
-        // The recovery-episode tag the first served request stamps on its
-        // `replay` timeline event.
-        let rid = RecoveryId::from_wire(promote.recovery);
-        let span = SpanId::from_wire(promote.span);
         if let Some(mark) = role.tail.watermark() {
             self.cursor.restore(mark);
         }
-        self.gate.adopt_warm(role.tail.seq(), rid, span);
+        // The recovery-episode tag the first served request stamps on its
+        // `replay` timeline event.
+        self.gate
+            .adopt_warm(role.tail.seq(), promote.recovery, promote.span);
         self.go_live(ctx);
         ctx.metrics().incr("drv.promotions");
         let ev = ctx
             .event(TraceLevel::Info, format!("{} standby went live", D::LABEL))
             .with_field("ev", "promote_live")
             .with_field("seq", role.tail.seq())
-            .in_recovery_opt(rid)
-            .with_parent_opt(span);
+            .in_recovery_opt(promote.recovery)
+            .with_parent_opt(promote.span);
         ctx.trace_event(ev);
     }
 

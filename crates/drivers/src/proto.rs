@@ -28,6 +28,8 @@ pub mod status {
 /// "exactly 5 lines of code in the shared driver library" of §7.3).
 // analyze:recovery
 pub mod drv {
+    use phoenix_simcore::trace::{RecoveryId, SpanId};
+
     phoenix_kernel::protocol! {
         /// Heartbeat ping from the reincarnation server.
         request HB_PING = 0x0100 -> HB_PONG, HbPing { nonce: 0 }
@@ -42,8 +44,8 @@ pub mod drv {
         /// The recovery episode rides along so the first served request
         /// tags the timeline's replay phase.
         oneway PROMOTE = 0x0103, Promote {
-            recovery: 0,
-            span: 1,
+            recovery: 0 as Option<RecoveryId>,
+            span: 1 as Option<SpanId>,
         }
     }
 

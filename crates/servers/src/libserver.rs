@@ -30,10 +30,10 @@ use phoenix_ckpt::StateGate;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, Endpoint, IpcError, Message};
-use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
+use phoenix_simcore::trace::TraceLevel;
 
 use crate::faultplane::{garble_message, FaultAction, FaultPlane, FaultState};
-use crate::proto::{complain, ds, evidence, unpack_endpoint};
+use crate::proto::{complain, ds, evidence};
 
 /// The literal names one server goes by.
 #[derive(Debug, Clone, Copy)]
@@ -89,19 +89,11 @@ pub trait ServerLogic {
     fn event(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, event: ProcEvent);
 }
 
-/// A decoded `ds::CHECK_REPLY`: which record changed, to what, and the
-/// recovery episode behind the publish (`None` = boot publish).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct DsUpdate {
-    /// The published key.
-    pub key: String,
-    /// The endpoint it now maps to.
-    pub endpoint: Endpoint,
-    /// Recovery episode of the publish.
-    pub recovery: Option<RecoveryId>,
-    /// Parent span of the publish.
-    pub parent: Option<SpanId>,
-}
+/// A changed data-store record: its key (the payload of the
+/// `ds::CHECK_REPLY` that announced it) and that reply, which names the
+/// endpoint the key now maps to and the recovery episode behind the
+/// publish (`None` = boot publish).
+pub type DsUpdate = (String, ds::CheckReply);
 
 /// The subscriber side of the data store's publish-subscribe (§5.3):
 /// DS notifies payload-free, the subscriber `CHECK`s for the update and
@@ -159,12 +151,7 @@ impl DsWatch {
             return Some(None);
         };
         let update = ds::CheckReply::from_message(reply).filter(|u| u.status == 0);
-        Some(update.map(|u| DsUpdate {
-            key: String::from_utf8_lossy(&reply.data).to_string(),
-            endpoint: unpack_endpoint(u.slot, u.generation),
-            recovery: RecoveryId::from_wire(u.recovery),
-            parent: SpanId::from_wire(u.span),
-        }))
+        Some(update.map(|u| (String::from_utf8_lossy(&reply.data).to_string(), u)))
     }
 }
 

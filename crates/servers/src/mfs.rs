@@ -841,12 +841,12 @@ impl<V: Volume> ServerLogic for FileServer<V> {
         self.pump(sh, ctx);
     }
 
-    fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
-        if update.key == self.driver_key {
+    fn ds_update(&mut self, _sh: &mut Shell, ctx: &mut Ctx<'_>, (key, update): DsUpdate) {
+        if key == self.driver_key {
             // analyze:recovery
             self.recovery = update.recovery;
             // analyze:recovery
-            self.recovery_parent = update.parent;
+            self.recovery_parent = update.span;
             self.on_driver_published(ctx, update.endpoint);
         }
     }

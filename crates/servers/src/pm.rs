@@ -18,7 +18,7 @@ use phoenix_simcore::trace::TraceLevel;
 use phoenix_simcore::wire::{Reader, Writer};
 
 use crate::libserver::{Names, ServerLogic, Shell};
-use crate::proto::{pack_endpoint, pm, unpack_endpoint};
+use crate::proto::pm;
 
 /// Status codes in PM replies.
 pub mod pm_status {
@@ -34,13 +34,8 @@ pub mod pm_status {
 
 /// The START_REPLY of `status`, naming the started endpoint if any.
 fn start_reply(status: u64, started: Option<Endpoint>) -> Message {
-    let (slot, generation) = started.map_or((0, 0), pack_endpoint);
-    let reply = pm::StartReply {
-        status,
-        slot,
-        generation,
-    };
-    reply.into_message()
+    let endpoint = started.unwrap_or_default();
+    pm::StartReply { status, endpoint }.into_message()
 }
 
 /// The process manager's logic; run it as `Server<ProcessManager>`. Its
@@ -138,10 +133,8 @@ impl ServerLogic for ProcessManager {
                 // immediately visible (§5.1).
                 if let Some(reaper) = self.reaper {
                     let (reason, detail) = Self::encode_reason(&status.reason);
-                    let (slot, generation) = pack_endpoint(status.endpoint);
                     let exit = pm::Sigchld {
-                        slot,
-                        generation,
+                        endpoint: status.endpoint,
                         reason,
                         detail,
                     };
@@ -174,13 +167,12 @@ impl ServerLogic for ProcessManager {
                 sh.reply(ctx, call, reply);
             }
             Some(pm::Msg::KILL(kill)) if self.reaper == Some(msg.source) => {
-                let target = unpack_endpoint(kill.slot, kill.generation);
                 let signal = if kill.signal == 1 {
                     Signal::Kill
                 } else {
                     Signal::Term
                 };
-                let st = match ctx.sys_kill(target, signal) {
+                let st = match ctx.sys_kill(kill.target, signal) {
                     Ok(()) => pm_status::OK,
                     Err(_) => pm_status::NO_PROCESS,
                 };

@@ -7,23 +7,13 @@
 //! and one classifier for what comes back, so the param layout, the
 //! device order and the mount route are each written once.
 
-use std::borrow::Cow;
-
 use phoenix_drivers::proto::{cdev, status};
 use phoenix_kernel::types::{Endpoint, IpcError, Message};
 
-/// Packs an endpoint into two message params.
-pub fn pack_endpoint(ep: Endpoint) -> (u64, u64) {
-    (u64::from(ep.slot()), u64::from(ep.generation()))
-}
-
-/// Unpacks an endpoint from two message params.
-pub fn unpack_endpoint(slot: u64, generation: u64) -> Endpoint {
-    Endpoint::new(slot as u16, generation as u32)
-}
-
 /// Process manager protocol (RS ↔ PM).
 pub mod pm {
+    use phoenix_kernel::types::Endpoint;
+
     phoenix_kernel::protocol! {
         /// RS registers itself as the receiver of child-exit reports.
         oneway REGISTER = 0x0500;
@@ -32,13 +22,11 @@ pub mod pm {
         /// The status and the new process's endpoint.
         reply START_REPLY = 0x0502, StartReply {
             status: 0,
-            slot: 1,
-            generation: 2,
+            endpoint: 1 as Endpoint,
         }
         /// Send `signal` (0 = SIGTERM, 1 = SIGKILL) to an endpoint.
         request KILL = 0x0503 -> KILL_REPLY, Kill {
-            slot: 0,
-            generation: 1,
+            target: 0 as Endpoint,
             signal: 2,
         }
         /// The status of a KILL.
@@ -48,8 +36,7 @@ pub mod pm {
         /// exception / 1 if a user-originated signal); the process name in
         /// `data`.
         oneway SIGCHLD = 0x0505, Sigchld {
-            slot: 0,
-            generation: 1,
+            endpoint: 0 as Endpoint,
             reason: 2,
             detail: 3,
         }
@@ -67,15 +54,17 @@ pub mod pm {
 /// Data store protocol (§5.3): naming + publish-subscribe. Private state
 /// backup is the checkpoint-store extension (`phoenix_ckpt::proto::ckpt`).
 pub mod ds {
+    use phoenix_kernel::types::Endpoint;
+    use phoenix_simcore::trace::{RecoveryId, SpanId};
+
     phoenix_kernel::protocol! {
         /// Publish the key in `data` → endpoint. RS only. The recovery
         /// episode's correlation token (`RecoveryId`/`SpanId`) rides along
         /// so dependents can tag reintegration.
         request PUBLISH = 0x0600 -> ACK, Publish {
-            slot: 0,
-            generation: 1,
-            recovery: 2,
-            span: 3,
+            endpoint: 0 as Endpoint,
+            recovery: 2 as Option<RecoveryId>,
+            span: 3 as Option<SpanId>,
         }
         /// Subscribe to keys matching a prefix pattern in `data` (a
         /// trailing `*` is a wildcard, e.g. `eth.*`). Reply: generic ACK.
@@ -87,10 +76,9 @@ pub mod ds {
         /// `data`.
         reply CHECK_REPLY = 0x0606, CheckReply {
             status: 0,
-            slot: 1,
-            generation: 2,
-            recovery: 3,
-            span: 4,
+            endpoint: 1 as Endpoint,
+            recovery: 3 as Option<RecoveryId>,
+            span: 4 as Option<SpanId>,
         }
         /// Generic acknowledgement.
         reply ACK = 0x060A, Ack { status: 0 }
@@ -100,6 +88,8 @@ pub mod ds {
 /// Reincarnation server protocol (§5): the `service` utility and
 /// complaint interface.
 pub mod rs {
+    use phoenix_kernel::types::Endpoint;
+
     phoenix_kernel::protocol! {
         /// Start a service; config is carried out-of-band in the RS service
         /// table (the machine builds it), `data` = service name.
@@ -114,14 +104,13 @@ pub mod rs {
         /// Complaint from an authorized server about a malfunctioning
         /// component (defect class 5). `data` = accused service name;
         /// `kind` = evidence class (see [`super::evidence`]; 0 = legacy
-        /// unclassified, treated as high confidence); the endpoint is the
-        /// accused *incarnation* as the accuser last saw it ((0, 0) =
+        /// unclassified, treated as high confidence); `incarnation` is the
+        /// accused incarnation as the accuser last saw it (`None` =
         /// unspecified). RS uses it to drop ghost complaints filed against
         /// an incarnation that has already been replaced.
         request COMPLAIN = 0x0704 -> ACK, Complain {
             kind: 0,
-            slot: 1,
-            generation: 2,
+            incarnation: 1 as Option<Endpoint>,
         }
         /// Generic acknowledgement.
         reply ACK = 0x0705, Ack { status: 0 }
@@ -221,50 +210,13 @@ pub mod evidence {
     }
 }
 
-/// One [`rs::COMPLAIN`], decoded — the only code that knows the layout.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Complaint<'a> {
-    /// Evidence class (see [`evidence`]; 0 = legacy unclassified).
-    pub kind: u32,
-    /// Stable service name of the accused.
-    pub accused: Cow<'a, str>,
-    /// The accused incarnation as the accuser last saw it, `None` when
-    /// unspecified (`(0, 0)` on the wire).
-    pub incarnation: Option<Endpoint>,
-}
-
 /// Builds the [`rs::COMPLAIN`] request accusing `accused` of `kind`.
 pub fn complain(kind: u32, accused: &str, incarnation: Option<Endpoint>) -> Message {
-    let (slot, generation) = incarnation.map_or((0, 0), pack_endpoint);
     let kind = u64::from(kind);
-    rs::Complain {
-        kind,
-        slot,
-        generation,
-    }
-    .into_message()
-    .with_data(accused.as_bytes().to_vec())
-}
-
-impl Complaint<'_> {
-    /// Reads a complaint back out of an [`rs::COMPLAIN`] request; `None`
-    /// for a message of any other kind.
-    pub fn decode(msg: &Message) -> Option<Complaint<'_>> {
-        Some(Complaint::read(rs::Complain::from_message(msg)?, &msg.data))
-    }
-
-    /// The complaint of an [`rs::COMPLAIN`] request decoded to `c`, whose
-    /// payload is `data`.
-    pub fn read(c: rs::Complain, data: &[u8]) -> Complaint<'_> {
-        Complaint {
-            kind: c.kind as u32,
-            accused: String::from_utf8_lossy(data),
-            incarnation: match (c.slot, c.generation) {
-                (0, 0) => None,
-                (slot, generation) => Some(unpack_endpoint(slot, generation)),
-            },
-        }
-    }
+    let complain = rs::Complain { kind, incarnation };
+    complain
+        .into_message()
+        .with_data(accused.as_bytes().to_vec())
 }
 
 /// File system protocol (application ↔ VFS ↔ MFS). A request's `route` is
@@ -598,10 +550,14 @@ mod tests {
         let ep = Endpoint::new(7, 3);
         let msg = complain(evidence::CRC_MISMATCH, "blk.sata", Some(ep));
         assert_eq!(msg.mtype, rs::COMPLAIN);
-        let c = Complaint::decode(&msg).expect("a complaint");
+        let c = rs::Complain::from_message(&msg).expect("a complaint");
         assert_eq!(
-            (c.kind, &*c.accused, c.incarnation),
-            (evidence::CRC_MISMATCH, "blk.sata", Some(ep))
+            (c.kind, msg.data.as_slice(), c.incarnation),
+            (
+                u64::from(evidence::CRC_MISMATCH),
+                b"blk.sata".as_slice(),
+                Some(ep)
+            )
         );
     }
 
@@ -609,15 +565,15 @@ mod tests {
     fn unspecified_incarnation_is_zero_zero_on_the_wire() {
         let msg = complain(evidence::DEADLINE, "eth.rtl8139", None);
         assert_eq!((msg.param(1), msg.param(2)), (0, 0));
-        let c = Complaint::decode(&msg).expect("a complaint");
+        let c = rs::Complain::from_message(&msg).expect("a complaint");
         assert_eq!(c.incarnation, None);
         // Kind 0 is the legacy name-only complaint: unclassified.
         let msg = complain(0, "victim", None);
         assert_eq!(msg.params[..3], [0, 0, 0]);
-        let c = Complaint::decode(&msg).expect("a complaint");
-        assert_eq!(evidence::name(c.kind), "unclassified");
+        let c = rs::Complain::from_message(&msg).expect("a complaint");
+        assert_eq!(evidence::name(c.kind as u32), "unclassified");
         // Any other kind is no complaint at all.
-        assert_eq!(Complaint::decode(&Message::new(rs::UP)), None);
+        assert_eq!(rs::Complain::from_message(&Message::new(rs::UP)), None);
     }
 
     #[test]

@@ -118,7 +118,7 @@ use crate::pm::pm_status;
 use crate::policy::{
     reason, AdaptParam, AdaptSignal, PolicyDecision, PolicyInput, PolicyParams, PolicyScript,
 };
-use crate::proto::{ds, evidence, pack_endpoint, pm, rs as rsp, unpack_endpoint, Complaint};
+use crate::proto::{ds, evidence, pm, rs as rsp};
 
 /// Configuration of one guarded service, as passed to the `service`
 /// utility in MINIX (§5: "the driver's binary, a stable name, the process'
@@ -416,12 +416,6 @@ impl Episode {
             died_at: Some(ctx.now()),
         }
     }
-
-    /// The token and root span of `episode` as wire values; `(0, 0)` for a
-    /// boot-time start, which has none.
-    fn wire(episode: Option<Episode>) -> (u64, u64) {
-        episode.map_or((0, 0), |e| (e.rid.as_u64(), e.span.as_u64()))
-    }
 }
 
 /// Whom an RS event is about: a stable name and its most recent episode
@@ -621,27 +615,19 @@ fn start_request(program: String, version: u64) -> Message {
 }
 
 /// PM_KILL of `ep`: SIGTERM if `term`, else SIGKILL.
-fn kill_request(ep: Endpoint, term: bool) -> Message {
-    let (slot, generation) = pack_endpoint(ep);
+fn kill_request(target: Endpoint, term: bool) -> Message {
     let signal = u64::from(!term);
-    let kill = pm::Kill {
-        slot,
-        generation,
-        signal,
-    };
-    kill.into_message()
+    pm::Kill { target, signal }.into_message()
 }
 
 /// DS publish of `key` → `ep`. The episode rides along so DS — and,
 /// through DS's update notifications, every dependent — can tag its own
 /// reintegration events with the same episode id.
-fn publish_request(key: String, ep: Endpoint, episode: Option<Episode>) -> Message {
-    let ((slot, generation), (recovery, span)) = (pack_endpoint(ep), Episode::wire(episode));
+fn publish_request(key: String, endpoint: Endpoint, episode: Option<Episode>) -> Message {
     let publish = ds::Publish {
-        slot,
-        generation,
-        recovery,
-        span,
+        endpoint,
+        recovery: episode.map(|e| e.rid),
+        span: episode.map(|e| e.span),
     };
     publish.into_message().with_data(key.into_bytes())
 }
@@ -1280,11 +1266,11 @@ impl ReincarnationServer {
         &mut self,
         ctx: &mut Ctx<'_>,
         source: Endpoint,
-        complaint: Complaint<'_>,
+        complaint: rsp::Complain,
+        name: &str,
         idx: Option<usize>,
     ) -> u64 {
-        let name = &*complaint.accused;
-        let kind = complaint.kind;
+        let kind = complaint.kind as u32;
         let accuser_idx = match self.slot_of(source) {
             Some(Role::Primary(a)) => Some(a),
             _ => None,
@@ -1442,7 +1428,8 @@ impl ReincarnationServer {
         // Tell the spare to go live: deferred device init, fault-port
         // publish under the primary name, stop tailing, adopt the
         // tailed watermark as warm state.
-        let (recovery, span) = Episode::wire(self.services[idx].primary.episode);
+        let episode = self.services[idx].primary.episode;
+        let (recovery, span) = (episode.map(|e| e.rid), episode.map(|e| e.span));
         let _ = ctx.send(ep, drv::Promote { recovery, span }.into_message());
         // Publish before dependents are notified (§5.3), verified like
         // any other publish.
@@ -1603,8 +1590,7 @@ impl ReincarnationServer {
         let Some(pm::Msg::SIGCHLD(exit)) = pm::Msg::decode(msg) else {
             return;
         };
-        let ep = unpack_endpoint(exit.slot, exit.generation);
-        if let Some(role) = self.slot_of(ep) {
+        if let Some(role) = self.slot_of(exit.endpoint) {
             // Defect classes 1-3 (§5.1) from the exit kind.
             let observed = match u32::try_from(exit.reason) {
                 Ok(pm::EXITED | pm::PANICKED) => reason::EXIT,
@@ -1620,7 +1606,7 @@ impl ReincarnationServer {
             if self.early_deaths.len() >= EARLY_DEATHS_CAP {
                 self.early_deaths.pop_front();
             }
-            self.early_deaths.push_back(ep);
+            self.early_deaths.push_back(exit.endpoint);
         }
     }
 
@@ -1998,7 +1984,7 @@ impl ReincarnationServer {
     fn start_replied(&mut self, ctx: &mut Ctx<'_>, call: CallId, role: Role, result: CallResult) {
         let reply = result.as_ref().ok().and_then(pm::StartReply::from_message);
         let started = reply.filter(|r| r.status == pm_status::OK);
-        let started = started.map(|r| unpack_endpoint(r.slot, r.generation));
+        let started = started.map(|r| r.endpoint);
         let Some(&mut slot) = self.slot(role) else {
             return;
         };
@@ -2133,7 +2119,7 @@ impl ReincarnationServer {
             // violation; RS arbitrates (§5.1).
             // analyze:recovery
             (Some(rsp::Msg::COMPLAIN(c)), i) => {
-                st = self.on_complaint(ctx, msg.source, Complaint::read(c, &msg.data), i);
+                st = self.on_complaint(ctx, msg.source, c, &name, i);
             }
             // EINVAL: an unknown service, or not a request RS serves.
             (Some(rsp::Msg::UP | rsp::Msg::RESTART | rsp::Msg::UPDATE | rsp::Msg::DOWN), None)

@@ -525,14 +525,9 @@ impl ServerLogic for Vfs {
         self.route(sh, ctx, call, msg);
     }
 
-    fn ds_update(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, update: DsUpdate) {
-        // `recovery` is the episode behind this update (None = boot publish).
-        let DsUpdate {
-            key,
-            endpoint: ep,
-            recovery: rid,
-            parent,
-        } = update;
+    fn ds_update(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, (key, update): DsUpdate) {
+        // `update.recovery` is the episode behind it (None = boot publish).
+        let ep = update.endpoint;
         if key == self.fs_key {
             // analyze:recovery
             let rebound = self.mounts.fs.is_some_and(|old| old != ep);
@@ -554,8 +549,8 @@ impl ServerLogic for Vfs {
                     .with_field("ev", "resume")
                     .with_field("key", key.as_str())
                     .with_field("parked", parked.len() as u64)
-                    .in_recovery_opt(rid)
-                    .with_parent_opt(parent);
+                    .in_recovery_opt(update.recovery)
+                    .with_parent_opt(update.span);
                 ctx.trace_event(ev);
             }
             // Parked requests all go to the root file server, whatever
@@ -580,8 +575,8 @@ impl ServerLogic for Vfs {
                 .event(TraceLevel::Info, format!("char driver {key} -> {ep}"))
                 .with_field("ev", if rebound { "reintegrate" } else { "resume" })
                 .with_field("key", key.as_str())
-                .in_recovery_opt(rid)
-                .with_parent_opt(parent);
+                .in_recovery_opt(update.recovery)
+                .with_parent_opt(update.span);
             ctx.trace_event(ev);
             self.mounts.chr.insert(key, ep);
         }

@@ -24,10 +24,10 @@ use phoenix_servers::ds::ds_status;
 use phoenix_servers::fsfat::{mkfs_fat, Fat16};
 use phoenix_servers::fsfmt::{mkfs, FileContent, FileSpec, Inode, Minix};
 use phoenix_servers::mfs::{FileServer, Volume};
-use phoenix_servers::proto::{ds, evidence, fs, pack_endpoint, Complaint};
+use phoenix_servers::proto::{ds, evidence, fs, rs};
 use phoenix_servers::{FaultPlane, Server};
 use phoenix_simcore::time::{SimDuration, SimTime};
-use phoenix_simcore::trace::RecoveryId;
+use phoenix_simcore::trace::{RecoveryId, SpanId};
 
 const DRIVER_KEY: &str = "blk.fake";
 const FILE: &str = "data.bin";
@@ -265,9 +265,10 @@ impl Rig {
             "rs",
             Box::new(move |_, ev| {
                 if let ProcEvent::Request { msg, .. } = ev {
-                    let c = Complaint::decode(msg).expect("a complaint");
+                    let c = rs::Complain::from_message(msg).expect("a complaint");
+                    let accused = String::from_utf8_lossy(&msg.data).to_string();
                     seen.borrow_mut()
-                        .push((c.kind, c.accused.to_string(), c.incarnation));
+                        .push((c.kind as u32, accused, c.incarnation));
                 }
             }),
         );
@@ -324,12 +325,14 @@ impl Rig {
     /// Announces the current driver incarnation through the store, as
     /// part of recovery episode `rid` if given, and runs the system idle.
     fn publish(&mut self, rid: Option<u64>) {
-        let (slot, generation) = pack_endpoint(self.driver);
-        let update = Message::new(ds::CHECK_REPLY)
-            .with_param(1, slot)
-            .with_param(2, generation)
-            .with_param(3, rid.unwrap_or(0))
-            .with_param(4, rid.map_or(0, |r| r + 100))
+        let update = ds::CheckReply {
+            status: 0,
+            endpoint: self.driver,
+            recovery: rid.map(RecoveryId),
+            span: rid.map(|r| SpanId(r + 100)),
+        };
+        let update = update
+            .into_message()
             .with_data(DRIVER_KEY.as_bytes().to_vec());
         self.store.borrow_mut().pending.push_back(update);
         let dse = self.sys.endpoint_by_name("ds").unwrap();

@@ -19,7 +19,7 @@ use phoenix_kernel::types::{CallId, Endpoint, Message};
 use phoenix_servers::ds::ds_status;
 use phoenix_servers::faultplane::GARBLE_XOR;
 use phoenix_servers::libserver::{DsUpdate, Names, ServerLogic, Shell};
-use phoenix_servers::proto::{ds, evidence, pack_endpoint, Complaint};
+use phoenix_servers::proto::{ds, evidence, rs};
 use phoenix_servers::{FaultPlane, Server, ServerFault};
 use phoenix_simcore::time::SimDuration;
 use phoenix_simcore::trace::{RecoveryId, SpanId};
@@ -214,9 +214,10 @@ impl Rig {
             "rs",
             Box::new(move |_, ev| {
                 if let ProcEvent::Request { msg, .. } = ev {
-                    let c = Complaint::decode(msg).expect("a complaint");
+                    let c = rs::Complain::from_message(msg).expect("a complaint");
+                    let accused = String::from_utf8_lossy(&msg.data).to_string();
                     seen.borrow_mut()
-                        .push((c.kind, c.accused.to_string(), c.incarnation));
+                        .push((c.kind as u32, accused, c.incarnation));
                 }
             }),
         );
@@ -414,35 +415,30 @@ fn complaints_are_counted_by_class_and_reach_rs_decodable() {
 
 #[test]
 fn ds_watch_decodes_updates_with_and_without_a_recovery_token_and_drains() {
-    let update = |key: &str, ep: Endpoint, rid: u64, span: u64| {
-        let (slot, generation) = pack_endpoint(ep);
-        Message::new(ds::CHECK_REPLY)
-            .with_param(1, slot)
-            .with_param(2, generation)
-            .with_param(3, rid)
-            .with_param(4, span)
-            .with_data(key.as_bytes().to_vec())
-    };
     let (a, b) = (Endpoint::new(3, 9), Endpoint::new(4, 1));
+    let updates = [
+        ("x.a".to_string(), a, Some(RecoveryId(5)), Some(SpanId(6))),
+        ("x.b".to_string(), b, None, None),
+    ]
+    .map(|(key, endpoint, recovery, span)| {
+        let update = ds::CheckReply {
+            status: 0,
+            endpoint,
+            recovery,
+            span,
+        };
+        (key, update)
+    });
     let script = DsScript {
-        pending: [update("x.a", a, 5, 6), update("x.b", b, 0, 0)].into(),
+        pending: updates
+            .iter()
+            .map(|(key, u)| u.into_message().with_data(key.as_bytes().to_vec()))
+            .collect(),
         ..DsScript::default()
     };
     let mut rig = Rig::new(script, None);
     rig.client(vec![]);
-    let expect = |key: &str, endpoint, recovery, parent| DsUpdate {
-        key: key.to_string(),
-        endpoint,
-        recovery,
-        parent,
-    };
-    assert_eq!(
-        *rig.updates.borrow(),
-        [
-            expect("x.a", a, Some(RecoveryId(5)), Some(SpanId(6))),
-            expect("x.b", b, None, None),
-        ]
-    );
+    assert_eq!(*rig.updates.borrow(), updates);
     // One notify, three CHECKs: the watch kept checking until NO_UPDATE.
     assert_eq!(rig.script.borrow().checks, 3);
     // Only the data store's notify is a data-store notify.

@@ -14,7 +14,7 @@ use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{Endpoint, Message, Signal};
 use phoenix_servers::ds::ds_status;
 use phoenix_servers::policy::PolicyScript;
-use phoenix_servers::proto::{complain, ds, pack_endpoint, rs as rsp, unpack_endpoint};
+use phoenix_servers::proto::{complain, ds, rs as rsp};
 use phoenix_servers::rs::{ReincarnationServer, ServiceConfig};
 use phoenix_servers::{DataStore, ProcessManager, Server};
 use phoenix_simcore::time::SimTime;
@@ -151,12 +151,12 @@ fn ds_rebinding_a_name_drops_the_old_endpoints_subscriptions() {
         "rs",
         Box::new(move |ctx, ev| {
             if matches!(ev, ProcEvent::Start) {
-                let publish = |key: &[u8], ep| {
-                    let (s, g) = pack_endpoint(ep);
-                    Message::new(ds::PUBLISH)
-                        .with_param(0, s)
-                        .with_param(1, g)
-                        .with_data(key.to_vec())
+                let publish = |key: &[u8], endpoint| {
+                    let publish = ds::Publish {
+                        endpoint,
+                        ..Default::default()
+                    };
+                    publish.into_message().with_data(key.to_vec())
                 };
                 let _ = ctx.sendrec(dse, publish(b"inet", old));
                 let _ = ctx.sendrec(dse, publish(b"inet", new));
@@ -180,14 +180,12 @@ fn ds_subscription_replays_existing_and_delivers_updates() {
         "rs",
         Box::new(move |ctx, ev| {
             if matches!(ev, ProcEvent::Start) {
-                let (s, g) = pack_endpoint(e1);
-                let _ = ctx.sendrec(
-                    dse,
-                    Message::new(ds::PUBLISH)
-                        .with_param(0, s)
-                        .with_param(1, g)
-                        .with_data(b"eth.one".to_vec()),
-                );
+                let publish = ds::Publish {
+                    endpoint: e1,
+                    ..Default::default()
+                };
+                let publish = publish.into_message().with_data(b"eth.one".to_vec());
+                let _ = ctx.sendrec(dse, publish);
             }
         }),
     );
@@ -209,9 +207,10 @@ fn ds_subscription_replays_existing_and_delivers_updates() {
             ProcEvent::Reply {
                 result: Ok(reply), ..
             } if reply.mtype == ds::CHECK_REPLY && reply.param(0) == ds_status::OK => {
+                let update = ds::CheckReply::from_message(reply).expect("a check reply");
                 sc.borrow_mut().push((
                     String::from_utf8_lossy(&reply.data).to_string(),
-                    unpack_endpoint(reply.param(1), reply.param(2)),
+                    update.endpoint,
                 ));
                 let _ = ctx.sendrec(dse, Message::new(ds::CHECK));
             }
@@ -688,14 +687,10 @@ fn rs_drops_ghost_complaints_against_dead_incarnations() {
                         // victim: same slot, wrong generation. Even a
                         // high-confidence kind says nothing about the
                         // successor.
-                        let victim = *victim_ep3.borrow();
-                        let (slot, generation) = victim.map(pack_endpoint).unwrap_or((0, 0));
-                        let _ = ctx.sendrec(
-                            rs,
-                            complain_msg("victim", evidence::BAD_REPLY)
-                                .with_param(1, slot)
-                                .with_param(2, generation + 1000),
-                        );
+                        let victim = victim_ep3.borrow().unwrap_or_default();
+                        let stale = Endpoint::new(victim.slot(), victim.generation() + 1000);
+                        let _ =
+                            ctx.sendrec(rs, complain(evidence::BAD_REPLY, "victim", Some(stale)));
                     }
                     ProcEvent::Reply {
                         result: Ok(reply), ..
