@@ -163,7 +163,6 @@ pub struct OsBuilder {
     hot_standby: bool,
     adapt: Option<PolicyScript>,
     ramdisk_sectors: Option<u64>,
-    driver_policy: Option<PolicyScript>,
     heartbeat: Option<(SimDuration, u32)>,
     policy_overrides: Vec<(String, Option<PolicyScript>, Vec<String>)>,
     chaos: Option<ChaosPlan>,
@@ -187,7 +186,6 @@ impl Default for OsBuilder {
             hot_standby: false,
             adapt: None,
             ramdisk_sectors: None,
-            driver_policy: None,
             heartbeat: Some((base.heartbeat_period, base.heartbeat_misses)),
             policy_overrides: Vec::new(),
             chaos: None,
@@ -292,13 +290,6 @@ impl OsBuilder {
     /// Adds the trusted RAM disk driver of §6.2 footnote 1.
     pub fn with_ramdisk(mut self, sectors: u64) -> Self {
         self.ramdisk_sectors = Some(sectors);
-        self
-    }
-
-    /// Sets the default driver recovery policy (default: none, a direct
-    /// restart, as in the §7.1 experiments).
-    pub fn driver_policy(mut self, policy: PolicyScript) -> Self {
-        self.driver_policy = Some(policy);
         self
     }
 
@@ -479,18 +470,16 @@ impl Row {
         }
     }
 
-    /// A driver on the shared libdriver loop, restarted by `policy`
-    /// (`None` = directly, with no script) and pinged at the configured
-    /// heartbeat.
+    /// A driver on the shared libdriver loop, restarted directly (a
+    /// [`OsBuilder::service_policy`] gives it a script) and pinged at the
+    /// configured heartbeat.
     fn driver<L: DriverLogic + 'static>(
         cfg: &OsBuilder,
         name: &'static str,
         privileges: Privileges,
-        policy: &Option<PolicyScript>,
         logic: impl Fn(&Wiring) -> L + 'static,
     ) -> Row {
-        let mut service = ServiceConfig::driver(name);
-        service.policy = policy.clone();
+        let service = ServiceConfig::driver(name);
         Row {
             name,
             hardware: None,
@@ -523,7 +512,7 @@ impl Row {
             Privileges::driver(dev, irq).with_ipc(IpcFilter::named(["rs", names::INET]));
         Row {
             hardware: Some((dev, irq, card)),
-            ..Row::driver(cfg, name, privileges, &cfg.driver_policy, move |w| {
+            ..Row::driver(cfg, name, privileges, move |w| {
                 EthDriver::<N>::new(dev, irq, w.fault_port.clone())
             })
         }
@@ -541,7 +530,7 @@ impl Row {
         let privileges = Privileges::driver(dev, irq).with_calls(BLOCK_DRIVER_CALLS);
         Row {
             hardware: Some((dev, irq, Box::new(disk))),
-            ..Row::driver(cfg, name, privileges, &None, move |w| {
+            ..Row::driver(cfg, name, privileges, move |w| {
                 new(dev, irq, w.fault_port.clone())
             })
         }
@@ -588,13 +577,9 @@ impl Row {
         privileges.uid = 900;
         privileges.address_space = 256 * 1024;
         let region = Rc::clone(region);
-        Row::driver(
-            cfg,
-            names::BLK_RAM,
-            privileges,
-            &cfg.driver_policy,
-            move |w| RamDiskDriver::new(Rc::clone(&region), w.fault_port.clone()),
-        )
+        Row::driver(cfg, names::BLK_RAM, privileges, move |w| {
+            RamDiskDriver::new(Rc::clone(&region), w.fault_port.clone())
+        })
     }
 
     /// A character driver holding kernel calls `calls`; VFS routes
@@ -625,7 +610,7 @@ impl Row {
         Row {
             hardware: Some((dev, irq, model)),
             vfs_routable: true,
-            ..Row::driver(cfg, name, privileges, &cfg.driver_policy, logic)
+            ..Row::driver(cfg, name, privileges, logic)
         }
     }
 

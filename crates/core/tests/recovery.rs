@@ -512,7 +512,7 @@ fn exponential_backoff_policy_slows_crash_loops() {
     let mut os = Os::builder()
         .seed(17)
         .with_network(NicKind::Rtl8139)
-        .driver_policy(PolicyScript::generic())
+        .service_policy(names::ETH_RTL8139, Some(PolicyScript::generic()), vec![])
         .boot();
     {
         let nic: &mut Rtl8139 = os.device_mut(hwmap::NIC).unwrap();
