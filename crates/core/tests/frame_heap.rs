@@ -3,10 +3,10 @@
 //! downloads through the RTL8139, and how many a fault-VM routine run
 //! makes once its driver's first run has sized the VM.
 //!
-//! The counting [`GlobalAlloc`] is the same shape as the fleet's and the
-//! kernel's `tests/alloc_budget.rs` and `benchmark/src/alloc.rs`, confined
-//! to this test binary; the budget is a single test in a file of its own
-//! because a second test running on another thread would be counted too.
+//! The counting allocator is the kernel's `tests/heap/counting.rs`. It
+//! counts the whole test binary, so the budget is a single test in a file
+//! of its own: a second test running on another thread would be counted
+//! too.
 //!
 //! A frame is allocated once on its way in, where the driver copies it
 //! out of the ring, and travels on as the same buffer: to INET in the
@@ -14,10 +14,8 @@
 //! header from in place. The routine that checks it runs on the VM its
 //! driver keeps.
 
-use std::alloc::{GlobalAlloc, Layout};
 use std::cell::RefCell;
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 use phoenix::apps::{Wget, WgetStatus};
 use phoenix::hw::rtl8139::Rtl8139;
@@ -27,38 +25,10 @@ use phoenix_drivers::net::MAX_FRAME;
 use phoenix_drivers::routines;
 use phoenix_simcore::time::SimDuration;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
+#[path = "../../kernel/tests/heap/counting.rs"]
+mod counting;
 
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
-// read on the thread that bumped it) touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout` (this allocator
-        // hands out nothing else); the caller vouches for `new_size`.
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+use counting::allocs;
 
 /// What one delivered data frame costs: the frame the peer encodes and
 /// the copy the driver takes out of the ring (the one allocation on the
@@ -79,10 +49,6 @@ const WINDOW: (u64, u64) = (1_504, 7_518);
 
 /// Routine runs counted after the first.
 const RUNS: u64 = 1_000;
-
-fn allocs() -> u64 {
-    ALLOCS.load(Ordering::Relaxed)
-}
 
 #[test]
 fn the_frame_path_allocates_once_per_frame_and_a_routine_run_never() {

@@ -3,10 +3,10 @@
 //! rounds with no snapshot export due, and over a second in which every
 //! node exports, transfers and has its successor receive one image.
 //!
-//! The counting [`GlobalAlloc`] is the same shape as the kernel's
-//! `tests/alloc_budget.rs` and `benchmark/src/alloc.rs`, confined to this
-//! test binary; the budget is a single test in a file of its own because a
-//! second test running on another thread would be counted too.
+//! The counting allocator is the kernel's `tests/heap/counting.rs`. It
+//! counts the whole test binary, so the budget is a single test in a file
+//! of its own: a second test running on another thread would be counted
+//! too.
 //!
 //! A node exports at 200 + 100·id ms and every 2 s after, so from an even
 //! second the first second of each 2 s period holds eight exports and the
@@ -14,45 +14,12 @@
 //! finished print job) allocates nothing, so what is counted is the
 //! fleet's own work.
 
-use std::alloc::{GlobalAlloc, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
-
 use phoenix_fault::NodeChaosPlan;
 use phoenix_fleet::{Fleet, FleetConfig};
 use phoenix_simcore::time::SimDuration;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
-// read on the thread that bumped it) touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout` (this allocator
-        // hands out nothing else); the caller vouches for `new_size`.
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../kernel/tests/heap/counting.rs"]
+mod counting;
 
 const NODES: u8 = 8;
 /// Heartbeat rounds in one second: the beats every 50 ms, each followed
@@ -70,9 +37,9 @@ const PER_IMAGE: [(&str, u64); 3] = [
 
 /// Allocations while `fleet` runs one more second.
 fn second(fleet: &mut Fleet) -> u64 {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::allocs();
     fleet.run_for(SimDuration::from_secs(1));
-    ALLOCS.load(Ordering::Relaxed) - before
+    counting::allocs() - before
 }
 
 /// At the commit before heartbeats, deliveries and images left the heap,

@@ -8,55 +8,22 @@
 //! direct restart is configured by having no script, so no boot parses
 //! or clones one.
 //!
-//! The counting [`GlobalAlloc`] is the same shape as `tests/alloc_budget.rs`,
-//! confined to this test binary; the budget is a single test in a file of
-//! its own because a second test running on another thread would be
-//! counted too.
-
-use std::alloc::{GlobalAlloc, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The counting allocator is the kernel's `tests/heap/counting.rs`. It
+//! counts the whole test binary, so the budget is a single test in a file
+//! of its own: a second test running on another thread would be counted
+//! too.
 
 use phoenix::os::Os;
 use phoenix_simcore::time::SimDuration;
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
-// read on the thread that bumped it) touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout` (this allocator
-        // hands out nothing else); the caller vouches for `new_size`.
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "../../kernel/tests/heap/counting.rs"]
+mod counting;
 
 /// Allocations while `f` runs, and what it returned.
 fn counted<T>(f: impl FnOnce() -> T) -> (u64, T) {
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::allocs();
     let out = f();
-    (ALLOCS.load(Ordering::Relaxed) - before, out)
+    (counting::allocs() - before, out)
 }
 
 /// A node machine as the fleet boots it (`fleet.rs`, `boot_node`).

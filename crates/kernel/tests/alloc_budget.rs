@@ -4,14 +4,10 @@
 //! SafeCopy round trip or send the chaos plan refuses may make once the
 //! containers they touch have grown.
 //!
-//! This file holds the only `unsafe` in the workspace: a counting
-//! [`GlobalAlloc`] that forwards to [`System`](std::alloc::System), the
-//! same shape as `benchmark/src/alloc.rs`. It is confined to this test
-//! binary, which is why the budget is a single test in a file of its own —
-//! a second test running on another thread would be counted too.
-
-use std::alloc::{GlobalAlloc, Layout};
-use std::sync::atomic::{AtomicU64, Ordering};
+//! The counting allocator is `heap/counting.rs`, shared with the other
+//! heap budgets of the workspace. It counts the whole test binary, which
+//! is why the budget is a single test in a file of its own — a second test
+//! running on another thread would be counted too.
 
 use phoenix_kernel::chaos::{ChaosInterposer, ChaosVerdict, IpcEnvelope};
 use phoenix_kernel::memory::{GrantAccess, GrantId};
@@ -23,38 +19,8 @@ use phoenix_kernel::types::{DeviceId, Endpoint, Message, Signal};
 use phoenix_simcore::rng::SimRng;
 use phoenix_simcore::time::{SimDuration, SimTime};
 
-static ALLOCS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: every method forwards its arguments unchanged to `System`, which
-// upholds the `GlobalAlloc` contract; the counter (Relaxed: a statistic
-// read on the thread that bumped it) touches no allocator state.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc(layout) }
-    }
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: same layout the caller vouched for.
-        unsafe { std::alloc::System.alloc_zeroed(layout) }
-    }
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
-        // SAFETY: `ptr` came from `System` with `layout` (this allocator
-        // hands out nothing else); the caller vouches for `new_size`.
-        unsafe { std::alloc::System.realloc(ptr, layout, new_size) }
-    }
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System` with `layout`.
-        unsafe { std::alloc::System.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
+#[path = "heap/counting.rs"]
+mod counting;
 
 const DEV: DeviceId = DeviceId(1);
 const IRQ: u8 = 4;
@@ -268,9 +234,9 @@ fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
         }
     };
     run(1);
-    let before = ALLOCS.load(Ordering::Relaxed);
+    let before = counting::allocs();
     run(iters / BATCH);
-    ALLOCS.load(Ordering::Relaxed) - before
+    counting::allocs() - before
 }
 
 /// At the commit before the per-message path stopped copying names the
