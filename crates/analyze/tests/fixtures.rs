@@ -9,7 +9,7 @@
 
 use std::collections::BTreeMap;
 
-use phoenix_analyze::{conformance, loc, reach, report, Source};
+use phoenix_analyze::{conformance, loc, proto_model, reach, report, Source};
 
 const PROTO: &str = "crates/x/src/proto.rs";
 
@@ -202,6 +202,52 @@ fn a_kind_named_only_in_a_comment_or_a_string_is_dead() {
 
     let green = conform(COVERAGE_PROTO, COVERAGE_USAGE_GREEN);
     assert!(green.dead_edges.is_empty(), "{:?}", green.dead_edges);
+}
+
+/// PING's first field is typed, with its type's path written out.
+const TYPED_PROTO: &str = r#"
+pub mod ping {
+    phoenix_kernel::protocol! {
+        request PING = 0x100 -> PONG, Ping { from: 0 as Option<types::Endpoint>, nonce: 2 }
+        reply PONG = 0x101, Pong { nonce: 0 }
+    }
+}
+"#;
+
+/// The layout module's width for that type.
+const TYPED_LAYOUT: &str = r#"
+impl crate::layout::Field for Option<crate::types::Endpoint> {
+    const SLOTS: usize = 2;
+    fn read(params: &[u64; 8], at: usize) -> Self { None }
+}
+"#;
+
+#[test]
+fn a_typed_field_needs_its_width_from_the_layout_module() {
+    let usage = format!("{LAYOUT_USAGE_CLIENT}{LAYOUT_USAGE_SERVER}");
+    // Red: no layout module in the load, so no width for the type. The
+    // row is kept, its field fills no slot, and the gap is a finding.
+    let red = conform(TYPED_PROTO, &usage);
+    let found: Vec<String> = red.findings.iter().map(ToString::to_string).collect();
+    assert_eq!(
+        found,
+        [
+            "crates/x/src/proto.rs:4: [proto-field-type] ping::PING's `from`: \
+          no `impl Field` states its type's width"
+        ]
+    );
+    assert_eq!(red.kinds[0].fields[0], (0, 0, "from".to_string()));
+
+    // Green: the layout module states it; the field fills slots 0 and 1.
+    let files = [
+        Source::new(PROTO, TYPED_PROTO),
+        Source::new("crates/x/src/client.rs", &usage),
+        Source::new(proto_model::LAYOUT_FILE, TYPED_LAYOUT),
+    ];
+    let green = conformance::analyze(&files, &[PROTO]);
+    assert!(green.findings.is_empty(), "findings: {:?}", green.findings);
+    let fields = &green.kinds[0].fields;
+    assert_eq!(fields[0], (0, 2, "from".to_string()));
 }
 
 // -------------------------------------------------------------    reach
