@@ -28,8 +28,6 @@ use phoenix_simcore::time::SimDuration;
 #[path = "../../kernel/tests/heap/counting.rs"]
 mod counting;
 
-use counting::allocs;
-
 /// What one delivered data frame costs: the frame the peer encodes and
 /// the copy the driver takes out of the ring (the one allocation on the
 /// way in), the ACK INET encodes, the ACK frame the NIC reads out of the
@@ -65,9 +63,9 @@ fn the_frame_path_allocates_once_per_frame_and_a_routine_run_never() {
     os.run_for(SimDuration::from_secs(1));
     let rx_ok = |os: &mut Os| os.device_mut::<Rtl8139>(hwmap::NIC).expect("nic").rx_ok();
     let (frames_before, bytes_before) = (rx_ok(&mut os), status.borrow().bytes);
-    let before = allocs();
+    let before = counting::counts().0;
     os.run_for(SimDuration::from_millis(200));
-    let spent = allocs() - before;
+    let spent = counting::counts().0 - before;
     let frames = rx_ok(&mut os) - frames_before;
     let delivered = status.borrow().bytes - bytes_before;
     assert!(!status.borrow().done, "the download is still running");
@@ -85,11 +83,11 @@ fn the_frame_path_allocates_once_per_frame_and_a_routine_run_never() {
         assert!(outcome.is_ok(), "{outcome:?}");
     };
     run(&mut rx);
-    let before = allocs();
+    let before = counting::counts().0;
     for _ in 0..RUNS {
         run(&mut rx);
     }
-    let per_run = allocs() - before;
+    let per_run = counting::counts().0 - before;
 
     let per_frame: u64 = PER_FRAME.iter().map(|&(_, n)| n).sum();
     println!(

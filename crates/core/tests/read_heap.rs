@@ -23,8 +23,6 @@ use phoenix_simcore::time::SimDuration;
 #[path = "../../kernel/tests/heap/counting.rs"]
 mod counting;
 
-use counting::allocs;
-
 /// The reader's chunk.
 const CHUNK: u64 = 16 * 1024;
 
@@ -52,13 +50,13 @@ fn a_warmed_up_file_read_allocates_nothing() {
         os.run_for(SimDuration::from_millis(10));
     }
     let bytes_before = status.borrow().bytes;
-    let before = allocs();
+    let before = counting::counts().0;
     let mut reads = 0;
     while reads < READS {
         os.run_for(SimDuration::from_millis(1));
         reads = (status.borrow().bytes - bytes_before) / CHUNK;
     }
-    let spent = allocs() - before;
+    let spent = counting::counts().0 - before;
     let st = status.borrow();
     println!(
         "read heap: {spent} allocations over {reads} reads of {CHUNK} bytes through VFS and MFS \

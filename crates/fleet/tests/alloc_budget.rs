@@ -37,9 +37,9 @@ const PER_IMAGE: [(&str, u64); 3] = [
 
 /// Allocations while `fleet` runs one more second.
 fn second(fleet: &mut Fleet) -> u64 {
-    let before = counting::allocs();
+    let before = counting::counts().0;
     fleet.run_for(SimDuration::from_secs(1));
-    counting::allocs() - before
+    counting::counts().0 - before
 }
 
 /// At the commit before heartbeats, deliveries and images left the heap,

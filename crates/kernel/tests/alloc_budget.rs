@@ -234,9 +234,9 @@ fn allocations(verdict: ChaosVerdict, op: Op, iters: u32) -> u64 {
         }
     };
     run(1);
-    let before = counting::allocs();
+    let before = counting::counts().0;
     run(iters / BATCH);
-    counting::allocs() - before
+    counting::counts().0 - before
 }
 
 /// At the commit before the per-message path stopped copying names the
