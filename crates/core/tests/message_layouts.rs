@@ -152,7 +152,7 @@ fn pm_names_an_endpoint_by_its_slot_then_its_generation() {
 fn ds_carries_the_endpoint_then_the_episode_token() {
     let publish = ds::Publish {
         endpoint: Endpoint::new(3, 2),
-        recovery: Some(RecoveryId(4)),
+        recovery: RecoveryId::from_wire(4),
         span: None,
     };
     assert_eq!(
@@ -169,14 +169,18 @@ fn ds_carries_the_endpoint_then_the_episode_token() {
     );
     assert_eq!(
         publish([3, 2, 4, 5, 9, 9, 9, 9]),
-        (Endpoint::new(3, 2), Some(RecoveryId(4)), Some(SpanId(5)))
+        (
+            Endpoint::new(3, 2),
+            RecoveryId::from_wire(4),
+            SpanId::from_wire(5)
+        )
     );
 
     let update = ds::CheckReply {
         status: 0,
         endpoint: Endpoint::new(9, 1),
-        recovery: Some(RecoveryId(6)),
-        span: Some(SpanId(7)),
+        recovery: RecoveryId::from_wire(6),
+        span: SpanId::from_wire(7),
     };
     assert_eq!(
         shape(&update.into_message()),
@@ -200,7 +204,12 @@ fn ds_carries_the_endpoint_then_the_episode_token() {
     );
     assert_eq!(
         check_reply([0, 9, 1, 6, 7, 0, 0, 0]),
-        (0, Endpoint::new(9, 1), Some(RecoveryId(6)), Some(SpanId(7)))
+        (
+            0,
+            Endpoint::new(9, 1),
+            RecoveryId::from_wire(6),
+            SpanId::from_wire(7)
+        )
     );
 }
 
@@ -209,8 +218,8 @@ fn an_episode_token_is_zero_for_none() {
     for (recovery, span, params) in [
         (None, None, [0, 0, 0, 0, 0, 0, 0, 0]),
         (
-            Some(RecoveryId(3)),
-            Some(SpanId(8)),
+            RecoveryId::from_wire(3),
+            SpanId::from_wire(8),
             [3, 8, 0, 0, 0, 0, 0, 0],
         ),
     ] {
@@ -224,14 +233,17 @@ fn an_episode_token_is_zero_for_none() {
     assert_eq!(promote([0, 0, 0, 0, 0, 0, 0, 0]), (None, None));
     assert_eq!(
         promote([3, 8, 1, 1, 1, 1, 1, 1]),
-        (Some(RecoveryId(3)), Some(SpanId(8)))
+        (RecoveryId::from_wire(3), SpanId::from_wire(8))
     );
-    assert_eq!(promote([0, 8, 0, 0, 0, 0, 0, 0]), (None, Some(SpanId(8))));
+    assert_eq!(
+        promote([0, 8, 0, 0, 0, 0, 0, 0]),
+        (None, SpanId::from_wire(8))
+    );
 
     let restored = ckpt::RestoreReply {
         status: 0,
-        recovery: Some(RecoveryId(5)),
-        span: Some(SpanId(6)),
+        recovery: RecoveryId::from_wire(5),
+        span: SpanId::from_wire(6),
     };
     assert_eq!(
         shape(&restored.into_message()),
@@ -252,7 +264,7 @@ fn an_episode_token_is_zero_for_none() {
     assert_eq!(restore_reply([0, 0, 0, 0, 0, 0, 0, 0]), (0, None, None));
     assert_eq!(
         restore_reply([2, 5, 6, 0, 0, 0, 0, 0]),
-        (2, Some(RecoveryId(5)), Some(SpanId(6)))
+        (2, RecoveryId::from_wire(5), SpanId::from_wire(6))
     );
 }
 

@@ -343,10 +343,10 @@ mod tests {
         let some = Some(Endpoint::new(0, 1));
         assert_eq!(round_trip(some, 0), ([0, 1, 0, 0, 0, 0, 0, 0], some));
         assert_eq!(round_trip(None::<Endpoint>, 3), ([0; 8], None));
-        let rid = Some(RecoveryId(9));
+        let rid = RecoveryId::from_wire(9);
         assert_eq!(round_trip(rid, 2), ([0, 0, 9, 0, 0, 0, 0, 0], rid));
         assert_eq!(round_trip(None::<RecoveryId>, 2), ([0; 8], None));
-        let span = Some(SpanId(u64::MAX));
+        let span = SpanId::from_wire(u64::MAX);
         assert_eq!(round_trip(span, 4), ([0, 0, 0, 0, u64::MAX, 0, 0, 0], span));
         assert_eq!(round_trip(None::<SpanId>, 4), ([0; 8], None));
     }

@@ -25,7 +25,7 @@ use phoenix_drivers::proto::drv;
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{Endpoint, Message};
-use phoenix_simcore::trace::{EpisodeTag, TraceLevel};
+use phoenix_simcore::trace::{RecoveryId, SpanId, TraceLevel};
 
 use crate::proto::ds;
 
@@ -59,6 +59,10 @@ impl Subscription {
     }
 }
 
+/// The recovery episode behind a publish and its root span (`None` on a
+/// boot-time publish).
+type Episode = (Option<RecoveryId>, Option<SpanId>);
+
 /// The data store server.
 #[derive(Debug)]
 pub struct DataStore {
@@ -69,7 +73,7 @@ pub struct DataStore {
     /// Pending `(key, endpoint, episode)` updates per subscriber, drained
     /// by CHECK. The episode lets a subscriber tag its reintegration work
     /// with the recovery that caused the update.
-    pending: BTreeMap<Endpoint, VecDeque<(String, Endpoint, EpisodeTag)>>,
+    pending: BTreeMap<Endpoint, VecDeque<(String, Endpoint, Episode)>>,
     /// Driver checkpoint store (the `phoenix-ckpt` DS extension). Shared
     /// with the embedding `Os` so tests and benches can inspect — or
     /// tamper with — records at rest. `None` = extension disabled:
@@ -78,7 +82,7 @@ pub struct DataStore {
     /// Recovery episode behind the most recent publish of each stable
     /// name. Returned with RESTORE replies so a restarted driver can tag
     /// its restore/replay trace events with the episode that restarted it.
-    last_publish: BTreeMap<String, EpisodeTag>,
+    last_publish: BTreeMap<String, Episode>,
 }
 
 impl DataStore {
@@ -113,7 +117,7 @@ impl DataStore {
             .map(|(k, _)| k.as_str())
     }
 
-    fn publish(&mut self, ctx: &mut Ctx<'_>, key: String, ep: Endpoint, episode: EpisodeTag) {
+    fn publish(&mut self, ctx: &mut Ctx<'_>, key: String, ep: Endpoint, episode: Episode) {
         // A rebound name retires its old incarnation: that endpoint's
         // subscriptions and undrained updates go with it (its successor
         // subscribes afresh from its own endpoint).
@@ -124,7 +128,7 @@ impl DataStore {
         }
         // analyze:recovery
         self.last_publish.insert(key.clone(), episode);
-        let (recovery, span) = episode.get();
+        let (recovery, span) = episode;
         let ev = ctx
             .event(TraceLevel::Info, format!("publish {key} -> {ep}"))
             .with_field("ev", "publish")
@@ -209,8 +213,7 @@ impl DataStore {
         // Thread the recovery episode that (re)published this name so the
         // driver can tag its restore/replay trace events with it; none on
         // a boot-time publish.
-        let episode = self.last_publish.get(&owner).copied().unwrap_or_default();
-        let (recovery, span) = episode.get();
+        let (recovery, span) = self.last_publish.get(&owner).copied().unwrap_or_default();
         let key = String::from_utf8_lossy(&msg.data).to_string();
         let outcome = store.borrow_mut().restore(&owner, &key);
         let (status, snapshot) = match outcome {
@@ -320,7 +323,7 @@ impl DataStore {
                     return ack(ds_status::DENIED);
                 }
                 let key = String::from_utf8_lossy(&msg.data).to_string();
-                let episode = EpisodeTag::new(publish.recovery, publish.span);
+                let episode = (publish.recovery, publish.span);
                 self.publish(ctx, key, publish.endpoint, episode);
                 ack(ds_status::OK)
             }
@@ -337,11 +340,11 @@ impl DataStore {
                 };
                 // Replay records that already match, so subscribers need
                 // not race the publisher at boot.
-                let existing: Vec<(String, Endpoint, EpisodeTag)> = self
+                let existing: Vec<(String, Endpoint, Episode)> = self
                     .names
                     .iter()
                     .filter(|(k, _)| sub.matches(k))
-                    .map(|(k, &e)| (k.clone(), e, EpisodeTag::default()))
+                    .map(|(k, &e)| (k.clone(), e, (None, None)))
                     .collect();
                 let has_existing = !existing.is_empty();
                 self.pending.entry(msg.source).or_default().extend(existing);
@@ -358,8 +361,7 @@ impl DataStore {
             Some(ds::Msg::CHECK) => {
                 let q = self.pending.entry(msg.source).or_default();
                 match q.pop_front() {
-                    Some((key, endpoint, episode)) => {
-                        let (recovery, span) = episode.get();
+                    Some((key, endpoint, (recovery, span))) => {
                         let update = ds::CheckReply {
                             status: ds_status::OK,
                             endpoint,

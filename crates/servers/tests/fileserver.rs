@@ -328,8 +328,8 @@ impl Rig {
         let update = ds::CheckReply {
             status: 0,
             endpoint: self.driver,
-            recovery: rid.map(RecoveryId),
-            span: rid.map(|r| SpanId(r + 100)),
+            recovery: rid.and_then(RecoveryId::from_wire),
+            span: rid.and_then(|r| SpanId::from_wire(r + 100)),
         };
         let update = update
             .into_message()
@@ -482,7 +482,7 @@ fn abort_parks_until_publish_then_reopens_and_reissues<V: Volume + 'static>(mkfs
     let kinds: Vec<String> = rig
         .sys
         .trace()
-        .events_for(RecoveryId(5))
+        .events_for(RecoveryId::from_wire(5).unwrap())
         .filter(|(_, e)| e.component == rig.server)
         .filter_map(|(_, e)| e.kind().map(str::to_string))
         .collect();

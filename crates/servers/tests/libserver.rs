@@ -417,7 +417,12 @@ fn complaints_are_counted_by_class_and_reach_rs_decodable() {
 fn ds_watch_decodes_updates_with_and_without_a_recovery_token_and_drains() {
     let (a, b) = (Endpoint::new(3, 9), Endpoint::new(4, 1));
     let updates = [
-        ("x.a".to_string(), a, Some(RecoveryId(5)), Some(SpanId(6))),
+        (
+            "x.a".to_string(),
+            a,
+            RecoveryId::from_wire(5),
+            SpanId::from_wire(6),
+        ),
         ("x.b".to_string(), b, None, None),
     ]
     .map(|(key, endpoint, recovery, span)| {

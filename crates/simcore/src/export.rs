@@ -235,6 +235,7 @@ mod tests {
     use super::*;
     use crate::obs::{fold_timeline, kind};
     use crate::time::SimTime;
+    use crate::trace::tests::{rid, span};
 
     fn sample_events() -> Vec<TraceEvent> {
         vec![
@@ -255,16 +256,16 @@ mod tests {
             .with_field("ev", kind::DEFECT)
             .with_field("service", "eth.rtl8139")
             .with_field("class", "exit")
-            .in_recovery(RecoveryId(1))
-            .with_span(SpanId(4)),
+            .in_recovery(rid(1))
+            .with_span(span(4)),
             TraceEvent::new(SimTime::from_micros(500), TraceLevel::Info, "rs", "alive")
                 .with_field("ev", kind::ALIVE)
-                .in_recovery(RecoveryId(1))
-                .with_span(SpanId(5))
-                .with_parent(SpanId(4)),
+                .in_recovery(rid(1))
+                .with_span(span(5))
+                .with_parent(span(4)),
             TraceEvent::new(SimTime::from_micros(510), TraceLevel::Info, "ds", "publish")
                 .with_field("ev", kind::PUBLISH)
-                .in_recovery(RecoveryId(1)),
+                .in_recovery(rid(1)),
             TraceEvent::new(
                 SimTime::from_micros(900),
                 TraceLevel::Info,
@@ -272,7 +273,7 @@ mod tests {
                 "resumed",
             )
             .with_field("ev", kind::RESUME)
-            .in_recovery(RecoveryId(1)),
+            .in_recovery(rid(1)),
         ]
     }
 

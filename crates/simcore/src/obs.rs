@@ -593,16 +593,17 @@ impl Timeline {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trace::tests::rid;
     use crate::trace::{TraceLevel, TraceRing};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
     }
 
-    fn ev(at: u64, comp: &str, kind_: &str, rid: Option<u64>) -> TraceEvent {
+    fn ev(at: u64, comp: &str, kind_: &str, episode: Option<u64>) -> TraceEvent {
         let mut e = TraceEvent::new(t(at), TraceLevel::Info, comp, kind_).with_field("ev", kind_);
-        if let Some(r) = rid {
-            e = e.in_recovery(RecoveryId(r));
+        if let Some(r) = episode {
+            e = e.in_recovery(rid(r));
         }
         e
     }
@@ -707,7 +708,7 @@ mod tests {
         events.push(ev(950, "inet", kind::RESUME, Some(0xdead_beef)));
         let tl = fold_timeline(events.iter());
         assert_eq!(tl.episodes.len(), 2);
-        let skel = tl.episode(RecoveryId(0xdead_beef)).unwrap();
+        let skel = tl.episode(rid(0xdead_beef)).unwrap();
         assert!(!skel.complete());
         assert!(skel.service.is_empty());
     }
@@ -751,14 +752,11 @@ mod tests {
     fn attribute_maps_instants_to_phases() {
         let tl = fold_timeline(full_episode().iter());
         assert_eq!(tl.attribute(t(50)), (phase::STEADY, None));
-        assert_eq!(tl.attribute(t(100)), (phase::DETECT, Some(RecoveryId(1))));
-        assert_eq!(tl.attribute(t(109)), (phase::DETECT, Some(RecoveryId(1))));
-        assert_eq!(tl.attribute(t(110)), (phase::REPAIR, Some(RecoveryId(1))));
-        assert_eq!(tl.attribute(t(499)), (phase::REPAIR, Some(RecoveryId(1))));
-        assert_eq!(
-            tl.attribute(t(500)),
-            (phase::REINTEGRATE, Some(RecoveryId(1)))
-        );
+        assert_eq!(tl.attribute(t(100)), (phase::DETECT, Some(rid(1))));
+        assert_eq!(tl.attribute(t(109)), (phase::DETECT, Some(rid(1))));
+        assert_eq!(tl.attribute(t(110)), (phase::REPAIR, Some(rid(1))));
+        assert_eq!(tl.attribute(t(499)), (phase::REPAIR, Some(rid(1))));
+        assert_eq!(tl.attribute(t(500)), (phase::REINTEGRATE, Some(rid(1))));
         // The instant the last dependent resumed is already steady state.
         assert_eq!(tl.attribute(t(900)), (phase::STEADY, None));
         assert_eq!(tl.attribute(t(5000)), (phase::STEADY, None));
@@ -774,15 +772,9 @@ mod tests {
         );
         let tl = fold_timeline(events.iter());
         // Replay window [510,700) wins over reintegrate [500,900).
-        assert_eq!(
-            tl.attribute(t(505)),
-            (phase::REINTEGRATE, Some(RecoveryId(1)))
-        );
-        assert_eq!(tl.attribute(t(600)), (phase::REPLAY, Some(RecoveryId(1))));
-        assert_eq!(
-            tl.attribute(t(750)),
-            (phase::REINTEGRATE, Some(RecoveryId(1)))
-        );
+        assert_eq!(tl.attribute(t(505)), (phase::REINTEGRATE, Some(rid(1))));
+        assert_eq!(tl.attribute(t(600)), (phase::REPLAY, Some(rid(1))));
+        assert_eq!(tl.attribute(t(750)), (phase::REINTEGRATE, Some(rid(1))));
     }
 
     #[test]
