@@ -1,7 +1,7 @@
 //! The chaos campaign (recovery rate and MTTR vs. IPC-fabric hostility)
 //! and its phase-resolved recovery timeline.
 
-use phoenix::campaign::{run_chaos_campaign, run_chaos_campaign_traced, ChaosCampaignConfig};
+use phoenix::campaign::{run_chaos_campaign, ChaosCampaignConfig};
 use phoenix_simcore::export::{export_chrome_trace, export_jsonl, parse_jsonl};
 use phoenix_simcore::time::SimDuration;
 
@@ -34,7 +34,7 @@ pub fn chaos(r: &mut Report) {
             intensity,
             ..ChaosCampaignConfig::default()
         };
-        let c = run_chaos_campaign(&cfg);
+        let c = run_chaos_campaign(&cfg).0;
         r.line(c.render());
         r.require(
             c.recovery_rate() >= 1.0,
@@ -100,8 +100,8 @@ pub fn timeline(r: &mut Report) {
     ));
 
     // Two same-seed runs: the second exists only to check determinism.
-    let (result, os) = run_chaos_campaign_traced(&cfg);
-    let (_, os2) = run_chaos_campaign_traced(&cfg);
+    let (result, os) = run_chaos_campaign(&cfg);
+    let (_, os2) = run_chaos_campaign(&cfg);
     let jsonl = export_jsonl(os.trace().events());
     r.require(
         jsonl == export_jsonl(os2.trace().events()),

@@ -63,11 +63,6 @@ impl SpareTail {
         self.latest.as_ref().and_then(Snapshot::as_watermark)
     }
 
-    /// The latest adopted frame.
-    pub fn latest(&self) -> Option<&Snapshot> {
-        self.latest.as_ref()
-    }
-
     /// Issues one tail poll (called from the spare's tail alarm). At
     /// most one poll is in flight; a tick that lands while the previous
     /// reply is outstanding is skipped rather than queued.

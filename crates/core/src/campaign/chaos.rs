@@ -124,14 +124,9 @@ impl ChaosCampaignResult {
 /// and a SATA disk, installs the driver-traffic chaos preset, then
 /// repeatedly kills the network and block drivers (§7.1's crash-simulation
 /// script) while the fabric misbehaves, measuring recovery rate and MTTR.
-pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig) -> ChaosCampaignResult {
-    run_chaos_campaign_traced(cfg).0
-}
-
-/// Like [`run_chaos_campaign`], but also hands back the booted [`Os`] so
-/// the caller can export the trace and fold the recovery timeline of the
-/// exact run the summary describes.
-pub fn run_chaos_campaign_traced(cfg: &ChaosCampaignConfig) -> (ChaosCampaignResult, Os) {
+/// The booted [`Os`] comes back with the summary, so the caller can export
+/// the trace and fold the recovery timeline of the exact run it describes.
+pub fn run_chaos_campaign(cfg: &ChaosCampaignConfig) -> (ChaosCampaignResult, Os) {
     let mut plan = ChaosPlan::driver_traffic(cfg.intensity);
     if cfg.mid_recovery_kill {
         // Strike the first respawned network-driver incarnation 2 ms into

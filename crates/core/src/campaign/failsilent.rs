@@ -127,11 +127,6 @@ impl FailsilentResult {
         self.sum(|c| c.detected)
     }
 
-    /// Detections with complaint evidence.
-    pub fn sentinel_detected(&self) -> u64 {
-        self.sum(|c| c.sentinel_detected)
-    }
-
     /// Detections invisible to the crash-only baseline.
     pub fn sentinel_only(&self) -> u64 {
         self.sum(|c| c.sentinel_only)

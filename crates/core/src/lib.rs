@@ -55,10 +55,9 @@ pub mod os;
 
 pub use audit::{run_authority_workload, AuthoritySnapshot};
 pub use campaign::{
-    metrics_digest, run_campaign, run_chaos_campaign, run_chaos_campaign_traced, run_ckpt_campaign,
-    run_slo_campaign, CampaignConfig, CampaignResult, ChaosCampaignConfig, ChaosCampaignResult,
-    ChaosKillRecord, CkptCampaignConfig, CkptCampaignResult, SloCampaignConfig, SloCampaignResult,
-    SloPhaseRow,
+    metrics_digest, run_campaign, run_chaos_campaign, run_ckpt_campaign, run_slo_campaign,
+    CampaignConfig, CampaignResult, ChaosCampaignConfig, ChaosCampaignResult, ChaosKillRecord,
+    CkptCampaignConfig, CkptCampaignResult, SloCampaignConfig, SloCampaignResult, SloPhaseRow,
 };
 pub use os::{names, NicKind, Os, OsBuilder, OverGrant};
 

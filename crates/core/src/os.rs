@@ -760,7 +760,6 @@ pub struct Os {
     rs: Endpoint,
     nic_kind: Option<NicKind>,
     seed: u64,
-    disk_seed: u64,
     ramdisk_region: Option<Rc<RefCell<Vec<u8>>>>,
     ckpt_store: Option<Rc<RefCell<CheckpointStore>>>,
     next_util: u64,
@@ -902,7 +901,6 @@ impl Os {
             rs,
             nic_kind: cfg.nic.as_ref().map(|(kind, ..)| *kind),
             seed: cfg.seed,
-            disk_seed: cfg.disk.as_ref().map_or(0, |(_, seed, _)| *seed),
             ramdisk_region,
             ckpt_store,
             next_util: 0,
@@ -1022,11 +1020,6 @@ impl Os {
     /// Typed access to the remote peer.
     pub fn peer_mut<T: phoenix_hw::RemotePeer + 'static>(&mut self) -> Option<&mut T> {
         self.bus.peer_mut(hwmap::NIC)
-    }
-
-    /// The disk content seed (for expected-checksum computation).
-    pub fn disk_seed(&self) -> u64 {
-        self.disk_seed
     }
 
     /// The RAM disk backing region, if configured.
@@ -1186,11 +1179,6 @@ impl Os {
     /// Removes the chaos interposer; subsequent IPC is delivered faithfully.
     pub fn clear_chaos(&mut self) {
         self.sys.clear_chaos();
-    }
-
-    /// Whether a chaos interposer is installed.
-    pub fn chaos_active(&self) -> bool {
-        self.sys.chaos_active()
     }
 
     /// A fresh RNG stream for one injection. The per-injection salt keeps

@@ -293,7 +293,7 @@ fn chaos_campaign_moderate_intensity_recovers_everything() {
         kill_interval: SimDuration::from_secs(3),
         ..ChaosCampaignConfig::default()
     };
-    let r = run_chaos_campaign(&cfg);
+    let r = run_chaos_campaign(&cfg).0;
     assert_eq!(r.kills.len(), 4);
     assert!(
         (r.recovery_rate() - 1.0).abs() < f64::EPSILON,
@@ -316,8 +316,8 @@ fn same_seed_chaos_runs_are_byte_identical() {
         kill_interval: SimDuration::from_secs(2),
         ..ChaosCampaignConfig::default()
     };
-    let a = run_chaos_campaign(&cfg);
-    let b = run_chaos_campaign(&cfg);
+    let a = run_chaos_campaign(&cfg).0;
+    let b = run_chaos_campaign(&cfg).0;
     assert!(!a.digest.is_empty());
     assert_eq!(a.digest, b.digest, "same seed, same digest");
     assert_eq!(a.render(), b.render(), "same seed, same summary");

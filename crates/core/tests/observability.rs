@@ -8,7 +8,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use phoenix::apps::{Dd, DdStatus, UdpPing, UdpStatus};
-use phoenix::campaign::{run_chaos_campaign_traced, ChaosCampaignConfig};
+use phoenix::campaign::{run_chaos_campaign, ChaosCampaignConfig};
 use phoenix::os::{names, NicKind, Os};
 use phoenix_servers::fsfmt::{FileContent, FileSpec};
 use phoenix_simcore::export::{export_jsonl, parse_jsonl};
@@ -145,7 +145,7 @@ fn chaos_campaign_episodes_stay_causally_ordered() {
         mid_recovery_kill: true,
         ..ChaosCampaignConfig::default()
     };
-    let (result, os) = run_chaos_campaign_traced(&cfg);
+    let (result, os) = run_chaos_campaign(&cfg);
     assert!(result.recovery_rate() > 0.9);
     let timeline = os.timeline();
     assert!(

@@ -179,21 +179,12 @@ pub trait DriverLogic {
 /// the generic protocol handling every MINIX driver gets from libdriver.
 pub struct Driver<L> {
     logic: L,
-    /// When `true` (test hook / injected aging bug), the driver ignores
-    /// heartbeats, simulating a stuck main loop.
-    deaf: bool,
 }
 
 impl<L: DriverLogic> Driver<L> {
     /// Wraps device logic in the shared loop.
     pub fn new(logic: L) -> Self {
-        Driver { logic, deaf: false }
-    }
-
-    /// Makes the driver stop answering heartbeats (test hook for defect
-    /// class 4 without fault injection).
-    pub fn deaf(logic: L) -> Self {
-        Driver { logic, deaf: true }
+        Driver { logic }
     }
 }
 
@@ -212,10 +203,8 @@ impl<L: DriverLogic> Process for Driver<L> {
                 // it can tell a live driver from a stuck one (§5.1, input 4).
                 // analyze:recovery
                 Some(drv::Msg::HB_PING(drv::HbPing { nonce })) => {
-                    if !self.deaf {
-                        let pong = drv::HbPong { nonce }.into_message();
-                        let _ = ctx.send(msg.source, pong);
-                    }
+                    let pong = drv::HbPong { nonce }.into_message();
+                    let _ = ctx.send(msg.source, pong);
                 }
                 _ => self.logic.message(ctx, &msg),
             },

@@ -306,11 +306,6 @@ impl System {
         }
     }
 
-    /// Whether a chaos interposer is currently installed.
-    pub fn chaos_active(&self) -> bool {
-        self.chaos.is_some()
-    }
-
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
         self.queue.now()

@@ -38,7 +38,7 @@ fn chaos_digest_is_pinned() {
         ..ChaosCampaignConfig::default()
     };
     assert_eq!(
-        run_chaos_campaign(&cfg).digest,
+        run_chaos_campaign(&cfg).0.digest,
         "bbdac780ac272f1ff94eb0020fbcbeb0"
     );
 }
