@@ -51,7 +51,7 @@ echo "==> fleet heap: allocations per heartbeat round and per replicated image o
 out=$(cargo test -q --release -p phoenix-fleet --test alloc_budget -- --nocapture) || { echo "$out"; exit 1; }
 echo "$out" | grep -o 'fleet heap: .*'
 
-echo "==> boot heap: allocations and bytes of one fleet node boot, allocations of Os::builder(); printed, and pinned as literals in the test"
+echo "==> boot heap: allocations and bytes of one fleet node boot, allocations of Os::builder(), allocations and bytes of an empty TraceRing::new(65_536); printed, and pinned as literals in the test"
 out=$(cargo test -q --release -p phoenix-fleet --test boot_heap -- --nocapture) || { echo "$out"; exit 1; }
 echo "$out" | grep -o 'boot heap: .*'
 

@@ -24,14 +24,16 @@
 //! into the newborn, incarnation-clamped so live drivers supersede it.
 
 use std::cell::RefCell;
+use std::fmt::Write as _;
 use std::iter;
+use std::mem;
 use std::rc::Rc;
 
 use phoenix::apps::{CkptLpd, CkptLpdStatus};
 use phoenix::campaign::metrics_digest;
 use phoenix::{names, Os};
 use phoenix_fault::{NodeChaosPlan, NodeFault, NodeFaultKind};
-use phoenix_servers::netproto::{flags, stream_chunk, Segment};
+use phoenix_servers::netproto::{stream_chunk, Segment};
 use phoenix_servers::proto::evidence;
 use phoenix_simcore::digest::Md5;
 use phoenix_simcore::metrics::MetricsRegistry;
@@ -99,15 +101,17 @@ struct NodeSlot {
     agent: FleetAgent,
     status: Rc<RefCell<CkptLpdStatus>>,
     reboot: Option<Reboot>,
-    /// The transfer of the node's latest snapshot to its successor.
-    sender: Option<SnapSender>,
+    /// The transfer of the node's latest snapshot to its successor. It
+    /// keeps the image's buffer and writes the next image into it.
+    sender: SnapSender,
     /// The transfer from its predecessor, reassembling.
-    receiver: Option<SnapReceiver>,
+    receiver: SnapReceiver,
     /// The latest snapshot image of its predecessor, as it arrived and
-    /// passed [`NodeSnapshot::check`]: replication always goes to the ring
-    /// successor, so this is the only copy of it. Decoded only when a
-    /// conviction adopts it.
-    held: Option<Vec<u8>>,
+    /// passed [`NodeSnapshot::check`], or nothing (empty): replication
+    /// always goes to the ring successor, so this is the only copy of it.
+    /// Decoded only when a conviction adopts it. Swapped with the
+    /// receiver's buffer at each image, so the two buffers take turns.
+    held: Vec<u8>,
     /// When the node next exports a snapshot.
     next_snap_at: SimTime,
     /// When the injected fault the node awaits a conviction for struck.
@@ -149,7 +153,7 @@ pub struct Fleet {
     next_conn: u16,
     /// The acks a round's transfer deliveries owe, `(from, to, ack)`, sent
     /// once the due payloads are drained; kept across rounds.
-    acks: Vec<(u8, u8, Segment)>,
+    acks: Vec<(u8, u8, Segment<()>)>,
     reint_watch: Vec<(u8, u32, SimTime)>,
     finalized: bool,
     /// When each round ran (the wake-source tests read it; not a metric,
@@ -205,9 +209,9 @@ impl Fleet {
                 agent: FleetAgent::new(id, cfg.nodes, 1, SimTime::ZERO),
                 status,
                 reboot: None,
-                sender: None,
-                receiver: None,
-                held: None,
+                sender: SnapSender::default(),
+                receiver: SnapReceiver::new(),
+                held: Vec::new(),
                 // Stagger first exports so transfers do not all collide
                 // on the same quanta (purely cosmetic; still deterministic).
                 next_snap_at: SimTime::ZERO + SimDuration::from_millis(100 * u64::from(id) + 200),
@@ -285,7 +289,7 @@ impl Fleet {
         let per_node = self.slots.iter().flat_map(|slot| {
             let reboot = slot.reboot.as_ref().map(|r| r.ready_at);
             let live = slot.os.is_some().then(|| {
-                let transfer = slot.sender.as_ref().and_then(SnapSender::next_due);
+                let transfer = slot.sender.next_due();
                 slot.agent
                     .next_due(now)
                     .min(transfer.unwrap_or(slot.next_snap_at))
@@ -356,9 +360,9 @@ impl Fleet {
                 // status outlives it until the reboot.
                 slot.machine(now);
                 slot.os = None;
-                slot.sender = None;
-                slot.receiver = None;
-                slot.held = None;
+                slot.sender.abandon();
+                slot.receiver.abandon();
+                slot.held.clear();
                 slot.pending_fault = Some(now);
                 self.metrics.incr("fleet.fault.node_crash");
             }
@@ -395,29 +399,25 @@ impl Fleet {
             }
             match d.payload {
                 Payload::Gossip(frame) => slot.agent.on_frame(now, &frame),
+                Payload::TransferAck(ack) => slot.sender.on_ack(now, &ack),
                 Payload::Transfer(seg) => {
-                    if seg.flags & flags::ACK != 0 && seg.flags & flags::DATA == 0 {
-                        if let Some(tx) = slot.sender.as_mut() {
-                            tx.on_ack(now, &seg);
-                        }
-                    } else {
-                        let rx = slot.receiver.get_or_insert_default();
-                        let (ack, complete) = rx.on_segment(&seg);
-                        self.acks.push((d.to, d.from, ack));
-                        if let Some(img) = complete {
-                            if NodeSnapshot::check(&img) {
-                                self.metrics.incr("fleet.snap.replicated");
-                                slot.held = Some(img);
-                            } else {
-                                self.metrics.incr("fleet.snap.corrupt");
-                            }
+                    let (ack, complete) = slot.receiver.on_segment(&seg);
+                    self.acks.push((d.to, d.from, ack));
+                    if let Some(img) = complete {
+                        if NodeSnapshot::check(img) {
+                            self.metrics.incr("fleet.snap.replicated");
+                            // The receiver reassembles the next image
+                            // into the buffer of the one held until now.
+                            mem::swap(&mut slot.held, img);
+                        } else {
+                            self.metrics.incr("fleet.snap.corrupt");
                         }
                     }
                 }
             }
         }
         for (from, to, ack) in self.acks.drain(..) {
-            self.wire.send(now, from, to, Payload::Transfer(ack));
+            self.wire.send(now, from, to, Payload::TransferAck(ack));
         }
     }
 
@@ -484,11 +484,10 @@ impl Fleet {
         // snapshot.
         slot.machine(now + self.cfg.quantum);
         slot.os = None;
-        slot.sender = None;
-        slot.receiver = None;
+        slot.sender.abandon();
+        slot.receiver.abandon();
         let succ = &self.slots[usize::from((node + 1) % self.cfg.nodes)];
-        let held = succ.held.as_deref().and_then(NodeSnapshot::decode);
-        let snapshot = held.filter(|s| s.node == node);
+        let snapshot = NodeSnapshot::decode(&succ.held).filter(|s| s.node == node);
         if snapshot.is_none() {
             self.metrics.incr("fleet.recover.cold");
         }
@@ -507,28 +506,26 @@ impl Fleet {
             if slot.os.is_none() {
                 continue;
             }
-            let idle = slot.sender.as_ref().is_none_or(SnapSender::is_done);
-            if idle && now >= slot.next_snap_at {
+            if slot.sender.is_done() && now >= slot.next_snap_at {
                 slot.next_snap_at = now + SNAP_PERIOD;
                 let store = slot.machine(end).and_then(|os| os.ckpt_store());
-                let image = match store {
-                    Some(store) => {
-                        NodeSnapshot::image(id, slot.gen, store.borrow().records(), iter::empty())
-                    }
-                    None => NodeSnapshot::image(id, slot.gen, iter::empty(), iter::empty()),
-                };
+                let gen = slot.gen;
                 self.next_conn = self.next_conn.wrapping_add(1);
-                slot.sender = Some(SnapSender::new(self.next_conn, image));
+                slot.sender.restart(self.next_conn, |buf| match store {
+                    Some(store) => {
+                        NodeSnapshot::image(buf, id, gen, store.borrow().records(), iter::empty());
+                    }
+                    None => NodeSnapshot::image(buf, id, gen, iter::empty(), iter::empty()),
+                });
                 self.metrics.incr("fleet.snap.exported");
             }
             // A sender that is not due would send nothing and change
             // nothing: most rounds, every sender is done or waiting.
-            let due = |tx: &&mut SnapSender| tx.next_due().is_some_and(|at| at <= now);
-            let Some(tx) = slot.sender.as_mut().filter(due) else {
+            if slot.sender.next_due().is_none_or(|at| at > now) {
                 continue;
-            };
+            }
             let succ = (id + 1) % self.cfg.nodes;
-            for seg in tx.tick(now) {
+            for seg in slot.sender.tick(now) {
                 self.wire.send(now, id, succ, Payload::Transfer(seg));
             }
         }
@@ -651,7 +648,8 @@ impl Fleet {
     pub fn digest(&self) -> String {
         let mut md5 = Md5::new();
         for (id, d) in self.node_digests().iter().enumerate() {
-            md5.update(format!("node{id}={d}\n").as_bytes());
+            // Writing into an `Md5` cannot fail.
+            let _ = writeln!(md5, "node{id}={d}");
         }
         self.metrics.digest_counters(&mut md5);
         md5.finish_hex()
@@ -867,7 +865,7 @@ mod tests {
         // The first flight is lost; the RTO runs from when it was sent.
         let lost = tx.tick(at_us(22_600));
         assert_eq!(lost.count(), 1);
-        fleet.slots[0].sender = Some(tx);
+        fleet.slots[0].sender = tx;
         fleet.slots[0].next_snap_at = SimTime::ZERO;
         let sent = fleet.wire.stats.sent;
         fleet.run_for(ms(19));
@@ -896,10 +894,7 @@ mod tests {
         let mut fleet = Fleet::new(quick_cfg(5), NodeChaosPlan::new());
         fleet.run_for(ms(2_500));
         let now = fleet.now();
-        let held_by = |fleet: &Fleet, id: usize| {
-            let held = fleet.slots[id].held.as_deref();
-            held.map(|img| NodeSnapshot::decode(img).expect("a held image decodes"))
-        };
+        let held_by = |fleet: &Fleet, id: usize| NodeSnapshot::decode(&fleet.slots[id].held);
         let held = held_by(&fleet, 2);
         assert_eq!(held.as_ref().map(|s| s.node), Some(1));
         let convict = |node| FleetAction::Convict {
@@ -913,13 +908,13 @@ mod tests {
         assert_eq!(held_by(&fleet, 1).map(|s| s.node), Some(0));
         assert_eq!(fleet.metrics.counter("fleet.recover.cold"), 0);
 
-        assert!(fleet.slots[3].held.is_some());
+        assert!(!fleet.slots[3].held.is_empty());
         let crash = NodeFault {
             at: now,
             kind: NodeFaultKind::NodeCrash { node: 3 },
         };
         fleet.apply_fault(now, &crash);
-        assert!(fleet.slots[3].held.is_none());
+        assert!(fleet.slots[3].held.is_empty());
         fleet.execute(now, convict(2));
         let reboot = fleet.slots[2].reboot.as_ref();
         assert!(reboot.is_some_and(|r| r.snapshot.is_none()));

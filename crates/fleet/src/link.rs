@@ -13,9 +13,19 @@
 //! ACK. A new `conn` id resets the receiver: transfers on a link are
 //! serialized, and the id disambiguates a late retransmission of the
 //! previous image from the start of the next.
+//!
+//! Neither end allocates per image. The sender keeps its image buffer
+//! and writes the next image into it ([`SnapSender::restart`]); a segment
+//! carries a shared range of that buffer ([`Chunk`]), not a copy. The
+//! receiver reassembles into a buffer it keeps and lends the completed
+//! image out, so a caller can swap it for the buffer of the image it
+//! held before.
 
 use std::array;
+use std::fmt;
 use std::iter::Flatten;
+use std::ops::Range;
+use std::rc::Rc;
 
 use phoenix_servers::netproto::{flags, Segment, MSS};
 use phoenix_simcore::time::{SimDuration, SimTime};
@@ -29,13 +39,36 @@ pub const RTO_MAX: SimDuration = SimDuration::from_secs(2);
 
 /// The segments one [`SnapSender::tick`] emits, held inline: never more
 /// than a window.
-pub type Flight = Flatten<array::IntoIter<Option<Segment>, WINDOW>>;
+pub type Flight = Flatten<array::IntoIter<Option<Segment<Chunk>>, WINDOW>>;
 
-/// Go-back-N sender for one snapshot image.
+/// The payload of a data segment: a range of the sender's image, shared
+/// with it. The sender refills its image through `Rc::make_mut`, which
+/// copies the image first while a segment still shares it, so a segment
+/// in flight keeps the bytes it was sent with.
+#[derive(Clone)]
+pub struct Chunk {
+    image: Rc<Vec<u8>>,
+    range: Range<usize>,
+}
+
+impl AsRef<[u8]> for Chunk {
+    fn as_ref(&self) -> &[u8] {
+        &self.image[self.range.clone()]
+    }
+}
+
+impl fmt::Debug for Chunk {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.as_ref().fmt(f)
+    }
+}
+
+/// Go-back-N sender of one snapshot image at a time. The default sender
+/// has no image and is done.
 #[derive(Debug)]
 pub struct SnapSender {
     conn: u16,
-    data: Vec<u8>,
+    data: Rc<Vec<u8>>,
     snd_una: usize,
     snd_nxt: usize,
     rto: SimDuration,
@@ -53,6 +86,20 @@ impl SnapSender {
     /// `conn`.
     pub fn new(conn: u16, data: Vec<u8>) -> SnapSender {
         assert!(!data.is_empty(), "empty snapshot transfer");
+        SnapSender::over(conn, Rc::new(data))
+    }
+
+    /// Abandons the transfer in progress, writes the next image into the
+    /// buffer the last one left (`write` replaces its contents) and starts
+    /// its transfer on connection `conn`, as [`SnapSender::new`] would.
+    pub fn restart(&mut self, conn: u16, write: impl FnOnce(&mut Vec<u8>)) {
+        write(Rc::make_mut(&mut self.data));
+        assert!(!self.data.is_empty(), "empty snapshot transfer");
+        *self = SnapSender::over(conn, Rc::clone(&self.data));
+    }
+
+    /// A sender at the start of the transfer of `data`.
+    fn over(conn: u16, data: Rc<Vec<u8>>) -> SnapSender {
         SnapSender {
             conn,
             data,
@@ -68,9 +115,17 @@ impl SnapSender {
         }
     }
 
-    /// Whether the whole image has been acknowledged.
+    /// Whether the whole image has been acknowledged, or the transfer
+    /// was abandoned.
     pub fn is_done(&self) -> bool {
         self.done
+    }
+
+    /// Abandons the transfer in progress: the sender is done, and keeps
+    /// its buffer for the next image.
+    pub fn abandon(&mut self) {
+        self.done = true;
+        self.deadline = None;
     }
 
     /// A lower bound on the next instant at which [`tick`] emits a
@@ -91,7 +146,7 @@ impl SnapSender {
     }
 
     /// Processes a cumulative ACK.
-    pub fn on_ack(&mut self, now: SimTime, seg: &Segment) {
+    pub fn on_ack(&mut self, now: SimTime, seg: &Segment<()>) {
         if seg.conn != self.conn || self.done {
             return;
         }
@@ -123,7 +178,7 @@ impl SnapSender {
     /// Advances the sender: retransmits on RTO expiry or a pending fast
     /// retransmit, then fills the window with new segments.
     pub fn tick(&mut self, now: SimTime) -> Flight {
-        let mut flight: [Option<Segment>; WINDOW] = Default::default();
+        let mut flight: [Option<Segment<Chunk>>; WINDOW] = Default::default();
         if self.done {
             return flight.into_iter().flatten();
         }
@@ -154,7 +209,10 @@ impl SnapSender {
                 conn: self.conn,
                 seq: self.snd_nxt as u32,
                 ack: 0,
-                payload: self.data[self.snd_nxt..end].to_vec(),
+                payload: Chunk {
+                    image: Rc::clone(&self.data),
+                    range: self.snd_nxt..end,
+                },
             });
             self.snd_nxt = end;
         }
@@ -166,6 +224,15 @@ impl SnapSender {
 
     fn in_flight(&self) -> usize {
         (self.snd_nxt - self.snd_una).div_ceil(MSS)
+    }
+}
+
+impl Default for SnapSender {
+    fn default() -> SnapSender {
+        SnapSender {
+            done: true,
+            ..SnapSender::over(0, Rc::default())
+        }
     }
 }
 
@@ -184,10 +251,21 @@ impl SnapReceiver {
         SnapReceiver::default()
     }
 
+    /// Abandons the transfer in progress, keeping the buffer: the next
+    /// segment starts a new one, as at a fresh receiver.
+    pub fn abandon(&mut self) {
+        self.conn = None;
+    }
+
     /// Processes one data segment; returns the cumulative ACK to send
     /// back and, once the `FIN` segment completes the image, the
-    /// reassembled bytes.
-    pub fn on_segment(&mut self, seg: &Segment) -> (Segment, Option<Vec<u8>>) {
+    /// reassembled bytes, lent: the receiver reads them no more until the
+    /// next transfer clears them, so a caller may swap them for a buffer
+    /// of its own, which the next transfer reassembles into.
+    pub fn on_segment<P: AsRef<[u8]>>(
+        &mut self,
+        seg: &Segment<P>,
+    ) -> (Segment<()>, Option<&mut Vec<u8>>) {
         if self.conn != Some(seg.conn) {
             // New transfer on this link: reset reassembly.
             self.conn = Some(seg.conn);
@@ -195,24 +273,23 @@ impl SnapReceiver {
             self.buf.clear();
             self.done = false;
         }
-        let mut complete = None;
+        let payload = seg.payload.as_ref();
+        let mut complete = false;
         if seg.flags & flags::DATA != 0 && !self.done && seg.seq as usize == self.rcv_nxt {
-            self.buf.extend_from_slice(&seg.payload);
-            self.rcv_nxt += seg.payload.len();
-            if seg.flags & flags::FIN != 0 {
-                self.done = true;
-                // `done` stops every later read of `buf`: hand it out.
-                complete = Some(std::mem::take(&mut self.buf));
-            }
+            self.buf.extend_from_slice(payload);
+            self.rcv_nxt += payload.len();
+            // `done` stops every later read of `buf`.
+            self.done = seg.flags & flags::FIN != 0;
+            complete = self.done;
         }
         let ack = Segment {
             flags: flags::ACK,
             conn: seg.conn,
             seq: 0,
             ack: self.rcv_nxt as u32,
-            payload: Vec::new(),
+            payload: (),
         };
-        (ack, complete)
+        (ack, complete.then_some(&mut self.buf))
     }
 }
 
@@ -229,7 +306,7 @@ mod tests {
     }
 
     /// What `tx` sends at `now`.
-    fn sent(tx: &mut SnapSender, now: SimTime) -> Vec<Segment> {
+    fn sent(tx: &mut SnapSender, now: SimTime) -> Vec<Segment<Chunk>> {
         tx.tick(now).collect()
     }
 
@@ -245,7 +322,7 @@ mod tests {
         for seg in &segs {
             let (ack, complete) = rx.on_segment(seg);
             if let Some(img) = complete {
-                assert_eq!(img, data);
+                assert_eq!(*img, data);
             }
             tx.on_ack(t(1), &ack);
         }
@@ -282,7 +359,7 @@ mod tests {
         let mut img = None;
         for seg in &resent {
             let (ack, complete) = rx.on_segment(seg);
-            img = img.or(complete);
+            img = img.or(complete.cloned());
             tx.on_ack(t(4), &ack);
         }
         assert_eq!(img, Some(data));
@@ -309,14 +386,14 @@ mod tests {
         let mut img = None;
         for seg in &retx2 {
             let (ack, complete) = rx.on_segment(seg);
-            img = img.or(complete);
+            img = img.or(complete.cloned());
             tx.on_ack(t(601), &ack);
         }
         assert_eq!(img, Some(data));
         assert!(tx.is_done());
     }
 
-    /// The receiver hands its buffer out on `FIN`: a retransmitted `FIN`
+    /// The receiver lends its buffer out on `FIN`: a retransmitted `FIN`
     /// after completion still acks the whole image and completes
     /// nothing, and the next connection starts from an empty buffer.
     #[test]
@@ -327,7 +404,7 @@ mod tests {
         let segs = sent(&mut tx, t(0));
         let mut img = None;
         for seg in &segs {
-            img = img.or(rx.on_segment(seg).1);
+            img = img.or(rx.on_segment(seg).1.cloned());
         }
         assert_eq!(img, Some(data));
         let fin = segs.last().expect("the image has a last segment");
@@ -339,7 +416,7 @@ mod tests {
         let segs = sent(&mut SnapSender::new(5, short.clone()), t(10));
         let (ack, complete) = rx.on_segment(&segs[0]);
         assert_eq!(ack.ack, 100);
-        assert_eq!(complete, Some(short));
+        assert_eq!(complete.cloned(), Some(short));
     }
 
     /// `next_due` never trails what `tick` would do: immediately while
@@ -369,6 +446,77 @@ mod tests {
         assert_eq!(tx.next_due(), None);
     }
 
+    /// A sender's next image goes into the buffer of its last one once no
+    /// segment shares it; a segment still in flight keeps the bytes it
+    /// was sent with, and the new image goes into a copy.
+    #[test]
+    fn a_restart_reuses_the_image_buffer_and_spares_a_segment_in_flight() {
+        let first = image(3000);
+        let mut tx = SnapSender::new(1, first.clone());
+        let at = tx.data.as_ptr();
+        let mut rx = SnapReceiver::new();
+        for seg in sent(&mut tx, t(0)) {
+            tx.on_ack(t(1), &rx.on_segment(&seg).0);
+        }
+        assert!(tx.is_done());
+        tx.restart(2, |buf| {
+            buf.clear();
+            buf.extend_from_slice(&image(2000));
+        });
+        assert_eq!(tx.data.as_ptr(), at, "written in place");
+        let in_flight = sent(&mut tx, t(2));
+        assert_eq!(tx.conn, 2);
+        assert_eq!(in_flight[0].payload.as_ref(), &image(2000)[..MSS]);
+        tx.restart(3, |buf| buf.fill(0xEE));
+        assert_ne!(tx.data.as_ptr(), at, "a copy, while segments share it");
+        assert_eq!(in_flight[0].payload.as_ref(), &image(2000)[..MSS]);
+        let mut img = None;
+        for seg in sent(&mut tx, t(3)) {
+            img = img.or(rx.on_segment(&seg).1.cloned());
+        }
+        assert_eq!(img, Some(vec![0xEE; 2000]));
+    }
+
+    /// A receiver reassembles the next image into the buffer its caller
+    /// swapped in for the last one.
+    #[test]
+    fn a_receiver_reassembles_into_the_buffer_swapped_in() {
+        let mut rx = SnapReceiver::new();
+        let mut held = Vec::with_capacity(4000);
+        let spare = held.as_ptr();
+        for (conn, len) in [(1, 3000), (2, 2500)] {
+            let data = image(len);
+            let mut img = None;
+            for seg in sent(&mut SnapSender::new(conn, data.clone()), t(0)) {
+                if let Some(buf) = rx.on_segment(&seg).1 {
+                    std::mem::swap(&mut held, buf);
+                    img = Some(held.as_ptr());
+                }
+            }
+            assert_eq!(held, data);
+            if conn == 2 {
+                assert_eq!(img, Some(spare), "the first swap's buffer, reused");
+            }
+        }
+    }
+
+    /// An abandoned transfer is done: it sends nothing, owes no wake and
+    /// ignores a late ACK; the default sender is one.
+    #[test]
+    fn an_abandoned_sender_is_done() {
+        let mut tx = SnapSender::new(9, image(2000));
+        let segs = sent(&mut tx, t(0));
+        tx.abandon();
+        assert!(tx.is_done());
+        assert_eq!(tx.next_due(), None);
+        assert!(sent(&mut tx, t(500)).is_empty());
+        let ack = SnapReceiver::new().on_segment(&segs[0]).0;
+        tx.on_ack(t(501), &ack);
+        assert!(tx.is_done() && tx.next_due().is_none());
+        let idle = SnapSender::default();
+        assert!(idle.is_done() && idle.next_due().is_none());
+    }
+
     /// A new conn id resets the receiver even when the previous image
     /// never completed.
     #[test]
@@ -381,7 +529,7 @@ mod tests {
         let mut tx2 = SnapSender::new(8, short.clone());
         let segs = sent(&mut tx2, t(10));
         let (ack, complete) = rx.on_segment(&segs[0]);
-        assert_eq!(complete, Some(short));
+        assert_eq!(complete.cloned(), Some(short));
         assert_eq!(ack.ack, 100);
     }
 }

@@ -207,38 +207,45 @@ fn parse<'a, T, C: FromIterator<T>>(
 }
 
 impl NodeSnapshot {
-    /// The transfer wire format of a snapshot of `node` at `gen` holding
-    /// the `ckpt` and `ds` records: magic, `node:u8 gen:u32`, the two
-    /// record lists behind `u32` counts, and the CRC-16 of all of that
-    /// (the same checksum family the transport segments use). Written
-    /// into one buffer sized for it up front, straight from borrowed
-    /// records: a node exports its checkpoint store without copying it.
+    /// Writes into `out`, in place of what it held, the transfer wire
+    /// format of a snapshot of `node` at `gen` holding the `ckpt` and `ds`
+    /// records: magic, `node:u8 gen:u32`, the two record lists behind
+    /// `u32` counts, and the CRC-16 of all of that (the same checksum
+    /// family the transport segments use). Sized up front, straight from
+    /// borrowed records: a node exports its checkpoint store without
+    /// copying it, into the buffer its last image left, which grows only
+    /// for an image larger than any before.
     pub fn image<'a>(
+        out: &mut Vec<u8>,
         node: u8,
         gen: u32,
         ckpt: impl ExactSizeIterator<Item = Record<'a>> + Clone,
         ds: impl ExactSizeIterator<Item = Record<'a>> + Clone,
-    ) -> Vec<u8> {
+    ) {
         let len = SNAP_MAGIC.len() + 1 + 4 + 4 + 4 + 2;
-        let mut w =
-            Writer::with_capacity(len + records_len(ckpt.clone()) + records_len(ds.clone()));
+        let len = len + records_len(ckpt.clone()) + records_len(ds.clone());
+        let mut w = Writer::reusing(std::mem::take(out), len);
         w.raw(SNAP_MAGIC);
         w.u8(node);
         w.u32(gen);
         w.seq(Len::U32, ckpt, put_record);
         w.seq(Len::U32, ds, put_record);
         w.u16(crc16(w.written()));
-        w.into_bytes()
+        *out = w.into_bytes();
     }
 
-    /// Serializes to the transfer wire format ([`NodeSnapshot::image`]).
+    /// Serializes to the transfer wire format ([`NodeSnapshot::image`]),
+    /// in a buffer of its own.
     pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         Self::image(
+            &mut out,
             self.node,
             self.gen,
             borrowed(&self.ckpt),
             borrowed(&self.ds),
-        )
+        );
+        out
     }
 
     /// Parses the transfer wire format; `None` for truncated or
@@ -386,7 +393,8 @@ mod tests {
                 phoenix_ckpt::SaveOutcome::Stored { .. }
             ));
         }
-        let image = NodeSnapshot::image(6, 3, store.records(), std::iter::empty());
+        let mut image = Vec::new();
+        NodeSnapshot::image(&mut image, 6, 3, store.records(), std::iter::empty());
         let owned = NodeSnapshot {
             node: 6,
             gen: 3,
@@ -396,5 +404,31 @@ mod tests {
         assert_eq!(image, owned.encode());
         assert_eq!(image.capacity(), image.len());
         assert_eq!(decoded(&image), Some(owned));
+    }
+
+    /// An image written into the buffer of a larger one replaces it
+    /// wholly, in the same allocation; one larger than the buffer grows
+    /// it to its own size.
+    #[test]
+    fn an_image_reuses_the_buffer_the_last_one_left() {
+        let snap = |value: Vec<u8>| NodeSnapshot {
+            node: 1,
+            gen: 4,
+            ckpt: vec![("vfs".to_string(), "mounts".to_string(), value)],
+            ds: vec![],
+        };
+        let (large, small) = (snap(vec![5; 64]), snap(vec![6; 8]));
+        let mut buf = large.encode();
+        let at = buf.as_ptr();
+        NodeSnapshot::image(&mut buf, 1, 4, borrowed(&small.ckpt), std::iter::empty());
+        assert_eq!(buf, small.encode());
+        assert_eq!(buf.as_ptr(), at, "written in place");
+        NodeSnapshot::image(&mut buf, 1, 4, borrowed(&large.ckpt), std::iter::empty());
+        assert_eq!(buf, large.encode());
+        assert_eq!(buf.capacity(), buf.len());
+        let larger = snap(vec![7; 65]);
+        NodeSnapshot::image(&mut buf, 1, 4, borrowed(&larger.ckpt), std::iter::empty());
+        assert_eq!(buf, larger.encode());
+        assert_eq!(buf.capacity(), buf.len(), "grown to the image, exactly");
     }
 }

@@ -20,18 +20,21 @@ use phoenix_servers::netproto::Segment;
 use phoenix_simcore::rng::SimRng;
 use phoenix_simcore::time::{SimDuration, SimTime};
 
+use crate::link::Chunk;
 use crate::proto::Frame;
 
 /// What a link carries: typed gossip frames for the backbone, transport
 /// segments for the snapshot transfer layer. The wire drops payloads but
 /// never corrupts one, so a segment travels as the value, not its
-/// encoding.
+/// encoding, and a data segment shares its bytes with its sender's image.
 #[derive(Clone, Debug)]
 pub enum Payload {
     /// A fleet backbone frame.
     Gossip(Frame),
-    /// A snapshot-transfer segment.
-    Transfer(Segment),
+    /// A snapshot-transfer data segment.
+    Transfer(Segment<Chunk>),
+    /// A snapshot-transfer cumulative ACK, which carries no payload.
+    TransferAck(Segment<()>),
 }
 
 /// One delivered payload.

@@ -1,8 +1,10 @@
 //! Heap budget of a node boot: how many allocations one fleet node
 //! machine makes while it boots, and how many bytes they ask for, with
 //! the options the fleet boots every node and every rebooted node with,
-//! and how many allocations `Os::builder()` makes before any option is
-//! set. Most of the bytes are the trace ring's 4,096 preallocated events.
+//! how many allocations `Os::builder()` makes before any option is set,
+//! and what an empty trace ring of the kernel's default bound costs. A
+//! ring allocates nothing until events are emitted and grows with them,
+//! so a boot pays for the events it emits, not for the ring's bound.
 //!
 //! Node boots and reboots are most of a fleet's allocations, so this is
 //! the gate that keeps a boot from doing work it does not need: a
@@ -16,6 +18,7 @@
 
 use phoenix::os::Os;
 use phoenix_simcore::time::SimDuration;
+use phoenix_simcore::trace::TraceRing;
 
 #[path = "../../kernel/tests/heap/counting.rs"]
 mod counting;
@@ -42,7 +45,8 @@ fn boot_node(seed: u64) -> Os {
 /// it away for the builder's one-line `restart` script, which the builder
 /// parsed once and every driver row cloned, and every server row parsed
 /// that one-line script too. `Os::builder()` read 7, all of them that
-/// one-line script's parse.
+/// one-line script's parse. While every trace ring preallocated 4,096
+/// events (458,752 bytes), a boot read 732 allocations and 545,689 bytes.
 #[test]
 fn a_node_boot_parses_no_policy() {
     // Warm-up: a first boot, so nothing lazily initialised once per
@@ -52,10 +56,14 @@ fn a_node_boot_parses_no_policy() {
     drop(os);
     let ((builder, _), b) = counted(Os::builder);
     drop(b);
+    let ((ring, ring_bytes), r) = counted(|| TraceRing::new(65_536));
+    drop(r);
     println!(
-        "boot heap: {boot} allocations and {boot_bytes} bytes per node boot, {builder} per Os::builder()"
+        "boot heap: {boot} allocations and {boot_bytes} bytes per node boot, {builder} per \
+         Os::builder(), {ring} and {ring_bytes} bytes per TraceRing::new(65_536)"
     );
     assert_eq!(builder, 0, "Os::builder()");
-    assert_eq!(boot, 732, "one node boot");
-    assert_eq!(boot_bytes, 545_689, "bytes of one node boot");
+    assert_eq!((ring, ring_bytes), (0, 0), "an empty trace ring");
+    assert_eq!(boot, 715, "one node boot");
+    assert_eq!(boot_bytes, 98_116, "bytes of one node boot");
 }

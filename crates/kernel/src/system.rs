@@ -117,7 +117,9 @@ struct LiveProc {
     usage: UsageSlot,
     endpoint: Endpoint,
     parent: Option<Endpoint>,
-    privileges: Privileges,
+    /// The table it was exec'd with, shared with its program's registry
+    /// entry until that entry is adjusted.
+    privileges: Rc<Privileges>,
     handler: Option<Box<dyn Process>>,
     stuck: bool,
     program: Option<String>,
@@ -171,7 +173,8 @@ struct OpenCall {
 }
 
 struct ProgramEntry {
-    privileges: Privileges,
+    /// What the next spawn is granted: each incarnation shares it.
+    privileges: Rc<Privileges>,
     factories: Vec<ProgramFactory>,
 }
 
@@ -348,10 +351,10 @@ impl System {
     pub fn declared_privileges(&self) -> BTreeMap<String, Privileges> {
         let mut out = BTreeMap::new();
         for p in self.live() {
-            out.insert(p.name.to_string(), p.privileges.clone());
+            out.insert(p.name.to_string(), Privileges::clone(&p.privileges));
         }
         for (name, entry) in &self.programs {
-            out.insert(name.clone(), entry.privileges.clone());
+            out.insert(name.clone(), Privileges::clone(&entry.privileges));
         }
         out
     }
@@ -375,12 +378,12 @@ impl System {
     ) {
         match self.programs.get_mut(name) {
             Some(entry) => {
-                entry.privileges = privileges;
+                entry.privileges = Rc::new(privileges);
                 entry.factories.push(factory);
             }
             None => {
                 let entry = ProgramEntry {
-                    privileges,
+                    privileges: Rc::new(privileges),
                     factories: vec![factory],
                 };
                 self.programs.insert(name.to_string(), entry);
@@ -392,8 +395,9 @@ impl System {
     /// will be granted. Returns `false` if no such program is registered.
     ///
     /// Already-running incarnations keep their current table (as in MINIX,
-    /// privileges are bound at exec time); used by the audit harness to
-    /// seed deliberate over-grants.
+    /// privileges are bound at exec time): the entry's table is copied
+    /// before it is changed while an incarnation shares it. Used by the
+    /// audit harness to seed deliberate over-grants.
     pub fn adjust_program_privileges(
         &mut self,
         name: &str,
@@ -401,7 +405,7 @@ impl System {
     ) -> bool {
         match self.programs.get_mut(name) {
             Some(entry) => {
-                f(&mut entry.privileges);
+                f(Rc::make_mut(&mut entry.privileges));
                 true
             }
             None => false,
@@ -468,7 +472,7 @@ impl System {
         &mut self,
         name: &str,
         parent: Option<Endpoint>,
-        privileges: Privileges,
+        privileges: Rc<Privileges>,
         handler: Box<dyn Process>,
         program: Option<(String, u32)>,
     ) -> Endpoint {
@@ -545,7 +549,7 @@ impl System {
         privileges: Privileges,
         handler: Box<dyn Process>,
     ) -> Endpoint {
-        self.spawn_internal(name, None, privileges, handler, None)
+        self.spawn_internal(name, None, Rc::new(privileges), handler, None)
     }
 
     /// Kills a process on behalf of an interactive user (`kill -9`),
@@ -1328,7 +1332,7 @@ impl<'a> Ctx<'a> {
             None => entry.factories.len() as u32,
         };
         let handler = (entry.factories[ver as usize - 1])();
-        let privileges = entry.privileges.clone();
+        let privileges = Rc::clone(&entry.privileges);
         let parent = self.self_ep;
         Ok(self.sys.spawn_internal(
             program,

@@ -5,7 +5,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use phoenix_kernel::platform::{HwCtx, NullPlatform, Platform};
-use phoenix_kernel::privileges::{IpcFilter, Privileges};
+use phoenix_kernel::privileges::{IpcFilter, KernelCall, Privileges};
 use phoenix_kernel::process::{ProcEvent, Process};
 use phoenix_kernel::system::{Ctx, System, SystemConfig};
 use phoenix_kernel::types::{
@@ -800,6 +800,83 @@ fn kernel_call_mask_enforced() {
             KernelError::CallNotPermitted,
             KernelError::CallNotPermitted,
         ]
+    );
+}
+
+/// Privileges are bound at exec time: after a program's table is
+/// adjusted, the incarnation already running keeps the table it was
+/// spawned with, and the next spawn gets the new one. Each incarnation
+/// tries to reach `peer` at its start and again 10 ms later; the table is
+/// widened to allow it between the two spawns.
+#[test]
+fn a_running_incarnation_keeps_the_table_it_was_spawned_with() {
+    let mut sys = new_sys();
+    let peer = sys.spawn_boot("peer", Privileges::server(), Box::new(Scripted::new(log())));
+    /// Each try: who made it, and what the kernel answered.
+    type Tries = Rc<RefCell<Vec<(Endpoint, Result<(), IpcError>)>>>;
+    let tries: Tries = Rc::default();
+    let t = tries.clone();
+    let mut narrow = Privileges::server();
+    narrow.ipc = IpcFilter::named(["rs"]);
+    sys.register_program(
+        "drv",
+        narrow,
+        Box::new(move || {
+            let t = t.clone();
+            Box::new(Scripted::with_react(
+                log(),
+                Box::new(move |ctx, ev| {
+                    if matches!(ev, ProcEvent::Start) {
+                        ctx.set_alarm(SimDuration::from_millis(10), 0).unwrap();
+                    }
+                    if matches!(ev, ProcEvent::Start | ProcEvent::Alarm { .. }) {
+                        let tried = ctx.send(peer, Message::new(1));
+                        t.borrow_mut().push((ctx.self_endpoint(), tried));
+                    }
+                }),
+            ))
+        }),
+    );
+    let spawned: Rc<RefCell<Vec<Endpoint>>> = Rc::default();
+    let s = spawned.clone();
+    let mut pm = Privileges::process_manager();
+    pm.kernel_calls.insert(KernelCall::SetAlarm);
+    sys.spawn_boot(
+        "pm",
+        pm,
+        Box::new(Scripted::with_react(
+            log(),
+            Box::new(move |ctx, ev| {
+                if matches!(ev, ProcEvent::Start) {
+                    ctx.set_alarm(SimDuration::from_millis(5), 0).unwrap();
+                }
+                if matches!(ev, ProcEvent::Start | ProcEvent::Alarm { .. }) {
+                    s.borrow_mut().push(ctx.sys_spawn("drv", None).unwrap());
+                }
+            }),
+        )),
+    );
+    sys.run_until(&mut NullPlatform, SimTime::from_micros(2_000));
+    assert!(sys.adjust_program_privileges("drv", |p| p.ipc = IpcFilter::AllowAll));
+    sys.run_until_idle(&mut NullPlatform, 100);
+    let [old, new] = spawned.borrow()[..] else {
+        panic!("two spawns of drv, not {:?}", spawned.borrow());
+    };
+    let denied = Err(IpcError::NotPermitted);
+    let of = |ep: Endpoint| -> Vec<Result<(), IpcError>> {
+        let tries = tries.borrow();
+        tries
+            .iter()
+            .filter(|(e, _)| *e == ep)
+            .map(|&(_, r)| r)
+            .collect()
+    };
+    assert_eq!(of(old), [denied, denied], "the running incarnation");
+    assert_eq!(of(new), [Ok(()), Ok(())], "the spawn after the change");
+    assert_eq!(
+        sys.declared_privileges()["drv"].ipc,
+        IpcFilter::AllowAll,
+        "the registry holds the new table"
     );
 }
 

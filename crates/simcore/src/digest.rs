@@ -195,6 +195,16 @@ impl Md5 {
     }
 }
 
+/// Formatted text hashes as its UTF-8 bytes, written straight into the
+/// hasher: `write!(md5, "{k}={v}\n")` hashes what `format!` would have
+/// built, without the `String`.
+impl std::fmt::Write for Md5 {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.update(s.as_bytes());
+        Ok(())
+    }
+}
+
 /// Streaming SHA-1 (RFC 3174).
 ///
 /// # Example
@@ -334,6 +344,19 @@ pub fn to_hex(bytes: &[u8]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Formatted text hashes as the bytes `format!` would have built,
+    /// however the formatter splits it into pieces.
+    #[test]
+    fn md5_hashes_formatted_text_as_its_bytes() {
+        use std::fmt::Write as _;
+        let mut written = Md5::new();
+        for (name, value) in [("node0", "down"), ("fleet.snap.replicated", "6064")] {
+            writeln!(written, "{name}={value}").expect("an Md5 takes any text");
+        }
+        let fed = Md5::digest(b"node0=down\nfleet.snap.replicated=6064\n");
+        assert_eq!(written.finish(), fed);
+    }
 
     // RFC 1321 appendix A.5 test suite.
     #[test]

@@ -5,6 +5,7 @@
 //! counters and histograms those reports are built from.
 
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 
 use crate::digest::Md5;
 use crate::time::SimDuration;
@@ -235,7 +236,8 @@ impl MetricsRegistry {
     /// the determinism fingerprint campaigns and the fleet pin runs by.
     pub fn digest_counters(&self, md5: &mut Md5) {
         for (k, v) in &self.counters {
-            md5.update(format!("{k}={v}\n").as_bytes());
+            // Writing into an `Md5` cannot fail.
+            let _ = writeln!(md5, "{k}={v}");
         }
     }
 

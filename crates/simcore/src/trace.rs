@@ -312,11 +312,13 @@ impl Default for TraceRing {
 }
 
 impl TraceRing {
-    /// Creates a ring holding at most `capacity` events.
+    /// Creates a ring holding at most `capacity` events. It allocates
+    /// nothing: the buffer grows with the events emitted, so a machine
+    /// that emits few pays for few.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "trace ring capacity must be positive");
         TraceRing {
-            events: VecDeque::with_capacity(capacity.min(4096)),
+            events: VecDeque::new(),
             capacity,
             dropped: 0,
             dropped_by_kind: BTreeMap::new(),
@@ -480,6 +482,28 @@ pub(crate) mod tests {
         );
     }
 
+    /// A ring starts empty and grows with its events, past the 4,096 it
+    /// once preallocated, up to a bound that is not a power of two; from
+    /// there it evicts oldest first and counts each eviction by kind.
+    #[test]
+    fn a_ring_grows_from_empty_to_its_bound() {
+        let mut r = TraceRing::new(5_000);
+        assert!(r.is_empty());
+        for i in 0..6_000u64 {
+            let kind = if i % 3 == 0 { "defect" } else { "request" };
+            r.emit_event(
+                TraceEvent::new(SimTime::from_micros(i), TraceLevel::Info, "t", "e")
+                    .with_field("ev", kind),
+            );
+        }
+        assert_eq!(r.len(), 5_000);
+        assert_eq!(r.dropped(), 1_000);
+        let by_kind: Vec<(&str, u64)> = r.dropped_by_kind().collect();
+        assert_eq!(by_kind, vec![("defect", 334), ("request", 666)]);
+        let first = r.events().next().expect("a full ring has a first event");
+        assert_eq!(first.at, SimTime::from_micros(1_000), "the 1,001st event");
+    }
+
     #[test]
     fn find_from_orders_events() {
         let mut r = TraceRing::new(8);
@@ -543,8 +567,8 @@ pub(crate) mod tests {
         assert_eq!(rid(9).as_u64(), 9);
     }
 
-    /// Each event carries three optional ids, and every node boot
-    /// preallocates 4,096 events, so an id's `None` costs bytes per boot.
+    /// Each event carries three optional ids, and a ring holds up to
+    /// 65,536 events, so an id's `None` costs bytes per retained event.
     #[test]
     fn optional_ids_and_events_have_pinned_sizes() {
         use std::mem::size_of;

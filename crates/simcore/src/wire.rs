@@ -134,6 +134,14 @@ impl Writer {
         }
     }
 
+    /// An empty frame in `out`'s allocation, with room for `n` bytes: it
+    /// allocates only when `out` has less room than that.
+    pub fn reusing(mut out: Vec<u8>, n: usize) -> Self {
+        out.clear();
+        out.reserve_exact(n);
+        Writer { out }
+    }
+
     /// What has been written so far (to checksum it before the trailer).
     pub fn written(&self) -> &[u8] {
         &self.out
