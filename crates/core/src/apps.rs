@@ -189,6 +189,9 @@ impl Process for Wget {
                     }
                     st.last_data_at = Some(now);
                     st.bytes += msg.data.len() as u64;
+                    drop(st);
+                    // Consumed: the frame's buffer goes back to the kernel.
+                    ctx.return_buf(msg.data);
                 }
                 Some(sock::Msg::CLOSED(_)) => {
                     let mut st = self.status.borrow_mut();
@@ -657,6 +660,7 @@ impl Process for UdpPing {
                         self.status.borrow_mut().echoed += 1;
                     }
                 }
+                ctx.return_buf(msg.data);
             }
             _ => {}
         }

@@ -654,17 +654,17 @@ impl Process for InetLoadGen {
             }
             ProcEvent::Message(msg) => match sock::Msg::decode(&msg) {
                 Some(sock::Msg::DATA(sock::Data { conn })) => {
-                    let Some(&idx) = self.by_conn.get(&conn) else {
-                        return;
-                    };
-                    let session = self.session(idx);
-                    if session.state != SessionState::Streaming {
-                        return;
+                    if let Some(&idx) = self.by_conn.get(&conn) {
+                        let session = self.session(idx);
+                        if session.state == SessionState::Streaming {
+                            session.got += msg.data.len() as u64;
+                            if session.got >= session.want {
+                                self.on_response_done(ctx, idx);
+                            }
+                        }
                     }
-                    session.got += msg.data.len() as u64;
-                    if session.got >= session.want {
-                        self.on_response_done(ctx, idx);
-                    }
+                    // Consumed: the frame's buffer goes back to the kernel.
+                    ctx.return_buf(msg.data);
                 }
                 Some(sock::Msg::CLOSED(sock::Closed { conn })) => {
                     // Peer FIN. Normally arrives while lingering (the stream

@@ -20,7 +20,7 @@
 
 use phoenix_ckpt::{ConsumedCursor, SpareTail, StateGate};
 use phoenix_hw::chardev::{audio_regs, printer_regs, scsi_cmd, scsi_regs, scsi_status};
-use phoenix_hw::uart::uart_regs;
+use phoenix_hw::uart::{uart_regs, FIFO_DEPTH};
 use phoenix_kernel::system::Ctx;
 use phoenix_kernel::types::{CallId, DeviceId, Endpoint, IpcError, IrqLine, Message};
 use phoenix_simcore::time::SimDuration;
@@ -689,10 +689,12 @@ impl DriverLogic for KeyboardDriver {
             if avail == 0 {
                 break;
             }
-            match ctx.devio_read_block(self.dev, uart_regs::DATA, avail) {
-                Ok(bytes) => {
-                    drained += bytes.len();
-                    self.line_buf.extend_from_slice(&bytes);
+            let mut chunk = [0; FIFO_DEPTH];
+            let want = avail.min(FIFO_DEPTH);
+            match ctx.devio_read_block(self.dev, uart_regs::DATA, &mut chunk[..want]) {
+                Ok(n) => {
+                    drained += n;
+                    self.line_buf.extend_from_slice(&chunk[..n]);
                 }
                 Err(_) => break,
             }

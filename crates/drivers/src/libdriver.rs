@@ -208,7 +208,11 @@ impl<L: DriverLogic> Process for Driver<L> {
                 }
                 _ => self.logic.message(ctx, &msg),
             },
-            ProcEvent::Request { call, msg } => self.logic.request(ctx, call, &msg),
+            ProcEvent::Request { call, msg } => {
+                self.logic.request(ctx, call, &msg);
+                // The request's bytes (an `eth::WRITE` frame) are consumed.
+                ctx.return_buf(msg.data);
+            }
             ProcEvent::Reply { call, result } => self.logic.reply(ctx, call, &result),
             ProcEvent::Irq { .. } => self.logic.irq(ctx),
             ProcEvent::Alarm { token } => self.logic.alarm(ctx, token),

@@ -30,7 +30,8 @@ pub struct RxFrame {
     hdr: [u8; 4],
     /// Frame length the header declares (the rx routine bounds-checks it).
     declared_len: usize,
-    /// The payload actually read, at most [`MAX_FRAME`] bytes.
+    /// The payload actually read, at most [`MAX_FRAME`] bytes, in a
+    /// buffer lent by the kernel ([`Ctx::lend_buf`]).
     frame: Vec<u8>,
 }
 
@@ -137,11 +138,15 @@ impl<N: Nic> EthDriver<N> {
                 load_frame(vm, 4, &rx.frame, rx.declared_len);
             });
             let Some(vm) = vm else {
+                ctx.return_buf(rx.frame);
                 return; // driver dying
             };
             self.nic.consume(ctx, self.dev, &rx, vm);
-            if let Some(client) = self.client {
-                let _ = ctx.send(client, Message::new(eth::RECV).with_data(rx.frame));
+            match self.client {
+                Some(client) => {
+                    let _ = ctx.send(client, Message::new(eth::RECV).with_data(rx.frame));
+                }
+                None => ctx.return_buf(rx.frame),
             }
         }
     }
@@ -262,8 +267,9 @@ impl Nic for Rtl8139Card {
         let mut hdr = [0; 4];
         Self::ring_read(ctx, self.capr, &mut hdr);
         let declared_len = usize::from(u16::from_le_bytes([hdr[2], hdr[3]]));
-        // The frame's one allocation: it travels on to INET as it is.
-        let mut frame = vec![0; declared_len.min(MAX_FRAME)];
+        // The frame travels on to INET in the buffer it is read into.
+        let mut frame = ctx.lend_buf();
+        frame.resize(declared_len.min(MAX_FRAME), 0);
         Self::ring_read(ctx, self.capr + 4, &mut frame);
         Some(RxFrame {
             hdr,
@@ -303,10 +309,10 @@ impl Dp8390Card {
         let _ = ctx.devio_write(dev, regs::CR, cr::STA | cmd);
     }
 
-    fn remote_read(ctx: &mut Ctx<'_>, dev: DeviceId, addr: u16, len: usize) -> Vec<u8> {
-        Self::remote_dma(ctx, dev, addr, len, dp8390::cr::RD_READ);
-        ctx.devio_read_block(dev, dp8390::regs::DATA, len)
-            .unwrap_or_default()
+    /// Fills `out` with the card bytes at `addr`.
+    fn remote_read(ctx: &mut Ctx<'_>, dev: DeviceId, addr: u16, out: &mut [u8]) {
+        Self::remote_dma(ctx, dev, addr, out.len(), dp8390::cr::RD_READ);
+        let _ = ctx.devio_read_block(dev, dp8390::regs::DATA, out);
     }
 }
 
@@ -362,26 +368,22 @@ impl Nic for Dp8390Card {
             return None;
         }
         let mut hdr = [0; 4];
-        hdr.copy_from_slice(&Self::remote_read(ctx, dev, u16::from(self.bnry) * 256, 4));
+        Self::remote_read(ctx, dev, u16::from(self.bnry) * 256, &mut hdr);
         let total = usize::from(u16::from_le_bytes([hdr[2], hdr[3]]));
         let declared_len = total.saturating_sub(4).min(MAX_FRAME);
-        // Payload may wrap at PSTOP; read in up to two pieces.
+        // The frame travels on to INET in the buffer it is read into. The
+        // payload may wrap at PSTOP; read in up to two pieces.
+        let mut frame = ctx.lend_buf();
+        frame.resize(declared_len, 0);
         let payload_start = u16::from(self.bnry) * 256 + 4;
         let end_of_ring = u16::from(PSTOP) * 256;
-        let frame = if payload_start + declared_len as u16 <= end_of_ring {
-            Self::remote_read(ctx, dev, payload_start, declared_len)
+        if payload_start + declared_len as u16 <= end_of_ring {
+            Self::remote_read(ctx, dev, payload_start, &mut frame);
         } else {
-            let first = usize::from(end_of_ring - payload_start);
-            let mut v = Self::remote_read(ctx, dev, payload_start, first);
-            let ring_start = u16::from(PSTART) * 256;
-            v.extend(Self::remote_read(
-                ctx,
-                dev,
-                ring_start,
-                declared_len - first,
-            ));
-            v
-        };
+            let (first, rest) = frame.split_at_mut(usize::from(end_of_ring - payload_start));
+            Self::remote_read(ctx, dev, payload_start, first);
+            Self::remote_read(ctx, dev, u16::from(PSTART) * 256, rest);
+        }
         Some(RxFrame {
             hdr,
             declared_len,

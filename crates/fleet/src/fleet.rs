@@ -195,7 +195,7 @@ impl Fleet {
         // node and link stream is forked off it by domain and index.
         let root = SimRng::new(cfg.seed);
         let wire = FleetWire::new(cfg.nodes, LINK_LATENCY, &root);
-        let mut slots = Vec::new();
+        let mut slots = Vec::with_capacity(usize::from(cfg.nodes));
         for id in 0..cfg.nodes {
             let seed = root.fork_indexed("fleet-node", u64::from(id)).seed();
             let (os, status) = boot_node(seed, 1);
@@ -647,9 +647,21 @@ impl Fleet {
     /// [`finalize`]: Fleet::finalize
     pub fn digest(&self) -> String {
         let mut md5 = Md5::new();
-        for (id, d) in self.node_digests().iter().enumerate() {
-            // Writing into an `Md5` cannot fail.
-            let _ = writeln!(md5, "node{id}={d}");
+        // The lines `node{id}={d}` of `node_digests`, each written
+        // straight into the hash. Writing into an `Md5` cannot fail.
+        for (id, slot) in self.slots.iter().enumerate() {
+            let _ = write!(md5, "node{id}=");
+            match &slot.os {
+                Some(os) => {
+                    let mut node = Md5::new();
+                    os.metrics().digest_counters(&mut node);
+                    for b in node.finish() {
+                        let _ = write!(md5, "{b:02x}");
+                    }
+                }
+                None => md5.update(b"down"),
+            }
+            md5.update(b"\n");
         }
         self.metrics.digest_counters(&mut md5);
         md5.finish_hex()

@@ -106,6 +106,17 @@ impl<'a, 'b> DevCtx<'a, 'b> {
         self.hw.dma_span(self.dev, addr, len)
     }
 
+    /// Lends a spare frame buffer of length 0 (see
+    /// [`HwCtx::lend_buf`]).
+    pub fn lend_buf(&mut self) -> Vec<u8> {
+        self.hw.lend_buf()
+    }
+
+    /// Hands back a buffer whose frame went nowhere.
+    pub fn return_buf(&mut self, buf: Vec<u8>) {
+        self.hw.return_buf(buf);
+    }
+
     /// Transmits a frame onto the wire attached to this device (NICs).
     pub fn tx_frame(&mut self, frame: Vec<u8>) {
         self.hw
@@ -134,10 +145,14 @@ pub trait Device {
     /// A frame arrived from the attached wire (NICs only).
     fn frame_in(&mut self, _ctx: &mut DevCtx<'_, '_>, _frame: &[u8]) {}
 
-    /// Buffered read from a data port (`sys_sdevio`); devices with a
-    /// byte-stream port (DP8390 remote DMA) override this.
-    fn read_block(&mut self, ctx: &mut DevCtx<'_, '_>, reg: u16, len: usize) -> Vec<u8> {
-        (0..len).map(|_| self.read(ctx, reg) as u8).collect()
+    /// Buffered read from a data port (`sys_sdevio`) into `buf`: the
+    /// number of bytes the port gave, at most `buf.len()`. Devices with a
+    /// byte-stream port (DP8390 remote DMA, the UART FIFO) override this.
+    fn read_block(&mut self, ctx: &mut DevCtx<'_, '_>, reg: u16, buf: &mut [u8]) -> usize {
+        for b in buf.iter_mut() {
+            *b = self.read(ctx, reg) as u8;
+        }
+        buf.len()
     }
 
     /// Buffered write to a data port (`sys_sdevio`).
@@ -195,6 +210,12 @@ impl<'a, 'b> PeerCtx<'a, 'b> {
         self.hw.rng()
     }
 
+    /// Lends a spare frame buffer of length 0 to encode a frame into (see
+    /// [`HwCtx::lend_buf`]).
+    pub fn lend_buf(&mut self) -> Vec<u8> {
+        self.hw.lend_buf()
+    }
+
     /// Sends a frame towards the host NIC; it arrives after the wire
     /// latency unless lost.
     pub fn send_to_host(&mut self, frame: Vec<u8>) {
@@ -204,14 +225,13 @@ impl<'a, 'b> PeerCtx<'a, 'b> {
     /// Sends a frame towards the host NIC after an extra `delay` (used by
     /// peers to pace transmissions at their uplink rate).
     pub fn send_to_host_after(&mut self, delay: SimDuration, frame: Vec<u8>) {
-        if self.cut_to_host {
-            return;
-        }
-        let lost = self.loss_to_host > 0.0 && {
-            let p = self.loss_to_host;
-            self.hw.rng().chance(p)
-        };
+        let lost = self.cut_to_host
+            || self.loss_to_host > 0.0 && {
+                let p = self.loss_to_host;
+                self.hw.rng().chance(p)
+            };
         if lost {
+            self.hw.return_buf(frame);
             return;
         }
         let at = self.hw.now() + delay + self.latency;
@@ -219,14 +239,14 @@ impl<'a, 'b> PeerCtx<'a, 'b> {
             .emit_external_at(at, encode_chan(self.dev, chan::WIRE_TO_HOST), frame);
     }
 
-    /// Schedules a peer timer after `delay`.
+    /// Schedules a peer timer after `delay`; the token rides as 8 bytes
+    /// in a lent buffer.
     pub fn set_timer_after(&mut self, delay: SimDuration, token: u64) {
         let at = self.hw.now() + delay;
-        self.hw.emit_external_at(
-            at,
-            encode_chan(self.dev, chan::PEER_TIMER),
-            token.to_le_bytes().to_vec(),
-        );
+        let mut buf = self.hw.lend_buf();
+        buf.extend_from_slice(&token.to_le_bytes());
+        self.hw
+            .emit_external_at(at, encode_chan(self.dev, chan::PEER_TIMER), buf);
     }
 }
 
@@ -394,6 +414,33 @@ impl Bus {
         };
         Some(f(slot.dev.as_mut(), &mut dctx))
     }
+
+    /// When a frame the NIC `dev` transmits reaches its peer, or `None`
+    /// if the wire drops it (no wire, a cut, or loss).
+    fn wire_to_peer(&self, dev: DeviceId, ctx: &mut HwCtx<'_>) -> Option<SimTime> {
+        let w = self.wires.get(&dev)?;
+        if w.chaos.cut_to_peer {
+            return None;
+        }
+        let loss = w.cfg.loss_prob.max(w.chaos.loss_to_peer);
+        if loss > 0.0 && ctx.rng().chance(loss) {
+            return None;
+        }
+        Some(ctx.now() + w.cfg.latency)
+    }
+}
+
+impl WireSlot {
+    /// The peer's context for one delivery on this wire.
+    fn ctx<'a, 'b>(&self, dev: DeviceId, hw: &'a mut HwCtx<'b>) -> PeerCtx<'a, 'b> {
+        PeerCtx::new(
+            dev,
+            self.cfg.latency,
+            self.cfg.loss_prob.max(self.chaos.loss_to_host),
+            self.chaos.cut_to_host,
+            hw,
+        )
+    }
 }
 
 impl Platform for Bus {
@@ -410,11 +457,11 @@ impl Platform for Bus {
         &mut self,
         dev: DeviceId,
         reg: u16,
-        len: usize,
+        buf: &mut [u8],
         ctx: &mut HwCtx<'_>,
-    ) -> Vec<u8> {
-        self.with_device(dev, ctx, |d, c| d.read_block(c, reg, len))
-            .unwrap_or_default()
+    ) -> usize {
+        self.with_device(dev, ctx, |d, c| d.read_block(c, reg, buf))
+            .unwrap_or(0)
     }
 
     fn io_write_block(&mut self, dev: DeviceId, reg: u16, data: &[u8], ctx: &mut HwCtx<'_>) {
@@ -425,6 +472,8 @@ impl Platform for Bus {
         self.with_device(dev, ctx, |d, c| d.timer(c, token));
     }
 
+    /// Every external payload ends here: forwarded (a frame entering the
+    /// wire), or handed back to the pool once delivered or dropped.
     fn external(&mut self, channel: u64, payload: Vec<u8>, ctx: &mut HwCtx<'_>) {
         let (dev, kind) = decode_chan(channel);
         match kind {
@@ -432,52 +481,32 @@ impl Platform for Bus {
                 // NIC -> wire: apply partition, loss, and latency towards
                 // the peer. The baseline symmetric loss and the directional
                 // chaos loss are independent drop trials.
-                let Some(w) = self.wires.get(&dev) else {
-                    return;
-                };
-                if w.chaos.cut_to_peer {
+                if let Some(at) = self.wire_to_peer(dev, ctx) {
+                    ctx.emit_external_at(at, encode_chan(dev, chan::WIRE_TO_PEER), payload);
                     return;
                 }
-                let latency = w.cfg.latency;
-                let loss = w.cfg.loss_prob.max(w.chaos.loss_to_peer);
-                if loss > 0.0 && ctx.rng().chance(loss) {
-                    return;
-                }
-                let at = ctx.now() + latency;
-                ctx.emit_external_at(at, encode_chan(dev, chan::WIRE_TO_PEER), payload);
             }
             chan::WIRE_TO_PEER => {
-                let Some(w) = self.wires.get_mut(&dev) else {
-                    return;
-                };
-                let mut pctx = PeerCtx::new(
-                    dev,
-                    w.cfg.latency,
-                    w.cfg.loss_prob.max(w.chaos.loss_to_host),
-                    w.chaos.cut_to_host,
-                    ctx,
-                );
-                w.peer.frame_from_host(&mut pctx, &payload);
+                if let Some(w) = self.wires.get_mut(&dev) {
+                    let mut pctx = w.ctx(dev, ctx);
+                    w.peer.frame_from_host(&mut pctx, &payload);
+                }
             }
             chan::WIRE_TO_HOST => {
                 self.with_device(dev, ctx, |d, c| d.frame_in(c, &payload));
             }
             chan::PEER_TIMER => {
-                let Some(w) = self.wires.get_mut(&dev) else {
-                    return;
-                };
-                let token = u64::from_le_bytes(payload.try_into().unwrap_or_default());
-                let mut pctx = PeerCtx::new(
-                    dev,
-                    w.cfg.latency,
-                    w.cfg.loss_prob.max(w.chaos.loss_to_host),
-                    w.chaos.cut_to_host,
-                    ctx,
-                );
-                w.peer.timer(&mut pctx, token);
+                let token = <[u8; 8]>::try_from(payload.as_slice()).map_or(0, u64::from_le_bytes);
+                ctx.return_buf(payload);
+                if let Some(w) = self.wires.get_mut(&dev) {
+                    let mut pctx = w.ctx(dev, ctx);
+                    w.peer.timer(&mut pctx, token);
+                }
+                return;
             }
             _ => {}
         }
+        ctx.return_buf(payload);
     }
 
     fn has_device(&self, dev: DeviceId) -> bool {

@@ -214,6 +214,23 @@ impl Dp8390 {
         }
     }
 
+    /// Copies `bytes` into the ring at card address `dst`, wrapping at
+    /// PSTOP; returns the address after them.
+    fn ring_write(&mut self, mut dst: usize, bytes: &[u8]) -> usize {
+        let stop = usize::from(self.pstop) * PAGE;
+        let mut written = 0;
+        while written < bytes.len() {
+            if dst >= stop {
+                dst = usize::from(self.pstart) * PAGE;
+            }
+            let room = (stop - dst).min(bytes.len() - written);
+            self.mem[dst..dst + room].copy_from_slice(&bytes[written..written + room]);
+            written += room;
+            dst += room;
+        }
+        dst
+    }
+
     fn pages_free(&self) -> u8 {
         // Pages between CURR (write) and BNRY (read), leaving one page gap.
         // A BNRY outside the ring (a confused driver programmed garbage)
@@ -257,8 +274,9 @@ impl Device for Dp8390 {
             regs::IMR => self.imr,
             regs::DATA => {
                 // Single-byte remote DMA read.
-                let b = self.read_block(ctx, regs::DATA, 1);
-                u32::from(b.first().copied().unwrap_or(0))
+                let mut b = [0];
+                self.read_block(ctx, regs::DATA, &mut b);
+                u32::from(b[0])
             }
             _ => 0,
         }
@@ -290,7 +308,8 @@ impl Device for Dp8390 {
                         self.irq_if_unmasked(ctx, isr::TXE);
                         return;
                     }
-                    let frame = self.mem[start..start + len].to_vec();
+                    let mut frame = ctx.lend_buf();
+                    frame.extend_from_slice(&self.mem[start..start + len]);
                     self.tx_ok += 1;
                     let delay = SimDuration::for_transfer(len as u64, LINE_RATE);
                     ctx.tx_frame(frame);
@@ -343,21 +362,25 @@ impl Device for Dp8390 {
         }
     }
 
-    fn read_block(&mut self, ctx: &mut DevCtx<'_, '_>, reg: u16, len: usize) -> Vec<u8> {
+    /// Remote DMA read: the card bytes at RSAR, at most RBCR of them,
+    /// the rest of `buf` zero. Always fills all of `buf`.
+    fn read_block(&mut self, ctx: &mut DevCtx<'_, '_>, reg: u16, buf: &mut [u8]) -> usize {
         if reg != regs::DATA || self.cr & cr::RD_READ == 0 || self.wedged {
-            return vec![0; len];
+            buf.fill(0);
+            return buf.len();
         }
-        let n = len.min(usize::from(self.rbcr));
+        let n = buf.len().min(usize::from(self.rbcr));
         let start = usize::from(self.rsar).min(CARD_MEM);
         let end = (start + n).min(CARD_MEM);
-        let mut out = self.mem[start..end].to_vec();
-        out.resize(len, 0);
+        let (got, rest) = buf.split_at_mut(end - start);
+        got.copy_from_slice(&self.mem[start..end]);
+        rest.fill(0);
         self.rsar = end as u16;
         self.rbcr -= n as u16;
         if self.rbcr == 0 {
             self.irq_if_unmasked(ctx, isr::RDC);
         }
-        out
+        buf.len()
     }
 
     fn write_block(&mut self, ctx: &mut DevCtx<'_, '_>, reg: u16, data: &[u8]) {
@@ -394,36 +417,22 @@ impl Device for Dp8390 {
             self.irq_if_unmasked(ctx, isr::OVW);
             return;
         }
-        // Write the 4-byte header + frame into consecutive ring pages.
-        let mut page = self.curr;
-        let start = usize::from(page) * PAGE;
+        // Write the 4-byte header + frame into consecutive ring pages,
+        // wrapping at PSTOP.
+        let start = usize::from(self.curr) * PAGE;
         let next = {
-            let mut p = page;
+            let mut p = self.curr;
             for _ in 0..need_pages {
                 p = self.next_page(p);
             }
             p
         };
-        let total = 4 + frame.len();
-        let mut pkt = Vec::with_capacity(total);
-        pkt.push(0x01); // status: OK
-        pkt.push(next); // next packet page
-        pkt.extend_from_slice(&(total as u16).to_le_bytes());
-        pkt.extend_from_slice(frame);
-        // Copy with ring wrap at PSTOP.
-        let mut written = 0usize;
-        let mut dst = start;
-        while written < pkt.len() {
-            if dst >= usize::from(self.pstop) * PAGE {
-                dst = usize::from(self.pstart) * PAGE;
-            }
-            let room = (usize::from(self.pstop) * PAGE - dst).min(pkt.len() - written);
-            self.mem[dst..dst + room].copy_from_slice(&pkt[written..written + room]);
-            written += room;
-            dst += room;
-        }
-        page = next;
-        self.curr = page;
+        let total = (4 + frame.len()) as u16;
+        let [lo, hi] = total.to_le_bytes();
+        // Status OK, the next packet page, the length.
+        let after_header = self.ring_write(start, &[0x01, next, lo, hi]);
+        self.ring_write(after_header, frame);
+        self.curr = next;
         self.rx_ok += 1;
         self.irq_if_unmasked(ctx, isr::PRX);
     }

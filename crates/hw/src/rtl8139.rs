@@ -264,7 +264,8 @@ impl Device for Rtl8139 {
                 }
                 let slot = usize::from((r - regs::TSD0) / 4);
                 let len = (value & 0x1FFF) as usize;
-                let mut frame = vec![0u8; len];
+                let mut frame = ctx.lend_buf();
+                frame.resize(len, 0);
                 match ctx.dma_read(u64::from(self.tsad[slot]), &mut frame) {
                     Ok(()) => {
                         self.tx_ok += 1;
@@ -276,6 +277,7 @@ impl Device for Rtl8139 {
                     Err(_) => {
                         // DMA fault: the driver programmed a bad address or
                         // died; the IOMMU contained the damage.
+                        ctx.return_buf(frame);
                         self.tx_err += 1;
                         self.irq_if_unmasked(ctx, isr::TER);
                     }

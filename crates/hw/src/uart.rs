@@ -71,12 +71,18 @@ impl Device for Uart {
         }
     }
 
-    fn read_block(&mut self, _ctx: &mut DevCtx<'_, '_>, reg: u16, len: usize) -> Vec<u8> {
+    /// Drains at most `buf.len()` bytes of the FIFO into `buf`: fewer
+    /// than asked when the FIFO holds fewer.
+    fn read_block(&mut self, _ctx: &mut DevCtx<'_, '_>, reg: u16, buf: &mut [u8]) -> usize {
         if reg != uart_regs::DATA {
-            return vec![0; len];
+            buf.fill(0);
+            return buf.len();
         }
-        let n = len.min(self.fifo.len());
-        self.fifo.drain(..n).collect()
+        let n = buf.len().min(self.fifo.len());
+        for (b, byte) in buf.iter_mut().zip(self.fifo.drain(..n)) {
+            *b = byte;
+        }
+        n
     }
 
     fn frame_in(&mut self, ctx: &mut DevCtx<'_, '_>, frame: &[u8]) {
@@ -130,11 +136,12 @@ mod tests {
         assert_eq!(uart.line_total(), 24);
         assert_eq!(uart.overruns(), 8);
         // Drain: only the first 16 survived, in order.
-        let mut got = Vec::new();
+        let mut got = [0; 20];
         let mut ctx = HwCtx::new(SimTime::ZERO, &mut mem, &mut rng, &mut fx);
         let avail = bus.io_read(dev, uart_regs::AVAILABLE, &mut ctx);
         assert_eq!(avail, 16);
-        got.extend(bus.io_read_block(dev, uart_regs::DATA, 16, &mut ctx));
-        assert_eq!(got, (0..16u8).collect::<Vec<_>>());
+        let n = bus.io_read_block(dev, uart_regs::DATA, &mut got, &mut ctx);
+        assert_eq!(n, 16, "fewer bytes than asked: the FIFO held 16");
+        assert_eq!(got[..n], (0..16u8).collect::<Vec<_>>());
     }
 }

@@ -145,7 +145,9 @@ fn dp8390_ring_wraps_and_preserves_frames() {
                             ctx.devio_write(DEV, regs::RBCR1, 0).unwrap();
                             ctx.devio_write(DEV, regs::CR, cr::STA | cr::RD_READ)
                                 .unwrap();
-                            let hdr = ctx.devio_read_block(DEV, regs::DATA, 4).unwrap();
+                            let mut hdr = [0; 4];
+                            let n = ctx.devio_read_block(DEV, regs::DATA, &mut hdr).unwrap();
+                            assert_eq!(n, 4, "remote DMA fills the header");
                             let next = hdr[1];
                             let total = usize::from(u16::from_le_bytes([hdr[2], hdr[3]]));
                             let len = total - 4;
@@ -154,7 +156,8 @@ fn dp8390_ring_wraps_and_preserves_frames() {
                             let pstop = 24u16;
                             let pay_addr = addr + 4;
                             let end = pstop * 256;
-                            let frame = if pay_addr + len as u16 <= end {
+                            let mut frame = vec![0; len];
+                            if pay_addr + len as u16 <= end {
                                 ctx.devio_write(DEV, regs::RSAR0, u32::from(pay_addr & 0xFF))
                                     .unwrap();
                                 ctx.devio_write(DEV, regs::RSAR1, u32::from(pay_addr >> 8))
@@ -165,7 +168,7 @@ fn dp8390_ring_wraps_and_preserves_frames() {
                                     .unwrap();
                                 ctx.devio_write(DEV, regs::CR, cr::STA | cr::RD_READ)
                                     .unwrap();
-                                ctx.devio_read_block(DEV, regs::DATA, len).unwrap()
+                                ctx.devio_read_block(DEV, regs::DATA, &mut frame).unwrap();
                             } else {
                                 let first = usize::from(end - pay_addr);
                                 ctx.devio_write(DEV, regs::RSAR0, u32::from(pay_addr & 0xFF))
@@ -178,7 +181,8 @@ fn dp8390_ring_wraps_and_preserves_frames() {
                                     .unwrap();
                                 ctx.devio_write(DEV, regs::CR, cr::STA | cr::RD_READ)
                                     .unwrap();
-                                let mut v = ctx.devio_read_block(DEV, regs::DATA, first).unwrap();
+                                let (head, tail) = frame.split_at_mut(first);
+                                ctx.devio_read_block(DEV, regs::DATA, head).unwrap();
                                 let rest = len - first;
                                 let base = pstart * 256;
                                 ctx.devio_write(DEV, regs::RSAR0, u32::from(base & 0xFF))
@@ -191,9 +195,8 @@ fn dp8390_ring_wraps_and_preserves_frames() {
                                     .unwrap();
                                 ctx.devio_write(DEV, regs::CR, cr::STA | cr::RD_READ)
                                     .unwrap();
-                                v.extend(ctx.devio_read_block(DEV, regs::DATA, rest).unwrap());
-                                v
-                            };
+                                ctx.devio_read_block(DEV, regs::DATA, tail).unwrap();
+                            }
                             fr.borrow_mut().push(frame);
                             ctx.devio_write(DEV, regs::BNRY, u32::from(next)).unwrap();
                         }

@@ -127,20 +127,50 @@ impl fmt::Display for DmaFault {
 
 impl std::error::Error for DmaFault {}
 
-/// All process address spaces, grants, and IOMMU state.
+/// All process address spaces, grants, and IOMMU state, plus the
+/// machine's spare frame buffers.
 ///
 /// Owned by the kernel; device models reach it through [`crate::platform::HwCtx`]
 /// so that every DMA access is IOMMU-checked.
+///
+/// The spare buffers are host memory only, out of sight of every process:
+/// whoever makes a frame borrows one ([`MemoryPool::lend_buf`]) and
+/// whoever consumes the frame hands it back ([`MemoryPool::return_buf`]),
+/// so a frame that has gone round once costs no allocation (DESIGN §5x).
 #[derive(Debug, Default)]
 pub struct MemoryPool {
     spaces: Vec<Space>,
     iommu: BTreeMap<DeviceId, IommuWindow>,
+    /// Returned buffers, each cleared, waiting to be lent again.
+    spare: Vec<Vec<u8>>,
+    /// Buffers lent and not yet returned.
+    lent: usize,
 }
 
 impl MemoryPool {
     /// Creates an empty pool.
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Lends a buffer of length 0: a spare one, with the capacity an
+    /// earlier frame gave it, or a new one when none is spare.
+    pub fn lend_buf(&mut self) -> Vec<u8> {
+        self.lent += 1;
+        self.spare.pop().unwrap_or_default()
+    }
+
+    /// Takes back a buffer whose frame was consumed, cleared, so its next
+    /// holder never sees these bytes. A return while nothing is lent drops
+    /// the buffer, so the spare list never holds more buffers than were
+    /// lent at once; a buffer with no capacity has nothing to keep.
+    pub fn return_buf(&mut self, mut buf: Vec<u8>) {
+        if self.lent == 0 || buf.capacity() == 0 {
+            return;
+        }
+        self.lent -= 1;
+        buf.clear();
+        self.spare.push(buf);
     }
 
     fn space(&self, slot: Slot) -> Option<&Space> {
@@ -517,6 +547,71 @@ mod tests {
 
     const A: Endpoint = Endpoint::new(0, 1);
     const B: Endpoint = Endpoint::new(1, 1);
+
+    #[test]
+    fn a_lent_buffer_is_empty_and_never_shows_a_previous_holders_bytes() {
+        let mut p = MemoryPool::new();
+        let mut buf = p.lend_buf();
+        buf.extend_from_slice(b"secret bytes of the first holder");
+        p.return_buf(buf);
+        let mut next = p.lend_buf();
+        assert!(next.capacity() >= 32, "the spare buffer is lent again");
+        assert_eq!(next.len(), 0);
+        next.resize(32, 0);
+        assert_eq!(next, [0; 32], "resize reads only zeros");
+    }
+
+    #[test]
+    fn a_return_while_nothing_is_lent_is_dropped() {
+        let mut p = MemoryPool::new();
+        p.return_buf(vec![7; 64]);
+        assert_eq!((p.spare.len(), p.lent), (0, 0));
+        let buf = p.lend_buf();
+        assert_eq!(buf.capacity(), 0, "nothing was kept to lend");
+        p.return_buf(buf);
+        assert_eq!((p.spare.len(), p.lent), (0, 1), "no capacity, nothing kept");
+        p.return_buf(vec![7; 64]);
+        p.return_buf(vec![8; 64]);
+        assert_eq!(
+            (p.spare.len(), p.lent),
+            (1, 0),
+            "the second return is dropped"
+        );
+    }
+
+    #[test]
+    fn the_spare_list_never_exceeds_the_peak_number_lent() {
+        let mut p = MemoryPool::new();
+        let mut held = Vec::new();
+        let mut peak = 0;
+        // Lend and return in waves of growing and shrinking height, with
+        // foreign buffers returned in between.
+        for (round, height) in [3, 1, 5, 2, 5, 0, 4].into_iter().enumerate() {
+            while held.len() < height {
+                let mut buf = p.lend_buf();
+                buf.push(round as u8);
+                held.push(buf);
+            }
+            peak = peak.max(held.len());
+            while held.len() > height {
+                p.return_buf(held.pop().expect("held"));
+                p.return_buf(vec![0xEE; 8]);
+            }
+            assert!(
+                p.lent + p.spare.len() <= peak,
+                "round {round}: {} spare",
+                p.spare.len()
+            );
+        }
+        for buf in held.drain(..) {
+            p.return_buf(buf);
+        }
+        assert!(p.spare.len() <= peak);
+        assert!(
+            p.spare.iter().all(Vec::is_empty),
+            "every spare buffer is cleared"
+        );
+    }
 
     #[test]
     fn safecopy_roundtrip() {

@@ -96,6 +96,18 @@ impl<'a> HwCtx<'a> {
         });
     }
 
+    /// Lends a spare frame buffer of length 0 (see
+    /// [`MemoryPool::lend_buf`]).
+    pub fn lend_buf(&mut self) -> Vec<u8> {
+        self.mem.lend_buf()
+    }
+
+    /// Hands a consumed frame's buffer back (see
+    /// [`MemoryPool::return_buf`]).
+    pub fn return_buf(&mut self, buf: Vec<u8>) {
+        self.mem.return_buf(buf);
+    }
+
     /// IOMMU-checked DMA read from process memory.
     ///
     /// # Errors
@@ -144,18 +156,20 @@ pub trait Platform {
     /// Writes a device register.
     fn io_write(&mut self, dev: DeviceId, reg: u16, value: u32, ctx: &mut HwCtx<'_>);
 
-    /// Buffered port input (MINIX `sys_sdevio`): reads `len` bytes from a
-    /// data port in one kernel call. Default: byte-wise via [`Platform::io_read`].
+    /// Buffered port input (MINIX `sys_sdevio`): fills `buf` from a data
+    /// port in one kernel call and returns how many bytes the port gave,
+    /// which may be fewer. Default: byte-wise via [`Platform::io_read`].
     fn io_read_block(
         &mut self,
         dev: DeviceId,
         reg: u16,
-        len: usize,
+        buf: &mut [u8],
         ctx: &mut HwCtx<'_>,
-    ) -> Vec<u8> {
-        (0..len)
-            .map(|_| self.io_read(dev, reg, ctx) as u8)
-            .collect()
+    ) -> usize {
+        for b in buf.iter_mut() {
+            *b = self.io_read(dev, reg, ctx) as u8;
+        }
+        buf.len()
     }
 
     /// Buffered port output (MINIX `sys_sdevio`): writes `data` to a data
@@ -170,7 +184,9 @@ pub trait Platform {
     fn timer(&mut self, dev: DeviceId, token: u64, ctx: &mut HwCtx<'_>);
 
     /// Delivers a machine-level external event scheduled via
-    /// [`crate::system::System::schedule_external`].
+    /// [`crate::system::System::schedule_external`]. The payload is the
+    /// platform's to keep, forward or hand back with
+    /// [`HwCtx::return_buf`].
     fn external(&mut self, channel: u64, payload: Vec<u8>, ctx: &mut HwCtx<'_>);
 
     /// Whether a device id exists on the bus.

@@ -876,6 +876,7 @@ impl System {
                 self.metrics.incr("chaos.dropped");
                 // A dropped request leaves the rendezvous open on purpose:
                 // the caller experiences a lost message, not an abort.
+                self.discard(item);
             }
             ChaosVerdict::Delay(extra) => {
                 self.metrics.incr("chaos.delayed");
@@ -977,6 +978,16 @@ impl System {
         self.trace.emit_event(ev);
     }
 
+    /// Hands back the payload of an IPC delivery the kernel discards.
+    fn discard(&mut self, item: ProcEvent) {
+        if let ProcEvent::Message(m)
+        | ProcEvent::Request { msg: m, .. }
+        | ProcEvent::Reply { result: Ok(m), .. } = item
+        {
+            self.mem.return_buf(m.data);
+        }
+    }
+
     /// Flips one uniformly chosen bit in the message payload: the type tag,
     /// a scalar parameter, or a data byte.
     fn corrupt_message(msg: &mut Message, rng: &mut SimRng) {
@@ -1021,6 +1032,7 @@ impl System {
             // calls only to live endpoints, and `destroy` aborts every
             // call the dead incarnation owed.
             self.metrics.incr("ipc.stale_drops");
+            self.discard(item);
             return;
         }
         let Some(p) = live_in_mut(&mut self.slots, to) else {
@@ -1034,6 +1046,7 @@ impl System {
             // mailbox would grow in a real system. Requests must still be
             // tracked so they abort when the process is finally killed.
             self.metrics.incr("ipc.stuck_drops");
+            self.discard(item);
             return;
         }
         // analyze:allow(panic-reach): kernel TCB invariant — handler is only absent
@@ -1134,6 +1147,18 @@ impl<'a> Ctx<'a> {
         &mut self.sys.metrics
     }
 
+    /// Lends a spare frame buffer of length 0 (see
+    /// [`MemoryPool::lend_buf`]); not a kernel call, only host memory.
+    pub fn lend_buf(&mut self) -> Vec<u8> {
+        self.sys.mem.lend_buf()
+    }
+
+    /// Hands a consumed frame's buffer back (see
+    /// [`MemoryPool::return_buf`]).
+    pub fn return_buf(&mut self, buf: Vec<u8>) {
+        self.sys.mem.return_buf(buf);
+    }
+
     fn privileges(&self) -> &Privileges {
         match live_in(&self.sys.slots, self.self_ep) {
             Some(p) => &p.privileges,
@@ -1184,7 +1209,10 @@ impl<'a> Ctx<'a> {
     /// [`IpcError::NotPermitted`] if the privilege IPC mask denies it.
     pub fn send(&mut self, dst: Endpoint, mut msg: Message) -> Result<(), IpcError> {
         let dst = self.sys.resolve_sticky(dst);
-        self.check_ipc_target(dst)?;
+        if let Err(e) = self.check_ipc_target(dst) {
+            self.return_buf(msg.data);
+            return Err(e);
+        }
         msg.source = self.self_ep;
         self.sys.metrics.incr("ipc.sends");
         self.stamp_ipc();
@@ -1203,7 +1231,10 @@ impl<'a> Ctx<'a> {
     /// Same as [`Ctx::send`].
     pub fn sendrec(&mut self, dst: Endpoint, mut msg: Message) -> Result<CallId, IpcError> {
         let dst = self.sys.resolve_sticky(dst);
-        self.check_ipc_target(dst)?;
+        if let Err(e) = self.check_ipc_target(dst) {
+            self.return_buf(msg.data);
+            return Err(e);
+        }
         msg.source = self.self_ep;
         let call = CallId(self.sys.next_call);
         self.sys.next_call += 1;
@@ -1232,17 +1263,13 @@ impl<'a> Ctx<'a> {
     /// addressed to this process; [`IpcError::DeadDestination`] if the
     /// caller died in the meantime.
     pub fn reply(&mut self, call: CallId, mut msg: Message) -> Result<(), IpcError> {
-        let owed = live_in_mut(&mut self.sys.slots, self.self_ep)
-            .map(|me| &mut me.owed)
-            .ok_or(IpcError::NoSuchCall)?;
-        let at = owed
-            .iter()
-            .position(|c| c.id == call)
-            .ok_or(IpcError::NoSuchCall)?;
-        let caller = owed.remove(at).caller;
-        if !self.sys.is_live(caller) {
-            return Err(IpcError::DeadDestination);
-        }
+        let caller = match self.close_call(call) {
+            Ok(caller) => caller,
+            Err(e) => {
+                self.return_buf(msg.data);
+                return Err(e);
+            }
+        };
         msg.source = self.self_ep;
         self.sys.metrics.incr("ipc.replies");
         self.stamp_ipc();
@@ -1255,6 +1282,23 @@ impl<'a> Ctx<'a> {
             },
         );
         Ok(())
+    }
+
+    /// Removes `call` from what this process owes: the caller to reply to.
+    fn close_call(&mut self, call: CallId) -> Result<Endpoint, IpcError> {
+        let owed = live_in_mut(&mut self.sys.slots, self.self_ep)
+            .map(|me| &mut me.owed)
+            .ok_or(IpcError::NoSuchCall)?;
+        let at = owed
+            .iter()
+            .position(|c| c.id == call)
+            .ok_or(IpcError::NoSuchCall)?;
+        let caller = owed.remove(at).caller;
+        if self.sys.is_live(caller) {
+            Ok(caller)
+        } else {
+            Err(IpcError::DeadDestination)
+        }
     }
 
     /// Posts a payload-free notification (MINIX `notify`): non-blocking,
@@ -1505,7 +1549,8 @@ impl<'a> Ctx<'a> {
         Ok(())
     }
 
-    /// Buffered port input of `len` bytes (MINIX `sys_sdevio`).
+    /// Buffered port input into `buf` (MINIX `sys_sdevio`): the number of
+    /// bytes the port gave, at most `buf.len()`.
     ///
     /// # Errors
     ///
@@ -1514,12 +1559,12 @@ impl<'a> Ctx<'a> {
         &mut self,
         dev: DeviceId,
         reg: u16,
-        len: usize,
-    ) -> Result<Vec<u8>, KernelError> {
+        buf: &mut [u8],
+    ) -> Result<usize, KernelError> {
         self.check_device(dev)?;
         Ok(self
             .sys
-            .with_hw(|hw| self.platform.io_read_block(dev, reg, len, hw)))
+            .with_hw(|hw| self.platform.io_read_block(dev, reg, buf, hw)))
     }
 
     /// Buffered port output (MINIX `sys_sdevio`).

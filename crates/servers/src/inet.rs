@@ -202,10 +202,10 @@ impl Inet {
     /// loss once the driver is back (§6.1: "the request fails and is
     /// postponed until the driver is back").
     fn eth_write(&mut self, ctx: &mut Ctx<'_>, frame: Vec<u8>) {
-        if !self.driver_ready {
+        let Some(driver) = self.driver.filter(|_| self.driver_ready) else {
+            ctx.return_buf(frame);
             return;
-        }
-        let Some(driver) = self.driver else { return };
+        };
         match ctx.sendrec(driver, Message::new(eth::WRITE).with_data(frame)) {
             Ok(call) => {
                 self.eth_calls.insert(call);
@@ -217,8 +217,10 @@ impl Inet {
         }
     }
 
+    /// Encodes `seg` into a lent buffer and sends it.
     fn send_segment(&mut self, ctx: &mut Ctx<'_>, seg: Segment<impl AsRef<[u8]>>) {
-        self.eth_write(ctx, seg.encode());
+        let frame = seg.encode_into(ctx.lend_buf());
+        self.eth_write(ctx, frame);
     }
 
     fn token(conn: u16, epoch: u32) -> u64 {
@@ -264,7 +266,7 @@ impl Inet {
             ack: conn.rcv_nxt,
             payload: conn.snd_buf.as_slice(),
         };
-        let frame = seg.encode();
+        let frame = seg.encode_into(ctx.lend_buf());
         self.eth_write(ctx, frame);
         self.arm_timer(ctx, conn_id);
     }
@@ -361,21 +363,30 @@ impl Inet {
     }
 
     /// A frame the driver delivered; it becomes the payload handed on to
-    /// the application, the header removed in place.
+    /// the application, the header removed in place. A frame nobody is
+    /// handed goes back to the kernel's spare buffers.
     fn on_frame(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, frame: Vec<u8>) {
-        let Some(seg) = Segment::from_frame(frame) else {
-            self.on_garbled(sh, ctx);
-            return;
-        };
-        // analyze:recovery
-        self.garbled_streak = 0;
+        match Segment::from_frame(frame) {
+            Ok(mut seg) => {
+                // analyze:recovery
+                self.garbled_streak = 0;
+                self.on_segment(sh, ctx, &mut seg);
+                ctx.return_buf(seg.payload);
+            }
+            Err(frame) => {
+                ctx.return_buf(frame);
+                self.on_garbled(sh, ctx);
+            }
+        }
+    }
+
+    /// A decoded segment; a payload handed on to the application is taken
+    /// out of `seg`.
+    fn on_segment(&mut self, sh: &mut Shell, ctx: &mut Ctx<'_>, seg: &mut Segment) {
         if seg.flags & flags::DGRAM != 0 {
             if let Some(app) = self.session.dgram_app {
-                sh.push(
-                    ctx,
-                    app,
-                    Message::new(sock::DGRAM_DATA).with_data(seg.payload),
-                );
+                let data = std::mem::take(&mut seg.payload);
+                sh.push(ctx, app, Message::new(sock::DGRAM_DATA).with_data(data));
             }
             return;
         }
@@ -445,7 +456,7 @@ impl Inet {
                     .add("inet.stream_bytes", seg.payload.len() as u64);
                 let conn = u64::from(conn_id);
                 let data = sock::Data { conn }.into_message();
-                sh.push(ctx, app, data.with_data(seg.payload));
+                sh.push(ctx, app, data.with_data(std::mem::take(&mut seg.payload)));
             } else {
                 ctx.metrics().incr("inet.out_of_order");
             }
@@ -586,6 +597,7 @@ impl ServerLogic for Inet {
                 if !sh.gate.ready() {
                     sh.gate.ensure_restore(ctx);
                     ctx.metrics().incr("inet.frames_dropped_prerestore");
+                    ctx.return_buf(msg.data);
                     return;
                 }
                 self.on_frame(sh, ctx, msg.data);

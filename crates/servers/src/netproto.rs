@@ -127,11 +127,14 @@ impl Segment {
 
     /// [`Segment::parse`] keeping `frame` as the payload: the header is
     /// removed in place, so a received frame becomes the payload an
-    /// application is handed without a copy.
-    pub fn from_frame(mut frame: Vec<u8>) -> Option<Segment> {
-        let head = Segment::parse(&frame)?.header();
+    /// application is handed without a copy. A frame that does not parse
+    /// comes back as the error, for its holder to hand back.
+    pub fn from_frame(mut frame: Vec<u8>) -> Result<Segment, Vec<u8>> {
+        let Some(head) = Segment::parse(&frame).map(|seg| seg.header()) else {
+            return Err(frame);
+        };
         frame.drain(..HEADER);
-        Some(head.with_payload(frame))
+        Ok(head.with_payload(frame))
     }
 }
 
@@ -165,9 +168,14 @@ impl<'a> Segment<&'a [u8]> {
 impl<P: AsRef<[u8]>> Segment<P> {
     /// Serializes to wire format (header + CRC-16 + payload).
     pub fn encode(&self) -> Vec<u8> {
+        self.encode_into(Vec::new())
+    }
+
+    /// [`Segment::encode`] into `out`, a buffer lent for the frame.
+    pub fn encode_into(&self, out: Vec<u8>) -> Vec<u8> {
         let payload = self.payload.as_ref();
         self.header()
-            .encode_with(payload.len(), |out| out.extend_from_slice(payload))
+            .encode_with(out, payload.len(), |out| out.extend_from_slice(payload))
     }
 }
 
@@ -198,9 +206,16 @@ impl Segment<()> {
 
     /// Serializes this header with a `len`-byte payload that `fill`
     /// appends to the frame, so content made on the fly is written once,
-    /// in place.
-    pub fn encode_with(&self, len: usize, fill: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
-        let mut out = Vec::with_capacity(HEADER + len);
+    /// in place. The frame is written over `out`, whose capacity it
+    /// reuses (a lent buffer); the one encoder of the transport.
+    pub fn encode_with(
+        &self,
+        mut out: Vec<u8>,
+        len: usize,
+        fill: impl FnOnce(&mut Vec<u8>),
+    ) -> Vec<u8> {
+        out.clear();
+        out.reserve(HEADER + len);
         out.push(MAGIC);
         out.push(self.flags);
         out.extend_from_slice(&self.conn.to_le_bytes());
@@ -273,7 +288,7 @@ mod tests {
             ack: 99,
             payload: vec![1, 2, 3],
         };
-        assert_eq!(Segment::from_frame(s.encode()), Some(s));
+        assert_eq!(Segment::from_frame(s.encode()), Ok(s));
     }
 
     #[test]
@@ -281,7 +296,7 @@ mod tests {
         let d = Segment::dgram(9, 345, b"gossip".to_vec());
         assert_eq!(d.flags, flags::DGRAM);
         assert_eq!(d.ack, 0);
-        assert_eq!(Segment::from_frame(d.encode()), Some(d));
+        assert_eq!(Segment::from_frame(d.encode()), Ok(d));
     }
 
     #[test]
@@ -296,12 +311,15 @@ mod tests {
         let frame = s.encode();
         let streamed = s
             .header()
-            .encode_with(1460, |out| stream_extend(9, 1460, 1460, out));
+            .encode_with(Vec::new(), 1460, |out| stream_extend(9, 1460, 1460, out));
         assert_eq!(streamed, frame, "content written in place");
+        let reused = s.encode_into(b"an earlier frame's bytes".to_vec());
+        assert_eq!(reused, frame, "a given buffer is written over");
         let parsed = Segment::parse(&frame).expect("one of ours");
         assert_eq!(parsed, s.header().with_payload(s.payload.as_slice()));
-        assert_eq!(Segment::from_frame(frame[1..].to_vec()), None);
-        assert_eq!(Segment::from_frame(frame), Some(s));
+        let garbled = frame[1..].to_vec();
+        assert_eq!(Segment::from_frame(garbled.clone()), Err(garbled));
+        assert_eq!(Segment::from_frame(frame), Ok(s));
     }
 
     #[test]

@@ -114,7 +114,9 @@ impl FilePeer {
                 ack: conn.rcv_nxt,
                 payload: (),
             };
-            let frame = head.encode_with(len, |out| stream_extend(seed, off, len, out));
+            let frame = head.encode_with(ctx.lend_buf(), len, |out| {
+                stream_extend(seed, off, len, out);
+            });
             Self::paced_send(&mut self.tx_clock, ctx, frame);
             conn.snd_nxt += len as u32;
         }
@@ -126,7 +128,8 @@ impl FilePeer {
                 ack: conn.rcv_nxt,
                 payload: (),
             };
-            Self::paced_send(&mut self.tx_clock, ctx, fin.encode_with(0, |_| {}));
+            let frame = fin.encode_with(ctx.lend_buf(), 0, |_| {});
+            Self::paced_send(&mut self.tx_clock, ctx, frame);
         }
         if !conn.fin_acked {
             self.arm_timer(ctx, conn_id);
@@ -150,7 +153,8 @@ impl RemotePeer for FilePeer {
                 ack: 0,
                 payload: seg.payload,
             };
-            ctx.send_to_host(echo.encode());
+            let frame = echo.encode_into(ctx.lend_buf());
+            ctx.send_to_host(frame);
             return;
         }
         if seg.flags & flags::SYN != 0 {
@@ -184,7 +188,8 @@ impl RemotePeer for FilePeer {
                 ack: 0,
                 payload: Vec::new(),
             };
-            ctx.send_to_host(synack.encode());
+            let frame = synack.encode_into(ctx.lend_buf());
+            ctx.send_to_host(frame);
             return;
         }
         let conn_id = seg.conn;
@@ -216,7 +221,8 @@ impl RemotePeer for FilePeer {
                 ack: conn.rcv_nxt,
                 payload: Vec::new(),
             };
-            ctx.send_to_host(ack.encode());
+            let frame = ack.encode_into(ctx.lend_buf());
+            ctx.send_to_host(frame);
             self.fill_window(ctx, conn_id, false);
             return;
         }

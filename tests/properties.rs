@@ -262,7 +262,7 @@ fn segment_roundtrip_and_truncation() {
         let wire = s.encode();
         let cut = rng.range_usize(1..14);
         assert_eq!(Segment::parse(&wire[..wire.len() - cut]), None);
-        assert_eq!(Segment::from_frame(wire), Some(s));
+        assert_eq!(Segment::from_frame(wire), Ok(s));
     }
 }
 
