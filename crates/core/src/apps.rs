@@ -189,7 +189,6 @@ impl Process for Wget {
                     }
                     st.last_data_at = Some(now);
                     st.bytes += msg.data.len() as u64;
-                    drop(st);
                     // Consumed: the frame's buffer goes back to the kernel.
                     ctx.return_buf(msg.data);
                 }

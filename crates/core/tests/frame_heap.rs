@@ -96,7 +96,6 @@ fn the_frame_path_and_a_routine_run_allocate_nothing() {
     }
     let per_run = counting::counts().0 - before;
 
-    let per_frame: u64 = PER_FRAME.iter().map(|&(_, n)| n).sum();
     let leg = |name: &str, (frames, spent, delivered): (u64, u64, u64)| {
         format!(
             "{name} download: {} allocations per delivered data frame ({spent} over {frames} \
@@ -112,8 +111,5 @@ fn the_frame_path_and_a_routine_run_allocate_nothing() {
     );
     assert_eq!((rtl.0, rtl.1), RTL8139_WINDOW, "200 ms of RTL8139 download");
     assert_eq!((dp.0, dp.1), DP8390_WINDOW, "200 ms of DP8390 download");
-    for (frames, spent, _) in [rtl, dp] {
-        assert!(spent <= frames * per_frame, "nothing per frame");
-    }
     assert_eq!(per_run, 0, "routine runs after the first");
 }
